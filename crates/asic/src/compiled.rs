@@ -7,9 +7,13 @@
 //! [`Program`] once, at load time:
 //!
 //! * header types, actions, tables, and registers are interned to dense
-//!   indices; field references become `(header id, field id, width)` or
-//!   `(metadata slot, width)` tuples,
+//!   indices; field references become `(header id, field id, width, bit
+//!   offset)` or `(metadata slot, width)` tuples,
 //! * the parser DAG is pre-resolved so the walk does no catalog lookups,
+//!   and it only *locates* headers: a pass runs over the wire bytes — a
+//!   field is decoded from the input buffer when an op reads it, a write
+//!   goes to a per-instance overlay, and deparse copies each header's
+//!   bytes and patches only the written fields over them,
 //! * control-block statements (including `Call`s, inlined) are flattened
 //!   into a branch-resolved op array executed with a program counter —
 //!   all jumps are forward, so execution always terminates,
@@ -56,8 +60,17 @@ pub(crate) const M_TO_CPU: usize = 6;
 /// declared width baked in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CSlot {
-    Meta { slot: u16, bits: u16 },
-    Hdr { hid: u16, fid: u16, bits: u16 },
+    Meta {
+        slot: u16,
+        bits: u16,
+    },
+    Hdr {
+        hid: u16,
+        fid: u16,
+        bits: u16,
+        /// Bit offset of the field from the start of its header.
+        off: u32,
+    },
 }
 
 impl CSlot {
@@ -249,57 +262,53 @@ struct CParser {
     nodes: Vec<Option<CNode>>,
 }
 
-/// An interned header type.
+/// An interned header type: per-field widths and bit offsets from the
+/// start of the header, in declaration order. Headers are validated
+/// byte-aligned and their fields cover every bit of `total_bytes`.
 #[derive(Debug, Clone)]
 struct CHeader {
     bits: Vec<u16>,
+    offs: Vec<u32>,
     total_bytes: usize,
-    /// Field projection: `None` extracts every field at parse time (needed
-    /// when the program can write the header — deparse then re-serializes
-    /// all of it). `Some(hot)` lists only the `(fid, relative bit offset,
-    /// bits)` triples the program can actually read; the rest stay as
-    /// zero placeholders and the header deparses verbatim from the input
-    /// bytes (it is provably never dirtied).
-    hot: Option<Vec<(u16, u64, u16)>>,
 }
 
-/// The parsed view of a packet on the fast path: a flat view over the input
-/// buffer. Header instances are `(header id, arena base)` pairs whose field
-/// values live contiguously in one reusable `Value` arena, and the payload
-/// is a *range* into the caller's byte buffer instead of a copied `Vec`.
+/// The parsed view of a packet on the fast path: a byte-backed view over
+/// the pass's input buffer. Parsing records *where* each header instance
+/// sits; a field is decoded from those bytes only when an op reads it, and
+/// a write lands in a per-instance overlay that shadows the wire value for
+/// the rest of the pass. The payload is a *range* into the input buffer.
 /// [`FastPacket::clear`] resets the view while keeping every allocation, so
 /// a warmed-up packet pass performs zero heap allocations.
 #[derive(Debug, Clone, Default)]
 struct FastPacket {
     /// Header instances in wire order.
     insts: Vec<Inst>,
-    /// Field-value arena; each instance's fields are contiguous from its
-    /// base. Removing an instance leaves an arena hole until the next
+    /// Written-field overlay: one slot per field of every instance written
+    /// this pass, contiguous from the instance's `overlay` base; `Some` is
+    /// the written flag. Removing an instance leaves a hole until the next
     /// `clear` — instances are few and passes are short.
-    fields: Vec<Value>,
+    written: Vec<Option<Value>>,
     /// Payload byte range within the input buffer of the current pass.
     payload: std::ops::Range<usize>,
 }
 
-/// One header instance in the flat view: where its field values live in
-/// the arena, where its bytes came from in the input buffer, and whether
-/// any field has been written since parse (clean instances deparse as a
-/// verbatim byte copy from `src_off`).
+/// One header instance in the view: where its bytes sit in the pass's
+/// input buffer (`None` for a header added this pass — it has no source
+/// bytes and reads as zero) and where its written fields live in the
+/// overlay (`None` until the first write: the instance is clean and
+/// deparses as a verbatim byte copy).
 #[derive(Debug, Clone, Copy)]
 struct Inst {
     hid: u16,
-    base: u32,
-    /// Byte offset of this header in the pass's input buffer. Meaningless
-    /// when `dirty` (added headers have no source bytes).
-    src_off: u32,
-    dirty: bool,
+    src_off: Option<u32>,
+    overlay: Option<u32>,
 }
 
 impl FastPacket {
     /// Resets the view for a new pass, retaining capacity.
     fn clear(&mut self) {
         self.insts.clear();
-        self.fields.clear();
+        self.written.clear();
         self.payload = 0..0;
     }
 
@@ -307,19 +316,28 @@ impl FastPacket {
         self.insts.iter().position(|i| i.hid == hid)
     }
 
-    fn get(&self, hid: u16, fid: u16) -> Option<Value> {
-        self.find(hid)
-            .map(|i| self.fields[self.insts[i].base as usize + fid as usize])
+    /// Overlay base of instance `i`, allocating its `nfields` unwritten
+    /// slots on first use.
+    fn overlay_of(&mut self, i: usize, nfields: usize) -> usize {
+        match self.insts[i].overlay {
+            Some(base) => base as usize,
+            None => {
+                let base = self.written.len();
+                self.written.resize(base + nfields, None);
+                self.insts[i].overlay = Some(base as u32);
+                base
+            }
+        }
     }
 
-    /// Mirrors `ParsedPacket::set`: resizes to the *stored* value's width
-    /// and silently drops writes to absent headers.
-    fn set(&mut self, hid: u16, fid: u16, v: Value) {
+    /// Mirrors `ParsedPacket::set`: `v` arrives at the declared width, a
+    /// rewrite resizes to the *stored* value's width, and writes to absent
+    /// headers are silently dropped.
+    fn set(&mut self, hid: u16, fid: u16, v: Value, nfields: usize) {
         if let Some(i) = self.find(hid) {
-            let inst = &mut self.insts[i];
-            inst.dirty = true;
-            let slot = &mut self.fields[inst.base as usize + fid as usize];
-            *slot = v.resize(slot.bits());
+            let base = self.overlay_of(i, nfields);
+            let slot = &mut self.written[base + fid as usize];
+            *slot = Some(v.resize(slot.map_or(v.bits(), Value::bits)));
         }
     }
 }
@@ -514,7 +532,7 @@ impl CompiledProgram {
         while pc < self.ops.len() {
             match &self.ops[pc] {
                 COp::Apply { tid } => {
-                    self.apply(*tid, scratch, tables, collect_events)?;
+                    self.apply(*tid, input, scratch, tables, collect_events)?;
                     tables_applied += 1;
                     pc += 1;
                 }
@@ -523,7 +541,7 @@ impl CompiledProgram {
                     arms,
                     default_pc,
                 } => {
-                    let ran = self.apply(*tid, scratch, tables, collect_events)?;
+                    let ran = self.apply(*tid, input, scratch, tables, collect_events)?;
                     tables_applied += 1;
                     pc = arms
                         .iter()
@@ -532,7 +550,7 @@ impl CompiledProgram {
                         .unwrap_or(*default_pc);
                 }
                 COp::Branch { cond, else_pc } => {
-                    pc = if self.eval_bool(cond, &scratch.pkt, &scratch.meta)? {
+                    pc = if self.eval_bool(cond, &scratch.pkt, input, &scratch.meta)? {
                         pc + 1
                     } else {
                         *else_pc
@@ -542,7 +560,7 @@ impl CompiledProgram {
                 COp::RunAction { aid } => {
                     let mut args = std::mem::take(&mut scratch.args);
                     args.clear();
-                    let r = self.run_action(*aid, &mut args, scratch, tables);
+                    let r = self.run_action(*aid, &mut args, input, scratch, tables);
                     scratch.args = args;
                     r?;
                     pc += 1;
@@ -563,8 +581,9 @@ impl CompiledProgram {
         })
     }
 
-    /// Walks the pre-resolved parser into the reusable flat view. `false`
-    /// on any parse error (reject, truncation, dangling node — all drop the
+    /// Walks the pre-resolved parser over `bytes`, recording where each
+    /// accepted header sits — only select fields are decoded. `false` on
+    /// any parse error (reject, truncation, dangling node — all drop the
     /// packet).
     fn parse_into(&self, bytes: &[u8], pkt: &mut FastPacket) -> bool {
         pkt.clear();
@@ -583,34 +602,10 @@ impl CompiledProgram {
                     if bytes.len() < node.end {
                         return false;
                     }
-                    let ch = &self.headers[node.hid as usize];
-                    let base = pkt.fields.len() as u32;
-                    match &ch.hot {
-                        // Writable header: materialize every field.
-                        None => {
-                            let mut bit_off = node.offset as u64 * 8;
-                            for &b in &ch.bits {
-                                pkt.fields.push(extract_bits(bytes, bit_off, b));
-                                bit_off += u64::from(b);
-                            }
-                        }
-                        // Read-only header: placeholders for cold fields,
-                        // real extraction only for the ones the program
-                        // can read. Deparse copies the bytes verbatim.
-                        Some(hot) => {
-                            pkt.fields.extend(ch.bits.iter().map(|&b| Value::new(0, b)));
-                            let hdr_bit = node.offset as u64 * 8;
-                            for &(fid, rel, b) in hot {
-                                pkt.fields[base as usize + fid as usize] =
-                                    extract_bits(bytes, hdr_bit + rel, b);
-                            }
-                        }
-                    }
                     pkt.insts.push(Inst {
                         hid: node.hid,
-                        base,
-                        src_off: node.offset as u32,
-                        dirty: false,
+                        src_off: Some(node.offset as u32),
+                        overlay: None,
                     });
                     consumed = node.end;
                     cur = match &node.transition {
@@ -637,39 +632,39 @@ impl CompiledProgram {
         true
     }
 
-    /// Serializes one header instance into a reusable buffer.
-    fn serialize_header_into(&self, hid: u16, fields: &[Value], buf: &mut Vec<u8>) {
-        let ch = &self.headers[hid as usize];
-        buf.clear();
-        buf.resize(ch.total_bytes, 0);
-        let mut bit_off = 0u64;
-        for (i, &b) in ch.bits.iter().enumerate() {
-            deposit_bits(buf, bit_off, fields[i].resize(b));
-            bit_off += u64::from(b);
+    /// Appends one header instance's serialization to `out`: its wire bytes
+    /// verbatim (zeros for an added header), then the written fields
+    /// deposited over them. The fields tile the header's bytes and an
+    /// unwritten field's value *is* its wire bits, so this equals
+    /// re-serializing every field.
+    fn serialize_inst(&self, inst: &Inst, pkt: &FastPacket, input: &[u8], out: &mut Vec<u8>) {
+        let ch = &self.headers[inst.hid as usize];
+        let start = out.len();
+        match inst.src_off {
+            Some(src) => out.extend_from_slice(&input[src as usize..src as usize + ch.total_bytes]),
+            None => out.resize(start + ch.total_bytes, 0),
+        }
+        let Some(base) = inst.overlay else {
+            return;
+        };
+        let written = &pkt.written[base as usize..base as usize + ch.bits.len()];
+        for (fid, v) in written.iter().enumerate() {
+            if let Some(v) = v {
+                deposit_bits(
+                    &mut out[start..],
+                    u64::from(ch.offs[fid]),
+                    v.resize(ch.bits[fid]),
+                );
+            }
         }
     }
 
-    /// Deparses the flat view into `out`: clean headers are copied verbatim
-    /// from their input byte range (no field was written, so the wire bytes
-    /// are already the serialization), dirty ones re-serialized from the
-    /// field arena, payload copied straight from the input buffer's range.
+    /// Deparses the view into `out`: every instance in wire order, then the
+    /// payload straight from the input buffer's range.
     fn deparse_into(&self, pkt: &FastPacket, input: &[u8], out: &mut Vec<u8>) {
         out.clear();
         for inst in &pkt.insts {
-            let ch = &self.headers[inst.hid as usize];
-            if !inst.dirty {
-                let src = inst.src_off as usize;
-                out.extend_from_slice(&input[src..src + ch.total_bytes]);
-                continue;
-            }
-            let start = out.len();
-            out.resize(start + ch.total_bytes, 0);
-            let dst = &mut out[start..];
-            let mut bit_off = 0u64;
-            for (i, &b) in ch.bits.iter().enumerate() {
-                deposit_bits(dst, bit_off, pkt.fields[inst.base as usize + i].resize(b));
-                bit_off += u64::from(b);
-            }
+            self.serialize_inst(inst, pkt, input, out);
         }
         out.extend_from_slice(&input[pkt.payload.clone()]);
     }
@@ -681,6 +676,7 @@ impl CompiledProgram {
     fn apply(
         &self,
         tid: usize,
+        input: &[u8],
         scratch: &mut ExecScratch,
         tables: &mut TableState,
         collect: bool,
@@ -688,25 +684,34 @@ impl CompiledProgram {
         let t = &self.tables[tid];
         let mut keys = std::mem::take(&mut scratch.keys);
         let mut args = std::mem::take(&mut scratch.args);
-        let res = self.apply_inner(t, &mut keys, &mut args, scratch, tables, collect);
+        let res = self.apply_inner(t, &mut keys, &mut args, input, scratch, tables);
         scratch.keys = keys;
         scratch.args = args;
-        res
+        let (aid, hit) = res?;
+        if collect {
+            scratch.events.push(TableEvent {
+                table: t.name.clone(),
+                hit,
+                action: self.actions[aid].name.clone(),
+            });
+        }
+        Ok(aid)
     }
 
+    /// Looks up and runs; `(action id, hit)`.
     fn apply_inner(
         &self,
         t: &CTable,
         keys: &mut Vec<Value>,
         args: &mut Vec<Value>,
+        input: &[u8],
         scratch: &mut ExecScratch,
         tables: &mut TableState,
-        collect: bool,
-    ) -> Result<usize, IrError> {
+    ) -> Result<(usize, bool), IrError> {
         keys.clear();
         for k in &t.keys {
             let slot = k.as_ref().map_err(Clone::clone)?;
-            keys.push(self.read(*slot, &scratch.pkt, &scratch.meta));
+            keys.push(self.read(*slot, &scratch.pkt, input, &scratch.meta));
         }
         args.clear();
         let (aid, hit) = match tables.lookup_id_ord(t.sid, keys) {
@@ -721,15 +726,8 @@ impl CompiledProgram {
                 (aid, false)
             }
         };
-        self.run_action(aid, args, scratch, tables)?;
-        if collect {
-            scratch.events.push(TableEvent {
-                table: t.name.clone(),
-                hit,
-                action: self.actions[aid].name.clone(),
-            });
-        }
-        Ok(aid)
+        self.run_action(aid, args, input, scratch, tables)?;
+        Ok((aid, hit))
     }
 
     /// Runs an action with `args` already staged in a caller-owned buffer
@@ -739,6 +737,7 @@ impl CompiledProgram {
         &self,
         aid: usize,
         args: &mut [Value],
+        input: &[u8],
         scratch: &mut ExecScratch,
         tables: &mut TableState,
     ) -> Result<(), IrError> {
@@ -764,14 +763,14 @@ impl CompiledProgram {
         for op in &act.ops {
             match op {
                 CPrim::Set { dst, value } => {
-                    let v = self.eval(value, pkt, meta, args)?;
+                    let v = self.eval(value, pkt, input, meta, args)?;
                     let slot = dst.as_ref().map_err(Clone::clone)?;
                     self.write(*slot, v, pkt, meta);
                 }
                 CPrim::Hash { dst, algo, inputs } => {
                     vals.clear();
                     for e in inputs {
-                        let v = self.eval(e, pkt, meta, args)?;
+                        let v = self.eval(e, pkt, input, meta, args)?;
                         vals.push(v);
                     }
                     let raw = run_hash(*algo, vals);
@@ -779,19 +778,13 @@ impl CompiledProgram {
                     self.write(*slot, Value::new(raw, slot.bits()), pkt, meta);
                 }
                 CPrim::AddHeader { hid, before } => {
-                    let ch = &self.headers[*hid as usize];
-                    let base = pkt.fields.len() as u32;
-                    pkt.fields.extend(ch.bits.iter().map(|&b| Value::new(0, b)));
                     let pos = before.and_then(|b| pkt.find(b)).unwrap_or(pkt.insts.len());
-                    // Added headers have no source bytes: always serialized
-                    // from the arena.
                     pkt.insts.insert(
                         pos,
                         Inst {
                             hid: *hid,
-                            base,
-                            src_off: 0,
-                            dirty: true,
+                            src_off: None,
+                            overlay: None,
                         },
                     );
                 }
@@ -805,7 +798,7 @@ impl CompiledProgram {
                             .map(|(i, _)| i)
                             .nth(*occurrence);
                         if let Some(idx) = idx {
-                            // The arena hole is reclaimed by the next
+                            // The overlay hole is reclaimed by the next
                             // `clear`; only the instance entry goes.
                             pkt.insts.remove(idx);
                         }
@@ -813,32 +806,32 @@ impl CompiledProgram {
                 }
                 CPrim::RegisterRead { dst, reg, index } => {
                     let def = &self.registers[*reg];
-                    let idx = self.eval(index, pkt, meta, args)?.raw() as u32;
+                    let idx = self.eval(index, pkt, input, meta, args)?.raw() as u32;
                     let val = tables.register_read(def, idx);
                     let slot = dst.as_ref().map_err(Clone::clone)?;
                     self.write(*slot, Value::new(val, def.width_bits), pkt, meta);
                 }
                 CPrim::RegisterWrite { reg, index, value } => {
                     let def = &self.registers[*reg];
-                    let idx = self.eval(index, pkt, meta, args)?.raw() as u32;
-                    let val = self.eval(value, pkt, meta, args)?.raw();
+                    let idx = self.eval(index, pkt, input, meta, args)?.raw() as u32;
+                    let val = self.eval(value, pkt, input, meta, args)?.raw();
                     tables.register_write(def, idx, val);
                 }
                 CPrim::ChecksumUpdate { hid, ck_fid } => {
                     if let Some(i) = pkt.find(*hid) {
-                        pkt.insts[i].dirty = true;
-                        let base = pkt.insts[i].base as usize;
                         let n = self.headers[*hid as usize].bits.len();
-                        pkt.fields[base + *ck_fid as usize] = Value::new(0, 16);
-                        self.serialize_header_into(*hid, &pkt.fields[base..base + n], hdr_bytes);
+                        let ck = pkt.overlay_of(i, n) + *ck_fid as usize;
+                        pkt.written[ck] = Some(Value::new(0, 16));
+                        hdr_bytes.clear();
+                        self.serialize_inst(&pkt.insts[i], pkt, input, hdr_bytes);
                         let sum = ones_complement_checksum(hdr_bytes);
-                        pkt.fields[base + *ck_fid as usize] = Value::new(u128::from(sum), 16);
+                        pkt.written[ck] = Some(Value::new(u128::from(sum), 16));
                     }
                 }
                 CPrim::Digest { name, inputs } => {
                     vals.clear();
                     for e in inputs {
-                        let v = self.eval(e, pkt, meta, args)?;
+                        let v = self.eval(e, pkt, input, meta, args)?;
                         vals.push(v);
                     }
                     // The one allocating op on the hot loop — digests are
@@ -855,13 +848,33 @@ impl CompiledProgram {
         Ok(())
     }
 
-    /// Reads a slot: metadata resized to the declared width, header fields
-    /// at their stored width (zero at declared width when the header is
-    /// absent) — the interpreter's exact read semantics.
-    fn read(&self, s: CSlot, pkt: &FastPacket, meta: &[Value]) -> Value {
+    /// Reads a slot: metadata resized to the declared width; a header field
+    /// as written this pass, else decoded from the instance's wire bytes at
+    /// the declared width (zero when the header is absent or was added this
+    /// pass) — the interpreter's exact read semantics.
+    fn read(&self, s: CSlot, pkt: &FastPacket, input: &[u8], meta: &[Value]) -> Value {
         match s {
             CSlot::Meta { slot, bits } => meta[slot as usize].resize(bits),
-            CSlot::Hdr { hid, fid, bits } => pkt.get(hid, fid).unwrap_or(Value::new(0, bits)),
+            CSlot::Hdr {
+                hid,
+                fid,
+                bits,
+                off,
+            } => {
+                let Some(inst) = pkt.insts.iter().find(|i| i.hid == hid) else {
+                    return Value::new(0, bits);
+                };
+                let written = inst
+                    .overlay
+                    .and_then(|base| pkt.written[base as usize + fid as usize]);
+                match (written, inst.src_off) {
+                    (Some(v), _) => v,
+                    (None, Some(src)) => {
+                        extract_bits(input, u64::from(src) * 8 + u64::from(off), bits)
+                    }
+                    (None, None) => Value::new(0, bits),
+                }
+            }
         }
     }
 
@@ -870,7 +883,10 @@ impl CompiledProgram {
     fn write(&self, s: CSlot, v: Value, pkt: &mut FastPacket, meta: &mut [Value]) {
         match s {
             CSlot::Meta { slot, bits } => meta[slot as usize] = v.resize(bits),
-            CSlot::Hdr { hid, fid, bits } => pkt.set(hid, fid, v.resize(bits)),
+            CSlot::Hdr { hid, fid, bits, .. } => {
+                let nfields = self.headers[hid as usize].bits.len();
+                pkt.set(hid, fid, v.resize(bits), nfields);
+            }
         }
     }
 
@@ -878,58 +894,68 @@ impl CompiledProgram {
         &self,
         e: &CExpr,
         pkt: &FastPacket,
+        input: &[u8],
         meta: &[Value],
         bound: &[Value],
     ) -> Result<Value, IrError> {
         Ok(match e {
             CExpr::Const(v) => *v,
-            CExpr::Read(s) => self.read(*s, pkt, meta),
+            CExpr::Read(s) => self.read(*s, pkt, input, meta),
             CExpr::Param(i) => bound[*i],
             CExpr::Fail(err) => return Err(err.clone()),
             CExpr::Add(a, b) => {
                 let (a, b) = (
-                    self.eval(a, pkt, meta, bound)?,
-                    self.eval(b, pkt, meta, bound)?,
+                    self.eval(a, pkt, input, meta, bound)?,
+                    self.eval(b, pkt, input, meta, bound)?,
                 );
                 a.wrapping_add(b)
             }
             CExpr::Sub(a, b) => {
                 let (a, b) = (
-                    self.eval(a, pkt, meta, bound)?,
-                    self.eval(b, pkt, meta, bound)?,
+                    self.eval(a, pkt, input, meta, bound)?,
+                    self.eval(b, pkt, input, meta, bound)?,
                 );
                 a.wrapping_sub(b)
             }
             CExpr::And(a, b) => {
                 let (a, b) = (
-                    self.eval(a, pkt, meta, bound)?,
-                    self.eval(b, pkt, meta, bound)?,
+                    self.eval(a, pkt, input, meta, bound)?,
+                    self.eval(b, pkt, input, meta, bound)?,
                 );
                 a.and(b)
             }
             CExpr::Or(a, b) => {
                 let (a, b) = (
-                    self.eval(a, pkt, meta, bound)?,
-                    self.eval(b, pkt, meta, bound)?,
+                    self.eval(a, pkt, input, meta, bound)?,
+                    self.eval(b, pkt, input, meta, bound)?,
                 );
                 a.or(b)
             }
             CExpr::Xor(a, b) => {
                 let (a, b) = (
-                    self.eval(a, pkt, meta, bound)?,
-                    self.eval(b, pkt, meta, bound)?,
+                    self.eval(a, pkt, input, meta, bound)?,
+                    self.eval(b, pkt, input, meta, bound)?,
                 );
                 a.xor(b)
             }
-            CExpr::Shl(a, amount) => self.eval(a, pkt, meta, bound)?.shl(*amount),
-            CExpr::Shr(a, amount) => self.eval(a, pkt, meta, bound)?.shr(*amount),
+            CExpr::Shl(a, amount) => self.eval(a, pkt, input, meta, bound)?.shl(*amount),
+            CExpr::Shr(a, amount) => self.eval(a, pkt, input, meta, bound)?.shr(*amount),
         })
     }
 
-    fn eval_bool(&self, c: &CBool, pkt: &FastPacket, meta: &[Value]) -> Result<bool, IrError> {
+    fn eval_bool(
+        &self,
+        c: &CBool,
+        pkt: &FastPacket,
+        input: &[u8],
+        meta: &[Value],
+    ) -> Result<bool, IrError> {
         Ok(match c {
             CBool::Cmp(a, op, b) => {
-                let (a, b) = (self.eval(a, pkt, meta, &[])?, self.eval(b, pkt, meta, &[])?);
+                let (a, b) = (
+                    self.eval(a, pkt, input, meta, &[])?,
+                    self.eval(b, pkt, input, meta, &[])?,
+                );
                 match op {
                     CmpOp::Eq => a.raw() == b.raw(),
                     CmpOp::Ne => a.raw() != b.raw(),
@@ -939,9 +965,13 @@ impl CompiledProgram {
                     CmpOp::Ge => a.raw() >= b.raw(),
                 }
             }
-            CBool::And(a, b) => self.eval_bool(a, pkt, meta)? && self.eval_bool(b, pkt, meta)?,
-            CBool::Or(a, b) => self.eval_bool(a, pkt, meta)? || self.eval_bool(b, pkt, meta)?,
-            CBool::Not(a) => !self.eval_bool(a, pkt, meta)?,
+            CBool::And(a, b) => {
+                self.eval_bool(a, pkt, input, meta)? && self.eval_bool(b, pkt, input, meta)?
+            }
+            CBool::Or(a, b) => {
+                self.eval_bool(a, pkt, input, meta)? || self.eval_bool(b, pkt, input, meta)?
+            }
+            CBool::Not(a) => !self.eval_bool(a, pkt, input, meta)?,
             CBool::Valid(hid) => hid.is_some_and(|h| pkt.find(h).is_some()),
         })
     }
@@ -1003,10 +1033,20 @@ impl<'p> Compiler<'p> {
                     .map(|(i, f)| (f.name.clone(), i as u16))
                     .collect(),
             );
+            let bits: Vec<u16> = ht.fields.iter().map(|f| f.bits).collect();
+            let mut end = 0u32;
+            let offs = bits
+                .iter()
+                .map(|&b| {
+                    let off = end;
+                    end += u32::from(b);
+                    off
+                })
+                .collect();
             headers.push(CHeader {
-                bits: ht.fields.iter().map(|f| f.bits).collect(),
+                bits,
+                offs,
                 total_bytes: ht.total_bytes() as usize,
-                hot: None,
             });
         }
 
@@ -1100,7 +1140,6 @@ impl<'p> Compiler<'p> {
         }
 
         let parser = self.lower_parser();
-        self.project_fields();
         Ok(CompiledProgram {
             meta_zero: self.meta_widths.iter().map(|&b| Value::new(0, b)).collect(),
             headers: self.headers,
@@ -1156,123 +1195,6 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    /// Computes the per-header field projection the parser uses: which
-    /// fields the lowered program can ever *read* (table keys, expression
-    /// operands, branch conditions), and which headers it can ever *write*
-    /// (set/hash/register-read destinations, checksum rewrites, added
-    /// instances). Writable headers keep full extraction (`hot == None`) so
-    /// a dirty deparse has every field; read-only headers extract just
-    /// their hot fields and deparse verbatim from the wire bytes.
-    ///
-    /// Every lowered action is walked, reachable or not — over-extraction
-    /// is merely slower, never wrong, and keeps the analysis independent of
-    /// control flow.
-    fn project_fields(&mut self) {
-        fn expr(e: &CExpr, reads: &mut HashSet<(u16, u16)>) {
-            match e {
-                CExpr::Read(CSlot::Hdr { hid, fid, .. }) => {
-                    reads.insert((*hid, *fid));
-                }
-                CExpr::Const(_) | CExpr::Read(_) | CExpr::Param(_) | CExpr::Fail(_) => {}
-                CExpr::Add(a, b)
-                | CExpr::Sub(a, b)
-                | CExpr::And(a, b)
-                | CExpr::Or(a, b)
-                | CExpr::Xor(a, b) => {
-                    expr(a, reads);
-                    expr(b, reads);
-                }
-                CExpr::Shl(a, _) | CExpr::Shr(a, _) => expr(a, reads),
-            }
-        }
-        fn cond(c: &CBool, reads: &mut HashSet<(u16, u16)>) {
-            match c {
-                CBool::Cmp(a, _, b) => {
-                    expr(a, reads);
-                    expr(b, reads);
-                }
-                CBool::And(a, b) | CBool::Or(a, b) => {
-                    cond(a, reads);
-                    cond(b, reads);
-                }
-                CBool::Not(a) => cond(a, reads),
-                CBool::Valid(_) => {}
-            }
-        }
-        fn write(dst: &CDst, written: &mut HashSet<u16>) {
-            if let Ok(CSlot::Hdr { hid, .. }) = dst {
-                written.insert(*hid);
-            }
-        }
-
-        let mut reads: HashSet<(u16, u16)> = HashSet::new();
-        let mut written: HashSet<u16> = HashSet::new();
-        for act in &self.actions {
-            for op in &act.ops {
-                match op {
-                    CPrim::Set { dst, value } => {
-                        write(dst, &mut written);
-                        expr(value, &mut reads);
-                    }
-                    CPrim::Hash { dst, inputs, .. } => {
-                        write(dst, &mut written);
-                        for e in inputs {
-                            expr(e, &mut reads);
-                        }
-                    }
-                    CPrim::AddHeader { hid, .. } => {
-                        written.insert(*hid);
-                    }
-                    CPrim::RegisterRead { dst, index, .. } => {
-                        write(dst, &mut written);
-                        expr(index, &mut reads);
-                    }
-                    CPrim::RegisterWrite { index, value, .. } => {
-                        expr(index, &mut reads);
-                        expr(value, &mut reads);
-                    }
-                    CPrim::ChecksumUpdate { hid, .. } => {
-                        written.insert(*hid);
-                    }
-                    CPrim::Digest { inputs, .. } => {
-                        for e in inputs {
-                            expr(e, &mut reads);
-                        }
-                    }
-                    CPrim::RemoveHeaderNth { .. } | CPrim::Drop | CPrim::NoOp | CPrim::Fail(_) => {}
-                }
-            }
-        }
-        for t in &self.tables {
-            for k in &t.keys {
-                if let Ok(CSlot::Hdr { hid, fid, .. }) = k {
-                    reads.insert((*hid, *fid));
-                }
-            }
-        }
-        for op in &self.ops {
-            if let COp::Branch { cond: c, .. } = op {
-                cond(c, &mut reads);
-            }
-        }
-
-        for (h, ch) in self.headers.iter_mut().enumerate() {
-            let hid = h as u16;
-            if written.contains(&hid) {
-                continue; // hot stays None: full extraction
-            }
-            let mut rel = 0u64;
-            let mut hot = Vec::new();
-            for (fid, &b) in ch.bits.iter().enumerate() {
-                if reads.contains(&(hid, fid as u16)) {
-                    hot.push((fid as u16, rel, b));
-                }
-                rel += u64::from(b);
-            }
-            ch.hot = Some(hot);
-        }
-    }
-
     /// Resolves a field reference, or the `Undefined` error the interpreter
     /// raises when it is dangling.
     fn slot_of(&self, fr: &FieldRef) -> CDst {
@@ -1291,10 +1213,12 @@ impl<'p> Compiler<'p> {
         let &fid = self.field_ids[hid as usize]
             .get(&fr.field)
             .ok_or_else(undefined)?;
+        let ch = &self.headers[hid as usize];
         Ok(CSlot::Hdr {
             hid,
             fid,
-            bits: self.headers[hid as usize].bits[fid as usize],
+            bits: ch.bits[fid as usize],
+            off: ch.offs[fid as usize],
         })
     }
 

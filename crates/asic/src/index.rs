@@ -26,9 +26,9 @@
 //! with observationally.
 
 use std::cell::Cell;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use dejavu_p4ir::{mask_for, MatchKind, TableDef, Value};
@@ -47,6 +47,74 @@ pub fn rank_of(e: &TableEntry) -> Rank {
         .sum();
     (e.priority, lpm_total)
 }
+
+/// Hasher state of the index-internal maps: a multiply-fold over whole
+/// words instead of SipHash over bytes (a key component is an 18-byte
+/// `Value`; SipHash was a third of a small-table lookup). Learned entries
+/// carry packet-chosen keys, so every index draws its own seed from
+/// [`RandomState`]: colliding keys cannot be precomputed. Nothing observable
+/// depends on the seed — no index iterates its maps to answer a lookup.
+#[derive(Debug, Clone)]
+pub(crate) struct WordState(u64);
+
+impl Default for WordState {
+    fn default() -> Self {
+        WordState(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl BuildHasher for WordState {
+    type Hasher = WordHasher;
+
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher(self.0)
+    }
+}
+
+/// See [`WordState`].
+pub(crate) struct WordHasher(u64);
+
+impl WordHasher {
+    /// Folds one word in: the 128-bit product spreads every input bit over
+    /// the whole state (hashbrown reads both ends of the hash).
+    fn mix(&mut self, word: u64) {
+        let p = u128::from(self.0 ^ word) * 0x9e37_79b9_7f4a_7c15_u128;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_u128(&mut self, n: u128) {
+        self.mix(n as u64);
+        self.mix((n >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, WordState>;
 
 /// Number of log2 buckets in the probe/depth histograms.
 pub const INDEX_HIST_BUCKETS: usize = 8;
@@ -282,9 +350,9 @@ fn key_sig(m: &KeyMatch) -> Option<(KeySig, u128)> {
 
 /// Full-tuple signature of an entry plus the hash of its stored comparison
 /// values, or `None` when any key is unhashable (spill).
-fn entry_sig(e: &TableEntry) -> Option<(Vec<KeySig>, u64)> {
+fn entry_sig(e: &TableEntry, hasher: &WordState) -> Option<(Vec<KeySig>, u64)> {
     let mut sigs = Vec::with_capacity(e.matches.len());
-    let mut h = DefaultHasher::new();
+    let mut h = hasher.build_hasher();
     for m in &e.matches {
         let (sig, stored) = key_sig(m)?;
         if sig != KeySig::Wild {
@@ -298,8 +366,8 @@ fn entry_sig(e: &TableEntry) -> Option<(Vec<KeySig>, u64)> {
 /// Hashes a packet key tuple under a signature. Returns `None` when a key's
 /// width disagrees with the signature (such entries can never match the key,
 /// mirroring width-sensitive `KeyMatch` semantics).
-fn probe_hash(sig: &[KeySig], keys: &[Value]) -> Option<u64> {
-    let mut h = DefaultHasher::new();
+fn probe_hash(sig: &[KeySig], keys: &[Value], hasher: &WordState) -> Option<u64> {
+    let mut h = hasher.build_hasher();
     for (s, k) in sig.iter().zip(keys.iter()) {
         match s {
             KeySig::Wild => {}
@@ -402,7 +470,7 @@ impl ClassifierIndex for ScanIndex {
 /// `Any` wildcards fall into a scanned spill list.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExactIndex {
-    map: HashMap<Vec<Value>, usize>,
+    map: WordMap<Vec<Value>, usize>,
     spill: Vec<usize>,
 }
 
@@ -514,7 +582,7 @@ impl ClassifierIndex for ExactIndex {
 /// to tuple-space search.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LpmIndex {
-    buckets: HashMap<(u16, u16), HashMap<u128, usize>>,
+    buckets: WordMap<(u16, u16), WordMap<u128, usize>>,
     /// Bucket keys sorted by descending prefix length.
     lens: Vec<(u16, u16)>,
     /// First-installed wildcard entry (`Any` or a /0 prefix).
@@ -654,7 +722,8 @@ impl ClassifierIndex for LpmIndex {
 #[derive(Debug, Clone)]
 struct Tuple {
     sig: Vec<KeySig>,
-    buckets: HashMap<u64, Vec<usize>>,
+    /// Keyed by [`entry_sig`]'s hash under the owning index's `hasher`.
+    buckets: WordMap<u64, Vec<usize>>,
     /// Multiset of live ranks; the max key drives the probe order.
     rank_counts: BTreeMap<Rank, u32>,
     len: usize,
@@ -674,6 +743,8 @@ impl Tuple {
 pub(crate) struct TupleSpaceIndex {
     /// Tuple storage; slots may be tombstoned (empty) after removals.
     tuples: Vec<Tuple>,
+    /// Seed of the stored-value hash every tuple's buckets are keyed by.
+    hasher: WordState,
     by_sig: HashMap<Vec<KeySig>, usize>,
     /// Live tuple ids ordered `(max_rank desc, id asc)`.
     probe_order: Vec<usize>,
@@ -727,7 +798,7 @@ impl ClassifierIndex for TupleSpaceIndex {
     fn insert(&mut self, entries: &[TableEntry], ranks: &[Rank], idx: usize) -> bool {
         let entry = &entries[idx];
         self.note_priority(entry.priority);
-        match entry_sig(entry) {
+        match entry_sig(entry, &self.hasher) {
             None => ordered_insert(&mut self.spill, ranks, idx),
             Some((sig, hash)) => {
                 let tid = match self.by_sig.get(&sig) {
@@ -736,7 +807,7 @@ impl ClassifierIndex for TupleSpaceIndex {
                         let t = self.tuples.len();
                         self.tuples.push(Tuple {
                             sig: sig.clone(),
-                            buckets: HashMap::new(),
+                            buckets: WordMap::default(),
                             rank_counts: BTreeMap::new(),
                             len: 0,
                         });
@@ -761,7 +832,7 @@ impl ClassifierIndex for TupleSpaceIndex {
     }
 
     fn remove(&mut self, removed: &TableEntry, rank: Rank, idx: usize) -> bool {
-        match entry_sig(removed) {
+        match entry_sig(removed, &self.hasher) {
             None => {
                 let before = self.spill.len();
                 self.spill.retain(|&i| i != idx);
@@ -795,7 +866,7 @@ impl ClassifierIndex for TupleSpaceIndex {
                 if tuple.len == 0 {
                     // Tombstone the slot; ids are stable so no remapping.
                     self.by_sig.remove(&sig);
-                    self.tuples[tid].buckets = HashMap::new();
+                    self.tuples[tid].buckets = WordMap::default();
                     self.probe_order.retain(|&t| t != tid);
                     self.live_tuples -= 1;
                 } else if self.tuples[tid].max_rank() != old_max {
@@ -838,7 +909,7 @@ impl ClassifierIndex for TupleSpaceIndex {
                 }
             }
             probes += 1;
-            let Some(h) = probe_hash(&tuple.sig, keys) else {
+            let Some(h) = probe_hash(&tuple.sig, keys, &self.hasher) else {
                 // Width mismatch: no entry in this tuple can match the key.
                 continue;
             };
@@ -1294,8 +1365,10 @@ pub(crate) fn auto_kind_from_entries(shape: TableShape, entries: &[TableEntry]) 
             let mut sigs = HashSet::new();
             let mut spill = 0usize;
             for e in entries {
-                match entry_sig(e) {
-                    Some((sig, _)) => {
+                let sig: Option<Vec<KeySig>> =
+                    e.matches.iter().map(|m| Some(key_sig(m)?.0)).collect();
+                match sig {
+                    Some(sig) => {
                         sigs.insert(sig);
                     }
                     None => spill += 1,

@@ -90,6 +90,22 @@ impl PipeletId {
             gress: Gress::Egress,
         }
     }
+
+    /// Dense index in `(pipeline, gress)` order — the order `Ord` gives.
+    fn slot(self) -> usize {
+        self.pipeline * 2 + usize::from(self.gress == Gress::Egress)
+    }
+
+    fn from_slot(slot: usize) -> Self {
+        PipeletId {
+            pipeline: slot / 2,
+            gress: if slot.is_multiple_of(2) {
+                Gress::Ingress
+            } else {
+                Gress::Egress
+            },
+        }
+    }
 }
 
 impl std::fmt::Display for PipeletId {
@@ -454,14 +470,22 @@ struct PassSignals {
     tables_applied: u32,
 }
 
+/// Everything `load_program` puts on one pipelet.
+#[derive(Debug, Clone)]
+struct Loaded {
+    program: Program,
+    compiled: Arc<CompiledProgram>,
+    tables: TableState,
+}
+
 /// The simulated switch.
 #[derive(Debug, Clone)]
 pub struct Switch {
     profile: TofinoProfile,
     timing: TimingModel,
-    programs: BTreeMap<PipeletId, Program>,
-    compiled: BTreeMap<PipeletId, Arc<CompiledProgram>>,
-    tables: BTreeMap<PipeletId, TableState>,
+    /// What is loaded on each pipelet, dense by [`PipeletId::slot`] — one
+    /// indexed load per pass resolves program, compiled form and state.
+    slots: Vec<Option<Loaded>>,
     loopback_ports: BTreeSet<PortId>,
     down_ports: BTreeSet<PortId>,
     mirror_port: Option<PortId>,
@@ -509,11 +533,9 @@ impl Switch {
     pub fn new(profile: TofinoProfile) -> Self {
         let metrics = SwitchMetrics::new(&profile);
         Switch {
+            slots: vec![None; profile.pipelines * 2],
             profile,
             timing: TimingModel::tofino(),
-            programs: BTreeMap::new(),
-            compiled: BTreeMap::new(),
-            tables: BTreeMap::new(),
             loopback_ports: BTreeSet::new(),
             down_ports: BTreeSet::new(),
             mirror_port: None,
@@ -575,10 +597,14 @@ impl Switch {
         if !self.metrics.is_enabled() {
             return MetricsSnapshot::capture(self.metrics.registry());
         }
-        self.metrics
-            .set_table_entries(self.tables.values().map(TableState::total_entries).sum());
+        self.metrics.set_table_entries(
+            self.loaded_all()
+                .map(|(_, l)| l.tables.total_entries())
+                .sum(),
+        );
         let mut snap = MetricsSnapshot::capture(self.metrics.registry());
-        for (pipelet, state) in &self.tables {
+        for (pipelet, loaded) in self.loaded_all() {
+            let state = &loaded.tables;
             for (table, c) in state.all_counters() {
                 snap.set_counter(
                     format!("table_hits{{pipelet=\"{pipelet}\",table=\"{table}\"}}"),
@@ -676,8 +702,8 @@ impl Switch {
     /// Clears all entries of a table on a pipelet (used when routing is
     /// re-synthesized after a failure or re-placement).
     pub fn clear_table(&mut self, pipelet: PipeletId, table: &str) {
-        if let Some(state) = self.tables.get_mut(&pipelet) {
-            state.clear(table);
+        if let Some(loaded) = self.loaded_mut(pipelet) {
+            loaded.tables.clear(table);
         }
     }
 
@@ -732,9 +758,11 @@ impl Switch {
         // A freshly loaded program joins the switch's logical timeline, so
         // aging continues seamlessly across upgrades once state is migrated.
         state.set_clock(self.now);
-        self.tables.insert(pipelet, state);
-        self.compiled.insert(pipelet, Arc::new(compiled));
-        self.programs.insert(pipelet, program);
+        self.slots[pipelet.slot()] = Some(Loaded {
+            program,
+            compiled: Arc::new(compiled),
+            tables: state,
+        });
         Ok(())
     }
 
@@ -779,19 +807,14 @@ impl Switch {
         table: &str,
         entry: TableEntry,
     ) -> Result<(), IrError> {
-        let program = self
-            .programs
-            .get(&pipelet)
-            .ok_or_else(|| IrError::Invalid(format!("no program loaded on {pipelet}")))?;
+        let Loaded {
+            program, tables, ..
+        } = self.loaded_or_err(pipelet)?;
         let def = program.tables.get(table).ok_or(IrError::Undefined {
             kind: "table",
             name: table.to_string(),
         })?;
-        let def = def.clone();
-        self.tables
-            .get_mut(&pipelet)
-            .expect("table state exists for every loaded program")
-            .install(&def, entry)
+        tables.install(def, entry)
     }
 
     /// Removes a previously installed entry from a pipelet's table.
@@ -802,9 +825,8 @@ impl Switch {
         table: &str,
         entry: &TableEntry,
     ) -> Result<bool, IrError> {
-        self.tables
-            .get_mut(&pipelet)
-            .ok_or_else(|| IrError::Invalid(format!("no program loaded on {pipelet}")))?
+        self.loaded_or_err(pipelet)?
+            .tables
             .remove_entry(table, entry)
     }
 
@@ -816,26 +838,46 @@ impl Switch {
         table: &str,
         policy: IndexPolicy,
     ) -> Result<(), IrError> {
-        self.tables
-            .get_mut(&pipelet)
-            .ok_or_else(|| IrError::Invalid(format!("no program loaded on {pipelet}")))?
+        self.loaded_or_err(pipelet)?
+            .tables
             .set_index_policy(table, policy)
     }
 
     /// The index kind currently serving a pipelet's table.
     pub fn table_index_kind(&self, pipelet: PipeletId, table: &str) -> Option<IndexKind> {
-        self.tables.get(&pipelet)?.index_kind(table)
+        self.tables(pipelet)?.index_kind(table)
+    }
+
+    fn loaded(&self, pipelet: PipeletId) -> Option<&Loaded> {
+        self.slots.get(pipelet.slot())?.as_ref()
+    }
+
+    fn loaded_mut(&mut self, pipelet: PipeletId) -> Option<&mut Loaded> {
+        self.slots.get_mut(pipelet.slot())?.as_mut()
+    }
+
+    fn loaded_or_err(&mut self, pipelet: PipeletId) -> Result<&mut Loaded, IrError> {
+        self.loaded_mut(pipelet)
+            .ok_or_else(|| IrError::Invalid(format!("no program loaded on {pipelet}")))
+    }
+
+    /// Loaded pipelets in `PipeletId` order.
+    fn loaded_all(&self) -> impl Iterator<Item = (PipeletId, &Loaded)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, l)| Some((PipeletId::from_slot(slot), l.as_ref()?)))
     }
 
     /// Read access to a pipelet's table state (counters, entry counts).
     pub fn tables(&self, pipelet: PipeletId) -> Option<&TableState> {
-        self.tables.get(&pipelet)
+        self.loaded(pipelet).map(|l| &l.tables)
     }
 
     /// Control-plane read of a register cell on a pipelet (`None` when the
     /// register was never touched or does not exist).
     pub fn register_peek(&self, pipelet: PipeletId, register: &str, index: u32) -> Option<u128> {
-        self.tables.get(&pipelet)?.register_peek(register, index)
+        self.tables(pipelet)?.register_peek(register, index)
     }
 
     /// Control-plane write of a register cell (used e.g. to reset token
@@ -848,30 +890,26 @@ impl Switch {
         index: u32,
         value: u128,
     ) -> Result<(), IrError> {
-        let def = self
-            .programs
-            .get(&pipelet)
-            .and_then(|p| p.registers.get(register))
-            .cloned()
-            .ok_or(IrError::Undefined {
-                kind: "register",
-                name: register.to_string(),
-            })?;
-        self.tables
-            .get_mut(&pipelet)
-            .expect("state exists for loaded program")
-            .register_write(&def, index, value);
+        let undefined = || IrError::Undefined {
+            kind: "register",
+            name: register.to_string(),
+        };
+        let Loaded {
+            program, tables, ..
+        } = self.loaded_mut(pipelet).ok_or_else(undefined)?;
+        let def = program.registers.get(register).ok_or_else(undefined)?;
+        tables.register_write(def, index, value);
         Ok(())
     }
 
     /// Program loaded on a pipelet.
     pub fn program(&self, pipelet: PipeletId) -> Option<&Program> {
-        self.programs.get(&pipelet)
+        self.loaded(pipelet).map(|l| &l.program)
     }
 
     /// Pipelets with a program loaded, in deterministic order.
     pub fn loaded_pipelets(&self) -> Vec<PipeletId> {
-        self.programs.keys().copied().collect()
+        self.loaded_all().map(|(pipelet, _)| pipelet).collect()
     }
 
     // ------------------------------------------------- flow-state runtime
@@ -888,9 +926,10 @@ impl Switch {
     pub fn advance_time(&mut self, ticks: u64) -> Vec<(PipeletId, Eviction)> {
         self.now = self.now.saturating_add(ticks);
         let mut evicted = Vec::new();
-        for (pipelet, state) in &mut self.tables {
-            for ev in state.advance_clock(ticks) {
-                evicted.push((*pipelet, ev));
+        for (slot, loaded) in self.slots.iter_mut().enumerate() {
+            let Some(loaded) = loaded else { continue };
+            for ev in loaded.tables.advance_clock(ticks) {
+                evicted.push((PipeletId::from_slot(slot), ev));
             }
         }
         evicted
@@ -906,9 +945,8 @@ impl Switch {
         table: &str,
         timeout: Option<u64>,
     ) -> Result<(), IrError> {
-        self.tables
-            .get_mut(&pipelet)
-            .ok_or_else(|| IrError::Invalid(format!("no program loaded on {pipelet}")))?
+        self.loaded_or_err(pipelet)?
+            .tables
             .set_idle_timeout(table, timeout)
     }
 
@@ -916,10 +954,10 @@ impl Switch {
     /// table state into the owning pipeline's bounded learn queue. Called
     /// after every pipelet pass.
     fn collect_digests(&mut self, pipelet: PipeletId) {
-        let Some(state) = self.tables.get_mut(&pipelet) else {
+        let Some(loaded) = self.loaded_mut(pipelet) else {
             return;
         };
-        let records = state.take_digests();
+        let records = loaded.tables.take_digests();
         if records.is_empty() {
             return;
         }
@@ -961,8 +999,11 @@ impl Switch {
     /// register cells, and the logical clock. `None` when no program is
     /// loaded there.
     pub fn snapshot_state(&self, pipelet: PipeletId) -> Option<StateSnapshot> {
-        let program = self.programs.get(&pipelet)?;
-        let state = self.tables.get(&pipelet)?;
+        let Loaded {
+            program,
+            tables: state,
+            ..
+        } = self.loaded(pipelet)?;
         let mut snap = StateSnapshot::empty(&program.name);
         snap.clock = state.now();
         for name in state.table_names() {
@@ -992,14 +1033,11 @@ impl Switch {
         pipelet: PipeletId,
         snap: &StateSnapshot,
     ) -> Result<MigrationReport, IrError> {
-        let program = self
-            .programs
-            .get(&pipelet)
-            .ok_or_else(|| IrError::Invalid(format!("no program loaded on {pipelet}")))?;
-        let state = self
-            .tables
-            .get_mut(&pipelet)
-            .expect("state exists for loaded program");
+        let Loaded {
+            program,
+            tables: state,
+            ..
+        } = self.loaded_or_err(pipelet)?;
         let mut report = MigrationReport::default();
         for t in &snap.tables {
             let Some(def) = program.tables.get(&t.name) else {
@@ -1170,7 +1208,7 @@ impl Switch {
         ingress_port: PortId,
         egress_seed: PortId,
     ) -> Result<crate::compiled::BufPass, IrError> {
-        if !self.programs.contains_key(&pipelet) {
+        let Some(Some(loaded)) = self.slots.get_mut(pipelet.slot()) else {
             return Ok(crate::compiled::BufPass {
                 parsed: true,
                 drop: false,
@@ -1180,21 +1218,12 @@ impl Switch {
                 egress_spec: u128::from(egress_seed),
                 tables_applied: 0,
             });
-        }
-        let cp = Arc::clone(
-            self.compiled
-                .get(&pipelet)
-                .expect("compiled program exists for every loaded program"),
-        );
-        let tables = self
-            .tables
-            .get_mut(&pipelet)
-            .expect("state exists for loaded program");
-        let pass = cp.run_pass_scratch(
+        };
+        let pass = loaded.compiled.run_pass_scratch(
             buf,
             ingress_port,
             egress_seed,
-            tables,
+            &mut loaded.tables,
             false,
             &mut self.scratch,
         )?;
@@ -1682,7 +1711,12 @@ impl Switch {
         events: &mut Vec<TraceEvent>,
     ) -> Result<PassSignals, IrError> {
         let trace = self.trace_level == TraceLevel::Full;
-        if !self.programs.contains_key(&pipelet) {
+        let Some(Some(Loaded {
+            program,
+            compiled,
+            tables,
+        })) = self.slots.get_mut(pipelet.slot())
+        else {
             return Ok(PassSignals {
                 bytes: Some(bytes.to_vec()),
                 drop: false,
@@ -1692,18 +1726,10 @@ impl Switch {
                 egress_spec: egress_seed,
                 tables_applied: 0,
             });
-        }
+        };
         match self.exec_mode {
             ExecMode::Compiled => {
-                let cp = self
-                    .compiled
-                    .get(&pipelet)
-                    .expect("compiled program exists for every loaded program");
-                let tables = self
-                    .tables
-                    .get_mut(&pipelet)
-                    .expect("state exists for loaded program");
-                let pass = cp.run_pass(bytes, ingress_port, egress_seed, tables, trace)?;
+                let pass = compiled.run_pass(bytes, ingress_port, egress_seed, tables, trace)?;
                 if trace {
                     if pass.bytes.is_none() {
                         events.push(TraceEvent::ParseError { pipelet });
@@ -1728,7 +1754,6 @@ impl Switch {
                 })
             }
             ExecMode::Reference => {
-                let program = self.programs.get(&pipelet).expect("checked above");
                 let mut meta = BTreeMap::new();
                 meta.insert(
                     "ingress_port".to_string(),
@@ -1756,10 +1781,6 @@ impl Switch {
                         });
                     }
                 };
-                let tables = self
-                    .tables
-                    .get_mut(&pipelet)
-                    .expect("state exists for loaded program");
                 let outcome = interp.execute(&mut pp, &mut meta, tables)?;
                 if trace {
                     for ev in outcome.events {
@@ -2068,9 +2089,9 @@ mod tests {
         sw.load_program(PipeletId::ingress(0), program.clone())
             .unwrap();
         let def = program.tables.get("decide").unwrap().clone();
-        sw.tables
-            .get_mut(&PipeletId::ingress(0))
+        sw.loaded_mut(PipeletId::ingress(0))
             .unwrap()
+            .tables
             .install(
                 &def,
                 TableEntry {

@@ -73,7 +73,9 @@ fn alloc_count() -> Option<u64> {
     }
 }
 
-fn bench_dataplane(c: &mut Criterion) {
+/// The §5 prototype with the path-1 flow's LB session installed, and its
+/// packets: one per Fig. 2 path, then a path-1 packet the firewall denies.
+fn chain_testbed() -> (Switch, [Vec<u8>; 4]) {
     let (mut switch, dep) = fig9_testbed();
     let pkt1 = chain_packet(1, 0xc633_6450, 80);
     let tuple = five_tuple_of(&pkt1).unwrap();
@@ -84,10 +86,17 @@ fn bench_dataplane(c: &mut Criterion) {
         session_entry_for(&tuple, 0x0a63_0001),
     )
     .unwrap();
+    let pkt2 = chain_packet(2, 0xc633_6450, 80);
+    let pkt3 = chain_packet(3, 0xc633_6450, 80);
+    let deny = chain_packet(1, 0xc633_6450, 22);
+    (switch, [pkt1, pkt2, pkt3, deny])
+}
+
+fn bench_dataplane(c: &mut Criterion) {
+    let (mut switch, [pkt1, _, pkt3, deny]) = chain_testbed();
 
     let mut group = c.benchmark_group("dataplane");
     group.throughput(Throughput::Elements(1));
-    let pkt3 = chain_packet(3, 0xc633_6450, 80);
     group.bench_function("path3_classifier_router", |b| {
         b.iter(|| {
             switch
@@ -102,7 +111,6 @@ fn bench_dataplane(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    let deny = chain_packet(1, 0xc633_6450, 22);
     group.bench_function("firewall_drop_path", |b| {
         b.iter(|| {
             switch
@@ -500,6 +508,9 @@ struct SweepReport {
     /// exact (`null` without `--features count-allocs`; the gate requires
     /// exactly zero when present).
     rtc_allocs_per_packet: Option<f64>,
+    /// The same probe on the fig9 chain (merged parser, `Hash`, header
+    /// add/remove, recirculation — none of which a sweep pipelet has).
+    chain_allocs_per_packet: Option<f64>,
     flow_state: FlowStatePoint,
     /// Hitless live migration: downtime and goodput while the
     /// re-placement driver moves a learned NAT across switches.
@@ -523,8 +534,7 @@ struct FlowStatePoint {
     /// same learned table, no idle timeout, no clock ticks. The honest
     /// denominator for the aging-overhead criterion: comparing against
     /// the *plain* sweep program conflates aging cost with unrelated
-    /// per-program differences (field projection optimizes the two
-    /// programs differently).
+    /// per-program differences.
     steady_state_no_aging_pps: f64,
     /// Batched packets/sec on established flows with aging enabled (an
     /// idle-timeout on the table, a clock tick per batch).
@@ -1002,6 +1012,22 @@ fn bench_sweep(_c: &mut Criterion) {
             });
         }
     }
+    let chain_allocs_per_packet = {
+        let (sw, packets) = chain_testbed();
+        let pool = packets.map(|bytes| InjectedPacket::new(bytes, IN_PORT));
+        measure_allocs_per_packet(&sw, &pool)
+    };
+    if let Some(a) = chain_allocs_per_packet {
+        row(
+            "fig9 chain, 3 paths + deny",
+            "—",
+            &format!("allocs/pkt: {a}"),
+        );
+        assert!(
+            a == 0.0,
+            "fig9 chain: pooled path allocated {a} times per packet in steady state"
+        );
+    }
     let exact_10k = points
         .iter()
         .find(|p| p.kind == "exact" && p.entries == 10_000)
@@ -1059,6 +1085,7 @@ fn bench_sweep(_c: &mut Criterion) {
         rtc_10k_exact_speedup_vs_baseline: exact_10k.rtc_pps / BASELINE_BATCH_PPS_10K_EXACT,
         meets_3x_rtc_at_10k_exact: exact_10k.rtc_pps / BASELINE_BATCH_PPS_10K_EXACT >= 3.0,
         rtc_allocs_per_packet: exact_10k.allocs_per_packet,
+        chain_allocs_per_packet,
         flow_state,
         meets_zero_flow_loss_migration: migration.zero_flow_loss,
         migration,

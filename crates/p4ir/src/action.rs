@@ -295,57 +295,93 @@ impl ActionDef {
 
 /// Computes a hash over a sequence of values. Shared by the interpreter and
 /// tests so both sides agree bit-for-bit.
+///
+/// The CRCs run over the concatenation of each input's big-endian bytes
+/// ([`Value::to_be_bytes`]), fed value by value without building it.
 pub fn run_hash(algo: HashAlgorithm, inputs: &[Value]) -> u128 {
     match algo {
         HashAlgorithm::Crc32 => {
-            let mut bytes = Vec::new();
-            for v in inputs {
-                bytes.extend_from_slice(&v.to_be_bytes());
-            }
-            u128::from(crc32(&bytes))
+            let crc = inputs.iter().fold(CRC32_INIT, |crc, v| {
+                crc32_update(crc, &v.raw().to_be_bytes()[16 - v.byte_len()..])
+            });
+            u128::from(!crc)
         }
         HashAlgorithm::Crc16 => {
-            let mut bytes = Vec::new();
-            for v in inputs {
-                bytes.extend_from_slice(&v.to_be_bytes());
-            }
-            u128::from(crc16(&bytes))
+            let crc = inputs.iter().fold(CRC16_INIT, |crc, v| {
+                crc16_update(crc, &v.raw().to_be_bytes()[16 - v.byte_len()..])
+            });
+            u128::from(crc)
         }
         HashAlgorithm::XorFold => inputs.iter().fold(0u128, |acc, v| acc ^ v.raw()),
         HashAlgorithm::Identity => inputs.first().map(|v| v.raw()).unwrap_or(0),
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), bitwise implementation.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let lsb = crc & 1;
-            crc >>= 1;
-            if lsb == 1 {
-                crc ^= 0xedb8_8320;
-            }
+const CRC32_INIT: u32 = 0xffff_ffff;
+const CRC16_INIT: u16 = 0xffff;
+
+/// Per-byte remainders of the reflected polynomial 0xEDB88320.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xedb8_8320
+            } else {
+                crc >> 1
+            };
+            k += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// Per-byte remainders of the polynomial 0x1021 (MSB first).
+const CRC16_TABLE: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u16) << 8;
+        let mut k = 0;
+        while k < 8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ 0x1021
+            } else {
+                crc << 1
+            };
+            k += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    data.iter().fold(crc, |crc, &b| {
+        CRC32_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8)
+    })
+}
+
+fn crc16_update(crc: u16, data: &[u8]) -> u16 {
+    data.iter().fold(crc, |crc, &b| {
+        CRC16_TABLE[usize::from((crc >> 8) as u8 ^ b)] ^ (crc << 8)
+    })
+}
+
+/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320).
+pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(CRC32_INIT, data)
 }
 
 /// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF).
 pub fn crc16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xffff;
-    for &b in data {
-        crc ^= u16::from(b) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ 0x1021;
-            } else {
-                crc <<= 1;
-            }
-        }
-    }
-    crc
+    crc16_update(CRC16_INIT, data)
 }
 
 #[cfg(test)]
@@ -375,6 +411,29 @@ mod tests {
         let h3 = run_hash(HashAlgorithm::Crc32, &[b, a]);
         assert_eq!(h1, h2);
         assert_ne!(h1, h3);
+    }
+
+    #[test]
+    fn crc_hashes_run_over_concatenated_be_bytes() {
+        // Odd widths included: a 9-bit value contributes two bytes, a
+        // 128-bit one all sixteen.
+        let vals = [
+            Value::new(0x1ab, 9),
+            Value::new(0x0a00_0001, 32),
+            Value::new(6, 8),
+            Value::new(u128::MAX - 5, 128),
+        ];
+        let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_be_bytes()).collect();
+        assert_eq!(
+            run_hash(HashAlgorithm::Crc32, &vals),
+            u128::from(crc32(&bytes))
+        );
+        assert_eq!(
+            run_hash(HashAlgorithm::Crc16, &vals),
+            u128::from(crc16(&bytes))
+        );
+        assert_eq!(run_hash(HashAlgorithm::Crc32, &[]), 0);
+        assert_eq!(run_hash(HashAlgorithm::Crc16, &[]), 0xffff);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::error::{IrError, Result};
 use crate::header::HeaderType;
-use crate::value::Value;
+use crate::value::{mask_for, Value};
 use std::collections::HashMap;
 
 /// Where a transition leads.
@@ -274,33 +274,56 @@ pub fn extract_field(ht: &HeaderType, field: &str, bytes: &[u8], offset: u32) ->
     ))
 }
 
-/// Extracts `bits` bits starting at absolute bit offset `bit_off` (big-endian
-/// bit order, MSB first within each byte).
-pub fn extract_bits(bytes: &[u8], bit_off: u64, bits: u16) -> Value {
-    let mut raw: u128 = 0;
-    for i in 0..u64::from(bits) {
-        let b = bit_off + i;
-        let byte = bytes[(b / 8) as usize];
-        let bit = (byte >> (7 - (b % 8))) & 1;
-        raw = (raw << 1) | u128::from(bit);
-    }
-    Value::new(raw, bits)
+/// Splits a bit range into `(first byte, bit offset within it, bytes
+/// touched)`. A field is at most 128 bits, so it touches at most 17 bytes.
+fn byte_span(bit_off: u64, bits: u16) -> (usize, u32, usize) {
+    assert!(
+        (1..=128).contains(&bits),
+        "value width out of range: {bits}"
+    );
+    let shift = (bit_off % 8) as u32;
+    let span = (shift + u32::from(bits)).div_ceil(8) as usize;
+    ((bit_off / 8) as usize, shift, span)
 }
 
-/// Writes `value` into `bytes` at absolute bit offset `bit_off` (big-endian
-/// bit order). The inverse of [`extract_bits`].
+/// Extracts `bits` bits starting at absolute bit offset `bit_off`.
+///
+/// Bit order is big-endian throughout: bit 0 of the stream is the MSB of
+/// `bytes[0]`, and the first bit extracted becomes the MSB of the value.
+/// Panics when the range runs past the end of `bytes`.
+pub fn extract_bits(bytes: &[u8], bit_off: u64, bits: u16) -> Value {
+    let (first, shift, span) = byte_span(bit_off, bits);
+    let src = &bytes[first..first + span];
+    // One big-endian word load; `<< shift` left-aligns the field in it.
+    let n = span.min(16);
+    let mut word = [0u8; 16];
+    word[..n].copy_from_slice(&src[..n]);
+    let mut hi = u128::from_be_bytes(word) << shift;
+    if span > 16 {
+        // An unaligned field wider than 120 bits ends in a 17th byte.
+        hi |= u128::from(src[16] >> (8 - shift));
+    }
+    Value::new(hi >> (128 - u32::from(bits)), bits)
+}
+
+/// Writes `value` into `bytes` at absolute bit offset `bit_off`, leaving
+/// every other bit untouched. The inverse of [`extract_bits`] (same bit
+/// order, same panic on a range past the end of `bytes`).
 pub fn deposit_bits(bytes: &mut [u8], bit_off: u64, value: Value) {
-    let bits = u64::from(value.bits());
-    for i in 0..bits {
-        let b = bit_off + i;
-        let byte = &mut bytes[(b / 8) as usize];
-        let mask = 1u8 << (7 - (b % 8));
-        let bit = ((value.raw() >> (bits - 1 - i)) & 1) as u8;
-        if bit == 1 {
-            *byte |= mask;
-        } else {
-            *byte &= !mask;
-        }
+    let bits = u32::from(value.bits());
+    let (first, shift, span) = byte_span(bit_off, value.bits());
+    let dst = &mut bytes[first..first + span];
+    let n = span.min(16);
+    let mut word = [0u8; 16];
+    word[..n].copy_from_slice(&dst[..n]);
+    let field = value.raw() << (128 - bits);
+    let mask = mask_for(value.bits()) << (128 - bits);
+    let merged = (u128::from_be_bytes(word) & !(mask >> shift)) | (field >> shift);
+    dst[..n].copy_from_slice(&merged.to_be_bytes()[..n]);
+    if span > 16 {
+        // The field's low `spill` bits land in the top of the 17th byte.
+        let spill = shift + bits - 128;
+        dst[16] = (dst[16] & (0xff >> spill)) | ((value.raw() as u8) << (8 - spill));
     }
 }
 
@@ -308,6 +331,7 @@ pub fn deposit_bits(bytes: &mut [u8], bit_off: u64, value: Value) {
 mod tests {
     use super::*;
     use crate::header::HeaderType;
+    use proptest::prelude::*;
 
     fn catalog() -> HashMap<String, HeaderType> {
         let mut m = HashMap::new();
@@ -468,5 +492,117 @@ mod tests {
     #[test]
     fn max_depth() {
         assert_eq!(eth_ipv4_dag().max_depth_bytes(&catalog()), 34);
+    }
+
+    /// The bit-serial codec the word-granular one replaced, kept as its
+    /// oracle: one stream bit per iteration, MSB first.
+    fn extract_bits_serial(bytes: &[u8], bit_off: u64, bits: u16) -> Value {
+        let mut raw: u128 = 0;
+        for i in 0..u64::from(bits) {
+            let b = bit_off + i;
+            let byte = bytes[(b / 8) as usize];
+            let bit = (byte >> (7 - (b % 8))) & 1;
+            raw = (raw << 1) | u128::from(bit);
+        }
+        Value::new(raw, bits)
+    }
+
+    fn deposit_bits_serial(bytes: &mut [u8], bit_off: u64, value: Value) {
+        let bits = u64::from(value.bits());
+        for i in 0..bits {
+            let b = bit_off + i;
+            let byte = &mut bytes[(b / 8) as usize];
+            let mask = 1u8 << (7 - (b % 8));
+            let bit = ((value.raw() >> (bits - 1 - i)) & 1) as u8;
+            if bit == 1 {
+                *byte |= mask;
+            } else {
+                *byte &= !mask;
+            }
+        }
+    }
+
+    const CODEC_BUF: usize = 40;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every `bit_off % 8` × every width, on a random buffer at a
+        /// random byte offset: the word-granular codec reads the same
+        /// value, writes the same bytes, touches no neighbouring bit, and
+        /// `deposit ∘ extract` is the identity.
+        #[test]
+        fn codec_matches_bit_serial_oracle(
+            buf in proptest::collection::vec(any::<u8>(), CODEC_BUF),
+            raw in any::<u128>(),
+            byte_off in 0u64..(CODEC_BUF as u64 - 17),
+        ) {
+            for shift in 0..8u64 {
+                for bits in 1..=128u16 {
+                    let off = byte_off * 8 + shift;
+                    let got = extract_bits(&buf, off, bits);
+                    prop_assert_eq!(got, extract_bits_serial(&buf, off, bits));
+
+                    let mut same = buf.clone();
+                    deposit_bits(&mut same, off, got);
+                    prop_assert_eq!(&same, &buf, "deposit(extract) changed bytes");
+
+                    let v = Value::new(raw, bits);
+                    let (mut fast, mut slow) = (buf.clone(), buf.clone());
+                    deposit_bits(&mut fast, off, v);
+                    deposit_bits_serial(&mut slow, off, v);
+                    prop_assert_eq!(&fast, &slow, "off {} bits {}", off, bits);
+                    prop_assert_eq!(extract_bits(&fast, off, bits), v);
+                    // Neighbours: everything outside [off, off + bits).
+                    let end = off + u64::from(bits);
+                    let total = CODEC_BUF as u64 * 8;
+                    if off > 0 {
+                        let w = off.min(128) as u16;
+                        prop_assert_eq!(
+                            extract_bits_serial(&fast, off - u64::from(w), w),
+                            extract_bits_serial(&buf, off - u64::from(w), w)
+                        );
+                    }
+                    let w = (total - end).min(128) as u16;
+                    prop_assert_eq!(
+                        extract_bits_serial(&fast, end, w),
+                        extract_bits_serial(&buf, end, w)
+                    );
+                }
+            }
+        }
+
+        /// A range that runs past the end panics in both codecs; the same
+        /// range pulled back inside the buffer panics in neither.
+        #[test]
+        fn codec_panics_past_the_end_like_the_oracle(
+            len in 1usize..24,
+            over in 1u64..=16,
+            bits in 1u16..=128,
+        ) {
+            use std::panic::catch_unwind;
+            let buf = vec![0xa5u8; len];
+            let total = len as u64 * 8;
+            let v = Value::new(u128::MAX, bits);
+            for bit_off in [
+                (total + over).saturating_sub(u64::from(bits)),
+                total.saturating_sub(u64::from(bits)),
+            ] {
+                let past = bit_off + u64::from(bits) > total;
+                prop_assert_eq!(catch_unwind(|| extract_bits(&buf, bit_off, bits)).is_err(), past);
+                prop_assert_eq!(
+                    catch_unwind(|| extract_bits_serial(&buf, bit_off, bits)).is_err(),
+                    past
+                );
+                prop_assert_eq!(
+                    catch_unwind(|| deposit_bits(&mut buf.clone(), bit_off, v)).is_err(),
+                    past
+                );
+                prop_assert_eq!(
+                    catch_unwind(|| deposit_bits_serial(&mut buf.clone(), bit_off, v)).is_err(),
+                    past
+                );
+            }
+        }
     }
 }

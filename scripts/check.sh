@@ -128,6 +128,14 @@ if allocs is not None:
 print("committed BENCH_dataplane.json flags OK")
 EOF
 
+# Perf-harness smoke: all seven workloads of the repo's benchmark in quick
+# mode (< 20 s of measurement). A *correctness* gate — the harness checks
+# every operation against its oracle (reference interpreter, lockstep
+# cluster, never-migrated cluster) and exits non-zero when any fails. No
+# timing threshold: timing is the benchmark driver's job. Bounded, because
+# a hang here means a cluster workload deadlocked.
+timeout 300 crates/perf/run.sh --quick
+
 # Docs gate: rustdoc must stay warning-free (broken intra-doc links are
 # the usual regression).
 doclog=$(cargo doc --workspace --no-deps -q 2>&1)

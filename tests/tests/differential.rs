@@ -584,3 +584,338 @@ fn pool_exhaustion_backpressures_or_drops_never_panics() {
     assert_eq!(dr.pool_exhausted, dr.pool_dropped);
     assert_eq!(dr.metrics.counter("pool_exhausted"), dr.pool_dropped);
 }
+
+// ---------------------------------------------------------------------------
+// View semantics: the compiled engine reads fields from the wire on demand
+// and patches only written fields over the wire bytes at deparse. Each case
+// pins one corner of that view against the interpreter's materialise-all
+// model, on seeded packets, byte for byte across all three engines.
+// ---------------------------------------------------------------------------
+
+/// A 4-byte tag with sub-byte fields; stackable (`next == 0x8100` chains a
+/// second instance) so one packet can carry two instances of the type.
+fn tag_header() -> dejavu_p4ir::HeaderType {
+    dejavu_p4ir::HeaderType::new("tag", vec![("kind", 4u16), ("id", 12), ("next", 16)]).unwrap()
+}
+
+/// eth → (0x8100: tag → (0x8100: tag)) | (0x0800: ipv4); every action runs
+/// from the control directly and forwards to port 1.
+fn view_program(action: ActionBuilder, control: ControlBuilder) -> Program {
+    ProgramBuilder::new("view")
+        .header(well_known::ethernet())
+        .header(well_known::ipv4())
+        .header(tag_header())
+        .meta_field("m0", 16)
+        .parser(
+            ParserBuilder::new()
+                .node("eth", "ethernet", 0)
+                .node("ip", "ipv4", 14)
+                .node("tag0", "tag", 14)
+                .node("tag1", "tag", 18)
+                .select(
+                    "eth",
+                    "ether_type",
+                    16,
+                    vec![(0x0800, "ip"), (0x8100, "tag0")],
+                )
+                .select("tag0", "next", 16, vec![(0x8100, "tag1")])
+                .accept("tag1")
+                .accept("ip")
+                .start("eth"),
+        )
+        .action(
+            action
+                .set(FieldRef::meta("egress_spec"), Expr::val(1, 16))
+                .build(),
+        )
+        .action(ActionBuilder::new("nop").build())
+        .table(
+            // Keyed on fields the cases write: the key read goes through
+            // the same view as expression reads.
+            TableBuilder::new("probe")
+                .key_exact(fref("ipv4", "ttl"))
+                .key_exact(fref("tag", "id"))
+                .action("nop")
+                .default_action("nop")
+                .build(),
+        )
+        .control(control.apply("probe").build())
+        .entry("ingress")
+        .build()
+        .expect("view program validates")
+}
+
+/// Seeded random bytes with the ether-type (and tag chain) forced so the
+/// parser takes the wanted path: `tags` stacked tag headers, else IPv4 when
+/// `ipv4`, else bare Ethernet.
+fn view_packet(rng: &mut rand::rngs::StdRng, tags: usize, ipv4: bool) -> Vec<u8> {
+    use rand::Rng;
+    let len = 54 + rng.gen_range(0usize..40);
+    let mut p: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
+    let ether_type: u16 = match (tags, ipv4) {
+        (0, true) => 0x0800,
+        (0, false) => 0x88b5,
+        _ => 0x8100,
+    };
+    p[12..14].copy_from_slice(&ether_type.to_be_bytes());
+    for t in 0..tags {
+        let next: u16 = if t + 1 < tags { 0x8100 } else { 0x9999 };
+        p[16 + 4 * t..18 + 4 * t].copy_from_slice(&next.to_be_bytes());
+    }
+    p
+}
+
+/// Runs `packets` through a reference, a compiled and a pooled switch loaded
+/// with `programs`, requires agreement on everything observable, and
+/// returns each packet's final bytes.
+fn view_engines_agree(programs: &[(PipeletId, Program)], packets: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let testbed = |mode| {
+        let mut sw = Switch::new(TofinoProfile::wedge_100b_32x());
+        sw.set_exec_mode(mode);
+        sw.set_telemetry(true);
+        for (pipelet, program) in programs {
+            sw.load_program(*pipelet, program.clone()).unwrap();
+        }
+        sw
+    };
+    let mut reference = testbed(ExecMode::Reference);
+    let mut compiled = testbed(ExecMode::Compiled);
+    let mut pooled = testbed(ExecMode::Compiled);
+    let mut out = Vec::new();
+    for (k, pkt) in packets.iter().enumerate() {
+        let rt = reference
+            .inject(InjectedPacket::new(pkt.clone(), 0))
+            .unwrap();
+        let ct = compiled
+            .inject(InjectedPacket::new(pkt.clone(), 0))
+            .unwrap();
+        let mut buf = pkt.clone();
+        let pb = pooled.inject_buf(&mut buf, 0).unwrap();
+        assert_eq!(rt, ct, "packet {k}: compiled diverged from reference");
+        assert_eq!(ct.disposition, pb.disposition, "packet {k} disposition");
+        assert_eq!(ct.recirculations, pb.recirculations, "packet {k} recircs");
+        assert_eq!(ct.final_bytes, buf, "packet {k}: pooled final bytes");
+        out.push(rt.final_bytes);
+    }
+    let snap = reference.metrics_snapshot();
+    assert_eq!(snap, compiled.metrics_snapshot(), "compiled metrics");
+    assert_eq!(snap, pooled.metrics_snapshot(), "pooled metrics");
+    out
+}
+
+fn view_run(program: Program, packets: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    view_engines_agree(&[(PipeletId::ingress(0), program)], packets)
+}
+
+fn seeded(seed: u64) -> rand::rngs::StdRng {
+    <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed)
+}
+
+fn sub(a: Expr, b: Expr) -> Expr {
+    Expr::Sub(Box::new(a), Box::new(b))
+}
+
+fn add(a: Expr, b: Expr) -> Expr {
+    Expr::Add(Box::new(a), Box::new(b))
+}
+
+#[test]
+fn view_write_then_read_in_one_action() {
+    let action = ActionBuilder::new("act")
+        .set(
+            fref("ipv4", "ttl"),
+            sub(Expr::field("ipv4", "ttl"), Expr::val(1, 8)),
+        )
+        // Reads the value written one op earlier, not the wire's.
+        .set(fref("ipv4", "identification"), Expr::field("ipv4", "ttl"))
+        // Sub-byte neighbours: a 3-bit write feeding a 13-bit rewrite.
+        .set(fref("ipv4", "flags"), Expr::val(5, 3))
+        .set(
+            fref("ipv4", "frag_offset"),
+            add(
+                Expr::field("ipv4", "frag_offset"),
+                Expr::field("ipv4", "flags"),
+            ),
+        );
+    let program = view_program(action, ControlBuilder::new("ingress").invoke("act"));
+    let mut rng = seeded(0xd1ff_0001);
+    let packets: Vec<_> = (0..32).map(|_| view_packet(&mut rng, 0, true)).collect();
+    for (inp, out) in packets.iter().zip(view_run(program, &packets)) {
+        let ttl = inp[22].wrapping_sub(1);
+        assert_eq!(out[22], ttl);
+        assert_eq!(out[18..20], [0, ttl], "identification = written ttl");
+        let frag = (u16::from_be_bytes([inp[20], inp[21]]) & 0x1fff).wrapping_add(5) & 0x1fff;
+        assert_eq!(u16::from_be_bytes([out[20], out[21]]), 5 << 13 | frag);
+    }
+}
+
+#[test]
+fn view_written_field_never_read() {
+    // `dscp` is written and nothing — no op, key or branch — reads the
+    // header it sits in: only its six bits may change.
+    let action = ActionBuilder::new("act").set(fref("ipv4", "dscp"), Expr::val(0x2a, 6));
+    let program = ProgramBuilder::new("blind")
+        .header(well_known::ethernet())
+        .header(well_known::ipv4())
+        .parser(
+            ParserBuilder::new()
+                .node("eth", "ethernet", 0)
+                .node("ip", "ipv4", 14)
+                .select("eth", "ether_type", 16, vec![(0x0800, "ip")])
+                .accept("ip")
+                .start("eth"),
+        )
+        .action(
+            action
+                .set(FieldRef::meta("egress_spec"), Expr::val(1, 16))
+                .build(),
+        )
+        .control(ControlBuilder::new("ingress").invoke("act").build())
+        .entry("ingress")
+        .build()
+        .unwrap();
+    let mut rng = seeded(0xd1ff_0002);
+    let packets: Vec<_> = (0..32).map(|_| view_packet(&mut rng, 0, true)).collect();
+    for (inp, out) in packets.iter().zip(view_run(program, &packets)) {
+        let mut want = inp.clone();
+        want[15] = 0x2a << 2 | (inp[15] & 0x3);
+        assert_eq!(out, want);
+    }
+}
+
+#[test]
+fn view_added_header_deparses_unwritten_fields_as_zero() {
+    let action = ActionBuilder::new("act")
+        .add_header("tag", Some("ipv4"))
+        .set(fref("tag", "id"), Expr::val(0xabc, 12))
+        // An added header has no wire bytes: its unwritten fields read 0.
+        .set(
+            fref("ethernet", "src_mac"),
+            add(Expr::field("tag", "next"), Expr::val(7, 48)),
+        )
+        .set(fref("ethernet", "ether_type"), Expr::val(0x8100, 16));
+    let program = view_program(action, ControlBuilder::new("ingress").invoke("act"));
+    let mut rng = seeded(0xd1ff_0003);
+    let packets: Vec<_> = (0..32).map(|_| view_packet(&mut rng, 0, true)).collect();
+    for (inp, out) in packets.iter().zip(view_run(program, &packets)) {
+        assert_eq!(out.len(), inp.len() + 4);
+        assert_eq!(out[6..12], [0, 0, 0, 0, 0, 7]);
+        assert_eq!(out[14..18], [0x0a, 0xbc, 0, 0], "kind and next stay zero");
+        assert_eq!(out[18..], inp[14..], "ipv4 and payload follow verbatim");
+    }
+}
+
+#[test]
+fn view_checksum_update_after_one_dirty_field_and_after_none() {
+    // Dirty: the checksum runs over wire bytes plus one overlay field.
+    // Clean: it is the first thing to touch the header.
+    for dirty in [true, false] {
+        let mut action = ActionBuilder::new("act");
+        if dirty {
+            action = action.set(
+                fref("ipv4", "ttl"),
+                sub(Expr::field("ipv4", "ttl"), Expr::val(1, 8)),
+            );
+        }
+        let action = action
+            .update_checksum("ipv4")
+            .set(FieldRef::meta("m0"), Expr::field("ipv4", "hdr_checksum"));
+        let program = view_program(action, ControlBuilder::new("ingress").invoke("act"));
+        let mut rng = seeded(0xd1ff_0004);
+        let packets: Vec<_> = (0..32).map(|_| view_packet(&mut rng, 0, true)).collect();
+        for (inp, out) in packets.iter().zip(view_run(program, &packets)) {
+            assert_eq!(out[22], inp[22].wrapping_sub(u8::from(dirty)));
+            assert_eq!(
+                dejavu_asic::interp::ones_complement_checksum(&out[14..34]),
+                0,
+                "a valid header checksums to zero"
+            );
+            // Everything but ttl and checksum is untouched.
+            assert_eq!(out[14..22], inp[14..22]);
+            assert_eq!(out[26..], inp[26..]);
+        }
+    }
+}
+
+#[test]
+fn view_remove_nth_retargets_reads_and_writes_to_first_remaining_instance() {
+    for occurrence in [0usize, 1] {
+        let action = ActionBuilder::new("act")
+            .remove_header_nth("tag", occurrence)
+            .set(fref("ethernet", "src_mac"), Expr::field("tag", "kind"))
+            .set(
+                fref("tag", "id"),
+                add(Expr::field("tag", "id"), Expr::val(1, 12)),
+            );
+        let program = view_program(action, ControlBuilder::new("ingress").invoke("act"));
+        let mut rng = seeded(0xd1ff_0005);
+        let packets: Vec<_> = (0..32).map(|_| view_packet(&mut rng, 2, false)).collect();
+        for (inp, out) in packets.iter().zip(view_run(program, &packets)) {
+            // The survivor is the other instance, at its original bytes.
+            let kept = &inp[14 + 4 * (1 - occurrence)..][..4];
+            assert_eq!(out.len(), inp.len() - 4);
+            assert_eq!(out[6..12], [0, 0, 0, 0, 0, kept[0] >> 4]);
+            let id = (u16::from_be_bytes([kept[0], kept[1]]) & 0xfff).wrapping_add(1) & 0xfff;
+            let kind_id = u16::from(kept[0] >> 4) << 12 | id;
+            assert_eq!(out[14..16], kind_id.to_be_bytes());
+            assert_eq!(out[16..18], kept[2..4]);
+            assert_eq!(out[18..], inp[22..]);
+        }
+    }
+}
+
+#[test]
+fn view_write_to_absent_header_is_dropped() {
+    let action = ActionBuilder::new("act")
+        .set(fref("ipv4", "ttl"), Expr::val(9, 8))
+        .update_checksum("ipv4")
+        // Reads back zero: the write above never landed anywhere.
+        .set(fref("ethernet", "src_mac"), Expr::field("ipv4", "ttl"));
+    let program = view_program(action, ControlBuilder::new("ingress").invoke("act"));
+    let mut rng = seeded(0xd1ff_0006);
+    let packets: Vec<_> = (0..32).map(|_| view_packet(&mut rng, 0, false)).collect();
+    for (inp, out) in packets.iter().zip(view_run(program, &packets)) {
+        let mut want = inp.clone();
+        want[6..12].fill(0);
+        assert_eq!(out, want);
+    }
+}
+
+#[test]
+fn view_ingress_write_is_wire_data_for_egress() {
+    // The ingress deparse lands in the scratch buffer, which the pooled
+    // path swaps with the packet buffer before egress parses it: egress
+    // must read ingress's written value from its own input bytes.
+    let ingress = view_program(
+        ActionBuilder::new("act").set(fref("ipv4", "identification"), Expr::val(0xbeef, 16)),
+        ControlBuilder::new("ingress").invoke("act"),
+    );
+    let egress = view_program(
+        ActionBuilder::new("act")
+            .set(
+                fref("ipv4", "total_len"),
+                add(Expr::field("ipv4", "identification"), Expr::val(1, 16)),
+            )
+            .set(
+                fref("ethernet", "src_mac"),
+                Expr::field("ipv4", "identification"),
+            ),
+        ControlBuilder::new("ingress").invoke("act"),
+    );
+    let mut rng = seeded(0xd1ff_0007);
+    let packets: Vec<_> = (0..32).map(|_| view_packet(&mut rng, 0, true)).collect();
+    let outs = view_engines_agree(
+        &[
+            (PipeletId::ingress(0), ingress),
+            (PipeletId::egress(0), egress),
+        ],
+        &packets,
+    );
+    for (inp, out) in packets.iter().zip(outs) {
+        let mut want = inp.clone();
+        want[6..12].copy_from_slice(&[0, 0, 0, 0, 0xbe, 0xef]);
+        want[16..18].copy_from_slice(&0xbef0u16.to_be_bytes());
+        want[18..20].copy_from_slice(&0xbeefu16.to_be_bytes());
+        assert_eq!(out, want);
+    }
+}
