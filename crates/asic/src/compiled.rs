@@ -342,34 +342,9 @@ impl FastPacket {
     }
 }
 
-/// Everything one compiled pipelet pass produced. `bytes` is `None` when
-/// the parser rejected the packet (the switch records a parse error and
-/// drops, exactly as with the reference engine).
-#[derive(Debug, Clone)]
-pub struct CompiledPass {
-    /// Deparsed output bytes, or `None` on a parse error.
-    pub bytes: Option<Vec<u8>>,
-    /// `drop_flag` as a boolean.
-    pub drop: bool,
-    /// `to_cpu_flag` as a boolean.
-    pub to_cpu: bool,
-    /// `resubmit_flag` as a boolean.
-    pub resubmit: bool,
-    /// `mirror_flag` as a boolean.
-    pub mirror: bool,
-    /// Raw `egress_spec` metadata value after the pass.
-    pub egress_spec: u128,
-    /// Number of tables applied, maintained at every trace level (the
-    /// telemetry hook; semantically identical across engines).
-    pub tables_applied: u32,
-    /// Table applications in execution order (empty unless tracing).
-    pub events: Vec<TableEvent>,
-}
-
 /// The signals of one zero-copy pipelet pass. Deparsed bytes land in the
 /// caller's scratch output buffer ([`ExecScratch::out`]); `parsed == false` means
-/// the parser rejected the packet (record a parse error and drop, exactly
-/// as with [`CompiledPass::bytes`]` == None`).
+/// the parser rejected the packet (record a parse error and drop).
 #[derive(Debug, Clone, Copy)]
 pub struct BufPass {
     /// False when the parser rejected the packet (the scratch output buffer
@@ -387,6 +362,23 @@ pub struct BufPass {
     pub egress_spec: u128,
     /// Number of tables applied.
     pub tables_applied: u32,
+}
+
+impl BufPass {
+    /// A pass that ran nothing: no flag set, no table applied, `egress_spec`
+    /// as seeded. `parsed == true` is a pipelet with no program (bytes pass
+    /// through), `false` a parser reject.
+    pub(crate) fn idle(parsed: bool, egress_spec: u16) -> Self {
+        BufPass {
+            parsed,
+            drop: false,
+            to_cpu: false,
+            resubmit: false,
+            mirror: false,
+            egress_spec: u128::from(egress_spec),
+            tables_applied: 0,
+        }
+    }
 }
 
 /// Reusable per-pass execution state: the flat packet view, the metadata
@@ -429,9 +421,10 @@ impl ExecScratch {
         &self.events
     }
 
-    /// Drains the table events of the last traced pass.
-    pub fn take_events(&mut self) -> Vec<TableEvent> {
-        std::mem::take(&mut self.events)
+    /// Drains the table events of the last traced pass, keeping the
+    /// buffer's capacity for the next one.
+    pub fn drain_events(&mut self) -> impl Iterator<Item = TableEvent> + '_ {
+        self.events.drain(..)
     }
 }
 
@@ -459,44 +452,11 @@ impl CompiledProgram {
         Compiler::new(program).lower()
     }
 
-    /// Runs one pipelet pass over raw bytes. Metadata is seeded with
-    /// `ingress_port` and `egress_spec` exactly as the switch seeds the
-    /// reference interpreter's metadata map. Table applies count hits and
-    /// misses in `tables`. With `collect_events` false no per-table trace
-    /// is allocated.
-    pub fn run_pass(
-        &self,
-        bytes: &[u8],
-        ingress_port: u16,
-        egress_spec: u16,
-        tables: &mut TableState,
-        collect_events: bool,
-    ) -> Result<CompiledPass, IrError> {
-        let mut scratch = ExecScratch::default();
-        let pass = self.run_pass_scratch(
-            bytes,
-            ingress_port,
-            egress_spec,
-            tables,
-            collect_events,
-            &mut scratch,
-        )?;
-        Ok(CompiledPass {
-            bytes: pass.parsed.then(|| std::mem::take(&mut scratch.out)),
-            drop: pass.drop,
-            to_cpu: pass.to_cpu,
-            resubmit: pass.resubmit,
-            mirror: pass.mirror,
-            egress_spec: pass.egress_spec,
-            tables_applied: pass.tables_applied,
-            events: std::mem::take(&mut scratch.events),
-        })
-    }
-
-    /// Runs one pipelet pass over `input` using caller-owned scratch state —
-    /// the zero-allocation hot path. Identical semantics to
-    /// [`CompiledProgram::run_pass`] (which is a thin wrapper over this):
-    /// the deparsed bytes land in [`ExecScratch::out`], table events in
+    /// Runs one pipelet pass over `input` using caller-owned scratch state.
+    /// Metadata is seeded with `ingress_port` and `egress_spec` exactly as
+    /// the switch seeds the reference interpreter's metadata map; table
+    /// applies count hits and misses in `tables`. The deparsed bytes land in
+    /// [`ExecScratch::out`], table events (only with `collect_events`) in
     /// [`ExecScratch::events`]. After the scratch buffers have grown to the
     /// program's steady-state sizes, a pass performs no heap allocation
     /// (digest emission, a learn-path event, is the one exception).
@@ -512,15 +472,7 @@ impl CompiledProgram {
         scratch.events.clear();
         scratch.out.clear();
         if !self.parse_into(input, &mut scratch.pkt) {
-            return Ok(BufPass {
-                parsed: false,
-                drop: false,
-                to_cpu: false,
-                resubmit: false,
-                mirror: false,
-                egress_spec: u128::from(egress_spec),
-                tables_applied: 0,
-            });
+            return Ok(BufPass::idle(false, egress_spec));
         }
         scratch.meta.clear();
         scratch.meta.extend_from_slice(&self.meta_zero);
@@ -1540,15 +1492,18 @@ mod tests {
         let p = l2_program();
         let cp = CompiledProgram::compile(&p).unwrap();
         let mut st = state_for(&p);
+        let mut scratch = ExecScratch::new();
         let mut pkt = vec![0u8; 20];
         pkt[0..6].copy_from_slice(&[0, 0, 0, 0, 0, 0x2a]);
 
         // Miss → flood (drop).
-        let pass = cp.run_pass(&pkt, 3, 0xffff, &mut st, true).unwrap();
+        let pass = cp
+            .run_pass_scratch(&pkt, 3, 0xffff, &mut st, true, &mut scratch)
+            .unwrap();
         assert!(pass.drop);
-        assert_eq!(pass.events.len(), 1);
-        assert!(!pass.events[0].hit);
-        assert_eq!(pass.events[0].action, "flood");
+        assert_eq!(scratch.events().len(), 1);
+        assert!(!scratch.events()[0].hit);
+        assert_eq!(scratch.events()[0].action, "flood");
 
         // Install and hit.
         let def = p.tables.get("dmac").unwrap();
@@ -1562,21 +1517,27 @@ mod tests {
             },
         )
         .unwrap();
-        let pass = cp.run_pass(&pkt, 3, 0xffff, &mut st, true).unwrap();
-        assert!(!pass.drop);
+        let pass = cp
+            .run_pass_scratch(&pkt, 3, 0xffff, &mut st, true, &mut scratch)
+            .unwrap();
+        assert!(pass.parsed && !pass.drop);
         assert_eq!(pass.egress_spec, 7);
-        assert!(pass.events[0].hit);
-        assert_eq!(pass.bytes.unwrap(), pkt);
+        assert!(scratch.events()[0].hit);
+        assert_eq!(scratch.out(), pkt);
     }
 
     #[test]
-    fn parse_error_returns_none_bytes() {
+    fn parse_error_leaves_output_empty() {
         let p = l2_program();
         let cp = CompiledProgram::compile(&p).unwrap();
         let mut st = state_for(&p);
-        let pass = cp.run_pass(&[0u8; 5], 0, 0xffff, &mut st, true).unwrap();
-        assert!(pass.bytes.is_none());
-        assert!(pass.events.is_empty());
+        let mut scratch = ExecScratch::new();
+        let pass = cp
+            .run_pass_scratch(&[0u8; 5], 0, 0xffff, &mut st, true, &mut scratch)
+            .unwrap();
+        assert!(!pass.parsed);
+        assert!(scratch.out().is_empty());
+        assert!(scratch.events().is_empty());
     }
 
     #[test]
@@ -1584,8 +1545,10 @@ mod tests {
         let p = l2_program();
         let cp = CompiledProgram::compile(&p).unwrap();
         let mut st = state_for(&p);
-        let pass = cp.run_pass(&[0u8; 14], 0, 0xffff, &mut st, false).unwrap();
-        assert!(pass.events.is_empty());
+        let mut scratch = ExecScratch::new();
+        cp.run_pass_scratch(&[0u8; 14], 0, 0xffff, &mut st, false, &mut scratch)
+            .unwrap();
+        assert!(scratch.events().is_empty());
         // Counters still advance.
         assert_eq!(st.counters("dmac").misses, 1);
     }

@@ -51,14 +51,14 @@ pub use dejavu_telemetry as telemetry;
 /// separate dependency.
 pub use dejavu_state as state;
 
-pub use compiled::{BufPass, CompiledPass, CompiledProgram, ExecScratch};
+pub use compiled::{BufPass, CompiledProgram, ExecScratch};
 pub use index::{IndexKind, IndexPolicy, IndexStats, IndexTelemetry, TableShape};
 pub use interp::{Interpreter, PipeletOutcome};
 pub use metrics::SwitchMetrics;
 pub use packet::{flow_hash, HeaderInstance, Packet, ParsedPacket};
 pub use pool::{PacketHandle, PacketPool};
 pub use resources::{ResourceVector, StageResources};
-pub use rtc::{ExhaustionPolicy, RtcConfig, RtcExecutor, RtcReport, RtcSession};
+pub use rtc::{ExhaustionPolicy, RtcConfig, RtcReport, RtcSession};
 pub use state::{MigrationReport, StateSnapshot};
 pub use switch::{
     BatchStats, BufOutcome, ExecMode, Gress, InjectedPacket, PipeletId, PortId, Switch,

@@ -1,7 +1,7 @@
 //! Run-to-completion execution: per-core workers over pooled buffers.
 //!
 //! The third layer of the zero-allocation engine (pool → scratch → cores).
-//! An [`RtcExecutor`] drives a workload the way a DPDK-style run-to-completion
+//! An [`RtcSession`] drives a workload the way a DPDK-style run-to-completion
 //! dataplane does:
 //!
 //! * **one worker per core**, each owning a full [`Switch`] clone (programs,
@@ -14,7 +14,7 @@
 //! * **core-aware scheduling**: when the configuration asks for more
 //!   workers than the host has cores, thread handoff would degrade into
 //!   context-switch churn (every ring hop is a forced switch on a shared
-//!   core), so the executor runs the *same* shards — per-worker switch
+//!   core), so the session runs the *same* shards — per-worker switch
 //!   clone, pool, bounded ring, steering function — cooperatively on the
 //!   dispatching core instead. Shard assignment, per-flow order, packet
 //!   counts, dispositions, and telemetry are identical in both modes;
@@ -27,9 +27,11 @@
 //!   policy decision ([`ExhaustionPolicy`]) — backpressure or a counted
 //!   drop, never a panic and never a fallback allocation.
 //!
-//! Telemetry deltas are merged exactly like the sharded replay path
-//! (before/after snapshot diff per worker), then the executor injects its
-//! own series: `rtc_worker_packets{core}`, `pool_in_use` (peak),
+//! Cloning a [`Switch`] deep-copies its metrics registry, so each worker
+//! accumulates into a private shard; at every collect a worker ships only
+//! the diff between its snapshots before and after the run, and the session
+//! merges the deltas — lossless even when the input switch already carries
+//! non-zero counters. The session then injects its own series: `rtc_worker_packets{core}`, `pool_in_use` (peak),
 //! `pool_exhausted`, and `rtc_ring_depth{core,bucket}` (log2 occupancy
 //! histogram sampled at each ring pop).
 
@@ -57,7 +59,7 @@ pub enum ExhaustionPolicy {
     Drop,
 }
 
-/// Configuration for an [`RtcExecutor`] run.
+/// Configuration of an [`RtcSession`].
 #[derive(Debug, Clone)]
 pub struct RtcConfig {
     /// Worker threads (cores). Clamped to at least 1.
@@ -109,7 +111,7 @@ pub struct RtcReport {
     /// Packets processed per worker, indexed by core.
     pub worker_packets: Vec<u64>,
     /// Merged telemetry delta (empty when the switch's telemetry is off),
-    /// including the executor's own `rtc_*` / `pool_*` series.
+    /// including the session's own `rtc_*` / `pool_*` series.
     pub metrics: MetricsSnapshot,
     /// Wall-clock time for the whole run, in seconds.
     pub elapsed_s: f64,
@@ -144,9 +146,13 @@ impl WorkerResult {
     }
 
     /// Runs one packet to completion on `sw` and folds the outcome in.
+    /// Mirror copies are discarded — a resident worker has nowhere to send
+    /// them and must not hoard them; `packets_mirrored` has counted each.
     fn run_one(&mut self, sw: &mut Switch, handle: &mut PacketHandle, port: PortId) {
         self.packets += 1;
-        match sw.inject_buf(handle, port) {
+        let outcome = sw.inject_buf(handle, port);
+        sw.drain_mirrored();
+        match outcome {
             Ok(out) => match out.disposition {
                 Disposition::Emitted { .. } => self.emitted += 1,
                 Disposition::Dropped => self.dropped += 1,
@@ -249,42 +255,6 @@ impl Shard {
     }
 }
 
-/// Drives packets through per-core run-to-completion workers.
-///
-/// The executor is a policy bundle, not a long-lived object: [`run`] clones
-/// the switch per worker, executes the workload, and returns a merged
-/// [`RtcReport`]. The input switch is never mutated — exactly like the
-/// sharded replay path.
-///
-/// [`run`]: RtcExecutor::run
-#[derive(Debug, Clone, Default)]
-pub struct RtcExecutor {
-    cfg: RtcConfig,
-}
-
-impl RtcExecutor {
-    /// An executor with the given configuration.
-    pub fn new(cfg: RtcConfig) -> Self {
-        RtcExecutor { cfg }
-    }
-
-    /// The configuration this executor runs with.
-    pub fn config(&self) -> &RtcConfig {
-        &self.cfg
-    }
-
-    /// Runs `packets` to completion across the configured workers and
-    /// returns the merged report.
-    ///
-    /// This is the one-shot form: it boots a fresh [`RtcSession`] (worker
-    /// clones, pools, rings), runs the workload, and tears everything down.
-    /// Callers driving many workloads through warm workers — the benches,
-    /// a long-lived dataplane — should hold an [`RtcSession`] instead.
-    pub fn run(&self, switch: &Switch, packets: &[InjectedPacket]) -> RtcReport {
-        RtcSession::new(switch, self.cfg.clone()).run(packets)
-    }
-}
-
 /// How a session schedules its shards.
 enum Mode {
     /// Cooperative: shards driven on the dispatching core (the host has
@@ -317,7 +287,10 @@ struct Link {
 /// the [`RtcReport`] delta for exactly that workload (stats, telemetry,
 /// pool exhaustion are all per-run deltas). Switch state — table counters,
 /// flow entries, registers, aging clocks — carries across runs within each
-/// shard, exactly as it would on hardware that keeps running.
+/// shard, exactly as it would on hardware that keeps running. The switch
+/// the session was booted from is never mutated. Mirror copies are counted
+/// (`packets_mirrored`) and discarded after each packet, so a session on a
+/// switch with a mirror port does not grow.
 ///
 /// The scheduling mode is chosen at boot: one OS thread per worker when
 /// the host has the cores for it, otherwise the same shards are driven
@@ -535,7 +508,7 @@ impl Drop for RtcSession {
     }
 }
 
-/// Merges per-worker results into the report and injects the executor's
+/// Merges per-worker results into the report and injects the session's
 /// own telemetry series — identical for both scheduling modes.
 #[allow(clippy::too_many_arguments)]
 fn finalize(
@@ -560,7 +533,7 @@ fn finalize(
         metrics.merge(&r.metrics);
     }
 
-    // The executor's own series, injected with the same fold idiom the
+    // The session's own series, injected with the same fold idiom the
     // switch uses for table counters. Skipped when telemetry is off so
     // "telemetry disabled ⇒ empty snapshot" still holds.
     if telemetry {
@@ -698,22 +671,28 @@ mod tests {
                 Disposition::ToCpu => unreachable!(),
             }
         }
-        let report = RtcExecutor::new(RtcConfig {
-            workers: 4,
-            ..RtcConfig::default()
-        })
-        .run(&sw, &pkts);
+        let report = RtcSession::new(
+            &sw,
+            RtcConfig {
+                workers: 4,
+                ..RtcConfig::default()
+            },
+        )
+        .run(&pkts);
         assert_eq!(report.injected, 64);
         assert_eq!(report.emitted, emitted);
         assert_eq!(report.dropped, dropped);
         assert_eq!(report.errors, 0);
         assert_eq!(report.worker_packets.iter().sum::<u64>(), 64);
         // Flow steering is deterministic: same workload, same shards.
-        let again = RtcExecutor::new(RtcConfig {
-            workers: 4,
-            ..RtcConfig::default()
-        })
-        .run(&sw, &pkts);
+        let again = RtcSession::new(
+            &sw,
+            RtcConfig {
+                workers: 4,
+                ..RtcConfig::default()
+            },
+        )
+        .run(&pkts);
         assert_eq!(report.worker_packets, again.worker_packets);
     }
 
@@ -721,14 +700,17 @@ mod tests {
     fn tiny_pool_backpressures_without_loss() {
         let sw = testbed();
         let pkts = workload(40);
-        let report = RtcExecutor::new(RtcConfig {
-            workers: 2,
-            ring_depth: 1,
-            pool_packets: 1,
-            exhaustion: ExhaustionPolicy::Backpressure,
-            ..RtcConfig::default()
-        })
-        .run(&sw, &pkts);
+        let report = RtcSession::new(
+            &sw,
+            RtcConfig {
+                workers: 2,
+                ring_depth: 1,
+                pool_packets: 1,
+                exhaustion: ExhaustionPolicy::Backpressure,
+                ..RtcConfig::default()
+            },
+        )
+        .run(&pkts);
         assert_eq!(report.injected, 40);
         assert_eq!(report.pool_dropped, 0);
         assert_eq!(report.emitted + report.dropped, 40);
@@ -739,14 +721,17 @@ mod tests {
         let sw = testbed();
         // One flow → one worker; pool of 1 with a deep ring forces misses.
         let pkts = vec![InjectedPacket::new(eth_packet(0xaabb), 0); 64];
-        let report = RtcExecutor::new(RtcConfig {
-            workers: 1,
-            ring_depth: 64,
-            pool_packets: 1,
-            exhaustion: ExhaustionPolicy::Drop,
-            ..RtcConfig::default()
-        })
-        .run(&sw, &pkts);
+        let report = RtcSession::new(
+            &sw,
+            RtcConfig {
+                workers: 1,
+                ring_depth: 64,
+                pool_packets: 1,
+                exhaustion: ExhaustionPolicy::Drop,
+                ..RtcConfig::default()
+            },
+        )
+        .run(&pkts);
         assert_eq!(report.injected + report.pool_dropped, 64);
         assert_eq!(report.emitted, report.injected);
         assert_eq!(report.pool_exhausted, report.pool_dropped);
@@ -774,12 +759,15 @@ mod tests {
         assert_eq!(a.metrics.counter("packets_injected"), 32);
         assert_eq!(b.metrics.counter("packets_injected"), 32);
         assert_eq!(b.metrics.counter_family_total("rtc_worker_packets"), 32);
-        // A one-shot executor run agrees with a fresh session's first run.
-        let one = RtcExecutor::new(RtcConfig {
-            workers: 4,
-            ..RtcConfig::default()
-        })
-        .run(&sw, &pkts);
+        // A second session booted from the same switch starts where the first did.
+        let one = RtcSession::new(
+            &sw,
+            RtcConfig {
+                workers: 4,
+                ..RtcConfig::default()
+            },
+        )
+        .run(&pkts);
         assert_eq!(one.emitted, a.emitted);
         assert_eq!(one.worker_packets, a.worker_packets);
     }
@@ -789,11 +777,14 @@ mod tests {
         let mut sw = testbed();
         sw.set_telemetry(true);
         let pkts = workload(32);
-        let report = RtcExecutor::new(RtcConfig {
-            workers: 2,
-            ..RtcConfig::default()
-        })
-        .run(&sw, &pkts);
+        let report = RtcSession::new(
+            &sw,
+            RtcConfig {
+                workers: 2,
+                ..RtcConfig::default()
+            },
+        )
+        .run(&pkts);
         assert_eq!(report.metrics.counter("packets_injected"), 32);
         assert_eq!(
             report.metrics.counter_family_total("rtc_worker_packets"),
@@ -805,7 +796,59 @@ mod tests {
         // Telemetry off ⇒ the report's snapshot stays empty.
         let mut quiet = testbed();
         quiet.set_telemetry(false);
-        let r2 = RtcExecutor::new(RtcConfig::default()).run(&quiet, &pkts);
+        let r2 = RtcSession::new(&quiet, RtcConfig::default()).run(&pkts);
         assert!(r2.metrics.is_zero());
+    }
+
+    #[test]
+    fn session_counts_mirror_copies_and_keeps_none() {
+        // Every packet is tapped to the mirror port and forwarded.
+        let tap = ProgramBuilder::new("tap")
+            .header(well_known::ethernet())
+            .parser(
+                ParserBuilder::new()
+                    .node("eth", "ethernet", 0)
+                    .accept("eth")
+                    .start("eth"),
+            )
+            .action(
+                ActionBuilder::new("tap")
+                    .set(FieldRef::meta("mirror_flag"), Expr::val(1, 1))
+                    .set(FieldRef::meta("egress_spec"), Expr::val(2, 16))
+                    .build(),
+            )
+            .table(
+                TableBuilder::new("t")
+                    .key_exact(fref("ethernet", "dst_mac"))
+                    .default_action("tap")
+                    .build(),
+            )
+            .control(ControlBuilder::new("ingress").apply("t").build())
+            .entry("ingress")
+            .build()
+            .unwrap();
+        let mut sw = Switch::new(TofinoProfile::wedge_100b_32x());
+        sw.load_program(PipeletId::ingress(0), tap).unwrap();
+        sw.set_mirror_port(Some(30));
+        sw.set_telemetry(true);
+        // More workers than cores: the inline schedule, whose worker
+        // switches this test can reach (threaded workers share `run_one`).
+        let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let mut sess = RtcSession::new(
+            &sw,
+            RtcConfig {
+                workers: cores + 1,
+                ..RtcConfig::default()
+            },
+        );
+        let report = sess.run(&workload(48));
+        assert_eq!(report.emitted, 48);
+        assert_eq!(report.metrics.counter("packets_mirrored"), 48);
+        let Mode::Inline(shards) = &mut sess.mode else {
+            panic!("workers > cores must schedule inline");
+        };
+        for shard in shards {
+            assert!(shard.sw.drain_mirrored().is_empty());
+        }
     }
 }

@@ -316,7 +316,7 @@ fn run_single(sw: &mut Switch, pool: &[InjectedPacket], slice: Duration) -> (usi
     (n, start.elapsed().as_secs_f64())
 }
 
-/// One timed slice of `inject_batch` (traces off — the replay fast path).
+/// One timed slice of `inject_batch` (the untraced walk over one reused buffer).
 fn run_batch(sw: &mut Switch, pool: &[InjectedPacket], slice: Duration) -> (usize, f64) {
     let start = Instant::now();
     let mut n = 0usize;
@@ -474,8 +474,8 @@ struct SweepPoint {
     rtc_pps: f64,
     speedup_compiled: f64,
     speedup_batch: f64,
-    /// rtc_pps / compiled_batch_pps — the zero-alloc engine's gain over
-    /// the allocating batch path.
+    /// rtc_pps / compiled_batch_pps — the pooled session against the batch
+    /// adapter (both run the same untraced walk; near 1× on one core).
     speedup_rtc_vs_batch: f64,
     /// Steady-state heap allocations per packet on the pooled path
     /// (`null` unless the bench ran with `--features count-allocs`).

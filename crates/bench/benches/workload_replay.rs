@@ -7,12 +7,12 @@
 //! latency distribution, and the recirculation histogram.
 
 use dejavu_asic::switch::Disposition;
-use dejavu_asic::InjectedPacket;
+use dejavu_asic::{InjectedPacket, RtcConfig};
 use dejavu_bench::{banner, row, write_json};
 use dejavu_core::control_plane::{rewind_and_clear, ControlPlane, PuntResponse};
 use dejavu_integration::{fig9_testbed, EXIT_PORT, IN_PORT};
 use dejavu_nf::load_balancer::{five_tuple_of, session_entry_for, SESSION_TABLE};
-use dejavu_traffic::{replay_sharded, FlowGen, WorkloadMix};
+use dejavu_traffic::{replay, FlowGen, WorkloadMix};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -145,10 +145,10 @@ fn main() {
     assert!(report.sessions_installed <= FLOWS as u64);
     assert!(report.punted_then_learned == report.sessions_installed);
 
-    // ---- fast-path ablation: the same trace, batched on the warm switch.
+    // ---- fast-path ablation: the same trace, replayed on the warm switch.
     // All LB sessions are now installed, so the whole workload runs in the
-    // data plane; the sharded replay driver measures pure packets/sec on
-    // the compiled engine with traces off.
+    // data plane; the replay driver measures pure packets/sec through
+    // run-to-completion workers, no traces.
     const REPLAY_SCALE: usize = 8;
     let mut per_flow: BTreeMap<usize, Vec<InjectedPacket>> = BTreeMap::new();
     for &flow_idx in &schedule {
@@ -162,21 +162,26 @@ fn main() {
         );
     }
     let grouped: Vec<Vec<InjectedPacket>> = per_flow.into_values().collect();
-    let single = replay_sharded(&switch, &grouped, 1);
-    let sharded = replay_sharded(&switch, &grouped, 4);
-    assert_eq!(single.stats.injected, PACKETS * REPLAY_SCALE);
-    assert_eq!(single.stats.emitted, PACKETS * REPLAY_SCALE);
-    assert_eq!(sharded.stats.emitted, PACKETS * REPLAY_SCALE);
+    let workers = |workers| RtcConfig {
+        workers,
+        ..RtcConfig::default()
+    };
+    let single = replay(&switch, &grouped, &workers(1));
+    let sharded = replay(&switch, &grouped, &workers(4));
+    let total = (PACKETS * REPLAY_SCALE) as u64;
+    assert_eq!(single.injected, total);
+    assert_eq!(single.emitted, total);
+    assert_eq!(sharded.emitted, total);
     report.fast_path_pps_1_worker = single.packets_per_sec;
     report.fast_path_pps_4_workers = sharded.packets_per_sec;
     row(
-        "fast-path replay (batched, 1 worker)",
+        "fast-path replay (1 worker)",
         "—",
         &format!("{:.0} pps", report.fast_path_pps_1_worker),
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     row(
-        "fast-path replay (batched, 4 workers)",
+        "fast-path replay (4 workers)",
         "—",
         &format!(
             "{:.0} pps ({cores} host core{} available)",

@@ -1,18 +1,26 @@
 //! The one Ingress story: how packets enter a Dejavu data plane.
 //!
-//! The simulator grew four injection entry points over time; this module is
-//! the map that relates them, so a caller picks by *need* instead of by
-//! archaeology. All of them consume the same unit of work — an
-//! [`InjectedPacket`] (wire bytes + arrival port), built with
-//! [`InjectedPacket::new`] — and all enforce the same port rules (loopback
-//! ports take no external traffic, down links reject).
+//! A switch has **one** packet walk (ingress pipelet → traffic manager →
+//! egress pipelet → port or loopback, `dejavu_asic::switch`) behind **one**
+//! admission check: loopback-mode ports and dedicated recirculation ports
+//! take no external traffic, down links reject, unknown ports are out of
+//! range. Three adapters feed it, all consuming the same unit of work — an
+//! [`InjectedPacket`] (wire bytes + arrival port) or its two halves — and
+//! all running on whichever engine [`ExecMode`](dejavu_asic::ExecMode)
+//! selects:
 //!
-//! | Entry point | Returns | Use when |
+//! | Adapter | Returns | Use when |
 //! |---|---|---|
-//! | [`Switch::inject`] | [`Traversal`] | You want the full per-packet story: events, disposition, latency, recirculations. The default. |
-//! | [`Switch::inject_batch`] | [`BatchStats`] | Replay throughput: aggregate counters only, traces forced off, per-packet errors tallied not raised. |
-//! | [`Switch::inject_buf`] | [`BufOutcome`](dejavu_asic::switch::BufOutcome) | The zero-allocation run-to-completion path: your buffer in, final bytes out, compiled engine only. |
-//! | [`RtcSession::run`](dejavu_asic::rtc::RtcSession::run) | [`RtcReport`](dejavu_asic::rtc::RtcReport) | Sharded multi-worker replay over pooled buffers (rings of `inject_buf`-style passes). |
+//! | [`Switch::inject`] | [`Traversal`] | You want the full per-packet story: events (at [`TraceLevel::Full`](dejavu_asic::TraceLevel)), disposition, final bytes, latency, recirculations, mirror copies. The default. |
+//! | [`Switch::inject_buf`] | [`BufOutcome`] | The same walk, no trace: your buffer in, final bytes out, zero allocations once warm. Mirror copies queue for [`Switch::drain_mirrored`]. |
+//! | [`Switch::inject_batch`] | [`BatchStats`] | `inject_buf` over a slice: aggregate tallies only, per-packet errors counted not raised. |
+//!
+//! Above a single call there is one multi-worker engine,
+//! [`RtcSession::run`] → [`RtcReport`]: per-core switch clones, pooled
+//! buffers and rings, flow-hash steering, each worker running `inject_buf`.
+//! `dejavu_traffic::replay` is the one replay driver: it interleaves a
+//! flow-grouped workload and runs it through a fresh session, configured by
+//! an [`RtcConfig`].
 //!
 //! Beyond a single switch, the same packet shape feeds the cluster paths:
 //!
@@ -27,11 +35,6 @@
 //!   [`TcpTransport`](crate::transport::tcp::TcpTransport), real sockets)
 //!   and comes back as a
 //!   [`WireTraversal`](crate::transport::cluster::WireTraversal).
-//!
-//! Historical note: `Switch::inject` once also accepted a bare
-//! `(Vec<u8>, PortId)` tuple via a `From` impl. That shim is gone —
-//! construct an [`InjectedPacket`] explicitly; the `impl Into` bound
-//! remains so call sites stay terse and future packet carriers can opt in.
 
-pub use dejavu_asic::switch::{BatchStats, Traversal};
-pub use dejavu_asic::{InjectedPacket, PortId, Switch};
+pub use dejavu_asic::switch::{BatchStats, BufOutcome, Traversal};
+pub use dejavu_asic::{InjectedPacket, PortId, RtcConfig, RtcReport, RtcSession, Switch};

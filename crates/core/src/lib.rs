@@ -42,8 +42,9 @@
 //!   placement search (exhaustive / annealing / swarm) over an N-chain ×
 //!   M-switch objective, telemetry-driven traffic-shift detection, and a
 //!   hitless live-migration driver over the cluster runtime.
-//! * [`ingress`] — the map of injection entry points (single packet, batch,
-//!   zero-copy buffer, run-to-completion rings, and the cluster paths).
+//! * [`ingress`] — the map of injection entry points (three adapters over
+//!   the switch's one packet walk, the run-to-completion session, and the
+//!   cluster paths).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,9 +91,9 @@ pub use sfc::SfcHeader;
 /// deployment, the merged control plane, the multi-switch cluster, and the
 /// transport-backed cluster runtime).
 ///
-/// **Injecting packets?** Every entry point — single packet, batch,
-/// zero-copy buffer, run-to-completion rings, lockstep cluster,
-/// transport cluster — consumes the same
+/// **Injecting packets?** Every entry point — single packet, in-place
+/// buffer, batch, run-to-completion session, lockstep cluster, transport
+/// cluster — consumes the same
 /// [`InjectedPacket`](dejavu_asic::InjectedPacket); see [`crate::ingress`]
 /// for the one-page map of which to use when.
 pub mod prelude {
@@ -129,7 +130,8 @@ pub mod prelude {
         MetricsSnapshot,
     };
     pub use dejavu_asic::{
-        BatchStats, DigestRecord, Eviction, ExecMode, Gress, InjectedPacket, PipeletId, PortId,
-        Switch, SwitchMetrics, SwitchOptions, TimingModel, TofinoProfile, TraceLevel, Traversal,
+        BatchStats, BufOutcome, DigestRecord, Eviction, ExecMode, Gress, InjectedPacket, PipeletId,
+        PortId, RtcConfig, RtcReport, RtcSession, Switch, SwitchMetrics, SwitchOptions,
+        TimingModel, TofinoProfile, TraceLevel, Traversal,
     };
 }

@@ -18,4 +18,4 @@ pub mod replay;
 pub use acl::{acl_ruleset, matching_flow, AclRule};
 pub use flows::{FlowGen, FlowSpec, WorkloadMix};
 pub use packet::PacketBuilder;
-pub use replay::{replay_flows, replay_sharded, ReplayReport};
+pub use replay::{replay, replay_flows};

@@ -1,169 +1,29 @@
-//! Sharded multi-threaded workload replay.
+//! Workload replay: flow-grouped packet lists through the switch's
+//! run-to-completion engine.
 //!
-//! Drives a prepared packet list through the switch's batched fast path
-//! ([`dejavu_asic::Switch::inject_batch`]), optionally partitioned across
-//! worker threads. Each worker owns a full clone of the switch — programs,
-//! table entries, register state, *and* telemetry registry — and replays
-//! its shard independently; per-worker [`BatchStats`] and telemetry deltas
-//! flow back over a channel and are merged.
+//! One driver. [`replay`] interleaves the flows into one arrival stream
+//! (round-robin across flows, each flow's internal order preserved) and
+//! hands it to a [`dejavu_asic::RtcSession`] booted from the caller's
+//! switch: `cfg.workers` switch clones — programs, table entries, register
+//! state, *and* telemetry registry — each fed by flow hash over pooled
+//! buffers, so all packets of one flow hit the same clone in order and
+//! per-flow state stays coherent within a worker. Cross-flow shared state
+//! (e.g. a global rate-limiter register) diverges between workers, exactly
+//! as it would across the pipes of a real multi-pipeline ASIC — use one
+//! worker when that matters. The caller's switch is never mutated.
 //!
-//! Sharding is by *flow*, not by packet: [`replay_sharded`] assigns shard
-//! `flow_idx % workers`, so all packets of one flow hit the same switch
-//! clone in order and per-flow state (registers, counters) stays coherent
-//! within a shard. Cross-flow shared state (e.g. a global rate-limiter
-//! register) diverges between shards, exactly as it would across the
-//! pipes of a real multi-pipeline ASIC — use one worker when that matters.
-//!
-//! ## Telemetry
-//!
-//! Cloning a [`Switch`] deep-copies its [`MetricsRegistry`], so each
-//! worker accumulates into a private shard. To merge losslessly even when
-//! the input switch already carries non-zero counters, every worker
-//! captures a snapshot *before* and *after* its replay and ships only the
-//! [`MetricsSnapshot::diff`]; the driver folds the deltas together with
-//! [`MetricsSnapshot::merge`]. The merged total in [`ReplayReport::metrics`]
-//! therefore equals what a single-threaded replay of the same workload
-//! would have recorded (telemetry disabled ⇒ it is simply empty).
-//!
-//! [`MetricsRegistry`]: dejavu_asic::MetricsRegistry
-//! [`MetricsSnapshot::diff`]: dejavu_asic::MetricsSnapshot::diff
-//! [`MetricsSnapshot::merge`]: dejavu_asic::MetricsSnapshot::merge
+//! The merged [`RtcReport::metrics`] equals, on every pipeline series, what
+//! a one-worker replay of the same workload records (telemetry disabled ⇒
+//! it is simply empty); the session's own `rtc_*` / `pool_*` series are per
+//! worker by design. See [`dejavu_asic::rtc`] for how the deltas merge.
 
 use crate::flows::FlowSpec;
 use dejavu_asic::switch::PortId;
-use dejavu_asic::{
-    BatchStats, InjectedPacket, MetricsSnapshot, RtcConfig, RtcExecutor, RtcReport, Switch,
-};
-use std::sync::mpsc;
-use std::thread;
-use std::time::Instant;
-
-/// Result of a replay run: merged batch statistics plus wall-clock rate.
-#[derive(Debug, Clone)]
-pub struct ReplayReport {
-    /// Merged per-worker batch statistics.
-    pub stats: BatchStats,
-    /// Merged telemetry delta recorded during the replay (empty when the
-    /// switch's telemetry is disabled).
-    pub metrics: MetricsSnapshot,
-    /// Number of worker threads used.
-    pub workers: usize,
-    /// Wall-clock time for the whole replay, in seconds.
-    pub elapsed_s: f64,
-    /// Injected packets divided by wall-clock time.
-    pub packets_per_sec: f64,
-}
-
-impl ReplayReport {
-    fn from_parts(
-        stats: BatchStats,
-        metrics: MetricsSnapshot,
-        workers: usize,
-        elapsed_s: f64,
-    ) -> Self {
-        ReplayReport {
-            packets_per_sec: if elapsed_s > 0.0 {
-                stats.injected as f64 / elapsed_s
-            } else {
-                f64::INFINITY
-            },
-            stats,
-            metrics,
-            workers,
-            elapsed_s,
-        }
-    }
-}
-
-/// One worker's replay over its shard: batch stats plus the telemetry
-/// delta attributable to this shard alone.
-fn replay_shard(sw: &mut Switch, shard: &[Vec<InjectedPacket>]) -> (BatchStats, MetricsSnapshot) {
-    // Full snapshot (not a bare registry capture) so the folded table
-    // counters in `after` are cancelled against their pre-replay values.
-    let before = sw.metrics_snapshot();
-    let mut stats = BatchStats::default();
-    for flow in shard {
-        stats.merge(&sw.inject_batch(flow));
-    }
-    let after = sw.metrics_snapshot();
-    (stats, after.diff(&before))
-}
+use dejavu_asic::{InjectedPacket, RtcConfig, RtcReport, RtcSession, Switch};
 
 /// Replays `packets` (already grouped per flow: `packets[f]` is flow `f`'s
-/// ordered packet list) across `workers` threads, flow `f` on worker
-/// `f % workers`.
-///
-/// With `workers <= 1` the replay runs on the calling thread with no
-/// cloning beyond one switch copy — the deterministic single-pipe path.
-pub fn replay_sharded(
-    switch: &Switch,
-    packets: &[Vec<InjectedPacket>],
-    workers: usize,
-) -> ReplayReport {
-    let workers = workers.max(1).min(packets.len().max(1));
-    let start = Instant::now();
-    if workers == 1 {
-        let mut sw = switch.clone();
-        let (stats, metrics) = replay_shard(&mut sw, packets);
-        return ReplayReport::from_parts(stats, metrics, 1, start.elapsed().as_secs_f64());
-    }
-
-    let (tx, rx) = mpsc::channel::<(BatchStats, MetricsSnapshot)>();
-    let mut handles = Vec::with_capacity(workers);
-    for w in 0..workers {
-        let mut sw = switch.clone();
-        let tx = tx.clone();
-        let shard: Vec<Vec<InjectedPacket>> =
-            packets.iter().skip(w).step_by(workers).cloned().collect();
-        handles.push(thread::spawn(move || {
-            let _ = tx.send(replay_shard(&mut sw, &shard));
-        }));
-    }
-    drop(tx);
-
-    let mut total = BatchStats::default();
-    let mut metrics = MetricsSnapshot::default();
-    for (stats, delta) in rx {
-        total.merge(&stats);
-        metrics.merge(&delta);
-    }
-    for h in handles {
-        let _ = h.join();
-    }
-    ReplayReport::from_parts(total, metrics, workers, start.elapsed().as_secs_f64())
-}
-
-/// Convenience wrapper: materializes `packets_per_flow` packets for each
-/// flow (all injected on `port` with `payload_len`-byte payloads) and
-/// replays them via [`replay_sharded`].
-pub fn replay_flows(
-    switch: &Switch,
-    flows: &[FlowSpec],
-    port: PortId,
-    packets_per_flow: usize,
-    payload_len: usize,
-    workers: usize,
-) -> ReplayReport {
-    let packets: Vec<Vec<InjectedPacket>> = flows
-        .iter()
-        .map(|f| {
-            let bytes = f.packet(payload_len);
-            vec![InjectedPacket::new(bytes, port); packets_per_flow]
-        })
-        .collect();
-    replay_sharded(switch, &packets, workers)
-}
-
-/// Replays the same flow-grouped workload through the zero-allocation
-/// run-to-completion executor ([`dejavu_asic::RtcExecutor`]).
-///
-/// Where [`replay_sharded`] assigns flows to workers round-robin and drives
-/// the batched fast path, this entry point interleaves the flows into one
-/// arrival stream (round-robin across flows, preserving each flow's
-/// internal order) and lets the executor steer by flow hash over pooled
-/// buffers — the same packets, the engine under test for the `rtc_pps`
-/// benchmark column.
-pub fn replay_rtc(switch: &Switch, packets: &[Vec<InjectedPacket>], cfg: &RtcConfig) -> RtcReport {
+/// ordered packet list) through a fresh [`RtcSession`] on `switch`.
+pub fn replay(switch: &Switch, packets: &[Vec<InjectedPacket>], cfg: &RtcConfig) -> RtcReport {
     let longest = packets.iter().map(Vec::len).max().unwrap_or(0);
     let mut stream = Vec::with_capacity(packets.iter().map(Vec::len).sum());
     for i in 0..longest {
@@ -173,11 +33,13 @@ pub fn replay_rtc(switch: &Switch, packets: &[Vec<InjectedPacket>], cfg: &RtcCon
             }
         }
     }
-    RtcExecutor::new(cfg.clone()).run(switch, &stream)
+    RtcSession::new(switch, cfg.clone()).run(&stream)
 }
 
-/// Convenience twin of [`replay_flows`] for the run-to-completion path.
-pub fn replay_flows_rtc(
+/// Convenience wrapper: materializes `packets_per_flow` packets for each
+/// flow (all injected on `port` with `payload_len`-byte payloads) and
+/// replays them via [`replay`].
+pub fn replay_flows(
     switch: &Switch,
     flows: &[FlowSpec],
     port: PortId,
@@ -192,14 +54,14 @@ pub fn replay_flows_rtc(
             vec![InjectedPacket::new(bytes, port); packets_per_flow]
         })
         .collect();
-    replay_rtc(switch, &packets, cfg)
+    replay(switch, &packets, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flows::FlowGen;
-    use dejavu_asic::{PipeletId, TofinoProfile};
+    use dejavu_asic::{MetricsSnapshot, PipeletId, TofinoProfile};
     use dejavu_p4ir::builder::*;
     use dejavu_p4ir::table::{KeyMatch, TableEntry};
     use dejavu_p4ir::{fref, well_known, Expr, FieldRef, Value};
@@ -255,37 +117,60 @@ mod tests {
         sw
     }
 
+    fn workers(workers: usize) -> RtcConfig {
+        RtcConfig {
+            workers,
+            ..RtcConfig::default()
+        }
+    }
+
+    /// The pipeline's own series: what must not depend on the worker count.
+    fn pipeline_series(mut m: MetricsSnapshot) -> MetricsSnapshot {
+        m.metrics
+            .retain(|name, _| !name.starts_with("rtc_") && !name.starts_with("pool_"));
+        m
+    }
+
     #[test]
-    fn sharded_replay_matches_single_thread_counts() {
+    fn sharded_replay_matches_single_worker_counts() {
         let sw = testbed();
         let flows = FlowGen::new(11, (0x0a01_0000, 16), (0x0a02_0000, 16)).flows(24);
-        let single = replay_flows(&sw, &flows, 0, 4, 16, 1);
-        let sharded = replay_flows(&sw, &flows, 0, 4, 16, 4);
-        assert_eq!(single.stats.injected, 96);
-        assert_eq!(sharded.stats.injected, 96);
-        assert_eq!(single.stats.emitted, sharded.stats.emitted);
-        assert_eq!(single.stats.dropped, sharded.stats.dropped);
-        assert_eq!(single.stats.errors, 0);
+        let single = replay_flows(&sw, &flows, 0, 4, 16, &workers(1));
+        let sharded = replay_flows(&sw, &flows, 0, 4, 16, &workers(4));
+        assert_eq!(single.injected, 96);
+        assert_eq!(sharded.injected, 96);
+        assert_eq!(single.emitted, sharded.emitted);
+        assert_eq!(single.dropped, sharded.dropped);
+        assert_eq!(single.errors + sharded.errors, 0);
+        assert_eq!(single.pool_dropped + sharded.pool_dropped, 0);
         assert_eq!(sharded.workers, 4);
+        assert_eq!(sharded.worker_packets.iter().sum::<u64>(), 96);
         assert!(sharded.packets_per_sec > 0.0);
     }
 
     #[test]
-    fn sharded_metrics_merge_equals_single_thread() {
+    fn sharded_metrics_merge_equals_single_worker() {
         let mut sw = testbed();
         sw.set_telemetry(true);
         let flows = FlowGen::new(7, (0x0a01_0000, 16), (0x0a02_0000, 16)).flows(12);
-        let single = replay_flows(&sw, &flows, 0, 3, 8, 1);
-        let sharded = replay_flows(&sw, &flows, 0, 3, 8, 4);
+        let single = replay_flows(&sw, &flows, 0, 3, 8, &workers(1));
+        let sharded = replay_flows(&sw, &flows, 0, 3, 8, &workers(4));
         assert_eq!(single.metrics.counter("packets_injected"), 36);
-        assert_eq!(single.metrics, sharded.metrics);
+        assert_eq!(
+            sharded.metrics.counter_family_total("rtc_worker_packets"),
+            36
+        );
+        assert_eq!(
+            pipeline_series(single.metrics),
+            pipeline_series(sharded.metrics)
+        );
     }
 
     #[test]
     fn disabled_telemetry_yields_empty_metrics() {
         let sw = testbed();
         let flows = FlowGen::new(5, (0x0a01_0000, 16), (0x0a02_0000, 16)).flows(4);
-        let r = replay_flows(&sw, &flows, 0, 2, 0, 2);
+        let r = replay_flows(&sw, &flows, 0, 2, 0, &workers(2));
         assert!(r.metrics.is_zero());
     }
 
@@ -293,7 +178,7 @@ mod tests {
     fn replay_leaves_original_switch_untouched() {
         let sw = testbed();
         let flows = FlowGen::new(3, (0x0a01_0000, 16), (0x0a02_0000, 16)).flows(8);
-        let _ = replay_flows(&sw, &flows, 0, 2, 0, 2);
+        let _ = replay_flows(&sw, &flows, 0, 2, 0, &workers(2));
         // Workers clone the switch; the caller's counters stay at zero.
         let c = sw.tables(PipeletId::ingress(0)).unwrap().counters("route");
         assert_eq!(c.hits + c.misses, 0);
@@ -302,33 +187,8 @@ mod tests {
     #[test]
     fn empty_workload_is_fine() {
         let sw = testbed();
-        let r = replay_sharded(&sw, &[], 8);
-        assert_eq!(r.stats.injected, 0);
-        assert_eq!(r.workers, 1);
-    }
-
-    #[test]
-    fn rtc_replay_matches_batched_counts() {
-        let mut sw = testbed();
-        sw.set_telemetry(true);
-        let flows = FlowGen::new(11, (0x0a01_0000, 16), (0x0a02_0000, 16)).flows(24);
-        let batched = replay_flows(&sw, &flows, 0, 4, 16, 1);
-        let cfg = RtcConfig {
-            workers: 4,
-            ..RtcConfig::default()
-        };
-        let rtc = replay_flows_rtc(&sw, &flows, 0, 4, 16, &cfg);
-        assert_eq!(rtc.injected, 96);
-        assert_eq!(rtc.emitted, batched.stats.emitted as u64);
-        assert_eq!(rtc.dropped, batched.stats.dropped as u64);
-        assert_eq!(rtc.errors, 0);
-        assert_eq!(rtc.pool_dropped, 0);
-        // Core pipeline telemetry agrees with the batched engine; the rtc
-        // report additionally carries the executor's own series.
-        assert_eq!(
-            rtc.metrics.counter("packets_injected"),
-            batched.metrics.counter("packets_injected")
-        );
-        assert_eq!(rtc.metrics.counter_family_total("rtc_worker_packets"), 96);
+        let r = replay(&sw, &[], &workers(8));
+        assert_eq!(r.injected, 0);
+        assert_eq!(r.worker_packets, vec![0; 8]);
     }
 }

@@ -145,3 +145,6 @@ if [ -n "$doclog" ]; then
     exit 1
 fi
 echo "rustdoc OK (no warnings)"
+
+# Size ledger (printed, not gated): non-test Rust lines per crate.
+bash scripts/loc.sh

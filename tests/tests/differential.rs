@@ -546,7 +546,7 @@ proptest! {
 
 #[test]
 fn pool_exhaustion_backpressures_or_drops_never_panics() {
-    use dejavu_asic::{ExhaustionPolicy, InjectedPacket, RtcConfig, RtcExecutor};
+    use dejavu_asic::{ExhaustionPolicy, InjectedPacket, RtcConfig, RtcSession};
 
     let program = flow_program();
     let mut sw = Switch::new(TofinoProfile::wedge_100b_32x());
@@ -557,14 +557,17 @@ fn pool_exhaustion_backpressures_or_drops_never_panics() {
         .collect();
 
     // Starved pool + backpressure: every packet still gets through.
-    let bp = RtcExecutor::new(RtcConfig {
-        workers: 2,
-        ring_depth: 2,
-        pool_packets: 1,
-        exhaustion: ExhaustionPolicy::Backpressure,
-        ..RtcConfig::default()
-    })
-    .run(&sw, &packets);
+    let bp = RtcSession::new(
+        &sw,
+        RtcConfig {
+            workers: 2,
+            ring_depth: 2,
+            pool_packets: 1,
+            exhaustion: ExhaustionPolicy::Backpressure,
+            ..RtcConfig::default()
+        },
+    )
+    .run(&packets);
     assert_eq!(bp.injected, 96);
     assert_eq!(bp.pool_dropped, 0);
     assert_eq!(bp.emitted + bp.dropped + bp.to_cpu, 96);
@@ -572,14 +575,17 @@ fn pool_exhaustion_backpressures_or_drops_never_panics() {
     // Starved pool + drop policy on a single hot shard: losses are counted
     // in the report and surfaced as the pool_exhausted telemetry series.
     let one_flow: Vec<InjectedPacket> = vec![InjectedPacket::new(flow_packet(1, 1), 0); 64];
-    let dr = RtcExecutor::new(RtcConfig {
-        workers: 1,
-        ring_depth: 64,
-        pool_packets: 1,
-        exhaustion: ExhaustionPolicy::Drop,
-        ..RtcConfig::default()
-    })
-    .run(&sw, &one_flow);
+    let dr = RtcSession::new(
+        &sw,
+        RtcConfig {
+            workers: 1,
+            ring_depth: 64,
+            pool_packets: 1,
+            exhaustion: ExhaustionPolicy::Drop,
+            ..RtcConfig::default()
+        },
+    )
+    .run(&one_flow);
     assert_eq!(dr.injected + dr.pool_dropped, 64);
     assert_eq!(dr.pool_exhausted, dr.pool_dropped);
     assert_eq!(dr.metrics.counter("pool_exhausted"), dr.pool_dropped);

@@ -60,6 +60,56 @@ fn path3_direct_chain() {
     report.assert_all_passed();
 }
 
+/// The full trace of one path-3 packet, written down once: the order in
+/// which the walk reports pipelets, tables, the traffic manager, the
+/// recirculation and the emit is part of the switch's contract.
+#[test]
+fn path3_trace_is_pinned() {
+    use dejavu_asic::{PipeletId, TraceEvent as Ev};
+    let (ing0, eg1, ing1, eg0) = (
+        PipeletId::ingress(0),
+        PipeletId::egress(1),
+        PipeletId::ingress(1),
+        PipeletId::egress(0),
+    );
+    let table = |pipelet, table: &str, hit, action: &str| Ev::Table {
+        pipelet,
+        table: table.into(),
+        hit,
+        action: action.into(),
+    };
+    let expected = vec![
+        Ev::EnterPipelet(ing0),
+        table(ing0, "classifier__classify", true, "classifier__set_path"),
+        table(ing0, "dv_check_sfc_flags_0", false, "dv_flag_none"),
+        table(ing0, "dv_check_next_nf_1", false, "dv_skip"),
+        table(ing0, "dv_branching", true, "dv_fwd"),
+        Ev::TmTransit { from: 0, to: 1 },
+        Ev::EnterPipelet(eg1),
+        table(eg1, "dv_check_next_nf_0", false, "dv_skip"),
+        table(eg1, "dv_check_next_nf_1", false, "dv_skip"),
+        table(eg1, "dv_decap", false, "dv_no_decap"),
+        Ev::Recirculate {
+            port: LOOPBACK_PORT_P1,
+        },
+        Ev::EnterPipelet(ing1),
+        table(ing1, "dv_check_next_nf_0", true, "dv_proceed"),
+        table(ing1, "router__routes", true, "router__route"),
+        table(ing1, "dv_check_sfc_flags_0", false, "dv_flag_none"),
+        table(ing1, "dv_branching", true, "dv_fwd"),
+        Ev::TmTransit { from: 1, to: 0 },
+        Ev::EnterPipelet(eg0),
+        table(eg0, "dv_decap", true, "dv_do_decap"),
+        Ev::Emit { port: EXIT_PORT },
+    ];
+    let (mut switch, _dep) = fig9_testbed();
+    let t = switch
+        .inject(InjectedPacket::new(chain_packet(3, VIP, 80), IN_PORT))
+        .unwrap();
+    assert_eq!(t.events, expected);
+    assert_eq!(t.latency_ns, 1295.0);
+}
+
 #[test]
 fn path2_vgw_chain() {
     // classifier → vgw → router: vgw on egress 1, router on ingress 1.

@@ -1,7 +1,7 @@
 //! Telemetry invariants across the replay and export layers.
 //!
 //! The heart of the sharded-collection design is an algebra: per-worker
-//! [`MetricsSnapshot`] deltas merged together must equal what one thread
+//! [`MetricsSnapshot`] deltas merged together must equal what one worker
 //! would have recorded, for *any* workload split. These tests drive that
 //! property with generated workloads, and pin down determinism and the
 //! exporter round trip at the integration level.
@@ -71,12 +71,27 @@ fn testbed(telemetry: bool) -> Switch {
     sw
 }
 
+fn workers(workers: usize) -> RtcConfig {
+    RtcConfig {
+        workers,
+        ..RtcConfig::default()
+    }
+}
+
+/// The pipeline's own series. The session's `rtc_*` / `pool_*` series are
+/// per worker (and, on ring depth, per schedule) by design.
+fn pipeline_series(mut m: MetricsSnapshot) -> MetricsSnapshot {
+    m.metrics
+        .retain(|name, _| !name.starts_with("rtc_") && !name.starts_with("pool_"));
+    m
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Lossless sharding: for any flow count, packets-per-flow, payload
-    /// size, and worker count, the merged per-shard snapshots equal a
-    /// single-threaded run of the same workload — counter for counter,
+    /// size, and worker count, the merged per-worker snapshots equal a
+    /// one-worker run of the same workload — counter for counter,
     /// histogram bucket for histogram bucket.
     #[test]
     fn sharded_snapshot_merge_equals_single_thread(
@@ -84,13 +99,13 @@ proptest! {
         n_flows in 1usize..24,
         per_flow in 1usize..6,
         payload in 0usize..64,
-        workers in 2usize..8,
+        n_workers in 2usize..8,
     ) {
         let sw = testbed(true);
         // Flows split between the forwarding 10.1/16 and the denied 10.2/16.
         let flows = FlowGen::new(seed, (0x0a01_0000, 16), (0x0a02_0000, 16)).flows(n_flows);
-        let single = replay_flows(&sw, &flows, 0, per_flow, payload, 1);
-        let sharded = replay_flows(&sw, &flows, 0, per_flow, payload, workers);
+        let single = replay_flows(&sw, &flows, 0, per_flow, payload, &workers(1));
+        let sharded = replay_flows(&sw, &flows, 0, per_flow, payload, &workers(n_workers));
 
         let injected = (n_flows * per_flow) as u64;
         prop_assert_eq!(single.metrics.counter("packets_injected"), injected);
@@ -98,10 +113,10 @@ proptest! {
             single.metrics.counter("packets_emitted") + single.metrics.counter("packets_dropped"),
             injected
         );
-        prop_assert_eq!(&single.metrics, &sharded.metrics);
-        // The batch stats agree with the telemetry view of the same run.
-        prop_assert_eq!(sharded.stats.injected as u64, sharded.metrics.counter("packets_injected"));
-        prop_assert_eq!(sharded.stats.emitted as u64, sharded.metrics.counter("packets_emitted"));
+        // The report's tallies agree with the telemetry view of the same run.
+        prop_assert_eq!(sharded.injected, sharded.metrics.counter("packets_injected"));
+        prop_assert_eq!(sharded.emitted, sharded.metrics.counter("packets_emitted"));
+        prop_assert_eq!(pipeline_series(single.metrics), pipeline_series(sharded.metrics));
     }
 
     /// Replay is deterministic: the same workload replayed twice produces
@@ -110,13 +125,14 @@ proptest! {
     fn replay_telemetry_is_deterministic(
         seed in 0u64..1000,
         n_flows in 1usize..12,
-        workers in 1usize..5,
+        n_workers in 1usize..5,
     ) {
         let sw = testbed(true);
         let flows = FlowGen::new(seed, (0x0a01_0000, 16), (0x0a02_0000, 16)).flows(n_flows);
-        let a = replay_flows(&sw, &flows, 0, 2, 8, workers);
-        let b = replay_flows(&sw, &flows, 0, 2, 8, workers);
-        prop_assert_eq!(a.metrics, b.metrics);
+        let a = replay_flows(&sw, &flows, 0, 2, 8, &workers(n_workers));
+        let b = replay_flows(&sw, &flows, 0, 2, 8, &workers(n_workers));
+        prop_assert_eq!(a.worker_packets, b.worker_packets);
+        prop_assert_eq!(pipeline_series(a.metrics), pipeline_series(b.metrics));
     }
 }
 
@@ -127,7 +143,7 @@ proptest! {
 fn export_round_trip_and_prometheus_cover_the_same_series() {
     let sw = testbed(true);
     let flows = FlowGen::new(3, (0x0a01_0000, 16), (0x0a02_0000, 16)).flows(8);
-    let report = replay_flows(&sw, &flows, 0, 4, 16, 2);
+    let report = replay_flows(&sw, &flows, 0, 4, 16, &workers(2));
     let snap = &report.metrics;
     assert!(!snap.is_zero());
 
@@ -198,7 +214,7 @@ fn ptf_index_expectations_see_forced_policy_and_probes() {
     report.assert_all_passed();
 }
 
-/// The run-to-completion executor's own telemetry (`rtc_worker_packets`,
+/// The run-to-completion session's own telemetry (`rtc_worker_packets`,
 /// `rtc_ring_depth`, `pool_in_use`, `pool_exhausted`) flows through the
 /// merged snapshot and the PTF expectation helpers, alongside the core
 /// pipeline series the workers' switch clones recorded.
@@ -206,11 +222,7 @@ fn ptf_index_expectations_see_forced_policy_and_probes() {
 fn ptf_rtc_expectations_see_worker_and_pool_series() {
     let sw = testbed(true);
     let flows = FlowGen::new(9, (0x0a01_0000, 16), (0x0a02_0000, 16)).flows(16);
-    let cfg = dejavu_asic::RtcConfig {
-        workers: 4,
-        ..dejavu_asic::RtcConfig::default()
-    };
-    let report = dejavu_traffic::replay::replay_flows_rtc(&sw, &flows, 0, 4, 16, &cfg);
+    let report = replay_flows(&sw, &flows, 0, 4, 16, &workers(4));
     assert_eq!(report.injected, 64);
     assert_eq!(report.errors, 0);
 
