@@ -23,25 +23,26 @@
 //! * [`compose`] — sequential and parallel NF composition (Fig. 5),
 //!   generating the per-pipelet programs with the framework's
 //!   `check_nextNF`/`check_sfcFlags`/branching tables.
-//! * [`placement`] — NF placement optimization (§3.3): the traversal cost
-//!   model (reproducing Fig. 6 exactly), the naive baseline, greedy,
-//!   exhaustive, and simulated-annealing optimizers minimizing weighted
-//!   recirculations.
+//! * [`placement`] — NF placement optimization (§3.3, §7): the traversal
+//!   cost model (reproducing Fig. 6 exactly) and one fleet problem — one
+//!   objective, one feasibility rule, exhaustive / annealing / swarm search,
+//!   the naive, greedy and spill seeds — of which the single ASIC is the
+//!   M = 1 instance.
 //! * [`routing`] — on-chip packet routing (§3.4): synthesis of branching-
 //!   table entries after placement.
 //! * [`deploy`] — end-to-end deployment: compose → compile → load → route a
 //!   chain set onto a `dejavu_asic::Switch`.
 //! * [`control_plane`] — the merged control plane (§7): per-NF API views
 //!   translated onto the merged program, and the to-CPU reinjection loop.
-//! * [`multiswitch`] — the multi-switch extension (§7): placement across a
-//!   cluster of back-to-back ASICs with off-chip transition costs.
+//! * [`multiswitch`] — the multi-switch extension (§7): wiring, deploying
+//!   and running a cluster of back-to-back ASICs in lockstep.
 //! * [`transport`] — the cluster runtime: per-switch workers communicating
 //!   over pluggable transports (in-memory channels or framed TCP) under an
 //!   event-driven control plane.
-//! * [`orchestrator`] — closed-loop re-placement at fleet scale: pluggable
-//!   placement search (exhaustive / annealing / swarm) over an N-chain ×
-//!   M-switch objective, telemetry-driven traffic-shift detection, and a
-//!   hitless live-migration driver over the cluster runtime.
+//! * [`orchestrator`] — closed-loop re-placement at fleet scale:
+//!   telemetry-driven traffic-shift detection, a [`placement`] search under
+//!   the observed matrix, and a hitless live-migration driver over the
+//!   cluster runtime.
 //! * [`ingress`] — the map of injection entry points (three adapters over
 //!   the switch's one packet walk, the run-to-completion session, and the
 //!   cluster paths).
@@ -70,7 +71,7 @@ pub use chain::{ChainPolicy, ChainSet};
 pub use compose::{compose_pipelet, CompositionMode, PipeletPlan};
 pub use merge::{merge_parsers, MergeError};
 pub use nfmodule::{ApiViolation, NfModule};
-pub use placement::{Location, Placement, PlacementProblem, RecircGranularity, TraversalCost};
+pub use placement::{Placement, PlacementProblem, RecircGranularity, TraversalCost};
 pub use routing::RoutingSynthesis;
 pub use sfc::SfcHeader;
 
@@ -112,9 +113,7 @@ pub mod prelude {
         ClusterProblem, ClusterTraversal, ClusterWiring,
     };
     pub use crate::nfmodule::NfModule;
-    pub use crate::placement::{
-        Location, Placement, PlacementProblem, RecircGranularity, TraversalCost,
-    };
+    pub use crate::placement::{Placement, PlacementProblem, RecircGranularity, TraversalCost};
     pub use crate::routing::{RoutingConfig, RoutingSynthesis};
     pub use crate::sfc::{sfc_header_type, SfcHeader, SFC_ETHERTYPE};
     pub use crate::transport::{

@@ -7,285 +7,14 @@
 //! > reflects that the packet transition delay from one switch to another is
 //! > low enough to be practical."
 //!
-//! This module extends the placement machinery to a linear cluster of
-//! ASICs: NFs live on `(switch, pipelet)` locations; transitions between
-//! switches pay an off-chip hop (≈145 ns per the Fig. 8(b) measurement)
-//! instead of an on-chip recirculation (≈75 ns). The optimizer minimizes a
-//! weighted mix of on-chip recirculations and inter-switch hops, and a
-//! latency estimator prices whole chains.
+//! This module wires a linear cluster of ASICs and runs it in lockstep:
+//! [`ClusterWiring`], [`deploy_cluster`] and [`ClusterNet`]. Which NF goes on
+//! which member is [`crate::placement`]'s question; its cluster types are
+//! re-exported here.
 
-use crate::chain::{ChainPolicy, ChainSet};
-use crate::placement::{Placement, PlacementError, PlacementProblem, TraversalCost};
-use dejavu_asic::TimingModel;
+pub use crate::placement::{chain_latency_ns, ClusterCost, ClusterPlacement, ClusterProblem};
 
-/// Placement over a back-to-back cluster: one single-switch placement per
-/// member, plus the switch each NF is pinned to.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ClusterPlacement {
-    /// Per-switch placements, indexed by position in the cluster chain.
-    pub switches: Vec<Placement>,
-}
-
-impl ClusterPlacement {
-    /// Which switch hosts an NF.
-    pub fn switch_of(&self, nf: &str) -> Option<usize> {
-        self.switches.iter().position(|p| p.location(nf).is_some())
-    }
-}
-
-/// Cost of one chain over a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClusterCost {
-    /// On-chip recirculations (sum across member switches).
-    pub recirculations: u32,
-    /// On-chip resubmissions.
-    pub resubmissions: u32,
-    /// Off-chip switch-to-switch hops.
-    pub inter_switch_hops: u32,
-}
-
-impl ClusterCost {
-    /// Latency contribution of the loops and hops under a timing model
-    /// (pipe traversals excluded — those depend on chain length, not
-    /// placement).
-    pub fn loop_latency_ns(&self, t: &TimingModel) -> f64 {
-        f64::from(self.recirculations) * t.recirc_on_chip_ns
-            + f64::from(self.resubmissions) * t.resubmit_ns
-            + f64::from(self.inter_switch_hops) * t.recirc_off_chip_ns
-    }
-}
-
-/// A cluster placement problem: the single-switch surrogate applies per
-/// member; chains may span switches in cluster order.
-#[derive(Debug, Clone)]
-pub struct ClusterProblem {
-    /// The single-switch problem template (stage budgets, cost weights).
-    pub template: PlacementProblem,
-    /// Number of back-to-back switches.
-    pub cluster_size: usize,
-    /// Objective weight of one inter-switch hop relative to one on-chip
-    /// recirculation. Off-chip hops cost bandwidth on inter-switch links
-    /// and ≈2× the latency (Fig. 8(b)).
-    pub hop_weight: f64,
-}
-
-impl ClusterProblem {
-    /// New problem over `cluster_size` switches.
-    pub fn new(template: PlacementProblem, cluster_size: usize) -> Self {
-        ClusterProblem {
-            template,
-            cluster_size,
-            hop_weight: 2.0,
-        }
-    }
-
-    /// Evaluates one chain: per-switch traversal costs plus hops between
-    /// consecutive switches in visit order. Chains must visit switches in
-    /// monotonically non-decreasing cluster order (back-to-back wiring);
-    /// each order violation costs a full round trip (2 hops).
-    pub fn chain_cost(
-        &self,
-        chain: &ChainPolicy,
-        placement: &ClusterPlacement,
-    ) -> Result<ClusterCost, PlacementError> {
-        let mut cost = ClusterCost::default();
-        // Split the chain into per-switch segments.
-        let mut segments: Vec<(usize, Vec<String>)> = Vec::new();
-        for nf in &chain.nfs {
-            let sw = placement
-                .switch_of(nf)
-                .ok_or_else(|| PlacementError::UnplacedNf(nf.clone()))?;
-            match segments.last_mut() {
-                Some((s, seg)) if *s == sw => seg.push(nf.clone()),
-                _ => segments.push((sw, vec![nf.clone()])),
-            }
-        }
-        // Inter-switch hops: 1 per forward transition, 2 per backward
-        // (round trip through the chain of switches is modelled coarsely).
-        for w in segments.windows(2) {
-            let (a, b) = (w[0].0 as i64, w[1].0 as i64);
-            cost.inter_switch_hops += if b >= a {
-                (b - a).unsigned_abs() as u32
-            } else {
-                2 * (a - b).unsigned_abs() as u32
-            };
-        }
-        // Per-switch: evaluate each segment with the single-switch model.
-        for (i, (sw, seg)) in segments.iter().enumerate() {
-            let sub_chain = ChainPolicy {
-                path_id: chain.path_id,
-                name: format!("{}#{}", chain.name, i),
-                nfs: seg.clone(),
-                weight: chain.weight,
-            };
-            // Entry/exit pipelines: use the template defaults; refining per
-            // segment is future work mirrored from the paper's.
-            let c: TraversalCost = crate::placement::traverse(
-                &sub_chain,
-                &placement.switches[*sw],
-                self.template.entry_pipeline,
-                self.template.exit_pipeline,
-                false,
-            )?;
-            cost.recirculations += c.recirculations;
-            cost.resubmissions += c.resubmissions;
-        }
-        Ok(cost)
-    }
-
-    /// Weighted objective over all chains.
-    pub fn cost(
-        &self,
-        chains: &ChainSet,
-        placement: &ClusterPlacement,
-    ) -> Result<f64, PlacementError> {
-        let mut total = 0.0;
-        for chain in &chains.chains {
-            let c = self.chain_cost(chain, placement)?;
-            total += chain.weight
-                * (f64::from(c.recirculations) * self.template.cost_model.recirc_weight
-                    + f64::from(c.resubmissions) * self.template.cost_model.resub_weight
-                    + f64::from(c.inter_switch_hops) * self.hop_weight);
-        }
-        Ok(total)
-    }
-
-    /// Greedy spill placement: fill switch 0's pipelets with the
-    /// single-switch greedy optimizer over the NFs that fit; overflow NFs
-    /// spill to the next switch, preserving chain order.
-    pub fn greedy_spill(&self) -> Result<ClusterPlacement, PlacementError> {
-        let order = self.template.canonical_order();
-        let mut remaining: Vec<String> = order;
-        let mut switches = Vec::new();
-        for _ in 0..self.cluster_size {
-            if remaining.is_empty() {
-                switches.push(Placement::default());
-                continue;
-            }
-            // Take the longest prefix of `remaining` that fits one switch
-            // under the stage surrogate.
-            let mut take = remaining.len();
-            loop {
-                let prefix: Vec<String> = remaining[..take].to_vec();
-                if self.prefix_fits(&prefix) || take == 0 {
-                    break;
-                }
-                take -= 1;
-            }
-            if take == 0 {
-                return Err(PlacementError::Infeasible(
-                    "an NF does not fit any single switch".into(),
-                ));
-            }
-            let prefix: Vec<String> = remaining.drain(..take).collect();
-            // Optimize this switch's sub-problem with the single-switch
-            // machinery over sub-chains restricted to the prefix.
-            let sub_chains = self.restrict_chains(&prefix);
-            let mut sub_problem = self.template.clone();
-            sub_problem.chains = sub_chains;
-            sub_problem.nf_stages = prefix
-                .iter()
-                .map(|n| {
-                    (
-                        n.clone(),
-                        self.template.nf_stages.get(n).copied().unwrap_or(1),
-                    )
-                })
-                .collect();
-            let placed = sub_problem.greedy()?;
-            switches.push(placed);
-        }
-        if !remaining.is_empty() {
-            return Err(PlacementError::Infeasible(format!(
-                "{} NFs left over after {} switches",
-                remaining.len(),
-                self.cluster_size
-            )));
-        }
-        Ok(ClusterPlacement { switches })
-    }
-
-    /// Do these NFs fit a single switch (stage surrogate, ignoring pipelet
-    /// split granularity beyond the per-pipelet bound)?
-    fn prefix_fits(&self, nfs: &[String]) -> bool {
-        // First-fit-decreasing bin packing over the switch's pipelets, with
-        // the same stage surrogate the single-switch optimizers use — a
-        // conservative feasibility check so the per-switch greedy pass
-        // cannot be handed an impossible prefix.
-        let bins = 2 * self.template.pipelines;
-        let cap = self
-            .template
-            .stages_per_pipelet
-            .saturating_sub(self.template.framework_stages_fixed);
-        let mut sizes: Vec<u32> = nfs
-            .iter()
-            .map(|n| {
-                self.template.nf_stages.get(n).copied().unwrap_or(1)
-                    + self.template.framework_stages_per_nf
-            })
-            .collect();
-        sizes.sort_unstable_by(|a, b| b.cmp(a));
-        let mut load = vec![0u32; bins];
-        'items: for size in sizes {
-            for slot in load.iter_mut() {
-                if *slot + size <= cap {
-                    *slot += size;
-                    continue 'items;
-                }
-            }
-            return false;
-        }
-        true
-    }
-
-    /// Restricts every chain to the NFs present in `subset`, keeping order.
-    fn restrict_chains(&self, subset: &[String]) -> ChainSet {
-        let chains: Vec<ChainPolicy> = self
-            .template
-            .chains
-            .chains
-            .iter()
-            .filter_map(|c| {
-                let nfs: Vec<String> = c
-                    .nfs
-                    .iter()
-                    .filter(|n| subset.contains(n))
-                    .cloned()
-                    .collect();
-                if nfs.is_empty() {
-                    None
-                } else {
-                    Some(ChainPolicy {
-                        path_id: c.path_id,
-                        name: c.name.clone(),
-                        nfs,
-                        weight: c.weight,
-                    })
-                }
-            })
-            .collect();
-        ChainSet { chains }
-    }
-}
-
-/// Latency estimate for a chain over a cluster: per-pipelet traversals plus
-/// loop/hop penalties from the cost breakdown.
-pub fn chain_latency_ns(
-    cost: &ClusterCost,
-    pipelet_passes: u32,
-    stages_per_pipelet: usize,
-    timing: &TimingModel,
-) -> f64 {
-    timing.mac_rx_ns
-        + timing.mac_tx_ns
-        + f64::from(pipelet_passes) * (timing.pipelet_ns(stages_per_pipelet) + timing.tm_ns)
-        + cost.loop_latency_ns(timing)
-}
-
-// ---------------------------------------------------------------------
-// Physical cluster execution
-// ---------------------------------------------------------------------
-
+use crate::chain::ChainSet;
 use crate::deploy::{deploy, DeployError, DeployOptions, Deployment};
 use crate::nfmodule::NfModule;
 use crate::routing::{RoutingConfig, SegmentOptions};
@@ -788,126 +517,4 @@ pub fn deploy_cluster(
         links,
         cable_ns: wiring.cable_ns,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::BTreeMap as Map;
-
-    fn big_problem() -> PlacementProblem {
-        // Ten NFs of 4 stages each: too big for one 2-pipeline/12-stage
-        // switch (surrogate: per-pipelet 12 stages, 4 pipelets, framework
-        // overhead 2/NF + 1/pipelet).
-        let nfs: Vec<String> = (0..10).map(|i| format!("N{i}")).collect();
-        let chains = ChainSet::new(vec![ChainPolicy {
-            path_id: 1,
-            name: "long".into(),
-            nfs: nfs.clone(),
-            weight: 1.0,
-        }])
-        .unwrap();
-        let stages: Map<String, u32> = nfs.iter().map(|n| (n.clone(), 4u32)).collect();
-        PlacementProblem::new(chains, stages)
-    }
-
-    #[test]
-    fn long_chain_spills_to_second_switch() {
-        let problem = ClusterProblem::new(big_problem(), 3);
-        let placement = problem.greedy_spill().unwrap();
-        // At least two switches used.
-        let used = placement
-            .switches
-            .iter()
-            .filter(|p| p.pipelets.values().any(|v| !v.is_empty()))
-            .count();
-        assert!(used >= 2, "expected spill, used {used} switches");
-        // Every NF placed exactly once.
-        for i in 0..10 {
-            assert!(placement.switch_of(&format!("N{i}")).is_some());
-        }
-    }
-
-    #[test]
-    fn cluster_cost_counts_hops() {
-        let problem = ClusterProblem::new(big_problem(), 3);
-        let placement = problem.greedy_spill().unwrap();
-        let cost = problem
-            .chain_cost(&problem.template.chains.chains[0], &placement)
-            .unwrap();
-        // Chain order follows cluster order → hops = used switches − 1.
-        let used = placement
-            .switches
-            .iter()
-            .filter(|p| p.pipelets.values().any(|v| !v.is_empty()))
-            .count();
-        assert_eq!(cost.inter_switch_hops as usize, used - 1);
-    }
-
-    #[test]
-    fn too_small_cluster_is_infeasible() {
-        let problem = ClusterProblem::new(big_problem(), 1);
-        assert!(matches!(
-            problem.greedy_spill().unwrap_err(),
-            PlacementError::Infeasible(_)
-        ));
-    }
-
-    #[test]
-    fn off_chip_hops_cost_more_latency_than_recircs() {
-        let t = TimingModel::tofino();
-        let on_chip = ClusterCost {
-            recirculations: 1,
-            ..Default::default()
-        };
-        let off_chip = ClusterCost {
-            inter_switch_hops: 1,
-            ..Default::default()
-        };
-        assert!(off_chip.loop_latency_ns(&t) > on_chip.loop_latency_ns(&t));
-        // ≈2× per the paper's takeaway 3.
-        let ratio = off_chip.loop_latency_ns(&t) / on_chip.loop_latency_ns(&t);
-        assert!((ratio - 145.0 / 75.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn backward_transitions_cost_double() {
-        // Chain visiting switch order 0 → 1 → 0: 1 forward hop + 2 backward.
-        let mut template = big_problem();
-        template.chains = ChainSet::new(vec![ChainPolicy::new(
-            1,
-            "zigzag",
-            vec!["N0", "N1", "N2"],
-            1.0,
-        )])
-        .unwrap();
-        let problem = ClusterProblem::new(template, 2);
-        let placement = ClusterPlacement {
-            switches: vec![
-                Placement::sequential(vec![(dejavu_asic::PipeletId::ingress(0), vec!["N0", "N2"])]),
-                Placement::sequential(vec![(dejavu_asic::PipeletId::ingress(0), vec!["N1"])]),
-            ],
-        };
-        let cost = problem
-            .chain_cost(&problem.template.chains.chains[0], &placement)
-            .unwrap();
-        assert_eq!(cost.inter_switch_hops, 3);
-    }
-
-    #[test]
-    fn latency_estimator_monotone_in_hops() {
-        let t = TimingModel::tofino();
-        let base = chain_latency_ns(&ClusterCost::default(), 2, 12, &t);
-        let hop = chain_latency_ns(
-            &ClusterCost {
-                inter_switch_hops: 1,
-                ..Default::default()
-            },
-            2,
-            12,
-            &t,
-        );
-        assert!(hop > base);
-        assert!((hop - base - 145.0).abs() < 1e-9);
-    }
 }

@@ -6,7 +6,8 @@
 //! scale: watch the running cluster's telemetry, notice when the traffic
 //! matrix the current placement assumed has drifted
 //! ([`detector`]), search for a better placement under the observed
-//! matrix ([`search`] over the [`fleet`] objective), and if the gain
+//! matrix (a [`PlacementSearch`] over the [`FleetProblem`] objective — both
+//! live in [`crate::placement`] and are re-exported here), and if the gain
 //! clears a cost/benefit bar, migrate the live cluster to it without
 //! dropping a learned flow ([`migrate()`]).
 //!
@@ -23,17 +24,16 @@
 //! | `orchestrator_migration_duration_ns` | histogram | pause→resume downtime per migration |
 
 pub mod detector;
-pub mod fleet;
 pub mod migrate;
-pub mod search;
 
+pub use crate::placement::{
+    AnnealingSearch, ExhaustiveSearch, FleetProblem, FleetScore, FleetSlot, PlacementSearch,
+    SearchOutcome, SwarmSearch,
+};
 pub use detector::{DetectorConfig, ShiftDecision, ShiftDetector};
-pub use fleet::{FleetProblem, FleetScore, FleetSlot};
 pub use migrate::{migrate, FleetSpec, MigrationError, MigrationOutcome, NfMove, PlacementDelta};
-pub use search::{AnnealingSearch, ExhaustiveSearch, PlacementSearch, SearchOutcome, SwarmSearch};
 
-use crate::multiswitch::ClusterPlacement;
-use crate::placement::PlacementError;
+use crate::placement::{ClusterPlacement, PlacementError};
 use crate::transport::ClusterHandle;
 use dejavu_asic::telemetry::{CounterId, HistogramId, MetricsRegistry, MetricsSnapshot};
 

@@ -1,22 +1,60 @@
-//! NF placement optimization (paper §3.3).
+//! NF placement (paper §3.3, widened to §7's back-to-back switches): which
+//! pipelet of which switch hosts which NF.
 //!
-//! Different placements of NFs onto pipelets change how many times packets
-//! must recirculate — and §4 shows recirculations cost super-linear
-//! throughput. This module provides:
+//! **One problem.** Everything that prices, checks or enumerates a placement
+//! goes through [`FleetProblem`]: N chains over M switches, with a
+//! [`PlacementProblem`] as the per-switch template. The paper's single-ASIC
+//! question is the M = 1 fleet, [`FleetProblem::single`], and
+//! [`PlacementProblem::cost`], [`feasible`](PlacementProblem::feasible) and
+//! [`exhaustive`](PlacementProblem::exhaustive) are views of it.
 //!
-//! * the **traversal cost model**: a faithful simulation of how a chain's
-//!   packets move across pipelets under Tofino's constraints, counting
-//!   recirculations and resubmissions. It reproduces the paper's Fig. 6
-//!   example exactly (3 recirculations for the naive A–F placement, 1 for
-//!   the optimized one);
-//! * the **naive baseline** the paper critiques ("placing NFs one by one by
-//!   order of their indexes, alternating between ingress and egress
-//!   pipes");
-//! * a **greedy** optimizer, an **exhaustive** search (exact for small
-//!   instances), and **simulated annealing** for larger ones —
-//!   all minimizing the weighted sum of recirculations over the chain set
-//!   ("minimize the weighted sum of the number of recirculations for all
-//!   service chains").
+//! **One objective**, [`FleetProblem::score`]:
+//!
+//! ```text
+//! score(P) = Σ_chains w_c · (recirc_w·R_c + resub_w·S_c + hop_w·H_c)
+//!          + pressure_w · Σ_switches (stage demand_s / stage capacity)²
+//! ```
+//!
+//! `R_c`/`S_c` come from the traversal model ([`traverse`]: how packets move
+//! across pipelets under Tofino's constraints; Fig. 6's 3 recirculations
+//! naive and 1 optimized, exactly) over each per-switch run of the chain;
+//! `H_c` counts inter-switch hops. The quadratic pressure term rewards
+//! spreading stage demand, which is what lets a traffic shift move a fleet's
+//! optimum. `single` sets `hop_w = pressure_w = 0` (and one switch has no
+//! hops), so its score is the paper's weighted recirculation count bit for
+//! bit: `x + 0.0` is exact.
+//!
+//! **One feasibility rule**: every chain NF on exactly one switch, every
+//! pipelet within its stage budget, every chain visiting switches in
+//! non-decreasing order (the wiring `deploy_cluster` builds is forward-only).
+//! At M = 1 that is "everything placed and everything fits".
+//!
+//! **One enumerator**, [`ExhaustiveSearch`], behind the [`PlacementSearch`]
+//! trait it shares with the seeded [`AnnealingSearch`] and [`SwarmSearch`].
+//!
+//! **Seeds** are kept as they are because answers depend on them bit for bit:
+//! [`naive`](PlacementProblem::naive) (the baseline the paper critiques),
+//! [`greedy`](PlacementProblem::greedy), [`ClusterProblem::greedy_spill`] and
+//! the monotone first-fit behind [`FleetProblem::seed_placement`].
+//! `greedy_spill` can break the monotone rule; a metaheuristic started on
+//! such a seed rejects every proposal and would hand it back. Search
+//! start-up — not `seed_placement`, whose output callers filter on —
+//! therefore replaces an infeasible seed with the monotone first-fit.
+//!
+//! **Two annealing neighbourhoods**, on purpose. [`PlacementProblem::anneal`]
+//! moves one NF or swaps the *contents* of two pipelets — the only feasible
+//! step from Fig. 6(a) to 6(b). [`AnnealingSearch`] moves one NF or swaps two
+//! NFs, which scales to fleets but stalls at 2 recirculations on Fig. 6.
+//! Both run on the shared objective and feasibility rule.
+
+mod fleet;
+mod search;
+
+pub use fleet::{
+    chain_latency_ns, ClusterCost, ClusterPlacement, ClusterProblem, FleetProblem, FleetScore,
+    FleetSlot,
+};
+pub use search::{AnnealingSearch, ExhaustiveSearch, PlacementSearch, SearchOutcome, SwarmSearch};
 
 use crate::chain::{ChainPolicy, ChainSet};
 use crate::compose::CompositionMode;
@@ -26,9 +64,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Where an NF lives: a pipelet.
-pub type Location = PipeletId;
-
 /// Cost of one chain traversal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraversalCost {
@@ -36,14 +71,6 @@ pub struct TraversalCost {
     pub recirculations: u32,
     /// Resubmissions taken (ingress → same ingress loops).
     pub resubmissions: u32,
-}
-
-impl TraversalCost {
-    /// Scalar cost under a model.
-    pub fn weighted(&self, model: &CostModel) -> f64 {
-        f64::from(self.recirculations) * model.recirc_weight
-            + f64::from(self.resubmissions) * model.resub_weight
-    }
 }
 
 /// Weights of the objective. Recirculations consume loopback-port bandwidth
@@ -144,11 +171,6 @@ impl Placement {
             .copied()
             .unwrap_or(CompositionMode::Sequential)
     }
-
-    /// All placed NFs.
-    pub fn nfs(&self) -> impl Iterator<Item = &String> {
-        self.pipelets.values().flatten()
-    }
 }
 
 impl fmt::Display for Placement {
@@ -217,17 +239,32 @@ pub fn traverse_with(
     skip_unplaced: bool,
     granularity: RecircGranularity,
 ) -> Result<TraversalCost, PlacementError> {
-    let mut cost = TraversalCost::default();
-    // The NF visit list, with locations.
-    let mut visits: Vec<(String, PipeletId)> = Vec::new();
+    let mut visits = Vec::new();
     for nf in &chain.nfs {
         match placement.location(nf) {
-            Some(loc) => visits.push((nf.clone(), loc)),
+            Some(loc) => visits.push((nf, loc)),
             None if skip_unplaced => {}
             None => return Err(PlacementError::UnplacedNf(nf.clone())),
         }
     }
+    let ends = (entry_pipeline, exit_pipeline);
+    walk(&chain.name, &visits, placement, ends, granularity)
+}
 
+/// An NF a chain visits and the pipelet hosting it.
+type Visit<'a> = (&'a String, PipeletId);
+
+/// The traversal model proper, over a run of visits on one switch — a whole
+/// chain, or the part of one a cluster member hosts. `chain` only names the
+/// chain in errors.
+fn walk(
+    chain: &str,
+    visits: &[Visit<'_>],
+    placement: &Placement,
+    (entry_pipeline, exit_pipeline): (usize, usize),
+    granularity: RecircGranularity,
+) -> Result<TraversalCost, PlacementError> {
+    let mut cost = TraversalCost::default();
     let mut cur = PipeletId::ingress(entry_pipeline);
     let mut idx = 0usize;
     // Slot pointer within the current pass: next runnable slot index.
@@ -238,12 +275,16 @@ pub fn traverse_with(
     while idx < visits.len() {
         steps += 1;
         if steps > 10_000 {
-            return Err(PlacementError::TraversalDiverged(chain.name.clone()));
+            return Err(PlacementError::TraversalDiverged(chain.to_string()));
         }
-        let (nf, target) = &visits[idx];
-        if *target == cur {
+        let (nf, target) = visits[idx];
+        if target == cur {
             // Can this pass still run the NF?
-            let slot = placement.slot(nf).expect("placed NF has a slot") as isize;
+            let hosted = &placement.pipelets[&cur];
+            let slot = hosted
+                .iter()
+                .position(|n| n == nf)
+                .expect("visit is hosted") as isize;
             let runnable = match placement.mode(cur) {
                 CompositionMode::Sequential => slot > pass_slot,
                 CompositionMode::Parallel => ran_in_pass == 0,
@@ -273,20 +314,20 @@ pub fn traverse_with(
         // Move toward the target pipelet.
         match (cur.gress, target.gress) {
             (Gress::Ingress, Gress::Egress) => {
-                cur = *target; // TM crossing, free
+                cur = target; // TM crossing, free
             }
             (Gress::Ingress, Gress::Ingress) => {
                 // Must loop through the target pipeline's loopback port:
                 // TM → egress(target) [pass-through] → recirc → ingress(target).
                 cost.recirculations += 1;
-                cur = *target;
+                cur = target;
             }
             (Gress::Egress, Gress::Ingress) if granularity == RecircGranularity::PerPacket => {
                 // Per-packet granularity: the packet chooses its next
                 // pipeline after egress processing — one recirculation
                 // lands it in the target ingress directly.
                 cost.recirculations += 1;
-                cur = *target;
+                cur = target;
             }
             (Gress::Egress, _) => {
                 // Per-port hardware: the only way out of an egress pipe is
@@ -378,47 +419,34 @@ impl PlacementProblem {
         self.pipelet_stage_demand(nfs) <= self.stages_per_pipelet
     }
 
-    /// Whole-placement feasibility.
+    /// `pipelet`'s NF list with `nf` appended, if that still fits.
+    fn with_nf(&self, on: &Placement, pipelet: PipeletId, nf: &str) -> Option<Vec<String>> {
+        let mut nfs = on.pipelets.get(&pipelet).cloned().unwrap_or_default();
+        nfs.push(nf.to_string());
+        self.fits(&nfs).then_some(nfs)
+    }
+
+    /// Whole-placement feasibility: the fleet rule at M = 1 (everything
+    /// placed, everything fits).
     pub fn feasible(&self, placement: &Placement) -> bool {
-        placement.pipelets.iter().all(|(_, nfs)| self.fits(nfs))
-            && self
-                .chains
-                .all_nfs()
-                .iter()
-                .all(|nf| placement.location(nf).is_some())
+        fleet::feasible(
+            self,
+            &self.canonical_order(),
+            std::slice::from_ref(placement),
+        )
     }
 
-    /// Weighted objective of a placement over all chains.
+    /// Weighted objective of a placement over all chains: the fleet
+    /// objective at M = 1.
     pub fn cost(&self, placement: &Placement) -> Result<f64, PlacementError> {
-        let mut total = 0.0;
-        for chain in &self.chains.chains {
-            let c = traverse(
-                chain,
-                placement,
-                self.entry_pipeline,
-                self.exit_pipeline,
-                false,
-            )?;
-            total += chain.weight * c.weighted(&self.cost_model);
-        }
-        Ok(total)
+        self.cost_of(placement, false)
     }
 
-    /// Like [`cost`](Self::cost) but skipping unplaced NFs (partial
+    /// [`cost`](Self::cost), optionally skipping unplaced NFs (partial
     /// placements during greedy construction).
-    pub fn partial_cost(&self, placement: &Placement) -> Result<f64, PlacementError> {
-        let mut total = 0.0;
-        for chain in &self.chains.chains {
-            let c = traverse(
-                chain,
-                placement,
-                self.entry_pipeline,
-                self.exit_pipeline,
-                true,
-            )?;
-            total += chain.weight * c.weighted(&self.cost_model);
-        }
-        Ok(total)
+    fn cost_of(&self, placement: &Placement, skip_unplaced: bool) -> Result<f64, PlacementError> {
+        let switches = std::slice::from_ref(placement);
+        Ok(fleet::score(self, fleet::SINGLE, switches, skip_unplaced)?.weighted)
     }
 
     /// Canonical NF order: first-appearance across chains (used for intra-
@@ -439,19 +467,12 @@ impl PlacementProblem {
         let mut cursor = 0usize;
         for nf in self.canonical_order() {
             loop {
-                if cursor >= pipelets.len() {
+                let Some(&pipelet) = pipelets.get(cursor) else {
                     return Err(PlacementError::Infeasible(format!(
                         "naive placement ran out of pipelets at NF {nf}"
                     )));
-                }
-                let pipelet = pipelets[cursor];
-                let mut nfs = placement
-                    .pipelets
-                    .get(&pipelet)
-                    .cloned()
-                    .unwrap_or_default();
-                nfs.push(nf.clone());
-                if self.fits(&nfs) {
+                };
+                if let Some(nfs) = self.with_nf(&placement, pipelet, &nf) {
                     placement.pipelets.insert(pipelet, nfs);
                     break;
                 }
@@ -483,19 +504,13 @@ impl PlacementProblem {
         for nf in order {
             let mut best: Option<(f64, PipeletId)> = None;
             for pipelet in self.pipelets_alternating() {
-                let mut nfs = placement
-                    .pipelets
-                    .get(&pipelet)
-                    .cloned()
-                    .unwrap_or_default();
-                nfs.push(nf.clone());
-                if !self.fits(&nfs) {
+                let Some(nfs) = self.with_nf(&placement, pipelet, &nf) else {
                     continue;
-                }
+                };
                 let mut trial = placement.clone();
                 trial.pipelets.insert(pipelet, nfs);
                 // Keep intra-pipelet order canonical for determinism.
-                let cost = self.partial_cost(&self.canonicalize(trial.clone()))?;
+                let cost = self.cost_of(&self.canonicalize(trial), true)?;
                 if best.is_none_or(|(c, _)| cost < c) {
                     best = Some((cost, pipelet));
                 }
@@ -505,13 +520,7 @@ impl PlacementProblem {
                     "no pipelet fits NF {nf}"
                 )));
             };
-            let mut nfs = placement
-                .pipelets
-                .get(&pipelet)
-                .cloned()
-                .unwrap_or_default();
-            nfs.push(nf.clone());
-            placement.pipelets.insert(pipelet, nfs);
+            placement.pipelets.entry(pipelet).or_default().push(nf);
         }
         let placement = self.canonicalize(placement);
         // Greedy construction can land in a local optimum worse than the
@@ -528,49 +537,11 @@ impl PlacementProblem {
 
     /// Exhaustive search over pipelet assignments (intra-pipelet order is
     /// canonical). Exact minimizer for small instances; errors when the
-    /// space exceeds `cap` candidates.
+    /// space exceeds `cap` candidates. This is [`ExhaustiveSearch`] on the
+    /// M = 1 fleet.
     pub fn exhaustive(&self, cap: u128) -> Result<Placement, PlacementError> {
-        let nfs = self.canonical_order();
-        let pipelets = self.pipelets_alternating();
-        let candidates = (pipelets.len() as u128).pow(nfs.len() as u32);
-        if candidates > cap {
-            return Err(PlacementError::SearchTooLarge { candidates, cap });
-        }
-        let mut best: Option<(f64, Placement)> = None;
-        let mut assignment = vec![0usize; nfs.len()];
-        loop {
-            // Build placement from the assignment vector.
-            let mut placement = Placement::default();
-            for (nf, &pi) in nfs.iter().zip(&assignment) {
-                placement
-                    .pipelets
-                    .entry(pipelets[pi])
-                    .or_default()
-                    .push(nf.clone());
-            }
-            let placement = self.canonicalize(placement);
-            if self.feasible(&placement) {
-                let cost = self.cost(&placement)?;
-                if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                    best = Some((cost, placement));
-                }
-            }
-            // Next assignment (odometer).
-            let mut i = 0;
-            loop {
-                if i == assignment.len() {
-                    return best.map(|(_, p)| p).ok_or_else(|| {
-                        PlacementError::Infeasible("no feasible assignment".into())
-                    });
-                }
-                assignment[i] += 1;
-                if assignment[i] < pipelets.len() {
-                    break;
-                }
-                assignment[i] = 0;
-                i += 1;
-            }
-        }
+        let mut found = ExhaustiveSearch { cap }.search(&FleetProblem::single(self.clone()))?;
+        Ok(found.placement.switches.swap_remove(0))
     }
 
     /// Simulated annealing from the naive start. Deterministic for a given
@@ -729,6 +700,47 @@ mod tests {
         );
     }
 
+    /// The Fig. 2 edge-cloud instance as the benchmark plans it.
+    fn fig2_problem() -> PlacementProblem {
+        let stages = [
+            ("classifier", 2u32),
+            ("firewall", 3),
+            ("vgw", 2),
+            ("lb", 3),
+            ("router", 3),
+        ];
+        PlacementProblem::new(
+            ChainSet::edge_cloud_example(),
+            stages.into_iter().map(|(n, s)| (n.into(), s)).collect(),
+        )
+    }
+
+    /// `random_instance(seed)` of the `ablation_placement` bench.
+    fn ablation_instance(seed: u64) -> PlacementProblem {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n_nfs = rng.gen_range(4..=7);
+        let n_chains = rng.gen_range(1..=4);
+        let nfs: Vec<String> = (0..n_nfs).map(|i| format!("N{i}")).collect();
+        let mut chains = Vec::new();
+        for c in 0..n_chains {
+            let mut seq: Vec<String> = nfs.iter().filter(|_| rng.gen_bool(0.75)).cloned().collect();
+            if seq.len() < 2 {
+                seq = nfs[..2].to_vec();
+            }
+            chains.push(ChainPolicy {
+                path_id: (c + 1) as u16,
+                name: format!("c{c}"),
+                nfs: seq,
+                weight: rng.gen_range(0.1..1.0),
+            });
+        }
+        let stages = nfs
+            .iter()
+            .map(|n| (n.clone(), rng.gen_range(1..5)))
+            .collect();
+        PlacementProblem::new(ChainSet { chains }, stages)
+    }
+
     #[test]
     fn optimizers_never_beat_exhaustive_and_never_lose_to_naive() {
         let p = fig6_problem();
@@ -740,6 +752,46 @@ mod tests {
         assert!(exact <= annealed + 1e-9);
         assert!(greedy <= naive + 1e-9);
         assert!(annealed <= naive + 1e-9);
+        // The pipelet-content swap is what reaches Fig. 6(b); greedy, which
+        // only adds NFs one at a time, stays at the naive placement.
+        assert_eq!(p.cost(&p.anneal(11, 5000).unwrap()).unwrap(), 1.0);
+        assert_eq!(greedy, 3.0);
+
+        // The exhaustive answers as `PlacementProblem::exhaustive` gave them
+        // before it became `ExhaustiveSearch` on the M = 1 fleet (b0b232c):
+        // same placement, same cost, to the bit.
+        let pinned = [
+            (
+                fig2_problem(),
+                0.8,
+                "  ingress0: [classifier, firewall] (Sequential)\n  egress0: [lb, router] (Sequential)\n  ingress1: [vgw] (Sequential)\n",
+            ),
+            (
+                fig6_problem(),
+                1.0,
+                "  ingress0: [A, B] (Sequential)\n  egress0: [E, F] (Sequential)\n  ingress1: [D] (Sequential)\n  egress1: [C] (Sequential)\n",
+            ),
+            (
+                ablation_instance(1),
+                2.0606059306612696,
+                "  ingress0: [N0] (Sequential)\n  egress0: [N5, N6] (Sequential)\n  ingress1: [N4, N3] (Sequential)\n  egress1: [N1, N2] (Sequential)\n",
+            ),
+            (
+                ablation_instance(8),
+                0.7156239412184158,
+                "  ingress0: [N0, N1, N3] (Sequential)\n  egress0: [N2, N4] (Sequential)\n",
+            ),
+            (
+                ablation_instance(29),
+                1.0467253480332597,
+                "  ingress0: [N0, N3] (Sequential)\n  egress0: [N4, N5] (Sequential)\n  ingress1: [N1, N2] (Sequential)\n",
+            ),
+        ];
+        for (p, cost, shown) in pinned {
+            let exact = p.exhaustive(1 << 24).unwrap();
+            assert_eq!(exact.to_string(), shown);
+            assert_eq!(p.cost(&exact).unwrap(), cost);
+        }
     }
 
     #[test]
@@ -823,6 +875,21 @@ mod tests {
     fn exhaustive_cap_enforced() {
         let p = fig6_problem();
         let err = p.exhaustive(10).unwrap_err();
+        assert!(matches!(err, PlacementError::SearchTooLarge { .. }));
+        // 4 pipelets ^ 64 NFs wraps a u128 to 0: the count must saturate,
+        // not pass the cap and start enumerating.
+        let nfs: Vec<String> = (0..64).map(|i| format!("N{i}")).collect();
+        let chain = ChainPolicy {
+            path_id: 1,
+            name: "long".into(),
+            nfs: nfs.clone(),
+            weight: 1.0,
+        };
+        let p = PlacementProblem::new(
+            ChainSet::new(vec![chain]).unwrap(),
+            nfs.into_iter().map(|n| (n, 1)).collect(),
+        );
+        let err = p.exhaustive(1 << 24).unwrap_err();
         assert!(matches!(err, PlacementError::SearchTooLarge { .. }));
     }
 

@@ -128,6 +128,23 @@ if allocs is not None:
 print("committed BENCH_dataplane.json flags OK")
 EOF
 
+# Placement gate: the paper benches `cargo bench --no-run` only built. Three
+# self-asserting mains — Fig. 6 in the model and on the switch, the solver
+# ablation, the multi-switch ablation — run through the one placement core;
+# the Fig. 6 record must say 3 recirculations naive and 1 optimized, model
+# and switch alike. Bounded: a hang here is a runaway enumeration.
+for bench in fig6_placement ablation_placement ablation_multiswitch; do
+    timeout 120 cargo bench -q -p dejavu-bench --bench "$bench"
+done
+python3 - target/experiments/fig6_placement.json <<'EOF'
+import json, sys
+naive, optimized = json.load(open(sys.argv[1]))
+for row, want in ((naive, 3), (optimized, 1)):
+    got = (row["model_recirculations"], row["switch_recirculations"])
+    assert got == (want, want), row
+print("placement gate OK (Fig. 6: 3 -> 1 recirculations, model = switch)")
+EOF
+
 # Perf-harness smoke: all seven workloads of the repo's benchmark in quick
 # mode (< 20 s of measurement). A *correctness* gate — the harness checks
 # every operation against its oracle (reference interpreter, lockstep

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 
 use dejavu_core::merge::merge_parsers;
-use dejavu_core::placement::PlacementProblem;
+use dejavu_core::placement::{ClusterPlacement, FleetProblem, PlacementProblem};
 use dejavu_core::{ChainPolicy, ChainSet, SfcHeader};
 use dejavu_p4ir::builder::ParserBuilder;
 use dejavu_p4ir::well_known;
@@ -224,6 +224,13 @@ proptest! {
             prop_assert!(exact <= greedy + 1e-9, "exact {exact} > greedy {greedy}");
             prop_assert!(exact <= naive + 1e-9, "exact {exact} > naive {naive}");
             prop_assert!(greedy <= naive + 1e-9, "greedy {greedy} > naive {naive}");
+        }
+        // The single-switch cost is the M = 1 fleet objective, bit for bit.
+        let single = FleetProblem::single(p.clone());
+        for placement in [p.naive(), p.greedy()].into_iter().flatten() {
+            let cost = p.cost(&placement).unwrap();
+            let fleet = ClusterPlacement { switches: vec![placement] };
+            prop_assert!(single.score(&fleet).unwrap().weighted == cost);
         }
     }
 
