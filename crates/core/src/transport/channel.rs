@@ -78,6 +78,37 @@ mod tests {
     }
 
     #[test]
+    fn an_oversized_frame_is_refused_before_anything_is_written() {
+        use crate::transport::wire::{WireError, MAX_PAYLOAD};
+        use dejavu_asic::state::RegisterSnapshot;
+        use dejavu_asic::{PipeletId, StateSnapshot};
+
+        let mut t = ChannelTransport::new();
+        let ep = t.bind("w0").unwrap();
+        let mut link = t.connect(&ep.addr().clone()).unwrap();
+        let mut snapshot = StateSnapshot::empty("p");
+        snapshot.registers.push(RegisterSnapshot {
+            name: "r".into(),
+            cells: vec![0; MAX_PAYLOAD / 16 + 1],
+        });
+        let err = link
+            .send(&Message::Control(ControlMsg::RestoreState {
+                seq: 2,
+                pipelet: PipeletId::ingress(0),
+                snapshot,
+            }))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TransportError::Wire(WireError::Overlength { len, max }) if len > max
+            ),
+            "got {err}"
+        );
+        assert_eq!(ep.try_recv().unwrap(), None, "nothing reached the peer");
+    }
+
+    #[test]
     fn connecting_to_unknown_label_fails() {
         let mut t = ChannelTransport::new();
         assert!(t.connect(&PeerAddr::Channel("ghost".into())).is_err());

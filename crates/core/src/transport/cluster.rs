@@ -272,7 +272,7 @@ enum Request {
     Restore {
         switch: usize,
         pipelet: PipeletId,
-        json: String,
+        snapshot: StateSnapshot,
         reply: Sender<Result<u64, ClusterError>>,
     },
     RegisterPolicy {
@@ -525,15 +525,18 @@ impl Controller {
                 });
                 for switch in 0..self.n {
                     let seq = self.seq();
+                    let msg = Message::Control(ControlMsg::SnapshotState { seq });
+                    if let Err(e) = self.send_to(switch, msg) {
+                        self.fail_gather(id, e);
+                        break;
+                    }
                     self.pending.insert(seq, Pending::Gather { id, switch });
-                    let _ =
-                        self.send_to(switch, Message::Control(ControlMsg::SnapshotState { seq }));
                 }
             }
             Request::Restore {
                 switch,
                 pipelet,
-                json,
+                snapshot,
                 reply,
             } => {
                 if switch >= self.n {
@@ -543,11 +546,21 @@ impl Controller {
                     ))));
                 } else {
                     let seq = self.seq();
-                    self.pending.insert(seq, Pending::Simple(reply));
-                    let _ = self.send_to(
-                        switch,
-                        Message::Control(ControlMsg::RestoreState { seq, pipelet, json }),
-                    );
+                    let msg = ControlMsg::RestoreState {
+                        seq,
+                        pipelet,
+                        snapshot,
+                    };
+                    // A frame the link refuses (past `MAX_PAYLOAD`) gets no
+                    // ack: answer now instead of at `op_timeout`.
+                    match self.send_to(switch, Message::Control(msg)) {
+                        Ok(()) => {
+                            self.pending.insert(seq, Pending::Simple(reply));
+                        }
+                        Err(e) => {
+                            let _ = reply.send(Err(e));
+                        }
+                    }
                 }
             }
             Request::RegisterPolicy { stream, policy } => {
@@ -742,11 +755,12 @@ impl Controller {
                     }
                 }
             }
-            Some(Pending::Gather { id, switch: _ }) => {
-                // DrainDone (or a nack standing in for a structured reply):
-                // nothing to accumulate, just count the arrival.
-                self.gather_done(seq, id);
-            }
+            Some(Pending::Gather { id, switch: _ }) => match outcome {
+                // A member that cannot ship its reply fails the broadcast.
+                Err(e) => self.fail_gather(id, e),
+                // DrainDone: nothing to accumulate, just count the arrival.
+                Ok(_) => self.gather_done(seq, id),
+            },
             Some(Pending::Bye) => {
                 if let Some((left, _)) = self.bye.as_mut() {
                     *left = left.saturating_sub(1);
@@ -771,18 +785,32 @@ impl Controller {
         }
     }
 
-    fn settle_snapshot(&mut self, seq: u64, items: Vec<(PipeletId, String)>) {
+    fn settle_snapshot(&mut self, seq: u64, items: Vec<(PipeletId, StateSnapshot)>) {
         if let Some(Pending::Gather { id, switch }) = self.pending.remove(&seq) {
             if let Some(g) = self.gathers.get_mut(&id) {
                 if let GatherAcc::Snapshot { acc, .. } = &mut g.acc {
-                    for (pipelet, json) in items {
-                        if let Ok(snap) = StateSnapshot::from_json(&json) {
-                            acc.push((switch, pipelet, snap));
-                        }
-                    }
+                    acc.extend(items.into_iter().map(|(p, snap)| (switch, p, snap)));
                 }
             }
             self.gather_done(seq, id);
+        }
+    }
+
+    /// Answers a gather with `e` at once and forgets it (later arrivals for
+    /// it are ignored): a checkpoint missing one member's state must never
+    /// read as a shorter `Ok`.
+    fn fail_gather(&mut self, id: u64, e: ClusterError) {
+        match self.gathers.remove(&id).map(|g| g.acc) {
+            Some(GatherAcc::Evictions { reply, .. } | GatherAcc::Drain { reply }) => {
+                let _ = reply.send(Err(e));
+            }
+            Some(GatherAcc::Metrics { reply, .. }) => {
+                let _ = reply.send(Err(e));
+            }
+            Some(GatherAcc::Snapshot { reply, .. }) => {
+                let _ = reply.send(Err(e));
+            }
+            None => {}
         }
     }
 
@@ -1136,7 +1164,7 @@ impl ClusterHandle {
         self.request(Request::Restore {
             switch,
             pipelet,
-            json: snapshot.to_json(),
+            snapshot: snapshot.clone(),
             reply: tx,
         })?;
         self.wait(rx, "restore_state").map(|n| n as usize)

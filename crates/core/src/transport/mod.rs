@@ -179,9 +179,19 @@ impl Link {
         Link { sink }
     }
 
-    /// Encodes and sends one message.
+    /// Encodes and sends one message. A frame whose payload exceeds
+    /// [`wire::MAX_PAYLOAD`] is refused here, before a byte is written: the
+    /// receiver would reject its header and (on a stream transport) drop
+    /// the connection with it.
     pub fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
         let frame = wire::encode(msg);
+        let len = frame.len() - wire::HEADER_LEN;
+        if len > wire::MAX_PAYLOAD {
+            return Err(TransportError::Wire(WireError::Overlength {
+                len,
+                max: wire::MAX_PAYLOAD,
+            }));
+        }
         self.sink.send_frame(&frame)
     }
 }

@@ -22,10 +22,37 @@
 //! typed [`WireError`], never a panic. Unknown versions and classes are
 //! rejected up front so future format revisions fail loudly instead of
 //! misparsing.
+//!
+//! # Version 2: dynamic state is typed
+//!
+//! [`ControlMsg::RestoreState`] and [`TelemetryMsg::Snapshot`] carry a
+//! [`StateSnapshot`] in the frame format itself (version 1 carried its JSON
+//! text in a string field), laid out with the same primitives as every other
+//! message — big-endian integers, `u32` counts, length-prefixed strings:
+//!
+//! ```text
+//! snapshot := version:u32 program:str clock:u64
+//!             n:u32 { name:str idle_timeout:opt_u64 n:u32 { entry } }   tables
+//!             n:u32 { name:str n:u32 { cell:u128 } }                    registers
+//! entry    := n:u32 { key_match } action:str n:u32 { value } priority:i32
+//! ```
+//!
+//! `entry` is the encoding `Install` and `Evictions` already use. A snapshot
+//! whose `version` is not [`SNAPSHOT_FORMAT_VERSION`] is a
+//! [`WireError::BadValue`], and a frame cut inside it is
+//! [`WireError::Truncated`] — never a shorter snapshot.
+//!
+//! State is typed because it sits inside the migration window (ingress is
+//! parked from PAUSE to RESUME while every learned flow crosses a link
+//! twice) and because a snapshot that fails to parse must fail the verb, not
+//! vanish. [`TelemetryMsg::Metrics`] stays JSON text on purpose: a scrape is
+//! off the packet path, its payload *is* the telemetry export format, and
+//! the parser that reads it back is linear.
 
+use dejavu_asic::state::{RegisterSnapshot, TableSnapshot, SNAPSHOT_FORMAT_VERSION};
 use dejavu_asic::switch::Disposition;
 use dejavu_asic::tables::{DigestRecord, Eviction};
-use dejavu_asic::{Gress, PipeletId, PortId};
+use dejavu_asic::{Gress, PipeletId, PortId, StateSnapshot};
 use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use dejavu_p4ir::Value;
 use std::fmt;
@@ -33,7 +60,7 @@ use std::fmt;
 /// First two bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xDEFA;
 /// Current wire-format revision. Bump on any incompatible layout change.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 /// Fixed frame header size: magic + version + class + payload length.
 pub const HEADER_LEN: usize = 8;
 /// Upper bound on one frame's payload (16 MiB): a decoder confronted with a
@@ -237,9 +264,8 @@ pub enum ControlMsg {
         seq: u64,
         /// Target pipelet.
         pipelet: PipeletId,
-        /// JSON-encoded [`StateSnapshot`](dejavu_asic::StateSnapshot)
-        /// (the versioned format `dejavu-state` defines).
-        json: String,
+        /// The state to restore, in the frame format (module docs).
+        snapshot: StateSnapshot,
     },
     /// Swap in the member staged on the worker's in-process side channel
     /// (see [`SwitchWorker::swap_rx`](super::worker::SwitchWorker)): the
@@ -319,12 +345,12 @@ pub enum TelemetryMsg {
         /// `dejavu_telemetry` JSON snapshot.
         json: String,
     },
-    /// Per-pipelet state snapshots, JSON-encoded with `dejavu-state`.
+    /// Per-pipelet state snapshots, in the frame format (module docs).
     Snapshot {
         /// Echoed command sequence number.
         seq: u64,
-        /// `(pipelet, snapshot JSON)` for every loaded pipelet with state.
-        items: Vec<(PipeletId, String)>,
+        /// `(pipelet, snapshot)` for every loaded pipelet with state.
+        items: Vec<(PipeletId, StateSnapshot)>,
     },
     /// Entries evicted by an [`ControlMsg::AdvanceTime`] sweep.
     Evictions {
@@ -445,6 +471,28 @@ impl Enc {
         self.values(&e.action_args);
         self.i32(e.priority);
     }
+    fn snapshot(&mut self, s: &StateSnapshot) {
+        self.u32(s.version);
+        self.str(&s.program);
+        self.u64(s.clock);
+        self.u32(s.tables.len() as u32);
+        for t in &s.tables {
+            self.str(&t.name);
+            self.opt_u64(t.idle_timeout);
+            self.u32(t.entries.len() as u32);
+            for e in &t.entries {
+                self.entry(e);
+            }
+        }
+        self.u32(s.registers.len() as u32);
+        for r in &s.registers {
+            self.str(&r.name);
+            self.u32(r.cells.len() as u32);
+            for c in &r.cells {
+                self.u128(*c);
+            }
+        }
+    }
     fn pipelet(&mut self, p: PipeletId) {
         self.u8(match p.gress {
             Gress::Ingress => 0,
@@ -550,11 +598,15 @@ pub fn encode(msg: &Message) -> Vec<u8> {
                     e.u8(6);
                     e.u64(*seq);
                 }
-                ControlMsg::RestoreState { seq, pipelet, json } => {
+                ControlMsg::RestoreState {
+                    seq,
+                    pipelet,
+                    snapshot,
+                } => {
                     e.u8(7);
                     e.u64(*seq);
                     e.pipelet(*pipelet);
-                    e.str(json);
+                    e.snapshot(snapshot);
                 }
                 ControlMsg::Shutdown { seq } => {
                     e.u8(8);
@@ -602,9 +654,9 @@ pub fn encode(msg: &Message) -> Vec<u8> {
                     e.u8(5);
                     e.u64(*seq);
                     e.u32(items.len() as u32);
-                    for (p, json) in items {
+                    for (p, snapshot) in items {
                         e.pipelet(*p);
-                        e.str(json);
+                        e.snapshot(snapshot);
                     }
                 }
                 TelemetryMsg::Evictions { seq, evictions } => {
@@ -714,6 +766,10 @@ impl<'a> Dec<'a> {
     fn value(&mut self) -> Result<Value, WireError> {
         let bits = self.u16()?;
         let raw = self.u128()?;
+        // `Value::new` asserts its width; a corrupt one is a typed error.
+        if !(1..=128).contains(&bits) {
+            return Err(WireError::BadValue(format!("value width {bits}")));
+        }
         Ok(Value::new(raw, bits))
     }
     fn values(&mut self) -> Result<Vec<Value>, WireError> {
@@ -757,6 +813,48 @@ impl<'a> Dec<'a> {
             action,
             action_args,
             priority,
+        })
+    }
+    /// Every count is consumed item by item against the bytes that remain
+    /// (as in [`Dec::values`]), so a corrupt count cannot allocate.
+    fn snapshot(&mut self) -> Result<StateSnapshot, WireError> {
+        let version = self.u32()?;
+        if version != SNAPSHOT_FORMAT_VERSION {
+            return Err(WireError::BadValue(format!(
+                "unsupported snapshot version {version} (this build reads {SNAPSHOT_FORMAT_VERSION})"
+            )));
+        }
+        let program = self.str()?;
+        let clock = self.u64()?;
+        let mut tables = Vec::new();
+        for _ in 0..self.u32()? {
+            let name = self.str()?;
+            let idle_timeout = self.opt_u64()?;
+            let mut entries = Vec::new();
+            for _ in 0..self.u32()? {
+                entries.push(self.entry()?);
+            }
+            tables.push(TableSnapshot {
+                name,
+                idle_timeout,
+                entries,
+            });
+        }
+        let mut registers = Vec::new();
+        for _ in 0..self.u32()? {
+            let name = self.str()?;
+            let mut cells = Vec::new();
+            for _ in 0..self.u32()? {
+                cells.push(self.u128()?);
+            }
+            registers.push(RegisterSnapshot { name, cells });
+        }
+        Ok(StateSnapshot {
+            version,
+            program,
+            clock,
+            tables,
+            registers,
         })
     }
     fn pipelet(&mut self) -> Result<PipeletId, WireError> {
@@ -890,7 +988,7 @@ pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
                 7 => ControlMsg::RestoreState {
                     seq: d.u64()?,
                     pipelet: d.pipelet()?,
-                    json: d.str()?,
+                    snapshot: d.snapshot()?,
                 },
                 8 => ControlMsg::Shutdown { seq: d.u64()? },
                 9 => ControlMsg::SwapMember { seq: d.u64()? },
@@ -937,7 +1035,7 @@ pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
                     let mut items = Vec::new();
                     for _ in 0..n {
                         let p = d.pipelet()?;
-                        items.push((p, d.str()?));
+                        items.push((p, d.snapshot()?));
                     }
                     TelemetryMsg::Snapshot { seq, items }
                 }

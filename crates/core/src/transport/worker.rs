@@ -19,7 +19,7 @@ use super::wire::{ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
 use super::{Endpoint, Link, TransportError};
 use crate::deploy::Deployment;
 use dejavu_asic::switch::Disposition;
-use dejavu_asic::{InjectedPacket, PortId, StateSnapshot, Switch};
+use dejavu_asic::{InjectedPacket, PortId, Switch};
 use std::collections::BTreeMap;
 use std::sync::mpsc::Receiver;
 
@@ -230,23 +230,25 @@ impl SwitchWorker {
                 let mut items = Vec::new();
                 for pipelet in self.switch.loaded_pipelets() {
                     if let Some(snap) = self.switch.snapshot_state(pipelet) {
-                        items.push((pipelet, snap.to_json()));
+                        items.push((pipelet, snap));
                     }
                 }
-                self.send_up(TelemetryMsg::Snapshot { seq, items });
-            }
-            ControlMsg::RestoreState { pipelet, json, .. } => {
-                match StateSnapshot::from_json(&json) {
-                    Ok(snap) => match self.switch.restore_state(pipelet, &snap) {
-                        Ok(report) => self.send_up(TelemetryMsg::Ack {
-                            seq,
-                            info: report.restored_entries as u64,
-                        }),
-                        Err(e) => self.nack(seq, &e.to_string()),
-                    },
-                    Err(e) => self.nack(seq, &e),
+                // A reply the link refuses (past `MAX_PAYLOAD`) must not leave
+                // the controller waiting out its timeout: nack with the size.
+                let reply = Message::Telemetry(TelemetryMsg::Snapshot { seq, items });
+                if let Err(TransportError::Wire(e)) = self.upstream.send(&reply) {
+                    self.nack(seq, &e.to_string());
                 }
             }
+            ControlMsg::RestoreState {
+                pipelet, snapshot, ..
+            } => match self.switch.restore_state(pipelet, &snapshot) {
+                Ok(report) => self.send_up(TelemetryMsg::Ack {
+                    seq,
+                    info: report.restored_entries as u64,
+                }),
+                Err(e) => self.nack(seq, &e.to_string()),
+            },
             ControlMsg::SwapMember { .. } => {
                 // The staged member was sent on the side channel before the
                 // wire command, so it is already queued (or will never

@@ -7,6 +7,12 @@
 //! lookup — entries whose table vanished or changed shape are reported, not
 //! silently discarded (see [`crate::migrate`]).
 //!
+//! JSON is the *export and interchange* format — snapshot files, the
+//! `flow_state_demo` artifact, other tools. Cluster workers do not exchange
+//! it: between a worker and the controller a snapshot crosses the link in
+//! the frame format of `dejavu_core::transport::wire`, which checks the same
+//! [`SNAPSHOT_FORMAT_VERSION`].
+//!
 //! The JSON encoding is hand-rolled on the write side and parsed back with
 //! `dejavu-telemetry`'s self-contained parser (the workspace `serde_json`
 //! shim is write-only). `u128` raw values are encoded as decimal *strings*

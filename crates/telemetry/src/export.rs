@@ -270,13 +270,20 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // The input came from &str and pos only ever advances
-                    // by whole scalars, so this re-validation cannot fail.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or backslash
+                    // in one go: every byte is validated once, so a document
+                    // costs O(n). The input came from &str and both
+                    // delimiters are ASCII, so a run always ends on a scalar
+                    // boundary and this re-validation cannot fail.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let ch = rest.chars().next().unwrap();
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
+                    s.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -354,6 +361,79 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("1 2").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    fn parse_str(doc: &str) -> Result<String, String> {
+        parse_json(doc).map(|v| match v {
+            Value::Str(s) => s,
+            other => panic!("expected a string, got {other:?}"),
+        })
+    }
+
+    #[test]
+    fn multibyte_scalars_meet_escapes_and_quotes() {
+        // Directly before an escape, directly after one, and as the last
+        // thing before the closing quote: a run never splits a scalar.
+        for ch in ["é", "漢", "😀"] {
+            let parsed = |body: String| parse_str(&format!("\"{body}\"")).unwrap();
+            assert_eq!(parsed(format!(r"{ch}\n")), format!("{ch}\n"));
+            assert_eq!(parsed(format!(r"\n{ch}")), format!("\n{ch}"));
+            assert_eq!(parsed(format!(r"a\t{ch}")), format!("a\t{ch}"));
+            assert_eq!(parsed(ch.to_string()), ch);
+            assert_eq!(
+                parsed(format!(r"{ch}é{ch}\\{ch}")),
+                format!(r"{ch}é{ch}\{ch}")
+            );
+        }
+    }
+
+    #[test]
+    fn escapes_at_run_boundaries() {
+        assert_eq!(parse_str(r#""""#).unwrap(), "");
+        assert_eq!(parse_str(r#""\"""#).unwrap(), r#"""#);
+        assert_eq!(parse_str(r#""\\""#).unwrap(), r"\");
+        assert_eq!(parse_str(r#""\\\"\\""#).unwrap(), r#"\"\"#);
+        assert_eq!(parse_str(r#""é\"é\\é""#).unwrap(), r#"é"é\é"#);
+        assert_eq!(parse_str(r#""\"run\"""#).unwrap(), r#""run""#);
+        assert_eq!(parse_str(r#""run\\""#).unwrap(), r"run\");
+        // A quote ends the string even when an escaped backslash precedes it.
+        assert_eq!(
+            parse_json(r#"["a\\","b"]"#).unwrap(),
+            Value::Array(vec![Value::Str(r"a\".into()), Value::Str("b".into())])
+        );
+    }
+
+    #[test]
+    fn string_errors_keep_their_text() {
+        assert_eq!(parse_json("\"abc").unwrap_err(), "unterminated string");
+        assert_eq!(parse_json("\"漢").unwrap_err(), "unterminated string");
+        assert_eq!(
+            parse_json("\"abc\\").unwrap_err(),
+            "bad escape None at byte 5"
+        );
+        assert_eq!(
+            parse_json(r#""a\qb""#).unwrap_err(),
+            "bad escape Some('q') at byte 3"
+        );
+        assert_eq!(parse_json(r#""\u12""#).unwrap_err(), "truncated \\u escape");
+        assert_eq!(parse_json(r#""\u12zz""#).unwrap_err(), "bad \\u escape");
+    }
+
+    /// Linearity guard that times nothing: ≈ 4 MiB of 64-byte strings. With
+    /// a per-character rescan of the remaining document this is ~10¹³ byte
+    /// visits and the test run never gets past it; linear, it is
+    /// milliseconds.
+    #[test]
+    fn a_four_mebibyte_document_parses_within_the_test_run() {
+        let item = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdé";
+        assert_eq!(item.len(), 64);
+        let n = 4 * 1024 * 1024 / (item.len() + 3);
+        let doc = format!("[{}]", vec![format!("\"{item}\""); n].join(","));
+        let Value::Array(items) = parse_json(&doc).unwrap() else {
+            panic!("expected an array")
+        };
+        assert_eq!(items.len(), n);
+        assert!(items.iter().all(|v| *v == Value::Str(item.into())));
     }
 
     #[test]

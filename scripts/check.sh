@@ -86,6 +86,18 @@ timeout 120 cargo run -p dejavu-examples --bin cluster_demo
 # or the migration driver deadlocked.
 timeout 120 cargo run -p dejavu-examples --bin replacement_demo
 
+# State-on-the-wire gate: dynamic state crosses a cluster link as a typed
+# StateSnapshot in the frame format; text must not creep back onto the
+# control path, which sits inside the migration window (ingress is parked
+# while state moves). `to_json_string` / `parse_json` for
+# `TelemetryMsg::Metrics` is deliberate and not matched: a scrape is off the
+# packet path, its payload is the telemetry export format, and the parser
+# that reads it is linear.
+if grep -nE 'StateSnapshot::from_json|\.to_json\(\)' crates/core/src/transport/*.rs; then
+    echo "state snapshots must cross links in the wire format, not as JSON" >&2
+    exit 1
+fi
+
 # Dataplane bench gate: the table-size sweep runs end-to-end in quick
 # mode (shrunk budgets, 100k point skipped; the committed root
 # BENCH_dataplane.json is not rewritten), its artifact must carry the

@@ -416,6 +416,101 @@ fn learn_storm_drains_digests_concurrently_with_injection() {
 }
 
 // ---------------------------------------------------------------------
+// Oversized state frames: refused where they are sent, answered at once,
+// and the links they would have crossed stay up.
+// ---------------------------------------------------------------------
+
+#[test]
+fn oversized_state_frames_are_refused_at_the_sender() {
+    use dejavu_asic::state::RegisterSnapshot;
+    use dejavu_asic::StateSnapshot;
+    use dejavu_core::transport::wire::MAX_PAYLOAD;
+    use dejavu_core::transport::{ClusterError, TransportError, WireError};
+    use dejavu_p4ir::table::RegisterDef;
+    use std::time::Instant;
+
+    // 1.2 M cells × 16 bytes is past the 16 MiB frame ceiling.
+    const CELLS: u32 = 1_200_000;
+    assert!(CELLS as usize * 16 > MAX_PAYLOAD);
+
+    // Member 2's first NF declares a register that big (no action touches
+    // it, so it costs the allocator nothing).
+    let (mut nfs, chains, placement) = nine_nf_setup();
+    let mut hoarder = nfs[6].program().clone();
+    hoarder.registers.insert(
+        "hoard".into(),
+        RegisterDef {
+            name: "hoard".into(),
+            width_bits: 128,
+            size: CELLS,
+        },
+    );
+    nfs[6] = NfModule::new(hoarder).unwrap();
+    let refs: Vec<_> = nfs.iter().collect();
+    let mut transport = ChannelTransport::new();
+    let options = ClusterOptions::default();
+    let mut handle = spawn_cluster(
+        &refs,
+        &chains,
+        &placement,
+        &TofinoProfile::wedge_100b_32x(),
+        [(1u16, EXIT_PORT)].into_iter().collect(),
+        &ClusterWiring::default(),
+        &DeployOptions::default(),
+        &mut transport,
+        &options,
+    )
+    .unwrap();
+    let prompt = options.op_timeout / 4;
+
+    // Controller → worker: the restore is refused before a byte is written.
+    let mut huge = StateSnapshot::empty("pipelet");
+    huge.registers.push(RegisterSnapshot {
+        name: "n6__hoard".into(),
+        cells: vec![u128::MAX; CELLS as usize],
+    });
+    let asked = Instant::now();
+    let err = handle
+        .restore_state(2, PipeletId::ingress(0), &huge)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ClusterError::Transport(TransportError::Wire(WireError::Overlength {
+                max: MAX_PAYLOAD,
+                ..
+            }))
+        ),
+        "got {err}"
+    );
+    assert!(asked.elapsed() < prompt, "restore waited out the timeout");
+
+    // Worker → controller: restoring one cell materialises the whole array
+    // on member 2, whose checkpoint then cannot be framed. It nacks with the
+    // size, and the verb fails instead of returning the other members'
+    // state as if it were everything.
+    huge.registers[0].cells.truncate(1);
+    handle
+        .restore_state(2, PipeletId::ingress(0), &huge)
+        .unwrap();
+    let asked = Instant::now();
+    let err = handle.snapshot_state().unwrap_err();
+    assert!(
+        matches!(&err, ClusterError::Remote(m) if m.contains("switch 2") && m.contains("exceeds")),
+        "got {err}"
+    );
+    assert!(asked.elapsed() < prompt, "snapshot waited out the timeout");
+
+    // Nothing was torn down: control round trips and packets still work.
+    handle.process_digests().unwrap();
+    let t = handle
+        .inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
+        .unwrap();
+    assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
+    handle.shutdown().unwrap();
+}
+
+// ---------------------------------------------------------------------
 // Wiring validation (satellite: typed construction errors).
 // ---------------------------------------------------------------------
 

@@ -5,8 +5,9 @@
 //! with every flight differentially checked against a never-migrated
 //! oracle cluster. Plus: seeded-deterministic metaheuristics matching the
 //! exhaustive oracle on small instances and scaling to a 100-chain/8-
-//! switch synthetic fleet, and a TCP snapshot/restore round-trip while
-//! async injections are in flight.
+//! switch synthetic fleet, a TCP snapshot/restore round-trip while async
+//! injections are in flight, and a TCP checkpoint compared with the
+//! lockstep one, which never crossed a link.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -14,8 +15,9 @@ use std::time::{Duration, Instant};
 use dejavu_asic::switch::Disposition;
 use dejavu_asic::telemetry::MetricsRegistry;
 use dejavu_asic::{InjectedPacket, MetricsSnapshot, TofinoProfile};
+use dejavu_core::control_plane::ControlPlane;
 use dejavu_core::deploy::DeployOptions;
-use dejavu_core::multiswitch::{ClusterProblem, ClusterWiring};
+use dejavu_core::multiswitch::{deploy_cluster, ClusterProblem, ClusterWiring};
 use dejavu_core::orchestrator::{
     AnnealingSearch, DetectorConfig, ExhaustiveSearch, FleetProblem, FleetSpec, Orchestrator,
     OrchestratorConfig, PlacementSearch, ShiftDecision, ShiftDetector, StepOutcome, SwarmSearch,
@@ -27,9 +29,10 @@ use dejavu_core::transport::{
 use dejavu_core::{ChainPolicy, ChainSet, NfModule};
 use dejavu_integration::{marker_nf, EXIT_PORT, IN_PORT};
 use dejavu_nf::nat::{
-    dynamic_nat, nat_learn_policy, nat_out_entry, NAT_FLOW_STREAM, NAT_OUT_TABLE,
+    dynamic_nat, nat_learn_policy, nat_out_entry, NAT_FLOW_STREAM, NAT_IN_TABLE, NAT_OUT_TABLE,
 };
 use dejavu_nf::{classifier, router};
+use dejavu_p4ir::table::TableEntry;
 use dejavu_ptf::MetricsExpectations;
 
 // ---------------------------------------------------------------------
@@ -121,39 +124,44 @@ fn deploy_options() -> DeployOptions {
     }
 }
 
-/// Arms a freshly spawned cluster: learn policy, classification for both
-/// chains, NAT pool, route to exit.
+/// The static rules every cluster starts from, as `(nf, table, entry)`:
+/// classification for both chains, NAT pool, route to exit.
+fn arming_rules() -> Vec<(&'static str, &'static str, TableEntry)> {
+    let mut rules: Vec<_> = [
+        ((0x0a01_0000u32, 16u16), 1u16),
+        ((0x0800_0000, 8), 1),
+        ((0x0b00_0000, 8), 2),
+    ]
+    .into_iter()
+    .map(|(prefix, path)| {
+        (
+            "classifier",
+            classifier::CLASSIFY_TABLE,
+            classifier::classify_entry(prefix, (0, 0), path, 100),
+        )
+    })
+    .collect();
+    rules.push((
+        "nat",
+        NAT_OUT_TABLE,
+        nat_out_entry((0x0a01_0000, 16), PUBLIC_IP),
+    ));
+    rules.push((
+        "router",
+        router::ROUTES_TABLE,
+        router::route_entry((0, 0), EXIT_PORT, 0x0200_0000_0099, 0x0200_0000_0001),
+    ));
+    rules
+}
+
+/// Arms a freshly spawned cluster: learn policy plus [`arming_rules`].
 fn arm_cluster(handle: &mut ClusterHandle) {
     handle
         .register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy())
         .unwrap();
-    for (prefix, path) in [
-        ((0x0a01_0000u32, 16u16), 1u16),
-        ((0x0800_0000, 8), 1),
-        ((0x0b00_0000, 8), 2),
-    ] {
-        handle
-            .install(
-                "classifier",
-                classifier::CLASSIFY_TABLE,
-                classifier::classify_entry(prefix, (0, 0), path, 100),
-            )
-            .unwrap();
+    for (nf, table, entry) in arming_rules() {
+        handle.install(nf, table, entry).unwrap();
     }
-    handle
-        .install(
-            "nat",
-            NAT_OUT_TABLE,
-            nat_out_entry((0x0a01_0000, 16), PUBLIC_IP),
-        )
-        .unwrap();
-    handle
-        .install(
-            "router",
-            router::ROUTES_TABLE,
-            router::route_entry((0, 0), EXIT_PORT, 0x0200_0000_0099, 0x0200_0000_0001),
-        )
-        .unwrap();
 }
 
 /// Every flight both clusters must agree on, keyed by a unique label.
@@ -501,6 +509,91 @@ fn tcp_snapshot_restore_round_trip_with_flights_in_the_air() {
         assert_eq!(ip_at(&t.final_bytes, 30), CLIENT);
     }
     assert!(traces.is_empty());
+    handle.shutdown().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Satellite: the checkpoint a TCP cluster ships equals the one the lockstep
+// cluster reads straight out of its switches — the in-memory oracle never
+// went through the frame codec (or any other encoding).
+// ---------------------------------------------------------------------
+
+#[test]
+fn tcp_checkpoint_equals_the_lockstep_one() {
+    let nfs = build_nfs();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let problem = fleet_problem();
+    let pre = ExhaustiveSearch::default().search(&problem).unwrap();
+    let profile = TofinoProfile::wedge_100b_32x();
+    let wiring = ClusterWiring::default();
+
+    let mut transport = TcpTransport::new();
+    let mut handle = spawn_cluster(
+        &refs,
+        problem.chains(),
+        &pre.placement,
+        &profile,
+        exit_ports(),
+        &wiring,
+        &deploy_options(),
+        &mut transport,
+        &ClusterOptions::default(),
+    )
+    .unwrap();
+    arm_cluster(&mut handle);
+
+    let mut net = deploy_cluster(
+        &refs,
+        problem.chains(),
+        &pre.placement,
+        &profile,
+        exit_ports(),
+        &wiring,
+        &deploy_options(),
+    )
+    .unwrap();
+    let mut cp = ControlPlane::new();
+    cp.register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy());
+    for (nf, table, entry) in arming_rules() {
+        net.install(nf, table, entry).unwrap();
+    }
+
+    // The same learn traffic, aging configuration and clock on both.
+    handle
+        .set_idle_timeout("nat", NAT_IN_TABLE, Some(500))
+        .unwrap();
+    let nat_switch = net.switch_of("nat").unwrap();
+    net.deployments[nat_switch]
+        .set_idle_timeout(
+            &mut net.switches[nat_switch],
+            "nat",
+            NAT_IN_TABLE,
+            Some(500),
+        )
+        .unwrap();
+    for f in 0..FLOWS {
+        let packet = || InjectedPacket::new(outbound(BASE_PORT + f), IN_PORT);
+        let wire = handle.inject(packet()).unwrap();
+        let lockstep = net.inject(packet()).unwrap();
+        assert_eq!(wire.final_bytes, lockstep.final_bytes);
+        // Learn per packet, as the eager workers do, so both install in
+        // the same order.
+        net.process_digests(&mut cp).unwrap();
+    }
+    handle.process_digests().unwrap();
+    handle.advance_time(7).unwrap();
+    net.advance_time(7);
+
+    let mut shipped = handle.snapshot_state().unwrap();
+    shipped.sort_by_key(|(switch, pipelet, _)| (*switch, *pipelet));
+    let expected = net.snapshot_state();
+    assert_eq!(shipped, expected);
+    let learned: usize = shipped
+        .iter()
+        .filter_map(|(_, _, s)| s.table("nat__nat_in"))
+        .map(|t| t.entries.len())
+        .sum();
+    assert_eq!(learned, usize::from(FLOWS), "and it is not vacuous");
     handle.shutdown().unwrap();
 }
 

@@ -1,11 +1,14 @@
 //! Property tests for the cluster wire format: every generated message
 //! survives an encode → decode round trip bit-exactly, and every corrupted
 //! frame — truncated at any byte, over-length, wrong magic/version/class/tag
-//! — decodes to a typed [`WireError`], never a panic.
+//! — decodes to a typed [`WireError`], never a panic. State snapshots ride
+//! the same properties, and a differential property pins the frame encoding
+//! and the JSON export encoding of a [`StateSnapshot`] against each other.
 
+use dejavu_asic::state::{RegisterSnapshot, TableSnapshot, SNAPSHOT_FORMAT_VERSION};
 use dejavu_asic::switch::Disposition;
 use dejavu_asic::tables::{DigestRecord, Eviction};
-use dejavu_asic::{Gress, PipeletId};
+use dejavu_asic::{Gress, PipeletId, StateSnapshot};
 use dejavu_core::transport::wire::{
     decode, encode, payload_len, ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg, WireError,
     HEADER_LEN, MAX_PAYLOAD, WIRE_MAGIC, WIRE_VERSION,
@@ -67,6 +70,38 @@ fn entry_strat() -> BoxedStrategy<TableEntry> {
             action,
             action_args,
             priority,
+        })
+        .boxed()
+}
+
+/// 0–3 tables of 0–8 entries (aging on or off), 0–2 registers whose cells
+/// include the full `u128` range.
+fn snapshot_strat() -> BoxedStrategy<StateSnapshot> {
+    let table = (
+        string_strat(),
+        prop_oneof![Just(None), any::<u64>().prop_map(Some)],
+        vec(entry_strat(), 0..=8),
+    )
+        .prop_map(|(name, idle_timeout, entries)| TableSnapshot {
+            name,
+            idle_timeout,
+            entries,
+        });
+    let cell = prop_oneof![Just(u128::MAX), Just(0u128), any::<u128>()];
+    let register = (string_strat(), vec(cell, 0..6))
+        .prop_map(|(name, cells)| RegisterSnapshot { name, cells });
+    (
+        string_strat(),
+        any::<u64>(),
+        vec(table, 0..=3),
+        vec(register, 0..=2),
+    )
+        .prop_map(|(program, clock, tables, registers)| StateSnapshot {
+            version: SNAPSHOT_FORMAT_VERSION,
+            program,
+            clock,
+            tables,
+            registers,
         })
         .boxed()
 }
@@ -182,8 +217,13 @@ fn control_strat() -> BoxedStrategy<ControlMsg> {
         any::<u64>().prop_map(|seq| ControlMsg::DrainDigests { seq }),
         any::<u64>().prop_map(|seq| ControlMsg::ScrapeMetrics { seq }),
         any::<u64>().prop_map(|seq| ControlMsg::SnapshotState { seq }),
-        (any::<u64>(), pipelet_strat(), string_strat())
-            .prop_map(|(seq, pipelet, json)| { ControlMsg::RestoreState { seq, pipelet, json } }),
+        (any::<u64>(), pipelet_strat(), snapshot_strat()).prop_map(|(seq, pipelet, snapshot)| {
+            ControlMsg::RestoreState {
+                seq,
+                pipelet,
+                snapshot,
+            }
+        }),
         any::<u64>().prop_map(|seq| ControlMsg::SwapMember { seq }),
         any::<u64>().prop_map(|seq| ControlMsg::Shutdown { seq }),
     ]
@@ -205,7 +245,7 @@ fn telemetry_strat() -> BoxedStrategy<TelemetryMsg> {
         (any::<u64>(), any::<u64>())
             .prop_map(|(seq, digests)| TelemetryMsg::DrainDone { seq, digests }),
         (any::<u64>(), string_strat()).prop_map(|(seq, json)| TelemetryMsg::Metrics { seq, json }),
-        (any::<u64>(), vec((pipelet_strat(), string_strat()), 0..3))
+        (any::<u64>(), vec((pipelet_strat(), snapshot_strat()), 0..3))
             .prop_map(|(seq, items)| TelemetryMsg::Snapshot { seq, items }),
         (
             any::<u64>(),
@@ -302,6 +342,35 @@ proptest! {
     }
 
     #[test]
+    fn single_bit_flips_never_panic(msg in message_strat(), at in any::<usize>()) {
+        // A flipped bit anywhere — header, a count, a string length, a
+        // snapshot's version — decodes to Ok or a typed error; a flipped
+        // count cannot allocate past the bytes that are there.
+        let mut frame = encode(&msg);
+        let bit = at % (frame.len() * 8);
+        frame[bit / 8] ^= 1 << (bit % 8);
+        let _ = decode(&frame);
+    }
+
+    /// The two encodings of a snapshot pin each other: the frame codec and
+    /// the JSON export format both reproduce the original exactly.
+    #[test]
+    fn snapshot_encodings_agree(snapshot in snapshot_strat(), pipelet in pipelet_strat()) {
+        let frame = encode(&Message::Control(ControlMsg::RestoreState {
+            seq: 2,
+            pipelet,
+            snapshot: snapshot.clone(),
+        }));
+        let Ok(Message::Control(ControlMsg::RestoreState { snapshot: wired, .. })) = decode(&frame)
+        else {
+            return Err(TestCaseError::fail("RestoreState did not decode as itself"));
+        };
+        let exported = StateSnapshot::from_json(&snapshot.to_json());
+        prop_assert_eq!(&wired, &snapshot);
+        prop_assert_eq!(exported, Ok(snapshot));
+    }
+
+    #[test]
     fn random_garbage_never_panics(bytes in vec(any::<u8>(), 0..256)) {
         // Totality: arbitrary byte soup decodes to Ok or a typed error,
         // and a valid header prefix never causes an oversized allocation.
@@ -385,4 +454,75 @@ fn corrupt_inner_length_prefix_is_truncated() {
         matches!(decode(&frame), Err(WireError::Truncated { .. })),
         "inflated inner length must be a truncation error"
     );
+}
+
+/// One learned-NAT-shaped snapshot: `n` exact-match entries on a table
+/// with aging on, plus a small register.
+fn nat_snapshot(n: u32) -> StateSnapshot {
+    StateSnapshot {
+        version: SNAPSHOT_FORMAT_VERSION,
+        program: "pipelet_ingress0".into(),
+        clock: 77,
+        tables: vec![TableSnapshot {
+            name: "nat__nat_in".into(),
+            idle_timeout: Some(64),
+            entries: (0..n)
+                .map(|i| TableEntry {
+                    matches: vec![KeyMatch::Exact(Value::new(u128::from(0x0a00_0000 + i), 32))],
+                    action: "nat__rewrite".into(),
+                    action_args: vec![Value::new(u128::from(0xc0a8_0000 + i), 32)],
+                    priority: 0,
+                })
+                .collect(),
+        }],
+        registers: vec![RegisterSnapshot {
+            name: "nat__next_port".into(),
+            cells: vec![u128::MAX, 1024],
+        }],
+    }
+}
+
+/// A `Snapshot` frame that loses bytes anywhere inside its state, or names
+/// a snapshot version this build does not read, is a typed error — never a
+/// shorter `Ok` with a pipelet (and every flow on it) missing.
+#[test]
+fn damaged_snapshot_frames_never_decode_shorter() {
+    let pipelet = PipeletId {
+        pipeline: 0,
+        gress: Gress::Ingress,
+    };
+    let msg = |snapshot| {
+        Message::Telemetry(TelemetryMsg::Snapshot {
+            seq: 6,
+            items: vec![(pipelet, nat_snapshot(1)), (pipelet, snapshot)],
+        })
+    };
+    let frame = encode(&msg(nat_snapshot(3)));
+    // Cut the payload at every byte and re-seal the header over what is
+    // left, so the frame is well-formed and only its contents are short.
+    for keep in 0..frame.len() - HEADER_LEN {
+        let mut cut = frame[..HEADER_LEN + keep].to_vec();
+        cut[4..8].copy_from_slice(&(keep as u32).to_be_bytes());
+        assert!(
+            matches!(decode(&cut), Err(WireError::Truncated { .. })),
+            "payload cut to {keep} bytes decoded as {:?}",
+            decode(&cut)
+        );
+    }
+    let mut future = nat_snapshot(3);
+    future.version = 99;
+    assert!(
+        matches!(decode(&encode(&msg(future))), Err(WireError::BadValue(m)) if m.contains("99")),
+        "a version-99 snapshot must be refused by name"
+    );
+}
+
+/// Version 1 carried state as JSON text: a version-1 peer fails loudly at
+/// the header, before any payload is interpreted.
+#[test]
+fn version_one_headers_are_rejected() {
+    assert_eq!(WIRE_VERSION, 2);
+    let mut frame = encode(&Message::Control(ControlMsg::SnapshotState { seq: 2 }));
+    frame[2] = 1;
+    assert_eq!(payload_len(&frame), Err(WireError::UnsupportedVersion(1)));
 }
