@@ -231,27 +231,13 @@ impl ControlPlane {
         switch: &mut Switch,
         deployment: &Deployment,
     ) -> Result<usize, IrError> {
-        self.process_digests_counted(switch, deployment)
-            .map(|(_, installed)| installed)
-    }
-
-    /// Like [`ControlPlane::process_digests`] but also reports how many
-    /// digests were consumed: returns `(digests_seen, entries_installed)`.
-    /// The cluster facade uses this to build its merged per-switch report.
-    pub fn process_digests_counted(
-        &mut self,
-        switch: &mut Switch,
-        deployment: &Deployment,
-    ) -> Result<(usize, usize), IrError> {
         let digests = switch.drain_digests();
-        let mut seen = 0usize;
         let mut installed = 0usize;
         for (pipeline, record) in digests {
             let Some(policy) = self.learn_policies.get_mut(&record.name) else {
                 continue;
             };
             self.stats.digests += 1;
-            seen += 1;
             let resp = policy.on_digest(pipeline, &record.values);
             for (nf, table, entry) in resp.install {
                 if deployment.entry_installed(switch, &nf, &table, &entry) {
@@ -263,7 +249,7 @@ impl ControlPlane {
                 installed += 1;
             }
         }
-        Ok((seen, installed))
+        Ok(installed)
     }
 
     /// Translates and installs an entry through the NF's original API view:

@@ -22,19 +22,16 @@
 //! flow-grouped workload and runs it through a fresh session, configured by
 //! an [`RtcConfig`].
 //!
-//! Beyond a single switch, the same packet shape feeds the cluster paths:
-//!
-//! * [`ClusterNet::inject`](crate::multiswitch::ClusterNet::inject) — the
-//!   lockstep in-process cluster; follows the packet across members in one
-//!   call stack and returns a
-//!   [`ClusterTraversal`](crate::multiswitch::ClusterTraversal).
-//! * [`ClusterHandle::inject`](crate::transport::cluster::ClusterHandle::inject)
-//!   / [`inject_async`](crate::transport::cluster::ClusterHandle::inject_async)
-//!   — the transport-backed runtime: the packet crosses real worker
-//!   threads (and, over
-//!   [`TcpTransport`](crate::transport::tcp::TcpTransport), real sockets)
-//!   and comes back as a
-//!   [`WireTraversal`](crate::transport::cluster::WireTraversal).
+//! Beyond a single switch, the same packet shape feeds the cluster:
+//! [`ClusterHandle::inject`](crate::transport::cluster::ClusterHandle::inject)
+//! / [`inject_async`](crate::transport::cluster::ClusterHandle::inject_async)
+//! carry it across the member workers — real threads (and, over
+//! [`TcpTransport`](crate::transport::tcp::TcpTransport), real sockets) on a
+//! [`spawn_cluster`](crate::transport::cluster::spawn_cluster) cluster, the
+//! caller's own thread on a
+//! [`deploy_cluster`](crate::transport::cluster::deploy_cluster) one — and
+//! it comes back as a
+//! [`WireTraversal`](crate::transport::cluster::WireTraversal).
 
 pub use dejavu_asic::switch::{BatchStats, BufOutcome, Traversal};
 pub use dejavu_asic::{InjectedPacket, PortId, RtcConfig, RtcReport, RtcSession, Switch};

@@ -110,7 +110,7 @@ pub mod prelude {
     pub use crate::merge::{merge_programs, MergeError};
     pub use crate::multiswitch::{
         chain_latency_ns, deploy_cluster, ClusterConfigError, ClusterNet, ClusterPlacement,
-        ClusterProblem, ClusterTraversal, ClusterWiring,
+        ClusterProblem, ClusterWiring,
     };
     pub use crate::nfmodule::NfModule;
     pub use crate::placement::{Placement, PlacementProblem, RecircGranularity, TraversalCost};

@@ -7,21 +7,29 @@
 //! > reflects that the packet transition delay from one switch to another is
 //! > low enough to be practical."
 //!
-//! This module wires a linear cluster of ASICs and runs it in lockstep:
-//! [`ClusterWiring`], [`deploy_cluster`] and [`ClusterNet`]. Which NF goes on
-//! which member is [`crate::placement`]'s question; its cluster types are
+//! This module is the *configuration* of a linear cluster of ASICs: the
+//! cable ([`ClusterWiring`]), the checks a cluster must pass before any
+//! switch is configured ([`ClusterConfigError`]) and the per-member
+//! deployment both cluster constructors share. It runs nothing: packets,
+//! learning, aging and checkpoints are [`crate::transport`]'s — one
+//! controller and one worker per member, driven by threads
+//! ([`spawn_cluster`](crate::transport::cluster::spawn_cluster)) or stepped
+//! on the caller's thread ([`deploy_cluster`]). Which NF goes on which
+//! member is [`crate::placement`]'s question; its cluster types are
 //! re-exported here.
 
 pub use crate::placement::{chain_latency_ns, ClusterCost, ClusterPlacement, ClusterProblem};
+pub use crate::transport::cluster::deploy_cluster;
+/// What [`deploy_cluster`] returns, under the name it had when the
+/// single-threaded cluster was a runtime of its own (`crates/perf` still
+/// spells it so).
+pub use crate::transport::cluster::ClusterHandle as ClusterNet;
 
 use crate::chain::ChainSet;
 use crate::deploy::{deploy, DeployError, DeployOptions, Deployment};
 use crate::nfmodule::NfModule;
 use crate::routing::{RoutingConfig, SegmentOptions};
-use crate::transport::cluster::{ClusterReport, PerSwitchReport};
-use dejavu_asic::switch::Disposition;
-use dejavu_asic::{InjectedPacket, PortId, Switch, TofinoProfile, Traversal};
-use dejavu_p4ir::IrError as AsicIrError;
+use dejavu_asic::{PortId, Switch, TofinoProfile};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -185,181 +193,9 @@ impl ClusterWiring {
     }
 }
 
-/// A deployed, wired, executable cluster of switches (§7: "multiple
-/// switches can be chained back-to-back to provide the same bandwidth of a
-/// single switch but with manyfold more MAU stages").
-#[derive(Debug)]
-pub struct ClusterNet {
-    /// The live member switches, in cluster order.
-    pub switches: Vec<Switch>,
-    /// Per-switch deployment handles (for rule installation).
-    pub deployments: Vec<Deployment>,
-    links: BTreeMap<(usize, PortId), (usize, PortId)>,
-    cable_ns: f64,
-}
-
-/// End-to-end result of driving a packet through the cluster.
-#[derive(Debug)]
-pub struct ClusterTraversal {
-    /// Per-switch traversals, in visit order: `(switch index, traversal)`.
-    pub hops: Vec<(usize, Traversal)>,
-    /// Final disposition (of the last switch visited).
-    pub disposition: Disposition,
-    /// Final wire bytes.
-    pub final_bytes: Vec<u8>,
-    /// Total latency including cable hops.
-    pub latency_ns: f64,
-    /// Total on-chip recirculations across switches.
-    pub recirculations: usize,
-    /// Inter-switch hops taken.
-    pub inter_switch_hops: usize,
-}
-
-impl ClusterNet {
-    /// Injects a packet on `port` of switch 0 and follows it across the
-    /// cluster until it leaves, drops, or punts.
-    pub fn inject(
-        &mut self,
-        packet: impl Into<InjectedPacket>,
-    ) -> Result<ClusterTraversal, AsicIrError> {
-        let InjectedPacket { bytes, port } = packet.into();
-        let mut cur = 0usize;
-        let mut cur_port = port;
-        let mut cur_bytes = bytes;
-        let mut hops = Vec::new();
-        let mut latency = 0.0;
-        let mut recircs = 0usize;
-        let mut wire_hops = 0usize;
-        loop {
-            let t = self.switches[cur].inject(InjectedPacket::new(cur_bytes, cur_port))?;
-            latency += t.latency_ns;
-            recircs += t.recirculations;
-            let disposition = t.disposition;
-            let final_bytes = t.final_bytes.clone();
-            hops.push((cur, t));
-            match disposition {
-                Disposition::Emitted { port: out } => {
-                    if let Some(&(next, next_port)) = self.links.get(&(cur, out)) {
-                        latency += self.cable_ns;
-                        wire_hops += 1;
-                        cur = next;
-                        cur_port = next_port;
-                        cur_bytes = final_bytes;
-                        continue;
-                    }
-                    return Ok(ClusterTraversal {
-                        hops,
-                        disposition,
-                        final_bytes,
-                        latency_ns: latency,
-                        recirculations: recircs,
-                        inter_switch_hops: wire_hops,
-                    });
-                }
-                other => {
-                    return Ok(ClusterTraversal {
-                        hops,
-                        disposition: other,
-                        final_bytes,
-                        latency_ns: latency,
-                        recirculations: recircs,
-                        inter_switch_hops: wire_hops,
-                    })
-                }
-            }
-        }
-    }
-
-    /// Installs an NF rule on whichever switch hosts the NF.
-    pub fn install(
-        &mut self,
-        nf: &str,
-        table: &str,
-        entry: dejavu_p4ir::table::TableEntry,
-    ) -> Result<(), AsicIrError> {
-        for i in 0..self.deployments.len() {
-            if self.deployments[i].nf_location(nf).is_some() {
-                return self.deployments[i].install(&mut self.switches[i], nf, table, entry);
-            }
-        }
-        Err(AsicIrError::Undefined {
-            kind: "NF placement",
-            name: nf.to_string(),
-        })
-    }
-
-    /// Which switch hosts an NF.
-    pub fn switch_of(&self, nf: &str) -> Option<usize> {
-        self.deployments
-            .iter()
-            .position(|d| d.nf_location(nf).is_some())
-    }
-
-    // ------------------------------------------------- flow-state sync
-
-    /// Advances logical time on every member switch in lockstep and
-    /// returns the merged [`ClusterReport`] — evictions attributed to the
-    /// switch they aged out on, in the same shape the event-driven
-    /// [`ClusterHandle`](crate::transport::cluster::ClusterHandle) reports.
-    /// Keeping cluster clocks synchronized means a flow pinned on switch 0
-    /// and its return-path state on switch 2 expire together.
-    pub fn advance_time(&mut self, ticks: u64) -> ClusterReport {
-        let mut report = ClusterReport::sized(self.switches.len());
-        for (i, sw) in self.switches.iter_mut().enumerate() {
-            for (pipelet, ev) in sw.advance_time(ticks) {
-                report.per_switch[i].evictions += 1;
-                report.evictions.push((i, pipelet, ev));
-            }
-        }
-        report
-    }
-
-    /// Runs one learning round across the cluster: drains every member
-    /// switch's digest queues through the shared control plane, installing
-    /// learned entries on whichever switch hosts the target NF. Returns the
-    /// merged [`ClusterReport`] shared with the event-driven handle.
-    pub fn process_digests(
-        &mut self,
-        cp: &mut crate::control_plane::ControlPlane,
-    ) -> Result<ClusterReport, AsicIrError> {
-        let mut report = ClusterReport::sized(self.switches.len());
-        for (i, (sw, dep)) in self.switches.iter_mut().zip(&self.deployments).enumerate() {
-            let (seen, installed) = cp.process_digests_counted(sw, dep)?;
-            report.per_switch[i] = PerSwitchReport {
-                switch: i,
-                evictions: 0,
-                digests: seen,
-                installed,
-            };
-            report.digests_seen += seen;
-            report.entries_installed += installed;
-        }
-        Ok(report)
-    }
-
-    /// Snapshots the dynamic state of every loaded pipelet across the
-    /// cluster — the cluster-wide checkpoint a coordinated upgrade or
-    /// cross-switch re-placement starts from.
-    pub fn snapshot_state(
-        &self,
-    ) -> Vec<(usize, dejavu_asic::PipeletId, dejavu_asic::StateSnapshot)> {
-        let mut snaps = Vec::new();
-        for (i, sw) in self.switches.iter().enumerate() {
-            for pipelet in sw.loaded_pipelets() {
-                if let Some(snap) = sw.snapshot_state(pipelet) {
-                    snaps.push((i, pipelet, snap));
-                }
-            }
-        }
-        snaps
-    }
-}
-
 /// Validates a cluster configuration and deploys one `(Switch, Deployment)`
-/// pair per member — the shared builder behind both the lockstep
-/// [`deploy_cluster`] and the event-driven
-/// [`spawn_cluster`](crate::transport::cluster::spawn_cluster), so the two
-/// runtimes are guaranteed to deploy identical members.
+/// pair per member — the builder behind [`deploy_cluster`] and
+/// [`spawn_cluster`](crate::transport::cluster::spawn_cluster).
 ///
 /// Checks performed before any switch is configured (all typed,
 /// [`ClusterConfigError`]): non-empty placement, valid wiring, no exit-port
@@ -485,36 +321,4 @@ pub(crate) fn build_cluster_members(
         members.push(deploy(nfs, chains, local, profile, &config, &seg_options)?);
     }
     Ok(members)
-}
-
-/// Deploys a chain set across a back-to-back cluster and wires it up as a
-/// lockstep [`ClusterNet`] (the in-process execution path; see
-/// [`spawn_cluster`](crate::transport::cluster::spawn_cluster) for the
-/// transport-backed runtime sharing this validation and deployment logic).
-pub fn deploy_cluster(
-    nfs: &[&NfModule],
-    chains: &ChainSet,
-    placement: &ClusterPlacement,
-    profile: &TofinoProfile,
-    exit_ports: BTreeMap<u16, PortId>,
-    wiring: &ClusterWiring,
-    options: &DeployOptions,
-) -> Result<ClusterNet, DeployError> {
-    let members =
-        build_cluster_members(nfs, chains, placement, profile, exit_ports, wiring, options)?;
-    let n = members.len();
-    let (switches, deployments): (Vec<Switch>, Vec<Deployment>) = members.into_iter().unzip();
-    let mut links = BTreeMap::new();
-    for s in 0..n.saturating_sub(1) {
-        links.insert(
-            (s, wiring.egress_link_port),
-            (s + 1, wiring.ingress_link_port),
-        );
-    }
-    Ok(ClusterNet {
-        switches,
-        deployments,
-        links,
-        cable_ns: wiring.cable_ns,
-    })
 }

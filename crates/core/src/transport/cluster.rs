@@ -1,29 +1,34 @@
 //! The cluster runtime: communicating switch workers under an event-driven
-//! control plane.
+//! control plane — one set of machines, two drivers.
 //!
-//! [`spawn_cluster`] deploys a chain set across a back-to-back cluster
-//! (exactly like [`deploy_cluster`](crate::multiswitch::deploy_cluster))
-//! but instead of returning a lockstep object it boots one
-//! [`SwitchWorker`](super::worker::SwitchWorker) thread per member, wires
-//! them over a pluggable [`Transport`], and starts a **controller thread**
-//! that runs concurrently with traffic:
+//! A cluster is one [`SwitchWorker`] per member, wired over a pluggable
+//! [`Transport`], under a **controller** that learns concurrently with
+//! traffic:
 //!
 //! * learn digests pushed upstream by workers are dispatched to
 //!   [`LearnPolicy`]s and turned into table installs *while packets keep
-//!   flowing* — no lockstep "process digests now" call required;
+//!   flowing* — no "process digests now" call required;
 //! * table updates, idle timeouts, clock advances, metrics scrapes and
 //!   state snapshots are request/reply command round trips;
 //! * finished packets come back as [`Delivery`] records carrying the whole
 //!   multi-switch flight summary.
 //!
-//! [`ClusterHandle`] is the synchronous facade over that machinery: its
-//! methods (`inject`, `install`, `advance_time`, `process_digests`,
-//! `snapshot_state`) mirror the lockstep `ClusterNet` surface one-for-one,
-//! so call sites migrate mechanically — while `inject_async` /
-//! `recv_delivered` expose the pipelined path underneath.
+//! [`spawn_cluster`] gives the controller and every worker a thread of its
+//! own. [`deploy_cluster`] boots the very same machines over a private
+//! [`ChannelTransport`] and keeps them inside the handle, stepping them on
+//! the caller's thread — controller queue, controller inbox, then worker
+//! 0…n−1, until every queue is empty — between a facade request and its
+//! reply: the deterministic reference (no thread, no clock, one fixed
+//! interleaving) that the threaded and TCP paths are checked against.
+//!
+//! [`ClusterHandle`] is the synchronous facade over either: `inject`,
+//! `install`, `advance_time`, `process_digests`, `snapshot_state`, the
+//! migration verbs — and `inject_async` / `recv_delivered` for the
+//! pipelined path underneath.
 
 use super::wire::{ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
-use super::{Link, Transport, TransportError};
+use super::worker::SwitchWorker;
+use super::{ChannelTransport, Endpoint, Link, Transport, TransportError};
 use crate::chain::ChainSet;
 use crate::control_plane::LearnPolicy;
 use crate::deploy::{DeployError, DeployOptions, Deployment};
@@ -33,13 +38,12 @@ use dejavu_asic::switch::Disposition;
 use dejavu_asic::tables::Eviction;
 use dejavu_asic::telemetry::{parse_json, snapshot_from_json};
 use dejavu_asic::{
-    ExecMode, InjectedPacket, MetricsSnapshot, PipeletId, PortId, StateSnapshot, Switch,
-    TofinoProfile,
+    InjectedPacket, MetricsSnapshot, PipeletId, PortId, StateSnapshot, Switch, TofinoProfile,
 };
 use dejavu_p4ir::table::TableEntry;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -93,8 +97,6 @@ impl From<TransportError> for ClusterError {
 pub struct ClusterOptions {
     /// Enable telemetry on every member switch.
     pub telemetry: bool,
-    /// Override the execution engine on every member switch.
-    pub exec_mode: Option<ExecMode>,
     /// How long synchronous facade calls wait for their round trip.
     pub op_timeout: Duration,
 }
@@ -103,7 +105,6 @@ impl Default for ClusterOptions {
     fn default() -> Self {
         ClusterOptions {
             telemetry: false,
-            exec_mode: None,
             op_timeout: Duration::from_secs(10),
         }
     }
@@ -122,10 +123,7 @@ pub struct PerSwitchReport {
     pub installed: usize,
 }
 
-/// Merged outcome of a cluster-wide maintenance operation — the one report
-/// type shared by the event-driven [`ClusterHandle`] and the lockstep
-/// [`ClusterNet`](crate::multiswitch::ClusterNet) facade, so callers read
-/// per-switch outcomes the same way on either path.
+/// Merged outcome of a cluster-wide maintenance operation.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterReport {
     /// Evicted entries, attributed to the switch and pipelet they aged out
@@ -140,7 +138,7 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    pub(crate) fn sized(n: usize) -> Self {
+    fn sized(n: usize) -> Self {
         ClusterReport {
             per_switch: (0..n)
                 .map(|switch| PerSwitchReport {
@@ -168,9 +166,7 @@ pub struct ClusterScrape {
     pub per_switch: Vec<MetricsSnapshot>,
 }
 
-/// End-to-end record of one packet's flight across the cluster — the
-/// transport-path analogue of
-/// [`ClusterTraversal`](crate::multiswitch::ClusterTraversal), built from
+/// End-to-end record of one packet's flight across the cluster, built from
 /// the [`HopSummary`] postcards the packet accumulated in-band.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireTraversal {
@@ -308,6 +304,11 @@ enum Request {
     },
 }
 
+/// Answers a request with an error (the caller may have stopped waiting).
+fn refuse<T>(reply: Sender<Result<T, ClusterError>>, e: ClusterError) {
+    let _ = reply.send(Err(e));
+}
+
 enum CtrlEvent {
     Frame(Vec<u8>),
     PumpClosed,
@@ -394,47 +395,49 @@ impl Controller {
         self.links[switch].send(&msg).map_err(ClusterError::from)
     }
 
+    /// The threaded driver: blocks on the event queue until shutdown.
     fn run(mut self) {
         loop {
-            let ev = match self.events.recv_timeout(self.op_timeout) {
-                Ok(ev) => ev,
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.bye.is_some() {
-                        // Workers never acked shutdown; stop waiting.
-                        if let Some((_, reply)) = self.bye.take() {
-                            let _ = reply.send(Ok(()));
-                        }
-                        return;
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
-            };
-            match ev {
-                CtrlEvent::Frame(frame) => match super::wire::decode(&frame) {
-                    Ok(Message::Telemetry(t)) => self.on_telemetry(t),
-                    Ok(_) => {}  // Workers only send telemetry upstream.
-                    Err(_) => {} // Corrupt frame: already a typed error; skip.
-                },
-                CtrlEvent::PumpClosed => {
-                    if self.bye.is_some() {
-                        if let Some((_, reply)) = self.bye.take() {
-                            let _ = reply.send(Ok(()));
-                        }
+            match self.events.recv_timeout(self.op_timeout) {
+                Ok(ev) => {
+                    if self.on_event(ev) {
                         return;
                     }
                 }
-                CtrlEvent::Request(req) => {
-                    self.on_request(req);
+                Err(RecvTimeoutError::Timeout) if self.bye.is_none() => {}
+                // The handle is gone, or workers never acked shutdown: stop
+                // waiting.
+                Err(_) => {
+                    self.finish_shutdown();
+                    return;
                 }
-            }
-            if self.bye.as_ref().is_some_and(|(left, _)| *left == 0) {
-                if let Some((_, reply)) = self.bye.take() {
-                    let _ = reply.send(Ok(()));
-                }
-                return;
             }
         }
+    }
+
+    /// Handles one event; `true` once a shutdown has completed.
+    fn on_event(&mut self, ev: CtrlEvent) -> bool {
+        match ev {
+            // Workers only send telemetry upstream; a corrupt frame is
+            // already a typed error — skip it.
+            CtrlEvent::Frame(frame) => {
+                if let Ok(Message::Telemetry(t)) = super::wire::decode(&frame) {
+                    self.on_telemetry(t);
+                }
+            }
+            CtrlEvent::PumpClosed => return self.finish_shutdown(),
+            CtrlEvent::Request(req) => self.on_request(req),
+        }
+        self.bye.as_ref().is_some_and(|(left, _)| *left == 0) && self.finish_shutdown()
+    }
+
+    /// Answers a pending shutdown, if there is one.
+    fn finish_shutdown(&mut self) -> bool {
+        let Some((_, reply)) = self.bye.take() else {
+            return false;
+        };
+        let _ = reply.send(Ok(()));
+        true
     }
 
     fn on_request(&mut self, req: Request) {
@@ -483,56 +486,30 @@ impl Controller {
                 table,
                 ticks,
             }),
-            Request::AdvanceTime { ticks, reply } => {
-                let id = self.new_gather(GatherAcc::Evictions {
+            Request::AdvanceTime { ticks, reply } => self.broadcast(
+                GatherAcc::Evictions {
                     acc: Vec::new(),
                     reply,
-                });
-                for switch in 0..self.n {
-                    let seq = self.seq();
-                    self.pending.insert(seq, Pending::Gather { id, switch });
-                    let _ = self.send_to(
-                        switch,
-                        Message::Control(ControlMsg::AdvanceTime { seq, ticks }),
-                    );
-                }
-            }
-            Request::Flush { reply } => {
-                let id = self.new_gather(GatherAcc::Drain { reply });
-                for switch in 0..self.n {
-                    let seq = self.seq();
-                    self.pending.insert(seq, Pending::Gather { id, switch });
-                    let _ =
-                        self.send_to(switch, Message::Control(ControlMsg::DrainDigests { seq }));
-                }
-            }
-            Request::Scrape { reply } => {
-                let id = self.new_gather(GatherAcc::Metrics {
+                },
+                |seq| ControlMsg::AdvanceTime { seq, ticks },
+            ),
+            Request::Flush { reply } => self.broadcast(GatherAcc::Drain { reply }, |seq| {
+                ControlMsg::DrainDigests { seq }
+            }),
+            Request::Scrape { reply } => self.broadcast(
+                GatherAcc::Metrics {
+                    acc: vec![MetricsSnapshot::default(); self.n],
+                    reply,
+                },
+                |seq| ControlMsg::ScrapeMetrics { seq },
+            ),
+            Request::Snapshot { reply } => self.broadcast(
+                GatherAcc::Snapshot {
                     acc: Vec::new(),
                     reply,
-                });
-                for switch in 0..self.n {
-                    let seq = self.seq();
-                    self.pending.insert(seq, Pending::Gather { id, switch });
-                    let _ =
-                        self.send_to(switch, Message::Control(ControlMsg::ScrapeMetrics { seq }));
-                }
-            }
-            Request::Snapshot { reply } => {
-                let id = self.new_gather(GatherAcc::Snapshot {
-                    acc: Vec::new(),
-                    reply,
-                });
-                for switch in 0..self.n {
-                    let seq = self.seq();
-                    let msg = Message::Control(ControlMsg::SnapshotState { seq });
-                    if let Err(e) = self.send_to(switch, msg) {
-                        self.fail_gather(id, e);
-                        break;
-                    }
-                    self.pending.insert(seq, Pending::Gather { id, switch });
-                }
-            }
+                },
+                |seq| ControlMsg::SnapshotState { seq },
+            ),
             Request::Restore {
                 switch,
                 pipelet,
@@ -557,9 +534,7 @@ impl Controller {
                         Ok(()) => {
                             self.pending.insert(seq, Pending::Simple(reply));
                         }
-                        Err(e) => {
-                            let _ = reply.send(Err(e));
-                        }
+                        Err(e) => refuse(reply, e),
                     }
                 }
             }
@@ -653,17 +628,20 @@ impl Controller {
         let _ = self.send_to(switch, Message::Control(msg));
     }
 
-    fn new_gather(&mut self, acc: GatherAcc) -> u64 {
+    /// Sends one command to every member and opens the gather its replies
+    /// fold into. A member the command cannot reach fails the verb at once.
+    fn broadcast(&mut self, acc: GatherAcc, make: impl Fn(u64) -> ControlMsg) {
         self.next_gather += 1;
         let id = self.next_gather;
-        self.gathers.insert(
-            id,
-            Gather {
-                expect: self.n,
-                acc,
-            },
-        );
-        id
+        let expect = self.n;
+        self.gathers.insert(id, Gather { expect, acc });
+        for switch in 0..self.n {
+            let seq = self.seq();
+            if let Err(e) = self.send_to(switch, Message::Control(make(seq))) {
+                return self.fail_gather(id, e);
+            }
+            self.pending.insert(seq, Pending::Gather { id, switch });
+        }
     }
 
     fn on_telemetry(&mut self, t: TelemetryMsg) {
@@ -726,10 +704,24 @@ impl Controller {
                 let snap = parse_json(&json)
                     .and_then(|v| snapshot_from_json(&v))
                     .unwrap_or_default();
-                self.settle_metrics(seq, snap);
+                // Indexed, so per-switch order is stable whatever the
+                // arrival order.
+                self.gathered(seq, |acc, switch| {
+                    if let GatherAcc::Metrics { acc, .. } = acc {
+                        acc[switch] = snap;
+                    }
+                });
             }
-            TelemetryMsg::Snapshot { seq, items } => self.settle_snapshot(seq, items),
-            TelemetryMsg::Evictions { seq, evictions } => self.settle_evictions(seq, evictions),
+            TelemetryMsg::Snapshot { seq, items } => self.gathered(seq, |acc, switch| {
+                if let GatherAcc::Snapshot { acc, .. } = acc {
+                    acc.extend(items.into_iter().map(|(p, snap)| (switch, p, snap)));
+                }
+            }),
+            TelemetryMsg::Evictions { seq, evictions } => self.gathered(seq, |acc, switch| {
+                if let GatherAcc::Evictions { acc, .. } = acc {
+                    acc.extend(evictions.into_iter().map(|(p, ev)| (switch, p, ev)));
+                }
+            }),
             TelemetryMsg::Delivered { disposition, data } => {
                 let _ = self.delivered_tx.send(Delivery {
                     trace: data.trace,
@@ -759,7 +751,7 @@ impl Controller {
                 // A member that cannot ship its reply fails the broadcast.
                 Err(e) => self.fail_gather(id, e),
                 // DrainDone: nothing to accumulate, just count the arrival.
-                Ok(_) => self.gather_done(seq, id),
+                Ok(_) => self.gather_done(id),
             },
             Some(Pending::Bye) => {
                 if let Some((left, _)) = self.bye.as_mut() {
@@ -770,29 +762,13 @@ impl Controller {
         }
     }
 
-    fn settle_metrics(&mut self, seq: u64, snap: MetricsSnapshot) {
+    /// Folds one member's reply into the gather `seq` belongs to.
+    fn gathered(&mut self, seq: u64, fold: impl FnOnce(&mut GatherAcc, usize)) {
         if let Some(Pending::Gather { id, switch }) = self.pending.remove(&seq) {
             if let Some(g) = self.gathers.get_mut(&id) {
-                if let GatherAcc::Metrics { acc, .. } = &mut g.acc {
-                    // Keep per-switch order stable regardless of arrival order.
-                    while acc.len() <= switch {
-                        acc.push(MetricsSnapshot::default());
-                    }
-                    acc[switch] = snap;
-                }
+                fold(&mut g.acc, switch);
             }
-            self.gather_done(seq, id);
-        }
-    }
-
-    fn settle_snapshot(&mut self, seq: u64, items: Vec<(PipeletId, StateSnapshot)>) {
-        if let Some(Pending::Gather { id, switch }) = self.pending.remove(&seq) {
-            if let Some(g) = self.gathers.get_mut(&id) {
-                if let GatherAcc::Snapshot { acc, .. } = &mut g.acc {
-                    acc.extend(items.into_iter().map(|(p, snap)| (switch, p, snap)));
-                }
-            }
-            self.gather_done(seq, id);
+            self.gather_done(id);
         }
     }
 
@@ -802,32 +778,15 @@ impl Controller {
     fn fail_gather(&mut self, id: u64, e: ClusterError) {
         match self.gathers.remove(&id).map(|g| g.acc) {
             Some(GatherAcc::Evictions { reply, .. } | GatherAcc::Drain { reply }) => {
-                let _ = reply.send(Err(e));
+                refuse(reply, e)
             }
-            Some(GatherAcc::Metrics { reply, .. }) => {
-                let _ = reply.send(Err(e));
-            }
-            Some(GatherAcc::Snapshot { reply, .. }) => {
-                let _ = reply.send(Err(e));
-            }
+            Some(GatherAcc::Metrics { reply, .. }) => refuse(reply, e),
+            Some(GatherAcc::Snapshot { reply, .. }) => refuse(reply, e),
             None => {}
         }
     }
 
-    fn settle_evictions(&mut self, seq: u64, evictions: Vec<(PipeletId, Eviction)>) {
-        if let Some(Pending::Gather { id, switch }) = self.pending.remove(&seq) {
-            if let Some(g) = self.gathers.get_mut(&id) {
-                if let GatherAcc::Evictions { acc, .. } = &mut g.acc {
-                    for (pipelet, ev) in evictions {
-                        acc.push((switch, pipelet, ev));
-                    }
-                }
-            }
-            self.gather_done(seq, id);
-        }
-    }
-
-    fn gather_done(&mut self, _seq: u64, id: u64) {
+    fn gather_done(&mut self, id: u64) {
         let finished = {
             let Some(g) = self.gathers.get_mut(&id) else {
                 return;
@@ -850,10 +809,7 @@ impl Controller {
                 report.evictions = acc;
                 let _ = reply.send(Ok(report));
             }
-            GatherAcc::Metrics { mut acc, reply } => {
-                while acc.len() < self.n {
-                    acc.push(MetricsSnapshot::default());
-                }
+            GatherAcc::Metrics { acc, reply } => {
                 let mut merged = MetricsSnapshot::default();
                 for s in &acc {
                     merged.merge(s);
@@ -911,8 +867,73 @@ impl Controller {
 // The handle
 // ---------------------------------------------------------------------
 
-/// Owner's view of a running cluster: synchronous facade methods mirroring
-/// the lockstep `ClusterNet` surface, plus the pipelined
+/// The machines of a cluster nobody gave threads to: the handle steps them
+/// itself.
+struct Machines {
+    controller: Controller,
+    ctrl_inbox: Endpoint,
+    workers: Vec<SwitchWorker>,
+}
+
+impl Machines {
+    /// Runs the cluster until it is quiet: controller queue, controller
+    /// inbox, then worker 0…n−1, each drained oldest frame first, again and
+    /// again until a whole round finds every queue empty. The order is
+    /// fixed, so a session of facade calls replays identically.
+    fn settle(&mut self) {
+        let mut busy = true;
+        while busy {
+            busy = false;
+            while let Ok(ev) = self.controller.events.try_recv() {
+                self.controller.on_event(ev);
+                busy = true;
+            }
+            while let Ok(Some(frame)) = self.ctrl_inbox.try_recv_raw() {
+                self.controller.on_event(CtrlEvent::Frame(frame));
+                busy = true;
+            }
+            for worker in &mut self.workers {
+                while worker.poll() {
+                    busy = true;
+                }
+            }
+        }
+    }
+}
+
+/// Who runs the controller and the workers.
+enum Driver {
+    /// [`spawn_cluster`]: a thread each (controller first); the handle only
+    /// waits for their replies.
+    Threads(Vec<JoinHandle<()>>),
+    /// [`deploy_cluster`]: the handle owns the machines and steps them on
+    /// the caller's thread.
+    Inline(Box<Machines>),
+}
+
+impl Driver {
+    /// The one seam between the drivers: every wait of the handle — a
+    /// command's reply, a delivery — goes through here. Threads block up to
+    /// `timeout`; the inline driver settles the cluster and looks once, so
+    /// a reply that is not there when the cluster is quiet times out at
+    /// once, without ever sleeping.
+    fn recv<T>(&mut self, rx: &Receiver<T>, timeout: Duration) -> Result<T, RecvTimeoutError> {
+        match self {
+            Driver::Threads(_) => rx.recv_timeout(timeout),
+            Driver::Inline(machines) => {
+                machines.settle();
+                rx.try_recv().map_err(|e| match e {
+                    TryRecvError::Empty => RecvTimeoutError::Timeout,
+                    TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+                })
+            }
+        }
+    }
+}
+
+/// Owner's view of a running cluster: the synchronous facade (`inject`,
+/// `install`, `advance_time`, `process_digests`, `snapshot_state`, the
+/// migration verbs) plus the pipelined
 /// [`inject_async`](ClusterHandle::inject_async) /
 /// [`recv_delivered`](ClusterHandle::recv_delivered) pair. Dropping the
 /// handle shuts the cluster down.
@@ -925,9 +946,7 @@ pub struct ClusterHandle {
     kind: &'static str,
     next_trace: u64,
     op_timeout: Duration,
-    options: ClusterOptions,
-    workers: Vec<JoinHandle<()>>,
-    controller: Option<JoinHandle<()>>,
+    driver: Driver,
     closed: bool,
 }
 
@@ -966,12 +985,22 @@ impl ClusterHandle {
             .map_err(|_| ClusterError::Closed)
     }
 
+    /// The member switch at `index`, while this thread owns the machines:
+    /// `Some` only on a [`deploy_cluster`] cluster — a spawned member lives
+    /// on its worker's thread, reachable only through messages.
+    pub fn switch(&mut self, index: usize) -> Option<&mut Switch> {
+        match &mut self.driver {
+            Driver::Inline(machines) => machines.workers.get_mut(index).map(|w| &mut w.switch),
+            Driver::Threads(_) => None,
+        }
+    }
+
     fn wait<T>(
-        &self,
+        &mut self,
         rx: Receiver<Result<T, ClusterError>>,
         op: &'static str,
     ) -> Result<T, ClusterError> {
-        match rx.recv_timeout(self.op_timeout) {
+        match self.driver.recv(&rx, self.op_timeout) {
             Ok(r) => r,
             Err(RecvTimeoutError::Timeout) => Err(ClusterError::Timeout(op)),
             Err(RecvTimeoutError::Disconnected) => Err(ClusterError::Closed),
@@ -1004,7 +1033,7 @@ impl ClusterHandle {
         if !self.stashed.is_empty() {
             return Ok(Some(self.stashed.remove(0)));
         }
-        match self.delivered_rx.recv_timeout(timeout) {
+        match self.driver.recv(&self.delivered_rx, timeout) {
             Ok(d) => Ok(Some(d)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(ClusterError::Closed),
@@ -1012,8 +1041,7 @@ impl ClusterHandle {
     }
 
     /// Synchronous facade: injects on `port` of switch 0 and blocks until
-    /// this packet's flight record comes back — the drop-in replacement for
-    /// the lockstep `ClusterNet::inject`.
+    /// this packet's flight record comes back.
     pub fn inject(
         &mut self,
         packet: impl Into<InjectedPacket>,
@@ -1034,7 +1062,7 @@ impl ClusterHandle {
             // deliveries (checked above), so going through recv_delivered
             // here would cycle pop/re-push on the stash without ever
             // blocking on the channel.
-            match self.delivered_rx.recv_timeout(left) {
+            match self.driver.recv(&self.delivered_rx, left) {
                 Ok(d) if d.trace == trace => return d.result.map_err(ClusterError::Remote),
                 // A concurrent packet finished first; keep it for its waiter.
                 Ok(d) => self.stashed.push(d),
@@ -1046,8 +1074,7 @@ impl ClusterHandle {
         }
     }
 
-    /// Installs an NF rule on whichever switch hosts the NF (the same
-    /// translation the lockstep `ClusterNet::install` performs).
+    /// Installs an NF rule on whichever switch hosts the NF.
     pub fn install(
         &mut self,
         nf: &str,
@@ -1197,24 +1224,18 @@ impl ClusterHandle {
     }
 
     /// Replaces one member's switch and deployment with a freshly built
-    /// pair, live. The spawn-time runtime options (telemetry, exec mode)
-    /// are re-applied so the new member behaves like the one it replaces.
-    /// The swap is transparent to peers — wiring, inboxes and links are
-    /// untouched — but the new member starts with empty dynamic state and
-    /// a zero clock: callers are expected to quiesce first and restore
-    /// state after (the orchestrator's migration driver sequences this).
+    /// pair, live; the newcomer keeps the telemetry setting of the member
+    /// it replaces. The swap is transparent to peers — wiring, inboxes and
+    /// links are untouched — but the new member starts with empty dynamic
+    /// state and a zero clock: callers are expected to quiesce first and
+    /// restore state after (the orchestrator's migration driver sequences
+    /// this).
     pub fn swap_member(
         &mut self,
         switch: usize,
-        mut member_switch: Switch,
+        member_switch: Switch,
         deployment: Deployment,
     ) -> Result<(), ClusterError> {
-        if self.options.telemetry {
-            member_switch.set_telemetry(true);
-        }
-        if let Some(mode) = self.options.exec_mode {
-            member_switch.set_exec_mode(mode);
-        }
         let (tx, rx) = channel();
         self.request(Request::SwapMember {
             switch,
@@ -1251,11 +1272,10 @@ impl ClusterHandle {
         if sent.is_ok() {
             let _ = self.wait(rx, "shutdown");
         }
-        if let Some(c) = self.controller.take() {
-            let _ = c.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        if let Driver::Threads(threads) = &mut self.driver {
+            for t in threads.drain(..) {
+                let _ = t.join();
+            }
         }
         Ok(())
     }
@@ -1268,13 +1288,12 @@ impl Drop for ClusterHandle {
 }
 
 // ---------------------------------------------------------------------
-// Spawning
+// Booting
 // ---------------------------------------------------------------------
 
 /// Deploys a chain set across a back-to-back cluster and boots it as
-/// communicating workers over `transport` — the event-driven sibling of
-/// [`deploy_cluster`](crate::multiswitch::deploy_cluster), sharing its
-/// validation and per-member deployment logic.
+/// communicating workers over `transport`, the controller and every worker
+/// on a thread of its own.
 #[allow(clippy::too_many_arguments)]
 pub fn spawn_cluster(
     nfs: &[&NfModule],
@@ -1296,6 +1315,58 @@ pub fn spawn_cluster(
         wiring,
         deploy_options,
     )?;
+    boot(members, chains, wiring, transport, options, true)
+}
+
+/// Deploys a chain set across a back-to-back cluster and boots the same
+/// controller and workers [`spawn_cluster`] does, over a private
+/// [`ChannelTransport`] — but keeps them in the handle and steps them on the
+/// caller's thread, in the fixed order the module docs give: no thread is
+/// spawned, no facade call waits on a clock, and the same session always
+/// replays the same way. This is the reference the threaded and TCP paths
+/// are checked against.
+pub fn deploy_cluster(
+    nfs: &[&NfModule],
+    chains: &ChainSet,
+    placement: &ClusterPlacement,
+    profile: &TofinoProfile,
+    exit_ports: BTreeMap<u16, PortId>,
+    wiring: &ClusterWiring,
+    options: &DeployOptions,
+) -> Result<ClusterHandle, ClusterError> {
+    let members =
+        build_cluster_members(nfs, chains, placement, profile, exit_ports, wiring, options)?;
+    let transport = &mut ChannelTransport::new();
+    boot(
+        members,
+        chains,
+        wiring,
+        transport,
+        &ClusterOptions::default(),
+        false,
+    )
+}
+
+fn spawn_named(
+    name: &str,
+    f: impl FnOnce() + Send + 'static,
+) -> Result<JoinHandle<()>, ClusterError> {
+    thread::Builder::new()
+        .name(name.to_string())
+        .spawn(f)
+        .map_err(|e| ClusterError::Transport(TransportError::Io(e.to_string())))
+}
+
+/// Wires deployed members into a cluster — the one construction path under
+/// both constructors; `threaded` only decides who drives the machines.
+fn boot(
+    members: Vec<(Switch, Deployment)>,
+    chains: &ChainSet,
+    wiring: &ClusterWiring,
+    transport: &mut dyn Transport,
+    options: &ClusterOptions,
+    threaded: bool,
+) -> Result<ClusterHandle, ClusterError> {
     let n = members.len();
     let kind = transport.kind();
 
@@ -1324,7 +1395,6 @@ pub fn spawn_cluster(
         ctrl_links.push(transport.connect(addr)?);
     }
 
-    // Boot the workers.
     let mut workers = Vec::with_capacity(n);
     let mut swap_txs = Vec::with_capacity(n);
     for (i, ((mut switch, deployment), inbox)) in
@@ -1332,9 +1402,6 @@ pub fn spawn_cluster(
     {
         if options.telemetry {
             switch.set_telemetry(true);
-        }
-        if let Some(mode) = options.exec_mode {
-            switch.set_exec_mode(mode);
         }
         let upstream = transport.connect(&ctrl_addr)?;
         let mut links = BTreeMap::new();
@@ -1344,7 +1411,7 @@ pub fn spawn_cluster(
         }
         let (swap_tx, swap_rx) = channel();
         swap_txs.push(swap_tx);
-        let worker = super::worker::SwitchWorker {
+        workers.push(SwitchWorker {
             index: i,
             switch,
             deployment,
@@ -1353,35 +1420,10 @@ pub fn spawn_cluster(
             links,
             cable_ns: wiring.cable_ns,
             swap_rx,
-        };
-        let handle = thread::Builder::new()
-            .name(format!("dejavu-worker-{i}"))
-            .spawn(move || worker.run())
-            .map_err(|e| ClusterError::Transport(TransportError::Io(e.to_string())))?;
-        workers.push(handle);
+        });
     }
 
-    // Event plumbing: the pump forwards upstream frames into the unified
-    // controller queue, where they interleave with facade requests.
     let (events_tx, events_rx) = channel();
-    let pump_tx = events_tx.clone();
-    thread::Builder::new()
-        .name("dejavu-ctrl-pump".to_string())
-        .spawn(move || loop {
-            match ctrl_inbox.recv_raw() {
-                Ok(frame) => {
-                    if pump_tx.send(CtrlEvent::Frame(frame)).is_err() {
-                        return;
-                    }
-                }
-                Err(_) => {
-                    let _ = pump_tx.send(CtrlEvent::PumpClosed);
-                    return;
-                }
-            }
-        })
-        .map_err(|e| ClusterError::Transport(TransportError::Io(e.to_string())))?;
-
     let (delivered_tx, delivered_rx) = channel();
     let controller = Controller {
         n,
@@ -1406,10 +1448,37 @@ pub fn spawn_cluster(
         bye: None,
         op_timeout: options.op_timeout,
     };
-    let controller = thread::Builder::new()
-        .name("dejavu-ctrl".to_string())
-        .spawn(move || controller.run())
-        .map_err(|e| ClusterError::Transport(TransportError::Io(e.to_string())))?;
+
+    let driver = if threaded {
+        // The pump forwards upstream frames into the unified controller
+        // queue, where they interleave with facade requests.
+        let pump_tx = events_tx.clone();
+        spawn_named("dejavu-ctrl-pump", move || loop {
+            match ctrl_inbox.recv_raw() {
+                Ok(frame) => {
+                    if pump_tx.send(CtrlEvent::Frame(frame)).is_err() {
+                        return;
+                    }
+                }
+                Err(_) => {
+                    let _ = pump_tx.send(CtrlEvent::PumpClosed);
+                    return;
+                }
+            }
+        })?;
+        let mut threads = vec![spawn_named("dejavu-ctrl", move || controller.run())?];
+        for worker in workers {
+            let name = format!("dejavu-worker-{}", worker.index);
+            threads.push(spawn_named(&name, move || worker.run())?);
+        }
+        Driver::Threads(threads)
+    } else {
+        Driver::Inline(Box::new(Machines {
+            controller,
+            ctrl_inbox,
+            workers,
+        }))
+    };
 
     Ok(ClusterHandle {
         events_tx,
@@ -1420,9 +1489,7 @@ pub fn spawn_cluster(
         kind,
         next_trace: 1,
         op_timeout: options.op_timeout,
-        options: options.clone(),
-        workers,
-        controller: Some(controller),
+        driver,
         closed: false,
     })
 }

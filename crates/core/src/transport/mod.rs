@@ -1,17 +1,18 @@
 //! Pluggable cluster transports (ROADMAP: "cluster as real processes").
 //!
-//! The multi-switch runtime no longer assumes its members live in one call
+//! The multi-switch runtime does not assume its members live in one call
 //! stack. A [`Transport`] hands out connected endpoints; everything above it
-//! — the per-switch [`worker`] event loops and the [`cluster`] control
+//! — the per-switch [`worker`] state machines and the [`cluster`] control
 //! plane — is transport-agnostic and speaks only the versioned,
 //! length-prefixed [`wire`] format.
 //!
 //! Two implementations ship:
 //!
 //! * [`ChannelTransport`] — in-memory
-//!   `std::sync::mpsc` channels. Deterministic, dependency-free, used by
-//!   the test suites. Frames are still fully encoded and decoded, so the
-//!   wire format is exercised on every test run.
+//!   `std::sync::mpsc` channels. Dependency-free, used by the test suites
+//!   and — privately — by the single-threaded reference cluster
+//!   ([`cluster::deploy_cluster`]). Frames are still fully encoded and
+//!   decoded, so the wire format is exercised on every run.
 //! * [`TcpTransport`] — framed TCP over localhost (or
 //!   any reachable address): each worker is a real thread owning one
 //!   [`Switch`](dejavu_asic::Switch), and every message crosses a socket.
@@ -149,12 +150,21 @@ impl Endpoint {
         }
     }
 
-    /// Non-blocking poll; `Ok(None)` when the inbox is empty.
-    pub fn try_recv(&self) -> Result<Option<Message>, TransportError> {
+    /// Non-blocking [`recv_raw`](Self::recv_raw); `Ok(None)` when the inbox
+    /// is empty.
+    pub fn try_recv_raw(&self) -> Result<Option<Vec<u8>>, TransportError> {
         match self.rx.try_recv() {
-            Ok(frame) => Ok(Some(wire::decode(&frame)?)),
+            Ok(frame) => Ok(Some(frame)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(TransportError::Disconnected),
+        }
+    }
+
+    /// Non-blocking poll; `Ok(None)` when the inbox is empty.
+    pub fn try_recv(&self) -> Result<Option<Message>, TransportError> {
+        match self.try_recv_raw()? {
+            Some(frame) => Ok(Some(wire::decode(&frame)?)),
+            None => Ok(None),
         }
     }
 }

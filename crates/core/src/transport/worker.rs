@@ -1,19 +1,24 @@
-//! Per-switch worker: one event loop owning one [`Switch`] and its
+//! Per-switch worker: one state machine owning one [`Switch`] and its
 //! [`Deployment`].
 //!
-//! A worker is the unit the cluster runtime deploys — a thread (or, with a
-//! TCP transport, potentially a process on another machine) that:
+//! A worker is the unit the cluster runtime deploys. All its I/O goes
+//! through its inbox and its [`Link`]s, so who drives it is the caller's
+//! choice: [`SwitchWorker::run`] blocks a thread of its own on the inbox
+//! (or, with a TCP transport, potentially a process on another machine),
+//! [`SwitchWorker::poll`] takes one queued frame on the caller's thread —
+//! the two drivers of [`ClusterHandle`](super::cluster::ClusterHandle).
+//! Either way it:
 //!
 //! * executes arriving [`DataMsg`] packets on its switch, appending a
 //!   [`HopSummary`] and forwarding the packet over
 //!   the outgoing wire for its egress port, or reporting it
 //!   [`Delivered`](TelemetryMsg::Delivered) upstream when it leaves the
-//!   cluster;
+//!   cluster — the one place a packet moves between members;
 //! * executes [`ControlMsg`] commands (installs, removals, idle timeouts,
 //!   clock advances, snapshot/restore) and acks them;
 //! * pushes learn digests upstream **eagerly** after every packet — the
 //!   control plane learns while traffic keeps flowing, instead of waiting
-//!   for a lockstep "process digests now" call.
+//!   for a "process digests now" call.
 
 use super::wire::{ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
 use super::{Endpoint, Link, TransportError};
@@ -24,9 +29,9 @@ use std::collections::BTreeMap;
 use std::sync::mpsc::Receiver;
 
 /// One cluster member: a switch plus the machinery to talk to its peers
-/// and its controller. Constructed by
-/// [`spawn_cluster`](super::cluster::spawn_cluster); run with
-/// [`SwitchWorker::run`] on its own thread.
+/// and its controller. Constructed by the cluster constructors; driven by
+/// [`SwitchWorker::run`] on its own thread or stepped with
+/// [`SwitchWorker::poll`].
 pub struct SwitchWorker {
     /// Position in the cluster chain.
     pub index: usize,
@@ -59,25 +64,45 @@ impl SwitchWorker {
     /// dies) with the loop, reachable only through messages.
     pub fn run(mut self) {
         loop {
-            let msg = match self.inbox.recv() {
-                Ok(msg) => msg,
+            match self.inbox.recv() {
+                Ok(msg) => {
+                    if self.on_message(msg) {
+                        break;
+                    }
+                }
                 // A corrupt payload costs one frame, not the member: skip
                 // it (as the controller does) and keep serving traffic.
                 Err(TransportError::Wire(_)) => continue,
                 // Every sender gone: the cluster is tearing down.
                 Err(_) => break,
-            };
-            match msg {
-                Message::Data(d) => self.on_data(d),
-                Message::Control(c) => {
-                    if self.on_control(c) {
-                        break;
-                    }
-                }
-                // Workers never receive telemetry; ignore stray frames
-                // rather than crash the member.
-                Message::Telemetry(_) => {}
             }
+        }
+    }
+
+    /// One step of [`run`](Self::run) without blocking: handles the oldest
+    /// queued frame. `false` when the inbox had nothing to take.
+    pub fn poll(&mut self) -> bool {
+        match self.inbox.try_recv() {
+            Ok(Some(msg)) => {
+                self.on_message(msg);
+                true
+            }
+            Err(TransportError::Wire(_)) => true,
+            Ok(None) | Err(_) => false,
+        }
+    }
+
+    /// Handles one message; `true` means shut down.
+    fn on_message(&mut self, msg: Message) -> bool {
+        match msg {
+            Message::Data(d) => {
+                self.on_data(d);
+                false
+            }
+            Message::Control(c) => self.on_control(c),
+            // Workers never receive telemetry; ignore stray frames
+            // rather than crash the member.
+            Message::Telemetry(_) => false,
         }
     }
 
@@ -254,7 +279,9 @@ impl SwitchWorker {
                 // wire command, so it is already queued (or will never
                 // arrive: nack rather than block the data path).
                 match self.swap_rx.try_recv() {
-                    Ok((switch, deployment)) => {
+                    Ok((mut switch, deployment)) => {
+                        // The newcomer behaves like the member it replaces.
+                        switch.set_telemetry(self.switch.telemetry_enabled());
                         self.switch = switch;
                         self.deployment = deployment;
                         self.send_up(TelemetryMsg::Ack { seq, info: 0 });

@@ -152,7 +152,7 @@ fn main() {
             println!("\nlive run: {:?}", t.disposition);
             println!(
                 "  switches visited: {:?}, wire hops: {}, recirculations: {}, latency {:.0} ns",
-                t.hops.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+                t.hops.iter().map(|h| h.switch).collect::<Vec<_>>(),
                 t.inter_switch_hops,
                 t.recirculations,
                 t.latency_ns

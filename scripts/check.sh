@@ -80,6 +80,19 @@ EOF
 # the event-driven control plane deadlocked.
 timeout 120 cargo run -p dejavu-examples --bin cluster_demo
 
+# One-cluster-runtime gate: the single-threaded reference is the same
+# controller and workers, stepped by the handle — not a second runtime.
+# Exactly one place forwards a packet between members (the worker), and
+# `multiswitch` runs nothing: no packet, learn, aging or snapshot logic, so
+# one place folds evictions and digests into a `ClusterReport` (the
+# controller).
+if [ "$(grep -rn 'inter_switch_hops += 1' crates/core/src | wc -l)" -ne 1 ] ||
+    grep -nE 'fn (inject|advance_time|process_digests|snapshot_state)\b' crates/core/src/multiswitch.rs ||
+    grep -rn 'process_digests_counted\|ClusterTraversal' crates/ tests/ examples/ --include=*.rs; then
+    echo "a second cluster forwarding/learn/aging path is back (see DESIGN.md, Cluster runtime)" >&2
+    exit 1
+fi
+
 # Re-placement gate: the closed-loop orchestrator must notice the traffic
 # shift, migrate the learned NAT across switches live, and lose zero
 # flows — bounded, because a hang here means the pause/quiesce barrier

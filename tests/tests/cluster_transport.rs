@@ -1,8 +1,9 @@
-//! Tentpole acceptance for the transport-backed cluster runtime: a
-//! 3-switch spilled chain produces identical per-flow outputs and merged
-//! telemetry over [`ChannelTransport`], [`TcpTransport`], and the old
-//! lockstep [`ClusterNet`] path — and a learn storm drains digests
-//! concurrently with injection without dropping a single learned flow.
+//! Tentpole acceptance for the cluster runtime: a 3-switch spilled chain
+//! produces identical flights and telemetry whether its machines are
+//! stepped on the caller's thread ([`deploy_cluster`], the reference) or
+//! run on threads over [`ChannelTransport`] or [`TcpTransport`] — and a
+//! learn storm drains digests concurrently with injection without dropping
+//! a single learned flow.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -11,9 +12,7 @@ use dejavu_asic::switch::Disposition;
 use dejavu_asic::MetricsSnapshot;
 use dejavu_asic::{InjectedPacket, PipeletId, TofinoProfile};
 use dejavu_core::deploy::DeployOptions;
-use dejavu_core::multiswitch::{
-    deploy_cluster, ClusterNet, ClusterPlacement, ClusterTraversal, ClusterWiring,
-};
+use dejavu_core::multiswitch::{deploy_cluster, ClusterPlacement, ClusterWiring};
 use dejavu_core::placement::Placement;
 use dejavu_core::transport::{
     spawn_cluster, ChannelTransport, ClusterHandle, ClusterOptions, TcpTransport, Transport,
@@ -72,7 +71,7 @@ fn packet_mix() -> Vec<Vec<u8>> {
     ]
 }
 
-fn lockstep_cluster() -> ClusterNet {
+fn lockstep_cluster() -> ClusterHandle {
     let (nfs, chains, placement) = nine_nf_setup();
     let refs: Vec<_> = nfs.iter().collect();
     let mut net = deploy_cluster(
@@ -85,8 +84,8 @@ fn lockstep_cluster() -> ClusterNet {
         &DeployOptions::default(),
     )
     .unwrap();
-    for sw in &mut net.switches {
-        sw.set_telemetry(true);
+    for member in 0..net.members() {
+        net.switch(member).unwrap().set_telemetry(true);
     }
     net
 }
@@ -111,57 +110,12 @@ fn transport_cluster(transport: &mut dyn Transport) -> ClusterHandle {
     .unwrap()
 }
 
-/// A transport flight record must match the lockstep one field for field:
-/// same fate, same bytes, same latency (the worker accumulates switch and
-/// cable latency in the same order), same hop-by-hop table story.
-fn assert_flight_matches(label: &str, wire: &WireTraversal, lockstep: &ClusterTraversal) {
-    assert_eq!(
-        wire.disposition, lockstep.disposition,
-        "{label}: disposition"
-    );
-    assert_eq!(wire.final_bytes, lockstep.final_bytes, "{label}: bytes");
-    assert_eq!(wire.latency_ns, lockstep.latency_ns, "{label}: latency");
-    assert_eq!(
-        wire.inter_switch_hops, lockstep.inter_switch_hops,
-        "{label}: wire hops"
-    );
-    assert_eq!(
-        wire.recirculations, lockstep.recirculations,
-        "{label}: recirculations"
-    );
-    assert_eq!(wire.hops.len(), lockstep.hops.len(), "{label}: hop count");
-    for (hop, (sw, t)) in wire.hops.iter().zip(&lockstep.hops) {
-        assert_eq!(hop.switch as usize, *sw, "{label}: hop order");
-        assert_eq!(hop.latency_ns, t.latency_ns, "{label}: hop latency");
-        assert_eq!(
-            hop.recirculations as usize, t.recirculations,
-            "{label}: hop recircs"
-        );
-        assert_eq!(
-            hop.tables_applied,
-            t.tables_applied()
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>(),
-            "{label}: tables applied on switch {sw}"
-        );
-        assert_eq!(
-            hop.tables_hit,
-            t.tables_hit()
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>(),
-            "{label}: tables hit on switch {sw}"
-        );
-    }
-}
-
 /// Drives the packet mix through a freshly spawned transport cluster and
 /// checks every flight and the full telemetry picture against the lockstep
 /// reference.
 fn assert_transport_equivalent(transport: &mut dyn Transport, expected_kind: &str) {
     let mut net = lockstep_cluster();
-    let reference: Vec<ClusterTraversal> = packet_mix()
+    let reference: Vec<WireTraversal> = packet_mix()
         .into_iter()
         .map(|p| net.inject(InjectedPacket::new(p, IN_PORT)).unwrap())
         .collect();
@@ -181,15 +135,21 @@ fn assert_transport_equivalent(transport: &mut dyn Transport, expected_kind: &st
     assert_eq!(handle.switch_of("n8"), Some(2));
 
     for (i, packet) in packet_mix().into_iter().enumerate() {
+        // Whole flight records: fate, bytes, f64 latency (the worker adds
+        // switch and cable latency in the same order on every driver) and
+        // the hop-by-hop table story.
         let wire = handle.inject(InjectedPacket::new(packet, IN_PORT)).unwrap();
-        assert_flight_matches(&format!("{expected_kind} packet {i}"), &wire, &reference[i]);
+        assert_eq!(wire, reference[i], "{expected_kind} packet {i}");
     }
 
     // Telemetry: per-member snapshots and the merged view must be exactly
     // the lockstep picture — every counter, gauge, and histogram bucket.
     let scrape = handle.metrics_snapshot().unwrap();
-    let lockstep_snaps: Vec<MetricsSnapshot> =
-        net.switches.iter().map(|s| s.metrics_snapshot()).collect();
+    // Read straight off the reference's switches: that side never went
+    // through the scrape's JSON.
+    let lockstep_snaps: Vec<MetricsSnapshot> = (0..3)
+        .map(|i| net.switch(i).unwrap().metrics_snapshot())
+        .collect();
     assert_eq!(scrape.per_switch.len(), 3);
     for (i, (wire_snap, lock_snap)) in scrape.per_switch.iter().zip(&lockstep_snaps).enumerate() {
         assert_eq!(wire_snap, lock_snap, "switch {i} telemetry diverges");
@@ -219,16 +179,13 @@ fn spilled_chain_is_equivalent_over_tcp_transport() {
 /// already been delivered must stash the foreign record once and keep
 /// reading the delivery channel — not cycle pop/re-push on the stash until
 /// the deadline and report a spurious timeout.
-#[test]
-fn sync_inject_interleaves_with_async_deliveries() {
-    let mut transport = ChannelTransport::new();
-    let mut handle = transport_cluster(&mut transport);
+fn sync_inject_interleaves(mut handle: ClusterHandle, let_the_async_flight_land: impl FnOnce()) {
     let async_trace = handle
         .inject_async(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
         .unwrap();
-    // Let the async flight finish so its delivery is queued ahead of the
-    // sync packet's record on the channel.
-    std::thread::sleep(Duration::from_millis(200));
+    // The async delivery must be queued ahead of the sync packet's record
+    // on the channel.
+    let_the_async_flight_land();
     let t = handle
         .inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
         .unwrap();
@@ -241,6 +198,19 @@ fn sync_inject_interleaves_with_async_deliveries() {
     assert_eq!(d.trace, async_trace);
     assert!(d.result.is_ok());
     handle.shutdown().unwrap();
+}
+
+#[test]
+fn sync_inject_interleaves_with_async_deliveries() {
+    let handle = transport_cluster(&mut ChannelTransport::new());
+    sync_inject_interleaves(handle, || std::thread::sleep(Duration::from_millis(200)));
+}
+
+/// The same on the reference: its order is fixed — the async flight is
+/// older, so it lands first — and nothing has to be waited for.
+#[test]
+fn sync_inject_interleaves_with_async_deliveries_in_lockstep() {
+    sync_inject_interleaves(lockstep_cluster(), || {});
 }
 
 // ---------------------------------------------------------------------

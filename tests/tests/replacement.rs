@@ -1,13 +1,15 @@
 //! Tentpole acceptance for the closed-loop re-placement orchestrator:
 //! a 3-switch cluster serving a learned-NAT chain undergoes a traffic
 //! shift, the orchestrator re-places mid-flight, and not a single learned
-//! flow is dropped or mistranslated — on both channel and TCP transports,
-//! with every flight differentially checked against a never-migrated
-//! oracle cluster. Plus: seeded-deterministic metaheuristics matching the
-//! exhaustive oracle on small instances and scaling to a 100-chain/8-
-//! switch synthetic fleet, a TCP snapshot/restore round-trip while async
-//! injections are in flight, and a TCP checkpoint compared with the
-//! lockstep one, which never crossed a link.
+//! flow is dropped or mistranslated — on threads over channel and TCP
+//! transports and on the single-threaded reference, with every flight
+//! differentially checked against a never-migrated reference cluster.
+//! Plus: the same scripted session replays identically on the reference,
+//! seeded-deterministic metaheuristics matching the exhaustive oracle on
+//! small instances and scaling to a 100-chain/8-switch synthetic fleet, a
+//! TCP snapshot/restore round-trip while async injections are in flight,
+//! and a TCP checkpoint compared with the reference's, which never
+//! crossed a socket or a thread.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -15,12 +17,12 @@ use std::time::{Duration, Instant};
 use dejavu_asic::switch::Disposition;
 use dejavu_asic::telemetry::MetricsRegistry;
 use dejavu_asic::{InjectedPacket, MetricsSnapshot, TofinoProfile};
-use dejavu_core::control_plane::ControlPlane;
 use dejavu_core::deploy::DeployOptions;
-use dejavu_core::multiswitch::{deploy_cluster, ClusterProblem, ClusterWiring};
+use dejavu_core::multiswitch::{deploy_cluster, ClusterPlacement, ClusterProblem, ClusterWiring};
 use dejavu_core::orchestrator::{
-    AnnealingSearch, DetectorConfig, ExhaustiveSearch, FleetProblem, FleetSpec, Orchestrator,
-    OrchestratorConfig, PlacementSearch, ShiftDecision, ShiftDetector, StepOutcome, SwarmSearch,
+    migrate, AnnealingSearch, DetectorConfig, ExhaustiveSearch, FleetProblem, FleetSpec,
+    Orchestrator, OrchestratorConfig, PlacementSearch, ShiftDecision, ShiftDetector, StepOutcome,
+    SwarmSearch,
 };
 use dejavu_core::placement::PlacementProblem;
 use dejavu_core::transport::{
@@ -154,14 +156,58 @@ fn arming_rules() -> Vec<(&'static str, &'static str, TableEntry)> {
     rules
 }
 
-/// Arms a freshly spawned cluster: learn policy plus [`arming_rules`].
-fn arm_cluster(handle: &mut ClusterHandle) {
+/// Boots the fleet on `placement` and arms it (learn policy plus
+/// [`arming_rules`]): on threads over `transport`, or — with none — as the
+/// single-threaded reference, whose telemetry is switched on through the
+/// member accessor.
+fn fleet_cluster(
+    placement: &ClusterPlacement,
+    transport: Option<&mut dyn Transport>,
+    telemetry: bool,
+) -> ClusterHandle {
+    let nfs = build_nfs();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let problem = fleet_problem();
+    let profile = TofinoProfile::wedge_100b_32x();
+    let wiring = ClusterWiring::default();
+    let mut handle = match transport {
+        Some(transport) => spawn_cluster(
+            &refs,
+            problem.chains(),
+            placement,
+            &profile,
+            exit_ports(),
+            &wiring,
+            &deploy_options(),
+            transport,
+            &ClusterOptions {
+                telemetry,
+                ..Default::default()
+            },
+        ),
+        None => deploy_cluster(
+            &refs,
+            problem.chains(),
+            placement,
+            &profile,
+            exit_ports(),
+            &wiring,
+            &deploy_options(),
+        ),
+    }
+    .unwrap();
+    for member in 0..handle.members() {
+        if let Some(switch) = handle.switch(member) {
+            switch.set_telemetry(telemetry);
+        }
+    }
     handle
         .register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy())
         .unwrap();
     for (nf, table, entry) in arming_rules() {
         handle.install(nf, table, entry).unwrap();
     }
+    handle
 }
 
 /// Every flight both clusters must agree on, keyed by a unique label.
@@ -199,16 +245,15 @@ impl FlightLog {
 
 /// The headline: learn flows, shift traffic, let the orchestrator notice,
 /// re-place mid-flight, and prove zero flow loss + oracle equivalence.
-fn hitless_replacement(transport: &mut dyn Transport) {
+/// `boot_live` builds the cluster that is migrated (telemetry on). Returns
+/// how many of the eight flights put in the air before the migration were
+/// still flying when ingress paused.
+fn hitless_replacement(boot_live: impl FnOnce(&ClusterPlacement) -> ClusterHandle) -> u64 {
     let nfs = build_nfs();
     let refs: Vec<&NfModule> = nfs.iter().collect();
     let problem = fleet_problem();
     let wiring = ClusterWiring::default();
     let deploy = deploy_options();
-    let options = ClusterOptions {
-        telemetry: true,
-        ..Default::default()
-    };
 
     // The pre-shift optimum, from the exhaustive oracle: NAT and router
     // spill to switch 1, the A-heavy chain stays whole on switch 0.
@@ -218,35 +263,11 @@ fn hitless_replacement(transport: &mut dyn Transport) {
     assert_eq!(pre.placement.switch_of("nat"), Some(1));
     assert_eq!(pre.placement.switch_of("router"), Some(1));
 
-    let mut handle = spawn_cluster(
-        &refs,
-        problem.chains(),
-        &pre.placement,
-        &TofinoProfile::wedge_100b_32x(),
-        exit_ports(),
-        &wiring,
-        &deploy,
-        transport,
-        &options,
-    )
-    .unwrap();
-    arm_cluster(&mut handle);
+    let mut handle = boot_live(&pre.placement);
 
-    // The oracle: identical cluster, channel transport, never migrated.
-    let mut oracle_transport = ChannelTransport::new();
-    let mut oracle = spawn_cluster(
-        &refs,
-        problem.chains(),
-        &pre.placement,
-        &TofinoProfile::wedge_100b_32x(),
-        exit_ports(),
-        &wiring,
-        &deploy,
-        &mut oracle_transport,
-        &ClusterOptions::default(),
-    )
-    .unwrap();
-    arm_cluster(&mut oracle);
+    // The oracle: the same fleet as the single-threaded reference, never
+    // migrated.
+    let mut oracle = fleet_cluster(&pre.placement, None, false);
 
     let spec = FleetSpec {
         nfs: &refs,
@@ -397,6 +418,16 @@ fn hitless_replacement(transport: &mut dyn Transport) {
         );
     }
 
+    // The members that replaced the scraped ones are scraped too: every
+    // member serving an NF has counted the post-migration traffic.
+    let scrape = handle.metrics_snapshot().unwrap();
+    for member in [0, 1] {
+        assert!(
+            scrape.per_switch[member].counter("packets_injected") > 0,
+            "member {member} lost its telemetry in the swap"
+        );
+    }
+
     // Differential check: the never-migrated oracle agrees on the fate
     // and bytes of every single flight, pre- and post-migration.
     log.check_against_oracle(&mut oracle);
@@ -416,18 +447,109 @@ fn hitless_replacement(transport: &mut dyn Transport) {
 
     handle.shutdown().unwrap();
     oracle.shutdown().unwrap();
+    outcome.quiesced_packets
 }
 
 #[test]
 fn hitless_replacement_over_channel_transport() {
-    let mut transport = ChannelTransport::new();
-    hitless_replacement(&mut transport);
+    hitless_replacement(|p| fleet_cluster(p, Some(&mut ChannelTransport::new()), true));
 }
 
 #[test]
 fn hitless_replacement_over_tcp_transport() {
-    let mut transport = TcpTransport::new();
-    hitless_replacement(&mut transport);
+    hitless_replacement(|p| fleet_cluster(p, Some(&mut TcpTransport::new()), true));
+}
+
+/// The whole closed loop with no thread and no clock: the migrated cluster
+/// is itself a reference cluster, so what the pause finds in the air is not
+/// up to a scheduler — all eight flights, every time.
+#[test]
+fn hitless_replacement_in_lockstep() {
+    assert_eq!(hitless_replacement(|p| fleet_cluster(p, None, true)), 8);
+}
+
+// ---------------------------------------------------------------------
+// Determinism: one scripted session — packet mix, a learn storm issued
+// as one async burst, flush, aging, a migration — leaves the same
+// transcript on two fresh reference clusters, down to the order the burst
+// is delivered in.
+// ---------------------------------------------------------------------
+
+fn scripted_session() -> Vec<String> {
+    const STORM: u16 = 32;
+    let nfs = build_nfs();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let problem = fleet_problem();
+    let wiring = ClusterWiring::default();
+    let deploy = deploy_options();
+    let pre = ExhaustiveSearch::default().search(&problem).unwrap();
+    let mut net = fleet_cluster(&pre.placement, None, true);
+    let mut script = Vec::new();
+
+    for (label, bytes) in [
+        ("out", outbound(BASE_PORT)),
+        ("mark", mark_packet(5000)),
+        ("unlearned", inbound(BASE_PORT + 1)),
+    ] {
+        let t = net.inject(InjectedPacket::new(bytes, IN_PORT)).unwrap();
+        script.push(format!("{label}: {t:?}"));
+    }
+
+    let burst: Vec<u64> = (0..STORM)
+        .map(|f| {
+            net.inject_async(InjectedPacket::new(outbound(BASE_PORT + 100 + f), IN_PORT))
+                .unwrap()
+        })
+        .collect();
+    for _ in &burst {
+        // The reference never waits: what a quiet cluster has not
+        // delivered, it never will.
+        let d = net.recv_delivered(Duration::ZERO).unwrap().expect("burst");
+        script.push(format!("burst {}: {:?}", d.trace, d.result));
+    }
+    script.push(format!("flush: {:?}", net.process_digests().unwrap()));
+
+    net.set_idle_timeout("nat", NAT_IN_TABLE, Some(50)).unwrap();
+    script.push(format!("age: {:?}", net.advance_time(7).unwrap()));
+
+    // One migration, to the placement the shifted matrix would pick.
+    let shifted = problem.with_weights(&[6.0, 1.0]);
+    let post = ExhaustiveSearch::default().search(&shifted).unwrap();
+    assert_ne!(post.placement, pre.placement);
+    let spec = FleetSpec {
+        nfs: &refs,
+        chains: problem.chains(),
+        profile: &TofinoProfile::wedge_100b_32x(),
+        exit_ports: exit_ports(),
+        wiring: &wiring,
+        deploy: &deploy,
+    };
+    let mut outcome = migrate(&mut net, &spec, &pre.placement, &post.placement).unwrap();
+    outcome.duration_ns = 0; // Wall clock: the one field allowed to differ.
+    script.push(format!("migrate: {outcome:?}"));
+
+    for f in 0..STORM {
+        let bytes = inbound(BASE_PORT + 100 + f);
+        let t = net.inject(InjectedPacket::new(bytes, IN_PORT)).unwrap();
+        assert_eq!(ip_at(&t.final_bytes, 30), CLIENT, "flow {f} lost");
+        script.push(format!("return {f}: {t:?}"));
+    }
+    script.push(format!("state: {:?}", net.snapshot_state().unwrap()));
+    script.push(format!(
+        "metrics: {:?}",
+        net.metrics_snapshot().unwrap().per_switch
+    ));
+    script
+}
+
+#[test]
+fn lockstep_sessions_replay_identically() {
+    let first = scripted_session();
+    let second = scripted_session();
+    assert_eq!(first.len(), second.len());
+    for (a, b) in first.iter().zip(&second) {
+        assert_eq!(a, b);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -437,24 +559,10 @@ fn hitless_replacement_over_tcp_transport() {
 
 #[test]
 fn tcp_snapshot_restore_round_trip_with_flights_in_the_air() {
-    let nfs = build_nfs();
-    let refs: Vec<&NfModule> = nfs.iter().collect();
-    let problem = fleet_problem();
-    let pre = ExhaustiveSearch::default().search(&problem).unwrap();
-    let mut transport = TcpTransport::new();
-    let mut handle = spawn_cluster(
-        &refs,
-        problem.chains(),
-        &pre.placement,
-        &TofinoProfile::wedge_100b_32x(),
-        exit_ports(),
-        &ClusterWiring::default(),
-        &deploy_options(),
-        &mut transport,
-        &ClusterOptions::default(),
-    )
-    .unwrap();
-    arm_cluster(&mut handle);
+    let pre = ExhaustiveSearch::default()
+        .search(&fleet_problem())
+        .unwrap();
+    let mut handle = fleet_cluster(&pre.placement, Some(&mut TcpTransport::new()), false);
 
     for f in 0..FLOWS {
         let t = handle
@@ -513,80 +621,36 @@ fn tcp_snapshot_restore_round_trip_with_flights_in_the_air() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: the checkpoint a TCP cluster ships equals the one the lockstep
-// cluster reads straight out of its switches — the in-memory oracle never
-// went through the frame codec (or any other encoding).
+// Satellite: the checkpoint a TCP cluster ships equals the one the
+// reference cluster ships — same machines, same arming, same traffic; one
+// side crossed sockets and four threads, the other neither.
 // ---------------------------------------------------------------------
 
 #[test]
 fn tcp_checkpoint_equals_the_lockstep_one() {
-    let nfs = build_nfs();
-    let refs: Vec<&NfModule> = nfs.iter().collect();
-    let problem = fleet_problem();
-    let pre = ExhaustiveSearch::default().search(&problem).unwrap();
-    let profile = TofinoProfile::wedge_100b_32x();
-    let wiring = ClusterWiring::default();
-
-    let mut transport = TcpTransport::new();
-    let mut handle = spawn_cluster(
-        &refs,
-        problem.chains(),
-        &pre.placement,
-        &profile,
-        exit_ports(),
-        &wiring,
-        &deploy_options(),
-        &mut transport,
-        &ClusterOptions::default(),
-    )
-    .unwrap();
-    arm_cluster(&mut handle);
-
-    let mut net = deploy_cluster(
-        &refs,
-        problem.chains(),
-        &pre.placement,
-        &profile,
-        exit_ports(),
-        &wiring,
-        &deploy_options(),
-    )
-    .unwrap();
-    let mut cp = ControlPlane::new();
-    cp.register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy());
-    for (nf, table, entry) in arming_rules() {
-        net.install(nf, table, entry).unwrap();
-    }
+    let pre = ExhaustiveSearch::default()
+        .search(&fleet_problem())
+        .unwrap();
+    let mut handle = fleet_cluster(&pre.placement, Some(&mut TcpTransport::new()), false);
+    let mut net = fleet_cluster(&pre.placement, None, false);
 
     // The same learn traffic, aging configuration and clock on both.
-    handle
-        .set_idle_timeout("nat", NAT_IN_TABLE, Some(500))
-        .unwrap();
-    let nat_switch = net.switch_of("nat").unwrap();
-    net.deployments[nat_switch]
-        .set_idle_timeout(
-            &mut net.switches[nat_switch],
-            "nat",
-            NAT_IN_TABLE,
-            Some(500),
-        )
-        .unwrap();
-    for f in 0..FLOWS {
-        let packet = || InjectedPacket::new(outbound(BASE_PORT + f), IN_PORT);
-        let wire = handle.inject(packet()).unwrap();
-        let lockstep = net.inject(packet()).unwrap();
-        assert_eq!(wire.final_bytes, lockstep.final_bytes);
-        // Learn per packet, as the eager workers do, so both install in
-        // the same order.
-        net.process_digests(&mut cp).unwrap();
+    for cluster in [&mut handle, &mut net] {
+        cluster
+            .set_idle_timeout("nat", NAT_IN_TABLE, Some(500))
+            .unwrap();
+        for f in 0..FLOWS {
+            cluster
+                .inject(InjectedPacket::new(outbound(BASE_PORT + f), IN_PORT))
+                .unwrap();
+        }
+        cluster.process_digests().unwrap();
+        cluster.advance_time(7).unwrap();
     }
-    handle.process_digests().unwrap();
-    handle.advance_time(7).unwrap();
-    net.advance_time(7);
 
     let mut shipped = handle.snapshot_state().unwrap();
     shipped.sort_by_key(|(switch, pipelet, _)| (*switch, *pipelet));
-    let expected = net.snapshot_state();
+    let expected = net.snapshot_state().unwrap();
     assert_eq!(shipped, expected);
     let learned: usize = shipped
         .iter()
