@@ -253,8 +253,9 @@ impl ProbeLog {
 /// the priority-sorted scan oracle: for any key tuple, `lookup` returns the
 /// entry with the highest [`Rank`], ties broken by lowest install index.
 ///
-/// `insert`/`remove` return `false` when the structure cannot absorb the
-/// mutation incrementally — the caller must then `build` from scratch.
+/// `insert`/`remove`/`remove_many` return `false` when the structure cannot
+/// absorb the mutation incrementally — the caller must then `build` from
+/// scratch.
 pub trait ClassifierIndex: std::fmt::Debug + Send {
     /// Which kind this index is.
     fn kind(&self) -> IndexKind;
@@ -268,6 +269,19 @@ pub trait ClassifierIndex: std::fmt::Debug + Send {
     /// Incrementally forgets the entry previously at `idx`. Returns `false`
     /// if a rebuild is required.
     fn remove(&mut self, removed: &TableEntry, rank: Rank, idx: usize) -> bool;
+    /// Forgets the entries at the strictly ascending positions `removed`
+    /// and renumbers every surviving position by the number of removed ones
+    /// below it — what compacting the entry vector does to them. Returns
+    /// `false` (the default) if a rebuild over the compacted vector is
+    /// required.
+    fn remove_many(&mut self, _removed: &[usize]) -> bool {
+        false
+    }
+    /// Position of the first installed entry equal to `entry` (matches,
+    /// action, args and priority). The default is the linear scan.
+    fn position(&self, entries: &[TableEntry], entry: &TableEntry) -> Option<usize> {
+        entries.iter().position(|e| e == entry)
+    }
     /// Finds the winning entry index for `keys`, recording probe effort.
     fn lookup(
         &self,
@@ -471,7 +485,14 @@ impl ClassifierIndex for ScanIndex {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExactIndex {
     map: WordMap<Vec<Value>, usize>,
+    /// Wildcard entries, in install order.
     spill: Vec<usize>,
+    /// Hashed entries that share their key tuple with the stored winner
+    /// (hashed entries minus `map.len()`). While zero the winner is its
+    /// tuple's only entry, so `position` is one probe and removals need no
+    /// successor; otherwise all three fall back to the scan / rebuild and
+    /// arbitration among duplicates is decided by `insert` alone.
+    shadowed: usize,
 }
 
 impl ExactIndex {
@@ -499,6 +520,7 @@ impl ClassifierIndex for ExactIndex {
     fn build(&mut self, entries: &[TableEntry], ranks: &[Rank]) {
         self.map.clear();
         self.spill.clear();
+        self.shadowed = 0;
         for idx in 0..entries.len() {
             self.insert(entries, ranks, idx);
         }
@@ -511,6 +533,7 @@ impl ClassifierIndex for ExactIndex {
                 std::collections::hash_map::Entry::Occupied(mut o) => {
                     // Same key tuple: the higher priority wins; ties keep
                     // the earlier install, matching scan arbitration.
+                    self.shadowed += 1;
                     if ranks[idx].0 > ranks[*o.get()].0 {
                         o.insert(idx);
                     }
@@ -529,9 +552,50 @@ impl ClassifierIndex for ExactIndex {
                 self.spill.retain(|&i| i != idx);
                 true
             }
-            // If the removed entry was the stored winner for its tuple we
-            // don't know which shadowed duplicate succeeds it — rebuild.
-            Some(key) => self.map.get(&key) != Some(&idx),
+            Some(key) => {
+                if self.map.get(&key) != Some(&idx) {
+                    // A shadowed duplicate goes quietly.
+                    self.shadowed -= 1;
+                    true
+                } else if self.shadowed == 0 {
+                    self.map.remove(&key);
+                    true
+                } else {
+                    // The stored winner of a tuple that may hold more: we
+                    // don't know which duplicate succeeds it — rebuild.
+                    false
+                }
+            }
+        }
+    }
+
+    fn remove_many(&mut self, removed: &[usize]) -> bool {
+        if self.shadowed > 0 {
+            return false;
+        }
+        // `Err(below)`: a survivor, with `below` removed positions under it.
+        let renumber = |pos: &mut usize| match removed.binary_search(pos) {
+            Ok(_) => false,
+            Err(below) => {
+                *pos -= below;
+                true
+            }
+        };
+        self.map.retain(|_, pos| renumber(pos));
+        self.spill.retain_mut(renumber);
+        true
+    }
+
+    fn position(&self, entries: &[TableEntry], entry: &TableEntry) -> Option<usize> {
+        match Self::exact_key(entry) {
+            // Install-ordered, so the first equal wildcard entry is found.
+            None => self.spill.iter().copied().find(|&i| entries[i] == *entry),
+            Some(key) if self.shadowed == 0 => self
+                .map
+                .get(&key)
+                .copied()
+                .filter(|&i| entries[i] == *entry),
+            Some(_) => entries.iter().position(|e| e == entry),
         }
     }
 
@@ -1542,6 +1606,116 @@ mod tests {
                 oracle(&live_entries, &live_ranks, &keys),
             );
         }
+    }
+
+    /// An all-exact entry on one 8-bit key (`None` = the `Any` wildcard).
+    fn exact_entry(key: Option<u128>, arg: u128, priority: i32) -> TableEntry {
+        TableEntry {
+            matches: vec![key.map_or(KeyMatch::Any, |k| KeyMatch::Exact(Value::new(k, 8)))],
+            action: "a".into(),
+            action_args: vec![Value::new(arg, 16)],
+            priority,
+        }
+    }
+
+    /// `ix` answers every key of the 8-bit space and the position of every
+    /// entry like a fresh build over `entries`.
+    fn assert_equals_fresh_build(ix: &ExactIndex, entries: &[TableEntry], ranks: &[Rank]) {
+        let mut fresh = ExactIndex::default();
+        fresh.build(entries, ranks);
+        let log = ProbeLog::default();
+        for k in 0..=255u128 {
+            let keys = [Value::new(k, 8)];
+            assert_eq!(
+                ix.lookup(entries, ranks, &keys, &log),
+                fresh.lookup(entries, ranks, &keys, &log),
+                "key {k}"
+            );
+        }
+        for (i, e) in entries.iter().enumerate() {
+            assert_eq!(ix.position(entries, e), Some(i), "entry {i}");
+            assert_eq!(fresh.position(entries, e), Some(i), "entry {i} (fresh)");
+        }
+        assert_eq!(ix.stats(), fresh.stats());
+    }
+
+    #[test]
+    fn exact_remove_many_equals_rebuild_over_compacted_entries() {
+        for seed in 0..32 {
+            let mut r = Lcg(seed);
+            // Distinct keys in shuffled install order, wildcards in between.
+            let mut keys: Vec<u128> = (0..48).collect();
+            for i in (1..keys.len()).rev() {
+                keys.swap(i, (r.next() % (i as u64 + 1)) as usize);
+            }
+            let mut entries = Vec::new();
+            for (n, k) in keys.into_iter().enumerate() {
+                entries.push(exact_entry(Some(k), n as u128, (r.next() % 3) as i32));
+                if r.next().is_multiple_of(8) {
+                    entries.push(exact_entry(None, n as u128, (r.next() % 3) as i32));
+                }
+            }
+            let mut ranks: Vec<_> = entries.iter().map(rank_of).collect();
+            let mut ix = ExactIndex::default();
+            ix.build(&entries, &ranks);
+            // Three rounds, so renumbered positions get renumbered again.
+            for _ in 0..3 {
+                let removed: Vec<usize> = (0..entries.len())
+                    .filter(|_| r.next().is_multiple_of(3))
+                    .collect();
+                assert!(ix.remove_many(&removed), "no duplicate key is installed");
+                for &i in removed.iter().rev() {
+                    let gone = entries.remove(i);
+                    ranks.remove(i);
+                    assert_eq!(ix.position(&entries, &gone), None);
+                }
+                assert_equals_fresh_build(&ix, &entries, &ranks);
+            }
+        }
+    }
+
+    #[test]
+    fn exact_falls_back_while_a_key_tuple_holds_two_entries() {
+        // 1 and 3 are equal; 2 shares their key with a lower priority.
+        let mut entries = vec![
+            exact_entry(Some(9), 3, 0),
+            exact_entry(Some(7), 1, 5),
+            exact_entry(Some(7), 2, 0),
+            exact_entry(Some(7), 1, 5),
+        ];
+        let mut ranks: Vec<_> = entries.iter().map(rank_of).collect();
+        let mut ix = ExactIndex::default();
+        ix.build(&entries, &ranks);
+        assert_eq!(
+            ix.position(&entries, &entries[3]),
+            Some(1),
+            "first equal entry"
+        );
+        assert_eq!(
+            ix.position(&entries, &entries[2]),
+            Some(2),
+            "shadowed entry"
+        );
+        assert!(!ix.clone().remove_many(&[0]), "duplicates present: rebuild");
+        assert!(
+            !ix.clone().remove(&entries[1], ranks[1], 1),
+            "the winner's successor is unknown: rebuild"
+        );
+        // Shadowed duplicates go quietly (`remove` takes the tail); once
+        // the last is gone the fast paths are back.
+        for idx in [3, 2] {
+            let gone = entries.pop().unwrap();
+            assert!(ix.remove(&gone, ranks.pop().unwrap(), idx));
+        }
+        assert_eq!(entries.len(), 2);
+        assert_equals_fresh_build(&ix, &entries, &ranks);
+        assert!(ix.remove_many(&[0]));
+        entries.remove(0);
+        ranks.remove(0);
+        assert_equals_fresh_build(&ix, &entries, &ranks);
+        let last = entries.pop().unwrap();
+        assert!(ix.remove(&last, ranks.pop().unwrap(), 0), "sole winner");
+        assert_equals_fresh_build(&ix, &entries, &ranks);
     }
 
     #[test]

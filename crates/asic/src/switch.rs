@@ -1907,6 +1907,21 @@ mod tests {
         assert_eq!(t.disposition, Disposition::Emitted { port: 20 });
     }
 
+    #[test]
+    fn restore_state_installs_a_twice_listed_entry_once() {
+        let mut sw = basic_switch();
+        let pid = PipeletId::ingress(0);
+        sw.install_entry(pid, "l2", fwd_entry(0xaabb, 20)).unwrap();
+        let mut snap = sw.snapshot_state(pid).unwrap();
+        let twin = snap.tables[0].entries[0].clone();
+        snap.tables[0].entries.push(twin);
+        sw.load_program(pid, l2_program()).unwrap();
+        let report = sw.restore_state(pid, &snap).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.restored_entries, 2, "both are accounted for");
+        assert_eq!(sw.tables(pid).unwrap().entries("l2").len(), 1);
+    }
+
     /// One program that can take every exit of the walk, chosen per packet
     /// by `dst_mac`; the parser goes on to ipv4 when `ether_type` says so.
     fn exits_program() -> Program {

@@ -182,50 +182,44 @@ impl TableRt {
         self.last_hit[i].set(now);
     }
 
-    /// Compacts the slot in place keeping only the entries `keep` selects
-    /// (by pre-compaction index), preserving install order and per-entry
-    /// hit timestamps, then rebuilds the index once. Callers account for
-    /// evictions themselves — a control-plane delete is not an eviction.
-    fn retain_entries(&mut self, keep: impl Fn(usize) -> bool) {
-        let n = self.entries.len();
-        let mut kept = 0usize;
-        let mut min_stamp = u64::MAX;
-        for i in 0..n {
-            if keep(i) {
-                if kept != i {
-                    self.entries.swap(kept, i);
-                    self.ranks.swap(kept, i);
-                    self.action_ords.swap(kept, i);
-                    self.last_hit.swap(kept, i);
-                }
-                min_stamp = min_stamp.min(self.last_hit[kept].get());
-                kept += 1;
-            }
+    /// Removes the entries at the strictly ascending positions `removed`
+    /// and hands them back in that order. Survivors keep install order and
+    /// their hit stamps; the index absorbs the renumbering where it can and
+    /// is rebuilt once where it cannot. Callers account for evictions
+    /// themselves — a control-plane delete is not an eviction — and
+    /// `stamp_floor` stays a valid lower bound.
+    fn remove_sorted(&mut self, removed: &[usize]) -> Vec<TableEntry> {
+        let absorbed = self.index.remove_many(removed);
+        let taken = take_sorted(&mut self.entries, removed).collect();
+        take_sorted(&mut self.ranks, removed).for_each(drop);
+        take_sorted(&mut self.action_ords, removed).for_each(drop);
+        take_sorted(&mut self.last_hit, removed).for_each(drop);
+        if !absorbed {
+            self.reindex_auto();
         }
-        self.entries.truncate(kept);
-        self.ranks.truncate(kept);
-        self.action_ords.truncate(kept);
-        self.last_hit.truncate(kept);
-        self.stamp_floor = min_stamp;
-        self.reindex_auto();
+        taken
     }
 
-    /// Removes the entry at `victim`. The common tail case (learn-cache LRU
-    /// churn on fresh entries) updates the index incrementally; interior
-    /// removals compact and rebuild.
+    /// Removes the entry at `victim`. The tail case (learn-cache LRU churn
+    /// on fresh entries) is one incremental `remove`; interior removals
+    /// compact.
     fn remove_at(&mut self, victim: usize) {
         if victim + 1 == self.entries.len() {
             let entry = self.entries.pop().expect("victim in bounds");
             let rank = self.ranks.pop().expect("ranks parallel");
             self.action_ords.pop();
             self.last_hit.pop();
-            // `stamp_floor` stays a valid lower bound after a removal.
             if !self.index.remove(&entry, rank, victim) {
                 self.reindex_auto();
             }
         } else {
-            self.retain_entries(|i| i != victim);
+            self.remove_sorted(&[victim]);
         }
+    }
+
+    /// Position of the first installed entry equal to `entry`.
+    fn position(&self, entry: &TableEntry) -> Option<usize> {
+        self.index.position(&self.entries, entry)
     }
 
     /// Index of the least-recently-hit entry (ties → earliest install).
@@ -255,6 +249,19 @@ impl TableRt {
         self.stamp_floor = u64::MAX;
         self.reindex_auto();
     }
+}
+
+/// Drains the elements of `v` at the strictly ascending positions
+/// `removed`, in that order; the rest close up in place as the iterator is
+/// exhausted.
+fn take_sorted<'a, T>(v: &'a mut Vec<T>, removed: &'a [usize]) -> impl Iterator<Item = T> + 'a {
+    let (mut at, mut next) = (0usize, 0usize);
+    v.extract_if(.., move |_| {
+        let gone = removed.get(next) == Some(&at);
+        at += 1;
+        next += usize::from(gone);
+        gone
+    })
 }
 
 /// Runtime state of one pipelet: table entries, hit counters, and stateful
@@ -423,19 +430,20 @@ impl TableState {
                     dead
                 })
                 .collect();
+            slot.stamp_floor = min_live;
             if expired.is_empty() {
-                slot.stamp_floor = min_live;
                 continue;
-            }
-            for &i in &expired {
-                evicted.push(Eviction {
-                    table: name.clone(),
-                    entry: slot.entries[i].clone(),
-                });
             }
             slot.evictions
                 .set(slot.evictions.get() + expired.len() as u64);
-            slot.retain_entries(|i| !expired.contains(&i));
+            evicted.extend(
+                slot.remove_sorted(&expired)
+                    .into_iter()
+                    .map(|entry| Eviction {
+                        table: name.clone(),
+                        entry,
+                    }),
+            );
         }
         evicted
     }
@@ -457,9 +465,11 @@ impl TableState {
     }
 
     /// True when an identical entry (same matches, action, args, priority)
-    /// is already installed — the idempotence check of the learning loop.
+    /// is already installed — the idempotence check of the learning loop,
+    /// answered by the table's index (one probe on an all-exact table).
     pub fn contains_entry(&self, table: &str, entry: &TableEntry) -> bool {
-        self.entries(table).contains(entry)
+        self.slot(table)
+            .is_some_and(|s| s.position(entry).is_some())
     }
 
     /// Removes the first installed entry equal to `entry` (same matches,
@@ -473,7 +483,7 @@ impl TableState {
             name: table.to_string(),
         })?;
         let slot = &mut self.slots[id];
-        let Some(pos) = slot.entries.iter().position(|e| e == entry) else {
+        let Some(pos) = slot.position(entry) else {
             return Ok(false);
         };
         slot.remove_at(pos);
@@ -1005,6 +1015,50 @@ mod tests {
         assert!(st.lookup_id(id, &[Value::new(7, 32)]).is_some());
         assert!(st.lookup_id(id, &[Value::new(8, 32)]).is_none());
         assert_eq!(st.counters("fib"), TableCounters { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    fn evicting_sweep_absorbs_and_leaves_a_tight_stamp_floor() {
+        let def = exact_table(64);
+        let mut st = TableState::new();
+        let id = st.preregister(&def);
+        st.set_idle_timeout("fib", Some(4)).unwrap();
+        let entry = |i: u128| TableEntry {
+            matches: vec![KeyMatch::Exact(Value::new(i, 32))],
+            action: "fwd".into(),
+            action_args: vec![Value::new(i, 16)],
+            priority: 0,
+        };
+        for i in 0..8 {
+            st.install(&def, entry(i)).unwrap();
+        }
+        // Ticks 1..3: the odd flows stay warm, the even ones go idle.
+        for _ in 0..3 {
+            assert!(st.advance_clock(1).is_empty());
+            for i in [1u128, 3, 5, 7] {
+                assert!(st.lookup_id(id, &[Value::new(i, 32)]).is_some());
+            }
+        }
+        let evicted = st.advance_clock(1);
+        let gone: Vec<u128> = evicted
+            .iter()
+            .map(|e| e.entry.action_args[0].raw())
+            .collect();
+        assert_eq!(gone, [0, 2, 4, 6], "ascending install order");
+        assert_eq!(st.entries("fib"), [entry(1), entry(3), entry(5), entry(7)]);
+        // Interior removals were absorbed: no rebuild, renumbered lookups.
+        assert_eq!(st.slots[id].rebuilds, 0);
+        for i in 0..8u128 {
+            let hit = st.lookup_readonly(&def, &[Value::new(i, 32)]);
+            assert_eq!(hit, (i % 2 == 1).then(|| entry(i)));
+        }
+        // The floor is the survivors' oldest stamp, so the next sweeps are
+        // skipped without a scan until it can have expired.
+        assert_eq!(st.slots[id].stamp_floor, 3);
+        st.slots[id].last_hit[0].set(0); // a scan would evict this one
+        assert!(st.advance_clock(2).is_empty(), "skipped: 6 - 3 < 4");
+        assert_eq!(st.advance_clock(1).len(), 4, "scanned at 7 - 3 >= 4");
+        assert_eq!(st.slots[id].stamp_floor, u64::MAX);
     }
 
     #[test]

@@ -226,6 +226,9 @@ impl ControlPlane {
     /// installed is skipped, which makes learning idempotent — duplicate
     /// digests raced in before the first install, and entries aged out and
     /// re-observed, both converge. Returns the number of entries installed.
+    /// The queues are already drained, so a failed install does not stop
+    /// the batch: every other digest is still learned, and the first error
+    /// is returned at the end.
     pub fn process_digests(
         &mut self,
         switch: &mut Switch,
@@ -233,6 +236,7 @@ impl ControlPlane {
     ) -> Result<usize, IrError> {
         let digests = switch.drain_digests();
         let mut installed = 0usize;
+        let mut first_err = None;
         for (pipeline, record) in digests {
             let Some(policy) = self.learn_policies.get_mut(&record.name) else {
                 continue;
@@ -240,16 +244,18 @@ impl ControlPlane {
             self.stats.digests += 1;
             let resp = policy.on_digest(pipeline, &record.values);
             for (nf, table, entry) in resp.install {
-                if deployment.entry_installed(switch, &nf, &table, &entry) {
-                    continue;
+                match deployment.install_if_absent(switch, &nf, &table, entry) {
+                    Ok(true) => installed += 1,
+                    Ok(false) => {}
+                    Err(e) => {
+                        first_err.get_or_insert(e);
+                    }
                 }
-                deployment.install(switch, &nf, &table, entry)?;
-                self.stats.installs += 1;
-                self.stats.learns += 1;
-                installed += 1;
             }
         }
-        Ok(installed)
+        self.stats.installs += installed as u64;
+        self.stats.learns += installed as u64;
+        first_err.map_or(Ok(installed), Err)
     }
 
     /// Translates and installs an entry through the NF's original API view:

@@ -113,8 +113,41 @@ impl Deployment {
         switch: &mut Switch,
         nf: &str,
         table: &str,
-        mut entry: dejavu_p4ir::table::TableEntry,
+        entry: dejavu_p4ir::table::TableEntry,
     ) -> Result<(), dejavu_p4ir::IrError> {
+        let (pipelet, merged, entry) = self.scope(nf, table, entry)?;
+        switch.install_entry(pipelet, &merged, entry)
+    }
+
+    /// [`Deployment::install`] unless the exact entry is already there —
+    /// the idempotence behind the learning loop, so a digest retransmitted
+    /// before the first install landed (or after an aged-out entry was
+    /// re-learned) never duplicates an entry. `Ok(true)` when it installed.
+    pub fn install_if_absent(
+        &self,
+        switch: &mut Switch,
+        nf: &str,
+        table: &str,
+        entry: dejavu_p4ir::table::TableEntry,
+    ) -> Result<bool, dejavu_p4ir::IrError> {
+        let (pipelet, merged, entry) = self.scope(nf, table, entry)?;
+        let present = switch
+            .tables(pipelet)
+            .is_some_and(|state| state.contains_entry(&merged, &entry));
+        if !present {
+            switch.install_entry(pipelet, &merged, entry)?;
+        }
+        Ok(!present)
+    }
+
+    /// The hosting pipelet, the merged table name and the entry with its
+    /// action renamed into the merged namespace.
+    fn scope(
+        &self,
+        nf: &str,
+        table: &str,
+        mut entry: dejavu_p4ir::table::TableEntry,
+    ) -> Result<(PipeletId, String, dejavu_p4ir::table::TableEntry), dejavu_p4ir::IrError> {
         let pipelet = self
             .nf_location(nf)
             .ok_or(dejavu_p4ir::IrError::Undefined {
@@ -122,29 +155,7 @@ impl Deployment {
                 name: nf.to_string(),
             })?;
         entry.action = crate::merge::scoped(nf, &entry.action);
-        switch.install_entry(pipelet, &crate::merge::scoped(nf, table), entry)
-    }
-
-    /// True when the exact entry (translated into the merged namespace) is
-    /// already installed — the idempotence check behind the learning loop,
-    /// so a digest retransmitted before the first install landed (or after
-    /// an aged-out entry was re-learned) never duplicates an entry.
-    pub fn entry_installed(
-        &self,
-        switch: &Switch,
-        nf: &str,
-        table: &str,
-        entry: &dejavu_p4ir::table::TableEntry,
-    ) -> bool {
-        let Some(pipelet) = self.nf_location(nf) else {
-            return false;
-        };
-        let Some(state) = switch.tables(pipelet) else {
-            return false;
-        };
-        let mut scoped = entry.clone();
-        scoped.action = crate::merge::scoped(nf, &scoped.action);
-        state.contains_entry(&crate::merge::scoped(nf, table), &scoped)
+        Ok((pipelet, crate::merge::scoped(nf, table), entry))
     }
 
     /// Configures the idle timeout of an NF's table through the NF's

@@ -194,19 +194,15 @@ impl SwitchWorker {
             ControlMsg::Install {
                 nf, table, entry, ..
             } => {
-                if self
+                match self
                     .deployment
-                    .entry_installed(&self.switch, &nf, &table, &entry)
+                    .install_if_absent(&mut self.switch, &nf, &table, entry)
                 {
-                    self.send_up(TelemetryMsg::Ack { seq, info: 0 });
-                } else {
-                    match self
-                        .deployment
-                        .install(&mut self.switch, &nf, &table, entry)
-                    {
-                        Ok(()) => self.send_up(TelemetryMsg::Ack { seq, info: 1 }),
-                        Err(e) => self.nack(seq, &e.to_string()),
-                    }
+                    Ok(installed) => self.send_up(TelemetryMsg::Ack {
+                        seq,
+                        info: u64::from(installed),
+                    }),
+                    Err(e) => self.nack(seq, &e.to_string()),
                 }
             }
             ControlMsg::Remove {

@@ -111,6 +111,16 @@ if grep -nE 'StateSnapshot::from_json|\.to_json\(\)' crates/core/src/transport/*
     exit 1
 fi
 
+# Learn-loop gate: idempotence and removal are answered by the table's
+# index (`ClassifierIndex::position` / `remove_many`), not by scanning the
+# entry vector per install or per expired entry, and `core` has one
+# check-and-install (`Deployment::install_if_absent`).
+if grep -nE 'entries\(table\)\.contains|expired\.contains|fn retain_entries' crates/asic/src/tables.rs ||
+    grep -rn 'entry_installed' crates/ tests/ examples/ --include=*.rs; then
+    echo "a per-entry table scan is back on the learn/aging path (see DESIGN.md, Classification index)" >&2
+    exit 1
+fi
+
 # Dataplane bench gate: the table-size sweep runs end-to-end in quick
 # mode (shrunk budgets, 100k point skipped; the committed root
 # BENCH_dataplane.json is not rewritten), its artifact must carry the

@@ -92,21 +92,41 @@ fn nat_testbed(mode: ExecMode) -> (Switch, Deployment) {
 }
 
 fn outbound_packet() -> Vec<u8> {
+    outbound_from(CLIENT_PORT)
+}
+
+fn return_packet() -> Vec<u8> {
+    return_to(CLIENT_PORT)
+}
+
+/// The client's flow from source port `port`.
+fn outbound_from(port: u16) -> Vec<u8> {
     dejavu_traffic::PacketBuilder::tcp()
         .src_ip(CLIENT)
         .dst_ip(SERVER)
-        .src_port(CLIENT_PORT)
+        .src_port(port)
         .dst_port(80)
         .build()
 }
 
-fn return_packet() -> Vec<u8> {
+/// The server's answer to the flow from `port`.
+fn return_to(port: u16) -> Vec<u8> {
     dejavu_traffic::PacketBuilder::tcp()
         .src_ip(SERVER)
         .dst_ip(PUBLIC_IP)
         .src_port(80)
-        .dst_port(CLIENT_PORT)
+        .dst_port(port)
         .build()
+}
+
+/// Injects the server's answer to the flow from `port`; true when the NAT
+/// translated it back to the client.
+fn return_translates(switch: &mut Switch, port: u16) -> bool {
+    let t = switch
+        .inject(InjectedPacket::new(return_to(port), IN_PORT))
+        .unwrap();
+    assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
+    ip_at(&t.final_bytes, 30) == CLIENT
 }
 
 fn ip_at(bytes: &[u8], off: usize) -> u32 {
@@ -201,4 +221,97 @@ fn dynamic_nat_end_to_end_reference() {
 #[test]
 fn dynamic_nat_end_to_end_compiled() {
     dynamic_nat_learns_translates_ages_and_migrates(ExecMode::Compiled);
+}
+
+/// ROADMAP aim 3, "no silently lost flow": the digests are drained before
+/// the first install, so an install the switch refuses must not take the
+/// rest of the batch with it.
+#[test]
+fn failed_install_does_not_discard_the_rest_of_the_learn_batch() {
+    let (mut switch, dep) = nat_testbed(ExecMode::Compiled);
+    let mut cp = ControlPlane::new();
+    // Digest 1 is answered with an entry naming an action the NAT does not
+    // define; every later one with the real policy's entry.
+    let mut real = nat_learn_policy();
+    let mut seen = 0;
+    cp.register_learn_policy(
+        "nat",
+        NAT_FLOW_STREAM,
+        Box::new(move |pipeline: usize, values: &[dejavu_p4ir::Value]| {
+            let mut resp = real.on_digest(pipeline, values);
+            seen += 1;
+            if seen == 1 {
+                resp.install[0].2.action = "no_such_action".into();
+            }
+            resp
+        }),
+    );
+    for port in [CLIENT_PORT, CLIENT_PORT + 1] {
+        switch
+            .inject(InjectedPacket::new(outbound_from(port), IN_PORT))
+            .unwrap();
+    }
+    assert_eq!(switch.digest_backlog(0), 2);
+
+    let err = cp.process_digests(&mut switch, &dep).unwrap_err();
+    assert!(err.to_string().contains("no_such_action"), "{err}");
+    assert_eq!(switch.digest_backlog(0), 0);
+    assert_eq!((cp.stats.digests, cp.stats.learns), (2, 1));
+    assert!(!return_translates(&mut switch, CLIENT_PORT));
+    assert!(
+        return_translates(&mut switch, CLIENT_PORT + 1),
+        "flow 2 was drained from the switch and never learned"
+    );
+}
+
+/// The learn/age loop costs what it does, not what the table holds: with a
+/// long-lived flow at the head of `nat_in`, every sweep removes from the
+/// interior of the entry vector, and the exact index absorbs all of it —
+/// its rebuild count stays where warm-up left it.
+#[test]
+fn learn_age_cycles_never_rebuild_the_exact_index() {
+    let (mut switch, dep) = nat_testbed(ExecMode::Compiled);
+    let mut cp = ControlPlane::new();
+    cp.register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy());
+    dep.set_idle_timeout(&mut switch, "nat", NAT_IN_TABLE, Some(3))
+        .unwrap();
+    let nat_in = format!("nat__{NAT_IN_TABLE}");
+    let rebuilds = |switch: &Switch| {
+        let telemetry = switch
+            .tables(PipeletId::ingress(0))
+            .unwrap()
+            .index_telemetry();
+        let (_, t) = telemetry.iter().find(|(name, _)| *name == nat_in).unwrap();
+        assert_eq!(t.kind, dejavu_asic::IndexKind::Exact);
+        t.rebuilds
+    };
+    // One cycle: four new flows, the long-lived one refreshed, one tick.
+    let mut cycle = |switch: &mut Switch, n: u16| -> usize {
+        for port in std::iter::once(CLIENT_PORT).chain((0..4).map(|i| 50_000 + 4 * n + i)) {
+            switch
+                .inject(InjectedPacket::new(outbound_from(port), IN_PORT))
+                .unwrap();
+        }
+        cp.process_digests(switch, &dep).unwrap();
+        assert!(return_translates(switch, CLIENT_PORT));
+        switch.advance_time(1).len()
+    };
+    for n in 0..3 {
+        cycle(&mut switch, n);
+    }
+    let warm = rebuilds(&switch);
+    let mut evicted = 0;
+    for n in 3..15 {
+        evicted += cycle(&mut switch, n);
+    }
+    assert_eq!(evicted, 4 * 12, "one cycle's flows age out per tick");
+    assert_eq!(rebuilds(&switch), warm, "a sweep rebuilt the index");
+    // The survivors are exactly the last two cycles' flows and the
+    // long-lived one, still translating under their renumbered positions.
+    let tables = switch.tables(PipeletId::ingress(0)).unwrap();
+    assert_eq!(tables.len(&nat_in), 1 + 4 * 2);
+    for port in 50_000 + 4 * 13..50_000 + 4 * 15 {
+        assert!(return_translates(&mut switch, port), "flow {port} lost");
+    }
+    assert!(!return_translates(&mut switch, 50_000 + 4 * 12));
 }

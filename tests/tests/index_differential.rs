@@ -14,6 +14,12 @@
 //! surviving entry list after churn, hit/miss counters, eviction counts,
 //! and — within each same-policy engine pair — the full metrics snapshot
 //! including the `table_index_*` telemetry series.
+//!
+//! A second property churns an **all-exact** table the same way, automatic
+//! selection (the hash index, whose removals and idempotence probe are
+//! incremental) against the forced scan, over a key space small enough
+//! that duplicate key tuples — the case the incremental paths must hand
+//! back to the rebuild — are common.
 
 use proptest::prelude::*;
 
@@ -339,6 +345,153 @@ proptest! {
         // / table_index_rebuilds / probe- and tree-depth series, because
         // the reference interpreter routes lookups through the very same
         // index as the compiled fast path.
+        for pair in switches.chunks(2) {
+            prop_assert_eq!(
+                pair[0].2.metrics_snapshot(),
+                pair[1].2.metrics_snapshot(),
+                "metrics snapshots diverged between engines under {:?}", pair[0].0
+            );
+        }
+    }
+}
+
+/// One generated entry of the all-exact table: eight source addresses ×
+/// three TTLs, so key tuples repeat with different priorities and actions
+/// (and sometimes repeat exactly); one key in eight is the `Any` wildcard.
+fn exact_rule_entry(r: GenRule) -> TableEntry {
+    let src = Value::new(u128::from(0x0a00_0000 | u32::from(r.src_seed % 8)), 32);
+    let ttl = Value::new(u128::from(r.ttl_lo % 3), 8);
+    let wild = |seed: u8, v: Value| {
+        if seed.is_multiple_of(8) {
+            KeyMatch::Any
+        } else {
+            KeyMatch::Exact(v)
+        }
+    };
+    let (action, args) = match r.action % 3 {
+        0 => ("fwd", vec![Value::new(u128::from(r.action % 4), 16)]),
+        1 => ("deny", vec![]),
+        _ => ("pass", vec![]),
+    };
+    TableEntry {
+        matches: vec![wild(r.src_mask, src), wild(r.dst_len, ttl)],
+        action: action.to_string(),
+        action_args: args,
+        priority: i32::from(r.priority % 3) - 1,
+    }
+}
+
+/// The classifier pipelet with an all-exact `cls`: source address × TTL.
+/// Twenty entries fill it, so on top of the aging sweeps a long run also
+/// evicts least-recently-hit entries from the interior.
+fn exact_cls_program() -> Program {
+    let mut program = cls_program();
+    let cls = program.tables.get_mut("cls").expect("cls is defined");
+    for (key, field) in cls.keys.iter_mut().zip(["src_addr", "ttl"]) {
+        key.field = fref("ipv4", field);
+        key.kind = dejavu_p4ir::MatchKind::Exact;
+    }
+    cls.keys.truncate(2);
+    cls.size = 20;
+    program
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// The hash index's incremental `position` / `remove` / `remove_many`
+    /// are invisible: install, `remove_entry`, aging and LRU eviction on an
+    /// all-exact table leave the same entries, evictions and lookups as
+    /// the scan, duplicates or not, on both engines.
+    #[test]
+    fn exact_index_agrees_with_scan_under_churn(
+        initial in proptest::collection::vec(arb_rule(), 0..16),
+        ops in proptest::collection::vec(arb_op(), 1..48),
+    ) {
+        let program = exact_cls_program();
+        let pid = PipeletId::ingress(0);
+        let mut switches: Vec<(IndexPolicy, ExecMode, Switch)> = Vec::new();
+        for policy in [IndexPolicy::Force(IndexKind::Scan), IndexPolicy::Auto] {
+            for mode in [ExecMode::Reference, ExecMode::Compiled] {
+                let mut sw = cls_testbed(&program, IndexKind::Scan, mode);
+                sw.set_table_index(pid, "cls", policy).unwrap();
+                switches.push((policy, mode, sw));
+            }
+        }
+
+        let mut installed: Vec<TableEntry> = Vec::new();
+        let installs = initial.iter().map(|&r| Op::Install(r));
+        for (k, op) in installs.chain(ops.iter().cloned()).enumerate() {
+            match op {
+                Op::Install(r) => {
+                    let e = exact_rule_entry(r);
+                    for (_, _, sw) in &mut switches {
+                        sw.install_entry(pid, "cls", e.clone()).unwrap();
+                    }
+                    installed.push(e);
+                }
+                Op::Remove(sel) => {
+                    if installed.is_empty() {
+                        continue;
+                    }
+                    // Odd selectors take the newest install: the tail, which
+                    // the index forgets one at a time instead of in bulk.
+                    let at = if sel % 2 == 1 { installed.len() - 1 } else { usize::from(sel) };
+                    let victim = installed.remove(at % installed.len());
+                    let removed: Vec<bool> = switches
+                        .iter_mut()
+                        .map(|(_, _, sw)| sw.remove_entry(pid, "cls", &victim).unwrap())
+                        .collect();
+                    prop_assert!(
+                        removed.iter().all(|&b| b == removed[0]),
+                        "step {}: remove_entry outcomes diverged: {:?}", k, removed
+                    );
+                }
+                Op::Age(t) => {
+                    let sweeps: Vec<_> = switches
+                        .iter_mut()
+                        .map(|(_, _, sw)| sw.advance_time(u64::from(t % 3) + 1))
+                        .collect();
+                    for s in &sweeps[1..] {
+                        prop_assert_eq!(&sweeps[0], s, "step {}: eviction lists diverged", k);
+                    }
+                }
+                Op::Inject(s, _, t) => {
+                    let pkt = dejavu_traffic::PacketBuilder::udp()
+                        .src_ip(0x0a00_0000 | u32::from(s % 8))
+                        .dst_ip(0x0a00_0101)
+                        .ttl(t % 3)
+                        .build();
+                    let outs: Vec<_> = switches
+                        .iter_mut()
+                        .map(|(_, _, sw)| sw.inject(InjectedPacket::new(pkt.clone(), 0)).unwrap())
+                        .collect();
+                    for o in &outs[1..] {
+                        prop_assert_eq!(&outs[0], o, "step {}: traversal diverged", k);
+                    }
+                }
+            }
+            // The whole table after every step: a wrong renumbering shows
+            // where it happens, not where a packet next trips over it.
+            let entries0 = switches[0].2.tables(pid).unwrap().entries("cls");
+            for (policy, mode, sw) in &switches[1..] {
+                prop_assert_eq!(
+                    entries0, sw.tables(pid).unwrap().entries("cls"),
+                    "step {}: entries diverged on {:?}/{:?}", k, policy, mode
+                );
+            }
+        }
+
+        prop_assert_eq!(switches[0].2.table_index_kind(pid, "cls"), Some(IndexKind::Scan));
+        prop_assert_eq!(switches[2].2.table_index_kind(pid, "cls"), Some(IndexKind::Exact));
+        let scan = switches[0].2.tables(pid).unwrap();
+        for (policy, mode, sw) in &switches[1..] {
+            let ts = sw.tables(pid).unwrap();
+            prop_assert_eq!(
+                (scan.counters("cls"), scan.evictions("cls")),
+                (ts.counters("cls"), ts.evictions("cls")),
+                "counters diverged on {:?}/{:?}", policy, mode
+            );
+        }
         for pair in switches.chunks(2) {
             prop_assert_eq!(
                 pair[0].2.metrics_snapshot(),
