@@ -15,7 +15,7 @@
 
 use crate::demand::{gateway_scopes, DemandModel};
 use dejavu_asic::{ResourceVector, StageResources, TofinoProfile};
-use dejavu_p4ir::analyze::{self, AnalysisConfig};
+use dejavu_p4ir::analyze;
 use dejavu_p4ir::lint::{self, LintConfig};
 use dejavu_p4ir::{DependencyGraph, Program};
 use std::collections::BTreeMap;
@@ -40,14 +40,10 @@ pub enum CompileError {
     },
     /// Program failed validation.
     InvalidProgram(String),
-    /// The static verifier found error-level defects (`dejavu-lint`).
+    /// The static verifier (`dejavu-lint`: the structural pass and the
+    /// abstract-interpretation pass) found error-level defects.
     LintRejected {
         /// One summary line per error-level diagnostic.
-        diagnostics: Vec<String>,
-    },
-    /// The abstract interpreter found error-level defects (`dejavu-analyze`).
-    AnalysisRejected {
-        /// One summary line per error-level finding.
         diagnostics: Vec<String>,
     },
 }
@@ -69,17 +65,6 @@ impl fmt::Display for CompileError {
                 write!(
                     f,
                     "program rejected by dejavu-lint ({} error(s))",
-                    diagnostics.len()
-                )?;
-                for d in diagnostics {
-                    write!(f, "\n  {d}")?;
-                }
-                Ok(())
-            }
-            CompileError::AnalysisRejected { diagnostics } => {
-                write!(
-                    f,
-                    "program rejected by dejavu-analyze ({} error(s))",
                     diagnostics.len()
                 )?;
                 for d in diagnostics {
@@ -135,7 +120,6 @@ pub struct StageAllocator {
     profile: TofinoProfile,
     model: DemandModel,
     lint_config: LintConfig,
-    analysis_config: AnalysisConfig,
 }
 
 impl StageAllocator {
@@ -145,7 +129,6 @@ impl StageAllocator {
             profile,
             model: DemandModel::default(),
             lint_config: LintConfig::new(),
-            analysis_config: AnalysisConfig::new(),
         }
     }
 
@@ -154,9 +137,11 @@ impl StageAllocator {
         &self.model
     }
 
-    /// Replaces the lint configuration programs are vetted under before
-    /// allocation. The framework layers (dejavu-core) use this to encode
-    /// their documented invariants (e.g. the consume-once flag tables).
+    /// Replaces the verifier configuration programs are vetted under before
+    /// allocation (severity overrides, allows, installed-entry sets for the
+    /// `DJV203` feasibility check). The framework layers (dejavu-core) use
+    /// this to encode their documented invariants (e.g. the consume-once
+    /// flag tables).
     pub fn with_lint_config(mut self, config: LintConfig) -> Self {
         self.lint_config = config;
         self
@@ -165,19 +150,6 @@ impl StageAllocator {
     /// The lint configuration in use.
     pub fn lint_config(&self) -> &LintConfig {
         &self.lint_config
-    }
-
-    /// Replaces the abstract-interpretation configuration programs are
-    /// vetted under before allocation (severity overrides, allows, and
-    /// installed-entry sets for `DJV203` feasibility checks).
-    pub fn with_analysis_config(mut self, config: AnalysisConfig) -> Self {
-        self.analysis_config = config;
-        self
-    }
-
-    /// The analysis configuration in use.
-    pub fn analysis_config(&self) -> &AnalysisConfig {
-        &self.analysis_config
     }
 
     /// Compiles a program onto one pipelet (fresh stages).
@@ -197,24 +169,16 @@ impl StageAllocator {
         program
             .validate()
             .map_err(|e| CompileError::InvalidProgram(e.to_string()))?;
-        // The static-verifier gate: error-level findings (invalid header
-        // accesses, read-before-write metadata, dependency cycles, ...)
-        // never reach stage allocation — they would compile onto the ASIC
-        // and misbehave silently at line rate.
-        let lint = lint::check_with_config(program, &self.lint_config);
-        if lint.has_errors() {
+        // The static-verifier gate: error-level findings of the structural
+        // pass (invalid header accesses, read-before-write metadata,
+        // dependency cycles, ...) and of the value pass (unmatchable
+        // installed entries, ...) never reach stage allocation — they would
+        // compile onto the ASIC and misbehave silently at line rate.
+        let mut report = lint::check_with_config(program, &self.lint_config);
+        report.merge(analyze::check_with_config(program, &self.lint_config));
+        if report.has_errors() {
             return Err(CompileError::LintRejected {
-                diagnostics: lint.error_summaries(),
-            });
-        }
-        // The abstract-interpretation gate: value-range and stateful-safety
-        // errors (unmatchable installed entries, register hazards surfaced
-        // per-program) are defects the lint's purely syntactic checks
-        // cannot see.
-        let analysis = analyze::check_with_config(program, &self.analysis_config);
-        if analysis.has_errors() {
-            return Err(CompileError::AnalysisRejected {
-                diagnostics: analysis.error_summaries(),
+                diagnostics: report.error_summaries(),
             });
         }
         let graph = DependencyGraph::build(program);
@@ -497,7 +461,7 @@ mod tests {
             .expect("waived finding must not block allocation");
     }
 
-    /// A clean program whose installed entries (supplied via the analysis
+    /// A clean program whose installed entries (supplied via the lint
     /// config) can never match: ingress guards the table behind
     /// `ether_type == 0x800`, yet the entry matches 0x86DD (DJV203).
     fn guarded_routes_program() -> Program {
@@ -539,42 +503,70 @@ mod tests {
     fn analysis_errors_block_allocation() {
         use dejavu_p4ir::table::KeyMatch;
         let program = guarded_routes_program();
-        let cfg = AnalysisConfig::new().with_entries(
+        let cfg = LintConfig::new().with_entries(
             "routes",
             vec![vec![KeyMatch::Exact(dejavu_p4ir::Value::new(0x86DD, 16))]],
         );
         let err = StageAllocator::new(TofinoProfile::wedge_100b_32x())
-            .with_analysis_config(cfg)
+            .with_lint_config(cfg)
             .compile(&program)
             .unwrap_err();
         match err {
-            CompileError::AnalysisRejected { diagnostics } => {
+            CompileError::LintRejected { diagnostics } => {
                 assert!(
                     diagnostics.iter().any(|d| d.contains("DJV203")),
                     "expected a DJV203 summary, got {diagnostics:?}"
                 );
             }
-            other => panic!("expected AnalysisRejected, got {other:?}"),
+            other => panic!("expected LintRejected, got {other:?}"),
         }
     }
 
     #[test]
     fn analysis_config_can_waive_a_finding() {
         use dejavu_p4ir::table::KeyMatch;
-        let program = guarded_routes_program();
-        let cfg = AnalysisConfig::new()
+        use dejavu_p4ir::{LintCode, Severity};
+        // One program carrying a defect of each pass: the unmatchable entry
+        // (DJV203, value pass) and a table keyed on a header the parser
+        // never extracts (DJV001, structural pass).
+        let mut program = guarded_routes_program();
+        program
+            .header_types
+            .insert("ipv4".into(), well_known::ipv4());
+        program.tables.insert(
+            "l3".into(),
+            TableBuilder::new("l3")
+                .key_exact(fref("ipv4", "dst_addr"))
+                .action("nop")
+                .default_action("nop")
+                .build(),
+        );
+        let ingress = program.controls.get_mut("ingress").unwrap();
+        ingress.body.push(dejavu_p4ir::Stmt::Apply("l3".into()));
+
+        let waive_entry = LintConfig::new()
             .with_entries(
                 "routes",
                 vec![vec![KeyMatch::Exact(dejavu_p4ir::Value::new(0x86DD, 16))]],
             )
-            .set_severity(
-                dejavu_p4ir::AnalysisCode::UnmatchableEntry,
-                dejavu_p4ir::Severity::Allow,
-            );
-        StageAllocator::new(TofinoProfile::wedge_100b_32x())
-            .with_analysis_config(cfg)
+            .set_severity(LintCode::UnmatchableEntry, Severity::Allow);
+        let allocator = StageAllocator::new(TofinoProfile::wedge_100b_32x());
+        match allocator
+            .clone()
+            .with_lint_config(waive_entry.clone())
             .compile(&program)
-            .expect("waived finding must not block allocation");
+        {
+            Err(CompileError::LintRejected { diagnostics }) => {
+                assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
+                assert!(diagnostics[0].contains("DJV001"), "{diagnostics:?}");
+            }
+            other => panic!("expected LintRejected for the unwaived DJV001, got {other:?}"),
+        }
+        // The same config carries the structural allow beside the waiver.
+        allocator
+            .with_lint_config(waive_entry.allow(LintCode::InvalidHeaderAccess, "l3"))
+            .compile(&program)
+            .expect("waived findings must not block allocation");
     }
 
     #[test]

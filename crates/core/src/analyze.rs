@@ -1,12 +1,12 @@
-//! Chain-level abstract analysis: stateful-safety checks across merged
-//! pipelets (`DJV3xx`).
+//! The stateful-safety `dejavu-lint` passes across merged pipelets
+//! (`DJV301`–`DJV303`).
 //!
-//! `dejavu_p4ir::analyze` reasons about one program at a time. The defects
+//! The per-program passes reason about one program at a time. The defects
 //! the paper's merge step can introduce are *cross-program*: two pipelets
 //! sharing a register array, or a control-plane learn policy whose installed
-//! entries no longer line up with the digest payload an action emits. This
-//! module emits the `DJV3xx` band registered in
-//! [`dejavu_p4ir::analyze::AnalysisCode`]:
+//! entries no longer line up with the digest payload an action emits. The
+//! passes here emit the `DJV3xx` band of the one registry
+//! ([`dejavu_p4ir::lint::LintCode`]) into the one report:
 //!
 //! * **`DJV301` register hazard** — the same register array is accessed
 //!   from two or more pipelet programs with at least one writer. Registers
@@ -27,8 +27,8 @@
 //! program.
 
 use dejavu_p4ir::action::{ActionDef, Expr, PrimitiveOp};
-use dejavu_p4ir::analyze::{AnalysisCode, AnalysisReport, Finding};
 use dejavu_p4ir::deps::register_accesses;
+use dejavu_p4ir::lint::{Diagnostic, LintCode, LintConfig, LintReport};
 use dejavu_p4ir::Program;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -117,153 +117,109 @@ pub fn check_learn_contracts(
     program: &Program,
     contracts: &[LearnContract],
     aged_tables: &BTreeSet<String>,
-) -> AnalysisReport {
-    let mut report = AnalysisReport::default();
-    fn mismatch(report: &mut AnalysisReport, entity: &str, message: String, witness: Vec<String>) {
-        report.findings.push(
-            Finding::new(AnalysisCode::LearnContractMismatch, entity, message)
-                .with_witness(witness),
-        );
-    }
+) -> LintReport {
+    let cfg = LintConfig::default();
+    let mut report = LintReport::default();
     for c in contracts {
         let entity = c.entity();
         let witness = vec![format!(
             "contract {} -> {}.{}",
             entity, c.target_table, c.target_action
         )];
+        let mut mismatch = |message: String| {
+            let diag = Diagnostic::new(LintCode::LearnContractMismatch, &entity, message);
+            report.emit(&cfg, diag.with_witness(witness.clone()));
+        };
         let Some(layout) = digest_layout(program, &c.stream) else {
-            mismatch(
-                &mut report,
-                &entity,
-                format!(
-                    "no action in program {} digests stream `{}`",
-                    program.name, c.stream
-                ),
-                witness,
-            );
+            mismatch(format!(
+                "no action in program {} digests stream `{}`",
+                program.name, c.stream
+            ));
             continue;
         };
         let Some(table) = program.tables.get(&c.target_table) else {
-            mismatch(
-                &mut report,
-                &entity,
-                format!("learn target table `{}` does not exist", c.target_table),
-                witness,
-            );
+            mismatch(format!(
+                "learn target table `{}` does not exist",
+                c.target_table
+            ));
             continue;
         };
         if c.key_map.len() != table.keys.len() {
-            mismatch(
-                &mut report,
-                &entity,
-                format!(
-                    "contract installs {} key(s) but table {} matches on {}",
-                    c.key_map.len(),
-                    table.name,
-                    table.keys.len()
-                ),
-                witness.clone(),
-            );
+            mismatch(format!(
+                "contract installs {} key(s) but table {} matches on {}",
+                c.key_map.len(),
+                table.name,
+                table.keys.len()
+            ));
         } else {
             for (i, (digest_idx, key)) in c.key_map.iter().zip(&table.keys).enumerate() {
                 let Some(dw) = layout.get(*digest_idx) else {
-                    mismatch(
-                        &mut report,
-                        &entity,
-                        format!(
-                            "key {i} maps digest field {digest_idx}, but the digest \
+                    mismatch(format!(
+                        "key {i} maps digest field {digest_idx}, but the digest \
                              carries only {} field(s)",
-                            layout.len()
-                        ),
-                        witness.clone(),
-                    );
+                        layout.len()
+                    ));
                     continue;
                 };
                 let kw = program.field_width(&key.field).unwrap_or(0);
                 if *dw != kw {
-                    mismatch(
-                        &mut report,
-                        &entity,
-                        format!(
-                            "digest field {digest_idx} is {dw} bits but table key {} \
+                    mismatch(format!(
+                        "digest field {digest_idx} is {dw} bits but table key {} \
                              is {kw} bits",
-                            key.field
-                        ),
-                        witness.clone(),
-                    );
+                        key.field
+                    ));
                 }
             }
         }
         if !table.actions.contains(&c.target_action) {
-            mismatch(
-                &mut report,
-                &entity,
-                format!(
-                    "table {} cannot run learn action `{}`",
-                    table.name, c.target_action
-                ),
-                witness.clone(),
-            );
+            mismatch(format!(
+                "table {} cannot run learn action `{}`",
+                table.name, c.target_action
+            ));
         } else if let Some(action) = program.actions.get(&c.target_action) {
             if c.arg_map.len() != action.params.len() {
-                mismatch(
-                    &mut report,
-                    &entity,
-                    format!(
-                        "contract binds {} argument(s) but action {} takes {}",
-                        c.arg_map.len(),
-                        action.name,
-                        action.params.len()
-                    ),
-                    witness.clone(),
-                );
+                mismatch(format!(
+                    "contract binds {} argument(s) but action {} takes {}",
+                    c.arg_map.len(),
+                    action.name,
+                    action.params.len()
+                ));
             } else {
                 for (j, (digest_idx, (pname, pw))) in
                     c.arg_map.iter().zip(&action.params).enumerate()
                 {
                     let Some(dw) = layout.get(*digest_idx) else {
-                        mismatch(
-                            &mut report,
-                            &entity,
-                            format!(
-                                "argument {j} maps digest field {digest_idx}, but the \
+                        mismatch(format!(
+                            "argument {j} maps digest field {digest_idx}, but the \
                                  digest carries only {} field(s)",
-                                layout.len()
-                            ),
-                            witness.clone(),
-                        );
+                            layout.len()
+                        ));
                         continue;
                     };
                     if dw != pw {
-                        mismatch(
-                            &mut report,
-                            &entity,
-                            format!(
-                                "digest field {digest_idx} is {dw} bits but action \
+                        mismatch(format!(
+                            "digest field {digest_idx} is {dw} bits but action \
                                  parameter {pname} is {pw} bits"
-                            ),
-                            witness.clone(),
-                        );
+                        ));
                     }
                 }
             }
         }
         if !aged_tables.contains(&c.target_table) {
-            report.findings.push(
-                Finding::new(
-                    AnalysisCode::LearnWithoutAging,
-                    &entity,
-                    format!(
-                        "learn target table `{}` has no idle-timeout aging: learned \
-                         entries accumulate until the table exhausts",
-                        c.target_table
-                    ),
-                )
-                .with_witness(vec![format!(
-                    "enable with Deployment::set_idle_timeout(\"{}\", \"{}\", ..)",
-                    c.nf, c.target_table
-                )]),
+            let diag = Diagnostic::new(
+                LintCode::LearnWithoutAging,
+                &entity,
+                format!(
+                    "learn target table `{}` has no idle-timeout aging: learned \
+                     entries accumulate until the table exhausts",
+                    c.target_table
+                ),
             );
+            let recipe = format!(
+                "enable with Deployment::set_idle_timeout(\"{}\", \"{}\", ..)",
+                c.nf, c.target_table
+            );
+            report.emit(&cfg, diag.with_witness(vec![recipe]));
         }
     }
     report.sort();
@@ -274,8 +230,9 @@ pub fn check_learn_contracts(
 /// array accessed from two or more of the given programs when at least one
 /// of them writes it. `programs` pairs a label (e.g. the pipelet id) with
 /// the composed program running there.
-pub fn analyze_pipelets(programs: &[(String, &Program)]) -> AnalysisReport {
-    let mut report = AnalysisReport::default();
+pub fn analyze_pipelets(programs: &[(String, &Program)]) -> LintReport {
+    let cfg = LintConfig::default();
+    let mut report = LintReport::default();
     // register -> per-label access summary
     let mut by_register: BTreeMap<String, BTreeMap<String, dejavu_p4ir::RegisterAccess>> =
         BTreeMap::new();
@@ -305,18 +262,16 @@ pub fn analyze_pipelets(programs: &[(String, &Program)]) -> AnalysisReport {
                 format!("{label}: {mode}")
             })
             .collect();
-        report.findings.push(
-            Finding::new(
-                AnalysisCode::RegisterHazard,
-                &reg,
-                format!(
-                    "register `{reg}` is accessed from {} pipelets with at least one \
-                     writer; per-pipelet state cannot be shared coherently",
-                    sites.len()
-                ),
-            )
-            .with_witness(witness),
+        let diag = Diagnostic::new(
+            LintCode::RegisterHazard,
+            &reg,
+            format!(
+                "register `{reg}` is accessed from {} pipelets with at least one \
+                 writer; per-pipelet state cannot be shared coherently",
+                sites.len()
+            ),
         );
+        report.emit(&cfg, diag.with_witness(witness));
     }
     report.sort();
     report
@@ -389,11 +344,11 @@ mod tests {
         let p = learn_program();
         let none: BTreeSet<String> = BTreeSet::new();
         let report = check_learn_contracts(&p, &[contract()], &none);
-        let codes: Vec<_> = report.findings.iter().map(|f| f.code.code()).collect();
+        let codes: Vec<_> = report.diagnostics.iter().map(|f| f.code.code()).collect();
         assert_eq!(codes, vec!["DJV303"]);
         let aged: BTreeSet<String> = ["sessions".to_string()].into();
         assert!(check_learn_contracts(&p, &[contract()], &aged)
-            .findings
+            .diagnostics
             .is_empty());
     }
 
@@ -405,11 +360,11 @@ mod tests {
         swapped.key_map = vec![1]; // 16-bit digest field into a 32-bit key
         swapped.arg_map = vec![0]; // 32-bit digest field into a 16-bit param
         let report = check_learn_contracts(&p, &[swapped], &aged);
-        assert_eq!(report.findings.len(), 2);
+        assert_eq!(report.diagnostics.len(), 2);
         assert!(report
-            .findings
+            .diagnostics
             .iter()
-            .all(|f| f.code == AnalysisCode::LearnContractMismatch));
+            .all(|f| f.code == LintCode::LearnContractMismatch));
 
         let mut oob = contract();
         oob.key_map = vec![5];
@@ -418,7 +373,7 @@ mod tests {
         let mut ghost = contract();
         ghost.stream = "nope".into();
         let report = check_learn_contracts(&p, &[ghost], &aged);
-        assert!(report.findings[0].message.contains("digests stream"));
+        assert!(report.diagnostics[0].message.contains("digests stream"));
     }
 
     #[test]
@@ -464,10 +419,10 @@ mod tests {
             ),
         );
         let report = analyze_pipelets(&[("pipe0".into(), &a), ("pipe1".into(), &b)]);
-        assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.findings[0].code, AnalysisCode::RegisterHazard);
+        assert_eq!(report.diagnostics.len(), 1);
+        assert_eq!(report.diagnostics[0].code, LintCode::RegisterHazard);
         assert_eq!(
-            report.findings[0].witness,
+            report.diagnostics[0].witness,
             vec!["pipe0: write", "pipe1: read"]
         );
 
@@ -485,6 +440,6 @@ mod tests {
             ),
         );
         let report = analyze_pipelets(&[("pipe0".into(), &b), ("pipe1".into(), &c)]);
-        assert!(report.findings.is_empty());
+        assert!(report.diagnostics.is_empty());
     }
 }

@@ -232,6 +232,15 @@ pub struct DeployOptions {
     pub segment: Option<crate::routing::SegmentOptions>,
 }
 
+impl DeployOptions {
+    /// The segment routing is synthesized for: single switch when unset.
+    fn routed_segment(&self) -> crate::routing::SegmentOptions {
+        self.segment
+            .clone()
+            .unwrap_or_else(crate::routing::SegmentOptions::single_switch)
+    }
+}
+
 impl Deployment {
     /// §7 "service upgrade and expansion": hot-swaps one NF's implementation
     /// in place. Only the pipelet hosting the NF is recomposed, recompiled
@@ -271,38 +280,14 @@ impl Deployment {
         }
 
         // Recompose and recompile just this pipelet.
-        let nf_names = self
-            .placement
-            .pipelets
-            .get(&pipelet)
-            .cloned()
-            .unwrap_or_default();
-        let planned: Vec<PlannedNf> = nf_names
-            .iter()
-            .map(|n| {
-                if self.options.entry_nf.as_deref() == Some(n.as_str()) {
-                    PlannedNf::entry(n.clone())
-                } else {
-                    PlannedNf::indexed(n.clone())
-                }
-            })
-            .collect();
-        let plan = PipeletPlan {
+        let (plan, program, allocation) = build_pipelet(
+            &merged,
+            &self.placement,
+            &self.options,
             pipelet,
-            nfs: planned,
-            mode: self
-                .options
-                .modes
-                .get(&pipelet)
-                .copied()
-                .unwrap_or_else(|| self.placement.mode(pipelet)),
-        };
-        let program = compose_pipelet(&merged, &plan)
-            .map_err(|e| UpgradeError::Deploy(DeployError::Compose(e)))?;
-        let allocation = StageAllocator::new(self.profile.clone())
-            .with_lint_config(crate::lint::pipelet_lint_config(&program, &plan))
-            .compile(&program)
-            .map_err(|error| UpgradeError::Deploy(DeployError::Compile { pipelet, error }))?;
+            &self.profile,
+        )
+        .map_err(UpgradeError::Deploy)?;
 
         // Snapshot the pipelet's mutable state before the reload wipes it.
         let snapshot = switch.snapshot_state(pipelet);
@@ -332,7 +317,7 @@ impl Deployment {
             None => dejavu_asic::MigrationReport::default(),
         };
         Ok(UpgradeOutcome {
-            affected_nfs: nf_names,
+            affected_nfs: plan.nfs.into_iter().map(|nf| nf.name).collect(),
             migration,
         })
     }
@@ -356,8 +341,6 @@ impl Deployment {
         port: dejavu_asic::PortId,
         replacement_exit: Option<dejavu_asic::PortId>,
     ) -> Result<(), DeployError> {
-        switch.set_port_down(port, true);
-
         let mut config = self.config.clone();
         // Loopback fallback: dropping the entry makes loopback_of() use the
         // dedicated recirculation port.
@@ -381,11 +364,21 @@ impl Deployment {
         }
         validate_config(&self.chains, &self.profile, &config).map_err(DeployError::Routing)?;
 
-        let synthesis =
-            RoutingSynthesis::synthesize(&self.placement, &self.chains, &self.profile, &config)
-                .map_err(DeployError::Routing)?;
-        // Swap: clear every framework table the old synthesis touched, then
-        // install the new entries.
+        // The same segment `deploy` routed for: on a cluster member, remote
+        // NFs stay reachable over their links and a middle switch still
+        // forwards SFC-encapsulated.
+        let synthesis = RoutingSynthesis::synthesize_segment(
+            &self.placement,
+            &self.chains,
+            &self.profile,
+            &config,
+            &self.options.routed_segment(),
+        )
+        .map_err(DeployError::Routing)?;
+        // The replacement routing exists: only now touch the switch. Mark
+        // the port down, then swap — clear every framework table the old
+        // synthesis touched and install the new entries.
+        switch.set_port_down(port, true);
         let mut cleared = std::collections::BTreeSet::new();
         for (pipelet, table, _) in &self.synthesis.entries {
             if cleared.insert((*pipelet, table.clone())) {
@@ -397,6 +390,43 @@ impl Deployment {
         self.config = config;
         Ok(())
     }
+}
+
+/// Plans, composes and compiles one pipelet of a placement: the NFs placed
+/// there (the entry NF gated on "no SFC header yet"), in the mode resolved as
+/// explicit option override, then the placement's own mode, then sequential;
+/// vetted under [`crate::lint::pipelet_lint_config`].
+fn build_pipelet(
+    merged: &MergedProgram,
+    placement: &Placement,
+    options: &DeployOptions,
+    pipelet: PipeletId,
+    profile: &TofinoProfile,
+) -> Result<(PipeletPlan, dejavu_p4ir::Program, Allocation), DeployError> {
+    let nfs = placement.pipelets.get(&pipelet).into_iter().flatten();
+    let plan = PipeletPlan {
+        pipelet,
+        nfs: nfs
+            .map(|n| {
+                if options.entry_nf.as_deref() == Some(n.as_str()) {
+                    PlannedNf::entry(n.clone())
+                } else {
+                    PlannedNf::indexed(n.clone())
+                }
+            })
+            .collect(),
+        mode: options
+            .modes
+            .get(&pipelet)
+            .copied()
+            .unwrap_or_else(|| placement.mode(pipelet)),
+    };
+    let program = compose_pipelet(merged, &plan).map_err(DeployError::Compose)?;
+    let allocation = StageAllocator::new(profile.clone())
+        .with_lint_config(crate::lint::pipelet_lint_config(&program, &plan))
+        .compile(&program)
+        .map_err(|error| DeployError::Compile { pipelet, error })?;
+    Ok((plan, program, allocation))
 }
 
 /// Runs the full flow; returns the configured switch and the deployment
@@ -423,7 +453,6 @@ pub fn deploy(
     validate_config(chains, profile, config).map_err(DeployError::Routing)?;
 
     let merged = merge_programs("dejavu", nfs).map_err(DeployError::Merge)?;
-    let allocator = StageAllocator::new(profile.clone());
 
     let mut switch = Switch::new(profile.clone());
     let mut allocations = BTreeMap::new();
@@ -434,38 +463,8 @@ pub fn deploy(
     for pipeline in 0..profile.pipelines {
         for gress in [Gress::Ingress, Gress::Egress] {
             let pipelet = PipeletId { pipeline, gress };
-            let nf_names = placement
-                .pipelets
-                .get(&pipelet)
-                .cloned()
-                .unwrap_or_default();
-            let planned: Vec<PlannedNf> = nf_names
-                .iter()
-                .map(|n| {
-                    if options.entry_nf.as_deref() == Some(n.as_str()) {
-                        PlannedNf::entry(n.clone())
-                    } else {
-                        PlannedNf::indexed(n.clone())
-                    }
-                })
-                .collect();
-            let plan = PipeletPlan {
-                pipelet,
-                nfs: planned,
-                // Mode resolution: explicit option override, then the
-                // placement's own mode, then sequential.
-                mode: options
-                    .modes
-                    .get(&pipelet)
-                    .copied()
-                    .unwrap_or_else(|| placement.mode(pipelet)),
-            };
-            let program = compose_pipelet(&merged, &plan).map_err(DeployError::Compose)?;
-            let allocation = allocator
-                .clone()
-                .with_lint_config(crate::lint::pipelet_lint_config(&program, &plan))
-                .compile(&program)
-                .map_err(|error| DeployError::Compile { pipelet, error })?;
+            let (_, program, allocation) =
+                build_pipelet(&merged, placement, options, pipelet, profile)?;
             switch
                 .load_program(pipelet, program)
                 .map_err(DeployError::Switch)?;
@@ -481,10 +480,7 @@ pub fn deploy(
     }
 
     // Routing entries.
-    let segment = options
-        .segment
-        .clone()
-        .unwrap_or_else(crate::routing::SegmentOptions::single_switch);
+    let segment = options.routed_segment();
     let synthesis =
         RoutingSynthesis::synthesize_segment(placement, chains, profile, config, &segment)
             .map_err(DeployError::Routing)?;

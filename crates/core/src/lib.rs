@@ -133,4 +133,5 @@ pub mod prelude {
         PortId, RtcConfig, RtcReport, RtcSession, Switch, SwitchMetrics, SwitchOptions,
         TimingModel, TofinoProfile, TraceLevel, Traversal,
     };
+    pub use dejavu_p4ir::lint::{Diagnostic, LintCode, LintConfig, LintReport, Severity};
 }

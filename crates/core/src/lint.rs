@@ -1,7 +1,9 @@
-//! Chain-level static verification (the `dejavu-lint` composition gates).
+//! The framework-aware `dejavu-lint` passes (`DJV101`–`DJV102`).
 //!
-//! The per-program dataflow analyses live in [`dejavu_p4ir::lint`]; this
-//! module layers the *framework-aware* checks on top:
+//! The diagnostics framework and the per-program passes live in
+//! [`dejavu_p4ir::lint`] and [`dejavu_p4ir::analyze`]; the passes here know
+//! the SFC framework and emit into the same registry and report
+//! ([`crate::analyze`] holds the stateful-safety ones):
 //!
 //! * [`lint_pipelet`] runs the p4ir linter over a composed pipelet program
 //!   with a [`pipelet_lint_config`] that encodes the framework's documented
@@ -72,20 +74,16 @@ pub fn lint_pipelet(program: &Program, plan: &PipeletPlan) -> LintReport {
     let cfg = pipelet_lint_config(program, plan);
     let mut report = check_with_config(program, &cfg);
 
-    let mut sfc_invariant = |entity: &str, message: String, note: Option<String>| {
-        let mut d = Diagnostic::new(LintCode::SfcInvariant, entity, message);
-        d.severity = cfg.severity_for(LintCode::SfcInvariant, entity);
-        if let Some(n) = note {
-            d = d.with_note(n);
-        }
-        report.diagnostics.push(d);
+    let mut sfc_invariant = |entity: &str, message: String, note: &str| {
+        let diag = Diagnostic::new(LintCode::SfcInvariant, entity, message).with_note(note);
+        report.emit(&cfg, diag);
     };
 
     if !program.header_types.contains_key(SFC_HEADER) {
         sfc_invariant(
             &program.name,
             format!("composed pipelet lacks the `{SFC_HEADER}` header type"),
-            Some("every Dejavu pipelet must understand the SFC encapsulation".into()),
+            "every Dejavu pipelet must understand the SFC encapsulation",
         );
     }
     if !program
@@ -97,7 +95,7 @@ pub fn lint_pipelet(program: &Program, plan: &PipeletPlan) -> LintReport {
         sfc_invariant(
             &program.name,
             format!("generic parser has no `{SFC_HEADER}` vertex"),
-            Some("SFC-encapsulated packets would fall off the parse graph".into()),
+            "SFC-encapsulated packets would fall off the parse graph",
         );
     }
 
@@ -108,15 +106,13 @@ pub fn lint_pipelet(program: &Program, plan: &PipeletPlan) -> LintReport {
                 sfc_invariant(
                     names::BRANCHING,
                     "ingress pipelet has no branching table".into(),
-                    Some("packets could not be routed to their next hop (§3.4)".into()),
+                    "packets could not be routed to their next hop (§3.4)",
                 );
             } else if order.last().map(String::as_str) != Some(names::BRANCHING) {
                 sfc_invariant(
                     names::BRANCHING,
                     "branching table is not the last table applied on the ingress pipelet".into(),
-                    Some(
-                        "an NF applied after branching could override the routing decision".into(),
-                    ),
+                    "an NF applied after branching could override the routing decision",
                 );
             }
         }
@@ -125,12 +121,13 @@ pub fn lint_pipelet(program: &Program, plan: &PipeletPlan) -> LintReport {
                 sfc_invariant(
                     names::DECAP,
                     "egress pipelet has no decap table".into(),
-                    Some("packets leaving an external port would keep the SFC header".into()),
+                    "packets leaving an external port would keep the SFC header",
                 );
             }
         }
     }
 
+    report.sort();
     report
 }
 
@@ -171,6 +168,7 @@ pub fn lint_chain_budget(
     placement: &Placement,
     spec: &BudgetSpec<'_>,
 ) -> LintReport {
+    let cfg = LintConfig::default();
     let mut report = LintReport::default();
     let total_weight = chains.total_weight();
     let mut weighted_recircs = 0.0;
@@ -197,11 +195,9 @@ pub fn lint_chain_budget(
                 ));
             }
             Err(e) => {
-                report.diagnostics.push(Diagnostic::new(
-                    LintCode::SfcInvariant,
-                    &chain.name,
-                    format!("chain cannot be traversed under this placement: {e}"),
-                ));
+                let message = format!("chain cannot be traversed under this placement: {e}");
+                let diag = Diagnostic::new(LintCode::SfcInvariant, &chain.name, message);
+                report.emit(&cfg, diag);
             }
         }
     }
@@ -232,9 +228,10 @@ pub fn lint_chain_budget(
         for line in &per_chain {
             d = d.with_note(line.clone());
         }
-        report.diagnostics.push(d);
+        report.emit(&cfg, d);
     }
 
+    report.sort();
     report
 }
 

@@ -1,14 +1,16 @@
-//! `dejavu-analyze`: abstract interpretation over the P4IR.
+//! The abstract-interpretation pass of `dejavu-lint` (`DJV201`–`DJV204`).
 //!
-//! The structural linter ([`crate::lint`]) reasons about *which* headers and
-//! metadata a program touches; this module reasons about *what values* flow
+//! The structural pass ([`crate::lint::check`]) reasons about *which* headers
+//! and metadata a program touches; this pass reasons about *what values* flow
 //! through them. A per-field abstract domain — an interval `[lo, hi]` paired
 //! with a known-bits mask — is propagated through the parser DAG, the control
 //! flow, and action op arrays, mirroring the interpreter's semantics exactly
 //! (binary ops wrap at the left operand's width, field writes truncate to the
 //! destination width, comparisons are width-agnostic on raw values).
 //!
-//! The pass emits the `DJV2xx` value checks:
+//! It emits into the shared framework of [`crate::lint`] — same registry,
+//! same [`LintConfig`], same [`LintReport`] — and owns only the domain
+//! ([`AbstractValue`], [`Tri`]) and the walk:
 //!
 //! * **`DJV201` value truncation** — an assignment (or register access)
 //!   whose value may exceed the destination's width. Intentional narrowing
@@ -18,324 +20,25 @@
 //!   `ApplySelect` arm that can never execute given the value refinements
 //!   along every path reaching it.
 //! * **`DJV203` unmatchable entry** — an installed-entry pattern (supplied
-//!   via [`AnalysisConfig::with_entries`]) that no feasible key value can
+//!   via [`LintConfig::with_entries`]) that no feasible key value can
 //!   ever match.
 //! * **`DJV204` unbounded recirculation** — a resubmit/recirculate flag set
 //!   with no guard at all, or with a guard no action in the program ever
 //!   writes, so the packet loops forever.
 //!
-//! The `DJV3xx` stateful-safety codes (`DJV301` register hazards between
-//! merged pipelets, `DJV302` digest-layout vs. learn-contract mismatches,
-//! `DJV303` learn targets without aging) are registered here so the whole
-//! band shares one registry, but are emitted by `dejavu-core`'s
-//! chain-aware analyzer, exactly as `DJV101`/`DJV102` relate to
-//! [`crate::lint`].
-//!
-//! Entry points: [`check`] with defaults, [`check_with_config`] with
-//! severity overrides, per-entity allows, and installed-entry patterns.
-//! `dejavu-compiler`'s `StageAllocator` refuses programs carrying
-//! error-level findings (`CompileError::AnalysisRejected`).
+//! Every finding carries a path witness (`via:` lines) explaining how the
+//! walk reached the flagged point. Entry points: [`check`] with defaults,
+//! [`check_with_config`] under an explicit configuration.
 
 use crate::action::{ActionDef, Expr, PrimitiveOp};
 use crate::control::{BoolExpr, CmpOp, Stmt};
 use crate::header::FieldRef;
-use crate::lint::{json_str, pattern_matches, Severity};
+use crate::lint::{Diagnostic, LintCode, LintConfig, LintReport};
 use crate::parser::{Target, Transition};
 use crate::program::Program;
 use crate::table::{KeyMatch, TableDef};
 use crate::value::mask_for;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-
-/// The analysis registry: every value/stateful check, with a stable code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AnalysisCode {
-    /// `DJV201` — assignment or register access that may truncate a value
-    /// into a narrower destination.
-    ValueTruncation,
-    /// `DJV202` — select case, branch arm, or `ApplySelect` arm that can
-    /// never execute.
-    InfeasiblePath,
-    /// `DJV203` — installed-entry pattern no feasible key value matches.
-    UnmatchableEntry,
-    /// `DJV204` — resubmit/recirculate flag set with no guard, or a guard
-    /// no action ever changes: a provably unbounded loop.
-    UnboundedRecirc,
-    /// `DJV301` — the same register accessed from two or more merged
-    /// pipelets with at least one writer (emitted by `dejavu-core`).
-    RegisterHazard,
-    /// `DJV302` — digest payload layout disagrees with the registered
-    /// learn contract's key/action signature (emitted by `dejavu-core`).
-    LearnContractMismatch,
-    /// `DJV303` — a learn contract installs into a table without
-    /// idle-timeout aging: table exhaustion under churn (emitted by
-    /// `dejavu-core`).
-    LearnWithoutAging,
-}
-
-impl AnalysisCode {
-    /// Every registered check, in code order.
-    pub const ALL: [AnalysisCode; 7] = [
-        AnalysisCode::ValueTruncation,
-        AnalysisCode::InfeasiblePath,
-        AnalysisCode::UnmatchableEntry,
-        AnalysisCode::UnboundedRecirc,
-        AnalysisCode::RegisterHazard,
-        AnalysisCode::LearnContractMismatch,
-        AnalysisCode::LearnWithoutAging,
-    ];
-
-    /// The stable diagnostic code.
-    pub fn code(self) -> &'static str {
-        match self {
-            AnalysisCode::ValueTruncation => "DJV201",
-            AnalysisCode::InfeasiblePath => "DJV202",
-            AnalysisCode::UnmatchableEntry => "DJV203",
-            AnalysisCode::UnboundedRecirc => "DJV204",
-            AnalysisCode::RegisterHazard => "DJV301",
-            AnalysisCode::LearnContractMismatch => "DJV302",
-            AnalysisCode::LearnWithoutAging => "DJV303",
-        }
-    }
-
-    /// Severity when no [`AnalysisConfig`] override applies.
-    pub fn default_severity(self) -> Severity {
-        match self {
-            AnalysisCode::ValueTruncation
-            | AnalysisCode::InfeasiblePath
-            | AnalysisCode::UnboundedRecirc
-            | AnalysisCode::LearnWithoutAging => Severity::Warning,
-            AnalysisCode::UnmatchableEntry
-            | AnalysisCode::RegisterHazard
-            | AnalysisCode::LearnContractMismatch => Severity::Error,
-        }
-    }
-
-    /// One-line description for the registry table.
-    pub fn summary(self) -> &'static str {
-        match self {
-            AnalysisCode::ValueTruncation => "value may truncate into a narrower destination",
-            AnalysisCode::InfeasiblePath => "select case or branch arm that can never execute",
-            AnalysisCode::UnmatchableEntry => "installed entry no feasible key value matches",
-            AnalysisCode::UnboundedRecirc => "resubmit/recirculate loop with no changing guard",
-            AnalysisCode::RegisterHazard => "register shared across pipelets with a writer",
-            AnalysisCode::LearnContractMismatch => "digest layout disagrees with learn contract",
-            AnalysisCode::LearnWithoutAging => "learn target table has no idle-timeout aging",
-        }
-    }
-}
-
-impl fmt::Display for AnalysisCode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.code())
-    }
-}
-
-/// One analysis finding, with a path witness explaining how the analyzer
-/// reached the flagged point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Finding {
-    /// Which check fired.
-    pub code: AnalysisCode,
-    /// Effective severity (after configuration).
-    pub severity: Severity,
-    /// The entity the finding anchors to: a table, action, control, or
-    /// parser vertex (`header@offset`).
-    pub entity: String,
-    /// Human-readable description of the defect.
-    pub message: String,
-    /// The control/parser path steps that lead to the flagged point.
-    pub witness: Vec<String>,
-}
-
-impl Finding {
-    /// Creates a finding at the check's default severity.
-    pub fn new(code: AnalysisCode, entity: impl Into<String>, message: impl Into<String>) -> Self {
-        Finding {
-            code,
-            severity: code.default_severity(),
-            entity: entity.into(),
-            message: message.into(),
-            witness: Vec::new(),
-        }
-    }
-
-    /// Attaches the path witness.
-    pub fn with_witness(mut self, witness: Vec<String>) -> Self {
-        self.witness = witness;
-        self
-    }
-}
-
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}[{}] {}: {}",
-            self.severity, self.code, self.entity, self.message
-        )
-    }
-}
-
-/// Analysis configuration: severity overrides, per-entity allows, and the
-/// installed-entry patterns checked by `DJV203`.
-///
-/// Allows use the same pattern syntax as [`crate::lint::LintConfig`]: an
-/// exact entity name or a prefix ending in `*`.
-#[derive(Debug, Clone, Default)]
-pub struct AnalysisConfig {
-    severities: BTreeMap<AnalysisCode, Severity>,
-    allows: Vec<(AnalysisCode, String)>,
-    /// Per-table installed-entry patterns (one `Vec<KeyMatch>` per entry,
-    /// aligned with the table's key list).
-    entries: BTreeMap<String, Vec<Vec<KeyMatch>>>,
-}
-
-impl AnalysisConfig {
-    /// Creates the default configuration (registry defaults, no allows, no
-    /// installed entries).
-    pub fn new() -> Self {
-        AnalysisConfig::default()
-    }
-
-    /// Overrides the severity of a check.
-    pub fn set_severity(mut self, code: AnalysisCode, severity: Severity) -> Self {
-        self.severities.insert(code, severity);
-        self
-    }
-
-    /// Allows a check for entities matching `pattern` (exact name, or a
-    /// prefix ending in `*`).
-    pub fn allow(mut self, code: AnalysisCode, pattern: impl Into<String>) -> Self {
-        self.allows.push((code, pattern.into()));
-        self
-    }
-
-    /// Declares the entry patterns installed into `table`, enabling the
-    /// `DJV203` unmatchable-entry check for it.
-    pub fn with_entries(mut self, table: impl Into<String>, patterns: Vec<Vec<KeyMatch>>) -> Self {
-        self.entries.insert(table.into(), patterns);
-        self
-    }
-
-    /// Effective severity of `code` at `entity`.
-    pub fn severity_for(&self, code: AnalysisCode, entity: &str) -> Severity {
-        for (c, pat) in &self.allows {
-            if *c == code && pattern_matches(pat, entity) {
-                return Severity::Allow;
-            }
-        }
-        self.severities
-            .get(&code)
-            .copied()
-            .unwrap_or_else(|| code.default_severity())
-    }
-}
-
-/// The findings of one analysis run. Order is deterministic: sorted by
-/// code, then entity, then message.
-#[derive(Debug, Clone, Default)]
-pub struct AnalysisReport {
-    /// All findings, including `Allow`-level advisories.
-    pub findings: Vec<Finding>,
-}
-
-impl AnalysisReport {
-    /// Error-level findings.
-    pub fn errors(&self) -> Vec<&Finding> {
-        self.findings
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .collect()
-    }
-
-    /// Warning-level findings.
-    pub fn warnings(&self) -> Vec<&Finding> {
-        self.findings
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
-            .collect()
-    }
-
-    /// True when any error-level finding exists.
-    pub fn has_errors(&self) -> bool {
-        self.findings.iter().any(|d| d.severity == Severity::Error)
-    }
-
-    /// True when nothing at warning level or above fired.
-    pub fn is_clean(&self) -> bool {
-        self.findings.iter().all(|d| d.severity == Severity::Allow)
-    }
-
-    /// Absorbs another report's findings and restores deterministic order.
-    pub fn merge(&mut self, other: AnalysisReport) {
-        self.findings.extend(other.findings);
-        self.sort();
-    }
-
-    /// One formatted line per error (used in refusal messages).
-    pub fn error_summaries(&self) -> Vec<String> {
-        self.errors().iter().map(|d| d.to_string()).collect()
-    }
-
-    /// Sorts findings by (code, entity, message) — the canonical order.
-    pub fn sort(&mut self) {
-        self.findings
-            .sort_by(|a, b| (a.code, &a.entity, &a.message).cmp(&(b.code, &b.entity, &b.message)));
-    }
-
-    /// Renders a `rustc`-style plain-text report.
-    pub fn render_pretty(&self) -> String {
-        if self.findings.is_empty() {
-            return "clean: no findings\n".to_string();
-        }
-        let mut out = String::new();
-        for d in &self.findings {
-            out.push_str(&d.to_string());
-            out.push('\n');
-            for step in &d.witness {
-                out.push_str("  via: ");
-                out.push_str(step);
-                out.push('\n');
-            }
-        }
-        let (e, w, a) = self
-            .findings
-            .iter()
-            .fold((0, 0, 0), |(e, w, a), d| match d.severity {
-                Severity::Error => (e + 1, w, a),
-                Severity::Warning => (e, w + 1, a),
-                Severity::Allow => (e, w, a + 1),
-            });
-        out.push_str(&format!("{e} error(s), {w} warning(s), {a} allowed\n"));
-        out
-    }
-
-    /// Renders the findings as a stable JSON array: one object per finding
-    /// with `code`, `severity`, `entity`, `message`, and `witness`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, d) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":{},\"severity\":{},\"entity\":{},\"message\":{},\"witness\":[{}]}}",
-                json_str(d.code.code()),
-                json_str(&d.severity.to_string()),
-                json_str(&d.entity),
-                json_str(&d.message),
-                d.witness
-                    .iter()
-                    .map(|n| json_str(n))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
-        }
-        out.push(']');
-        out
-    }
-}
 
 // ---------------------------------------------------------------------------
 // The abstract domain
@@ -668,16 +371,15 @@ const MAX_DEPTH: usize = 64;
 
 struct Analyzer<'a> {
     program: &'a Program,
-    config: &'a AnalysisConfig,
-    report: AnalysisReport,
-    seen: BTreeSet<(AnalysisCode, String, String)>,
+    config: &'a LintConfig,
+    report: LintReport,
     /// Every field any action in the program writes (for DJV204 guard
     /// mutability).
     writers: Vec<FieldRef>,
 }
 
 impl<'a> Analyzer<'a> {
-    fn new(program: &'a Program, config: &'a AnalysisConfig) -> Self {
+    fn new(program: &'a Program, config: &'a LintConfig) -> Self {
         let writers = program
             .actions
             .values()
@@ -688,23 +390,14 @@ impl<'a> Analyzer<'a> {
         Analyzer {
             program,
             config,
-            report: AnalysisReport::default(),
-            seen: BTreeSet::new(),
+            report: LintReport::default(),
             writers,
         }
     }
 
-    fn emit(&mut self, code: AnalysisCode, entity: &str, message: String, witness: Vec<String>) {
-        if !self
-            .seen
-            .insert((code, entity.to_string(), message.clone()))
-        {
-            return;
-        }
-        let severity = self.config.severity_for(code, entity);
-        let mut f = Finding::new(code, entity, message).with_witness(witness);
-        f.severity = severity;
-        self.report.findings.push(f);
+    fn emit(&mut self, code: LintCode, entity: &str, message: String, witness: Vec<String>) {
+        let diag = Diagnostic::new(code, entity, message).with_witness(witness);
+        self.report.emit(self.config, diag);
     }
 
     /// Natural-width abstract evaluation, mirroring the interpreter: the
@@ -1031,7 +724,7 @@ impl<'a> Analyzer<'a> {
                 for (v, t) in &cases {
                     if !av.contains(v.raw()) {
                         self.emit(
-                            AnalysisCode::InfeasiblePath,
+                            LintCode::InfeasiblePath,
                             &entity,
                             format!(
                                 "select case {v} on {ht_name}.{field} can never match \
@@ -1149,7 +842,7 @@ impl<'a> Analyzer<'a> {
                 for (action, body) in arms {
                     if !tdef.actions.contains(action) {
                         self.emit(
-                            AnalysisCode::InfeasiblePath,
+                            LintCode::InfeasiblePath,
                             control,
                             format!(
                                 "ApplySelect arm `{action}` on table {table} names an \
@@ -1183,7 +876,7 @@ impl<'a> Analyzer<'a> {
                 let desc = fmt_bool(cond);
                 if tri == Tri::False && !then_branch.is_empty() {
                     self.emit(
-                        AnalysisCode::InfeasiblePath,
+                        LintCode::InfeasiblePath,
                         control,
                         format!("branch condition `{desc}` is always false"),
                         path.clone(),
@@ -1191,7 +884,7 @@ impl<'a> Analyzer<'a> {
                 }
                 if tri == Tri::True && !else_branch.is_empty() {
                     self.emit(
-                        AnalysisCode::InfeasiblePath,
+                        LintCode::InfeasiblePath,
                         control,
                         format!("else-branch of always-true condition `{desc}` never runs"),
                         path.clone(),
@@ -1281,7 +974,7 @@ impl<'a> Analyzer<'a> {
         for (i, pattern) in patterns.iter().enumerate() {
             if pattern.len() != tdef.keys.len() {
                 self.emit(
-                    AnalysisCode::UnmatchableEntry,
+                    LintCode::UnmatchableEntry,
                     &tdef.name,
                     format!(
                         "installed entry {i} has {} key match(es), table has {} key(s)",
@@ -1300,7 +993,7 @@ impl<'a> Analyzer<'a> {
                     .unwrap_or_else(|| AbstractValue::top(bits));
                 if !may_match(&av, km, bits) {
                     self.emit(
-                        AnalysisCode::UnmatchableEntry,
+                        LintCode::UnmatchableEntry,
                         &tdef.name,
                         format!(
                             "installed entry {i} can never match: key {} is confined to \
@@ -1343,7 +1036,7 @@ impl<'a> Analyzer<'a> {
             let all_guards: Vec<&FieldRef> = guards.iter().chain(table_keys.iter()).collect();
             if all_guards.is_empty() {
                 self.emit(
-                    AnalysisCode::UnboundedRecirc,
+                    LintCode::UnboundedRecirc,
                     action,
                     format!(
                         "action {action} sets {dst} with no guarding condition or \
@@ -1359,7 +1052,7 @@ impl<'a> Analyzer<'a> {
             if !mutable {
                 let names: Vec<String> = all_guards.iter().map(|g| g.to_string()).collect();
                 self.emit(
-                    AnalysisCode::UnboundedRecirc,
+                    LintCode::UnboundedRecirc,
                     action,
                     format!(
                         "action {action} sets {dst} but no action in the program writes \
@@ -1430,7 +1123,7 @@ impl<'a> Analyzer<'a> {
                         let av = self.eval(value, &env, Some(&adef));
                         if av.bits > dw && av.hi > mask_for(dw) {
                             self.emit(
-                                AnalysisCode::ValueTruncation,
+                                LintCode::ValueTruncation,
                                 &adef.name,
                                 format!(
                                     "assignment `{dst} = {}` truncates a {}-bit value \
@@ -1452,7 +1145,7 @@ impl<'a> Analyzer<'a> {
                         let av = self.eval(value, &env, Some(&adef));
                         if av.bits > cw && av.hi > mask_for(cw) {
                             self.emit(
-                                AnalysisCode::ValueTruncation,
+                                LintCode::ValueTruncation,
                                 &adef.name,
                                 format!(
                                     "register write `{register}[..] = {}` truncates a \
@@ -1473,7 +1166,7 @@ impl<'a> Analyzer<'a> {
                         };
                         if rdef.width_bits > dw {
                             self.emit(
-                                AnalysisCode::ValueTruncation,
+                                LintCode::ValueTruncation,
                                 &adef.name,
                                 format!(
                                     "register read `{dst} = {register}[..]` truncates \
@@ -1537,12 +1230,12 @@ fn field_overlaps(a: &FieldRef, b: &FieldRef) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Analyzes a program with default severities and no installed entries.
-pub fn check(program: &Program) -> AnalysisReport {
-    check_with_config(program, &AnalysisConfig::default())
+pub fn check(program: &Program) -> LintReport {
+    check_with_config(program, &LintConfig::default())
 }
 
 /// Analyzes a program under an explicit configuration.
-pub fn check_with_config(program: &Program, config: &AnalysisConfig) -> AnalysisReport {
+pub fn check_with_config(program: &Program, config: &LintConfig) -> LintReport {
     let mut analyzer = Analyzer::new(program, config);
     let entry_env = analyzer.parser_pass();
     analyzer.value_pass();
@@ -1557,6 +1250,7 @@ mod tests {
     use super::*;
     use crate::control::ControlBlock;
     use crate::header::{fref, HeaderType};
+    use crate::lint::Severity;
     use crate::parser::ParseNode;
     use crate::table::{MatchKind, RegisterDef, TableKey};
     use crate::value::Value;
@@ -1584,8 +1278,8 @@ mod tests {
         p
     }
 
-    fn codes(report: &AnalysisReport) -> Vec<&'static str> {
-        report.findings.iter().map(|f| f.code.code()).collect()
+    fn codes(report: &LintReport) -> Vec<&'static str> {
+        report.diagnostics.iter().map(|f| f.code.code()).collect()
     }
 
     #[test]
@@ -1642,7 +1336,7 @@ mod tests {
         );
         let report = check(&p);
         assert_eq!(codes(&report), vec!["DJV201"]);
-        assert_eq!(report.findings[0].entity, "narrow");
+        assert_eq!(report.diagnostics[0].entity, "narrow");
     }
 
     #[test]
@@ -1692,8 +1386,8 @@ mod tests {
         };
         let report = check(&p);
         assert_eq!(codes(&report), vec!["DJV202"]);
-        assert_eq!(report.findings[0].entity, "h@0");
-        assert!(!report.findings[0].witness.is_empty());
+        assert_eq!(report.diagnostics[0].entity, "h@0");
+        assert!(!report.diagnostics[0].witness.is_empty());
     }
 
     #[test]
@@ -1720,7 +1414,7 @@ mod tests {
         );
         let report = check(&p);
         assert_eq!(codes(&report), vec!["DJV202"]);
-        assert!(report.findings[0].message.contains("always false"));
+        assert!(report.diagnostics[0].message.contains("always false"));
     }
 
     #[test]
@@ -1756,7 +1450,7 @@ mod tests {
         );
         let report = check(&p);
         assert_eq!(codes(&report), vec!["DJV202"]);
-        assert!(report.findings[0].message.contains("always-true"));
+        assert!(report.diagnostics[0].message.contains("always-true"));
     }
 
     fn keyed_table_program() -> Program {
@@ -1796,7 +1490,7 @@ mod tests {
     #[test]
     fn unmatchable_entry_flagged() {
         let p = keyed_table_program();
-        let config = AnalysisConfig::new().with_entries(
+        let config = LintConfig::new().with_entries(
             "t",
             vec![
                 vec![KeyMatch::Exact(Value::new(200, 8))],
@@ -1805,14 +1499,14 @@ mod tests {
         );
         let report = check_with_config(&p, &config);
         assert_eq!(codes(&report), vec!["DJV203"]);
-        assert!(report.findings[0].message.contains("entry 0"));
-        assert_eq!(report.findings[0].severity, Severity::Error);
+        assert!(report.diagnostics[0].message.contains("entry 0"));
+        assert_eq!(report.diagnostics[0].severity, Severity::Error);
     }
 
     #[test]
     fn range_and_lpm_entry_feasibility() {
         let p = keyed_table_program();
-        let config = AnalysisConfig::new().with_entries(
+        let config = LintConfig::new().with_entries(
             "t",
             vec![
                 vec![KeyMatch::Range(Value::new(100, 8), Value::new(200, 8))],
@@ -1843,7 +1537,7 @@ mod tests {
         );
         let report = check(&p);
         assert_eq!(codes(&report), vec!["DJV204"]);
-        assert!(report.findings[0].message.contains("no guarding"));
+        assert!(report.diagnostics[0].message.contains("no guarding"));
     }
 
     #[test]
@@ -1872,7 +1566,7 @@ mod tests {
         );
         let report = check(&p);
         assert_eq!(codes(&report), vec!["DJV204"]);
-        assert!(report.findings[0].message.contains("never change"));
+        assert!(report.diagnostics[0].message.contains("never change"));
 
         // Consuming the guard (the compose framework's pattern) clears it.
         p.actions
@@ -1883,7 +1577,7 @@ mod tests {
                 dst: FieldRef::meta("m"),
                 value: Expr::val(1, 8),
             });
-        assert!(check(&p).findings.is_empty());
+        assert!(check(&p).diagnostics.is_empty());
     }
 
     #[test]
@@ -1906,7 +1600,7 @@ mod tests {
         );
         let report = check(&p);
         assert_eq!(codes(&report), vec!["DJV202"]);
-        assert!(report.findings[0].message.contains("ApplySelect"));
+        assert!(report.diagnostics[0].message.contains("ApplySelect"));
     }
 
     #[test]
@@ -1922,21 +1616,20 @@ mod tests {
                 }],
             ),
         );
-        let allowed = AnalysisConfig::new().allow(AnalysisCode::ValueTruncation, "narr*");
+        let allowed = LintConfig::new().allow(LintCode::ValueTruncation, "narr*");
         let report = check_with_config(&p, &allowed);
         assert!(report.is_clean());
-        let raised =
-            AnalysisConfig::new().set_severity(AnalysisCode::ValueTruncation, Severity::Error);
+        let raised = LintConfig::new().set_severity(LintCode::ValueTruncation, Severity::Error);
         assert!(check_with_config(&p, &raised).has_errors());
     }
 
     #[test]
     fn report_order_and_json_are_stable() {
-        let mut r = AnalysisReport::default();
-        r.findings
-            .push(Finding::new(AnalysisCode::UnboundedRecirc, "z", "m1"));
-        r.findings.push(
-            Finding::new(AnalysisCode::ValueTruncation, "a", "m2")
+        let mut r = LintReport::default();
+        r.diagnostics
+            .push(Diagnostic::new(LintCode::UnboundedRecirc, "z", "m1"));
+        r.diagnostics.push(
+            Diagnostic::new(LintCode::ValueTruncation, "a", "m2")
                 .with_witness(vec!["step \"one\"".into()]),
         );
         r.sort();
@@ -1948,10 +1641,14 @@ mod tests {
 
     #[test]
     fn registry_is_consistent() {
+        // The value (2xx) and stateful (3xx) bands this pass and
+        // `dejavu-core`'s chain-aware passes emit.
         let mut seen = BTreeSet::new();
-        for c in AnalysisCode::ALL {
-            assert!(seen.insert(c.code()));
-            assert!(!c.summary().is_empty());
+        for c in LintCode::ALL {
+            if c >= LintCode::ValueTruncation {
+                assert!(seen.insert(c.code()));
+                assert!(!c.summary().is_empty());
+            }
         }
         assert_eq!(seen.len(), 7);
     }

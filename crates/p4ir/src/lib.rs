@@ -45,7 +45,7 @@ pub mod value;
 pub mod well_known;
 
 pub use action::{ActionDef, Expr, PrimitiveOp};
-pub use analyze::{AbstractValue, AnalysisCode, AnalysisConfig, AnalysisReport, Finding};
+pub use analyze::AbstractValue;
 pub use builder::{
     ActionBuilder, ControlBuilder, HeaderTypeBuilder, ParserBuilder, ProgramBuilder, TableBuilder,
 };

@@ -1,10 +1,30 @@
-//! `dejavu-lint`: dataflow-based static verification of NF programs.
+//! `dejavu-lint`: the diagnostics framework and its structural pass.
 //!
 //! [`Program::validate`](crate::Program::validate) catches *malformed* IR
-//! (dangling names, width overflows). This module catches *well-formed but
-//! wrong* programs — the defect classes that surface only after NFs are
-//! merged and composed onto a pipelet (paper §3), when no human reads the
-//! generated program anymore:
+//! (dangling names, width overflows). The static verifier catches
+//! *well-formed but wrong* programs — the defect classes that surface only
+//! after NFs are merged and composed onto a pipelet (paper §3), when no
+//! human reads the generated program anymore.
+//!
+//! This module owns everything the verifier's passes share: the one
+//! registry ([`LintCode`], `DJV001`–`DJV303`), the one finding type
+//! ([`Diagnostic`]), the one configuration ([`LintConfig`]: severity
+//! overrides, per-entity allows, installed-entry patterns) and the one
+//! report ([`LintReport`]), whose [`LintReport::emit`] is the only place a
+//! configuration is applied to a finding. A *pass* is a function from a
+//! program (or several) and a `&LintConfig` to a `LintReport`; reports
+//! [`merge`](LintReport::merge). The passes:
+//!
+//! * the structural dataflow pass below ([`check`] / [`check_with_config`],
+//!   `DJV001`–`DJV008`),
+//! * the abstract-interpretation pass in [`crate::analyze`] (`DJV201`–`DJV204`),
+//! * `dejavu-core`'s chain-aware passes (`DJV101`–`DJV102`, `DJV301`–`DJV303`).
+//!
+//! `dejavu-compiler`'s `StageAllocator` runs the two per-program passes
+//! under one `LintConfig` and refuses to allocate a program whose merged
+//! report carries an error-level diagnostic.
+//!
+//! What the structural pass checks:
 //!
 //! * **Header-validity analysis** (`DJV001`/`DJV002`): from the parser DAG
 //!   we compute, per control-flow point, the lattice of *guaranteed-parsed*
@@ -27,21 +47,12 @@
 //!   (`DJV005`), controls unreachable from the entry (`DJV006`), ambiguous
 //!   or redundant parser select cases (`DJV007`), and duplicate match keys
 //!   (`DJV008`).
-//!
-//! Chain-level codes `DJV101` (SFC-invariant violations on composed
-//! pipelet programs) and `DJV102` (recirculation demand exceeding the
-//! loopback budget) are defined here so every diagnostic shares one
-//! registry, but are emitted by `dejavu-core`'s composition-aware linter.
-//!
-//! Entry points: [`check`] with default severities, or
-//! [`check_with_config`] with a [`LintConfig`] carrying severity overrides
-//! and per-entity allows. `dejavu-compiler`'s `StageAllocator` refuses to
-//! allocate programs carrying error-level diagnostics.
 
 use crate::action::{ActionDef, PrimitiveOp};
 use crate::control::{BoolExpr, Stmt};
 use crate::parser::{Target, Transition};
 use crate::program::{Program, STANDARD_METADATA};
+use crate::table::KeyMatch;
 use crate::FieldRef;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -67,7 +78,9 @@ impl fmt::Display for Severity {
     }
 }
 
-/// The lint registry: every class of finding, with a stable `DJVxxx` code.
+/// The diagnostic registry: every class of finding any pass can emit, with a
+/// stable `DJVxxx` code. The hundreds digit names the band: `0xx` structural,
+/// `1xx` chain framework, `2xx` value analysis, `3xx` stateful safety.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LintCode {
     /// `DJV001` — read/match of a header valid on **no** parser path.
@@ -94,11 +107,32 @@ pub enum LintCode {
     /// `DJV102` — weighted recirculation demand exceeds the loopback
     /// budget of the switch profile (emitted by `dejavu-core`).
     RecircBudget,
+    /// `DJV201` — assignment or register access that may truncate a value
+    /// into a narrower destination.
+    ValueTruncation,
+    /// `DJV202` — select case, branch arm, or `ApplySelect` arm that can
+    /// never execute.
+    InfeasiblePath,
+    /// `DJV203` — installed-entry pattern no feasible key value matches.
+    UnmatchableEntry,
+    /// `DJV204` — resubmit/recirculate flag set with no guard, or a guard
+    /// no action ever changes: a provably unbounded loop.
+    UnboundedRecirc,
+    /// `DJV301` — the same register accessed from two or more merged
+    /// pipelets with at least one writer (emitted by `dejavu-core`).
+    RegisterHazard,
+    /// `DJV302` — digest payload layout disagrees with the registered
+    /// learn contract's key/action signature (emitted by `dejavu-core`).
+    LearnContractMismatch,
+    /// `DJV303` — a learn contract installs into a table without
+    /// idle-timeout aging: table exhaustion under churn (emitted by
+    /// `dejavu-core`).
+    LearnWithoutAging,
 }
 
 impl LintCode {
     /// Every registered lint, in code order.
-    pub const ALL: [LintCode; 10] = [
+    pub const ALL: [LintCode; 17] = [
         LintCode::InvalidHeaderAccess,
         LintCode::MaybeInvalidHeaderAccess,
         LintCode::ReadBeforeWrite,
@@ -109,6 +143,13 @@ impl LintCode {
         LintCode::DuplicateMatchKey,
         LintCode::SfcInvariant,
         LintCode::RecircBudget,
+        LintCode::ValueTruncation,
+        LintCode::InfeasiblePath,
+        LintCode::UnmatchableEntry,
+        LintCode::UnboundedRecirc,
+        LintCode::RegisterHazard,
+        LintCode::LearnContractMismatch,
+        LintCode::LearnWithoutAging,
     ];
 
     /// The stable diagnostic code.
@@ -124,6 +165,13 @@ impl LintCode {
             LintCode::DuplicateMatchKey => "DJV008",
             LintCode::SfcInvariant => "DJV101",
             LintCode::RecircBudget => "DJV102",
+            LintCode::ValueTruncation => "DJV201",
+            LintCode::InfeasiblePath => "DJV202",
+            LintCode::UnmatchableEntry => "DJV203",
+            LintCode::UnboundedRecirc => "DJV204",
+            LintCode::RegisterHazard => "DJV301",
+            LintCode::LearnContractMismatch => "DJV302",
+            LintCode::LearnWithoutAging => "DJV303",
         }
     }
 
@@ -131,7 +179,12 @@ impl LintCode {
     pub fn default_severity(self) -> Severity {
         match self {
             LintCode::MaybeInvalidHeaderAccess => Severity::Allow,
-            LintCode::UnreachableTable | LintCode::UnreachableControl => Severity::Warning,
+            LintCode::UnreachableTable
+            | LintCode::UnreachableControl
+            | LintCode::ValueTruncation
+            | LintCode::InfeasiblePath
+            | LintCode::UnboundedRecirc
+            | LintCode::LearnWithoutAging => Severity::Warning,
             _ => Severity::Error,
         }
     }
@@ -151,6 +204,13 @@ impl LintCode {
             LintCode::DuplicateMatchKey => "field repeated in a table match key",
             LintCode::SfcInvariant => "composed program violates an SFC framework invariant",
             LintCode::RecircBudget => "recirculation demand exceeds the loopback budget",
+            LintCode::ValueTruncation => "value may truncate into a narrower destination",
+            LintCode::InfeasiblePath => "select case or branch arm that can never execute",
+            LintCode::UnmatchableEntry => "installed entry no feasible key value matches",
+            LintCode::UnboundedRecirc => "resubmit/recirculate loop with no changing guard",
+            LintCode::RegisterHazard => "register shared across pipelets with a writer",
+            LintCode::LearnContractMismatch => "digest layout disagrees with learn contract",
+            LintCode::LearnWithoutAging => "learn target table has no idle-timeout aging",
         }
     }
 }
@@ -169,12 +229,15 @@ pub struct Diagnostic {
     /// Effective severity (after configuration).
     pub severity: Severity,
     /// The entity it anchors to: a table, action, control, parser vertex
-    /// (`header@offset`), or chain name.
+    /// (`header@offset`), register, learn contract (`<nf>/<stream>`), or
+    /// chain name.
     pub entity: String,
     /// Human-readable description of the defect.
     pub message: String,
     /// Secondary context lines.
     pub notes: Vec<String>,
+    /// The control/parser path steps that lead to the flagged point.
+    pub witness: Vec<String>,
 }
 
 impl Diagnostic {
@@ -186,12 +249,19 @@ impl Diagnostic {
             entity: entity.into(),
             message: message.into(),
             notes: Vec::new(),
+            witness: Vec::new(),
         }
     }
 
     /// Adds a context note.
     pub fn with_note(mut self, note: impl Into<String>) -> Self {
         self.notes.push(note.into());
+        self
+    }
+
+    /// Attaches the path witness.
+    pub fn with_witness(mut self, witness: Vec<String>) -> Self {
+        self.witness = witness;
         self
     }
 }
@@ -206,7 +276,8 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Lint configuration: severity overrides and per-entity allows.
+/// Verifier configuration, shared by every pass: severity overrides,
+/// per-entity allows, and the installed-entry patterns `DJV203` checks.
 ///
 /// Allows are `(code, entity pattern)` pairs; a pattern is either an exact
 /// entity name or a prefix ending in `*`. A matching finding is demoted to
@@ -215,10 +286,14 @@ impl fmt::Display for Diagnostic {
 pub struct LintConfig {
     severities: BTreeMap<LintCode, Severity>,
     allows: Vec<(LintCode, String)>,
+    /// Per-table installed-entry patterns (one `Vec<KeyMatch>` per entry,
+    /// aligned with the table's key list).
+    pub(crate) entries: BTreeMap<String, Vec<Vec<KeyMatch>>>,
 }
 
 impl LintConfig {
-    /// Creates the default configuration (registry defaults, no allows).
+    /// Creates the default configuration (registry defaults, no allows, no
+    /// installed entries).
     pub fn new() -> Self {
         LintConfig::default()
     }
@@ -236,6 +311,13 @@ impl LintConfig {
         self
     }
 
+    /// Declares the entry patterns installed into `table`, enabling the
+    /// `DJV203` unmatchable-entry check for it.
+    pub fn with_entries(mut self, table: impl Into<String>, patterns: Vec<Vec<KeyMatch>>) -> Self {
+        self.entries.insert(table.into(), patterns);
+        self
+    }
+
     /// Effective severity of `code` at `entity`.
     pub fn severity_for(&self, code: LintCode, entity: &str) -> Severity {
         for (c, pat) in &self.allows {
@@ -250,14 +332,14 @@ impl LintConfig {
     }
 }
 
-pub(crate) fn pattern_matches(pattern: &str, entity: &str) -> bool {
+fn pattern_matches(pattern: &str, entity: &str) -> bool {
     match pattern.strip_suffix('*') {
         Some(prefix) => entity.starts_with(prefix),
         None => pattern == entity,
     }
 }
 
-/// The findings of one lint run.
+/// The findings of one pass, or of several merged.
 #[derive(Debug, Clone, Default)]
 pub struct LintReport {
     /// All findings, including `Allow`-level advisories.
@@ -265,6 +347,21 @@ pub struct LintReport {
 }
 
 impl LintReport {
+    /// Records a finding at the severity `config` assigns it — the one place
+    /// overrides and allows are applied. An exact repeat (same code, entity
+    /// and message, e.g. one defect reached along two control paths) is
+    /// dropped; the first occurrence keeps its notes and witness.
+    pub fn emit(&mut self, config: &LintConfig, mut diag: Diagnostic) {
+        let repeat = |d: &Diagnostic| {
+            d.code == diag.code && d.entity == diag.entity && d.message == diag.message
+        };
+        if self.diagnostics.iter().any(repeat) {
+            return;
+        }
+        diag.severity = config.severity_for(diag.code, &diag.entity);
+        self.diagnostics.push(diag);
+    }
+
     /// Error-level findings.
     pub fn errors(&self) -> Vec<&Diagnostic> {
         self.diagnostics
@@ -323,10 +420,10 @@ impl LintReport {
         for d in &self.diagnostics {
             out.push_str(&d.to_string());
             out.push('\n');
-            for note in &d.notes {
-                out.push_str("  note: ");
-                out.push_str(note);
-                out.push('\n');
+            for (label, lines) in [("note", &d.notes), ("via", &d.witness)] {
+                for line in lines {
+                    out.push_str(&format!("  {label}: {line}\n"));
+                }
             }
         }
         let (e, w, a) = self
@@ -341,32 +438,34 @@ impl LintReport {
         out
     }
 
-    /// Renders the findings as a JSON array.
+    /// Renders the findings as a stable JSON array: one object per finding
+    /// with `code`, `severity`, `entity`, `message`, `notes` and `witness`.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":{},\"severity\":{},\"entity\":{},\"message\":{},\"notes\":[{}]}}",
-                json_str(d.code.code()),
-                json_str(&d.severity.to_string()),
-                json_str(&d.entity),
-                json_str(&d.message),
-                d.notes
-                    .iter()
-                    .map(|n| json_str(n))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
-        }
-        out.push(']');
-        out
+        let array = |lines: &[String]| {
+            let items: Vec<String> = lines.iter().map(|l| json_str(l)).collect();
+            items.join(",")
+        };
+        let objects: Vec<String> = self
+            .diagnostics
+            .iter()
+            .map(|d| {
+                format!(
+                    "{{\"code\":{},\"severity\":{},\"entity\":{},\"message\":{},\
+                     \"notes\":[{}],\"witness\":[{}]}}",
+                    json_str(d.code.code()),
+                    json_str(&d.severity.to_string()),
+                    json_str(&d.entity),
+                    json_str(&d.message),
+                    array(&d.notes),
+                    array(&d.witness)
+                )
+            })
+            .collect();
+        format!("[{}]", objects.join(","))
     }
 }
 
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -430,8 +529,6 @@ struct Checker<'a> {
     program: &'a Program,
     config: &'a LintConfig,
     report: LintReport,
-    /// Dedup key: (code, entity, message).
-    seen: BTreeSet<(LintCode, String, String)>,
     meta_declared: BTreeSet<String>,
     std_meta: BTreeSet<&'static str>,
 }
@@ -442,19 +539,13 @@ impl<'a> Checker<'a> {
             program,
             config,
             report: LintReport::default(),
-            seen: BTreeSet::new(),
             meta_declared: program.meta_fields.iter().map(|f| f.name.clone()).collect(),
             std_meta: STANDARD_METADATA.iter().map(|(n, _)| *n).collect(),
         }
     }
 
-    fn emit(&mut self, mut diag: Diagnostic) {
-        let key = (diag.code, diag.entity.clone(), diag.message.clone());
-        if !self.seen.insert(key) {
-            return;
-        }
-        diag.severity = self.config.severity_for(diag.code, &diag.entity);
-        self.report.diagnostics.push(diag);
+    fn emit(&mut self, diag: Diagnostic) {
+        self.report.emit(self.config, diag);
     }
 
     // ------------------------------------------------------------------
@@ -1054,10 +1145,39 @@ mod tests {
 
     #[test]
     fn registry_codes_are_unique_and_stable() {
-        let codes: BTreeSet<&str> = LintCode::ALL.iter().map(|c| c.code()).collect();
-        assert_eq!(codes.len(), LintCode::ALL.len());
+        let codes: Vec<&str> = LintCode::ALL.iter().map(|c| c.code()).collect();
+        assert_eq!(codes.len(), 17);
+        assert!(
+            codes.windows(2).all(|w| w[0] < w[1]),
+            "codes must be unique and in code order: {codes:?}"
+        );
+        assert!(LintCode::ALL.windows(2).all(|w| w[0] < w[1]));
+        for code in LintCode::ALL {
+            // Display round-trips: the printed code names exactly this entry.
+            let printed = code.to_string();
+            let back = LintCode::ALL.iter().find(|c| c.code() == printed);
+            assert_eq!(back, Some(&code));
+            assert!(!code.summary().is_empty());
+        }
         assert_eq!(LintCode::InvalidHeaderAccess.code(), "DJV001");
         assert_eq!(LintCode::RecircBudget.code(), "DJV102");
+        assert_eq!(LintCode::LearnWithoutAging.code(), "DJV303");
+    }
+
+    /// The README prints the registry; its rows are generated from this
+    /// enum, so a new code or a reclassified default must update both.
+    #[test]
+    fn readme_table_matches_the_registry() {
+        let readme = include_str!("../../../README.md");
+        let rows: Vec<&str> = readme
+            .lines()
+            .filter(|line| line.starts_with("| DJV"))
+            .collect();
+        let expected: Vec<String> = LintCode::ALL
+            .iter()
+            .map(|c| format!("| {c} | {} | {} |", c.default_severity(), c.summary()))
+            .collect();
+        assert_eq!(rows, expected);
     }
 
     #[test]

@@ -7,14 +7,14 @@ cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace
 cargo bench --workspace --no-run
-cargo run -p dejavu-examples --bin lint_nfs
 
-# Analyzer gate: the NF library, the composed Fig. 2 pipelets, and the
-# learn contracts must be finding-free at warning level or above. The
-# binary exits non-zero otherwise and always writes the findings artifact,
-# which must be valid JSON (an array of finding objects).
-cargo run -p dejavu-examples --bin analyze_nfs
-findings=target/experiments/ANALYZE_findings.json
+# Verifier gate: the NF library, the composed Fig. 2 pipelets, the
+# recirculation budget and the learn contracts must be finding-free at
+# warning level or above, over every pass of dejavu-lint. The binary exits
+# non-zero otherwise and always writes the findings artifact, which must be
+# valid JSON (an array of finding objects).
+cargo run -p dejavu-examples --bin lint_nfs
+findings=target/experiments/LINT_findings.json
 test -s "$findings" || { echo "missing $findings" >&2; exit 1; }
 python3 - "$findings" <<'EOF'
 import json, sys
@@ -22,8 +22,16 @@ report = json.load(open(sys.argv[1]))
 assert isinstance(report, list), "findings artifact must be a JSON array"
 for f in report:
     assert {"code", "severity", "entity", "message"} <= set(f), f
-print(f"analyze findings artifact OK ({len(report)} finding(s))")
+print(f"lint findings artifact OK ({len(report)} finding(s))")
 EOF
+
+# One-framework gate: the verifier has one registry, one finding type, one
+# config, one report and one allocator refusal; a pass emits into them.
+if grep -rnE 'AnalysisCode|AnalysisConfig|AnalysisReport|AnalysisRejected|with_analysis_config|struct Finding' \
+    crates/ tests/ examples/ --include=*.rs; then
+    echo "a second diagnostics framework is back (see DESIGN.md, Diagnostic registry)" >&2
+    exit 1
+fi
 
 # Dependency audit: advisories and license policy via cargo-deny when it
 # is installed (CI installs it; offline dev containers may not have it).

@@ -1,4 +1,5 @@
-//! `dejavu-analyze` integration: seeded-bug corpus and soundness.
+//! The value and stateful-safety passes of `dejavu-lint`: seeded-bug corpus
+//! and soundness.
 //!
 //! Two halves:
 //!
@@ -19,8 +20,9 @@ use proptest::prelude::*;
 
 use dejavu_asic::{ExecMode, InjectedPacket, PipeletId, Switch, TofinoProfile};
 use dejavu_core::analyze::{analyze_pipelets, check_learn_contracts, LearnContract};
-use dejavu_p4ir::analyze::{check, check_with_config, AnalysisCode, AnalysisConfig};
+use dejavu_p4ir::analyze::{check, check_with_config};
 use dejavu_p4ir::builder::*;
+use dejavu_p4ir::lint::{LintCode, LintConfig};
 use dejavu_p4ir::table::KeyMatch;
 use dejavu_p4ir::{fref, well_known, BoolExpr, CmpOp, Expr, FieldRef, Program, Stmt, Value};
 
@@ -56,9 +58,9 @@ fn djv201_truncation_fires() {
         .unwrap();
     let report = check(&p);
     let f = report
-        .findings
+        .diagnostics
         .iter()
-        .find(|f| f.code == AnalysisCode::ValueTruncation)
+        .find(|f| f.code == LintCode::ValueTruncation)
         .expect("DJV201 fires");
     assert_eq!(f.entity, "squash");
     assert!(f.message.contains("32-bit"), "message: {}", f.message);
@@ -88,9 +90,9 @@ fn djv202_infeasible_branch_fires() {
         .unwrap();
     let report = check(&p);
     let f = report
-        .findings
+        .diagnostics
         .iter()
-        .find(|f| f.code == AnalysisCode::InfeasiblePath)
+        .find(|f| f.code == LintCode::InfeasiblePath)
         .expect("DJV202 fires");
     assert_eq!(f.entity, "ingress");
     assert!(f.message.contains("always false"), "message: {}", f.message);
@@ -126,15 +128,15 @@ fn djv203_unmatchable_entry_fires() {
         .entry("ingress")
         .build()
         .unwrap();
-    let cfg = AnalysisConfig::new().with_entries(
+    let cfg = LintConfig::new().with_entries(
         "routes",
         vec![vec![KeyMatch::Exact(Value::new(0x86DD, 16))]],
     );
     let report = check_with_config(&p, &cfg);
     let f = report
-        .findings
+        .diagnostics
         .iter()
-        .find(|f| f.code == AnalysisCode::UnmatchableEntry)
+        .find(|f| f.code == LintCode::UnmatchableEntry)
         .expect("DJV203 fires");
     assert_eq!(f.entity, "routes");
     assert!(f.message.contains("entry 0"), "message: {}", f.message);
@@ -157,9 +159,9 @@ fn djv204_unbounded_recirc_fires() {
         .unwrap();
     let report = check(&p);
     let f = report
-        .findings
+        .diagnostics
         .iter()
-        .find(|f| f.code == AnalysisCode::UnboundedRecirc)
+        .find(|f| f.code == LintCode::UnboundedRecirc)
         .expect("DJV204 fires");
     assert_eq!(f.entity, "again");
     assert!(
@@ -205,9 +207,9 @@ fn djv301_register_hazard_fires() {
     );
     let report = analyze_pipelets(&[("ingress0".into(), &writer), ("egress1".into(), &reader)]);
     let f = report
-        .findings
+        .diagnostics
         .iter()
-        .find(|f| f.code == AnalysisCode::RegisterHazard)
+        .find(|f| f.code == LintCode::RegisterHazard)
         .expect("DJV301 fires");
     assert_eq!(f.entity, "shared");
     assert_eq!(f.witness, vec!["egress1: read", "ingress0: write"]);
@@ -253,9 +255,9 @@ fn djv302_learn_contract_mismatch_fires() {
     let aged = ["sessions".to_string()].into();
     let report = check_learn_contracts(&p, &[contract], &aged);
     let f = report
-        .findings
+        .diagnostics
         .iter()
-        .find(|f| f.code == AnalysisCode::LearnContractMismatch)
+        .find(|f| f.code == LintCode::LearnContractMismatch)
         .expect("DJV302 fires");
     assert_eq!(f.entity, "t302/flow");
     assert!(
@@ -277,15 +279,88 @@ fn djv303_learn_without_aging_fires() {
     let nf = dejavu_nf::nat::dynamic_nat();
     let contract = dejavu_nf::nat::nat_learn_contract();
     let report = check_learn_contracts(nf.program(), &[contract], &Default::default());
-    let codes: Vec<_> = report.findings.iter().map(|f| f.code).collect();
-    assert_eq!(codes, vec![AnalysisCode::LearnWithoutAging]);
-    let f = &report.findings[0];
+    let codes: Vec<_> = report.diagnostics.iter().map(|f| f.code).collect();
+    assert_eq!(codes, vec![LintCode::LearnWithoutAging]);
+    let f = &report.diagnostics[0];
     assert_eq!(f.entity, "nat/nat_flow");
     assert!(
         f.witness[0].contains("set_idle_timeout"),
         "witness points at the fix: {:?}",
         f.witness
     );
+}
+
+/// One report carries every band, and its JSON is the same shape for all of
+/// them: `scripts/check.sh` and CI read the artifact `lint_nfs` writes with a
+/// generic parser, so a structural (DJV0xx) and a value (DJV2xx) diagnostic
+/// must both parse and both carry `notes` and `witness` arrays.
+#[test]
+fn merged_report_json_parses_with_both_bands() {
+    use serde::json::Value as Json;
+    // ipv4 is never parsed: DJV001 on the table key (with a note); the
+    // 48 → 8 bit copy is DJV201 (with a witness).
+    let program = ProgramBuilder::new("both")
+        .header(well_known::ethernet())
+        .header(well_known::ipv4())
+        .meta_field("narrow", 8)
+        .parser(
+            ParserBuilder::new()
+                .node("eth", "ethernet", 0)
+                .accept("eth")
+                .start("eth"),
+        )
+        .action(
+            ActionBuilder::new("squeeze")
+                .set(FieldRef::meta("narrow"), Expr::field("ethernet", "dst_mac"))
+                .build(),
+        )
+        .table(
+            TableBuilder::new("routes")
+                .key_exact(fref("ipv4", "dst_addr"))
+                .action("squeeze")
+                .default_action("squeeze")
+                .build(),
+        )
+        .control(ControlBuilder::new("ingress").apply("routes").build())
+        .entry("ingress")
+        .build()
+        .unwrap();
+    let mut report = dejavu_p4ir::lint::check(&program);
+    report.merge(check(&program));
+    let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
+    assert_eq!(
+        codes,
+        vec![LintCode::InvalidHeaderAccess, LintCode::ValueTruncation],
+        "{}",
+        report.render_pretty()
+    );
+    let pretty = report.render_pretty();
+    assert!(pretty.contains("  note: ") && pretty.contains("  via: action squeeze"));
+
+    let parsed = dejavu_asic::telemetry::parse_json(&report.render_json()).expect("valid JSON");
+    let Json::Array(objects) = parsed else {
+        panic!("findings artifact must be a JSON array");
+    };
+    assert_eq!(objects.len(), 2);
+    for (object, code) in objects.iter().zip(["DJV001", "DJV201"]) {
+        let Json::Object(fields) = object else {
+            panic!("each finding is an object: {object:?}");
+        };
+        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        assert_eq!(get("code"), Some(&Json::Str(code.into())));
+        for key in ["severity", "entity", "message"] {
+            assert!(
+                matches!(get(key), Some(Json::Str(_))),
+                "{key} in {object:?}"
+            );
+        }
+        for key in ["notes", "witness"] {
+            assert!(
+                matches!(get(key), Some(Json::Array(_))),
+                "{key} in {object:?}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -413,8 +488,8 @@ fn flagged_arms(program: &Program, conds: &[Cond; 7]) -> Vec<u8> {
             "else-branch of always-true condition `{}` never runs",
             c.desc()
         );
-        for f in &report.findings {
-            if f.code != AnalysisCode::InfeasiblePath {
+        for f in &report.diagnostics {
+            if f.code != LintCode::InfeasiblePath {
                 continue;
             }
             if f.message == then_dead {

@@ -99,6 +99,8 @@ fn exit_failure_without_replacement_is_refused() {
         .handle_port_failure(&mut switch, EXIT_PORT, None)
         .unwrap_err();
     assert!(matches!(err, dejavu_core::deploy::DeployError::Routing(_)));
+    // A refused reroute leaves the switch as it was.
+    assert!(!switch.is_port_down(EXIT_PORT));
 }
 
 #[test]
@@ -112,4 +114,92 @@ fn injecting_on_a_down_port_fails() {
     assert!(switch
         .inject(InjectedPacket::new(chain_packet(3, VIP, 80), IN_PORT))
         .is_ok());
+}
+
+/// A cluster member is a [`deploy`](dejavu_core::deploy::deploy) with
+/// segment options; rerouting after a port failure must keep them. Chain
+/// a → b → c with a, b on the first switch (b behind pipeline 1's loopback
+/// port) and c on the second, reached over `LINK_PORT`.
+#[test]
+fn loopback_failure_on_a_cluster_segment_keeps_the_segment_routing() {
+    use dejavu_asic::{PipeletId, TofinoProfile};
+    use dejavu_core::deploy::{deploy, DeployOptions};
+    use dejavu_core::routing::{RoutingConfig, SegmentOptions};
+    use dejavu_core::{ChainPolicy, ChainSet, Placement};
+    const LINK_PORT: u16 = 4;
+    let chains = ChainSet::new(vec![ChainPolicy::new(1, "abc", vec!["a", "b", "c"], 1.0)]).unwrap();
+    let nfs = [marker_nf("a", 0), marker_nf("b", 1), marker_nf("c", 2)];
+    let nf_refs: Vec<_> = nfs.iter().collect();
+    let segment = |local: Vec<(PipeletId, Vec<&str>)>, remote: &[&str], last: bool| {
+        let options = DeployOptions {
+            segment: Some(SegmentOptions {
+                remote_ports: remote
+                    .iter()
+                    .map(|nf| (nf.to_string(), LINK_PORT))
+                    .collect(),
+                decap_on_exit: last,
+            }),
+            ..Default::default()
+        };
+        let config = RoutingConfig {
+            loopback_port: [(0, LOOPBACK_PORT_P0), (1, LOOPBACK_PORT_P1)].into(),
+            exit_ports: [(1, if last { EXIT_PORT } else { LINK_PORT })].into(),
+            honor_out_port: false,
+        };
+        deploy(
+            &nf_refs,
+            &chains,
+            &Placement::sequential(local),
+            &TofinoProfile::wedge_100b_32x(),
+            &config,
+            &options,
+        )
+        .unwrap()
+    };
+    let (mut first, mut dep) = segment(
+        vec![
+            (PipeletId::ingress(0), vec!["a"]),
+            (PipeletId::ingress(1), vec!["b"]),
+        ],
+        &["c"],
+        false,
+    );
+    let (mut second, _) = segment(vec![(PipeletId::ingress(0), vec!["c"])], &["a", "b"], true);
+
+    dep.handle_port_failure(&mut first, LOOPBACK_PORT_P1, None)
+        .expect("re-synthesis must route for the stored segment");
+
+    let t = first
+        .inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
+        .unwrap();
+    assert_eq!(
+        t.disposition,
+        Disposition::Emitted { port: LINK_PORT },
+        "{}",
+        t.describe()
+    );
+    let recirc_port = dejavu_asic::switch::RECIRC_PORT_BASE + 1;
+    assert!(t
+        .events
+        .iter()
+        .any(|e| matches!(e, TraceEvent::Recirculate { port } if *port == recirc_port)));
+    // Mid-chain: the SFC header rides the link, pointing at c.
+    let wire = &t.final_bytes;
+    assert_eq!(
+        u16::from_be_bytes([wire[12], wire[13]]),
+        dejavu_core::sfc::SFC_ETHERTYPE
+    );
+    let t = second
+        .inject(InjectedPacket::new(wire.clone(), IN_PORT))
+        .unwrap();
+    assert_eq!(
+        t.disposition,
+        Disposition::Emitted { port: EXIT_PORT },
+        "{}",
+        t.describe()
+    );
+    assert_eq!(
+        u16::from_be_bytes([t.final_bytes[12], t.final_bytes[13]]),
+        0x0800
+    );
 }
