@@ -20,8 +20,9 @@
 //!   tuple-space degenerate (tuple count approaching entry count).
 //!
 //! The selection heuristic lives in `auto_kind_after_insert` /
-//! `auto_kind_from_entries`; tables migrate between kinds incrementally as
-//! entries are installed, deleted, or aged out. `TableState::lookup_scan`
+//! `auto_kind_from_entries`; tables migrate between kinds as entries are
+//! installed, deleted, or aged out (a decision tree is sticky until the
+//! rebuild it asks for anyway — its geometric refresh). `TableState::lookup_scan`
 //! (in `tables`) remains the differential oracle that every index must agree
 //! with observationally.
 
@@ -412,6 +413,19 @@ fn ordered_insert(order: &mut Vec<usize>, ranks: &[Rank], idx: usize) {
     order.insert(pos, idx);
 }
 
+/// What compacting the entry vector does to one stored position, as a
+/// `retain` predicate: `false` when it is one of the strictly ascending
+/// `removed`, else renumbered by the number of removed positions below it.
+fn renumber(removed: &[usize], pos: &mut usize) -> bool {
+    match removed.binary_search(pos) {
+        Ok(_) => false,
+        Err(below) => {
+            *pos -= below;
+            true
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scan
 // ---------------------------------------------------------------------------
@@ -573,16 +587,8 @@ impl ClassifierIndex for ExactIndex {
         if self.shadowed > 0 {
             return false;
         }
-        // `Err(below)`: a survivor, with `below` removed positions under it.
-        let renumber = |pos: &mut usize| match removed.binary_search(pos) {
-            Ok(_) => false,
-            Err(below) => {
-                *pos -= below;
-                true
-            }
-        };
-        self.map.retain(|_, pos| renumber(pos));
-        self.spill.retain_mut(renumber);
+        self.map.retain(|_, pos| renumber(removed, pos));
+        self.spill.retain_mut(|pos| renumber(removed, pos));
         true
     }
 
@@ -941,6 +947,20 @@ impl ClassifierIndex for TupleSpaceIndex {
         }
     }
 
+    fn position(&self, entries: &[TableEntry], entry: &TableEntry) -> Option<usize> {
+        // An equal entry has the same signature and stored values, so it
+        // sits in the same bucket (or in the spill, if unhashable).
+        let candidates = match entry_sig(entry, &self.hasher) {
+            None => &self.spill,
+            Some((sig, hash)) => self.tuples[*self.by_sig.get(&sig)?].buckets.get(&hash)?,
+        };
+        candidates
+            .iter()
+            .copied()
+            .filter(|&i| entries[i] == *entry)
+            .min()
+    }
+
     fn lookup(
         &self,
         entries: &[TableEntry],
@@ -1012,7 +1032,8 @@ impl ClassifierIndex for TupleSpaceIndex {
 
 /// Leaf size below which a node is not cut further.
 const LEAF_MAX: usize = 8;
-/// Local-list size above which an incremental insert demands a rebuild.
+/// Slack of the geometric refresh: a tree absorbs `built_len / 2 +
+/// LEAF_SPLIT` installs (or as many deletes) before it asks for a rebuild.
 const LEAF_SPLIT: usize = 64;
 /// Maximum tree depth.
 const MAX_DEPTH: usize = 24;
@@ -1053,10 +1074,37 @@ struct TreeNode {
     cut: Option<Cut>,
     /// `2^bits` child node ids (`NO_CHILD` = empty subtree).
     children: Vec<usize>,
-    /// Entries resident at this node, `(rank desc, index asc)`.
+    /// Entries resident at this node, `(rank desc, index asc)`. Unbounded
+    /// on a cut node (whatever does not pin the window stays here).
     local: Vec<usize>,
-    /// Best rank anywhere in this subtree (pruning bound).
+    /// Upper bound on the ranks in this subtree (pruning bound). Removals
+    /// leave it loose: lookup prunes only on strict `<`, so a stale bound
+    /// costs a probe, never an answer.
     max_rank: Option<Rank>,
+    /// The `local` length at which an install next tries to cut this
+    /// leaf: `LEAF_MAX + 1` while it is small, twice its size after an
+    /// attempt found no discriminating window, never (`usize::MAX`) at
+    /// `MAX_DEPTH` or on a node that is already cut.
+    split_at: usize,
+}
+
+impl TreeNode {
+    fn leaf(local: Vec<usize>, max_rank: Option<Rank>, depth: usize) -> Self {
+        let split_at = if depth >= MAX_DEPTH {
+            usize::MAX
+        } else if local.len() <= LEAF_MAX {
+            LEAF_MAX + 1
+        } else {
+            local.len() * 2
+        };
+        TreeNode {
+            cut: None,
+            children: Vec::new(),
+            local,
+            max_rank,
+            split_at,
+        }
+    }
 }
 
 /// HyperCuts-style decision tree: each internal node cuts on the
@@ -1065,6 +1113,11 @@ struct TreeNode {
 /// stay in the node's local list. Lookup descends one path, scanning local
 /// lists with a rank early-exit and pruning subtrees whose `max_rank`
 /// cannot beat the current best.
+///
+/// Every entry lives in exactly one `local`: that of the first node on its
+/// own descent (by [`cut_value`]) that is a leaf or whose window it does not
+/// pin. Build, install, leaf split, removal and `position` all walk that
+/// same descent, so each costs the path it touches.
 #[derive(Debug, Clone)]
 pub(crate) struct DecisionTreeIndex {
     nodes: Vec<TreeNode>,
@@ -1072,20 +1125,18 @@ pub(crate) struct DecisionTreeIndex {
     built_len: usize,
     /// Entries absorbed incrementally since the last build.
     grown: usize,
+    /// Entries forgotten incrementally since the last build.
+    shrunk: usize,
     max_depth: usize,
 }
 
 impl Default for DecisionTreeIndex {
     fn default() -> Self {
         DecisionTreeIndex {
-            nodes: vec![TreeNode {
-                cut: None,
-                children: Vec::new(),
-                local: Vec::new(),
-                max_rank: None,
-            }],
+            nodes: vec![TreeNode::leaf(Vec::new(), None, 0)],
             built_len: 0,
             grown: 0,
+            shrunk: 0,
             max_depth: 0,
         }
     }
@@ -1093,53 +1144,58 @@ impl Default for DecisionTreeIndex {
 
 impl DecisionTreeIndex {
     /// Best cut for this entry set, or `None` when no window discriminates.
+    /// One pass per dimension: each entry's `(mask, stored)` is derived
+    /// once, and every window it pins gains a count and one bit in that
+    /// window's bitmap of seen values (`2^CUT_BITS = 16` of them).
     fn choose_cut(ids: &[usize], entries: &[TableEntry]) -> Option<Cut> {
         let arity = entries.get(*ids.first()?)?.matches.len();
         let mut best: Option<(u64, Cut)> = None;
+        let mut sigs: Vec<(u16, u128, u128)> = Vec::with_capacity(ids.len());
         for dim in 0..arity {
+            sigs.clear();
             // Majority key width among maskable sigs on this dim.
             let mut width_counts: BTreeMap<u16, usize> = BTreeMap::new();
             for &i in ids {
-                if let Some((KeySig::Masked { bits, .. }, _)) = key_sig(&entries[i].matches[dim]) {
+                if let Some((KeySig::Masked { bits, mask }, stored)) =
+                    key_sig(&entries[i].matches[dim])
+                {
                     *width_counts.entry(bits).or_insert(0) += 1;
+                    sigs.push((bits, mask, stored));
                 }
             }
             let Some((&w, _)) = width_counts.iter().max_by_key(|&(&w, &c)| (c, w)) else {
                 continue;
             };
             let bits = CUT_BITS.min(u32::from(w));
-            let window_count = u32::from(w).saturating_sub(bits) + 1;
-            for shift in 0..window_count {
-                let window = low_mask(bits) << shift;
-                let mut covered = 0u64;
-                let mut values = HashSet::new();
-                for &i in ids {
-                    if let Some((KeySig::Masked { bits: eb, mask }, stored)) =
-                        key_sig(&entries[i].matches[dim])
-                    {
-                        if eb == w && mask & window == window {
-                            covered += 1;
-                            values.insert((stored >> shift) & low_mask(bits));
-                        }
-                    }
+            let window_count = (u32::from(w) - bits + 1) as usize;
+            // Per window start: entries pinning it, bitmap of their values.
+            let mut windows = [(0u64, 0u16); 128];
+            for &(_, mask, stored) in sigs.iter().filter(|s| s.0 == w) {
+                // Bit `s` of `pinned` ⇔ `mask` covers bits `s..s + bits`.
+                let mut pinned = (0..bits).fold(u128::MAX, |p, b| p & (mask >> b));
+                while pinned != 0 {
+                    let shift = pinned.trailing_zeros();
+                    pinned &= pinned - 1;
+                    let (covered, seen) = &mut windows[shift as usize];
+                    *covered += 1;
+                    *seen |= 1 << ((stored >> shift) & low_mask(bits)) as u32;
                 }
+            }
+            for (shift, &(covered, seen)) in windows[..window_count].iter().enumerate() {
+                let values = u64::from(seen.count_ones());
                 // A useful cut must split the covered set and cover a
                 // meaningful fraction of the node.
-                if values.len() < 2 || covered * 4 < ids.len() as u64 {
+                if values < 2 || covered * 4 < ids.len() as u64 {
                     continue;
                 }
-                let score = covered * values.len() as u64;
-                let better = match best {
-                    None => true,
-                    Some((bs, _)) => score > bs,
-                };
-                if better {
+                let score = covered * values;
+                if best.is_none_or(|(bs, _)| score > bs) {
                     best = Some((
                         score,
                         Cut {
                             dim,
                             width: w,
-                            shift,
+                            shift: shift as u32,
                             bits,
                         },
                     ));
@@ -1149,13 +1205,17 @@ impl DecisionTreeIndex {
         best.map(|(_, c)| c)
     }
 
-    fn build_node(
+    /// Fills the already-allocated node `id` from `ids`: a leaf, or a cut
+    /// whose children append to `nodes`. A full build fills the root; an
+    /// install that overflows a leaf refills that leaf where it stands.
+    fn fill_node(
         &mut self,
+        id: usize,
         mut ids: Vec<usize>,
         entries: &[TableEntry],
         ranks: &[Rank],
         depth: usize,
-    ) -> usize {
+    ) {
         self.max_depth = self.max_depth.max(depth);
         let max_rank = ids.iter().map(|&i| ranks[i]).max();
         let cut = if ids.len() <= LEAF_MAX || depth >= MAX_DEPTH {
@@ -1165,14 +1225,8 @@ impl DecisionTreeIndex {
         };
         let Some(cut) = cut else {
             ids.sort_by_key(|&i| (std::cmp::Reverse(ranks[i]), i));
-            let id = self.nodes.len();
-            self.nodes.push(TreeNode {
-                cut: None,
-                children: Vec::new(),
-                local: ids,
-                max_rank,
-            });
-            return id;
+            self.nodes[id] = TreeNode::leaf(ids, max_rank, depth);
+            return;
         };
         let fan = 1usize << cut.bits;
         let mut partitions: Vec<Vec<usize>> = vec![Vec::new(); fan];
@@ -1184,20 +1238,38 @@ impl DecisionTreeIndex {
             }
         }
         local.sort_by_key(|&i| (std::cmp::Reverse(ranks[i]), i));
-        let id = self.nodes.len();
-        self.nodes.push(TreeNode {
+        self.nodes[id] = TreeNode {
             cut: Some(cut),
             children: vec![NO_CHILD; fan],
             local,
             max_rank,
-        });
+            split_at: usize::MAX,
+        };
         for (slot, part) in partitions.into_iter().enumerate() {
             if !part.is_empty() {
-                let child = self.build_node(part, entries, ranks, depth + 1);
+                let child = self.nodes.len();
+                self.nodes.push(TreeNode::leaf(Vec::new(), None, depth + 1));
                 self.nodes[id].children[slot] = child;
+                self.fill_node(child, part, entries, ranks, depth + 1);
             }
         }
-        id
+    }
+
+    /// The node whose `local` holds `entry` if it is installed: the end of
+    /// the entry's own descent.
+    fn home_of(&self, entry: &TableEntry) -> Option<usize> {
+        let mut node = 0usize;
+        loop {
+            let n = &self.nodes[node];
+            let Some(cut) = n.cut else { return Some(node) };
+            match cut_value(entry.matches.get(cut.dim)?, &cut) {
+                None => return Some(node),
+                Some(v) => match n.children[v as usize] {
+                    NO_CHILD => return None,
+                    child => node = child,
+                },
+            }
+        }
     }
 }
 
@@ -1211,66 +1283,86 @@ impl ClassifierIndex for DecisionTreeIndex {
     }
 
     fn build(&mut self, entries: &[TableEntry], ranks: &[Rank]) {
-        self.nodes.clear();
-        self.max_depth = 0;
-        self.built_len = entries.len();
-        self.grown = 0;
-        // Nodes allocate pre-order, so the root always lands in slot 0.
-        let root = self.build_node((0..entries.len()).collect(), entries, ranks, 0);
-        debug_assert_eq!(root, 0);
+        *self = DecisionTreeIndex {
+            built_len: entries.len(),
+            ..DecisionTreeIndex::default()
+        };
+        self.fill_node(0, (0..entries.len()).collect(), entries, ranks, 0);
     }
 
     fn insert(&mut self, entries: &[TableEntry], ranks: &[Rank], idx: usize) -> bool {
         let rank = ranks[idx];
         self.grown += 1;
-        if self.grown > self.built_len / 2 + LEAF_SPLIT {
+        // The geometric refresh — the one rebuild an installing tree still
+        // asks for, O(log n) times over a table's life: cuts chosen for the
+        // built set go stale as installs and deletes pile up.
+        if self.grown.max(self.shrunk) > self.built_len / 2 + LEAF_SPLIT {
             return false;
         }
         let mut node = 0usize;
         let mut depth = 0usize;
         loop {
             let n = &mut self.nodes[node];
-            n.max_rank = Some(n.max_rank.map_or(rank, |m| m.max(rank)));
-            let Some(cut) = n.cut else {
-                if n.local.len() >= LEAF_SPLIT {
-                    return false;
-                }
+            n.max_rank = n.max_rank.max(Some(rank));
+            let pinned = n
+                .cut
+                .and_then(|cut| cut_value(&entries[idx].matches[cut.dim], &cut));
+            let Some(v) = pinned else {
                 ordered_insert(&mut n.local, ranks, idx);
+                if n.local.len() >= n.split_at {
+                    // The leaf outgrew itself: cut it where it stands.
+                    let ids = std::mem::take(&mut n.local);
+                    self.fill_node(node, ids, entries, ranks, depth);
+                }
                 return true;
             };
-            match cut_value(&entries[idx].matches[cut.dim], &cut) {
-                None => {
-                    if n.local.len() >= LEAF_SPLIT {
-                        return false;
-                    }
-                    ordered_insert(&mut n.local, ranks, idx);
-                    return true;
-                }
-                Some(v) => {
-                    let child = n.children[v as usize];
-                    if child == NO_CHILD {
-                        let new_id = self.nodes.len();
-                        self.nodes[node].children[v as usize] = new_id;
-                        self.nodes.push(TreeNode {
-                            cut: None,
-                            children: Vec::new(),
-                            local: vec![idx],
-                            max_rank: Some(rank),
-                        });
-                        self.max_depth = self.max_depth.max(depth + 1);
-                        return true;
-                    }
-                    node = child;
-                    depth += 1;
-                }
-            }
+            depth += 1;
+            let child = n.children[v as usize];
+            node = if child != NO_CHILD {
+                child
+            } else {
+                let new_id = self.nodes.len();
+                self.nodes[node].children[v as usize] = new_id;
+                self.nodes.push(TreeNode::leaf(Vec::new(), None, depth));
+                self.max_depth = self.max_depth.max(depth);
+                new_id
+            };
         }
     }
 
-    fn remove(&mut self, _removed: &TableEntry, _rank: Rank, _idx: usize) -> bool {
-        // Subtree max-rank bounds cannot be tightened without a walk;
-        // deletions always rebuild (aging sweeps batch into one rebuild).
-        false
+    fn remove(&mut self, removed: &TableEntry, _rank: Rank, idx: usize) -> bool {
+        let Some(home) = self.home_of(removed) else {
+            return false;
+        };
+        let local = &mut self.nodes[home].local;
+        let Some(at) = local.iter().position(|&i| i == idx) else {
+            return false;
+        };
+        local.remove(at);
+        self.shrunk += 1;
+        true
+    }
+
+    fn remove_many(&mut self, removed: &[usize]) -> bool {
+        for n in &mut self.nodes {
+            // Survivors keep their relative order: `local` stays sorted.
+            n.local.retain_mut(|pos| renumber(removed, pos));
+        }
+        self.shrunk += removed.len();
+        true
+    }
+
+    fn position(&self, entries: &[TableEntry], entry: &TableEntry) -> Option<usize> {
+        let local = &self.nodes[self.home_of(entry)?].local;
+        // Equal entries share a rank, and within a rank `local` is in
+        // install order: the first equal entry found is the lowest.
+        let rank = rank_of(entry);
+        let from = local.partition_point(|&i| rank_of(&entries[i]) > rank);
+        local[from..]
+            .iter()
+            .copied()
+            .take_while(|&i| rank_of(&entries[i]) == rank)
+            .find(|&i| entries[i] == *entry)
     }
 
     fn lookup(
@@ -1816,5 +1908,207 @@ mod tests {
             }
         );
         assert_eq!(stored, 0x0a00_0000);
+    }
+
+    /// An `acl_ruleset`-shaped rule on two 32-bit ternary fields: seven in
+    /// ten are prefix pairs (/0 … /32), the rest scattered masks.
+    fn acl_entry(r: &mut Lcg) -> TableEntry {
+        let prefix = |r: &mut Lcg| match r.next() % 5 {
+            0 => 0u32,
+            len => u32::MAX << (32 - 8 * len),
+        };
+        let (src_mask, dst_mask) = if r.next() % 10 < 7 {
+            (prefix(r), prefix(r))
+        } else {
+            (r.next() as u32, r.next() as u32)
+        };
+        let ternary = |val: u32, mask: u32| {
+            KeyMatch::Ternary(
+                Value::new(u128::from(val & mask), 32),
+                Value::new(u128::from(mask), 32),
+            )
+        };
+        TableEntry {
+            matches: vec![
+                ternary(r.next() as u32, src_mask),
+                ternary(r.next() as u32, dst_mask),
+            ],
+            action: "a".into(),
+            action_args: vec![],
+            priority: (r.next() % 32) as i32,
+        }
+    }
+
+    /// A key tuple `e` matches: its pinned bits, noise elsewhere.
+    fn matching_keys(e: &TableEntry, r: &mut Lcg) -> Vec<Value> {
+        e.matches
+            .iter()
+            .map(|m| match m {
+                KeyMatch::Ternary(val, mask) => {
+                    Value::new(val.raw() | (u128::from(r.next() as u32) & !mask.raw()), 32)
+                }
+                _ => unreachable!("acl entries are ternary"),
+            })
+            .collect()
+    }
+
+    /// The tree's structure over `entries`: every position sits in exactly
+    /// one `local` — the one its own descent ends in — every `local` is
+    /// `(rank desc, idx asc)`, every `max_rank` bounds its subtree, and the
+    /// nodes form one tree under slot 0.
+    fn assert_tree_invariants(ix: &DecisionTreeIndex, entries: &[TableEntry], ranks: &[Rank]) {
+        fn subtree_max(
+            ix: &DecisionTreeIndex,
+            id: usize,
+            ranks: &[Rank],
+            visited: &mut usize,
+        ) -> Option<Rank> {
+            *visited += 1;
+            let n = &ix.nodes[id];
+            let mut max = n.local.iter().map(|&i| ranks[i]).max();
+            for &c in n.children.iter().filter(|&&c| c != NO_CHILD) {
+                max = max.max(subtree_max(ix, c, ranks, visited));
+            }
+            assert!(n.max_rank >= max, "node {id}: {:?} < {max:?}", n.max_rank);
+            max
+        }
+        let mut homes = vec![0u32; entries.len()];
+        for (id, n) in ix.nodes.iter().enumerate() {
+            let key = |i: usize| (std::cmp::Reverse(ranks[i]), i);
+            assert!(
+                n.local.windows(2).all(|w| key(w[0]) < key(w[1])),
+                "node {id} unsorted"
+            );
+            for &i in &n.local {
+                homes[i] += 1;
+                assert_eq!(
+                    ix.home_of(&entries[i]),
+                    Some(id),
+                    "entry {i} off its descent"
+                );
+            }
+        }
+        assert!(
+            homes.iter().all(|&c| c == 1),
+            "an entry is lost or held twice"
+        );
+        let mut visited = 0;
+        subtree_max(ix, 0, ranks, &mut visited);
+        assert_eq!(visited, ix.nodes.len(), "a node is unreachable or shared");
+    }
+
+    /// Installs one at a time past every leaf's capacity, tail and interior
+    /// removals, bulk removals and duplicates, at the scale where leaves
+    /// split in place and positions are renumbered across appended nodes:
+    /// after every step the structure holds, `position` is the linear
+    /// scan's, and lookups are the oracle's.
+    #[test]
+    fn decision_tree_absorbs_churn_at_acl_scale() {
+        for seed in 0..4 {
+            let mut r = Lcg(0xac1 + seed);
+            let mut entries: Vec<TableEntry> = Vec::new();
+            let mut ranks: Vec<Rank> = Vec::new();
+            let mut ix = DecisionTreeIndex::default();
+            let (mut rebuilds, mut splits) = (0, 0);
+            let log = ProbeLog::default();
+            for step in 0..1200 {
+                match r.next() % 16 {
+                    // Interior removal of one position.
+                    0 | 1 if !entries.is_empty() => {
+                        let at = (r.next() % entries.len() as u64) as usize;
+                        assert!(ix.remove_many(&[at]));
+                        entries.remove(at);
+                        ranks.remove(at);
+                    }
+                    // Tail removal.
+                    2 if !entries.is_empty() => {
+                        let gone = entries.pop().unwrap();
+                        let rank = ranks.pop().unwrap();
+                        assert!(ix.remove(&gone, rank, entries.len()), "step {step}");
+                        assert_eq!(
+                            ix.position(&entries, &gone).is_some(),
+                            entries.contains(&gone)
+                        );
+                    }
+                    // A sweep: every fifth position from a random start.
+                    3 if step % 8 == 0 && !entries.is_empty() => {
+                        let from = (r.next() % entries.len() as u64) as usize;
+                        let removed: Vec<usize> = (from..entries.len()).step_by(5).collect();
+                        assert!(ix.remove_many(&removed));
+                        for &i in removed.iter().rev() {
+                            entries.remove(i);
+                            ranks.remove(i);
+                        }
+                    }
+                    sel => {
+                        // One install in eight repeats an installed rule.
+                        let e = if sel == 4 && !entries.is_empty() {
+                            entries[(r.next() % entries.len() as u64) as usize].clone()
+                        } else {
+                            acl_entry(&mut r)
+                        };
+                        ranks.push(rank_of(&e));
+                        entries.push(e);
+                        let nodes = ix.nodes.len();
+                        if !ix.insert(&entries, &ranks, entries.len() - 1) {
+                            ix.build(&entries, &ranks);
+                            rebuilds += 1;
+                        } else if ix.nodes.len() > nodes + 1 {
+                            splits += 1;
+                        }
+                    }
+                }
+                assert_tree_invariants(&ix, &entries, &ranks);
+                if entries.is_empty() {
+                    continue;
+                }
+                for _ in 0..4 {
+                    let e = &entries[(r.next() % entries.len() as u64) as usize];
+                    assert_eq!(
+                        ix.position(&entries, e),
+                        entries.iter().position(|x| x == e),
+                        "step {step}: not the first equal entry"
+                    );
+                    let keys = matching_keys(e, &mut r);
+                    assert_eq!(
+                        ix.lookup(&entries, &ranks, &keys, &log),
+                        oracle(&entries, &ranks, &keys),
+                        "step {step}: diverged on {keys:?}"
+                    );
+                }
+                let mut absent = acl_entry(&mut r);
+                absent.priority = 99;
+                assert_eq!(ix.position(&entries, &absent), None);
+            }
+            assert!(entries.len() > 300, "the churn grows the table");
+            assert!(
+                rebuilds <= 8,
+                "{rebuilds} rebuilds for {} entries",
+                entries.len()
+            );
+            assert!(splits > 8, "{splits} leaves were cut where they stood");
+        }
+    }
+
+    #[test]
+    fn tuple_space_position_is_the_first_equal_entry() {
+        let mut r = Lcg(11);
+        let mut entries: Vec<_> = (0..200).map(|_| random_entry(&mut r)).collect();
+        // Repeats of installed entries (ranges in the spill included).
+        for i in 0..50 {
+            entries.push(entries[i * 3].clone());
+        }
+        let ranks: Vec<_> = entries.iter().map(rank_of).collect();
+        let mut ix = TupleSpaceIndex::default();
+        ix.build(&entries, &ranks);
+        for e in &entries {
+            assert_eq!(
+                ix.position(&entries, e),
+                entries.iter().position(|x| x == e)
+            );
+        }
+        let mut absent = entries[0].clone();
+        absent.priority = 99;
+        assert_eq!(ix.position(&entries, &absent), None);
     }
 }

@@ -130,7 +130,9 @@ impl TableRt {
         self.action_ords.push(action_ord);
         self.last_hit.push(Cell::new(now));
         if !self.index.insert(&self.entries, &self.ranks, idx) {
-            self.rebuild_index();
+            // The index asked for its refresh (the tree, geometrically):
+            // the one point where a sticky kind is judged again.
+            self.reindex_auto();
         }
         self.maybe_migrate();
     }
@@ -165,7 +167,8 @@ impl TableRt {
     }
 
     /// Re-evaluates the desired kind from the entries themselves and
-    /// rebuilds — the path for deletions, sweeps and policy changes.
+    /// rebuilds — the path for every mutation the index could not absorb
+    /// and for policy changes.
     fn reindex_auto(&mut self) {
         let desired = match self.policy {
             IndexPolicy::Force(k) => k,
@@ -1059,6 +1062,59 @@ mod tests {
         assert!(st.advance_clock(2).is_empty(), "skipped: 6 - 3 < 4");
         assert_eq!(st.advance_clock(1).len(), 4, "scanned at 7 - 3 >= 4");
         assert_eq!(st.slots[id].stamp_floor, u64::MAX);
+    }
+
+    #[test]
+    fn tree_at_the_selection_threshold_does_not_flap() {
+        // An LRU-at-capacity ACL cache of 64 diverse-mask rules: exactly
+        // `TREE_MIN_ENTRIES`, so every eviction dips below the threshold.
+        let def = TableDef {
+            name: "acl".into(),
+            keys: vec![TableKey {
+                field: fref("ipv4", "src_addr"),
+                kind: MatchKind::Ternary,
+            }],
+            actions: vec!["permit".into()],
+            default_action: "permit".into(),
+            default_action_args: vec![],
+            size: 64,
+        };
+        let rule = |i: u128| TableEntry {
+            matches: vec![KeyMatch::Ternary(
+                Value::new(i << 16, 32),
+                Value::new(0xffff_0000 | i, 32),
+            )],
+            action: "permit".into(),
+            action_args: vec![],
+            priority: (i % 4) as i32,
+        };
+        let mut st = TableState::new();
+        let id = st.preregister(&def);
+        st.set_idle_timeout("acl", Some(1_000)).unwrap();
+        for i in 0..64 {
+            st.install(&def, rule(i)).unwrap();
+        }
+        assert_eq!(st.index_kind("acl"), Some(IndexKind::DecisionTree));
+        let built = st.slots[id].rebuilds;
+        for i in 64..264 {
+            if i % 2 == 0 {
+                // The control plane deletes the newest rule (the tail)…
+                assert!(st.remove_entry("acl", &rule(i - 1)).unwrap());
+                assert_eq!(st.index_kind("acl"), Some(IndexKind::DecisionTree));
+            }
+            // …or the full table evicts its least-recently-hit (interior).
+            st.install(&def, rule(i)).unwrap();
+            assert_eq!(st.len("acl"), 64);
+            assert_eq!(st.index_kind("acl"), Some(IndexKind::DecisionTree));
+            let keys = [Value::new(i << 16, 32)];
+            assert_eq!(st.lookup_readonly(&def, &keys), Some(rule(i)));
+        }
+        assert_eq!(st.evictions("acl"), 100);
+        let rebuilds = st.slots[id].rebuilds - built;
+        assert!(
+            rebuilds <= 2,
+            "{rebuilds} rebuilds over 200 delete/install pairs"
+        );
     }
 
     #[test]

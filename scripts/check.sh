@@ -129,6 +129,20 @@ if grep -nE 'entries\(table\)\.contains|expired\.contains|fn retain_entries' cra
     exit 1
 fi
 
+# ACL-install gate: a decision-tree install costs the leaf it lands in and
+# a delete is absorbed, pinned in counts, not time (index rebuilds for
+# 1 000 / 4 000 / 16 000 one-at-a-time installs, through `restore_state`
+# and under 1 000 deletes; probes per lookup against a fresh build).
+# Release, because that is the build the benchmark measures; built outside
+# the bound, so the bound is on the installs. And the tree's `remove` must
+# not go back to ignoring its victim — an unconditional "rebuild me".
+cargo test --release --offline -q -p dejavu-integration --test index_scale --no-run
+timeout 120 cargo test --release --offline -q -p dejavu-integration --test index_scale
+if grep -n '_removed: &TableEntry, _rank: Rank, _idx: usize' crates/asic/src/index.rs; then
+    echo "an index answers every delete with a rebuild again (see DESIGN.md, Classification index)" >&2
+    exit 1
+fi
+
 # Dataplane bench gate: the table-size sweep runs end-to-end in quick
 # mode (shrunk budgets, 100k point skipped; the committed root
 # BENCH_dataplane.json is not rewritten), its artifact must carry the

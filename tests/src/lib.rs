@@ -241,3 +241,29 @@ pub fn chain_packet(path: u16, dst_ip: u32, dst_port: u16) -> Vec<u8> {
         .dst_port(dst_port)
         .build()
 }
+
+/// `rule` as an entry of a table keyed on source × destination address,
+/// both ternary (the shape of `acl_4k`'s table), running `action(args)`.
+pub fn acl_entry(
+    rule: &dejavu_traffic::AclRule,
+    action: &str,
+    args: Vec<dejavu_p4ir::Value>,
+) -> dejavu_p4ir::table::TableEntry {
+    use dejavu_p4ir::table::KeyMatch;
+    use dejavu_p4ir::Value;
+    let ternary = |val: u32, mask: u32| {
+        KeyMatch::Ternary(
+            Value::new(u128::from(val), 32),
+            Value::new(u128::from(mask), 32),
+        )
+    };
+    dejavu_p4ir::table::TableEntry {
+        matches: vec![
+            ternary(rule.src_val, rule.src_mask),
+            ternary(rule.dst_val, rule.dst_mask),
+        ],
+        action: action.to_string(),
+        action_args: args,
+        priority: rule.priority,
+    }
+}

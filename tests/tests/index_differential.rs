@@ -501,3 +501,163 @@ proptest! {
         }
     }
 }
+
+/// The classifier pipelet with `cls` keyed the way `acl_4k` keys its table:
+/// source × destination address, both ternary. 512 entries fill it, so
+/// the longer runs also evict least-recently-hit entries from the interior.
+fn acl_cls_program() -> Program {
+    let mut program = cls_program();
+    let cls = program.tables.get_mut("cls").expect("cls is defined");
+    cls.keys.truncate(2);
+    cls.keys[1].kind = dejavu_p4ir::MatchKind::Ternary;
+    cls.size = 512;
+    program
+}
+
+/// `rule` as an entry of that table; the action varies with `i`, so a wrong
+/// winner is a wrong disposition.
+fn acl_entry(rule: &dejavu_traffic::AclRule, i: usize) -> TableEntry {
+    if i.is_multiple_of(5) {
+        dejavu_integration::acl_entry(rule, "deny", vec![])
+    } else {
+        dejavu_integration::acl_entry(rule, "fwd", vec![Value::new(i as u128 % 7, 16)])
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+    /// The decision tree's incremental paths — leaves cut where they stand,
+    /// deletes absorbed and renumbered across nodes appended since the last
+    /// build, `position` by descent — are invisible at the scale where they
+    /// run: an `acl_ruleset` installed one rule at a time with interior and
+    /// tail deletes, repeats of installed rules, an aging sweep and LRU
+    /// evictions in between, forced tree and automatic selection against
+    /// the forced scan.
+    #[test]
+    fn tree_agrees_with_scan_under_acl_scale_churn(
+        n in 300usize..=1500,
+        seed in any::<u64>(),
+    ) {
+        use rand::{Rng, SeedableRng};
+        let program = acl_cls_program();
+        let pid = PipeletId::ingress(0);
+        let policies = [
+            IndexPolicy::Force(IndexKind::Scan),
+            IndexPolicy::Force(IndexKind::DecisionTree),
+            IndexPolicy::Auto,
+        ];
+        let mut switches: Vec<Switch> = policies
+            .iter()
+            .map(|&policy| {
+                let mut sw = cls_testbed(&program, IndexKind::Scan, ExecMode::Compiled);
+                sw.set_table_index(pid, "cls", policy).unwrap();
+                sw
+            })
+            .collect();
+        let rules = dejavu_traffic::acl_ruleset(n, seed);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xd1ff);
+        // Every rule ever installed and not deleted by us (aged-out and
+        // evicted ones stay listed: removing those must answer `false`
+        // everywhere).
+        let mut installed: Vec<(usize, TableEntry)> = Vec::new();
+
+        for (i, rule) in rules.iter().enumerate() {
+            let mut fresh = vec![acl_entry(rule, i)];
+            if rng.gen_range(0..8) == 0 && !installed.is_empty() {
+                fresh.push(installed[rng.gen_range(0..installed.len())].1.clone());
+            }
+            for e in fresh {
+                for sw in &mut switches {
+                    sw.install_entry(pid, "cls", e.clone()).unwrap();
+                }
+                installed.push((i, e));
+            }
+            // Deletes: one in six from the interior, one in ten the newest.
+            let victim = match rng.gen_range(0..30) {
+                0..=4 => Some(rng.gen_range(0..installed.len())),
+                5..=7 => Some(installed.len() - 1),
+                _ => None,
+            };
+            if let Some(at) = victim {
+                let (_, gone) = installed.remove(at);
+                let removed: Vec<bool> = switches
+                    .iter_mut()
+                    .map(|sw| sw.remove_entry(pid, "cls", &gone).unwrap())
+                    .collect();
+                prop_assert!(
+                    removed.iter().all(|&b| b == removed[0]),
+                    "rule {}: remove_entry outcomes diverged: {:?}", i, removed
+                );
+            }
+            if i == n / 2 {
+                // The aging sweep: one tick, traffic on a third of the rules,
+                // a second tick — whatever was not hit in between is two
+                // ticks idle and expires.
+                let mut sweeps = Vec::new();
+                for sw in &mut switches {
+                    let mut evicted = sw.advance_time(1);
+                    for (k, (r, _)) in installed.iter().enumerate().step_by(3) {
+                        let (src, dst) = dejavu_traffic::matching_flow(&rules[*r], k as u64);
+                        let pkt = dejavu_traffic::PacketBuilder::udp().src_ip(src).dst_ip(dst).build();
+                        sw.inject(InjectedPacket::new(pkt, 0)).unwrap();
+                    }
+                    evicted.extend(sw.advance_time(1));
+                    sweeps.push(evicted);
+                }
+                prop_assert!(!sweeps[0].is_empty(), "the sweep evicts");
+                for s in &sweeps[1..] {
+                    prop_assert_eq!(&sweeps[0], s, "rule {}: eviction lists diverged", i);
+                }
+            }
+            if i % 16 != 0 && victim.is_none() {
+                continue;
+            }
+            // Traffic: flows built to match installed rules, and background.
+            for k in 0..4u64 {
+                let (src, dst) = if k == 3 {
+                    (rng.gen(), rng.gen())
+                } else {
+                    let (r, _) = installed[rng.gen_range(0..installed.len())];
+                    dejavu_traffic::matching_flow(&rules[r], seed.wrapping_add(k))
+                };
+                let pkt = dejavu_traffic::PacketBuilder::udp().src_ip(src).dst_ip(dst).build();
+                let outs: Vec<_> = switches
+                    .iter_mut()
+                    .map(|sw| sw.inject(InjectedPacket::new(pkt.clone(), 0)).unwrap())
+                    .collect();
+                for (o, policy) in outs.iter().zip(&policies).skip(1) {
+                    prop_assert_eq!(&outs[0], o, "rule {}: traversal diverged on {:?}", i, policy);
+                }
+            }
+            // The whole table, so a wrong renumbering or a wrong duplicate
+            // taken shows at the step that made it.
+            let scan = switches[0].tables(pid).unwrap();
+            for (sw, policy) in switches.iter().zip(&policies).skip(1) {
+                let ts = sw.tables(pid).unwrap();
+                prop_assert_eq!(
+                    scan.entries("cls"), ts.entries("cls"),
+                    "rule {}: entries diverged on {:?}", i, policy
+                );
+            }
+        }
+
+        prop_assert_eq!(switches[1].table_index_kind(pid, "cls"), Some(IndexKind::DecisionTree));
+        let scan = switches[0].tables(pid).unwrap();
+        prop_assert!(scan.evictions("cls") > 0);
+        for (sw, policy) in switches.iter().zip(&policies).skip(1) {
+            let ts = sw.tables(pid).unwrap();
+            prop_assert_eq!(
+                (scan.counters("cls"), scan.evictions("cls")),
+                (ts.counters("cls"), ts.evictions("cls")),
+                "counters diverged on {:?}", policy
+            );
+            for (i, rule) in rules.iter().enumerate() {
+                let e = acl_entry(rule, i);
+                prop_assert_eq!(
+                    scan.contains_entry("cls", &e), ts.contains_entry("cls", &e),
+                    "contains_entry diverged on {:?} for rule {}", policy, i
+                );
+            }
+        }
+    }
+}
