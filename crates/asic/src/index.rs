@@ -2,19 +2,18 @@
 //!
 //! Every table slot owns a [`ClassifierIndex`] — a data structure that maps a
 //! key tuple to the winning entry under the rank/arbitration rules of
-//! [`rank_of`]. Five implementations exist:
+//! [`rank_of`]. Four implementations exist:
 //!
 //! * **Scan** — the priority-sorted linear scan. O(entries) per lookup; kept
 //!   as the honest reference cost model and as a forced baseline for
 //!   benchmarks.
 //! * **Exact** — one hash table over the full key tuple, wildcard entries in
 //!   a scanned spill list. For all-exact tables.
-//! * **Lpm** — per-prefix-length hash buckets probed longest-first. For
-//!   single-LPM-key tables with uniform priorities.
 //! * **TupleSpace** — tuple-space search: entries grouped by their mask
 //!   tuple, one hash table per tuple, tuples probed in descending
 //!   max-rank order with early exit once no remaining tuple can beat the
-//!   current best hit. The workhorse for ternary/range/mixed tables.
+//!   current best hit. The workhorse for every other table — ternary,
+//!   range, mixed, and LPM (a prefix length is one mask tuple).
 //! * **DecisionTree** — HyperCuts-style cuts on high-discrimination bit
 //!   windows, selected automatically when the ruleset's mask diversity makes
 //!   tuple-space degenerate (tuple count approaching entry count).
@@ -32,7 +31,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
 
 use dejavu_p4ir::table::{KeyMatch, TableEntry};
-use dejavu_p4ir::{mask_for, MatchKind, TableDef, Value};
+use dejavu_p4ir::{mask_for, Value};
 
 /// Rank of an entry: priority first, then summed LPM prefix length. Higher
 /// ranks win; ties go to the earliest install index.
@@ -128,8 +127,6 @@ pub enum IndexKind {
     Scan,
     /// Full-key hash map with wildcard spill.
     Exact,
-    /// Per-prefix-length hash buckets.
-    Lpm,
     /// Tuple-space search (one hash table per mask tuple).
     TupleSpace,
     /// HyperCuts-style decision tree.
@@ -142,18 +139,17 @@ impl IndexKind {
         match self {
             IndexKind::Scan => "scan",
             IndexKind::Exact => "exact",
-            IndexKind::Lpm => "lpm",
             IndexKind::TupleSpace => "tuple_space",
             IndexKind::DecisionTree => "decision_tree",
         }
     }
 
     /// Stable numeric code, exported as the `table_index_kind` gauge.
+    /// Exported codes never shift, so 2 stays unused.
     pub fn ordinal(self) -> i64 {
         match self {
             IndexKind::Scan => 0,
             IndexKind::Exact => 1,
-            IndexKind::Lpm => 2,
             IndexKind::TupleSpace => 3,
             IndexKind::DecisionTree => 4,
         }
@@ -175,16 +171,14 @@ pub enum IndexPolicy {
 pub struct IndexStats {
     /// Current index kind.
     pub kind: IndexKind,
-    /// Partitions: tuples (tuple space), hash buckets (lpm), tree nodes.
+    /// Partitions: stored key tuples (exact), mask tuples (tuple space),
+    /// tree nodes (decision tree).
     pub partitions: usize,
     /// Entries outside the hashed structure (wildcard/range spill, root
     /// residue).
     pub spill: usize,
     /// Maximum tree depth (decision tree only).
     pub max_depth: usize,
-    /// True when the ruleset mixes priorities in a way that disables a
-    /// specialised fast path (single-LPM tables).
-    pub mixed_priorities: bool,
 }
 
 /// Telemetry counters accumulated per table across lookups.
@@ -643,145 +637,6 @@ impl ClassifierIndex for ExactIndex {
 }
 
 // ---------------------------------------------------------------------------
-// Lpm
-// ---------------------------------------------------------------------------
-
-/// Single-LPM-key tables: prefixes bucketed by `(key width, prefix length)`,
-/// walked longest-prefix-first. Valid only while all entries share one
-/// priority; a mixed-priority install flips `mixed` and the table migrates
-/// to tuple-space search.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LpmIndex {
-    buckets: WordMap<(u16, u16), WordMap<u128, usize>>,
-    /// Bucket keys sorted by descending prefix length.
-    lens: Vec<(u16, u16)>,
-    /// First-installed wildcard entry (`Any` or a /0 prefix).
-    wildcard: Option<usize>,
-    /// Priority shared by every installed entry, if still uniform.
-    uniform: Option<i32>,
-    /// Set once a second distinct priority is installed.
-    mixed: bool,
-}
-
-impl ClassifierIndex for LpmIndex {
-    fn kind(&self) -> IndexKind {
-        IndexKind::Lpm
-    }
-
-    fn clone_box(&self) -> Box<dyn ClassifierIndex> {
-        Box::new(self.clone())
-    }
-
-    fn build(&mut self, entries: &[TableEntry], ranks: &[Rank]) {
-        *self = LpmIndex::default();
-        for idx in 0..entries.len() {
-            self.insert(entries, ranks, idx);
-        }
-    }
-
-    fn insert(&mut self, entries: &[TableEntry], _ranks: &[Rank], idx: usize) -> bool {
-        let entry = &entries[idx];
-        match self.uniform {
-            None => self.uniform = Some(entry.priority),
-            Some(p) if p != entry.priority => self.mixed = true,
-            _ => {}
-        }
-        match entry.matches.first() {
-            Some(KeyMatch::Lpm(prefix, len)) if *len > 0 => {
-                let bits = prefix.bits();
-                let eff = (*len).min(bits);
-                let masked = prefix.raw() >> u32::from(bits - eff);
-                let bucket = self.buckets.entry((bits, *len)).or_default();
-                // Same (width, len, masked prefix) ⇒ identical match set;
-                // the first install wins under uniform priority.
-                bucket.entry(masked).or_insert(idx);
-                if !self.lens.contains(&(bits, *len)) {
-                    self.lens.push((bits, *len));
-                    self.lens.sort_by_key(|&(_, len)| std::cmp::Reverse(len));
-                }
-            }
-            // `Any` and /0 prefixes match everything: rank (prio, 0).
-            _ => {
-                if self.wildcard.is_none() {
-                    self.wildcard = Some(idx);
-                }
-            }
-        }
-        true
-    }
-
-    fn remove(&mut self, removed: &TableEntry, _rank: Rank, idx: usize) -> bool {
-        match removed.matches.first() {
-            Some(KeyMatch::Lpm(prefix, len)) if *len > 0 => {
-                let bits = prefix.bits();
-                let eff = (*len).min(bits);
-                let masked = prefix.raw() >> u32::from(bits - eff);
-                // Removing the stored winner exposes an unknown shadowed
-                // duplicate — rebuild. Shadowed duplicates go quietly.
-                self.buckets.get(&(bits, *len)).and_then(|b| b.get(&masked)) != Some(&idx)
-            }
-            _ => self.wildcard != Some(idx),
-        }
-    }
-
-    fn lookup(
-        &self,
-        entries: &[TableEntry],
-        ranks: &[Rank],
-        keys: &[Value],
-        log: &ProbeLog,
-    ) -> Option<usize> {
-        if self.mixed {
-            // Defensive full walk; normally unreachable because the table
-            // migrates to tuple-space on the mixed-priority install.
-            let mut best: Option<usize> = None;
-            for (i, e) in entries.iter().enumerate() {
-                if entry_matches(e, keys) {
-                    let better = match best {
-                        None => true,
-                        Some(b) => ranks[i] > ranks[b],
-                    };
-                    if better {
-                        best = Some(i);
-                    }
-                }
-            }
-            log.record_probes(entries.len() as u64);
-            return best;
-        }
-        let Some(&v) = keys.first() else {
-            log.record_probes(0);
-            return None;
-        };
-        let mut probes = 0u64;
-        for &(bits, len) in &self.lens {
-            probes += 1;
-            if bits != v.bits() {
-                continue;
-            }
-            let eff = len.min(bits);
-            let masked = v.raw() >> u32::from(bits - eff);
-            if let Some(&i) = self.buckets[&(bits, len)].get(&masked) {
-                log.record_probes(probes.max(1));
-                return Some(i);
-            }
-        }
-        log.record_probes(probes.max(1));
-        self.wildcard
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            kind: IndexKind::Lpm,
-            partitions: self.buckets.len(),
-            spill: usize::from(self.wildcard.is_some()),
-            mixed_priorities: self.mixed,
-            ..IndexStats::default()
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Tuple-space search
 // ---------------------------------------------------------------------------
 
@@ -821,8 +676,6 @@ pub(crate) struct TupleSpaceIndex {
     /// Unhashable entries, `(rank desc, index asc)`.
     spill: Vec<usize>,
     live_tuples: usize,
-    mixed: bool,
-    first_priority: Option<i32>,
 }
 
 impl TupleSpaceIndex {
@@ -838,14 +691,6 @@ impl TupleSpaceIndex {
         self.probe_order.retain(|&t| t != tid);
         let pos = self.probe_pos(tid);
         self.probe_order.insert(pos, tid);
-    }
-
-    fn note_priority(&mut self, p: i32) {
-        match self.first_priority {
-            None => self.first_priority = Some(p),
-            Some(fp) if fp != p => self.mixed = true,
-            _ => {}
-        }
     }
 }
 
@@ -866,9 +711,7 @@ impl ClassifierIndex for TupleSpaceIndex {
     }
 
     fn insert(&mut self, entries: &[TableEntry], ranks: &[Rank], idx: usize) -> bool {
-        let entry = &entries[idx];
-        self.note_priority(entry.priority);
-        match entry_sig(entry, &self.hasher) {
+        match entry_sig(&entries[idx], &self.hasher) {
             None => ordered_insert(&mut self.spill, ranks, idx),
             Some((sig, hash)) => {
                 let tid = match self.by_sig.get(&sig) {
@@ -1020,7 +863,6 @@ impl ClassifierIndex for TupleSpaceIndex {
             kind: IndexKind::TupleSpace,
             partitions: self.live_tuples,
             spill: self.spill.len(),
-            mixed_priorities: self.mixed,
             ..IndexStats::default()
         }
     }
@@ -1431,7 +1273,6 @@ impl ClassifierIndex for DecisionTreeIndex {
             partitions: self.nodes.len(),
             spill: self.nodes[0].local.len(),
             max_depth: self.max_depth,
-            ..IndexStats::default()
         }
     }
 }
@@ -1439,29 +1280,6 @@ impl ClassifierIndex for DecisionTreeIndex {
 // ---------------------------------------------------------------------------
 // Selection heuristic
 // ---------------------------------------------------------------------------
-
-/// Coarse table shape derived from the key kinds; constrains which index
-/// kinds are admissible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableShape {
-    /// Every key is `MatchKind::Exact`.
-    AllExact,
-    /// Exactly one key, `MatchKind::Lpm`.
-    SingleLpm,
-    /// Anything else: ternary, range, or mixed kinds — TCAM territory.
-    Tcam,
-}
-
-/// Classifies a table definition into its shape.
-pub fn shape_of(def: &TableDef) -> TableShape {
-    if def.keys.iter().all(|k| k.kind == MatchKind::Exact) {
-        TableShape::AllExact
-    } else if def.keys.len() == 1 && def.keys[0].kind == MatchKind::Lpm {
-        TableShape::SingleLpm
-    } else {
-        TableShape::Tcam
-    }
-}
 
 /// Minimum entry count before the decision tree is ever worth building.
 const TREE_MIN_ENTRIES: usize = 64;
@@ -1477,71 +1295,42 @@ fn tcam_kind(n: usize, tuples: usize, spill: usize) -> IndexKind {
 }
 
 /// Desired kind after an incremental install, given the current index's
-/// self-reported stats. Sticky: a decision tree stays a decision tree until
-/// a rebuild re-evaluates from scratch.
+/// self-reported stats. An all-exact table is served by `Exact`; every
+/// other table by the TCAM rule of [`tcam_kind`]. Sticky: a decision tree
+/// stays a decision tree until a rebuild re-evaluates from scratch.
 pub(crate) fn auto_kind_after_insert(
-    shape: TableShape,
+    all_exact: bool,
     n: usize,
     current: IndexKind,
     stats: &IndexStats,
 ) -> IndexKind {
-    match shape {
-        TableShape::AllExact => IndexKind::Exact,
-        TableShape::SingleLpm => {
-            if current == IndexKind::Lpm && stats.mixed_priorities {
-                IndexKind::TupleSpace
-            } else {
-                current
-            }
-        }
-        TableShape::Tcam => {
-            if current == IndexKind::DecisionTree {
-                IndexKind::DecisionTree
-            } else {
-                tcam_kind(n, stats.partitions, stats.spill)
-            }
-        }
+    if all_exact {
+        IndexKind::Exact
+    } else if current == IndexKind::DecisionTree {
+        IndexKind::DecisionTree
+    } else {
+        tcam_kind(n, stats.partitions, stats.spill)
     }
 }
 
-/// Desired kind for a full rebuild, computed from the entries themselves.
-pub(crate) fn auto_kind_from_entries(shape: TableShape, entries: &[TableEntry]) -> IndexKind {
-    match shape {
-        TableShape::AllExact => IndexKind::Exact,
-        TableShape::SingleLpm => {
-            let mut prios = entries.iter().map(|e| e.priority);
-            let first = prios.next();
-            if first.is_some() && prios.any(|p| Some(p) != first) {
-                IndexKind::TupleSpace
-            } else {
-                IndexKind::Lpm
+/// Desired kind for a full rebuild, computed from the entries themselves
+/// (for an empty table, its initial kind).
+pub(crate) fn auto_kind_from_entries(all_exact: bool, entries: &[TableEntry]) -> IndexKind {
+    if all_exact {
+        return IndexKind::Exact;
+    }
+    let mut sigs = HashSet::new();
+    let mut spill = 0usize;
+    for e in entries {
+        let sig: Option<Vec<KeySig>> = e.matches.iter().map(|m| Some(key_sig(m)?.0)).collect();
+        match sig {
+            Some(sig) => {
+                sigs.insert(sig);
             }
-        }
-        TableShape::Tcam => {
-            let mut sigs = HashSet::new();
-            let mut spill = 0usize;
-            for e in entries {
-                let sig: Option<Vec<KeySig>> =
-                    e.matches.iter().map(|m| Some(key_sig(m)?.0)).collect();
-                match sig {
-                    Some(sig) => {
-                        sigs.insert(sig);
-                    }
-                    None => spill += 1,
-                }
-            }
-            tcam_kind(entries.len(), sigs.len(), spill)
+            None => spill += 1,
         }
     }
-}
-
-/// Initial kind for an empty table of the given shape.
-pub(crate) fn initial_kind(shape: TableShape) -> IndexKind {
-    match shape {
-        TableShape::AllExact => IndexKind::Exact,
-        TableShape::SingleLpm => IndexKind::Lpm,
-        TableShape::Tcam => IndexKind::TupleSpace,
-    }
+    tcam_kind(entries.len(), sigs.len(), spill)
 }
 
 /// Constructs an empty index of the requested kind.
@@ -1549,7 +1338,6 @@ pub(crate) fn make_index(kind: IndexKind) -> Box<dyn ClassifierIndex> {
     match kind {
         IndexKind::Scan => Box::new(ScanIndex::default()),
         IndexKind::Exact => Box::new(ExactIndex::default()),
-        IndexKind::Lpm => Box::new(LpmIndex::default()),
         IndexKind::TupleSpace => Box::new(TupleSpaceIndex::default()),
         IndexKind::DecisionTree => Box::new(DecisionTreeIndex::default()),
     }
@@ -1851,7 +1639,7 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            auto_kind_from_entries(TableShape::Tcam, &entries),
+            auto_kind_from_entries(false, &entries),
             IndexKind::DecisionTree
         );
         // One shared mask → one tuple → tuple space.
@@ -1867,7 +1655,7 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            auto_kind_from_entries(TableShape::Tcam, &uniform),
+            auto_kind_from_entries(false, &uniform),
             IndexKind::TupleSpace
         );
     }

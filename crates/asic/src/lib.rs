@@ -52,7 +52,7 @@ pub use dejavu_telemetry as telemetry;
 pub use dejavu_state as state;
 
 pub use compiled::{BufPass, CompiledProgram, ExecScratch};
-pub use index::{IndexKind, IndexPolicy, IndexStats, IndexTelemetry, TableShape};
+pub use index::{IndexKind, IndexPolicy, IndexStats, IndexTelemetry};
 pub use interp::{Interpreter, PipeletOutcome};
 pub use metrics::SwitchMetrics;
 pub use packet::{flow_hash, HeaderInstance, Packet, ParsedPacket};

@@ -1922,6 +1922,29 @@ mod tests {
         assert_eq!(sw.tables(pid).unwrap().entries("l2").len(), 1);
     }
 
+    #[test]
+    fn restore_state_drops_a_prefix_longer_than_its_key() {
+        let mut program = l2_program();
+        program.tables.get_mut("l2").unwrap().keys[0].kind = dejavu_p4ir::MatchKind::Lpm;
+        let pid = PipeletId::ingress(0);
+        let mut sw = Switch::new(TofinoProfile::wedge_100b_32x());
+        sw.load_program(pid, program).unwrap();
+        let route = |len: u16| TableEntry {
+            matches: vec![KeyMatch::Lpm(Value::new(0xaabb, 48), len)],
+            ..fwd_entry(0, 20)
+        };
+        sw.install_entry(pid, "l2", route(48)).unwrap();
+        let mut snap = sw.snapshot_state(pid).unwrap();
+        snap.tables[0].entries.push(route(49));
+        let report = sw.restore_state(pid, &snap).unwrap();
+        assert_eq!(report.restored_entries, 1);
+        assert_eq!(report.dropped_entries.len(), 1, "{report:?}");
+        let dropped = &report.dropped_entries[0];
+        assert_eq!(dropped.entry, route(49));
+        assert!(dropped.reason.contains("exceeds"), "{}", dropped.reason);
+        assert_eq!(sw.tables(pid).unwrap().entries("l2"), [route(48)]);
+    }
+
     /// One program that can take every exit of the walk, chosen per packet
     /// by `dst_mac`; the parser goes on to ipv4 when `ether_type` says so.
     fn exits_program() -> Program {

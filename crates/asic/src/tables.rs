@@ -16,12 +16,11 @@
 //!
 //! * all-exact-key tables get a hash index keyed on the full key tuple
 //!   (SRAM-style O(1) lookup),
-//! * single-key LPM tables get prefix-length buckets walked longest-first
-//!   (the classic software LPM structure),
-//! * ternary/range/mixed tables get **tuple-space search** (one hash table
-//!   per mask tuple, probed in descending max-priority order with early
-//!   exit), migrating to a **HyperCuts-style decision tree** when the
-//!   ruleset's mask diversity makes the tuple space degenerate.
+//! * every other table — LPM, ternary, range, mixed — gets **tuple-space
+//!   search** (one hash table per mask tuple, so one per prefix length,
+//!   probed in descending max-rank order with early exit), migrating to a
+//!   **HyperCuts-style decision tree** when the ruleset's mask diversity
+//!   makes the tuple space degenerate.
 //!
 //! The selection heuristic lives in `crate::index`; a per-table
 //! [`IndexPolicy`] can pin any admissible kind (benchmark baselines,
@@ -32,9 +31,8 @@
 //! code path.
 
 use crate::index::{
-    auto_kind_after_insert, auto_kind_from_entries, initial_kind, make_index, rank_of, shape_of,
-    ClassifierIndex, IndexKind, IndexPolicy, IndexStats, IndexTelemetry, ProbeLog, Rank,
-    TableShape,
+    auto_kind_after_insert, auto_kind_from_entries, make_index, rank_of, ClassifierIndex,
+    IndexKind, IndexPolicy, IndexTelemetry, ProbeLog, Rank,
 };
 use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use dejavu_p4ir::{IrError, MatchKind, TableDef, Value};
@@ -73,8 +71,8 @@ struct TableRt {
     /// engines' hot paths can map a hit to a prelowered action without
     /// hashing the action name per packet.
     action_ords: Vec<usize>,
-    /// Coarse key-kind shape; constrains which index kinds are admissible.
-    shape: TableShape,
+    /// Every key is `MatchKind::Exact`: the one shape `Exact` can serve.
+    all_exact: bool,
     /// Auto-select or pinned index kind.
     policy: IndexPolicy,
     index: Box<dyn ClassifierIndex>,
@@ -102,14 +100,14 @@ struct TableRt {
 
 impl TableRt {
     fn new(def: &TableDef) -> Self {
-        let shape = shape_of(def);
+        let all_exact = def.keys.iter().all(|k| k.kind == MatchKind::Exact);
         TableRt {
             entries: Vec::new(),
             ranks: Vec::new(),
             action_ords: Vec::new(),
-            shape,
+            all_exact,
             policy: IndexPolicy::Auto,
-            index: make_index(initial_kind(shape)),
+            index: make_index(auto_kind_from_entries(all_exact, &[])),
             probe_log: ProbeLog::default(),
             rebuilds: 0,
             hits: Cell::new(0),
@@ -149,7 +147,7 @@ impl TableRt {
         match self.policy {
             IndexPolicy::Force(k) => k,
             IndexPolicy::Auto => auto_kind_after_insert(
-                self.shape,
+                self.all_exact,
                 self.entries.len(),
                 self.index.kind(),
                 &self.index.stats(),
@@ -172,7 +170,7 @@ impl TableRt {
     fn reindex_auto(&mut self) {
         let desired = match self.policy {
             IndexPolicy::Force(k) => k,
-            IndexPolicy::Auto => auto_kind_from_entries(self.shape, &self.entries),
+            IndexPolicy::Auto => auto_kind_from_entries(self.all_exact, &self.entries),
         };
         if desired != self.index.kind() {
             self.index = make_index(desired);
@@ -234,6 +232,16 @@ impl TableRt {
     fn find(&self, keys: &[Value]) -> Option<usize> {
         self.index
             .lookup(&self.entries, &self.ranks, keys, &self.probe_log)
+    }
+
+    /// The counting lookup behind every engine-facing view: find the
+    /// winner, count the hit or miss, stamp a hit at `now` for aging.
+    fn lookup(&self, keys: &[Value], now: u64) -> Option<(usize, &TableEntry)> {
+        let found = self.find(keys);
+        self.count(found.is_some());
+        let i = found?;
+        self.touch(i, now);
+        Some((self.action_ords[i], &self.entries[i]))
     }
 
     fn count(&self, hit: bool) {
@@ -317,7 +325,8 @@ impl TableState {
 
     /// Installs an entry after validating it against the table definition:
     /// the per-key match specs must agree in arity and kind with the table's
-    /// keys, and the declared capacity must not be exceeded.
+    /// keys, no prefix may be longer than its value is wide, and the
+    /// declared capacity must not be exceeded.
     pub fn install(&mut self, def: &TableDef, entry: TableEntry) -> Result<(), IrError> {
         if entry.matches.len() != def.keys.len() {
             return Err(IrError::Invalid(format!(
@@ -341,6 +350,18 @@ impl TableState {
                     "table {}: match kind mismatch on key {}",
                     def.name, key.field
                 )));
+            }
+            // P4Runtime's INVALID_ARGUMENT: a prefix longer than its value
+            // would outrank every genuine prefix of the same priority.
+            if let KeyMatch::Lpm(prefix, len) = km {
+                if *len > prefix.bits() {
+                    return Err(IrError::Invalid(format!(
+                        "table {}: prefix length {len} on key {} exceeds its {} bits",
+                        def.name,
+                        key.field,
+                        prefix.bits()
+                    )));
+                }
             }
         }
         let Some(action_ord) = def.actions.iter().position(|a| a == &entry.action) else {
@@ -494,9 +515,8 @@ impl TableState {
     }
 
     /// Sets the index-selection policy of a table and reindexes under it.
-    /// `Force(Exact)` requires an all-exact table and `Force(Lpm)` a
-    /// single-LPM-key table; scan, tuple-space and decision-tree are
-    /// admissible for every shape.
+    /// `Force(Exact)` requires an all-exact table; scan, tuple-space and
+    /// decision-tree are admissible for every table.
     pub fn set_index_policy(&mut self, table: &str, policy: IndexPolicy) -> Result<(), IrError> {
         let &id = self.ids.get(table).ok_or(IrError::Undefined {
             kind: "table",
@@ -504,12 +524,7 @@ impl TableState {
         })?;
         let slot = &mut self.slots[id];
         if let IndexPolicy::Force(kind) = policy {
-            let admissible = match kind {
-                IndexKind::Exact => slot.shape == TableShape::AllExact,
-                IndexKind::Lpm => slot.shape == TableShape::SingleLpm,
-                IndexKind::Scan | IndexKind::TupleSpace | IndexKind::DecisionTree => true,
-            };
-            if !admissible {
+            if kind == IndexKind::Exact && !slot.all_exact {
                 return Err(IrError::Invalid(format!(
                     "table {table}: index kind {} not admissible for this key shape",
                     kind.name()
@@ -524,11 +539,6 @@ impl TableState {
     /// The index kind a table is currently served by.
     pub fn index_kind(&self, table: &str) -> Option<IndexKind> {
         self.slot(table).map(|s| s.index.kind())
-    }
-
-    /// Structural statistics of a table's index.
-    pub fn index_stats(&self, table: &str) -> Option<IndexStats> {
-        self.slot(table).map(|s| s.index.stats())
     }
 
     /// Per-table index telemetry (kind, probes, rebuilds, histograms) in
@@ -610,62 +620,26 @@ impl TableState {
         self.len(table) == 0
     }
 
-    /// Looks up the key values against a table, returning the winning entry.
-    /// `None` means a miss (run the default action). Updates counters.
-    pub fn lookup(&self, def: &TableDef, keys: &[Value]) -> Option<TableEntry> {
-        self.lookup_ref(def, keys).cloned()
-    }
-
-    /// Counting lookup returning a borrowed entry — the compiled fast path's
-    /// entry point (no per-hit clone).
+    /// Counting lookup returning a borrowed entry (no per-hit clone).
+    /// `None` means a miss (run the default action).
     pub fn lookup_ref(&self, def: &TableDef, keys: &[Value]) -> Option<&TableEntry> {
-        let slot = self.slot(&def.name)?;
-        let found = slot.find(keys);
-        slot.count(found.is_some());
-        if let Some(i) = found {
-            slot.touch(i, self.clock);
-        }
-        found.map(|i| &slot.entries[i])
+        self.lookup_ref_ord(def, keys).map(|(_, e)| e)
     }
 
-    /// Indexed lookup by the dense id [`TableState::preregister`] returned.
-    /// Counts like [`TableState::lookup_ref`].
-    pub fn lookup_id(&self, id: usize, keys: &[Value]) -> Option<&TableEntry> {
-        let slot = self.slots.get(id)?;
-        let found = slot.find(keys);
-        slot.count(found.is_some());
-        if let Some(i) = found {
-            slot.touch(i, self.clock);
-        }
-        found.map(|i| &slot.entries[i])
-    }
-
-    /// Indexed lookup returning the winning entry's action ordinal (its
-    /// position in the table definition's action list, resolved at install
-    /// time) alongside the entry. Counts like [`TableState::lookup_id`].
-    /// The zero-clone hot path: the compiled engine maps the ordinal
-    /// through a prelowered per-table action table instead of hashing the
-    /// action name.
+    /// Counting lookup by the dense id [`TableState::preregister`] returned,
+    /// returning the winning entry's action ordinal (its position in the
+    /// table definition's action list, resolved at install time) alongside
+    /// the entry. The compiled engine's zero-clone hot path: it maps the
+    /// ordinal through a prelowered per-table action table instead of
+    /// hashing the action name.
     pub fn lookup_id_ord(&self, id: usize, keys: &[Value]) -> Option<(usize, &TableEntry)> {
-        let slot = self.slots.get(id)?;
-        let found = slot.find(keys);
-        slot.count(found.is_some());
-        if let Some(i) = found {
-            slot.touch(i, self.clock);
-        }
-        found.map(|i| (slot.action_ords[i], &slot.entries[i]))
+        self.slots.get(id)?.lookup(keys, self.clock)
     }
 
     /// Counting lookup by table definition returning the action ordinal and
     /// a borrowed entry — the reference interpreter's zero-clone path.
     pub fn lookup_ref_ord(&self, def: &TableDef, keys: &[Value]) -> Option<(usize, &TableEntry)> {
-        let slot = self.slot(&def.name)?;
-        let found = slot.find(keys);
-        slot.count(found.is_some());
-        if let Some(i) = found {
-            slot.touch(i, self.clock);
-        }
-        found.map(|i| (slot.action_ords[i], &slot.entries[i]))
+        self.slot(&def.name)?.lookup(keys, self.clock)
     }
 
     /// Lookup without counter updates (same index-backed path).
@@ -799,11 +773,11 @@ mod tests {
         let mut st = TableState::new();
         st.install(&def, lpm_entry(0x0a000000, 8, 1)).unwrap();
         st.install(&def, lpm_entry(0x0a010000, 16, 2)).unwrap();
-        let hit = st.lookup(&def, &[Value::new(0x0a010203, 32)]).unwrap();
+        let hit = st.lookup_ref(&def, &[Value::new(0x0a010203, 32)]).unwrap();
         assert_eq!(hit.action_args[0].raw(), 2);
-        let hit = st.lookup(&def, &[Value::new(0x0a990203, 32)]).unwrap();
+        let hit = st.lookup_ref(&def, &[Value::new(0x0a990203, 32)]).unwrap();
         assert_eq!(hit.action_args[0].raw(), 1);
-        assert!(st.lookup(&def, &[Value::new(0x0b000001, 32)]).is_none());
+        assert!(st.lookup_ref(&def, &[Value::new(0x0b000001, 32)]).is_none());
         assert_eq!(st.counters("routes"), TableCounters { hits: 2, misses: 1 });
     }
 
@@ -844,9 +818,9 @@ mod tests {
             },
         )
         .unwrap();
-        let hit = st.lookup(&def, &[Value::new(0x0a123456, 32)]).unwrap();
+        let hit = st.lookup_ref(&def, &[Value::new(0x0a123456, 32)]).unwrap();
         assert_eq!(hit.action, "deny");
-        let hit = st.lookup(&def, &[Value::new(0x0b123456, 32)]).unwrap();
+        let hit = st.lookup_ref(&def, &[Value::new(0x0b123456, 32)]).unwrap();
         assert_eq!(hit.action, "permit");
     }
 
@@ -923,7 +897,7 @@ mod tests {
             },
         )
         .unwrap();
-        let hit = st.lookup(&def, &[Value::new(0xdeadbeef, 32)]).unwrap();
+        let hit = st.lookup_ref(&def, &[Value::new(0xdeadbeef, 32)]).unwrap();
         assert_eq!(hit.action_args[0].raw(), 3);
     }
 
@@ -1001,6 +975,48 @@ mod tests {
     }
 
     #[test]
+    fn route_table_absorbs_a_withdrawn_winner_and_a_second_priority() {
+        let def = TableDef {
+            size: 2_000,
+            ..lpm_table()
+        };
+        let route = |i: u128| lpm_entry(0x0a00_0000 | (i << 8), 24, i);
+        let mut st = TableState::new();
+        let id = st.preregister(&def);
+        for i in 0..1_000 {
+            st.install(&def, route(i)).unwrap();
+        }
+        let kind = st.index_kind("routes");
+        let built = st.slots[id].rebuilds;
+        // Withdraw the newest route: the tail, and its prefix's winner.
+        assert!(st.remove_entry("routes", &route(999)).unwrap());
+        assert_eq!(st.slots[id].rebuilds, built, "tail withdrawal rebuilt");
+        let withdrawn = [Value::new(0x0a03_e701, 32)];
+        assert!(st.lookup_readonly(&def, &withdrawn).is_none());
+        // A backup /8 at a second priority: no migration, no rebuild.
+        let backup = TableEntry {
+            priority: -1,
+            ..lpm_entry(0x0a00_0000, 8, 7)
+        };
+        st.install(&def, backup.clone()).unwrap();
+        assert_eq!(st.index_kind("routes"), kind);
+        assert_eq!(st.slots[id].rebuilds, built, "a second priority rebuilt");
+        assert_eq!(st.lookup_readonly(&def, &withdrawn), Some(backup));
+        let kept = [Value::new(0x0a00_0001, 32)];
+        assert_eq!(st.lookup_readonly(&def, &kept), Some(route(0)));
+    }
+
+    #[test]
+    fn install_refuses_a_prefix_longer_than_its_key() {
+        let def = lpm_table();
+        let mut st = TableState::new();
+        st.install(&def, lpm_entry(0x0a00_0001, 32, 1)).unwrap();
+        let refused = st.install(&def, lpm_entry(0x0a00_0001, 33, 2));
+        assert!(matches!(refused, Err(IrError::Invalid(_))), "{refused:?}");
+        assert_eq!(st.entries("routes"), [lpm_entry(0x0a00_0001, 32, 1)]);
+    }
+
+    #[test]
     fn lookup_id_matches_name_lookup_and_counts() {
         let def = exact_table(8);
         let mut st = TableState::new();
@@ -1015,8 +1031,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(st.lookup_id(id, &[Value::new(7, 32)]).is_some());
-        assert!(st.lookup_id(id, &[Value::new(8, 32)]).is_none());
+        assert!(st.lookup_id_ord(id, &[Value::new(7, 32)]).is_some());
+        assert!(st.lookup_id_ord(id, &[Value::new(8, 32)]).is_none());
         assert_eq!(st.counters("fib"), TableCounters { hits: 1, misses: 1 });
     }
 
@@ -1039,7 +1055,7 @@ mod tests {
         for _ in 0..3 {
             assert!(st.advance_clock(1).is_empty());
             for i in [1u128, 3, 5, 7] {
-                assert!(st.lookup_id(id, &[Value::new(i, 32)]).is_some());
+                assert!(st.lookup_id_ord(id, &[Value::new(i, 32)]).is_some());
             }
         }
         let evicted = st.advance_clock(1);
@@ -1122,7 +1138,7 @@ mod tests {
         let def = exact_table(8);
         let mut st = TableState::new();
         st.preregister(&def);
-        assert!(st.lookup(&def, &[Value::new(1, 32)]).is_none());
+        assert!(st.lookup_ref(&def, &[Value::new(1, 32)]).is_none());
         st.clear("fib");
         assert_eq!(st.counters("fib").misses, 1);
     }

@@ -129,6 +129,15 @@ if grep -nE 'entries\(table\)\.contains|expired\.contains|fn retain_entries' cra
     exit 1
 fi
 
+# One-prefix-index gate: a longest-prefix table is a tuple space with one
+# tuple per prefix length — no second LPM classifier, and no table shape or
+# mixed-priority migration that exists only to select it or leave it.
+if grep -rnE '\b(LpmIndex|IndexKind::Lpm|SingleLpm|TableShape|mixed_priorities)\b' \
+    crates/ tests/ examples/ --include=*.rs; then
+    echo "a second LPM index is back (see DESIGN.md, Classification index)" >&2
+    exit 1
+fi
+
 # ACL-install gate: a decision-tree install costs the leaf it lands in and
 # a delete is absorbed, pinned in counts, not time (index rebuilds for
 # 1 000 / 4 000 / 16 000 one-at-a-time installs, through `restore_state`

@@ -661,3 +661,183 @@ proptest! {
         }
     }
 }
+
+/// The classifier pipelet with `cls` keyed the way the router's `routes`,
+/// the VGW's VNI table and the NAT's `nat_out` are: one LPM key, the
+/// destination address. 96 entries fill it, so longer runs also evict
+/// least-recently-hit routes from the interior.
+fn lpm_cls_program() -> Program {
+    let mut program = cls_program();
+    let cls = program.tables.get_mut("cls").expect("cls is defined");
+    cls.keys.remove(0);
+    cls.keys.truncate(1);
+    cls.size = 96;
+    program
+}
+
+/// An address in 10.{0–3}.{0–3}.{0–7}: prefixes of it nest, and the same
+/// prefix recurs under another action or priority.
+fn lpm_addr(rng: &mut rand::rngs::StdRng) -> u32 {
+    use rand::Rng;
+    u32::from_be_bytes([
+        10,
+        rng.gen_range(0..4),
+        rng.gen_range(0..4),
+        rng.gen_range(0..8),
+    ])
+}
+
+/// Route `i`: a /0–/32 prefix of [`lpm_addr`], one in sixteen `Any`, at
+/// priority −1..1; the action varies with `i`, so a wrong winner is a
+/// wrong disposition.
+fn lpm_route(rng: &mut rand::rngs::StdRng, i: usize) -> TableEntry {
+    use rand::Rng;
+    let len: u16 = rng.gen_range(0..=32);
+    let mask = u32::MAX.checked_shl(32 - u32::from(len)).unwrap_or(0);
+    let prefix = lpm_addr(rng) & mask;
+    let matched = if rng.gen_range(0..16) == 0 {
+        KeyMatch::Any
+    } else {
+        KeyMatch::Lpm(Value::new(u128::from(prefix), 32), len)
+    };
+    let (action, args) = if i.is_multiple_of(5) {
+        ("deny", vec![])
+    } else {
+        ("fwd", vec![Value::new(i as u128 % 7, 16)])
+    };
+    TableEntry {
+        matches: vec![matched],
+        action: action.to_string(),
+        action_args: args,
+        priority: rng.gen_range(0..3) - 1,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// A single-LPM table is one more tuple-space (or, past 64 routes over
+    /// enough prefix lengths, decision-tree) table: up to 200 routes over
+    /// every length, `Any` and `/0`, mixed priorities and repeated
+    /// prefixes, installed one at a time with interior and tail
+    /// `remove_entry`, one aging sweep and LRU evictions at capacity —
+    /// automatic selection and the forced tuple space and tree against the
+    /// forced scan, on both engines.
+    #[test]
+    fn lpm_table_agrees_with_scan_under_churn(
+        n in 0usize..=200,
+        seed in any::<u64>(),
+    ) {
+        use rand::{Rng, SeedableRng};
+        let program = lpm_cls_program();
+        let pid = PipeletId::ingress(0);
+        let policies = [
+            IndexPolicy::Force(IndexKind::Scan),
+            IndexPolicy::Auto,
+            IndexPolicy::Force(IndexKind::TupleSpace),
+            IndexPolicy::Force(IndexKind::DecisionTree),
+        ];
+        let mut switches: Vec<(IndexPolicy, ExecMode, Switch)> = Vec::new();
+        for policy in policies {
+            for mode in [ExecMode::Reference, ExecMode::Compiled] {
+                let mut sw = cls_testbed(&program, IndexKind::Scan, mode);
+                sw.set_table_index(pid, "cls", policy).unwrap();
+                switches.push((policy, mode, sw));
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        // Every route ever installed, and those not deleted by us (aged-out
+        // and evicted ones stay listed: removing those must answer `false`
+        // everywhere).
+        let mut routes: Vec<TableEntry> = Vec::new();
+        let mut installed: Vec<TableEntry> = Vec::new();
+
+        for i in 0..n {
+            let mut fresh = vec![lpm_route(&mut rng, i)];
+            if rng.gen_range(0..8) == 0 && !installed.is_empty() {
+                fresh.push(installed[rng.gen_range(0..installed.len())].clone());
+            }
+            for e in fresh {
+                for (_, _, sw) in &mut switches {
+                    sw.install_entry(pid, "cls", e.clone()).unwrap();
+                }
+                routes.push(e.clone());
+                installed.push(e);
+            }
+            // Deletes: one in six from the interior, one in ten the newest.
+            let victim = match rng.gen_range(0..30) {
+                0..=4 => Some(rng.gen_range(0..installed.len())),
+                5..=7 => Some(installed.len() - 1),
+                _ => None,
+            };
+            if let Some(at) = victim {
+                let gone = installed.remove(at);
+                let removed: Vec<bool> = switches
+                    .iter_mut()
+                    .map(|(_, _, sw)| sw.remove_entry(pid, "cls", &gone).unwrap())
+                    .collect();
+                prop_assert!(
+                    removed.iter().all(|&b| b == removed[0]),
+                    "route {}: remove_entry outcomes diverged: {:?}", i, removed
+                );
+            }
+            if i == n / 3 {
+                // The aging sweep: whatever the traffic in between did not
+                // hit is two ticks idle and expires.
+                let mut sweeps = Vec::new();
+                for (_, _, sw) in &mut switches {
+                    let mut evicted = sw.advance_time(1);
+                    for k in 0..16u64 {
+                        let dst = 0x0a00_0000 | (seed.wrapping_add(k) as u32 & 0x0003_0307);
+                        let pkt = dejavu_traffic::PacketBuilder::udp().dst_ip(dst).build();
+                        sw.inject(InjectedPacket::new(pkt, 0)).unwrap();
+                    }
+                    evicted.extend(sw.advance_time(1));
+                    sweeps.push(evicted);
+                }
+                for s in &sweeps[1..] {
+                    prop_assert_eq!(&sweeps[0], s, "route {}: eviction lists diverged", i);
+                }
+            }
+            // Traffic: two addresses the routes cover, one anywhere.
+            for k in 0..3 {
+                let dst = if k == 2 { rng.gen() } else { lpm_addr(&mut rng) };
+                let pkt = dejavu_traffic::PacketBuilder::udp().dst_ip(dst).build();
+                let outs: Vec<_> = switches
+                    .iter_mut()
+                    .map(|(_, _, sw)| sw.inject(InjectedPacket::new(pkt.clone(), 0)).unwrap())
+                    .collect();
+                for (o, (policy, mode, _)) in outs.iter().zip(&switches).skip(1) {
+                    prop_assert_eq!(
+                        &outs[0], o,
+                        "route {}: traversal diverged on {:?}/{:?}", i, policy, mode
+                    );
+                }
+            }
+            // The whole table, so a wrong renumbering or a wrong duplicate
+            // taken shows at the step that made it.
+            let scan = switches[0].2.tables(pid).unwrap();
+            for (policy, mode, sw) in &switches[1..] {
+                prop_assert_eq!(
+                    scan.entries("cls"), sw.tables(pid).unwrap().entries("cls"),
+                    "route {}: entries diverged on {:?}/{:?}", i, policy, mode
+                );
+            }
+        }
+
+        let scan = switches[0].2.tables(pid).unwrap();
+        for (policy, mode, sw) in &switches[1..] {
+            let ts = sw.tables(pid).unwrap();
+            prop_assert_eq!(
+                (scan.counters("cls"), scan.evictions("cls")),
+                (ts.counters("cls"), ts.evictions("cls")),
+                "counters diverged on {:?}/{:?}", policy, mode
+            );
+            for (i, e) in routes.iter().enumerate() {
+                prop_assert_eq!(
+                    scan.contains_entry("cls", e), ts.contains_entry("cls", e),
+                    "contains_entry diverged on {:?}/{:?} for route {}", policy, mode, i
+                );
+            }
+        }
+    }
+}
