@@ -1,13 +1,15 @@
 //! # dejavu-bench — experiment harness
 //!
 //! One bench target per table and figure of the paper's evaluation, plus
-//! ablation studies and Criterion micro-benchmarks. Every generator prints
-//! the paper's rows/series next to the reproduction's measurements and
-//! writes a JSON record under `target/experiments/` so EXPERIMENTS.md is
-//! regenerable.
+//! ablation studies and a workload replay. Each is a `harness = false`
+//! main that prints the paper's rows/series next to the reproduction's
+//! measurements, asserts their shape, and writes a JSON record under
+//! `target/experiments/` so EXPERIMENTS.md is regenerable. Timing is not
+//! measured here: that is `crates/perf`'s job.
 //!
-//! Run everything with `cargo bench --workspace`; run one experiment with
-//! e.g. `cargo bench -p dejavu-bench --bench fig8a_throughput`.
+//! Run everything with `cargo bench -p dejavu-bench` (`scripts/check.sh`
+//! does); run one experiment with e.g.
+//! `cargo bench -p dejavu-bench --bench fig8a_throughput`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

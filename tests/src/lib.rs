@@ -242,6 +242,133 @@ pub fn chain_packet(path: u16, dst_ip: u32, dst_port: u16) -> Vec<u8> {
         .build()
 }
 
+/// The one table of a [`sweep_program`] pipelet.
+pub const SWEEP_TABLE: &str = "sweep";
+
+/// `acl_4k`'s ruleset seed: the rules of a [`SweepKey::Acl`] testbed.
+pub const ACL_SEED: u64 = 0xac1;
+
+/// Key shape of the one-table sweep pipelet: the workloads the index
+/// selection tells apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SweepKey {
+    /// `ethernet.dst_mac`, exact; entry `i` is MAC `i`.
+    Exact,
+    /// `ipv4.dst_addr`, longest prefix; entry `i` is the /24 at
+    /// `10.0.0.0 + (i << 8)`.
+    Lpm,
+    /// `ipv4.dst_addr`, ternary under a /24 mask: the prefixes of `Lpm`.
+    Ternary,
+    /// Source × destination address, both ternary (the shape of
+    /// `acl_4k`'s table); the rules are `acl_ruleset(n, ACL_SEED)`.
+    Acl,
+}
+
+/// Ethernet → IPv4, then one ingress table of `key`'s shape holding up to
+/// `capacity` entries: `fwd(port)` on a hit, `deny` on a miss.
+pub fn sweep_program(key: SweepKey, capacity: u32) -> dejavu_p4ir::Program {
+    use dejavu_p4ir::builder::*;
+    use dejavu_p4ir::{fref, well_known, Expr, FieldRef};
+    let table = TableBuilder::new(SWEEP_TABLE);
+    let table = match key {
+        SweepKey::Exact => table.key_exact(fref("ethernet", "dst_mac")),
+        SweepKey::Lpm => table.key_lpm(fref("ipv4", "dst_addr")),
+        SweepKey::Ternary => table.key_ternary(fref("ipv4", "dst_addr")),
+        SweepKey::Acl => table
+            .key_ternary(fref("ipv4", "src_addr"))
+            .key_ternary(fref("ipv4", "dst_addr")),
+    };
+    ProgramBuilder::new("sweep")
+        .header(well_known::ethernet())
+        .header(well_known::ipv4())
+        .parser(
+            ParserBuilder::new()
+                .node("eth", "ethernet", 0)
+                .node("ip", "ipv4", 14)
+                .select("eth", "ether_type", 16, vec![(0x0800, "ip")])
+                .accept("ip")
+                .start("eth"),
+        )
+        .action(
+            ActionBuilder::new("fwd")
+                .param("port", 16)
+                .set(FieldRef::meta("egress_spec"), Expr::Param("port".into()))
+                .build(),
+        )
+        .action(ActionBuilder::new("deny").drop_packet().build())
+        .table(
+            table
+                .action("fwd")
+                .default_action("deny")
+                .size(capacity)
+                .build(),
+        )
+        .control(ControlBuilder::new("ingress").apply(SWEEP_TABLE).build())
+        .entry("ingress")
+        .build()
+        .expect("sweep program validates")
+}
+
+/// A switch running [`sweep_program`] on ingress pipelet 0 with `n`
+/// entries installed one at a time under `Auto`, and up to 256 packets
+/// spread evenly over those entries, each a hit that forwards to
+/// [`EXIT_PORT`].
+pub fn sweep_testbed(key: SweepKey, n: usize) -> (Switch, Vec<Vec<u8>>) {
+    use dejavu_p4ir::table::{KeyMatch, TableEntry};
+    use dejavu_p4ir::Value;
+    let pid = PipeletId::ingress(0);
+    let mut sw = Switch::new(TofinoProfile::wedge_100b_32x());
+    sw.load_program(pid, sweep_program(key, 2 * n.max(1024) as u32))
+        .expect("sweep program loads");
+    let fwd = vec![Value::new(u128::from(EXIT_PORT), 16)];
+    let rules = match key {
+        SweepKey::Acl => dejavu_traffic::acl_ruleset(n, ACL_SEED),
+        _ => Vec::new(),
+    };
+    let prefix = |i: usize| 0x0a00_0000 | ((i as u32) << 8);
+    let single = |m| TableEntry {
+        matches: vec![m],
+        action: "fwd".into(),
+        action_args: fwd.clone(),
+        priority: 0,
+    };
+    let entry = |i: usize| match key {
+        SweepKey::Exact => single(KeyMatch::Exact(Value::new(i as u128, 48))),
+        SweepKey::Lpm => single(KeyMatch::Lpm(Value::new(prefix(i).into(), 32), 24)),
+        SweepKey::Ternary => single(KeyMatch::Ternary(
+            Value::new(prefix(i).into(), 32),
+            Value::new(0xffff_ff00, 32),
+        )),
+        SweepKey::Acl => acl_entry(&rules[i], "fwd", fwd.clone()),
+    };
+    for i in 0..n {
+        sw.install_entry(pid, SWEEP_TABLE, entry(i))
+            .expect("sweep entry installs");
+    }
+    let pool = n.min(256);
+    let packets = (0..pool)
+        .map(|k| {
+            let i = k * n / pool;
+            let (src, dst) = match key {
+                SweepKey::Acl => dejavu_traffic::matching_flow(&rules[i], i as u64),
+                _ => (0x0a00_0001, prefix(i) | 1),
+            };
+            let mut p = dejavu_traffic::PacketBuilder::udp()
+                .src_ip(src)
+                .dst_ip(dst)
+                .src_port(1000)
+                .dst_port(53)
+                .payload(&[0u8; 18])
+                .build();
+            if key == SweepKey::Exact {
+                p[..6].copy_from_slice(&(i as u64).to_be_bytes()[2..]);
+            }
+            p
+        })
+        .collect();
+    (sw, packets)
+}
+
 /// `rule` as an entry of a table keyed on source × destination address,
 /// both ternary (the shape of `acl_4k`'s table), running `action(args)`.
 pub fn acl_entry(

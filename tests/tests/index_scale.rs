@@ -8,59 +8,26 @@
 //! leave behind probes no more than the one a fresh build would. These
 //! tests pin that on `acl_4k`'s own ruleset at 1 000, 4 000 and 16 000
 //! rules, through `restore_state`, and through `remove_entry`.
+//!
+//! The hashed shapes are pinned the same way: an exact, LPM or ternary
+//! table of one prefix length classifies in one probe at any size.
 
+use dejavu_asic::switch::Disposition;
 use dejavu_asic::{IndexKind, IndexPolicy, PipeletId, Switch, TofinoProfile};
-use dejavu_p4ir::builder::*;
+use dejavu_integration::{
+    acl_entry, sweep_program, sweep_testbed, SweepKey, ACL_SEED, EXIT_PORT, IN_PORT,
+    SWEEP_TABLE as TABLE,
+};
 use dejavu_p4ir::table::TableEntry;
-use dejavu_p4ir::{fref, well_known, Expr, FieldRef, Program, Value};
+use dejavu_p4ir::{Program, Value};
 use dejavu_traffic::{acl_ruleset, matching_flow, AclRule};
-
-const TABLE: &str = "acl";
-/// `acl_4k`'s ruleset seed.
-const RULESET_SEED: u64 = 0xac1;
 
 fn pid() -> PipeletId {
     PipeletId::ingress(0)
 }
 
-/// One ingress pipelet, one table on source × destination address, both
-/// ternary — the shape of `acl_4k`'s.
-fn acl_program(capacity: u32) -> Program {
-    ProgramBuilder::new("acl")
-        .header(well_known::ethernet())
-        .header(well_known::ipv4())
-        .parser(
-            ParserBuilder::new()
-                .node("eth", "ethernet", 0)
-                .node("ip", "ipv4", 14)
-                .select("eth", "ether_type", 16, vec![(0x0800, "ip")])
-                .accept("ip")
-                .start("eth"),
-        )
-        .action(
-            ActionBuilder::new("fwd")
-                .param("port", 16)
-                .set(FieldRef::meta("egress_spec"), Expr::Param("port".into()))
-                .build(),
-        )
-        .action(ActionBuilder::new("deny").drop_packet().build())
-        .table(
-            TableBuilder::new(TABLE)
-                .key_ternary(fref("ipv4", "src_addr"))
-                .key_ternary(fref("ipv4", "dst_addr"))
-                .action("fwd")
-                .default_action("deny")
-                .size(capacity)
-                .build(),
-        )
-        .control(ControlBuilder::new("ingress").apply(TABLE).build())
-        .entry("ingress")
-        .build()
-        .expect("acl program validates")
-}
-
 fn entry(rule: &AclRule) -> TableEntry {
-    dejavu_integration::acl_entry(rule, "fwd", vec![Value::new(2, 16)])
+    acl_entry(rule, "fwd", vec![Value::new(2, 16)])
 }
 
 fn empty_switch(program: &Program) -> Switch {
@@ -119,8 +86,8 @@ fn install_rebuilds_grow_with_the_logarithm_of_the_table() {
     // ratio there is the luck of one draw, so it gets a looser bound. From
     // 1 250 rules up every size measured sits within 1.001.
     for (n, max_rebuilds, max_ratio) in [(1_000, 24, 1.3), (4_000, 24, 1.15), (16_000, 32, 1.15)] {
-        let program = acl_program(2 * n as u32);
-        let rules = acl_ruleset(n, RULESET_SEED);
+        let program = sweep_program(SweepKey::Acl, 2 * n as u32);
+        let rules = acl_ruleset(n, ACL_SEED);
         let mut sw = installed(&program, &rules);
         let (kind, rebuilds, _) = telemetry(&sw);
         assert_eq!(kind, IndexKind::DecisionTree, "{n} rules");
@@ -145,8 +112,8 @@ fn install_rebuilds_grow_with_the_logarithm_of_the_table() {
 
 #[test]
 fn restore_state_installs_at_the_same_cost() {
-    let program = acl_program(8_000);
-    let rules = acl_ruleset(4_000, RULESET_SEED);
+    let program = sweep_program(SweepKey::Acl, 8_000);
+    let rules = acl_ruleset(4_000, ACL_SEED);
     let source = installed(&program, &rules);
     let snap = source.snapshot_state(pid()).expect("pipelet loaded");
 
@@ -169,8 +136,8 @@ fn restore_state_installs_at_the_same_cost() {
 
 #[test]
 fn remove_entry_is_absorbed() {
-    let program = acl_program(8_000);
-    let rules = acl_ruleset(4_000, RULESET_SEED);
+    let program = sweep_program(SweepKey::Acl, 8_000);
+    let rules = acl_ruleset(4_000, ACL_SEED);
     let mut sw = installed(&program, &rules);
     let (_, built, _) = telemetry(&sw);
 
@@ -213,5 +180,53 @@ fn remove_entry_is_absorbed() {
             tables.lookup_scan(def, &keys),
             "flow of rule {i}"
         );
+    }
+}
+
+/// Mean probes per lookup over one walk of each packet through `sw`'s one
+/// table; every packet must hit.
+fn probes_per_packet(sw: &mut Switch, packets: &[Vec<u8>]) -> f64 {
+    let (_, _, before) = telemetry(sw);
+    for p in packets {
+        let out = sw
+            .inject_buf(&mut p.clone(), IN_PORT)
+            .expect("sweep packet walks");
+        assert_eq!(out.disposition, Disposition::Emitted { port: EXIT_PORT });
+    }
+    let (_, _, after) = telemetry(sw);
+    (after - before) as f64 / packets.len() as f64
+}
+
+#[test]
+fn hashed_shapes_probe_once_per_lookup_at_any_size() {
+    // What the retired dataplane sweep's "10× at 10 k" flags stood for, in
+    // probes rather than pps: the index serving a table of one key tuple
+    // answers in one probe from 1 to 100 000 entries, where a scan of the
+    // same 10 000 walks thousands.
+    for (key, want, sizes) in [
+        (SweepKey::Exact, IndexKind::Exact, &[1, 100, 10_000][..]),
+        (SweepKey::Lpm, IndexKind::TupleSpace, &[1, 100, 10_000]),
+        (
+            SweepKey::Ternary,
+            IndexKind::TupleSpace,
+            &[1, 100, 10_000, 100_000],
+        ),
+    ] {
+        for &n in sizes {
+            let (mut sw, packets) = sweep_testbed(key, n);
+            let (kind, _, _) = telemetry(&sw);
+            assert_eq!(kind, want, "{key:?}, {n} entries");
+            let probes = probes_per_packet(&mut sw, &packets);
+            assert_eq!(probes, 1.0, "{key:?}, {n} entries: probes per lookup");
+            if n == 10_000 {
+                sw.set_table_index(pid(), TABLE, IndexPolicy::Force(IndexKind::Scan))
+                    .expect("scan is admissible");
+                let scan = probes_per_packet(&mut sw, &packets);
+                assert!(
+                    scan >= 10.0 * probes,
+                    "{key:?}, {n} entries: a scan probes {scan:.1} per lookup, the index {probes}"
+                );
+            }
+        }
     }
 }
