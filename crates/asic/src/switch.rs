@@ -308,16 +308,6 @@ impl Traversal {
     }
 }
 
-/// Static switch configuration: which program runs on which pipelet, and
-/// which ports are in loopback mode.
-#[derive(Debug, Clone, Default)]
-pub struct SwitchConfig {
-    /// Programs per pipelet.
-    pub programs: BTreeMap<PipeletId, Program>,
-    /// Ethernet ports in loopback mode.
-    pub loopback_ports: BTreeSet<PortId>,
-}
-
 /// Which execution engine drives pipelet passes.
 ///
 /// Both engines implement identical packet semantics (enforced by the
@@ -360,77 +350,6 @@ impl InjectedPacket {
     /// Bytes arriving on a port.
     pub fn new(bytes: Vec<u8>, port: PortId) -> Self {
         InjectedPacket { bytes, port }
-    }
-}
-
-/// Construction-time switch configuration, collected from what used to be
-/// scattered post-construction setters. Build one with the fluent methods
-/// and pass it to [`Switch::with_options`]; the individual setters remain
-/// for reconfiguration after construction.
-///
-/// ```
-/// use dejavu_asic::{ExecMode, Switch, SwitchOptions, TofinoProfile, TraceLevel};
-///
-/// let sw = Switch::with_options(
-///     TofinoProfile::wedge_100b_32x(),
-///     SwitchOptions::new()
-///         .exec_mode(ExecMode::Compiled)
-///         .trace_level(TraceLevel::Off)
-///         .telemetry(true),
-/// );
-/// assert!(sw.telemetry_enabled());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SwitchOptions {
-    exec_mode: ExecMode,
-    trace_level: TraceLevel,
-    timing: Option<TimingModel>,
-    mirror_port: Option<PortId>,
-    telemetry: bool,
-    digest_capacity: Option<usize>,
-}
-
-impl SwitchOptions {
-    /// Defaults: compiled engine, full tracing, calibrated Tofino timing,
-    /// no mirror session, telemetry off.
-    pub fn new() -> Self {
-        SwitchOptions::default()
-    }
-
-    /// Selects the execution engine.
-    pub fn exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
-    /// Selects how much trace state traversals record.
-    pub fn trace_level(mut self, level: TraceLevel) -> Self {
-        self.trace_level = level;
-        self
-    }
-
-    /// Replaces the calibrated timing model.
-    pub fn timing(mut self, timing: TimingModel) -> Self {
-        self.timing = Some(timing);
-        self
-    }
-
-    /// Configures the mirror destination port.
-    pub fn mirror_port(mut self, port: PortId) -> Self {
-        self.mirror_port = Some(port);
-        self
-    }
-
-    /// Turns metric collection on from the start.
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry = enabled;
-        self
-    }
-
-    /// Bounds each pipeline's learn (digest) queue.
-    pub fn digest_capacity(mut self, capacity: usize) -> Self {
-        self.digest_capacity = Some(capacity);
-        self
     }
 }
 
@@ -511,7 +430,8 @@ pub struct Switch {
     metrics: SwitchMetrics,
     /// Logical time in ticks; advanced only by [`Switch::advance_time`].
     now: u64,
-    /// Bound of each pipeline's learn queue.
+    /// Bound of each pipeline's learn queue: [`DEFAULT_DIGEST_CAPACITY`]
+    /// (a unit test lowers it to reach overflow quickly).
     digest_capacity: usize,
     /// Per-pipeline learn queues, fed by the pipelets' `digest(...)`
     /// primitives and drained by the control plane.
@@ -544,8 +464,19 @@ pub struct BufOutcome {
 }
 
 impl Switch {
-    /// Creates an empty switch with the given profile and default timing.
-    /// Telemetry starts disabled (see [`Switch::set_telemetry`]).
+    /// Creates an empty switch with the given profile and default timing:
+    /// compiled engine, full tracing, no mirror session, telemetry off. Each
+    /// of those has one setter, used before or between traversals alike.
+    ///
+    /// ```
+    /// use dejavu_asic::{ExecMode, Switch, TofinoProfile, TraceLevel};
+    ///
+    /// let mut sw = Switch::new(TofinoProfile::wedge_100b_32x());
+    /// sw.set_exec_mode(ExecMode::Compiled);
+    /// sw.set_trace_level(TraceLevel::Off);
+    /// sw.set_telemetry(true);
+    /// assert!(sw.telemetry_enabled());
+    /// ```
     pub fn new(profile: TofinoProfile) -> Self {
         let metrics = SwitchMetrics::new(&profile);
         Switch {
@@ -566,22 +497,6 @@ impl Switch {
             scratch: ExecScratch::new(),
             mirror_out: Vec::new(),
         }
-    }
-
-    /// Creates a switch configured by a [`SwitchOptions`] builder.
-    pub fn with_options(profile: TofinoProfile, opts: SwitchOptions) -> Self {
-        let mut sw = Switch::new(profile);
-        sw.exec_mode = opts.exec_mode;
-        sw.trace_level = opts.trace_level;
-        if let Some(timing) = opts.timing {
-            sw.timing = timing;
-        }
-        sw.mirror_port = opts.mirror_port;
-        sw.metrics.set_enabled(opts.telemetry);
-        if let Some(cap) = opts.digest_capacity {
-            sw.digest_capacity = cap;
-        }
-        sw
     }
 
     /// Turns metric collection on or off. Accumulated values are kept; when
@@ -779,17 +694,6 @@ impl Switch {
             compiled: Arc::new(compiled),
             tables: state,
         });
-        Ok(())
-    }
-
-    /// Applies a whole configuration (programs + loopback set).
-    pub fn apply_config(&mut self, config: SwitchConfig) -> Result<(), IrError> {
-        for (pipelet, program) in config.programs {
-            self.load_program(pipelet, program)?;
-        }
-        for port in config.loopback_ports {
-            self.set_loopback(port, true)?;
-        }
         Ok(())
     }
 
@@ -1852,10 +1756,8 @@ mod tests {
 
     #[test]
     fn digest_queue_is_bounded_and_counts_drops() {
-        let mut sw = Switch::with_options(
-            TofinoProfile::wedge_100b_32x(),
-            SwitchOptions::new().digest_capacity(2),
-        );
+        let mut sw = Switch::new(TofinoProfile::wedge_100b_32x());
+        sw.digest_capacity = 2;
         sw.load_program(PipeletId::ingress(0), learn_program())
             .unwrap();
         for i in 0..4u64 {
@@ -2015,10 +1917,9 @@ mod tests {
             PipeletId::ingress(1),
             PipeletId::egress(0),
         );
-        let mut sw = Switch::with_options(
-            TofinoProfile::wedge_100b_32x(),
-            SwitchOptions::new().mirror_port(30).telemetry(true),
-        );
+        let mut sw = Switch::new(TofinoProfile::wedge_100b_32x());
+        sw.set_mirror_port(Some(30));
+        sw.set_telemetry(true);
         for pipelet in [ing0, ing1, eg0] {
             sw.load_program(pipelet, exits_program()).unwrap();
         }

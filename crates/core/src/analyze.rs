@@ -12,60 +12,26 @@
 //!   from two or more pipelet programs with at least one writer. Registers
 //!   are per-pipelet state on the ASIC (paper §3); a merged chain that
 //!   read/write-shares one observes torn state. Read-only sharing is fine.
-//! * **`DJV302` learn-contract mismatch** — the digest payload an action
-//!   emits disagrees with the registered [`LearnContract`]: missing stream
-//!   or table, key/argument index out of bounds, or a width mismatch
-//!   between a digest field and the table key / action parameter it feeds.
-//! * **`DJV303` learn without aging** — a learn contract installs into a
+//! * **`DJV302` learn-policy mismatch** — the digest payload an action
+//!   emits disagrees with the registered [`LearnPolicy`]: missing stream
+//!   or table, a target key that is not exact-match, key/argument index
+//!   out of bounds, or a width mismatch between a digest field and the
+//!   table key / action parameter it feeds.
+//! * **`DJV303` learn without aging** — a learn policy installs into a
 //!   table with no idle-timeout aging: under flow churn the table only ever
 //!   fills (the PR-4 LRU path then evicts live sessions).
 //!
-//! Contracts are declared next to the
-//! [`LearnPolicy`](crate::control_plane::LearnPolicy) they describe and
-//! registered on the [`ControlPlane`](crate::control_plane::ControlPlane);
-//! [`check_learn_contracts`] then checks them against the NF's actual
-//! program.
+//! [`check_learn_policy`] checks the very [`LearnPolicy`] value the control
+//! plane registers and runs, against the NF's actual program.
 
+use crate::control_plane::LearnPolicy;
 use dejavu_p4ir::action::{ActionDef, Expr, PrimitiveOp};
 use dejavu_p4ir::deps::register_accesses;
 use dejavu_p4ir::lint::{Diagnostic, LintCode, LintConfig, LintReport};
+use dejavu_p4ir::table::MatchKind;
 use dejavu_p4ir::Program;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
-
-/// The declared shape of one learn path: which digest stream feeds which
-/// table/action, and how digest fields map onto keys and arguments.
-///
-/// The `key_map`/`arg_map` vectors hold indices into the digest's field
-/// list: `key_map[i]` is the digest field installed as the `i`-th match key
-/// of `target_table`, `arg_map[j]` the digest field bound to the `j`-th
-/// parameter of `target_action`. This is exactly the information a
-/// `LearnPolicy` implementation encodes implicitly; declaring it lets the
-/// analyzer prove the digest layout and the installed entries agree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LearnContract {
-    /// NF the contract belongs to (the NF's own naming, as in
-    /// `register_learn_policy`).
-    pub nf: String,
-    /// Digest stream the policy consumes.
-    pub stream: String,
-    /// Table the policy installs into.
-    pub target_table: String,
-    /// Action the installed entries invoke.
-    pub target_action: String,
-    /// Digest field index installed as each match key, in key order.
-    pub key_map: Vec<usize>,
-    /// Digest field index bound to each action parameter, in parameter
-    /// order.
-    pub arg_map: Vec<usize>,
-}
-
-impl LearnContract {
-    /// Entity name used in findings: `<nf>/<stream>`.
-    pub fn entity(&self) -> String {
-        format!("{}/{}", self.nf, self.stream)
-    }
-}
 
 /// Natural width of an expression, mirroring the interpreter (binary ops
 /// take the left operand's width).
@@ -109,118 +75,125 @@ fn digest_layout(program: &Program, stream: &str) -> Option<Vec<u16>> {
     None
 }
 
-/// Verifies learn contracts against the program that emits the digests and
-/// hosts the target tables (`DJV302`), and against the set of tables with
-/// idle-timeout aging enabled (`DJV303`). Names are in the NF's own view —
-/// pass the standalone NF program, or scope the contract for a merged one.
-pub fn check_learn_contracts(
+/// Verifies the learn policy `program` registers for `stream` against the
+/// program that emits the digests and hosts the target table (`DJV302`),
+/// and against the set of tables with idle-timeout aging enabled
+/// (`DJV303`). Names are in the NF's own view: pass the standalone NF
+/// program, whose name is the NF's.
+pub fn check_learn_policy(
     program: &Program,
-    contracts: &[LearnContract],
+    stream: &str,
+    policy: &LearnPolicy,
     aged_tables: &BTreeSet<String>,
 ) -> LintReport {
     let cfg = LintConfig::default();
     let mut report = LintReport::default();
-    for c in contracts {
-        let entity = c.entity();
-        let witness = vec![format!(
-            "contract {} -> {}.{}",
-            entity, c.target_table, c.target_action
-        )];
-        let mut mismatch = |message: String| {
-            let diag = Diagnostic::new(LintCode::LearnContractMismatch, &entity, message);
-            report.emit(&cfg, diag.with_witness(witness.clone()));
-        };
-        let Some(layout) = digest_layout(program, &c.stream) else {
+    let nf = &program.name;
+    let entity = format!("{nf}/{stream}");
+    let witness = vec![format!(
+        "policy {entity} -> {}.{}",
+        policy.table, policy.action
+    )];
+    let mut mismatch = |message: String| {
+        let diag = Diagnostic::new(LintCode::LearnPolicyMismatch, &entity, message);
+        report.emit(&cfg, diag.with_witness(witness.clone()));
+    };
+    let Some(layout) = digest_layout(program, stream) else {
+        mismatch(format!(
+            "no action in program {nf} digests stream `{stream}`"
+        ));
+        return report;
+    };
+    let Some(table) = program.tables.get(&policy.table) else {
+        mismatch(format!(
+            "learn target table `{}` does not exist",
+            policy.table
+        ));
+        return report;
+    };
+    if policy.key_map.len() != table.keys.len() {
+        mismatch(format!(
+            "policy installs {} key(s) but table {} matches on {}",
+            policy.key_map.len(),
+            table.name,
+            table.keys.len()
+        ));
+    } else {
+        for (i, (digest_idx, key)) in policy.key_map.iter().zip(&table.keys).enumerate() {
+            if key.kind != MatchKind::Exact {
+                mismatch(format!(
+                    "table key {} is {:?}-matched, but a learn policy installs \
+                         exact keys",
+                    key.field, key.kind
+                ));
+            }
+            let Some(dw) = layout.get(*digest_idx) else {
+                mismatch(format!(
+                    "key {i} maps digest field {digest_idx}, but the digest \
+                         carries only {} field(s)",
+                    layout.len()
+                ));
+                continue;
+            };
+            let kw = program.field_width(&key.field).unwrap_or(0);
+            if *dw != kw {
+                mismatch(format!(
+                    "digest field {digest_idx} is {dw} bits but table key {} \
+                         is {kw} bits",
+                    key.field
+                ));
+            }
+        }
+    }
+    if !table.actions.contains(&policy.action) {
+        mismatch(format!(
+            "table {} cannot run learn action `{}`",
+            table.name, policy.action
+        ));
+    } else if let Some(action) = program.actions.get(&policy.action) {
+        if policy.arg_map.len() != action.params.len() {
             mismatch(format!(
-                "no action in program {} digests stream `{}`",
-                program.name, c.stream
-            ));
-            continue;
-        };
-        let Some(table) = program.tables.get(&c.target_table) else {
-            mismatch(format!(
-                "learn target table `{}` does not exist",
-                c.target_table
-            ));
-            continue;
-        };
-        if c.key_map.len() != table.keys.len() {
-            mismatch(format!(
-                "contract installs {} key(s) but table {} matches on {}",
-                c.key_map.len(),
-                table.name,
-                table.keys.len()
+                "policy binds {} argument(s) but action {} takes {}",
+                policy.arg_map.len(),
+                action.name,
+                action.params.len()
             ));
         } else {
-            for (i, (digest_idx, key)) in c.key_map.iter().zip(&table.keys).enumerate() {
+            for (j, (digest_idx, (pname, pw))) in
+                policy.arg_map.iter().zip(&action.params).enumerate()
+            {
                 let Some(dw) = layout.get(*digest_idx) else {
                     mismatch(format!(
-                        "key {i} maps digest field {digest_idx}, but the digest \
-                             carries only {} field(s)",
+                        "argument {j} maps digest field {digest_idx}, but the \
+                             digest carries only {} field(s)",
                         layout.len()
                     ));
                     continue;
                 };
-                let kw = program.field_width(&key.field).unwrap_or(0);
-                if *dw != kw {
+                if dw != pw {
                     mismatch(format!(
-                        "digest field {digest_idx} is {dw} bits but table key {} \
-                             is {kw} bits",
-                        key.field
+                        "digest field {digest_idx} is {dw} bits but action \
+                             parameter {pname} is {pw} bits"
                     ));
                 }
             }
         }
-        if !table.actions.contains(&c.target_action) {
-            mismatch(format!(
-                "table {} cannot run learn action `{}`",
-                table.name, c.target_action
-            ));
-        } else if let Some(action) = program.actions.get(&c.target_action) {
-            if c.arg_map.len() != action.params.len() {
-                mismatch(format!(
-                    "contract binds {} argument(s) but action {} takes {}",
-                    c.arg_map.len(),
-                    action.name,
-                    action.params.len()
-                ));
-            } else {
-                for (j, (digest_idx, (pname, pw))) in
-                    c.arg_map.iter().zip(&action.params).enumerate()
-                {
-                    let Some(dw) = layout.get(*digest_idx) else {
-                        mismatch(format!(
-                            "argument {j} maps digest field {digest_idx}, but the \
-                                 digest carries only {} field(s)",
-                            layout.len()
-                        ));
-                        continue;
-                    };
-                    if dw != pw {
-                        mismatch(format!(
-                            "digest field {digest_idx} is {dw} bits but action \
-                                 parameter {pname} is {pw} bits"
-                        ));
-                    }
-                }
-            }
-        }
-        if !aged_tables.contains(&c.target_table) {
-            let diag = Diagnostic::new(
-                LintCode::LearnWithoutAging,
-                &entity,
-                format!(
-                    "learn target table `{}` has no idle-timeout aging: learned \
-                     entries accumulate until the table exhausts",
-                    c.target_table
-                ),
-            );
-            let recipe = format!(
-                "enable with Deployment::set_idle_timeout(\"{}\", \"{}\", ..)",
-                c.nf, c.target_table
-            );
-            report.emit(&cfg, diag.with_witness(vec![recipe]));
-        }
+    }
+    if !aged_tables.contains(&policy.table) {
+        let diag = Diagnostic::new(
+            LintCode::LearnWithoutAging,
+            &entity,
+            format!(
+                "learn target table `{}` has no idle-timeout aging: learned \
+                 entries accumulate until the table exhausts",
+                policy.table
+            ),
+        );
+        let recipe = format!(
+            "enable with Deployment::set_idle_timeout(\"{nf}\", \"{}\", ..)",
+            policy.table
+        );
+        report.emit(&cfg, diag.with_witness(vec![recipe]));
     }
     report.sort();
     report
@@ -281,7 +254,7 @@ pub fn analyze_pipelets(programs: &[(String, &Program)]) -> LintReport {
 mod tests {
     use super::*;
     use dejavu_p4ir::header::FieldRef;
-    use dejavu_p4ir::table::{MatchKind, RegisterDef, TableDef, TableKey};
+    use dejavu_p4ir::table::{RegisterDef, TableDef, TableKey};
     use dejavu_p4ir::{fref, HeaderType};
 
     fn learn_program() -> Program {
@@ -328,12 +301,10 @@ mod tests {
         p
     }
 
-    fn contract() -> LearnContract {
-        LearnContract {
-            nf: "nf".into(),
-            stream: "flow".into(),
-            target_table: "sessions".into(),
-            target_action: "hit".into(),
+    fn policy() -> LearnPolicy {
+        LearnPolicy {
+            table: "sessions".into(),
+            action: "hit".into(),
             key_map: vec![0],
             arg_map: vec![1],
         }
@@ -343,37 +314,42 @@ mod tests {
     fn conforming_contract_needs_only_aging() {
         let p = learn_program();
         let none: BTreeSet<String> = BTreeSet::new();
-        let report = check_learn_contracts(&p, &[contract()], &none);
+        let report = check_learn_policy(&p, "flow", &policy(), &none);
         let codes: Vec<_> = report.diagnostics.iter().map(|f| f.code.code()).collect();
         assert_eq!(codes, vec!["DJV303"]);
+        assert_eq!(report.diagnostics[0].entity, "nf/flow");
         let aged: BTreeSet<String> = ["sessions".to_string()].into();
-        assert!(check_learn_contracts(&p, &[contract()], &aged)
+        assert!(check_learn_policy(&p, "flow", &policy(), &aged)
             .diagnostics
             .is_empty());
     }
 
     #[test]
     fn width_and_index_mismatches_flagged() {
-        let p = learn_program();
+        let mut p = learn_program();
         let aged: BTreeSet<String> = ["sessions".to_string()].into();
-        let mut swapped = contract();
+        let mut swapped = policy();
         swapped.key_map = vec![1]; // 16-bit digest field into a 32-bit key
         swapped.arg_map = vec![0]; // 32-bit digest field into a 16-bit param
-        let report = check_learn_contracts(&p, &[swapped], &aged);
+        let report = check_learn_policy(&p, "flow", &swapped, &aged);
         assert_eq!(report.diagnostics.len(), 2);
         assert!(report
             .diagnostics
             .iter()
-            .all(|f| f.code == LintCode::LearnContractMismatch));
+            .all(|f| f.code == LintCode::LearnPolicyMismatch));
 
-        let mut oob = contract();
+        let mut oob = policy();
         oob.key_map = vec![5];
-        assert!(check_learn_contracts(&p, &[oob], &aged).has_errors());
+        assert!(check_learn_policy(&p, "flow", &oob, &aged).has_errors());
 
-        let mut ghost = contract();
-        ghost.stream = "nope".into();
-        let report = check_learn_contracts(&p, &[ghost], &aged);
+        let report = check_learn_policy(&p, "nope", &policy(), &aged);
         assert!(report.diagnostics[0].message.contains("digests stream"));
+
+        // A learned entry is exact: a prefix-matched target cannot hold it.
+        p.tables.get_mut("sessions").unwrap().keys[0].kind = MatchKind::Lpm;
+        let report = check_learn_policy(&p, "flow", &policy(), &aged);
+        assert_eq!(report.diagnostics.len(), 1);
+        assert!(report.diagnostics[0].message.contains("exact"));
     }
 
     #[test]

@@ -15,14 +15,14 @@
 //!   session … and reinject the packet into the data plane").
 //! * [`ControlPlane::process_digests`] — the learn loop: digests the data
 //!   plane emitted (`digest(...)` in an action, queued per pipeline by the
-//!   switch) are dispatched to the [`LearnPolicy`] registered for their
+//!   switch) are mapped through the [`LearnPolicy`] registered for their
 //!   stream, which turns flow observations into table entries — the fast
 //!   learn path that installs state *without* punting the packet itself.
 
 use crate::deploy::Deployment;
 use dejavu_asic::switch::Disposition;
 use dejavu_asic::{MetricsSnapshot, PortId, Switch, Traversal};
-use dejavu_p4ir::table::TableEntry;
+use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use dejavu_p4ir::{IrError, Value};
 use std::collections::BTreeMap;
 
@@ -96,41 +96,59 @@ fn write_wire_sfc(bytes: &mut [u8], h: &crate::sfc::SfcHeader) {
 /// wire bytes; returns what to do.
 pub type PuntHandler = Box<dyn FnMut(&[u8]) -> PuntResponse>;
 
-/// What a learn policy asks the control plane to do with one digest.
-#[derive(Debug, Clone, Default)]
-pub struct LearnResponse {
-    /// Entries to install, as `(nf, table, entry)` in the NF's own naming.
-    pub install: Vec<(String, String, TableEntry)>,
+/// How one digest stream becomes table entries — a NAT learning
+/// return-path bindings, an LB pinning a session to a backend. Digest field
+/// `key_map[i]` becomes the `i`-th exact-match key of `table`, and
+/// `arg_map[j]` the `j`-th argument of `action`; the entry is installed at
+/// priority 0 into the table of the NF that registered the policy.
+///
+/// The one value is both what the learn loop runs
+/// ([`ControlPlane::process_digests`], the cluster controller) and what
+/// DJV302/DJV303 check against the NF's program
+/// ([`crate::analyze::check_learn_policy`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LearnPolicy {
+    /// The NF's table the learned entries go in (the NF's own naming).
+    pub table: String,
+    /// The action those entries invoke.
+    pub action: String,
+    /// Digest field index installed as each match key, in key order.
+    pub key_map: Vec<usize>,
+    /// Digest field index bound to each action parameter, in parameter
+    /// order.
+    pub arg_map: Vec<usize>,
 }
 
-/// A pluggable consumer of one digest stream. Implementations turn the
-/// field values an action's `digest(...)` carried into table entries — a
-/// NAT learning return-path bindings, an LB pinning a session to a backend.
-///
-/// Any `FnMut(usize, &[Value]) -> LearnResponse` closure is a policy (the
-/// arguments are the emitting pipeline and the digest's field values).
-///
-/// Policies are `Send`: the cluster runtime's controller thread owns them
-/// (see [`crate::transport::cluster::ClusterHandle::register_learn_policy`]),
-/// so a boxed policy must be movable across threads.
-pub trait LearnPolicy: Send {
-    /// Handles one digest from `pipeline` carrying `values`.
-    fn on_digest(&mut self, pipeline: usize, values: &[Value]) -> LearnResponse;
-}
-
-impl<F: FnMut(usize, &[Value]) -> LearnResponse + Send> LearnPolicy for F {
-    fn on_digest(&mut self, pipeline: usize, values: &[Value]) -> LearnResponse {
-        self(pipeline, values)
+impl LearnPolicy {
+    /// The entry one digest's field values map to; `None` when the digest
+    /// carries fewer fields than the maps name.
+    pub fn entry(&self, values: &[Value]) -> Option<TableEntry> {
+        let fits = self
+            .key_map
+            .iter()
+            .chain(&self.arg_map)
+            .all(|&i| i < values.len());
+        // Indexed maps over the slices, so each vector is allocated at its
+        // exact length: learned entries stay resident by the thousand.
+        fits.then(|| TableEntry {
+            matches: self
+                .key_map
+                .iter()
+                .map(|&i| KeyMatch::Exact(values[i]))
+                .collect(),
+            action: self.action.clone(),
+            action_args: self.arg_map.iter().map(|&i| values[i]).collect(),
+            priority: 0,
+        })
     }
 }
 
 /// The merged control plane.
 pub struct ControlPlane {
     handlers: BTreeMap<String, PuntHandler>,
-    /// Learn policies keyed by merged digest stream name (`<nf>__<stream>`).
-    learn_policies: BTreeMap<String, Box<dyn LearnPolicy>>,
-    /// Declared learn contracts, verified by `dejavu_core::analyze`.
-    learn_contracts: Vec<crate::analyze::LearnContract>,
+    /// Learn policies and the NF that registered them, keyed by merged
+    /// digest stream name (`<nf>__<stream>`).
+    learn_policies: BTreeMap<String, (String, LearnPolicy)>,
     /// Packets punted to the CPU, with the port they were injected on.
     punt_queue: Vec<(Vec<u8>, PortId)>,
     /// Telemetry state at the previous [`ControlPlane::scrape`].
@@ -168,7 +186,6 @@ impl ControlPlane {
         ControlPlane {
             handlers: BTreeMap::new(),
             learn_policies: BTreeMap::new(),
-            learn_contracts: Vec::new(),
             punt_queue: Vec::new(),
             last_scrape: MetricsSnapshot::default(),
             stats: ControlPlaneStats::default(),
@@ -201,34 +218,22 @@ impl ControlPlane {
     /// Registers the learn policy for an NF's digest stream. The stream is
     /// named in the NF's own view — `("nat", "flow")` resolves to the merged
     /// `nat__flow` stream that the NF's `digest("flow", …)` primitive emits
-    /// after composition.
-    pub fn register_learn_policy(&mut self, nf: &str, stream: &str, policy: Box<dyn LearnPolicy>) {
+    /// after composition, and its entries go in that NF's `policy.table`.
+    pub fn register_learn_policy(&mut self, nf: &str, stream: &str, policy: LearnPolicy) {
         self.learn_policies
-            .insert(crate::merge::scoped(nf, stream), policy);
+            .insert(crate::merge::scoped(nf, stream), (nf.to_string(), policy));
     }
 
-    /// Declares the learn contract for an NF's digest stream. Contracts are
-    /// not enforced at runtime; they are checked statically by
-    /// [`crate::analyze::check_learn_contracts`] against the NF's program.
-    pub fn register_learn_contract(&mut self, contract: crate::analyze::LearnContract) {
-        self.learn_contracts.push(contract);
-    }
-
-    /// Learn contracts declared so far, in registration order.
-    pub fn learn_contracts(&self) -> &[crate::analyze::LearnContract] {
-        &self.learn_contracts
-    }
-
-    /// Drains the switch's learn queues and dispatches each digest to the
+    /// Drains the switch's learn queues and maps each digest through the
     /// policy registered for its stream (digests with no policy are
-    /// dropped, as a hardware learn filter would). Requested entries are
-    /// installed through the translation layer; an entry that is already
-    /// installed is skipped, which makes learning idempotent — duplicate
-    /// digests raced in before the first install, and entries aged out and
-    /// re-observed, both converge. Returns the number of entries installed.
-    /// The queues are already drained, so a failed install does not stop
-    /// the batch: every other digest is still learned, and the first error
-    /// is returned at the end.
+    /// dropped, as a hardware learn filter would). The entry is installed
+    /// through the translation layer; an entry that is already installed is
+    /// skipped, which makes learning idempotent — duplicate digests raced
+    /// in before the first install, and entries aged out and re-observed,
+    /// both converge. Returns the number of entries installed. The queues
+    /// are already drained, so a failed install does not stop the batch:
+    /// every other digest is still learned, and the first error is
+    /// returned at the end.
     pub fn process_digests(
         &mut self,
         switch: &mut Switch,
@@ -237,19 +242,19 @@ impl ControlPlane {
         let digests = switch.drain_digests();
         let mut installed = 0usize;
         let mut first_err = None;
-        for (pipeline, record) in digests {
-            let Some(policy) = self.learn_policies.get_mut(&record.name) else {
+        for (_, record) in digests {
+            let Some((nf, policy)) = self.learn_policies.get(&record.name) else {
                 continue;
             };
             self.stats.digests += 1;
-            let resp = policy.on_digest(pipeline, &record.values);
-            for (nf, table, entry) in resp.install {
-                match deployment.install_if_absent(switch, &nf, &table, entry) {
-                    Ok(true) => installed += 1,
-                    Ok(false) => {}
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
+            let Some(entry) = policy.entry(&record.values) else {
+                continue;
+            };
+            match deployment.install_if_absent(switch, nf, &policy.table, entry) {
+                Ok(true) => installed += 1,
+                Ok(false) => {}
+                Err(e) => {
+                    first_err.get_or_insert(e);
                 }
             }
         }

@@ -17,7 +17,7 @@
 //! control plane uses to translate per-NF API calls onto merged tables.
 
 use crate::chain::ChainSet;
-use crate::compose::{compose_pipelet, CompositionMode, PipeletPlan, PlannedNf};
+use crate::compose::{compose_pipelet, PipeletPlan, PlannedNf};
 use crate::merge::{merge_programs, MergeError, MergedProgram};
 use crate::nfmodule::NfModule;
 use crate::placement::Placement;
@@ -83,8 +83,6 @@ pub struct Deployment {
     pub allocations: BTreeMap<PipeletId, Allocation>,
     /// The synthesized routing entries.
     pub synthesis: RoutingSynthesis,
-    /// Name of the chain-entry NF (classifier), if any.
-    pub entry_nf: Option<String>,
     /// The deployment options used (needed to recompose pipelets on
     /// upgrade).
     options: DeployOptions,
@@ -138,6 +136,20 @@ impl Deployment {
             switch.install_entry(pipelet, &merged, entry)?;
         }
         Ok(!present)
+    }
+
+    /// Removes an entry through the NF's API view, as
+    /// [`Deployment::install`] installs one: `Ok(true)` when an identical
+    /// entry existed and was removed.
+    pub(crate) fn remove(
+        &self,
+        switch: &mut Switch,
+        nf: &str,
+        table: &str,
+        entry: dejavu_p4ir::table::TableEntry,
+    ) -> Result<bool, dejavu_p4ir::IrError> {
+        let (pipelet, merged, entry) = self.scope(nf, table, entry)?;
+        switch.remove_entry(pipelet, &merged, &entry)
     }
 
     /// The hosting pipelet, the merged table name and the entry with its
@@ -224,9 +236,9 @@ pub struct UpgradeOutcome {
 #[derive(Debug, Clone, Default)]
 pub struct DeployOptions {
     /// NF dispatched when a packet has no SFC header yet (the classifier).
+    /// Each pipelet's composition mode is the placement's
+    /// ([`Placement::mode`]).
     pub entry_nf: Option<String>,
-    /// Composition mode overrides per pipelet (default sequential).
-    pub modes: BTreeMap<PipeletId, CompositionMode>,
     /// Multi-switch segment options: NFs reachable over inter-switch links
     /// and whether exit ports decapsulate. `None` = single-switch deployment.
     pub segment: Option<crate::routing::SegmentOptions>,
@@ -393,9 +405,8 @@ impl Deployment {
 }
 
 /// Plans, composes and compiles one pipelet of a placement: the NFs placed
-/// there (the entry NF gated on "no SFC header yet"), in the mode resolved as
-/// explicit option override, then the placement's own mode, then sequential;
-/// vetted under [`crate::lint::pipelet_lint_config`].
+/// there (the entry NF gated on "no SFC header yet"), in the placement's
+/// mode for the pipelet; vetted under [`crate::lint::pipelet_lint_config`].
 fn build_pipelet(
     merged: &MergedProgram,
     placement: &Placement,
@@ -415,11 +426,7 @@ fn build_pipelet(
                 }
             })
             .collect(),
-        mode: options
-            .modes
-            .get(&pipelet)
-            .copied()
-            .unwrap_or_else(|| placement.mode(pipelet)),
+        mode: placement.mode(pipelet),
     };
     let program = compose_pipelet(merged, &plan).map_err(DeployError::Compose)?;
     let allocation = StageAllocator::new(profile.clone())
@@ -495,7 +502,6 @@ pub fn deploy(
             config: config.clone(),
             allocations,
             synthesis,
-            entry_nf: options.entry_nf.clone(),
             options: options.clone(),
             profile: profile.clone(),
         },

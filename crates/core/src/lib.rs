@@ -66,7 +66,7 @@ pub mod routing;
 pub mod sfc;
 pub mod transport;
 
-pub use analyze::{analyze_pipelets, check_learn_contracts, LearnContract};
+pub use analyze::{analyze_pipelets, check_learn_policy};
 pub use chain::{ChainPolicy, ChainSet};
 pub use compose::{compose_pipelet, CompositionMode, PipeletPlan};
 pub use merge::{merge_parsers, MergeError};
@@ -85,9 +85,8 @@ pub use sfc::SfcHeader;
 /// ```
 ///
 /// Pulls in the switch simulator surface (switch, profiles, execution and
-/// trace modes, the unified [`InjectedPacket`](dejavu_asic::InjectedPacket)/
-/// [`SwitchOptions`](dejavu_asic::SwitchOptions) injection
-/// and configuration API, telemetry registry/snapshot types) and the
+/// trace modes, the unified [`InjectedPacket`](dejavu_asic::InjectedPacket)
+/// injection API, telemetry registry/snapshot types) and the
 /// framework surface (chains, NF modules, composition, placement,
 /// deployment, the merged control plane, the multi-switch cluster, and the
 /// transport-backed cluster runtime).
@@ -98,12 +97,12 @@ pub use sfc::SfcHeader;
 /// [`InjectedPacket`](dejavu_asic::InjectedPacket); see [`crate::ingress`]
 /// for the one-page map of which to use when.
 pub mod prelude {
-    pub use crate::analyze::{analyze_pipelets, check_learn_contracts, LearnContract};
+    pub use crate::analyze::{analyze_pipelets, check_learn_policy};
     pub use crate::chain::{ChainPolicy, ChainSet};
     pub use crate::compose::{compose_pipelet, CompositionMode, PipeletPlan, PlannedNf};
     pub use crate::control_plane::{
         clear_sfc_flags, rewind_and_clear, ControlPlane, ControlPlaneStats, LearnPolicy,
-        LearnResponse, PuntResponse,
+        PuntResponse,
     };
     pub use crate::deploy::{deploy, DeployError, DeployOptions, Deployment, UpgradeOutcome};
     pub use crate::lint::{lint_chain_budget, lint_pipelet, BudgetSpec};
@@ -130,8 +129,8 @@ pub mod prelude {
     };
     pub use dejavu_asic::{
         BatchStats, BufOutcome, DigestRecord, Eviction, ExecMode, Gress, InjectedPacket, PipeletId,
-        PortId, RtcConfig, RtcReport, RtcSession, Switch, SwitchMetrics, SwitchOptions,
-        TimingModel, TofinoProfile, TraceLevel, Traversal,
+        PortId, RtcConfig, RtcReport, RtcSession, Switch, SwitchMetrics, TimingModel,
+        TofinoProfile, TraceLevel, Traversal,
     };
     pub use dejavu_p4ir::lint::{Diagnostic, LintCode, LintConfig, LintReport, Severity};
 }

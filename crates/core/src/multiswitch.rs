@@ -312,7 +312,6 @@ pub(crate) fn build_cluster_members(
         };
         let seg_options = DeployOptions {
             entry_nf: options.entry_nf.clone(),
-            modes: options.modes.clone(),
             segment: Some(SegmentOptions {
                 remote_ports,
                 decap_on_exit: is_final,

@@ -171,6 +171,22 @@ impl Placement {
             .copied()
             .unwrap_or(CompositionMode::Sequential)
     }
+
+    /// Whether a pass through `pipelet` can still run the NF in `slot`,
+    /// given the slot of the last NF this pass ran (`None` before any): a
+    /// sequential pipelet runs later slots only, a parallel one a single NF
+    /// per pass. The traversal model and routing synthesis both ask here.
+    pub(crate) fn pass_can_run(
+        &self,
+        pipelet: PipeletId,
+        last: Option<usize>,
+        slot: usize,
+    ) -> bool {
+        match self.mode(pipelet) {
+            CompositionMode::Sequential => last.is_none_or(|l| slot > l),
+            CompositionMode::Parallel => last.is_none(),
+        }
+    }
 }
 
 impl fmt::Display for Placement {
@@ -267,9 +283,8 @@ fn walk(
     let mut cost = TraversalCost::default();
     let mut cur = PipeletId::ingress(entry_pipeline);
     let mut idx = 0usize;
-    // Slot pointer within the current pass: next runnable slot index.
-    let mut pass_slot: isize = -1;
-    let mut ran_in_pass = 0usize;
+    // Slot of the last NF the current pass ran.
+    let mut last: Option<usize> = None;
 
     let mut steps = 0usize;
     while idx < visits.len() {
@@ -284,14 +299,9 @@ fn walk(
             let slot = hosted
                 .iter()
                 .position(|n| n == nf)
-                .expect("visit is hosted") as isize;
-            let runnable = match placement.mode(cur) {
-                CompositionMode::Sequential => slot > pass_slot,
-                CompositionMode::Parallel => ran_in_pass == 0,
-            };
-            if runnable {
-                pass_slot = slot;
-                ran_in_pass += 1;
+                .expect("visit is hosted");
+            if placement.pass_can_run(cur, last, slot) {
+                last = Some(slot);
                 idx += 1;
                 continue;
             }
@@ -307,8 +317,7 @@ fn walk(
                     cost.recirculations += 1;
                 }
             }
-            pass_slot = -1;
-            ran_in_pass = 0;
+            last = None;
             continue;
         }
         // Move toward the target pipelet.
@@ -336,8 +345,7 @@ fn walk(
                 cur = PipeletId::ingress(cur.pipeline);
             }
         }
-        pass_slot = -1;
-        ran_in_pass = 0;
+        last = None;
     }
 
     // Exit: reach a port on `exit_pipeline`'s egress pipe.

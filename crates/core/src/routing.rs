@@ -384,23 +384,17 @@ impl RoutingSynthesis {
         mut index: usize,
         pipelet: PipeletId,
     ) -> usize {
-        let mut pass_slot: isize = -1;
-        let mut ran = 0usize;
+        let mut last = None;
         while index < chain.nfs.len() {
             let nf = &chain.nfs[index];
             if placement.location(nf) != Some(pipelet) {
                 break;
             }
-            let slot = placement.slot(nf).expect("placed NF has slot") as isize;
-            let runnable = match placement.mode(pipelet) {
-                CompositionMode::Sequential => slot > pass_slot,
-                CompositionMode::Parallel => ran == 0,
-            };
-            if !runnable {
+            let slot = placement.slot(nf).expect("placed NF has slot");
+            if !placement.pass_can_run(pipelet, last, slot) {
                 break;
             }
-            pass_slot = slot;
-            ran += 1;
+            last = Some(slot);
             index += 1;
         }
         index

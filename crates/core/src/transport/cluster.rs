@@ -5,9 +5,9 @@
 //! [`Transport`], under a **controller** that learns concurrently with
 //! traffic:
 //!
-//! * learn digests pushed upstream by workers are dispatched to
-//!   [`LearnPolicy`]s and turned into table installs *while packets keep
-//!   flowing* — no "process digests now" call required;
+//! * learn digests pushed upstream by workers are mapped through their
+//!   [`LearnPolicy`] into table installs *while packets keep flowing* — no
+//!   "process digests now" call required;
 //! * table updates, idle timeouts, clock advances, metrics scrapes and
 //!   state snapshots are request/reply command round trips;
 //! * finished packets come back as [`Delivery`] records carrying the whole
@@ -273,7 +273,8 @@ enum Request {
     },
     RegisterPolicy {
         stream: String,
-        policy: Box<dyn LearnPolicy>,
+        nf: String,
+        policy: LearnPolicy,
     },
     /// Park new ingress packets and reply once every in-flight packet has
     /// been delivered or nacked (the migration quiesce barrier). Replies
@@ -287,8 +288,8 @@ enum Request {
     ResumeIngress {
         reply: Sender<Result<u64, ClusterError>>,
     },
-    /// Stage a freshly built member on a worker's side channel and command
-    /// the swap over the wire.
+    /// Stage a freshly built member on a worker's side channel, tagged with
+    /// the swap command's seq, and command the swap over the wire.
     SwapMember {
         switch: usize,
         member: Box<(Switch, Deployment)>,
@@ -356,7 +357,8 @@ struct Controller {
     events: Receiver<CtrlEvent>,
     links: Vec<Link>,
     nf_switch: BTreeMap<String, usize>,
-    policies: BTreeMap<String, Box<dyn LearnPolicy>>,
+    /// Learn policies and the NF that registered them, by merged stream.
+    policies: BTreeMap<String, (String, LearnPolicy)>,
     delivered_tx: Sender<Delivery>,
     next_seq: u64,
     pending: BTreeMap<u64, Pending>,
@@ -378,8 +380,9 @@ struct Controller {
     in_flight: usize,
     /// A `pause_ingress` barrier waiting for `in_flight` to drain.
     quiesce: Option<(u64, Sender<Result<u64, ClusterError>>)>,
-    /// Per-worker side channels for staging live member swaps.
-    swap_txs: Vec<Sender<(Switch, Deployment)>>,
+    /// Per-worker side channels for staging live member swaps, each member
+    /// tagged with the seq of the command that adopts it.
+    swap_txs: Vec<Sender<(u64, Switch, Deployment)>>,
     /// Outstanding shutdown acks; reply once all workers said goodbye.
     bye: Option<(usize, Sender<Result<(), ClusterError>>)>,
     op_timeout: Duration,
@@ -393,6 +396,24 @@ impl Controller {
 
     fn send_to(&mut self, switch: usize, msg: Message) -> Result<(), ClusterError> {
         self.links[switch].send(&msg).map_err(ClusterError::from)
+    }
+
+    /// Sends one command whose ack answers `reply`. A frame the link
+    /// refuses (past `MAX_PAYLOAD`, or the link is gone) can never be
+    /// acked: answer with the link's error now, not at `op_timeout`.
+    fn command(
+        &mut self,
+        switch: usize,
+        msg: ControlMsg,
+        reply: Sender<Result<u64, ClusterError>>,
+    ) {
+        let seq = msg.seq();
+        match self.send_to(switch, Message::Control(msg)) {
+            Ok(()) => {
+                self.pending.insert(seq, Pending::Simple(reply));
+            }
+            Err(e) => refuse(reply, e),
+        }
     }
 
     /// The threaded driver: blocks on the event queue until shutdown.
@@ -458,7 +479,7 @@ impl Controller {
                 table,
                 entry,
                 reply,
-            } => self.command_for_nf(&nf, reply, |seq, nf, _| ControlMsg::Install {
+            } => self.command_for_nf(&nf, reply, |seq, nf| ControlMsg::Install {
                 seq,
                 nf,
                 table,
@@ -469,7 +490,7 @@ impl Controller {
                 table,
                 entry,
                 reply,
-            } => self.command_for_nf(&nf, reply, |seq, nf, _| ControlMsg::Remove {
+            } => self.command_for_nf(&nf, reply, |seq, nf| ControlMsg::Remove {
                 seq,
                 nf,
                 table,
@@ -480,7 +501,7 @@ impl Controller {
                 table,
                 ticks,
                 reply,
-            } => self.command_for_nf(&nf, reply, |seq, nf, _| ControlMsg::SetIdleTimeout {
+            } => self.command_for_nf(&nf, reply, |seq, nf| ControlMsg::SetIdleTimeout {
                 seq,
                 nf,
                 table,
@@ -528,18 +549,11 @@ impl Controller {
                         pipelet,
                         snapshot,
                     };
-                    // A frame the link refuses (past `MAX_PAYLOAD`) gets no
-                    // ack: answer now instead of at `op_timeout`.
-                    match self.send_to(switch, Message::Control(msg)) {
-                        Ok(()) => {
-                            self.pending.insert(seq, Pending::Simple(reply));
-                        }
-                        Err(e) => refuse(reply, e),
-                    }
+                    self.command(switch, msg, reply);
                 }
             }
-            Request::RegisterPolicy { stream, policy } => {
-                self.policies.insert(stream, policy);
+            Request::RegisterPolicy { stream, nf, policy } => {
+                self.policies.insert(stream, (nf, policy));
             }
             Request::PauseIngress { reply } => {
                 self.paused = true;
@@ -571,14 +585,21 @@ impl Controller {
                         "no switch {switch} in a cluster of {}",
                         self.n
                     ))));
-                } else if self.swap_txs[switch].send(*member).is_err() {
-                    let _ = reply.send(Err(ClusterError::Remote(format!(
-                        "switch {switch}: side channel closed (worker gone?)"
-                    ))));
                 } else {
+                    // The tag keeps a member whose command the link refuses
+                    // from being adopted by the next swap.
                     let seq = self.seq();
-                    self.pending.insert(seq, Pending::Simple(reply));
-                    let _ = self.send_to(switch, Message::Control(ControlMsg::SwapMember { seq }));
+                    let (member_switch, deployment) = *member;
+                    if self.swap_txs[switch]
+                        .send((seq, member_switch, deployment))
+                        .is_err()
+                    {
+                        let _ = reply.send(Err(ClusterError::Remote(format!(
+                            "switch {switch}: side channel closed (worker gone?)"
+                        ))));
+                    } else {
+                        self.command(switch, ControlMsg::SwapMember { seq }, reply);
+                    }
                 }
             }
             Request::Remap { nf_switch, reply } => {
@@ -614,7 +635,7 @@ impl Controller {
         &mut self,
         nf: &str,
         reply: Sender<Result<u64, ClusterError>>,
-        make: impl FnOnce(u64, String, usize) -> ControlMsg,
+        make: impl FnOnce(u64, String) -> ControlMsg,
     ) {
         let Some(&switch) = self.nf_switch.get(nf) else {
             let _ = reply.send(Err(ClusterError::Remote(format!(
@@ -623,9 +644,8 @@ impl Controller {
             return;
         };
         let seq = self.seq();
-        let msg = make(seq, nf.to_string(), switch);
-        self.pending.insert(seq, Pending::Simple(reply));
-        let _ = self.send_to(switch, Message::Control(msg));
+        let msg = make(seq, nf.to_string());
+        self.command(switch, msg, reply);
     }
 
     /// Sends one command to every member and opens the gather its replies
@@ -661,37 +681,40 @@ impl Controller {
             }
             TelemetryMsg::Digests { switch, records } => {
                 let switch = switch as usize;
-                for (pipeline, record) in records {
-                    let Some(policy) = self.policies.get_mut(&record.name) else {
+                for (_, record) in records {
+                    let Some((nf, policy)) = self.policies.get(&record.name) else {
                         continue; // No policy: dropped, like a learn filter.
                     };
+                    let install = policy
+                        .entry(&record.values)
+                        .map(|entry| (nf.clone(), policy.table.clone(), entry));
                     if let Some(slot) = self.digests_per_switch.get_mut(switch) {
                         *slot += 1;
                     }
-                    let resp = policy.on_digest(pipeline as usize, &record.values);
-                    for (nf, table, entry) in resp.install {
-                        let Some(&target) = self.nf_switch.get(&nf) else {
-                            continue;
-                        };
-                        let seq = self.seq();
-                        let sent = self.send_to(
-                            target,
-                            Message::Control(ControlMsg::Install {
-                                seq,
-                                nf,
-                                table,
-                                entry,
-                            }),
-                        );
-                        // Track only sends that can still produce an ack: a
-                        // dead link yields no ack, and an undrainable
-                        // learn_outstanding would park every later flush
-                        // barrier forever.
-                        if sent.is_ok() {
-                            self.pending
-                                .insert(seq, Pending::Learned { switch: target });
-                            self.learn_outstanding += 1;
-                        }
+                    let Some((nf, table, entry)) = install else {
+                        continue;
+                    };
+                    let Some(&target) = self.nf_switch.get(&nf) else {
+                        continue;
+                    };
+                    let seq = self.seq();
+                    let sent = self.send_to(
+                        target,
+                        Message::Control(ControlMsg::Install {
+                            seq,
+                            nf,
+                            table,
+                            entry,
+                        }),
+                    );
+                    // Track only sends that can still produce an ack: a dead
+                    // link yields no ack, and an undrainable
+                    // learn_outstanding would park every later flush
+                    // barrier forever.
+                    if sent.is_ok() {
+                        self.pending
+                            .insert(seq, Pending::Learned { switch: target });
+                        self.learn_outstanding += 1;
                     }
                 }
             }
@@ -1147,15 +1170,17 @@ impl ClusterHandle {
 
     /// Registers the learn policy for an NF's digest stream on the
     /// controller (see
-    /// [`ControlPlane::register_learn_policy`](crate::control_plane::ControlPlane::register_learn_policy)).
+    /// [`ControlPlane::register_learn_policy`](crate::control_plane::ControlPlane::register_learn_policy));
+    /// learned entries are installed on the member hosting `nf`.
     pub fn register_learn_policy(
         &mut self,
         nf: &str,
         stream: &str,
-        policy: Box<dyn LearnPolicy>,
+        policy: LearnPolicy,
     ) -> Result<(), ClusterError> {
         self.request(Request::RegisterPolicy {
             stream: crate::merge::scoped(nf, stream),
+            nf: nf.to_string(),
             policy,
         })
     }

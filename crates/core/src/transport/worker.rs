@@ -49,13 +49,13 @@ pub struct SwitchWorker {
     /// One-way cable latency added per forwarded packet, in nanoseconds.
     pub cable_ns: f64,
     /// In-process side channel for live member replacement: the controller
-    /// stages a freshly built `(Switch, Deployment)` pair here, then sends
-    /// [`ControlMsg::SwapMember`] over the wire to make the worker adopt
-    /// it. `Switch` is not wire-serializable, so a genuinely remote worker
+    /// stages a freshly built `(Switch, Deployment)` pair here, tagged with
+    /// the seq of the [`ControlMsg::SwapMember`] it then sends over the
+    /// wire to make the worker adopt it. `Switch` is not wire-serializable, so a genuinely remote worker
     /// (no side channel sender alive) nacks the swap — live re-placement
     /// over real process boundaries needs a program-shipping bootstrap
     /// protocol (ROADMAP).
-    pub swap_rx: Receiver<(Switch, Deployment)>,
+    pub swap_rx: Receiver<(u64, Switch, Deployment)>,
 }
 
 impl SwitchWorker {
@@ -207,22 +207,13 @@ impl SwitchWorker {
             }
             ControlMsg::Remove {
                 nf, table, entry, ..
-            } => {
-                let (pipelet, merged) = self.deployment.nf_table(&nf, &table);
-                let Some(pipelet) = pipelet else {
-                    self.nack(seq, &format!("NF {nf} not placed on switch {}", self.index));
-                    return false;
-                };
-                let mut scoped = entry;
-                scoped.action = crate::merge::scoped(&nf, &scoped.action);
-                match self.switch.remove_entry(pipelet, &merged, &scoped) {
-                    Ok(removed) => self.send_up(TelemetryMsg::Ack {
-                        seq,
-                        info: u64::from(removed),
-                    }),
-                    Err(e) => self.nack(seq, &e.to_string()),
-                }
-            }
+            } => match self.deployment.remove(&mut self.switch, &nf, &table, entry) {
+                Ok(removed) => self.send_up(TelemetryMsg::Ack {
+                    seq,
+                    info: u64::from(removed),
+                }),
+                Err(e) => self.nack(seq, &e.to_string()),
+            },
             ControlMsg::SetIdleTimeout {
                 nf, table, ticks, ..
             } => {
@@ -273,16 +264,20 @@ impl SwitchWorker {
             ControlMsg::SwapMember { .. } => {
                 // The staged member was sent on the side channel before the
                 // wire command, so it is already queued (or will never
-                // arrive: nack rather than block the data path).
-                match self.swap_rx.try_recv() {
-                    Ok((mut switch, deployment)) => {
+                // arrive: nack rather than block the data path). One staged
+                // for a command the link refused carries an older seq and
+                // is dropped here.
+                let staged = std::iter::from_fn(|| self.swap_rx.try_recv().ok())
+                    .find(|(tag, ..)| *tag == seq);
+                match staged {
+                    Some((_, mut switch, deployment)) => {
                         // The newcomer behaves like the member it replaces.
                         switch.set_telemetry(self.switch.telemetry_enabled());
                         self.switch = switch;
                         self.deployment = deployment;
                         self.send_up(TelemetryMsg::Ack { seq, info: 0 });
                     }
-                    Err(_) => self.nack(seq, "no staged member to swap in"),
+                    None => self.nack(seq, "no staged member to swap in"),
                 }
             }
             ControlMsg::Shutdown { .. } => {

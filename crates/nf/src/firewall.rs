@@ -15,8 +15,7 @@
 //!   traffic of established connections gets in — everything else is
 //!   default-denied. Pair with an idle timeout to expire quiet connections.
 
-use dejavu_core::analyze::LearnContract;
-use dejavu_core::control_plane::{LearnPolicy, LearnResponse};
+use dejavu_core::control_plane::LearnPolicy;
 use dejavu_core::sfc::{sfc_field, sfc_header_type};
 use dejavu_core::NfModule;
 use dejavu_p4ir::builder::*;
@@ -169,35 +168,17 @@ pub fn conn_entry(remote: u32, inside: u32) -> TableEntry {
 }
 
 /// The learning policy for [`FW_CONN_STREAM`]: each digest
-/// `(remote, inside)` becomes a [`FW_CONN_TABLE`] entry permitting the
-/// return direction. Register it with
-/// `ControlPlane::register_learn_policy("firewall", FW_CONN_STREAM, ...)`.
-pub fn conntrack_learn_policy() -> Box<dyn LearnPolicy> {
-    Box::new(|_pipeline: usize, values: &[Value]| {
-        let mut resp = LearnResponse::default();
-        if let [remote, inside] = values {
-            resp.install.push((
-                "firewall".to_string(),
-                FW_CONN_TABLE.to_string(),
-                conn_entry(remote.raw() as u32, inside.raw() as u32),
-            ));
-        }
-        resp
-    })
-}
-
-/// The declared learn contract matching [`conntrack_learn_policy`]: the
-/// `(remote, inside)` digest is installed verbatim as the
-/// [`FW_CONN_TABLE`] key (the table's key order is `(src, dst)` of the
-/// *return* direction, which is exactly `(remote, inside)`); `permit`
-/// takes no arguments. Verified against [`conntrack_firewall`] by
-/// `dejavu_core::analyze::check_learn_contracts`.
-pub fn conntrack_learn_contract() -> LearnContract {
-    LearnContract {
-        nf: "firewall".into(),
-        stream: FW_CONN_STREAM.into(),
-        target_table: FW_CONN_TABLE.into(),
-        target_action: "permit".into(),
+/// `(remote, inside)` becomes the [`FW_CONN_TABLE`] entry
+/// [`conn_entry`]`(remote, inside)` permitting the return direction — the
+/// digest is the key verbatim, since the table's key order is `(src, dst)`
+/// of the *return* direction. Register it with
+/// `ControlPlane::register_learn_policy("firewall", FW_CONN_STREAM, ...)`;
+/// `dejavu_core::analyze::check_learn_policy` checks it against
+/// [`conntrack_firewall`].
+pub fn conntrack_learn_policy() -> LearnPolicy {
+    LearnPolicy {
+        table: FW_CONN_TABLE.into(),
+        action: "permit".into(),
         key_map: vec![0, 1],
         arg_map: vec![],
     }
@@ -380,14 +361,18 @@ mod tests {
 
     #[test]
     fn conntrack_learn_policy_builds_conn_entry() {
-        let mut policy = conntrack_learn_policy();
-        let resp = policy.on_digest(0, &[Value::new(0x08080808, 32), Value::new(0x0a000001, 32)]);
-        assert_eq!(resp.install.len(), 1);
-        let (nf, table, entry) = &resp.install[0];
-        assert_eq!(nf, "firewall");
-        assert_eq!(table, FW_CONN_TABLE);
-        assert_eq!(entry, &conn_entry(0x08080808, 0x0a000001));
-        assert!(policy.on_digest(0, &[Value::new(1, 32)]).install.is_empty());
+        // The digest the compiled engine emits for an outbound packet.
+        let entry = crate::tests::learned_entry(
+            &conntrack_firewall(),
+            &conntrack_learn_policy(),
+            |sw, pipelet| {
+                sw.install_entry(pipelet, FW_OUT_TABLE, outbound_entry((0x0a000000, 8)))
+                    .unwrap();
+            },
+            conn_packet(0x0a000001, 0x08080808),
+        );
+        assert_eq!(entry, conn_entry(0x08080808, 0x0a000001));
+        assert_eq!(conntrack_learn_policy().entry(&[Value::new(1, 32)]), None);
     }
 
     #[test]

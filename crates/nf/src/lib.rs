@@ -68,4 +68,27 @@ mod tests {
         let chain_names = dejavu_core::ChainSet::edge_cloud_example().all_nfs();
         assert_eq!(names, chain_names);
     }
+
+    /// Runs `nf` alone on ingress 0 of a compiled-engine switch, after `setup`
+    /// installed what the packet needs, and maps the one digest `packet` makes
+    /// it emit through `policy`: the learn loop without a deployment.
+    pub(crate) fn learned_entry(
+        nf: &dejavu_core::NfModule,
+        policy: &dejavu_core::control_plane::LearnPolicy,
+        setup: impl FnOnce(&mut dejavu_asic::Switch, dejavu_asic::PipeletId),
+        packet: Vec<u8>,
+    ) -> dejavu_p4ir::table::TableEntry {
+        use dejavu_asic::{ExecMode, InjectedPacket, PipeletId, Switch, TofinoProfile};
+        let pipelet = PipeletId::ingress(0);
+        let mut sw = Switch::new(TofinoProfile::wedge_100b_32x());
+        assert_eq!(sw.exec_mode(), ExecMode::Compiled);
+        sw.load_program(pipelet, nf.program().clone()).unwrap();
+        setup(&mut sw, pipelet);
+        sw.inject(InjectedPacket::new(packet, 0)).unwrap();
+        let digests = sw.drain_digests();
+        assert_eq!(digests.len(), 1, "{digests:?}");
+        policy
+            .entry(&digests[0].1.values)
+            .expect("digest fits the policy")
+    }
 }

@@ -20,8 +20,7 @@
 //! same CRC32 the data plane computes, so the control plane can install
 //! entries from punted packets.
 
-use dejavu_core::analyze::LearnContract;
-use dejavu_core::control_plane::{LearnPolicy, LearnResponse};
+use dejavu_core::control_plane::LearnPolicy;
 use dejavu_core::sfc::{sfc_field, sfc_header_type};
 use dejavu_core::NfModule;
 use dejavu_p4ir::action::{run_hash, HashAlgorithm};
@@ -229,32 +228,15 @@ pub fn affinity_entry(session_hash: u32, backend_ip: u32) -> TableEntry {
 
 /// The learning policy for [`AFFINITY_STREAM`]: each digest
 /// `(hash, backend)` pins the session onto the backend the data plane
-/// picked. Register it with
-/// `ControlPlane::register_learn_policy("lb", AFFINITY_STREAM, ...)`.
-pub fn affinity_learn_policy() -> Box<dyn LearnPolicy> {
-    Box::new(|_pipeline: usize, values: &[Value]| {
-        let mut resp = LearnResponse::default();
-        if let [hash, backend] = values {
-            resp.install.push((
-                "lb".to_string(),
-                AFFINITY_TABLE.to_string(),
-                affinity_entry(hash.raw() as u32, backend.raw() as u32),
-            ));
-        }
-        resp
-    })
-}
-
-/// The declared learn contract matching [`affinity_learn_policy`]: the
-/// `(hash, backend)` digest installs `hash` as the [`AFFINITY_TABLE`] key
-/// and binds `backend` to `modify_dst_ip(dip)`. Verified against
-/// [`affinity_lb`] by `dejavu_core::analyze::check_learn_contracts`.
-pub fn affinity_learn_contract() -> LearnContract {
-    LearnContract {
-        nf: "lb".into(),
-        stream: AFFINITY_STREAM.into(),
-        target_table: AFFINITY_TABLE.into(),
-        target_action: "modify_dst_ip".into(),
+/// picked, as the [`AFFINITY_TABLE`] entry [`affinity_entry`]`(hash,
+/// backend)`. Register it with
+/// `ControlPlane::register_learn_policy("lb", AFFINITY_STREAM, ...)`;
+/// `dejavu_core::analyze::check_learn_policy` checks it against
+/// [`affinity_lb`].
+pub fn affinity_learn_policy() -> LearnPolicy {
+    LearnPolicy {
+        table: AFFINITY_TABLE.into(),
+        action: "modify_dst_ip".into(),
         key_map: vec![0],
         arg_map: vec![1],
     }
@@ -424,17 +406,23 @@ mod tests {
 
     #[test]
     fn affinity_learn_policy_pins_pair() {
-        let mut policy = affinity_learn_policy();
-        let resp = policy.on_digest(
-            0,
-            &[Value::new(0xdead_beef, 32), Value::new(0x0a000063, 32)],
+        // The digest the compiled engine emits when a new session misses.
+        let t = tuple();
+        let pool = |slot: u32| 0x0a00_0060 + slot;
+        let entry = crate::tests::learned_entry(
+            &affinity_lb(),
+            &affinity_learn_policy(),
+            |sw, pipelet| {
+                for i in 0..BACKEND_POOL_SIZE {
+                    sw.register_store(pipelet, BACKEND_POOL_REGISTER, i, u128::from(pool(i)))
+                        .unwrap();
+                }
+            },
+            tcp_packet(&t),
         );
-        assert_eq!(resp.install.len(), 1);
-        let (nf, table, entry) = &resp.install[0];
-        assert_eq!(nf, "lb");
-        assert_eq!(table, AFFINITY_TABLE);
-        assert_eq!(entry, &affinity_entry(0xdead_beef, 0x0a000063));
-        assert!(policy.on_digest(0, &[]).install.is_empty());
+        let slot = t.session_hash() & (BACKEND_POOL_SIZE - 1);
+        assert_eq!(entry, affinity_entry(t.session_hash(), pool(slot)));
+        assert_eq!(affinity_learn_policy().entry(&[]), None);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! learned state. It is still what the ablation benches use to grow chains
 //! beyond the paper's five NFs.
 
-use dejavu_core::analyze::LearnContract;
-use dejavu_core::control_plane::{LearnPolicy, LearnResponse};
+use dejavu_core::control_plane::LearnPolicy;
 use dejavu_core::sfc::sfc_header_type;
 use dejavu_core::NfModule;
 use dejavu_p4ir::builder::*;
@@ -187,38 +186,15 @@ pub fn nat_return_entry(public_ip: u32, port: u16, private_ip: u32) -> TableEntr
 }
 
 /// The learning policy for [`NAT_FLOW_STREAM`]: each digest
-/// `(orig_src, src_port, public_ip)` becomes a [`NAT_IN_TABLE`] entry
-/// mapping `(public_ip, src_port)` back to the private source. Register it
-/// with `ControlPlane::register_learn_policy("nat", NAT_FLOW_STREAM, ...)`.
-pub fn nat_learn_policy() -> Box<dyn LearnPolicy> {
-    Box::new(|_pipeline: usize, values: &[Value]| {
-        let mut resp = LearnResponse::default();
-        if let [orig_src, src_port, public_ip] = values {
-            resp.install.push((
-                "nat".to_string(),
-                NAT_IN_TABLE.to_string(),
-                nat_return_entry(
-                    public_ip.raw() as u32,
-                    src_port.raw() as u16,
-                    orig_src.raw() as u32,
-                ),
-            ));
-        }
-        resp
-    })
-}
-
-/// The declared learn contract matching [`nat_learn_policy`]: the
-/// `(orig_src, src_port, public_ip)` digest installs `(public_ip,
-/// src_port)` as the [`NAT_IN_TABLE`] key and binds `orig_src` to
-/// `restore_dst(private_ip)`. Verified against [`dynamic_nat`] by
-/// `dejavu_core::analyze::check_learn_contracts`.
-pub fn nat_learn_contract() -> LearnContract {
-    LearnContract {
-        nf: "nat".into(),
-        stream: NAT_FLOW_STREAM.into(),
-        target_table: NAT_IN_TABLE.into(),
-        target_action: "restore_dst".into(),
+/// `(orig_src, src_port, public_ip)` becomes the [`NAT_IN_TABLE`] entry
+/// [`nat_return_entry`]`(public_ip, src_port, orig_src)`. Register it with
+/// `ControlPlane::register_learn_policy("nat", NAT_FLOW_STREAM, ...)`;
+/// `dejavu_core::analyze::check_learn_policy` checks it against
+/// [`dynamic_nat`].
+pub fn nat_learn_policy() -> LearnPolicy {
+    LearnPolicy {
+        table: NAT_IN_TABLE.into(),
+        action: "restore_dst".into(),
         key_map: vec![2, 1],
         arg_map: vec![0],
     }
@@ -336,21 +312,22 @@ mod tests {
 
     #[test]
     fn learn_policy_builds_return_entry() {
-        let mut policy = nat_learn_policy();
-        let resp = policy.on_digest(
-            0,
-            &[
-                Value::new(0x0a000005, 32),
-                Value::new(40000, 16),
-                Value::new(0xc0a80001, 32),
-            ],
+        // The digest the compiled engine emits for an outbound packet.
+        let entry = crate::tests::learned_entry(
+            &dynamic_nat(),
+            &nat_learn_policy(),
+            |sw, pipelet| {
+                sw.install_entry(
+                    pipelet,
+                    NAT_OUT_TABLE,
+                    nat_out_entry((0x0a000000, 8), 0xc0a80001),
+                )
+                .unwrap();
+            },
+            tcp_packet(0x0a000005, 0x08080808, 40000, 443),
         );
-        assert_eq!(resp.install.len(), 1);
-        let (nf, table, entry) = &resp.install[0];
-        assert_eq!(nf, "nat");
-        assert_eq!(table, NAT_IN_TABLE);
-        assert_eq!(entry, &nat_return_entry(0xc0a80001, 40000, 0x0a000005));
+        assert_eq!(entry, nat_return_entry(0xc0a80001, 40000, 0x0a000005));
         // Malformed digests install nothing.
-        assert!(policy.on_digest(0, &[]).install.is_empty());
+        assert_eq!(nat_learn_policy().entry(&[]), None);
     }
 }

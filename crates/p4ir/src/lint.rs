@@ -122,9 +122,9 @@ pub enum LintCode {
     /// pipelets with at least one writer (emitted by `dejavu-core`).
     RegisterHazard,
     /// `DJV302` — digest payload layout disagrees with the registered
-    /// learn contract's key/action signature (emitted by `dejavu-core`).
-    LearnContractMismatch,
-    /// `DJV303` — a learn contract installs into a table without
+    /// learn policy's key/action mapping (emitted by `dejavu-core`).
+    LearnPolicyMismatch,
+    /// `DJV303` — a learn policy installs into a table without
     /// idle-timeout aging: table exhaustion under churn (emitted by
     /// `dejavu-core`).
     LearnWithoutAging,
@@ -148,7 +148,7 @@ impl LintCode {
         LintCode::UnmatchableEntry,
         LintCode::UnboundedRecirc,
         LintCode::RegisterHazard,
-        LintCode::LearnContractMismatch,
+        LintCode::LearnPolicyMismatch,
         LintCode::LearnWithoutAging,
     ];
 
@@ -170,7 +170,7 @@ impl LintCode {
             LintCode::UnmatchableEntry => "DJV203",
             LintCode::UnboundedRecirc => "DJV204",
             LintCode::RegisterHazard => "DJV301",
-            LintCode::LearnContractMismatch => "DJV302",
+            LintCode::LearnPolicyMismatch => "DJV302",
             LintCode::LearnWithoutAging => "DJV303",
         }
     }
@@ -209,7 +209,7 @@ impl LintCode {
             LintCode::UnmatchableEntry => "installed entry no feasible key value matches",
             LintCode::UnboundedRecirc => "resubmit/recirculate loop with no changing guard",
             LintCode::RegisterHazard => "register shared across pipelets with a writer",
-            LintCode::LearnContractMismatch => "digest layout disagrees with learn contract",
+            LintCode::LearnPolicyMismatch => "digest layout disagrees with learn policy",
             LintCode::LearnWithoutAging => "learn target table has no idle-timeout aging",
         }
     }
@@ -229,7 +229,7 @@ pub struct Diagnostic {
     /// Effective severity (after configuration).
     pub severity: Severity,
     /// The entity it anchors to: a table, action, control, parser vertex
-    /// (`header@offset`), register, learn contract (`<nf>/<stream>`), or
+    /// (`header@offset`), register, learn policy (`<nf>/<stream>`), or
     /// chain name.
     pub entity: String,
     /// Human-readable description of the defect.

@@ -22,10 +22,10 @@
 //!    recirculation demand is priced against the Wedge-100B loopback
 //!    provisioning (DJV102).
 //! 4. **Stateful NFs** — the three learn-path NFs (dynamic NAT, conntrack
-//!    firewall, affinity LB) get the per-program passes, and their declared
-//!    learn contracts are verified against their programs (DJV302), with
-//!    the documented idle-timeout recipe supplying the aged-table set
-//!    (DJV303).
+//!    firewall, affinity LB) get the per-program passes, and the learn
+//!    policies the control plane runs for them are verified against their
+//!    programs (DJV302), with the documented idle-timeout recipe supplying
+//!    the aged-table set (DJV303).
 //!
 //! Exit status is non-zero if any pass reports a finding at warning level
 //! or above (`Allow`-level advisories do not count), so the binary doubles
@@ -147,33 +147,33 @@ fn main() {
         lint_chain_budget(&chains, &placement, &spec),
     );
 
-    println!("\n== pass 4: stateful NFs and learn contracts ==");
-    let stateful: Vec<(NfModule, LearnContract, &str)> = vec![
+    println!("\n== pass 4: stateful NFs and learn policies ==");
+    let stateful: Vec<(NfModule, &str, LearnPolicy)> = vec![
         (
             dejavu_nf::nat::dynamic_nat(),
-            dejavu_nf::nat::nat_learn_contract(),
-            dejavu_nf::nat::NAT_IN_TABLE,
+            dejavu_nf::nat::NAT_FLOW_STREAM,
+            dejavu_nf::nat::nat_learn_policy(),
         ),
         (
             dejavu_nf::firewall::conntrack_firewall(),
-            dejavu_nf::firewall::conntrack_learn_contract(),
-            dejavu_nf::firewall::FW_CONN_TABLE,
+            dejavu_nf::firewall::FW_CONN_STREAM,
+            dejavu_nf::firewall::conntrack_learn_policy(),
         ),
         (
             dejavu_nf::load_balancer::affinity_lb(),
-            dejavu_nf::load_balancer::affinity_learn_contract(),
-            dejavu_nf::load_balancer::AFFINITY_TABLE,
+            dejavu_nf::load_balancer::AFFINITY_STREAM,
+            dejavu_nf::load_balancer::affinity_learn_policy(),
         ),
     ];
-    for (nf, contract, aged_table) in &stateful {
+    for (nf, stream, policy) in &stateful {
         tally(nf.name(), verify(nf.program()));
         // The documented deployment recipe ages every learned table
-        // (`Deployment::set_idle_timeout`); the contract check verifies the
+        // (`Deployment::set_idle_timeout`); the policy check verifies the
         // digest layout against the table/action it feeds.
-        let aged: BTreeSet<String> = [aged_table.to_string()].into();
+        let aged: BTreeSet<String> = [policy.table.clone()].into();
         tally(
-            &format!("{}/{} contract", contract.nf, contract.stream),
-            check_learn_contracts(nf.program(), std::slice::from_ref(contract), &aged),
+            &format!("{}/{stream} policy", nf.name()),
+            check_learn_policy(nf.program(), stream, policy, &aged),
         );
     }
 
@@ -191,5 +191,5 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!("\nOK: library, composed pipelets, budget and learn contracts all lint clean.");
+    println!("\nOK: library, composed pipelets, budget and learn policies all lint clean.");
 }

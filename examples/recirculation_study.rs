@@ -200,12 +200,9 @@ fn replay_fast_path() {
 /// measured depth distribution next to the analytic delivery-ratio model,
 /// exports the snapshot as JSON, and re-parses it as a self-check.
 fn telemetry_study() {
-    let mut sw = Switch::with_options(
-        TofinoProfile::wedge_100b_32x(),
-        SwitchOptions::new()
-            .trace_level(TraceLevel::Off)
-            .telemetry(true),
-    );
+    let mut sw = Switch::new(TofinoProfile::wedge_100b_32x());
+    sw.set_trace_level(TraceLevel::Off);
+    sw.set_telemetry(true);
     sw.load_program(PipeletId::ingress(0), hop_program())
         .expect("program loads");
     sw.load_program(PipeletId::ingress(1), hop_program())

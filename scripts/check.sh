@@ -8,7 +8,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace
 
 # Verifier gate: the NF library, the composed Fig. 2 pipelets, the
-# recirculation budget and the learn contracts must be finding-free at
+# recirculation budget and the NFs' learn policies must be finding-free at
 # warning level or above, over every pass of dejavu-lint. The binary exits
 # non-zero otherwise and always writes the findings artifact, which must be
 # valid JSON (an array of finding objects).
@@ -29,6 +29,16 @@ EOF
 if grep -rnE 'AnalysisCode|AnalysisConfig|AnalysisReport|AnalysisRejected|with_analysis_config|struct Finding' \
     crates/ tests/ examples/ --include=*.rs; then
     echo "a second diagnostics framework is back (see DESIGN.md, Diagnostic registry)" >&2
+    exit 1
+fi
+
+# One-source gate: a learn policy is the plain value both the learn loop
+# runs and DJV302 checks (no closure policy with a contract copied beside
+# it), and a switch is configured by its setters (no second builder or
+# whole-config struct to keep in step with them).
+if grep -rnE 'LearnContract|LearnResponse|impl LearnPolicy for|register_learn_contract|SwitchOptions|with_options|SwitchConfig|apply_config' \
+    crates/ tests/ examples/ --include=*.rs; then
+    echo "a setting has a second source again (see DESIGN.md, Configuration surface)" >&2
     exit 1
 fi
 

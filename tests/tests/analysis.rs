@@ -19,7 +19,8 @@
 use proptest::prelude::*;
 
 use dejavu_asic::{ExecMode, InjectedPacket, PipeletId, Switch, TofinoProfile};
-use dejavu_core::analyze::{analyze_pipelets, check_learn_contracts, LearnContract};
+use dejavu_core::analyze::{analyze_pipelets, check_learn_policy};
+use dejavu_core::control_plane::LearnPolicy;
 use dejavu_p4ir::analyze::{check, check_with_config};
 use dejavu_p4ir::builder::*;
 use dejavu_p4ir::lint::{LintCode, LintConfig};
@@ -217,7 +218,7 @@ fn djv301_register_hazard_fires() {
 
 #[test]
 fn djv302_learn_contract_mismatch_fires() {
-    // The digest carries (src_addr:32, port:16); the contract installs the
+    // The digest carries (src_addr:32, port:16); the policy installs the
     // 16-bit field into the 32-bit key.
     let p = eth_ip_base("t302")
         .header(well_known::tcp())
@@ -244,20 +245,18 @@ fn djv302_learn_contract_mismatch_fires() {
         .entry("ingress")
         .build()
         .unwrap();
-    let contract = LearnContract {
-        nf: "t302".into(),
-        stream: "flow".into(),
-        target_table: "sessions".into(),
-        target_action: "hit".into(),
+    let policy = LearnPolicy {
+        table: "sessions".into(),
+        action: "hit".into(),
         key_map: vec![1], // 16-bit digest field into the 32-bit key
         arg_map: vec![],
     };
     let aged = ["sessions".to_string()].into();
-    let report = check_learn_contracts(&p, &[contract], &aged);
+    let report = check_learn_policy(&p, "flow", &policy, &aged);
     let f = report
         .diagnostics
         .iter()
-        .find(|f| f.code == LintCode::LearnContractMismatch)
+        .find(|f| f.code == LintCode::LearnPolicyMismatch)
         .expect("DJV302 fires");
     assert_eq!(f.entity, "t302/flow");
     assert!(
@@ -274,11 +273,15 @@ fn djv302_learn_contract_mismatch_fires() {
 
 #[test]
 fn djv303_learn_without_aging_fires() {
-    // A perfectly conforming contract, but nobody enabled idle timeouts on
+    // The NAT's own policy conforms, but nobody enabled idle timeouts on
     // the learned table.
     let nf = dejavu_nf::nat::dynamic_nat();
-    let contract = dejavu_nf::nat::nat_learn_contract();
-    let report = check_learn_contracts(nf.program(), &[contract], &Default::default());
+    let report = check_learn_policy(
+        nf.program(),
+        dejavu_nf::nat::NAT_FLOW_STREAM,
+        &dejavu_nf::nat::nat_learn_policy(),
+        &Default::default(),
+    );
     let codes: Vec<_> = report.diagnostics.iter().map(|f| f.code).collect();
     assert_eq!(codes, vec![LintCode::LearnWithoutAging]);
     let f = &report.diagnostics[0];

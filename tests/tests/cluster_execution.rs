@@ -4,7 +4,6 @@
 
 use dejavu_asic::switch::Disposition;
 use dejavu_asic::{InjectedPacket, PipeletId, TofinoProfile};
-use dejavu_core::control_plane::LearnResponse;
 use dejavu_core::deploy::{DeployError, DeployOptions};
 use dejavu_core::multiswitch::{
     deploy_cluster, ClusterConfigError, ClusterNet, ClusterPlacement, ClusterWiring,
@@ -13,8 +12,13 @@ use dejavu_core::placement::Placement;
 use dejavu_core::transport::{spawn_cluster, ChannelTransport, ClusterError, ClusterOptions};
 use dejavu_core::{ChainPolicy, ChainSet, NfModule};
 use dejavu_integration::{encapsulated_packet, marker_nf, EXIT_PORT, IN_PORT};
-use dejavu_nf::nat::{dynamic_nat, nat_out_entry, NAT_FLOW_STREAM, NAT_OUT_TABLE};
+use dejavu_nf::nat::{
+    dynamic_nat, nat_learn_policy, nat_out_entry, NAT_FLOW_STREAM, NAT_IN_TABLE, NAT_OUT_TABLE,
+};
 use dejavu_nf::{classifier, router};
+
+/// The NAT's public address.
+const PUBLIC_IP: u32 = 0xc633_6401;
 
 fn six_nf_setup() -> (Vec<dejavu_core::NfModule>, ChainSet, ClusterPlacement) {
     let names: Vec<String> = (0..6).map(|i| format!("n{i}")).collect();
@@ -254,15 +258,13 @@ fn cluster_state_sync_spans_member_switches() {
 }
 
 // ---------------------------------------------------------------------
-// A learn policy that answers for another member's NF: the digest is
-// emitted by the NAT on member 1, the entry it asks for belongs to the
-// classifier on member 0. The controller routes the install by NF, not by
-// where the digest came from — on either driver.
+// The learn loop across members: the NAT on member 1 emits the digest, and
+// its entry lands in the NAT's table on member 1, never on member 0 — on
+// either driver.
 // ---------------------------------------------------------------------
 
-/// Runs the cross-member learn on a cluster driven by threads or stepped
-/// inline, and returns the thread the policy was called on.
-fn learn_across_members(threaded: bool) -> std::thread::ThreadId {
+/// Learns one NAT flow on a cluster driven by threads or stepped inline.
+fn learn_on_the_nat_member(threaded: bool) {
     let nfs: Vec<NfModule> = vec![classifier::classifier(), dynamic_nat(), router::router()];
     let refs: Vec<&NfModule> = nfs.iter().collect();
     let chains = ChainSet::new(vec![ChainPolicy::new(
@@ -306,25 +308,8 @@ fn learn_across_members(threaded: bool) -> std::thread::ThreadId {
     assert_eq!(net.switch_of("classifier"), Some(0));
     assert_eq!(net.switch_of("nat"), Some(1));
 
-    // The learned entry: a more specific classification for the flow's
-    // source, into the classifier's own table.
-    let learned = || classifier::classify_entry((0x0a01_0101, 32), (0, 0), 1, 200);
-    let (seen_tx, seen_rx) = std::sync::mpsc::channel();
-    net.register_learn_policy(
-        "nat",
-        NAT_FLOW_STREAM,
-        Box::new(move |_pipeline: usize, _values: &[dejavu_p4ir::Value]| {
-            let _ = seen_tx.send(std::thread::current().id());
-            LearnResponse {
-                install: vec![(
-                    "classifier".into(),
-                    classifier::CLASSIFY_TABLE.into(),
-                    learned(),
-                )],
-            }
-        }),
-    )
-    .unwrap();
+    net.register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy())
+        .unwrap();
     net.install(
         "classifier",
         classifier::CLASSIFY_TABLE,
@@ -334,7 +319,7 @@ fn learn_across_members(threaded: bool) -> std::thread::ThreadId {
     net.install(
         "nat",
         NAT_OUT_TABLE,
-        nat_out_entry((0x0a01_0000, 16), 0xc633_6401),
+        nat_out_entry((0x0a01_0000, 16), PUBLIC_IP),
     )
     .unwrap();
     net.install(
@@ -343,18 +328,17 @@ fn learn_across_members(threaded: bool) -> std::thread::ThreadId {
         router::route_entry((0, 0), EXIT_PORT, 0x0200_0000_0099, 0x0200_0000_0001),
     )
     .unwrap();
-    // Classifier entries per member (every segment carries the entry NF's
-    // table; only member 0's is the classifier's home).
-    let classified = |net: &mut ClusterNet| {
+    // Learned return entries per member.
+    let learned = |net: &mut ClusterNet| {
         let mut entries = [0usize; 2];
         for (member, _, snap) in net.snapshot_state().unwrap() {
-            if let Some(t) = snap.table("classifier__classify") {
+            if let Some(t) = snap.table(&format!("nat__{NAT_IN_TABLE}")) {
                 entries[member] += t.entries.len();
             }
         }
         entries
     };
-    assert_eq!(classified(&mut net), [1, 0]);
+    assert_eq!(learned(&mut net), [0, 0]);
 
     let flow = dejavu_traffic::PacketBuilder::tcp()
         .src_ip(0x0a01_0101)
@@ -368,17 +352,13 @@ fn learn_across_members(threaded: bool) -> std::thread::ThreadId {
 
     let report = net.process_digests().unwrap();
     assert_eq!(report.per_switch[1].digests, 1, "emitted on member 1");
-    assert_eq!(report.per_switch[0].installed, 1, "installed on member 0");
-    assert_eq!(report.per_switch[1].installed, 0);
-    assert_eq!(classified(&mut net), [2, 0], "the entry landed on member 0");
-    seen_rx.try_recv().expect("the policy ran")
+    assert_eq!(report.per_switch[1].installed, 1, "installed on member 1");
+    assert_eq!(report.per_switch[0].installed, 0);
+    assert_eq!(learned(&mut net), [0, 1], "the entry landed on member 1");
 }
 
 #[test]
 fn learned_entry_lands_on_the_member_that_owns_the_nf() {
-    // A `deploy_cluster` cluster has no thread of its own: the controller —
-    // and the policy it owns — runs on the caller's, inside the facade call.
-    let me = std::thread::current().id();
-    assert_eq!(learn_across_members(false), me);
-    assert_ne!(learn_across_members(true), me);
+    learn_on_the_nat_member(false);
+    learn_on_the_nat_member(true);
 }

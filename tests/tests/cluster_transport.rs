@@ -480,6 +480,39 @@ fn oversized_state_frames_are_refused_at_the_sender() {
     handle.shutdown().unwrap();
 }
 
+/// A command frame the link refuses is answered at once with the link's
+/// error, not left to time out: an install whose table name alone is past
+/// the frame ceiling fails as `Overlength`, and the member still takes the
+/// next install.
+#[test]
+fn refused_install_is_answered_with_the_transport_error() {
+    use dejavu_core::transport::wire::MAX_PAYLOAD;
+    use dejavu_core::transport::{ClusterError, TransportError, WireError};
+    use dejavu_p4ir::table::{KeyMatch, TableEntry};
+
+    let mut net = lockstep_cluster();
+    let pass = || TableEntry {
+        matches: vec![KeyMatch::Exact(dejavu_p4ir::Value::new(6, 8))],
+        action: "pass".into(),
+        action_args: vec![],
+        priority: 0,
+    };
+    let err = net
+        .install("n0", &"t".repeat(MAX_PAYLOAD + 1), pass())
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ClusterError::Transport(TransportError::Wire(WireError::Overlength {
+                max: MAX_PAYLOAD,
+                ..
+            }))
+        ),
+        "got {err}"
+    );
+    net.install("n0", "work", pass()).unwrap();
+}
+
 // ---------------------------------------------------------------------
 // Wiring validation (satellite: typed construction errors).
 // ---------------------------------------------------------------------

@@ -5,12 +5,15 @@
 
 use dejavu_asic::switch::Disposition;
 use dejavu_asic::{ExecMode, InjectedPacket, PipeletId, Switch, TofinoProfile};
-use dejavu_core::control_plane::ControlPlane;
+use dejavu_core::control_plane::{ControlPlane, LearnPolicy};
 use dejavu_core::deploy::{deploy, DeployOptions, Deployment};
 use dejavu_core::placement::Placement;
 use dejavu_core::routing::RoutingConfig;
 use dejavu_core::{ChainPolicy, ChainSet, NfModule};
 use dejavu_integration::{EXIT_PORT, IN_PORT, LOOPBACK_PORT_P0, LOOPBACK_PORT_P1};
+use dejavu_nf::firewall::{
+    conntrack_firewall, conntrack_learn_policy, outbound_entry, FW_CONN_STREAM, FW_OUT_TABLE,
+};
 use dejavu_nf::nat::{dynamic_nat, nat_learn_policy, nat_out_entry, NAT_FLOW_STREAM, NAT_IN_TABLE};
 use dejavu_nf::{classifier, router};
 
@@ -26,18 +29,26 @@ const CLIENT_PORT: u16 = 40001;
 /// same path (the classifier steers the internal prefix outbound and the
 /// server prefix back in).
 fn nat_testbed(mode: ExecMode) -> (Switch, Deployment) {
-    let nfs: Vec<NfModule> = vec![classifier::classifier(), dynamic_nat(), router::router()];
+    testbed(mode, false)
+}
+
+/// [`nat_testbed`], with a conntrack firewall between the NAT and the
+/// router when `conntrack`: it trusts the NAT's public address outbound and
+/// lets in only the return traffic of connections it learned.
+fn testbed(mode: ExecMode, conntrack: bool) -> (Switch, Deployment) {
+    let mut nfs: Vec<NfModule> = vec![classifier::classifier(), dynamic_nat(), router::router()];
+    let mut chain = vec!["classifier", "nat", "router"];
+    let mut egress = vec!["router"];
+    if conntrack {
+        nfs.push(conntrack_firewall());
+        chain.insert(2, "firewall");
+        egress.insert(0, "firewall");
+    }
     let nf_refs: Vec<&NfModule> = nfs.iter().collect();
-    let chains = ChainSet::new(vec![ChainPolicy::new(
-        1,
-        "nat_path",
-        vec!["classifier", "nat", "router"],
-        1.0,
-    )])
-    .unwrap();
+    let chains = ChainSet::new(vec![ChainPolicy::new(1, "nat_path", chain, 1.0)]).unwrap();
     let placement = Placement::sequential(vec![
         (PipeletId::ingress(0), vec!["classifier", "nat"]),
-        (PipeletId::egress(0), vec!["router"]),
+        (PipeletId::egress(0), egress),
     ]);
     let config = RoutingConfig {
         loopback_port: [(0usize, LOOPBACK_PORT_P0), (1usize, LOOPBACK_PORT_P1)]
@@ -88,6 +99,15 @@ fn nat_testbed(mode: ExecMode) -> (Switch, Deployment) {
         router::route_entry((0, 0), EXIT_PORT, 0x0200_0000_0099, 0x0200_0000_0001),
     )
     .unwrap();
+    if conntrack {
+        dep.install(
+            &mut switch,
+            "firewall",
+            FW_OUT_TABLE,
+            outbound_entry((PUBLIC_IP, 32)),
+        )
+        .unwrap();
+    }
     (switch, dep)
 }
 
@@ -225,43 +245,50 @@ fn dynamic_nat_end_to_end_compiled() {
 
 /// ROADMAP aim 3, "no silently lost flow": the digests are drained before
 /// the first install, so an install the switch refuses must not take the
-/// rest of the batch with it.
+/// rest of the batch with it. One outbound packet queues two digests on
+/// pipeline 0: the NAT's first, under a policy naming an action `nat_in`
+/// cannot run, then the conntrack firewall's.
 #[test]
 fn failed_install_does_not_discard_the_rest_of_the_learn_batch() {
-    let (mut switch, dep) = nat_testbed(ExecMode::Compiled);
+    let (mut switch, dep) = testbed(ExecMode::Compiled, true);
     let mut cp = ControlPlane::new();
-    // Digest 1 is answered with an entry naming an action the NAT does not
-    // define; every later one with the real policy's entry.
-    let mut real = nat_learn_policy();
-    let mut seen = 0;
-    cp.register_learn_policy(
-        "nat",
-        NAT_FLOW_STREAM,
-        Box::new(move |pipeline: usize, values: &[dejavu_p4ir::Value]| {
-            let mut resp = real.on_digest(pipeline, values);
-            seen += 1;
-            if seen == 1 {
-                resp.install[0].2.action = "no_such_action".into();
-            }
-            resp
-        }),
-    );
-    for port in [CLIENT_PORT, CLIENT_PORT + 1] {
-        switch
-            .inject(InjectedPacket::new(outbound_from(port), IN_PORT))
-            .unwrap();
-    }
-    assert_eq!(switch.digest_backlog(0), 2);
+    let unrunnable = LearnPolicy {
+        action: "learn_and_rewrite".into(),
+        ..nat_learn_policy()
+    };
+    cp.register_learn_policy("nat", NAT_FLOW_STREAM, unrunnable);
+    cp.register_learn_policy("firewall", FW_CONN_STREAM, conntrack_learn_policy());
+    // Unsolicited return traffic is dropped by the firewall.
+    let t = switch
+        .inject(InjectedPacket::new(return_packet(), IN_PORT))
+        .unwrap();
+    assert_eq!(t.disposition, Disposition::Dropped);
+    switch
+        .inject(InjectedPacket::new(outbound_packet(), IN_PORT))
+        .unwrap();
+    let queued: Vec<String> = switch
+        .clone()
+        .drain_digests()
+        .into_iter()
+        .map(|(_, r)| r.name)
+        .collect();
+    assert_eq!(queued, ["nat__nat_flow", "firewall__conn"]);
 
     let err = cp.process_digests(&mut switch, &dep).unwrap_err();
-    assert!(err.to_string().contains("no_such_action"), "{err}");
+    assert!(err.to_string().contains("learn_and_rewrite"), "{err}");
     assert_eq!(switch.digest_backlog(0), 0);
     assert_eq!((cp.stats.digests, cp.stats.learns), (2, 1));
-    assert!(!return_translates(&mut switch, CLIENT_PORT));
-    assert!(
-        return_translates(&mut switch, CLIENT_PORT + 1),
-        "flow 2 was drained from the switch and never learned"
+    // The firewall learned the connection after the refusal and lets the
+    // return in; the NAT learned nothing, so it is not translated.
+    let t = switch
+        .inject(InjectedPacket::new(return_packet(), IN_PORT))
+        .unwrap();
+    assert_eq!(
+        t.disposition,
+        Disposition::Emitted { port: EXIT_PORT },
+        "the firewall's digest was drained and never learned"
     );
+    assert_eq!(ip_at(&t.final_bytes, 30), PUBLIC_IP);
 }
 
 /// The learn/age loop costs what it does, not what the table holds: with a

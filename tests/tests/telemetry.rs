@@ -49,12 +49,9 @@ fn router() -> dejavu_p4ir::Program {
 }
 
 fn testbed(telemetry: bool) -> Switch {
-    let mut sw = Switch::with_options(
-        TofinoProfile::wedge_100b_32x(),
-        SwitchOptions::new()
-            .trace_level(TraceLevel::Off)
-            .telemetry(telemetry),
-    );
+    let mut sw = Switch::new(TofinoProfile::wedge_100b_32x());
+    sw.set_trace_level(TraceLevel::Off);
+    sw.set_telemetry(telemetry);
     sw.load_program(PipeletId::ingress(0), router()).unwrap();
     // Half the 10.x space forwards, so generated flows both hit and miss.
     sw.install_entry(
