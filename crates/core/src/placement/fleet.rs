@@ -1,12 +1,14 @@
 //! The fleet model: placements over back-to-back switches, the one
 //! objective and the one feasibility rule (see the [module doc](super)).
 
-use super::{walk, Placement, PlacementError, PlacementProblem, RecircGranularity};
+use super::{Placement, PlacementError, PlacementProblem, RecircGranularity, Visit, Walk};
 use crate::chain::{ChainPolicy, ChainSet};
+use crate::compose::CompositionMode;
 use dejavu_asic::{PipeletId, TimingModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Placement over a back-to-back cluster: one single-switch placement per
 /// member, plus the switch each NF is pinned to.
@@ -17,16 +19,186 @@ pub struct ClusterPlacement {
 }
 
 impl ClusterPlacement {
-    /// Which switch hosts an NF.
+    /// Which switch hosts an NF (the first, if several list it).
     pub fn switch_of(&self, nf: &str) -> Option<usize> {
-        locate(&self.switches, nf).map(|(sw, _)| sw)
+        self.switches.iter().position(|p| p.location(nf).is_some())
     }
 }
 
-/// The first `(switch, pipelet)` hosting an NF.
-pub(super) fn locate(switches: &[Placement], nf: &str) -> Option<FleetSlot> {
-    let mut hosts = switches.iter().enumerate();
-    hosts.find_map(|(sw, p)| Some((sw, p.location(nf)?)))
+/// A fleet's chains on indices, derived once per problem: the NFs to place
+/// in canonical order (an NF's index is its position), each one's stage
+/// demand, and each chain as a run of NF indices. Candidates are located
+/// against it and never name an NF again.
+pub(super) struct Interned<'a> {
+    /// Stage budgets, framework costs, entry/exit pipelines and weights.
+    t: &'a PlacementProblem,
+    /// The NFs in canonical (first-appearance) order.
+    pub(super) nfs: Vec<&'a str>,
+    /// Name → index into `nfs`.
+    index: BTreeMap<&'a str, usize>,
+    /// Per NF: the stages it takes on a pipelet ([`PlacementProblem::nf_demand`]).
+    demand: Vec<u32>,
+    /// Every chain's NF indices, chain after chain.
+    members: Vec<usize>,
+    /// Per chain: the policy (name, weight) and its run of `members`.
+    chains: Vec<(&'a ChainPolicy, Range<usize>)>,
+}
+
+impl<'a> Interned<'a> {
+    /// Interns `chains` under `t`'s stage data and weights.
+    pub(super) fn new(t: &'a PlacementProblem, chains: &'a [ChainPolicy]) -> Self {
+        let mut fleet = Interned {
+            t,
+            nfs: Vec::new(),
+            index: BTreeMap::new(),
+            demand: Vec::new(),
+            members: Vec::new(),
+            chains: Vec::with_capacity(chains.len()),
+        };
+        for chain in chains {
+            let start = fleet.members.len();
+            for nf in &chain.nfs {
+                let next = fleet.nfs.len();
+                let i = *fleet.index.entry(nf.as_str()).or_insert(next);
+                if i == next {
+                    fleet.nfs.push(nf);
+                    fleet.demand.push(t.nf_demand(nf));
+                }
+                fleet.members.push(i);
+            }
+            fleet.chains.push((chain, start..fleet.members.len()));
+        }
+        fleet
+    }
+
+    /// Reorders NFs within each pipelet into canonical order; NFs on no
+    /// chain go last, in the order they were listed.
+    pub(super) fn canonicalize(&self, mut placement: Placement) -> Placement {
+        for nfs in placement.pipelets.values_mut() {
+            nfs.sort_by_key(|n| self.index.get(n.as_str()).copied().unwrap_or(usize::MAX));
+        }
+        placement
+    }
+}
+
+/// One slot of a located candidate: where it is and what it holds.
+struct Slot {
+    /// The member and pipelet.
+    at: FleetSlot,
+    /// NFs hosted.
+    hosted: usize,
+    /// Σ of their [`PlacementProblem::nf_demand`]s.
+    load: u32,
+}
+
+/// One candidate located on an [`Interned`] fleet: per slot, the count and
+/// stage load of what it hosts; per interned NF, the slot and position of
+/// its first host. The one feasibility rule, the one objective and the one
+/// walk read only this. A search refills one view per proposal
+/// ([`assign`](Self::assign)); the `&Placement` API builds one from the
+/// placement ([`of`](Self::of)), which can also say what an assignment
+/// cannot: parallel pipelets, any slot order, NFs on no chain, an NF
+/// listed twice.
+#[derive(Default)]
+pub(super) struct Located {
+    /// Every slot, member-major.
+    slots: Vec<Slot>,
+    /// Number of members.
+    switches: usize,
+    /// Slots composed in parallel; every other slot is sequential.
+    parallel: Vec<FleetSlot>,
+    /// Per interned NF: `(slot, position)` of its first host.
+    at: Vec<Option<(usize, usize)>>,
+    /// Whether every interned NF sits on exactly one member.
+    placed_once: bool,
+}
+
+impl Located {
+    /// An empty view over `slots`, for [`assign`](Self::assign) to refill.
+    pub(super) fn for_assignments(fleet: &Interned, slots: &[FleetSlot], switches: usize) -> Self {
+        let empty = |&at| Slot {
+            at,
+            hosted: 0,
+            load: 0,
+        };
+        Located {
+            slots: slots.iter().map(empty).collect(),
+            switches,
+            parallel: Vec::new(),
+            at: vec![None; fleet.nfs.len()],
+            placed_once: true,
+        }
+    }
+
+    /// Locates an assignment vector: NF `i` goes to slot `assignment[i]`,
+    /// after every lower-indexed NF there (so in canonical order).
+    pub(super) fn assign(&mut self, fleet: &Interned, assignment: &[usize]) {
+        for slot in &mut self.slots {
+            (slot.hosted, slot.load) = (0, 0);
+        }
+        for ((at, &i), &demand) in self.at.iter_mut().zip(assignment).zip(&fleet.demand) {
+            let slot = &mut self.slots[i];
+            *at = Some((i, slot.hosted));
+            slot.hosted += 1;
+            slot.load += demand;
+        }
+    }
+
+    /// Locates placements in one pass: every listed pipelet is a slot, and
+    /// an NF listed more than once is where it is listed first.
+    pub(super) fn of(fleet: &Interned, switches: &[Placement]) -> Self {
+        let mut view = Located {
+            switches: switches.len(),
+            at: vec![None; fleet.nfs.len()],
+            placed_once: true,
+            ..Located::default()
+        };
+        for (sw, placement) in switches.iter().enumerate() {
+            for (&pipelet, nfs) in &placement.pipelets {
+                let slot = view.slots.len();
+                view.slots.push(Slot {
+                    at: (sw, pipelet),
+                    hosted: nfs.len(),
+                    load: nfs.iter().map(|n| fleet.t.nf_demand(n)).sum(),
+                });
+                if placement.mode(pipelet) == CompositionMode::Parallel {
+                    view.parallel.push((sw, pipelet));
+                }
+                for (position, nf) in nfs.iter().enumerate() {
+                    let Some(&i) = fleet.index.get(nf.as_str()) else {
+                        continue;
+                    };
+                    match view.at[i] {
+                        None => view.at[i] = Some((slot, position)),
+                        Some((first, _)) => view.placed_once &= view.slots[first].at.0 == sw,
+                    }
+                }
+            }
+        }
+        view.placed_once &= view.at.iter().all(Option::is_some);
+        view
+    }
+
+    /// How `pipelet` on member `sw` composes its NFs.
+    fn mode(&self, sw: usize, pipelet: PipeletId) -> CompositionMode {
+        if self.parallel.contains(&(sw, pipelet)) {
+            CompositionMode::Parallel
+        } else {
+            CompositionMode::Sequential
+        }
+    }
+
+    /// Member and visit of an interned NF, if it is placed.
+    fn host(&self, nf: usize) -> Option<(usize, Visit)> {
+        let (slot, position) = self.at[nf]?;
+        let (sw, pipelet) = self.slots[slot].at;
+        Some((sw, (pipelet, position)))
+    }
+
+    /// The slot an interned NF is first hosted in.
+    pub(super) fn slot_of(&self, nf: usize) -> Option<FleetSlot> {
+        self.host(nf).map(|(sw, (pipelet, _))| (sw, pipelet))
+    }
 }
 
 /// Cost of one chain over a cluster.
@@ -84,7 +256,11 @@ impl ClusterProblem {
         chain: &ChainPolicy,
         placement: &ClusterPlacement,
     ) -> Result<ClusterCost, PlacementError> {
-        chain_cost(&self.template, chain, &placement.switches, false)
+        let t = &self.template;
+        let fleet = Interned::new(t, std::slice::from_ref(chain));
+        let view = Located::of(&fleet, &placement.switches);
+        let ends = (t.entry_pipeline, t.exit_pipeline);
+        chain_cost(&fleet, 0, &view, ends, RecircGranularity::PerPort, false)
     }
 
     /// Greedy spill placement: fill switch 0's pipelets with the
@@ -135,13 +311,7 @@ impl ClusterProblem {
             .template
             .stages_per_pipelet
             .saturating_sub(self.template.framework_stages_fixed);
-        let mut sizes: Vec<u32> = nfs
-            .iter()
-            .map(|n| {
-                self.template.nf_stages.get(n).copied().unwrap_or(1)
-                    + self.template.framework_stages_per_nf
-            })
-            .collect();
+        let mut sizes: Vec<u32> = nfs.iter().map(|n| self.template.nf_demand(n)).collect();
         sizes.sort_unstable_by(|a, b| b.cmp(a));
         let mut load = vec![0u32; bins];
         'items: for size in sizes {
@@ -175,56 +345,55 @@ impl ClusterProblem {
     }
 }
 
-/// The one per-chain evaluator: locates every NF once, then walks each
-/// maximal run of the chain on one switch — a slice of the visit list — with
-/// the single-switch traversal model. Unplaced NFs are passed over with
+/// The one per-chain evaluator: reads where chain `chain` of `fleet` is
+/// hosted off the view and walks each maximal run of it on one switch with
+/// the single-switch traversal model, entering and leaving every switch at
+/// `ends` (entry and exit pipeline; refining them per segment is future work
+/// mirrored from the paper's). Unplaced NFs are passed over with
 /// `skip_unplaced` and an error otherwise.
-fn chain_cost(
-    t: &PlacementProblem,
-    chain: &ChainPolicy,
-    switches: &[Placement],
+pub(super) fn chain_cost(
+    fleet: &Interned,
+    chain: usize,
+    view: &Located,
+    ends: (usize, usize),
+    granularity: RecircGranularity,
     skip_unplaced: bool,
 ) -> Result<ClusterCost, PlacementError> {
-    let (mut hosts, mut visits) = (Vec::new(), Vec::new());
-    for nf in &chain.nfs {
-        match locate(switches, nf) {
-            Some((sw, pipelet)) => {
-                hosts.push(sw);
-                visits.push((nf, pipelet));
+    let (policy, members) = &fleet.chains[chain];
+    let mut walk = Walk::enter(ends, granularity);
+    let mut hops = 0u32;
+    // The switch the walk is on.
+    let mut on: Option<usize> = None;
+    for &nf in &fleet.members[members.clone()] {
+        let Some((sw, visit)) = view.host(nf) else {
+            if skip_unplaced {
+                continue;
             }
-            None if skip_unplaced => {}
-            None => return Err(PlacementError::UnplacedNf(nf.clone())),
-        }
-    }
-    let mut cost = ClusterCost::default();
-    let (mut start, mut prev) = (0, None);
-    for run in hosts.chunk_by(|a, b| a == b) {
-        let sw = run[0];
-        // Inter-switch hops: 1 per forward transition, 2 per backward
-        // (round trip through the chain of switches is modelled coarsely).
-        if let Some(prev) = prev {
-            let hops = if sw >= prev {
+            return Err(PlacementError::UnplacedNf(fleet.nfs[nf].to_string()));
+        };
+        if let Some(prev) = on.filter(|&prev| prev != sw) {
+            walk.leave();
+            // Inter-switch hops: 1 per forward transition, 2 per backward
+            // (round trip through the chain of switches is modelled coarsely).
+            let moved = if sw >= prev {
                 sw - prev
             } else {
                 2 * (prev - sw)
             };
-            cost.inter_switch_hops += hops as u32;
+            hops += moved as u32;
         }
-        // Entry/exit pipelines: use the template defaults; refining per
-        // segment is future work mirrored from the paper's.
-        let c = walk(
-            &chain.name,
-            &visits[start..start + run.len()],
-            &switches[sw],
-            (t.entry_pipeline, t.exit_pipeline),
-            RecircGranularity::PerPort,
-        )?;
-        cost.recirculations += c.recirculations;
-        cost.resubmissions += c.resubmissions;
-        start += run.len();
-        prev = Some(sw);
+        on = Some(sw);
+        walk.visit(visit, view.mode(sw, visit.0))
+            .map_err(|()| PlacementError::TraversalDiverged(policy.name.clone()))?;
     }
-    Ok(cost)
+    if on.is_some() {
+        walk.leave();
+    }
+    Ok(ClusterCost {
+        recirculations: walk.cost.recirculations,
+        resubmissions: walk.cost.resubmissions,
+        inter_switch_hops: hops,
+    })
 }
 
 /// Latency estimate for a chain over a cluster: per-pipelet traversals plus
@@ -274,28 +443,28 @@ pub struct FleetScore {
 /// are no hops, and the paper's objective has no pressure term.
 pub(super) const SINGLE: (f64, f64) = (0.0, 0.0);
 
-/// The one objective over the switches of a placement — the only place a
-/// weight multiplies a count. `(hop_weight, pressure_weight)` are the
-/// fleet's, or [`SINGLE`]; `skip_unplaced` prices a partial placement
-/// (greedy construction).
+/// The one objective over a located candidate — the only place a weight
+/// multiplies a count. `(hop_weight, pressure_weight)` are the fleet's, or
+/// [`SINGLE`]; `skip_unplaced` prices a partial placement (greedy
+/// construction).
 pub(super) fn score(
-    t: &PlacementProblem,
+    fleet: &Interned,
     (hop_weight, pressure_weight): (f64, f64),
-    switches: &[Placement],
+    view: &Located,
     skip_unplaced: bool,
 ) -> Result<FleetScore, PlacementError> {
+    let t = fleet.t;
     // The quadratic stage-pressure term: Σ over switches of (stage demand
     // / stage capacity)². Convex, so balanced fleets score lower than
     // concentrated ones at equal total demand.
     let capacity = f64::from(t.stages_per_pipelet) * (2 * t.pipelines) as f64;
-    let pressure = switches
-        .iter()
-        .map(|p| {
-            let demand: u32 = p
-                .pipelets
-                .values()
-                .map(|nfs| t.pipelet_stage_demand(nfs))
-                .sum();
+    let mut slots = view.slots.iter().peekable();
+    let pressure = (0..view.switches)
+        .map(|sw| {
+            let mut demand = 0;
+            while let Some(slot) = slots.next_if(|slot| slot.at.0 == sw) {
+                demand += t.stage_demand(slot.hosted, slot.load);
+            }
             let util = f64::from(demand) / capacity;
             util * util
         })
@@ -304,8 +473,16 @@ pub(super) fn score(
         pressure,
         ..FleetScore::default()
     };
-    for chain in &t.chains.chains {
-        let c = chain_cost(t, chain, switches, skip_unplaced)?;
+    let ends = (t.entry_pipeline, t.exit_pipeline);
+    for (i, (chain, _)) in fleet.chains.iter().enumerate() {
+        let c = chain_cost(
+            fleet,
+            i,
+            view,
+            ends,
+            RecircGranularity::PerPort,
+            skip_unplaced,
+        )?;
         score.recirculations += c.recirculations;
         score.resubmissions += c.resubmissions;
         score.inter_switch_hops += c.inter_switch_hops;
@@ -318,29 +495,27 @@ pub(super) fn score(
     Ok(score)
 }
 
-/// The one feasibility rule over the switches of a placement: every NF of
-/// `nfs` (the chains' NFs) placed exactly once, every pipelet within its
-/// stage budget, and every chain visiting switches in non-decreasing order
-/// (the back-to-back wiring `deploy_cluster` builds is forward-only, so a
+/// The one feasibility rule over a located candidate: every interned NF
+/// (the chains' NFs) on exactly one switch, every pipelet within its stage
+/// budget, and every chain visiting switches in non-decreasing order (the
+/// back-to-back wiring `deploy_cluster` builds is forward-only, so a
 /// non-monotone "optimum" would be undeployable).
-pub(super) fn feasible(t: &PlacementProblem, nfs: &[String], switches: &[Placement]) -> bool {
-    let placed_once =
-        |nf: &String| switches.iter().filter(|p| p.location(nf).is_some()).count() == 1;
-    let monotone = |chain: &ChainPolicy| {
+pub(super) fn feasible(fleet: &Interned, view: &Located) -> bool {
+    let t = fleet.t;
+    let fits = |slot: &Slot| t.stage_demand(slot.hosted, slot.load) <= t.stages_per_pipelet;
+    let monotone = |(_, members): &(&ChainPolicy, Range<usize>)| {
         let mut last = 0usize;
-        chain.nfs.iter().all(|nf| match locate(switches, nf) {
-            Some((sw, _)) if sw >= last => {
-                last = sw;
-                true
-            }
-            _ => false,
-        })
-    };
-    nfs.iter().all(placed_once)
-        && switches
+        fleet.members[members.clone()]
             .iter()
-            .all(|p| p.pipelets.values().all(|nfs| t.fits(nfs)))
-        && t.chains.chains.iter().all(monotone)
+            .all(|&nf| match view.host(nf) {
+                Some((sw, _)) if sw >= last => {
+                    last = sw;
+                    true
+                }
+                _ => false,
+            })
+    };
+    view.placed_once && view.slots.iter().all(fits) && fleet.chains.iter().all(monotone)
 }
 
 impl FleetProblem {
@@ -392,15 +567,22 @@ impl FleetProblem {
 
     /// Fleet feasibility — the [module doc](super)'s one rule.
     pub fn feasible(&self, placement: &ClusterPlacement) -> bool {
-        feasible(&self.cluster.template, &self.nfs(), &placement.switches)
+        let fleet = self.cluster.template.interned();
+        feasible(&fleet, &Located::of(&fleet, &placement.switches))
     }
 
     /// Evaluates the full fleet objective. Errors if a chain NF is
     /// unplaced or a traversal diverges; callers gate on
     /// [`feasible`](Self::feasible) first.
     pub fn score(&self, placement: &ClusterPlacement) -> Result<FleetScore, PlacementError> {
-        let weights = (self.cluster.hop_weight, self.pressure_weight);
-        score(&self.cluster.template, weights, &placement.switches, false)
+        let fleet = self.cluster.template.interned();
+        let view = Located::of(&fleet, &placement.switches);
+        score(&fleet, self.weights(), &view, false)
+    }
+
+    /// `(hop_weight, pressure_weight)` of the objective.
+    pub(super) fn weights(&self) -> (f64, f64) {
+        (self.cluster.hop_weight, self.pressure_weight)
     }
 
     /// A starting placement: the cluster greedy-spill heuristic when it

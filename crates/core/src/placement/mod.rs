@@ -29,6 +29,18 @@
 //! non-decreasing order (the wiring `deploy_cluster` builds is forward-only).
 //! At M = 1 that is "everything placed and everything fits".
 //!
+//! The objective, the rule and the traversal model read a *located view*
+//! of a candidate, never its NF names: the chains are interned once per
+//! problem (NF index, stage demand, each chain as NF indices), and the view
+//! holds each slot's NF count and stage load and each NF's slot and
+//! position. A search refills one view from every assignment vector it
+//! proposes and decodes only the placement it returns; the `&Placement`
+//! API ([`FleetProblem::score`], [`PlacementProblem::cost`], [`traverse`],
+//! …) builds the view from the placement in one pass, keeping what only a
+//! placement can say — parallel pipelets, any slot order, NFs on no chain
+//! (they still take stages), and an NF listed twice (its first listing
+//! counts).
+//!
 //! **One enumerator**, [`ExhaustiveSearch`], behind the [`PlacementSearch`]
 //! trait it shares with the seeded [`AnnealingSearch`] and [`SwarmSearch`].
 //!
@@ -59,6 +71,7 @@ pub use search::{AnnealingSearch, ExhaustiveSearch, PlacementSearch, SearchOutco
 use crate::chain::{ChainPolicy, ChainSet};
 use crate::compose::CompositionMode;
 use dejavu_asic::{Gress, PipeletId};
+use fleet::{Interned, Located};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -173,19 +186,25 @@ impl Placement {
     }
 
     /// Whether a pass through `pipelet` can still run the NF in `slot`,
-    /// given the slot of the last NF this pass ran (`None` before any): a
-    /// sequential pipelet runs later slots only, a parallel one a single NF
-    /// per pass. The traversal model and routing synthesis both ask here.
+    /// given the slot of the last NF this pass ran (`None` before any).
+    /// Routing synthesis asks here; the traversal model asks [`pass_can_run`]
+    /// with the mode its located view holds.
     pub(crate) fn pass_can_run(
         &self,
         pipelet: PipeletId,
         last: Option<usize>,
         slot: usize,
     ) -> bool {
-        match self.mode(pipelet) {
-            CompositionMode::Sequential => last.is_none_or(|l| slot > l),
-            CompositionMode::Parallel => last.is_none(),
-        }
+        pass_can_run(self.mode(pipelet), last, slot)
+    }
+}
+
+/// The one "can this pass run the NF" rule: a sequential pipelet runs later
+/// slots only, a parallel one a single NF per pass.
+fn pass_can_run(mode: CompositionMode, last: Option<usize>, slot: usize) -> bool {
+    match mode {
+        CompositionMode::Sequential => last.is_none_or(|l| slot > l),
+        CompositionMode::Parallel => last.is_none(),
     }
 }
 
@@ -255,111 +274,131 @@ pub fn traverse_with(
     skip_unplaced: bool,
     granularity: RecircGranularity,
 ) -> Result<TraversalCost, PlacementError> {
-    let mut visits = Vec::new();
-    for nf in &chain.nfs {
-        match placement.location(nf) {
-            Some(loc) => visits.push((nf, loc)),
-            None if skip_unplaced => {}
-            None => return Err(PlacementError::UnplacedNf(nf.clone())),
-        }
-    }
+    // The model needs no stage data: the chain is interned on its own.
+    let stageless = PlacementProblem::new(ChainSet { chains: Vec::new() }, BTreeMap::new());
+    let fleet = Interned::new(&stageless, std::slice::from_ref(chain));
+    let view = Located::of(&fleet, std::slice::from_ref(placement));
     let ends = (entry_pipeline, exit_pipeline);
-    walk(&chain.name, &visits, placement, ends, granularity)
+    let c = fleet::chain_cost(&fleet, 0, &view, ends, granularity, skip_unplaced)?;
+    Ok(TraversalCost {
+        recirculations: c.recirculations,
+        resubmissions: c.resubmissions,
+    })
 }
 
-/// An NF a chain visits and the pipelet hosting it.
-type Visit<'a> = (&'a String, PipeletId);
+/// An NF a chain visits: the pipelet hosting it and its position there.
+type Visit = (PipeletId, usize);
 
-/// The traversal model proper, over a run of visits on one switch — a whole
-/// chain, or the part of one a cluster member hosts. `chain` only names the
-/// chain in errors.
-fn walk(
-    chain: &str,
-    visits: &[Visit<'_>],
-    placement: &Placement,
-    (entry_pipeline, exit_pipeline): (usize, usize),
+/// The traversal model proper: a packet walking a chain, fed one [`Visit`]
+/// at a time, through one switch per run of visits — the whole chain, or
+/// the part of it each cluster member hosts.
+struct Walk {
+    /// Pipelines where the packet enters a switch and where it leaves one.
+    ends: (usize, usize),
     granularity: RecircGranularity,
-) -> Result<TraversalCost, PlacementError> {
-    let mut cost = TraversalCost::default();
-    let mut cur = PipeletId::ingress(entry_pipeline);
-    let mut idx = 0usize;
-    // Slot of the last NF the current pass ran.
-    let mut last: Option<usize> = None;
+    /// The pipelet the packet is in.
+    cur: PipeletId,
+    /// Slot of the last NF the current pass ran.
+    last: Option<usize>,
+    /// Moves and passes on this switch, against a runaway model.
+    steps: usize,
+    /// Loops taken so far, across switches.
+    cost: TraversalCost,
+}
 
-    let mut steps = 0usize;
-    while idx < visits.len() {
-        steps += 1;
-        if steps > 10_000 {
-            return Err(PlacementError::TraversalDiverged(chain.to_string()));
+impl Walk {
+    /// A packet arriving from outside on the entry pipeline of `ends`.
+    fn enter(ends: (usize, usize), granularity: RecircGranularity) -> Self {
+        Walk {
+            ends,
+            granularity,
+            cur: PipeletId::ingress(ends.0),
+            last: None,
+            steps: 0,
+            cost: TraversalCost::default(),
         }
-        let (nf, target) = visits[idx];
-        if target == cur {
-            // Can this pass still run the NF?
-            let hosted = &placement.pipelets[&cur];
-            let slot = hosted
-                .iter()
-                .position(|n| n == nf)
-                .expect("visit is hosted");
-            if placement.pass_can_run(cur, last, slot) {
-                last = Some(slot);
-                idx += 1;
+    }
+
+    /// Moves the packet until a pass has run the NF at `slot` of `target`,
+    /// a pipelet composed in `mode`. Errs (with nothing to say) when the
+    /// model has taken more than 10 000 steps on this switch.
+    fn visit(&mut self, (target, slot): Visit, mode: CompositionMode) -> Result<(), ()> {
+        loop {
+            self.steps += 1;
+            if self.steps > 10_000 {
+                return Err(());
+            }
+            let cur = self.cur;
+            if target == cur {
+                // Can this pass still run the NF?
+                if pass_can_run(mode, self.last, slot) {
+                    self.last = Some(slot);
+                    return Ok(());
+                }
+                // Same pipelet but needs a fresh pass.
+                match cur.gress {
+                    Gress::Ingress => {
+                        self.cost.resubmissions += 1;
+                    }
+                    Gress::Egress => {
+                        // Recirculate to our own ingress, pass through, and
+                        // return: egress→ingress costs one recirculation; the
+                        // ingress→egress hop is free.
+                        self.cost.recirculations += 1;
+                    }
+                }
+                self.last = None;
                 continue;
             }
-            // Same pipelet but needs a fresh pass.
-            match cur.gress {
-                Gress::Ingress => {
-                    cost.resubmissions += 1;
+            // Move toward the target pipelet.
+            match (cur.gress, target.gress) {
+                (Gress::Ingress, Gress::Egress) => {
+                    self.cur = target; // TM crossing, free
                 }
-                Gress::Egress => {
-                    // Recirculate to our own ingress, pass through, and
-                    // return: egress→ingress costs one recirculation; the
-                    // ingress→egress hop is free.
-                    cost.recirculations += 1;
+                (Gress::Ingress, Gress::Ingress) => {
+                    // Must loop through the target pipeline's loopback port:
+                    // TM → egress(target) [pass-through] → recirc → ingress(target).
+                    self.cost.recirculations += 1;
+                    self.cur = target;
+                }
+                (Gress::Egress, Gress::Ingress)
+                    if self.granularity == RecircGranularity::PerPacket =>
+                {
+                    // Per-packet granularity: the packet chooses its next
+                    // pipeline after egress processing — one recirculation
+                    // lands it in the target ingress directly.
+                    self.cost.recirculations += 1;
+                    self.cur = target;
+                }
+                (Gress::Egress, _) => {
+                    // Per-port hardware: the only way out of an egress pipe is
+                    // recirculating to the own pipeline's ingress.
+                    self.cost.recirculations += 1;
+                    self.cur = PipeletId::ingress(cur.pipeline);
                 }
             }
-            last = None;
-            continue;
+            self.last = None;
         }
-        // Move toward the target pipelet.
-        match (cur.gress, target.gress) {
-            (Gress::Ingress, Gress::Egress) => {
-                cur = target; // TM crossing, free
-            }
-            (Gress::Ingress, Gress::Ingress) => {
-                // Must loop through the target pipeline's loopback port:
-                // TM → egress(target) [pass-through] → recirc → ingress(target).
-                cost.recirculations += 1;
-                cur = target;
-            }
-            (Gress::Egress, Gress::Ingress) if granularity == RecircGranularity::PerPacket => {
-                // Per-packet granularity: the packet chooses its next
-                // pipeline after egress processing — one recirculation
-                // lands it in the target ingress directly.
-                cost.recirculations += 1;
-                cur = target;
-            }
-            (Gress::Egress, _) => {
-                // Per-port hardware: the only way out of an egress pipe is
-                // recirculating to the own pipeline's ingress.
-                cost.recirculations += 1;
-                cur = PipeletId::ingress(cur.pipeline);
-            }
-        }
-        last = None;
     }
 
-    // Exit: reach a port on `exit_pipeline`'s egress pipe.
-    match cur.gress {
-        Gress::Ingress => {} // TM forwards to any egress for free
-        Gress::Egress => {
-            if cur.pipeline != exit_pipeline && granularity == RecircGranularity::PerPort {
-                cost.recirculations += 1; // loop home, then TM to the exit pipe
+    /// Takes the packet to a port on the exit pipeline's egress pipe; a
+    /// further visit enters the next switch on the entry pipeline.
+    fn leave(&mut self) {
+        let (entry_pipeline, exit_pipeline) = self.ends;
+        match self.cur.gress {
+            Gress::Ingress => {} // TM forwards to any egress for free
+            Gress::Egress => {
+                if self.cur.pipeline != exit_pipeline
+                    && self.granularity == RecircGranularity::PerPort
+                {
+                    self.cost.recirculations += 1; // loop home, then TM to the exit pipe
+                }
+                // Per-packet granularity: the packet may be emitted directly
+                // after egress processing — no positioning loop needed.
             }
-            // Per-packet granularity: the packet may be emitted directly
-            // after egress processing — no positioning loop needed.
         }
+        (self.cur, self.last, self.steps) = (PipeletId::ingress(entry_pipeline), None, 0);
     }
-    Ok(cost)
 }
 
 /// Resource surrogate + instance description for the optimizers.
@@ -412,14 +451,23 @@ impl PlacementProblem {
 
     /// Stage demand of hosting `nfs` on one pipelet (sequential surrogate).
     pub fn pipelet_stage_demand(&self, nfs: &[String]) -> u32 {
-        if nfs.is_empty() {
-            return 0;
+        let load = nfs.iter().map(|n| self.nf_demand(n)).sum();
+        self.stage_demand(nfs.len(), load)
+    }
+
+    /// Stages one hosted NF takes: its span plus its framework stages.
+    fn nf_demand(&self, nf: &str) -> u32 {
+        self.nf_stages.get(nf).copied().unwrap_or(1) + self.framework_stages_per_nf
+    }
+
+    /// Stage demand of a pipelet hosting `hosted` NFs whose
+    /// [`nf_demand`](Self::nf_demand)s sum to `load`.
+    fn stage_demand(&self, hosted: usize, load: u32) -> u32 {
+        if hosted == 0 {
+            0
+        } else {
+            self.framework_stages_fixed + load
         }
-        self.framework_stages_fixed
-            + nfs
-                .iter()
-                .map(|n| self.nf_stages.get(n).copied().unwrap_or(1) + self.framework_stages_per_nf)
-                .sum::<u32>()
     }
 
     /// Does a pipelet's NF list fit?
@@ -437,24 +485,34 @@ impl PlacementProblem {
     /// Whole-placement feasibility: the fleet rule at M = 1 (everything
     /// placed, everything fits).
     pub fn feasible(&self, placement: &Placement) -> bool {
+        let fleet = self.interned();
         fleet::feasible(
-            self,
-            &self.canonical_order(),
-            std::slice::from_ref(placement),
+            &fleet,
+            &Located::of(&fleet, std::slice::from_ref(placement)),
         )
+    }
+
+    /// The chains on indices, for locating candidates against.
+    fn interned(&self) -> Interned<'_> {
+        Interned::new(self, &self.chains.chains)
     }
 
     /// Weighted objective of a placement over all chains: the fleet
     /// objective at M = 1.
     pub fn cost(&self, placement: &Placement) -> Result<f64, PlacementError> {
-        self.cost_of(placement, false)
+        Self::cost_of(&self.interned(), placement, false)
     }
 
-    /// [`cost`](Self::cost), optionally skipping unplaced NFs (partial
-    /// placements during greedy construction).
-    fn cost_of(&self, placement: &Placement, skip_unplaced: bool) -> Result<f64, PlacementError> {
-        let switches = std::slice::from_ref(placement);
-        Ok(fleet::score(self, fleet::SINGLE, switches, skip_unplaced)?.weighted)
+    /// [`cost`](Self::cost) against chains interned once, optionally
+    /// skipping unplaced NFs (partial placements during greedy
+    /// construction).
+    fn cost_of(
+        fleet: &Interned,
+        placement: &Placement,
+        skip_unplaced: bool,
+    ) -> Result<f64, PlacementError> {
+        let view = Located::of(fleet, std::slice::from_ref(placement));
+        Ok(fleet::score(fleet, fleet::SINGLE, &view, skip_unplaced)?.weighted)
     }
 
     /// Canonical NF order: first-appearance across chains (used for intra-
@@ -508,6 +566,7 @@ impl PlacementProblem {
                 .then_with(|| a.cmp(b))
         });
 
+        let fleet = self.interned();
         let mut placement = Placement::default();
         for nf in order {
             let mut best: Option<(f64, PipeletId)> = None;
@@ -518,7 +577,7 @@ impl PlacementProblem {
                 let mut trial = placement.clone();
                 trial.pipelets.insert(pipelet, nfs);
                 // Keep intra-pipelet order canonical for determinism.
-                let cost = self.cost_of(&self.canonicalize(trial), true)?;
+                let cost = Self::cost_of(&fleet, &fleet.canonicalize(trial), true)?;
                 if best.is_none_or(|(c, _)| cost < c) {
                     best = Some((cost, pipelet));
                 }
@@ -530,11 +589,12 @@ impl PlacementProblem {
             };
             placement.pipelets.entry(pipelet).or_default().push(nf);
         }
-        let placement = self.canonicalize(placement);
+        let placement = fleet.canonicalize(placement);
         // Greedy construction can land in a local optimum worse than the
         // trivial baseline; never return worse than naive.
         if let Ok(naive) = self.naive() {
-            if let (Ok(gc), Ok(nc)) = (self.cost(&placement), self.cost(&naive)) {
+            let cost = |p| Self::cost_of(&fleet, p, false);
+            if let (Ok(gc), Ok(nc)) = (cost(&placement), cost(&naive)) {
                 if nc < gc {
                     return Ok(naive);
                 }
@@ -612,12 +672,8 @@ impl PlacementProblem {
 
     /// Reorders NFs within each pipelet into canonical chain order (the
     /// order optimizers assume).
-    pub fn canonicalize(&self, mut placement: Placement) -> Placement {
-        let order = self.canonical_order();
-        for nfs in placement.pipelets.values_mut() {
-            nfs.sort_by_key(|n| order.iter().position(|o| o == n).unwrap_or(usize::MAX));
-        }
-        placement
+    pub fn canonicalize(&self, placement: Placement) -> Placement {
+        self.interned().canonicalize(placement)
     }
 }
 
@@ -852,6 +908,84 @@ mod tests {
         let c = traverse(&p.chains.chains[0], &placement, 0, 0, false).unwrap();
         // Branch transition on an ingress pipe = one resubmission (§3.2).
         assert_eq!(c.resubmissions, 1);
+    }
+
+    #[test]
+    fn cost_reads_what_only_a_placement_can_say() {
+        // The Fig. 6, resubmission, recirculation and parallel cases above,
+        // priced through `cost`: a reordered slot list and a parallel
+        // pipelet are placements no assignment vector describes.
+        let two = |nfs: Vec<&str>| {
+            let chains = ChainSet::new(vec![ChainPolicy::new(1, "c", nfs, 1.0)]).unwrap();
+            PlacementProblem::new(chains, [("A".into(), 1), ("B".into(), 1)].into())
+        };
+        let mut parallel = Placement::sequential(vec![(PipeletId::ingress(0), vec!["A", "B"])]);
+        parallel
+            .modes
+            .insert(PipeletId::ingress(0), CompositionMode::Parallel);
+        let cases = [
+            (fig6_problem(), fig6a_placement(), (3, 0)),
+            (fig6_problem(), fig6b_placement(), (1, 0)),
+            (
+                two(vec!["B", "A"]),
+                Placement::sequential(vec![(PipeletId::ingress(0), vec!["A", "B"])]),
+                (0, 1),
+            ),
+            (
+                two(vec!["B", "A"]),
+                Placement::sequential(vec![(PipeletId::egress(0), vec!["A", "B"])]),
+                (1, 0),
+            ),
+            (two(vec!["A", "B"]), parallel, (0, 1)),
+        ];
+        for (p, placement, (recirc, resub)) in cases {
+            let c = traverse(&p.chains.chains[0], &placement, 0, 0, false).unwrap();
+            assert_eq!((c.recirculations, c.resubmissions), (recirc, resub));
+            let weighted = f64::from(recirc) + 0.25 * f64::from(resub);
+            assert_eq!(p.cost(&placement).unwrap(), weighted, "{placement}");
+            assert!(p.feasible(&placement), "{placement}");
+        }
+
+        // NFs on no chain still take stages: fit, and fleet pressure.
+        let p = fig6_problem();
+        let mut stray = fig6b_placement();
+        let ing1 = stray.pipelets.get_mut(&PipeletId::ingress(1)).unwrap();
+        ing1.extend(["X".to_string(), "Y".to_string()]);
+        assert_eq!(p.cost(&stray).unwrap(), 1.0);
+        assert!(!p.feasible(&stray), "D + X + Y overflow ingress1");
+        let fleet = FleetProblem::new(ClusterProblem::new(p.clone(), 1));
+        let score = |p: &Placement| {
+            let switches = vec![p.clone()];
+            fleet.score(&ClusterPlacement { switches }).unwrap()
+        };
+        let util = |demand: f64| (demand / 48.0) * (demand / 48.0);
+        assert_eq!(score(&fig6b_placement()).pressure, util(36.0));
+        assert_eq!(score(&stray).pressure, util(42.0));
+
+        // An NF listed twice is where it is first listed: C on egress0 (as
+        // in Fig. 6(a)) and again after E, F on egress1 walks as Fig. 6(a).
+        let mut twice = fig6a_placement();
+        let eg1 = twice.pipelets.get_mut(&PipeletId::egress(1)).unwrap();
+        eg1.push("C".to_string());
+        assert_eq!(p.cost(&twice).unwrap(), 3.0);
+        let c = traverse(&p.chains.chains[0], &twice, 0, 0, false).unwrap();
+        assert_eq!(c.recirculations, 3);
+        // Across switches the first member hosting it counts, and the
+        // placement is infeasible: C sits on two switches.
+        let fleet = FleetProblem::new(ClusterProblem::new(p.clone(), 2));
+        let shadow = Placement::sequential(vec![(PipeletId::egress(1), vec!["C"])]);
+        let spread = ClusterPlacement {
+            switches: vec![fig6a_placement(), shadow],
+        };
+        assert_eq!(spread.switch_of("C"), Some(0));
+        assert!(!fleet.feasible(&spread));
+        let alone = ClusterPlacement {
+            switches: vec![fig6a_placement(), Placement::default()],
+        };
+        let (spread, alone) = (fleet.score(&spread).unwrap(), fleet.score(&alone).unwrap());
+        assert_eq!(spread.recirculations, 3);
+        assert_eq!(spread.inter_switch_hops, 0);
+        assert!(spread.pressure > alone.pressure);
     }
 
     #[test]

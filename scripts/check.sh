@@ -116,6 +116,14 @@ fi
 # or the migration driver deadlocked.
 timeout 120 cargo run -p dejavu-examples --bin replacement_demo
 
+# Placement-search gate: every strategy on a 100-chain, 8-switch fleet, in
+# the debug build, which keeps the explorer's feasibility `debug_assert` on
+# each answer; no other gate runs `SwarmSearch` at fleet scale. Built
+# outside the bound, so the bound is on the searches: a hang here is a
+# runaway search.
+cargo build -q -p dejavu-examples --bin placement_explorer
+timeout 60 cargo run -p dejavu-examples --bin placement_explorer -- 100 8 1
+
 # State-on-the-wire gate: dynamic state crosses a cluster link as a typed
 # StateSnapshot in the frame format; text must not creep back onto the
 # control path, which sits inside the migration window (ingress is parked

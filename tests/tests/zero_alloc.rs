@@ -8,13 +8,17 @@
 //! with one pass over its packets, and asserts that eight more passes
 //! allocate nothing: on the one-table sweep pipelets (exact, LPM, ternary
 //! and the ACL decision tree) and on the Fig. 9 chain (merged parser,
-//! `Hash`, header add/remove, recirculation, firewall deny).
+//! `Hash`, header add/remove, recirculation, firewall deny). The placement
+//! search's proposal loop is held to the same rule: an annealing proposal is
+//! checked and scored without touching the heap.
 
 use dejavu_asic::{PortId, Switch};
+use dejavu_core::orchestrator::{AnnealingSearch, FleetProblem, PlacementSearch};
 use dejavu_integration::{chain_packet, fig9_testbed, sweep_testbed, SweepKey, IN_PORT};
 use dejavu_nf::load_balancer::{five_tuple_of, session_entry_for, SESSION_TABLE};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
 
 thread_local! {
     /// Heap allocations (reallocations included) made by this thread.
@@ -116,4 +120,33 @@ fn fig9_chain_allocates_nothing_per_packet() {
     ];
     let a = allocs_per_packet(&mut sw, &packets, IN_PORT);
     assert_eq!(a, 0.0, "fig9 chain: allocations per packet");
+}
+
+#[test]
+fn an_annealing_proposal_allocates_nothing() {
+    // The first 100 × 8 synthetic fleet `plan_deploy` re-plans at seed 1.
+    let fleet = (64..)
+        .map(|s| FleetProblem::synthetic(100, 8, s))
+        .find(|p| p.seed_placement().is_ok_and(|seed| p.feasible(&seed)))
+        .expect("a synthetic fleet with a feasible seed");
+    // Start-up and the returned placement allocate; the proposals between
+    // them must not. The outcome's share is what a copy of it allocates,
+    // since its size depends on where the search ended.
+    let allocs = |iterations| {
+        let before = ALLOCS.with(Cell::get);
+        let found = AnnealingSearch::new(1, iterations)
+            .search(&fleet)
+            .expect("the fleet has a feasible start");
+        let searched = ALLOCS.with(Cell::get) - before;
+        let before = ALLOCS.with(Cell::get);
+        let copy = black_box(found.placement.clone());
+        let outcome = ALLOCS.with(Cell::get) - before;
+        drop(copy);
+        searched - outcome
+    };
+    assert_eq!(
+        allocs(200),
+        allocs(2_200),
+        "allocations per 2 000 proposals"
+    );
 }
