@@ -25,10 +25,8 @@ impl ChannelTransport {
 struct ChannelSink(Sender<Vec<u8>>);
 
 impl FrameSink for ChannelSink {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.0
-            .send(frame.to_vec())
-            .map_err(|_| TransportError::Disconnected)
+    fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+        self.0.send(frame).map_err(|_| TransportError::Disconnected)
     }
 }
 

@@ -11,7 +11,8 @@
 //! * table updates, idle timeouts, clock advances, metrics scrapes and
 //!   state snapshots are request/reply command round trips;
 //! * finished packets come back as [`Delivery`] records carrying the whole
-//!   multi-switch flight summary.
+//!   multi-switch flight summary, one fixed-size [`HopSummary`] per member
+//!   visited.
 //!
 //! [`spawn_cluster`] gives the controller and every worker a thread of its
 //! own. [`deploy_cluster`] boots the very same machines over a private
@@ -167,7 +168,12 @@ pub struct ClusterScrape {
 }
 
 /// End-to-end record of one packet's flight across the cluster, built from
-/// the [`HopSummary`] postcards the packet accumulated in-band.
+/// the fixed-size [`HopSummary`] postcards the packet accumulated in-band:
+/// where it went and what each member cost, not which tables it met. A
+/// member's table activity is its telemetry (`table_hits` /
+/// `table_misses` in [`ClusterHandle::metrics_snapshot`]'s `per_switch`)
+/// or, on a [`deploy_cluster`] cluster, its switch
+/// ([`ClusterHandle::switch`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireTraversal {
     /// Per-switch summaries, in visit order.
@@ -199,22 +205,6 @@ impl WireTraversal {
             inter_switch_hops: data.inter_switch_hops as usize,
             hops: data.hops,
         }
-    }
-
-    /// Every table applied across the whole flight, in order.
-    pub fn tables_applied(&self) -> Vec<&str> {
-        self.hops
-            .iter()
-            .flat_map(|h| h.tables_applied.iter().map(String::as_str))
-            .collect()
-    }
-
-    /// Every table that hit an entry across the whole flight, in order.
-    pub fn tables_hit(&self) -> Vec<&str> {
-        self.hops
-            .iter()
-            .flat_map(|h| h.tables_hit.iter().map(String::as_str))
-            .collect()
     }
 }
 
@@ -416,6 +406,23 @@ impl Controller {
         }
     }
 
+    /// Puts one packet on the link to worker 0. A frame the link refuses
+    /// (past `MAX_PAYLOAD`, or worker 0 is gone) can never be delivered or
+    /// nacked: answer its injector with the link's error now, not at
+    /// `op_timeout`. It never went in flight, so `in_flight` is untouched.
+    fn ingress(&mut self, d: DataMsg) {
+        let trace = d.trace;
+        match self.send_to(0, Message::Data(d)) {
+            Ok(()) => self.in_flight += 1,
+            Err(e) => {
+                let _ = self.delivered_tx.send(Delivery {
+                    trace,
+                    result: Err(e.to_string()),
+                });
+            }
+        }
+    }
+
     /// The threaded driver: blocks on the event queue until shutdown.
     fn run(mut self) {
         loop {
@@ -469,10 +476,9 @@ impl Controller {
                     // the new placement is live. The injector's trace id
                     // stays valid — parked, not dropped.
                     self.parked.push(d);
-                } else if self.send_to(0, Message::Data(d)).is_ok() {
-                    self.in_flight += 1;
+                } else {
+                    self.ingress(d);
                 }
-                // Worker 0 unreachable: nothing to deliver.
             }
             Request::Install {
                 nf,
@@ -569,9 +575,7 @@ impl Controller {
                 self.paused = false;
                 let released = self.parked.len() as u64;
                 for d in std::mem::take(&mut self.parked) {
-                    if self.send_to(0, Message::Data(d)).is_ok() {
-                        self.in_flight += 1;
-                    }
+                    self.ingress(d);
                 }
                 let _ = reply.send(Ok(released));
             }

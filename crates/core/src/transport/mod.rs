@@ -202,7 +202,7 @@ impl Link {
                 max: wire::MAX_PAYLOAD,
             }));
         }
-        self.sink.send_frame(&frame)
+        self.sink.send_frame(frame)
     }
 }
 
@@ -215,8 +215,9 @@ impl fmt::Debug for Link {
 /// Transport-specific frame writer backing a [`Link`].
 pub trait FrameSink: Send {
     /// Delivers one already-encoded frame to the peer, preserving order
-    /// with respect to previous frames on this link.
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError>;
+    /// with respect to previous frames on this link. The frame is handed
+    /// over by value, so an in-memory sink queues it without a copy.
+    fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportError>;
 }
 
 /// A way to create endpoints and connect links between cluster members.

@@ -98,9 +98,9 @@ impl Drop for AcceptGuard {
 struct TcpSink(TcpStream);
 
 impl FrameSink for TcpSink {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+    fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
         self.0
-            .write_all(frame)
+            .write_all(&frame)
             .map_err(|e| TransportError::Io(e.to_string()))
     }
 }

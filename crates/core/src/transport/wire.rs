@@ -48,6 +48,22 @@
 //! vanish. [`TelemetryMsg::Metrics`] stays JSON text on purpose: a scrape is
 //! off the packet path, its payload *is* the telemetry export format, and
 //! the parser that reads it back is linear.
+//!
+//! # Version 3: a hop is fixed-size
+//!
+//! A [`DataMsg`] carries one [`HopSummary`] per switch visited, and every
+//! later hop re-encodes and re-decodes the ones before it. Version 2's hop
+//! also listed the names of the tables applied and hit, so a frame grew
+//! with every table each member ran. Version 3's hop is 20 bytes, whatever
+//! the member ran — the in-band record stays a fixed-size header, like the
+//! paper's `(pathID, serviceIndex)`:
+//!
+//! ```text
+//! hop := switch:u32 latency_ns:f64 recirculations:u32 resubmissions:u32
+//! ```
+//!
+//! Which tables a member applied, and whether they hit, is that member's
+//! telemetry (`table_hits` / `table_misses`), not the packet's.
 
 use dejavu_asic::state::{RegisterSnapshot, TableSnapshot, SNAPSHOT_FORMAT_VERSION};
 use dejavu_asic::switch::Disposition;
@@ -60,7 +76,7 @@ use std::fmt;
 /// First two bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xDEFA;
 /// Current wire-format revision. Bump on any incompatible layout change.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 /// Fixed frame header size: magic + version + class + payload length.
 pub const HEADER_LEN: usize = 8;
 /// Upper bound on one frame's payload (16 MiB): a decoder confronted with a
@@ -152,9 +168,12 @@ pub enum Message {
 }
 
 /// Per-switch execution summary accumulated as a packet crosses the
-/// cluster — the wire-friendly projection of a full
-/// [`Traversal`](dejavu_asic::Traversal).
-#[derive(Debug, Clone, PartialEq, Default)]
+/// cluster: the fixed-size projection of a
+/// [`BufOutcome`](dejavu_asic::switch::BufOutcome) (20 bytes on the wire,
+/// see the module docs). Per-table activity is the member's telemetry
+/// (`table_hits` / `table_misses` in its metrics snapshot), not part of
+/// the flight record.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HopSummary {
     /// Cluster index of the switch this hop ran on.
     pub switch: u32,
@@ -164,10 +183,6 @@ pub struct HopSummary {
     pub recirculations: u32,
     /// Resubmissions taken on this switch.
     pub resubmissions: u32,
-    /// Tables applied, in order (merged names).
-    pub tables_applied: Vec<String>,
-    /// Tables that hit an entry.
-    pub tables_hit: Vec<String>,
 }
 
 /// A packet hopping along the inter-switch wiring. The message accumulates
@@ -432,12 +447,6 @@ impl Enc {
             self.value(*v);
         }
     }
-    fn strings(&mut self, ss: &[String]) {
-        self.u32(ss.len() as u32);
-        for s in ss {
-            self.str(s);
-        }
-    }
     fn key_match(&mut self, m: &KeyMatch) {
         match m {
             KeyMatch::Exact(v) => {
@@ -515,8 +524,6 @@ impl Enc {
         self.f64(h.latency_ns);
         self.u32(h.recirculations);
         self.u32(h.resubmissions);
-        self.strings(&h.tables_applied);
-        self.strings(&h.tables_hit);
     }
     fn data(&mut self, d: &DataMsg) {
         self.u64(d.trace);
@@ -781,14 +788,6 @@ impl<'a> Dec<'a> {
         }
         Ok(out)
     }
-    fn strings(&mut self) -> Result<Vec<String>, WireError> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::new();
-        for _ in 0..n {
-            out.push(self.str()?);
-        }
-        Ok(out)
-    }
     fn key_match(&mut self) -> Result<KeyMatch, WireError> {
         Ok(match self.u8()? {
             0 => KeyMatch::Exact(self.value()?),
@@ -880,8 +879,6 @@ impl<'a> Dec<'a> {
             latency_ns: self.f64()?,
             recirculations: self.u32()?,
             resubmissions: self.u32()?,
-            tables_applied: self.strings()?,
-            tables_hit: self.strings()?,
         })
     }
     fn data(&mut self) -> Result<DataMsg, WireError> {
@@ -1095,8 +1092,6 @@ mod tests {
                 latency_ns: 650.0,
                 recirculations: 3,
                 resubmissions: 1,
-                tables_applied: vec!["a__t".into(), "b__t".into()],
-                tables_hit: vec!["a__t".into()],
             }],
             bytes: vec![0xde, 0xad, 0xbe, 0xef],
         }));

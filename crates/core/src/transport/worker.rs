@@ -9,7 +9,8 @@
 //! the two drivers of [`ClusterHandle`](super::cluster::ClusterHandle).
 //! Either way it:
 //!
-//! * executes arriving [`DataMsg`] packets on its switch, appending a
+//! * executes arriving [`DataMsg`] packets on its switch, in place on the
+//!   frame's byte buffer ([`Switch::inject_buf`]), appending a fixed-size
 //!   [`HopSummary`] and forwarding the packet over
 //!   the outgoing wire for its egress port, or reporting it
 //!   [`Delivered`](TelemetryMsg::Delivered) upstream when it leaves the
@@ -24,7 +25,7 @@ use super::wire::{ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
 use super::{Endpoint, Link, TransportError};
 use crate::deploy::Deployment;
 use dejavu_asic::switch::Disposition;
-use dejavu_asic::{InjectedPacket, PortId, Switch};
+use dejavu_asic::{PortId, Switch};
 use std::collections::BTreeMap;
 use std::sync::mpsc::Receiver;
 
@@ -112,12 +113,16 @@ impl SwitchWorker {
         let _ = self.upstream.send(&Message::Telemetry(msg));
     }
 
-    /// Executes one packet and either forwards it down the wire or reports
-    /// delivery upstream.
+    /// Executes one packet in place on its frame's own buffer (the
+    /// zero-allocation `inject_buf` walk) and either forwards it down the
+    /// wire or reports delivery upstream.
     fn on_data(&mut self, mut d: DataMsg) {
-        let bytes = std::mem::take(&mut d.bytes);
-        let t = match self.switch.inject(InjectedPacket::new(bytes, d.port)) {
-            Ok(t) => t,
+        let outcome = self.switch.inject_buf(&mut d.bytes, d.port);
+        // Mirror copies are a tap's output, not the flight's: discard them
+        // rather than let them pile up on the switch.
+        self.switch.drain_mirrored();
+        let out = match outcome {
+            Ok(out) => out,
             Err(e) => {
                 let trace = d.trace;
                 self.send_up(TelemetryMsg::Nack {
@@ -127,23 +132,18 @@ impl SwitchWorker {
                 return;
             }
         };
-        d.latency_ns += t.latency_ns;
+        d.latency_ns += out.latency_ns;
         d.hops.push(HopSummary {
             switch: self.index as u32,
-            latency_ns: t.latency_ns,
-            recirculations: t.recirculations as u32,
-            resubmissions: t.resubmissions as u32,
-            tables_applied: t.tables_applied().iter().map(|s| s.to_string()).collect(),
-            tables_hit: t.tables_hit().iter().map(|s| s.to_string()).collect(),
+            latency_ns: out.latency_ns,
+            recirculations: out.recirculations as u32,
+            resubmissions: out.resubmissions as u32,
         });
-        let disposition = t.disposition;
-        let final_bytes = t.final_bytes;
         // Learn path: push any digests this packet produced upstream right
         // away, so the controller can learn concurrently with traffic.
         self.push_digests();
-        match disposition {
+        match out.disposition {
             Disposition::Emitted { port } if self.links.contains_key(&port) => {
-                d.bytes = final_bytes;
                 d.latency_ns += self.cable_ns;
                 d.inter_switch_hops += 1;
                 let (link, in_port) = self.links.get_mut(&port).expect("checked above");
@@ -161,7 +161,6 @@ impl SwitchWorker {
                 }
             }
             other => {
-                d.bytes = final_bytes;
                 self.send_up(TelemetryMsg::Delivered {
                     disposition: other,
                     data: d,

@@ -73,6 +73,26 @@ fn encapsulated(path: u16, idx: u8) -> Vec<u8> {
 const EXIT_PORT: u16 = 2;
 const IN_PORT: u16 = 0;
 
+/// Per member, how often an NF `work` table has been applied (hits plus
+/// misses), from the members' scraped telemetry.
+fn work_applied(cluster: &mut ClusterHandle) -> Vec<u64> {
+    let scrape = cluster.metrics_snapshot().expect("metrics scrape");
+    scrape
+        .per_switch
+        .iter()
+        .map(|snap| {
+            snap.metrics
+                .iter()
+                .filter(|(name, _)| {
+                    (name.starts_with("table_hits{") || name.starts_with("table_misses{"))
+                        && name.ends_with("__work\"}")
+                })
+                .filter_map(|(_, v)| v.as_counter())
+                .sum()
+        })
+        .collect()
+}
+
 fn main() {
     // A chain of nine NFs: too many MAU stages for one ASIC, so spill it
     // three-per-switch across a three-member cluster.
@@ -137,20 +157,23 @@ fn main() {
     // Every packet transits all three members, but a mid-chain entry does
     // NF work only from its service index onward — earlier switches just
     // forward it over the wire.
+    // Which members did NF work is their own telemetry, not the packet's:
+    // a hop record is fixed-size.
     let mut ok = true;
     for (label, idx, working_switches) in [
         ("full chain   ", 0u8, 3usize),
         ("enter at fw3 ", 3, 2),
         ("enter at fw6 ", 6, 1),
     ] {
+        let before = work_applied(&mut cluster);
         let t = cluster
             .inject(InjectedPacket::new(encapsulated(1, idx), IN_PORT))
             .expect("flight completes");
         let visited: Vec<String> = t.hops.iter().map(|h| format!("sw{}", h.switch)).collect();
-        let worked = t
-            .hops
+        let worked = work_applied(&mut cluster)
             .iter()
-            .filter(|h| h.tables_applied.iter().any(|x| x.ends_with("__work")))
+            .zip(before)
+            .filter(|(after, before)| **after > *before)
             .count();
         println!(
             "{label} {:>7.1} ns  {} wire hop(s)  via [{}]  work on {worked} member(s)  {:?}",

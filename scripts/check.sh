@@ -110,6 +110,16 @@ if [ "$(grep -rn 'inter_switch_hops += 1' crates/core/src | wc -l)" -ne 1 ] ||
     exit 1
 fi
 
+# Fixed-size-hop gate: a packet's in-band flight record is one fixed-size
+# hop per member (switch, latency, recirculations, resubmissions), and a
+# worker forwards on the zero-allocation `inject_buf` walk. Table names
+# must not ride the wire again, and the traced `inject` must not come back
+# to the worker's data path; per-table activity is member telemetry.
+if grep -nE 'tables_applied|tables_hit|\.inject\(' crates/core/src/transport/{worker,wire}.rs; then
+    echo "a cluster hop carries a table trace again (see DESIGN.md, Wire format)" >&2
+    exit 1
+fi
+
 # Re-placement gate: the closed-loop orchestrator must notice the traffic
 # shift, migrate the learned NAT across switches live, and lose zero
 # flows — bounded, because a hang here means the pause/quiesce barrier

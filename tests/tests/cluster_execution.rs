@@ -9,6 +9,7 @@ use dejavu_core::multiswitch::{
     deploy_cluster, ClusterConfigError, ClusterNet, ClusterPlacement, ClusterWiring,
 };
 use dejavu_core::placement::Placement;
+use dejavu_core::transport::wire::MAX_PAYLOAD;
 use dejavu_core::transport::{spawn_cluster, ChannelTransport, ClusterError, ClusterOptions};
 use dejavu_core::{ChainPolicy, ChainSet, NfModule};
 use dejavu_integration::{encapsulated_packet, marker_nf, EXIT_PORT, IN_PORT};
@@ -16,6 +17,7 @@ use dejavu_nf::nat::{
     dynamic_nat, nat_learn_policy, nat_out_entry, NAT_FLOW_STREAM, NAT_IN_TABLE, NAT_OUT_TABLE,
 };
 use dejavu_nf::{classifier, router};
+use std::time::Duration;
 
 /// The NAT's public address.
 const PUBLIC_IP: u32 = 0xc633_6401;
@@ -65,30 +67,81 @@ fn six_nf_cluster() -> ClusterNet {
     .unwrap()
 }
 
+/// The bits the marker NFs flipped in a decapsulated packet's IPv4 source
+/// address: each marker whose `work` table misses XORs in its own bit.
+fn marks(frame: &[u8]) -> u32 {
+    let src = u32::from_be_bytes(frame[26..30].try_into().unwrap());
+    src ^ 0x0a00_0001
+}
+
+/// Turns telemetry on for every member of an inline cluster.
+fn telemetry_on(net: &mut ClusterNet) {
+    for i in 0..net.members() {
+        net.switch(i).unwrap().set_telemetry(true);
+    }
+}
+
+/// Per member, the sum of the `family` counter (`table_hits` or
+/// `table_misses`) over the tables whose name ends in `suffix`, read from
+/// the members' own telemetry through the cluster scrape.
+fn table_counts(net: &mut ClusterNet, family: &str, suffix: &str) -> Vec<u64> {
+    let prefix = format!("{family}{{");
+    let suffix = format!("{suffix}\"}}");
+    net.metrics_snapshot()
+        .unwrap()
+        .per_switch
+        .iter()
+        .map(|snap| {
+            snap.metrics
+                .iter()
+                .filter(|(name, _)| name.starts_with(&prefix) && name.ends_with(&suffix))
+                .filter_map(|(_, v)| v.as_counter())
+                .sum()
+        })
+        .collect()
+}
+
+/// Per member, how many times an NF `work` table was applied (hit or
+/// miss) while `f` ran.
+fn work_applied(net: &mut ClusterNet, f: impl FnOnce(&mut ClusterNet)) -> Vec<u64> {
+    let count = |net: &mut ClusterNet| {
+        let hits = table_counts(net, "table_hits", "__work");
+        let misses = table_counts(net, "table_misses", "__work");
+        hits.iter()
+            .zip(misses)
+            .map(|(h, m)| h + m)
+            .collect::<Vec<_>>()
+    };
+    let before = count(net);
+    f(net);
+    let after = count(net);
+    after.iter().zip(before).map(|(a, b)| a - b).collect()
+}
+
 #[test]
 fn chain_executes_across_two_switches() {
     let mut net = six_nf_cluster();
-    let t = net
-        .inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
-        .unwrap();
+    telemetry_on(&mut net);
+    let mut flight = None;
+    let applied = work_applied(&mut net, |net| {
+        flight = Some(
+            net.inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
+                .unwrap(),
+        );
+    });
+    let t = flight.unwrap();
     assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
     assert_eq!(t.inter_switch_hops, 1, "one forward wire hop");
     assert_eq!(t.hops.len(), 2, "visited both switches");
-    // All six NFs ran, three per switch.
     for (i, hop) in t.hops.iter().enumerate() {
         assert_eq!(hop.switch as usize, i);
-        for nf in 0..3 {
-            let table = format!("n{}__work", i * 3 + nf);
-            assert!(
-                hop.tables_applied.contains(&table),
-                "switch {i} missing {table}: {:?}",
-                hop.tables_applied
-            );
-        }
     }
-    // Decapsulated only at the final exit.
+    // All six NFs ran, three per switch.
+    assert_eq!(applied, [3, 3], "work tables applied per member");
+    // Decapsulated only at the final exit, with every NF's mark.
     let out = &t.final_bytes;
     assert_eq!(u16::from_be_bytes([out[12], out[13]]), 0x0800);
+    assert_eq!(marks(out), 0b11_1111, "every marker ran once");
 
     // The forwarding rule, pinned without the runtime: follow the cable by
     // hand through the member switches of a second, untouched cluster.
@@ -127,8 +180,20 @@ fn chain_executes_across_two_switches() {
         assert_eq!(hop.latency_ns, chip.latency_ns);
         assert_eq!(hop.recirculations as usize, chip.recirculations);
         assert_eq!(hop.resubmissions as usize, chip.resubmissions);
-        assert_eq!(hop.tables_applied, chip.tables_applied());
-        assert_eq!(hop.tables_hit, chip.tables_hit());
+    }
+    // The hand-chained traces name the tables: each member ran its own
+    // three markers, each a miss.
+    for (chip, nfs) in [(&first, 0..3), (&second, 3..6)] {
+        let want: Vec<String> = nfs.map(|nf| format!("n{nf}__work")).collect();
+        let work = |tables: Vec<&str>| -> Vec<String> {
+            tables
+                .into_iter()
+                .filter(|t| t.ends_with("__work"))
+                .map(str::to_string)
+                .collect()
+        };
+        assert_eq!(work(chip.tables_applied()), want);
+        assert!(work(chip.tables_hit()).is_empty());
     }
     // Latency: two port-to-port traversals + cable + any recirculations.
     assert!(t.latency_ns > 1300.0, "latency {}", t.latency_ns);
@@ -139,20 +204,20 @@ fn mid_chain_entry_on_second_switch_only_runs_remaining_nfs() {
     // A packet arriving at switch 0 with service index 3 skips switch 0's
     // NFs (the branching table forwards it straight over the link).
     let mut net = six_nf_cluster();
-    let t = net
-        .inject(InjectedPacket::new(encapsulated_packet(1, 3), IN_PORT))
-        .unwrap();
+    telemetry_on(&mut net);
+    let mut flight = None;
+    let applied = work_applied(&mut net, |net| {
+        flight = Some(
+            net.inject(InjectedPacket::new(encapsulated_packet(1, 3), IN_PORT))
+                .unwrap(),
+        );
+    });
+    let t = flight.unwrap();
     assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
-    // Switch 0 applied no NF work tables.
-    assert!(!t.hops[0]
-        .tables_applied
-        .iter()
-        .any(|x| x.ends_with("__work")));
-    // Switch 1 ran n3..n5.
-    for nf in ["n3", "n4", "n5"] {
-        let table = format!("{nf}__work");
-        assert!(t.hops[1].tables_applied.contains(&table));
-    }
+    assert_eq!(t.hops.len(), 2, "switch 0 still forwards it");
+    // Switch 0 applied no NF work tables; switch 1 ran n3..n5.
+    assert_eq!(applied, [0, 3], "work tables applied per member");
+    assert_eq!(marks(&t.final_bytes), 0b11_1000, "only n3..n5 marked it");
 }
 
 #[test]
@@ -202,12 +267,48 @@ fn cluster_install_routes_rules_to_owning_switch() {
         },
     )
     .unwrap();
+    telemetry_on(&mut net);
+    let hits_before = table_counts(&mut net, "table_hits", "n5__work");
     let t = net
         .inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
         .unwrap();
     assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
-    // n5's table hit the pass entry this time.
-    assert!(t.hops[1].tables_hit.contains(&"n5__work".to_string()));
+    // n5's table hit the pass entry this time, on member 1 only, so n5
+    // alone left its bit alone.
+    let hits = table_counts(&mut net, "table_hits", "n5__work");
+    assert_eq!(hits_before, [0, 0]);
+    assert_eq!(hits, [0, 1], "n5__work hits per member");
+    assert_eq!(marks(&t.final_bytes), 0b01_1111);
+}
+
+#[test]
+fn a_packet_the_first_link_refuses_fails_at_once() {
+    // A frame past MAX_PAYLOAD never reaches worker 0: the injector hears
+    // the link's error straight away, under the packet's own trace id.
+    let mut net = six_nf_cluster();
+    let huge = InjectedPacket::new(vec![0; MAX_PAYLOAD + 1], IN_PORT);
+    let over_length = |m: &str| m.contains("exceeds maximum");
+    match net.inject(huge.clone()) {
+        Err(ClusterError::Remote(m)) => assert!(over_length(&m), "got {m}"),
+        other => panic!("expected a remote error naming the frame, got {other:?}"),
+    }
+    let trace = net.inject_async(huge.clone()).unwrap();
+    let d = net.recv_delivered(Duration::ZERO).unwrap().unwrap();
+    assert_eq!(d.trace, trace);
+    assert!(d.result.is_err_and(|m| over_length(&m)));
+    // A refused packet never went in flight: the quiesce barrier has
+    // nothing to wait for. Parked and released, it fails the same way.
+    assert_eq!(net.pause_ingress().unwrap(), 0);
+    let parked = net.inject_async(huge).unwrap();
+    assert_eq!(net.resume_ingress().unwrap(), 1);
+    let d = net.recv_delivered(Duration::ZERO).unwrap().unwrap();
+    assert_eq!(d.trace, parked);
+    assert!(d.result.is_err_and(|m| over_length(&m)));
+    // The cluster keeps forwarding.
+    let t = net
+        .inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
+        .unwrap();
+    assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
 }
 
 #[test]

@@ -4,6 +4,7 @@
 //! — decodes to a typed [`WireError`], never a panic. State snapshots ride
 //! the same properties, and a differential property pins the frame encoding
 //! and the JSON export encoding of a [`StateSnapshot`] against each other.
+//! A packet's frame grows by one fixed-size hop per switch visited.
 
 use dejavu_asic::state::{RegisterSnapshot, TableSnapshot, SNAPSHOT_FORMAT_VERSION};
 use dejavu_asic::switch::Disposition;
@@ -137,24 +138,13 @@ fn latency_strat() -> BoxedStrategy<f64> {
 }
 
 fn hop_strat() -> BoxedStrategy<HopSummary> {
-    (
-        0u32..16,
-        latency_strat(),
-        any::<u32>(),
-        any::<u32>(),
-        vec(string_strat(), 0..4),
-        vec(string_strat(), 0..4),
-    )
+    (0u32..16, latency_strat(), any::<u32>(), any::<u32>())
         .prop_map(
-            |(switch, latency_ns, recirculations, resubmissions, tables_applied, tables_hit)| {
-                HopSummary {
-                    switch,
-                    latency_ns,
-                    recirculations,
-                    resubmissions,
-                    tables_applied,
-                    tables_hit,
-                }
+            |(switch, latency_ns, recirculations, resubmissions)| HopSummary {
+                switch,
+                latency_ns,
+                recirculations,
+                resubmissions,
             },
         )
         .boxed()
@@ -517,12 +507,44 @@ fn damaged_snapshot_frames_never_decode_shorter() {
     );
 }
 
-/// Version 1 carried state as JSON text: a version-1 peer fails loudly at
-/// the header, before any payload is interpreted.
+/// Version 1 carried state as JSON text and version 2 carried table names
+/// in every hop: a peer on either fails loudly at the header, before any
+/// payload is interpreted.
 #[test]
 fn version_one_headers_are_rejected() {
-    assert_eq!(WIRE_VERSION, 2);
-    let mut frame = encode(&Message::Control(ControlMsg::SnapshotState { seq: 2 }));
-    frame[2] = 1;
-    assert_eq!(payload_len(&frame), Err(WireError::UnsupportedVersion(1)));
+    assert_eq!(WIRE_VERSION, 3);
+    for old in [1, 2] {
+        let mut frame = encode(&Message::Control(ControlMsg::SnapshotState { seq: 2 }));
+        frame[2] = old;
+        assert_eq!(payload_len(&frame), Err(WireError::UnsupportedVersion(old)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Version 3's hop is fixed-size: whatever a member ran, each hop
+    /// aboard adds the same number of bytes to a packet's frame, as a data
+    /// frame and as the `Delivered` frame that ends its flight.
+    #[test]
+    fn each_hop_adds_one_constant_to_a_frame(
+        data in data_strat(),
+        extra in vec(hop_strat(), 1..6),
+    ) {
+        let frames = |hops: usize| {
+            let mut d = data.clone();
+            d.hops.extend(extra.iter().take(hops).copied());
+            let delivered = Message::Telemetry(TelemetryMsg::Delivered {
+                disposition: Disposition::Dropped,
+                data: d.clone(),
+            });
+            (encode(&Message::Data(d)).len(), encode(&delivered).len())
+        };
+        let (data0, delivered0) = frames(0);
+        let per_hop = frames(1).0 - data0;
+        prop_assert_eq!(per_hop, 20);
+        for hops in 0..=extra.len() {
+            prop_assert_eq!(frames(hops), (data0 + hops * per_hop, delivered0 + hops * per_hop));
+        }
+    }
 }

@@ -10,11 +10,23 @@
 //! and the ACL decision tree) and on the Fig. 9 chain (merged parser,
 //! `Hash`, header add/remove, recirculation, firewall deny). The placement
 //! search's proposal loop is held to the same rule: an annealing proposal is
-//! checked and scored without touching the heap.
+//! checked and scored without touching the heap. A cluster flight does
+//! allocate (frames, channel slots, the delivery), but what a member runs
+//! adds nothing to it: the inline driver runs on the test's thread, so its
+//! allocations per flight are counted and compared across members that run
+//! one marker NF and three.
 
-use dejavu_asic::{PortId, Switch};
+use dejavu_asic::{InjectedPacket, PipeletId, PortId, Switch, TofinoProfile};
+use dejavu_core::deploy::DeployOptions;
+use dejavu_core::multiswitch::{deploy_cluster, ClusterPlacement, ClusterWiring};
 use dejavu_core::orchestrator::{AnnealingSearch, FleetProblem, PlacementSearch};
-use dejavu_integration::{chain_packet, fig9_testbed, sweep_testbed, SweepKey, IN_PORT};
+use dejavu_core::placement::Placement;
+use dejavu_core::transport::ClusterHandle;
+use dejavu_core::{ChainPolicy, ChainSet, NfModule};
+use dejavu_integration::{
+    chain_packet, encapsulated_packet, fig9_testbed, marker_nf, sweep_testbed, SweepKey, EXIT_PORT,
+    IN_PORT,
+};
 use dejavu_nf::load_balancer::{five_tuple_of, session_entry_for, SESSION_TABLE};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -120,6 +132,68 @@ fn fig9_chain_allocates_nothing_per_packet() {
     ];
     let a = allocs_per_packet(&mut sw, &packets, IN_PORT);
     assert_eq!(a, 0.0, "fig9 chain: allocations per packet");
+}
+
+/// Allocations over 64 flights through a two-switch inline cluster with
+/// `per_member` marker NFs on each member, after eight warm-up flights.
+fn allocs_per_cluster_flights(per_member: usize) -> u64 {
+    let names: Vec<String> = (0..2 * per_member).map(|i| format!("n{i}")).collect();
+    let nfs: Vec<NfModule> = names
+        .iter()
+        .enumerate()
+        .map(|(i, n)| marker_nf(n, i as u32))
+        .collect();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let chain = names.iter().map(String::as_str).collect();
+    let chains =
+        ChainSet::new(vec![ChainPolicy::new(1, "long", chain, 1.0)]).expect("one valid chain");
+    // Up to two markers in the ingress pipelet, the rest in egress.
+    let member = |nfs: &[String]| {
+        let mut p = Placement::default();
+        let (ingress, egress) = nfs.split_at(nfs.len().min(2));
+        p.pipelets.insert(PipeletId::ingress(0), ingress.to_vec());
+        if !egress.is_empty() {
+            p.pipelets.insert(PipeletId::egress(0), egress.to_vec());
+        }
+        p
+    };
+    let placement = ClusterPlacement {
+        switches: names.chunks(per_member).map(member).collect(),
+    };
+    let mut net = deploy_cluster(
+        &refs,
+        &chains,
+        &placement,
+        &TofinoProfile::wedge_100b_32x(),
+        [(1u16, EXIT_PORT)].into_iter().collect(),
+        &ClusterWiring::default(),
+        &DeployOptions::default(),
+    )
+    .expect("marker cluster deploys");
+    let packet = InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT);
+    let fly = |net: &mut ClusterHandle| {
+        let t = net.inject(packet.clone()).expect("flight completes");
+        assert_eq!(t.hops.len(), 2, "the flight crosses both members");
+    };
+    for _ in 0..8 {
+        fly(&mut net);
+    }
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..64 {
+        fly(&mut net);
+    }
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn a_cluster_flight_allocates_the_same_whatever_its_members_run() {
+    // A hop record is fixed-size and a worker forwards on `inject_buf`, so
+    // three markers per member cost a flight no more heap than one.
+    assert_eq!(
+        allocs_per_cluster_flights(1),
+        allocs_per_cluster_flights(3),
+        "allocations over 64 inline-driver flights"
+    );
 }
 
 #[test]
