@@ -671,7 +671,7 @@ impl Switch {
             )));
         }
         program.validate()?;
-        let depth = program.parser.max_depth_bytes(&program.header_map());
+        let depth = program.parser.max_depth_bytes(&program.header_types);
         if depth > self.profile.parser_window_bytes {
             return Err(IrError::Invalid(format!(
                 "parser needs {depth} bytes, window is {}",

@@ -182,30 +182,39 @@ impl StageAllocator {
             });
         }
         let graph = DependencyGraph::build(program);
-        let levels = graph.stage_levels();
         let scopes = gateway_scopes(program);
+        // The graph's edges by position in its apply order, with the stage
+        // gap each forces. Every edge runs forward in that order, so one
+        // pass over them yields the ASAP levels.
+        let at = |name: &str| graph.order.iter().position(|t| t == name);
+        let edges: Vec<(usize, usize, usize)> = graph
+            .edges
+            .iter()
+            .filter_map(|e| Some((at(&e.from)?, at(&e.to)?, e.kind.min_stage_gap() as usize)))
+            .collect();
+        let mut level = vec![0; graph.order.len()];
+        for &(from, to, gap) in &edges {
+            level[to] = level[to].max(level[from] + gap);
+        }
 
         // Place tables in apply order; each table goes to the earliest stage
         // that satisfies (a) its dependency floor relative to already-placed
         // predecessors and (b) resource fit.
         let mut stage_of: BTreeMap<String, usize> = BTreeMap::new();
+        let mut last_stage_of: BTreeMap<String, usize> = BTreeMap::new();
         let mut demand_of: BTreeMap<String, ResourceVector> = BTreeMap::new();
         // Tables sorted by dependency level then apply order keeps the ASAP
         // schedule feasible.
-        let mut order: Vec<&String> = graph.order.iter().collect();
-        order.sort_by_key(|t| {
-            (
-                levels.get(*t).copied().unwrap_or(0),
-                position(&graph.order, t),
-            )
-        });
+        let mut order: Vec<usize> = (0..graph.order.len()).collect();
+        order.sort_by_key(|&t| (level[t], t));
 
-        let mut last_stage_of: BTreeMap<String, usize> = BTreeMap::new();
-        for table_name in order {
+        let mut last_stage: Vec<Option<usize>> = vec![None; graph.order.len()];
+        for t in order {
+            let table_name = &graph.order[t];
             let table = program.tables.get(table_name).ok_or_else(|| {
                 CompileError::InvalidProgram(format!("unknown table {table_name}"))
             })?;
-            let scope = scopes.get(table_name).copied().unwrap_or(0);
+            let scope = scopes.get(table_name.as_str()).copied().unwrap_or(0);
             let demand = self.model.table_demand(program, table, scope);
 
             // Large tables split across stages by depth, the way production
@@ -216,14 +225,12 @@ impl StageAllocator {
             // Dependency floor: one past the *last* chunk stage of every
             // match/action predecessor; at least the stage of every
             // successor predecessor.
-            let mut floor = 0usize;
-            for e in &graph.edges {
-                if &e.to == table_name {
-                    if let Some(&ps) = last_stage_of.get(&e.from) {
-                        floor = floor.max(ps + e.kind.min_stage_gap() as usize);
-                    }
-                }
-            }
+            let floor = edges
+                .iter()
+                .filter(|&&(_, to, _)| to == t)
+                .filter_map(|&(from, _, gap)| Some(last_stage[from]? + gap))
+                .max()
+                .unwrap_or(0);
 
             let mut first_stage = None;
             let mut cursor = floor;
@@ -243,14 +250,14 @@ impl StageAllocator {
                         stages: stages.len(),
                     });
                 };
-                if first_stage.is_none() {
-                    first_stage = Some(stage_idx);
-                }
+                first_stage.get_or_insert(stage_idx);
                 cursor = stage_idx; // later chunks share or follow this stage
-                last_stage_of.insert(table_name.clone(), stage_idx);
                 total += *chunk;
             }
-            stage_of.insert(table_name.clone(), first_stage.expect("at least one chunk"));
+            let (first, last) = (first_stage.expect("at least one chunk"), cursor);
+            last_stage[t] = Some(last);
+            stage_of.insert(table_name.clone(), first);
+            last_stage_of.insert(table_name.clone(), last);
             demand_of.insert(table_name.clone(), total);
         }
         Ok(Allocation {
@@ -315,10 +322,6 @@ impl StageAllocator {
             Err(_) => false,
         }
     }
-}
-
-fn position(order: &[String], name: &str) -> usize {
-    order.iter().position(|t| t == name).unwrap_or(usize::MAX)
 }
 
 #[cfg(test)]

@@ -144,13 +144,12 @@ impl DemandModel {
 
 /// Number of conditional scopes enclosing each table application in the
 /// program's entry control (used to charge gateways).
-pub fn gateway_scopes(program: &Program) -> BTreeMap<String, u32> {
-    let mut scopes = BTreeMap::new();
-    fn walk(
-        program: &Program,
-        stmts: &[Stmt],
+pub fn gateway_scopes(program: &Program) -> BTreeMap<&str, u32> {
+    fn walk<'a>(
+        program: &'a Program,
+        stmts: &'a [Stmt],
         depth_cond: u32,
-        out: &mut BTreeMap<String, u32>,
+        out: &mut BTreeMap<&'a str, u32>,
         depth: usize,
     ) {
         if depth > 64 {
@@ -158,21 +157,15 @@ pub fn gateway_scopes(program: &Program) -> BTreeMap<String, u32> {
         }
         for stmt in stmts {
             match stmt {
-                Stmt::Apply(t) => {
-                    let e = out.entry(t.clone()).or_insert(depth_cond);
+                Stmt::Apply(t) | Stmt::ApplySelect { table: t, .. } => {
+                    let e = out.entry(t.as_str()).or_insert(depth_cond);
                     *e = (*e).max(depth_cond);
-                }
-                Stmt::ApplySelect {
-                    table,
-                    arms,
-                    default,
-                } => {
-                    let e = out.entry(table.clone()).or_insert(depth_cond);
-                    *e = (*e).max(depth_cond);
-                    for (_, b) in arms {
-                        walk(program, b, depth_cond + 1, out, depth);
+                    if let Stmt::ApplySelect { arms, default, .. } = stmt {
+                        for (_, b) in arms {
+                            walk(program, b, depth_cond + 1, out, depth);
+                        }
+                        walk(program, default, depth_cond + 1, out, depth);
                     }
-                    walk(program, default, depth_cond + 1, out, depth);
                 }
                 Stmt::If {
                     then_branch,
@@ -191,6 +184,7 @@ pub fn gateway_scopes(program: &Program) -> BTreeMap<String, u32> {
             }
         }
     }
+    let mut scopes = BTreeMap::new();
     if let Some(entry) = program.entry_control() {
         walk(program, &entry.body, 0, &mut scopes, 0);
     }
@@ -203,7 +197,7 @@ pub fn table_demand(program: &Program, table: &TableDef) -> ResourceVector {
     DemandModel::default().table_demand(
         program,
         table,
-        scopes.get(&table.name).copied().unwrap_or(0),
+        scopes.get(table.name.as_str()).copied().unwrap_or(0),
     )
 }
 
@@ -218,7 +212,8 @@ pub fn program_demand(program: &Program) -> ResourceVector {
             continue;
         }
         if let Some(t) = program.tables.get(&name) {
-            total += model.table_demand(program, t, scopes.get(&name).copied().unwrap_or(0));
+            let scope = scopes.get(name.as_str()).copied().unwrap_or(0);
+            total += model.table_demand(program, t, scope);
         }
     }
     total

@@ -318,6 +318,11 @@ pub(crate) fn build_cluster_members(
             }),
         };
         members.push(deploy(nfs, chains, local, profile, &config, &seg_options)?);
+        // A live cluster's threads may share this core: let them run
+        // between member builds. A migration builds while traffic is in
+        // the air, and whatever the workers have not finished when it
+        // pauses ingress is drained with ingress parked.
+        std::thread::yield_now();
     }
     Ok(members)
 }

@@ -19,7 +19,10 @@
 //!   an installed entry before state is captured.
 //! * **SNAPSHOT** — `snapshot_state`: checkpoint every pipelet's dynamic
 //!   state, then split it **per NF** by the `<nf>__` merged-name prefix so
-//!   each NF's tables can land wherever the new placement puts them.
+//!   each NF's tables can land wherever the new placement puts them. An
+//!   NF's slice is taken from its old home pipelet only: every composed
+//!   pipelet carries the whole merged namespace, so the others hold a
+//!   dormant, empty copy of its tables and registers.
 //! * **SWAP** — `swap_member` on every member: adopt the new switches.
 //!   Their dynamic state is empty and their clocks are zero.
 //! * **RESYNC** — `advance_time` over empty tables to the maximum
@@ -157,10 +160,13 @@ impl From<ClusterError> for MigrationError {
     }
 }
 
-/// Splits a pipelet snapshot into one snapshot per NF, keyed by the
-/// `<nf>__` merged-name prefix the deploy layer scopes tables and
+/// Splits a pipelet snapshot into one snapshot per NF of `nfs`, keyed by
+/// the `<nf>__` merged-name prefix the deploy layer scopes tables and
 /// registers with.
-fn split_by_nf(snap: &StateSnapshot, nfs: &[String]) -> Vec<(String, StateSnapshot)> {
+fn split_by_nf<'a>(
+    snap: &StateSnapshot,
+    nfs: impl Iterator<Item = &'a String>,
+) -> Vec<(String, StateSnapshot)> {
     let mut out = Vec::new();
     for nf in nfs {
         let prefix = format!("{nf}__");
@@ -219,12 +225,18 @@ pub fn migrate(
     // FLUSH — every digest from pre-pause traffic becomes an entry.
     handle.process_digests()?;
 
-    // SNAPSHOT — checkpoint, then split per NF.
+    // SNAPSHOT — checkpoint, then split per NF, each from its old home:
+    // restoring a dormant copy over it would reset its idle timeouts and
+    // zero its registers.
     let snapshots = handle.snapshot_state()?;
     let max_clock = snapshots.iter().map(|(_, _, s)| s.clock).max().unwrap_or(0);
     let mut per_nf: Vec<(String, StateSnapshot)> = Vec::new();
-    for (_, _, snap) in &snapshots {
-        per_nf.extend(split_by_nf(snap, &nf_names));
+    for (switch, pipelet, snap) in &snapshots {
+        let homed_here = |nf: &&String| {
+            old_placement.switch_of(nf) == Some(*switch)
+                && old_placement.switches[*switch].location(nf) == Some(*pipelet)
+        };
+        per_nf.extend(split_by_nf(snap, nf_names.iter().filter(homed_here)));
     }
 
     // SWAP — adopt the new members (empty state, zero clocks).

@@ -10,7 +10,7 @@
 //! paper plus the Dejavu framework logic (SFC header insertion/removal, flag
 //! checks, branching-table forwarding).
 
-use crate::header::FieldRef;
+use crate::header::{FieldRef, FieldView};
 use crate::value::Value;
 
 /// Hash functions available to actions (P4 `Hash` extern).
@@ -72,25 +72,30 @@ impl Expr {
     /// analysis).
     pub fn reads(&self) -> Vec<FieldRef> {
         let mut out = Vec::new();
-        self.collect_reads(&mut out);
+        self.for_each_read(&mut |fr| out.push(fr.clone()));
         out
     }
 
-    fn collect_reads(&self, out: &mut Vec<FieldRef>) {
+    /// Visits the field references [`Expr::reads`] lists, in its order.
+    pub(crate) fn for_each_read<'a>(&'a self, f: &mut impl FnMut(&'a FieldRef)) {
         match self {
             Expr::Const(_) | Expr::Param(_) => {}
-            Expr::Field(fr) => out.push(fr.clone()),
+            Expr::Field(fr) => f(fr),
             Expr::Add(a, b)
             | Expr::Sub(a, b)
             | Expr::And(a, b)
             | Expr::Or(a, b)
             | Expr::Xor(a, b) => {
-                a.collect_reads(out);
-                b.collect_reads(out);
+                a.for_each_read(f);
+                b.for_each_read(f);
             }
-            Expr::Shl(a, _) | Expr::Shr(a, _) => a.collect_reads(out),
+            Expr::Shl(a, _) | Expr::Shr(a, _) => a.for_each_read(f),
         }
     }
+}
+
+fn expr_views<'a>(e: &'a Expr, f: &mut impl FnMut(FieldView<'a>)) {
+    e.for_each_read(&mut |fr| f(FieldView::of(fr)));
 }
 
 /// One primitive operation in an action body.
@@ -185,59 +190,67 @@ pub enum PrimitiveOp {
 /// dependency analysis: reading/writing register `r` reads/writes the
 /// pseudo-field `reg::r.*`.
 pub fn register_field(register: &str) -> FieldRef {
-    FieldRef::new(format!("reg::{register}"), "*")
+    FieldView::register(register).to_field_ref()
 }
 
 impl PrimitiveOp {
     /// Field references read by this op.
     pub fn reads(&self) -> Vec<FieldRef> {
-        match self {
-            PrimitiveOp::Set { value, .. } => value.reads(),
-            PrimitiveOp::Hash { inputs, .. } => inputs.iter().flat_map(Expr::reads).collect(),
-            PrimitiveOp::RegisterRead {
-                register, index, ..
-            } => {
-                let mut r = index.reads();
-                r.push(register_field(register));
-                r
-            }
-            PrimitiveOp::RegisterWrite { index, value, .. } => {
-                let mut r = index.reads();
-                r.extend(value.reads());
-                r
-            }
-            PrimitiveOp::Ipv4ChecksumUpdate { header } => {
-                vec![FieldRef::new(header.clone(), "*")]
-            }
-            PrimitiveOp::Digest { fields, .. } => fields.iter().flat_map(Expr::reads).collect(),
-            _ => Vec::new(),
-        }
+        let mut out = Vec::new();
+        self.for_each_read(|v| out.push(v.to_field_ref()));
+        out
     }
 
     /// Field references written by this op (header add/remove is modelled as
     /// a write to every field of that header for dependency purposes).
     pub fn writes(&self) -> Vec<FieldRef> {
+        let mut out = Vec::new();
+        self.for_each_write(|v| out.push(v.to_field_ref()));
+        out
+    }
+
+    /// Visits what [`PrimitiveOp::reads`] lists, in its order, borrowed.
+    pub(crate) fn for_each_read<'a>(&'a self, mut f: impl FnMut(FieldView<'a>)) {
         match self {
-            PrimitiveOp::Set { dst, .. } | PrimitiveOp::Hash { dst, .. } => vec![dst.clone()],
+            PrimitiveOp::Set { value, .. } => expr_views(value, &mut f),
+            PrimitiveOp::Hash { inputs, .. } | PrimitiveOp::Digest { fields: inputs, .. } => {
+                inputs.iter().for_each(|e| expr_views(e, &mut f));
+            }
+            PrimitiveOp::RegisterRead {
+                register, index, ..
+            } => {
+                expr_views(index, &mut f);
+                f(FieldView::register(register));
+            }
+            PrimitiveOp::RegisterWrite { index, value, .. } => {
+                expr_views(index, &mut f);
+                expr_views(value, &mut f);
+            }
+            PrimitiveOp::Ipv4ChecksumUpdate { header } => f(FieldView::new(header, "*")),
+            _ => {}
+        }
+    }
+
+    /// Visits what [`PrimitiveOp::writes`] lists, in its order, borrowed.
+    pub(crate) fn for_each_write<'a>(&'a self, mut f: impl FnMut(FieldView<'a>)) {
+        match self {
+            PrimitiveOp::Set { dst, .. } | PrimitiveOp::Hash { dst, .. } => f(FieldView::of(dst)),
             PrimitiveOp::AddHeader { header, .. }
             | PrimitiveOp::RemoveHeader { header }
-            | PrimitiveOp::RemoveHeaderNth { header, .. } => {
-                vec![FieldRef::new(header.clone(), "*")]
-            }
+            | PrimitiveOp::RemoveHeaderNth { header, .. } => f(FieldView::new(header, "*")),
             PrimitiveOp::RegisterRead { dst, register, .. } => {
                 // Reading a stateful register also serializes against other
                 // accessors of the same array (read-modify-write atomicity
                 // of the stateful ALU), so we model the read as a write to
                 // the pseudo-field too.
-                vec![dst.clone(), register_field(register)]
+                f(FieldView::of(dst));
+                f(FieldView::register(register));
             }
-            PrimitiveOp::RegisterWrite { register, .. } => vec![register_field(register)],
-            PrimitiveOp::Ipv4ChecksumUpdate { header } => {
-                vec![FieldRef::new(header.clone(), "hdr_checksum")]
-            }
-            PrimitiveOp::Drop => vec![FieldRef::meta("drop_flag")],
+            PrimitiveOp::RegisterWrite { register, .. } => f(FieldView::register(register)),
+            PrimitiveOp::Ipv4ChecksumUpdate { header } => f(FieldView::new(header, "hdr_checksum")),
+            PrimitiveOp::Drop => f(FieldView::new(FieldRef::META, "drop_flag")),
             // A digest only leaves the pipeline; it writes no packet state.
-            PrimitiveOp::Digest { .. } | PrimitiveOp::NoOp => Vec::new(),
+            PrimitiveOp::Digest { .. } | PrimitiveOp::NoOp => {}
         }
     }
 }

@@ -32,13 +32,13 @@
 
 use crate::action::{ActionDef, Expr, PrimitiveOp};
 use crate::control::{BoolExpr, CmpOp, Stmt};
-use crate::header::FieldRef;
+use crate::header::{FieldRef, FieldView, HeaderType};
 use crate::lint::{Diagnostic, LintCode, LintConfig, LintReport};
 use crate::parser::{Target, Transition};
-use crate::program::Program;
-use crate::table::{KeyMatch, TableDef};
-use crate::value::mask_for;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::program::{Program, STANDARD_METADATA};
+use crate::table::{KeyMatch, TableDef, TableKey};
+use crate::value::{mask_for, Value};
+use std::fmt;
 
 // ---------------------------------------------------------------------------
 // The abstract domain
@@ -312,18 +312,160 @@ impl Tri {
     }
 }
 
-type Env = BTreeMap<FieldRef, AbstractValue>;
+/// A field's number within one analysis (see [`Fields`]).
+type FieldId = u32;
+
+/// The program's fields, numbered once per analysis: every header type's
+/// fields in catalog order, then metadata (declared or standard) by name,
+/// then any select field a malformed parser names that the catalog lacks,
+/// so a value the parser pins on it is found again.
+struct Fields<'a> {
+    /// Header type names in catalog order, each with its type and the
+    /// number of its first field.
+    headers: Vec<(&'a str, &'a HeaderType, FieldId)>,
+    /// Metadata names, sorted, with their numbers: the first declaration
+    /// of a name, else the standard field, as [`Program::field_width`]
+    /// resolves it.
+    meta: Vec<(&'a str, FieldId)>,
+    /// Select fields the catalog lacks: header, field and number.
+    extra: Vec<(&'a str, &'a str, FieldId)>,
+    /// Per number: the header ([`FieldRef::META`] for metadata) and the
+    /// width, `None` for a field the catalog lacks.
+    info: Vec<(&'a str, Option<u16>)>,
+}
+
+impl<'a> Fields<'a> {
+    fn new(program: &'a Program) -> Self {
+        let mut info = Vec::new();
+        let headers = program
+            .header_types
+            .iter()
+            .map(|(name, ht)| {
+                let first = info.len() as FieldId;
+                info.extend(ht.fields.iter().map(|f| (name.as_str(), Some(f.bits))));
+                (name.as_str(), ht, first)
+            })
+            .collect();
+        let declared = program
+            .meta_fields
+            .iter()
+            .map(|f| (f.name.as_str(), f.bits));
+        let mut meta: Vec<(&str, u16)> =
+            declared.chain(STANDARD_METADATA.iter().copied()).collect();
+        // Stable: of the entries for one name, the first one stays.
+        meta.sort_by_key(|(name, _)| *name);
+        meta.dedup_by_key(|(name, _)| *name);
+        let meta = meta
+            .into_iter()
+            .map(|(name, bits)| {
+                info.push((FieldRef::META, Some(bits)));
+                (name, info.len() as FieldId - 1)
+            })
+            .collect();
+        let mut fields = Fields {
+            headers,
+            meta,
+            extra: Vec::new(),
+            info,
+        };
+        for node in &program.parser.nodes {
+            if let Transition::Select { field, .. } = &node.transition {
+                let header = node.header_type.as_str();
+                if fields.resolve(FieldView::new(header, field)).is_none() {
+                    let id = fields.info.len() as FieldId;
+                    fields.info.push((header, None));
+                    fields.extra.push((header, field, id));
+                }
+            }
+        }
+        fields
+    }
+
+    /// The number of `fr`, if it has one.
+    fn resolve(&self, fr: FieldView<'_>) -> Option<FieldId> {
+        if fr.register {
+            return None;
+        }
+        let found = if fr.is_meta() {
+            let i = self.meta.binary_search_by(|(n, _)| n.cmp(&fr.field)).ok();
+            i.map(|i| self.meta[i].1)
+        } else {
+            let i = self
+                .headers
+                .binary_search_by(|(n, ..)| n.cmp(&fr.header))
+                .ok();
+            i.and_then(|i| {
+                let (_, ht, first) = self.headers[i];
+                let at = ht.fields.iter().position(|f| f.name == fr.field)?;
+                Some(first + at as FieldId)
+            })
+        };
+        found.or_else(|| {
+            let mut extra = self.extra.iter();
+            extra
+                .find(|(h, f, _)| *h == fr.header && *f == fr.field)
+                .map(|e| e.2)
+        })
+    }
+
+    /// The number of `fr` and its width, as [`Program::field_width`]
+    /// gives it.
+    fn lookup(&self, fr: FieldView<'_>) -> (Option<FieldId>, Option<u16>) {
+        let id = self.resolve(fr);
+        (id, id.and_then(|id| self.info[id as usize].1))
+    }
+
+    fn header(&self, id: FieldId) -> &'a str {
+        self.info[id as usize].0
+    }
+}
+
+/// The value facts on one path: an abstraction per constrained field,
+/// sorted by field number (an absent field may hold any value). Copying
+/// one at a branch copies one short vector.
+#[derive(Debug, Clone, Default)]
+struct Env(Vec<(FieldId, AbstractValue)>);
+
+impl Env {
+    fn get(&self, id: FieldId) -> Option<&AbstractValue> {
+        let at = self.0.binary_search_by_key(&id, |(k, _)| *k).ok()?;
+        Some(&self.0[at].1)
+    }
+
+    fn insert(&mut self, id: FieldId, value: AbstractValue) {
+        match self.0.binary_search_by_key(&id, |(k, _)| *k) {
+            Ok(at) => self.0[at].1 = value,
+            Err(at) => self.0.insert(at, (id, value)),
+        }
+    }
+
+    /// Drops every fact about a field of `header`.
+    fn forget_header(&mut self, fields: &Fields<'_>, header: &str) {
+        self.0.retain(|(id, _)| fields.header(*id) != header);
+    }
+}
 
 /// Joins two per-path environments: only facts established on both paths
 /// survive (an absent binding means "any value").
 fn join_envs(a: &Env, b: &Env) -> Env {
-    let mut out = Env::new();
-    for (k, va) in a {
-        if let Some(vb) = b.get(k) {
-            out.insert(k.clone(), va.join(vb));
+    let mut out = Vec::with_capacity(a.0.len().min(b.0.len()));
+    let mut rest = b.0.iter().peekable();
+    for (k, va) in &a.0 {
+        while rest.next_if(|(kb, _)| kb < k).is_some() {}
+        if let Some((_, vb)) = rest.next_if(|(kb, _)| kb == k) {
+            out.push((*k, va.join(vb)));
         }
     }
-    out
+    Env(out)
+}
+
+/// Folds one more path exit into `exits` (the first one as is, each later
+/// one joined in).
+fn join_into(exits: &mut Option<Env>, exit: Env) {
+    *exits = Some(match exits.take() {
+        Some(acc) => join_envs(&acc, &exit),
+        None => exit,
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -331,39 +473,99 @@ fn join_envs(a: &Env, b: &Env) -> Env {
 // ---------------------------------------------------------------------------
 
 /// Compact source-like rendering of an expression for messages.
-fn fmt_expr(e: &Expr) -> String {
-    match e {
-        Expr::Const(v) => v.to_string(),
-        Expr::Field(fr) => fr.to_string(),
-        Expr::Param(p) => format!("${p}"),
-        Expr::Add(a, b) => format!("({} + {})", fmt_expr(a), fmt_expr(b)),
-        Expr::Sub(a, b) => format!("({} - {})", fmt_expr(a), fmt_expr(b)),
-        Expr::And(a, b) => format!("({} & {})", fmt_expr(a), fmt_expr(b)),
-        Expr::Or(a, b) => format!("({} | {})", fmt_expr(a), fmt_expr(b)),
-        Expr::Xor(a, b) => format!("({} ^ {})", fmt_expr(a), fmt_expr(b)),
-        Expr::Shl(a, n) => format!("({} << {n})", fmt_expr(a)),
-        Expr::Shr(a, n) => format!("({} >> {n})", fmt_expr(a)),
+struct ShowExpr<'a>(&'a Expr);
+
+impl fmt::Display for ShowExpr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let bin = |f: &mut fmt::Formatter<'_>, a: &Expr, op: &str, b: &Expr| {
+            write!(f, "({} {op} {})", ShowExpr(a), ShowExpr(b))
+        };
+        match self.0 {
+            Expr::Const(v) => write!(f, "{v}"),
+            Expr::Field(fr) => write!(f, "{fr}"),
+            Expr::Param(p) => write!(f, "${p}"),
+            Expr::Add(a, b) => bin(f, a, "+", b),
+            Expr::Sub(a, b) => bin(f, a, "-", b),
+            Expr::And(a, b) => bin(f, a, "&", b),
+            Expr::Or(a, b) => bin(f, a, "|", b),
+            Expr::Xor(a, b) => bin(f, a, "^", b),
+            Expr::Shl(a, n) => write!(f, "({} << {n})", ShowExpr(a)),
+            Expr::Shr(a, n) => write!(f, "({} >> {n})", ShowExpr(a)),
+        }
     }
 }
 
 /// Compact source-like rendering of a condition for messages.
-fn fmt_bool(b: &BoolExpr) -> String {
-    match b {
-        BoolExpr::Cmp(a, op, c) => {
-            let sym = match op {
-                CmpOp::Eq => "==",
-                CmpOp::Ne => "!=",
-                CmpOp::Lt => "<",
-                CmpOp::Le => "<=",
-                CmpOp::Gt => ">",
-                CmpOp::Ge => ">=",
-            };
-            format!("{} {sym} {}", fmt_expr(a), fmt_expr(c))
+struct ShowBool<'a>(&'a BoolExpr);
+
+impl fmt::Display for ShowBool<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            BoolExpr::Cmp(a, op, c) => {
+                let sym = match op {
+                    CmpOp::Eq => "==",
+                    CmpOp::Ne => "!=",
+                    CmpOp::Lt => "<",
+                    CmpOp::Le => "<=",
+                    CmpOp::Gt => ">",
+                    CmpOp::Ge => ">=",
+                };
+                write!(f, "{} {sym} {}", ShowExpr(a), ShowExpr(c))
+            }
+            BoolExpr::And(a, c) => write!(f, "({} && {})", ShowBool(a), ShowBool(c)),
+            BoolExpr::Or(a, c) => write!(f, "({} || {})", ShowBool(a), ShowBool(c)),
+            BoolExpr::Not(a) => write!(f, "!({})", ShowBool(a)),
+            BoolExpr::Valid(h) => write!(f, "isValid({h})"),
         }
-        BoolExpr::And(a, c) => format!("({} && {})", fmt_bool(a), fmt_bool(c)),
-        BoolExpr::Or(a, c) => format!("({} || {})", fmt_bool(a), fmt_bool(c)),
-        BoolExpr::Not(a) => format!("!({})", fmt_bool(a)),
-        BoolExpr::Valid(h) => format!("isValid({h})"),
+    }
+}
+
+/// One step of the path that led the walk to a point: borrowed from the
+/// program while walking, rendered only into a diagnostic's witness.
+#[derive(Debug, Clone, Copy)]
+enum Step<'a> {
+    /// A parser vertex, `header@offset`.
+    Vertex(&'a str, u32),
+    /// A select case taken.
+    Case(Value),
+    /// A select's default taken.
+    Default,
+    /// The control the walk starts in.
+    Control(&'a str),
+    /// A table applied.
+    Apply(&'a str),
+    /// An `ApplySelect` arm taken.
+    Arm(&'a str),
+    /// An `ApplySelect`'s default taken.
+    ArmDefault,
+    /// A gateway's then-branch taken.
+    Then(&'a BoolExpr),
+    /// A gateway's else-branch taken.
+    Else(&'a BoolExpr),
+    /// An action invoked directly.
+    Do(&'a str),
+    /// A control called.
+    Call(&'a str),
+    /// The action the value pass evaluates.
+    Action(&'a str),
+}
+
+impl fmt::Display for Step<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Step::Vertex(header, offset) => write!(f, "{header}@{offset}"),
+            Step::Case(v) => write!(f, "case {v}"),
+            Step::Default => f.write_str("default"),
+            Step::Control(name) => write!(f, "control {name}"),
+            Step::Apply(table) => write!(f, "apply {table}"),
+            Step::Arm(action) => write!(f, "arm {action}"),
+            Step::ArmDefault => f.write_str("arm default"),
+            Step::Then(cond) => write!(f, "if {} [then]", ShowBool(cond)),
+            Step::Else(cond) => write!(f, "if {} [else]", ShowBool(cond)),
+            Step::Do(action) => write!(f, "do {action}"),
+            Step::Call(control) => write!(f, "call {control}"),
+            Step::Action(action) => write!(f, "action {action}"),
+        }
     }
 }
 
@@ -373,31 +575,41 @@ struct Analyzer<'a> {
     program: &'a Program,
     config: &'a LintConfig,
     report: LintReport,
+    fields: Fields<'a>,
     /// Every field any action in the program writes (for DJV204 guard
     /// mutability).
-    writers: Vec<FieldRef>,
+    writers: Vec<FieldView<'a>>,
 }
 
 impl<'a> Analyzer<'a> {
     fn new(program: &'a Program, config: &'a LintConfig) -> Self {
-        let writers = program
-            .actions
-            .values()
-            .flat_map(|a| a.writes())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
+        let mut writers = Vec::new();
+        for op in program.actions.values().flat_map(|a| &a.ops) {
+            op.for_each_write(|w| writers.push(w));
+        }
         Analyzer {
             program,
             config,
             report: LintReport::default(),
+            fields: Fields::new(program),
             writers,
         }
     }
 
-    fn emit(&mut self, code: LintCode, entity: &str, message: String, witness: Vec<String>) {
+    fn emit(&mut self, code: LintCode, entity: &str, message: String, path: &[Step<'_>]) {
+        let witness = path.iter().map(Step::to_string).collect();
         let diag = Diagnostic::new(code, entity, message).with_witness(witness);
         self.report.emit(self.config, diag);
+    }
+
+    /// The abstraction of `fr` under `env` at its own width (`top` when
+    /// nothing is known, 128 bits for a field the catalog lacks).
+    fn value_of(&self, fr: FieldView<'_>, env: &Env) -> AbstractValue {
+        let (id, width) = self.fields.lookup(fr);
+        let bits = width.unwrap_or(128);
+        id.and_then(|id| env.get(id))
+            .map(|v| v.resize(bits))
+            .unwrap_or_else(|| AbstractValue::top(bits))
     }
 
     /// Natural-width abstract evaluation, mirroring the interpreter: the
@@ -405,12 +617,7 @@ impl<'a> Analyzer<'a> {
     fn eval(&self, e: &Expr, env: &Env, action: Option<&ActionDef>) -> AbstractValue {
         match e {
             Expr::Const(v) => AbstractValue::exact(v.raw(), v.bits()),
-            Expr::Field(fr) => {
-                let bits = self.program.field_width(fr).unwrap_or(128);
-                env.get(fr)
-                    .map(|v| v.resize(bits))
-                    .unwrap_or_else(|| AbstractValue::top(bits))
-            }
+            Expr::Field(fr) => self.value_of(FieldView::of(fr), env),
             Expr::Param(p) => {
                 let bits = action
                     .and_then(|a| a.params.iter().find(|(n, _)| n == p))
@@ -452,55 +659,53 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Refines `env` under the assumption that `cond` evaluates to `truth`.
-    /// `None` means the assumption contradicts the environment.
-    fn assume(&self, cond: &BoolExpr, truth: bool, env: &Env) -> Option<Env> {
+    /// Refines `env` in place under the assumption that `cond` evaluates
+    /// to `truth`. `false` means the assumption contradicts the
+    /// environment (which is then left half-refined, for the caller to
+    /// drop).
+    fn assume(&self, cond: &BoolExpr, truth: bool, env: &mut Env) -> bool {
         match cond {
             BoolExpr::Not(a) => self.assume(a, !truth, env),
-            BoolExpr::And(a, b) if truth => {
-                let e = self.assume(a, true, env)?;
-                self.assume(b, true, &e)
-            }
+            BoolExpr::And(a, b) if truth => self.assume(a, true, env) && self.assume(b, true, env),
             BoolExpr::Or(a, b) if !truth => {
-                let e = self.assume(a, false, env)?;
-                self.assume(b, false, &e)
+                self.assume(a, false, env) && self.assume(b, false, env)
             }
             BoolExpr::Cmp(a, op, b) => {
                 let eff = if truth { *op } else { negate_op(*op) };
-                if let (Expr::Field(fr), Expr::Const(v)) = (a, b) {
-                    return self.refine_field(env, fr, eff, v.raw());
+                match (a, b) {
+                    (Expr::Field(fr), Expr::Const(v)) => self.refine_field(env, fr, eff, v.raw()),
+                    (Expr::Const(v), Expr::Field(fr)) => {
+                        self.refine_field(env, fr, mirror_op(eff), v.raw())
+                    }
+                    _ => true,
                 }
-                if let (Expr::Const(v), Expr::Field(fr)) = (a, b) {
-                    return self.refine_field(env, fr, mirror_op(eff), v.raw());
-                }
-                Some(env.clone())
             }
-            _ => Some(env.clone()),
+            _ => true,
         }
     }
 
-    /// Clamps the abstraction of `fr` by `fr <op> raw`. `None` on
+    /// Clamps the abstraction of `fr` by `fr <op> raw`. `false` on
     /// contradiction.
-    fn refine_field(&self, env: &Env, fr: &FieldRef, op: CmpOp, raw: u128) -> Option<Env> {
-        let Some(bits) = self.program.field_width(fr) else {
-            return Some(env.clone());
+    fn refine_field(&self, env: &mut Env, fr: &FieldRef, op: CmpOp, raw: u128) -> bool {
+        let (Some(id), Some(bits)) = self.fields.lookup(FieldView::of(fr)) else {
+            return true;
         };
         let cur = env
-            .get(fr)
+            .get(id)
             .copied()
             .unwrap_or_else(|| AbstractValue::top(bits));
         let m = mask_for(cur.bits);
-        let refined = match op {
+        let mut v = cur;
+        match op {
             CmpOp::Eq => {
                 if raw > m || !cur.contains(raw) {
-                    return None;
+                    return false;
                 }
-                AbstractValue::exact(raw, cur.bits)
+                v = AbstractValue::exact(raw, cur.bits);
             }
             CmpOp::Ne => {
-                let mut v = cur;
                 if v.as_exact() == Some(raw) {
-                    return None;
+                    return false;
                 }
                 if v.lo == raw {
                     v.lo += 1;
@@ -508,50 +713,27 @@ impl<'a> Analyzer<'a> {
                 if v.hi == raw && v.hi > 0 {
                     v.hi -= 1;
                 }
-                if v.lo > v.hi {
-                    return None;
-                }
-                v
             }
             CmpOp::Lt => {
                 if raw == 0 {
-                    return None;
+                    return false;
                 }
-                let mut v = cur;
                 v.hi = v.hi.min(raw - 1);
-                if v.lo > v.hi {
-                    return None;
-                }
-                v
             }
-            CmpOp::Le => {
-                let mut v = cur;
-                v.hi = v.hi.min(raw);
-                if v.lo > v.hi {
-                    return None;
-                }
-                v
-            }
+            CmpOp::Le => v.hi = v.hi.min(raw),
             CmpOp::Gt => {
-                let mut v = cur;
-                v.lo = v.lo.max(raw.checked_add(1)?);
-                if v.lo > v.hi {
-                    return None;
-                }
-                v
+                let Some(above) = raw.checked_add(1) else {
+                    return false;
+                };
+                v.lo = v.lo.max(above);
             }
-            CmpOp::Ge => {
-                let mut v = cur;
-                v.lo = v.lo.max(raw);
-                if v.lo > v.hi {
-                    return None;
-                }
-                v
-            }
-        };
-        let mut out = env.clone();
-        out.insert(fr.clone(), refined);
-        Some(out)
+            CmpOp::Ge => v.lo = v.lo.max(raw),
+        }
+        if v.lo > v.hi {
+            return false;
+        }
+        env.insert(id, v);
+        true
     }
 }
 
@@ -637,13 +819,17 @@ fn mirror_op(op: CmpOp) -> CmpOp {
 // ---------------------------------------------------------------------------
 
 /// Per-run parser walk state.
-struct ParserState {
-    /// Environment at each Accept, joined into the entry environment.
-    accepts: Vec<Env>,
+#[derive(Default)]
+struct ParserWalk<'a> {
+    /// The join of the environments at every Accept reached so far: the
+    /// entry environment once the walk is done.
+    accepted: Option<Env>,
+    /// Header types extracted on the current path.
+    parsed: Vec<&'a str>,
     /// Header types parsed more than once on some path — their refinements
     /// are ambiguous between instances, so they are dropped from the entry
     /// environment.
-    poisoned: BTreeSet<String>,
+    poisoned: Vec<&'a str>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -651,19 +837,15 @@ impl<'a> Analyzer<'a> {
     /// (`DJV202`) and returns the join of all accept-path environments — the
     /// value facts that hold for every packet entering the control flow.
     fn parser_pass(&mut self) -> Env {
-        let mut st = ParserState {
-            accepts: Vec::new(),
-            poisoned: BTreeSet::new(),
-        };
+        let mut walk = ParserWalk::default();
         if let Some(start) = self.program.parser.start {
-            self.visit_parser(start, Env::new(), BTreeSet::new(), Vec::new(), &mut st, 0);
+            self.visit_parser(start, Env::default(), &mut walk, &mut Vec::new(), 0);
         }
-        let mut iter = st.accepts.into_iter();
-        let mut entry = iter.next().unwrap_or_default();
-        for e in iter {
-            entry = join_envs(&entry, &e);
-        }
-        entry.retain(|k, _| !st.poisoned.contains(&k.header));
+        let mut entry = walk.accepted.unwrap_or_default();
+        let fields = &self.fields;
+        entry
+            .0
+            .retain(|(id, _)| !walk.poisoned.contains(&fields.header(*id)));
         entry
     }
 
@@ -671,9 +853,8 @@ impl<'a> Analyzer<'a> {
         &mut self,
         target: Target,
         mut env: Env,
-        mut parsed: BTreeSet<String>,
-        mut path: Vec<String>,
-        st: &mut ParserState,
+        walk: &mut ParserWalk<'a>,
+        path: &mut Vec<Step<'a>>,
         depth: usize,
     ) {
         if depth > MAX_DEPTH {
@@ -681,77 +862,83 @@ impl<'a> Analyzer<'a> {
         }
         let node_idx = match target {
             Target::Accept => {
-                st.accepts.push(env);
+                join_into(&mut walk.accepted, env);
                 return;
             }
             Target::Reject => return,
             Target::Node(i) => i,
         };
-        let Some(node) = self.program.parser.nodes.get(node_idx) else {
+        let program = self.program;
+        let Some(node) = program.parser.nodes.get(node_idx) else {
             return;
         };
-        let ht_name = node.header_type.clone();
-        if !parsed.insert(ht_name.clone()) {
-            st.poisoned.insert(ht_name.clone());
+        let ht_name = node.header_type.as_str();
+        let fresh = !walk.parsed.contains(&ht_name);
+        if fresh {
+            walk.parsed.push(ht_name);
+        } else if !walk.poisoned.contains(&ht_name) {
+            walk.poisoned.push(ht_name);
         }
         // Extracting a fresh instance invalidates prior refinements of this
         // header type.
-        env.retain(|k, _| k.header != ht_name);
-        path.push(format!("{ht_name}@{}", node.offset));
-        let entity = format!("{ht_name}@{}", node.offset);
-        match node.transition.clone() {
+        env.forget_header(&self.fields, ht_name);
+        path.push(Step::Vertex(ht_name, node.offset));
+        match &node.transition {
             Transition::Unconditional(t) => {
-                self.visit_parser(t, env, parsed, path, st, depth + 1);
+                self.visit_parser(*t, env, walk, path, depth + 1);
             }
             Transition::Select {
                 field,
                 cases,
                 default,
             } => {
-                let bits = self
-                    .program
+                let bits = program
                     .header_types
-                    .get(&ht_name)
-                    .and_then(|ht| ht.field(&field))
+                    .get(ht_name)
+                    .and_then(|ht| ht.field(field))
                     .map(|f| f.bits)
                     .unwrap_or(128);
-                let fr = FieldRef::new(ht_name.clone(), field.clone());
+                let fr = FieldView::new(ht_name, field);
+                let id = self.fields.resolve(fr).expect("select fields are numbered");
                 let av = env
-                    .get(&fr)
+                    .get(id)
                     .copied()
                     .unwrap_or_else(|| AbstractValue::top(bits));
                 let mut default_av = Some(av);
-                for (v, t) in &cases {
+                for (v, t) in cases {
                     if !av.contains(v.raw()) {
                         self.emit(
                             LintCode::InfeasiblePath,
-                            &entity,
+                            &format!("{ht_name}@{}", node.offset),
                             format!(
                                 "select case {v} on {ht_name}.{field} can never match \
                                  (feasible range [{:#x}, {:#x}])",
                                 av.lo, av.hi
                             ),
-                            path.clone(),
+                            path,
                         );
                         continue;
                     }
                     let mut env2 = env.clone();
-                    env2.insert(fr.clone(), AbstractValue::exact(v.raw(), bits));
-                    let mut p2 = path.clone();
-                    p2.push(format!("case {v}"));
-                    self.visit_parser(*t, env2, parsed.clone(), p2, st, depth + 1);
+                    env2.insert(id, AbstractValue::exact(v.raw(), bits));
+                    path.push(Step::Case(*v));
+                    self.visit_parser(*t, env2, walk, path, depth + 1);
+                    path.pop();
                     // The default (and later cases, conservatively kept at
                     // the un-refined value) excludes this case's value.
                     default_av = default_av.and_then(|d| refine_ne(d, v.raw()));
                 }
                 if let Some(d) = default_av {
-                    let mut env2 = env;
-                    env2.insert(fr, d);
-                    let mut p2 = path;
-                    p2.push("default".into());
-                    self.visit_parser(default, env2, parsed, p2, st, depth + 1);
+                    env.insert(id, d);
+                    path.push(Step::Default);
+                    self.visit_parser(*default, env, walk, path, depth + 1);
+                    path.pop();
                 }
             }
+        }
+        path.pop();
+        if fresh {
+            walk.parsed.pop();
         }
     }
 }
@@ -782,20 +969,25 @@ impl<'a> Analyzer<'a> {
         let Some(entry) = self.program.entry_control() else {
             return;
         };
-        let body = entry.body.clone();
-        let name = entry.name.clone();
-        let mut guards: Vec<FieldRef> = Vec::new();
-        let mut path = vec![format!("control {name}")];
-        self.walk_stmts(&body, entry_env, &name, &mut guards, &mut path, 0);
+        let mut guards = Vec::new();
+        let mut path = vec![Step::Control(&entry.name)];
+        self.walk_stmts(
+            &entry.body,
+            entry_env,
+            &entry.name,
+            &mut guards,
+            &mut path,
+            0,
+        );
     }
 
     fn walk_stmts(
         &mut self,
-        stmts: &[Stmt],
+        stmts: &'a [Stmt],
         mut env: Env,
-        control: &str,
-        guards: &mut Vec<FieldRef>,
-        path: &mut Vec<String>,
+        control: &'a str,
+        guards: &mut Vec<FieldView<'a>>,
+        path: &mut Vec<Step<'a>>,
         depth: usize,
     ) -> Env {
         if depth > MAX_DEPTH {
@@ -809,16 +1001,16 @@ impl<'a> Analyzer<'a> {
 
     fn walk_stmt(
         &mut self,
-        stmt: &Stmt,
+        stmt: &'a Stmt,
         env: Env,
-        control: &str,
-        guards: &mut Vec<FieldRef>,
-        path: &mut Vec<String>,
+        control: &'a str,
+        guards: &mut Vec<FieldView<'a>>,
+        path: &mut Vec<Step<'a>>,
         depth: usize,
     ) -> Env {
         match stmt {
             Stmt::Apply(t) => {
-                path.push(format!("apply {t}"));
+                path.push(Step::Apply(t));
                 let out = self.apply_table(t, env, guards, path);
                 path.pop();
                 out
@@ -828,17 +1020,17 @@ impl<'a> Analyzer<'a> {
                 arms,
                 default,
             } => {
-                path.push(format!("apply {table}"));
+                path.push(Step::Apply(table));
                 let joined = self.apply_table(table, env.clone(), guards, path);
-                let Some(tdef) = self.program.tables.get(table).cloned() else {
+                let Some(tdef) = self.program.tables.get(table) else {
                     path.pop();
                     return joined;
                 };
                 // Arm bodies are control-dependent on the table outcome:
                 // its match keys guard them.
-                let keys = tdef.match_reads();
-                guards.extend(keys.iter().cloned());
-                let mut exits: Vec<Env> = Vec::new();
+                let outer = guards.len();
+                guards.extend(tdef.keys.iter().map(|k| FieldView::of(&k.field)));
+                let mut exits = None;
                 for (action, body) in arms {
                     if !tdef.actions.contains(action) {
                         self.emit(
@@ -848,24 +1040,24 @@ impl<'a> Analyzer<'a> {
                                 "ApplySelect arm `{action}` on table {table} names an \
                                  action the table can never run"
                             ),
-                            path.clone(),
+                            path,
                         );
                         continue;
                     }
                     // In this arm, exactly `action` ran.
                     let arm_env = self.apply_action(env.clone(), action);
-                    path.push(format!("arm {action}"));
-                    exits.push(self.walk_stmts(body, arm_env, control, guards, path, depth + 1));
+                    path.push(Step::Arm(action));
+                    let exit = self.walk_stmts(body, arm_env, control, guards, path, depth + 1);
+                    join_into(&mut exits, exit);
                     path.pop();
                 }
-                path.push("arm default".into());
-                exits.push(self.walk_stmts(default, joined, control, guards, path, depth + 1));
+                path.push(Step::ArmDefault);
+                let exit = self.walk_stmts(default, joined, control, guards, path, depth + 1);
+                join_into(&mut exits, exit);
                 path.pop();
-                guards.truncate(guards.len() - keys.len());
+                guards.truncate(outer);
                 path.pop();
-                let mut iter = exits.into_iter();
-                let first = iter.next().unwrap_or_default();
-                iter.fold(first, |acc, e| join_envs(&acc, &e))
+                exits.unwrap_or_default()
             }
             Stmt::If {
                 cond,
@@ -873,69 +1065,57 @@ impl<'a> Analyzer<'a> {
                 else_branch,
             } => {
                 let tri = self.eval_bool(cond, &env);
-                let desc = fmt_bool(cond);
                 if tri == Tri::False && !then_branch.is_empty() {
                     self.emit(
                         LintCode::InfeasiblePath,
                         control,
-                        format!("branch condition `{desc}` is always false"),
-                        path.clone(),
+                        format!("branch condition `{}` is always false", ShowBool(cond)),
+                        path,
                     );
                 }
                 if tri == Tri::True && !else_branch.is_empty() {
                     self.emit(
                         LintCode::InfeasiblePath,
                         control,
-                        format!("else-branch of always-true condition `{desc}` never runs"),
-                        path.clone(),
+                        format!(
+                            "else-branch of always-true condition `{}` never runs",
+                            ShowBool(cond)
+                        ),
+                        path,
                     );
                 }
-                let n = cond.reads().len();
-                guards.extend(cond.reads());
-                let mut exits: Vec<Env> = Vec::new();
-                if tri != Tri::False {
-                    if let Some(e) = self.assume(cond, true, &env) {
-                        path.push(format!("if {desc} [then]"));
-                        exits.push(self.walk_stmts(
-                            then_branch,
-                            e,
-                            control,
-                            guards,
-                            path,
-                            depth + 1,
-                        ));
-                        path.pop();
+                let outer = guards.len();
+                cond.for_each_read(&mut |fr| guards.push(fr));
+                let mut exits = None;
+                for (truth, branch, step) in [
+                    (true, then_branch, Step::Then(cond)),
+                    (false, else_branch, Step::Else(cond)),
+                ] {
+                    if tri == if truth { Tri::False } else { Tri::True } {
+                        continue;
                     }
-                }
-                if tri != Tri::True {
-                    if let Some(e) = self.assume(cond, false, &env) {
-                        path.push(format!("if {desc} [else]"));
-                        exits.push(self.walk_stmts(
-                            else_branch,
-                            e,
-                            control,
-                            guards,
-                            path,
-                            depth + 1,
-                        ));
-                        path.pop();
+                    let mut e = env.clone();
+                    if !self.assume(cond, truth, &mut e) {
+                        continue;
                     }
+                    path.push(step);
+                    let exit = self.walk_stmts(branch, e, control, guards, path, depth + 1);
+                    join_into(&mut exits, exit);
+                    path.pop();
                 }
-                guards.truncate(guards.len() - n);
-                let mut iter = exits.into_iter();
-                let first = iter.next().unwrap_or(env);
-                iter.fold(first, |acc, e| join_envs(&acc, &e))
+                guards.truncate(outer);
+                exits.unwrap_or(env)
             }
             Stmt::Do(a) => {
-                path.push(format!("do {a}"));
+                path.push(Step::Do(a));
                 self.check_recirc_site(a, &[], &env, guards, path);
                 let out = self.apply_action(env, a);
                 path.pop();
                 out
             }
             Stmt::Call(c) => {
-                if let Some(cb) = self.program.controls.get(c).cloned() {
-                    path.push(format!("call {c}"));
+                if let Some(cb) = self.program.controls.get(c) {
+                    path.push(Step::Call(c));
                     let out = self.walk_stmts(&cb.body, env, &cb.name, guards, path, depth + 1);
                     path.pop();
                     out
@@ -949,26 +1129,30 @@ impl<'a> Analyzer<'a> {
     /// Applies a table: DJV203 entry satisfiability against the feasible key
     /// values, DJV204 recirculation checks on every action the table may
     /// run, then havocs the environment with the join of all actions.
-    fn apply_table(&mut self, table: &str, env: Env, guards: &[FieldRef], path: &[String]) -> Env {
-        let Some(tdef) = self.program.tables.get(table).cloned() else {
+    fn apply_table(
+        &mut self,
+        table: &str,
+        env: Env,
+        guards: &[FieldView<'_>],
+        path: &[Step<'_>],
+    ) -> Env {
+        let Some(tdef) = self.program.tables.get(table) else {
             return env;
         };
-        self.check_entries(&tdef, &env, path);
-        let keys = tdef.match_reads();
-        let mut exits: Vec<Env> = Vec::new();
+        self.check_entries(tdef, &env, path);
+        let mut exits = None;
         for action in &tdef.actions {
-            self.check_recirc_site(action, &keys, &env, guards, path);
-            exits.push(self.apply_action(env.clone(), action));
+            self.check_recirc_site(action, &tdef.keys, &env, guards, path);
+            join_into(&mut exits, self.apply_action(env.clone(), action));
         }
-        let mut iter = exits.into_iter();
-        let first = iter.next().unwrap_or(env);
-        iter.fold(first, |acc, e| join_envs(&acc, &e))
+        exits.unwrap_or(env)
     }
 
     /// DJV203: every configured entry pattern must be matchable by some
     /// feasible key value.
-    fn check_entries(&mut self, tdef: &TableDef, env: &Env, path: &[String]) {
-        let Some(patterns) = self.config.entries.get(&tdef.name).cloned() else {
+    fn check_entries(&mut self, tdef: &TableDef, env: &Env, path: &[Step<'_>]) {
+        let config = self.config;
+        let Some(patterns) = config.entries.get(&tdef.name) else {
             return;
         };
         for (i, pattern) in patterns.iter().enumerate() {
@@ -981,14 +1165,15 @@ impl<'a> Analyzer<'a> {
                         pattern.len(),
                         tdef.keys.len()
                     ),
-                    path.to_vec(),
+                    path,
                 );
                 continue;
             }
             for (km, key) in pattern.iter().zip(&tdef.keys) {
-                let bits = self.program.field_width(&key.field).unwrap_or(128);
-                let av = env
-                    .get(&key.field)
+                let (id, width) = self.fields.lookup(FieldView::of(&key.field));
+                let bits = width.unwrap_or(128);
+                let av = id
+                    .and_then(|id| env.get(id))
                     .copied()
                     .unwrap_or_else(|| AbstractValue::top(bits));
                 if !may_match(&av, km, bits) {
@@ -1000,7 +1185,7 @@ impl<'a> Analyzer<'a> {
                              [{:#x}, {:#x}], outside the entry's match set",
                             key.field, av.lo, av.hi
                         ),
-                        path.to_vec(),
+                        path,
                     );
                     break;
                 }
@@ -1015,13 +1200,17 @@ impl<'a> Analyzer<'a> {
     fn check_recirc_site(
         &mut self,
         action: &str,
-        table_keys: &[FieldRef],
+        table_keys: &[TableKey],
         env: &Env,
-        guards: &[FieldRef],
-        path: &[String],
+        guards: &[FieldView<'_>],
+        path: &[Step<'_>],
     ) {
         let Some(adef) = self.program.actions.get(action) else {
             return;
+        };
+        let all_guards = || {
+            let keys = table_keys.iter().map(|k| FieldView::of(&k.field));
+            guards.iter().copied().chain(keys)
         };
         for op in &adef.ops {
             let PrimitiveOp::Set { dst, value } = op else {
@@ -1033,8 +1222,7 @@ impl<'a> Analyzer<'a> {
             if !self.eval(value, env, Some(adef)).may_be_nonzero() {
                 continue; // provably clears the flag
             }
-            let all_guards: Vec<&FieldRef> = guards.iter().chain(table_keys.iter()).collect();
-            if all_guards.is_empty() {
+            if all_guards().next().is_none() {
                 self.emit(
                     LintCode::UnboundedRecirc,
                     action,
@@ -1042,15 +1230,13 @@ impl<'a> Analyzer<'a> {
                         "action {action} sets {dst} with no guarding condition or \
                          table key: every pass resubmits again, unboundedly"
                     ),
-                    path.to_vec(),
+                    path,
                 );
                 continue;
             }
-            let mutable = all_guards
-                .iter()
-                .any(|g| self.writers.iter().any(|w| field_overlaps(g, w)));
+            let mutable = all_guards().any(|g| self.writers.iter().any(|w| g.overlaps(*w)));
             if !mutable {
-                let names: Vec<String> = all_guards.iter().map(|g| g.to_string()).collect();
+                let names: Vec<String> = all_guards().map(|g| g.to_string()).collect();
                 self.emit(
                     LintCode::UnboundedRecirc,
                     action,
@@ -1059,7 +1245,7 @@ impl<'a> Analyzer<'a> {
                          any guard field ({}): the resubmit condition can never change",
                         names.join(", ")
                     ),
-                    path.to_vec(),
+                    path,
                 );
             }
         }
@@ -1070,32 +1256,35 @@ impl<'a> Analyzer<'a> {
         let Some(adef) = self.program.actions.get(action) else {
             return env;
         };
+        let fields = &self.fields;
         for op in &adef.ops {
             match op {
                 PrimitiveOp::Set { dst, value } => {
-                    if let Some(w) = self.program.field_width(dst) {
+                    if let (Some(id), Some(w)) = fields.lookup(FieldView::of(dst)) {
                         let av = self.eval(value, &env, Some(adef)).resize(w);
-                        env.insert(dst.clone(), av);
+                        env.insert(id, av);
                     }
                 }
                 PrimitiveOp::Hash { dst, .. } | PrimitiveOp::RegisterRead { dst, .. } => {
-                    if let Some(w) = self.program.field_width(dst) {
-                        env.insert(dst.clone(), AbstractValue::top(w));
+                    if let (Some(id), Some(w)) = fields.lookup(FieldView::of(dst)) {
+                        env.insert(id, AbstractValue::top(w));
                     }
                 }
                 PrimitiveOp::AddHeader { header, .. }
                 | PrimitiveOp::RemoveHeader { header }
                 | PrimitiveOp::RemoveHeaderNth { header, .. } => {
-                    env.retain(|k, _| &k.header != header);
+                    env.forget_header(fields, header);
                 }
                 PrimitiveOp::Ipv4ChecksumUpdate { header } => {
-                    let fr = FieldRef::new(header.clone(), "hdr_checksum");
-                    if let Some(w) = self.program.field_width(&fr) {
-                        env.insert(fr, AbstractValue::top(w));
+                    let fr = FieldView::new(header, "hdr_checksum");
+                    if let (Some(id), Some(w)) = fields.lookup(fr) {
+                        env.insert(id, AbstractValue::top(w));
                     }
                 }
                 PrimitiveOp::Drop => {
-                    env.insert(FieldRef::meta("drop_flag"), AbstractValue::exact(1, 1));
+                    let drop_flag = FieldView::new(FieldRef::META, "drop_flag");
+                    let id = fields.resolve(drop_flag).expect("a standard field");
+                    env.insert(id, AbstractValue::exact(1, 1));
                 }
                 PrimitiveOp::RegisterWrite { .. }
                 | PrimitiveOp::Digest { .. }
@@ -1109,18 +1298,20 @@ impl<'a> Analyzer<'a> {
     /// assignment or register access whose value may exceed the
     /// destination's width truncates silently.
     fn value_pass(&mut self) {
-        let env = Env::new();
-        for adef in self.program.actions.values().cloned() {
+        let env = Env::default();
+        let program = self.program;
+        for adef in program.actions.values() {
+            let path = [Step::Action(&adef.name)];
             for op in &adef.ops {
                 match op {
                     PrimitiveOp::Set { dst, value } => {
                         if dst.field == "*" {
                             continue;
                         }
-                        let Some(dw) = self.program.field_width(dst) else {
+                        let Some(dw) = self.fields.lookup(FieldView::of(dst)).1 else {
                             continue;
                         };
-                        let av = self.eval(value, &env, Some(&adef));
+                        let av = self.eval(value, &env, Some(adef));
                         if av.bits > dw && av.hi > mask_for(dw) {
                             self.emit(
                                 LintCode::ValueTruncation,
@@ -1128,21 +1319,21 @@ impl<'a> Analyzer<'a> {
                                 format!(
                                     "assignment `{dst} = {}` truncates a {}-bit value \
                                      into {dw} bits (mask explicitly to silence)",
-                                    fmt_expr(value),
+                                    ShowExpr(value),
                                     av.bits
                                 ),
-                                vec![format!("action {}", adef.name)],
+                                &path,
                             );
                         }
                     }
                     PrimitiveOp::RegisterWrite {
                         register, value, ..
                     } => {
-                        let Some(rdef) = self.program.registers.get(register) else {
+                        let Some(rdef) = program.registers.get(register) else {
                             continue;
                         };
                         let cw = rdef.width_bits;
-                        let av = self.eval(value, &env, Some(&adef));
+                        let av = self.eval(value, &env, Some(adef));
                         if av.bits > cw && av.hi > mask_for(cw) {
                             self.emit(
                                 LintCode::ValueTruncation,
@@ -1150,18 +1341,18 @@ impl<'a> Analyzer<'a> {
                                 format!(
                                     "register write `{register}[..] = {}` truncates a \
                                      {}-bit value into {cw}-bit cells",
-                                    fmt_expr(value),
+                                    ShowExpr(value),
                                     av.bits
                                 ),
-                                vec![format!("action {}", adef.name)],
+                                &path,
                             );
                         }
                     }
                     PrimitiveOp::RegisterRead { dst, register, .. } => {
-                        let Some(rdef) = self.program.registers.get(register) else {
+                        let Some(rdef) = program.registers.get(register) else {
                             continue;
                         };
-                        let Some(dw) = self.program.field_width(dst) else {
+                        let Some(dw) = self.fields.lookup(FieldView::of(dst)).1 else {
                             continue;
                         };
                         if rdef.width_bits > dw {
@@ -1173,7 +1364,7 @@ impl<'a> Analyzer<'a> {
                                      {}-bit cells into a {dw}-bit destination",
                                     rdef.width_bits
                                 ),
-                                vec![format!("action {}", adef.name)],
+                                &path,
                             );
                         }
                     }
@@ -1219,12 +1410,6 @@ fn may_match(av: &AbstractValue, km: &KeyMatch, bits: u16) -> bool {
     }
 }
 
-/// Field-reference overlap, matching the dependency analysis: same header
-/// namespace, and the fields are equal or either side is the `*` wildcard.
-fn field_overlaps(a: &FieldRef, b: &FieldRef) -> bool {
-    a.header == b.header && (a.field == b.field || a.field == "*" || b.field == "*")
-}
-
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
@@ -1252,8 +1437,8 @@ mod tests {
     use crate::header::{fref, HeaderType};
     use crate::lint::Severity;
     use crate::parser::ParseNode;
-    use crate::table::{MatchKind, RegisterDef, TableKey};
-    use crate::value::Value;
+    use crate::table::{MatchKind, RegisterDef};
+    use std::collections::BTreeSet;
 
     /// One header `h { wide:32, f:8 }`, meta `m:8`, single-node parser.
     fn base_program() -> Program {

@@ -661,10 +661,11 @@ mod tests {
             .start("eth")
             .build()
             .unwrap();
-        let headers = [well_known::ethernet(), well_known::ipv4()]
-            .into_iter()
-            .map(|h| (h.name.clone(), h))
-            .collect();
+        let headers: std::collections::BTreeMap<_, _> =
+            [well_known::ethernet(), well_known::ipv4()]
+                .into_iter()
+                .map(|h| (h.name.clone(), h))
+                .collect();
         let mut pkt = vec![0u8; 34];
         pkt[12] = 0x08;
         assert!(dag.parse(&headers, &pkt).is_ok());

@@ -10,7 +10,7 @@
 
 use crate::action::Expr;
 use crate::error::{IrError, Result};
-use crate::header::FieldRef;
+use crate::header::{FieldRef, FieldView};
 
 /// Comparison operators for gateway conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,19 +58,24 @@ impl BoolExpr {
 
     /// All field references read by the predicate.
     pub fn reads(&self) -> Vec<FieldRef> {
+        let mut out = Vec::new();
+        self.for_each_read(&mut |v| out.push(v.to_field_ref()));
+        out
+    }
+
+    /// Visits what [`BoolExpr::reads`] lists, in its order, borrowed.
+    pub(crate) fn for_each_read<'a>(&'a self, f: &mut impl FnMut(FieldView<'a>)) {
         match self {
             BoolExpr::Cmp(a, _, b) => {
-                let mut r = a.reads();
-                r.extend(b.reads());
-                r
+                a.for_each_read(&mut |fr| f(FieldView::of(fr)));
+                b.for_each_read(&mut |fr| f(FieldView::of(fr)));
             }
             BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
-                let mut r = a.reads();
-                r.extend(b.reads());
-                r
+                a.for_each_read(f);
+                b.for_each_read(f);
             }
-            BoolExpr::Not(a) => a.reads(),
-            BoolExpr::Valid(h) => vec![FieldRef::new(h.clone(), "*")],
+            BoolExpr::Not(a) => a.for_each_read(f),
+            BoolExpr::Valid(h) => f(FieldView::new(h, "*")),
         }
     }
 }
@@ -106,82 +111,51 @@ pub enum Stmt {
 }
 
 impl Stmt {
-    /// Names of tables applied anywhere under this statement, in program
-    /// order (depth-first, then-before-else).
-    pub fn tables_applied(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_tables(&mut out);
-        out
+    /// The table this statement itself applies, if any.
+    pub(crate) fn applied_table(&self) -> Option<&str> {
+        match self {
+            Stmt::Apply(t) | Stmt::ApplySelect { table: t, .. } => Some(t),
+            _ => None,
+        }
     }
 
-    fn collect_tables(&self, out: &mut Vec<String>) {
-        match self {
-            Stmt::Apply(t) => out.push(t.clone()),
-            Stmt::ApplySelect {
-                table,
-                arms,
-                default,
-            } => {
-                out.push(table.clone());
-                for (_, branch) in arms {
-                    for s in branch {
-                        s.collect_tables(out);
-                    }
-                }
-                for s in default {
-                    s.collect_tables(out);
-                }
-            }
+    /// Visits this statement, then every statement nested under it, in
+    /// program order (depth-first; arms before the default, then before
+    /// else). Calls are not followed.
+    pub(crate) fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
+        // The fallible walk with an error type that cannot occur.
+        let _ = self.try_visit(&mut |s| {
+            f(s);
+            Ok::<(), std::convert::Infallible>(())
+        });
+    }
+
+    /// [`Stmt::visit`] that stops at the first error `f` returns.
+    pub(crate) fn try_visit<'a, E, F>(&'a self, f: &mut F) -> std::result::Result<(), E>
+    where
+        F: FnMut(&'a Stmt) -> std::result::Result<(), E> + ?Sized,
+    {
+        f(self)?;
+        for s in self.branches().flatten() {
+            s.try_visit(f)?;
+        }
+        Ok(())
+    }
+
+    /// The statement lists nested directly under this one: an
+    /// `ApplySelect`'s arms then its default, an `If`'s then then its else.
+    pub(crate) fn branches(&self) -> impl Iterator<Item = &[Stmt]> {
+        let (arms, rest) = match self {
+            Stmt::ApplySelect { arms, default, .. } => (&arms[..], [Some(default), None]),
             Stmt::If {
                 then_branch,
                 else_branch,
                 ..
-            } => {
-                for s in then_branch {
-                    s.collect_tables(out);
-                }
-                for s in else_branch {
-                    s.collect_tables(out);
-                }
-            }
-            Stmt::Do(_) | Stmt::Call(_) => {}
-        }
-    }
-
-    /// Names of control blocks called anywhere under this statement.
-    pub fn controls_called(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_calls(&mut out);
-        out
-    }
-
-    fn collect_calls(&self, out: &mut Vec<String>) {
-        match self {
-            Stmt::Call(c) => out.push(c.clone()),
-            Stmt::ApplySelect { arms, default, .. } => {
-                for (_, branch) in arms {
-                    for s in branch {
-                        s.collect_calls(out);
-                    }
-                }
-                for s in default {
-                    s.collect_calls(out);
-                }
-            }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                for s in then_branch {
-                    s.collect_calls(out);
-                }
-                for s in else_branch {
-                    s.collect_calls(out);
-                }
-            }
-            Stmt::Apply(_) | Stmt::Do(_) => {}
-        }
+            } => (&[][..], [Some(then_branch), Some(else_branch)]),
+            _ => (&[][..], [None, None]),
+        };
+        let arms = arms.iter().map(|(_, body)| body.as_slice());
+        arms.chain(rest.into_iter().flatten().map(Vec::as_slice))
     }
 
     /// Number of gateway predicates under this statement (each `If` and each
@@ -233,14 +207,9 @@ impl ControlBlock {
         }
     }
 
-    /// Tables applied anywhere in the body, in program order.
-    pub fn tables_applied(&self) -> Vec<String> {
-        self.body.iter().flat_map(Stmt::tables_applied).collect()
-    }
-
-    /// Controls called anywhere in the body.
-    pub fn controls_called(&self) -> Vec<String> {
-        self.body.iter().flat_map(Stmt::controls_called).collect()
+    /// Visits every statement of the body ([`Stmt::visit`] on each).
+    pub(crate) fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
+        self.body.iter().for_each(|s| s.visit(f));
     }
 
     /// Total gateway predicates in the body.
@@ -249,9 +218,10 @@ impl ControlBlock {
     }
 
     /// Validates that callees exist and there is no recursive call chain.
-    pub fn validate_calls(
+    /// `lookup` resolves a control name, borrowing the block.
+    pub fn validate_calls<'p>(
         &self,
-        lookup: &dyn Fn(&str) -> Option<ControlBlock>,
+        lookup: &dyn Fn(&str) -> Option<&'p ControlBlock>,
         depth: usize,
     ) -> Result<()> {
         if depth > 64 {
@@ -260,14 +230,17 @@ impl ControlBlock {
                 self.name
             )));
         }
-        for callee in self.controls_called() {
-            let cb = lookup(&callee).ok_or(IrError::Undefined {
-                kind: "control block",
-                name: callee.clone(),
-            })?;
-            cb.validate_calls(lookup, depth + 1)?;
-        }
-        Ok(())
+        self.body.iter().try_for_each(|stmt| {
+            stmt.try_visit(&mut |s| match s {
+                Stmt::Call(callee) => lookup(callee)
+                    .ok_or_else(|| IrError::Undefined {
+                        kind: "control block",
+                        name: callee.clone(),
+                    })?
+                    .validate_calls(lookup, depth + 1),
+                _ => Ok(()),
+            })
+        })
     }
 }
 
@@ -299,15 +272,20 @@ mod tests {
 
     #[test]
     fn tables_in_program_order() {
-        assert_eq!(
-            nested().tables_applied(),
-            vec!["classify", "lb_session", "punt", "route"]
-        );
+        let (cb, mut tables) = (nested(), Vec::new());
+        cb.visit(&mut |s| tables.extend(s.applied_table()));
+        assert_eq!(tables, ["classify", "lb_session", "punt", "route"]);
     }
 
     #[test]
     fn controls_called() {
-        assert_eq!(nested().controls_called(), vec!["FW_control"]);
+        let (cb, mut calls) = (nested(), Vec::new());
+        cb.visit(&mut |s| {
+            if let Stmt::Call(c) = s {
+                calls.push(c.as_str());
+            }
+        });
+        assert_eq!(calls, ["FW_control"]);
     }
 
     #[test]
@@ -326,12 +304,11 @@ mod tests {
     #[test]
     fn call_validation_detects_cycle() {
         let a = ControlBlock::new("a", vec![Stmt::Call("b".into())]);
-        let lookup = |name: &str| -> Option<ControlBlock> {
-            match name {
-                "a" => Some(ControlBlock::new("a", vec![Stmt::Call("b".into())])),
-                "b" => Some(ControlBlock::new("b", vec![Stmt::Call("a".into())])),
-                _ => None,
-            }
+        let b = ControlBlock::new("b", vec![Stmt::Call("a".into())]);
+        let lookup = |name: &str| match name {
+            "a" => Some(&a),
+            "b" => Some(&b),
+            _ => None,
         };
         assert!(a.validate_calls(&lookup, 0).is_err());
     }

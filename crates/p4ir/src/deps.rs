@@ -22,9 +22,11 @@
 //! stages a program needs — the quantity `dejavu-compiler` allocates against
 //! and Table 1 of the paper reports.
 
-use crate::header::FieldRef;
+use crate::action::ActionDef;
+use crate::control::Stmt;
+use crate::header::FieldView;
 use crate::program::Program;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The kind of dependency from an earlier table to a later one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,88 +71,218 @@ pub struct DependencyGraph {
     pub edges: Vec<DependencyEdge>,
 }
 
-/// Do two field references overlap? A `"*"` field is a whole-header
-/// wildcard (used by header add/remove and validity checks).
-pub(crate) fn overlaps(a: &FieldRef, b: &FieldRef) -> bool {
-    a.header == b.header && (a.field == b.field || a.field == "*" || b.field == "*")
+fn any_overlap(xs: &[FieldView<'_>], ys: &[FieldView<'_>]) -> bool {
+    xs.iter().any(|x| ys.iter().any(|y| x.overlaps(*y)))
 }
 
-fn any_overlap(xs: &BTreeSet<FieldRef>, ys: &BTreeSet<FieldRef>) -> bool {
-    xs.iter().any(|x| ys.iter().any(|y| overlaps(x, y)))
+/// A part of a table's footprint (see [`TableFlow::part`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Part {
+    /// What the match keys read.
+    Keys,
+    /// What the listed actions read.
+    Reads,
+    /// What the listed actions write.
+    Writes,
+    /// What the miss action reads, when the table does not list it (a
+    /// malformed table; otherwise empty).
+    MissReads,
+    /// What that unlisted miss action writes.
+    MissWrites,
+}
+
+/// The tables a program's entry control applies, read the way the
+/// dependency graph and the verifier's cycle check (`DJV004`) both read
+/// them: in apply order, each with one footprint borrowed from the program,
+/// and which pairs sit in sibling branches. Tables are numbered by their
+/// position in [`TableFlow::order`].
+pub(crate) struct TableFlow<'a> {
+    /// Tables in apply order, first application only (an undefined name
+    /// included).
+    pub order: Vec<&'a str>,
+    /// Every footprint's fields, one table after another.
+    fields: Vec<FieldView<'a>>,
+    /// Per table: where each [`Part`] starts in `fields`, then where the
+    /// last ends; `None` for an undefined table.
+    parts: Vec<Option<[usize; 6]>>,
+    /// `exclusive[a * n + b]`: tables `a` and `b` are applied in sibling
+    /// branches of one `ApplySelect` or `If`, so at most one runs per packet.
+    exclusive: Vec<bool>,
+}
+
+impl<'a> TableFlow<'a> {
+    pub fn new(program: &'a Program) -> Self {
+        let mut order = Vec::new();
+        program.for_each_applied(&mut |t| {
+            if !order.contains(&t) {
+                order.push(t);
+            }
+        });
+        let mut fields = Vec::new();
+        let mut parts = Vec::with_capacity(order.len());
+        for name in &order {
+            let Some(t) = program.tables.get(*name) else {
+                parts.push(None);
+                continue;
+            };
+            let listed = || t.actions.iter().filter_map(|a| program.actions.get(a));
+            let miss = match t.actions.contains(&t.default_action) {
+                true => None,
+                false => program.actions.get(&t.default_action),
+            };
+            let mut ends = [fields.len(); 6];
+            fields.extend(t.keys.iter().map(|k| FieldView::of(&k.field)));
+            ends[1] = fields.len();
+            footprint(&mut fields, listed(), false);
+            ends[2] = fields.len();
+            footprint(&mut fields, listed(), true);
+            ends[3] = fields.len();
+            footprint(&mut fields, miss.into_iter(), false);
+            ends[4] = fields.len();
+            footprint(&mut fields, miss.into_iter(), true);
+            ends[5] = fields.len();
+            parts.push(Some(ends));
+        }
+        let n = order.len();
+        let mut flow = TableFlow {
+            order,
+            fields,
+            parts,
+            exclusive: vec![false; n * n],
+        };
+        if let Some(entry) = program.entry_control() {
+            let mut scratch = (Vec::new(), Vec::new());
+            flow.mark_exclusive(program, &entry.body, 0, &mut scratch);
+        }
+        flow
+    }
+
+    /// Position of `table` in [`TableFlow::order`].
+    pub fn position(&self, table: &str) -> Option<usize> {
+        self.order.iter().position(|t| *t == table)
+    }
+
+    /// True when table `i` is defined.
+    pub fn is_defined(&self, i: usize) -> bool {
+        self.parts[i].is_some()
+    }
+
+    /// One part of table `i`'s footprint (empty for an undefined table).
+    pub fn part(&self, i: usize, part: Part) -> &[FieldView<'a>] {
+        match self.parts[i] {
+            Some(ends) => &self.fields[ends[part as usize]..ends[part as usize + 1]],
+            None => &[],
+        }
+    }
+
+    /// True when tables `a` and `b` never both run on one packet.
+    pub fn exclusive(&self, a: usize, b: usize) -> bool {
+        self.exclusive[a * self.order.len() + b]
+    }
+
+    /// Marks the tables under different branches of every `ApplySelect`
+    /// and `If` reachable from `stmts` as exclusive. Sibling branches never
+    /// both execute, so they carry no data dependency and may share stages
+    /// — the stage-sharing behind the paper's parallel composition
+    /// ("Parallel composition allows multiple NFs to share the same
+    /// MAUs"). `scratch` holds the branches' tables and where each branch
+    /// ends in them.
+    fn mark_exclusive(
+        &mut self,
+        program: &'a Program,
+        stmts: &'a [Stmt],
+        depth: usize,
+        scratch: &mut (Vec<usize>, Vec<usize>),
+    ) {
+        if depth > 64 {
+            return;
+        }
+        for stmt in stmts {
+            match stmt {
+                Stmt::Call(c) => {
+                    if let Some(cb) = program.controls.get(c) {
+                        self.mark_exclusive(program, &cb.body, depth + 1, scratch);
+                    }
+                    continue;
+                }
+                Stmt::ApplySelect { .. } | Stmt::If { .. } => {}
+                _ => continue,
+            }
+            let (tables, ends) = scratch;
+            tables.clear();
+            ends.clear();
+            for branch in stmt.branches() {
+                program.flatten(branch, depth, &mut |t| {
+                    tables.extend(self.order.iter().position(|o| *o == t));
+                });
+                ends.push(tables.len());
+            }
+            let n = self.order.len();
+            let mut start = 0;
+            for &end in ends.iter() {
+                // This branch's tables against every later branch's.
+                for &a in &tables[start..end] {
+                    for &b in &tables[end..] {
+                        self.exclusive[a * n + b] = true;
+                        self.exclusive[b * n + a] = true;
+                    }
+                }
+                start = end;
+            }
+            // Nested branches are exclusive among themselves too.
+            for branch in stmt.branches() {
+                self.mark_exclusive(program, branch, depth, scratch);
+            }
+        }
+    }
+}
+
+/// Appends what `actions` read (or, with `write`, write) to `fields`.
+fn footprint<'a>(
+    fields: &mut Vec<FieldView<'a>>,
+    actions: impl Iterator<Item = &'a ActionDef>,
+    write: bool,
+) {
+    for op in actions.flat_map(|a| &a.ops) {
+        match write {
+            false => op.for_each_read(|v| fields.push(v)),
+            true => op.for_each_write(|v| fields.push(v)),
+        }
+    }
 }
 
 impl DependencyGraph {
     /// Builds the graph for a program's entry control.
     pub fn build(program: &Program) -> DependencyGraph {
-        let applied = program.tables_in_order();
-        let mut order: Vec<String> = Vec::new();
-        for t in &applied {
-            if !order.contains(t) {
-                order.push(t.clone());
-            }
-        }
-
-        // Per-table read/write footprints.
-        let mut match_reads: BTreeMap<&str, BTreeSet<FieldRef>> = BTreeMap::new();
-        let mut action_reads: BTreeMap<&str, BTreeSet<FieldRef>> = BTreeMap::new();
-        let mut writes: BTreeMap<&str, BTreeSet<FieldRef>> = BTreeMap::new();
-        for name in &order {
-            let Some(t) = program.tables.get(name) else {
-                continue;
-            };
-            match_reads.insert(name, t.match_reads().into_iter().collect());
-            let mut ar = BTreeSet::new();
-            let mut w = BTreeSet::new();
-            for a in &t.actions {
-                if let Some(act) = program.actions.get(a) {
-                    ar.extend(act.reads());
-                    w.extend(act.writes());
-                }
-            }
-            action_reads.insert(name, ar);
-            writes.insert(name, w);
-        }
-
+        let flow = TableFlow::new(program);
         // Control-flow (successor) pairs: B nested under A's branch.
-        let successor_pairs = control_flow_pairs(program);
-        // Mutually exclusive pairs: tables in *sibling* branches of the same
-        // ApplySelect / If never both execute on one packet, so they carry
-        // no data dependency and may share stages — the stage-sharing
-        // behind the paper's parallel composition ("Parallel composition
-        // allows multiple NFs to share the same MAUs").
-        let exclusive_pairs = mutually_exclusive_pairs(program);
-
-        let empty = BTreeSet::new();
+        let successors = control_flow_pairs(program, &flow);
+        let n = flow.order.len();
         let mut edges = Vec::new();
-        for (i, a) in order.iter().enumerate() {
-            let wa = writes.get(a.as_str()).unwrap_or(&empty);
-            for b in order.iter().skip(i + 1) {
-                if exclusive_pairs.contains(&(a.clone(), b.clone()))
-                    || exclusive_pairs.contains(&(b.clone(), a.clone()))
-                {
+        for a in 0..n {
+            let writes = flow.part(a, Part::Writes);
+            for b in a + 1..n {
+                if flow.exclusive(a, b) {
                     continue;
                 }
-                let mrb = match_reads.get(b.as_str()).unwrap_or(&empty);
-                let arb = action_reads.get(b.as_str()).unwrap_or(&empty);
-                let wb = writes.get(b.as_str()).unwrap_or(&empty);
-                let kind = if any_overlap(wa, mrb) {
-                    Some(DependencyKind::Match)
-                } else if any_overlap(wa, arb) || any_overlap(wa, wb) {
-                    Some(DependencyKind::Action)
-                } else if successor_pairs.contains(&(a.clone(), b.clone())) {
-                    Some(DependencyKind::Successor)
+                let feeds = |part| any_overlap(writes, flow.part(b, part));
+                let kind = if feeds(Part::Keys) {
+                    DependencyKind::Match
+                } else if feeds(Part::Reads) || feeds(Part::Writes) {
+                    DependencyKind::Action
+                } else if successors[a * n + b] {
+                    DependencyKind::Successor
                 } else {
-                    None
+                    continue;
                 };
-                if let Some(kind) = kind {
-                    edges.push(DependencyEdge {
-                        from: a.clone(),
-                        to: b.clone(),
-                        kind,
-                    });
-                }
+                edges.push(DependencyEdge {
+                    from: flow.order[a].to_string(),
+                    to: flow.order[b].to_string(),
+                    kind,
+                });
             }
         }
+        let order = flow.order.iter().map(|t| t.to_string()).collect();
         DependencyGraph { order, edges }
     }
 
@@ -198,167 +330,61 @@ impl DependencyGraph {
     }
 }
 
-/// Pairs of tables applied in *sibling* branches of the same `ApplySelect`
-/// or `If` — at most one of the pair executes per packet.
-pub(crate) fn mutually_exclusive_pairs(program: &Program) -> BTreeSet<(String, String)> {
-    use crate::control::Stmt;
-    let mut pairs = BTreeSet::new();
-
-    /// Tables applied anywhere under a statement list (following Calls).
-    fn tables_under(program: &Program, stmts: &[Stmt], out: &mut Vec<String>, depth: usize) {
-        if depth > 64 {
-            return;
-        }
-        for stmt in stmts {
-            match stmt {
-                Stmt::Apply(t) => out.push(t.clone()),
-                Stmt::ApplySelect {
-                    table,
-                    arms,
-                    default,
-                } => {
-                    out.push(table.clone());
-                    for (_, b) in arms {
-                        tables_under(program, b, out, depth);
-                    }
-                    tables_under(program, default, out, depth);
-                }
-                Stmt::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    tables_under(program, then_branch, out, depth);
-                    tables_under(program, else_branch, out, depth);
-                }
-                Stmt::Do(_) => {}
-                Stmt::Call(c) => {
-                    if let Some(cb) = program.controls.get(c) {
-                        tables_under(program, &cb.body, out, depth + 1);
-                    }
-                }
-            }
-        }
-    }
-
+/// `pairs[a * n + b]`, over the tables of `flow`: table `b` is applied
+/// inside a control-flow branch opened by table `a`'s `ApplySelect`.
+fn control_flow_pairs(program: &Program, flow: &TableFlow<'_>) -> Vec<bool> {
     fn walk(
         program: &Program,
+        flow: &TableFlow<'_>,
         stmts: &[Stmt],
-        pairs: &mut BTreeSet<(String, String)>,
+        enclosing: &mut Vec<usize>,
+        pairs: &mut [bool],
         depth: usize,
     ) {
         if depth > 64 {
             return;
         }
+        let n = flow.order.len();
         for stmt in stmts {
-            let branches: Vec<&Vec<Stmt>> = match stmt {
-                Stmt::ApplySelect { arms, default, .. } => {
-                    let mut v: Vec<&Vec<Stmt>> = arms.iter().map(|(_, b)| b).collect();
-                    v.push(default);
-                    v
-                }
-                Stmt::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => vec![then_branch, else_branch],
-                Stmt::Call(c) => {
-                    if let Some(cb) = program.controls.get(c) {
-                        walk(program, &cb.body, pairs, depth + 1);
-                    }
-                    continue;
-                }
-                _ => continue,
-            };
-            // Cross-branch pairs are exclusive.
-            let branch_tables: Vec<Vec<String>> = branches
-                .iter()
-                .map(|b| {
-                    let mut out = Vec::new();
-                    tables_under(program, b, &mut out, depth);
-                    out
-                })
-                .collect();
-            for (i, ts_a) in branch_tables.iter().enumerate() {
-                for ts_b in branch_tables.iter().skip(i + 1) {
-                    for a in ts_a {
-                        for b in ts_b {
-                            pairs.insert((a.clone(), b.clone()));
+            match stmt {
+                Stmt::Apply(t) | Stmt::ApplySelect { table: t, .. } => {
+                    let b = flow.position(t);
+                    if let Some(b) = b {
+                        for &a in enclosing.iter() {
+                            pairs[a * n + b] = true;
                         }
                     }
-                }
-            }
-            // Recurse into each branch for nested exclusivity.
-            for b in branches {
-                walk(program, b, pairs, depth);
-            }
-        }
-    }
-    if let Some(entry) = program.entry_control() {
-        walk(program, &entry.body, &mut pairs, 0);
-    }
-    pairs
-}
-
-/// Pairs `(a, b)` such that table `b` is applied inside a control-flow
-/// branch opened by table `a`'s `ApplySelect` (or inside an `If` directly
-/// following it — the gateway reads `a`'s outcome implicitly).
-fn control_flow_pairs(program: &Program) -> BTreeSet<(String, String)> {
-    use crate::control::Stmt;
-    let mut pairs = BTreeSet::new();
-    // Walk every control; context = stack of tables whose branches enclose us.
-    fn walk(
-        program: &Program,
-        stmts: &[Stmt],
-        enclosing: &mut Vec<String>,
-        pairs: &mut BTreeSet<(String, String)>,
-        depth: usize,
-    ) {
-        if depth > 64 {
-            return;
-        }
-        for stmt in stmts {
-            match stmt {
-                Stmt::Apply(t) => {
-                    for a in enclosing.iter() {
-                        pairs.insert((a.clone(), t.clone()));
+                    if let Stmt::ApplySelect { arms, default, .. } = stmt {
+                        let outer = enclosing.len();
+                        enclosing.extend(b);
+                        for (_, body) in arms {
+                            walk(program, flow, body, enclosing, pairs, depth);
+                        }
+                        walk(program, flow, default, enclosing, pairs, depth);
+                        enclosing.truncate(outer);
                     }
-                }
-                Stmt::ApplySelect {
-                    table,
-                    arms,
-                    default,
-                } => {
-                    for a in enclosing.iter() {
-                        pairs.insert((a.clone(), table.clone()));
-                    }
-                    enclosing.push(table.clone());
-                    for (_, b) in arms {
-                        walk(program, b, enclosing, pairs, depth);
-                    }
-                    walk(program, default, enclosing, pairs, depth);
-                    enclosing.pop();
                 }
                 Stmt::If {
                     then_branch,
                     else_branch,
                     ..
                 } => {
-                    walk(program, then_branch, enclosing, pairs, depth);
-                    walk(program, else_branch, enclosing, pairs, depth);
+                    walk(program, flow, then_branch, enclosing, pairs, depth);
+                    walk(program, flow, else_branch, enclosing, pairs, depth);
                 }
                 Stmt::Do(_) => {}
                 Stmt::Call(c) => {
                     if let Some(cb) = program.controls.get(c) {
-                        walk(program, &cb.body, enclosing, pairs, depth + 1);
+                        walk(program, flow, &cb.body, enclosing, pairs, depth + 1);
                     }
                 }
             }
         }
     }
+    let n = flow.order.len();
+    let mut pairs = vec![false; n * n];
     if let Some(entry) = program.entry_control() {
-        let mut enclosing = Vec::new();
-        walk(program, &entry.body, &mut enclosing, &mut pairs, 0);
+        walk(program, flow, &entry.body, &mut Vec::new(), &mut pairs, 0);
     }
     pairs
 }
@@ -583,9 +609,16 @@ mod tests {
 
     #[test]
     fn wildcard_overlap() {
-        use super::overlaps;
+        let overlaps = |a: &FieldRef, b: &FieldRef| FieldView::of(a).overlaps(FieldView::of(b));
         assert!(overlaps(&fref("sfc", "*"), &fref("sfc", "path_id")));
         assert!(overlaps(&fref("sfc", "path_id"), &fref("sfc", "*")));
         assert!(!overlaps(&fref("sfc", "*"), &fref("ipv4", "ttl")));
+        // A register's pseudo-field overlaps only its own register.
+        let (r, s) = (
+            crate::action::register_field("r"),
+            crate::action::register_field("s"),
+        );
+        assert!(overlaps(&r, &r) && !overlaps(&r, &s));
+        assert!(!overlaps(&r, &fref("r", "*")));
     }
 }

@@ -53,8 +53,7 @@ impl HeaderType {
     /// Checks field-width bounds, duplicate field names, and byte alignment
     /// of the total width.
     pub fn validate(&self) -> Result<()> {
-        let mut seen = std::collections::HashSet::new();
-        for f in &self.fields {
+        for (i, f) in self.fields.iter().enumerate() {
             if !(1..=128).contains(&f.bits) {
                 return Err(IrError::BadFieldWidth {
                     header: self.name.clone(),
@@ -62,7 +61,7 @@ impl HeaderType {
                     bits: f.bits,
                 });
             }
-            if !seen.insert(f.name.as_str()) {
+            if self.fields[..i].iter().any(|g| g.name == f.name) {
                 return Err(IrError::Duplicate {
                     kind: "field",
                     name: format!("{}.{}", self.name, f.name),
@@ -151,6 +150,86 @@ impl fmt::Display for FieldRef {
 /// Convenience constructor: `fref("ipv4", "dst_addr")`.
 pub fn fref(header: &str, field: &str) -> FieldRef {
     FieldRef::new(header, field)
+}
+
+/// A field reference borrowed from the IR: what a [`FieldRef`] names,
+/// without owning it, for the checks that read a program without copying
+/// it. A register access names the pseudo-field `reg::<name>.*`
+/// ([`crate::action::register_field`]); a view keeps the register name in
+/// `header` and sets `register` instead of building that string, and
+/// [`FieldView::of`] files a `reg::`-prefixed [`FieldRef`] the same way, so
+/// two views are equal exactly when the references they stand for are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FieldView<'a> {
+    /// Header type name, [`FieldRef::META`], or the register name.
+    pub header: &'a str,
+    /// Field name, or `"*"` for the whole header (or register).
+    pub field: &'a str,
+    /// True for a register pseudo-field.
+    pub register: bool,
+}
+
+impl<'a> FieldView<'a> {
+    /// A view of `fr`.
+    pub fn of(fr: &'a FieldRef) -> Self {
+        match fr.header.strip_prefix("reg::") {
+            Some(register) => FieldView {
+                header: register,
+                field: &fr.field,
+                register: true,
+            },
+            None => FieldView::new(&fr.header, &fr.field),
+        }
+    }
+
+    /// `header.field`.
+    pub fn new(header: &'a str, field: &'a str) -> Self {
+        FieldView {
+            header,
+            field,
+            register: false,
+        }
+    }
+
+    /// The pseudo-field of register array `name`.
+    pub fn register(name: &'a str) -> Self {
+        FieldView {
+            header: name,
+            field: "*",
+            register: true,
+        }
+    }
+
+    /// True for packet metadata.
+    pub fn is_meta(self) -> bool {
+        !self.register && self.header == FieldRef::META
+    }
+
+    /// Same namespace, and the same field or a `"*"` wildcard on either
+    /// side — the overlap the dependency analysis and the verifier use.
+    pub fn overlaps(self, other: FieldView<'_>) -> bool {
+        self.register == other.register
+            && self.header == other.header
+            && (self.field == other.field || self.field == "*" || other.field == "*")
+    }
+
+    /// The owned reference.
+    pub fn to_field_ref(self) -> FieldRef {
+        if self.register {
+            FieldRef::new(format!("reg::{}", self.header), self.field)
+        } else {
+            FieldRef::new(self.header, self.field)
+        }
+    }
+}
+
+impl fmt::Display for FieldView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.register {
+            f.write_str("reg::")?;
+        }
+        write!(f, "{}.{}", self.header, self.field)
+    }
 }
 
 #[cfg(test)]

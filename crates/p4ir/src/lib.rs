@@ -55,7 +55,8 @@ pub use error::{IrError, Result};
 pub use header::{fref, FieldDef, FieldRef, HeaderType};
 pub use lint::{Diagnostic, LintCode, LintConfig, LintReport, Severity};
 pub use parser::{
-    deposit_bits, extract_bits, extract_field, ParseNode, ParserDag, Target, Transition,
+    deposit_bits, extract_bits, extract_field, HeaderCatalog, ParseNode, ParserDag, Target,
+    Transition,
 };
 pub use printer::print_program;
 pub use program::Program;

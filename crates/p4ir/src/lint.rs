@@ -50,11 +50,12 @@
 
 use crate::action::{ActionDef, PrimitiveOp};
 use crate::control::{BoolExpr, Stmt};
+use crate::deps::{Part, TableFlow};
+use crate::header::FieldView;
 use crate::parser::{Target, Transition};
 use crate::program::{Program, STANDARD_METADATA};
 use crate::table::KeyMatch;
-use crate::FieldRef;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// How seriously a finding is treated.
@@ -491,35 +492,69 @@ pub fn check_with_config(program: &Program, config: &LintConfig) -> LintReport {
     let mut checker = Checker::new(program, config);
     checker.check_duplicate_match_keys();
     checker.check_ambiguous_selects();
-    checker.check_reachability();
-    checker.check_dependency_cycles();
+    let flow = TableFlow::new(program);
+    checker.check_reachability(&flow);
+    checker.check_dependency_cycles(&flow);
     checker.check_dataflow();
     checker.report.sort();
     checker.report
 }
 
-/// Per-path dataflow facts at one control-flow point.
+/// The three sets of a [`FlowState`].
+const GUARANTEED: usize = 0;
+const MAYBE: usize = 1;
+const WRITTEN: usize = 2;
+
+/// Per-path dataflow facts at one control-flow point: three bitsets of
+/// `width` words each. Headers are numbered by their position in the
+/// program's catalog, user metadata by its position among the declared
+/// names ([`Checker`]); a name outside both is never asked about.
 #[derive(Debug, Clone)]
 struct FlowState {
-    /// Headers valid on **every** path reaching this point.
-    guaranteed: BTreeSet<String>,
-    /// Headers valid on **some** path reaching this point.
-    maybe: BTreeSet<String>,
-    /// User metadata fields potentially written on some reaching path.
-    written: BTreeSet<String>,
+    /// [`GUARANTEED`]: headers valid on **every** path reaching this
+    /// point. [`MAYBE`]: headers valid on **some** path reaching it.
+    /// [`WRITTEN`]: user metadata potentially written on some reaching
+    /// path.
+    words: Vec<u64>,
+    width: usize,
 }
 
 impl FlowState {
+    fn new(width: usize) -> Self {
+        FlowState {
+            words: vec![0; 3 * width],
+            width,
+        }
+    }
+
+    fn has(&self, set: usize, bit: usize) -> bool {
+        self.words[set * self.width + bit / 64] & (1 << (bit % 64)) != 0
+    }
+
+    fn put(&mut self, set: usize, bit: usize, on: bool) {
+        let word = &mut self.words[set * self.width + bit / 64];
+        if on {
+            *word |= 1 << (bit % 64);
+        } else {
+            *word &= !(1 << (bit % 64));
+        }
+    }
+
     /// Join of two branch exits: guaranteed meets, maybe/written join.
-    fn merge(mut self, other: &FlowState) -> FlowState {
-        self.guaranteed = self
-            .guaranteed
-            .intersection(&other.guaranteed)
-            .cloned()
-            .collect();
-        self.maybe.extend(other.maybe.iter().cloned());
-        self.written.extend(other.written.iter().cloned());
-        self
+    fn merge(&mut self, other: &FlowState) {
+        let (meet, join) = self.words.split_at_mut(self.width);
+        meet.iter_mut().zip(&other.words).for_each(|(w, o)| *w &= o);
+        join.iter_mut()
+            .zip(&other.words[self.width..])
+            .for_each(|(w, o)| *w |= o);
+    }
+}
+
+/// Folds one more branch exit into `exits`.
+fn merge_into(exits: &mut Option<FlowState>, exit: FlowState) {
+    match exits {
+        Some(acc) => acc.merge(&exit),
+        None => *exits = Some(exit),
     }
 }
 
@@ -529,23 +564,46 @@ struct Checker<'a> {
     program: &'a Program,
     config: &'a LintConfig,
     report: LintReport,
-    meta_declared: BTreeSet<String>,
-    std_meta: BTreeSet<&'static str>,
+    /// Header type names in catalog order: a header's bit is its position.
+    headers: Vec<&'a str>,
+    /// Declared user metadata names, sorted and deduplicated: a field's
+    /// bit is its position.
+    meta: Vec<&'a str>,
+    /// Words per [`FlowState`] set.
+    width: usize,
 }
 
 impl<'a> Checker<'a> {
     fn new(program: &'a Program, config: &'a LintConfig) -> Self {
+        let headers: Vec<&str> = program.header_types.keys().map(String::as_str).collect();
+        let mut meta: Vec<&str> = program
+            .meta_fields
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect();
+        meta.sort_unstable();
+        meta.dedup();
+        let width = headers.len().max(meta.len()).div_ceil(64).max(1);
         Checker {
             program,
             config,
             report: LintReport::default(),
-            meta_declared: program.meta_fields.iter().map(|f| f.name.clone()).collect(),
-            std_meta: STANDARD_METADATA.iter().map(|(n, _)| *n).collect(),
+            headers,
+            meta,
+            width,
         }
     }
 
     fn emit(&mut self, diag: Diagnostic) {
         self.report.emit(self.config, diag);
+    }
+
+    fn header_bit(&self, name: &str) -> Option<usize> {
+        self.headers.binary_search(&name).ok()
+    }
+
+    fn meta_bit(&self, name: &str) -> Option<usize> {
+        self.meta.binary_search(&name).ok()
     }
 
     // ------------------------------------------------------------------
@@ -554,10 +612,8 @@ impl<'a> Checker<'a> {
 
     fn check_duplicate_match_keys(&mut self) {
         for table in self.program.tables.values() {
-            let mut seen = BTreeSet::new();
-            for key in &table.keys {
-                let id = (key.field.header.clone(), key.field.field.clone());
-                if !seen.insert(id) {
+            for (i, key) in table.keys.iter().enumerate() {
+                if table.keys[..i].iter().any(|k| k.field == key.field) {
                     self.emit(Diagnostic::new(
                         LintCode::DuplicateMatchKey,
                         &table.name,
@@ -576,64 +632,63 @@ impl<'a> Checker<'a> {
             let Transition::Select { field, cases, .. } = &node.transition else {
                 continue;
             };
-            let entity = format!("{}@{}", node.header_type, node.offset);
-            let mut first: BTreeMap<u128, &Target> = BTreeMap::new();
-            for (value, target) in cases {
-                match first.get(&value.raw()) {
-                    None => {
-                        first.insert(value.raw(), target);
-                    }
-                    Some(existing) => {
-                        let detail = if **existing == *target {
-                            "redundant duplicate"
-                        } else {
-                            "ambiguous: the first case wins, the second is dead"
-                        };
-                        self.emit(Diagnostic::new(
-                            LintCode::AmbiguousSelect,
-                            &entity,
-                            format!(
-                                "select on `{}` lists case {:#x} twice ({})",
-                                field,
-                                value.raw(),
-                                detail
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    fn check_reachability(&mut self) {
-        // Controls reachable from the entry via Call.
-        let mut reachable: BTreeSet<String> = BTreeSet::new();
-        let mut stack = vec![self.program.entry.clone()];
-        while let Some(name) = stack.pop() {
-            if !reachable.insert(name.clone()) {
-                continue;
-            }
-            if let Some(cb) = self.program.controls.get(&name) {
-                stack.extend(cb.controls_called());
-            }
-        }
-        for name in self.program.controls.keys() {
-            if !reachable.contains(name) {
+            for (i, (value, target)) in cases.iter().enumerate() {
+                let first = cases[..i].iter().find(|(v, _)| v.raw() == value.raw());
+                let Some((_, existing)) = first else {
+                    continue;
+                };
+                let detail = if existing == target {
+                    "redundant duplicate"
+                } else {
+                    "ambiguous: the first case wins, the second is dead"
+                };
                 self.emit(Diagnostic::new(
-                    LintCode::UnreachableControl,
-                    name,
+                    LintCode::AmbiguousSelect,
+                    format!("{}@{}", node.header_type, node.offset),
                     format!(
-                        "control `{name}` is never called from entry `{}`",
-                        self.program.entry
+                        "select on `{}` lists case {:#x} twice ({})",
+                        field,
+                        value.raw(),
+                        detail
                     ),
                 ));
             }
         }
+    }
+
+    fn check_reachability(&mut self, flow: &TableFlow<'_>) {
+        // Controls reachable from the entry via Call.
+        let program = self.program;
+        let names: Vec<&str> = program.controls.keys().map(String::as_str).collect();
+        let mut reachable = vec![false; names.len()];
+        let mut stack = vec![program.entry.as_str()];
+        while let Some(name) = stack.pop() {
+            let Ok(i) = names.binary_search(&name) else {
+                continue;
+            };
+            if std::mem::replace(&mut reachable[i], true) {
+                continue;
+            }
+            program.controls[name].visit(&mut |s| {
+                if let Stmt::Call(c) = s {
+                    stack.push(c);
+                }
+            });
+        }
+        for (name, _) in names.iter().zip(&reachable).filter(|(_, r)| !**r) {
+            self.emit(Diagnostic::new(
+                LintCode::UnreachableControl,
+                *name,
+                format!(
+                    "control `{name}` is never called from entry `{}`",
+                    program.entry
+                ),
+            ));
+        }
 
         // Tables applied somewhere under the entry.
-        let applied: BTreeSet<String> = self.program.tables_in_order().into_iter().collect();
-        for name in self.program.tables.keys() {
-            if !applied.contains(name) {
+        for name in program.tables.keys() {
+            if flow.position(name).is_none() {
                 self.emit(Diagnostic::new(
                     LintCode::UnreachableTable,
                     name,
@@ -643,78 +698,42 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// Footprints of a table: everything its keys and actions read, and
-    /// everything its actions may write.
-    fn table_footprint(&self, table_name: &str) -> Option<(Vec<FieldRef>, Vec<FieldRef>)> {
-        let table = self.program.tables.get(table_name)?;
-        let mut reads = table.match_reads();
-        let mut writes = Vec::new();
-        for action_name in table
-            .actions
-            .iter()
-            .chain(std::iter::once(&table.default_action))
-        {
-            if let Some(action) = self.program.actions.get(action_name) {
-                reads.extend(action.reads());
-                writes.extend(action.writes());
-            }
-        }
-        Some((reads, writes))
-    }
-
-    fn check_dependency_cycles(&mut self) {
-        let mut order: Vec<String> = Vec::new();
-        for t in self.program.tables_in_order() {
-            if !order.contains(&t) {
-                order.push(t);
-            }
-        }
-        let footprints: BTreeMap<&String, (Vec<FieldRef>, Vec<FieldRef>)> = order
-            .iter()
-            .filter_map(|t| self.table_footprint(t).map(|fp| (t, fp)))
-            .collect();
-        let exclusive = crate::deps::mutually_exclusive_pairs(self.program);
-
-        for i in 0..order.len() {
-            for j in (i + 1)..order.len() {
-                let (a, b) = (&order[i], &order[j]);
-                if exclusive.contains(&(a.clone(), b.clone()))
-                    || exclusive.contains(&(b.clone(), a.clone()))
-                {
+    fn check_dependency_cycles(&mut self, flow: &TableFlow<'_>) {
+        // Everything a table's keys and actions read (its miss action's
+        // too), and everything its actions may write.
+        let reads = |t| {
+            let parts = [Part::Keys, Part::Reads, Part::MissReads];
+            parts.into_iter().flat_map(move |p| flow.part(t, p))
+        };
+        let writes = |t| {
+            let parts = [Part::Writes, Part::MissWrites];
+            parts.into_iter().flat_map(move |p| flow.part(t, p))
+        };
+        let n = flow.order.len();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if flow.exclusive(i, j) || !flow.is_defined(i) || !flow.is_defined(j) {
                     continue;
                 }
-                let (Some((reads_a, writes_a)), Some((reads_b, writes_b))) =
-                    (footprints.get(a), footprints.get(b))
-                else {
-                    continue;
-                };
                 // Fields A produces that B consumes, and vice versa. A
                 // mutual dependency through the *same* field (e.g. two
                 // tables incrementing one counter) is order-sensitive but
                 // satisfiable; a cycle through distinct fields is not.
-                let fwd: Vec<&FieldRef> = writes_a
-                    .iter()
-                    .filter(|w| reads_b.iter().any(|r| crate::deps::overlaps(w, r)))
-                    .collect();
-                let back: Vec<&FieldRef> = writes_b
-                    .iter()
-                    .filter(|w| reads_a.iter().any(|r| crate::deps::overlaps(w, r)))
-                    .collect();
-                let witness = fwd.iter().find_map(|fa| {
-                    back.iter()
-                        .find(|fb| !crate::deps::overlaps(fa, fb))
-                        .map(|fb| (*fa, *fb))
+                let mut fwd = writes(i).filter(|w| reads(j).any(|r| w.overlaps(*r)));
+                let witness = fwd.find_map(|fa| {
+                    let mut back = writes(j).filter(|w| reads(i).any(|r| w.overlaps(*r)));
+                    back.find(|fb| !fa.overlaps(**fb)).map(|fb| (fa, fb))
                 });
                 if let Some((fa, fb)) = witness {
+                    let (a, b) = (flow.order[i], flow.order[j]);
                     self.emit(
                         Diagnostic::new(
                             LintCode::DependencyCycle,
                             b,
                             format!(
                                 "tables `{a}` and `{b}` depend on each other's output: \
-                                 `{a}` writes `{}.{}` which `{b}` reads, and `{b}` writes \
-                                 `{}.{}` which `{a}` reads",
-                                fa.header, fa.field, fb.header, fb.field
+                                 `{a}` writes `{fa}` which `{b}` reads, and `{b}` writes \
+                                 `{fb}` which `{a}` reads"
                             ),
                         )
                         .with_note(
@@ -733,15 +752,9 @@ impl<'a> Checker<'a> {
     // ------------------------------------------------------------------
 
     fn check_dataflow(&mut self) {
-        let (guaranteed, maybe) = self.parser_sets();
-        let mut state = FlowState {
-            guaranteed,
-            maybe,
-            written: BTreeSet::new(),
-        };
-        let entry = self.program.entry.clone();
+        let mut state = self.parser_sets();
         let mut call_stack = Vec::new();
-        self.walk_control(&entry, &mut state, 0, &mut call_stack);
+        self.walk_control(&self.program.entry, &mut state, 0, &mut call_stack);
     }
 
     /// Guaranteed/maybe header sets at the end of parsing.
@@ -750,62 +763,103 @@ impl<'a> Checker<'a> {
     /// is the meet (set intersection) over all accept paths, computed by a
     /// memoized walk of the DAG. Malformed cyclic parsers (rejected by
     /// `validate`) terminate via an on-stack guard instead of panicking.
-    fn parser_sets(&self) -> (BTreeSet<String>, BTreeSet<String>) {
+    fn parser_sets(&self) -> FlowState {
         let nodes = &self.program.parser.nodes;
-        let mut maybe = BTreeSet::new();
+        let mut state = FlowState::new(self.width);
         let start = match self.program.parser.start {
             Some(Target::Node(i)) if i < nodes.len() => i,
-            _ => return (BTreeSet::new(), BTreeSet::new()),
+            _ => return state,
         };
         // Reachable sweep for `maybe`.
         let mut stack = vec![start];
-        let mut visited = BTreeSet::new();
+        let mut visited = vec![false; nodes.len()];
         while let Some(i) = stack.pop() {
-            if !visited.insert(i) {
+            if std::mem::replace(&mut visited[i], true) {
                 continue;
             }
-            maybe.insert(nodes[i].header_type.clone());
-            for t in transition_targets(&nodes[i].transition) {
-                if let Target::Node(j) = t {
-                    if j < nodes.len() {
-                        stack.push(j);
-                    }
+            if let Some(bit) = self.header_bit(&nodes[i].header_type) {
+                state.put(MAYBE, bit, true);
+            }
+            stack.extend(nodes[i].transition.targets().filter_map(|t| match t {
+                Target::Node(j) if j < nodes.len() => Some(j),
+                _ => None,
+            }));
+        }
+        // Meet over accept paths for `guaranteed`.
+        let mut memo = vec![None; nodes.len()];
+        let mut on_stack = vec![false; nodes.len()];
+        if let Some(set) = self.guaranteed_from(start, &mut memo, &mut on_stack) {
+            state.words[..self.width].copy_from_slice(&set);
+        }
+        state
+    }
+
+    /// Headers guaranteed valid on every accept path through node `idx`,
+    /// as [`FlowState`] words. `None` means no accept path exists below
+    /// this node.
+    fn guaranteed_from(
+        &self,
+        idx: usize,
+        memo: &mut [Option<Option<Vec<u64>>>],
+        on_stack: &mut [bool],
+    ) -> Option<Vec<u64>> {
+        if let Some(cached) = &memo[idx] {
+            return cached.clone();
+        }
+        if std::mem::replace(&mut on_stack[idx], true) {
+            return None; // cyclic parser: validate() rejects it separately
+        }
+        let nodes = &self.program.parser.nodes;
+        let mut meet: Option<Vec<u64>> = None;
+        for target in nodes[idx].transition.targets() {
+            let below = match target {
+                Target::Accept => Some(vec![0; self.width]),
+                Target::Reject => None,
+                Target::Node(j) if j < nodes.len() => self.guaranteed_from(j, memo, on_stack),
+                Target::Node(_) => None,
+            };
+            if let Some(set) = below {
+                match &mut meet {
+                    None => meet = Some(set),
+                    Some(acc) => acc.iter_mut().zip(&set).for_each(|(a, s)| *a &= s),
                 }
             }
         }
-        // Meet over accept paths for `guaranteed`.
-        let mut memo: BTreeMap<usize, Option<BTreeSet<String>>> = BTreeMap::new();
-        let mut on_stack = BTreeSet::new();
-        let guaranteed =
-            guaranteed_from(nodes, start, &mut memo, &mut on_stack).unwrap_or_default();
-        (guaranteed, maybe)
+        on_stack[idx] = false;
+        let result = meet.map(|mut set| {
+            if let Some(bit) = self.header_bit(&nodes[idx].header_type) {
+                set[bit / 64] |= 1 << (bit % 64);
+            }
+            set
+        });
+        memo[idx] = Some(result.clone());
+        result
     }
 
     fn walk_control(
         &mut self,
-        name: &str,
+        name: &'a str,
         state: &mut FlowState,
         depth: usize,
-        call_stack: &mut Vec<String>,
+        call_stack: &mut Vec<&'a str>,
     ) {
-        if depth > MAX_DEPTH || call_stack.iter().any(|c| c == name) {
+        if depth > MAX_DEPTH || call_stack.contains(&name) {
             return; // validate() rejects runaway nesting/recursion
         }
         let Some(control) = self.program.controls.get(name) else {
             return;
         };
-        call_stack.push(name.to_string());
-        let body = control.body.clone();
-        self.walk_stmts(&body, state, depth, call_stack);
+        call_stack.push(name);
+        self.walk_stmts(&control.body, state, depth, call_stack);
         call_stack.pop();
     }
 
     fn walk_stmts(
         &mut self,
-        stmts: &[Stmt],
+        stmts: &'a [Stmt],
         state: &mut FlowState,
         depth: usize,
-        call_stack: &mut Vec<String>,
+        call_stack: &mut Vec<&'a str>,
     ) {
         if depth > MAX_DEPTH {
             return;
@@ -813,46 +867,40 @@ impl<'a> Checker<'a> {
         for stmt in stmts {
             match stmt {
                 Stmt::Apply(table) => self.visit_table(table, state),
-                Stmt::ApplySelect {
-                    table,
-                    arms,
-                    default,
-                } => {
+                Stmt::ApplySelect { table, .. } => {
                     self.visit_table(table, state);
-                    let mut exits: Vec<FlowState> = Vec::new();
-                    for (_, body) in arms {
+                    // The arms, then the default.
+                    let mut exits = None;
+                    for body in stmt.branches() {
                         let mut branch = state.clone();
                         self.walk_stmts(body, &mut branch, depth + 1, call_stack);
-                        exits.push(branch);
+                        merge_into(&mut exits, branch);
                     }
-                    let mut branch = state.clone();
-                    self.walk_stmts(default, &mut branch, depth + 1, call_stack);
-                    exits.push(branch);
-                    *state = merge_exits(exits);
+                    *state = exits.expect("an ApplySelect has a default branch");
                 }
                 Stmt::If {
                     cond,
                     then_branch,
                     else_branch,
                 } => {
-                    for read in cond_field_reads(cond) {
-                        self.check_read(state, &read, "if condition", "condition");
-                    }
+                    for_each_cond_read(cond, &mut |read| {
+                        self.check_read(state, read, "if condition", "condition");
+                    });
                     let mut then_state = state.clone();
                     let mut else_state = state.clone();
-                    refine_by_validity(cond, &mut then_state, &mut else_state);
+                    self.refine_by_validity(cond, &mut then_state, &mut else_state);
                     self.walk_stmts(then_branch, &mut then_state, depth + 1, call_stack);
                     self.walk_stmts(else_branch, &mut else_state, depth + 1, call_stack);
-                    *state = merge_exits(vec![then_state, else_state]);
+                    then_state.merge(&else_state);
+                    *state = then_state;
                 }
                 Stmt::Do(action) => {
-                    if let Some(def) = self.program.actions.get(action).cloned() {
-                        self.run_action(&def, state);
+                    if let Some(def) = self.program.actions.get(action) {
+                        self.run_action(def, state);
                     }
                 }
                 Stmt::Call(control) => {
-                    let name = control.clone();
-                    self.walk_control(&name, state, depth + 1, call_stack);
+                    self.walk_control(control, state, depth + 1, call_stack);
                 }
             }
         }
@@ -862,27 +910,26 @@ impl<'a> Checker<'a> {
     /// folds the actions' effects into the state (actions are alternatives,
     /// so their exits merge like branches).
     fn visit_table(&mut self, name: &str, state: &mut FlowState) {
-        let Some(table) = self.program.tables.get(name).cloned() else {
+        let program = self.program;
+        let Some(table) = program.tables.get(name) else {
             return;
         };
         for key in &table.keys {
-            self.check_read(state, &key.field, &table.name, "match key");
+            self.check_read(state, FieldView::of(&key.field), &table.name, "match key");
         }
-        let mut action_names: Vec<&String> = table.actions.iter().collect();
-        if !table.actions.contains(&table.default_action) {
-            action_names.push(&table.default_action);
-        }
-        let mut exits: Vec<FlowState> = Vec::new();
-        for action_name in action_names {
-            let Some(def) = self.program.actions.get(action_name).cloned() else {
+        let unlisted = !table.actions.contains(&table.default_action);
+        let miss = unlisted.then_some(&table.default_action);
+        let mut exits = None;
+        for action_name in table.actions.iter().chain(miss) {
+            let Some(def) = program.actions.get(action_name) else {
                 continue;
             };
             let mut local = state.clone();
-            self.run_action(&def, &mut local);
-            exits.push(local);
+            self.run_action(def, &mut local);
+            merge_into(&mut exits, local);
         }
-        if !exits.is_empty() {
-            *state = merge_exits(exits);
+        if let Some(exits) = exits {
+            *state = exits;
         }
     }
 
@@ -890,29 +937,28 @@ impl<'a> Checker<'a> {
     /// as of each op and applying writes to it.
     fn run_action(&mut self, def: &ActionDef, state: &mut FlowState) {
         for op in &def.ops {
-            for read in op.reads() {
-                self.check_read(state, &read, &def.name, "operand");
-            }
+            op.for_each_read(|read| self.check_read(state, read, &def.name, "operand"));
             match op {
                 PrimitiveOp::Set { dst, .. }
                 | PrimitiveOp::Hash { dst, .. }
                 | PrimitiveOp::RegisterRead { dst, .. } => {
-                    self.write_field(state, dst, &def.name);
+                    self.write_field(state, FieldView::of(dst), &def.name);
                 }
                 PrimitiveOp::AddHeader { header, .. } => {
-                    state.guaranteed.insert(header.clone());
-                    state.maybe.insert(header.clone());
+                    if let Some(bit) = self.header_bit(header) {
+                        state.put(GUARANTEED, bit, true);
+                        state.put(MAYBE, bit, true);
+                    }
                 }
                 PrimitiveOp::RemoveHeader { header }
                 | PrimitiveOp::RemoveHeaderNth { header, .. } => {
-                    state.guaranteed.remove(header);
+                    if let Some(bit) = self.header_bit(header) {
+                        state.put(GUARANTEED, bit, false);
+                    }
                 }
                 PrimitiveOp::Ipv4ChecksumUpdate { header } => {
-                    let dst = FieldRef {
-                        header: header.clone(),
-                        field: "hdr_checksum".into(),
-                    };
-                    self.write_field(state, &dst, &def.name);
+                    let dst = FieldView::new(header, "hdr_checksum");
+                    self.write_field(state, dst, &def.name);
                 }
                 // Digest reads were checked above; it writes no packet state.
                 PrimitiveOp::RegisterWrite { .. }
@@ -923,18 +969,19 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_read(&mut self, state: &FlowState, fr: &FieldRef, entity: &str, context: &str) {
-        if fr.header.starts_with("reg::") {
+    fn check_read(&mut self, state: &FlowState, fr: FieldView<'_>, entity: &str, context: &str) {
+        if fr.register {
             return;
         }
         if fr.is_meta() {
-            if fr.field == "*"
-                || self.std_meta.contains(fr.field.as_str())
-                || !self.meta_declared.contains(&fr.field)
-            {
+            let standard = STANDARD_METADATA.iter().any(|(n, _)| *n == fr.field);
+            let Some(bit) = self
+                .meta_bit(fr.field)
+                .filter(|_| fr.field != "*" && !standard)
+            else {
                 return; // platform-initialized or undeclared (validate's job)
-            }
-            if !state.written.contains(&fr.field) {
+            };
+            if !state.has(WRITTEN, bit) {
                 self.emit(Diagnostic::new(
                     LintCode::ReadBeforeWrite,
                     entity,
@@ -946,11 +993,11 @@ impl<'a> Checker<'a> {
             }
             return;
         }
-        let header = &fr.header;
-        if !self.program.header_types.contains_key(header) {
+        let header = fr.header;
+        let Some(bit) = self.header_bit(header) else {
             return; // undefined header type: validate's job
-        }
-        if !state.maybe.contains(header) {
+        };
+        if !state.has(MAYBE, bit) {
             self.emit(
                 Diagnostic::new(
                     LintCode::InvalidHeaderAccess,
@@ -964,7 +1011,7 @@ impl<'a> Checker<'a> {
                     "no parser path extracts this header and no earlier action adds it".to_string(),
                 ),
             );
-        } else if !state.guaranteed.contains(header) {
+        } else if !state.has(GUARANTEED, bit) {
             self.emit(Diagnostic::new(
                 LintCode::MaybeInvalidHeaderAccess,
                 entity,
@@ -977,17 +1024,20 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn write_field(&mut self, state: &mut FlowState, fr: &FieldRef, entity: &str) {
+    fn write_field(&mut self, state: &mut FlowState, fr: FieldView<'_>, entity: &str) {
         if fr.is_meta() {
-            if fr.field != "*" {
-                state.written.insert(fr.field.clone());
+            if let Some(bit) = self.meta_bit(fr.field).filter(|_| fr.field != "*") {
+                state.put(WRITTEN, bit, true);
             }
             return;
         }
-        if fr.header.starts_with("reg::") {
+        if fr.register {
             return;
         }
-        if self.program.header_types.contains_key(&fr.header) && !state.maybe.contains(&fr.header) {
+        let never_valid = self
+            .header_bit(fr.header)
+            .is_some_and(|b| !state.has(MAYBE, b));
+        if never_valid {
             // Writes to invalid headers are silent no-ops — sometimes
             // deliberate (the firewall sets `sfc.drop_flag` even on raw
             // packets), so this is an advisory, not an error.
@@ -1001,101 +1051,42 @@ impl<'a> Checker<'a> {
             ));
         }
     }
-}
 
-fn merge_exits(mut exits: Vec<FlowState>) -> FlowState {
-    let first = exits.remove(0);
-    exits.into_iter().fold(first, |acc, s| acc.merge(&s))
-}
-
-fn transition_targets(t: &Transition) -> Vec<Target> {
-    match t {
-        Transition::Unconditional(t) => vec![*t],
-        Transition::Select { cases, default, .. } => {
-            let mut out: Vec<Target> = cases.iter().map(|(_, t)| *t).collect();
-            out.push(*default);
-            out
-        }
-    }
-}
-
-/// Headers guaranteed valid on every accept path through node `idx`.
-/// `None` means no accept path exists below this node.
-fn guaranteed_from(
-    nodes: &[crate::parser::ParseNode],
-    idx: usize,
-    memo: &mut BTreeMap<usize, Option<BTreeSet<String>>>,
-    on_stack: &mut BTreeSet<usize>,
-) -> Option<BTreeSet<String>> {
-    if let Some(cached) = memo.get(&idx) {
-        return cached.clone();
-    }
-    if !on_stack.insert(idx) {
-        return None; // cyclic parser: validate() rejects it separately
-    }
-    let mut meet: Option<BTreeSet<String>> = None;
-    for target in transition_targets(&nodes[idx].transition) {
-        let below = match target {
-            Target::Accept => Some(BTreeSet::new()),
-            Target::Reject => None,
-            Target::Node(j) if j < nodes.len() => guaranteed_from(nodes, j, memo, on_stack),
-            Target::Node(_) => None,
+    /// Path-sensitive refinement on validity guards: inside `if valid(h)`
+    /// the header is guaranteed; inside the else (or under `if !valid(h)`)
+    /// it is definitely absent.
+    fn refine_by_validity(&self, cond: &BoolExpr, then: &mut FlowState, els: &mut FlowState) {
+        let (h, valid, invalid) = match cond {
+            BoolExpr::Valid(h) => (h, then, els),
+            BoolExpr::Not(inner) => match inner.as_ref() {
+                BoolExpr::Valid(h) => (h, els, then),
+                _ => return,
+            },
+            _ => return,
         };
-        if let Some(set) = below {
-            meet = Some(match meet {
-                None => set,
-                Some(acc) => acc.intersection(&set).cloned().collect(),
-            });
+        if let Some(bit) = self.header_bit(h) {
+            for set in [GUARANTEED, MAYBE] {
+                valid.put(set, bit, true);
+                invalid.put(set, bit, false);
+            }
         }
     }
-    on_stack.remove(&idx);
-    let result = meet.map(|mut set| {
-        set.insert(nodes[idx].header_type.clone());
-        set
-    });
-    memo.insert(idx, result.clone());
-    result
 }
 
 /// Field reads of a condition, excluding `Valid(h)` — probing validity is
 /// precisely how programs guard maybe-valid headers, not a header read.
-fn cond_field_reads(cond: &BoolExpr) -> Vec<FieldRef> {
+fn for_each_cond_read<'a>(cond: &'a BoolExpr, f: &mut impl FnMut(FieldView<'a>)) {
     match cond {
         BoolExpr::Cmp(a, _, b) => {
-            let mut out = a.reads();
-            out.extend(b.reads());
-            out
+            a.for_each_read(&mut |fr| f(FieldView::of(fr)));
+            b.for_each_read(&mut |fr| f(FieldView::of(fr)));
         }
         BoolExpr::And(x, y) | BoolExpr::Or(x, y) => {
-            let mut out = cond_field_reads(x);
-            out.extend(cond_field_reads(y));
-            out
+            for_each_cond_read(x, f);
+            for_each_cond_read(y, f);
         }
-        BoolExpr::Not(x) => cond_field_reads(x),
-        BoolExpr::Valid(_) => Vec::new(),
-    }
-}
-
-/// Path-sensitive refinement on validity guards: inside `if valid(h)` the
-/// header is guaranteed; inside the else (or under `if !valid(h)`) it is
-/// definitely absent.
-fn refine_by_validity(cond: &BoolExpr, then_state: &mut FlowState, else_state: &mut FlowState) {
-    match cond {
-        BoolExpr::Valid(h) => {
-            then_state.guaranteed.insert(h.clone());
-            then_state.maybe.insert(h.clone());
-            else_state.guaranteed.remove(h);
-            else_state.maybe.remove(h);
-        }
-        BoolExpr::Not(inner) => {
-            if let BoolExpr::Valid(h) = inner.as_ref() {
-                then_state.guaranteed.remove(h);
-                then_state.maybe.remove(h);
-                else_state.guaranteed.insert(h.clone());
-                else_state.maybe.insert(h.clone());
-            }
-        }
-        _ => {}
+        BoolExpr::Not(x) => for_each_cond_read(x, f),
+        BoolExpr::Valid(_) => {}
     }
 }
 
@@ -1105,7 +1096,7 @@ mod tests {
     use crate::builder::*;
     use crate::table::{TableDef, TableKey};
     use crate::well_known;
-    use crate::{fref, Expr, MatchKind};
+    use crate::{fref, Expr, FieldRef, MatchKind};
 
     /// eth → ipv4 program with one table keyed on a guaranteed header.
     fn base_builder(name: &str) -> ProgramBuilder {
@@ -1344,6 +1335,50 @@ mod tests {
             .build()
             .unwrap();
         assert!(check(&good).is_clean(), "{}", check(&good).render_pretty());
+    }
+
+    #[test]
+    fn a_header_every_arm_adds_is_guaranteed_after_the_select() {
+        // The arms and the default are the only exits of an ApplySelect:
+        // when each adds `tcp`, a later read of it is on every path.
+        let add_tcp = || vec![Stmt::Do("add_tcp".into())];
+        let p = base_builder("arms")
+            .header(well_known::tcp())
+            .action(ActionBuilder::new("pass").build())
+            .action(
+                ActionBuilder::new("add_tcp")
+                    .add_header("tcp", None)
+                    .build(),
+            )
+            .table(
+                TableBuilder::new("classify")
+                    .key_exact(fref("ipv4", "dst_addr"))
+                    .action("pass")
+                    .default_action("pass")
+                    .build(),
+            )
+            .table(
+                TableBuilder::new("l4")
+                    .key_exact(fref("tcp", "dst_port"))
+                    .action("pass")
+                    .default_action("pass")
+                    .build(),
+            )
+            .control(
+                ControlBuilder::new("ctrl")
+                    .stmt(Stmt::ApplySelect {
+                        table: "classify".into(),
+                        arms: vec![("pass".into(), add_tcp())],
+                        default: add_tcp(),
+                    })
+                    .apply("l4")
+                    .build(),
+            )
+            .entry("ctrl")
+            .build()
+            .unwrap();
+        let report = check(&p);
+        assert!(report.diagnostics.is_empty(), "{}", report.render_pretty());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::error::{IrError, Result};
 use crate::header::HeaderType;
 use crate::value::{mask_for, Value};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Where a transition leads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,16 +46,14 @@ pub enum Transition {
 }
 
 impl Transition {
-    /// All targets this transition can reach.
-    pub fn targets(&self) -> Vec<Target> {
-        match self {
-            Transition::Unconditional(t) => vec![*t],
-            Transition::Select { cases, default, .. } => {
-                let mut v: Vec<Target> = cases.iter().map(|(_, t)| *t).collect();
-                v.push(*default);
-                v
-            }
-        }
+    /// All targets this transition can reach: the select cases in order,
+    /// then the default (or the one unconditional target).
+    pub fn targets(&self) -> impl Iterator<Item = Target> + '_ {
+        let (cases, last) = match self {
+            Transition::Unconditional(t) => (&[][..], *t),
+            Transition::Select { cases, default, .. } => (&cases[..], *default),
+        };
+        cases.iter().map(|(_, t)| *t).chain(std::iter::once(last))
     }
 }
 
@@ -90,6 +88,25 @@ pub struct ParserDag {
 /// parse order, as `(header_type, byte_offset)` pairs.
 pub type ParsePath = Vec<(String, u32)>;
 
+/// A header catalog the parser looks header types up in, by name — a
+/// program's own `BTreeMap` (read in place) or a `HashMap` copy of it.
+pub trait HeaderCatalog {
+    /// The header type called `name`.
+    fn header_type(&self, name: &str) -> Option<&HeaderType>;
+}
+
+impl HeaderCatalog for HashMap<String, HeaderType> {
+    fn header_type(&self, name: &str) -> Option<&HeaderType> {
+        self.get(name)
+    }
+}
+
+impl HeaderCatalog for BTreeMap<String, HeaderType> {
+    fn header_type(&self, name: &str) -> Option<&HeaderType> {
+        self.get(name)
+    }
+}
+
 impl ParserDag {
     /// Creates an empty DAG.
     pub fn new() -> Self {
@@ -115,20 +132,19 @@ impl ParserDag {
     /// * child offsets lie at or beyond the end of the parent header
     ///   (guaranteeing acyclicity),
     /// * vertex identities `(header_type, offset)` are unique.
-    pub fn validate(&self, headers: &HashMap<String, HeaderType>) -> Result<()> {
+    pub fn validate(&self, headers: &impl HeaderCatalog) -> Result<()> {
         let start = self
             .start
             .ok_or_else(|| IrError::Invalid("parser has no start transition".into()))?;
         self.check_target(start)?;
-        let mut keys = std::collections::HashSet::new();
         for (id, node) in self.nodes.iter().enumerate() {
             let ht = headers
-                .get(&node.header_type)
+                .header_type(&node.header_type)
                 .ok_or_else(|| IrError::Undefined {
                     kind: "header type",
                     name: node.header_type.clone(),
                 })?;
-            if !keys.insert((node.header_type.clone(), node.offset)) {
+            if self.nodes[..id].iter().any(|n| n.key() == node.key()) {
                 return Err(IrError::Duplicate {
                     kind: "parser vertex",
                     name: format!("({}, {})", node.header_type, node.offset),
@@ -180,7 +196,7 @@ impl ParserDag {
     ///
     /// This is the reference parser used by tests, the merge validator, and
     /// the `dejavu-asic` interpreter.
-    pub fn parse(&self, headers: &HashMap<String, HeaderType>, bytes: &[u8]) -> Result<ParsePath> {
+    pub fn parse(&self, headers: &impl HeaderCatalog, bytes: &[u8]) -> Result<ParsePath> {
         let mut path = Vec::new();
         let mut cur = self
             .start
@@ -196,12 +212,12 @@ impl ParserDag {
                 }
                 Target::Node(id) => {
                     let node = &self.nodes[id];
-                    let ht = headers
-                        .get(&node.header_type)
-                        .ok_or_else(|| IrError::Undefined {
+                    let ht = headers.header_type(&node.header_type).ok_or_else(|| {
+                        IrError::Undefined {
                             kind: "header type",
                             name: node.header_type.clone(),
-                        })?;
+                        }
+                    })?;
                     let end = node.offset as usize + ht.total_bytes() as usize;
                     if bytes.len() < end {
                         return Err(IrError::Invalid(format!(
@@ -248,12 +264,12 @@ impl ParserDag {
     }
 
     /// Maximum byte consumed by any vertex (parser window requirement).
-    pub fn max_depth_bytes(&self, headers: &HashMap<String, HeaderType>) -> u32 {
+    pub fn max_depth_bytes(&self, headers: &impl HeaderCatalog) -> u32 {
         self.nodes
             .iter()
             .filter_map(|n| {
                 headers
-                    .get(&n.header_type)
+                    .header_type(&n.header_type)
                     .map(|h| n.offset + h.total_bytes())
             })
             .max()

@@ -10,9 +10,9 @@
 //! compilation, placement, and simulation — is deterministic.
 
 use crate::action::ActionDef;
-use crate::control::ControlBlock;
+use crate::control::{ControlBlock, Stmt};
 use crate::error::{IrError, Result};
-use crate::header::{FieldDef, FieldRef, HeaderType};
+use crate::header::{FieldDef, FieldRef, FieldView, HeaderType};
 use crate::parser::ParserDag;
 use crate::table::RegisterDef;
 use crate::table::TableDef;
@@ -67,6 +67,14 @@ impl Program {
     /// Width of a field reference, searching header types then user metadata
     /// then standard metadata. `None` if unknown.
     pub fn field_width(&self, fr: &FieldRef) -> Option<u16> {
+        self.view_width(FieldView::of(fr))
+    }
+
+    /// [`Program::field_width`] of a borrowed reference.
+    pub(crate) fn view_width(&self, fr: FieldView<'_>) -> Option<u16> {
+        if fr.register {
+            return None;
+        }
         if fr.is_meta() {
             if let Some(fd) = self.meta_fields.iter().find(|f| f.name == fr.field) {
                 return Some(fd.bits);
@@ -77,8 +85,8 @@ impl Program {
                 .map(|(_, w)| *w);
         }
         self.header_types
-            .get(&fr.header)?
-            .field(&fr.field)
+            .get(fr.header)?
+            .field(fr.field)
             .map(|f| f.bits)
     }
 
@@ -87,13 +95,18 @@ impl Program {
     /// `reg::<name>` pseudo-references resolve against the register
     /// catalog).
     pub fn field_exists(&self, fr: &FieldRef) -> bool {
-        if let Some(reg) = fr.header.strip_prefix("reg::") {
-            return self.registers.contains_key(reg);
+        self.view_exists(FieldView::of(fr))
+    }
+
+    /// [`Program::field_exists`] of a borrowed reference.
+    pub(crate) fn view_exists(&self, fr: FieldView<'_>) -> bool {
+        if fr.register {
+            return self.registers.contains_key(fr.header);
         }
         if fr.field == "*" {
-            return fr.is_meta() || self.header_types.contains_key(&fr.header);
+            return fr.is_meta() || self.header_types.contains_key(fr.header);
         }
-        self.field_width(fr).is_some()
+        self.view_width(fr).is_some()
     }
 
     /// The entry control block, if present.
@@ -106,57 +119,39 @@ impl Program {
     /// dependency analysis).
     pub fn tables_in_order(&self) -> Vec<String> {
         let mut out = Vec::new();
-        if let Some(entry) = self.entry_control() {
-            self.flatten_control(entry, &mut out, 0);
-        }
+        self.for_each_applied(&mut |t| out.push(t.to_string()));
         out
     }
 
-    fn flatten_control(&self, cb: &ControlBlock, out: &mut Vec<String>, depth: usize) {
-        if depth > 64 {
-            return; // cycle guard; validate() reports the error properly
-        }
-        for stmt in &cb.body {
-            self.flatten_stmt(stmt, out, depth);
+    /// Visits what [`Program::tables_in_order`] lists, in its order,
+    /// borrowed.
+    pub(crate) fn for_each_applied<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
+        if let Some(entry) = self.entry_control() {
+            self.flatten(&entry.body, 0, f);
         }
     }
 
-    fn flatten_stmt(&self, stmt: &crate::control::Stmt, out: &mut Vec<String>, depth: usize) {
-        use crate::control::Stmt;
-        match stmt {
-            Stmt::Apply(t) => out.push(t.clone()),
-            Stmt::ApplySelect {
-                table,
-                arms,
-                default,
-            } => {
-                out.push(table.clone());
-                for (_, b) in arms {
-                    for s in b {
-                        self.flatten_stmt(s, out, depth);
-                    }
-                }
-                for s in default {
-                    self.flatten_stmt(s, out, depth);
+    /// Visits the tables `stmts` apply, in program order, following
+    /// `Call`s as if `stmts` were `depth` calls deep: a control more than
+    /// 64 calls deep is not entered (the cycle guard; `validate` reports
+    /// the cycle).
+    pub(crate) fn flatten<'a>(
+        &'a self,
+        stmts: &'a [Stmt],
+        depth: usize,
+        f: &mut impl FnMut(&'a str),
+    ) {
+        for stmt in stmts {
+            if let Some(t) = stmt.applied_table() {
+                f(t);
+            }
+            if let Stmt::Call(c) = stmt {
+                if let (Some(cb), true) = (self.controls.get(c), depth < 64) {
+                    self.flatten(&cb.body, depth + 1, f);
                 }
             }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                for s in then_branch {
-                    self.flatten_stmt(s, out, depth);
-                }
-                for s in else_branch {
-                    self.flatten_stmt(s, out, depth);
-                }
-            }
-            Stmt::Do(_) => {}
-            Stmt::Call(c) => {
-                if let Some(cb) = self.controls.get(c) {
-                    self.flatten_control(cb, out, depth + 1);
-                }
+            for branch in stmt.branches() {
+                self.flatten(branch, depth, f);
             }
         }
     }
@@ -165,22 +160,18 @@ impl Program {
     /// * every header type, parser vertex, table, and action is well-formed,
     /// * tables reference existing actions and key fields,
     /// * actions read/write existing fields,
-    /// * controls call existing controls acyclically and apply existing
-    ///   tables,
+    /// * every control calls existing controls acyclically and applies
+    ///   existing tables — dormant controls too, since a composed pipelet
+    ///   carries every merged NF's controls,
     /// * the entry control exists.
+    ///
+    /// Reads the program in place: a valid program is validated without a
+    /// heap allocation.
     pub fn validate(&self) -> Result<()> {
         for ht in self.header_types.values() {
             ht.validate()?;
         }
-        {
-            // HashMap view for the parser validator.
-            let hm: std::collections::HashMap<String, HeaderType> = self
-                .header_types
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            self.parser.validate(&hm)?;
-        }
+        self.parser.validate(&self.header_types)?;
         for t in self.tables.values() {
             t.validate()?;
             for a in &t.actions {
@@ -201,13 +192,19 @@ impl Program {
             }
         }
         for a in self.actions.values() {
-            for fr in a.reads().iter().chain(a.writes().iter()) {
-                if !self.field_exists(fr) {
-                    return Err(IrError::Undefined {
-                        kind: "action field",
-                        name: format!("{fr} (action {})", a.name),
-                    });
+            let mut missing = None;
+            let mut check = |fr: FieldView<'_>| {
+                if missing.is_none() && !self.view_exists(fr) {
+                    missing = Some(fr.to_string());
                 }
+            };
+            a.ops.iter().for_each(|op| op.for_each_read(&mut check));
+            a.ops.iter().for_each(|op| op.for_each_write(&mut check));
+            if let Some(fr) = missing {
+                return Err(IrError::Undefined {
+                    kind: "action field",
+                    name: format!("{fr} (action {})", a.name),
+                });
             }
         }
         for r in self.registers.values() {
@@ -217,67 +214,54 @@ impl Program {
             kind: "entry control",
             name: self.entry.clone(),
         })?;
-        entry.validate_calls(&|n| self.controls.get(n).cloned(), 0)?;
+        let lookup = |name: &str| self.controls.get(name);
+        entry.validate_calls(&lookup, 0)?;
         for cb in self.controls.values() {
-            for t in cb.tables_applied() {
-                if !self.tables.contains_key(&t) {
-                    return Err(IrError::Undefined {
-                        kind: "table",
-                        name: format!("{t} (control {})", cb.name),
-                    });
-                }
-            }
-            for cond_reads in cb.body.iter().map(stmt_cond_reads) {
-                for fr in cond_reads {
-                    if !self.field_exists(&fr) {
-                        return Err(IrError::Undefined {
-                            kind: "condition field",
-                            name: format!("{fr} (control {})", cb.name),
-                        });
+            let visit = |f: &mut dyn FnMut(&Stmt) -> Result<()>| {
+                cb.body.iter().try_for_each(|stmt| stmt.try_visit(f))
+            };
+            visit(&mut |s| match s.applied_table() {
+                Some(t) if !self.tables.contains_key(t) => Err(IrError::Undefined {
+                    kind: "table",
+                    name: format!("{t} (control {})", cb.name),
+                }),
+                _ => Ok(()),
+            })?;
+            visit(&mut |s| {
+                let Stmt::If { cond, .. } = s else {
+                    return Ok(());
+                };
+                let mut missing = None;
+                cond.for_each_read(&mut |fr| {
+                    if missing.is_none() && !self.view_exists(fr) {
+                        missing = Some(fr.to_string());
                     }
+                });
+                match missing {
+                    Some(fr) => Err(IrError::Undefined {
+                        kind: "condition field",
+                        name: format!("{fr} (control {})", cb.name),
+                    }),
+                    None => Ok(()),
                 }
-            }
+            })?;
+        }
+        // Last, so a program the entry's checks refuse is refused for the
+        // same reason whatever its dormant controls hold.
+        for cb in self.controls.values() {
+            cb.validate_calls(&lookup, 0)?;
         }
         Ok(())
     }
 
-    /// Header catalog as a `HashMap` (the form the parser walker takes).
+    /// Header catalog as a `HashMap` (the form the reference interpreter
+    /// keeps).
     pub fn header_map(&self) -> std::collections::HashMap<String, HeaderType> {
         self.header_types
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
     }
-}
-
-/// Field references read by conditions anywhere under a statement.
-fn stmt_cond_reads(stmt: &crate::control::Stmt) -> Vec<FieldRef> {
-    use crate::control::Stmt;
-    let mut out = Vec::new();
-    match stmt {
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            out.extend(cond.reads());
-            for s in then_branch.iter().chain(else_branch.iter()) {
-                out.extend(stmt_cond_reads(s));
-            }
-        }
-        Stmt::ApplySelect { arms, default, .. } => {
-            for (_, b) in arms {
-                for s in b {
-                    out.extend(stmt_cond_reads(s));
-                }
-            }
-            for s in default {
-                out.extend(stmt_cond_reads(s));
-            }
-        }
-        _ => {}
-    }
-    out
 }
 
 #[cfg(test)]
@@ -384,6 +368,43 @@ mod tests {
         let mut p = tiny_program();
         p.tables.get_mut("l2").unwrap().keys[0].field = fref("ipv4", "dst_addr");
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn dormant_controls_calls_are_validated() {
+        // A composed pipelet carries every merged NF's controls, most of
+        // them dormant; a bad call in one is refused with the error it would
+        // get as the entry.
+        let as_entry = |p: &Program, entry: &str| {
+            let mut q = p.clone();
+            q.entry = entry.into();
+            q.validate().unwrap_err()
+        };
+        let mut p = tiny_program();
+        p.controls.insert(
+            "dormant".into(),
+            ControlBlock::new("dormant", vec![Stmt::Call("ghost".into())]),
+        );
+        let err = p.validate().unwrap_err();
+        assert_eq!(
+            err,
+            IrError::Undefined {
+                kind: "control block",
+                name: "ghost".into(),
+            }
+        );
+        assert_eq!(err, as_entry(&p, "dormant"));
+
+        // A call cycle among controls the entry never reaches.
+        let mut p = tiny_program();
+        for (name, callee) in [("a", "b"), ("b", "a")] {
+            let body = vec![Stmt::Call(callee.into())];
+            p.controls
+                .insert(name.into(), ControlBlock::new(name, body));
+        }
+        let err = p.validate().unwrap_err();
+        assert!(matches!(err, IrError::Invalid(_)), "{err:?}");
+        assert_eq!(err, as_entry(&p, "a"));
     }
 
     #[test]

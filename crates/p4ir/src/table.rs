@@ -74,9 +74,11 @@ impl TableDef {
                 self.name
             )));
         }
-        let mut seen = std::collections::HashSet::new();
-        for k in &self.keys {
-            if !seen.insert(&k.field) {
+        for (i, k) in self.keys.iter().enumerate() {
+            if self.keys[..i]
+                .iter()
+                .any(|earlier| earlier.field == k.field)
+            {
                 return Err(IrError::Duplicate {
                     kind: "table key",
                     name: format!("{} (table {})", k.field, self.name),
@@ -103,11 +105,6 @@ impl TableDef {
             total += u32::from(w);
         }
         Ok(total)
-    }
-
-    /// The fields this table's match stage reads.
-    pub fn match_reads(&self) -> Vec<FieldRef> {
-        self.keys.iter().map(|k| k.field.clone()).collect()
     }
 }
 

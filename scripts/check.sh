@@ -120,6 +120,18 @@ if grep -nE 'tables_applied|tables_hit|\.inject\(' crates/core/src/transport/{wo
     exit 1
 fi
 
+# Borrowed-IR gate: the checks a pipelet goes through before it reaches a
+# switch (`Program::validate`, the structural lint pass, the value analysis,
+# the dependency graph) and `Switch::load_program` read the program they are
+# handed in place. Cloning a table, action or control body out of the
+# catalog, or copying the header catalog into a `HashMap`, is the per-check
+# copying that made a deploy's verifier most of its time.
+if grep -nE '(tables|actions|controls)\.get\([^)]*\)\.cloned\(\)|values\(\)\.cloned\(\)|\.body\.clone\(\)|header_map\(\)' \
+    crates/p4ir/src/{lint,analyze,deps,program}.rs crates/asic/src/switch.rs; then
+    echo "a check copies the IR it reads again (see DESIGN.md, Static verifier)" >&2
+    exit 1
+fi
+
 # Re-placement gate: the closed-loop orchestrator must notice the traffic
 # shift, migrate the learned NAT across switches live, and lose zero
 # flows — bounded, because a hang here means the pause/quiesce barrier

@@ -784,3 +784,46 @@ fn detector_applies_hysteresis_and_cooldown() {
     let d = det.observe(&scrape_with(&[182, 161]));
     assert!(matches!(d, ShiftDecision::Suppressed { .. }), "{d:?}");
 }
+
+/// A migration keeps each NF's aging: the idle timeout set on the NAT's
+/// learned table follows it to its new home, both ways. Every composed
+/// pipelet carries a dormant copy of the NAT's tables; restoring those
+/// copies after the real one reset the timeout to none.
+#[test]
+fn a_migration_keeps_each_nfs_idle_timeouts() {
+    let problem = fleet_problem();
+    let search = ExhaustiveSearch::default();
+    let a = search.search(&problem).unwrap().placement;
+    let b = search
+        .search(&problem.with_weights(&[8.0, 1.0]))
+        .unwrap()
+        .placement;
+    assert_ne!(a.switch_of("nat"), b.switch_of("nat"), "the NAT must move");
+    let nfs = build_nfs();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let (wiring, deploy) = (ClusterWiring::default(), deploy_options());
+    let profile = TofinoProfile::wedge_100b_32x();
+    let spec = FleetSpec {
+        nfs: &refs,
+        chains: problem.chains(),
+        profile: &profile,
+        exit_ports: exit_ports(),
+        wiring: &wiring,
+        deploy: &deploy,
+    };
+    let nat_timeout = |handle: &mut ClusterHandle, placement: &ClusterPlacement| {
+        let switch = placement.switch_of("nat").unwrap();
+        let pipelet = placement.switches[switch].location("nat").unwrap();
+        let tables = handle.switch(switch).unwrap().tables(pipelet).unwrap();
+        tables.idle_timeout(&format!("nat__{NAT_IN_TABLE}"))
+    };
+    for (from, to) in [(&a, &b), (&b, &a)] {
+        let mut handle = fleet_cluster(from, None, false);
+        handle
+            .set_idle_timeout("nat", NAT_IN_TABLE, Some(30))
+            .unwrap();
+        assert_eq!(nat_timeout(&mut handle, from), Some(30));
+        migrate(&mut handle, &spec, from, to).unwrap();
+        assert_eq!(nat_timeout(&mut handle, to), Some(30), "aging lost");
+    }
+}

@@ -14,18 +14,24 @@
 //! allocate (frames, channel slots, the delivery), but what a member runs
 //! adds nothing to it: the inline driver runs on the test's thread, so its
 //! allocations per flight are counted and compared across members that run
-//! one marker NF and three.
+//! one marker NF and three. The deploy path is held in counts too:
+//! validating a composed Fig. 2 pipelet touches no heap, and one Fig. 2
+//! `deploy` (merge, compose, validate, lint, analyze, allocate, load, route)
+//! stays under a fixed allocation budget.
 
-use dejavu_asic::{InjectedPacket, PipeletId, PortId, Switch, TofinoProfile};
-use dejavu_core::deploy::DeployOptions;
+use dejavu_asic::{Gress, InjectedPacket, PipeletId, PortId, Switch, TofinoProfile};
+use dejavu_core::compose::{compose_pipelet, PipeletPlan, PlannedNf};
+use dejavu_core::deploy::{deploy, DeployOptions};
+use dejavu_core::merge::merge_programs;
 use dejavu_core::multiswitch::{deploy_cluster, ClusterPlacement, ClusterWiring};
 use dejavu_core::orchestrator::{AnnealingSearch, FleetProblem, PlacementSearch};
-use dejavu_core::placement::Placement;
+use dejavu_core::placement::{Placement, PlacementProblem};
+use dejavu_core::routing::RoutingConfig;
 use dejavu_core::transport::ClusterHandle;
 use dejavu_core::{ChainPolicy, ChainSet, NfModule};
 use dejavu_integration::{
     chain_packet, encapsulated_packet, fig9_testbed, marker_nf, sweep_testbed, SweepKey, EXIT_PORT,
-    IN_PORT,
+    IN_PORT, LOOPBACK_PORT_P0, LOOPBACK_PORT_P1,
 };
 use dejavu_nf::load_balancer::{five_tuple_of, session_entry_for, SESSION_TABLE};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -223,4 +229,88 @@ fn an_annealing_proposal_allocates_nothing() {
         allocs(2_200),
         "allocations per 2 000 proposals"
     );
+}
+
+/// The Fig. 2 instance `plan_deploy` solves, and the placement it deploys.
+fn fig2_solved() -> (PlacementProblem, Placement) {
+    let stages = [
+        ("classifier", 2u32),
+        ("firewall", 3),
+        ("vgw", 2),
+        ("lb", 3),
+        ("router", 3),
+    ];
+    let stages = stages
+        .into_iter()
+        .map(|(n, s)| (n.to_string(), s))
+        .collect();
+    let fig2 = PlacementProblem::new(ChainSet::edge_cloud_example(), stages);
+    let placement = fig2.exhaustive(1 << 22).expect("Fig. 2 has an optimum");
+    (fig2, placement)
+}
+
+#[test]
+fn validating_a_composed_pipelet_allocates_nothing() {
+    // Each pipelet is validated three times per deploy (composition, the
+    // allocator, the switch); 323 allocations a call when it copied the
+    // header catalog, the control bodies and every read and write set.
+    let (_, placement) = fig2_solved();
+    let nfs = dejavu_nf::edge_cloud_suite();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let merged = merge_programs("dejavu", &refs).expect("the suite merges");
+    for pipeline in 0..2 {
+        for gress in [Gress::Ingress, Gress::Egress] {
+            let pipelet = PipeletId { pipeline, gress };
+            let planned = placement.pipelets.get(&pipelet).into_iter().flatten();
+            let plan = PipeletPlan {
+                pipelet,
+                nfs: planned
+                    .map(|n| match n.as_str() {
+                        "classifier" => PlannedNf::entry(n.clone()),
+                        _ => PlannedNf::indexed(n.clone()),
+                    })
+                    .collect(),
+                mode: placement.mode(pipelet),
+            };
+            let program = compose_pipelet(&merged, &plan).expect("pipelet composes");
+            let before = ALLOCS.with(Cell::get);
+            let verdict = black_box(&program).validate();
+            let allocs = ALLOCS.with(Cell::get) - before;
+            assert_eq!(verdict, Ok(()), "{pipelet}");
+            assert_eq!(allocs, 0, "{pipelet}: allocations in Program::validate");
+        }
+    }
+}
+
+#[test]
+fn a_fig2_deploy_stays_within_its_allocation_budget() {
+    // Merge, compose, the verifier and the allocator on four pipelets,
+    // loading and routing: 16 586 allocations when each check copied the
+    // IR it read.
+    const BUDGET: u64 = 8_000;
+    let (fig2, placement) = fig2_solved();
+    let nfs = dejavu_nf::edge_cloud_suite();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let config = RoutingConfig {
+        loopback_port: [(0usize, LOOPBACK_PORT_P0), (1usize, LOOPBACK_PORT_P1)]
+            .into_iter()
+            .collect(),
+        exit_ports: fig2
+            .chains
+            .chains
+            .iter()
+            .map(|c| (c.path_id, EXIT_PORT))
+            .collect(),
+        honor_out_port: false,
+    };
+    let options = DeployOptions {
+        entry_nf: Some("classifier".into()),
+        ..Default::default()
+    };
+    let profile = TofinoProfile::wedge_100b_32x();
+    let before = ALLOCS.with(Cell::get);
+    let deployed = deploy(&refs, &fig2.chains, &placement, &profile, &config, &options);
+    let allocs = ALLOCS.with(Cell::get) - before;
+    drop(black_box(deployed.expect("Fig. 2 deploys")));
+    assert!(allocs <= BUDGET, "one Fig. 2 deploy: {allocs} allocations");
 }
