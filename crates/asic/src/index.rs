@@ -26,6 +26,7 @@
 //! with observationally.
 
 use std::cell::Cell;
+use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -400,10 +401,19 @@ fn entry_matches(e: &TableEntry, keys: &[Value]) -> bool {
             .all(|(m, &k)| m.matches(k))
 }
 
-/// Sorted insert position for `(rank desc, index asc)` ordered lists.
+/// Arbitration order: higher [`Rank`] first, then the earlier install.
+type OrderKey = (Rank, Reverse<usize>);
+
+/// Entry `i`'s place in the arbitration order: an entry beats another iff
+/// its key is greater. The one place every index compares two hits.
+fn order_key(ranks: &[Rank], i: usize) -> OrderKey {
+    (ranks[i], Reverse(i))
+}
+
+/// Sorted insert into a list in arbitration order, `(rank desc, index asc)`.
 fn ordered_insert(order: &mut Vec<usize>, ranks: &[Rank], idx: usize) {
-    let rank = ranks[idx];
-    let pos = order.partition_point(|&i| ranks[i] >= rank);
+    let key = order_key(ranks, idx);
+    let pos = order.partition_point(|&i| order_key(ranks, i) > key);
     order.insert(pos, idx);
 }
 
@@ -442,8 +452,7 @@ impl ClassifierIndex for ScanIndex {
 
     fn build(&mut self, entries: &[TableEntry], ranks: &[Rank]) {
         self.order = (0..entries.len()).collect();
-        self.order
-            .sort_by_key(|&i| (std::cmp::Reverse(ranks[i]), i));
+        self.order.sort_by_key(|&i| Reverse(order_key(ranks, i)));
     }
 
     fn insert(&mut self, _entries: &[TableEntry], ranks: &[Rank], idx: usize) -> bool {
@@ -493,7 +502,7 @@ impl ClassifierIndex for ScanIndex {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExactIndex {
     map: WordMap<Vec<Value>, usize>,
-    /// Wildcard entries, in install order.
+    /// Wildcard entries, `(rank desc, index asc)`.
     spill: Vec<usize>,
     /// Hashed entries that share their key tuple with the stored winner
     /// (hashed entries minus `map.len()`). While zero the winner is its
@@ -536,13 +545,13 @@ impl ClassifierIndex for ExactIndex {
 
     fn insert(&mut self, entries: &[TableEntry], ranks: &[Rank], idx: usize) -> bool {
         match Self::exact_key(&entries[idx]) {
-            None => self.spill.push(idx),
+            None => ordered_insert(&mut self.spill, ranks, idx),
             Some(key) => match self.map.entry(key) {
                 std::collections::hash_map::Entry::Occupied(mut o) => {
-                    // Same key tuple: the higher priority wins; ties keep
-                    // the earlier install, matching scan arbitration.
+                    // Same key tuple: the winner is the one scan
+                    // arbitration picks.
                     self.shadowed += 1;
-                    if ranks[idx].0 > ranks[*o.get()].0 {
+                    if order_key(ranks, idx) > order_key(ranks, *o.get()) {
                         o.insert(idx);
                     }
                 }
@@ -588,7 +597,8 @@ impl ClassifierIndex for ExactIndex {
 
     fn position(&self, entries: &[TableEntry], entry: &TableEntry) -> Option<usize> {
         match Self::exact_key(entry) {
-            // Install-ordered, so the first equal wildcard entry is found.
+            // Equal entries share a rank, and within a rank the spill is
+            // in install order: the first equal entry found is the lowest.
             None => self.spill.iter().copied().find(|&i| entries[i] == *entry),
             Some(key) if self.shadowed == 0 => self
                 .map
@@ -608,18 +618,16 @@ impl ClassifierIndex for ExactIndex {
     ) -> Option<usize> {
         let mut probes = 1u64;
         let mut best: Option<usize> = self.map.get(keys).copied();
+        // The spill is in arbitration order: its first match is its best
+        // entry, and from the first entry the hash hit beats nothing wins.
         for &i in &self.spill {
+            if best.is_some_and(|b| order_key(ranks, i) <= order_key(ranks, b)) {
+                break;
+            }
             probes += 1;
             if entry_matches(&entries[i], keys) {
-                let better = match best {
-                    None => true,
-                    // Strict priority comparison + install order: exact
-                    // entries all rank (priority, 0).
-                    Some(b) => ranks[i].0 > ranks[b].0 || (ranks[i].0 == ranks[b].0 && i < b),
-                };
-                if better {
-                    best = Some(i);
-                }
+                best = Some(i);
+                break;
             }
         }
         log.record_probes(probes);
@@ -682,9 +690,9 @@ impl TupleSpaceIndex {
     /// Position of tuple `tid` in the probe order under `(max_rank desc,
     /// id asc)`.
     fn probe_pos(&self, tid: usize) -> usize {
-        let key = (self.tuples[tid].max_rank(), std::cmp::Reverse(tid));
+        let key = (self.tuples[tid].max_rank(), Reverse(tid));
         self.probe_order
-            .partition_point(|&t| (self.tuples[t].max_rank(), std::cmp::Reverse(t)) > key)
+            .partition_point(|&t| (self.tuples[t].max_rank(), Reverse(t)) > key)
     }
 
     fn reposition(&mut self, tid: usize) {
@@ -811,13 +819,14 @@ impl ClassifierIndex for TupleSpaceIndex {
         keys: &[Value],
         log: &ProbeLog,
     ) -> Option<usize> {
-        let mut best: Option<(Rank, usize)> = None;
+        let mut best: Option<OrderKey> = None;
         let mut probes = 0u64;
-        // Spill is rank-sorted: the first match is the best spill candidate.
+        // Spill is in arbitration order: the first match is the best spill
+        // candidate.
         for &i in &self.spill {
             probes += 1;
             if entry_matches(&entries[i], keys) {
-                best = Some((ranks[i], i));
+                best = Some(order_key(ranks, i));
                 break;
             }
         }
@@ -830,10 +839,8 @@ impl ClassifierIndex for TupleSpaceIndex {
             // possible remaining rank is strictly below the current hit no
             // later tuple can win. Equal max ranks must still be probed —
             // an equal-rank entry with a lower install index beats the hit.
-            if let Some((br, _)) = best {
-                if tmax < br {
-                    break;
-                }
+            if best.is_some_and(|(br, _)| tmax < br) {
+                break;
             }
             probes += 1;
             let Some(h) = probe_hash(&tuple.sig, keys, &self.hasher) else {
@@ -842,20 +849,15 @@ impl ClassifierIndex for TupleSpaceIndex {
             };
             if let Some(bucket) = tuple.buckets.get(&h) {
                 for &i in bucket {
-                    if entry_matches(&entries[i], keys) {
-                        let better = match best {
-                            None => true,
-                            Some((br, bi)) => ranks[i] > br || (ranks[i] == br && i < bi),
-                        };
-                        if better {
-                            best = Some((ranks[i], i));
-                        }
+                    let key = order_key(ranks, i);
+                    if best.is_none_or(|b| key > b) && entry_matches(&entries[i], keys) {
+                        best = Some(key);
                     }
                 }
             }
         }
         log.record_probes(probes.max(1));
-        best.map(|(_, i)| i)
+        best.map(|(_, Reverse(i))| i)
     }
 
     fn stats(&self) -> IndexStats {
@@ -919,10 +921,11 @@ struct TreeNode {
     /// Entries resident at this node, `(rank desc, index asc)`. Unbounded
     /// on a cut node (whatever does not pin the window stays here).
     local: Vec<usize>,
-    /// Upper bound on the ranks in this subtree (pruning bound). Removals
-    /// leave it loose: lookup prunes only on strict `<`, so a stale bound
-    /// costs a probe, never an answer.
-    max_rank: Option<Rank>,
+    /// Upper bound on the order keys in this subtree (pruning bound).
+    /// Removals leave it loose and `remove_many` renumbers its position as
+    /// it does a `local` one, so a stale bound costs a probe, never an
+    /// answer.
+    max_key: Option<OrderKey>,
     /// The `local` length at which an install next tries to cut this
     /// leaf: `LEAF_MAX + 1` while it is small, twice its size after an
     /// attempt found no discriminating window, never (`usize::MAX`) at
@@ -931,7 +934,7 @@ struct TreeNode {
 }
 
 impl TreeNode {
-    fn leaf(local: Vec<usize>, max_rank: Option<Rank>, depth: usize) -> Self {
+    fn leaf(local: Vec<usize>, max_key: Option<OrderKey>, depth: usize) -> Self {
         let split_at = if depth >= MAX_DEPTH {
             usize::MAX
         } else if local.len() <= LEAF_MAX {
@@ -943,7 +946,7 @@ impl TreeNode {
             cut: None,
             children: Vec::new(),
             local,
-            max_rank,
+            max_key,
             split_at,
         }
     }
@@ -952,9 +955,9 @@ impl TreeNode {
 /// HyperCuts-style decision tree: each internal node cuts on the
 /// highest-scoring `(dim, bit window)` — score is entries covering the
 /// window × distinct window values — and entries that don't pin the window
-/// stay in the node's local list. Lookup descends one path, scanning local
-/// lists with a rank early-exit and pruning subtrees whose `max_rank`
-/// cannot beat the current best.
+/// stay in the node's local list. Lookup descends one path in arbitration
+/// order, as a TCAM answers: it stops each local list at its first match
+/// and prunes a subtree whose `max_key` cannot beat the current best.
 ///
 /// Every entry lives in exactly one `local`: that of the first node on its
 /// own descent (by [`cut_value`]) that is a leaf or whose window it does not
@@ -1059,15 +1062,15 @@ impl DecisionTreeIndex {
         depth: usize,
     ) {
         self.max_depth = self.max_depth.max(depth);
-        let max_rank = ids.iter().map(|&i| ranks[i]).max();
+        let max_key = ids.iter().map(|&i| order_key(ranks, i)).max();
         let cut = if ids.len() <= LEAF_MAX || depth >= MAX_DEPTH {
             None
         } else {
             Self::choose_cut(&ids, entries)
         };
         let Some(cut) = cut else {
-            ids.sort_by_key(|&i| (std::cmp::Reverse(ranks[i]), i));
-            self.nodes[id] = TreeNode::leaf(ids, max_rank, depth);
+            ids.sort_by_key(|&i| Reverse(order_key(ranks, i)));
+            self.nodes[id] = TreeNode::leaf(ids, max_key, depth);
             return;
         };
         let fan = 1usize << cut.bits;
@@ -1079,12 +1082,12 @@ impl DecisionTreeIndex {
                 None => local.push(i),
             }
         }
-        local.sort_by_key(|&i| (std::cmp::Reverse(ranks[i]), i));
+        local.sort_by_key(|&i| Reverse(order_key(ranks, i)));
         self.nodes[id] = TreeNode {
             cut: Some(cut),
             children: vec![NO_CHILD; fan],
             local,
-            max_rank,
+            max_key,
             split_at: usize::MAX,
         };
         for (slot, part) in partitions.into_iter().enumerate() {
@@ -1133,7 +1136,7 @@ impl ClassifierIndex for DecisionTreeIndex {
     }
 
     fn insert(&mut self, entries: &[TableEntry], ranks: &[Rank], idx: usize) -> bool {
-        let rank = ranks[idx];
+        let key = Some(order_key(ranks, idx));
         self.grown += 1;
         // The geometric refresh — the one rebuild an installing tree still
         // asks for, O(log n) times over a table's life: cuts chosen for the
@@ -1145,7 +1148,7 @@ impl ClassifierIndex for DecisionTreeIndex {
         let mut depth = 0usize;
         loop {
             let n = &mut self.nodes[node];
-            n.max_rank = n.max_rank.max(Some(rank));
+            n.max_key = n.max_key.max(key);
             let pinned = n
                 .cut
                 .and_then(|cut| cut_value(&entries[idx].matches[cut.dim], &cut));
@@ -1189,6 +1192,11 @@ impl ClassifierIndex for DecisionTreeIndex {
         for n in &mut self.nodes {
             // Survivors keep their relative order: `local` stays sorted.
             n.local.retain_mut(|pos| renumber(removed, pos));
+            // A removed bound's position becomes its next survivor's, which
+            // still bounds every entry that followed it.
+            if let Some((_, Reverse(pos))) = &mut n.max_key {
+                *pos -= removed.partition_point(|&r| r < *pos);
+            }
         }
         self.shrunk += removed.len();
         true
@@ -1214,7 +1222,7 @@ impl ClassifierIndex for DecisionTreeIndex {
         keys: &[Value],
         log: &ProbeLog,
     ) -> Option<usize> {
-        let mut best: Option<(Rank, usize)> = None;
+        let mut best: Option<OrderKey> = None;
         let mut probes = 0u64;
         let mut depth = 0u64;
         let mut node = 0usize;
@@ -1222,23 +1230,17 @@ impl ClassifierIndex for DecisionTreeIndex {
             let n = &self.nodes[node];
             probes += 1;
             for &i in &n.local {
-                // Local lists are rank-descending: below the current best
-                // nothing here can win. Equal ranks still compare install
-                // index.
-                if let Some((br, _)) = best {
-                    if ranks[i] < br {
-                        break;
-                    }
+                // Local lists are in arbitration order: the first match is
+                // the list's best, and from the first entry the current
+                // best beats nothing here can win.
+                let key = order_key(ranks, i);
+                if best.is_some_and(|b| key <= b) {
+                    break;
                 }
                 probes += 1;
                 if entry_matches(&entries[i], keys) {
-                    let better = match best {
-                        None => true,
-                        Some((br, bi)) => ranks[i] > br || (ranks[i] == br && i < bi),
-                    };
-                    if better {
-                        best = Some((ranks[i], i));
-                    }
+                    best = Some(key);
+                    break;
                 }
             }
             let Some(cut) = n.cut else { break };
@@ -1252,19 +1254,18 @@ impl ClassifierIndex for DecisionTreeIndex {
             if child == NO_CHILD {
                 break;
             }
-            if let Some((br, _)) = best {
-                // Strict bound: an equal-max subtree can still win a tie
-                // on install index, so only prune strictly-worse subtrees.
-                if self.nodes[child].max_rank.is_none_or(|m| m < br) {
-                    break;
-                }
+            // The bound is on the whole order key: a subtree that cannot
+            // beat the hit is pruned, an equal-rank one when its earliest
+            // install of that rank came after the hit's.
+            if best.is_some_and(|b| self.nodes[child].max_key.is_none_or(|m| m <= b)) {
+                break;
             }
             node = child;
             depth += 1;
         }
         log.record_probes(probes.max(1));
         log.record_depth(depth);
-        best.map(|(_, i)| i)
+        best.map(|(_, Reverse(i))| i)
     }
 
     fn stats(&self) -> IndexStats {
@@ -1742,29 +1743,31 @@ mod tests {
 
     /// The tree's structure over `entries`: every position sits in exactly
     /// one `local` — the one its own descent ends in — every `local` is
-    /// `(rank desc, idx asc)`, every `max_rank` bounds its subtree, and the
-    /// nodes form one tree under slot 0.
+    /// `(rank desc, idx asc)`, every `max_key` bounds the order keys of its
+    /// subtree (install index included, not just rank), and the nodes form
+    /// one tree under slot 0.
     fn assert_tree_invariants(ix: &DecisionTreeIndex, entries: &[TableEntry], ranks: &[Rank]) {
         fn subtree_max(
             ix: &DecisionTreeIndex,
             id: usize,
             ranks: &[Rank],
             visited: &mut usize,
-        ) -> Option<Rank> {
+        ) -> Option<OrderKey> {
             *visited += 1;
             let n = &ix.nodes[id];
-            let mut max = n.local.iter().map(|&i| ranks[i]).max();
+            let mut max = n.local.iter().map(|&i| order_key(ranks, i)).max();
             for &c in n.children.iter().filter(|&&c| c != NO_CHILD) {
                 max = max.max(subtree_max(ix, c, ranks, visited));
             }
-            assert!(n.max_rank >= max, "node {id}: {:?} < {max:?}", n.max_rank);
+            assert!(n.max_key >= max, "node {id}: {:?} < {max:?}", n.max_key);
             max
         }
         let mut homes = vec![0u32; entries.len()];
         for (id, n) in ix.nodes.iter().enumerate() {
-            let key = |i: usize| (std::cmp::Reverse(ranks[i]), i);
             assert!(
-                n.local.windows(2).all(|w| key(w[0]) < key(w[1])),
+                n.local
+                    .windows(2)
+                    .all(|w| order_key(ranks, w[0]) > order_key(ranks, w[1])),
                 "node {id} unsorted"
             );
             for &i in &n.local {
