@@ -7,13 +7,14 @@
 //! [`Program`] once, at load time:
 //!
 //! * header types, actions, tables, and registers are interned to dense
-//!   indices; field references become `(header id, field id, width, bit
-//!   offset)` or `(metadata slot, width)` tuples,
-//! * the parser DAG is pre-resolved so the walk does no catalog lookups,
-//!   and it only *locates* headers: a pass runs over the wire bytes — a
-//!   field is decoded from the input buffer when an op reads it, a write
-//!   goes to a per-instance overlay, and deparse copies each header's
-//!   bytes and patches only the written fields over them,
+//!   indices; field references become `(header id, width, bit offset)` or
+//!   `(metadata slot, width)` tuples,
+//! * the parser DAG is pre-resolved so the walk does no catalog lookups.
+//!   It lays the located headers out back to back, then the payload, in the
+//!   scratch's packet buffer — exactly what deparsing the unedited packet
+//!   yields — and the pass edits that buffer in place: a read decodes a
+//!   field from it, a write deposits into it, adding or removing a header
+//!   opens or closes a gap. The bytes a pass ends with *are* its output,
 //! * control-block statements (including `Call`s, inlined) are flattened
 //!   into a branch-resolved op array executed with a program counter —
 //!   all jumps are forward, so execution always terminates,
@@ -21,11 +22,16 @@
 //!   per-table indexes built at install time.
 //!
 //! Semantics are bit-for-bit those of the reference interpreter, including
-//! its *lazy* error behavior: a dangling table/action/register name or a
-//! mis-invoked action compiles to a `CPrim::Fail`-style op that raises the
-//! same `IrError` only if control flow actually reaches it. The property
-//! suite in `tests/` runs both engines on arbitrary programs × packets and
-//! requires identical packets, verdicts, counters, and register state.
+//! its *lazy* error behavior. Reading an expression has no side effects, so
+//! every fault the interpreter raises at run time — a dangling table,
+//! action, register, field or parameter name, a table key that does not
+//! resolve, a mis-invoked action — is settled at compile time: the op that
+//! would fault lowers to a `Fail` op carrying the first error in the
+//! interpreter's evaluation order, raised only if control flow actually
+//! reaches it, after every effect of the ops before it. Expressions cannot
+//! fail, so evaluating one yields a plain [`Value`]. The property suite in
+//! `tests/` runs both engines on arbitrary programs × packets and requires
+//! identical packets, verdicts, counters, and register state.
 //!
 //! Call inlining note: acyclic control-call DAGs can in principle expand
 //! exponentially (A calls B twice, B calls C twice, …). The interpreter's
@@ -66,7 +72,6 @@ enum CSlot {
     },
     Hdr {
         hid: u16,
-        fid: u16,
         bits: u16,
         /// Bit offset of the field from the start of its header.
         off: u32,
@@ -81,19 +86,13 @@ impl CSlot {
     }
 }
 
-/// A write destination that may be statically known to be dangling — the
-/// error is raised only when the op executes (lazy, like the interpreter).
-type CDst = Result<CSlot, IrError>;
-
 /// Lowered expression. `Param` is an index into the running action's
-/// argument bindings.
+/// argument bindings. Every reference in it resolved at compile time.
 #[derive(Debug, Clone)]
 enum CExpr {
     Const(Value),
     Read(CSlot),
     Param(usize),
-    /// A reference the interpreter would fault on at evaluation time.
-    Fail(IrError),
     Add(Box<CExpr>, Box<CExpr>),
     Sub(Box<CExpr>, Box<CExpr>),
     And(Box<CExpr>, Box<CExpr>),
@@ -113,17 +112,20 @@ enum CBool {
     /// `isValid(header)`; `None` means the type name is unknown, which the
     /// interpreter treats as never-valid.
     Valid(Option<u16>),
+    /// A comparison with an operand the interpreter would fault on. `&&`
+    /// and `||` still short-circuit around it.
+    Fail(IrError),
 }
 
 /// Lowered primitive op.
 #[derive(Debug, Clone)]
 enum CPrim {
     Set {
-        dst: CDst,
+        dst: CSlot,
         value: CExpr,
     },
     Hash {
-        dst: CDst,
+        dst: CSlot,
         algo: HashAlgorithm,
         inputs: Vec<CExpr>,
     },
@@ -139,7 +141,7 @@ enum CPrim {
         occurrence: usize,
     },
     RegisterRead {
-        dst: CDst,
+        dst: CSlot,
         reg: usize,
         index: CExpr,
     },
@@ -150,7 +152,8 @@ enum CPrim {
     },
     ChecksumUpdate {
         hid: u16,
-        ck_fid: u16,
+        /// Bit offset of the 16-bit `hdr_checksum` field in the header.
+        ck_off: u32,
     },
     Digest {
         /// Digest stream name (not interned: emission rate is learn-path,
@@ -160,6 +163,13 @@ enum CPrim {
     },
     Drop,
     NoOp,
+    /// A register read whose destination dangles: the interpreter reads the
+    /// cell (creating the register's array) before it resolves the
+    /// destination, so this reads, then raises `err`.
+    RegisterReadFail {
+        reg: usize,
+        err: IrError,
+    },
     /// Raises the interpreter's lazy error for this op.
     Fail(IrError),
 }
@@ -173,7 +183,8 @@ struct CAction {
     ops: Vec<CPrim>,
 }
 
-/// A lowered table reference.
+/// A lowered table reference, for a table whose keys all resolve (the
+/// applies of any other table lower to `COp::Fail`).
 #[derive(Debug, Clone)]
 struct CTable {
     name: String,
@@ -181,7 +192,7 @@ struct CTable {
     /// tables were preregistered from the same program in
     /// `Program::tables` iteration order (the switch does this at load).
     sid: usize,
-    keys: Vec<CDst>,
+    keys: Vec<CSlot>,
     /// Per-definition-action global action id, indexed by the action's
     /// ordinal in the table definition's action list — the table the hot
     /// loop maps [`TableState::lookup_id_ord`] hits through without hashing
@@ -272,83 +283,77 @@ struct CHeader {
     total_bytes: usize,
 }
 
-/// The parsed view of a packet on the fast path: a byte-backed view over
-/// the pass's input buffer. Parsing records *where* each header instance
-/// sits; a field is decoded from those bytes only when an op reads it, and
-/// a write lands in a per-instance overlay that shadows the wire value for
-/// the rest of the pass. The payload is a *range* into the input buffer.
-/// [`FastPacket::clear`] resets the view while keeping every allocation, so
-/// a warmed-up packet pass performs zero heap allocations.
+/// The packet a pass edits: every header instance's bytes back to back in
+/// wire order, then the payload. A field is decoded from these bytes when
+/// an op reads it and deposited into them when an op writes it, so the
+/// buffer is the deparsed packet at every step of the pass.
+/// [`FastPacket::clear`] resets it while keeping every allocation, so a
+/// warmed-up packet pass performs zero heap allocations.
 #[derive(Debug, Clone, Default)]
 struct FastPacket {
+    /// The packet's bytes; [`ExecScratch::out`] after the pass.
+    bytes: Vec<u8>,
     /// Header instances in wire order.
     insts: Vec<Inst>,
-    /// Written-field overlay: one slot per field of every instance written
-    /// this pass, contiguous from the instance's `overlay` base; `Some` is
-    /// the written flag. Removing an instance leaves a hole until the next
-    /// `clear` — instances are few and passes are short.
-    written: Vec<Option<Value>>,
-    /// Payload byte range within the input buffer of the current pass.
-    payload: std::ops::Range<usize>,
 }
 
-/// One header instance in the view: where its bytes sit in the pass's
-/// input buffer (`None` for a header added this pass — it has no source
-/// bytes and reads as zero) and where its written fields live in the
-/// overlay (`None` until the first write: the instance is clean and
-/// deparses as a verbatim byte copy).
+/// One header instance: its type and the byte offset of its first byte in
+/// [`FastPacket::bytes`].
 #[derive(Debug, Clone, Copy)]
 struct Inst {
     hid: u16,
-    src_off: Option<u32>,
-    overlay: Option<u32>,
+    at: u32,
 }
 
 impl FastPacket {
-    /// Resets the view for a new pass, retaining capacity.
+    /// Resets the packet for a new pass, retaining capacity.
     fn clear(&mut self) {
+        self.bytes.clear();
         self.insts.clear();
-        self.written.clear();
-        self.payload = 0..0;
     }
 
     fn find(&self, hid: u16) -> Option<usize> {
         self.insts.iter().position(|i| i.hid == hid)
     }
 
-    /// Overlay base of instance `i`, allocating its `nfields` unwritten
-    /// slots on first use.
-    fn overlay_of(&mut self, i: usize, nfields: usize) -> usize {
-        match self.insts[i].overlay {
-            Some(base) => base as usize,
-            None => {
-                let base = self.written.len();
-                self.written.resize(base + nfields, None);
-                self.insts[i].overlay = Some(base as u32);
-                base
-            }
-        }
+    /// Bit offset of the first instance of `hid`, if one is present — the
+    /// instance every read and write of the type resolves to.
+    fn bit_of(&self, hid: u16) -> Option<u64> {
+        self.find(hid).map(|i| u64::from(self.insts[i].at) * 8)
     }
 
-    /// Mirrors `ParsedPacket::set`: `v` arrives at the declared width, a
-    /// rewrite resizes to the *stored* value's width, and writes to absent
-    /// headers are silently dropped.
-    fn set(&mut self, hid: u16, fid: u16, v: Value, nfields: usize) {
-        if let Some(i) = self.find(hid) {
-            let base = self.overlay_of(i, nfields);
-            let slot = &mut self.written[base + fid as usize];
-            *slot = Some(v.resize(slot.map_or(v.bits(), Value::bits)));
+    /// Inserts a zeroed `len`-byte instance of `hid` as instance `pos`,
+    /// at byte `at`: opens a gap there and shifts every later instance.
+    /// Reuses the buffer's capacity once it has grown to size.
+    fn open(&mut self, pos: usize, hid: u16, at: usize, len: usize) {
+        let tail = self.bytes.len();
+        self.bytes.resize(tail + len, 0);
+        self.bytes.copy_within(at..tail, at + len);
+        self.bytes[at..at + len].fill(0);
+        for inst in &mut self.insts[pos..] {
+            inst.at += len as u32;
+        }
+        self.insts.insert(pos, Inst { hid, at: at as u32 });
+    }
+
+    /// Removes instance `idx`, `len` bytes long: closes its gap and shifts
+    /// every later instance back.
+    fn close(&mut self, idx: usize, len: usize) {
+        let at = self.insts.remove(idx).at as usize;
+        self.bytes.drain(at..at + len);
+        for inst in &mut self.insts[idx..] {
+            inst.at -= len as u32;
         }
     }
 }
 
-/// The signals of one zero-copy pipelet pass. Deparsed bytes land in the
-/// caller's scratch output buffer ([`ExecScratch::out`]); `parsed == false` means
-/// the parser rejected the packet (record a parse error and drop).
+/// The signals of one zero-copy pipelet pass. The edited bytes are left in
+/// the caller's scratch ([`ExecScratch::out`]); `parsed == false` means the
+/// parser rejected the packet (record a parse error and drop).
 #[derive(Debug, Clone, Copy)]
 pub struct BufPass {
-    /// False when the parser rejected the packet (the scratch output buffer
-    /// is left empty).
+    /// False when the parser rejected the packet (the scratch's packet
+    /// buffer is left empty).
     pub parsed: bool,
     /// `drop_flag` as a boolean.
     pub drop: bool,
@@ -381,11 +386,11 @@ impl BufPass {
     }
 }
 
-/// Reusable per-pass execution state: the flat packet view, the metadata
-/// vector, every key/argument/value staging buffer the hot loop needs, and
-/// the deparse output buffer. One `ExecScratch` is owned per execution
-/// context (switch, RTC worker) and recycled across packets — after warmup
-/// no pass allocates.
+/// Reusable per-pass execution state: the packet buffer a pass edits (with
+/// its header instances), the metadata vector, and every key/argument/value
+/// staging buffer the hot loop needs. One `ExecScratch` is owned per
+/// execution context (switch, RTC worker) and recycled across packets —
+/// after warmup no pass allocates.
 #[derive(Debug, Clone, Default)]
 pub struct ExecScratch {
     pkt: FastPacket,
@@ -394,8 +399,6 @@ pub struct ExecScratch {
     args: Vec<Value>,
     vals: Vec<Value>,
     events: Vec<TableEvent>,
-    out: Vec<u8>,
-    hdr_bytes: Vec<u8>,
 }
 
 impl ExecScratch {
@@ -405,15 +408,15 @@ impl ExecScratch {
         ExecScratch::default()
     }
 
-    /// The deparsed bytes of the last [`CompiledProgram::run_pass_scratch`].
+    /// The packet bytes the last [`CompiledProgram::run_pass_scratch`] left.
     pub fn out(&self) -> &[u8] {
-        &self.out
+        &self.pkt.bytes
     }
 
-    /// Mutable access to the deparse output buffer (the switch ping-pongs
-    /// it with the packet buffer between recirculation passes).
+    /// Mutable access to the packet buffer (the switch ping-pongs it with
+    /// the caller's packet buffer between recirculation passes).
     pub fn out_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.out
+        &mut self.pkt.bytes
     }
 
     /// The table events of the last traced pass.
@@ -435,7 +438,8 @@ pub struct CompiledProgram {
     /// Zeroed metadata vector at the declared widths, memcpy'd into the
     /// scratch at the top of every pass instead of rebuilt value by value.
     meta_zero: Vec<Value>,
-    headers: Vec<CHeader>,
+    /// Byte length of each interned header type.
+    header_bytes: Vec<usize>,
     actions: Vec<CAction>,
     tables: Vec<CTable>,
     registers: Vec<RegisterDef>,
@@ -455,8 +459,8 @@ impl CompiledProgram {
     /// Runs one pipelet pass over `input` using caller-owned scratch state.
     /// Metadata is seeded with `ingress_port` and `egress_spec` exactly as
     /// the switch seeds the reference interpreter's metadata map; table
-    /// applies count hits and misses in `tables`. The deparsed bytes land in
-    /// [`ExecScratch::out`], table events (only with `collect_events`) in
+    /// applies count hits and misses in `tables`. The edited packet is left
+    /// in [`ExecScratch::out`], table events (only with `collect_events`) in
     /// [`ExecScratch::events`]. After the scratch buffers have grown to the
     /// program's steady-state sizes, a pass performs no heap allocation
     /// (digest emission, a learn-path event, is the one exception).
@@ -470,7 +474,6 @@ impl CompiledProgram {
         scratch: &mut ExecScratch,
     ) -> Result<BufPass, IrError> {
         scratch.events.clear();
-        scratch.out.clear();
         if !self.parse_into(input, &mut scratch.pkt) {
             return Ok(BufPass::idle(false, egress_spec));
         }
@@ -484,7 +487,7 @@ impl CompiledProgram {
         while pc < self.ops.len() {
             match &self.ops[pc] {
                 COp::Apply { tid } => {
-                    self.apply(*tid, input, scratch, tables, collect_events)?;
+                    self.apply(*tid, scratch, tables, collect_events)?;
                     tables_applied += 1;
                     pc += 1;
                 }
@@ -493,7 +496,7 @@ impl CompiledProgram {
                     arms,
                     default_pc,
                 } => {
-                    let ran = self.apply(*tid, input, scratch, tables, collect_events)?;
+                    let ran = self.apply(*tid, scratch, tables, collect_events)?;
                     tables_applied += 1;
                     pc = arms
                         .iter()
@@ -502,7 +505,7 @@ impl CompiledProgram {
                         .unwrap_or(*default_pc);
                 }
                 COp::Branch { cond, else_pc } => {
-                    pc = if self.eval_bool(cond, &scratch.pkt, input, &scratch.meta)? {
+                    pc = if self.eval_bool(cond, &scratch.pkt, &scratch.meta)? {
                         pc + 1
                     } else {
                         *else_pc
@@ -512,7 +515,7 @@ impl CompiledProgram {
                 COp::RunAction { aid } => {
                     let mut args = std::mem::take(&mut scratch.args);
                     args.clear();
-                    let r = self.run_action(*aid, &mut args, input, scratch, tables);
+                    let r = self.run_action(*aid, &mut args, scratch, tables);
                     scratch.args = args;
                     r?;
                     pc += 1;
@@ -521,7 +524,6 @@ impl CompiledProgram {
             }
         }
 
-        self.deparse_into(&scratch.pkt, input, &mut scratch.out);
         Ok(BufPass {
             parsed: true,
             drop: scratch.meta[M_DROP].as_bool(),
@@ -533,11 +535,14 @@ impl CompiledProgram {
         })
     }
 
-    /// Walks the pre-resolved parser over `bytes`, recording where each
-    /// accepted header sits — only select fields are decoded. `false` on
-    /// any parse error (reject, truncation, dangling node — all drop the
-    /// packet).
-    fn parse_into(&self, bytes: &[u8], pkt: &mut FastPacket) -> bool {
+    /// Walks the pre-resolved parser over `input` — only select fields are
+    /// decoded — then lays the accepted headers out back to back, followed
+    /// by the payload, in `pkt`'s buffer. That is what deparsing the
+    /// unedited packet yields: the fields of a header tile its bytes, so
+    /// re-serialising them rewrites the bytes they were read from. `false`
+    /// (and an empty buffer) on any parse error (reject, truncation,
+    /// dangling node — all drop the packet).
+    fn parse_into(&self, input: &[u8], pkt: &mut FastPacket) -> bool {
         pkt.clear();
         let Some(mut cur) = self.parser.start else {
             return false;
@@ -551,13 +556,13 @@ impl CompiledProgram {
                     let Some(node) = self.parser.nodes[id].as_ref() else {
                         return false;
                     };
-                    if bytes.len() < node.end {
+                    if input.len() < node.end {
                         return false;
                     }
+                    // `at` is the input offset until the walk accepts.
                     pkt.insts.push(Inst {
                         hid: node.hid,
-                        src_off: Some(node.offset as u32),
-                        overlay: None,
+                        at: node.offset as u32,
                     });
                     consumed = node.end;
                     cur = match &node.transition {
@@ -568,7 +573,7 @@ impl CompiledProgram {
                             cases,
                             default,
                         } => {
-                            let v = extract_bits(bytes, *bit_off, *bits);
+                            let v = extract_bits(input, *bit_off, *bits);
                             cases
                                 .iter()
                                 .find(|(case, _)| *case == v)
@@ -580,45 +585,14 @@ impl CompiledProgram {
                 }
             }
         }
-        pkt.payload = consumed..bytes.len();
+        for inst in &mut pkt.insts {
+            let src = inst.at as usize;
+            inst.at = pkt.bytes.len() as u32;
+            let len = self.header_bytes[inst.hid as usize];
+            pkt.bytes.extend_from_slice(&input[src..src + len]);
+        }
+        pkt.bytes.extend_from_slice(&input[consumed..]);
         true
-    }
-
-    /// Appends one header instance's serialization to `out`: its wire bytes
-    /// verbatim (zeros for an added header), then the written fields
-    /// deposited over them. The fields tile the header's bytes and an
-    /// unwritten field's value *is* its wire bits, so this equals
-    /// re-serializing every field.
-    fn serialize_inst(&self, inst: &Inst, pkt: &FastPacket, input: &[u8], out: &mut Vec<u8>) {
-        let ch = &self.headers[inst.hid as usize];
-        let start = out.len();
-        match inst.src_off {
-            Some(src) => out.extend_from_slice(&input[src as usize..src as usize + ch.total_bytes]),
-            None => out.resize(start + ch.total_bytes, 0),
-        }
-        let Some(base) = inst.overlay else {
-            return;
-        };
-        let written = &pkt.written[base as usize..base as usize + ch.bits.len()];
-        for (fid, v) in written.iter().enumerate() {
-            if let Some(v) = v {
-                deposit_bits(
-                    &mut out[start..],
-                    u64::from(ch.offs[fid]),
-                    v.resize(ch.bits[fid]),
-                );
-            }
-        }
-    }
-
-    /// Deparses the view into `out`: every instance in wire order, then the
-    /// payload straight from the input buffer's range.
-    fn deparse_into(&self, pkt: &FastPacket, input: &[u8], out: &mut Vec<u8>) {
-        out.clear();
-        for inst in &pkt.insts {
-            self.serialize_inst(inst, pkt, input, out);
-        }
-        out.extend_from_slice(&input[pkt.payload.clone()]);
     }
 
     /// Applies a table, returning the id of the action that ran. The key
@@ -628,7 +602,6 @@ impl CompiledProgram {
     fn apply(
         &self,
         tid: usize,
-        input: &[u8],
         scratch: &mut ExecScratch,
         tables: &mut TableState,
         collect: bool,
@@ -636,7 +609,7 @@ impl CompiledProgram {
         let t = &self.tables[tid];
         let mut keys = std::mem::take(&mut scratch.keys);
         let mut args = std::mem::take(&mut scratch.args);
-        let res = self.apply_inner(t, &mut keys, &mut args, input, scratch, tables);
+        let res = self.apply_inner(t, &mut keys, &mut args, scratch, tables);
         scratch.keys = keys;
         scratch.args = args;
         let (aid, hit) = res?;
@@ -656,15 +629,15 @@ impl CompiledProgram {
         t: &CTable,
         keys: &mut Vec<Value>,
         args: &mut Vec<Value>,
-        input: &[u8],
         scratch: &mut ExecScratch,
         tables: &mut TableState,
     ) -> Result<(usize, bool), IrError> {
         keys.clear();
-        for k in &t.keys {
-            let slot = k.as_ref().map_err(Clone::clone)?;
-            keys.push(self.read(*slot, &scratch.pkt, input, &scratch.meta));
-        }
+        keys.extend(
+            t.keys
+                .iter()
+                .map(|&slot| self.read(slot, &scratch.pkt, &scratch.meta)),
+        );
         args.clear();
         let (aid, hit) = match tables.lookup_id_ord(t.sid, keys) {
             Some((ord, entry)) => {
@@ -678,7 +651,7 @@ impl CompiledProgram {
                 (aid, false)
             }
         };
-        self.run_action(aid, args, input, scratch, tables)?;
+        self.run_action(aid, args, scratch, tables)?;
         Ok((aid, hit))
     }
 
@@ -689,7 +662,6 @@ impl CompiledProgram {
         &self,
         aid: usize,
         args: &mut [Value],
-        input: &[u8],
         scratch: &mut ExecScratch,
         tables: &mut TableState,
     ) -> Result<(), IrError> {
@@ -706,39 +678,29 @@ impl CompiledProgram {
             *v = v.resize(bits);
         }
         let ExecScratch {
-            pkt,
-            meta,
-            vals,
-            hdr_bytes,
-            ..
+            pkt, meta, vals, ..
         } = scratch;
         for op in &act.ops {
             match op {
                 CPrim::Set { dst, value } => {
-                    let v = self.eval(value, pkt, input, meta, args)?;
-                    let slot = dst.as_ref().map_err(Clone::clone)?;
-                    self.write(*slot, v, pkt, meta);
+                    let v = self.eval(value, pkt, meta, args);
+                    self.write(*dst, v, pkt, meta);
                 }
                 CPrim::Hash { dst, algo, inputs } => {
                     vals.clear();
-                    for e in inputs {
-                        let v = self.eval(e, pkt, input, meta, args)?;
-                        vals.push(v);
-                    }
+                    vals.extend(inputs.iter().map(|e| self.eval(e, pkt, meta, args)));
                     let raw = run_hash(*algo, vals);
-                    let slot = dst.as_ref().map_err(Clone::clone)?;
-                    self.write(*slot, Value::new(raw, slot.bits()), pkt, meta);
+                    self.write(*dst, Value::new(raw, dst.bits()), pkt, meta);
                 }
                 CPrim::AddHeader { hid, before } => {
                     let pos = before.and_then(|b| pkt.find(b)).unwrap_or(pkt.insts.len());
-                    pkt.insts.insert(
-                        pos,
-                        Inst {
-                            hid: *hid,
-                            src_off: None,
-                            overlay: None,
-                        },
-                    );
+                    let at = match pkt.insts.get(pos) {
+                        Some(next) => next.at as usize,
+                        None => pkt.insts.last().map_or(0, |last| {
+                            last.at as usize + self.header_bytes[last.hid as usize]
+                        }),
+                    };
+                    pkt.open(pos, *hid, at, self.header_bytes[*hid as usize]);
                 }
                 CPrim::RemoveHeaderNth { hid, occurrence } => {
                     if let Some(hid) = hid {
@@ -750,42 +712,35 @@ impl CompiledProgram {
                             .map(|(i, _)| i)
                             .nth(*occurrence);
                         if let Some(idx) = idx {
-                            // The overlay hole is reclaimed by the next
-                            // `clear`; only the instance entry goes.
-                            pkt.insts.remove(idx);
+                            pkt.close(idx, self.header_bytes[*hid as usize]);
                         }
                     }
                 }
                 CPrim::RegisterRead { dst, reg, index } => {
                     let def = &self.registers[*reg];
-                    let idx = self.eval(index, pkt, input, meta, args)?.raw() as u32;
+                    let idx = self.eval(index, pkt, meta, args).raw() as u32;
                     let val = tables.register_read(def, idx);
-                    let slot = dst.as_ref().map_err(Clone::clone)?;
-                    self.write(*slot, Value::new(val, def.width_bits), pkt, meta);
+                    self.write(*dst, Value::new(val, def.width_bits), pkt, meta);
                 }
                 CPrim::RegisterWrite { reg, index, value } => {
                     let def = &self.registers[*reg];
-                    let idx = self.eval(index, pkt, input, meta, args)?.raw() as u32;
-                    let val = self.eval(value, pkt, input, meta, args)?.raw();
+                    let idx = self.eval(index, pkt, meta, args).raw() as u32;
+                    let val = self.eval(value, pkt, meta, args).raw();
                     tables.register_write(def, idx, val);
                 }
-                CPrim::ChecksumUpdate { hid, ck_fid } => {
+                CPrim::ChecksumUpdate { hid, ck_off } => {
                     if let Some(i) = pkt.find(*hid) {
-                        let n = self.headers[*hid as usize].bits.len();
-                        let ck = pkt.overlay_of(i, n) + *ck_fid as usize;
-                        pkt.written[ck] = Some(Value::new(0, 16));
-                        hdr_bytes.clear();
-                        self.serialize_inst(&pkt.insts[i], pkt, input, hdr_bytes);
-                        let sum = ones_complement_checksum(hdr_bytes);
-                        pkt.written[ck] = Some(Value::new(u128::from(sum), 16));
+                        let at = pkt.insts[i].at as usize;
+                        let hdr = &mut pkt.bytes[at..at + self.header_bytes[*hid as usize]];
+                        let ck_off = u64::from(*ck_off);
+                        deposit_bits(hdr, ck_off, Value::new(0, 16));
+                        let sum = ones_complement_checksum(hdr);
+                        deposit_bits(hdr, ck_off, Value::new(u128::from(sum), 16));
                     }
                 }
                 CPrim::Digest { name, inputs } => {
                     vals.clear();
-                    for e in inputs {
-                        let v = self.eval(e, pkt, input, meta, args)?;
-                        vals.push(v);
-                    }
+                    vals.extend(inputs.iter().map(|e| self.eval(e, pkt, meta, args)));
                     // The one allocating op on the hot loop — digests are
                     // learn-path events, not steady-state packet work.
                     tables.emit_digest(name, vals.clone());
@@ -794,6 +749,10 @@ impl CompiledProgram {
                     meta[M_DROP] = Value::new(1, 1);
                 }
                 CPrim::NoOp => {}
+                CPrim::RegisterReadFail { reg, err } => {
+                    tables.register_read(&self.registers[*reg], 0);
+                    return Err(err.clone());
+                }
                 CPrim::Fail(e) => return Err(e.clone()),
             }
         }
@@ -801,130 +760,69 @@ impl CompiledProgram {
     }
 
     /// Reads a slot: metadata resized to the declared width; a header field
-    /// as written this pass, else decoded from the instance's wire bytes at
-    /// the declared width (zero when the header is absent or was added this
-    /// pass) — the interpreter's exact read semantics.
-    fn read(&self, s: CSlot, pkt: &FastPacket, input: &[u8], meta: &[Value]) -> Value {
+    /// decoded from the packet's bytes at the declared width (zero when the
+    /// header is absent) — the interpreter's exact read semantics, since
+    /// every write lands in those bytes.
+    fn read(&self, s: CSlot, pkt: &FastPacket, meta: &[Value]) -> Value {
         match s {
             CSlot::Meta { slot, bits } => meta[slot as usize].resize(bits),
-            CSlot::Hdr {
-                hid,
-                fid,
-                bits,
-                off,
-            } => {
-                let Some(inst) = pkt.insts.iter().find(|i| i.hid == hid) else {
-                    return Value::new(0, bits);
-                };
-                let written = inst
-                    .overlay
-                    .and_then(|base| pkt.written[base as usize + fid as usize]);
-                match (written, inst.src_off) {
-                    (Some(v), _) => v,
-                    (None, Some(src)) => {
-                        extract_bits(input, u64::from(src) * 8 + u64::from(off), bits)
-                    }
-                    (None, None) => Value::new(0, bits),
-                }
-            }
+            CSlot::Hdr { hid, bits, off } => match pkt.bit_of(hid) {
+                Some(base) => extract_bits(&pkt.bytes, base + u64::from(off), bits),
+                None => Value::new(0, bits),
+            },
         }
     }
 
-    /// Writes a slot after resizing to the declared width (header stores
-    /// then resize to the stored width, mirroring `ParsedPacket::set`).
+    /// Writes a slot after resizing to the declared width; a write to an
+    /// absent header is dropped, as in `ParsedPacket::set`.
     fn write(&self, s: CSlot, v: Value, pkt: &mut FastPacket, meta: &mut [Value]) {
         match s {
             CSlot::Meta { slot, bits } => meta[slot as usize] = v.resize(bits),
-            CSlot::Hdr { hid, fid, bits, .. } => {
-                let nfields = self.headers[hid as usize].bits.len();
-                pkt.set(hid, fid, v.resize(bits), nfields);
+            CSlot::Hdr { hid, bits, off } => {
+                if let Some(base) = pkt.bit_of(hid) {
+                    deposit_bits(&mut pkt.bytes, base + u64::from(off), v.resize(bits));
+                }
             }
         }
     }
 
-    fn eval(
-        &self,
-        e: &CExpr,
-        pkt: &FastPacket,
-        input: &[u8],
-        meta: &[Value],
-        bound: &[Value],
-    ) -> Result<Value, IrError> {
-        Ok(match e {
+    fn eval(&self, e: &CExpr, pkt: &FastPacket, meta: &[Value], bound: &[Value]) -> Value {
+        let eval = |e: &CExpr| self.eval(e, pkt, meta, bound);
+        match e {
             CExpr::Const(v) => *v,
-            CExpr::Read(s) => self.read(*s, pkt, input, meta),
+            CExpr::Read(s) => self.read(*s, pkt, meta),
             CExpr::Param(i) => bound[*i],
-            CExpr::Fail(err) => return Err(err.clone()),
-            CExpr::Add(a, b) => {
-                let (a, b) = (
-                    self.eval(a, pkt, input, meta, bound)?,
-                    self.eval(b, pkt, input, meta, bound)?,
-                );
-                a.wrapping_add(b)
-            }
-            CExpr::Sub(a, b) => {
-                let (a, b) = (
-                    self.eval(a, pkt, input, meta, bound)?,
-                    self.eval(b, pkt, input, meta, bound)?,
-                );
-                a.wrapping_sub(b)
-            }
-            CExpr::And(a, b) => {
-                let (a, b) = (
-                    self.eval(a, pkt, input, meta, bound)?,
-                    self.eval(b, pkt, input, meta, bound)?,
-                );
-                a.and(b)
-            }
-            CExpr::Or(a, b) => {
-                let (a, b) = (
-                    self.eval(a, pkt, input, meta, bound)?,
-                    self.eval(b, pkt, input, meta, bound)?,
-                );
-                a.or(b)
-            }
-            CExpr::Xor(a, b) => {
-                let (a, b) = (
-                    self.eval(a, pkt, input, meta, bound)?,
-                    self.eval(b, pkt, input, meta, bound)?,
-                );
-                a.xor(b)
-            }
-            CExpr::Shl(a, amount) => self.eval(a, pkt, input, meta, bound)?.shl(*amount),
-            CExpr::Shr(a, amount) => self.eval(a, pkt, input, meta, bound)?.shr(*amount),
-        })
+            CExpr::Add(a, b) => eval(a).wrapping_add(eval(b)),
+            CExpr::Sub(a, b) => eval(a).wrapping_sub(eval(b)),
+            CExpr::And(a, b) => eval(a).and(eval(b)),
+            CExpr::Or(a, b) => eval(a).or(eval(b)),
+            CExpr::Xor(a, b) => eval(a).xor(eval(b)),
+            CExpr::Shl(a, amount) => eval(a).shl(*amount),
+            CExpr::Shr(a, amount) => eval(a).shr(*amount),
+        }
     }
 
-    fn eval_bool(
-        &self,
-        c: &CBool,
-        pkt: &FastPacket,
-        input: &[u8],
-        meta: &[Value],
-    ) -> Result<bool, IrError> {
+    fn eval_bool(&self, c: &CBool, pkt: &FastPacket, meta: &[Value]) -> Result<bool, IrError> {
         Ok(match c {
             CBool::Cmp(a, op, b) => {
                 let (a, b) = (
-                    self.eval(a, pkt, input, meta, &[])?,
-                    self.eval(b, pkt, input, meta, &[])?,
+                    self.eval(a, pkt, meta, &[]).raw(),
+                    self.eval(b, pkt, meta, &[]).raw(),
                 );
                 match op {
-                    CmpOp::Eq => a.raw() == b.raw(),
-                    CmpOp::Ne => a.raw() != b.raw(),
-                    CmpOp::Lt => a.raw() < b.raw(),
-                    CmpOp::Le => a.raw() <= b.raw(),
-                    CmpOp::Gt => a.raw() > b.raw(),
-                    CmpOp::Ge => a.raw() >= b.raw(),
+                    CmpOp::Eq => a == b,
+                    CmpOp::Ne => a != b,
+                    CmpOp::Lt => a < b,
+                    CmpOp::Le => a <= b,
+                    CmpOp::Gt => a > b,
+                    CmpOp::Ge => a >= b,
                 }
             }
-            CBool::And(a, b) => {
-                self.eval_bool(a, pkt, input, meta)? && self.eval_bool(b, pkt, input, meta)?
-            }
-            CBool::Or(a, b) => {
-                self.eval_bool(a, pkt, input, meta)? || self.eval_bool(b, pkt, input, meta)?
-            }
-            CBool::Not(a) => !self.eval_bool(a, pkt, input, meta)?,
+            CBool::And(a, b) => self.eval_bool(a, pkt, meta)? && self.eval_bool(b, pkt, meta)?,
+            CBool::Or(a, b) => self.eval_bool(a, pkt, meta)? || self.eval_bool(b, pkt, meta)?,
+            CBool::Not(a) => !self.eval_bool(a, pkt, meta)?,
             CBool::Valid(hid) => hid.is_some_and(|h| pkt.find(h).is_some()),
+            CBool::Fail(e) => return Err(e.clone()),
         })
     }
 }
@@ -941,7 +839,9 @@ struct Compiler<'p> {
     actions: Vec<CAction>,
     action_ids: HashMap<String, usize>,
     tables: Vec<CTable>,
-    table_ids: HashMap<String, usize>,
+    /// Table name → lowered table id, or the first key that does not
+    /// resolve (filled by `lower`, before the control is flattened).
+    table_ids: HashMap<String, Result<usize, IrError>>,
     registers: Vec<RegisterDef>,
     register_ids: HashMap<String, usize>,
     ops: Vec<COp>,
@@ -1008,12 +908,6 @@ impl<'p> Compiler<'p> {
             .enumerate()
             .map(|(i, n)| (n.clone(), i))
             .collect();
-        let table_ids: HashMap<String, usize> = prog
-            .tables
-            .keys()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect();
         let mut registers = Vec::new();
         let mut register_ids = HashMap::new();
         for (name, def) in &prog.registers {
@@ -1031,7 +925,7 @@ impl<'p> Compiler<'p> {
             actions: Vec::new(),
             action_ids,
             tables: Vec::new(),
-            table_ids,
+            table_ids: HashMap::new(),
             registers,
             register_ids,
             ops: Vec::new(),
@@ -1045,46 +939,33 @@ impl<'p> Compiler<'p> {
             self.actions.push(lowered);
         }
         // Tables, in BTreeMap order — `sid` must line up with the switch's
-        // preregistration order.
-        for (i, def) in self.prog.tables.values().enumerate() {
-            let default_aid = self
-                .action_ids
-                .get(&def.default_action)
-                .copied()
-                .ok_or_else(|| IrError::Undefined {
-                    kind: "action",
-                    name: def.default_action.clone(),
+        // preregistration order. The interpreter reads every key before the
+        // lookup touches a counter, so a table with a dangling key is only
+        // ever a fault at its applies.
+        let prog = self.prog;
+        for (sid, (name, def)) in prog.tables.iter().enumerate() {
+            let keys: Result<Vec<CSlot>, IrError> =
+                def.keys.iter().map(|k| self.slot_of(&k.field)).collect();
+            let tid = keys.map(|keys| {
+                let default_aid = self.action_id(&def.default_action);
+                let entry_aids = def.actions.iter().map(|a| self.action_id(a)).collect();
+                self.tables.push(CTable {
+                    name: def.name.clone(),
+                    sid,
+                    keys,
+                    entry_aids,
+                    default_aid,
+                    default_args: def.default_action_args.clone(),
                 });
-            let entry_aids = def
-                .actions
-                .iter()
-                .map(|name| {
-                    self.action_ids
-                        .get(name)
-                        .copied()
-                        .ok_or_else(|| IrError::Undefined {
-                            kind: "action",
-                            name: name.clone(),
-                        })
-                })
-                .collect();
-            let table = CTable {
-                name: def.name.clone(),
-                sid: i,
-                keys: def.keys.iter().map(|k| self.slot_of(&k.field)).collect(),
-                entry_aids,
-                default_aid,
-                default_args: def.default_action_args.clone(),
-            };
-            self.tables.push(table);
+                self.tables.len() - 1
+            });
+            self.table_ids.insert(name.clone(), tid);
         }
 
         // Flatten the entry control (Calls inlined).
-        match self.prog.entry_control() {
-            Some(entry) => {
-                let body = entry.body.clone();
-                self.flatten(&body, 0);
-            }
+        let prog = self.prog;
+        match prog.entry_control() {
+            Some(entry) => self.flatten(&entry.body, 0),
             None => self.ops.push(COp::Fail(IrError::Undefined {
                 kind: "entry control",
                 name: self.prog.entry.clone(),
@@ -1094,13 +975,44 @@ impl<'p> Compiler<'p> {
         let parser = self.lower_parser();
         Ok(CompiledProgram {
             meta_zero: self.meta_widths.iter().map(|&b| Value::new(0, b)).collect(),
-            headers: self.headers,
+            header_bytes: self.headers.iter().map(|h| h.total_bytes).collect(),
             actions: self.actions,
             tables: self.tables,
             registers: self.registers,
             parser,
             ops: self.ops,
         })
+    }
+
+    fn action_id(&self, name: &str) -> Result<usize, IrError> {
+        self.action_ids
+            .get(name)
+            .copied()
+            .ok_or_else(|| IrError::Undefined {
+                kind: "action",
+                name: name.to_string(),
+            })
+    }
+
+    /// The lowered table `name` applies, or the fault applying it raises.
+    fn table_id(&self, name: &str) -> Result<usize, IrError> {
+        match self.table_ids.get(name) {
+            Some(tid) => tid.clone(),
+            None => Err(IrError::Undefined {
+                kind: "table",
+                name: name.to_string(),
+            }),
+        }
+    }
+
+    fn register_id(&self, name: &str) -> Result<usize, IrError> {
+        self.register_ids
+            .get(name)
+            .copied()
+            .ok_or_else(|| IrError::Undefined {
+                kind: "register",
+                name: name.to_string(),
+            })
     }
 
     fn lower_parser(&self) -> CParser {
@@ -1149,7 +1061,7 @@ impl<'p> Compiler<'p> {
 
     /// Resolves a field reference, or the `Undefined` error the interpreter
     /// raises when it is dangling.
-    fn slot_of(&self, fr: &FieldRef) -> CDst {
+    fn slot_of(&self, fr: &FieldRef) -> Result<CSlot, IrError> {
         let undefined = || IrError::Undefined {
             kind: "field",
             name: fr.to_string(),
@@ -1168,62 +1080,68 @@ impl<'p> Compiler<'p> {
         let ch = &self.headers[hid as usize];
         Ok(CSlot::Hdr {
             hid,
-            fid,
             bits: ch.bits[fid as usize],
             off: ch.offs[fid as usize],
         })
     }
 
-    fn lower_expr(&self, e: &Expr, act: Option<&ActionDef>) -> CExpr {
-        let bin = |a: &Expr, b: &Expr| {
-            (
-                Box::new(self.lower_expr(a, act)),
-                Box::new(self.lower_expr(b, act)),
-            )
+    /// Lowers an expression, or returns the first fault the interpreter
+    /// meets evaluating it (operands left to right).
+    fn lower_expr(&self, e: &Expr, act: Option<&ActionDef>) -> Result<CExpr, IrError> {
+        let bin = |a: &Expr, b: &Expr| -> Result<_, IrError> {
+            Ok((
+                Box::new(self.lower_expr(a, act)?),
+                Box::new(self.lower_expr(b, act)?),
+            ))
         };
-        match e {
+        Ok(match e {
             Expr::Const(v) => CExpr::Const(*v),
-            Expr::Field(fr) => match self.slot_of(fr) {
-                Ok(s) => CExpr::Read(s),
-                Err(e) => CExpr::Fail(e),
-            },
+            Expr::Field(fr) => CExpr::Read(self.slot_of(fr)?),
             Expr::Param(p) => match act.and_then(|a| a.params.iter().position(|(n, _)| n == p)) {
                 Some(i) => CExpr::Param(i),
-                None => CExpr::Fail(IrError::Undefined {
-                    kind: "action parameter",
-                    name: p.clone(),
-                }),
+                None => {
+                    return Err(IrError::Undefined {
+                        kind: "action parameter",
+                        name: p.clone(),
+                    })
+                }
             },
             Expr::Add(a, b) => {
-                let (a, b) = bin(a, b);
+                let (a, b) = bin(a, b)?;
                 CExpr::Add(a, b)
             }
             Expr::Sub(a, b) => {
-                let (a, b) = bin(a, b);
+                let (a, b) = bin(a, b)?;
                 CExpr::Sub(a, b)
             }
             Expr::And(a, b) => {
-                let (a, b) = bin(a, b);
+                let (a, b) = bin(a, b)?;
                 CExpr::And(a, b)
             }
             Expr::Or(a, b) => {
-                let (a, b) = bin(a, b);
+                let (a, b) = bin(a, b)?;
                 CExpr::Or(a, b)
             }
             Expr::Xor(a, b) => {
-                let (a, b) = bin(a, b);
+                let (a, b) = bin(a, b)?;
                 CExpr::Xor(a, b)
             }
-            Expr::Shl(a, n) => CExpr::Shl(Box::new(self.lower_expr(a, act)), *n),
-            Expr::Shr(a, n) => CExpr::Shr(Box::new(self.lower_expr(a, act)), *n),
-        }
+            Expr::Shl(a, n) => CExpr::Shl(Box::new(self.lower_expr(a, act)?), *n),
+            Expr::Shr(a, n) => CExpr::Shr(Box::new(self.lower_expr(a, act)?), *n),
+        })
+    }
+
+    /// Lowers a list of expressions evaluated in order.
+    fn lower_exprs(&self, es: &[Expr], act: &ActionDef) -> Result<Vec<CExpr>, IrError> {
+        es.iter().map(|e| self.lower_expr(e, Some(act))).collect()
     }
 
     fn lower_bool(&self, c: &BoolExpr) -> CBool {
         match c {
-            BoolExpr::Cmp(a, op, b) => {
-                CBool::Cmp(self.lower_expr(a, None), *op, self.lower_expr(b, None))
-            }
+            BoolExpr::Cmp(a, op, b) => self
+                .lower_expr(a, None)
+                .and_then(|a| Ok(CBool::Cmp(a, *op, self.lower_expr(b, None)?)))
+                .unwrap_or_else(CBool::Fail),
             BoolExpr::And(a, b) => {
                 CBool::And(Box::new(self.lower_bool(a)), Box::new(self.lower_bool(b)))
             }
@@ -1236,7 +1154,11 @@ impl<'p> Compiler<'p> {
     }
 
     fn lower_action(&self, act: &ActionDef) -> CAction {
-        let ops = act.ops.iter().map(|op| self.lower_prim(op, act)).collect();
+        let ops = act
+            .ops
+            .iter()
+            .map(|op| self.lower_prim(op, act).unwrap_or_else(CPrim::Fail))
+            .collect();
         CAction {
             name: act.name.clone(),
             params: act.params.iter().map(|(_, bits)| *bits).collect(),
@@ -1244,30 +1166,43 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    fn lower_prim(&self, op: &PrimitiveOp, act: &ActionDef) -> CPrim {
+    /// Lowers one op, or returns the first fault the interpreter raises
+    /// running it — operands in its evaluation order, then the
+    /// destination. Every operand read is side-effect free, so the op
+    /// faults before it has done anything.
+    fn lower_prim(&self, op: &PrimitiveOp, act: &ActionDef) -> Result<CPrim, IrError> {
         let a = Some(act);
-        match op {
-            PrimitiveOp::Set { dst, value } => CPrim::Set {
-                dst: self.slot_of(dst),
-                value: self.lower_expr(value, a),
-            },
-            PrimitiveOp::Hash { dst, algo, inputs } => CPrim::Hash {
-                dst: self.slot_of(dst),
-                algo: *algo,
-                inputs: inputs.iter().map(|e| self.lower_expr(e, a)).collect(),
-            },
-            PrimitiveOp::AddHeader { header, before } => match self.header_ids.get(header) {
-                Some(&hid) => CPrim::AddHeader {
-                    hid,
-                    before: before
-                        .as_ref()
-                        .and_then(|b| self.header_ids.get(b))
-                        .copied(),
-                },
-                None => CPrim::Fail(IrError::Undefined {
+        let header_id = |name: &String| {
+            self.header_ids
+                .get(name)
+                .copied()
+                .ok_or_else(|| IrError::Undefined {
                     kind: "header type",
-                    name: header.clone(),
-                }),
+                    name: name.clone(),
+                })
+        };
+        Ok(match op {
+            PrimitiveOp::Set { dst, value } => {
+                let value = self.lower_expr(value, a)?;
+                CPrim::Set {
+                    dst: self.slot_of(dst)?,
+                    value,
+                }
+            }
+            PrimitiveOp::Hash { dst, algo, inputs } => {
+                let inputs = self.lower_exprs(inputs, act)?;
+                CPrim::Hash {
+                    dst: self.slot_of(dst)?,
+                    algo: *algo,
+                    inputs,
+                }
+            }
+            PrimitiveOp::AddHeader { header, before } => CPrim::AddHeader {
+                hid: header_id(header)?,
+                before: before
+                    .as_ref()
+                    .and_then(|b| self.header_ids.get(b))
+                    .copied(),
             },
             PrimitiveOp::RemoveHeader { header } => CPrim::RemoveHeaderNth {
                 hid: self.header_ids.get(header).copied(),
@@ -1281,81 +1216,75 @@ impl<'p> Compiler<'p> {
                 dst,
                 register,
                 index,
-            } => match self.register_ids.get(register) {
-                Some(&reg) => CPrim::RegisterRead {
-                    dst: self.slot_of(dst),
-                    reg,
-                    index: self.lower_expr(index, a),
-                },
-                None => CPrim::Fail(IrError::Undefined {
-                    kind: "register",
-                    name: register.clone(),
-                }),
-            },
+            } => {
+                let reg = self.register_id(register)?;
+                let index = self.lower_expr(index, a)?;
+                match self.slot_of(dst) {
+                    Ok(dst) => CPrim::RegisterRead { dst, reg, index },
+                    Err(err) => CPrim::RegisterReadFail { reg, err },
+                }
+            }
             PrimitiveOp::RegisterWrite {
                 register,
                 index,
                 value,
-            } => match self.register_ids.get(register) {
-                Some(&reg) => CPrim::RegisterWrite {
-                    reg,
-                    index: self.lower_expr(index, a),
-                    value: self.lower_expr(value, a),
-                },
-                None => CPrim::Fail(IrError::Undefined {
-                    kind: "register",
-                    name: register.clone(),
-                }),
+            } => CPrim::RegisterWrite {
+                reg: self.register_id(register)?,
+                index: self.lower_expr(index, a)?,
+                value: self.lower_expr(value, a)?,
             },
             PrimitiveOp::Ipv4ChecksumUpdate { header } => {
-                let Some(&hid) = self.header_ids.get(header) else {
-                    return CPrim::Fail(IrError::Undefined {
-                        kind: "header type",
-                        name: header.clone(),
-                    });
-                };
-                // The interpreter raises this before even checking whether
-                // the instance is present, so it is a lazy *op* error, not
-                // conditional on packet contents.
-                match self.field_ids[hid as usize].get("hdr_checksum") {
-                    Some(&ck_fid) => CPrim::ChecksumUpdate { hid, ck_fid },
-                    None => CPrim::Fail(IrError::Invalid(format!(
+                // The interpreter raises these before even checking whether
+                // the instance is present, so they are lazy *op* errors,
+                // not conditional on packet contents.
+                let hid = header_id(header)?;
+                let Some(&fid) = self.field_ids[hid as usize].get("hdr_checksum") else {
+                    return Err(IrError::Invalid(format!(
                         "header {header} has no hdr_checksum field"
-                    ))),
+                    )));
+                };
+                let ch = &self.headers[hid as usize];
+                let bits = ch.bits[fid as usize];
+                if bits != 16 {
+                    return Err(IrError::Invalid(format!(
+                        "header {header}: hdr_checksum is {bits} bits, not 16"
+                    )));
+                }
+                CPrim::ChecksumUpdate {
+                    hid,
+                    ck_off: ch.offs[fid as usize],
                 }
             }
             PrimitiveOp::Digest { name, fields } => CPrim::Digest {
                 name: name.clone(),
-                inputs: fields.iter().map(|e| self.lower_expr(e, a)).collect(),
+                inputs: self.lower_exprs(fields, act)?,
             },
             PrimitiveOp::Drop => CPrim::Drop,
             PrimitiveOp::NoOp => CPrim::NoOp,
-        }
+        })
     }
 
     /// Flattens statements into `self.ops`. `depth` counts inlined `Call`
     /// nesting exactly as the interpreter's `exec_stmts` recursion depth.
-    fn flatten(&mut self, stmts: &[Stmt], depth: usize) {
+    fn flatten(&mut self, stmts: &'p [Stmt], depth: usize) {
+        let prog = self.prog;
         for stmt in stmts {
             match stmt {
-                Stmt::Apply(t) => match self.table_ids.get(t) {
-                    Some(&tid) => self.ops.push(COp::Apply { tid }),
-                    None => self.ops.push(COp::Fail(IrError::Undefined {
-                        kind: "table",
-                        name: t.clone(),
-                    })),
-                },
+                Stmt::Apply(t) => self.ops.push(match self.table_id(t) {
+                    Ok(tid) => COp::Apply { tid },
+                    Err(e) => COp::Fail(e),
+                }),
                 Stmt::ApplySelect {
                     table,
                     arms,
                     default,
                 } => {
-                    let Some(&tid) = self.table_ids.get(table) else {
-                        self.ops.push(COp::Fail(IrError::Undefined {
-                            kind: "table",
-                            name: table.clone(),
-                        }));
-                        continue;
+                    let tid = match self.table_id(table) {
+                        Ok(tid) => tid,
+                        Err(e) => {
+                            self.ops.push(COp::Fail(e));
+                            continue;
+                        }
                     };
                     let sel_pc = self.ops.len();
                     self.ops.push(COp::ApplySelect {
@@ -1407,7 +1336,7 @@ impl<'p> Compiler<'p> {
                     }
                     self.ops[then_exit] = COp::Jump { pc: join };
                 }
-                Stmt::Do(action) => match self.prog.actions.get(action) {
+                Stmt::Do(action) => match prog.actions.get(action) {
                     None => self.ops.push(COp::Fail(IrError::Undefined {
                         kind: "action",
                         name: action.clone(),
@@ -1421,7 +1350,7 @@ impl<'p> Compiler<'p> {
                         aid: self.action_ids[action],
                     }),
                 },
-                Stmt::Call(c) => match self.prog.controls.get(c) {
+                Stmt::Call(c) => match prog.controls.get(c) {
                     None => self.ops.push(COp::Fail(IrError::Undefined {
                         kind: "control block",
                         name: c.clone(),
@@ -1431,10 +1360,7 @@ impl<'p> Compiler<'p> {
                             "control call depth exceeded".into(),
                         )));
                     }
-                    Some(cb) => {
-                        let body = cb.body.clone();
-                        self.flatten(&body, depth + 1);
-                    }
+                    Some(cb) => self.flatten(&cb.body, depth + 1),
                 },
             }
         }
@@ -1444,10 +1370,13 @@ impl<'p> Compiler<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::Interpreter;
+    use crate::packet::ParsedPacket;
     use dejavu_p4ir::builder::*;
     use dejavu_p4ir::fref;
     use dejavu_p4ir::table::{KeyMatch, TableEntry};
-    use dejavu_p4ir::well_known;
+    use dejavu_p4ir::{well_known, HeaderType};
+    use std::collections::BTreeMap;
 
     fn l2_program() -> Program {
         ProgramBuilder::new("l2")
@@ -1551,5 +1480,160 @@ mod tests {
         assert!(scratch.events().is_empty());
         // Counters still advance.
         assert_eq!(st.counters("dmac").misses, 1);
+    }
+
+    /// A two-byte header `h` (`live`, `x`) parsed at offset 0, a one-cell
+    /// register `r`, the action `act` and the entry control `ingress` —
+    /// *not* validated, so dangling references reach both engines.
+    fn fault_program(act: ActionBuilder, ingress: ControlBuilder) -> Program {
+        ProgramBuilder::new("faults")
+            .header(HeaderType::new("h", vec![("live", 8u16), ("x", 8)]).unwrap())
+            .register("r", 32, 1)
+            .parser(
+                ParserBuilder::new()
+                    .node("n", "h", 0)
+                    .accept("n")
+                    .start("n"),
+            )
+            .action(act.build())
+            .control(ingress.build())
+            .entry("ingress")
+            .build_unchecked()
+    }
+
+    /// Runs one pass of `bytes` on each engine from fresh table state and
+    /// requires the same outcome; returns it with the compiled engine's
+    /// state (equal to the interpreter's in every register and counter the
+    /// callers check).
+    fn same_on_both(p: &Program, bytes: &[u8]) -> (Result<(), IrError>, TableState) {
+        let interp = Interpreter::new(p);
+        let mut pp = ParsedPacket::parse(bytes, &p.parser, interp.headers()).unwrap();
+        let mut ref_st = state_for(p);
+        let want = interp
+            .execute(&mut pp, &mut BTreeMap::new(), &mut ref_st)
+            .map(drop);
+        let cp = CompiledProgram::compile(p).unwrap();
+        let mut st = state_for(p);
+        let got = cp
+            .run_pass_scratch(bytes, 0, 0, &mut st, false, &mut ExecScratch::new())
+            .map(drop);
+        assert_eq!(got, want, "compiled outcome");
+        assert_eq!(st.register_peek("r", 0), ref_st.register_peek("r", 0));
+        for t in p.tables.keys() {
+            assert_eq!(st.counters(t), ref_st.counters(t), "{t} counters");
+        }
+        (got, st)
+    }
+
+    fn undefined_field(name: &str) -> IrError {
+        IrError::Undefined {
+            kind: "field",
+            name: name.into(),
+        }
+    }
+
+    #[test]
+    fn a_faulting_comparison_is_reached_only_past_its_short_circuit() {
+        let cond = BoolExpr::And(
+            Box::new(BoolExpr::Cmp(
+                Expr::field("h", "live"),
+                CmpOp::Eq,
+                Expr::val(1, 8),
+            )),
+            Box::new(BoolExpr::Cmp(
+                Expr::field("h", "dangling"),
+                CmpOp::Eq,
+                Expr::val(0, 8),
+            )),
+        );
+        let act = ActionBuilder::new("bump").reg_write("r", Expr::val(0, 1), Expr::val(9, 32));
+        let p = fault_program(
+            act,
+            ControlBuilder::new("ingress")
+                .invoke("bump")
+                .stmt(Stmt::If {
+                    cond,
+                    then_branch: vec![Stmt::Do("bump".into())],
+                    else_branch: vec![],
+                }),
+        );
+        // `live == 1` is false: `&&` never reads the dangling field.
+        let (r, st) = same_on_both(&p, &[0, 0]);
+        assert_eq!(r, Ok(()));
+        assert_eq!(st.register_peek("r", 0), Some(9));
+        // True: the right side faults, after the op before the branch ran.
+        let (r, st) = same_on_both(&p, &[1, 0]);
+        assert_eq!(r, Err(undefined_field("h.dangling")));
+        assert_eq!(st.register_peek("r", 0), Some(9));
+    }
+
+    #[test]
+    fn an_op_faults_after_the_ops_before_it_took_effect() {
+        let act = ActionBuilder::new("act")
+            .reg_write("r", Expr::val(0, 1), Expr::val(7, 32))
+            .set(fref("h", "x"), Expr::field("h", "nope"));
+        let p = fault_program(act, ControlBuilder::new("ingress").invoke("act"));
+        let (r, st) = same_on_both(&p, &[0, 0]);
+        assert_eq!(r, Err(undefined_field("h.nope")));
+        assert_eq!(
+            st.register_peek("r", 0),
+            Some(7),
+            "the cell keeps its write"
+        );
+    }
+
+    #[test]
+    fn a_set_reports_its_value_before_its_destination() {
+        let act = ActionBuilder::new("act").set(fref("h", "bad_dst"), Expr::field("h", "bad_src"));
+        let p = fault_program(act, ControlBuilder::new("ingress").invoke("act"));
+        assert_eq!(
+            same_on_both(&p, &[0, 0]).0,
+            Err(undefined_field("h.bad_src"))
+        );
+    }
+
+    #[test]
+    fn a_dangling_key_faults_before_the_lookup_counts() {
+        let mut p = fault_program(
+            ActionBuilder::new("act"),
+            ControlBuilder::new("ingress").apply("t"),
+        );
+        let t = TableBuilder::new("t")
+            .key_exact(fref("h", "x"))
+            .key_exact(fref("h", "nope"))
+            .action("act")
+            .default_action("act")
+            .build();
+        p.tables.insert("t".into(), t);
+        let (r, st) = same_on_both(&p, &[0, 0]);
+        assert_eq!(r, Err(undefined_field("h.nope")));
+        assert_eq!(st.counters("t").misses, 0, "no lookup ran");
+    }
+
+    #[test]
+    fn a_register_read_into_a_dangling_field_still_reads() {
+        // The interpreter reads the cell (creating the array) before it
+        // resolves the destination.
+        let act = ActionBuilder::new("act").reg_read(fref("h", "nope"), "r", Expr::val(0, 1));
+        let p = fault_program(act, ControlBuilder::new("ingress").invoke("act"));
+        let (r, st) = same_on_both(&p, &[0, 0]);
+        assert_eq!(r, Err(undefined_field("h.nope")));
+        assert_eq!(st.register_peek("r", 0), Some(0));
+    }
+
+    #[test]
+    fn a_checksum_field_that_is_not_16_bits_faults_on_both_engines() {
+        let act = ActionBuilder::new("act").update_checksum("ck");
+        let mut p = fault_program(act, ControlBuilder::new("ingress").invoke("act"));
+        let ck = HeaderType::new("ck", vec![("a", 8u16), ("hdr_checksum", 8)]).unwrap();
+        p.header_types.insert("ck".into(), ck);
+        // The header is absent: the width is an op fault, not a packet one.
+        let (r, _) = same_on_both(&p, &[0, 0]);
+        assert_eq!(
+            r,
+            Err(IrError::Invalid(
+                "header ck: hdr_checksum is 8 bits, not 16".into()
+            ))
+        );
     }
 }

@@ -294,16 +294,23 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Recomputes the ones-complement checksum of a header instance,
-    /// storing it in its `hdr_checksum` field. No-op when the header is
-    /// absent (hardware semantics).
+    /// storing it in its `hdr_checksum` field, which must be 16 bits. No-op
+    /// when the header is absent (hardware semantics).
     fn update_checksum(&self, header: &str, pp: &mut ParsedPacket) -> Result<(), IrError> {
         let ht = self.headers.get(header).ok_or(IrError::Undefined {
             kind: "header type",
             name: header.to_string(),
         })?;
-        if ht.field("hdr_checksum").is_none() {
+        let Some(ck) = ht.field("hdr_checksum") else {
             return Err(IrError::Invalid(format!(
                 "header {header} has no hdr_checksum field"
+            )));
+        };
+        // The RFC 1071 sum is 16 bits; any other width could not hold it.
+        if ck.bits != 16 {
+            return Err(IrError::Invalid(format!(
+                "header {header}: hdr_checksum is {} bits, not 16",
+                ck.bits
             )));
         }
         let Some(idx) = pp.find(header) else {
@@ -843,6 +850,41 @@ mod tests {
         assert_eq!(ones_complement_checksum(ip), 0, "header checksums to zero");
         // And it is non-trivial.
         assert_ne!(u16::from_be_bytes([ip[10], ip[11]]), 0);
+    }
+
+    #[test]
+    fn checksum_update_needs_a_16_bit_checksum_field() {
+        // An 8-bit `hdr_checksum` cannot hold the 16-bit sum: the update is
+        // an op error, not a store that leaves the field wider than declared.
+        let ck8 = HeaderType::new("ck8", vec![("a", 8u16), ("hdr_checksum", 8)]).unwrap();
+        let program = ProgramBuilder::new("ck8")
+            .header(ck8)
+            .meta_field("m", 16)
+            .parser(
+                ParserBuilder::new()
+                    .node("n", "ck8", 0)
+                    .accept("n")
+                    .start("n"),
+            )
+            .action(
+                ActionBuilder::new("fix")
+                    .update_checksum("ck8")
+                    .set(FieldRef::meta("m"), Expr::field("ck8", "hdr_checksum"))
+                    .build(),
+            )
+            .control(ControlBuilder::new("ingress").invoke("fix").build())
+            .entry("ingress")
+            .build()
+            .unwrap();
+        let interp = Interpreter::new(&program);
+        let mut pp = ParsedPacket::parse(&[0x00, 0x00], &program.parser, interp.headers()).unwrap();
+        let err = interp
+            .execute(&mut pp, &mut BTreeMap::new(), &mut TableState::new())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            IrError::Invalid("header ck8: hdr_checksum is 8 bits, not 16".into())
+        );
     }
 
     #[test]

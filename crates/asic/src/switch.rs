@@ -1283,10 +1283,11 @@ impl Switch {
 
     /// One pipelet pass (parser + control + deparser) over the caller's
     /// buffer on whichever engine [`ExecMode`] selects, table events logged
-    /// when `w` records. Both engines deparse into the scratch output
-    /// buffer, which is swapped with `buf` on a successful parse; a parser
-    /// reject leaves `buf` as it arrived, and a pipelet with no program
-    /// passes it through untouched.
+    /// when `w` records. Both engines leave the pass's bytes in the
+    /// scratch's packet buffer (the compiled one edits them there, the
+    /// reference one deparses into it), which is swapped with `buf` on a
+    /// successful parse; a parser reject leaves `buf` as it arrived, and a
+    /// pipelet with no program passes it through untouched.
     #[inline(always)] // see `visit`
     fn pass(
         &mut self,

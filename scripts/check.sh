@@ -198,6 +198,17 @@ if grep -nE '== *b[ri]? *&& *i *< *b|\.0 *> *ranks\[' crates/asic/src/index.rs; 
     exit 1
 fi
 
+# One-packet-buffer gate: a compiled pass edits the packet it is given (a
+# read decodes from those bytes, a write deposits into them, a header add
+# or remove opens or closes a gap) and settles its faults at compile time.
+# No written-field overlay shadowing the bytes, no per-header
+# re-serialisation or deparse step after the ops, no expression that can
+# fail at run time.
+if grep -nE 'Option<Value>|serialize_inst|deparse_into|CExpr::Fail' crates/asic/src/compiled.rs; then
+    echo "a compiled pass shadows or re-serialises the packet again (see DESIGN.md, Buffer pass)" >&2
+    exit 1
+fi
+
 # Paper-bench gate: every `crates/bench` target is a `harness = false` main
 # that asserts its own shape checks (Fig. 5-9, Table 1, the ablations, the
 # workload replay), so running them is the gate; `--no-run` only built them.

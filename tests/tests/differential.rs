@@ -888,6 +888,95 @@ fn view_write_to_absent_header_is_dropped() {
 }
 
 #[test]
+fn in_place_write_then_add_header_before_it_shifts_the_written_bytes() {
+    let action = ActionBuilder::new("act")
+        .set(fref("ipv4", "ttl"), Expr::val(0x11, 8))
+        .add_header("tag", Some("ipv4"))
+        // The written ttl moved four bytes on with its header.
+        .set(fref("ipv4", "identification"), Expr::field("ipv4", "ttl"))
+        .set(
+            fref("ipv4", "ttl"),
+            add(Expr::field("ipv4", "ttl"), Expr::val(1, 8)),
+        );
+    let program = view_program(action, ControlBuilder::new("ingress").invoke("act"));
+    let mut rng = seeded(0xd1ff_0008);
+    let packets: Vec<_> = (0..32).map(|_| view_packet(&mut rng, 0, true)).collect();
+    for (inp, out) in packets.iter().zip(view_run(program, &packets)) {
+        let mut want = inp[..14].to_vec();
+        want.extend_from_slice(&[0; 4]);
+        want.extend_from_slice(&inp[14..]);
+        want[18 + 4..18 + 6].copy_from_slice(&[0, 0x11]);
+        want[18 + 8] = 0x12;
+        assert_eq!(out, want);
+    }
+}
+
+#[test]
+fn in_place_remove_in_front_then_checksum_the_written_header() {
+    let action = ActionBuilder::new("act")
+        .set(
+            fref("ipv4", "ttl"),
+            sub(Expr::field("ipv4", "ttl"), Expr::val(1, 8)),
+        )
+        .remove_header("ethernet")
+        .update_checksum("ipv4");
+    let program = view_program(action, ControlBuilder::new("ingress").invoke("act"));
+    let mut rng = seeded(0xd1ff_0009);
+    let packets: Vec<_> = (0..32).map(|_| view_packet(&mut rng, 0, true)).collect();
+    for (inp, out) in packets.iter().zip(view_run(program, &packets)) {
+        assert_eq!(out.len(), inp.len() - 14);
+        assert_eq!(out[8], inp[22].wrapping_sub(1), "ttl, now at byte 8");
+        assert_eq!(
+            dejavu_asic::interp::ones_complement_checksum(&out[..20]),
+            0,
+            "the checksum covers the header where it now sits"
+        );
+        assert_eq!(out[..8], inp[14..22]);
+        assert_eq!(out[9], inp[23]);
+        assert_eq!(out[12..], inp[26..]);
+    }
+}
+
+#[test]
+fn in_place_add_and_remove_one_type_in_a_pass_keeps_the_payload() {
+    let action = ActionBuilder::new("act")
+        .add_header("tag", Some("ipv4"))
+        .set(fref("tag", "id"), Expr::val(0x123, 12))
+        // Appended: after ipv4, in front of the payload.
+        .add_header("tag", None)
+        .remove_header_nth("tag", 0)
+        .set(fref("tag", "kind"), Expr::val(5, 4));
+    let program = view_program(action, ControlBuilder::new("ingress").invoke("act"));
+    let mut rng = seeded(0xd1ff_000a);
+    let packets: Vec<_> = (0..32).map(|_| view_packet(&mut rng, 0, true)).collect();
+    for (inp, out) in packets.iter().zip(view_run(program, &packets)) {
+        assert!(inp.len() > 34, "the frame carries a payload");
+        let mut want = inp[..34].to_vec();
+        want.extend_from_slice(&[0x50, 0, 0, 0]);
+        want.extend_from_slice(&inp[34..]);
+        assert_eq!(out, want);
+    }
+}
+
+#[test]
+fn in_place_remove_the_first_of_two_then_write_the_survivor() {
+    let action = ActionBuilder::new("act")
+        .remove_header("tag")
+        .set(fref("tag", "id"), Expr::val(0xabc, 12))
+        .set(fref("ethernet", "src_mac"), Expr::field("tag", "next"));
+    let program = view_program(action, ControlBuilder::new("ingress").invoke("act"));
+    let mut rng = seeded(0xd1ff_000b);
+    let packets: Vec<_> = (0..32).map(|_| view_packet(&mut rng, 2, false)).collect();
+    for (inp, out) in packets.iter().zip(view_run(program, &packets)) {
+        let mut want = inp[..14].to_vec();
+        want[6..12].copy_from_slice(&[0, 0, 0, 0, inp[20], inp[21]]);
+        want.extend_from_slice(&[inp[18] & 0xf0 | 0x0a, 0xbc]);
+        want.extend_from_slice(&inp[20..]);
+        assert_eq!(out, want);
+    }
+}
+
+#[test]
 fn view_ingress_write_is_wire_data_for_egress() {
     // The ingress deparse lands in the scratch buffer, which the pooled
     // path swaps with the packet buffer before egress parses it: egress

@@ -8,7 +8,8 @@
 //! with one pass over its packets, and asserts that eight more passes
 //! allocate nothing: on the one-table sweep pipelets (exact, LPM, ternary
 //! and the ACL decision tree) and on the Fig. 9 chain (merged parser,
-//! `Hash`, header add/remove, recirculation, firewall deny). The placement
+//! `Hash`, header add/remove, recirculation, firewall deny), the chain also
+//! at 64-, 576- and 1 500-byte frames on every path. The placement
 //! search's proposal loop is held to the same rule: an annealing proposal is
 //! checked and scored without touching the heap. A cluster flight does
 //! allocate (frames, channel slots, the delivery), but what a member runs
@@ -30,8 +31,8 @@ use dejavu_core::routing::RoutingConfig;
 use dejavu_core::transport::ClusterHandle;
 use dejavu_core::{ChainPolicy, ChainSet, NfModule};
 use dejavu_integration::{
-    chain_packet, encapsulated_packet, fig9_testbed, marker_nf, sweep_testbed, SweepKey, EXIT_PORT,
-    IN_PORT, LOOPBACK_PORT_P0, LOOPBACK_PORT_P1,
+    chain_packet, encapsulated_packet, fig9_testbed, marker_nf, src_prefix, sweep_testbed,
+    SweepKey, EXIT_PORT, IN_PORT, LOOPBACK_PORT_P0, LOOPBACK_PORT_P1,
 };
 use dejavu_nf::load_balancer::{five_tuple_of, session_entry_for, SESSION_TABLE};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -138,6 +139,41 @@ fn fig9_chain_allocates_nothing_per_packet() {
     ];
     let a = allocs_per_packet(&mut sw, &packets, IN_PORT);
     assert_eq!(a, 0.0, "fig9 chain: allocations per packet");
+}
+
+#[test]
+fn fig9_encap_and_decap_allocate_nothing_at_every_frame_size() {
+    // Every Fig. 2 path at 64, 576 and 1 500 bytes. The SFC header takes a
+    // 1 500-byte frame past 1 500 bytes, so the gap its encap opens must
+    // land in capacity the packet buffers already have.
+    let (mut sw, dep) = fig9_testbed();
+    let frame = |path: u16, len: usize| {
+        dejavu_traffic::PacketBuilder::tcp()
+            .src_ip(src_prefix(path).0 | 0x0101)
+            .dst_ip(0xc633_6450)
+            .src_port(40000 + path)
+            .dst_port(80)
+            .payload(&vec![0xa5; len - 54])
+            .build()
+    };
+    let tuple = five_tuple_of(&frame(1, 64)).expect("path-1 packet has a five-tuple");
+    dep.install(
+        &mut sw,
+        "lb",
+        SESSION_TABLE,
+        session_entry_for(&tuple, 0x0a63_0001),
+    )
+    .expect("LB session installs");
+    let packets: Vec<Vec<u8>> = [64, 576, 1500]
+        .into_iter()
+        .flat_map(|len| (1..=3).map(move |path| frame(path, len)))
+        .collect();
+    assert!(packets.iter().all(|p| [64, 576, 1500].contains(&p.len())));
+    let a = allocs_per_packet(&mut sw, &packets, IN_PORT);
+    assert_eq!(
+        a, 0.0,
+        "fig9 chain at 64 / 576 / 1 500 bytes: allocations per packet"
+    );
 }
 
 /// Allocations over 64 flights through a two-switch inline cluster with
