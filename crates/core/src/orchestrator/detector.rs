@@ -3,7 +3,7 @@
 //!
 //! The detector consumes successive per-switch [`MetricsSnapshot`]s (one
 //! scrape per cluster member, as returned by
-//! `ClusterHandle::scrape_metrics`). For each observation window it:
+//! `ClusterHandle::metrics_snapshot`). For each observation window it:
 //!
 //! 1. diffs against the previous window's snapshots, extracting the
 //!    per-switch `packets_injected` **deltas** — new work that arrived at

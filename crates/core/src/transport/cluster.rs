@@ -8,6 +8,10 @@
 //! * learn digests pushed upstream by workers are mapped through their
 //!   [`LearnPolicy`] into table installs *while packets keep flowing* — no
 //!   "process digests now" call required;
+//! * packets an NF punts to the CPU are served by the registered punt
+//!   handlers: the controller installs their remedy on the member hosting
+//!   each NF and reinjects the packet, at most once per trace, into the
+//!   member that punted it — its flight goes on under the same trace id;
 //! * table updates, idle timeouts, clock advances, metrics scrapes and
 //!   state snapshots are request/reply command round trips;
 //! * finished packets come back as [`Delivery`] records carrying the whole
@@ -23,15 +27,15 @@
 //! interleaving) that the threaded and TCP paths are checked against.
 //!
 //! [`ClusterHandle`] is the synchronous facade over either: `inject`,
-//! `install`, `advance_time`, `process_digests`, `snapshot_state`, the
-//! migration verbs — and `inject_async` / `recv_delivered` for the
-//! pipelined path underneath.
+//! `install`, `advance_time`, `process_digests`, `register_learn_policy`,
+//! `register_handler`, `snapshot_state`, the migration verbs — and
+//! `inject_async` / `recv_delivered` for the pipelined path underneath.
 
 use super::wire::{ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
 use super::worker::SwitchWorker;
 use super::{ChannelTransport, Endpoint, Link, Transport, TransportError};
 use crate::chain::ChainSet;
-use crate::control_plane::LearnPolicy;
+use crate::control_plane::{DecisionCore, LearnPolicy, PuntHandler, PuntResponse};
 use crate::deploy::{DeployError, DeployOptions, Deployment};
 use crate::multiswitch::{build_cluster_members, ClusterPlacement, ClusterWiring};
 use crate::nfmodule::NfModule;
@@ -42,7 +46,7 @@ use dejavu_asic::{
     InjectedPacket, MetricsSnapshot, PipeletId, PortId, StateSnapshot, Switch, TofinoProfile,
 };
 use dejavu_p4ir::table::TableEntry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::thread::{self, JoinHandle};
@@ -63,6 +67,8 @@ pub enum ClusterError {
     Remote(String),
     /// A command round trip exceeded the configured timeout.
     Timeout(&'static str),
+    /// No cluster member hosts the named NF.
+    Unplaced(String),
     /// The cluster was already shut down.
     Closed,
 }
@@ -74,6 +80,7 @@ impl fmt::Display for ClusterError {
             ClusterError::Transport(e) => write!(f, "transport: {e}"),
             ClusterError::Remote(m) => write!(f, "remote: {m}"),
             ClusterError::Timeout(op) => write!(f, "timed out waiting for {op}"),
+            ClusterError::Unplaced(nf) => write!(f, "NF {nf} is not placed on any cluster member"),
             ClusterError::Closed => write!(f, "cluster already shut down"),
         }
     }
@@ -221,89 +228,22 @@ pub struct Delivery {
 // Controller internals
 // ---------------------------------------------------------------------
 
-enum Request {
-    Data(DataMsg),
-    Install {
-        nf: String,
-        table: String,
-        entry: TableEntry,
-        reply: Sender<Result<u64, ClusterError>>,
-    },
-    Remove {
-        nf: String,
-        table: String,
-        entry: TableEntry,
-        reply: Sender<Result<u64, ClusterError>>,
-    },
-    SetIdleTimeout {
-        nf: String,
-        table: String,
-        ticks: Option<u64>,
-        reply: Sender<Result<u64, ClusterError>>,
-    },
-    AdvanceTime {
-        ticks: u64,
-        reply: Sender<Result<ClusterReport, ClusterError>>,
-    },
-    Flush {
-        reply: Sender<Result<ClusterReport, ClusterError>>,
-    },
-    Scrape {
-        reply: Sender<Result<ClusterScrape, ClusterError>>,
-    },
-    Snapshot {
-        #[allow(clippy::type_complexity)]
-        reply: Sender<Result<Vec<(usize, PipeletId, StateSnapshot)>, ClusterError>>,
-    },
-    Restore {
-        switch: usize,
-        pipelet: PipeletId,
-        snapshot: StateSnapshot,
-        reply: Sender<Result<u64, ClusterError>>,
-    },
-    RegisterPolicy {
-        stream: String,
-        nf: String,
-        policy: LearnPolicy,
-    },
-    /// Park new ingress packets and reply once every in-flight packet has
-    /// been delivered or nacked (the migration quiesce barrier). Replies
-    /// with the number of packets that were still in flight when the pause
-    /// was requested.
-    PauseIngress {
-        reply: Sender<Result<u64, ClusterError>>,
-    },
-    /// Release parked ingress packets and resume normal injection. Replies
-    /// with the number of packets released.
-    ResumeIngress {
-        reply: Sender<Result<u64, ClusterError>>,
-    },
-    /// Stage a freshly built member on a worker's side channel, tagged with
-    /// the swap command's seq, and command the swap over the wire.
-    SwapMember {
-        switch: usize,
-        member: Box<(Switch, Deployment)>,
-        reply: Sender<Result<u64, ClusterError>>,
-    },
-    /// Replace the NF → switch routing map after a re-placement.
-    Remap {
-        nf_switch: BTreeMap<String, usize>,
-        reply: Sender<Result<u64, ClusterError>>,
-    },
-    Shutdown {
-        reply: Sender<Result<(), ClusterError>>,
-    },
-}
-
 /// Answers a request with an error (the caller may have stopped waiting).
 fn refuse<T>(reply: Sender<Result<T, ClusterError>>, e: ClusterError) {
     let _ = reply.send(Err(e));
 }
 
+/// What the controller's queue carries.
 enum CtrlEvent {
+    /// A frame from a worker.
     Frame(Vec<u8>),
+    /// The upstream pump lost the controller's inbox.
     PumpClosed,
-    Request(Request),
+    /// A packet to inject at switch 0 (unboxed: the hot path).
+    Data(DataMsg),
+    /// Any other facade request: the handle sends the code the controller
+    /// runs for it, replying on the channel the code captured.
+    Run(Box<dyn FnOnce(&mut Controller) + Send>),
 }
 
 enum Pending {
@@ -312,6 +252,9 @@ enum Pending {
     /// A learned install triggered by a digest; on ack, account it to the
     /// switch and release the flush barrier if one is waiting.
     Learned { switch: usize },
+    /// An install a punt handler asked for the packet `trace`; `what` names
+    /// the NF and table for the error a nack ends the flight with.
+    Punt { trace: u64, what: String },
     /// Part of a broadcast; the id indexes `Controller::gathers`.
     Gather { id: u64, switch: usize },
     /// A shutdown ack.
@@ -342,13 +285,29 @@ struct Gather {
     acc: GatherAcc,
 }
 
+/// A punted packet waiting for the installs its handlers asked for.
+struct Punt {
+    /// The flight so far.
+    data: DataMsg,
+    /// The bytes to reinject once every install is acked; `None` delivers
+    /// the packet as `ToCpu` instead.
+    reinject: Option<Vec<u8>>,
+    /// Installs not yet acked.
+    outstanding: usize,
+}
+
 struct Controller {
     n: usize,
     events: Receiver<CtrlEvent>,
     links: Vec<Link>,
     nf_switch: BTreeMap<String, usize>,
-    /// Learn policies and the NF that registered them, by merged stream.
-    policies: BTreeMap<String, (String, LearnPolicy)>,
+    /// The learn policies and punt handlers, and what they decide.
+    decisions: DecisionCore,
+    /// Punted packets waiting for their installs, by trace id.
+    punts: BTreeMap<u64, Punt>,
+    /// Traces reinjected after a punt and not yet finished: a second punt
+    /// of one of them is delivered, not served again.
+    reinjected: BTreeSet<u64>,
     delivered_tx: Sender<Delivery>,
     next_seq: u64,
     pending: BTreeMap<u64, Pending>,
@@ -454,9 +413,32 @@ impl Controller {
                 }
             }
             CtrlEvent::PumpClosed => return self.finish_shutdown(),
-            CtrlEvent::Request(req) => self.on_request(req),
+            CtrlEvent::Data(d) if self.paused => {
+                // Migration window: hold the packet, deliver it after the
+                // new placement is live. The injector's trace id stays
+                // valid — parked, not dropped.
+                self.parked.push(d);
+            }
+            CtrlEvent::Data(d) => self.ingress(d),
+            CtrlEvent::Run(run) => run(self),
         }
         self.bye.as_ref().is_some_and(|(left, _)| *left == 0) && self.finish_shutdown()
+    }
+
+    /// Tells every worker to stop; the reply waits for their acks.
+    fn shutdown(&mut self, reply: Sender<Result<(), ClusterError>>) {
+        let mut sent = 0usize;
+        for switch in 0..self.n {
+            let seq = self.seq();
+            self.pending.insert(seq, Pending::Bye);
+            if self
+                .send_to(switch, Message::Control(ControlMsg::Shutdown { seq }))
+                .is_ok()
+            {
+                sent += 1;
+            }
+        }
+        self.bye = Some((sent, reply));
     }
 
     /// Answers a pending shutdown, if there is one.
@@ -466,190 +448,6 @@ impl Controller {
         };
         let _ = reply.send(Ok(()));
         true
-    }
-
-    fn on_request(&mut self, req: Request) {
-        match req {
-            Request::Data(d) => {
-                if self.paused {
-                    // Migration window: hold the packet, deliver it after
-                    // the new placement is live. The injector's trace id
-                    // stays valid — parked, not dropped.
-                    self.parked.push(d);
-                } else {
-                    self.ingress(d);
-                }
-            }
-            Request::Install {
-                nf,
-                table,
-                entry,
-                reply,
-            } => self.command_for_nf(&nf, reply, |seq, nf| ControlMsg::Install {
-                seq,
-                nf,
-                table,
-                entry,
-            }),
-            Request::Remove {
-                nf,
-                table,
-                entry,
-                reply,
-            } => self.command_for_nf(&nf, reply, |seq, nf| ControlMsg::Remove {
-                seq,
-                nf,
-                table,
-                entry,
-            }),
-            Request::SetIdleTimeout {
-                nf,
-                table,
-                ticks,
-                reply,
-            } => self.command_for_nf(&nf, reply, |seq, nf| ControlMsg::SetIdleTimeout {
-                seq,
-                nf,
-                table,
-                ticks,
-            }),
-            Request::AdvanceTime { ticks, reply } => self.broadcast(
-                GatherAcc::Evictions {
-                    acc: Vec::new(),
-                    reply,
-                },
-                |seq| ControlMsg::AdvanceTime { seq, ticks },
-            ),
-            Request::Flush { reply } => self.broadcast(GatherAcc::Drain { reply }, |seq| {
-                ControlMsg::DrainDigests { seq }
-            }),
-            Request::Scrape { reply } => self.broadcast(
-                GatherAcc::Metrics {
-                    acc: vec![MetricsSnapshot::default(); self.n],
-                    reply,
-                },
-                |seq| ControlMsg::ScrapeMetrics { seq },
-            ),
-            Request::Snapshot { reply } => self.broadcast(
-                GatherAcc::Snapshot {
-                    acc: Vec::new(),
-                    reply,
-                },
-                |seq| ControlMsg::SnapshotState { seq },
-            ),
-            Request::Restore {
-                switch,
-                pipelet,
-                snapshot,
-                reply,
-            } => {
-                if switch >= self.n {
-                    let _ = reply.send(Err(ClusterError::Remote(format!(
-                        "no switch {switch} in a cluster of {}",
-                        self.n
-                    ))));
-                } else {
-                    let seq = self.seq();
-                    let msg = ControlMsg::RestoreState {
-                        seq,
-                        pipelet,
-                        snapshot,
-                    };
-                    self.command(switch, msg, reply);
-                }
-            }
-            Request::RegisterPolicy { stream, nf, policy } => {
-                self.policies.insert(stream, (nf, policy));
-            }
-            Request::PauseIngress { reply } => {
-                self.paused = true;
-                let outstanding = self.in_flight as u64;
-                if outstanding == 0 {
-                    let _ = reply.send(Ok(0));
-                } else {
-                    // Park the reply; the last delivery/nack releases it.
-                    self.quiesce = Some((outstanding, reply));
-                }
-            }
-            Request::ResumeIngress { reply } => {
-                self.paused = false;
-                let released = self.parked.len() as u64;
-                for d in std::mem::take(&mut self.parked) {
-                    self.ingress(d);
-                }
-                let _ = reply.send(Ok(released));
-            }
-            Request::SwapMember {
-                switch,
-                member,
-                reply,
-            } => {
-                if switch >= self.n {
-                    let _ = reply.send(Err(ClusterError::Remote(format!(
-                        "no switch {switch} in a cluster of {}",
-                        self.n
-                    ))));
-                } else {
-                    // The tag keeps a member whose command the link refuses
-                    // from being adopted by the next swap.
-                    let seq = self.seq();
-                    let (member_switch, deployment) = *member;
-                    if self.swap_txs[switch]
-                        .send((seq, member_switch, deployment))
-                        .is_err()
-                    {
-                        let _ = reply.send(Err(ClusterError::Remote(format!(
-                            "switch {switch}: side channel closed (worker gone?)"
-                        ))));
-                    } else {
-                        self.command(switch, ControlMsg::SwapMember { seq }, reply);
-                    }
-                }
-            }
-            Request::Remap { nf_switch, reply } => {
-                if let Some((nf, &sw)) = nf_switch.iter().find(|(_, &sw)| sw >= self.n) {
-                    let _ = reply.send(Err(ClusterError::Remote(format!(
-                        "NF {nf} mapped to switch {sw} in a cluster of {}",
-                        self.n
-                    ))));
-                } else {
-                    self.nf_switch = nf_switch;
-                    let _ = reply.send(Ok(0));
-                }
-            }
-            Request::Shutdown { reply } => {
-                let mut sent = 0usize;
-                for switch in 0..self.n {
-                    let seq = self.seq();
-                    self.pending.insert(seq, Pending::Bye);
-                    if self
-                        .send_to(switch, Message::Control(ControlMsg::Shutdown { seq }))
-                        .is_ok()
-                    {
-                        sent += 1;
-                    }
-                }
-                self.bye = Some((sent, reply));
-            }
-        }
-    }
-
-    /// Sends a single-worker command routed by NF placement.
-    fn command_for_nf(
-        &mut self,
-        nf: &str,
-        reply: Sender<Result<u64, ClusterError>>,
-        make: impl FnOnce(u64, String) -> ControlMsg,
-    ) {
-        let Some(&switch) = self.nf_switch.get(nf) else {
-            let _ = reply.send(Err(ClusterError::Remote(format!(
-                "NF {nf} is not placed on any cluster member"
-            ))));
-            return;
-        };
-        let seq = self.seq();
-        let msg = make(seq, nf.to_string());
-        self.command(switch, msg, reply);
     }
 
     /// Sends one command to every member and opens the gather its replies
@@ -674,50 +472,32 @@ impl Controller {
             TelemetryMsg::Nack { seq, error } => {
                 if seq % 2 == 1 {
                     // Odd: a data-plane trace failed mid-flight.
-                    let _ = self.delivered_tx.send(Delivery {
-                        trace: seq,
-                        result: Err(error),
-                    });
-                    self.on_packet_done();
+                    self.finish(seq, Err(error));
                 } else {
                     self.settle(seq, Err(ClusterError::Remote(error)));
                 }
             }
             TelemetryMsg::Digests { switch, records } => {
-                let switch = switch as usize;
                 for (_, record) in records {
-                    let Some((nf, policy)) = self.policies.get(&record.name) else {
+                    let Some((nf, policy)) = self.decisions.learn(&record) else {
                         continue; // No policy: dropped, like a learn filter.
                     };
-                    let install = policy
-                        .entry(&record.values)
-                        .map(|entry| (nf.clone(), policy.table.clone(), entry));
-                    if let Some(slot) = self.digests_per_switch.get_mut(switch) {
+                    if let Some(slot) = self.digests_per_switch.get_mut(switch as usize) {
                         *slot += 1;
                     }
-                    let Some((nf, table, entry)) = install else {
+                    let Some(entry) = policy.entry(&record.values) else {
                         continue;
                     };
-                    let Some(&target) = self.nf_switch.get(&nf) else {
+                    let Some(&target) = self.nf_switch.get(nf) else {
                         continue;
                     };
-                    let seq = self.seq();
-                    let sent = self.send_to(
-                        target,
-                        Message::Control(ControlMsg::Install {
-                            seq,
-                            nf,
-                            table,
-                            entry,
-                        }),
-                    );
+                    let (nf, table) = (nf.to_string(), policy.table.clone());
                     // Track only sends that can still produce an ack: a dead
                     // link yields no ack, and an undrainable
                     // learn_outstanding would park every later flush
                     // barrier forever.
-                    if sent.is_ok() {
-                        self.pending
-                            .insert(seq, Pending::Learned { switch: target });
+                    let learned = Pending::Learned { switch: target };
+                    if self.send_install(target, nf, table, entry, learned).is_ok() {
                         self.learn_outstanding += 1;
                     }
                 }
@@ -749,12 +529,13 @@ impl Controller {
                     acc.extend(evictions.into_iter().map(|(p, ev)| (switch, p, ev)));
                 }
             }),
+            TelemetryMsg::Delivered {
+                disposition: Disposition::ToCpu,
+                data,
+            } => self.on_punt(data),
             TelemetryMsg::Delivered { disposition, data } => {
-                let _ = self.delivered_tx.send(Delivery {
-                    trace: data.trace,
-                    result: Ok(WireTraversal::from_delivery(disposition, data)),
-                });
-                self.on_packet_done();
+                let trace = data.trace;
+                self.finish(trace, Ok(WireTraversal::from_delivery(disposition, data)));
             }
         }
         self.maybe_finish_flush();
@@ -765,6 +546,19 @@ impl Controller {
         match self.pending.remove(&seq) {
             Some(Pending::Simple(reply)) => {
                 let _ = reply.send(outcome);
+            }
+            Some(Pending::Punt { trace, what }) => {
+                let Some(punt) = self.punts.get_mut(&trace) else {
+                    return; // An earlier install of this punt failed.
+                };
+                punt.outstanding -= 1;
+                if let Err(e) = outcome {
+                    self.punts.remove(&trace);
+                    self.finish(trace, Err(format!("{what}: {e}")));
+                } else if punt.outstanding == 0 {
+                    let punt = self.punts.remove(&trace).expect("present");
+                    self.reinject(punt);
+                }
             }
             Some(Pending::Learned { switch }) => {
                 self.learn_outstanding = self.learn_outstanding.saturating_sub(1);
@@ -814,14 +608,11 @@ impl Controller {
     }
 
     fn gather_done(&mut self, id: u64) {
-        let finished = {
-            let Some(g) = self.gathers.get_mut(&id) else {
-                return;
-            };
-            g.expect = g.expect.saturating_sub(1);
-            g.expect == 0
+        let Some(g) = self.gathers.get_mut(&id) else {
+            return;
         };
-        if !finished {
+        g.expect = g.expect.saturating_sub(1);
+        if g.expect > 0 {
             return;
         }
         let g = self.gathers.remove(&id).expect("present");
@@ -857,9 +648,95 @@ impl Controller {
         }
     }
 
-    /// One in-flight packet finished (delivered or nacked mid-flight);
-    /// releases a waiting quiesce barrier when the last one lands.
-    fn on_packet_done(&mut self) {
+    /// Sends one install to `switch`, tracking `pending` for its ack only
+    /// if the link took the frame.
+    fn send_install(
+        &mut self,
+        switch: usize,
+        nf: String,
+        table: String,
+        entry: TableEntry,
+        pending: Pending,
+    ) -> Result<(), ClusterError> {
+        let seq = self.seq();
+        let install = ControlMsg::Install {
+            seq,
+            nf,
+            table,
+            entry,
+        };
+        self.send_to(switch, Message::Control(install))?;
+        self.pending.insert(seq, pending);
+        Ok(())
+    }
+
+    /// Serves a packet that came back punted: the handlers' installs go to
+    /// the members hosting their NFs, and the packet is reinjected once the
+    /// last one acks. A packet no handler claims, or one already reinjected
+    /// under its trace, is delivered as `ToCpu`; an install that cannot be
+    /// routed or sent ends the flight with an error naming it.
+    fn on_punt(&mut self, data: DataMsg) {
+        let trace = data.trace;
+        let answer = if self.reinjected.contains(&trace) {
+            PuntResponse::default()
+        } else {
+            self.decisions.punt(&data.bytes)
+        };
+        let mut punt = Punt {
+            data,
+            reinject: answer.reinject_bytes,
+            outstanding: 0,
+        };
+        for (nf, table, entry) in answer.install {
+            let what = format!("punt install into {nf}/{table}");
+            let sent = match self.nf_switch.get(&nf) {
+                Some(&target) => {
+                    let pending = Pending::Punt {
+                        trace,
+                        what: what.clone(),
+                    };
+                    self.send_install(target, nf, table, entry, pending)
+                }
+                None => Err(ClusterError::Unplaced(nf)),
+            };
+            if let Err(e) = sent {
+                return self.finish(trace, Err(format!("{what}: {e}")));
+            }
+            punt.outstanding += 1;
+        }
+        if punt.outstanding == 0 {
+            self.reinject(punt);
+        } else {
+            self.punts.insert(trace, punt);
+        }
+    }
+
+    /// Sends a served punt's bytes back into the member that punted it, on
+    /// the port the packet arrived on there, under the same trace id — so
+    /// its flight record runs on. Without bytes to reinject, the packet is
+    /// delivered as `ToCpu`.
+    fn reinject(&mut self, mut punt: Punt) {
+        let trace = punt.data.trace;
+        let Some(bytes) = punt.reinject else {
+            let delivery = WireTraversal::from_delivery(Disposition::ToCpu, punt.data);
+            return self.finish(trace, Ok(delivery));
+        };
+        punt.data.bytes = bytes;
+        let member = punt.data.hops.last().map_or(0, |h| h.switch as usize);
+        match self.send_to(member, Message::Data(punt.data)) {
+            Ok(()) => {
+                self.reinjected.insert(trace);
+            }
+            Err(e) => self.finish(trace, Err(e.to_string())),
+        }
+    }
+
+    /// Hands a finished in-flight packet (delivered, or failed mid-flight)
+    /// to its injector; releases a waiting quiesce barrier when the last
+    /// one lands.
+    fn finish(&mut self, trace: u64, result: Result<WireTraversal, String>) {
+        self.reinjected.remove(&trace);
+        let _ = self.delivered_tx.send(Delivery { trace, result });
         self.in_flight = self.in_flight.saturating_sub(1);
         if self.in_flight == 0 {
             if let Some((outstanding, reply)) = self.quiesce.take() {
@@ -1003,13 +880,11 @@ impl ClusterHandle {
         self.nf_switch.get(nf).copied()
     }
 
-    fn request(&self, req: Request) -> Result<(), ClusterError> {
+    fn request(&self, ev: CtrlEvent) -> Result<(), ClusterError> {
         if self.closed {
             return Err(ClusterError::Closed);
         }
-        self.events_tx
-            .send(CtrlEvent::Request(req))
-            .map_err(|_| ClusterError::Closed)
+        self.events_tx.send(ev).map_err(|_| ClusterError::Closed)
     }
 
     /// The member switch at `index`, while this thread owns the machines:
@@ -1034,6 +909,62 @@ impl ClusterHandle {
         }
     }
 
+    /// One request/reply round trip: the controller runs `run` with the
+    /// reply channel, and the reply is waited for as `op`.
+    fn call<T: Send + 'static>(
+        &mut self,
+        op: &'static str,
+        run: impl FnOnce(&mut Controller, Sender<Result<T, ClusterError>>) + Send + 'static,
+    ) -> Result<T, ClusterError> {
+        let (tx, rx) = channel();
+        self.request(CtrlEvent::Run(Box::new(move |c| run(c, tx))))?;
+        self.wait(rx, op)
+    }
+
+    /// A round trip for the command `make` builds, from its seq, for
+    /// member `switch`.
+    fn command(
+        &mut self,
+        op: &'static str,
+        switch: usize,
+        make: impl FnOnce(u64) -> ControlMsg + Send + 'static,
+    ) -> Result<u64, ClusterError> {
+        self.member(switch)?;
+        self.call(op, move |c, reply| {
+            let seq = c.seq();
+            c.command(switch, make(seq), reply)
+        })
+    }
+
+    /// A round trip for the command `make` builds, from its seq and `nf`,
+    /// for the member hosting `nf`.
+    fn command_for_nf(
+        &mut self,
+        op: &'static str,
+        nf: &str,
+        make: impl FnOnce(u64, String) -> ControlMsg + Send + 'static,
+    ) -> Result<u64, ClusterError> {
+        let (switch, nf) = (self.host(nf)?, nf.to_string());
+        self.command(op, switch, move |seq| make(seq, nf))
+    }
+
+    /// The member hosting `nf`; [`ClusterError::Unplaced`] when none does.
+    fn host(&self, nf: &str) -> Result<usize, ClusterError> {
+        self.switch_of(nf)
+            .ok_or_else(|| ClusterError::Unplaced(nf.to_string()))
+    }
+
+    /// [`ClusterError::Remote`] unless `switch` is a member.
+    fn member(&self, switch: usize) -> Result<(), ClusterError> {
+        if switch < self.n {
+            return Ok(());
+        }
+        Err(ClusterError::Remote(format!(
+            "no switch {switch} in a cluster of {}",
+            self.n
+        )))
+    }
+
     /// Injects a packet at switch 0 and returns its trace id immediately;
     /// the flight record arrives later via
     /// [`recv_delivered`](ClusterHandle::recv_delivered). This is the
@@ -1043,7 +974,7 @@ impl ClusterHandle {
         let InjectedPacket { bytes, port } = packet.into();
         self.next_trace += 2; // Odd: distinct from even command seqs.
         let trace = self.next_trace;
-        self.request(Request::Data(DataMsg {
+        self.request(CtrlEvent::Data(DataMsg {
             trace,
             port,
             latency_ns: 0.0,
@@ -1108,14 +1039,14 @@ impl ClusterHandle {
         table: &str,
         entry: TableEntry,
     ) -> Result<(), ClusterError> {
-        let (tx, rx) = channel();
-        self.request(Request::Install {
-            nf: nf.to_string(),
-            table: table.to_string(),
+        let table = table.to_string();
+        self.command_for_nf("install", nf, |seq, nf| ControlMsg::Install {
+            seq,
+            nf,
+            table,
             entry,
-            reply: tx,
-        })?;
-        self.wait(rx, "install").map(|_| ())
+        })
+        .map(|_| ())
     }
 
     /// Removes a previously installed entry; `Ok(true)` when it existed.
@@ -1125,14 +1056,14 @@ impl ClusterHandle {
         table: &str,
         entry: TableEntry,
     ) -> Result<bool, ClusterError> {
-        let (tx, rx) = channel();
-        self.request(Request::Remove {
-            nf: nf.to_string(),
-            table: table.to_string(),
+        let table = table.to_string();
+        self.command_for_nf("remove", nf, |seq, nf| ControlMsg::Remove {
+            seq,
+            nf,
+            table,
             entry,
-            reply: tx,
-        })?;
-        self.wait(rx, "remove").map(|info| info == 1)
+        })
+        .map(|info| info == 1)
     }
 
     /// Sets or clears a table's idle timeout through the NF's API view.
@@ -1142,23 +1073,29 @@ impl ClusterHandle {
         table: &str,
         ticks: Option<u64>,
     ) -> Result<(), ClusterError> {
-        let (tx, rx) = channel();
-        self.request(Request::SetIdleTimeout {
-            nf: nf.to_string(),
-            table: table.to_string(),
-            ticks,
-            reply: tx,
-        })?;
-        self.wait(rx, "set_idle_timeout").map(|_| ())
+        let table = table.to_string();
+        self.command_for_nf("set_idle_timeout", nf, move |seq, nf| {
+            ControlMsg::SetIdleTimeout {
+                seq,
+                nf,
+                table,
+                ticks,
+            }
+        })
+        .map(|_| ())
     }
 
     /// Advances logical time on every member and returns the merged
     /// eviction report. Clocks stay synchronized: every member advances by
     /// the same ticks before this returns.
     pub fn advance_time(&mut self, ticks: u64) -> Result<ClusterReport, ClusterError> {
-        let (tx, rx) = channel();
-        self.request(Request::AdvanceTime { ticks, reply: tx })?;
-        self.wait(rx, "advance_time")
+        self.call("advance_time", move |c, reply| {
+            let acc = GatherAcc::Evictions {
+                acc: Vec::new(),
+                reply,
+            };
+            c.broadcast(acc, |seq| ControlMsg::AdvanceTime { seq, ticks })
+        })
     }
 
     /// Flushes every member's digest queues and waits until all resulting
@@ -1167,34 +1104,59 @@ impl ClusterHandle {
     /// since the previous call (the controller learns continuously, not
     /// just inside this call).
     pub fn process_digests(&mut self) -> Result<ClusterReport, ClusterError> {
-        let (tx, rx) = channel();
-        self.request(Request::Flush { reply: tx })?;
-        self.wait(rx, "process_digests")
+        self.call("process_digests", |c, reply| {
+            c.broadcast(GatherAcc::Drain { reply }, |seq| ControlMsg::DrainDigests {
+                seq,
+            })
+        })
     }
 
     /// Registers the learn policy for an NF's digest stream on the
-    /// controller (see
-    /// [`ControlPlane::register_learn_policy`](crate::control_plane::ControlPlane::register_learn_policy));
-    /// learned entries are installed on the member hosting `nf`.
+    /// controller, as
+    /// [`ControlPlane::register_learn_policy`](crate::control_plane::ControlPlane::register_learn_policy)
+    /// does; learned entries are installed on the member hosting `nf`.
+    /// [`ClusterError::Unplaced`] when no member hosts `nf`.
     pub fn register_learn_policy(
         &mut self,
         nf: &str,
         stream: &str,
         policy: LearnPolicy,
     ) -> Result<(), ClusterError> {
-        self.request(Request::RegisterPolicy {
-            stream: crate::merge::scoped(nf, stream),
-            nf: nf.to_string(),
-            policy,
+        let (owner, stream) = (nf.to_string(), stream.to_string());
+        self.register(nf, move |d| {
+            d.register_learn_policy(&owner, &stream, policy)
         })
+    }
+
+    /// Sends an NF's punt handler to the controller. A packet that comes
+    /// back punted goes through the handlers instead of being delivered:
+    /// their entries are installed on the members hosting their NFs and,
+    /// once all are acked, the packet is reinjected into the member that
+    /// punted it — at most once per trace; a second punt is delivered as
+    /// `ToCpu`. [`ClusterError::Unplaced`] when no member hosts `nf`.
+    pub fn register_handler(&mut self, nf: &str, handler: PuntHandler) -> Result<(), ClusterError> {
+        let owner = nf.to_string();
+        self.register(nf, move |d| d.register_handler(&owner, handler))
+    }
+
+    fn register(
+        &mut self,
+        nf: &str,
+        register: impl FnOnce(&mut DecisionCore) + Send + 'static,
+    ) -> Result<(), ClusterError> {
+        self.host(nf)?;
+        self.request(CtrlEvent::Run(Box::new(|c| register(&mut c.decisions))))
     }
 
     /// Scrapes every member's metrics and returns merged + per-member
     /// snapshots.
     pub fn metrics_snapshot(&mut self) -> Result<ClusterScrape, ClusterError> {
-        let (tx, rx) = channel();
-        self.request(Request::Scrape { reply: tx })?;
-        self.wait(rx, "metrics_snapshot")
+        self.call("metrics_snapshot", |c, reply| {
+            let acc = vec![MetricsSnapshot::default(); c.n];
+            c.broadcast(GatherAcc::Metrics { acc, reply }, |seq| {
+                ControlMsg::ScrapeMetrics { seq }
+            })
+        })
     }
 
     /// Snapshots the dynamic state of every loaded pipelet across the
@@ -1203,9 +1165,12 @@ impl ClusterHandle {
     pub fn snapshot_state(
         &mut self,
     ) -> Result<Vec<(usize, PipeletId, StateSnapshot)>, ClusterError> {
-        let (tx, rx) = channel();
-        self.request(Request::Snapshot { reply: tx })?;
-        self.wait(rx, "snapshot_state")
+        self.call("snapshot_state", |c, reply| {
+            let acc = Vec::new();
+            c.broadcast(GatherAcc::Snapshot { acc, reply }, |seq| {
+                ControlMsg::SnapshotState { seq }
+            })
+        })
     }
 
     /// Restores a state snapshot onto one member's pipelet; returns the
@@ -1216,14 +1181,15 @@ impl ClusterHandle {
         pipelet: PipeletId,
         snapshot: &StateSnapshot,
     ) -> Result<usize, ClusterError> {
-        let (tx, rx) = channel();
-        self.request(Request::Restore {
-            switch,
-            pipelet,
-            snapshot: snapshot.clone(),
-            reply: tx,
-        })?;
-        self.wait(rx, "restore_state").map(|n| n as usize)
+        let snapshot = snapshot.clone();
+        self.command("restore_state", switch, move |seq| {
+            ControlMsg::RestoreState {
+                seq,
+                pipelet,
+                snapshot,
+            }
+        })
+        .map(|n| n as usize)
     }
 
     // ------------------------------------------------------------------
@@ -1238,18 +1204,27 @@ impl ClusterHandle {
     /// [`resume_ingress`](Self::resume_ingress). Returns how many packets
     /// were still in flight when the pause took effect.
     pub fn pause_ingress(&mut self) -> Result<u64, ClusterError> {
-        let (tx, rx) = channel();
-        self.request(Request::PauseIngress { reply: tx })?;
-        self.wait(rx, "pause_ingress")
+        self.call("pause_ingress", |c, reply| {
+            c.paused = true;
+            match c.in_flight as u64 {
+                0 => drop(reply.send(Ok(0))),
+                // Park the reply; the last delivery/nack releases it.
+                outstanding => c.quiesce = Some((outstanding, reply)),
+            }
+        })
     }
 
     /// Releases traffic parked by [`pause_ingress`](Self::pause_ingress)
     /// in arrival order and resumes normal injection. Returns the number
     /// of packets released.
     pub fn resume_ingress(&mut self) -> Result<u64, ClusterError> {
-        let (tx, rx) = channel();
-        self.request(Request::ResumeIngress { reply: tx })?;
-        self.wait(rx, "resume_ingress")
+        self.call("resume_ingress", |c, reply| {
+            c.paused = false;
+            let parked = std::mem::take(&mut c.parked);
+            let released = parked.len() as u64;
+            parked.into_iter().for_each(|d| c.ingress(d));
+            let _ = reply.send(Ok(released));
+        })
     }
 
     /// Replaces one member's switch and deployment with a freshly built
@@ -1265,13 +1240,21 @@ impl ClusterHandle {
         member_switch: Switch,
         deployment: Deployment,
     ) -> Result<(), ClusterError> {
-        let (tx, rx) = channel();
-        self.request(Request::SwapMember {
-            switch,
-            member: Box::new((member_switch, deployment)),
-            reply: tx,
-        })?;
-        self.wait(rx, "swap_member").map(|_| ())
+        self.member(switch)?;
+        self.call("swap_member", move |c, reply| {
+            // The tag keeps a member whose command the link refuses from
+            // being adopted by the next swap.
+            let seq = c.seq();
+            if c.swap_txs[switch]
+                .send((seq, member_switch, deployment))
+                .is_err()
+            {
+                let e = format!("switch {switch}: side channel closed (worker gone?)");
+                return refuse(reply, ClusterError::Remote(e));
+            }
+            c.command(switch, ControlMsg::SwapMember { seq }, reply)
+        })
+        .map(|_| ())
     }
 
     /// Replaces the NF → switch routing map (both the controller's copy,
@@ -1279,12 +1262,17 @@ impl ClusterHandle {
     /// behind [`switch_of`](Self::switch_of)) after members were swapped
     /// to a new placement.
     pub fn remap_nfs(&mut self, nf_switch: BTreeMap<String, usize>) -> Result<(), ClusterError> {
-        let (tx, rx) = channel();
-        self.request(Request::Remap {
-            nf_switch: nf_switch.clone(),
-            reply: tx,
+        if let Some((nf, &sw)) = nf_switch.iter().find(|(_, &sw)| sw >= self.n) {
+            return Err(ClusterError::Remote(format!(
+                "NF {nf} mapped to switch {sw} in a cluster of {}",
+                self.n
+            )));
+        }
+        let map = nf_switch.clone();
+        self.call("remap_nfs", |c, reply| {
+            c.nf_switch = map;
+            let _ = reply.send(Ok(0));
         })?;
-        self.wait(rx, "remap_nfs")?;
         self.nf_switch = nf_switch;
         Ok(())
     }
@@ -1296,7 +1284,7 @@ impl ClusterHandle {
             return Ok(());
         }
         let (tx, rx) = channel();
-        let sent = self.request(Request::Shutdown { reply: tx });
+        let sent = self.request(CtrlEvent::Run(Box::new(|c| c.shutdown(tx))));
         self.closed = true;
         if sent.is_ok() {
             let _ = self.wait(rx, "shutdown");
@@ -1459,7 +1447,9 @@ fn boot(
         events: events_rx,
         links: ctrl_links,
         nf_switch: nf_switch.clone(),
-        policies: BTreeMap::new(),
+        decisions: DecisionCore::default(),
+        punts: BTreeMap::new(),
+        reinjected: BTreeSet::new(),
         delivered_tx,
         next_seq: 0,
         pending: BTreeMap::new(),

@@ -189,40 +189,25 @@ impl SwitchWorker {
     /// Executes one control command; `true` means shut down.
     fn on_control(&mut self, c: ControlMsg) -> bool {
         let seq = c.seq();
+        let (dep, sw) = (&self.deployment, &mut self.switch);
         match c {
             ControlMsg::Install {
                 nf, table, entry, ..
             } => {
-                match self
-                    .deployment
-                    .install_if_absent(&mut self.switch, &nf, &table, entry)
-                {
-                    Ok(installed) => self.send_up(TelemetryMsg::Ack {
-                        seq,
-                        info: u64::from(installed),
-                    }),
-                    Err(e) => self.nack(seq, &e.to_string()),
-                }
+                let installed = dep.install_if_absent(sw, &nf, &table, entry);
+                self.answer(seq, installed.map(u64::from));
             }
             ControlMsg::Remove {
                 nf, table, entry, ..
-            } => match self.deployment.remove(&mut self.switch, &nf, &table, entry) {
-                Ok(removed) => self.send_up(TelemetryMsg::Ack {
-                    seq,
-                    info: u64::from(removed),
-                }),
-                Err(e) => self.nack(seq, &e.to_string()),
-            },
+            } => {
+                let removed = dep.remove(sw, &nf, &table, entry);
+                self.answer(seq, removed.map(u64::from));
+            }
             ControlMsg::SetIdleTimeout {
                 nf, table, ticks, ..
             } => {
-                match self
-                    .deployment
-                    .set_idle_timeout(&mut self.switch, &nf, &table, ticks)
-                {
-                    Ok(()) => self.send_up(TelemetryMsg::Ack { seq, info: 0 }),
-                    Err(e) => self.nack(seq, &e.to_string()),
-                }
+                let set = dep.set_idle_timeout(sw, &nf, &table, ticks);
+                self.answer(seq, set.map(|()| 0));
             }
             ControlMsg::AdvanceTime { ticks, .. } => {
                 let evictions = self.switch.advance_time(ticks);
@@ -253,13 +238,10 @@ impl SwitchWorker {
             }
             ControlMsg::RestoreState {
                 pipelet, snapshot, ..
-            } => match self.switch.restore_state(pipelet, &snapshot) {
-                Ok(report) => self.send_up(TelemetryMsg::Ack {
-                    seq,
-                    info: report.restored_entries as u64,
-                }),
-                Err(e) => self.nack(seq, &e.to_string()),
-            },
+            } => {
+                let restored = self.switch.restore_state(pipelet, &snapshot);
+                self.answer(seq, restored.map(|r| r.restored_entries as u64));
+            }
             ControlMsg::SwapMember { .. } => {
                 // The staged member was sent on the side channel before the
                 // wire command, so it is already queued (or will never
@@ -285,6 +267,14 @@ impl SwitchWorker {
             }
         }
         false
+    }
+
+    /// Acks a command with `info`, or nacks it with the error.
+    fn answer(&mut self, seq: u64, outcome: Result<u64, impl std::fmt::Display>) {
+        match outcome {
+            Ok(info) => self.send_up(TelemetryMsg::Ack { seq, info }),
+            Err(e) => self.nack(seq, &e.to_string()),
+        }
     }
 
     fn nack(&mut self, seq: u64, error: &str) {

@@ -110,6 +110,21 @@ if [ "$(grep -rn 'inter_switch_hops += 1' crates/core/src | wc -l)" -ne 1 ] ||
     exit 1
 fi
 
+# One-control-plane gate: learn and punt decisions are made in one place,
+# `DecisionCore`, which the single-switch `ControlPlane` and the cluster
+# controller both hold. Exactly one non-test line under crates/core/src
+# owns a learn policy in a tuple type (`, LearnPolicy)>`: the policy map's
+# value; the borrowed `&LearnPolicy` a lookup returns does not count), and
+# the controller keeps no `policies:` map of its own.
+policy_maps=$(find crates/core/src -name '*.rs' -print0 |
+    xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /, LearnPolicy\)>/ { print FILENAME ": " $0 }')
+if [ "$(printf '%s\n' "$policy_maps" | grep -c .)" -ne 1 ] ||
+    grep -n 'policies:' crates/core/src/transport/cluster.rs; then
+    printf '%s\n' "$policy_maps"
+    echo "a second learn-policy map is back (see DESIGN.md, One control plane)" >&2
+    exit 1
+fi
+
 # Fixed-size-hop gate: a packet's in-band flight record is one fixed-size
 # hop per member (switch, latency, recirculations, resubmissions), and a
 # worker forwards on the zero-allocation `inject_buf` walk. Table names

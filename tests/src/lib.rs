@@ -15,6 +15,7 @@ use dejavu_core::placement::Placement;
 use dejavu_core::routing::RoutingConfig;
 use dejavu_core::{ChainSet, NfModule};
 use dejavu_nf::{classifier, firewall, load_balancer, router, vgw};
+use dejavu_p4ir::table::TableEntry;
 
 /// Port where external traffic enters (pipeline 0).
 pub const IN_PORT: PortId = 0;
@@ -88,41 +89,52 @@ pub fn fig9_testbed() -> (Switch, Deployment) {
     (switch, deployment)
 }
 
-/// Installs classifier / vgw / router rules for the three chains. The
-/// firewall gets one deny rule (TCP to port 22 on path 1's prefix) so the
-/// deny path is testable; LB sessions are left to the tests.
+/// Installs the [`baseline_rules`] on a single switch.
 pub fn install_baseline_rules(switch: &mut Switch, deployment: &Deployment) {
-    let mut install = |nf: &str, table: &str, entry| {
+    for (nf, table, entry) in baseline_rules() {
         deployment
             .install(switch, nf, table, entry)
             .expect("rule installs");
-    };
-    // Classifier: one prefix per path.
-    for path in [1u16, 2, 3] {
-        install(
-            "classifier",
-            dejavu_nf::classifier::CLASSIFY_TABLE,
-            dejavu_nf::classifier::classify_entry(src_prefix(path), (0, 0), path, 100 + path),
-        );
     }
-    // Firewall: deny TCP/22 from path 1's prefix.
-    install(
-        "firewall",
-        dejavu_nf::firewall::ACL_TABLE,
-        dejavu_nf::firewall::deny_entry(src_prefix(1), (0, 0), Some(6), (22, 22), 10),
-    );
-    // VGW: all of 198.51.100.0/24 is VNI 700.
-    install(
-        "vgw",
-        dejavu_nf::vgw::VNI_TABLE,
-        dejavu_nf::vgw::vni_entry((0xc633_6400, 24), 700),
-    );
-    // Router: default route out the exit port.
-    install(
-        "router",
-        dejavu_nf::router::ROUTES_TABLE,
-        dejavu_nf::router::route_entry((0, 0), EXIT_PORT, 0x0200_0000_0099, 0x0200_0000_0001),
-    );
+}
+
+/// Classifier / vgw / router rules for the three Fig. 2 chains, as
+/// `(nf, table, entry)` in each NF's own naming. The firewall gets one deny
+/// rule (TCP to port 22 on path 1's prefix) so the deny path is testable;
+/// LB sessions are left to the tests.
+pub fn baseline_rules() -> Vec<(&'static str, &'static str, TableEntry)> {
+    // Classifier: one prefix per path.
+    let mut rules: Vec<_> = [1u16, 2, 3]
+        .into_iter()
+        .map(|path| {
+            (
+                "classifier",
+                dejavu_nf::classifier::CLASSIFY_TABLE,
+                dejavu_nf::classifier::classify_entry(src_prefix(path), (0, 0), path, 100 + path),
+            )
+        })
+        .collect();
+    rules.extend([
+        // Firewall: deny TCP/22 from path 1's prefix.
+        (
+            "firewall",
+            dejavu_nf::firewall::ACL_TABLE,
+            dejavu_nf::firewall::deny_entry(src_prefix(1), (0, 0), Some(6), (22, 22), 10),
+        ),
+        // VGW: all of 198.51.100.0/24 is VNI 700.
+        (
+            "vgw",
+            dejavu_nf::vgw::VNI_TABLE,
+            dejavu_nf::vgw::vni_entry((0xc633_6400, 24), 700),
+        ),
+        // Router: default route out the exit port.
+        (
+            "router",
+            dejavu_nf::router::ROUTES_TABLE,
+            dejavu_nf::router::route_entry((0, 0), EXIT_PORT, 0x0200_0000_0099, 0x0200_0000_0001),
+        ),
+    ]);
+    rules
 }
 
 /// A marker NF for placement sweeps: XORs `1 << bit` into `ipv4.dscp`-free

@@ -4,19 +4,25 @@
 
 use dejavu_asic::switch::Disposition;
 use dejavu_asic::{InjectedPacket, PipeletId, TofinoProfile};
+use dejavu_core::control_plane::{rewind_and_clear, ControlPlane, PuntHandler, PuntResponse};
 use dejavu_core::deploy::{DeployError, DeployOptions};
 use dejavu_core::multiswitch::{
     deploy_cluster, ClusterConfigError, ClusterNet, ClusterPlacement, ClusterWiring,
 };
 use dejavu_core::placement::Placement;
 use dejavu_core::transport::wire::MAX_PAYLOAD;
-use dejavu_core::transport::{spawn_cluster, ChannelTransport, ClusterError, ClusterOptions};
+use dejavu_core::transport::{
+    spawn_cluster, ChannelTransport, ClusterError, ClusterOptions, WireTraversal,
+};
 use dejavu_core::{ChainPolicy, ChainSet, NfModule};
-use dejavu_integration::{encapsulated_packet, marker_nf, EXIT_PORT, IN_PORT};
+use dejavu_integration::{
+    baseline_rules, chain_packet, encapsulated_packet, fig9_testbed, marker_nf, EXIT_PORT, IN_PORT,
+};
+use dejavu_nf::load_balancer::{five_tuple_of, session_entry_for, SESSION_TABLE};
 use dejavu_nf::nat::{
     dynamic_nat, nat_learn_policy, nat_out_entry, NAT_FLOW_STREAM, NAT_IN_TABLE, NAT_OUT_TABLE,
 };
-use dejavu_nf::{classifier, router};
+use dejavu_nf::{classifier, firewall, load_balancer, router, vgw};
 use std::time::Duration;
 
 /// The NAT's public address.
@@ -462,4 +468,211 @@ fn learn_on_the_nat_member(threaded: bool) {
 fn learned_entry_lands_on_the_member_that_owns_the_nf() {
     learn_on_the_nat_member(false);
     learn_on_the_nat_member(true);
+}
+
+// ---------------------------------------------------------------------
+// The punt loop across members (Fig. 4): the LB on member 1 punts a
+// session miss, the controller installs the handler's session on member 1
+// and reinjects the packet into member 1, on either driver.
+// ---------------------------------------------------------------------
+
+/// The Fig. 4 VIP and the backend the handler pins its sessions to.
+const VIP: u32 = 0xc633_6450;
+const BACKEND: u32 = 0x0a63_0001;
+
+/// The Fig. 2 chains on two members: classifier, firewall and VGW on
+/// member 0, the LB and the router on member 1, baseline rules installed.
+fn fig4_cluster(threaded: bool) -> ClusterNet {
+    let nfs = [
+        classifier::classifier(),
+        firewall::firewall(),
+        vgw::vgw(),
+        load_balancer::load_balancer(),
+        router::router(),
+    ];
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let chains = ChainSet::edge_cloud_example();
+    let placement = ClusterPlacement {
+        switches: vec![
+            Placement::sequential(vec![
+                (PipeletId::ingress(0), vec!["classifier", "firewall"]),
+                (PipeletId::egress(0), vec!["vgw"]),
+            ]),
+            // The router in a pipelet of its own, as in Fig. 9: a punt is
+            // caught at the pipelet's end, before the next NF runs.
+            Placement::sequential(vec![
+                (PipeletId::ingress(0), vec!["lb"]),
+                (PipeletId::egress(0), vec!["router"]),
+            ]),
+        ],
+    };
+    let options = DeployOptions {
+        entry_nf: Some("classifier".into()),
+        ..Default::default()
+    };
+    let profile = TofinoProfile::wedge_100b_32x();
+    let exits = chains
+        .chains
+        .iter()
+        .map(|c| (c.path_id, EXIT_PORT))
+        .collect();
+    let wiring = ClusterWiring::default();
+    let mut net = if threaded {
+        spawn_cluster(
+            &refs,
+            &chains,
+            &placement,
+            &profile,
+            exits,
+            &wiring,
+            &options,
+            &mut ChannelTransport::new(),
+            &ClusterOptions::default(),
+        )
+    } else {
+        deploy_cluster(
+            &refs, &chains, &placement, &profile, exits, &wiring, &options,
+        )
+    }
+    .unwrap();
+    for (nf, table, entry) in baseline_rules() {
+        net.install(nf, table, entry).unwrap();
+    }
+    net
+}
+
+/// The §3.1 LB handler: claims packets to the VIP, installs their session
+/// and asks for the rewound packet to be reinjected.
+fn session_handler() -> PuntHandler {
+    Box::new(|bytes| match five_tuple_of(bytes) {
+        Some(t) if t.dst_addr == VIP => PuntResponse {
+            install: vec![(
+                "lb".into(),
+                SESSION_TABLE.into(),
+                session_entry_for(&t, BACKEND),
+            )],
+            reinject: true,
+            reinject_bytes: rewind_and_clear(bytes),
+        },
+        _ => PuntResponse::default(),
+    })
+}
+
+/// The members a flight visited, in order.
+fn members(t: &WireTraversal) -> Vec<u32> {
+    t.hops.iter().map(|h| h.switch).collect()
+}
+
+/// Serves one session miss on a cluster driven by threads or stepped
+/// inline, and checks it against the single-switch control plane.
+fn lb_punt_on_member_1(threaded: bool) {
+    let pkt = chain_packet(1, VIP, 80);
+    let (mut switch, dep) = fig9_testbed();
+    let mut cp = ControlPlane::new();
+    cp.register_handler("lb", session_handler());
+    cp.inject_tracking_punts(&mut switch, pkt.clone(), IN_PORT)
+        .unwrap();
+    let single = cp.process_punts(&mut switch, &dep).unwrap();
+
+    let mut net = fig4_cluster(threaded);
+    assert_eq!(net.switch_of("lb"), Some(1));
+    net.register_handler("lb", session_handler()).unwrap();
+    let sessions = |net: &mut ClusterNet| {
+        let mut entries = [0usize; 2];
+        for (member, _, snap) in net.snapshot_state().unwrap() {
+            if let Some(t) = snap.table(&format!("lb__{SESSION_TABLE}")) {
+                entries[member] += t.entries.len();
+            }
+        }
+        entries
+    };
+    assert_eq!(sessions(&mut net), [0, 0]);
+
+    // The miss punts on member 1, is served, and is reinjected there.
+    let t = net
+        .inject(InjectedPacket::new(pkt.clone(), IN_PORT))
+        .unwrap();
+    assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
+    assert_eq!(members(&t), [0, 1, 1], "reinjected into member 1");
+    assert_eq!(t.final_bytes, single[0].final_bytes);
+    assert_eq!(sessions(&mut net), [0, 1], "the session landed on member 1");
+
+    // The next packet of the flow hits the session: no punt.
+    let t = net.inject(InjectedPacket::new(pkt, IN_PORT)).unwrap();
+    assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
+    assert_eq!(members(&t), [0, 1]);
+    assert_eq!(t.final_bytes, single[0].final_bytes);
+}
+
+#[test]
+fn a_cluster_serves_the_lb_punt_on_the_member_that_hosts_it() {
+    lb_punt_on_member_1(false);
+    lb_punt_on_member_1(true);
+}
+
+#[test]
+fn a_packet_is_reinjected_at_most_once() {
+    // A handler that always asks for the rewound packet to be reinjected
+    // and installs nothing: the LB misses again, and the second punt comes
+    // back as `ToCpu` instead of looping.
+    for threaded in [false, true] {
+        let mut net = fig4_cluster(threaded);
+        net.register_handler(
+            "lb",
+            Box::new(|bytes| PuntResponse {
+                reinject: true,
+                reinject_bytes: rewind_and_clear(bytes),
+                ..Default::default()
+            }),
+        )
+        .unwrap();
+        let t = net
+            .inject(InjectedPacket::new(chain_packet(1, VIP, 80), IN_PORT))
+            .unwrap();
+        assert_eq!(t.disposition, Disposition::ToCpu);
+        assert_eq!(members(&t), [0, 1, 1]);
+    }
+}
+
+#[test]
+fn a_nacked_punt_install_fails_the_flight() {
+    let mut net = fig4_cluster(false);
+    net.register_handler(
+        "lb",
+        Box::new(|_| PuntResponse {
+            install: vec![(
+                "lb".into(),
+                "no_such_table".into(),
+                session_entry_for(&five_tuple_of(&chain_packet(1, VIP, 80)).unwrap(), BACKEND),
+            )],
+            reinject: true,
+            reinject_bytes: None,
+        }),
+    )
+    .unwrap();
+    let pkt = InjectedPacket::new(chain_packet(1, VIP, 80), IN_PORT);
+    match net.inject(pkt) {
+        Err(ClusterError::Remote(m)) => {
+            assert!(m.contains("lb/no_such_table"), "names the install: {m}")
+        }
+        other => panic!("expected the nack to end the flight, got {other:?}"),
+    }
+    // The failed flight is no longer in flight: the quiesce barrier opens.
+    assert_eq!(net.pause_ingress().unwrap(), 0);
+    net.resume_ingress().unwrap();
+}
+
+#[test]
+fn registering_for_an_unplaced_nf_fails_at_once() {
+    let mut net = fig4_cluster(false);
+    assert!(matches!(
+        net.register_learn_policy("ghost", NAT_FLOW_STREAM, nat_learn_policy()),
+        Err(ClusterError::Unplaced(nf)) if nf == "ghost"
+    ));
+    assert!(matches!(
+        net.register_handler("ghost", session_handler()),
+        Err(ClusterError::Unplaced(nf)) if nf == "ghost"
+    ));
+    // The placed NFs still register.
+    net.register_handler("lb", session_handler()).unwrap();
 }

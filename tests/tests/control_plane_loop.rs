@@ -101,3 +101,49 @@ fn unrelated_punts_are_not_claimed() {
     assert!(reinjected.is_empty());
     assert_eq!(cp.stats.installs, 0);
 }
+
+#[test]
+fn a_failed_punt_stays_queued_and_the_rest_are_served() {
+    let (mut switch, dep) = fig9_testbed();
+    let mut cp = ControlPlane::new();
+    // Port 81's session goes into a table the LB does not have; port 80's
+    // into the real one.
+    cp.register_handler(
+        "lb",
+        Box::new(|bytes| match five_tuple_of(bytes) {
+            Some(tuple) if tuple.dst_addr == VIP => {
+                let table = if tuple.dst_port == 81 {
+                    "no_such_table"
+                } else {
+                    SESSION_TABLE
+                };
+                PuntResponse {
+                    install: vec![(
+                        "lb".into(),
+                        table.into(),
+                        session_entry_for(&tuple, BACKEND),
+                    )],
+                    reinject: true,
+                    reinject_bytes: dejavu_core::control_plane::rewind_and_clear(bytes),
+                }
+            }
+            _ => PuntResponse::default(),
+        }),
+    );
+    // The failing punt is queued first.
+    for port in [81, 80] {
+        let t = cp
+            .inject_tracking_punts(&mut switch, chain_packet(1, VIP, port), IN_PORT)
+            .unwrap();
+        assert_eq!(t.disposition, Disposition::ToCpu);
+    }
+    assert_eq!(cp.pending_punts(), 2);
+
+    assert!(cp.process_punts(&mut switch, &dep).is_err());
+    assert_eq!(cp.stats.reinjections, 1, "the good punt was still served");
+    assert_eq!(cp.pending_punts(), 1, "the failed punt is kept");
+    let t = cp
+        .inject_tracking_punts(&mut switch, chain_packet(1, VIP, 80), IN_PORT)
+        .unwrap();
+    assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
+}
