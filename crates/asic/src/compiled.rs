@@ -38,7 +38,7 @@
 //! own call-depth ceiling of 64 bounds the expansion; real programs in this
 //! workspace are nowhere near it.
 
-use crate::interp::{ones_complement_checksum, TableEvent};
+use crate::interp::{ones_complement_checksum, TableEvent, TraceNames};
 use crate::tables::TableState;
 use dejavu_p4ir::action::{run_hash, ActionDef, Expr, HashAlgorithm, PrimitiveOp};
 use dejavu_p4ir::control::{BoolExpr, CmpOp, Stmt};
@@ -47,6 +47,7 @@ use dejavu_p4ir::program::STANDARD_METADATA;
 use dejavu_p4ir::table::RegisterDef;
 use dejavu_p4ir::{deposit_bits, extract_bits, FieldRef, IrError, Program, Value};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Standard-metadata slots. The compiler lays out the seven platform fields
 /// first, in [`STANDARD_METADATA`] order, so the switch can read them by
@@ -177,7 +178,6 @@ enum CPrim {
 /// A lowered action.
 #[derive(Debug, Clone)]
 struct CAction {
-    name: String,
     /// Declared parameter widths (arguments are resized to these).
     params: Vec<u16>,
     ops: Vec<CPrim>,
@@ -187,7 +187,6 @@ struct CAction {
 /// applies of any other table lower to `COp::Fail`).
 #[derive(Debug, Clone)]
 struct CTable {
-    name: String,
     /// Dense [`TableState`] slot id. Valid only against a state whose
     /// tables were preregistered from the same program in
     /// `Program::tables` iteration order (the switch does this at load).
@@ -398,7 +397,22 @@ pub struct ExecScratch {
     keys: Vec<Value>,
     args: Vec<Value>,
     vals: Vec<Value>,
-    events: Vec<TableEvent>,
+    /// The table events of the last traced pass, read in place by the
+    /// switch, and the names of the program that ran it.
+    pub(crate) events: Vec<TableEvent>,
+    names: Option<Arc<TraceNames>>,
+}
+
+/// A [`TableEvent`] with its names spelled out, as
+/// [`ExecScratch::events`] renders it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NamedTableEvent {
+    /// Table name.
+    pub table: String,
+    /// Whether an installed entry matched (false = default action ran).
+    pub hit: bool,
+    /// The action that ran.
+    pub action: String,
 }
 
 impl ExecScratch {
@@ -419,15 +433,20 @@ impl ExecScratch {
         &mut self.pkt.bytes
     }
 
-    /// The table events of the last traced pass.
-    pub fn events(&self) -> &[TableEvent] {
-        &self.events
-    }
-
-    /// Drains the table events of the last traced pass, keeping the
-    /// buffer's capacity for the next one.
-    pub fn drain_events(&mut self) -> impl Iterator<Item = TableEvent> + '_ {
-        self.events.drain(..)
+    /// The table events of the last traced pass, rendered by name: the
+    /// pass records ids, and the names are looked up here.
+    pub fn events(&self) -> Vec<NamedTableEvent> {
+        let Some(names) = &self.names else {
+            return Vec::new();
+        };
+        self.events
+            .iter()
+            .map(|&e| NamedTableEvent {
+                table: names.tables[e.table as usize].clone(),
+                hit: e.hit,
+                action: names.actions[e.action as usize].clone(),
+            })
+            .collect()
     }
 }
 
@@ -440,6 +459,9 @@ pub struct CompiledProgram {
     meta_zero: Vec<Value>,
     /// Byte length of each interned header type.
     header_bytes: Vec<usize>,
+    /// Table and action names by trace id, shared with every trace that
+    /// renders them.
+    pub(crate) names: Arc<TraceNames>,
     actions: Vec<CAction>,
     tables: Vec<CTable>,
     registers: Vec<RegisterDef>,
@@ -474,6 +496,9 @@ impl CompiledProgram {
         scratch: &mut ExecScratch,
     ) -> Result<BufPass, IrError> {
         scratch.events.clear();
+        if collect_events {
+            scratch.names = Some(Arc::clone(&self.names));
+        }
         if !self.parse_into(input, &mut scratch.pkt) {
             return Ok(BufPass::idle(false, egress_spec));
         }
@@ -615,9 +640,9 @@ impl CompiledProgram {
         let (aid, hit) = res?;
         if collect {
             scratch.events.push(TableEvent {
-                table: t.name.clone(),
+                table: t.sid as u32,
+                action: aid as u32,
                 hit,
-                action: self.actions[aid].name.clone(),
             });
         }
         Ok(aid)
@@ -669,7 +694,7 @@ impl CompiledProgram {
         if args.len() != act.params.len() {
             return Err(IrError::Invalid(format!(
                 "action {}: expected {} args, got {}",
-                act.name,
+                self.names.actions[aid],
                 act.params.len(),
                 args.len()
             )));
@@ -950,7 +975,6 @@ impl<'p> Compiler<'p> {
                 let default_aid = self.action_id(&def.default_action);
                 let entry_aids = def.actions.iter().map(|a| self.action_id(a)).collect();
                 self.tables.push(CTable {
-                    name: def.name.clone(),
                     sid,
                     keys,
                     entry_aids,
@@ -976,6 +1000,7 @@ impl<'p> Compiler<'p> {
         Ok(CompiledProgram {
             meta_zero: self.meta_widths.iter().map(|&b| Value::new(0, b)).collect(),
             header_bytes: self.headers.iter().map(|h| h.total_bytes).collect(),
+            names: Arc::new(TraceNames::of(self.prog)),
             actions: self.actions,
             tables: self.tables,
             registers: self.registers,
@@ -1160,7 +1185,6 @@ impl<'p> Compiler<'p> {
             .map(|op| self.lower_prim(op, act).unwrap_or_else(CPrim::Fail))
             .collect();
         CAction {
-            name: act.name.clone(),
             params: act.params.iter().map(|(_, bits)| *bits).collect(),
             ops,
         }
@@ -1430,9 +1454,13 @@ mod tests {
             .run_pass_scratch(&pkt, 3, 0xffff, &mut st, true, &mut scratch)
             .unwrap();
         assert!(pass.drop);
-        assert_eq!(scratch.events().len(), 1);
-        assert!(!scratch.events()[0].hit);
-        assert_eq!(scratch.events()[0].action, "flood");
+        let events = scratch.events();
+        assert_eq!(events.len(), 1);
+        assert!(!events[0].hit);
+        assert_eq!(
+            (events[0].table.as_str(), events[0].action.as_str()),
+            ("dmac", "flood")
+        );
 
         // Install and hit.
         let def = p.tables.get("dmac").unwrap();

@@ -22,25 +22,46 @@ use dejavu_p4ir::control::{BoolExpr, CmpOp, Stmt};
 use dejavu_p4ir::{FieldRef, HeaderType, IrError, Program, Value};
 use std::collections::{BTreeMap, HashMap};
 
-/// One table application observed during execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One table application, as ids: both engines record it, and
+/// [`Traversal::render`](crate::Traversal::render) spells it out by name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableEvent {
-    /// Table name.
-    pub table: String,
+    /// The table's ordinal in `Program::tables`: its [`TableState`] slot.
+    pub table: u32,
+    /// The ordinal in `Program::actions` of the action that ran.
+    pub action: u32,
     /// Whether an installed entry matched (false = default action ran).
     pub hit: bool,
-    /// The action that ran.
-    pub action: String,
 }
 
-/// Everything a pipelet execution produced.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PipeletOutcome {
-    /// Table applications in execution order.
-    pub events: Vec<TableEvent>,
-    /// Number of tables applied (the telemetry hook; counted at every
-    /// trace level, identical to the compiled engine's count).
-    pub tables_applied: u32,
+/// A program's table and action names, indexed by [`TableEvent`] ids.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct TraceNames {
+    pub(crate) tables: Vec<String>,
+    pub(crate) actions: Vec<String>,
+}
+
+impl TraceNames {
+    pub(crate) fn of(program: &Program) -> Self {
+        TraceNames {
+            tables: program.tables.values().map(|t| t.name.clone()).collect(),
+            actions: program.actions.values().map(|a| a.name.clone()).collect(),
+        }
+    }
+
+    /// The table and action names of `event`.
+    pub(crate) fn of_event(&self, e: TableEvent) -> (&str, &str) {
+        (
+            &self.tables[e.table as usize],
+            &self.actions[e.action as usize],
+        )
+    }
+}
+
+/// `name`'s ordinal in a name-keyed catalog: the id the compiled engine
+/// interns it to.
+fn ordinal<V>(catalog: &BTreeMap<String, V>, name: &str) -> u32 {
+    catalog.keys().take_while(|k| k.as_str() < name).count() as u32
 }
 
 /// Executes a program's entry control over parsed packets.
@@ -67,13 +88,14 @@ impl<'a> Interpreter<'a> {
         &self.headers
     }
 
-    /// Runs the entry control over `pp`/`meta` against `tables`.
+    /// Runs the entry control over `pp`/`meta` against `tables`, returning
+    /// the tables it applied, in order.
     pub fn execute(
         &self,
         pp: &mut ParsedPacket,
         meta: &mut BTreeMap<String, Value>,
         tables: &mut TableState,
-    ) -> Result<PipeletOutcome, IrError> {
+    ) -> Result<Vec<TableEvent>, IrError> {
         let entry = self
             .program
             .entry_control()
@@ -81,9 +103,9 @@ impl<'a> Interpreter<'a> {
                 kind: "entry control",
                 name: self.program.entry.clone(),
             })?;
-        let mut outcome = PipeletOutcome::default();
-        self.exec_stmts(&entry.body, pp, meta, tables, &mut outcome, 0)?;
-        Ok(outcome)
+        let mut events = Vec::new();
+        self.exec_stmts(&entry.body, pp, meta, tables, &mut events, 0)?;
+        Ok(events)
     }
 
     fn exec_stmts(
@@ -92,7 +114,7 @@ impl<'a> Interpreter<'a> {
         pp: &mut ParsedPacket,
         meta: &mut BTreeMap<String, Value>,
         tables: &mut TableState,
-        outcome: &mut PipeletOutcome,
+        events: &mut Vec<TableEvent>,
         depth: usize,
     ) -> Result<(), IrError> {
         if depth > 64 {
@@ -101,20 +123,20 @@ impl<'a> Interpreter<'a> {
         for stmt in stmts {
             match stmt {
                 Stmt::Apply(t) => {
-                    self.apply_table(t, pp, meta, tables, outcome)?;
+                    self.apply_table(t, pp, meta, tables, events)?;
                 }
                 Stmt::ApplySelect {
                     table,
                     arms,
                     default,
                 } => {
-                    let ran = self.apply_table(table, pp, meta, tables, outcome)?;
+                    let ran = self.apply_table(table, pp, meta, tables, events)?;
                     let branch = arms
                         .iter()
                         .find(|(a, _)| *a == ran)
                         .map(|(_, b)| b.as_slice())
                         .unwrap_or(default.as_slice());
-                    self.exec_stmts(branch, pp, meta, tables, outcome, depth)?;
+                    self.exec_stmts(branch, pp, meta, tables, events, depth)?;
                 }
                 Stmt::If {
                     cond,
@@ -126,7 +148,7 @@ impl<'a> Interpreter<'a> {
                     } else {
                         else_branch
                     };
-                    self.exec_stmts(taken, pp, meta, tables, outcome, depth)?;
+                    self.exec_stmts(taken, pp, meta, tables, events, depth)?;
                 }
                 Stmt::Do(action) => {
                     let act = self.action(action)?;
@@ -142,7 +164,7 @@ impl<'a> Interpreter<'a> {
                         kind: "control block",
                         name: c.clone(),
                     })?;
-                    self.exec_stmts(&cb.body, pp, meta, tables, outcome, depth + 1)?;
+                    self.exec_stmts(&cb.body, pp, meta, tables, events, depth + 1)?;
                 }
             }
         }
@@ -156,9 +178,10 @@ impl<'a> Interpreter<'a> {
         pp: &mut ParsedPacket,
         meta: &mut BTreeMap<String, Value>,
         tables: &mut TableState,
-        outcome: &mut PipeletOutcome,
-    ) -> Result<String, IrError> {
-        let def = self.program.tables.get(name).ok_or(IrError::Undefined {
+        events: &mut Vec<TableEvent>,
+    ) -> Result<&'a str, IrError> {
+        let program = self.program;
+        let def = program.tables.get(name).ok_or(IrError::Undefined {
             kind: "table",
             name: name.to_string(),
         })?;
@@ -181,13 +204,12 @@ impl<'a> Interpreter<'a> {
         };
         let act = self.action(action_name)?;
         self.run_action(act, &args, pp, meta, tables)?;
-        outcome.tables_applied += 1;
-        outcome.events.push(TableEvent {
-            table: name.to_string(),
+        events.push(TableEvent {
+            table: ordinal(&program.tables, name),
+            action: ordinal(&program.actions, action_name),
             hit,
-            action: action_name.to_string(),
         });
-        Ok(action_name.to_string())
+        Ok(action_name)
     }
 
     fn action(&self, name: &str) -> Result<&ActionDef, IrError> {
@@ -559,25 +581,26 @@ mod tests {
         program: &Program,
         tables: &mut TableState,
         bytes: &[u8],
-    ) -> (ParsedPacket, BTreeMap<String, Value>, PipeletOutcome) {
+    ) -> (ParsedPacket, BTreeMap<String, Value>, Vec<TableEvent>) {
         let interp = Interpreter::new(program);
         let mut pp = ParsedPacket::parse(bytes, &program.parser, interp.headers()).unwrap();
         let mut meta = BTreeMap::new();
-        let outcome = interp.execute(&mut pp, &mut meta, tables).unwrap();
-        (pp, meta, outcome)
+        let events = interp.execute(&mut pp, &mut meta, tables).unwrap();
+        (pp, meta, events)
     }
 
     #[test]
     fn lb_miss_goes_to_cpu() {
         let program = lb_program();
         let mut tables = TableState::new();
-        let (pp, meta, outcome) = run(&program, &mut tables, &tcp_packet());
+        let (pp, meta, events) = run(&program, &mut tables, &tcp_packet());
         assert_eq!(meta["to_cpu_flag"].raw(), 1);
         // dst IP unchanged
         assert_eq!(pp.get(&fref("ipv4", "dst_addr")).unwrap().raw(), 0xcb007150);
-        assert_eq!(outcome.events.len(), 1);
-        assert!(!outcome.events[0].hit);
-        assert_eq!(outcome.events[0].action, "to_cpu");
+        assert_eq!(events.len(), 1);
+        assert!(!events[0].hit);
+        let names = TraceNames::of(&program);
+        assert_eq!(names.of_event(events[0]), ("lb_session", "to_cpu"));
     }
 
     #[test]
@@ -599,10 +622,10 @@ mod tests {
                 },
             )
             .unwrap();
-        let (pp, meta, outcome) = run(&program, &mut tables, &tcp_packet());
+        let (pp, meta, events) = run(&program, &mut tables, &tcp_packet());
         assert_eq!(pp.get(&fref("ipv4", "dst_addr")).unwrap().raw(), 0x0a000063);
         assert_eq!(meta.get("to_cpu_flag").map(|v| v.raw()), None);
-        assert!(outcome.events[0].hit);
+        assert!(events[0].hit);
     }
 
     #[test]

@@ -51,11 +51,11 @@ pub use dejavu_telemetry as telemetry;
 /// separate dependency.
 pub use dejavu_state as state;
 
-pub use compiled::{BufPass, CompiledProgram, ExecScratch};
+pub use compiled::{BufPass, CompiledProgram, ExecScratch, NamedTableEvent};
 pub use index::{IndexKind, IndexPolicy, IndexStats, IndexTelemetry};
-pub use interp::{Interpreter, PipeletOutcome};
+pub use interp::{Interpreter, TableEvent};
 pub use metrics::SwitchMetrics;
-pub use packet::{flow_hash, HeaderInstance, Packet, ParsedPacket};
+pub use packet::{flow_hash, HeaderInstance, ParsedPacket};
 pub use pool::{PacketHandle, PacketPool};
 pub use resources::{ResourceVector, StageResources};
 pub use rtc::{ExhaustionPolicy, RtcConfig, RtcReport, RtcSession};

@@ -193,48 +193,6 @@ impl ParsedPacket {
     }
 }
 
-/// A packet travelling through the switch: wire bytes plus platform
-/// metadata. The parsed view exists only while a pipelet processes it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Packet {
-    /// Wire bytes.
-    pub bytes: Vec<u8>,
-    /// Platform ("standard") metadata: ingress port, egress spec, flags.
-    /// Reset/updated by the switch at defined points, not preserved across
-    /// the traffic manager except where hardware carries it.
-    pub meta: BTreeMap<String, Value>,
-}
-
-impl Packet {
-    /// A packet from raw bytes with empty metadata.
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        Packet {
-            bytes,
-            meta: BTreeMap::new(),
-        }
-    }
-
-    /// Reads a metadata field (0 of width 1 if unset — flags default clear).
-    pub fn meta_get(&self, name: &str) -> Value {
-        self.meta.get(name).copied().unwrap_or(Value::new(0, 1))
-    }
-
-    /// Sets a metadata field.
-    pub fn meta_set(&mut self, name: &str, value: Value) {
-        self.meta.insert(name.to_string(), value);
-    }
-
-    /// Packet length in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// True if the packet has no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-}
-
 /// FNV-1a hash over packet bytes — the flow-steering hash of the
 /// run-to-completion executor. Deterministic across runs and platforms, so
 /// packets of one flow (identical bytes ⊆ identical 5-tuple) always land on
@@ -361,16 +319,6 @@ mod tests {
         let ht = well_known::udp();
         let inst = HeaderInstance::zeroed(&ht);
         assert_eq!(inst.serialize(&ht), vec![0u8; 8]);
-    }
-
-    #[test]
-    fn packet_meta_defaults() {
-        let mut p = Packet::from_bytes(vec![1, 2, 3]);
-        assert_eq!(p.meta_get("drop_flag").raw(), 0);
-        p.meta_set("egress_spec", Value::new(7, 16));
-        assert_eq!(p.meta_get("egress_spec").raw(), 7);
-        assert_eq!(p.len(), 3);
-        assert!(!p.is_empty());
     }
 
     #[test]

@@ -41,7 +41,7 @@
 
 use crate::compiled::{BufPass, CompiledProgram, ExecScratch};
 use crate::index::{IndexKind, IndexPolicy};
-use crate::interp::{Interpreter, TableEvent};
+use crate::interp::{Interpreter, TableEvent, TraceNames};
 use crate::metrics::SwitchMetrics;
 use crate::packet::ParsedPacket;
 use crate::tables::{DigestRecord, Eviction, TableState};
@@ -131,8 +131,9 @@ impl std::fmt::Display for PipeletId {
     }
 }
 
-/// One observable event during a traversal.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One observable event during a traversal: ids, which
+/// [`Traversal::render`] spells out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// Packet entered a pipelet's parser.
     EnterPipelet(PipeletId),
@@ -140,12 +141,8 @@ pub enum TraceEvent {
     Table {
         /// Pipelet where it ran.
         pipelet: PipeletId,
-        /// Table name.
-        table: String,
-        /// Whether an installed entry matched.
-        hit: bool,
-        /// Action that ran.
-        action: String,
+        /// Which table, which action, hit or miss.
+        event: TableEvent,
     },
     /// Packet was resubmitted to the same ingress pipelet.
     Resubmit {
@@ -210,6 +207,10 @@ pub enum Disposition {
     ToCpu,
 }
 
+/// Per pipelet slot, the loaded program's names. Copied on write, so a
+/// [`Traversal`] keeps the names its ids index across a later `load_program`.
+type SlotNames = Arc<Vec<Option<Arc<TraceNames>>>>;
+
 /// Result of driving one packet to completion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Traversal {
@@ -227,6 +228,8 @@ pub struct Traversal {
     pub resubmissions: usize,
     /// Mirrored copies emitted along the way: `(mirror port, bytes)`.
     pub mirrored: Vec<(PortId, Vec<u8>)>,
+    /// The names behind the table events' ids.
+    names: SlotNames,
 }
 
 impl Traversal {
@@ -241,28 +244,59 @@ impl Traversal {
             .collect()
     }
 
-    /// Tables hit (entry matched), in order.
-    pub fn tables_hit(&self) -> Vec<&str> {
+    /// The table and action names of a table event at `pipelet`, as the
+    /// program that ran it spells them.
+    pub fn table_names(&self, pipelet: PipeletId, event: TableEvent) -> (&str, &str) {
+        self.names[pipelet.slot()]
+            .as_ref()
+            .expect("a table event comes from a loaded pipelet")
+            .of_event(event)
+    }
+
+    /// The names of the tables applied that `keep` accepts, in order.
+    fn tables_where(&self, keep: fn(&TableEvent) -> bool) -> Vec<&str> {
         self.events
             .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Table {
-                    table, hit: true, ..
-                } => Some(table.as_str()),
+            .filter_map(|e| match *e {
+                TraceEvent::Table { pipelet, event } if keep(&event) => {
+                    Some(self.table_names(pipelet, event).0)
+                }
                 _ => None,
             })
             .collect()
     }
 
+    /// Tables hit (entry matched), in order.
+    pub fn tables_hit(&self) -> Vec<&str> {
+        self.tables_where(|e| e.hit)
+    }
+
     /// All tables applied, in order.
     pub fn tables_applied(&self) -> Vec<&str> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Table { table, .. } => Some(table.as_str()),
-                _ => None,
-            })
-            .collect()
+        self.tables_where(|_| true)
+    }
+
+    /// One event as a line of [`Traversal::describe`], names looked up.
+    pub fn render(&self, event: &TraceEvent) -> String {
+        match *event {
+            TraceEvent::EnterPipelet(p) => format!("-> {p}"),
+            TraceEvent::Table { pipelet, event } => {
+                let (table, action) = self.table_names(pipelet, event);
+                let hit = if event.hit { "hit " } else { "miss" };
+                format!("     {table}: {hit} -> {action}")
+            }
+            TraceEvent::Resubmit { pipeline } => format!("<< resubmit (ingress {pipeline})"),
+            TraceEvent::TmTransit { from, to } => {
+                format!("=> traffic manager: pipeline {from} -> {to}")
+            }
+            TraceEvent::Recirculate { port } => format!("<< recirculate via port {port}"),
+            TraceEvent::Emit { port } => format!("== emitted on port {port}"),
+            TraceEvent::Drop { pipelet } => format!("xx dropped in {pipelet}"),
+            TraceEvent::ToCpu { pipelet } => format!("^^ punted to CPU from {pipelet}"),
+            TraceEvent::ParseError { pipelet } => format!("xx parser rejected in {pipelet}"),
+            TraceEvent::Mirror { port } => format!("++ mirrored to port {port}"),
+            TraceEvent::LinkDown { port } => format!("xx link down on port {port}"),
+        }
     }
 
     /// Renders the traversal as a human-readable hop-by-hop trace — the
@@ -273,31 +307,7 @@ impl Traversal {
         use std::fmt::Write;
         let mut out = String::new();
         for e in &self.events {
-            let line = match e {
-                TraceEvent::EnterPipelet(p) => format!("-> {p}"),
-                TraceEvent::Table {
-                    table, hit, action, ..
-                } => format!(
-                    "     {table}: {} -> {action}",
-                    if *hit { "hit " } else { "miss" }
-                ),
-                TraceEvent::Resubmit { pipeline } => {
-                    format!("<< resubmit (ingress {pipeline})")
-                }
-                TraceEvent::TmTransit { from, to } => {
-                    format!("=> traffic manager: pipeline {from} -> {to}")
-                }
-                TraceEvent::Recirculate { port } => format!("<< recirculate via port {port}"),
-                TraceEvent::Emit { port } => format!("== emitted on port {port}"),
-                TraceEvent::Drop { pipelet } => format!("xx dropped in {pipelet}"),
-                TraceEvent::ToCpu { pipelet } => format!("^^ punted to CPU from {pipelet}"),
-                TraceEvent::ParseError { pipelet } => {
-                    format!("xx parser rejected in {pipelet}")
-                }
-                TraceEvent::Mirror { port } => format!("++ mirrored to port {port}"),
-                TraceEvent::LinkDown { port } => format!("xx link down on port {port}"),
-            };
-            let _ = writeln!(out, "{line}");
+            let _ = writeln!(out, "{}", self.render(e));
         }
         let _ = writeln!(
             out,
@@ -328,9 +338,12 @@ pub enum ExecMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceLevel {
     /// No [`TraceEvent`]s are recorded (table hit/miss counters still
-    /// advance). The hot-path setting: no per-table `String` allocation.
+    /// advance).
     Off,
     /// Full event traces, as the packet test framework expects. The default.
+    /// An event is a fixed-size id record: a warm traced `inject` through the
+    /// Fig. 9 chain makes 3 allocations on its 18-table path and on its
+    /// 12-table path alike.
     #[default]
     Full,
 }
@@ -393,14 +406,13 @@ impl Walk<'_> {
     }
 
     /// Logs the table applications of one pass at `pipelet`.
-    fn note_tables(&mut self, pipelet: PipeletId, applied: impl Iterator<Item = TableEvent>) {
+    fn note_tables(&mut self, pipelet: PipeletId, applied: &[TableEvent]) {
         if let Some(events) = &mut self.events {
-            events.extend(applied.map(|ev| TraceEvent::Table {
-                pipelet,
-                table: ev.table,
-                hit: ev.hit,
-                action: ev.action,
-            }));
+            events.extend(
+                applied
+                    .iter()
+                    .map(|&event| TraceEvent::Table { pipelet, event }),
+            );
         }
     }
 }
@@ -421,6 +433,8 @@ pub struct Switch {
     /// What is loaded on each pipelet, dense by [`PipeletId::slot`] — one
     /// indexed load per pass resolves program, compiled form and state.
     slots: Vec<Option<Loaded>>,
+    /// The loaded programs' names, by the same slot.
+    names: SlotNames,
     loopback_ports: BTreeSet<PortId>,
     down_ports: BTreeSet<PortId>,
     mirror_port: Option<PortId>,
@@ -441,6 +455,8 @@ pub struct Switch {
     /// Reusable per-pass execution state: warm after the first few packets,
     /// so a traversal allocates nothing for it.
     scratch: ExecScratch,
+    /// The warm event log of a traced [`Switch::inject`].
+    trace: Vec<TraceEvent>,
     /// Mirror copies produced by traversals. [`Switch::inject`] hands back
     /// the ones its packet made; [`Switch::inject_buf`] leaves them here for
     /// [`Switch::drain_mirrored`].
@@ -481,6 +497,7 @@ impl Switch {
         let metrics = SwitchMetrics::new(&profile);
         Switch {
             slots: vec![None; profile.pipelines * 2],
+            names: Arc::new(vec![None; profile.pipelines * 2]),
             profile,
             timing: TimingModel::tofino(),
             loopback_ports: BTreeSet::new(),
@@ -495,6 +512,7 @@ impl Switch {
             digest_queues: BTreeMap::new(),
             digest_drops: BTreeMap::new(),
             scratch: ExecScratch::new(),
+            trace: Vec::new(),
             mirror_out: Vec::new(),
         }
     }
@@ -536,56 +554,31 @@ impl Switch {
         let mut snap = MetricsSnapshot::capture(self.metrics.registry());
         for (pipelet, loaded) in self.loaded_all() {
             let state = &loaded.tables;
+            let label = |metric: &str, table: &str, extra: &str| {
+                format!("{metric}{{pipelet=\"{pipelet}\",table=\"{table}\"{extra}}}")
+            };
             for (table, c) in state.all_counters() {
-                snap.set_counter(
-                    format!("table_hits{{pipelet=\"{pipelet}\",table=\"{table}\"}}"),
-                    c.hits,
-                );
-                snap.set_counter(
-                    format!("table_misses{{pipelet=\"{pipelet}\",table=\"{table}\"}}"),
-                    c.misses,
-                );
+                snap.set_counter(label("table_hits", &table, ""), c.hits);
+                snap.set_counter(label("table_misses", &table, ""), c.misses);
                 let evictions = state.evictions(&table);
                 if evictions > 0 {
-                    snap.set_counter(
-                        format!("table_evictions{{pipelet=\"{pipelet}\",table=\"{table}\"}}"),
-                        evictions,
-                    );
+                    snap.set_counter(label("table_evictions", &table, ""), evictions);
                 }
             }
             for (table, it) in state.index_telemetry() {
-                snap.set_gauge(
-                    format!("table_index_kind{{pipelet=\"{pipelet}\",table=\"{table}\"}}"),
-                    it.kind.ordinal(),
-                );
-                snap.set_counter(
-                    format!("table_index_probes{{pipelet=\"{pipelet}\",table=\"{table}\"}}"),
-                    it.probes,
-                );
+                snap.set_gauge(label("table_index_kind", &table, ""), it.kind.ordinal());
+                snap.set_counter(label("table_index_probes", &table, ""), it.probes);
                 if it.rebuilds > 0 {
-                    snap.set_counter(
-                        format!("table_index_rebuilds{{pipelet=\"{pipelet}\",table=\"{table}\"}}"),
-                        it.rebuilds,
-                    );
+                    snap.set_counter(label("table_index_rebuilds", &table, ""), it.rebuilds);
                 }
-                for (b, &v) in it.probe_hist.iter().enumerate() {
-                    if v > 0 {
-                        snap.set_counter(
-                            format!(
-                                "table_index_probe_depth{{pipelet=\"{pipelet}\",table=\"{table}\",bucket=\"{b}\"}}"
-                            ),
-                            v,
-                        );
-                    }
-                }
-                for (b, &v) in it.depth_hist.iter().enumerate() {
-                    if v > 0 {
-                        snap.set_counter(
-                            format!(
-                                "table_index_tree_depth{{pipelet=\"{pipelet}\",table=\"{table}\",bucket=\"{b}\"}}"
-                            ),
-                            v,
-                        );
+                let hists = [
+                    ("table_index_probe_depth", it.probe_hist),
+                    ("table_index_tree_depth", it.depth_hist),
+                ];
+                for (metric, hist) in hists {
+                    for (b, &v) in hist.iter().enumerate().filter(|(_, &v)| v > 0) {
+                        let bucket = format!(",bucket=\"{b}\"");
+                        snap.set_counter(label(metric, &table, &bucket), v);
                     }
                 }
             }
@@ -689,6 +682,7 @@ impl Switch {
         // A freshly loaded program joins the switch's logical timeline, so
         // aging continues seamlessly across upgrades once state is migrated.
         state.set_clock(self.now);
+        Arc::make_mut(&mut self.names)[pipelet.slot()] = Some(Arc::clone(&compiled.names));
         self.slots[pipelet.slot()] = Some(Loaded {
             program,
             compiled: Arc::new(compiled),
@@ -1045,15 +1039,21 @@ impl Switch {
     /// else (disposition, final bytes, latency, mirror copies, metrics) is
     /// the same at either level. Takes an [`InjectedPacket`] (see
     /// `dejavu_core::ingress` for how the entry points relate).
+    /// A trace is id events logged in a warm buffer and copied out once, plus
+    /// one `Arc` clone of the names: tracing adds one allocation per packet,
+    /// whatever the number of tables applied; names are looked up when read.
     pub fn inject(&mut self, packet: impl Into<InjectedPacket>) -> Result<Traversal, IrError> {
         let InjectedPacket {
             bytes: mut buf,
             port,
         } = packet.into();
-        let mut events = Vec::new();
-        let log = (self.trace_level == TraceLevel::Full).then_some(&mut events);
+        let mut trace = std::mem::take(&mut self.trace);
+        trace.clear();
+        let log = (self.trace_level == TraceLevel::Full).then_some(&mut trace);
         let mark = self.mirror_out.len();
         let result = self.run(&mut buf, port, log);
+        let events = trace.to_vec();
+        self.trace = trace;
         let mirrored = self.mirror_out.split_off(mark);
         let out = result?;
         Ok(Traversal {
@@ -1064,6 +1064,7 @@ impl Switch {
             recirculations: out.recirculations,
             resubmissions: out.resubmissions,
             mirrored,
+            names: Arc::clone(&self.names),
         })
     }
 
@@ -1317,10 +1318,8 @@ impl Switch {
                     trace,
                     scratch,
                 )?;
-                // Untraced there is nothing to drain, and not building the
-                // `Drain` is worth 4% of `fwd_min`'s packet rate.
                 if trace {
-                    w.note_tables(pipelet, scratch.drain_events());
+                    w.note_tables(pipelet, &scratch.events);
                 }
                 pass
             }
@@ -1335,9 +1334,9 @@ impl Switch {
                     seed("ingress_port", ingress_port),
                     seed("egress_spec", egress_seed),
                 ]);
-                let outcome = interp.execute(&mut pp, &mut meta, tables)?;
+                let events = interp.execute(&mut pp, &mut meta, tables)?;
                 *self.scratch.out_mut() = pp.deparse(interp.headers())?;
-                w.note_tables(pipelet, outcome.events.into_iter());
+                w.note_tables(pipelet, &events);
                 let flag = |name: &str| meta.get(name).is_some_and(|v| v.as_bool());
                 BufPass {
                     parsed: true,
@@ -1348,7 +1347,7 @@ impl Switch {
                     egress_spec: meta
                         .get("egress_spec")
                         .map_or(PORT_UNSET.into(), |v| v.raw()),
-                    tables_applied: outcome.tables_applied,
+                    tables_applied: events.len() as u32,
                 }
             }
         };
@@ -1445,6 +1444,38 @@ mod tests {
         assert_eq!(t.recirculations, 0);
         // Latency matches the calibrated port-to-port figure.
         assert!((t.latency_ns - 650.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn trace_records_are_copy() {
+        fn copy<T: Copy>() {}
+        copy::<TraceEvent>();
+        copy::<TableEvent>();
+    }
+
+    /// A traversal reads its names through the programs that ran the packet,
+    /// not through whatever the pipelet holds when the trace is read: the
+    /// reloaded program's table has the same id (0) under another name.
+    #[test]
+    fn names_outlive_a_reload() {
+        let mut sw = basic_switch();
+        sw.install_entry(PipeletId::ingress(0), "l2", fwd_entry(0xaabb, 20))
+            .unwrap();
+        let old = sw
+            .inject(InjectedPacket::new(eth_packet(0xaabb), 0))
+            .unwrap();
+        let described = old.describe();
+        assert!(described.contains("l2: hit  -> fwd"), "{described}");
+        sw.load_program(PipeletId::ingress(0), learn_program())
+            .unwrap();
+        let new = sw
+            .inject(InjectedPacket::new(eth_packet(0xaabb), 0))
+            .unwrap();
+        assert_eq!(new.tables_applied(), ["flows"]);
+        assert!(new.describe().contains("flows: miss -> learn"));
+        assert_eq!(old.tables_applied(), ["l2"]);
+        assert_eq!(old.tables_hit(), ["l2"]);
+        assert_eq!(old.describe(), described);
     }
 
     #[test]

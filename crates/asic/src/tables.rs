@@ -477,11 +477,6 @@ impl TableState {
         self.slot(table).map_or(0, |s| s.evictions.get())
     }
 
-    /// Total evictions across all tables (the telemetry fold).
-    pub fn total_evictions(&self) -> u64 {
-        self.slots.iter().map(|s| s.evictions.get()).sum()
-    }
-
     /// The installed entries of a table, in install order (empty slice when
     /// the table is unknown). The state-snapshot capture path.
     pub fn entries(&self, table: &str) -> &[TableEntry] {

@@ -54,14 +54,6 @@ impl TofinoProfile {
         }
     }
 
-    /// A 4-pipeline variant (Tofino 64Q-class), used by placement ablations.
-    pub fn four_pipeline() -> Self {
-        TofinoProfile {
-            pipelines: 4,
-            ..Self::wedge_100b_32x()
-        }
-    }
-
     /// A deliberately tiny profile for unit tests (2 pipelines, 4 stages).
     pub fn tiny() -> Self {
         TofinoProfile {

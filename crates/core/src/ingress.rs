@@ -11,7 +11,7 @@
 //!
 //! | Adapter | Returns | Use when |
 //! |---|---|---|
-//! | [`Switch::inject`] | [`Traversal`] | You want the full per-packet story: events (at [`TraceLevel::Full`](dejavu_asic::TraceLevel)), disposition, final bytes, latency, recirculations, mirror copies. The default. |
+//! | [`Switch::inject`] | [`Traversal`] | You want the full per-packet story: events (at [`TraceLevel::Full`](dejavu_asic::TraceLevel): fixed-size id records, names looked up when read, so a traced Fig. 9 packet makes 3 allocations on an 18-table path as on a 12-table one), disposition, final bytes, latency, recirculations, mirror copies. The default. |
 //! | [`Switch::inject_buf`] | [`BufOutcome`] | The same walk, no trace: your buffer in, final bytes out, zero allocations once warm. Mirror copies queue for [`Switch::drain_mirrored`]. |
 //! | [`Switch::inject_batch`] | [`BatchStats`] | `inject_buf` over a slice: aggregate tallies only, per-packet errors counted not raised. |
 //!

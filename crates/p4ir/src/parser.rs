@@ -255,14 +255,6 @@ impl ParserDag {
         }
     }
 
-    /// All distinct `(header_type, offset)` vertex identities in the DAG.
-    pub fn vertex_keys(&self) -> Vec<(String, u32)> {
-        self.nodes
-            .iter()
-            .map(|n| (n.header_type.clone(), n.offset))
-            .collect()
-    }
-
     /// Maximum byte consumed by any vertex (parser window requirement).
     pub fn max_depth_bytes(&self, headers: &impl HeaderCatalog) -> u32 {
         self.nodes

@@ -55,40 +55,30 @@ pub struct TestCase {
 }
 
 impl TestCase {
-    /// A case expecting emission on `port`.
-    pub fn expect_port(name: &str, in_port: PortId, packet: Vec<u8>, port: PortId) -> Self {
+    fn new(name: &str, in_port: PortId, packet: Vec<u8>, expect: Expect) -> Self {
         TestCase {
             name: name.to_string(),
             in_port,
             packet,
-            expect: Expect::Emitted { port },
+            expect,
             packet_checks: Vec::new(),
             traversal_checks: Vec::new(),
         }
+    }
+
+    /// A case expecting emission on `port`.
+    pub fn expect_port(name: &str, in_port: PortId, packet: Vec<u8>, port: PortId) -> Self {
+        TestCase::new(name, in_port, packet, Expect::Emitted { port })
     }
 
     /// A case expecting a drop.
     pub fn expect_drop(name: &str, in_port: PortId, packet: Vec<u8>) -> Self {
-        TestCase {
-            name: name.to_string(),
-            in_port,
-            packet,
-            expect: Expect::Dropped,
-            packet_checks: Vec::new(),
-            traversal_checks: Vec::new(),
-        }
+        TestCase::new(name, in_port, packet, Expect::Dropped)
     }
 
     /// A case expecting a CPU punt.
     pub fn expect_cpu(name: &str, in_port: PortId, packet: Vec<u8>) -> Self {
-        TestCase {
-            name: name.to_string(),
-            in_port,
-            packet,
-            expect: Expect::ToCpu,
-            packet_checks: Vec::new(),
-            traversal_checks: Vec::new(),
-        }
+        TestCase::new(name, in_port, packet, Expect::ToCpu)
     }
 
     /// Adds a byte-level check.
@@ -475,9 +465,10 @@ pub fn run_suite(switch: &mut Switch, cases: Vec<TestCase>) -> PtfReport {
 /// [`ExecMode::Reference`] (the tree-walking oracle) and once with
 /// [`ExecMode::Compiled`] (the fast path) — and each case additionally
 /// fails if the two engines disagree on the traversal (disposition, final
-/// bytes, events, recirculation/resubmission counts). The returned report
-/// is the compiled run, with divergence failures folded in; `switch`
-/// itself is left untouched.
+/// bytes, events, recirculation/resubmission counts), naming the first
+/// difference: the event (both rendered by name), the byte, or the counts.
+/// The returned report is the compiled run, with divergence failures folded
+/// in; `switch` itself is left untouched.
 pub fn run_suite_differential(switch: &Switch, cases: Vec<TestCase>) -> PtfReport {
     let mut reference = switch.clone();
     reference.set_exec_mode(ExecMode::Reference);
@@ -491,10 +482,7 @@ pub fn run_suite_differential(switch: &Switch, cases: Vec<TestCase>) -> PtfRepor
         if result.failure.is_none() {
             match (&result.traversal, &ref_result.traversal) {
                 (Some(c), Some(r)) if c != r => {
-                    result.failure = Some(format!(
-                        "engines diverge: compiled {:?}, reference {:?}",
-                        c.disposition, r.disposition
-                    ));
+                    result.failure = Some(format!("engines diverge: {}", divergence(c, r)));
                 }
                 (Some(_), None) | (None, Some(_)) => {
                     result.failure = Some(
@@ -510,6 +498,33 @@ pub fn run_suite_differential(switch: &Switch, cases: Vec<TestCase>) -> PtfRepor
         report.results.push(result);
     }
     report
+}
+
+/// The first way two traversals of one packet differ: an event (both
+/// rendered by name), a byte of `final_bytes`, or else the counts.
+fn divergence(c: &Traversal, r: &Traversal) -> String {
+    let event = |t: &Traversal, i: usize| {
+        let rendered = t.events.get(i).map(|e| t.render(e).trim().to_string());
+        rendered.unwrap_or("no event".into())
+    };
+    let events = c.events.len().max(r.events.len());
+    if let Some(i) = (0..events).find(|&i| event(c, i) != event(r, i)) {
+        let (c, r) = (event(c, i), event(r, i));
+        return format!("event {i}: compiled `{c}`, reference `{r}`");
+    }
+    let (cb, rb) = (&c.final_bytes, &r.final_bytes);
+    if let Some(at) = (0..cb.len().max(rb.len())).find(|&i| cb.get(i) != rb.get(i)) {
+        return format!("final_bytes differ first at byte {at}");
+    }
+    let counts = |t: &Traversal| {
+        let mirrored = t.mirrored.len();
+        let (recirc, resub, ns) = (t.recirculations, t.resubmissions, t.latency_ns);
+        format!(
+            "{:?}, {recirc} recirc, {resub} resub, {mirrored} mirrored, {ns} ns",
+            t.disposition
+        )
+    };
+    format!("compiled {}, reference {}", counts(c), counts(r))
 }
 
 fn run_case(switch: &mut Switch, case: &TestCase) -> CaseResult {
@@ -571,7 +586,7 @@ fn run_case(switch: &mut Switch, case: &TestCase) -> CaseResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dejavu_asic::{PipeletId, TofinoProfile};
+    use dejavu_asic::{PipeletId, TofinoProfile, TraceEvent};
     use dejavu_p4ir::builder::*;
     use dejavu_p4ir::table::{KeyMatch, TableEntry};
     use dejavu_p4ir::well_known;
@@ -680,6 +695,28 @@ mod tests {
         // The original switch is untouched: counters are still zero.
         let c = sw.tables(PipeletId::ingress(0)).unwrap().counters("l2");
         assert_eq!(c.hits + c.misses, 0);
+    }
+
+    #[test]
+    fn a_divergence_names_the_first_event_that_differs() {
+        let mut sw = l2_switch();
+        let real = sw
+            .inject(InjectedPacket::new(eth_packet(0xaabb), 0))
+            .unwrap();
+        let mut flipped = real.clone();
+        let i = flipped
+            .events
+            .iter()
+            .position(|e| matches!(e, TraceEvent::Table { .. }))
+            .unwrap();
+        if let TraceEvent::Table { event, .. } = &mut flipped.events[i] {
+            event.hit = !event.hit;
+        }
+        assert_ne!(flipped, real);
+        let message = divergence(&flipped, &real);
+        assert!(message.starts_with(&format!("event {i}: ")), "{message}");
+        assert!(message.contains("`l2: miss -> fwd`"), "{message}");
+        assert!(message.contains("`l2: hit  -> fwd`"), "{message}");
     }
 
     #[test]

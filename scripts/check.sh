@@ -125,6 +125,19 @@ if [ "$(printf '%s\n' "$policy_maps" | grep -c .)" -ne 1 ] ||
     exit 1
 fi
 
+# One-trace-record gate: a trace is ids, not strings. `TraceEvent` and the
+# record both engines store per table applied (`TableEvent`) name no
+# `String`; a table's and an action's names are looked up only when a trace
+# is rendered (`Traversal::render`, `ExecScratch::events`). Both definitions
+# must be found, so a rename cannot pass the gate by matching nothing.
+trace_records=$(awk '/^pub enum TraceEvent \{/, /^\}/' crates/asic/src/switch.rs
+    awk '/^pub struct TableEvent \{/, /^\}/' crates/asic/src/interp.rs)
+if [ "$(printf '%s\n' "$trace_records" | grep -c '^pub ')" -ne 2 ] ||
+    printf '%s\n' "$trace_records" | grep -n 'String'; then
+    echo "a trace event carries names again (see DESIGN.md, Tracing, batching and replay)" >&2
+    exit 1
+fi
+
 # Fixed-size-hop gate: a packet's in-band flight record is one fixed-size
 # hop per member (switch, latency, recirculations, resubmissions), and a
 # worker forwards on the zero-allocation `inject_buf` walk. Table names

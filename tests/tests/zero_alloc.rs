@@ -15,12 +15,16 @@
 //! allocate (frames, channel slots, the delivery), but what a member runs
 //! adds nothing to it: the inline driver runs on the test's thread, so its
 //! allocations per flight are counted and compared across members that run
-//! one marker NF and three. The deploy path is held in counts too:
+//! one marker NF and three. A traced `inject` allocates, but not per table:
+//! a full trace of the Fig. 9 chain's path 1 (18 tables) costs the same
+//! allocations as path 3's (12). The deploy path is held in counts too:
 //! validating a composed Fig. 2 pipelet touches no heap, and one Fig. 2
 //! `deploy` (merge, compose, validate, lint, analyze, allocate, load, route)
 //! stays under a fixed allocation budget.
 
-use dejavu_asic::{Gress, InjectedPacket, PipeletId, PortId, Switch, TofinoProfile};
+use dejavu_asic::{
+    ExecMode, Gress, InjectedPacket, PipeletId, PortId, Switch, TofinoProfile, TraceLevel,
+};
 use dejavu_core::compose::{compose_pipelet, PipeletPlan, PlannedNf};
 use dejavu_core::deploy::{deploy, DeployOptions};
 use dejavu_core::merge::merge_programs;
@@ -174,6 +178,50 @@ fn fig9_encap_and_decap_allocate_nothing_at_every_frame_size() {
         a, 0.0,
         "fig9 chain at 64 / 576 / 1 500 bytes: allocations per packet"
     );
+}
+
+/// Heap allocations of one warm traced `inject` of `packet` (the test's own
+/// copy of the packet included), and the tables the packet applied.
+fn allocs_per_traced_inject(sw: &mut Switch, packet: &[u8]) -> (u64, usize) {
+    let mut inject = || {
+        sw.inject(InjectedPacket::new(packet.to_vec(), IN_PORT))
+            .expect("packet walks")
+    };
+    inject();
+    let before = ALLOCS.with(Cell::get);
+    let t = black_box(inject());
+    let allocs = ALLOCS.with(Cell::get) - before;
+    (allocs, t.tables_applied().len())
+}
+
+#[test]
+fn a_traced_inject_allocates_the_same_whatever_its_tables() {
+    // A trace event is a fixed-size id record and the names stay with the
+    // programs, so a full trace of path 1 costs what path 3's does, and
+    // nothing per table: the test's packet copy, the packet buffer the
+    // `Traversal` took away regrowing in the switch, and the event log
+    // copied out. Events that carried two name strings each cost 42 and 30.
+    let (mut sw, dep) = fig9_testbed();
+    sw.set_exec_mode(ExecMode::Compiled);
+    sw.set_trace_level(TraceLevel::Full);
+    let path1 = chain_packet(1, 0xc633_6450, 80);
+    let tuple = five_tuple_of(&path1).expect("path-1 packet has a five-tuple");
+    dep.install(
+        &mut sw,
+        "lb",
+        SESSION_TABLE,
+        session_entry_for(&tuple, 0x0a63_0001),
+    )
+    .expect("LB session installs");
+    let (long, long_tables) = allocs_per_traced_inject(&mut sw, &path1);
+    let (short, short_tables) =
+        allocs_per_traced_inject(&mut sw, &chain_packet(3, 0xc633_6450, 80));
+    assert_eq!((long_tables, short_tables), (18, 12), "tables applied");
+    assert_eq!(
+        long, short,
+        "allocations per traced inject, path 1 vs path 3"
+    );
+    assert!(long <= 3, "a traced inject: {long} allocations");
 }
 
 /// Allocations over 64 flights through a two-switch inline cluster with
