@@ -10,7 +10,9 @@
 //!
 //! It emits into the shared framework of [`crate::lint`] — same registry,
 //! same [`LintConfig`], same [`LintReport`] — and owns only the domain
-//! ([`AbstractValue`], [`Tri`]) and the walk:
+//! ([`AbstractValue`], [`Tri`]) and its hooks; the walk over the parser
+//! and the control flow is the one the structural pass runs too (the
+//! crate-private `walk` module):
 //!
 //! * **`DJV201` value truncation** — an assignment (or register access)
 //!   whose value may exceed the destination's width. Intentional narrowing
@@ -34,10 +36,11 @@ use crate::action::{ActionDef, Expr, PrimitiveOp};
 use crate::control::{BoolExpr, CmpOp, Stmt};
 use crate::header::{FieldRef, FieldView, HeaderType};
 use crate::lint::{Diagnostic, LintCode, LintConfig, LintReport};
-use crate::parser::{Target, Transition};
+use crate::parser::{ParseNode, Transition};
 use crate::program::{Program, STANDARD_METADATA};
-use crate::table::{KeyMatch, TableDef, TableKey};
+use crate::table::{KeyMatch, TableDef};
 use crate::value::{mask_for, Value};
+use crate::walk::{walk, Domain, Step, Trail};
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -459,15 +462,6 @@ fn join_envs(a: &Env, b: &Env) -> Env {
     Env(out)
 }
 
-/// Folds one more path exit into `exits` (the first one as is, each later
-/// one joined in).
-fn join_into(exits: &mut Option<Env>, exit: Env) {
-    *exits = Some(match exits.take() {
-        Some(acc) => join_envs(&acc, &exit),
-        None => exit,
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Expression / condition evaluation and refinement
 // ---------------------------------------------------------------------------
@@ -496,7 +490,7 @@ impl fmt::Display for ShowExpr<'_> {
 }
 
 /// Compact source-like rendering of a condition for messages.
-struct ShowBool<'a>(&'a BoolExpr);
+pub(crate) struct ShowBool<'a>(pub &'a BoolExpr);
 
 impl fmt::Display for ShowBool<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -520,57 +514,6 @@ impl fmt::Display for ShowBool<'_> {
     }
 }
 
-/// One step of the path that led the walk to a point: borrowed from the
-/// program while walking, rendered only into a diagnostic's witness.
-#[derive(Debug, Clone, Copy)]
-enum Step<'a> {
-    /// A parser vertex, `header@offset`.
-    Vertex(&'a str, u32),
-    /// A select case taken.
-    Case(Value),
-    /// A select's default taken.
-    Default,
-    /// The control the walk starts in.
-    Control(&'a str),
-    /// A table applied.
-    Apply(&'a str),
-    /// An `ApplySelect` arm taken.
-    Arm(&'a str),
-    /// An `ApplySelect`'s default taken.
-    ArmDefault,
-    /// A gateway's then-branch taken.
-    Then(&'a BoolExpr),
-    /// A gateway's else-branch taken.
-    Else(&'a BoolExpr),
-    /// An action invoked directly.
-    Do(&'a str),
-    /// A control called.
-    Call(&'a str),
-    /// The action the value pass evaluates.
-    Action(&'a str),
-}
-
-impl fmt::Display for Step<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Step::Vertex(header, offset) => write!(f, "{header}@{offset}"),
-            Step::Case(v) => write!(f, "case {v}"),
-            Step::Default => f.write_str("default"),
-            Step::Control(name) => write!(f, "control {name}"),
-            Step::Apply(table) => write!(f, "apply {table}"),
-            Step::Arm(action) => write!(f, "arm {action}"),
-            Step::ArmDefault => f.write_str("arm default"),
-            Step::Then(cond) => write!(f, "if {} [then]", ShowBool(cond)),
-            Step::Else(cond) => write!(f, "if {} [else]", ShowBool(cond)),
-            Step::Do(action) => write!(f, "do {action}"),
-            Step::Call(control) => write!(f, "call {control}"),
-            Step::Action(action) => write!(f, "action {action}"),
-        }
-    }
-}
-
-const MAX_DEPTH: usize = 64;
-
 struct Analyzer<'a> {
     program: &'a Program,
     config: &'a LintConfig,
@@ -579,6 +522,13 @@ struct Analyzer<'a> {
     /// Every field any action in the program writes (for DJV204 guard
     /// mutability).
     writers: Vec<FieldView<'a>>,
+    /// The join of the environments at every accept reached so far: the
+    /// entry environment once the parser walk is done.
+    accepted: Option<Env>,
+    /// Header types parsed more than once on some path — their refinements
+    /// are ambiguous between instances, so they are dropped from the entry
+    /// environment.
+    poisoned: Vec<&'a str>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -593,6 +543,8 @@ impl<'a> Analyzer<'a> {
             report: LintReport::default(),
             fields: Fields::new(program),
             writers,
+            accepted: None,
+            poisoned: Vec::new(),
         }
     }
 
@@ -663,12 +615,12 @@ impl<'a> Analyzer<'a> {
     /// to `truth`. `false` means the assumption contradicts the
     /// environment (which is then left half-refined, for the caller to
     /// drop).
-    fn assume(&self, cond: &BoolExpr, truth: bool, env: &mut Env) -> bool {
+    fn refine(&self, cond: &BoolExpr, truth: bool, env: &mut Env) -> bool {
         match cond {
-            BoolExpr::Not(a) => self.assume(a, !truth, env),
-            BoolExpr::And(a, b) if truth => self.assume(a, true, env) && self.assume(b, true, env),
+            BoolExpr::Not(a) => self.refine(a, !truth, env),
+            BoolExpr::And(a, b) if truth => self.refine(a, true, env) && self.refine(b, true, env),
             BoolExpr::Or(a, b) if !truth => {
-                self.assume(a, false, env) && self.assume(b, false, env)
+                self.refine(a, false, env) && self.refine(b, false, env)
             }
             BoolExpr::Cmp(a, op, b) => {
                 let eff = if truth { *op } else { negate_op(*op) };
@@ -703,17 +655,10 @@ impl<'a> Analyzer<'a> {
                 }
                 v = AbstractValue::exact(raw, cur.bits);
             }
-            CmpOp::Ne => {
-                if v.as_exact() == Some(raw) {
-                    return false;
-                }
-                if v.lo == raw {
-                    v.lo += 1;
-                }
-                if v.hi == raw && v.hi > 0 {
-                    v.hi -= 1;
-                }
-            }
+            CmpOp::Ne => match refine_ne(v, raw) {
+                Some(ne) => v = ne,
+                None => return false,
+            },
             CmpOp::Lt => {
                 if raw == 0 {
                     return false;
@@ -814,135 +759,6 @@ fn mirror_op(op: CmpOp) -> CmpOp {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Parser pass (DJV202 on select cases, entry-environment construction)
-// ---------------------------------------------------------------------------
-
-/// Per-run parser walk state.
-#[derive(Default)]
-struct ParserWalk<'a> {
-    /// The join of the environments at every Accept reached so far: the
-    /// entry environment once the walk is done.
-    accepted: Option<Env>,
-    /// Header types extracted on the current path.
-    parsed: Vec<&'a str>,
-    /// Header types parsed more than once on some path — their refinements
-    /// are ambiguous between instances, so they are dropped from the entry
-    /// environment.
-    poisoned: Vec<&'a str>,
-}
-
-impl<'a> Analyzer<'a> {
-    /// Walks every parser path: flags never-matching select cases
-    /// (`DJV202`) and returns the join of all accept-path environments — the
-    /// value facts that hold for every packet entering the control flow.
-    fn parser_pass(&mut self) -> Env {
-        let mut walk = ParserWalk::default();
-        if let Some(start) = self.program.parser.start {
-            self.visit_parser(start, Env::default(), &mut walk, &mut Vec::new(), 0);
-        }
-        let mut entry = walk.accepted.unwrap_or_default();
-        let fields = &self.fields;
-        entry
-            .0
-            .retain(|(id, _)| !walk.poisoned.contains(&fields.header(*id)));
-        entry
-    }
-
-    fn visit_parser(
-        &mut self,
-        target: Target,
-        mut env: Env,
-        walk: &mut ParserWalk<'a>,
-        path: &mut Vec<Step<'a>>,
-        depth: usize,
-    ) {
-        if depth > MAX_DEPTH {
-            return;
-        }
-        let node_idx = match target {
-            Target::Accept => {
-                join_into(&mut walk.accepted, env);
-                return;
-            }
-            Target::Reject => return,
-            Target::Node(i) => i,
-        };
-        let program = self.program;
-        let Some(node) = program.parser.nodes.get(node_idx) else {
-            return;
-        };
-        let ht_name = node.header_type.as_str();
-        let fresh = !walk.parsed.contains(&ht_name);
-        if fresh {
-            walk.parsed.push(ht_name);
-        } else if !walk.poisoned.contains(&ht_name) {
-            walk.poisoned.push(ht_name);
-        }
-        // Extracting a fresh instance invalidates prior refinements of this
-        // header type.
-        env.forget_header(&self.fields, ht_name);
-        path.push(Step::Vertex(ht_name, node.offset));
-        match &node.transition {
-            Transition::Unconditional(t) => {
-                self.visit_parser(*t, env, walk, path, depth + 1);
-            }
-            Transition::Select {
-                field,
-                cases,
-                default,
-            } => {
-                let bits = program
-                    .header_types
-                    .get(ht_name)
-                    .and_then(|ht| ht.field(field))
-                    .map(|f| f.bits)
-                    .unwrap_or(128);
-                let fr = FieldView::new(ht_name, field);
-                let id = self.fields.resolve(fr).expect("select fields are numbered");
-                let av = env
-                    .get(id)
-                    .copied()
-                    .unwrap_or_else(|| AbstractValue::top(bits));
-                let mut default_av = Some(av);
-                for (v, t) in cases {
-                    if !av.contains(v.raw()) {
-                        self.emit(
-                            LintCode::InfeasiblePath,
-                            &format!("{ht_name}@{}", node.offset),
-                            format!(
-                                "select case {v} on {ht_name}.{field} can never match \
-                                 (feasible range [{:#x}, {:#x}])",
-                                av.lo, av.hi
-                            ),
-                            path,
-                        );
-                        continue;
-                    }
-                    let mut env2 = env.clone();
-                    env2.insert(id, AbstractValue::exact(v.raw(), bits));
-                    path.push(Step::Case(*v));
-                    self.visit_parser(*t, env2, walk, path, depth + 1);
-                    path.pop();
-                    // The default (and later cases, conservatively kept at
-                    // the un-refined value) excludes this case's value.
-                    default_av = default_av.and_then(|d| refine_ne(d, v.raw()));
-                }
-                if let Some(d) = default_av {
-                    env.insert(id, d);
-                    path.push(Step::Default);
-                    self.visit_parser(*default, env, walk, path, depth + 1);
-                    path.pop();
-                }
-            }
-        }
-        path.pop();
-        if fresh {
-            walk.parsed.pop();
-        }
-    }
-}
-
 /// `av` with the single value `raw` excluded; `None` if that empties it.
 fn refine_ne(mut av: AbstractValue, raw: u128) -> Option<AbstractValue> {
     if av.as_exact() == Some(raw) {
@@ -965,303 +781,34 @@ fn refine_ne(mut av: AbstractValue, raw: u128) -> Option<AbstractValue> {
 // ---------------------------------------------------------------------------
 
 impl<'a> Analyzer<'a> {
-    fn control_pass(&mut self, entry_env: Env) {
-        let Some(entry) = self.program.entry_control() else {
-            return;
-        };
+    /// The fields guarding the point `steps` lead to, outermost first:
+    /// what each enclosing gateway reads and the keys of each table
+    /// applied on the way (an `ApplySelect`'s keys guard its arms, and the
+    /// table being applied is the last step).
+    fn guards(&self, steps: &[Step<'a>]) -> Vec<FieldView<'a>> {
         let mut guards = Vec::new();
-        let mut path = vec![Step::Control(&entry.name)];
-        self.walk_stmts(
-            &entry.body,
-            entry_env,
-            &entry.name,
-            &mut guards,
-            &mut path,
-            0,
-        );
-    }
-
-    fn walk_stmts(
-        &mut self,
-        stmts: &'a [Stmt],
-        mut env: Env,
-        control: &'a str,
-        guards: &mut Vec<FieldView<'a>>,
-        path: &mut Vec<Step<'a>>,
-        depth: usize,
-    ) -> Env {
-        if depth > MAX_DEPTH {
-            return env;
-        }
-        for stmt in stmts {
-            env = self.walk_stmt(stmt, env, control, guards, path, depth);
-        }
-        env
-    }
-
-    fn walk_stmt(
-        &mut self,
-        stmt: &'a Stmt,
-        env: Env,
-        control: &'a str,
-        guards: &mut Vec<FieldView<'a>>,
-        path: &mut Vec<Step<'a>>,
-        depth: usize,
-    ) -> Env {
-        match stmt {
-            Stmt::Apply(t) => {
-                path.push(Step::Apply(t));
-                let out = self.apply_table(t, env, guards, path);
-                path.pop();
-                out
-            }
-            Stmt::ApplySelect {
-                table,
-                arms,
-                default,
-            } => {
-                path.push(Step::Apply(table));
-                let joined = self.apply_table(table, env.clone(), guards, path);
-                let Some(tdef) = self.program.tables.get(table) else {
-                    path.pop();
-                    return joined;
-                };
-                // Arm bodies are control-dependent on the table outcome:
-                // its match keys guard them.
-                let outer = guards.len();
-                guards.extend(tdef.keys.iter().map(|k| FieldView::of(&k.field)));
-                let mut exits = None;
-                for (action, body) in arms {
-                    if !tdef.actions.contains(action) {
-                        self.emit(
-                            LintCode::InfeasiblePath,
-                            control,
-                            format!(
-                                "ApplySelect arm `{action}` on table {table} names an \
-                                 action the table can never run"
-                            ),
-                            path,
-                        );
-                        continue;
-                    }
-                    // In this arm, exactly `action` ran.
-                    let arm_env = self.apply_action(env.clone(), action);
-                    path.push(Step::Arm(action));
-                    let exit = self.walk_stmts(body, arm_env, control, guards, path, depth + 1);
-                    join_into(&mut exits, exit);
-                    path.pop();
+        for step in steps {
+            match step {
+                Step::Then(cond) | Step::Else(cond) => cond.for_each_read(&mut |g| guards.push(g)),
+                Step::Apply(table) => {
+                    let keys = self.program.tables.get(*table).map(|t| &t.keys[..]);
+                    let keys = keys.unwrap_or_default().iter();
+                    guards.extend(keys.map(|k| FieldView::of(&k.field)));
                 }
-                path.push(Step::ArmDefault);
-                let exit = self.walk_stmts(default, joined, control, guards, path, depth + 1);
-                join_into(&mut exits, exit);
-                path.pop();
-                guards.truncate(outer);
-                path.pop();
-                exits.unwrap_or_default()
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                let tri = self.eval_bool(cond, &env);
-                if tri == Tri::False && !then_branch.is_empty() {
-                    self.emit(
-                        LintCode::InfeasiblePath,
-                        control,
-                        format!("branch condition `{}` is always false", ShowBool(cond)),
-                        path,
-                    );
-                }
-                if tri == Tri::True && !else_branch.is_empty() {
-                    self.emit(
-                        LintCode::InfeasiblePath,
-                        control,
-                        format!(
-                            "else-branch of always-true condition `{}` never runs",
-                            ShowBool(cond)
-                        ),
-                        path,
-                    );
-                }
-                let outer = guards.len();
-                cond.for_each_read(&mut |fr| guards.push(fr));
-                let mut exits = None;
-                for (truth, branch, step) in [
-                    (true, then_branch, Step::Then(cond)),
-                    (false, else_branch, Step::Else(cond)),
-                ] {
-                    if tri == if truth { Tri::False } else { Tri::True } {
-                        continue;
-                    }
-                    let mut e = env.clone();
-                    if !self.assume(cond, truth, &mut e) {
-                        continue;
-                    }
-                    path.push(step);
-                    let exit = self.walk_stmts(branch, e, control, guards, path, depth + 1);
-                    join_into(&mut exits, exit);
-                    path.pop();
-                }
-                guards.truncate(outer);
-                exits.unwrap_or(env)
-            }
-            Stmt::Do(a) => {
-                path.push(Step::Do(a));
-                self.check_recirc_site(a, &[], &env, guards, path);
-                let out = self.apply_action(env, a);
-                path.pop();
-                out
-            }
-            Stmt::Call(c) => {
-                if let Some(cb) = self.program.controls.get(c) {
-                    path.push(Step::Call(c));
-                    let out = self.walk_stmts(&cb.body, env, &cb.name, guards, path, depth + 1);
-                    path.pop();
-                    out
-                } else {
-                    env
-                }
+                _ => {}
             }
         }
+        guards
     }
 
-    /// Applies a table: DJV203 entry satisfiability against the feasible key
-    /// values, DJV204 recirculation checks on every action the table may
-    /// run, then havocs the environment with the join of all actions.
-    fn apply_table(
-        &mut self,
-        table: &str,
-        env: Env,
-        guards: &[FieldView<'_>],
-        path: &[Step<'_>],
-    ) -> Env {
-        let Some(tdef) = self.program.tables.get(table) else {
-            return env;
-        };
-        self.check_entries(tdef, &env, path);
-        let mut exits = None;
-        for action in &tdef.actions {
-            self.check_recirc_site(action, &tdef.keys, &env, guards, path);
-            join_into(&mut exits, self.apply_action(env.clone(), action));
-        }
-        exits.unwrap_or(env)
-    }
-
-    /// DJV203: every configured entry pattern must be matchable by some
-    /// feasible key value.
-    fn check_entries(&mut self, tdef: &TableDef, env: &Env, path: &[Step<'_>]) {
-        let config = self.config;
-        let Some(patterns) = config.entries.get(&tdef.name) else {
-            return;
-        };
-        for (i, pattern) in patterns.iter().enumerate() {
-            if pattern.len() != tdef.keys.len() {
-                self.emit(
-                    LintCode::UnmatchableEntry,
-                    &tdef.name,
-                    format!(
-                        "installed entry {i} has {} key match(es), table has {} key(s)",
-                        pattern.len(),
-                        tdef.keys.len()
-                    ),
-                    path,
-                );
-                continue;
-            }
-            for (km, key) in pattern.iter().zip(&tdef.keys) {
-                let (id, width) = self.fields.lookup(FieldView::of(&key.field));
-                let bits = width.unwrap_or(128);
-                let av = id
-                    .and_then(|id| env.get(id))
-                    .copied()
-                    .unwrap_or_else(|| AbstractValue::top(bits));
-                if !may_match(&av, km, bits) {
-                    self.emit(
-                        LintCode::UnmatchableEntry,
-                        &tdef.name,
-                        format!(
-                            "installed entry {i} can never match: key {} is confined to \
-                             [{:#x}, {:#x}], outside the entry's match set",
-                            key.field, av.lo, av.hi
-                        ),
-                        path,
-                    );
-                    break;
-                }
-            }
-        }
-    }
-
-    /// DJV204: a `Set` of the resubmit/recirculate flag must sit behind a
-    /// guard — the owning table's keys or an enclosing `if` — and some
-    /// action in the program must be able to change that guard, or the
-    /// packet loops forever.
-    fn check_recirc_site(
-        &mut self,
-        action: &str,
-        table_keys: &[TableKey],
-        env: &Env,
-        guards: &[FieldView<'_>],
-        path: &[Step<'_>],
-    ) {
-        let Some(adef) = self.program.actions.get(action) else {
-            return;
-        };
-        let all_guards = || {
-            let keys = table_keys.iter().map(|k| FieldView::of(&k.field));
-            guards.iter().copied().chain(keys)
-        };
-        for op in &adef.ops {
-            let PrimitiveOp::Set { dst, value } = op else {
-                continue;
-            };
-            if !dst.is_meta() || (dst.field != "resubmit_flag" && dst.field != "recirc_flag") {
-                continue;
-            }
-            if !self.eval(value, env, Some(adef)).may_be_nonzero() {
-                continue; // provably clears the flag
-            }
-            if all_guards().next().is_none() {
-                self.emit(
-                    LintCode::UnboundedRecirc,
-                    action,
-                    format!(
-                        "action {action} sets {dst} with no guarding condition or \
-                         table key: every pass resubmits again, unboundedly"
-                    ),
-                    path,
-                );
-                continue;
-            }
-            let mutable = all_guards().any(|g| self.writers.iter().any(|w| g.overlaps(*w)));
-            if !mutable {
-                let names: Vec<String> = all_guards().map(|g| g.to_string()).collect();
-                self.emit(
-                    LintCode::UnboundedRecirc,
-                    action,
-                    format!(
-                        "action {action} sets {dst} but no action in the program writes \
-                         any guard field ({}): the resubmit condition can never change",
-                        names.join(", ")
-                    ),
-                    path,
-                );
-            }
-        }
-    }
-
-    /// Abstract effect of running `action` with unknown (top) parameters.
-    fn apply_action(&self, mut env: Env, action: &str) -> Env {
-        let Some(adef) = self.program.actions.get(action) else {
-            return env;
-        };
+    /// Abstract effect of running `adef` with unknown (top) parameters.
+    fn apply_action(&self, env: &mut Env, adef: &ActionDef) {
         let fields = &self.fields;
         for op in &adef.ops {
             match op {
                 PrimitiveOp::Set { dst, value } => {
                     if let (Some(id), Some(w)) = fields.lookup(FieldView::of(dst)) {
-                        let av = self.eval(value, &env, Some(adef)).resize(w);
+                        let av = self.eval(value, env, Some(adef)).resize(w);
                         env.insert(id, av);
                     }
                 }
@@ -1291,7 +838,6 @@ impl<'a> Analyzer<'a> {
                 | PrimitiveOp::NoOp => {}
             }
         }
-        env
     }
 
     /// DJV201: every action, evaluated with unconstrained inputs — an
@@ -1375,6 +921,243 @@ impl<'a> Analyzer<'a> {
     }
 }
 
+/// The value pass as a domain of the verifier's walk. It prunes what it
+/// proves cannot run: a select case outside the field's feasible values,
+/// an `if` branch against a definite truth or contradicting the path's
+/// refinements (both pruned: the state before the `if` flows on), and an
+/// `ApplySelect` arm for an action the table does not list (`DJV202`). An
+/// arm starts from the state before the table with its action applied,
+/// the default from the table's joined exit, and a table runs only the
+/// actions it lists.
+impl<'a> Domain<'a> for Analyzer<'a> {
+    type Path = Env;
+    type State = Env;
+    const UNLISTED_MISS: bool = false;
+
+    /// Extracting a fresh instance invalidates prior refinements of this
+    /// header type; a second one on the path poisons it.
+    fn vertex(&mut self, node: &'a ParseNode, env: &mut Env, trail: &Trail<'a>) {
+        let header = node.header_type.as_str();
+        let again = trail.vertices().any(|n| n.header_type == header);
+        if again && !self.poisoned.contains(&header) {
+            self.poisoned.push(header);
+        }
+        env.forget_header(&self.fields, header);
+    }
+
+    /// A case pins the field to its value; the default (and, conservatively
+    /// kept at the un-refined value, every later case) excludes it.
+    fn case(
+        &mut self,
+        node: &'a ParseNode,
+        field: &'a str,
+        value: Value,
+        pre: &Env,
+        rest: &mut Option<Env>,
+        trail: &Trail<'a>,
+    ) -> Option<Env> {
+        let header = node.header_type.as_str();
+        let (id, bits) = self.fields.lookup(FieldView::new(header, field));
+        let (id, bits) = (id.expect("select fields are numbered"), bits.unwrap_or(128));
+        let value_in = |env: &Env| env.get(id).copied().unwrap_or(AbstractValue::top(bits));
+        let av = value_in(pre);
+        if !av.contains(value.raw()) {
+            self.emit(
+                LintCode::InfeasiblePath,
+                &format!("{header}@{}", node.offset),
+                format!(
+                    "select case {value} on {header}.{field} can never match \
+                     (feasible range [{:#x}, {:#x}])",
+                    av.lo, av.hi
+                ),
+                &trail.steps,
+            );
+            return None;
+        }
+        if let Some(env) = rest {
+            match refine_ne(value_in(env), value.raw()) {
+                Some(d) => env.insert(id, d),
+                None => *rest = None,
+            }
+        }
+        let mut env = pre.clone();
+        env.insert(id, AbstractValue::exact(value.raw(), bits));
+        Some(env)
+    }
+
+    fn accept(&mut self, env: Env, _: &Trail<'a>) {
+        self.accepted = Some(match self.accepted.take() {
+            Some(acc) => join_envs(&acc, &env),
+            None => env,
+        });
+    }
+
+    /// The value facts that hold for every packet entering the control
+    /// flow: the join over the accept paths, poisoned headers forgotten.
+    fn entry(&mut self) -> Env {
+        let mut entry = self.accepted.take().unwrap_or_default();
+        entry
+            .0
+            .retain(|(id, _)| !self.poisoned.contains(&self.fields.header(*id)));
+        entry
+    }
+
+    fn join(&self, acc: &mut Env, other: Env) {
+        *acc = join_envs(acc, &other);
+    }
+
+    /// Flags a branch a definite truth makes dead (`DJV202`), and prunes
+    /// it and a branch whose condition contradicts the environment.
+    fn gateway(
+        &mut self,
+        cond: &'a BoolExpr,
+        [then_branch, else_branch]: [&'a [Stmt]; 2],
+        env: &Env,
+        trail: &Trail<'a>,
+    ) -> [Option<Env>; 2] {
+        let tri = self.eval_bool(cond, env);
+        let cond_text = ShowBool(cond);
+        let dead = match tri {
+            Tri::False if !then_branch.is_empty() => {
+                Some(format!("branch condition `{cond_text}` is always false"))
+            }
+            Tri::True if !else_branch.is_empty() => Some(format!(
+                "else-branch of always-true condition `{cond_text}` never runs"
+            )),
+            _ => None,
+        };
+        if let Some(message) = dead {
+            let control = trail.control();
+            self.emit(LintCode::InfeasiblePath, control, message, &trail.steps);
+        }
+        [(true, Tri::False), (false, Tri::True)].map(|(truth, against)| {
+            let mut env = env.clone();
+            (tri != against && self.refine(cond, truth, &mut env)).then_some(env)
+        })
+    }
+
+    /// DJV203: every configured entry pattern must be matchable by some
+    /// feasible key value.
+    fn table(&mut self, tdef: &'a TableDef, env: &Env, trail: &Trail<'a>) {
+        let path = &trail.steps;
+        let config = self.config;
+        let Some(patterns) = config.entries.get(&tdef.name) else {
+            return;
+        };
+        for (i, pattern) in patterns.iter().enumerate() {
+            if pattern.len() != tdef.keys.len() {
+                self.emit(
+                    LintCode::UnmatchableEntry,
+                    &tdef.name,
+                    format!(
+                        "installed entry {i} has {} key match(es), table has {} key(s)",
+                        pattern.len(),
+                        tdef.keys.len()
+                    ),
+                    path,
+                );
+                continue;
+            }
+            for (km, key) in pattern.iter().zip(&tdef.keys) {
+                let (id, width) = self.fields.lookup(FieldView::of(&key.field));
+                let bits = width.unwrap_or(128);
+                let av = id
+                    .and_then(|id| env.get(id))
+                    .copied()
+                    .unwrap_or_else(|| AbstractValue::top(bits));
+                if !may_match(&av, km, bits) {
+                    self.emit(
+                        LintCode::UnmatchableEntry,
+                        &tdef.name,
+                        format!(
+                            "installed entry {i} can never match: key {} is confined to \
+                             [{:#x}, {:#x}], outside the entry's match set",
+                            key.field, av.lo, av.hi
+                        ),
+                        path,
+                    );
+                    break;
+                }
+            }
+        }
+    }
+
+    /// DJV204, then the action's effect: a `Set` of the resubmit/recirculate
+    /// flag must sit behind a guard — an enclosing `if`, or the keys of a
+    /// table applying the action or enclosing it by an `ApplySelect` arm —
+    /// and some action in the program must be able to change that guard,
+    /// or the packet loops forever.
+    fn action(&mut self, adef: &'a ActionDef, env: &mut Env, trail: &Trail<'a>) {
+        let action = adef.name.as_str();
+        let mut guards = None;
+        for op in &adef.ops {
+            let PrimitiveOp::Set { dst, value } = op else {
+                continue;
+            };
+            if !dst.is_meta() || (dst.field != "resubmit_flag" && dst.field != "recirc_flag") {
+                continue;
+            }
+            if !self.eval(value, env, Some(adef)).may_be_nonzero() {
+                continue; // provably clears the flag
+            }
+            let guards = guards.get_or_insert_with(|| self.guards(&trail.steps));
+            let message = if guards.is_empty() {
+                format!(
+                    "action {action} sets {dst} with no guarding condition or table key: \
+                     every pass resubmits again, unboundedly"
+                )
+            } else if !guards
+                .iter()
+                .any(|g| self.writers.iter().any(|w| g.overlaps(*w)))
+            {
+                let names: Vec<String> = guards.iter().map(|g| g.to_string()).collect();
+                format!(
+                    "action {action} sets {dst} but no action in the program writes any \
+                     guard field ({}): the resubmit condition can never change",
+                    names.join(", ")
+                )
+            } else {
+                continue;
+            };
+            self.emit(LintCode::UnboundedRecirc, action, message, &trail.steps);
+        }
+        self.apply_action(env, adef);
+    }
+
+    fn arm(
+        &mut self,
+        table: Option<&'a TableDef>,
+        action: Option<&'a str>,
+        pre: &Env,
+        post: &Env,
+        trail: &Trail<'a>,
+    ) -> Option<Env> {
+        let table = table?;
+        let Some(action) = action else {
+            return Some(post.clone());
+        };
+        if !table.actions.iter().any(|a| a == action) {
+            self.emit(
+                LintCode::InfeasiblePath,
+                trail.control(),
+                format!(
+                    "ApplySelect arm `{action}` on table {} names an action the \
+                     table can never run",
+                    table.name
+                ),
+                &trail.steps,
+            );
+            return None;
+        }
+        // In this arm, exactly `action` ran.
+        let mut env = pre.clone();
+        if let Some(def) = self.program.actions.get(action) {
+            self.apply_action(&mut env, def);
+        }
+        Some(env)
+    }
+}
+
 /// Can any value in `av` satisfy the entry's match specification?
 /// Conservative toward "yes".
 fn may_match(av: &AbstractValue, km: &KeyMatch, bits: u16) -> bool {
@@ -1422,9 +1205,8 @@ pub fn check(program: &Program) -> LintReport {
 /// Analyzes a program under an explicit configuration.
 pub fn check_with_config(program: &Program, config: &LintConfig) -> LintReport {
     let mut analyzer = Analyzer::new(program, config);
-    let entry_env = analyzer.parser_pass();
+    walk(program, &mut analyzer);
     analyzer.value_pass();
-    analyzer.control_pass(entry_env);
     let mut report = analyzer.report;
     report.sort();
     report
@@ -1436,8 +1218,8 @@ mod tests {
     use crate::control::ControlBlock;
     use crate::header::{fref, HeaderType};
     use crate::lint::Severity;
-    use crate::parser::ParseNode;
-    use crate::table::{MatchKind, RegisterDef};
+    use crate::parser::{ParseNode, Target};
+    use crate::table::{MatchKind, RegisterDef, TableKey};
     use std::collections::BTreeSet;
 
     /// One header `h { wide:32, f:8 }`, meta `m:8`, single-node parser.

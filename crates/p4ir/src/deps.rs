@@ -94,8 +94,9 @@ pub(crate) enum Part {
 /// The tables a program's entry control applies, read the way the
 /// dependency graph and the verifier's cycle check (`DJV004`) both read
 /// them: in apply order, each with one footprint borrowed from the program,
-/// and which pairs sit in sibling branches. Tables are numbered by their
-/// position in [`TableFlow::order`].
+/// which pairs sit in sibling branches and which sit under another's
+/// `ApplySelect`. Tables are numbered by their position in
+/// [`TableFlow::order`].
 pub(crate) struct TableFlow<'a> {
     /// Tables in apply order, first application only (an undefined name
     /// included).
@@ -108,6 +109,9 @@ pub(crate) struct TableFlow<'a> {
     /// `exclusive[a * n + b]`: tables `a` and `b` are applied in sibling
     /// branches of one `ApplySelect` or `If`, so at most one runs per packet.
     exclusive: Vec<bool>,
+    /// `under[a * n + b]`: table `b` is applied inside an arm (or the
+    /// default) of table `a`'s `ApplySelect`.
+    under: Vec<bool>,
 }
 
 impl<'a> TableFlow<'a> {
@@ -149,10 +153,12 @@ impl<'a> TableFlow<'a> {
             fields,
             parts,
             exclusive: vec![false; n * n],
+            under: vec![false; n * n],
         };
         if let Some(entry) = program.entry_control() {
             let mut scratch = (Vec::new(), Vec::new());
-            flow.mark_exclusive(program, &entry.body, 0, &mut scratch);
+            let calls = &mut vec![entry.name.as_str()];
+            flow.mark_branches(program, &entry.body, calls, &mut scratch);
         }
         flow
     }
@@ -180,28 +186,34 @@ impl<'a> TableFlow<'a> {
         self.exclusive[a * self.order.len() + b]
     }
 
+    /// True when table `b` runs only after table `a`'s `ApplySelect` chose
+    /// the arm it is in.
+    pub fn under(&self, a: usize, b: usize) -> bool {
+        self.under[a * self.order.len() + b]
+    }
+
     /// Marks the tables under different branches of every `ApplySelect`
-    /// and `If` reachable from `stmts` as exclusive. Sibling branches never
-    /// both execute, so they carry no data dependency and may share stages
-    /// — the stage-sharing behind the paper's parallel composition
+    /// and `If` reachable from `stmts` as exclusive, and every table under
+    /// an `ApplySelect`'s branches as under its table. Sibling branches
+    /// never both execute, so they carry no data dependency and may share
+    /// stages — the stage-sharing behind the paper's parallel composition
     /// ("Parallel composition allows multiple NFs to share the same
-    /// MAUs"). `scratch` holds the branches' tables and where each branch
-    /// ends in them.
-    fn mark_exclusive(
+    /// MAUs"). `calls` is the call stack ([`Program::callee`]); `scratch`
+    /// holds the branches' tables and where each branch ends in them.
+    fn mark_branches(
         &mut self,
         program: &'a Program,
         stmts: &'a [Stmt],
-        depth: usize,
+        calls: &mut Vec<&'a str>,
         scratch: &mut (Vec<usize>, Vec<usize>),
     ) {
-        if depth > 64 {
-            return;
-        }
         for stmt in stmts {
             match stmt {
                 Stmt::Call(c) => {
-                    if let Some(cb) = program.controls.get(c) {
-                        self.mark_exclusive(program, &cb.body, depth + 1, scratch);
+                    if let Some(cb) = program.callee(c, calls) {
+                        calls.push(&cb.name);
+                        self.mark_branches(program, &cb.body, calls, scratch);
+                        calls.pop();
                     }
                     continue;
                 }
@@ -212,12 +224,17 @@ impl<'a> TableFlow<'a> {
             tables.clear();
             ends.clear();
             for branch in stmt.branches() {
-                program.flatten(branch, depth, &mut |t| {
+                program.flatten(branch, calls, &mut |t| {
                     tables.extend(self.order.iter().position(|o| *o == t));
                 });
                 ends.push(tables.len());
             }
             let n = self.order.len();
+            if let Some(a) = stmt.applied_table().and_then(|t| self.position(t)) {
+                for &b in tables.iter() {
+                    self.under[a * n + b] = true;
+                }
+            }
             let mut start = 0;
             for &end in ends.iter() {
                 // This branch's tables against every later branch's.
@@ -231,7 +248,7 @@ impl<'a> TableFlow<'a> {
             }
             // Nested branches are exclusive among themselves too.
             for branch in stmt.branches() {
-                self.mark_exclusive(program, branch, depth, scratch);
+                self.mark_branches(program, branch, calls, scratch);
             }
         }
     }
@@ -255,8 +272,6 @@ impl DependencyGraph {
     /// Builds the graph for a program's entry control.
     pub fn build(program: &Program) -> DependencyGraph {
         let flow = TableFlow::new(program);
-        // Control-flow (successor) pairs: B nested under A's branch.
-        let successors = control_flow_pairs(program, &flow);
         let n = flow.order.len();
         let mut edges = Vec::new();
         for a in 0..n {
@@ -270,7 +285,7 @@ impl DependencyGraph {
                     DependencyKind::Match
                 } else if feeds(Part::Reads) || feeds(Part::Writes) {
                     DependencyKind::Action
-                } else if successors[a * n + b] {
+                } else if flow.under(a, b) {
                     DependencyKind::Successor
                 } else {
                     continue;
@@ -328,65 +343,6 @@ impl DependencyGraph {
             .find(|e| e.from == from && e.to == to)
             .map(|e| e.kind)
     }
-}
-
-/// `pairs[a * n + b]`, over the tables of `flow`: table `b` is applied
-/// inside a control-flow branch opened by table `a`'s `ApplySelect`.
-fn control_flow_pairs(program: &Program, flow: &TableFlow<'_>) -> Vec<bool> {
-    fn walk(
-        program: &Program,
-        flow: &TableFlow<'_>,
-        stmts: &[Stmt],
-        enclosing: &mut Vec<usize>,
-        pairs: &mut [bool],
-        depth: usize,
-    ) {
-        if depth > 64 {
-            return;
-        }
-        let n = flow.order.len();
-        for stmt in stmts {
-            match stmt {
-                Stmt::Apply(t) | Stmt::ApplySelect { table: t, .. } => {
-                    let b = flow.position(t);
-                    if let Some(b) = b {
-                        for &a in enclosing.iter() {
-                            pairs[a * n + b] = true;
-                        }
-                    }
-                    if let Stmt::ApplySelect { arms, default, .. } = stmt {
-                        let outer = enclosing.len();
-                        enclosing.extend(b);
-                        for (_, body) in arms {
-                            walk(program, flow, body, enclosing, pairs, depth);
-                        }
-                        walk(program, flow, default, enclosing, pairs, depth);
-                        enclosing.truncate(outer);
-                    }
-                }
-                Stmt::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    walk(program, flow, then_branch, enclosing, pairs, depth);
-                    walk(program, flow, else_branch, enclosing, pairs, depth);
-                }
-                Stmt::Do(_) => {}
-                Stmt::Call(c) => {
-                    if let Some(cb) = program.controls.get(c) {
-                        walk(program, flow, &cb.body, enclosing, pairs, depth + 1);
-                    }
-                }
-            }
-        }
-    }
-    let n = flow.order.len();
-    let mut pairs = vec![false; n * n];
-    if let Some(entry) = program.entry_control() {
-        walk(program, flow, &entry.body, &mut Vec::new(), &mut pairs, 0);
-    }
-    pairs
 }
 
 /// How a program touches one register array (via the `reg::<name>` pseudo-

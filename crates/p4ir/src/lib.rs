@@ -42,6 +42,7 @@ pub mod printer;
 pub mod program;
 pub mod table;
 pub mod value;
+mod walk;
 pub mod well_known;
 
 pub use action::{ActionDef, Expr, PrimitiveOp};

@@ -42,6 +42,9 @@
 //!   key, action operand, or `if` condition) with **no** potential write on
 //!   any reaching path. Standard platform metadata is hardware-initialized
 //!   and exempt.
+//!
+//!   Both are a domain of the walk the value pass runs too (the
+//!   crate-private `walk` module); this one prunes nothing.
 //! * **Structural checks**: mutual table dependencies that no stage order
 //!   can satisfy (`DJV004`), tables never applied from the entry control
 //!   (`DJV005`), controls unreachable from the entry (`DJV006`), ambiguous
@@ -52,9 +55,10 @@ use crate::action::{ActionDef, PrimitiveOp};
 use crate::control::{BoolExpr, Stmt};
 use crate::deps::{Part, TableFlow};
 use crate::header::FieldView;
-use crate::parser::{Target, Transition};
+use crate::parser::{ParseNode, Transition};
 use crate::program::{Program, STANDARD_METADATA};
-use crate::table::KeyMatch;
+use crate::table::{KeyMatch, TableDef};
+use crate::walk::{walk, Domain, Trail};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -495,7 +499,7 @@ pub fn check_with_config(program: &Program, config: &LintConfig) -> LintReport {
     let flow = TableFlow::new(program);
     checker.check_reachability(&flow);
     checker.check_dependency_cycles(&flow);
-    checker.check_dataflow();
+    walk(program, &mut checker);
     checker.report.sort();
     checker.report
 }
@@ -509,7 +513,7 @@ const WRITTEN: usize = 2;
 /// `width` words each. Headers are numbered by their position in the
 /// program's catalog, user metadata by its position among the declared
 /// names ([`Checker`]); a name outside both is never asked about.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct FlowState {
     /// [`GUARANTEED`]: headers valid on **every** path reaching this
     /// point. [`MAYBE`]: headers valid on **some** path reaching it.
@@ -539,26 +543,7 @@ impl FlowState {
             *word &= !(1 << (bit % 64));
         }
     }
-
-    /// Join of two branch exits: guaranteed meets, maybe/written join.
-    fn merge(&mut self, other: &FlowState) {
-        let (meet, join) = self.words.split_at_mut(self.width);
-        meet.iter_mut().zip(&other.words).for_each(|(w, o)| *w &= o);
-        join.iter_mut()
-            .zip(&other.words[self.width..])
-            .for_each(|(w, o)| *w |= o);
-    }
 }
-
-/// Folds one more branch exit into `exits`.
-fn merge_into(exits: &mut Option<FlowState>, exit: FlowState) {
-    match exits {
-        Some(acc) => acc.merge(&exit),
-        None => *exits = Some(exit),
-    }
-}
-
-const MAX_DEPTH: usize = 64;
 
 struct Checker<'a> {
     program: &'a Program,
@@ -569,8 +554,13 @@ struct Checker<'a> {
     /// Declared user metadata names, sorted and deduplicated: a field's
     /// bit is its position.
     meta: Vec<&'a str>,
-    /// Words per [`FlowState`] set.
-    width: usize,
+    /// The parser's sets so far: `maybe` every vertex the walk entered,
+    /// `guaranteed` the meet over the accept paths it finished.
+    parsed: FlowState,
+    /// True once a parser path reached accept.
+    accepted: bool,
+    /// Scratch for [`Domain::accept`]: the headers on one accept path.
+    on_path: Vec<u64>,
 }
 
 impl<'a> Checker<'a> {
@@ -590,7 +580,9 @@ impl<'a> Checker<'a> {
             report: LintReport::default(),
             headers,
             meta,
-            width,
+            parsed: FlowState::new(width),
+            accepted: false,
+            on_path: vec![0; width],
         }
     }
 
@@ -751,191 +743,168 @@ impl<'a> Checker<'a> {
     // Dataflow: header validity + metadata def-use
     // ------------------------------------------------------------------
 
-    fn check_dataflow(&mut self) {
-        let mut state = self.parser_sets();
-        let mut call_stack = Vec::new();
-        self.walk_control(&self.program.entry, &mut state, 0, &mut call_stack);
-    }
-
-    /// Guaranteed/maybe header sets at the end of parsing.
-    ///
-    /// `maybe` is every header on any start-reachable vertex; `guaranteed`
-    /// is the meet (set intersection) over all accept paths, computed by a
-    /// memoized walk of the DAG. Malformed cyclic parsers (rejected by
-    /// `validate`) terminate via an on-stack guard instead of panicking.
-    fn parser_sets(&self) -> FlowState {
-        let nodes = &self.program.parser.nodes;
-        let mut state = FlowState::new(self.width);
-        let start = match self.program.parser.start {
-            Some(Target::Node(i)) if i < nodes.len() => i,
-            _ => return state,
-        };
-        // Reachable sweep for `maybe`.
-        let mut stack = vec![start];
-        let mut visited = vec![false; nodes.len()];
-        while let Some(i) = stack.pop() {
-            if std::mem::replace(&mut visited[i], true) {
-                continue;
-            }
-            if let Some(bit) = self.header_bit(&nodes[i].header_type) {
-                state.put(MAYBE, bit, true);
-            }
-            stack.extend(nodes[i].transition.targets().filter_map(|t| match t {
-                Target::Node(j) if j < nodes.len() => Some(j),
-                _ => None,
-            }));
+    fn check_read(&mut self, state: &FlowState, fr: FieldView<'_>, entity: &str, context: &str) {
+        if fr.register {
+            return;
         }
-        // Meet over accept paths for `guaranteed`.
-        let mut memo = vec![None; nodes.len()];
-        let mut on_stack = vec![false; nodes.len()];
-        if let Some(set) = self.guaranteed_from(start, &mut memo, &mut on_stack) {
-            state.words[..self.width].copy_from_slice(&set);
-        }
-        state
-    }
-
-    /// Headers guaranteed valid on every accept path through node `idx`,
-    /// as [`FlowState`] words. `None` means no accept path exists below
-    /// this node.
-    fn guaranteed_from(
-        &self,
-        idx: usize,
-        memo: &mut [Option<Option<Vec<u64>>>],
-        on_stack: &mut [bool],
-    ) -> Option<Vec<u64>> {
-        if let Some(cached) = &memo[idx] {
-            return cached.clone();
-        }
-        if std::mem::replace(&mut on_stack[idx], true) {
-            return None; // cyclic parser: validate() rejects it separately
-        }
-        let nodes = &self.program.parser.nodes;
-        let mut meet: Option<Vec<u64>> = None;
-        for target in nodes[idx].transition.targets() {
-            let below = match target {
-                Target::Accept => Some(vec![0; self.width]),
-                Target::Reject => None,
-                Target::Node(j) if j < nodes.len() => self.guaranteed_from(j, memo, on_stack),
-                Target::Node(_) => None,
+        let field = fr.field;
+        let diag = if fr.is_meta() {
+            let standard = STANDARD_METADATA.iter().any(|(n, _)| *n == field);
+            let Some(bit) = self.meta_bit(field).filter(|_| field != "*" && !standard) else {
+                return; // platform-initialized or undeclared (validate's job)
             };
-            if let Some(set) = below {
-                match &mut meet {
-                    None => meet = Some(set),
-                    Some(acc) => acc.iter_mut().zip(&set).for_each(|(a, s)| *a &= s),
-                }
+            if state.has(WRITTEN, bit) {
+                return;
             }
+            let message =
+                format!("{context} reads metadata `{field}` but no reaching path ever writes it");
+            Diagnostic::new(LintCode::ReadBeforeWrite, entity, message)
+        } else {
+            let header = fr.header;
+            let Some(bit) = self.header_bit(header) else {
+                return; // undefined header type: validate's job
+            };
+            if !state.has(MAYBE, bit) {
+                let message = format!(
+                    "{context} reads `{header}.{field}` but header `{header}` is never valid here"
+                );
+                Diagnostic::new(LintCode::InvalidHeaderAccess, entity, message)
+                    .with_note("no parser path extracts this header and no earlier action adds it")
+            } else if !state.has(GUARANTEED, bit) {
+                let message = format!(
+                    "{context} reads `{header}.{field}` but header `{header}` is valid on only \
+                     some parser paths"
+                );
+                Diagnostic::new(LintCode::MaybeInvalidHeaderAccess, entity, message)
+            } else {
+                return;
+            }
+        };
+        self.emit(diag);
+    }
+
+    fn write_field(&mut self, state: &mut FlowState, fr: FieldView<'_>, entity: &str) {
+        if fr.is_meta() {
+            if let Some(bit) = self.meta_bit(fr.field).filter(|_| fr.field != "*") {
+                state.put(WRITTEN, bit, true);
+            }
+            return;
         }
-        on_stack[idx] = false;
-        let result = meet.map(|mut set| {
-            if let Some(bit) = self.header_bit(&nodes[idx].header_type) {
-                set[bit / 64] |= 1 << (bit % 64);
+        if fr.register {
+            return;
+        }
+        let never_valid = self
+            .header_bit(fr.header)
+            .is_some_and(|b| !state.has(MAYBE, b));
+        if never_valid {
+            // Writes to invalid headers are silent no-ops — sometimes
+            // deliberate (the firewall sets `sfc.drop_flag` even on raw
+            // packets), so this is an advisory, not an error.
+            self.emit(Diagnostic::new(
+                LintCode::MaybeInvalidHeaderAccess,
+                entity,
+                format!(
+                    "write to `{}.{}` is a silent no-op: header `{}` is never valid here",
+                    fr.header, fr.field, fr.header
+                ),
+            ));
+        }
+    }
+}
+
+/// The structural pass as a domain of the verifier's walk: it prunes
+/// nothing (every select case, branch and arm is walked, each arm from the
+/// state after the table, and a table also runs a miss action it does not
+/// list), a join meets `guaranteed` and joins `maybe` and `written`, and
+/// `isValid` guards refine validity.
+impl<'a> Domain<'a> for Checker<'a> {
+    type Path = ();
+    type State = FlowState;
+    const UNLISTED_MISS: bool = true;
+
+    /// `maybe` covers every vertex the walk reaches, reject-only paths
+    /// included.
+    fn vertex(&mut self, node: &'a ParseNode, _: &mut (), _: &Trail<'a>) {
+        if let Some(bit) = self.header_bit(&node.header_type) {
+            self.parsed.put(MAYBE, bit, true);
+        }
+    }
+
+    /// `guaranteed` meets the headers of each accept path.
+    fn accept(&mut self, _: (), trail: &Trail<'a>) {
+        let mut on_path = std::mem::take(&mut self.on_path);
+        on_path.fill(0);
+        for bit in trail
+            .vertices()
+            .filter_map(|n| self.header_bit(&n.header_type))
+        {
+            on_path[bit / 64] |= 1 << (bit % 64);
+        }
+        let first = !std::mem::replace(&mut self.accepted, true);
+        let width = self.parsed.width;
+        let guaranteed = &mut self.parsed.words[GUARANTEED * width..][..width];
+        for (g, p) in guaranteed.iter_mut().zip(&on_path) {
+            *g = if first { *p } else { *g & p };
+        }
+        self.on_path = on_path;
+    }
+
+    fn entry(&mut self) -> FlowState {
+        std::mem::take(&mut self.parsed)
+    }
+
+    /// `guaranteed` meets, `maybe` and `written` join.
+    fn join(&self, acc: &mut FlowState, other: FlowState) {
+        let (meet, join) = acc.words.split_at_mut(acc.width);
+        meet.iter_mut().zip(&other.words).for_each(|(w, o)| *w &= o);
+        let other = &other.words[acc.width..];
+        join.iter_mut().zip(other).for_each(|(w, o)| *w |= o);
+    }
+
+    /// Checks the condition's field reads (an `isValid` probe is how a
+    /// program guards a maybe-valid header, not a read of it) and prunes
+    /// neither branch. Inside `isValid(h)` (or the else of `!isValid(h)`)
+    /// `h` is guaranteed; on the other side it is definitely absent.
+    fn gateway(
+        &mut self,
+        cond: &'a BoolExpr,
+        _: [&'a [Stmt]; 2],
+        state: &FlowState,
+        _: &Trail<'a>,
+    ) -> [Option<FlowState>; 2] {
+        cond.for_each_read(&mut |read| {
+            if read.field != "*" {
+                self.check_read(state, read, "if condition", "condition");
             }
-            set
         });
-        memo[idx] = Some(result.clone());
-        result
-    }
-
-    fn walk_control(
-        &mut self,
-        name: &'a str,
-        state: &mut FlowState,
-        depth: usize,
-        call_stack: &mut Vec<&'a str>,
-    ) {
-        if depth > MAX_DEPTH || call_stack.contains(&name) {
-            return; // validate() rejects runaway nesting/recursion
-        }
-        let Some(control) = self.program.controls.get(name) else {
-            return;
+        let mut branches = [state.clone(), state.clone()];
+        // Which branch (0: then, 1: else) sees the probed header valid.
+        let (header, side) = match cond {
+            BoolExpr::Valid(h) => (h, 0),
+            BoolExpr::Not(inner) => match inner.as_ref() {
+                BoolExpr::Valid(h) => (h, 1),
+                _ => return branches.map(Some),
+            },
+            _ => return branches.map(Some),
         };
-        call_stack.push(name);
-        self.walk_stmts(&control.body, state, depth, call_stack);
-        call_stack.pop();
-    }
-
-    fn walk_stmts(
-        &mut self,
-        stmts: &'a [Stmt],
-        state: &mut FlowState,
-        depth: usize,
-        call_stack: &mut Vec<&'a str>,
-    ) {
-        if depth > MAX_DEPTH {
-            return;
-        }
-        for stmt in stmts {
-            match stmt {
-                Stmt::Apply(table) => self.visit_table(table, state),
-                Stmt::ApplySelect { table, .. } => {
-                    self.visit_table(table, state);
-                    // The arms, then the default.
-                    let mut exits = None;
-                    for body in stmt.branches() {
-                        let mut branch = state.clone();
-                        self.walk_stmts(body, &mut branch, depth + 1, call_stack);
-                        merge_into(&mut exits, branch);
-                    }
-                    *state = exits.expect("an ApplySelect has a default branch");
-                }
-                Stmt::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    for_each_cond_read(cond, &mut |read| {
-                        self.check_read(state, read, "if condition", "condition");
-                    });
-                    let mut then_state = state.clone();
-                    let mut else_state = state.clone();
-                    self.refine_by_validity(cond, &mut then_state, &mut else_state);
-                    self.walk_stmts(then_branch, &mut then_state, depth + 1, call_stack);
-                    self.walk_stmts(else_branch, &mut else_state, depth + 1, call_stack);
-                    then_state.merge(&else_state);
-                    *state = then_state;
-                }
-                Stmt::Do(action) => {
-                    if let Some(def) = self.program.actions.get(action) {
-                        self.run_action(def, state);
-                    }
-                }
-                Stmt::Call(control) => {
-                    self.walk_control(control, state, depth + 1, call_stack);
-                }
+        if let Some(bit) = self.header_bit(header) {
+            for set in [GUARANTEED, MAYBE] {
+                branches[side].put(set, bit, true);
+                branches[1 - side].put(set, bit, false);
             }
         }
+        branches.map(Some)
     }
 
-    /// Checks a table's keys and actions at this control-flow point, then
-    /// folds the actions' effects into the state (actions are alternatives,
-    /// so their exits merge like branches).
-    fn visit_table(&mut self, name: &str, state: &mut FlowState) {
-        let program = self.program;
-        let Some(table) = program.tables.get(name) else {
-            return;
-        };
+    fn table(&mut self, table: &'a TableDef, state: &FlowState, _: &Trail<'a>) {
         for key in &table.keys {
             self.check_read(state, FieldView::of(&key.field), &table.name, "match key");
         }
-        let unlisted = !table.actions.contains(&table.default_action);
-        let miss = unlisted.then_some(&table.default_action);
-        let mut exits = None;
-        for action_name in table.actions.iter().chain(miss) {
-            let Some(def) = program.actions.get(action_name) else {
-                continue;
-            };
-            let mut local = state.clone();
-            self.run_action(def, &mut local);
-            merge_into(&mut exits, local);
-        }
-        if let Some(exits) = exits {
-            *state = exits;
-        }
     }
 
-    /// Processes an action's ops in order, checking reads against the state
-    /// as of each op and applying writes to it.
-    fn run_action(&mut self, def: &ActionDef, state: &mut FlowState) {
+    /// Checks each op's reads against the state as of that op and applies
+    /// its writes.
+    fn action(&mut self, def: &'a ActionDef, state: &mut FlowState, _: &Trail<'a>) {
         for op in &def.ops {
             op.for_each_read(|read| self.check_read(state, read, &def.name, "operand"));
             match op {
@@ -967,126 +936,6 @@ impl<'a> Checker<'a> {
                 | PrimitiveOp::NoOp => {}
             }
         }
-    }
-
-    fn check_read(&mut self, state: &FlowState, fr: FieldView<'_>, entity: &str, context: &str) {
-        if fr.register {
-            return;
-        }
-        if fr.is_meta() {
-            let standard = STANDARD_METADATA.iter().any(|(n, _)| *n == fr.field);
-            let Some(bit) = self
-                .meta_bit(fr.field)
-                .filter(|_| fr.field != "*" && !standard)
-            else {
-                return; // platform-initialized or undeclared (validate's job)
-            };
-            if !state.has(WRITTEN, bit) {
-                self.emit(Diagnostic::new(
-                    LintCode::ReadBeforeWrite,
-                    entity,
-                    format!(
-                        "{context} reads metadata `{}` but no reaching path ever writes it",
-                        fr.field
-                    ),
-                ));
-            }
-            return;
-        }
-        let header = fr.header;
-        let Some(bit) = self.header_bit(header) else {
-            return; // undefined header type: validate's job
-        };
-        if !state.has(MAYBE, bit) {
-            self.emit(
-                Diagnostic::new(
-                    LintCode::InvalidHeaderAccess,
-                    entity,
-                    format!(
-                        "{context} reads `{}.{}` but header `{header}` is never valid here",
-                        header, fr.field
-                    ),
-                )
-                .with_note(
-                    "no parser path extracts this header and no earlier action adds it".to_string(),
-                ),
-            );
-        } else if !state.has(GUARANTEED, bit) {
-            self.emit(Diagnostic::new(
-                LintCode::MaybeInvalidHeaderAccess,
-                entity,
-                format!(
-                    "{context} reads `{}.{}` but header `{header}` is valid on only \
-                     some parser paths",
-                    header, fr.field
-                ),
-            ));
-        }
-    }
-
-    fn write_field(&mut self, state: &mut FlowState, fr: FieldView<'_>, entity: &str) {
-        if fr.is_meta() {
-            if let Some(bit) = self.meta_bit(fr.field).filter(|_| fr.field != "*") {
-                state.put(WRITTEN, bit, true);
-            }
-            return;
-        }
-        if fr.register {
-            return;
-        }
-        let never_valid = self
-            .header_bit(fr.header)
-            .is_some_and(|b| !state.has(MAYBE, b));
-        if never_valid {
-            // Writes to invalid headers are silent no-ops — sometimes
-            // deliberate (the firewall sets `sfc.drop_flag` even on raw
-            // packets), so this is an advisory, not an error.
-            self.emit(Diagnostic::new(
-                LintCode::MaybeInvalidHeaderAccess,
-                entity,
-                format!(
-                    "write to `{}.{}` is a silent no-op: header `{}` is never valid here",
-                    fr.header, fr.field, fr.header
-                ),
-            ));
-        }
-    }
-
-    /// Path-sensitive refinement on validity guards: inside `if valid(h)`
-    /// the header is guaranteed; inside the else (or under `if !valid(h)`)
-    /// it is definitely absent.
-    fn refine_by_validity(&self, cond: &BoolExpr, then: &mut FlowState, els: &mut FlowState) {
-        let (h, valid, invalid) = match cond {
-            BoolExpr::Valid(h) => (h, then, els),
-            BoolExpr::Not(inner) => match inner.as_ref() {
-                BoolExpr::Valid(h) => (h, els, then),
-                _ => return,
-            },
-            _ => return,
-        };
-        if let Some(bit) = self.header_bit(h) {
-            for set in [GUARANTEED, MAYBE] {
-                valid.put(set, bit, true);
-                invalid.put(set, bit, false);
-            }
-        }
-    }
-}
-
-/// Field reads of a condition, excluding `Valid(h)` — probing validity is
-/// precisely how programs guard maybe-valid headers, not a header read.
-fn for_each_cond_read<'a>(cond: &'a BoolExpr, f: &mut impl FnMut(FieldView<'a>)) {
-    match cond {
-        BoolExpr::Cmp(a, _, b) => {
-            a.for_each_read(&mut |fr| f(FieldView::of(fr)));
-            b.for_each_read(&mut |fr| f(FieldView::of(fr)));
-        }
-        BoolExpr::And(x, y) | BoolExpr::Or(x, y) => {
-            for_each_cond_read(x, f);
-            for_each_cond_read(y, f);
-        }
-        BoolExpr::Not(x) => for_each_cond_read(x, f),
-        BoolExpr::Valid(_) => {}
     }
 }
 
@@ -1335,6 +1184,93 @@ mod tests {
             .build()
             .unwrap();
         assert!(check(&good).is_clean(), "{}", check(&good).render_pretty());
+    }
+
+    /// The structural pass walks what the value pass prunes: a branch the
+    /// value pass proves dead (`DJV202`) still has its reads checked.
+    #[test]
+    fn a_read_under_a_branch_proven_dead_is_still_checked() {
+        let p = base_builder("dead_branch")
+            .meta_field("verdict", 8)
+            .action(ActionBuilder::new("pass").build())
+            .table(
+                TableBuilder::new("probe")
+                    .key_exact(FieldRef::meta("verdict"))
+                    .action("pass")
+                    .default_action("pass")
+                    .build(),
+            )
+            .control(
+                ControlBuilder::new("ctrl")
+                    .stmt(Stmt::If {
+                        // Every accepted packet carries 0x0800 here.
+                        cond: BoolExpr::field_eq("ethernet", "ether_type", 0x86dd, 16),
+                        then_branch: vec![Stmt::Apply("probe".into())],
+                        else_branch: vec![],
+                    })
+                    .build(),
+            )
+            .entry("ctrl")
+            .build()
+            .unwrap();
+        let values = crate::analyze::check(&p);
+        assert!(
+            values
+                .diagnostics
+                .iter()
+                .any(|d| d.code == LintCode::InfeasiblePath),
+            "{}",
+            values.render_pretty()
+        );
+        let report = check(&p);
+        let errors = report.errors();
+        assert_eq!(errors.len(), 1, "{}", report.render_pretty());
+        assert_eq!(errors[0].code, LintCode::ReadBeforeWrite);
+        assert_eq!(errors[0].entity, "probe");
+    }
+
+    /// A header extracted only under a select case the value pass proves
+    /// infeasible is still reachable to the structural pass: maybe valid
+    /// (`DJV002`), not never valid (`DJV001`).
+    #[test]
+    fn a_header_under_an_infeasible_case_is_still_maybe_valid() {
+        let mut p = base_builder("infeasible_case")
+            .action(ActionBuilder::new("pass").build())
+            .table(
+                TableBuilder::new("routes")
+                    .key_exact(fref("ipv4", "dst_addr"))
+                    .action("pass")
+                    .default_action("pass")
+                    .build(),
+            )
+            .control(ControlBuilder::new("ctrl").apply("routes").build())
+            .entry("ctrl")
+            .build()
+            .unwrap();
+        // A 17-bit case on the 16-bit `ether_type`, and a default that
+        // accepts without ipv4.
+        let Transition::Select { cases, default, .. } = &mut p.parser.nodes[0].transition else {
+            panic!("eth selects on ether_type");
+        };
+        cases[0].0 = crate::Value::new(0x1_0800, 17);
+        *default = crate::Target::Accept;
+        let values = crate::analyze::check(&p);
+        assert!(
+            values
+                .diagnostics
+                .iter()
+                .any(|d| d.code == LintCode::InfeasiblePath),
+            "{}",
+            values.render_pretty()
+        );
+        let report = check(&p);
+        let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
+        assert_eq!(
+            codes,
+            [LintCode::MaybeInvalidHeaderAccess],
+            "{}",
+            report.render_pretty()
+        );
     }
 
     #[test]

@@ -127,18 +127,17 @@ impl Program {
     /// borrowed.
     pub(crate) fn for_each_applied<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         if let Some(entry) = self.entry_control() {
-            self.flatten(&entry.body, 0, f);
+            self.flatten(&entry.body, &mut vec![entry.name.as_str()], f);
         }
     }
 
     /// Visits the tables `stmts` apply, in program order, following
-    /// `Call`s as if `stmts` were `depth` calls deep: a control more than
-    /// 64 calls deep is not entered (the cycle guard; `validate` reports
-    /// the cycle).
+    /// `Call`s the way [`Program::callee`] allows from inside the controls
+    /// on `calls`.
     pub(crate) fn flatten<'a>(
         &'a self,
         stmts: &'a [Stmt],
-        depth: usize,
+        calls: &mut Vec<&'a str>,
         f: &mut impl FnMut(&'a str),
     ) {
         for stmt in stmts {
@@ -146,14 +145,26 @@ impl Program {
                 f(t);
             }
             if let Stmt::Call(c) = stmt {
-                if let (Some(cb), true) = (self.controls.get(c), depth < 64) {
-                    self.flatten(&cb.body, depth + 1, f);
+                if let Some(cb) = self.callee(c, calls) {
+                    calls.push(&cb.name);
+                    self.flatten(&cb.body, calls, f);
+                    calls.pop();
                 }
             }
             for branch in stmt.branches() {
-                self.flatten(branch, depth, f);
+                self.flatten(branch, calls, f);
             }
         }
+    }
+
+    /// The control a `Call(name)` enters from inside the controls on
+    /// `calls` (outermost first): `None` when `name` is undefined or is
+    /// already on the stack. Every walk that follows calls asks here, so
+    /// none follows a recursive call (`validate` rejects them): a depth
+    /// bound alone would let `a { call a; call a }` cost 2^depth visits.
+    pub(crate) fn callee(&self, name: &str, calls: &[&str]) -> Option<&ControlBlock> {
+        let cb = self.controls.get(name)?;
+        (!calls.contains(&cb.name.as_str())).then_some(cb)
     }
 
     /// Full structural validation:

@@ -160,6 +160,25 @@ if grep -nE '(tables|actions|controls)\.get\([^)]*\)\.cloned\(\)|values\(\)\.clo
     exit 1
 fi
 
+# One-walker gate: the verifier's two dataflow passes (header validity and
+# read before write in `lint.rs`, values in `analyze.rs`) are two domains
+# of one walk (`walk.rs`): one statement walk under crates/p4ir/src, and
+# neither pass keeps a parser or control walk of its own.
+if [ "$(grep -rn 'fn walk_stmts' crates/p4ir/src | wc -l)" -gt 1 ] ||
+    grep -nE 'fn (parser_sets|guaranteed_from|visit_parser|walk_control)\b' \
+        crates/p4ir/src/{lint,analyze}.rs; then
+    grep -rn 'fn walk_stmts' crates/p4ir/src
+    echo "a verifier pass walks the program on its own again (see DESIGN.md, One walk, two domains)" >&2
+    exit 1
+fi
+
+# Kill-catalogue gate: every mutant under tests/mutants/ whose killer is
+# the p4ir unit tests must still be killed by them (each builds in a
+# reused scratch copy and runs under its own time bound); run
+# `scripts/mutants.sh` alone for the whole catalogue.
+mapfile -t p4ir_mutants < <(grep -l '^Test: -p dejavu-p4ir --lib$' tests/mutants/*.patch)
+scripts/mutants.sh "${p4ir_mutants[@]}"
+
 # Re-placement gate: the closed-loop orchestrator must notice the traffic
 # shift, migrate the learned NAT across switches live, and lose zero
 # flows — bounded, because a hang here means the pause/quiesce barrier
