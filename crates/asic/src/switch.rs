@@ -648,11 +648,6 @@ impl Switch {
         &self.timing
     }
 
-    /// Replaces the timing model.
-    pub fn set_timing(&mut self, timing: TimingModel) {
-        self.timing = timing;
-    }
-
     /// Loads a program onto a pipelet, resetting that pipelet's table state.
     /// The program is validated and its parser depth checked against the
     /// profile's parser window.

@@ -5,7 +5,6 @@
 //! Gateways, Crossbars, VLIWs, SRAM, TCAM. [`ResourceReport`] renders the
 //! same row for any allocation.
 
-use crate::alloc::Allocation;
 use dejavu_asic::{ResourceVector, TofinoProfile};
 use std::fmt;
 
@@ -30,12 +29,6 @@ pub struct ResourceReport {
 }
 
 impl ResourceReport {
-    /// Builds a report from an allocation against a pipeline's totals
-    /// (ingress + egress pipelet of one pipeline).
-    pub fn from_allocation(alloc: &Allocation, profile: &TofinoProfile) -> Self {
-        Self::from_usage(alloc.stage_span(), alloc.total_used(), profile)
-    }
-
     /// Builds a report from a raw stage span + usage vector.
     pub fn from_usage(stage_span: usize, used: ResourceVector, profile: &TofinoProfile) -> Self {
         let total_stages = profile.stages_per_pipelet * 2; // per pipeline

@@ -124,8 +124,7 @@ pub mod prelude {
     };
     pub use dejavu_asic::switch::Disposition;
     pub use dejavu_asic::telemetry::{
-        parse_json, snapshot_from_json, to_json_string, to_prometheus, MetricsRegistry,
-        MetricsSnapshot,
+        parse_json, to_json_string, to_prometheus, MetricsRegistry, MetricsSnapshot,
     };
     pub use dejavu_asic::{
         BatchStats, BufOutcome, DigestRecord, Eviction, ExecMode, Gress, InjectedPacket, PipeletId,

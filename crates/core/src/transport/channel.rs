@@ -103,7 +103,7 @@ mod tests {
             ),
             "got {err}"
         );
-        assert_eq!(ep.try_recv().unwrap(), None, "nothing reached the peer");
+        assert_eq!(ep.try_recv_raw().unwrap(), None, "nothing reached the peer");
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! `register_handler`, `snapshot_state`, the migration verbs — and
 //! `inject_async` / `recv_delivered` for the pipelined path underneath.
 
-use super::wire::{ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
+use super::wire::{self, ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
 use super::worker::SwitchWorker;
 use super::{ChannelTransport, Endpoint, Link, Transport, TransportError};
 use crate::chain::ChainSet;
@@ -41,7 +41,6 @@ use crate::multiswitch::{build_cluster_members, ClusterPlacement, ClusterWiring}
 use crate::nfmodule::NfModule;
 use dejavu_asic::switch::Disposition;
 use dejavu_asic::tables::Eviction;
-use dejavu_asic::telemetry::{parse_json, snapshot_from_json};
 use dejavu_asic::{
     InjectedPacket, MetricsSnapshot, PipeletId, PortId, StateSnapshot, Switch, TofinoProfile,
 };
@@ -172,6 +171,8 @@ pub struct ClusterScrape {
     pub merged: MetricsSnapshot,
     /// Per-member snapshots, indexed by cluster position.
     pub per_switch: Vec<MetricsSnapshot>,
+    /// Frames dropped because they did not decode, controller and members.
+    pub rejected_frames: u64,
 }
 
 /// End-to-end record of one packet's flight across the cluster, built from
@@ -267,7 +268,7 @@ enum GatherAcc {
         reply: Sender<Result<ClusterReport, ClusterError>>,
     },
     Metrics {
-        acc: Vec<MetricsSnapshot>,
+        acc: ClusterScrape,
         reply: Sender<Result<ClusterScrape, ClusterError>>,
     },
     Snapshot {
@@ -335,6 +336,8 @@ struct Controller {
     /// Outstanding shutdown acks; reply once all workers said goodbye.
     bye: Option<(usize, Sender<Result<(), ClusterError>>)>,
     op_timeout: Duration,
+    /// Upstream frames dropped because they did not decode.
+    rejected_frames: u64,
 }
 
 impl Controller {
@@ -405,13 +408,13 @@ impl Controller {
     /// Handles one event; `true` once a shutdown has completed.
     fn on_event(&mut self, ev: CtrlEvent) -> bool {
         match ev {
-            // Workers only send telemetry upstream; a corrupt frame is
-            // already a typed error — skip it.
-            CtrlEvent::Frame(frame) => {
-                if let Ok(Message::Telemetry(t)) = super::wire::decode(&frame) {
-                    self.on_telemetry(t);
-                }
-            }
+            // The one receive step: workers only send telemetry upstream; a
+            // frame that does not decode is counted and dropped.
+            CtrlEvent::Frame(frame) => match wire::decode(&frame) {
+                Ok(Message::Telemetry(t)) => self.on_telemetry(t),
+                Ok(_) => {}
+                Err(_) => self.rejected_frames += 1,
+            },
             CtrlEvent::PumpClosed => return self.finish_shutdown(),
             CtrlEvent::Data(d) if self.paused => {
                 // Migration window: hold the packet, deliver it after the
@@ -507,18 +510,18 @@ impl Controller {
                 // before this marker on the same FIFO link.
                 self.settle(seq, Ok(0));
             }
-            TelemetryMsg::Metrics { seq, json } => {
-                let snap = parse_json(&json)
-                    .and_then(|v| snapshot_from_json(&v))
-                    .unwrap_or_default();
+            TelemetryMsg::Metrics {
+                seq,
+                snapshot,
+                rejected_frames,
+            } => self.gathered(seq, |acc, switch| {
                 // Indexed, so per-switch order is stable whatever the
                 // arrival order.
-                self.gathered(seq, |acc, switch| {
-                    if let GatherAcc::Metrics { acc, .. } = acc {
-                        acc[switch] = snap;
-                    }
-                });
-            }
+                if let GatherAcc::Metrics { acc, .. } = acc {
+                    acc.per_switch[switch] = snapshot;
+                    acc.rejected_frames += rejected_frames;
+                }
+            }),
             TelemetryMsg::Snapshot { seq, items } => self.gathered(seq, |acc, switch| {
                 if let GatherAcc::Snapshot { acc, .. } = acc {
                     acc.extend(items.into_iter().map(|(p, snap)| (switch, p, snap)));
@@ -627,15 +630,12 @@ impl Controller {
                 report.evictions = acc;
                 let _ = reply.send(Ok(report));
             }
-            GatherAcc::Metrics { acc, reply } => {
-                let mut merged = MetricsSnapshot::default();
-                for s in &acc {
-                    merged.merge(s);
+            GatherAcc::Metrics { mut acc, reply } => {
+                for s in &acc.per_switch {
+                    acc.merged.merge(s);
                 }
-                let _ = reply.send(Ok(ClusterScrape {
-                    merged,
-                    per_switch: acc,
-                }));
+                acc.rejected_frames += self.rejected_frames;
+                let _ = reply.send(Ok(acc));
             }
             GatherAcc::Snapshot { acc, reply } => {
                 let _ = reply.send(Ok(acc));
@@ -1149,10 +1149,14 @@ impl ClusterHandle {
     }
 
     /// Scrapes every member's metrics and returns merged + per-member
-    /// snapshots.
+    /// snapshots. A reply that fails its check names no member, so the
+    /// scrape fails with [`ClusterError::Timeout`] instead of reading zeros.
     pub fn metrics_snapshot(&mut self) -> Result<ClusterScrape, ClusterError> {
         self.call("metrics_snapshot", |c, reply| {
-            let acc = vec![MetricsSnapshot::default(); c.n];
+            let acc = ClusterScrape {
+                per_switch: vec![MetricsSnapshot::default(); c.n],
+                ..Default::default()
+            };
             c.broadcast(GatherAcc::Metrics { acc, reply }, |seq| {
                 ControlMsg::ScrapeMetrics { seq }
             })
@@ -1437,6 +1441,7 @@ fn boot(
             links,
             cable_ns: wiring.cable_ns,
             swap_rx,
+            rejected_frames: 0,
         });
     }
 
@@ -1466,6 +1471,7 @@ fn boot(
         swap_txs,
         bye: None,
         op_timeout: options.op_timeout,
+        rejected_frames: 0,
     };
 
     let driver = if threaded {

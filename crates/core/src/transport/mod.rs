@@ -38,8 +38,7 @@ pub use tcp::TcpTransport;
 pub use wire::{ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg, WireError};
 
 use std::fmt;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
-use std::time::Duration;
+use std::sync::mpsc::{Receiver, TryRecvError};
 
 /// Transport-layer failure.
 #[derive(Debug)]
@@ -141,15 +140,6 @@ impl Endpoint {
         Ok(wire::decode(&self.recv_raw()?)?)
     }
 
-    /// Waits up to `timeout` for a message; `Ok(None)` on timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => Ok(Some(wire::decode(&frame)?)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
-        }
-    }
-
     /// Non-blocking [`recv_raw`](Self::recv_raw); `Ok(None)` when the inbox
     /// is empty.
     pub fn try_recv_raw(&self) -> Result<Option<Vec<u8>>, TransportError> {
@@ -157,14 +147,6 @@ impl Endpoint {
             Ok(frame) => Ok(Some(frame)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(TransportError::Disconnected),
-        }
-    }
-
-    /// Non-blocking poll; `Ok(None)` when the inbox is empty.
-    pub fn try_recv(&self) -> Result<Option<Message>, TransportError> {
-        match self.try_recv_raw()? {
-            Some(frame) => Ok(Some(wire::decode(&frame)?)),
-            None => Ok(None),
         }
     }
 }
@@ -195,7 +177,7 @@ impl Link {
     /// the connection with it.
     pub fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
         let frame = wire::encode(msg);
-        let len = frame.len() - wire::HEADER_LEN;
+        let len = frame.len() - wire::HEADER_LEN - wire::TRAILER_LEN;
         if len > wire::MAX_PAYLOAD {
             return Err(TransportError::Wire(WireError::Overlength {
                 len,

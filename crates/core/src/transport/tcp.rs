@@ -3,10 +3,10 @@
 //! [`TcpTransport::bind`] opens a `TcpListener` (by default on an
 //! OS-assigned localhost port) and spawns an accept loop; every accepted
 //! connection gets a reader thread that reassembles length-prefixed frames
-//! (validating magic, version and the [`MAX_PAYLOAD`] bound **before**
-//! allocating) and feeds them into the endpoint's inbox. [`connect`]
-//! opens a `TcpStream` with `TCP_NODELAY` so small control frames don't sit
-//! in Nagle buffers behind data traffic.
+//! and their CRC trailers (validating magic, version and the [`MAX_PAYLOAD`]
+//! bound **before** allocating) and feeds them into the endpoint's inbox.
+//! [`connect`] opens a `TcpStream` with `TCP_NODELAY` so small control
+//! frames don't sit in Nagle buffers behind data traffic.
 //!
 //! Lifecycle: reader threads exit when their socket closes or the inbox's
 //! receiver is dropped. The accept thread is tied to the [`Endpoint`]: a
@@ -18,7 +18,7 @@
 //! [`MAX_PAYLOAD`]: super::wire::MAX_PAYLOAD
 //! [`connect`]: TcpTransport::connect
 
-use super::wire::{payload_len, HEADER_LEN};
+use super::wire::{payload_len, HEADER_LEN, TRAILER_LEN};
 use super::{Endpoint, FrameSink, Link, PeerAddr, Transport, TransportError};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -69,7 +69,7 @@ fn pump_frames(mut stream: TcpStream, tx: Sender<Vec<u8>>) {
             Ok(len) => len,
             Err(_) => return, // Corrupt stream: drop the connection.
         };
-        let mut frame = vec![0u8; HEADER_LEN + len];
+        let mut frame = vec![0u8; HEADER_LEN + len + TRAILER_LEN];
         frame[..HEADER_LEN].copy_from_slice(&header);
         if stream.read_exact(&mut frame[HEADER_LEN..]).is_err() {
             return;

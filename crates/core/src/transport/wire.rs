@@ -4,10 +4,10 @@
 //! a real TCP socket — is one *frame*:
 //!
 //! ```text
-//! ┌─────────┬─────────┬─────────┬───────────┬──────────────┐
-//! │ magic   │ version │ class   │ len (BE)  │ payload      │
-//! │ u16     │ u8      │ u8      │ u32       │ `len` bytes  │
-//! └─────────┴─────────┴─────────┴───────────┴──────────────┘
+//! ┌─────────┬─────────┬─────────┬───────────┬──────────────┬───────────┐
+//! │ magic   │ version │ class   │ len (BE)  │ payload      │ crc (BE)  │
+//! │ u16     │ u8      │ u8      │ u32       │ `len` bytes  │ u32       │
+//! └─────────┴─────────┴─────────┴───────────┴──────────────┴───────────┘
 //! ```
 //!
 //! Three message classes ride the same framing:
@@ -45,9 +45,7 @@
 //! State is typed because it sits inside the migration window (ingress is
 //! parked from PAUSE to RESUME while every learned flow crosses a link
 //! twice) and because a snapshot that fails to parse must fail the verb, not
-//! vanish. [`TelemetryMsg::Metrics`] stays JSON text on purpose: a scrape is
-//! off the packet path, its payload *is* the telemetry export format, and
-//! the parser that reads it back is linear.
+//! vanish.
 //!
 //! # Version 3: a hop is fixed-size
 //!
@@ -64,11 +62,32 @@
 //!
 //! Which tables a member applied, and whether they hit, is that member's
 //! telemetry (`table_hits` / `table_misses`), not the packet's.
+//!
+//! # Version 4: every frame proves it arrived intact
+//!
+//! A frame ends in the big-endian CRC-32 of its header and payload
+//! ([`dejavu_p4ir::action::crc32`], the data plane's `Hash` extern).
+//! [`decode`] checks the header fields a stream reader needs (magic,
+//! version, the [`MAX_PAYLOAD`] bound), then that one trailer follows the
+//! payload, then the trailer; a frame that fails is [`WireError::Checksum`]
+//! and no payload byte of it is read, so a flipped bit is a dropped frame,
+//! never a valid, wrong message. It costs 4 bytes and one CRC pass per
+//! side (measured in DESIGN.md, Wire format).
+//! [`TelemetryMsg::Metrics`] carries a typed [`MetricsSnapshot`] (version
+//! 3 carried JSON text), so nothing on the cluster path prints or parses
+//! JSON; more than [`HISTOGRAM_BUCKETS`] buckets is refused unallocated:
+//!
+//! ```text
+//! metrics := n:u32 { name:str kind:u8 (counter:u64 | gauge:i64
+//!                    | count:u64 sum:u64 n:u32 { bucket:u64 }) }
+//! ```
 
 use dejavu_asic::state::{RegisterSnapshot, TableSnapshot, SNAPSHOT_FORMAT_VERSION};
 use dejavu_asic::switch::Disposition;
 use dejavu_asic::tables::{DigestRecord, Eviction};
-use dejavu_asic::{Gress, PipeletId, PortId, StateSnapshot};
+use dejavu_asic::telemetry::{HistogramSnapshot, MetricValue, HISTOGRAM_BUCKETS};
+use dejavu_asic::{Gress, MetricsSnapshot, PipeletId, PortId, StateSnapshot};
+use dejavu_p4ir::action::crc32;
 use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use dejavu_p4ir::Value;
 use std::fmt;
@@ -76,9 +95,11 @@ use std::fmt;
 /// First two bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xDEFA;
 /// Current wire-format revision. Bump on any incompatible layout change.
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
 /// Fixed frame header size: magic + version + class + payload length.
 pub const HEADER_LEN: usize = 8;
+/// Fixed frame trailer size: the CRC-32 of header and payload.
+pub const TRAILER_LEN: usize = 4;
 /// Upper bound on one frame's payload (16 MiB): a decoder confronted with a
 /// longer length prefix rejects the frame instead of allocating unbounded
 /// memory on behalf of a corrupt or hostile peer.
@@ -124,6 +145,8 @@ pub enum WireError {
     BadUtf8,
     /// A field carried a semantically invalid value.
     BadValue(String),
+    /// The trailer is not the CRC-32 of the header and payload.
+    Checksum,
 }
 
 impl fmt::Display for WireError {
@@ -146,6 +169,7 @@ impl fmt::Display for WireError {
             }
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::BadValue(m) => write!(f, "bad value: {m}"),
+            WireError::Checksum => write!(f, "frame checksum mismatch"),
         }
     }
 }
@@ -353,12 +377,14 @@ pub enum TelemetryMsg {
         /// Digests flushed by this drain (not counting earlier eager pushes).
         digests: u64,
     },
-    /// A metrics snapshot, JSON-encoded with the telemetry exporter.
+    /// A metrics snapshot, in the frame format (module docs).
     Metrics {
         /// Echoed command sequence number.
         seq: u64,
-        /// `dejavu_telemetry` JSON snapshot.
-        json: String,
+        /// The member's [`Switch::metrics_snapshot`](dejavu_asic::Switch::metrics_snapshot).
+        snapshot: MetricsSnapshot,
+        /// Frames the member dropped because they did not decode.
+        rejected_frames: u64,
     },
     /// Per-pipelet state snapshots, in the frame format (module docs).
     Snapshot {
@@ -397,9 +423,6 @@ struct Enc {
 }
 
 impl Enc {
-    fn new() -> Self {
-        Enc { buf: Vec::new() }
-    }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -441,11 +464,18 @@ impl Enc {
         self.u16(v.bits());
         self.u128(v.raw());
     }
+    /// A `u32` count, then each item.
+    fn list<I>(&mut self, items: I, mut item: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.u32(items.len() as u32);
+        items.for_each(|i| item(self, i));
+    }
     fn values(&mut self, vs: &[Value]) {
-        self.u32(vs.len() as u32);
-        for v in vs {
-            self.value(*v);
-        }
+        self.list(vs, |e, v| e.value(*v));
     }
     fn key_match(&mut self, m: &KeyMatch) {
         match m {
@@ -472,10 +502,7 @@ impl Enc {
         }
     }
     fn entry(&mut self, e: &TableEntry) {
-        self.u32(e.matches.len() as u32);
-        for m in &e.matches {
-            self.key_match(m);
-        }
+        self.list(&e.matches, Self::key_match);
         self.str(&e.action);
         self.values(&e.action_args);
         self.i32(e.priority);
@@ -484,23 +511,15 @@ impl Enc {
         self.u32(s.version);
         self.str(&s.program);
         self.u64(s.clock);
-        self.u32(s.tables.len() as u32);
-        for t in &s.tables {
-            self.str(&t.name);
-            self.opt_u64(t.idle_timeout);
-            self.u32(t.entries.len() as u32);
-            for e in &t.entries {
-                self.entry(e);
-            }
-        }
-        self.u32(s.registers.len() as u32);
-        for r in &s.registers {
-            self.str(&r.name);
-            self.u32(r.cells.len() as u32);
-            for c in &r.cells {
-                self.u128(*c);
-            }
-        }
+        self.list(&s.tables, |e, t| {
+            e.str(&t.name);
+            e.opt_u64(t.idle_timeout);
+            e.list(&t.entries, Self::entry);
+        });
+        self.list(&s.registers, |e, r| {
+            e.str(&r.name);
+            e.list(&r.cells, |e, c| e.u128(*c));
+        });
     }
     fn pipelet(&mut self, p: PipeletId) {
         self.u8(match p.gress {
@@ -530,21 +549,43 @@ impl Enc {
         self.u16(d.port);
         self.f64(d.latency_ns);
         self.u32(d.inter_switch_hops);
-        self.u32(d.hops.len() as u32);
-        for h in &d.hops {
-            self.hop(h);
-        }
+        self.list(&d.hops, Self::hop);
         self.bytes(&d.bytes);
     }
     fn digest(&mut self, r: &DigestRecord) {
         self.str(&r.name);
         self.values(&r.values);
     }
+    fn metrics(&mut self, s: &MetricsSnapshot) {
+        self.list(&s.metrics, |e, (name, value)| {
+            e.str(name);
+            let (kind, word) = match value {
+                MetricValue::Counter(c) => (0, *c),
+                MetricValue::Gauge(g) => (1, *g as u64),
+                MetricValue::Histogram(h) => (2, h.count),
+            };
+            e.u8(kind);
+            e.u64(word);
+            if let MetricValue::Histogram(h) = value {
+                e.u64(h.sum);
+                e.list(&h.buckets, |e, b| e.u64(*b));
+            }
+        });
+    }
 }
 
-/// Encodes a message into a complete frame (header + payload).
+/// Encodes a message into a complete frame (header + payload + trailer).
+/// The header goes into the buffer first and its class and length are
+/// patched in once the payload is written, so the payload is never copied.
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut e = Enc::new();
+    // Room for a one-hop data frame: most frames never reallocate.
+    let mut e = Enc {
+        buf: Vec::with_capacity(128),
+    };
+    e.u16(WIRE_MAGIC);
+    e.u8(WIRE_VERSION);
+    e.u8(0); // Class, patched below.
+    e.u32(0); // Payload length, patched below.
     let class = match msg {
         Message::Data(d) => {
             e.data(d);
@@ -641,40 +682,42 @@ pub fn encode(msg: &Message) -> Vec<u8> {
                 TelemetryMsg::Digests { switch, records } => {
                     e.u8(2);
                     e.u32(*switch);
-                    e.u32(records.len() as u32);
-                    for (pipeline, r) in records {
+                    e.list(records, |e, (pipeline, r)| {
                         e.u32(*pipeline);
                         e.digest(r);
-                    }
+                    });
                 }
                 TelemetryMsg::DrainDone { seq, digests } => {
                     e.u8(3);
                     e.u64(*seq);
                     e.u64(*digests);
                 }
-                TelemetryMsg::Metrics { seq, json } => {
+                TelemetryMsg::Metrics {
+                    seq,
+                    snapshot,
+                    rejected_frames,
+                } => {
                     e.u8(4);
                     e.u64(*seq);
-                    e.str(json);
+                    e.u64(*rejected_frames);
+                    e.metrics(snapshot);
                 }
                 TelemetryMsg::Snapshot { seq, items } => {
                     e.u8(5);
                     e.u64(*seq);
-                    e.u32(items.len() as u32);
-                    for (p, snapshot) in items {
+                    e.list(items, |e, (p, snapshot)| {
                         e.pipelet(*p);
                         e.snapshot(snapshot);
-                    }
+                    });
                 }
                 TelemetryMsg::Evictions { seq, evictions } => {
                     e.u8(6);
                     e.u64(*seq);
-                    e.u32(evictions.len() as u32);
-                    for (p, ev) in evictions {
+                    e.list(evictions, |e, (p, ev)| {
                         e.pipelet(*p);
                         e.str(&ev.table);
                         e.entry(&ev.entry);
-                    }
+                    });
                 }
                 TelemetryMsg::Delivered { disposition, data } => {
                     e.u8(7);
@@ -685,14 +728,11 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             CLASS_TELEMETRY
         }
     };
-    let payload = e.buf;
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(&WIRE_MAGIC.to_be_bytes());
-    frame.push(WIRE_VERSION);
-    frame.push(class);
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    let len = (e.buf.len() - HEADER_LEN) as u32;
+    e.buf[3] = class;
+    e.buf[4..HEADER_LEN].copy_from_slice(&len.to_be_bytes());
+    e.u32(crc32(&e.buf));
+    e.buf
 }
 
 // ---------------------------------------------------------------------
@@ -779,14 +819,18 @@ impl<'a> Dec<'a> {
         }
         Ok(Value::new(raw, bits))
     }
+    /// A `u32` count, then that many items, each decoded against the bytes
+    /// that remain: a corrupt count fails at the first missing item instead
+    /// of allocating for the items it claims.
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let n = self.u32()?;
+        (0..n).map(|_| item(self)).collect()
+    }
     fn values(&mut self) -> Result<Vec<Value>, WireError> {
-        // Each value occupies 18 bytes; `len` alone cannot bound the count.
-        let n = self.u32()? as usize;
-        let mut out = Vec::new();
-        for _ in 0..n {
-            out.push(self.value()?);
-        }
-        Ok(out)
+        self.list(Self::value)
     }
     fn key_match(&mut self) -> Result<KeyMatch, WireError> {
         Ok(match self.u8()? {
@@ -799,11 +843,7 @@ impl<'a> Dec<'a> {
         })
     }
     fn entry(&mut self) -> Result<TableEntry, WireError> {
-        let n = self.u32()? as usize;
-        let mut matches = Vec::new();
-        for _ in 0..n {
-            matches.push(self.key_match()?);
-        }
+        let matches = self.list(Self::key_match)?;
         let action = self.str()?;
         let action_args = self.values()?;
         let priority = self.i32()?;
@@ -814,8 +854,7 @@ impl<'a> Dec<'a> {
             priority,
         })
     }
-    /// Every count is consumed item by item against the bytes that remain
-    /// (as in [`Dec::values`]), so a corrupt count cannot allocate.
+    /// Every count is a [`Dec::list`], so a corrupt count cannot allocate.
     fn snapshot(&mut self) -> Result<StateSnapshot, WireError> {
         let version = self.u32()?;
         if version != SNAPSHOT_FORMAT_VERSION {
@@ -825,29 +864,19 @@ impl<'a> Dec<'a> {
         }
         let program = self.str()?;
         let clock = self.u64()?;
-        let mut tables = Vec::new();
-        for _ in 0..self.u32()? {
-            let name = self.str()?;
-            let idle_timeout = self.opt_u64()?;
-            let mut entries = Vec::new();
-            for _ in 0..self.u32()? {
-                entries.push(self.entry()?);
-            }
-            tables.push(TableSnapshot {
-                name,
-                idle_timeout,
-                entries,
-            });
-        }
-        let mut registers = Vec::new();
-        for _ in 0..self.u32()? {
-            let name = self.str()?;
-            let mut cells = Vec::new();
-            for _ in 0..self.u32()? {
-                cells.push(self.u128()?);
-            }
-            registers.push(RegisterSnapshot { name, cells });
-        }
+        let tables = self.list(|d| {
+            Ok(TableSnapshot {
+                name: d.str()?,
+                idle_timeout: d.opt_u64()?,
+                entries: d.list(Self::entry)?,
+            })
+        })?;
+        let registers = self.list(|d| {
+            Ok(RegisterSnapshot {
+                name: d.str()?,
+                cells: d.list(Self::u128)?,
+            })
+        })?;
         Ok(StateSnapshot {
             version,
             program,
@@ -886,11 +915,7 @@ impl<'a> Dec<'a> {
         let port = self.u16()?;
         let latency_ns = self.f64()?;
         let inter_switch_hops = self.u32()?;
-        let n = self.u32()? as usize;
-        let mut hops = Vec::new();
-        for _ in 0..n {
-            hops.push(self.hop()?);
-        }
+        let hops = self.list(Self::hop)?;
         let bytes = self.bytes()?;
         Ok(DataMsg {
             trace,
@@ -905,6 +930,33 @@ impl<'a> Dec<'a> {
         Ok(DigestRecord {
             name: self.str()?,
             values: self.values()?,
+        })
+    }
+    fn metrics(&mut self) -> Result<MetricsSnapshot, WireError> {
+        let series = self.list(|d| {
+            let (name, kind, word) = (d.str()?, d.u8()?, d.u64()?);
+            let value = match kind {
+                0 => MetricValue::Counter(word),
+                1 => MetricValue::Gauge(word as i64),
+                2 => {
+                    let (sum, n) = (d.u64()?, d.u32()? as usize);
+                    if n > HISTOGRAM_BUCKETS {
+                        let e = format!("{n} histogram buckets (at most {HISTOGRAM_BUCKETS})");
+                        return Err(WireError::BadValue(e));
+                    }
+                    let buckets = (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?;
+                    MetricValue::Histogram(HistogramSnapshot {
+                        buckets,
+                        count: word,
+                        sum,
+                    })
+                }
+                other => return Err(WireError::BadValue(format!("metric kind {other}"))),
+            };
+            Ok((name, value))
+        })?;
+        Ok(MetricsSnapshot {
+            metrics: series.into_iter().collect(),
         })
     }
 }
@@ -935,22 +987,29 @@ pub fn payload_len(header: &[u8]) -> Result<usize, WireError> {
     Ok(len)
 }
 
-/// Decodes one complete frame (header + payload) into a [`Message`].
+/// Decodes one complete frame (header + payload + trailer) into a
+/// [`Message`]. The header and the trailer are checked before any payload
+/// byte is read (module docs, version 4).
 pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
-    let len = payload_len(frame)?;
-    let class = frame[3];
-    let body = &frame[HEADER_LEN..];
-    if body.len() < len {
+    let end = HEADER_LEN + payload_len(frame)?;
+    let needed = end + TRAILER_LEN;
+    if frame.len() < needed {
         return Err(WireError::Truncated {
-            needed: HEADER_LEN + len,
+            needed,
             have: frame.len(),
         });
     }
-    if body.len() > len {
+    if frame.len() > needed {
         return Err(WireError::TrailingBytes {
-            extra: body.len() - len,
+            extra: frame.len() - needed,
         });
     }
+    let trailer = u32::from_be_bytes(frame[end..].try_into().expect("len 4"));
+    if crc32(&frame[..end]) != trailer {
+        return Err(WireError::Checksum);
+    }
+    let class = frame[3];
+    let body = &frame[HEADER_LEN..end];
     let mut d = Dec::new(body);
     let msg = match class {
         CLASS_DATA => Message::Data(d.data()?),
@@ -1008,46 +1067,36 @@ pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
                     seq: d.u64()?,
                     error: d.str()?,
                 },
-                2 => {
-                    let switch = d.u32()?;
-                    let n = d.u32()? as usize;
-                    let mut records = Vec::new();
-                    for _ in 0..n {
-                        let pipeline = d.u32()?;
-                        records.push((pipeline, d.digest()?));
-                    }
-                    TelemetryMsg::Digests { switch, records }
-                }
+                2 => TelemetryMsg::Digests {
+                    switch: d.u32()?,
+                    records: d.list(|d| Ok((d.u32()?, d.digest()?)))?,
+                },
                 3 => TelemetryMsg::DrainDone {
                     seq: d.u64()?,
                     digests: d.u64()?,
                 },
                 4 => TelemetryMsg::Metrics {
                     seq: d.u64()?,
-                    json: d.str()?,
+                    rejected_frames: d.u64()?,
+                    snapshot: d.metrics()?,
                 },
-                5 => {
-                    let seq = d.u64()?;
-                    let n = d.u32()? as usize;
-                    let mut items = Vec::new();
-                    for _ in 0..n {
+                5 => TelemetryMsg::Snapshot {
+                    seq: d.u64()?,
+                    items: d.list(|d| Ok((d.pipelet()?, d.snapshot()?)))?,
+                },
+                6 => TelemetryMsg::Evictions {
+                    seq: d.u64()?,
+                    evictions: d.list(|d| {
                         let p = d.pipelet()?;
-                        items.push((p, d.snapshot()?));
-                    }
-                    TelemetryMsg::Snapshot { seq, items }
-                }
-                6 => {
-                    let seq = d.u64()?;
-                    let n = d.u32()? as usize;
-                    let mut evictions = Vec::new();
-                    for _ in 0..n {
-                        let p = d.pipelet()?;
-                        let table = d.str()?;
-                        let entry = d.entry()?;
-                        evictions.push((p, Eviction { table, entry }));
-                    }
-                    TelemetryMsg::Evictions { seq, evictions }
-                }
+                        Ok((
+                            p,
+                            Eviction {
+                                table: d.str()?,
+                                entry: d.entry()?,
+                            },
+                        ))
+                    })?,
+                },
                 7 => TelemetryMsg::Delivered {
                     disposition: d.disposition()?,
                     data: d.data()?,
@@ -1145,8 +1194,33 @@ mod tests {
             decode(&wrong_version),
             Err(WireError::UnsupportedVersion(9))
         );
-        let mut extra = frame;
+        let mut extra = frame.clone();
         extra.push(0);
         assert_eq!(decode(&extra), Err(WireError::TrailingBytes { extra: 1 }));
+        let mut flipped = frame;
+        flipped[HEADER_LEN] ^= 1;
+        assert_eq!(decode(&flipped), Err(WireError::Checksum));
+    }
+
+    #[test]
+    fn a_histogram_past_the_bucket_bound_is_refused() {
+        let mut snapshot = MetricsSnapshot::default();
+        let buckets = vec![0; HISTOGRAM_BUCKETS + 1];
+        let wide = HistogramSnapshot {
+            buckets,
+            ..Default::default()
+        };
+        snapshot
+            .metrics
+            .insert("h".into(), MetricValue::Histogram(wide));
+        let frame = encode(&Message::Telemetry(TelemetryMsg::Metrics {
+            seq: 2,
+            snapshot,
+            rejected_frames: 0,
+        }));
+        assert!(matches!(
+            decode(&frame),
+            Err(WireError::BadValue(m)) if m.contains("histogram buckets")
+        ));
     }
 }

@@ -21,7 +21,7 @@
 //!   control plane learns while traffic keeps flowing, instead of waiting
 //!   for a "process digests now" call.
 
-use super::wire::{ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
+use super::wire::{self, ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
 use super::{Endpoint, Link, TransportError};
 use crate::deploy::Deployment;
 use dejavu_asic::switch::Disposition;
@@ -57,6 +57,8 @@ pub struct SwitchWorker {
     /// over real process boundaries needs a program-shipping bootstrap
     /// protocol (ROADMAP).
     pub swap_rx: Receiver<(u64, Switch, Deployment)>,
+    /// Frames dropped because they did not decode (sent with each scrape).
+    pub rejected_frames: u64,
 }
 
 impl SwitchWorker {
@@ -64,18 +66,10 @@ impl SwitchWorker {
     /// inbox disconnects. Consumes the worker; its switch state lives (and
     /// dies) with the loop, reachable only through messages.
     pub fn run(mut self) {
-        loop {
-            match self.inbox.recv() {
-                Ok(msg) => {
-                    if self.on_message(msg) {
-                        break;
-                    }
-                }
-                // A corrupt payload costs one frame, not the member: skip
-                // it (as the controller does) and keep serving traffic.
-                Err(TransportError::Wire(_)) => continue,
-                // Every sender gone: the cluster is tearing down.
-                Err(_) => break,
+        // Every sender gone ends the loop: the cluster is tearing down.
+        while let Ok(frame) = self.inbox.recv_raw() {
+            if self.on_frame(&frame) {
+                break;
             }
         }
     }
@@ -83,28 +77,26 @@ impl SwitchWorker {
     /// One step of [`run`](Self::run) without blocking: handles the oldest
     /// queued frame. `false` when the inbox had nothing to take.
     pub fn poll(&mut self) -> bool {
-        match self.inbox.try_recv() {
-            Ok(Some(msg)) => {
-                self.on_message(msg);
-                true
-            }
-            Err(TransportError::Wire(_)) => true,
-            Ok(None) | Err(_) => false,
-        }
+        let Ok(Some(frame)) = self.inbox.try_recv_raw() else {
+            return false;
+        };
+        self.on_frame(&frame);
+        true
     }
 
-    /// Handles one message; `true` means shut down.
-    fn on_message(&mut self, msg: Message) -> bool {
-        match msg {
-            Message::Data(d) => {
-                self.on_data(d);
-                false
-            }
-            Message::Control(c) => self.on_control(c),
+    /// The one receive step: decodes a frame and handles it; `true` means
+    /// shut down. A frame that does not decode costs one frame, not the
+    /// member: it is counted and dropped.
+    fn on_frame(&mut self, frame: &[u8]) -> bool {
+        match wire::decode(frame) {
+            Ok(Message::Data(d)) => self.on_data(d),
+            Ok(Message::Control(c)) => return self.on_control(c),
             // Workers never receive telemetry; ignore stray frames
             // rather than crash the member.
-            Message::Telemetry(_) => false,
+            Ok(Message::Telemetry(_)) => {}
+            Err(_) => self.rejected_frames += 1,
         }
+        false
     }
 
     fn send_up(&mut self, msg: TelemetryMsg) {
@@ -217,11 +209,11 @@ impl SwitchWorker {
                 let digests = self.push_digests();
                 self.send_up(TelemetryMsg::DrainDone { seq, digests });
             }
-            ControlMsg::ScrapeMetrics { .. } => {
-                let snap = self.switch.metrics_snapshot();
-                let json = dejavu_asic::telemetry::to_json_string(&snap);
-                self.send_up(TelemetryMsg::Metrics { seq, json });
-            }
+            ControlMsg::ScrapeMetrics { .. } => self.send_up(TelemetryMsg::Metrics {
+                seq,
+                snapshot: self.switch.metrics_snapshot(),
+                rejected_frames: self.rejected_frames,
+            }),
             ControlMsg::SnapshotState { .. } => {
                 let mut items = Vec::new();
                 for pipelet in self.switch.loaded_pipelets() {

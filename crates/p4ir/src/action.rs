@@ -375,8 +375,30 @@ const CRC16_TABLE: [u16; 256] = {
     table
 };
 
-fn crc32_update(crc: u32, data: &[u8]) -> u32 {
-    data.iter().fold(crc, |crc, &b| {
+/// Slicing-by-8: `CRC32_TABLES[k][b]` is the remainder of byte `b` followed
+/// by `k` zero bytes, so eight bytes fold in one step of eight lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [CRC32_TABLE; 8];
+    let mut n = 256;
+    while n < 8 * 256 {
+        let prev = tables[n / 256 - 1][n % 256];
+        tables[n / 256][n % 256] = (prev >> 8) ^ CRC32_TABLE[(prev & 0xff) as usize];
+        n += 1;
+    }
+    tables
+};
+
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut chunks = data.chunks_exact(8);
+    for c in chunks.by_ref() {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let b = |k: u32| (lo >> (8 * k)) as u8 as usize;
+        crc = t[7][b(0)] ^ t[6][b(1)] ^ t[5][b(2)] ^ t[4][b(3)];
+        crc ^= t[3][usize::from(c[4])] ^ t[2][usize::from(c[5])];
+        crc ^= t[1][usize::from(c[6])] ^ t[0][usize::from(c[7])];
+    }
+    chunks.remainder().iter().fold(crc, |crc, &b| {
         CRC32_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8)
     })
 }
@@ -407,6 +429,17 @@ mod tests {
         // CRC-32 of "123456789" is 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_slices_agree_with_the_bytewise_table() {
+        let data: Vec<u8> = (0..67u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        for len in 0..=data.len() {
+            let bytewise = data[..len].iter().fold(CRC32_INIT, |crc, &b| {
+                CRC32_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8)
+            });
+            assert_eq!(crc32(&data[..len]), !bytewise, "length {len}");
+        }
     }
 
     #[test]

@@ -29,8 +29,7 @@
 //! let snap = MetricsSnapshot::capture(&reg);
 //! assert_eq!(snap.counter("pipelet_packets{pipelet=\"ingress0\"}"), 1);
 //! let json = dejavu_telemetry::to_json_string(&snap);
-//! let back = dejavu_telemetry::parse_json(&json).unwrap();
-//! assert_eq!(dejavu_telemetry::snapshot_from_json(&back).unwrap(), snap);
+//! assert!(json.contains("packet_latency_ns"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,4 +43,4 @@ pub use export::{parse_json, to_json_string, to_prometheus};
 pub use registry::{
     bucket_of, CounterId, GaugeId, HistogramId, MetricsRegistry, HISTOGRAM_BUCKETS,
 };
-pub use snapshot::{snapshot_from_json, HistogramSnapshot, MetricValue, MetricsSnapshot};
+pub use snapshot::{HistogramSnapshot, MetricValue, MetricsSnapshot};

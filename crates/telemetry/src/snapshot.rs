@@ -8,7 +8,7 @@
 //! folds the deltas together; counters and histogram buckets are plain sums,
 //! so the result equals a single-threaded run over the concatenated work.
 
-use crate::registry::{MetricsRegistry, HISTOGRAM_BUCKETS};
+use crate::registry::MetricsRegistry;
 use serde::json::Value;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -277,63 +277,6 @@ impl Serialize for MetricsSnapshot {
     }
 }
 
-/// Rebuilds a snapshot from the JSON [`Value`] shape produced by the
-/// [`Serialize`] impl above (see [`crate::export::parse_json`] for the
-/// text → `Value` step). Unknown shapes are rejected with a description.
-pub fn snapshot_from_json(value: &Value) -> Result<MetricsSnapshot, String> {
-    let Value::Object(fields) = value else {
-        return Err("snapshot root must be a JSON object".to_string());
-    };
-    let mut out = MetricsSnapshot::default();
-    for (name, v) in fields {
-        let mv = match v {
-            Value::UInt(c) => MetricValue::Counter(*c),
-            Value::Int(i) if *i >= 0 => MetricValue::Counter(*i as u64),
-            Value::Int(i) => MetricValue::Gauge(*i),
-            Value::Object(h) if h.len() == 1 && h[0].0 == "gauge" => match &h[0].1 {
-                Value::Int(i) => MetricValue::Gauge(*i),
-                Value::UInt(u) if *u <= i64::MAX as u64 => MetricValue::Gauge(*u as i64),
-                other => return Err(format!("metric {name}: bad gauge value {other:?}")),
-            },
-            Value::Object(h) => {
-                let get = |k: &str| h.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-                let as_u64 = |v: Option<&Value>| -> Result<u64, String> {
-                    match v {
-                        Some(Value::UInt(u)) => Ok(*u),
-                        Some(Value::Int(i)) if *i >= 0 => Ok(*i as u64),
-                        other => Err(format!("metric {name}: expected unsigned, got {other:?}")),
-                    }
-                };
-                let count = as_u64(get("count"))?;
-                let sum = as_u64(get("sum"))?;
-                let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
-                match get("buckets_log2") {
-                    Some(Value::Array(items)) => {
-                        for (i, item) in items.iter().enumerate() {
-                            if i < buckets.len() {
-                                buckets[i] = as_u64(Some(item))?;
-                            }
-                        }
-                    }
-                    other => {
-                        return Err(format!(
-                            "metric {name}: histogram without buckets_log2 ({other:?})"
-                        ))
-                    }
-                }
-                MetricValue::Histogram(HistogramSnapshot {
-                    buckets,
-                    count,
-                    sum,
-                })
-            }
-            other => return Err(format!("metric {name}: unsupported value {other:?}")),
-        };
-        out.metrics.insert(name.clone(), mv);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,9 +339,16 @@ mod tests {
         let s = MetricsSnapshot::capture(&r);
         let text = serde_json::to_string_pretty(&s).unwrap();
         let parsed = crate::export::parse_json(&text).unwrap();
-        let back = snapshot_from_json(&parsed).unwrap();
-        assert_eq!(back.counter("pkts"), 9);
-        assert_eq!(back.histogram("lat").unwrap().sum, 650);
-        assert_eq!(back.histogram("lat").unwrap().count, 1);
+        assert_eq!(parsed, s.to_json());
+        let Value::Object(fields) = parsed else {
+            panic!("a snapshot exports as an object");
+        };
+        let get = |name: &str| fields.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+        assert_eq!(get("pkts"), Some(&Value::UInt(9)));
+        let Some(Value::Object(lat)) = get("lat") else {
+            panic!("a histogram exports as an object");
+        };
+        assert!(lat.contains(&("sum".to_string(), Value::UInt(650))));
+        assert!(lat.contains(&("count".to_string(), Value::UInt(1))));
     }
 }

@@ -173,11 +173,12 @@ if [ "$(grep -rn 'fn walk_stmts' crates/p4ir/src | wc -l)" -gt 1 ] ||
 fi
 
 # Kill-catalogue gate: every mutant under tests/mutants/ whose killer is
-# the p4ir unit tests must still be killed by them (each builds in a
-# reused scratch copy and runs under its own time bound); run
-# `scripts/mutants.sh` alone for the whole catalogue.
-mapfile -t p4ir_mutants < <(grep -l '^Test: -p dejavu-p4ir --lib$' tests/mutants/*.patch)
-scripts/mutants.sh "${p4ir_mutants[@]}"
+# the p4ir unit tests or the wire-format properties must still be killed
+# by them (each builds in a reused scratch copy and runs under its own time
+# bound); run `scripts/mutants.sh` alone for the whole catalogue.
+mapfile -t gated_mutants < <(grep -lE '^Test: -p dejavu-(p4ir --lib|integration --test wire_format)$' \
+    tests/mutants/*.patch)
+scripts/mutants.sh "${gated_mutants[@]}"
 
 # Re-placement gate: the closed-loop orchestrator must notice the traffic
 # shift, migrate the learned NAT across switches live, and lose zero
@@ -193,15 +194,14 @@ timeout 120 cargo run -p dejavu-examples --bin replacement_demo
 cargo build -q -p dejavu-examples --bin placement_explorer
 timeout 60 cargo run -p dejavu-examples --bin placement_explorer -- 100 8 1
 
-# State-on-the-wire gate: dynamic state crosses a cluster link as a typed
-# StateSnapshot in the frame format; text must not creep back onto the
-# control path, which sits inside the migration window (ingress is parked
-# while state moves). `to_json_string` / `parse_json` for
-# `TelemetryMsg::Metrics` is deliberate and not matched: a scrape is off the
-# packet path, its payload is the telemetry export format, and the parser
-# that reads it is linear.
-if grep -nE 'StateSnapshot::from_json|\.to_json\(\)' crates/core/src/transport/*.rs; then
-    echo "state snapshots must cross links in the wire format, not as JSON" >&2
+# Typed-wire gate: everything that crosses a cluster link — dynamic state,
+# metrics, every other message — is a typed value in the frame format. No
+# JSON is printed or parsed on the cluster path: a snapshot or a scrape
+# that does not decode must fail its verb (never read as an empty or idle
+# member), and the migration window, with ingress parked while state
+# moves, has no room for text.
+if grep -nE 'parse_json|to_json|from_json' crates/core/src/transport/*.rs; then
+    echo "a message crosses a cluster link as JSON again (see DESIGN.md, Wire format)" >&2
     exit 1
 fi
 

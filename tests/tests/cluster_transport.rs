@@ -14,9 +14,10 @@ use dejavu_asic::{InjectedPacket, PipeletId, TofinoProfile};
 use dejavu_core::deploy::DeployOptions;
 use dejavu_core::multiswitch::{deploy_cluster, ClusterPlacement, ClusterWiring};
 use dejavu_core::placement::Placement;
+use dejavu_core::transport::wire::{self, Message, TelemetryMsg};
 use dejavu_core::transport::{
-    spawn_cluster, ChannelTransport, ClusterHandle, ClusterOptions, TcpTransport, Transport,
-    WireTraversal,
+    spawn_cluster, ChannelTransport, ClusterError, ClusterHandle, ClusterOptions, Endpoint, Link,
+    PeerAddr, TcpTransport, Transport, TransportError, WireTraversal,
 };
 use dejavu_core::{ChainPolicy, ChainSet, NfModule};
 use dejavu_integration::{encapsulated_packet, marker_nf, EXIT_PORT, IN_PORT};
@@ -562,4 +563,147 @@ fn spawn_rejects_invalid_wiring_with_typed_errors() {
         ClusterWiring::new(14, 13, f64::NAN),
         Err(ClusterConfigError::BadCableLatency(_))
     ));
+}
+
+// ---------------------------------------------------------------------
+// A damaged frame: it is dropped and counted where it arrived, never read
+// as a valid message (a metrics reply that did not parse used to read as
+// an all-zero member).
+// ---------------------------------------------------------------------
+
+/// [`ChannelTransport`] with the inbox `label` bound here, so the `link`-th
+/// link connected to it can damage the first frame `pick` selects: bit 1
+/// of byte 21, inside the frame's payload.
+struct DamagingTransport {
+    inner: ChannelTransport,
+    label: &'static str,
+    link: usize,
+    pick: fn(&Message) -> bool,
+    inbox: Option<std::sync::mpsc::Sender<Vec<u8>>>,
+    links: usize,
+}
+
+impl DamagingTransport {
+    fn new(label: &'static str, link: usize, pick: fn(&Message) -> bool) -> Self {
+        DamagingTransport {
+            inner: ChannelTransport::default(),
+            label,
+            link,
+            pick,
+            inbox: None,
+            links: 0,
+        }
+    }
+}
+
+struct DamagingSink {
+    tx: std::sync::mpsc::Sender<Vec<u8>>,
+    pick: Option<fn(&Message) -> bool>,
+}
+
+impl dejavu_core::transport::FrameSink for DamagingSink {
+    fn send_frame(&mut self, mut frame: Vec<u8>) -> Result<(), TransportError> {
+        if let Some(pick) = self.pick {
+            if wire::decode(&frame).is_ok_and(|m| pick(&m)) {
+                frame[21] ^= 1 << 1;
+                self.pick = None;
+            }
+        }
+        self.tx
+            .send(frame)
+            .map_err(|_| TransportError::Disconnected)
+    }
+}
+
+impl Transport for DamagingTransport {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+
+    fn bind(&mut self, label: &str) -> Result<Endpoint, TransportError> {
+        if label != self.label {
+            return self.inner.bind(label);
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        self.inbox = Some(tx);
+        Ok(Endpoint::from_parts(PeerAddr::Channel(label.into()), rx))
+    }
+
+    /// `spawn_cluster` connects the controller to each worker in index
+    /// order, then each worker upstream and to the next worker: the second
+    /// link into `ctrl` is worker 1's, the second into `w1` is worker 0's.
+    fn connect(&mut self, peer: &PeerAddr) -> Result<Link, TransportError> {
+        match (peer, &self.inbox) {
+            (PeerAddr::Channel(label), Some(tx)) if label == self.label => {
+                self.links += 1;
+                Ok(Link::from_sink(Box::new(DamagingSink {
+                    tx: tx.clone(),
+                    pick: (self.links == self.link).then_some(self.pick),
+                })))
+            }
+            _ => self.inner.connect(peer),
+        }
+    }
+}
+
+fn damaging_cluster(mut transport: DamagingTransport) -> ClusterHandle {
+    let (nfs, chains, placement) = nine_nf_setup();
+    let refs: Vec<_> = nfs.iter().collect();
+    spawn_cluster(
+        &refs,
+        &chains,
+        &placement,
+        &TofinoProfile::wedge_100b_32x(),
+        [(1u16, EXIT_PORT)].into_iter().collect(),
+        &ClusterWiring::default(),
+        &DeployOptions::default(),
+        &mut transport,
+        &ClusterOptions {
+            telemetry: true,
+            op_timeout: Duration::from_millis(500),
+        },
+    )
+    .unwrap()
+}
+
+#[test]
+fn a_damaged_metrics_reply_fails_the_scrape_and_is_counted() {
+    let mut handle = damaging_cluster(DamagingTransport::new("ctrl", 2, |m| {
+        matches!(m, Message::Telemetry(TelemetryMsg::Metrics { .. }))
+    }));
+    handle
+        .inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
+        .unwrap();
+
+    // Worker 1's reply fails its check: no member is read as idle.
+    let first = handle.metrics_snapshot();
+    assert!(
+        matches!(first, Err(ClusterError::Timeout(_))),
+        "a damaged reply must fail the scrape, got {first:?}"
+    );
+    // The next scrape is whole, and the dropped frame is on the books.
+    let second = handle.metrics_snapshot().unwrap();
+    assert_eq!(second.rejected_frames, 1);
+    assert!(second.per_switch.iter().all(|s| !s.is_zero()));
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_damaged_data_frame_is_dropped_and_counted_by_its_member() {
+    let mut handle = damaging_cluster(DamagingTransport::new("w1", 2, |m| {
+        matches!(m, Message::Data(_))
+    }));
+
+    // The flight's frame from worker 0 to worker 1 fails its check: the
+    // packet is lost, never executed as a different one.
+    let lost = handle.inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT));
+    assert!(
+        matches!(lost, Err(ClusterError::Timeout(_))),
+        "a damaged data frame must not deliver, got {lost:?}"
+    );
+    // Worker 1 counted it, and its count rides in its own scrape reply.
+    let scrape = handle.metrics_snapshot().unwrap();
+    assert_eq!(scrape.rejected_frames, 1);
+    assert!(scrape.per_switch[1].is_zero() && scrape.per_switch[2].is_zero());
+    handle.shutdown().unwrap();
 }

@@ -1,19 +1,24 @@
 //! Property tests for the cluster wire format: every generated message
 //! survives an encode → decode round trip bit-exactly, and every corrupted
 //! frame — truncated at any byte, over-length, wrong magic/version/class/tag
-//! — decodes to a typed [`WireError`], never a panic. State snapshots ride
-//! the same properties, and a differential property pins the frame encoding
-//! and the JSON export encoding of a [`StateSnapshot`] against each other.
-//! A packet's frame grows by one fixed-size hop per switch visited.
+//! — decodes to a typed [`WireError`], never a panic. Every single-bit flip
+//! is caught by the frame's CRC trailer; a test that stomps a field to reach
+//! one decoder stage re-seals the trailer first ([`reseal`]). State and
+//! metrics snapshots ride the same properties, and a differential property
+//! pins the frame encoding and the JSON export encoding of a
+//! [`StateSnapshot`] against each other. A packet's frame grows by one
+//! fixed-size hop per switch visited.
 
 use dejavu_asic::state::{RegisterSnapshot, TableSnapshot, SNAPSHOT_FORMAT_VERSION};
 use dejavu_asic::switch::Disposition;
 use dejavu_asic::tables::{DigestRecord, Eviction};
-use dejavu_asic::{Gress, PipeletId, StateSnapshot};
+use dejavu_asic::telemetry::{HistogramSnapshot, MetricValue, HISTOGRAM_BUCKETS};
+use dejavu_asic::{Gress, MetricsSnapshot, PipeletId, StateSnapshot};
 use dejavu_core::transport::wire::{
     decode, encode, payload_len, ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg, WireError,
-    HEADER_LEN, MAX_PAYLOAD, WIRE_MAGIC, WIRE_VERSION,
+    HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN, WIRE_MAGIC, WIRE_VERSION,
 };
+use dejavu_p4ir::action::crc32;
 use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use dejavu_p4ir::Value;
 use proptest::collection::vec;
@@ -226,6 +231,33 @@ fn digest_strat() -> BoxedStrategy<DigestRecord> {
         .boxed()
 }
 
+/// Counters, gauges of either sign, and histograms of up to the full
+/// [`HISTOGRAM_BUCKETS`].
+fn metrics_strat() -> BoxedStrategy<MetricsSnapshot> {
+    let histogram = (
+        vec(any::<u64>(), 0..=HISTOGRAM_BUCKETS),
+        any::<u64>(),
+        any::<u64>(),
+    )
+        .prop_map(|(buckets, count, sum)| {
+            MetricValue::Histogram(HistogramSnapshot {
+                buckets,
+                count,
+                sum,
+            })
+        });
+    let value = prop_oneof![
+        any::<u64>().prop_map(MetricValue::Counter),
+        any::<i64>().prop_map(MetricValue::Gauge),
+        histogram,
+    ];
+    vec((string_strat(), value), 0..6)
+        .prop_map(|series| MetricsSnapshot {
+            metrics: series.into_iter().collect(),
+        })
+        .boxed()
+}
+
 fn telemetry_strat() -> BoxedStrategy<TelemetryMsg> {
     prop_oneof![
         (any::<u64>(), any::<u64>()).prop_map(|(seq, info)| TelemetryMsg::Ack { seq, info }),
@@ -234,7 +266,13 @@ fn telemetry_strat() -> BoxedStrategy<TelemetryMsg> {
             .prop_map(|(switch, records)| TelemetryMsg::Digests { switch, records }),
         (any::<u64>(), any::<u64>())
             .prop_map(|(seq, digests)| TelemetryMsg::DrainDone { seq, digests }),
-        (any::<u64>(), string_strat()).prop_map(|(seq, json)| TelemetryMsg::Metrics { seq, json }),
+        (any::<u64>(), metrics_strat(), any::<u64>()).prop_map(
+            |(seq, snapshot, rejected_frames)| TelemetryMsg::Metrics {
+                seq,
+                snapshot,
+                rejected_frames,
+            }
+        ),
         (any::<u64>(), vec((pipelet_strat(), snapshot_strat()), 0..3))
             .prop_map(|(seq, items)| TelemetryMsg::Snapshot { seq, items }),
         (
@@ -261,6 +299,15 @@ fn message_strat() -> BoxedStrategy<Message> {
     .boxed()
 }
 
+/// Recomputes the trailer of a frame stomped on purpose, so the damage
+/// reaches the decoder stage a test is about instead of the checksum.
+fn reseal(mut frame: Vec<u8>) -> Vec<u8> {
+    let end = frame.len() - TRAILER_LEN;
+    let crc = crc32(&frame[..end]);
+    frame[end..].copy_from_slice(&crc.to_be_bytes());
+    frame
+}
+
 // ---------------------------------------------------------------------
 // Round trips
 // ---------------------------------------------------------------------
@@ -271,10 +318,10 @@ proptest! {
     #[test]
     fn every_message_round_trips(msg in message_strat()) {
         let frame = encode(&msg);
-        prop_assert!(frame.len() >= HEADER_LEN);
+        prop_assert!(frame.len() >= HEADER_LEN + TRAILER_LEN);
         prop_assert_eq!(
             payload_len(&frame).unwrap(),
-            frame.len() - HEADER_LEN,
+            frame.len() - HEADER_LEN - TRAILER_LEN,
             "header length prefix must match the payload"
         );
         let back = decode(&frame);
@@ -323,11 +370,26 @@ proptest! {
             prop_assert_eq!(decode(&bad), Err(WireError::UnsupportedVersion(byte)));
         }
 
-        // Unknown class.
+        // Unknown class: a checksum failure as sent, the class once
+        // re-sealed.
         if byte > 2 {
             let mut bad = frame.clone();
             bad[3] = byte;
-            prop_assert_eq!(decode(&bad), Err(WireError::UnknownClass(byte)));
+            prop_assert_eq!(decode(&bad), Err(WireError::Checksum));
+            prop_assert_eq!(decode(&reseal(bad)), Err(WireError::UnknownClass(byte)));
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_an_error(msg in message_strat()) {
+        // Header, payload or trailer: the CRC-32 trailer catches every
+        // single-bit flip, so no flip decodes to a valid, wrong message.
+        let mut frame = encode(&msg);
+        for bit in 0..frame.len() * 8 {
+            frame[bit / 8] ^= 1 << (bit % 8);
+            let r = decode(&frame);
+            prop_assert!(r.is_err(), "flip of bit {} decoded: {:?}", bit, r);
+            frame[bit / 8] ^= 1 << (bit % 8);
         }
     }
 
@@ -407,7 +469,11 @@ fn unknown_tags_are_typed_errors() {
         frame.push(class);
         frame.extend_from_slice(&1u32.to_be_bytes());
         frame.push(tag);
-        assert_eq!(decode(&frame), Err(WireError::UnknownTag { class, tag }));
+        frame.extend_from_slice(&[0; TRAILER_LEN]);
+        assert_eq!(
+            decode(&reseal(frame)),
+            Err(WireError::UnknownTag { class, tag })
+        );
     }
 }
 
@@ -419,29 +485,29 @@ fn invalid_utf8_in_strings_is_typed() {
         error: "xx".into(),
     });
     let mut frame = encode(&msg);
-    // The error string's bytes are the last two; stomp them with a lone
-    // continuation byte.
-    let n = frame.len();
+    // The error string's bytes are the last two before the trailer; stomp
+    // them with a lone continuation byte.
+    let n = frame.len() - TRAILER_LEN;
     frame[n - 2] = 0xff;
     frame[n - 1] = 0xfe;
-    assert_eq!(decode(&frame), Err(WireError::BadUtf8));
+    assert_eq!(decode(&reseal(frame)), Err(WireError::BadUtf8));
 }
 
 /// A nested length prefix larger than the remaining payload reports
 /// `Truncated` instead of allocating on behalf of the corrupt field.
 #[test]
 fn corrupt_inner_length_prefix_is_truncated() {
-    let msg = Message::Telemetry(TelemetryMsg::Metrics {
+    let msg = Message::Telemetry(TelemetryMsg::Nack {
         seq: 4,
-        json: "abcd".into(),
+        error: "abcd".into(),
     });
     let mut frame = encode(&msg);
-    // The JSON string's length prefix sits 8 bytes before the end
+    // The error string's length prefix sits 8 bytes before the trailer
     // (u32 len + 4 bytes of payload). Inflate it.
-    let n = frame.len();
+    let n = frame.len() - TRAILER_LEN;
     frame[n - 8..n - 4].copy_from_slice(&1_000_000u32.to_be_bytes());
     assert!(
-        matches!(decode(&frame), Err(WireError::Truncated { .. })),
+        matches!(decode(&reseal(frame)), Err(WireError::Truncated { .. })),
         "inflated inner length must be a truncation error"
     );
 }
@@ -488,11 +554,14 @@ fn damaged_snapshot_frames_never_decode_shorter() {
         })
     };
     let frame = encode(&msg(nat_snapshot(3)));
-    // Cut the payload at every byte and re-seal the header over what is
-    // left, so the frame is well-formed and only its contents are short.
-    for keep in 0..frame.len() - HEADER_LEN {
+    // Cut the payload at every byte and re-seal the header and trailer over
+    // what is left, so the frame is well-formed and only its contents are
+    // short.
+    for keep in 0..frame.len() - HEADER_LEN - TRAILER_LEN {
         let mut cut = frame[..HEADER_LEN + keep].to_vec();
         cut[4..8].copy_from_slice(&(keep as u32).to_be_bytes());
+        cut.extend_from_slice(&[0; TRAILER_LEN]);
+        let cut = reseal(cut);
         assert!(
             matches!(decode(&cut), Err(WireError::Truncated { .. })),
             "payload cut to {keep} bytes decoded as {:?}",
@@ -507,13 +576,13 @@ fn damaged_snapshot_frames_never_decode_shorter() {
     );
 }
 
-/// Version 1 carried state as JSON text and version 2 carried table names
-/// in every hop: a peer on either fails loudly at the header, before any
-/// payload is interpreted.
+/// Version 1 carried state as JSON text, version 2 carried table names in
+/// every hop and version 3 had no trailer: a peer on any of them fails
+/// loudly at the header, before any payload is interpreted.
 #[test]
 fn version_one_headers_are_rejected() {
-    assert_eq!(WIRE_VERSION, 3);
-    for old in [1, 2] {
+    assert_eq!(WIRE_VERSION, 4);
+    for old in [1, 2, 3] {
         let mut frame = encode(&Message::Control(ControlMsg::SnapshotState { seq: 2 }));
         frame[2] = old;
         assert_eq!(payload_len(&frame), Err(WireError::UnsupportedVersion(old)));
