@@ -13,7 +13,11 @@
 //!   each NF and reinjects the packet, at most once per trace, into the
 //!   member that punted it — its flight goes on under the same trace id;
 //! * table updates, idle timeouts, clock advances, metrics scrapes and
-//!   state snapshots are request/reply command round trips;
+//!   state snapshots are request/reply command round trips, each reply
+//!   handled by the code that sent the command;
+//! * whatever the controller awaits — a command's reply, a packet's
+//!   delivery — fails with [`ClusterError::Timeout`] once `op_timeout` has
+//!   passed since it was sent, so a lost frame wedges nothing after it;
 //! * finished packets come back as [`Delivery`] records carrying the whole
 //!   multi-switch flight summary, one fixed-size [`HopSummary`] per member
 //!   visited.
@@ -49,7 +53,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Public result / report types
@@ -104,7 +108,9 @@ impl From<TransportError> for ClusterError {
 pub struct ClusterOptions {
     /// Enable telemetry on every member switch.
     pub telemetry: bool,
-    /// How long synchronous facade calls wait for their round trip.
+    /// How long synchronous facade calls wait for their round trip, and
+    /// how long the controller awaits a reply or a delivery before it
+    /// fails it.
     pub op_timeout: Duration,
 }
 
@@ -229,6 +235,14 @@ pub struct Delivery {
 // Controller internals
 // ---------------------------------------------------------------------
 
+/// What a flight that outlived `op_timeout` fails with.
+const FLIGHT_TIMEOUT: ClusterError = ClusterError::Timeout("packet delivery");
+
+/// A finished flight on its way to the handle, by trace id. Its failure is
+/// [`FLIGHT_TIMEOUT`] or a [`ClusterError::Remote`] with the text a
+/// [`Delivery`] reports, so [`ClusterHandle::inject`] returns it as is.
+type Landed = (u64, Result<WireTraversal, ClusterError>);
+
 /// Answers a request with an error (the caller may have stopped waiting).
 fn refuse<T>(reply: Sender<Result<T, ClusterError>>, e: ClusterError) {
     let _ = reply.send(Err(e));
@@ -247,43 +261,29 @@ enum CtrlEvent {
     Run(Box<dyn FnOnce(&mut Controller) + Send>),
 }
 
-enum Pending {
-    /// Reply `info` straight to the caller (Ack) or the error (Nack).
-    Simple(Sender<Result<u64, ClusterError>>),
-    /// A learned install triggered by a digest; on ack, account it to the
-    /// switch and release the flush barrier if one is waiting.
-    Learned { switch: usize },
-    /// An install a punt handler asked for the packet `trace`; `what` names
-    /// the NF and table for the error a nack ends the flight with.
-    Punt { trace: u64, what: String },
-    /// Part of a broadcast; the id indexes `Controller::gathers`.
-    Gather { id: u64, switch: usize },
-    /// A shutdown ack.
-    Bye,
+/// A member's reply to one command, or the failure that stands in for it —
+/// a nack, a link that refused the frame, or `op_timeout`.
+type Reply = Result<TelemetryMsg, ClusterError>;
+
+/// What a command's reply does, left by the code that sent the command. It
+/// runs once.
+type Then = Box<dyn FnOnce(&mut Controller, Reply) + Send>;
+
+/// What a broadcast's replies do: all of them in member order, or the
+/// first failure.
+type Gathered = Box<dyn FnOnce(&mut Controller, Result<Vec<TelemetryMsg>, ClusterError>) + Send>;
+
+/// A plain command's reply: the ack's `info`.
+fn info(reply: Reply) -> Result<u64, ClusterError> {
+    match reply? {
+        TelemetryMsg::Ack { info, .. } => Ok(info),
+        other => Err(ClusterError::Remote(format!("not an ack: {other:?}"))),
+    }
 }
 
-enum GatherAcc {
-    Evictions {
-        acc: Vec<(usize, PipeletId, Eviction)>,
-        reply: Sender<Result<ClusterReport, ClusterError>>,
-    },
-    Metrics {
-        acc: ClusterScrape,
-        reply: Sender<Result<ClusterScrape, ClusterError>>,
-    },
-    Snapshot {
-        acc: Vec<(usize, PipeletId, StateSnapshot)>,
-        #[allow(clippy::type_complexity)]
-        reply: Sender<Result<Vec<(usize, PipeletId, StateSnapshot)>, ClusterError>>,
-    },
-    Drain {
-        reply: Sender<Result<ClusterReport, ClusterError>>,
-    },
-}
-
-struct Gather {
-    expect: usize,
-    acc: GatherAcc,
+/// The [`Then`] of a plain command: its `info`, or the failure, to `reply`.
+fn reply_info(reply: Sender<Result<u64, ClusterError>>) -> Then {
+    Box::new(move |_, r| drop(reply.send(info(r))))
 }
 
 /// A punted packet waiting for the installs its handlers asked for.
@@ -309,12 +309,12 @@ struct Controller {
     /// Traces reinjected after a punt and not yet finished: a second punt
     /// of one of them is delivered, not served again.
     reinjected: BTreeSet<u64>,
-    delivered_tx: Sender<Delivery>,
+    delivered_tx: Sender<Landed>,
     next_seq: u64,
-    pending: BTreeMap<u64, Pending>,
-    gathers: BTreeMap<u64, Gather>,
-    next_gather: u64,
-    /// Learned installs sent but not yet acked.
+    /// Commands sent and not yet answered, by seq: their deadline and what
+    /// their reply does.
+    pending: BTreeMap<u64, (Instant, Then)>,
+    /// Learned installs sent but not yet answered.
     learn_outstanding: usize,
     /// Digest / learned-install counters since the last flush report.
     digests_per_switch: Vec<usize>,
@@ -326,8 +326,9 @@ struct Controller {
     paused: bool,
     /// Packets parked while paused, released in arrival order on resume.
     parked: Vec<DataMsg>,
-    /// Packets injected but not yet delivered or nacked.
-    in_flight: usize,
+    /// Packets injected and not yet delivered or nacked, by trace id, with
+    /// their deadline.
+    in_flight: BTreeMap<u64, Instant>,
     /// A `pause_ingress` barrier waiting for `in_flight` to drain.
     quiesce: Option<(u64, Sender<Result<u64, ClusterError>>)>,
     /// Per-worker side channels for staging live member swaps, each member
@@ -336,6 +337,10 @@ struct Controller {
     /// Outstanding shutdown acks; reply once all workers said goodbye.
     bye: Option<(usize, Sender<Result<(), ClusterError>>)>,
     op_timeout: Duration,
+    /// When the event being handled arrived, which deadlines count from:
+    /// the threaded driver reads the clock once per event. The inline
+    /// driver expires by quiet, not by clock, and never reads it.
+    now: Instant,
     /// Upstream frames dropped because they did not decode.
     rejected_frames: u64,
 }
@@ -350,57 +355,88 @@ impl Controller {
         self.links[switch].send(&msg).map_err(ClusterError::from)
     }
 
-    /// Sends one command whose ack answers `reply`. A frame the link
+    /// Sends one command; `then` handles its reply. A frame the link
     /// refuses (past `MAX_PAYLOAD`, or the link is gone) can never be
-    /// acked: answer with the link's error now, not at `op_timeout`.
-    fn command(
-        &mut self,
-        switch: usize,
-        msg: ControlMsg,
-        reply: Sender<Result<u64, ClusterError>>,
-    ) {
+    /// answered: `then` gets the link's error now, not at `op_timeout`.
+    fn command(&mut self, switch: usize, msg: ControlMsg, then: Then) {
         let seq = msg.seq();
         match self.send_to(switch, Message::Control(msg)) {
             Ok(()) => {
-                self.pending.insert(seq, Pending::Simple(reply));
+                let deadline = self.now + self.op_timeout;
+                self.pending.insert(seq, (deadline, then));
             }
-            Err(e) => refuse(reply, e),
+            Err(e) => then(self, Err(e)),
         }
+    }
+
+    /// Sends the command `make` builds to the next member — the first one
+    /// not in `replies` — and, once it is answered or has failed, to the
+    /// one after, so every member gets the command. `done` gets every
+    /// member's reply in member order, or the first failure.
+    fn broadcast<F>(&mut self, mut replies: Vec<Reply>, make: F, done: Gathered)
+    where
+        F: Fn(u64) -> ControlMsg + Send + 'static,
+    {
+        let switch = replies.len();
+        if switch == self.n {
+            return done(self, replies.into_iter().collect());
+        }
+        let msg = make(self.seq());
+        let then: Then = Box::new(move |c, reply| {
+            replies.push(reply);
+            c.broadcast(replies, make, done)
+        });
+        self.command(switch, msg, then);
     }
 
     /// Puts one packet on the link to worker 0. A frame the link refuses
     /// (past `MAX_PAYLOAD`, or worker 0 is gone) can never be delivered or
     /// nacked: answer its injector with the link's error now, not at
-    /// `op_timeout`. It never went in flight, so `in_flight` is untouched.
+    /// `op_timeout`. It never went in flight.
     fn ingress(&mut self, d: DataMsg) {
         let trace = d.trace;
         match self.send_to(0, Message::Data(d)) {
-            Ok(()) => self.in_flight += 1,
+            Ok(()) => {
+                self.in_flight.insert(trace, self.now + self.op_timeout);
+            }
             Err(e) => {
-                let _ = self.delivered_tx.send(Delivery {
-                    trace,
-                    result: Err(e.to_string()),
-                });
+                let failed = Err(ClusterError::Remote(e.to_string()));
+                let _ = self.delivered_tx.send((trace, failed));
             }
         }
     }
 
-    /// The threaded driver: blocks on the event queue until shutdown.
+    /// The threaded driver: blocks on the event queue until shutdown, and
+    /// expires what is overdue at least every `op_timeout / 4`.
     fn run(mut self) {
+        let sweep = self.op_timeout / 4;
+        let mut due = self.now + sweep;
         loop {
-            match self.events.recv_timeout(self.op_timeout) {
+            // A queued event needs no clock to be taken; only an empty
+            // queue is waited on, until the next sweep.
+            let ev = self.events.try_recv().or_else(|_| {
+                self.events
+                    .recv_timeout(due.saturating_duration_since(self.now))
+            });
+            self.now = Instant::now();
+            match ev {
                 Ok(ev) => {
                     if self.on_event(ev) {
                         return;
                     }
                 }
-                Err(RecvTimeoutError::Timeout) if self.bye.is_none() => {}
-                // The handle is gone, or workers never acked shutdown: stop
-                // waiting.
-                Err(_) => {
+                Err(RecvTimeoutError::Timeout) => {}
+                // The handle and the pump are gone: stop waiting.
+                Err(RecvTimeoutError::Disconnected) => {
                     self.finish_shutdown();
                     return;
                 }
+            }
+            if self.now >= due {
+                if self.expire(Some(self.now)) {
+                    return;
+                }
+                due = self.now + sweep;
             }
         }
     }
@@ -425,23 +461,55 @@ impl Controller {
             CtrlEvent::Data(d) => self.ingress(d),
             CtrlEvent::Run(run) => run(self),
         }
-        self.bye.as_ref().is_some_and(|(left, _)| *left == 0) && self.finish_shutdown()
+        self.said_bye()
     }
 
-    /// Tells every worker to stop; the reply waits for their acks.
+    /// Fails everything awaited past its deadline: a command through its
+    /// [`Then`] (`ClusterError::Timeout`), a flight as a failed
+    /// [`Delivery`]. With `now` `None`, everything awaited — the inline
+    /// driver's rule once the cluster is quiet, when nothing outstanding
+    /// can be answered any more. `true` once that completes a shutdown.
+    fn expire(&mut self, now: Option<Instant>) -> bool {
+        let late = |deadline: &Instant| now.is_none_or(|now| *deadline <= now);
+        let seqs: Vec<u64> = self
+            .pending
+            .iter()
+            .filter(|(_, (deadline, _))| late(deadline))
+            .map(|(&seq, _)| seq)
+            .collect();
+        for seq in seqs {
+            self.settle(seq, Err(ClusterError::Timeout("reply")));
+        }
+        let traces: Vec<u64> = self
+            .in_flight
+            .iter()
+            .filter(|(_, deadline)| late(deadline))
+            .map(|(&trace, _)| trace)
+            .collect();
+        for trace in traces {
+            self.finish(trace, Err(FLIGHT_TIMEOUT));
+        }
+        self.said_bye()
+    }
+
+    /// Tells every worker to stop; the reply waits for their acks. Each
+    /// ack, or the failure standing in for it, counts one member off.
     fn shutdown(&mut self, reply: Sender<Result<(), ClusterError>>) {
-        let mut sent = 0usize;
+        self.bye = Some((self.n, reply));
         for switch in 0..self.n {
             let seq = self.seq();
-            self.pending.insert(seq, Pending::Bye);
-            if self
-                .send_to(switch, Message::Control(ControlMsg::Shutdown { seq }))
-                .is_ok()
-            {
-                sent += 1;
-            }
+            let then: Then = Box::new(|c, _| {
+                if let Some((left, _)) = c.bye.as_mut() {
+                    *left = left.saturating_sub(1);
+                }
+            });
+            self.command(switch, ControlMsg::Shutdown { seq }, then);
         }
-        self.bye = Some((sent, reply));
+    }
+
+    /// Completes a shutdown every member has answered; `true` if it did.
+    fn said_bye(&mut self) -> bool {
+        self.bye.as_ref().is_some_and(|(left, _)| *left == 0) && self.finish_shutdown()
     }
 
     /// Answers a pending shutdown, if there is one.
@@ -453,33 +521,18 @@ impl Controller {
         true
     }
 
-    /// Sends one command to every member and opens the gather its replies
-    /// fold into. A member the command cannot reach fails the verb at once.
-    fn broadcast(&mut self, acc: GatherAcc, make: impl Fn(u64) -> ControlMsg) {
-        self.next_gather += 1;
-        let id = self.next_gather;
-        let expect = self.n;
-        self.gathers.insert(id, Gather { expect, acc });
-        for switch in 0..self.n {
-            let seq = self.seq();
-            if let Err(e) = self.send_to(switch, Message::Control(make(seq))) {
-                return self.fail_gather(id, e);
-            }
-            self.pending.insert(seq, Pending::Gather { id, switch });
-        }
-    }
-
     fn on_telemetry(&mut self, t: TelemetryMsg) {
         match t {
-            TelemetryMsg::Ack { seq, info } => self.settle(seq, Ok(info)),
-            TelemetryMsg::Nack { seq, error } => {
-                if seq % 2 == 1 {
-                    // Odd: a data-plane trace failed mid-flight.
-                    self.finish(seq, Err(error));
-                } else {
-                    self.settle(seq, Err(ClusterError::Remote(error)));
-                }
+            // Odd: a data-plane trace failed mid-flight.
+            TelemetryMsg::Nack { seq, error } if seq % 2 == 1 => {
+                self.finish(seq, Err(ClusterError::Remote(error)))
             }
+            TelemetryMsg::Nack { seq, error } => self.settle(seq, Err(ClusterError::Remote(error))),
+            reply @ (TelemetryMsg::Ack { seq, .. }
+            | TelemetryMsg::DrainDone { seq, .. }
+            | TelemetryMsg::Metrics { seq, .. }
+            | TelemetryMsg::Snapshot { seq, .. }
+            | TelemetryMsg::Evictions { seq, .. }) => self.settle(seq, Ok(reply)),
             TelemetryMsg::Digests { switch, records } => {
                 for (_, record) in records {
                     let Some((nf, policy)) = self.decisions.learn(&record) else {
@@ -495,43 +548,27 @@ impl Controller {
                         continue;
                     };
                     let (nf, table) = (nf.to_string(), policy.table.clone());
-                    // Track only sends that can still produce an ack: a dead
-                    // link yields no ack, and an undrainable
-                    // learn_outstanding would park every later flush
-                    // barrier forever.
-                    let learned = Pending::Learned { switch: target };
-                    if self.send_install(target, nf, table, entry, learned).is_ok() {
-                        self.learn_outstanding += 1;
-                    }
+                    let seq = self.seq();
+                    let install = ControlMsg::Install {
+                        seq,
+                        nf,
+                        table,
+                        entry,
+                    };
+                    // Counted until answered, or failed (a dead link, a
+                    // nack, `op_timeout`): an uncounted failure would park
+                    // every later flush barrier forever.
+                    self.learn_outstanding += 1;
+                    let then: Then = Box::new(move |c, reply| {
+                        c.learn_outstanding -= 1;
+                        if matches!(info(reply), Ok(1)) {
+                            c.installed_per_switch[target] += 1;
+                        }
+                        c.maybe_finish_flush();
+                    });
+                    self.command(target, install, then);
                 }
             }
-            TelemetryMsg::DrainDone { seq, digests: _ } => {
-                // The digests themselves arrived (and were dispatched) just
-                // before this marker on the same FIFO link.
-                self.settle(seq, Ok(0));
-            }
-            TelemetryMsg::Metrics {
-                seq,
-                snapshot,
-                rejected_frames,
-            } => self.gathered(seq, |acc, switch| {
-                // Indexed, so per-switch order is stable whatever the
-                // arrival order.
-                if let GatherAcc::Metrics { acc, .. } = acc {
-                    acc.per_switch[switch] = snapshot;
-                    acc.rejected_frames += rejected_frames;
-                }
-            }),
-            TelemetryMsg::Snapshot { seq, items } => self.gathered(seq, |acc, switch| {
-                if let GatherAcc::Snapshot { acc, .. } = acc {
-                    acc.extend(items.into_iter().map(|(p, snap)| (switch, p, snap)));
-                }
-            }),
-            TelemetryMsg::Evictions { seq, evictions } => self.gathered(seq, |acc, switch| {
-                if let GatherAcc::Evictions { acc, .. } = acc {
-                    acc.extend(evictions.into_iter().map(|(p, ev)| (switch, p, ev)));
-                }
-            }),
             TelemetryMsg::Delivered {
                 disposition: Disposition::ToCpu,
                 data,
@@ -541,173 +578,81 @@ impl Controller {
                 self.finish(trace, Ok(WireTraversal::from_delivery(disposition, data)));
             }
         }
-        self.maybe_finish_flush();
     }
 
-    /// Resolves one pending command with an ack (`Ok(info)`) or nack.
-    fn settle(&mut self, seq: u64, outcome: Result<u64, ClusterError>) {
-        match self.pending.remove(&seq) {
-            Some(Pending::Simple(reply)) => {
-                let _ = reply.send(outcome);
-            }
-            Some(Pending::Punt { trace, what }) => {
-                let Some(punt) = self.punts.get_mut(&trace) else {
-                    return; // An earlier install of this punt failed.
-                };
-                punt.outstanding -= 1;
-                if let Err(e) = outcome {
-                    self.punts.remove(&trace);
-                    self.finish(trace, Err(format!("{what}: {e}")));
-                } else if punt.outstanding == 0 {
-                    let punt = self.punts.remove(&trace).expect("present");
-                    self.reinject(punt);
-                }
-            }
-            Some(Pending::Learned { switch }) => {
-                self.learn_outstanding = self.learn_outstanding.saturating_sub(1);
-                if matches!(outcome, Ok(1)) {
-                    if let Some(slot) = self.installed_per_switch.get_mut(switch) {
-                        *slot += 1;
-                    }
-                }
-            }
-            Some(Pending::Gather { id, switch: _ }) => match outcome {
-                // A member that cannot ship its reply fails the broadcast.
-                Err(e) => self.fail_gather(id, e),
-                // DrainDone: nothing to accumulate, just count the arrival.
-                Ok(_) => self.gather_done(id),
-            },
-            Some(Pending::Bye) => {
-                if let Some((left, _)) = self.bye.as_mut() {
-                    *left = left.saturating_sub(1);
-                }
-            }
-            None => {}
+    /// Hands a reply, or the failure standing in for it, to the code the
+    /// command `seq` left for it. A seq nobody waits for any more is
+    /// dropped.
+    fn settle(&mut self, seq: u64, reply: Reply) {
+        if let Some((_, then)) = self.pending.remove(&seq) {
+            then(self, reply);
         }
-    }
-
-    /// Folds one member's reply into the gather `seq` belongs to.
-    fn gathered(&mut self, seq: u64, fold: impl FnOnce(&mut GatherAcc, usize)) {
-        if let Some(Pending::Gather { id, switch }) = self.pending.remove(&seq) {
-            if let Some(g) = self.gathers.get_mut(&id) {
-                fold(&mut g.acc, switch);
-            }
-            self.gather_done(id);
-        }
-    }
-
-    /// Answers a gather with `e` at once and forgets it (later arrivals for
-    /// it are ignored): a checkpoint missing one member's state must never
-    /// read as a shorter `Ok`.
-    fn fail_gather(&mut self, id: u64, e: ClusterError) {
-        match self.gathers.remove(&id).map(|g| g.acc) {
-            Some(GatherAcc::Evictions { reply, .. } | GatherAcc::Drain { reply }) => {
-                refuse(reply, e)
-            }
-            Some(GatherAcc::Metrics { reply, .. }) => refuse(reply, e),
-            Some(GatherAcc::Snapshot { reply, .. }) => refuse(reply, e),
-            None => {}
-        }
-    }
-
-    fn gather_done(&mut self, id: u64) {
-        let Some(g) = self.gathers.get_mut(&id) else {
-            return;
-        };
-        g.expect = g.expect.saturating_sub(1);
-        if g.expect > 0 {
-            return;
-        }
-        let g = self.gathers.remove(&id).expect("present");
-        match g.acc {
-            GatherAcc::Evictions { acc, reply } => {
-                let mut report = ClusterReport::sized(self.n);
-                for (switch, _, _) in &acc {
-                    if let Some(p) = report.per_switch.get_mut(*switch) {
-                        p.evictions += 1;
-                    }
-                }
-                report.evictions = acc;
-                let _ = reply.send(Ok(report));
-            }
-            GatherAcc::Metrics { mut acc, reply } => {
-                for s in &acc.per_switch {
-                    acc.merged.merge(s);
-                }
-                acc.rejected_frames += self.rejected_frames;
-                let _ = reply.send(Ok(acc));
-            }
-            GatherAcc::Snapshot { acc, reply } => {
-                let _ = reply.send(Ok(acc));
-            }
-            GatherAcc::Drain { reply } => {
-                // All workers flushed. Learned installs may still be in
-                // flight; park the reply until they are acked.
-                self.flush = Some(reply);
-            }
-        }
-    }
-
-    /// Sends one install to `switch`, tracking `pending` for its ack only
-    /// if the link took the frame.
-    fn send_install(
-        &mut self,
-        switch: usize,
-        nf: String,
-        table: String,
-        entry: TableEntry,
-        pending: Pending,
-    ) -> Result<(), ClusterError> {
-        let seq = self.seq();
-        let install = ControlMsg::Install {
-            seq,
-            nf,
-            table,
-            entry,
-        };
-        self.send_to(switch, Message::Control(install))?;
-        self.pending.insert(seq, pending);
-        Ok(())
     }
 
     /// Serves a packet that came back punted: the handlers' installs go to
     /// the members hosting their NFs, and the packet is reinjected once the
     /// last one acks. A packet no handler claims, or one already reinjected
     /// under its trace, is delivered as `ToCpu`; an install that cannot be
-    /// routed or sent ends the flight with an error naming it.
+    /// routed or sent ends the flight with an error naming it. A punt of a
+    /// trace no longer in flight (it expired) is not served.
     fn on_punt(&mut self, data: DataMsg) {
         let trace = data.trace;
+        if !self.in_flight.contains_key(&trace) {
+            return;
+        }
         let answer = if self.reinjected.contains(&trace) {
             PuntResponse::default()
         } else {
             self.decisions.punt(&data.bytes)
         };
-        let mut punt = Punt {
+        let punt = Punt {
             data,
             reinject: answer.reinject_bytes,
-            outstanding: 0,
+            outstanding: answer.install.len(),
         };
-        for (nf, table, entry) in answer.install {
-            let what = format!("punt install into {nf}/{table}");
-            let sent = match self.nf_switch.get(&nf) {
-                Some(&target) => {
-                    let pending = Pending::Punt {
-                        trace,
-                        what: what.clone(),
-                    };
-                    self.send_install(target, nf, table, entry, pending)
-                }
-                None => Err(ClusterError::Unplaced(nf)),
-            };
-            if let Err(e) = sent {
-                return self.finish(trace, Err(format!("{what}: {e}")));
-            }
-            punt.outstanding += 1;
-        }
         if punt.outstanding == 0 {
+            return self.reinject(punt);
+        }
+        self.punts.insert(trace, punt);
+        for (nf, table, entry) in answer.install {
+            if !self.punts.contains_key(&trace) {
+                return; // An install already failed: the flight is over.
+            }
+            let what = format!("punt install into {nf}/{table}");
+            let then: Then = Box::new(move |c, reply| {
+                let acked = reply
+                    .map(drop)
+                    .map_err(|e| ClusterError::Remote(format!("{what}: {e}")));
+                c.punt_acked(trace, acked)
+            });
+            match self.nf_switch.get(&nf) {
+                Some(&target) => {
+                    let seq = self.seq();
+                    let install = ControlMsg::Install {
+                        seq,
+                        nf,
+                        table,
+                        entry,
+                    };
+                    self.command(target, install, then);
+                }
+                None => then(self, Err(ClusterError::Unplaced(nf))),
+            }
+        }
+    }
+
+    /// Counts one answered install of the punt `trace`: a failure ends its
+    /// flight, and the last ack reinjects it.
+    fn punt_acked(&mut self, trace: u64, acked: Result<(), ClusterError>) {
+        let Some(punt) = self.punts.get_mut(&trace) else {
+            return; // An earlier install failed, or the flight expired.
+        };
+        punt.outstanding -= 1;
+        if let Err(e) = acked {
+            self.finish(trace, Err(e));
+        } else if punt.outstanding == 0 {
+            let punt = self.punts.remove(&trace).expect("present");
             self.reinject(punt);
-        } else {
-            self.punts.insert(trace, punt);
         }
     }
 
@@ -727,18 +672,22 @@ impl Controller {
             Ok(()) => {
                 self.reinjected.insert(trace);
             }
-            Err(e) => self.finish(trace, Err(e.to_string())),
+            Err(e) => self.finish(trace, Err(ClusterError::Remote(e.to_string()))),
         }
     }
 
-    /// Hands a finished in-flight packet (delivered, or failed mid-flight)
-    /// to its injector; releases a waiting quiesce barrier when the last
-    /// one lands.
-    fn finish(&mut self, trace: u64, result: Result<WireTraversal, String>) {
+    /// Hands a finished flight (delivered, failed mid-flight, or expired)
+    /// to its injector, once: a trace no longer in flight — a duplicated
+    /// frame, or a late one after its flight expired — is dropped. Releases
+    /// a waiting quiesce barrier when the last flight lands.
+    fn finish(&mut self, trace: u64, result: Result<WireTraversal, ClusterError>) {
+        if self.in_flight.remove(&trace).is_none() {
+            return;
+        }
         self.reinjected.remove(&trace);
-        let _ = self.delivered_tx.send(Delivery { trace, result });
-        self.in_flight = self.in_flight.saturating_sub(1);
-        if self.in_flight == 0 {
+        self.punts.remove(&trace);
+        let _ = self.delivered_tx.send((trace, result));
+        if self.in_flight.is_empty() {
             if let Some((outstanding, reply)) = self.quiesce.take() {
                 let _ = reply.send(Ok(outstanding));
             }
@@ -746,7 +695,7 @@ impl Controller {
     }
 
     /// Completes a parked `process_digests` barrier once every learned
-    /// install has been acked.
+    /// install has been answered.
     fn maybe_finish_flush(&mut self) {
         if self.learn_outstanding > 0 {
             return;
@@ -783,7 +732,9 @@ impl Machines {
     /// Runs the cluster until it is quiet: controller queue, controller
     /// inbox, then worker 0…n−1, each drained oldest frame first, again and
     /// again until a whole round finds every queue empty. The order is
-    /// fixed, so a session of facade calls replays identically.
+    /// fixed, so a session of facade calls replays identically. Whatever
+    /// is still awaited then can never be answered, so it expires — no
+    /// clock needed.
     fn settle(&mut self) {
         let mut busy = true;
         while busy {
@@ -802,6 +753,7 @@ impl Machines {
                 }
             }
         }
+        self.controller.expire(None);
     }
 }
 
@@ -843,8 +795,8 @@ impl Driver {
 /// handle shuts the cluster down.
 pub struct ClusterHandle {
     events_tx: Sender<CtrlEvent>,
-    delivered_rx: Receiver<Delivery>,
-    stashed: Vec<Delivery>,
+    delivered_rx: Receiver<Landed>,
+    stashed: Vec<Landed>,
     nf_switch: BTreeMap<String, usize>,
     n: usize,
     kind: &'static str,
@@ -932,7 +884,27 @@ impl ClusterHandle {
         self.member(switch)?;
         self.call(op, move |c, reply| {
             let seq = c.seq();
-            c.command(switch, make(seq), reply)
+            c.command(switch, make(seq), reply_info(reply))
+        })
+    }
+
+    /// A round trip for the command `make` builds, from its seq, for every
+    /// member in turn. `done` turns their replies, in member order, into
+    /// the verb's answer; the first failure answers it instead.
+    fn broadcast<T: Send + 'static>(
+        &mut self,
+        op: &'static str,
+        make: impl Fn(u64) -> ControlMsg + Send + 'static,
+        done: impl FnOnce(&mut Controller, Vec<TelemetryMsg>, Sender<Result<T, ClusterError>>)
+            + Send
+            + 'static,
+    ) -> Result<T, ClusterError> {
+        self.call(op, |c, reply| {
+            let done: Gathered = Box::new(move |c, replies| match replies {
+                Ok(replies) => done(c, replies, reply),
+                Err(e) => refuse(reply, e),
+            });
+            c.broadcast(Vec::new(), make, done)
         })
     }
 
@@ -988,14 +960,20 @@ impl ClusterHandle {
     /// Waits for the next finished packet. `Ok(None)` when nothing arrived
     /// within `timeout`.
     pub fn recv_delivered(&mut self, timeout: Duration) -> Result<Option<Delivery>, ClusterError> {
-        if !self.stashed.is_empty() {
-            return Ok(Some(self.stashed.remove(0)));
-        }
-        match self.driver.recv(&self.delivered_rx, timeout) {
-            Ok(d) => Ok(Some(d)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(ClusterError::Closed),
-        }
+        let (trace, result) = if self.stashed.is_empty() {
+            match self.driver.recv(&self.delivered_rx, timeout) {
+                Ok(landed) => landed,
+                Err(RecvTimeoutError::Timeout) => return Ok(None),
+                Err(RecvTimeoutError::Disconnected) => return Err(ClusterError::Closed),
+            }
+        } else {
+            self.stashed.remove(0)
+        };
+        let result = result.map_err(|e| match e {
+            ClusterError::Remote(text) => text,
+            e => e.to_string(),
+        });
+        Ok(Some(Delivery { trace, result }))
     }
 
     /// Synchronous facade: injects on `port` of switch 0 and blocks until
@@ -1005,28 +983,22 @@ impl ClusterHandle {
         packet: impl Into<InjectedPacket>,
     ) -> Result<WireTraversal, ClusterError> {
         let trace = self.inject_async(packet)?;
-        // An earlier waiter may have pulled this packet's delivery off the
-        // channel and stashed it already.
-        if let Some(pos) = self.stashed.iter().position(|d| d.trace == trace) {
-            let d = self.stashed.remove(pos);
-            return d.result.map_err(ClusterError::Remote);
-        }
-        let deadline = std::time::Instant::now() + self.op_timeout;
+        let deadline = Instant::now() + self.op_timeout;
         loop {
             let left = deadline
-                .checked_duration_since(std::time::Instant::now())
-                .ok_or(ClusterError::Timeout("packet delivery"))?;
+                .checked_duration_since(Instant::now())
+                .ok_or(FLIGHT_TIMEOUT)?;
             // Read the channel directly: the stash holds only foreign
-            // deliveries (checked above), so going through recv_delivered
-            // here would cycle pop/re-push on the stash without ever
-            // blocking on the channel.
+            // deliveries (this trace is new), so going through
+            // recv_delivered here would cycle pop/re-push on the stash
+            // without ever blocking on the channel.
             match self.driver.recv(&self.delivered_rx, left) {
-                Ok(d) if d.trace == trace => return d.result.map_err(ClusterError::Remote),
+                // An expired flight is this wait's own timeout, whichever
+                // side noticed first.
+                Ok((t, result)) if t == trace => return result,
                 // A concurrent packet finished first; keep it for its waiter.
-                Ok(d) => self.stashed.push(d),
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(ClusterError::Timeout("packet delivery"))
-                }
+                Ok(landed) => self.stashed.push(landed),
+                Err(RecvTimeoutError::Timeout) => return Err(FLIGHT_TIMEOUT),
                 Err(RecvTimeoutError::Disconnected) => return Err(ClusterError::Closed),
             }
         }
@@ -1087,14 +1059,21 @@ impl ClusterHandle {
 
     /// Advances logical time on every member and returns the merged
     /// eviction report. Clocks stay synchronized: every member advances by
-    /// the same ticks before this returns.
+    /// the same ticks before this returns `Ok`. Members are asked in order,
+    /// and a failure does not stop the members after it from being asked:
+    /// every member still gets the ticks, if later.
     pub fn advance_time(&mut self, ticks: u64) -> Result<ClusterReport, ClusterError> {
-        self.call("advance_time", move |c, reply| {
-            let acc = GatherAcc::Evictions {
-                acc: Vec::new(),
-                reply,
-            };
-            c.broadcast(acc, |seq| ControlMsg::AdvanceTime { seq, ticks })
+        let make = move |seq| ControlMsg::AdvanceTime { seq, ticks };
+        self.broadcast("advance_time", make, |c, replies, reply| {
+            let mut report = ClusterReport::sized(c.n);
+            for (switch, r) in replies.into_iter().enumerate() {
+                if let TelemetryMsg::Evictions { evictions, .. } = r {
+                    report.per_switch[switch].evictions = evictions.len();
+                    let attributed = evictions.into_iter().map(|(p, ev)| (switch, p, ev));
+                    report.evictions.extend(attributed);
+                }
+            }
+            let _ = reply.send(Ok(report));
         })
     }
 
@@ -1104,10 +1083,14 @@ impl ClusterHandle {
     /// since the previous call (the controller learns continuously, not
     /// just inside this call).
     pub fn process_digests(&mut self) -> Result<ClusterReport, ClusterError> {
-        self.call("process_digests", |c, reply| {
-            c.broadcast(GatherAcc::Drain { reply }, |seq| ControlMsg::DrainDigests {
-                seq,
-            })
+        let make = |seq| ControlMsg::DrainDigests { seq };
+        self.broadcast("process_digests", make, |c, _, reply| {
+            // Every member flushed; the digests arrived (and were
+            // dispatched) before each `DrainDone` on the same FIFO link.
+            // Learned installs may still be unanswered: park the reply
+            // until they are.
+            c.flush = Some(reply);
+            c.maybe_finish_flush();
         })
     }
 
@@ -1152,14 +1135,25 @@ impl ClusterHandle {
     /// snapshots. A reply that fails its check names no member, so the
     /// scrape fails with [`ClusterError::Timeout`] instead of reading zeros.
     pub fn metrics_snapshot(&mut self) -> Result<ClusterScrape, ClusterError> {
-        self.call("metrics_snapshot", |c, reply| {
-            let acc = ClusterScrape {
-                per_switch: vec![MetricsSnapshot::default(); c.n],
+        let make = |seq| ControlMsg::ScrapeMetrics { seq };
+        self.broadcast("metrics_snapshot", make, |c, replies, reply| {
+            let mut scrape = ClusterScrape {
+                rejected_frames: c.rejected_frames,
                 ..Default::default()
             };
-            c.broadcast(GatherAcc::Metrics { acc, reply }, |seq| {
-                ControlMsg::ScrapeMetrics { seq }
-            })
+            for r in replies {
+                if let TelemetryMsg::Metrics {
+                    snapshot,
+                    rejected_frames,
+                    ..
+                } = r
+                {
+                    scrape.merged.merge(&snapshot);
+                    scrape.per_switch.push(snapshot);
+                    scrape.rejected_frames += rejected_frames;
+                }
+            }
+            let _ = reply.send(Ok(scrape));
         })
     }
 
@@ -1169,11 +1163,15 @@ impl ClusterHandle {
     pub fn snapshot_state(
         &mut self,
     ) -> Result<Vec<(usize, PipeletId, StateSnapshot)>, ClusterError> {
-        self.call("snapshot_state", |c, reply| {
-            let acc = Vec::new();
-            c.broadcast(GatherAcc::Snapshot { acc, reply }, |seq| {
-                ControlMsg::SnapshotState { seq }
-            })
+        let make = |seq| ControlMsg::SnapshotState { seq };
+        self.broadcast("snapshot_state", make, |_, replies, reply| {
+            let mut items = Vec::new();
+            for (switch, r) in replies.into_iter().enumerate() {
+                if let TelemetryMsg::Snapshot { items: got, .. } = r {
+                    items.extend(got.into_iter().map(|(p, snap)| (switch, p, snap)));
+                }
+            }
+            let _ = reply.send(Ok(items));
         })
     }
 
@@ -1210,7 +1208,7 @@ impl ClusterHandle {
     pub fn pause_ingress(&mut self) -> Result<u64, ClusterError> {
         self.call("pause_ingress", |c, reply| {
             c.paused = true;
-            match c.in_flight as u64 {
+            match c.in_flight.len() as u64 {
                 0 => drop(reply.send(Ok(0))),
                 // Park the reply; the last delivery/nack releases it.
                 outstanding => c.quiesce = Some((outstanding, reply)),
@@ -1256,7 +1254,7 @@ impl ClusterHandle {
                 let e = format!("switch {switch}: side channel closed (worker gone?)");
                 return refuse(reply, ClusterError::Remote(e));
             }
-            c.command(switch, ControlMsg::SwapMember { seq }, reply)
+            c.command(switch, ControlMsg::SwapMember { seq }, reply_info(reply))
         })
         .map(|_| ())
     }
@@ -1458,19 +1456,18 @@ fn boot(
         delivered_tx,
         next_seq: 0,
         pending: BTreeMap::new(),
-        gathers: BTreeMap::new(),
-        next_gather: 0,
         learn_outstanding: 0,
         digests_per_switch: vec![0; n],
         installed_per_switch: vec![0; n],
         flush: None,
         paused: false,
         parked: Vec::new(),
-        in_flight: 0,
+        in_flight: BTreeMap::new(),
         quiesce: None,
         swap_txs,
         bye: None,
         op_timeout: options.op_timeout,
+        now: Instant::now(),
         rejected_frames: 0,
     };
 

@@ -157,36 +157,6 @@ impl Stmt {
         let arms = arms.iter().map(|(_, body)| body.as_slice());
         arms.chain(rest.into_iter().flatten().map(Vec::as_slice))
     }
-
-    /// Number of gateway predicates under this statement (each `If` and each
-    /// `ApplySelect` arm dispatch consumes one gateway in the resource
-    /// model).
-    pub fn gateway_count(&self) -> u32 {
-        match self {
-            Stmt::Apply(_) | Stmt::Do(_) | Stmt::Call(_) => 0,
-            Stmt::ApplySelect { arms, default, .. } => {
-                let inner: u32 = arms
-                    .iter()
-                    .flat_map(|(_, b)| b.iter())
-                    .chain(default.iter())
-                    .map(Stmt::gateway_count)
-                    .sum();
-                1 + inner
-            }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                let inner: u32 = then_branch
-                    .iter()
-                    .chain(else_branch.iter())
-                    .map(Stmt::gateway_count)
-                    .sum();
-                1 + inner
-            }
-        }
-    }
 }
 
 /// A named control block.
@@ -210,11 +180,6 @@ impl ControlBlock {
     /// Visits every statement of the body ([`Stmt::visit`] on each).
     pub(crate) fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
         self.body.iter().for_each(|s| s.visit(f));
-    }
-
-    /// Total gateway predicates in the body.
-    pub fn gateway_count(&self) -> u32 {
-        self.body.iter().map(Stmt::gateway_count).sum()
     }
 
     /// Validates that callees exist and there is no recursive call chain.
@@ -286,12 +251,6 @@ mod tests {
             }
         });
         assert_eq!(calls, ["FW_control"]);
-    }
-
-    #[test]
-    fn gateway_counting() {
-        // one If + one ApplySelect = 2 gateways
-        assert_eq!(nested().gateway_count(), 2);
     }
 
     #[test]

@@ -321,21 +321,6 @@ impl DependencyGraph {
         level.values().copied().max().unwrap_or(0) + 1
     }
 
-    /// The stage level (0-based) of each table under the ASAP schedule used
-    /// by [`Self::min_stages`].
-    pub fn stage_levels(&self) -> BTreeMap<String, u32> {
-        let mut level: BTreeMap<String, u32> = self.order.iter().map(|t| (t.clone(), 0)).collect();
-        for e in &self.edges {
-            let from_level = *level.get(&e.from).unwrap_or(&0);
-            let need = from_level + e.kind.min_stage_gap();
-            let entry = level.entry(e.to.clone()).or_insert(0);
-            if *entry < need {
-                *entry = need;
-            }
-        }
-        level
-    }
-
     /// Edge lookup.
     pub fn edge(&self, from: &str, to: &str) -> Option<DependencyKind> {
         self.edges
@@ -501,10 +486,6 @@ mod tests {
         // t1 -(match,+1)-> t2 -(action,+1)-> t3  ⇒ 3 stages.
         let g = DependencyGraph::build(&program());
         assert_eq!(g.min_stages(), 3);
-        let lv = g.stage_levels();
-        assert_eq!(lv["t1"], 0);
-        assert_eq!(lv["t2"], 1);
-        assert_eq!(lv["t3"], 2);
     }
 
     #[test]

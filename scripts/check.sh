@@ -173,12 +173,25 @@ if [ "$(grep -rn 'fn walk_stmts' crates/p4ir/src | wc -l)" -gt 1 ] ||
 fi
 
 # Kill-catalogue gate: every mutant under tests/mutants/ whose killer is
-# the p4ir unit tests or the wire-format properties must still be killed
-# by them (each builds in a reused scratch copy and runs under its own time
-# bound); run `scripts/mutants.sh` alone for the whole catalogue.
-mapfile -t gated_mutants < <(grep -lE '^Test: -p dejavu-(p4ir --lib|integration --test wire_format)$' \
+# the p4ir unit tests, the wire-format properties or the cluster transport
+# suite must still be killed by them (each builds in a reused scratch copy
+# and runs under its own time bound); run `scripts/mutants.sh` alone for
+# the whole catalogue.
+mapfile -t gated_mutants < <(grep -lE \
+    '^Test: -p dejavu-(p4ir --lib|integration --test (wire_format|cluster_transport))$' \
     tests/mutants/*.patch)
 scripts/mutants.sh "${gated_mutants[@]}"
+
+# One-reply gate: a command's reply is handled by the code that sent it
+# (its `Then`), and a broadcast's replies by the closure of the handle
+# method that offers the verb. No enum of reply kinds, no accumulator enum
+# and no gather map come back to the controller, where a reply nobody
+# expired used to wait forever.
+if grep -nE 'enum Pending|enum GatherAcc|fn fail_gather|fn gather_done|next_gather' \
+    crates/core/src/transport/cluster.rs; then
+    echo "the controller routes replies by kind again (see DESIGN.md, Topology and drivers)" >&2
+    exit 1
+fi
 
 # Re-placement gate: the closed-loop orchestrator must notice the traffic
 # shift, migrate the learned NAT across switches live, and lose zero

@@ -246,13 +246,11 @@ fn ip_at(bytes: &[u8], off: usize) -> u32 {
     u32::from_be_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]])
 }
 
-/// classifier → nat spilled onto switch 0, router on switch 1: outbound
-/// traffic is learned on the first member while the flight finishes on the
-/// second. A burst of distinct flows is injected without waiting; the
-/// controller learns from eagerly pushed digests while packets are still
-/// in flight, and the flush barrier afterwards accounts for every flow.
-#[test]
-fn learn_storm_drains_digests_concurrently_with_injection() {
+/// classifier → nat spilled onto switch 0, router on switch 1, over
+/// `transport`: outbound traffic is learned on the first member while the
+/// flight finishes on the second. The learn policy is registered and the
+/// static rules are installed.
+fn nat_cluster(transport: &mut dyn Transport, options: &ClusterOptions) -> ClusterHandle {
     let nfs: Vec<NfModule> = vec![classifier::classifier(), dynamic_nat(), router::router()];
     let refs: Vec<&NfModule> = nfs.iter().collect();
     let chains = ChainSet::new(vec![ChainPolicy::new(
@@ -268,11 +266,10 @@ fn learn_storm_drains_digests_concurrently_with_injection() {
             Placement::sequential(vec![(PipeletId::egress(0), vec!["router"])]),
         ],
     };
-    let options = DeployOptions {
+    let deploy = DeployOptions {
         entry_nf: Some("classifier".into()),
         ..Default::default()
     };
-    let mut transport = ChannelTransport::new();
     let mut handle = spawn_cluster(
         &refs,
         &chains,
@@ -280,9 +277,9 @@ fn learn_storm_drains_digests_concurrently_with_injection() {
         &TofinoProfile::wedge_100b_32x(),
         [(1u16, EXIT_PORT)].into_iter().collect(),
         &ClusterWiring::default(),
-        &options,
-        &mut transport,
-        &ClusterOptions::default(),
+        &deploy,
+        transport,
+        options,
     )
     .unwrap();
     assert_eq!(handle.switch_of("nat"), Some(0));
@@ -318,6 +315,15 @@ fn learn_storm_drains_digests_concurrently_with_injection() {
             router::route_entry((0, 0), EXIT_PORT, 0x0200_0000_0099, 0x0200_0000_0001),
         )
         .unwrap();
+    handle
+}
+
+/// A burst of distinct flows is injected without waiting; the controller
+/// learns from eagerly pushed digests while packets are still in flight,
+/// and the flush barrier afterwards accounts for every flow.
+#[test]
+fn learn_storm_drains_digests_concurrently_with_injection() {
+    let mut handle = nat_cluster(&mut ChannelTransport::new(), &ClusterOptions::default());
 
     // The storm: fire every flow without waiting for any delivery. Workers
     // push each flow's digest upstream eagerly, so the controller is
@@ -573,12 +579,16 @@ fn spawn_rejects_invalid_wiring_with_typed_errors() {
 
 /// [`ChannelTransport`] with the inbox `label` bound here, so the `link`-th
 /// link connected to it can damage the first frame `pick` selects: bit 1
-/// of byte 21, inside the frame's payload.
+/// of byte 21, inside the frame's payload — or, [`duplicating`], send it
+/// twice.
+///
+/// [`duplicating`]: DamagingTransport::duplicating
 struct DamagingTransport {
     inner: ChannelTransport,
     label: &'static str,
     link: usize,
     pick: fn(&Message) -> bool,
+    duplicate: bool,
     inbox: Option<std::sync::mpsc::Sender<Vec<u8>>>,
     links: usize,
 }
@@ -590,8 +600,17 @@ impl DamagingTransport {
             label,
             link,
             pick,
+            duplicate: false,
             inbox: None,
             links: 0,
+        }
+    }
+
+    /// Sends the picked frame intact, twice, instead of damaging it.
+    fn duplicating(self) -> Self {
+        DamagingTransport {
+            duplicate: true,
+            ..self
         }
     }
 }
@@ -599,13 +618,18 @@ impl DamagingTransport {
 struct DamagingSink {
     tx: std::sync::mpsc::Sender<Vec<u8>>,
     pick: Option<fn(&Message) -> bool>,
+    duplicate: bool,
 }
 
 impl dejavu_core::transport::FrameSink for DamagingSink {
     fn send_frame(&mut self, mut frame: Vec<u8>) -> Result<(), TransportError> {
         if let Some(pick) = self.pick {
             if wire::decode(&frame).is_ok_and(|m| pick(&m)) {
-                frame[21] ^= 1 << 1;
+                if self.duplicate {
+                    let _ = self.tx.send(frame.clone());
+                } else {
+                    frame[21] ^= 1 << 1;
+                }
                 self.pick = None;
             }
         }
@@ -639,10 +663,20 @@ impl Transport for DamagingTransport {
                 Ok(Link::from_sink(Box::new(DamagingSink {
                     tx: tx.clone(),
                     pick: (self.links == self.link).then_some(self.pick),
+                    duplicate: self.duplicate,
                 })))
             }
             _ => self.inner.connect(peer),
         }
+    }
+}
+
+const DAMAGE_TIMEOUT: Duration = Duration::from_millis(500);
+
+fn damaging_options() -> ClusterOptions {
+    ClusterOptions {
+        telemetry: true,
+        op_timeout: DAMAGE_TIMEOUT,
     }
 }
 
@@ -658,10 +692,7 @@ fn damaging_cluster(mut transport: DamagingTransport) -> ClusterHandle {
         &ClusterWiring::default(),
         &DeployOptions::default(),
         &mut transport,
-        &ClusterOptions {
-            telemetry: true,
-            op_timeout: Duration::from_millis(500),
-        },
+        &damaging_options(),
     )
     .unwrap()
 }
@@ -705,5 +736,151 @@ fn a_damaged_data_frame_is_dropped_and_counted_by_its_member() {
     let scrape = handle.metrics_snapshot().unwrap();
     assert_eq!(scrape.rejected_frames, 1);
     assert!(scrape.per_switch[1].is_zero() && scrape.per_switch[2].is_zero());
+    handle.shutdown().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Everything awaited expires at `op_timeout`: a lost frame fails what was
+// waiting for it, once, and wedges nothing after it.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_lost_flight_expires_and_releases_the_next_quiesce() {
+    let mut handle = damaging_cluster(DamagingTransport::new("w1", 2, |m| {
+        matches!(m, Message::Data(_))
+    }));
+    // Asynchronously, so the failed delivery can only reach
+    // `recv_delivered` (a waiting `inject` may take it as its timeout).
+    let lost = handle
+        .inject_async(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
+        .unwrap();
+    std::thread::sleep(DAMAGE_TIMEOUT);
+
+    // The flight is failed at its deadline, so the barrier does not wait
+    // for it past the verb's own timeout.
+    let asked = std::time::Instant::now();
+    handle.pause_ingress().unwrap();
+    assert!(
+        asked.elapsed() < DAMAGE_TIMEOUT,
+        "quiesce waited out its timeout"
+    );
+    let failed = handle
+        .recv_delivered(DAMAGE_TIMEOUT)
+        .unwrap()
+        .expect("the lost flight is answered");
+    assert_eq!(failed.trace, lost);
+    assert!(
+        matches!(&failed.result, Err(e) if e == "timed out waiting for packet delivery"),
+        "got {failed:?}"
+    );
+
+    // Ingress resumes and the cluster carries packets again.
+    handle.resume_ingress().unwrap();
+    let t = handle
+        .inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
+        .unwrap();
+    assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_lost_learned_install_fails_once_and_the_flush_barrier_completes() {
+    use dejavu_core::transport::wire::ControlMsg;
+
+    // The controller's link to worker 0 is the first connected to `w0`.
+    let mut transport = DamagingTransport::new(
+        "w0",
+        1,
+        |m| matches!(m, Message::Control(ControlMsg::Install { table, .. }) if table == NAT_IN_TABLE),
+    );
+    let mut handle = nat_cluster(&mut transport, &damaging_options());
+    let t = handle
+        .inject(InjectedPacket::new(outbound(BASE_PORT), IN_PORT))
+        .unwrap();
+    assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
+
+    // The learned install never arrives, so it is never answered. Once it
+    // has expired, the barrier has nothing left to wait for.
+    std::thread::sleep(DAMAGE_TIMEOUT * 3 / 2);
+    let report = handle.process_digests().unwrap();
+    assert_eq!((report.digests_seen, report.entries_installed), (1, 0));
+
+    // The next learned flow installs and is counted.
+    handle
+        .inject(InjectedPacket::new(outbound(BASE_PORT + 1), IN_PORT))
+        .unwrap();
+    let report = handle.process_digests().unwrap();
+    assert_eq!((report.digests_seen, report.entries_installed), (1, 1));
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_lost_reply_fails_its_verb_and_the_next_verb_succeeds() {
+    use dejavu_p4ir::table::{KeyMatch, TableEntry};
+    let pass = |key| TableEntry {
+        matches: vec![KeyMatch::Exact(dejavu_p4ir::Value::new(key, 8))],
+        action: "pass".into(),
+        action_args: vec![],
+        priority: 0,
+    };
+
+    // Worker 1's upstream is the second link connected to `ctrl`.
+    let mut handle = damaging_cluster(DamagingTransport::new("ctrl", 2, |m| {
+        matches!(m, Message::Telemetry(TelemetryMsg::Ack { .. }))
+    }));
+    let first = handle.install("n3", "work", pass(6));
+    assert!(
+        matches!(first, Err(ClusterError::Timeout(_))),
+        "got {first:?}"
+    );
+    handle.install("n3", "work", pass(7)).unwrap();
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_failed_broadcast_still_asks_every_member() {
+    // Worker 1's upstream is the second link connected to `ctrl`.
+    let mut handle = damaging_cluster(DamagingTransport::new("ctrl", 2, |m| {
+        matches!(m, Message::Telemetry(TelemetryMsg::Evictions { .. }))
+    }));
+    // Each member's clock, read off its pipelets' snapshots.
+    let clocks = |handle: &mut ClusterHandle| -> Vec<(usize, u64)> {
+        let snaps = handle.snapshot_state().unwrap();
+        let clocks: std::collections::BTreeSet<_> = snaps
+            .into_iter()
+            .map(|(switch, _, snap)| (switch, snap.clock))
+            .collect();
+        clocks.into_iter().collect()
+    };
+    let first = handle.advance_time(1);
+    assert!(
+        matches!(first, Err(ClusterError::Timeout(_))),
+        "got {first:?}"
+    );
+
+    // Worker 1's lost reply expires; worker 2 is asked after it, so every
+    // member's clock moved and the clocks still agree.
+    std::thread::sleep(DAMAGE_TIMEOUT);
+    assert_eq!(clocks(&mut handle), [(0, 1), (1, 1), (2, 1)]);
+    let report = handle.advance_time(1).unwrap();
+    assert_eq!(report.per_switch.len(), 3);
+    assert_eq!(clocks(&mut handle), [(0, 2), (1, 2), (2, 2)]);
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_duplicated_delivery_is_handed_over_once() {
+    // Worker 2's upstream is the third link connected to `ctrl`; the full
+    // chain's flight ends there.
+    let transport = DamagingTransport::new("ctrl", 3, |m| {
+        matches!(m, Message::Telemetry(TelemetryMsg::Delivered { .. }))
+    });
+    let mut handle = damaging_cluster(transport.duplicating());
+    let t = handle
+        .inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
+        .unwrap();
+    assert_eq!(t.hops.len(), 3);
+    let again = handle.recv_delivered(Duration::from_millis(200)).unwrap();
+    assert!(again.is_none(), "delivered twice: {again:?}");
     handle.shutdown().unwrap();
 }
