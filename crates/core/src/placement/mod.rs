@@ -858,6 +858,96 @@ mod tests {
         }
     }
 
+    /// FNV-1a of `s`: a placement pinned in one number.
+    pub(super) fn fnv(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn the_single_switch_annealer_is_pinned_bit_for_bit() {
+        // Recorded on the loop that built, canonicalized and located a
+        // `Placement` for every proposal: the cost's bits and an FNV of the
+        // placement's `Display`, per (seed, iterations). At 8 stages a
+        // pipelet, `ablation_instance` 14 and 36 have no naive placement,
+        // so the search starts from greedy.
+        let tight = |seed| PlacementProblem {
+            stages_per_pipelet: 8,
+            ..ablation_instance(seed)
+        };
+        let fig6_a = (0x4008_0000_0000_0000, 0xb030_444f_2056_3e70);
+        let fig6_b = (0x3ff0_0000_0000_0000, 0xb021_337a_a89f_1ef6);
+        // Per problem: (seed, iterations) → (cost bits, FNV of `Display`).
+        type Runs<'a> = &'a [((u64, usize), (u64, u64))];
+        let pinned: [(PlacementProblem, Runs); 8] = [
+            (
+                fig6_problem(),
+                &[
+                    ((11, 5000), fig6_b),
+                    ((7, 3000), fig6_b),
+                    ((0, 2000), fig6_b),
+                    ((3, 1), fig6_b),
+                    ((5, 0), fig6_a),
+                ],
+            ),
+            (
+                fig2_problem(),
+                &[
+                    ((3, 4000), (0x3fe9_9999_9999_999a, 0xeb9c_e9a5_394e_9a07)),
+                    ((1, 500), (0x3fe9_9999_9999_999a, 0xf7c7_c163_2ce1_3743)),
+                ],
+            ),
+            (
+                ablation_instance(1),
+                &[(
+                    (1 ^ 0xABCD, 2000),
+                    (0x4002_710b_c698_2926, 0x5e12_ef66_2082_eac2),
+                )],
+            ),
+            (
+                ablation_instance(8),
+                &[(
+                    (8 ^ 0xABCD, 2000),
+                    (0x3fe6_e664_2df8_912e, 0x111e_df53_6e10_99c5),
+                )],
+            ),
+            (
+                ablation_instance(29),
+                &[(
+                    (29 ^ 0xABCD, 2000),
+                    (0x3ff0_bf63_141b_2731, 0x853d_48bb_3626_4c50),
+                )],
+            ),
+            (
+                ablation_instance(13),
+                &[((13, 500), (0x0, 0x6a9f_2819_b110_2cb4))],
+            ),
+            (
+                tight(14),
+                &[
+                    ((14, 2000), (0x400e_5f6b_5571_18be, 0xf97e_69a8_6724_9dd7)),
+                    ((2, 300), (0x4011_a0e5_9dff_13c7, 0x76c0_26af_ac10_38e3)),
+                ],
+            ),
+            (
+                tight(36),
+                &[((36, 2000), (0x4004_b43a_694d_3afe, 0x5e49_3c8e_26b2_a8bd))],
+            ),
+        ];
+        for (p, runs) in pinned {
+            for &((seed, iterations), (cost, shown)) in runs {
+                let annealed = p.anneal(seed, iterations).unwrap();
+                let got = (
+                    p.cost(&annealed).unwrap().to_bits(),
+                    fnv(&annealed.to_string()),
+                );
+                assert_eq!(got, (cost, shown), "({seed}, {iterations}):\n{annealed}");
+            }
+        }
+        assert!(tight(14).naive().is_err() && tight(36).naive().is_err());
+    }
+
     #[test]
     fn unplaced_nf_detected() {
         let p = fig6_problem();

@@ -384,6 +384,7 @@ impl PlacementSearch for SwarmSearch {
 mod tests {
     use super::*;
     use crate::chain::{ChainPolicy, ChainSet};
+    use crate::placement::tests::fnv;
     use crate::placement::{ClusterProblem, PlacementProblem};
 
     fn metaheuristics() -> [Box<dyn PlacementSearch>; 2] {
@@ -438,13 +439,6 @@ mod tests {
         members
             .map(|(sw, p)| format!("switch {sw}:\n{p}"))
             .collect()
-    }
-
-    /// FNV-1a of `s`: a fleet-sized placement pinned in one number.
-    fn fnv(s: &str) -> u64 {
-        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
     }
 
     /// The fleets `plan_deploy` re-plans at seed 1: the first eight
