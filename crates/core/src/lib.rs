@@ -25,9 +25,9 @@
 //!   `check_nextNF`/`check_sfcFlags`/branching tables.
 //! * [`placement`] — NF placement optimization (§3.3, §7): the traversal
 //!   cost model (reproducing Fig. 6 exactly) and one fleet problem — one
-//!   objective, one feasibility rule, exhaustive / annealing / swarm search,
-//!   the naive, greedy and spill seeds — of which the single ASIC is the
-//!   M = 1 instance.
+//!   objective, one feasibility rule, exhaustive search and one annealing
+//!   loop, the naive, greedy and spill seeds — of which the single ASIC is
+//!   the M = 1 instance.
 //! * [`routing`] — on-chip packet routing (§3.4): synthesis of branching-
 //!   table entries after placement.
 //! * [`deploy`] — end-to-end deployment: compose → compile → load → route a

@@ -28,7 +28,7 @@ pub mod migrate;
 
 pub use crate::placement::{
     AnnealingSearch, ExhaustiveSearch, FleetProblem, FleetScore, FleetSlot, PlacementSearch,
-    SearchOutcome, SwarmSearch,
+    SearchOutcome,
 };
 pub use detector::{DetectorConfig, ShiftDecision, ShiftDetector};
 pub use migrate::{migrate, FleetSpec, MigrationError, MigrationOutcome, NfMove, PlacementDelta};

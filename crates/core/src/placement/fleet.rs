@@ -659,11 +659,11 @@ impl FleetProblem {
                 .push(nf.clone());
             cursor = s;
         }
-        let mut placement = ClusterPlacement { switches };
-        for p in &mut placement.switches {
-            *p = t.canonicalize(std::mem::take(p));
+        let fleet = t.interned();
+        for p in &mut switches {
+            *p = fleet.canonicalize(std::mem::take(p));
         }
-        Ok(placement)
+        Ok(ClusterPlacement { switches })
     }
 
     /// Returns a copy of the problem with chain weights (the assumed

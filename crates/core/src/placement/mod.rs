@@ -42,7 +42,7 @@
 //! counts).
 //!
 //! **One enumerator**, [`ExhaustiveSearch`], behind the [`PlacementSearch`]
-//! trait it shares with the seeded [`AnnealingSearch`] and [`SwarmSearch`].
+//! trait it shares with the seeded [`AnnealingSearch`].
 //!
 //! **Seeds** are kept as they are because answers depend on them bit for bit:
 //! [`naive`](PlacementProblem::naive) (the baseline the paper critiques),
@@ -53,11 +53,13 @@
 //! start-up — not `seed_placement`, whose output callers filter on —
 //! therefore replaces an infeasible seed with the monotone first-fit.
 //!
-//! **Two annealing neighbourhoods**, on purpose. [`PlacementProblem::anneal`]
-//! moves one NF or swaps the *contents* of two pipelets — the only feasible
-//! step from Fig. 6(a) to 6(b). [`AnnealingSearch`] moves one NF or swaps two
-//! NFs, which scales to fleets but stalls at 2 recirculations on Fig. 6.
-//! Both run on the shared objective and feasibility rule.
+//! **One annealing loop, two neighbourhoods.** [`AnnealingSearch`] and
+//! [`PlacementProblem::anneal`] run the same Metropolis loop on assignment
+//! vectors and differ only in what they propose. The M = 1 annealer moves
+//! one NF or swaps the *contents* of two pipelets — the only feasible step
+//! from Fig. 6(a) to 6(b) — by relabelling two slots in the vector.
+//! [`AnnealingSearch`] moves one NF or swaps two NFs, which scales to fleets
+//! but stalls at 2 recirculations on Fig. 6.
 
 mod fleet;
 mod search;
@@ -66,7 +68,7 @@ pub use fleet::{
     chain_latency_ns, ClusterCost, ClusterPlacement, ClusterProblem, FleetProblem, FleetScore,
     FleetSlot,
 };
-pub use search::{AnnealingSearch, ExhaustiveSearch, PlacementSearch, SearchOutcome, SwarmSearch};
+pub use search::{AnnealingSearch, ExhaustiveSearch, PlacementSearch, SearchOutcome};
 
 use crate::chain::{ChainPolicy, ChainSet};
 use crate::compose::CompositionMode;
@@ -612,68 +614,38 @@ impl PlacementProblem {
         Ok(found.placement.switches.swap_remove(0))
     }
 
-    /// Simulated annealing from the naive start. Deterministic for a given
-    /// seed.
+    /// Simulated annealing from the naive start (greedy when there is no
+    /// naive placement). Deterministic for a given seed.
     pub fn anneal(&self, seed: u64, iterations: usize) -> Result<Placement, PlacementError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pipelets = self.pipelets_alternating();
-        let nfs = self.canonical_order();
-        let mut current = self.naive().or_else(|_| self.greedy())?;
-        let mut current_cost = self.cost(&current)?;
-        let mut best = current.clone();
-        let mut best_cost = current_cost;
-        let mut temperature = 2.0f64;
+        let problem = FleetProblem::single(self.clone());
+        let mut space = search::Space::new(&problem);
+        let start = space.encode(&[self.naive().or_else(|_| self.greedy())?])?;
+        let n_slots = space.slots.len();
         let cooling = (0.01f64 / 2.0).powf(1.0 / iterations.max(1) as f64);
-
-        for _ in 0..iterations {
-            // Moves: (a) reassign one NF, or (b) swap the entire contents of
-            // two pipelets. The swap escapes the local optima where single
-            // reassignments pass through infeasible states — e.g. turning
-            // Fig. 6(a) into Fig. 6(b) swaps the two egress pipelets
-            // wholesale.
-            let mut trial = current.clone();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let schedule = (2.0, cooling);
+        // Moves: (a) reassign one NF, or (b) swap the entire contents of two
+        // pipelets. The swap escapes the local optima where single
+        // reassignments pass through infeasible states — e.g. turning
+        // Fig. 6(a) into Fig. 6(b) swaps the two egress pipelets wholesale.
+        // In the vector it relabels two slots.
+        let propose = |rng: &mut StdRng, assignment: &mut [usize]| {
             if rng.gen_bool(0.7) {
-                let nf = &nfs[rng.gen_range(0..nfs.len())];
-                let target = pipelets[rng.gen_range(0..pipelets.len())];
-                for list in trial.pipelets.values_mut() {
-                    list.retain(|n| n != nf);
-                }
-                trial.pipelets.entry(target).or_default().push(nf.clone());
+                let nf = rng.gen_range(0..assignment.len());
+                assignment[nf] = rng.gen_range(0..n_slots);
             } else {
-                let a = pipelets[rng.gen_range(0..pipelets.len())];
-                let b = pipelets[rng.gen_range(0..pipelets.len())];
-                if a != b {
-                    let list_a = trial.pipelets.remove(&a).unwrap_or_default();
-                    let list_b = trial.pipelets.remove(&b).unwrap_or_default();
-                    trial.pipelets.insert(a, list_b);
-                    trial.pipelets.insert(b, list_a);
+                let (a, b) = (rng.gen_range(0..n_slots), rng.gen_range(0..n_slots));
+                for slot in assignment {
+                    if *slot == a {
+                        *slot = b;
+                    } else if *slot == b {
+                        *slot = a;
+                    }
                 }
             }
-            let trial = self.canonicalize(trial);
-            if !self.feasible(&trial) {
-                temperature *= cooling;
-                continue;
-            }
-            let trial_cost = self.cost(&trial)?;
-            let accept = trial_cost <= current_cost
-                || rng.gen::<f64>() < ((current_cost - trial_cost) / temperature).exp();
-            if accept {
-                current = trial;
-                current_cost = trial_cost;
-                if current_cost < best_cost {
-                    best = current.clone();
-                    best_cost = current_cost;
-                }
-            }
-            temperature *= cooling;
-        }
-        Ok(best)
-    }
-
-    /// Reorders NFs within each pipelet into canonical chain order (the
-    /// order optimizers assume).
-    pub fn canonicalize(&self, placement: Placement) -> Placement {
-        self.interned().canonicalize(placement)
+        };
+        let mut found = search::anneal(&mut space, start, &mut rng, iterations, schedule, propose)?;
+        Ok(found.placement.switches.swap_remove(0))
     }
 }
 

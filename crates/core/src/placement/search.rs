@@ -36,15 +36,15 @@ pub trait PlacementSearch {
 /// `fleet.nfs[i]` lives in `slots[a[i]]`, and `view` is where each
 /// candidate is located to be checked and scored — no candidate is decoded
 /// but the one returned.
-struct Space<'a> {
+pub(super) struct Space<'a> {
     problem: &'a FleetProblem,
     fleet: Interned<'a>,
-    slots: Vec<FleetSlot>,
+    pub(super) slots: Vec<FleetSlot>,
     view: Located,
 }
 
 impl<'a> Space<'a> {
-    fn new(problem: &'a FleetProblem) -> Self {
+    pub(super) fn new(problem: &'a FleetProblem) -> Self {
         let fleet = problem.cluster.template.interned();
         let slots = problem.slots();
         let view = Located::for_assignments(&fleet, &slots, problem.switches());
@@ -71,15 +71,23 @@ impl<'a> Space<'a> {
         ClusterPlacement { switches }
     }
 
-    /// Encodes a located placement as an assignment vector; `None` when
-    /// some chain NF is unplaced.
-    fn encode(&self, placed: &Located) -> Option<Vec<usize>> {
-        (0..self.fleet.nfs.len())
+    /// Encodes a placement of every member as an assignment vector, with
+    /// its score: where a search starts. Errs when some chain NF is
+    /// unplaced.
+    pub(super) fn encode(
+        &self,
+        switches: &[Placement],
+    ) -> Result<(Vec<usize>, FleetScore), PlacementError> {
+        let placed = Located::of(&self.fleet, switches);
+        let assignment = (0..self.fleet.nfs.len())
             .map(|nf| {
                 let slot = placed.slot_of(nf)?;
                 self.slots.iter().position(|&s| s == slot)
             })
-            .collect()
+            .collect::<Option<_>>()
+            .ok_or_else(|| PlacementError::Infeasible("seed left NFs unplaced".into()))?;
+        let score = fleet::score(&self.fleet, self.problem.weights(), &placed, false)?;
+        Ok((assignment, score))
     }
 
     /// Locates a candidate and scores it if it is feasible.
@@ -92,24 +100,18 @@ impl<'a> Space<'a> {
         fleet::score(&self.fleet, weights, &self.view, false).map(Some)
     }
 
-    /// Where the metaheuristics start: the seed placement as an assignment
-    /// vector, with its score. `greedy_spill` seeds can break the monotone
-    /// rule, and a search started on an infeasible point rejects every
-    /// proposal and would return it; such a seed is replaced by the
-    /// monotone first-fit (feasible by construction), and if there is none
-    /// the search has no start.
+    /// Where the fleet search starts: the seed placement, encoded.
+    /// `greedy_spill` seeds can break the monotone rule, and a search
+    /// started on an infeasible point rejects every proposal and would
+    /// return it; such a seed is replaced by the monotone first-fit
+    /// (feasible by construction), and if there is none the search has no
+    /// start.
     fn start(&self) -> Result<(Vec<usize>, FleetScore), PlacementError> {
-        let seed = self.problem.seed_placement()?;
-        let mut placed = Located::of(&self.fleet, &seed.switches);
-        if !fleet::feasible(&self.fleet, &placed) {
-            let seed = self.problem.monotone_first_fit()?;
-            placed = Located::of(&self.fleet, &seed.switches);
+        let mut seed = self.problem.seed_placement()?;
+        if !fleet::feasible(&self.fleet, &Located::of(&self.fleet, &seed.switches)) {
+            seed = self.problem.monotone_first_fit()?;
         }
-        let assignment = self
-            .encode(&placed)
-            .ok_or_else(|| PlacementError::Infeasible("seed left NFs unplaced".into()))?;
-        let score = fleet::score(&self.fleet, self.problem.weights(), &placed, false)?;
-        Ok((assignment, score))
+        self.encode(&seed.switches)
     }
 }
 
@@ -190,10 +192,56 @@ impl PlacementSearch for ExhaustiveSearch {
     }
 }
 
-/// Simulated annealing (cf. the SFC placement survey, arXiv:1910.02613):
-/// from the seed placement, propose single-NF reassignments or two-NF swaps
-/// and accept uphill moves with Metropolis probability under a fixed
-/// geometric cooling schedule.
+/// The one annealing loop (cf. the SFC placement survey, arXiv:1910.02613):
+/// from `start`, `propose` rewrites a copy of the current assignment; a
+/// feasible candidate is accepted downhill always and uphill with Metropolis
+/// probability, at a temperature that starts at `start_temp` and is
+/// multiplied by `cooling` after every proposal. The neighbourhood is the
+/// caller's: [`AnnealingSearch`]'s, or
+/// [`PlacementProblem::anneal`](super::PlacementProblem::anneal)'s.
+pub(super) fn anneal(
+    space: &mut Space,
+    (mut current, mut current_score): (Vec<usize>, FleetScore),
+    rng: &mut StdRng,
+    iterations: usize,
+    (start_temp, cooling): (f64, f64),
+    mut propose: impl FnMut(&mut StdRng, &mut [usize]),
+) -> Result<SearchOutcome, PlacementError> {
+    let mut best = current.clone();
+    let mut best_score = current_score;
+    let mut evaluated = 1u64;
+    // No NF to move: the start is the answer.
+    let iterations = if current.is_empty() { 0 } else { iterations };
+    let mut temp = start_temp;
+    // Proposals are written over a copy of `current` in one buffer.
+    let mut candidate = current.clone();
+    for _ in 0..iterations {
+        candidate.copy_from_slice(&current);
+        propose(rng, &mut candidate);
+        if let Some(score) = space.evaluate(&candidate)? {
+            evaluated += 1;
+            let delta = score.weighted - current_score.weighted;
+            if delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp() {
+                std::mem::swap(&mut current, &mut candidate);
+                current_score = score;
+                if score.weighted < best_score.weighted {
+                    best.copy_from_slice(&current);
+                    best_score = score;
+                }
+            }
+        }
+        temp *= cooling;
+    }
+    Ok(SearchOutcome {
+        placement: space.decode(&best),
+        score: best_score,
+        evaluated,
+    })
+}
+
+/// Simulated annealing over the fleet: from the seed placement, propose
+/// single-NF reassignments or two-NF swaps under a fixed geometric cooling
+/// schedule.
 #[derive(Debug, Clone)]
 pub struct AnnealingSearch {
     /// RNG seed — same seed, same problem → same answer.
@@ -222,28 +270,15 @@ impl PlacementSearch for AnnealingSearch {
     fn search(&self, problem: &FleetProblem) -> Result<SearchOutcome, PlacementError> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut space = Space::new(problem);
-        let (mut current, mut current_score) = space.start()?;
-        let mut best = current.clone();
-        let mut best_score = current_score;
-        let mut evaluated = 1u64;
-        if current.is_empty() {
-            // No NF to move: the start is the answer.
-            return Ok(SearchOutcome {
-                placement: space.decode(&best),
-                score: best_score,
-                evaluated,
-            });
-        }
+        let start = space.start()?;
+        let n_slots = space.slots.len();
         let cooling = if self.iterations > 1 {
             (Self::END_TEMP / Self::START_TEMP).powf(1.0 / f64::from(self.iterations - 1))
         } else {
             1.0
         };
-        let mut temp = Self::START_TEMP;
-        // Proposals are written over a copy of `current` in one buffer.
-        let mut candidate = current.clone();
-        for _ in 0..self.iterations {
-            candidate.copy_from_slice(&current);
+        let schedule = (Self::START_TEMP, cooling);
+        let propose = |rng: &mut StdRng, candidate: &mut [usize]| {
             if candidate.len() >= 2 && rng.gen_bool(0.3) {
                 // Swap the slots of two NFs (preserves per-slot load shape).
                 let a = rng.gen_range(0..candidate.len());
@@ -252,131 +287,11 @@ impl PlacementSearch for AnnealingSearch {
             } else {
                 // Reassign one NF to a fresh slot.
                 let i = rng.gen_range(0..candidate.len());
-                candidate[i] = rng.gen_range(0..space.slots.len());
+                candidate[i] = rng.gen_range(0..n_slots);
             }
-            if let Some(score) = space.evaluate(&candidate)? {
-                evaluated += 1;
-                let delta = score.weighted - current_score.weighted;
-                if delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp() {
-                    std::mem::swap(&mut current, &mut candidate);
-                    current_score = score;
-                    if score.weighted < best_score.weighted {
-                        best.copy_from_slice(&current);
-                        best_score = score;
-                    }
-                }
-            }
-            temp *= cooling;
-        }
-        Ok(SearchOutcome {
-            placement: space.decode(&best),
-            score: best_score,
-            evaluated,
-        })
-    }
-}
-
-/// Discrete particle swarm (cf. arXiv:2105.05248): each particle adopts
-/// coordinates from its personal best and the global best, plus mutation.
-/// Particle 0 starts at the seed placement, so the swarm never does worse.
-#[derive(Debug, Clone)]
-pub struct SwarmSearch {
-    /// RNG seed — same seed, same problem → same answer.
-    pub seed: u64,
-    /// Population size.
-    pub particles: u32,
-    /// Update rounds.
-    pub iterations: u32,
-}
-
-impl SwarmSearch {
-    /// Per-coordinate probability of adopting the personal best.
-    const P_PERSONAL: f64 = 0.25;
-    /// Per-coordinate probability of adopting the global best.
-    const P_GLOBAL: f64 = 0.35;
-    /// Per-coordinate probability of a random mutation.
-    const P_MUTATE: f64 = 0.08;
-
-    /// A swarm of `particles` updated for `iterations` rounds.
-    pub fn new(seed: u64, particles: u32, iterations: u32) -> Self {
-        SwarmSearch {
-            seed,
-            particles,
-            iterations,
-        }
-    }
-}
-
-impl PlacementSearch for SwarmSearch {
-    fn name(&self) -> &'static str {
-        "swarm"
-    }
-
-    fn search(&self, problem: &FleetProblem) -> Result<SearchOutcome, PlacementError> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut space = Space::new(problem);
-        let (seed_assignment, seed_score) = space.start()?;
-        let mut evaluated = 1u64;
-
-        // Particle state: position, personal best (assignment, score).
-        let n = seed_assignment.len();
-        let n_slots = space.slots.len();
-        let mut positions: Vec<Vec<usize>> = Vec::new();
-        let mut pbest: Vec<(Vec<usize>, FleetScore)> = Vec::new();
-        let mut gbest = (seed_assignment.clone(), seed_score);
-        for p in 0..self.particles.max(1) {
-            let pos = if p == 0 {
-                seed_assignment.clone()
-            } else {
-                // Random restarts around the space; infeasible starts are
-                // fine — they inherit the seed as personal best.
-                (0..n).map(|_| rng.gen_range(0..n_slots)).collect()
-            };
-            pbest.push(match space.evaluate(&pos)? {
-                Some(score) => {
-                    evaluated += 1;
-                    if score.weighted < gbest.1.weighted {
-                        gbest = (pos.clone(), score);
-                    }
-                    (pos.clone(), score)
-                }
-                None => (seed_assignment.clone(), seed_score),
-            });
-            positions.push(pos);
-        }
-
-        for _ in 0..self.iterations {
-            for (pos, pbest) in positions.iter_mut().zip(&mut pbest) {
-                for (i, slot) in pos.iter_mut().enumerate() {
-                    if rng.gen_bool(Self::P_PERSONAL) {
-                        *slot = pbest.0[i];
-                    }
-                    if rng.gen_bool(Self::P_GLOBAL) {
-                        *slot = gbest.0[i];
-                    }
-                    if rng.gen_bool(Self::P_MUTATE) {
-                        *slot = rng.gen_range(0..n_slots);
-                    }
-                }
-                let Some(score) = space.evaluate(pos)? else {
-                    continue;
-                };
-                evaluated += 1;
-                if score.weighted < pbest.1.weighted {
-                    pbest.0.copy_from_slice(pos);
-                    pbest.1 = score;
-                }
-                if score.weighted < gbest.1.weighted {
-                    gbest.0.copy_from_slice(pos);
-                    gbest.1 = score;
-                }
-            }
-        }
-        Ok(SearchOutcome {
-            placement: space.decode(&gbest.0),
-            score: gbest.1,
-            evaluated,
-        })
+        };
+        let iterations = self.iterations as usize;
+        anneal(&mut space, start, &mut rng, iterations, schedule, propose)
     }
 }
 
@@ -387,11 +302,8 @@ mod tests {
     use crate::placement::tests::fnv;
     use crate::placement::{ClusterProblem, PlacementProblem};
 
-    fn metaheuristics() -> [Box<dyn PlacementSearch>; 2] {
-        [
-            Box::new(AnnealingSearch::new(3, 200)),
-            Box::new(SwarmSearch::new(3, 6, 10)),
-        ]
+    fn metaheuristics() -> [Box<dyn PlacementSearch>; 1] {
+        [Box::new(AnnealingSearch::new(3, 200))]
     }
 
     #[test]
@@ -482,18 +394,10 @@ mod tests {
             (0x4078_af5e_38e3_8e38, 263, 0xcf17_786e_23c9_3ed7),
             (0x4075_0d44_9f49_f4a0, 338, 0xa703_104c_66f5_2c0f),
         ];
-        let swarmed = [
-            (0, (0x407c_c932_7d27_d27e, 92, 0x624c_a928_ac9d_5989)),
-            (5, (0x407a_e682_7d27_d27f, 83, 0x4753_0c9b_ca31_2ecb)),
-        ];
         let runs = annealed.iter().enumerate().map(|(j, pin)| {
             let search: Box<dyn PlacementSearch> = Box::new(AnnealingSearch::new(1, 2000));
             (search, j, pin)
         });
-        let runs = runs.chain(swarmed.iter().map(|(j, pin)| {
-            let search: Box<dyn PlacementSearch> = Box::new(SwarmSearch::new(1, 20, 120));
-            (search, *j, pin)
-        }));
         for (search, j, &(weighted, evaluated, placement)) in runs {
             let found = search.search(&fleets[j]).unwrap();
             let shown = shown(&found.placement);
@@ -603,10 +507,9 @@ mod tests {
         // Nothing to put anywhere: an empty chain set is a valid instance.
         let template = PlacementProblem::new(ChainSet::new(vec![]).unwrap(), Default::default());
         let no_nfs = FleetProblem::new(ClusterProblem::new(template, 2));
-        let strategies: [Box<dyn PlacementSearch>; 3] = [
+        let strategies: [Box<dyn PlacementSearch>; 2] = [
             Box::new(ExhaustiveSearch::default()),
             Box::new(AnnealingSearch::new(3, 200)),
-            Box::new(SwarmSearch::new(3, 6, 10)),
         ];
         for search in &strategies {
             for problem in &no_slots {
@@ -619,6 +522,9 @@ mod tests {
                 assert_eq!(found.evaluated, 1, "nothing to move: the start");
             }
         }
+        let single = &no_nfs.cluster.template;
+        let annealed = single.anneal(0, 50).unwrap();
+        assert_eq!(single.cost(&annealed), Ok(0.0));
         let err = no_slots[1]
             .cluster
             .template
@@ -631,7 +537,7 @@ mod tests {
     fn a_feasible_seed_is_searched_as_before() {
         // Outcomes recorded at b0b232c, before start-up checked the seed.
         let problem = FleetProblem::synthetic(100, 8, 7);
-        let expected = [(400.8421874999999, 34), (452.22031250000003, 6)];
+        let expected = [(400.8421874999999, 34)];
         for (search, (weighted, evaluated)) in metaheuristics().iter().zip(expected) {
             let found = search.search(&problem).unwrap();
             assert_eq!(found.score.weighted, weighted, "{}", search.name());

@@ -1440,6 +1440,7 @@ fn boot(
             cable_ns: wiring.cable_ns,
             swap_rx,
             rejected_frames: 0,
+            applied_seq: 0,
         });
     }
 

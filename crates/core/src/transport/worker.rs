@@ -59,6 +59,10 @@ pub struct SwitchWorker {
     pub swap_rx: Receiver<(u64, Switch, Deployment)>,
     /// Frames dropped because they did not decode (sent with each scrape).
     pub rejected_frames: u64,
+    /// The highest command seq applied. The controller numbers commands as
+    /// it sends them down this FIFO link, so a seq at or below it is a
+    /// duplicate: dropped, never applied twice.
+    pub(super) applied_seq: u64,
 }
 
 impl SwitchWorker {
@@ -181,6 +185,10 @@ impl SwitchWorker {
     /// Executes one control command; `true` means shut down.
     fn on_control(&mut self, c: ControlMsg) -> bool {
         let seq = c.seq();
+        if seq <= self.applied_seq {
+            return false;
+        }
+        self.applied_seq = seq;
         let (dep, sw) = (&self.deployment, &mut self.switch);
         match c {
             ControlMsg::Install {

@@ -7,14 +7,14 @@
 //!
 //! Builds a reproducible synthetic fleet (defaults: 6 chains, 2 switches,
 //! seed 7), then drives every [`PlacementSearch`] strategy — the
-//! exhaustive oracle when the space is small enough, simulated annealing,
-//! and discrete particle swarm — over the same weighted objective
+//! exhaustive oracle when the space is small enough, and simulated
+//! annealing — over the same weighted objective
 //! (recirculations + cross-switch hops + per-switch stage pressure) and
 //! prints a comparison table: score breakdown, candidates evaluated, and
 //! wall-clock time per strategy.
 
 use dejavu_core::orchestrator::{
-    AnnealingSearch, ExhaustiveSearch, FleetProblem, PlacementSearch, SearchOutcome, SwarmSearch,
+    AnnealingSearch, ExhaustiveSearch, FleetProblem, PlacementSearch, SearchOutcome,
 };
 use std::time::Instant;
 
@@ -72,7 +72,6 @@ fn main() {
     let strategies: Vec<Box<dyn PlacementSearch>> = vec![
         Box::new(ExhaustiveSearch::default()),
         Box::new(AnnealingSearch::new(seed, 5000)),
-        Box::new(SwarmSearch::new(seed, 20, 120)),
     ];
     let mut best: Option<f64> = None;
     for strategy in &strategies {

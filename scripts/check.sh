@@ -173,14 +173,29 @@ if [ "$(grep -rn 'fn walk_stmts' crates/p4ir/src | wc -l)" -gt 1 ] ||
 fi
 
 # Kill-catalogue gate: every mutant under tests/mutants/ whose killer is
-# the p4ir unit tests, the wire-format properties or the cluster transport
-# suite must still be killed by them (each builds in a reused scratch copy
-# and runs under its own time bound); run `scripts/mutants.sh` alone for
-# the whole catalogue.
+# the p4ir or core unit tests, the wire-format properties or the cluster
+# transport suite must still be killed by them (each builds in a reused
+# scratch copy and runs under its own time bound); run `scripts/mutants.sh`
+# alone for the whole catalogue.
 mapfile -t gated_mutants < <(grep -lE \
-    '^Test: -p dejavu-(p4ir --lib|integration --test (wire_format|cluster_transport))$' \
+    '^Test: -p dejavu-((p4ir|core) --lib|integration --test (wire_format|cluster_transport))$' \
     tests/mutants/*.patch)
 scripts/mutants.sh "${gated_mutants[@]}"
+
+# One-annealer gate: one Metropolis loop (`placement::search::anneal`) on
+# assignment vectors, to which `AnnealingSearch` and
+# `PlacementProblem::anneal` each pass a neighbourhood. The M = 1 annealer
+# proposes on the vector, so it builds, canonicalizes and prices no
+# `Placement` per proposal; and the particle swarm, which annealing beat on
+# every instance measured, stays deleted. The function must be found, so a
+# rename cannot pass the gate by matching nothing.
+single_anneal=$(awk '/^    pub fn anneal\(/, /^    }$/' crates/core/src/placement/mod.rs)
+if [ -z "$single_anneal" ] ||
+    printf '%s\n' "$single_anneal" | grep -nE 'self\.(feasible|cost)\(|canonicalize\(' ||
+    grep -rn 'SwarmSearch' crates/ examples/ tests/; then
+    echo "a second annealing loop or the swarm search is back (see DESIGN.md, Fleet objective)" >&2
+    exit 1
+fi
 
 # One-reply gate: a command's reply is handled by the code that sent it
 # (its `Then`), and a broadcast's replies by the closure of the handle
@@ -201,9 +216,9 @@ timeout 120 cargo run -p dejavu-examples --bin replacement_demo
 
 # Placement-search gate: every strategy on a 100-chain, 8-switch fleet, in
 # the debug build, which keeps the explorer's feasibility `debug_assert` on
-# each answer; no other gate runs `SwarmSearch` at fleet scale. Built
-# outside the bound, so the bound is on the searches: a hang here is a
-# runaway search.
+# each answer; no other gate runs `AnnealingSearch` at 5 000 steps on a
+# fleet that size. Built outside the bound, so the bound is on the
+# searches: a hang here is a runaway search.
 cargo build -q -p dejavu-examples --bin placement_explorer
 timeout 60 cargo run -p dejavu-examples --bin placement_explorer -- 100 8 1
 

@@ -837,21 +837,22 @@ fn a_lost_reply_fails_its_verb_and_the_next_verb_succeeds() {
     handle.shutdown().unwrap();
 }
 
+/// Each member's clock, read off its pipelets' snapshots.
+fn clocks(handle: &mut ClusterHandle) -> Vec<(usize, u64)> {
+    let snaps = handle.snapshot_state().unwrap();
+    let clocks: std::collections::BTreeSet<_> = snaps
+        .into_iter()
+        .map(|(switch, _, snap)| (switch, snap.clock))
+        .collect();
+    clocks.into_iter().collect()
+}
+
 #[test]
 fn a_failed_broadcast_still_asks_every_member() {
     // Worker 1's upstream is the second link connected to `ctrl`.
     let mut handle = damaging_cluster(DamagingTransport::new("ctrl", 2, |m| {
         matches!(m, Message::Telemetry(TelemetryMsg::Evictions { .. }))
     }));
-    // Each member's clock, read off its pipelets' snapshots.
-    let clocks = |handle: &mut ClusterHandle| -> Vec<(usize, u64)> {
-        let snaps = handle.snapshot_state().unwrap();
-        let clocks: std::collections::BTreeSet<_> = snaps
-            .into_iter()
-            .map(|(switch, _, snap)| (switch, snap.clock))
-            .collect();
-        clocks.into_iter().collect()
-    };
     let first = handle.advance_time(1);
     assert!(
         matches!(first, Err(ClusterError::Timeout(_))),
@@ -865,6 +866,22 @@ fn a_failed_broadcast_still_asks_every_member() {
     let report = handle.advance_time(1).unwrap();
     assert_eq!(report.per_switch.len(), 3);
     assert_eq!(clocks(&mut handle), [(0, 2), (1, 2), (2, 2)]);
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_duplicated_command_is_applied_once() {
+    use dejavu_core::transport::wire::ControlMsg;
+
+    // The controller's link to worker 1 is the first connected to `w1`.
+    let transport = DamagingTransport::new("w1", 1, |m| {
+        matches!(m, Message::Control(ControlMsg::AdvanceTime { .. }))
+    });
+    let mut handle = damaging_cluster(transport.duplicating());
+    handle.advance_time(1).unwrap();
+    // The copy reached worker 1 before the snapshot command did: had it
+    // been applied, member 1 would have aged twice.
+    assert_eq!(clocks(&mut handle), [(0, 1), (1, 1), (2, 1)]);
     handle.shutdown().unwrap();
 }
 
