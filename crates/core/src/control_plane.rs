@@ -6,25 +6,25 @@
 //! original control-plane APIs onto the merged SFC program. That layer
 //! decides in one place and acts in two:
 //!
-//! * `DecisionCore` makes the decisions, with no I/O: it holds the learn
-//!   policies and punt handlers the NFs registered, maps a digest to the
-//!   policy that learns it, and a punted packet to the merged answer of
-//!   every handler;
+//! * `DecisionCore` makes the decisions: it holds the learn policies and
+//!   punt handlers the NFs registered, runs the learn loop (digests the
+//!   data plane emitted become table entries — the fast learn path that
+//!   installs state *without* punting the packet itself), and maps a
+//!   punted packet to the merged answer of every handler;
 //! * [`ControlPlane`] acts on them against one `Switch`:
-//!   [`ControlPlane::process_digests`] is the learn loop (digests the data
-//!   plane emitted become table entries — the fast learn path that installs
-//!   state *without* punting the packet itself), and
+//!   [`ControlPlane::process_digests`] runs the learn loop, and
 //!   [`ControlPlane::process_punts`] the to-CPU loop (packets an NF sent to
 //!   the control plane, e.g. the Fig. 4 load balancer's session misses, get
 //!   their remedy installed and are reinjected: "the control plane will
 //!   simply install a new session … and reinject the packet into the data
 //!   plane");
-//! * the cluster controller acts on them against the member hosting each
-//!   NF ([`ClusterHandle::register_handler`](crate::transport::ClusterHandle::register_handler)).
+//! * on a cluster, every member runs the learn loop after every packet, and
+//!   the controller serves punts against the member hosting each NF
+//!   ([`ClusterHandle::register_handler`](crate::transport::ClusterHandle::register_handler)).
 
 use crate::deploy::Deployment;
 use dejavu_asic::switch::Disposition;
-use dejavu_asic::{DigestRecord, InjectedPacket, PortId, Switch, Traversal};
+use dejavu_asic::{InjectedPacket, PortId, Switch, Traversal};
 use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use dejavu_p4ir::{IrError, Value};
 use std::collections::BTreeMap;
@@ -99,9 +99,9 @@ pub type PuntHandler = Box<dyn FnMut(&[u8]) -> PuntResponse + Send>;
 /// priority 0 into the table of the NF that registered the policy.
 ///
 /// The one value is both what the learn loop runs
-/// (`DecisionCore::learn`, for [`ControlPlane::process_digests`] and the
-/// cluster controller) and what DJV302/DJV303 check against the NF's
-/// program ([`crate::analyze::check_learn_policy`]).
+/// (`DecisionCore::learn`, for [`ControlPlane::process_digests`] and every
+/// cluster member) and what DJV302/DJV303 check against the NF's program
+/// ([`crate::analyze::check_learn_policy`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LearnPolicy {
     /// The NF's table the learned entries go in (the NF's own naming).
@@ -139,10 +139,18 @@ impl LearnPolicy {
     }
 }
 
-/// The control plane's decisions, with no I/O: the learn policies and punt
-/// handlers the NFs registered, and the two questions asked of them. The
-/// single-switch [`ControlPlane`] and the cluster controller each hold one
-/// and act on its answers, so a digest or a punt is decided the same way
+/// What the learn loop did: the digests a policy claimed, and the entries
+/// they installed (idempotent re-learns excluded).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Learned {
+    pub digests: u64,
+    pub installed: u64,
+}
+
+/// The control plane's decisions: the learn policies and punt handlers the
+/// NFs registered, the learn loop, and the merged answer to a punt. The
+/// single-switch [`ControlPlane`], every cluster member and the cluster
+/// controller each hold one, so a digest or a punt is decided the same way
 /// on one switch and on a cluster.
 #[derive(Default)]
 pub(crate) struct DecisionCore {
@@ -165,12 +173,37 @@ impl DecisionCore {
             .insert(crate::merge::scoped(nf, stream), (nf.to_string(), policy));
     }
 
-    /// The NF and policy that learn a digest, borrowed; `None` when no
-    /// policy is registered for its stream (the digest is dropped, as a
-    /// hardware learn filter would).
-    pub fn learn(&self, digest: &DigestRecord) -> Option<(&str, &LearnPolicy)> {
-        let (nf, policy) = self.learn_policies.get(&digest.name)?;
-        Some((nf, policy))
+    /// The learn loop: drains the switch's learn queues and installs each
+    /// digest's entry through its stream's policy, unless already present
+    /// (idempotent: duplicate digests and re-observed flows converge). A
+    /// digest no policy claims is dropped, as a hardware learn filter
+    /// would; the others, and their installs, are counted in `learned`. A
+    /// failed install does not stop the batch; the first error is returned
+    /// at the end.
+    pub fn learn(
+        &self,
+        switch: &mut Switch,
+        deployment: &Deployment,
+        learned: &mut Learned,
+    ) -> Result<(), IrError> {
+        let mut first_err = None;
+        for (_, record) in switch.drain_digests() {
+            let Some((nf, policy)) = self.learn_policies.get(&record.name) else {
+                continue;
+            };
+            learned.digests += 1;
+            let Some(entry) = policy.entry(&record.values) else {
+                continue;
+            };
+            match deployment.install_if_absent(switch, nf, &policy.table, entry) {
+                Ok(true) => learned.installed += 1,
+                Ok(false) => {}
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Runs every handler on a punted packet and merges their answers: the
@@ -247,42 +280,20 @@ impl ControlPlane {
         self.decisions.register_learn_policy(nf, stream, policy);
     }
 
-    /// Drains the switch's learn queues and maps each digest through the
-    /// policy registered for its stream (`DecisionCore::learn`). The entry
-    /// is installed through the translation layer; an entry that is already
-    /// installed is skipped, which makes learning idempotent — duplicate
-    /// digests raced in before the first install, and entries aged out and
-    /// re-observed, both converge. Returns the number of entries installed.
-    /// The queues are already drained, so a failed install does not stop
-    /// the batch: every other digest is still learned, and the first error
-    /// is returned at the end.
+    /// Runs the learn loop (`DecisionCore::learn`) on the switch's queued
+    /// digests. Returns the number of entries installed, or the first
+    /// failed install's error once the batch is done.
     pub fn process_digests(
         &mut self,
         switch: &mut Switch,
         deployment: &Deployment,
     ) -> Result<usize, IrError> {
-        let digests = switch.drain_digests();
-        let mut installed = 0usize;
-        let mut first_err = None;
-        for (_, record) in digests {
-            let Some((nf, policy)) = self.decisions.learn(&record) else {
-                continue;
-            };
-            self.stats.digests += 1;
-            let Some(entry) = policy.entry(&record.values) else {
-                continue;
-            };
-            match deployment.install_if_absent(switch, nf, &policy.table, entry) {
-                Ok(true) => installed += 1,
-                Ok(false) => {}
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        self.stats.installs += installed as u64;
-        self.stats.learns += installed as u64;
-        first_err.map_or(Ok(installed), Err)
+        let mut learned = Learned::default();
+        let result = self.decisions.learn(switch, deployment, &mut learned);
+        self.stats.digests += learned.digests;
+        self.stats.installs += learned.installed;
+        self.stats.learns += learned.installed;
+        result.map(|()| learned.installed as usize)
     }
 
     /// Records a punted packet for later processing.

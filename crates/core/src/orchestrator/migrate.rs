@@ -14,9 +14,10 @@
 //! * **PAUSE** — `pause_ingress`: park new injections and quiesce until
 //!   every in-flight packet has delivered or nacked. Packets injected
 //!   during the window are queued, never rejected.
-//! * **FLUSH** — `process_digests`: run the `DrainDigests` barrier so
-//!   every learn digest emitted by pre-pause traffic has been turned into
-//!   an installed entry before state is captured.
+//! * **FLUSH** — `process_digests`: every member learns what its digest
+//!   queues still hold and reports, so every learn digest emitted by
+//!   pre-pause traffic is an installed entry before state is captured.
+//!   (Members learn as packets pass, so the queues are normally empty.)
 //! * **SNAPSHOT** — `snapshot_state`: checkpoint every pipelet's dynamic
 //!   state, then split it **per NF** by the `<nf>__` merged-name prefix so
 //!   each NF's tables can land wherever the new placement puts them. An
@@ -31,8 +32,9 @@
 //!   the fresh idle stamps land at the restored clock.
 //! * **RESTORE** — `restore_state` each NF's slice onto its new (switch,
 //!   pipelet) home; dropped entries are reported, not silently lost.
-//! * **REMAP** — `remap_nfs`: flip the NF→switch routing so learned
-//!   entries and installs target the new homes.
+//! * **REMAP** — `remap_nfs`: flip the NF→switch routing so installs and
+//!   punt remedies target the new homes (each member learns for the NFs
+//!   it hosts, so learning follows the swap by itself).
 //! * **RESUME** — `resume_ingress`: release parked traffic in arrival
 //!   order. Migration downtime is the PAUSE→RESUME wall-clock span.
 

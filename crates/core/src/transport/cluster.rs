@@ -2,12 +2,12 @@
 //! control plane — one set of machines, two drivers.
 //!
 //! A cluster is one [`SwitchWorker`] per member, wired over a pluggable
-//! [`Transport`], under a **controller** that learns concurrently with
-//! traffic:
+//! [`Transport`], under a **controller**:
 //!
-//! * learn digests pushed upstream by workers are mapped through their
-//!   [`LearnPolicy`] into table installs *while packets keep flowing* — no
-//!   "process digests now" call required;
+//! * each member learns its own digests, after every packet, through the
+//!   [`LearnPolicy`] registered on every member — the digest's NF, and so
+//!   its table, is on the member that emitted it, so learning needs no
+//!   controller round trip and no "process digests now" call;
 //! * packets an NF punts to the CPU are served by the registered punt
 //!   handlers: the controller installs their remedy on the member hosting
 //!   each NF and reinjects the packet, at most once per trace, into the
@@ -39,7 +39,7 @@ use super::wire::{self, ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
 use super::worker::SwitchWorker;
 use super::{ChannelTransport, Endpoint, Link, Transport, TransportError};
 use crate::chain::ChainSet;
-use crate::control_plane::{DecisionCore, LearnPolicy, PuntHandler, PuntResponse};
+use crate::control_plane::{DecisionCore, LearnPolicy, Learned, PuntHandler, PuntResponse};
 use crate::deploy::{DeployError, DeployOptions, Deployment};
 use crate::multiswitch::{build_cluster_members, ClusterPlacement, ClusterWiring};
 use crate::nfmodule::NfModule;
@@ -130,7 +130,7 @@ pub struct PerSwitchReport {
     pub switch: usize,
     /// Entries evicted on this member.
     pub evictions: usize,
-    /// Digests this member emitted.
+    /// Digests this member emitted that a policy claimed.
     pub digests: usize,
     /// Entries installed on this member.
     pub installed: usize,
@@ -302,7 +302,8 @@ struct Controller {
     events: Receiver<CtrlEvent>,
     links: Vec<Link>,
     nf_switch: BTreeMap<String, usize>,
-    /// The learn policies and punt handlers, and what they decide.
+    /// The punt handlers, and what they decide; the learn policies are the
+    /// members'.
     decisions: DecisionCore,
     /// Punted packets waiting for their installs, by trace id.
     punts: BTreeMap<u64, Punt>,
@@ -314,13 +315,6 @@ struct Controller {
     /// Commands sent and not yet answered, by seq: their deadline and what
     /// their reply does.
     pending: BTreeMap<u64, (Instant, Then)>,
-    /// Learned installs sent but not yet answered.
-    learn_outstanding: usize,
-    /// Digest / learned-install counters since the last flush report.
-    digests_per_switch: Vec<usize>,
-    installed_per_switch: Vec<usize>,
-    /// A `process_digests` barrier waiting for quiescence.
-    flush: Option<Sender<Result<ClusterReport, ClusterError>>>,
     /// Ingress pause state: while `true`, new data requests are parked
     /// instead of sent to worker 0 (the migration window).
     paused: bool,
@@ -533,42 +527,6 @@ impl Controller {
             | TelemetryMsg::Metrics { seq, .. }
             | TelemetryMsg::Snapshot { seq, .. }
             | TelemetryMsg::Evictions { seq, .. }) => self.settle(seq, Ok(reply)),
-            TelemetryMsg::Digests { switch, records } => {
-                for (_, record) in records {
-                    let Some((nf, policy)) = self.decisions.learn(&record) else {
-                        continue; // No policy: dropped, like a learn filter.
-                    };
-                    if let Some(slot) = self.digests_per_switch.get_mut(switch as usize) {
-                        *slot += 1;
-                    }
-                    let Some(entry) = policy.entry(&record.values) else {
-                        continue;
-                    };
-                    let Some(&target) = self.nf_switch.get(nf) else {
-                        continue;
-                    };
-                    let (nf, table) = (nf.to_string(), policy.table.clone());
-                    let seq = self.seq();
-                    let install = ControlMsg::Install {
-                        seq,
-                        nf,
-                        table,
-                        entry,
-                    };
-                    // Counted until answered, or failed (a dead link, a
-                    // nack, `op_timeout`): an uncounted failure would park
-                    // every later flush barrier forever.
-                    self.learn_outstanding += 1;
-                    let then: Then = Box::new(move |c, reply| {
-                        c.learn_outstanding -= 1;
-                        if matches!(info(reply), Ok(1)) {
-                            c.installed_per_switch[target] += 1;
-                        }
-                        c.maybe_finish_flush();
-                    });
-                    self.command(target, install, then);
-                }
-            }
             TelemetryMsg::Delivered {
                 disposition: Disposition::ToCpu,
                 data,
@@ -692,27 +650,6 @@ impl Controller {
                 let _ = reply.send(Ok(outstanding));
             }
         }
-    }
-
-    /// Completes a parked `process_digests` barrier once every learned
-    /// install has been answered.
-    fn maybe_finish_flush(&mut self) {
-        if self.learn_outstanding > 0 {
-            return;
-        }
-        let Some(reply) = self.flush.take() else {
-            return;
-        };
-        let mut report = ClusterReport::sized(self.n);
-        for (i, p) in report.per_switch.iter_mut().enumerate() {
-            p.digests = self.digests_per_switch[i];
-            p.installed = self.installed_per_switch[i];
-            report.digests_seen += p.digests;
-            report.entries_installed += p.installed;
-        }
-        self.digests_per_switch.iter_mut().for_each(|d| *d = 0);
-        self.installed_per_switch.iter_mut().for_each(|d| *d = 0);
-        let _ = reply.send(Ok(report));
     }
 }
 
@@ -941,7 +878,7 @@ impl ClusterHandle {
     /// the flight record arrives later via
     /// [`recv_delivered`](ClusterHandle::recv_delivered). This is the
     /// pipelined path: many packets can be in flight across the cluster at
-    /// once, while the control plane learns from their digests in parallel.
+    /// once, each member learning from their digests as they pass.
     pub fn inject_async(&mut self, packet: impl Into<InjectedPacket>) -> Result<u64, ClusterError> {
         let InjectedPacket { bytes, port } = packet.into();
         self.next_trace += 2; // Odd: distinct from even command seqs.
@@ -1077,37 +1014,53 @@ impl ClusterHandle {
         })
     }
 
-    /// Flushes every member's digest queues and waits until all resulting
-    /// learned installs have been acked — the synchronous face of the
-    /// always-on learning loop. The report covers **all** digest activity
-    /// since the previous call (the controller learns continuously, not
-    /// just inside this call).
+    /// Has every member learn what its digest queues still hold, and
+    /// reports what each learned since the previous call. Members learn
+    /// after every packet, not just inside this call, so the report covers
+    /// **all** digest activity since then.
     pub fn process_digests(&mut self) -> Result<ClusterReport, ClusterError> {
         let make = |seq| ControlMsg::DrainDigests { seq };
-        self.broadcast("process_digests", make, |c, _, reply| {
-            // Every member flushed; the digests arrived (and were
-            // dispatched) before each `DrainDone` on the same FIFO link.
-            // Learned installs may still be unanswered: park the reply
-            // until they are.
-            c.flush = Some(reply);
-            c.maybe_finish_flush();
+        self.broadcast("process_digests", make, |c, replies, reply| {
+            let mut report = ClusterReport::sized(c.n);
+            for (switch, r) in replies.into_iter().enumerate() {
+                if let TelemetryMsg::DrainDone {
+                    digests, installed, ..
+                } = r
+                {
+                    let member = &mut report.per_switch[switch];
+                    member.digests = digests as usize;
+                    member.installed = installed as usize;
+                    report.digests_seen += digests as usize;
+                    report.entries_installed += installed as usize;
+                }
+            }
+            let _ = reply.send(Ok(report));
         })
     }
 
-    /// Registers the learn policy for an NF's digest stream on the
-    /// controller, as
+    /// Registers the learn policy for an NF's digest stream on every
+    /// member, as
     /// [`ControlPlane::register_learn_policy`](crate::control_plane::ControlPlane::register_learn_policy)
-    /// does; learned entries are installed on the member hosting `nf`.
-    /// [`ClusterError::Unplaced`] when no member hosts `nf`.
+    /// does on one switch, and returns once every member has acked. Every
+    /// member holds every policy, so one that migration makes the NF's
+    /// new home learns its digests too. [`ClusterError::Unplaced`] when no
+    /// member hosts `nf`.
     pub fn register_learn_policy(
         &mut self,
         nf: &str,
         stream: &str,
         policy: LearnPolicy,
     ) -> Result<(), ClusterError> {
-        let (owner, stream) = (nf.to_string(), stream.to_string());
-        self.register(nf, move |d| {
-            d.register_learn_policy(&owner, &stream, policy)
+        self.host(nf)?;
+        let (nf, stream) = (nf.to_string(), stream.to_string());
+        let make = move |seq| ControlMsg::RegisterLearnPolicy {
+            seq,
+            nf: nf.clone(),
+            stream: stream.clone(),
+            policy: policy.clone(),
+        };
+        self.broadcast("register_learn_policy", make, |_, _, reply| {
+            drop(reply.send(Ok(())))
         })
     }
 
@@ -1118,17 +1071,10 @@ impl ClusterHandle {
     /// punted it — at most once per trace; a second punt is delivered as
     /// `ToCpu`. [`ClusterError::Unplaced`] when no member hosts `nf`.
     pub fn register_handler(&mut self, nf: &str, handler: PuntHandler) -> Result<(), ClusterError> {
-        let owner = nf.to_string();
-        self.register(nf, move |d| d.register_handler(&owner, handler))
-    }
-
-    fn register(
-        &mut self,
-        nf: &str,
-        register: impl FnOnce(&mut DecisionCore) + Send + 'static,
-    ) -> Result<(), ClusterError> {
         self.host(nf)?;
-        self.request(CtrlEvent::Run(Box::new(|c| register(&mut c.decisions))))
+        let owner = nf.to_string();
+        let register = move |c: &mut Controller| c.decisions.register_handler(&owner, handler);
+        self.request(CtrlEvent::Run(Box::new(register)))
     }
 
     /// Scrapes every member's metrics and returns merged + per-member
@@ -1260,7 +1206,7 @@ impl ClusterHandle {
     }
 
     /// Replaces the NF → switch routing map (both the controller's copy,
-    /// which routes installs and learned entries, and this handle's copy
+    /// which routes installs and punt remedies, and this handle's copy
     /// behind [`switch_of`](Self::switch_of)) after members were swapped
     /// to a new placement.
     pub fn remap_nfs(&mut self, nf_switch: BTreeMap<String, usize>) -> Result<(), ClusterError> {
@@ -1441,6 +1387,8 @@ fn boot(
             swap_rx,
             rejected_frames: 0,
             applied_seq: 0,
+            decisions: DecisionCore::default(),
+            learned: Learned::default(),
         });
     }
 
@@ -1457,10 +1405,6 @@ fn boot(
         delivered_tx,
         next_seq: 0,
         pending: BTreeMap::new(),
-        learn_outstanding: 0,
-        digests_per_switch: vec![0; n],
-        installed_per_switch: vec![0; n],
-        flush: None,
         paused: false,
         parked: Vec::new(),
         in_flight: BTreeMap::new(),

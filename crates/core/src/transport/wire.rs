@@ -16,7 +16,7 @@
 //! |-------|----------------------|------------------------------------------|
 //! | 0     | along the chain      | [`DataMsg`] — a packet hopping switches  |
 //! | 1     | controller → worker  | [`ControlMsg`] — installs, timeouts, …   |
-//! | 2     | worker → controller  | [`TelemetryMsg`] — digests, metrics, …   |
+//! | 2     | worker → controller  | [`TelemetryMsg`] — replies, deliveries … |
 //!
 //! Decoding is total: a truncated, oversized, or malformed frame yields a
 //! typed [`WireError`], never a panic. Unknown versions and classes are
@@ -81,10 +81,21 @@
 //! metrics := n:u32 { name:str kind:u8 (counter:u64 | gauge:i64
 //!                    | count:u64 sum:u64 n:u32 { bucket:u64 }) }
 //! ```
+//!
+//! # Version 5: a member learns its own digests
+//!
+//! A member learns a digest where it was emitted, so no digest crosses a
+//! link (version 4's `Digests`, telemetry tag 2, is gone) and a learned
+//! flow's outbound flight takes 3 frames, not 6. The policy crosses
+//! instead, once per member ([`ControlMsg::RegisterLearnPolicy`], tag 10:
+//! `nf stream table action:str`, then key and argument field lists of
+//! `u32`), and [`TelemetryMsg::DrainDone`] carries the digests and installs
+//! learned since the member's last drain.
 
+use crate::control_plane::LearnPolicy;
 use dejavu_asic::state::{RegisterSnapshot, TableSnapshot, SNAPSHOT_FORMAT_VERSION};
 use dejavu_asic::switch::Disposition;
-use dejavu_asic::tables::{DigestRecord, Eviction};
+use dejavu_asic::tables::Eviction;
 use dejavu_asic::telemetry::{HistogramSnapshot, MetricValue, HISTOGRAM_BUCKETS};
 use dejavu_asic::{Gress, MetricsSnapshot, PipeletId, PortId, StateSnapshot};
 use dejavu_p4ir::action::crc32;
@@ -95,7 +106,7 @@ use std::fmt;
 /// First two bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xDEFA;
 /// Current wire-format revision. Bump on any incompatible layout change.
-pub const WIRE_VERSION: u8 = 4;
+pub const WIRE_VERSION: u8 = 5;
 /// Fixed frame header size: magic + version + class + payload length.
 pub const HEADER_LEN: usize = 8;
 /// Fixed frame trailer size: the CRC-32 of header and payload.
@@ -187,7 +198,7 @@ pub enum Message {
     Data(DataMsg),
     /// A control command, controller → worker (class 1).
     Control(ControlMsg),
-    /// Telemetry/digest upstream, worker → controller (class 2).
+    /// Replies and deliveries upstream, worker → controller (class 2).
     Telemetry(TelemetryMsg),
 }
 
@@ -276,10 +287,10 @@ pub enum ControlMsg {
         /// Ticks to advance.
         ticks: u64,
     },
-    /// Flush the switch's digest queues upstream now. The worker sends any
-    /// pending [`TelemetryMsg::Digests`] followed by
-    /// [`TelemetryMsg::DrainDone`] — the barrier the synchronous facade's
-    /// `process_digests` builds on.
+    /// Learn what the switch's digest queues still hold, and report what
+    /// the member learned since its last drain
+    /// ([`TelemetryMsg::DrainDone`]) — the synchronous facade's
+    /// `process_digests`.
     DrainDigests {
         /// Reply correlation.
         seq: u64,
@@ -322,6 +333,18 @@ pub enum ControlMsg {
         /// Reply correlation.
         seq: u64,
     },
+    /// Register the learn policy for an NF's digest stream on the member,
+    /// replacing an earlier one for the same stream. Acked.
+    RegisterLearnPolicy {
+        /// Reply correlation.
+        seq: u64,
+        /// The NF that emits the stream and owns the policy's table.
+        nf: String,
+        /// The stream, in the NF's own naming.
+        stream: String,
+        /// How the stream's digests become entries.
+        policy: LearnPolicy,
+    },
 }
 
 impl ControlMsg {
@@ -337,7 +360,8 @@ impl ControlMsg {
             | ControlMsg::SnapshotState { seq }
             | ControlMsg::RestoreState { seq, .. }
             | ControlMsg::SwapMember { seq }
-            | ControlMsg::Shutdown { seq } => *seq,
+            | ControlMsg::Shutdown { seq }
+            | ControlMsg::RegisterLearnPolicy { seq, .. } => *seq,
         }
     }
 }
@@ -361,21 +385,16 @@ pub enum TelemetryMsg {
         /// Human-readable error.
         error: String,
     },
-    /// Digests drained from the switch's learn queues, pushed upstream
-    /// eagerly (not waiting for a poll): `(pipeline, record)` pairs.
-    Digests {
-        /// Cluster index of the emitting switch.
-        switch: u32,
-        /// Drained digests with the pipeline that queued them.
-        records: Vec<(u32, DigestRecord)>,
-    },
-    /// Barrier marker: all digests queued before the matching
-    /// [`ControlMsg::DrainDigests`] have been pushed upstream.
+    /// The answer to [`ControlMsg::DrainDigests`]: every digest queued
+    /// before it has been learned, and this is what the member learned
+    /// since its previous drain.
     DrainDone {
         /// Echoed command sequence number.
         seq: u64,
-        /// Digests flushed by this drain (not counting earlier eager pushes).
+        /// Digests a registered policy claimed.
         digests: u64,
+        /// Entries they installed (idempotent re-learns excluded).
+        installed: u64,
     },
     /// A metrics snapshot, in the frame format (module docs).
     Metrics {
@@ -552,10 +571,6 @@ impl Enc {
         self.list(&d.hops, Self::hop);
         self.bytes(&d.bytes);
     }
-    fn digest(&mut self, r: &DigestRecord) {
-        self.str(&r.name);
-        self.values(&r.values);
-    }
     fn metrics(&mut self, s: &MetricsSnapshot) {
         self.list(&s.metrics, |e, (name, value)| {
             e.str(name);
@@ -664,6 +679,22 @@ pub fn encode(msg: &Message) -> Vec<u8> {
                     e.u8(9);
                     e.u64(*seq);
                 }
+                ControlMsg::RegisterLearnPolicy {
+                    seq,
+                    nf,
+                    stream,
+                    policy,
+                } => {
+                    e.u8(10);
+                    e.u64(*seq);
+                    e.str(nf);
+                    e.str(stream);
+                    e.str(&policy.table);
+                    e.str(&policy.action);
+                    for fields in [&policy.key_map, &policy.arg_map] {
+                        e.list(fields, |e, i| e.u32(*i as u32));
+                    }
+                }
             }
             CLASS_CONTROL
         }
@@ -679,18 +710,15 @@ pub fn encode(msg: &Message) -> Vec<u8> {
                     e.u64(*seq);
                     e.str(error);
                 }
-                TelemetryMsg::Digests { switch, records } => {
-                    e.u8(2);
-                    e.u32(*switch);
-                    e.list(records, |e, (pipeline, r)| {
-                        e.u32(*pipeline);
-                        e.digest(r);
-                    });
-                }
-                TelemetryMsg::DrainDone { seq, digests } => {
+                TelemetryMsg::DrainDone {
+                    seq,
+                    digests,
+                    installed,
+                } => {
                     e.u8(3);
                     e.u64(*seq);
                     e.u64(*digests);
+                    e.u64(*installed);
                 }
                 TelemetryMsg::Metrics {
                     seq,
@@ -926,11 +954,8 @@ impl<'a> Dec<'a> {
             bytes,
         })
     }
-    fn digest(&mut self) -> Result<DigestRecord, WireError> {
-        Ok(DigestRecord {
-            name: self.str()?,
-            values: self.values()?,
-        })
+    fn fields(&mut self) -> Result<Vec<usize>, WireError> {
+        self.list(|d| Ok(d.u32()? as usize))
     }
     fn metrics(&mut self) -> Result<MetricsSnapshot, WireError> {
         let series = self.list(|d| {
@@ -1048,6 +1073,17 @@ pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
                 },
                 8 => ControlMsg::Shutdown { seq: d.u64()? },
                 9 => ControlMsg::SwapMember { seq: d.u64()? },
+                10 => ControlMsg::RegisterLearnPolicy {
+                    seq: d.u64()?,
+                    nf: d.str()?,
+                    stream: d.str()?,
+                    policy: LearnPolicy {
+                        table: d.str()?,
+                        action: d.str()?,
+                        key_map: d.fields()?,
+                        arg_map: d.fields()?,
+                    },
+                },
                 tag => {
                     return Err(WireError::UnknownTag {
                         class: CLASS_CONTROL,
@@ -1067,13 +1103,10 @@ pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
                     seq: d.u64()?,
                     error: d.str()?,
                 },
-                2 => TelemetryMsg::Digests {
-                    switch: d.u32()?,
-                    records: d.list(|d| Ok((d.u32()?, d.digest()?)))?,
-                },
                 3 => TelemetryMsg::DrainDone {
                     seq: d.u64()?,
                     digests: d.u64()?,
+                    installed: d.u64()?,
                 },
                 4 => TelemetryMsg::Metrics {
                     seq: d.u64()?,
@@ -1168,16 +1201,26 @@ mod tests {
     }
 
     #[test]
+    fn learn_policy_roundtrip() {
+        roundtrip(Message::Control(ControlMsg::RegisterLearnPolicy {
+            seq: 4,
+            nf: "nat".into(),
+            stream: "nat_flow".into(),
+            policy: LearnPolicy {
+                table: "nat_in".into(),
+                action: "restore_dst".into(),
+                key_map: vec![2, 1],
+                arg_map: vec![0],
+            },
+        }));
+    }
+
+    #[test]
     fn telemetry_roundtrip() {
-        roundtrip(Message::Telemetry(TelemetryMsg::Digests {
-            switch: 2,
-            records: vec![(
-                0,
-                DigestRecord {
-                    name: "nat__flow".into(),
-                    values: vec![Value::new(1, 32), Value::new(2, 16)],
-                },
-            )],
+        roundtrip(Message::Telemetry(TelemetryMsg::DrainDone {
+            seq: 6,
+            digests: 3,
+            installed: 2,
         }));
     }
 

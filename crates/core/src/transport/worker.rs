@@ -16,13 +16,16 @@
 //!   [`Delivered`](TelemetryMsg::Delivered) upstream when it leaves the
 //!   cluster — the one place a packet moves between members;
 //! * executes [`ControlMsg`] commands (installs, removals, idle timeouts,
-//!   clock advances, snapshot/restore) and acks them;
-//! * pushes learn digests upstream **eagerly** after every packet — the
-//!   control plane learns while traffic keeps flowing, instead of waiting
-//!   for a "process digests now" call.
+//!   clock advances, snapshot/restore, learn policies) and acks them;
+//! * learns its own digests after every packet, with the learn loop a
+//!   single switch runs: a digest's NF, and so its table, is on the member
+//!   that emitted it, so the packet that taught an entry installs it, with
+//!   no controller round trip. Every member holds every policy, because
+//!   migration moves NFs between members.
 
 use super::wire::{self, ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
 use super::{Endpoint, Link, TransportError};
+use crate::control_plane::{DecisionCore, Learned};
 use crate::deploy::Deployment;
 use dejavu_asic::switch::Disposition;
 use dejavu_asic::{PortId, Switch};
@@ -42,7 +45,7 @@ pub struct SwitchWorker {
     pub deployment: Deployment,
     /// The single inbox all peers and the controller deliver into.
     pub inbox: Endpoint,
-    /// Link to the controller (telemetry, digests, acks, deliveries).
+    /// Link to the controller (replies, deliveries).
     pub upstream: Link,
     /// Outgoing wiring: egress port → (link to the next switch, the port
     /// the packet arrives on over there).
@@ -63,6 +66,10 @@ pub struct SwitchWorker {
     /// it sends them down this FIFO link, so a seq at or below it is a
     /// duplicate: dropped, never applied twice.
     pub(super) applied_seq: u64,
+    /// The learn policies registered on this member; they outlive a swap.
+    pub(super) decisions: DecisionCore,
+    /// What the learn loop did since the last [`ControlMsg::DrainDigests`].
+    pub(super) learned: Learned,
 }
 
 impl SwitchWorker {
@@ -117,6 +124,7 @@ impl SwitchWorker {
         // Mirror copies are a tap's output, not the flight's: discard them
         // rather than let them pile up on the switch.
         self.switch.drain_mirrored();
+        self.learn();
         let out = match outcome {
             Ok(out) => out,
             Err(e) => {
@@ -135,9 +143,6 @@ impl SwitchWorker {
             recirculations: out.recirculations as u32,
             resubmissions: out.resubmissions as u32,
         });
-        // Learn path: push any digests this packet produced upstream right
-        // away, so the controller can learn concurrently with traffic.
-        self.push_digests();
         match out.disposition {
             Disposition::Emitted { port } if self.links.contains_key(&port) => {
                 d.latency_ns += self.cable_ns;
@@ -165,21 +170,11 @@ impl SwitchWorker {
         }
     }
 
-    /// Drains the switch's digest queues upstream. Returns how many digests
-    /// were flushed.
-    fn push_digests(&mut self) -> u64 {
-        let digests = self.switch.drain_digests();
-        if digests.is_empty() {
-            return 0;
-        }
-        let n = digests.len() as u64;
-        let records = digests
-            .into_iter()
-            .map(|(pipeline, record)| (pipeline as u32, record))
-            .collect();
-        let switch = self.index as u32;
-        self.send_up(TelemetryMsg::Digests { switch, records });
-        n
+    /// Runs the learn loop on the switch's queued digests. A failed install
+    /// costs that entry, not the member: the flow's next packet relearns it.
+    fn learn(&mut self) {
+        let (switch, deployment) = (&mut self.switch, &self.deployment);
+        let _ = self.decisions.learn(switch, deployment, &mut self.learned);
     }
 
     /// Executes one control command; `true` means shut down.
@@ -214,8 +209,19 @@ impl SwitchWorker {
                 self.send_up(TelemetryMsg::Evictions { seq, evictions });
             }
             ControlMsg::DrainDigests { .. } => {
-                let digests = self.push_digests();
-                self.send_up(TelemetryMsg::DrainDone { seq, digests });
+                self.learn();
+                let Learned { digests, installed } = std::mem::take(&mut self.learned);
+                self.send_up(TelemetryMsg::DrainDone {
+                    seq,
+                    digests,
+                    installed,
+                });
+            }
+            ControlMsg::RegisterLearnPolicy {
+                nf, stream, policy, ..
+            } => {
+                self.decisions.register_learn_policy(&nf, &stream, policy);
+                self.send_up(TelemetryMsg::Ack { seq, info: 0 });
             }
             ControlMsg::ScrapeMetrics { .. } => self.send_up(TelemetryMsg::Metrics {
                 seq,

@@ -174,11 +174,11 @@ fi
 
 # Kill-catalogue gate: every mutant under tests/mutants/ whose killer is
 # the p4ir or core unit tests, the wire-format properties or the cluster
-# transport suite must still be killed by them (each builds in a reused
-# scratch copy and runs under its own time bound); run `scripts/mutants.sh`
-# alone for the whole catalogue.
+# transport or execution suite must still be killed by them (each builds in
+# a reused scratch copy and runs under its own time bound); run
+# `scripts/mutants.sh` alone for the whole catalogue.
 mapfile -t gated_mutants < <(grep -lE \
-    '^Test: -p dejavu-((p4ir|core) --lib|integration --test (wire_format|cluster_transport))$' \
+    '^Test: -p dejavu-((p4ir|core) --lib|integration --test (wire_format|cluster_transport|cluster_execution))$' \
     tests/mutants/*.patch)
 scripts/mutants.sh "${gated_mutants[@]}"
 
@@ -205,6 +205,18 @@ fi
 if grep -nE 'enum Pending|enum GatherAcc|fn fail_gather|fn gather_done|next_gather' \
     crates/core/src/transport/cluster.rs; then
     echo "the controller routes replies by kind again (see DESIGN.md, Topology and drivers)" >&2
+    exit 1
+fi
+
+# One-learner gate: a member learns its own digests with the learn loop the
+# single-switch control plane runs (`DecisionCore::learn`). A digest names
+# the NF that emitted it, whose table is on the member that emitted it, so
+# no digest goes up a link and no learned install comes back down: no
+# digest message, no count of learned installs awaited, no barrier parked
+# on them.
+if grep -rnE 'TelemetryMsg::Digests|learn_outstanding|maybe_finish_flush' \
+    crates/core/src/transport/; then
+    echo "the controller learns for its members again (see DESIGN.md, Topology and drivers)" >&2
     exit 1
 fi
 

@@ -248,8 +248,8 @@ fn ip_at(bytes: &[u8], off: usize) -> u32 {
 
 /// classifier → nat spilled onto switch 0, router on switch 1, over
 /// `transport`: outbound traffic is learned on the first member while the
-/// flight finishes on the second. The learn policy is registered and the
-/// static rules are installed.
+/// flight finishes on the second. The static rules are installed; the
+/// learn policy is the caller's to register.
 fn nat_cluster(transport: &mut dyn Transport, options: &ClusterOptions) -> ClusterHandle {
     let nfs: Vec<NfModule> = vec![classifier::classifier(), dynamic_nat(), router::router()];
     let refs: Vec<&NfModule> = nfs.iter().collect();
@@ -285,12 +285,6 @@ fn nat_cluster(transport: &mut dyn Transport, options: &ClusterOptions) -> Clust
     assert_eq!(handle.switch_of("nat"), Some(0));
     assert_eq!(handle.switch_of("router"), Some(1));
 
-    // The learning loop lives on the controller thread, not in a polling
-    // facade: register the policy first so no digest is ever unattended.
-    handle
-        .register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy())
-        .unwrap();
-
     // Steer both directions onto the chain, arm the NAT, route to exit.
     for prefix in [(0x0a01_0000u32, 16u16), (0x0800_0000, 8)] {
         handle
@@ -318,16 +312,21 @@ fn nat_cluster(transport: &mut dyn Transport, options: &ClusterOptions) -> Clust
     handle
 }
 
-/// A burst of distinct flows is injected without waiting; the controller
-/// learns from eagerly pushed digests while packets are still in flight,
-/// and the flush barrier afterwards accounts for every flow.
+/// A burst of distinct flows is injected without waiting; the member
+/// hosting the NAT learns each digest while packets are still in flight,
+/// and the drain afterwards accounts for every flow.
 #[test]
 fn learn_storm_drains_digests_concurrently_with_injection() {
     let mut handle = nat_cluster(&mut ChannelTransport::new(), &ClusterOptions::default());
+    // Every member learns on its own switch: register the policy first so
+    // no digest is ever unattended.
+    handle
+        .register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy())
+        .unwrap();
 
-    // The storm: fire every flow without waiting for any delivery. Workers
-    // push each flow's digest upstream eagerly, so the controller is
-    // installing return-path entries while later packets are still flying.
+    // The storm: fire every flow without waiting for any delivery. Member 0
+    // learns each flow's digest with the packet that emitted it, installing
+    // return-path entries while later packets are still flying.
     let mut traces = std::collections::BTreeSet::new();
     for f in 0..FLOWS {
         traces.insert(
@@ -349,7 +348,7 @@ fn learn_storm_drains_digests_concurrently_with_injection() {
     }
     assert!(traces.is_empty(), "undelivered flows: {traces:?}");
 
-    // Flush barrier: the report accounts for every digest the storm
+    // The drain: the report accounts for every digest the storm
     // produced — learned concurrently, none dropped.
     let report = handle.process_digests().unwrap();
     assert_eq!(report.digests_seen, FLOWS as usize);
@@ -784,33 +783,46 @@ fn a_lost_flight_expires_and_releases_the_next_quiesce() {
 }
 
 #[test]
-fn a_lost_learned_install_fails_once_and_the_flush_barrier_completes() {
+fn a_lost_policy_registration_fails_its_verb_and_the_next_one_learns() {
     use dejavu_core::transport::wire::ControlMsg;
 
     // The controller's link to worker 0 is the first connected to `w0`.
-    let mut transport = DamagingTransport::new(
-        "w0",
-        1,
-        |m| matches!(m, Message::Control(ControlMsg::Install { table, .. }) if table == NAT_IN_TABLE),
-    );
+    let mut transport = DamagingTransport::new("w0", 1, |m| {
+        matches!(m, Message::Control(ControlMsg::RegisterLearnPolicy { .. }))
+    });
     let mut handle = nat_cluster(&mut transport, &damaging_options());
+
+    // Worker 0 never gets the policy, so the verb fails at its timeout.
+    let asked = std::time::Instant::now();
+    let first = handle.register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy());
+    assert!(
+        matches!(first, Err(ClusterError::Timeout(_))),
+        "got {first:?}"
+    );
+    assert!(
+        asked.elapsed() < DAMAGE_TIMEOUT * 2,
+        "the registration outlived its timeout"
+    );
+
+    // Registering again reaches every member, and member 0 learns the next
+    // flow with the packet that taught it.
+    handle
+        .register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy())
+        .unwrap();
     let t = handle
         .inject(InjectedPacket::new(outbound(BASE_PORT), IN_PORT))
         .unwrap();
     assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
-
-    // The learned install never arrives, so it is never answered. Once it
-    // has expired, the barrier has nothing left to wait for.
-    std::thread::sleep(DAMAGE_TIMEOUT * 3 / 2);
-    let report = handle.process_digests().unwrap();
-    assert_eq!((report.digests_seen, report.entries_installed), (1, 0));
-
-    // The next learned flow installs and is counted.
-    handle
-        .inject(InjectedPacket::new(outbound(BASE_PORT + 1), IN_PORT))
-        .unwrap();
     let report = handle.process_digests().unwrap();
     assert_eq!((report.digests_seen, report.entries_installed), (1, 1));
+    let back = handle
+        .inject(InjectedPacket::new(inbound(BASE_PORT), IN_PORT))
+        .unwrap();
+    assert_eq!(
+        ip_at(&back.final_bytes, 30),
+        CLIENT,
+        "return not translated"
+    );
     handle.shutdown().unwrap();
 }
 

@@ -295,7 +295,7 @@ fn hitless_replacement(boot_live: impl FnOnce(&ClusterPlacement) -> ClusterHandl
     let mut log = FlightLog::default();
 
     // Phase 1 — learn: every NAT flow crosses the cluster and is learned
-    // from eagerly pushed digests.
+    // by the member hosting the NAT, as its packet passes.
     for f in 0..FLOWS {
         log.inject(&mut handle, &format!("learn/{f}"), outbound(BASE_PORT + f));
         let (d, bytes) = &log.got[&format!("learn/{f}")];

@@ -11,9 +11,10 @@
 
 use dejavu_asic::state::{RegisterSnapshot, TableSnapshot, SNAPSHOT_FORMAT_VERSION};
 use dejavu_asic::switch::Disposition;
-use dejavu_asic::tables::{DigestRecord, Eviction};
+use dejavu_asic::tables::Eviction;
 use dejavu_asic::telemetry::{HistogramSnapshot, MetricValue, HISTOGRAM_BUCKETS};
 use dejavu_asic::{Gress, MetricsSnapshot, PipeletId, StateSnapshot};
+use dejavu_core::control_plane::LearnPolicy;
 use dejavu_core::transport::wire::{
     decode, encode, payload_len, ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg, WireError,
     HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN, WIRE_MAGIC, WIRE_VERSION,
@@ -221,13 +222,27 @@ fn control_strat() -> BoxedStrategy<ControlMsg> {
         }),
         any::<u64>().prop_map(|seq| ControlMsg::SwapMember { seq }),
         any::<u64>().prop_map(|seq| ControlMsg::Shutdown { seq }),
+        (any::<u64>(), string_strat(), string_strat(), policy_strat()).prop_map(
+            |(seq, nf, stream, policy)| ControlMsg::RegisterLearnPolicy {
+                seq,
+                nf,
+                stream,
+                policy,
+            }
+        ),
     ]
     .boxed()
 }
 
-fn digest_strat() -> BoxedStrategy<DigestRecord> {
-    (string_strat(), vec(value_strat(), 0..4))
-        .prop_map(|(name, values)| DigestRecord { name, values })
+fn policy_strat() -> BoxedStrategy<LearnPolicy> {
+    let fields = || vec(0usize..u32::MAX as usize, 0..4);
+    (string_strat(), string_strat(), fields(), fields())
+        .prop_map(|(table, action, key_map, arg_map)| LearnPolicy {
+            table,
+            action,
+            key_map,
+            arg_map,
+        })
         .boxed()
 }
 
@@ -262,10 +277,13 @@ fn telemetry_strat() -> BoxedStrategy<TelemetryMsg> {
     prop_oneof![
         (any::<u64>(), any::<u64>()).prop_map(|(seq, info)| TelemetryMsg::Ack { seq, info }),
         (any::<u64>(), string_strat()).prop_map(|(seq, error)| TelemetryMsg::Nack { seq, error }),
-        (0u32..8, vec((0u32..4, digest_strat()), 0..4))
-            .prop_map(|(switch, records)| TelemetryMsg::Digests { switch, records }),
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(seq, digests)| TelemetryMsg::DrainDone { seq, digests }),
+        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(seq, digests, installed)| {
+            TelemetryMsg::DrainDone {
+                seq,
+                digests,
+                installed,
+            }
+        }),
         (any::<u64>(), metrics_strat(), any::<u64>()).prop_map(
             |(seq, snapshot, rejected_frames)| TelemetryMsg::Metrics {
                 seq,
@@ -462,7 +480,8 @@ fn overlength_frames_are_rejected() {
 /// Unknown control/telemetry tags inside a well-formed frame are typed.
 #[test]
 fn unknown_tags_are_typed_errors() {
-    for (class, tag) in [(1u8, 10u8), (2, 8)] {
+    // Telemetry tag 2 carried version 4's digests; it names nothing now.
+    for (class, tag) in [(1u8, 11u8), (2, 2), (2, 8)] {
         let mut frame = Vec::new();
         frame.extend_from_slice(&WIRE_MAGIC.to_be_bytes());
         frame.push(WIRE_VERSION);
@@ -581,8 +600,8 @@ fn damaged_snapshot_frames_never_decode_shorter() {
 /// loudly at the header, before any payload is interpreted.
 #[test]
 fn version_one_headers_are_rejected() {
-    assert_eq!(WIRE_VERSION, 4);
-    for old in [1, 2, 3] {
+    assert_eq!(WIRE_VERSION, 5);
+    for old in [1, 2, 3, 4] {
         let mut frame = encode(&Message::Control(ControlMsg::SnapshotState { seq: 2 }));
         frame[2] = old;
         assert_eq!(payload_len(&frame), Err(WireError::UnsupportedVersion(old)));

@@ -15,7 +15,9 @@
 //! allocate (frames, channel slots, the delivery), but what a member runs
 //! adds nothing to it: the inline driver runs on the test's thread, so its
 //! allocations per flight are counted and compared across members that run
-//! one marker NF and three. A traced `inject` allocates, but not per table:
+//! one marker NF and three, and a learned NAT flow's outbound flight costs
+//! its return flight plus learning the one digest it emits, pinned to the
+//! allocation. A traced `inject` allocates, but not per table:
 //! a full trace of the Fig. 9 chain's path 1 (18 tables) costs the same
 //! allocations as path 3's (12). The deploy path is held in counts too:
 //! validating a composed Fig. 2 pipelet touches no heap, and one Fig. 2
@@ -39,6 +41,10 @@ use dejavu_integration::{
     SweepKey, EXIT_PORT, IN_PORT, LOOPBACK_PORT_P0, LOOPBACK_PORT_P1,
 };
 use dejavu_nf::load_balancer::{five_tuple_of, session_entry_for, SESSION_TABLE};
+use dejavu_nf::nat::{
+    dynamic_nat, nat_learn_policy, nat_out_entry, NAT_FLOW_STREAM, NAT_OUT_TABLE,
+};
+use dejavu_nf::{classifier, router};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -284,6 +290,119 @@ fn a_cluster_flight_allocates_the_same_whatever_its_members_run() {
         allocs_per_cluster_flights(3),
         "allocations over 64 inline-driver flights"
     );
+}
+
+/// Allocations over 64 flights each of an outbound packet of one learned
+/// NAT flow and of its return packet, through a two-member inline cluster
+/// (classifier and nat on member 0, router on member 1), after eight
+/// warm-up flights of each.
+fn allocs_per_nat_flights() -> (u64, u64) {
+    const SERVER: u32 = 0x0808_0808;
+    const PUBLIC_IP: u32 = 0xc633_6401;
+    const CLIENT: u32 = 0x0a01_0101;
+    let nfs = [classifier::classifier(), dynamic_nat(), router::router()];
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let chains = ChainSet::new(vec![ChainPolicy::new(
+        1,
+        "nat_path",
+        vec!["classifier", "nat", "router"],
+        1.0,
+    )])
+    .expect("one valid chain");
+    let placement = ClusterPlacement {
+        switches: vec![
+            Placement::sequential(vec![(PipeletId::ingress(0), vec!["classifier", "nat"])]),
+            Placement::sequential(vec![(PipeletId::egress(0), vec!["router"])]),
+        ],
+    };
+    let deploy = DeployOptions {
+        entry_nf: Some("classifier".into()),
+        ..Default::default()
+    };
+    let mut net = deploy_cluster(
+        &refs,
+        &chains,
+        &placement,
+        &TofinoProfile::wedge_100b_32x(),
+        [(1u16, EXIT_PORT)].into_iter().collect(),
+        &ClusterWiring::default(),
+        &deploy,
+    )
+    .expect("NAT cluster deploys");
+    net.register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy())
+        .expect("policy registers");
+    for prefix in [(0x0a01_0000u32, 16u16), (0x0800_0000, 8)] {
+        let steer = classifier::classify_entry(prefix, (0, 0), 1, 100);
+        net.install("classifier", classifier::CLASSIFY_TABLE, steer)
+            .expect("classifier rule installs");
+    }
+    net.install(
+        "nat",
+        NAT_OUT_TABLE,
+        nat_out_entry((0x0a01_0000, 16), PUBLIC_IP),
+    )
+    .expect("NAT rule installs");
+    let route = router::route_entry((0, 0), EXIT_PORT, 0x0200_0000_0099, 0x0200_0000_0001);
+    net.install("router", router::ROUTES_TABLE, route)
+        .expect("route installs");
+
+    let tcp = |src: u32, dst: u32, sport: u16, dport: u16| {
+        let builder = dejavu_traffic::PacketBuilder::tcp().src_ip(src).dst_ip(dst);
+        let bytes = builder.src_port(sport).dst_port(dport).build();
+        InjectedPacket::new(bytes, IN_PORT)
+    };
+    let outbound = tcp(CLIENT, SERVER, 40_000, 80);
+    let inbound = tcp(SERVER, PUBLIC_IP, 80, 40_000);
+    net.inject(outbound.clone())
+        .expect("the flow's first packet");
+    let report = net.process_digests().expect("the flow is learned");
+    assert_eq!(report.entries_installed, 1, "one flow learned");
+
+    let mut count = |packet: &InjectedPacket, ip_at: usize, ip: u32| {
+        let mut fly = || {
+            let t = net.inject(packet.clone()).expect("flight completes");
+            assert_eq!(t.hops.len(), 2, "the flight crosses both members");
+            let at = t.final_bytes[ip_at..ip_at + 4].try_into().expect("4 bytes");
+            assert_eq!(u32::from_be_bytes(at), ip, "translated");
+        };
+        for _ in 0..8 {
+            fly();
+        }
+        let before = ALLOCS.with(Cell::get);
+        for _ in 0..64 {
+            fly();
+        }
+        ALLOCS.with(Cell::get) - before
+    };
+    // Outbound leaves with the public source; the return packet comes back
+    // to the client.
+    let out = count(&outbound, 26, PUBLIC_IP);
+    let back = count(&inbound, 30, CLIENT);
+    (out, back)
+}
+
+#[test]
+fn a_learned_nat_flight_allocates_its_pinned_count() {
+    // Over 64 flights. The return flight crosses 3 frames (in to member 0,
+    // on to member 1, delivered to the controller). So does the outbound
+    // one: member 0 learns the digest its packet emits, with no controller
+    // round trip. Sending it up, installing back down and acking took 3
+    // more frames and brought the outbound count to 2 576 (return: 842).
+    const OUTBOUND: u64 = 1_674;
+    const RETURN: u64 = 842;
+    // What one learned digest adds to a flight: its record (values, name
+    // and the pipelet's digest list: 3) and the drain's list (1); the entry
+    // built to check it (keys, action, arguments) and its action and table
+    // renamed into the merged namespace (9).
+    const DIGEST_RECORD: u64 = 4;
+    const ENTRY_CHECK: u64 = 9;
+    let (out, back) = allocs_per_nat_flights();
+    assert_eq!(
+        (out, back),
+        (OUTBOUND, RETURN),
+        "allocations over 64 outbound and 64 return flights"
+    );
+    assert!(out <= back + 64 * (DIGEST_RECORD + ENTRY_CHECK));
 }
 
 #[test]
