@@ -993,12 +993,12 @@ impl Switch {
 
     /// True for the dedicated recirculation port of one of this switch's
     /// pipelines.
-    fn is_recirc_port(&self, port: PortId) -> bool {
+    pub fn is_recirc_port(&self, port: PortId) -> bool {
         (RECIRC_PORT_BASE..RECIRC_PORT_BASE + self.profile.pipelines as PortId).contains(&port)
     }
 
     /// Which pipeline owns `port` (Ethernet or dedicated recirculation port).
-    fn pipeline_of(&self, port: PortId) -> Option<usize> {
+    pub fn pipeline_of(&self, port: PortId) -> Option<usize> {
         if self.is_recirc_port(port) {
             return Some(usize::from(port - RECIRC_PORT_BASE));
         }

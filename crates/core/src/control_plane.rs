@@ -156,7 +156,9 @@ pub(crate) struct Learned {
 pub(crate) struct DecisionCore {
     handlers: BTreeMap<String, PuntHandler>,
     /// Learn policies and the NF that registered them, keyed by merged
-    /// digest stream name (`<nf>__<stream>`).
+    /// digest stream name (`<nf>__<stream>`). Each policy's table and action
+    /// are stored under their merged names, resolved at registration, so
+    /// a digest's entry is built and looked up without naming anything.
     learn_policies: BTreeMap<String, (String, LearnPolicy)>,
 }
 
@@ -169,8 +171,14 @@ impl DecisionCore {
     /// Registers the learn policy for an NF's digest stream (see
     /// [`ControlPlane::register_learn_policy`]).
     pub fn register_learn_policy(&mut self, nf: &str, stream: &str, policy: LearnPolicy) {
+        use crate::merge::scoped;
+        let merged = LearnPolicy {
+            table: scoped(nf, &policy.table),
+            action: scoped(nf, &policy.action),
+            ..policy
+        };
         self.learn_policies
-            .insert(crate::merge::scoped(nf, stream), (nf.to_string(), policy));
+            .insert(scoped(nf, stream), (nf.to_string(), merged));
     }
 
     /// The learn loop: drains the switch's learn queues and installs each
@@ -195,7 +203,7 @@ impl DecisionCore {
             let Some(entry) = policy.entry(&record.values) else {
                 continue;
             };
-            match deployment.install_if_absent(switch, nf, &policy.table, entry) {
+            match deployment.install_merged_if_absent(switch, nf, &policy.table, entry) {
                 Ok(true) => learned.installed += 1,
                 Ok(false) => {}
                 Err(e) => {

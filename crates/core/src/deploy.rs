@@ -11,7 +11,9 @@
 //!    (`dejavu_compiler`),
 //! 4. load programs onto a simulated switch, configure loopback ports,
 //! 5. synthesize and install all framework routing entries
-//!    ([`crate::routing`]).
+//!    ([`crate::routing`]),
+//! 6. walk the installed entries back against the traversal model
+//!    (DJV103, [`crate::lint::lint_routing`]) — the commit check.
 //!
 //! The result is a live [`Switch`] plus a [`Deployment`] handle that the
 //! control plane uses to translate per-NF API calls onto merged tables.
@@ -50,6 +52,9 @@ pub enum DeployError {
     /// A multi-switch cluster configuration constraint was violated (typed:
     /// see [`ClusterConfigError`](crate::multiswitch::ClusterConfigError)).
     ClusterConfig(crate::multiswitch::ClusterConfigError),
+    /// The installed routing walks a chain off the traversal model's path
+    /// (DJV103, [`crate::lint::lint_routing`]): the report's errors.
+    RoutingCheck(dejavu_p4ir::lint::LintReport),
 }
 
 impl fmt::Display for DeployError {
@@ -62,6 +67,9 @@ impl fmt::Display for DeployError {
             DeployError::Switch(e) => write!(f, "switch: {e}"),
             DeployError::UnplacedNf(nf) => write!(f, "NF {nf} not placed"),
             DeployError::ClusterConfig(e) => write!(f, "cluster: {e}"),
+            DeployError::RoutingCheck(report) => {
+                write!(f, "routing check: {}", report.error_summaries().join("; "))
+            }
         }
     }
 }
@@ -85,9 +93,9 @@ pub struct Deployment {
     pub synthesis: RoutingSynthesis,
     /// The deployment options used (needed to recompose pipelets on
     /// upgrade).
-    options: DeployOptions,
+    pub(crate) options: DeployOptions,
     /// The switch profile deployed against.
-    profile: TofinoProfile,
+    pub(crate) profile: TofinoProfile,
 }
 
 impl Deployment {
@@ -128,12 +136,26 @@ impl Deployment {
         table: &str,
         entry: dejavu_p4ir::table::TableEntry,
     ) -> Result<bool, dejavu_p4ir::IrError> {
-        let (pipelet, merged, entry) = self.scope(nf, table, entry)?;
+        let (_, merged, entry) = self.scope(nf, table, entry)?;
+        self.install_merged_if_absent(switch, nf, &merged, entry)
+    }
+
+    /// [`Deployment::install_if_absent`] for an entry already in the merged
+    /// namespace: `table` and the entry's action are `<nf>__<name>`. The
+    /// learn loop's path, which resolves those names once per policy.
+    pub(crate) fn install_merged_if_absent(
+        &self,
+        switch: &mut Switch,
+        nf: &str,
+        table: &str,
+        entry: dejavu_p4ir::table::TableEntry,
+    ) -> Result<bool, dejavu_p4ir::IrError> {
+        let pipelet = self.hosting(nf)?;
         let present = switch
             .tables(pipelet)
-            .is_some_and(|state| state.contains_entry(&merged, &entry));
+            .is_some_and(|state| state.contains_entry(table, &entry));
         if !present {
-            switch.install_entry(pipelet, &merged, entry)?;
+            switch.install_entry(pipelet, table, entry)?;
         }
         Ok(!present)
     }
@@ -160,14 +182,18 @@ impl Deployment {
         table: &str,
         mut entry: dejavu_p4ir::table::TableEntry,
     ) -> Result<(PipeletId, String, dejavu_p4ir::table::TableEntry), dejavu_p4ir::IrError> {
-        let pipelet = self
-            .nf_location(nf)
-            .ok_or(dejavu_p4ir::IrError::Undefined {
-                kind: "NF placement",
-                name: nf.to_string(),
-            })?;
+        let pipelet = self.hosting(nf)?;
         entry.action = crate::merge::scoped(nf, &entry.action);
         Ok((pipelet, crate::merge::scoped(nf, table), entry))
+    }
+
+    /// The pipelet hosting an NF, or the error for an unplaced one.
+    fn hosting(&self, nf: &str) -> Result<PipeletId, dejavu_p4ir::IrError> {
+        self.nf_location(nf)
+            .ok_or_else(|| dejavu_p4ir::IrError::Undefined {
+                kind: "NF placement",
+                name: nf.to_string(),
+            })
     }
 
     /// Configures the idle timeout of an NF's table through the NF's
@@ -179,12 +205,7 @@ impl Deployment {
         table: &str,
         timeout: Option<u64>,
     ) -> Result<(), dejavu_p4ir::IrError> {
-        let pipelet = self
-            .nf_location(nf)
-            .ok_or(dejavu_p4ir::IrError::Undefined {
-                kind: "NF placement",
-                name: nf.to_string(),
-            })?;
+        let pipelet = self.hosting(nf)?;
         switch.set_idle_timeout(pipelet, &crate::merge::scoped(nf, table), timeout)
     }
 }
@@ -246,7 +267,7 @@ pub struct DeployOptions {
 
 impl DeployOptions {
     /// The segment routing is synthesized for: single switch when unset.
-    fn routed_segment(&self) -> crate::routing::SegmentOptions {
+    pub(crate) fn routed_segment(&self) -> crate::routing::SegmentOptions {
         self.segment
             .clone()
             .unwrap_or_else(crate::routing::SegmentOptions::single_switch)
@@ -345,8 +366,9 @@ impl Deployment {
     ///   know an alternate uplink).
     ///
     /// The framework routing entries are re-synthesized and swapped in
-    /// atomically (clear + reinstall); NF tables and register state are
-    /// untouched.
+    /// atomically (clear + reinstall), then walked back against the
+    /// traversal model (DJV103: [`DeployError::RoutingCheck`] when they
+    /// disagree); NF tables and register state are untouched.
     pub fn handle_port_failure(
         &mut self,
         switch: &mut Switch,
@@ -400,7 +422,7 @@ impl Deployment {
         synthesis.apply(switch).map_err(DeployError::Switch)?;
         self.synthesis = synthesis;
         self.config = config;
-        Ok(())
+        check_routing(switch, self)
     }
 }
 
@@ -493,19 +515,28 @@ pub fn deploy(
             .map_err(DeployError::Routing)?;
     synthesis.apply(&mut switch).map_err(DeployError::Switch)?;
 
-    Ok((
-        switch,
-        Deployment {
-            merged,
-            placement: placement.clone(),
-            chains: chains.clone(),
-            config: config.clone(),
-            allocations,
-            synthesis,
-            options: options.clone(),
-            profile: profile.clone(),
-        },
-    ))
+    let deployment = Deployment {
+        merged,
+        placement: placement.clone(),
+        chains: chains.clone(),
+        config: config.clone(),
+        allocations,
+        synthesis,
+        options: options.clone(),
+        profile: profile.clone(),
+    };
+    check_routing(&switch, &deployment)?;
+    Ok((switch, deployment))
+}
+
+/// The commit check: the routing installed on `switch` takes every chain
+/// along the traversal model's walk (DJV103).
+fn check_routing(switch: &Switch, deployment: &Deployment) -> Result<(), DeployError> {
+    let report = crate::lint::lint_routing(switch, deployment);
+    if report.has_errors() {
+        return Err(DeployError::RoutingCheck(report));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The framework-aware `dejavu-lint` passes (`DJV101`–`DJV102`).
+//! The framework-aware `dejavu-lint` passes (`DJV101`–`DJV103`).
 //!
 //! The diagnostics framework and the per-program passes live in
 //! [`dejavu_p4ir::lint`] and [`dejavu_p4ir::analyze`]; the passes here know
@@ -16,13 +16,22 @@
 //!   the weighted recirculation demand of a chain set under a placement,
 //!   priced against the Tofino loopback capacity actually provisioned
 //!   (§4 of the paper: recirculations consume real port bandwidth).
+//! * [`lint_routing`] is the **commit check** (DJV103): it reads the
+//!   routing entries a switch has installed back, walks every chain
+//!   through them as the hardware would, and holds each walk to the one
+//!   move rule the traversal model and routing synthesis share
+//!   ([`crate::placement`]). `deploy` and `handle_port_failure` run it and
+//!   fail on a finding.
 
-use crate::chain::ChainSet;
-use crate::compose::{names, NfGate, PipeletPlan};
-use crate::placement::{traverse, Placement};
-use crate::sfc::SFC_HEADER;
-use dejavu_asic::{Gress, TofinoProfile};
+use crate::chain::{ChainPolicy, ChainSet};
+use crate::compose::{names, CompositionMode, NfGate, PipeletPlan};
+use crate::deploy::Deployment;
+use crate::placement::{traverse, Goal, Move, Placement, RecircGranularity, Walk};
+use crate::routing::{Route, SegmentOptions};
+use crate::sfc::{NEXT_PROTO_IPV4, SFC_HEADER};
+use dejavu_asic::{Gress, PipeletId, PortId, Switch, TofinoProfile};
 use dejavu_p4ir::lint::{check_with_config, Diagnostic, LintCode, LintConfig, LintReport};
+use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use dejavu_p4ir::Program;
 
 /// The lint configuration composed pipelets are judged under.
@@ -235,18 +244,315 @@ pub fn lint_chain_budget(
     report
 }
 
+/// How a walk leaves the switch: the port (`None` for `sfc.out_port`) and
+/// whether that port strips the SFC header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Exit {
+    port: Option<PortId>,
+    decap: bool,
+}
+
+/// Passes one walk may take before DJV103 calls it a forwarding loop.
+const MAX_PASSES: usize = 64;
+
+/// Checks the routing installed on a switch against the traversal model
+/// (DJV103), without sending a packet.
+///
+/// The entries are read back from `switch` — each slot's
+/// `dv_check_next_nf_<k>`, each ingress pipelet's `dv_branching`, each
+/// egress pipelet's `dv_decap` — with its loopback and port-down state. From
+/// every pipeline's ingress, each `(pathID, serviceIndex)` of each chain is
+/// walked to the port it leaves by, as the hardware would take it: a pass
+/// runs every slot whose dispatch entry matches (a slot gated on "no SFC
+/// header yet" counts as serviceIndex 0; a parallel pipelet runs one), a
+/// resubmit re-enters the same ingress, a forward crosses to the port's
+/// egress pipe and then loops back in through a loopback port or leaves.
+/// The walk's moves, port and decap must be the ones the one move rule
+/// ([`crate::placement`]) takes over the deployment's placement; each
+/// difference is a DJV103 error naming the chain, pathID, serviceIndex and
+/// the pipelet where the two part, with the model's and the installed move.
+pub fn lint_routing(switch: &Switch, deployment: &Deployment) -> LintReport {
+    let cfg = LintConfig::default();
+    let mut report = LintReport::default();
+    let segment = deployment.options.routed_segment();
+    let route = match Route::new(
+        &deployment.placement,
+        &deployment.chains,
+        &deployment.profile,
+        &deployment.config,
+        &segment,
+    ) {
+        Ok(route) => route,
+        Err(e) => {
+            let diag = Diagnostic::new(LintCode::RoutingWalk, "routing", e.to_string());
+            report.emit(&cfg, diag);
+            return report;
+        }
+    };
+    let installed = Installed::new(switch, deployment);
+    let (mut model, mut read) = (Vec::new(), Vec::new());
+    for chain in &deployment.chains.chains {
+        for pipeline in 0..deployment.profile.pipelines {
+            let start = PipeletId::ingress(pipeline);
+            for index in 0..=chain.nfs.len() {
+                model.clear();
+                read.clear();
+                let want = model_walk(
+                    &route, deployment, &segment, chain, start, index, &mut model,
+                );
+                let got = installed.walk(chain.path_id.into(), start, index, &mut read);
+                if model != read || want.is_err() || want != got {
+                    let diag = walk_mismatch(chain, start, index, (&model, want), (&read, got));
+                    report.emit(&cfg, diag);
+                }
+            }
+        }
+    }
+    report.sort();
+    report
+}
+
+/// The moves the one move rule takes for `chain`'s packet arriving fresh at
+/// `start` with service index `index`, each with the pipelet it is taken
+/// from, and how the packet leaves.
+fn model_walk(
+    route: &Route,
+    deployment: &Deployment,
+    segment: &SegmentOptions,
+    chain: &ChainPolicy,
+    start: PipeletId,
+    mut index: usize,
+    moves: &mut Vec<(PipeletId, Move)>,
+) -> Result<Exit, String> {
+    let mut walk = Walk::at(start, None, RecircGranularity::PerPort);
+    let (mut goal, mut port) = route.next(chain, index).map_err(|e| e.to_string())?;
+    while moves.len() < MAX_PASSES * 4 {
+        let from = walk.cur;
+        let m = walk.step(goal);
+        moves.push((from, m));
+        let end = matches!(goal, Goal::Leave(Some(_)));
+        match m {
+            Move::Run => {
+                index += 1;
+                (goal, port) = route.next(chain, index).map_err(|e| e.to_string())?;
+            }
+            Move::Leave
+                if end && deployment.config.honor_out_port && from.gress == Gress::Ingress =>
+            {
+                return Ok(Exit {
+                    port: None,
+                    decap: false,
+                });
+            }
+            Move::Leave => {
+                return Ok(Exit {
+                    port,
+                    decap: end && segment.decap_on_exit,
+                });
+            }
+            _ => {}
+        }
+    }
+    Err("the model does not leave the switch".into())
+}
+
+/// The framework entries installed on one switch, read back.
+struct Installed<'a> {
+    switch: &'a Switch,
+    placement: &'a Placement,
+    entry_nf: Option<&'a str>,
+    /// `dv_check_next_nf_<k>` for every slot a pipelet has.
+    slot_tables: Vec<String>,
+}
+
+impl<'a> Installed<'a> {
+    fn new(switch: &'a Switch, deployment: &'a Deployment) -> Self {
+        let slots = deployment.placement.pipelets.values().map(Vec::len);
+        Installed {
+            switch,
+            placement: &deployment.placement,
+            entry_nf: deployment.options.entry_nf.as_deref(),
+            slot_tables: (0..slots.max().unwrap_or(0))
+                .map(names::check_next_nf)
+                .collect(),
+        }
+    }
+
+    /// The installed entry of `table` on `pipelet` whose two exact keys
+    /// are `keys`: `(pathID, serviceIndex)`, or `(port, next protocol)`.
+    fn find(&self, pipelet: PipeletId, table: &str, keys: [usize; 2]) -> Option<&TableEntry> {
+        let entries = self.switch.tables(pipelet)?.entries(table);
+        entries.iter().find(|e| match e.matches.as_slice() {
+            [KeyMatch::Exact(a), KeyMatch::Exact(b)] => {
+                [a.raw(), b.raw()] == keys.map(|k| k as u128)
+            }
+            _ => false,
+        })
+    }
+
+    /// One pass through `pipelet`: each slot whose dispatch entry matches
+    /// runs its NF and advances the index; a parallel pipelet runs one.
+    fn pass(
+        &self,
+        pipelet: PipeletId,
+        path: usize,
+        index: &mut usize,
+        moves: &mut Vec<(PipeletId, Move)>,
+    ) {
+        let Some(nfs) = self.placement.pipelets.get(&pipelet) else {
+            return;
+        };
+        let parallel = self.placement.mode(pipelet) == CompositionMode::Parallel;
+        for (k, nf) in nfs.iter().enumerate() {
+            let runs = if self.entry_nf == Some(nf.as_str()) {
+                *index == 0
+            } else {
+                self.find(pipelet, &self.slot_tables[k], [path, *index])
+                    .is_some_and(|e| e.action == names::PROCEED)
+            };
+            if runs {
+                moves.push((pipelet, Move::Run));
+                *index += 1;
+                if parallel {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The walk the installed entries take `path`'s packet on, arriving
+    /// fresh at `start` with service index `index`.
+    fn walk(
+        &self,
+        path: usize,
+        mut at: PipeletId,
+        mut index: usize,
+        moves: &mut Vec<(PipeletId, Move)>,
+    ) -> Result<Exit, String> {
+        for _ in 0..MAX_PASSES {
+            self.pass(at, path, &mut index, moves);
+            let Some(entry) = self.find(at, names::BRANCHING, [path, index]) else {
+                return Err(format!(
+                    "no branching entry on {at} for serviceIndex {index}: punted to the CPU"
+                ));
+            };
+            let port = match (entry.action.as_str(), entry.action_args.as_slice()) {
+                (names::RESUBMIT, _) => {
+                    moves.push((at, Move::Resubmit));
+                    continue;
+                }
+                (names::FWD_OUT, _) => {
+                    moves.push((at, Move::Leave));
+                    return Ok(Exit {
+                        port: None,
+                        decap: false,
+                    });
+                }
+                (names::FWD, [port]) => port.raw() as PortId,
+                (action, _) => return Err(format!("branching on {at} runs {action}")),
+            };
+            if self.switch.is_port_down(port) {
+                return Err(format!("{at} forwards to port {port}, which is down"));
+            }
+            let Some(pipeline) = self.switch.pipeline_of(port) else {
+                return Err(format!("{at} forwards to port {port}, on no pipeline"));
+            };
+            let looped = self.switch.is_recirc_port(port) || self.switch.is_loopback(port);
+            let egress = PipeletId::egress(pipeline);
+            // A crossing shows only when the egress pass runs an NF; an
+            // empty egress pass is the loop's or the leave's way out.
+            let crossing = moves.len();
+            moves.push((at, Move::Cross { to: egress }));
+            self.pass(egress, path, &mut index, moves);
+            let from = if moves.len() == crossing + 1 {
+                moves.pop();
+                at
+            } else {
+                egress
+            };
+            if looped {
+                at = PipeletId::ingress(pipeline);
+                moves.push((from, Move::Loop { to: at }));
+                continue;
+            }
+            moves.push((from, Move::Leave));
+            let decap = self
+                .find(egress, names::DECAP, [port.into(), NEXT_PROTO_IPV4.into()])
+                .is_some_and(|e| e.action == names::DO_DECAP);
+            return Ok(Exit {
+                port: Some(port),
+                decap,
+            });
+        }
+        Err(format!("does not leave the switch in {MAX_PASSES} passes"))
+    }
+}
+
+/// The DJV103 finding for one walk the model and the installed entries
+/// take differently.
+fn walk_mismatch(
+    chain: &ChainPolicy,
+    start: PipeletId,
+    index: usize,
+    (model, want): (&[(PipeletId, Move)], Result<Exit, String>),
+    (read, got): (&[(PipeletId, Move)], Result<Exit, String>),
+) -> Diagnostic {
+    let render = |moves: &[(PipeletId, Move)]| {
+        let steps: Vec<String> = moves.iter().map(|(at, m)| format!("{at}: {m}")).collect();
+        steps.join(", ")
+    };
+    let ending = |exit: &Result<Exit, String>| match exit {
+        Ok(Exit {
+            port: Some(p),
+            decap,
+        }) => {
+            format!("leaves by port {p}{}", if *decap { " (decap)" } else { "" })
+        }
+        Ok(Exit { port: None, .. }) => "leaves by sfc.out_port".into(),
+        Err(why) => why.clone(),
+    };
+    let step =
+        |m: Option<&(PipeletId, Move)>| m.map_or("nothing".into(), |(_, m)| format!("`{m}`"));
+    let parted = (0..model.len().max(read.len())).find(|&i| model.get(i) != read.get(i));
+    let what = match parted {
+        Some(i) => format!(
+            "at {}: the model takes {}, the installed entries {}",
+            model.get(i).or(read.get(i)).map_or(start, |(at, _)| *at),
+            step(model.get(i)),
+            step(read.get(i))
+        ),
+        None => format!(
+            "the model {}, the installed entries {}",
+            ending(&want),
+            ending(&got)
+        ),
+    };
+    Diagnostic::new(
+        LintCode::RoutingWalk,
+        &chain.name,
+        format!(
+            "chain `{}` (pathID {}, serviceIndex {index}) from {start}: {what}",
+            chain.name, chain.path_id
+        ),
+    )
+    .with_note(format!("model: {} — {}", render(model), ending(&want)))
+    .with_note(format!("installed: {} — {}", render(read), ending(&got)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chain::ChainPolicy;
-    use crate::compose::{compose_pipelet, CompositionMode, PlannedNf};
+    use crate::compose::{compose_pipelet, PlannedNf};
+    use crate::deploy::{deploy, DeployOptions};
     use crate::merge::merge_programs;
     use crate::nfmodule::NfModule;
+    use crate::routing::RoutingConfig;
     use crate::sfc::sfc_header_type;
-    use dejavu_asic::PipeletId;
     use dejavu_p4ir::well_known;
     use dejavu_p4ir::{
         fref, ActionBuilder, ControlBuilder, Expr, ParserBuilder, ProgramBuilder, TableBuilder,
+        Value,
     };
 
     fn mini_nf(name: &str) -> NfModule {
@@ -483,5 +789,98 @@ mod tests {
             .errors()
             .iter()
             .any(|d| d.code == LintCode::SfcInvariant && d.entity == "dangling"));
+    }
+
+    /// Fig. 6(b) behind a classifier, plus a chain that loops between the
+    /// ingress pipes and one that resubmits: every move the rule has.
+    fn routed() -> (Switch, Deployment) {
+        let nfs = [
+            mini_classifier("cls"),
+            mini_nf("a"),
+            mini_nf("b"),
+            mini_nf("c"),
+            mini_nf("d"),
+            mini_nf("e"),
+            mini_nf("f"),
+        ];
+        let refs: Vec<&NfModule> = nfs.iter().collect();
+        let chain =
+            |path_id, name: &str, nfs: &[&str]| ChainPolicy::new(path_id, name, nfs.to_vec(), 1.0);
+        let chains = ChainSet::new(vec![
+            chain(1, "fig6b", &["cls", "a", "b", "c", "d", "e"]),
+            chain(2, "back", &["cls", "c", "a"]),
+            chain(3, "resub", &["cls", "f", "c"]),
+        ])
+        .expect("valid chains");
+        let placement = Placement::sequential(vec![
+            (PipeletId::ingress(0), vec!["cls", "a"]),
+            (PipeletId::egress(1), vec!["b"]),
+            (PipeletId::ingress(1), vec!["c", "f"]),
+            (PipeletId::egress(0), vec!["d", "e"]),
+        ]);
+        let config = RoutingConfig {
+            loopback_port: [(0, 15), (1, 16)].into(),
+            exit_ports: [(1, 2), (2, 2), (3, 3)].into(),
+            honor_out_port: false,
+        };
+        let options = DeployOptions {
+            entry_nf: Some("cls".into()),
+            ..Default::default()
+        };
+        let profile = TofinoProfile::wedge_100b_32x();
+        deploy(&refs, &chains, &placement, &profile, &config, &options)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    #[test]
+    fn the_commit_check_passes_what_routing_installs() {
+        // `deploy` runs DJV103 itself and fails on a finding; the check is
+        // also callable on its own.
+        let (switch, deployment) = routed();
+        let report = lint_routing(&switch, &deployment);
+        assert!(report.is_clean(), "{}", report.render_pretty());
+    }
+
+    #[test]
+    fn a_misrouted_branching_entry_is_djv103() {
+        // Re-point chain `back`'s serviceIndex-2 entry on ingress 1 (after
+        // `c` ran, `a` is on ingress 0) at pipeline 1's own loopback port.
+        let (mut switch, deployment) = routed();
+        let at = PipeletId::ingress(1);
+        let entries = switch
+            .tables(at)
+            .unwrap()
+            .entries(names::BRANCHING)
+            .to_vec();
+        switch.clear_table(at, names::BRANCHING);
+        for mut e in entries {
+            let key = (e.matches[0].clone(), e.matches[1].clone());
+            if key
+                == (
+                    KeyMatch::Exact(Value::new(2, 16)),
+                    KeyMatch::Exact(Value::new(2, 8)),
+                )
+            {
+                assert_eq!(e.action_args, vec![Value::new(15, 16)], "loop to ingress 0");
+                e.action_args = vec![Value::new(16, 16)];
+            }
+            switch.install_entry(at, names::BRANCHING, e).unwrap();
+        }
+        let report = lint_routing(&switch, &deployment);
+        let found: Vec<&Diagnostic> = report.errors();
+        assert!(!found.is_empty(), "the misrouted entry went unseen");
+        assert!(found
+            .iter()
+            .all(|d| d.code == LintCode::RoutingWalk && d.entity == "back"));
+        let message = &found[0].message;
+        for part in [
+            "chain `back`",
+            "pathID 2",
+            "serviceIndex",
+            "ingress1",
+            "loop to ingress0",
+        ] {
+            assert!(message.contains(part), "{part} missing from: {message}");
+        }
     }
 }

@@ -201,7 +201,10 @@ impl ClusterWiring {
 /// [`ClusterConfigError`]): non-empty placement, valid wiring, no exit-port
 /// collisions with the cable ports, every chained NF backed by a module and
 /// placed on exactly one switch, and every chain visiting switches in
-/// non-decreasing cluster order (the wiring is forward-only).
+/// non-decreasing cluster order (the wiring is forward-only). Each member
+/// is deployed as its segment — its own NFs, the rest behind the forward
+/// link — so `deploy`'s commit check (DJV103) walks every member's
+/// installed routing against the model's walk of that member's run.
 pub(crate) fn build_cluster_members(
     nfs: &[&NfModule],
     chains: &ChainSet,

@@ -360,7 +360,7 @@ pub(super) fn chain_cost(
     skip_unplaced: bool,
 ) -> Result<ClusterCost, PlacementError> {
     let (policy, members) = &fleet.chains[chain];
-    let mut walk = Walk::enter(ends, granularity);
+    let mut walk = Walk::enter(ends.0, granularity);
     let mut hops = 0u32;
     // The switch the walk is on.
     let mut on: Option<usize> = None;
@@ -372,7 +372,7 @@ pub(super) fn chain_cost(
             return Err(PlacementError::UnplacedNf(fleet.nfs[nf].to_string()));
         };
         if let Some(prev) = on.filter(|&prev| prev != sw) {
-            walk.leave();
+            walk.leave(ends);
             // Inter-switch hops: 1 per forward transition, 2 per backward
             // (round trip through the chain of switches is modelled coarsely).
             let moved = if sw >= prev {
@@ -387,7 +387,7 @@ pub(super) fn chain_cost(
             .map_err(|()| PlacementError::TraversalDiverged(policy.name.clone()))?;
     }
     if on.is_some() {
-        walk.leave();
+        walk.leave(ends);
     }
     Ok(ClusterCost {
         recirculations: walk.cost.recirculations,

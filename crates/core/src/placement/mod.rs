@@ -24,6 +24,12 @@
 //! hops), so its score is the paper's weighted recirculation count bit for
 //! bit: `x + 0.0` is exact.
 //!
+//! **One move rule**, `next_move`: the move (run, resubmit, loop, cross or
+//! leave) a packet takes toward its next NF or port. The traversal model
+//! folds it over a chain, routing renders each branching entry from it
+//! ([`crate::routing`]), and DJV103 ([`crate::lint::lint_routing`]) holds
+//! the installed entries to it.
+//!
 //! **One feasibility rule**: every chain NF on exactly one switch, every
 //! pipelet within its stage budget, every chain visiting switches in
 //! non-decreasing order (the wiring `deploy_cluster` builds is forward-only).
@@ -186,19 +192,6 @@ impl Placement {
             .copied()
             .unwrap_or(CompositionMode::Sequential)
     }
-
-    /// Whether a pass through `pipelet` can still run the NF in `slot`,
-    /// given the slot of the last NF this pass ran (`None` before any).
-    /// Routing synthesis asks here; the traversal model asks [`pass_can_run`]
-    /// with the mode its located view holds.
-    pub(crate) fn pass_can_run(
-        &self,
-        pipelet: PipeletId,
-        last: Option<usize>,
-        slot: usize,
-    ) -> bool {
-        pass_can_run(self.mode(pipelet), last, slot)
-    }
 }
 
 /// The one "can this pass run the NF" rule: a sequential pipelet runs later
@@ -291,15 +284,116 @@ pub fn traverse_with(
 /// An NF a chain visits: the pipelet hosting it and its position there.
 type Visit = (PipeletId, usize);
 
-/// The traversal model proper: a packet walking a chain, fed one [`Visit`]
+/// One move of a packet through a switch — the unit the traversal model
+/// prices and routing installs. Only a loop and a resubmission cost
+/// anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Move {
+    /// The current pass runs the next NF.
+    Run,
+    /// A fresh pass through the same ingress pipe: one resubmission.
+    Resubmit,
+    /// Out a loopback port into the ingress pipe `to`: one recirculation.
+    /// From an ingress pipe the packet passes through `to`'s egress pipe on
+    /// the way.
+    Loop {
+        /// The ingress pipelet the packet re-enters.
+        to: PipeletId,
+    },
+    /// Across the traffic manager into the egress pipe `to`: free.
+    Cross {
+        /// The egress pipelet the packet enters.
+        to: PipeletId,
+    },
+    /// Out of the switch: from an ingress pipe across the traffic manager
+    /// to the port's egress pipe, or from the egress pipe of the port.
+    Leave,
+}
+
+impl fmt::Display for Move {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Move::Run => f.write_str("run"),
+            Move::Resubmit => f.write_str("resubmit"),
+            Move::Loop { to } => write!(f, "loop to {to}"),
+            Move::Cross { to } => write!(f, "cross to {to}"),
+            Move::Leave => f.write_str("leave"),
+        }
+    }
+}
+
+/// Where a packet heads next.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Goal {
+    /// The NF at a visit, on a pipelet composed in the given mode.
+    Run(Visit, CompositionMode),
+    /// A port on `Some(pipeline)`; `None` for a port chosen only in an
+    /// ingress pass, so an egress pass reaches it through its own ingress.
+    Leave(Option<usize>),
+}
+
+/// The slot of "the last NF a pass ran" once the pass is over: at the
+/// branching table, which every ingress pass applies after all its slots.
+pub(crate) const PASS_DONE: Option<usize> = Some(usize::MAX);
+
+/// The one move rule: the move a packet in `cur`, whose pass last ran
+/// `last`, takes toward `goal`. The traversal model folds it over a chain
+/// ([`Walk`]), routing renders its first move from each ingress pipelet as
+/// a branching entry, and DJV103 walks the installed entries against it.
+pub(crate) fn next_move(
+    cur: PipeletId,
+    last: Option<usize>,
+    goal: Goal,
+    granularity: RecircGranularity,
+) -> Move {
+    let home = Move::Loop {
+        to: PipeletId::ingress(cur.pipeline),
+    };
+    match (cur.gress, goal) {
+        (Gress::Ingress, Goal::Leave(_)) => Move::Leave,
+        (Gress::Egress, Goal::Leave(exit)) => {
+            // Per-port hardware leaves an egress pipe only by the port the
+            // ingress chose; per-packet hardware may emit after egress.
+            if granularity == RecircGranularity::PerPacket || exit == Some(cur.pipeline) {
+                Move::Leave
+            } else {
+                home
+            }
+        }
+        (_, Goal::Run((target, slot), mode)) if target == cur => {
+            if pass_can_run(mode, last, slot) {
+                Move::Run
+            } else if cur.gress == Gress::Ingress {
+                Move::Resubmit
+            } else {
+                // A fresh egress pass: recirculate home, cross back.
+                home
+            }
+        }
+        (Gress::Ingress, Goal::Run((target, _), _)) => match target.gress {
+            Gress::Egress => Move::Cross { to: target },
+            Gress::Ingress => Move::Loop { to: target },
+        },
+        (Gress::Egress, Goal::Run((target, _), _))
+            if target.gress == Gress::Ingress && granularity == RecircGranularity::PerPacket =>
+        {
+            // Per-packet granularity: one recirculation lands the packet in
+            // the target ingress directly.
+            Move::Loop { to: target }
+        }
+        // Per-port hardware: an egress pipe's only way on is its own
+        // pipeline's loopback port.
+        (Gress::Egress, Goal::Run(..)) => home,
+    }
+}
+
+/// The traversal model proper: a packet walking a chain, one [`next_move`]
 /// at a time, through one switch per run of visits — the whole chain, or
 /// the part of it each cluster member hosts.
-struct Walk {
-    /// Pipelines where the packet enters a switch and where it leaves one.
-    ends: (usize, usize),
+pub(crate) struct Walk {
     granularity: RecircGranularity,
     /// The pipelet the packet is in.
-    cur: PipeletId,
+    pub(crate) cur: PipeletId,
     /// Slot of the last NF the current pass ran.
     last: Option<usize>,
     /// Moves and passes on this switch, against a runaway model.
@@ -309,96 +403,64 @@ struct Walk {
 }
 
 impl Walk {
-    /// A packet arriving from outside on the entry pipeline of `ends`.
-    fn enter(ends: (usize, usize), granularity: RecircGranularity) -> Self {
+    /// A packet arriving from outside on `entry_pipeline`.
+    fn enter(entry_pipeline: usize, granularity: RecircGranularity) -> Self {
+        Self::at(PipeletId::ingress(entry_pipeline), None, granularity)
+    }
+
+    /// A packet in `cur` whose pass last ran `last`.
+    pub(crate) fn at(cur: PipeletId, last: Option<usize>, granularity: RecircGranularity) -> Self {
         Walk {
-            ends,
             granularity,
-            cur: PipeletId::ingress(ends.0),
-            last: None,
+            cur,
+            last,
             steps: 0,
             cost: TraversalCost::default(),
         }
     }
 
+    /// Takes the rule's next move toward `goal`, counting what it costs.
+    pub(crate) fn step(&mut self, goal: Goal) -> Move {
+        let m = next_move(self.cur, self.last, goal, self.granularity);
+        match m {
+            Move::Run => {
+                if let Goal::Run((_, slot), _) = goal {
+                    self.last = Some(slot);
+                }
+            }
+            Move::Resubmit => {
+                self.cost.resubmissions += 1;
+                self.last = None;
+            }
+            Move::Loop { to } => {
+                self.cost.recirculations += 1;
+                (self.cur, self.last) = (to, None);
+            }
+            Move::Cross { to } => (self.cur, self.last) = (to, None),
+            Move::Leave => {}
+        }
+        m
+    }
+
     /// Moves the packet until a pass has run the NF at `slot` of `target`,
     /// a pipelet composed in `mode`. Errs (with nothing to say) when the
     /// model has taken more than 10 000 steps on this switch.
-    fn visit(&mut self, (target, slot): Visit, mode: CompositionMode) -> Result<(), ()> {
+    fn visit(&mut self, visit: Visit, mode: CompositionMode) -> Result<(), ()> {
         loop {
             self.steps += 1;
             if self.steps > 10_000 {
                 return Err(());
             }
-            let cur = self.cur;
-            if target == cur {
-                // Can this pass still run the NF?
-                if pass_can_run(mode, self.last, slot) {
-                    self.last = Some(slot);
-                    return Ok(());
-                }
-                // Same pipelet but needs a fresh pass.
-                match cur.gress {
-                    Gress::Ingress => {
-                        self.cost.resubmissions += 1;
-                    }
-                    Gress::Egress => {
-                        // Recirculate to our own ingress, pass through, and
-                        // return: egress→ingress costs one recirculation; the
-                        // ingress→egress hop is free.
-                        self.cost.recirculations += 1;
-                    }
-                }
-                self.last = None;
-                continue;
+            if self.step(Goal::Run(visit, mode)) == Move::Run {
+                return Ok(());
             }
-            // Move toward the target pipelet.
-            match (cur.gress, target.gress) {
-                (Gress::Ingress, Gress::Egress) => {
-                    self.cur = target; // TM crossing, free
-                }
-                (Gress::Ingress, Gress::Ingress) => {
-                    // Must loop through the target pipeline's loopback port:
-                    // TM → egress(target) [pass-through] → recirc → ingress(target).
-                    self.cost.recirculations += 1;
-                    self.cur = target;
-                }
-                (Gress::Egress, Gress::Ingress)
-                    if self.granularity == RecircGranularity::PerPacket =>
-                {
-                    // Per-packet granularity: the packet chooses its next
-                    // pipeline after egress processing — one recirculation
-                    // lands it in the target ingress directly.
-                    self.cost.recirculations += 1;
-                    self.cur = target;
-                }
-                (Gress::Egress, _) => {
-                    // Per-port hardware: the only way out of an egress pipe is
-                    // recirculating to the own pipeline's ingress.
-                    self.cost.recirculations += 1;
-                    self.cur = PipeletId::ingress(cur.pipeline);
-                }
-            }
-            self.last = None;
         }
     }
 
-    /// Takes the packet to a port on the exit pipeline's egress pipe; a
-    /// further visit enters the next switch on the entry pipeline.
-    fn leave(&mut self) {
-        let (entry_pipeline, exit_pipeline) = self.ends;
-        match self.cur.gress {
-            Gress::Ingress => {} // TM forwards to any egress for free
-            Gress::Egress => {
-                if self.cur.pipeline != exit_pipeline
-                    && self.granularity == RecircGranularity::PerPort
-                {
-                    self.cost.recirculations += 1; // loop home, then TM to the exit pipe
-                }
-                // Per-packet granularity: the packet may be emitted directly
-                // after egress processing — no positioning loop needed.
-            }
-        }
+    /// Takes the packet out by a port on the exit pipeline of `ends`; a
+    /// further visit enters the next switch on its entry pipeline.
+    fn leave(&mut self, (entry_pipeline, exit_pipeline): (usize, usize)) {
+        while self.step(Goal::Leave(Some(exit_pipeline))) != Move::Leave {}
         (self.cur, self.last, self.steps) = (PipeletId::ingress(entry_pipeline), None, 0);
     }
 }

@@ -18,16 +18,16 @@
 //! * `dv_check_sfc_flags_<k>` — the constant flag-translation entries,
 //! * `dv_decap` — strip the SFC header on the way out of exit ports.
 //!
-//! The synthesis mirrors the traversal cost model in [`crate::placement`] —
-//! the packet test framework checks that packets driven through the
-//! simulated switch take exactly the recirculation counts the model
-//! predicts.
+//! Each branching entry renders the one move rule of [`crate::placement`]
+//! from its ingress pipelet; DJV103 ([`crate::lint::lint_routing`]) walks
+//! the installed entries back against the same rule, and the packet-level
+//! sweeps hold the switch to the model's recirculation counts.
 
-use crate::chain::ChainSet;
+use crate::chain::{ChainPolicy, ChainSet};
 use crate::compose::{names, CompositionMode};
-use crate::placement::Placement;
+use crate::placement::{Goal, Move, Placement, RecircGranularity, Walk, PASS_DONE};
 use crate::sfc::{NEXT_PROTO_IPV4, SFC_PORT_UNSET};
-use dejavu_asic::{Gress, PipeletId, PortId, Switch, TofinoProfile};
+use dejavu_asic::{PipeletId, PortId, Switch, TofinoProfile};
 use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use dejavu_p4ir::Value;
 use std::collections::BTreeMap;
@@ -169,12 +169,13 @@ impl RoutingSynthesis {
         config: &RoutingConfig,
         segment: &SegmentOptions,
     ) -> Result<RoutingSynthesis, RoutingError> {
+        let route = Route::new(placement, chains, profile, config, segment)?;
         let mut out = RoutingSynthesis::default();
         out.synth_check_next_nf(placement, chains);
         out.synth_flag_entries(placement);
-        out.synth_branching(placement, chains, profile, config, segment)?;
+        out.synth_branching(&route, chains, profile)?;
         if segment.decap_on_exit {
-            out.synth_decap(placement, chains, profile, config)?;
+            out.synth_decap(&route, chains);
         }
         Ok(out)
     }
@@ -208,10 +209,7 @@ impl RoutingSynthesis {
                                 *pipelet,
                                 table.clone(),
                                 TableEntry {
-                                    matches: vec![
-                                        KeyMatch::Exact(Value::new(u128::from(chain.path_id), 16)),
-                                        KeyMatch::Exact(Value::new(idx as u128, 8)),
-                                    ],
+                                    matches: sfc_key(chain.path_id, idx),
                                     action: names::PROCEED.into(),
                                     action_args: vec![],
                                     priority: 0,
@@ -256,52 +254,28 @@ impl RoutingSynthesis {
         }
     }
 
+    /// One branching entry per chain, service index and ingress pipelet —
+    /// even NF-less ones that packets merely pass through after a loopback.
     fn synth_branching(
         &mut self,
-        placement: &Placement,
+        route: &Route,
         chains: &ChainSet,
         profile: &TofinoProfile,
-        config: &RoutingConfig,
-        segment: &SegmentOptions,
     ) -> Result<(), RoutingError> {
-        // All ingress pipelets carry the branching table — even NF-less ones
-        // that packets merely pass through after a loopback.
-        let ingress_pipelets: Vec<PipeletId> =
-            (0..profile.pipelines).map(PipeletId::ingress).collect();
         for chain in &chains.chains {
-            let exit_port =
-                *config
-                    .exit_ports
-                    .get(&chain.path_id)
-                    .ok_or(RoutingError::MissingExitPort {
-                        path_id: chain.path_id,
-                    })?;
-            let exit_pipeline = profile
-                .pipeline_of_port(usize::from(exit_port))
-                .ok_or(RoutingError::BadExitPort { port: exit_port })?;
             for index in 0..=chain.nfs.len() {
-                for &ing in &ingress_pipelets {
-                    let action = self.branching_action(
-                        placement,
-                        chain,
-                        index,
-                        ing,
-                        exit_port,
-                        exit_pipeline,
-                        profile,
-                        config,
-                        segment,
-                    )?;
+                for pipeline in 0..profile.pipelines {
+                    let at = PipeletId::ingress(pipeline);
+                    let (action, port) = route.branch(chain, index, at)?;
                     self.entries.push((
-                        ing,
+                        at,
                         names::BRANCHING.into(),
                         TableEntry {
-                            matches: vec![
-                                KeyMatch::Exact(Value::new(u128::from(chain.path_id), 16)),
-                                KeyMatch::Exact(Value::new(index as u128, 8)),
-                            ],
-                            action: action.0,
-                            action_args: action.1,
+                            matches: sfc_key(chain.path_id, index),
+                            action: action.into(),
+                            action_args: port
+                                .map(|p| vec![Value::new(u128::from(p), 16)])
+                                .unwrap_or_default(),
                             priority: 0,
                         },
                     ));
@@ -311,116 +285,12 @@ impl RoutingSynthesis {
         Ok(())
     }
 
-    /// The branching action for `(chain, index)` observed at ingress pipelet
-    /// `at`: `(action name, args)`.
-    #[allow(clippy::too_many_arguments)]
-    fn branching_action(
-        &self,
-        placement: &Placement,
-        chain: &crate::chain::ChainPolicy,
-        index: usize,
-        at: PipeletId,
-        exit_port: PortId,
-        exit_pipeline: usize,
-        _profile: &TofinoProfile,
-        config: &RoutingConfig,
-        segment: &SegmentOptions,
-    ) -> Result<(String, Vec<Value>), RoutingError> {
-        let port_arg = |p: PortId| vec![Value::new(u128::from(p), 16)];
-        if index >= chain.nfs.len() {
-            // Chain complete: out the exit port (its egress decapsulates).
-            // With honor_out_port, defer to the port the Router wrote into
-            // the SFC header.
-            return Ok(if config.honor_out_port {
-                (names::FWD_OUT.into(), vec![])
-            } else {
-                (names::FWD.into(), port_arg(exit_port))
-            });
-        }
-        let nf = &chain.nfs[index];
-        let Some(target) = placement.location(nf) else {
-            // Remote NF: forward toward its switch over the link port.
-            if let Some(&link) = segment.remote_ports.get(nf) {
-                return Ok((names::FWD.into(), port_arg(link)));
-            }
-            return Err(RoutingError::UnplacedNf(nf.clone()));
-        };
-        match target.gress {
-            Gress::Ingress if target == at => {
-                // Local but missed this pass: resubmit.
-                Ok((names::RESUBMIT.into(), vec![]))
-            }
-            Gress::Ingress => {
-                // Another pipeline's ingress: loop through its loopback port.
-                Ok((
-                    names::FWD.into(),
-                    port_arg(config.loopback_of(target.pipeline)),
-                ))
-            }
-            Gress::Egress => {
-                // Send to egress(target.pipeline); the port decides what
-                // happens after that pipe: loopback when the chain continues,
-                // exit when it ends there.
-                let after = self.index_after_egress_pass(placement, chain, index, target);
-                if after >= chain.nfs.len() && target.pipeline == exit_pipeline {
-                    Ok((names::FWD.into(), port_arg(exit_port)))
-                } else {
-                    Ok((
-                        names::FWD.into(),
-                        port_arg(config.loopback_of(target.pipeline)),
-                    ))
-                }
-            }
-        }
-    }
-
-    /// Simulates one egress pass starting at `index`: how far the chain
-    /// advances while consecutive NFs sit on `pipelet` in runnable slot
-    /// order.
-    fn index_after_egress_pass(
-        &self,
-        placement: &Placement,
-        chain: &crate::chain::ChainPolicy,
-        mut index: usize,
-        pipelet: PipeletId,
-    ) -> usize {
-        let mut last = None;
-        while index < chain.nfs.len() {
-            let nf = &chain.nfs[index];
-            if placement.location(nf) != Some(pipelet) {
-                break;
-            }
-            let slot = placement.slot(nf).expect("placed NF has slot");
-            if !placement.pass_can_run(pipelet, last, slot) {
-                break;
-            }
-            last = Some(slot);
-            index += 1;
-        }
-        index
-    }
-
-    fn synth_decap(
-        &mut self,
-        _placement: &Placement,
-        chains: &ChainSet,
-        profile: &TofinoProfile,
-        config: &RoutingConfig,
-    ) -> Result<(), RoutingError> {
-        // One decap entry per (exit port, next protocol) on the owning
-        // egress pipelet, for the protocols we encapsulate.
+    /// One decap entry per (exit port, next protocol) on the owning egress
+    /// pipelet, for the protocols we encapsulate.
+    fn synth_decap(&mut self, route: &Route, chains: &ChainSet) {
         let mut seen = std::collections::BTreeSet::new();
         for chain in &chains.chains {
-            let exit_port =
-                *config
-                    .exit_ports
-                    .get(&chain.path_id)
-                    .ok_or(RoutingError::MissingExitPort {
-                        path_id: chain.path_id,
-                    })?;
-            let pipeline = profile
-                .pipeline_of_port(usize::from(exit_port))
-                .ok_or(RoutingError::BadExitPort { port: exit_port })?;
+            let (exit_port, pipeline) = route.exits[&chain.path_id];
             for proto in [NEXT_PROTO_IPV4, 0x02u8, 0x03u8] {
                 if !seen.insert((exit_port, proto)) {
                     continue;
@@ -440,8 +310,132 @@ impl RoutingSynthesis {
                 ));
             }
         }
-        Ok(())
     }
+}
+
+/// The `(sfc.path_id, sfc.service_index)` key of a dispatch or branching
+/// entry.
+fn sfc_key(path_id: u16, index: usize) -> Vec<KeyMatch> {
+    vec![
+        KeyMatch::Exact(Value::new(u128::from(path_id), 16)),
+        KeyMatch::Exact(Value::new(index as u128, 8)),
+    ]
+}
+
+/// One switch's routing inputs, with every chain's exit port resolved
+/// once: what a chain's packet heads for at each service index, and the
+/// branching entry that sends it there.
+pub(crate) struct Route<'a> {
+    placement: &'a Placement,
+    config: &'a RoutingConfig,
+    segment: &'a SegmentOptions,
+    /// Per chain path ID: the exit port and its pipeline.
+    pub(crate) exits: BTreeMap<u16, (PortId, usize)>,
+}
+
+impl<'a> Route<'a> {
+    /// Resolves each chain's exit port; errs on a chain without one or
+    /// with one out of range.
+    pub(crate) fn new(
+        placement: &'a Placement,
+        chains: &ChainSet,
+        profile: &TofinoProfile,
+        config: &'a RoutingConfig,
+        segment: &'a SegmentOptions,
+    ) -> Result<Self, RoutingError> {
+        Ok(Route {
+            placement,
+            config,
+            segment,
+            exits: exits(chains, profile, config)?,
+        })
+    }
+
+    /// Where `chain`'s packet at service index `index` heads next: the goal,
+    /// and the port a leave takes — the chain's exit at its end
+    /// (`Goal::Leave(Some(pipeline))`), or the link toward the member
+    /// hosting the next NF (`Goal::Leave(None)`: a link is picked only in
+    /// an ingress pass, so an egress pass reaches it through its own
+    /// ingress).
+    pub(crate) fn next(
+        &self,
+        chain: &ChainPolicy,
+        index: usize,
+    ) -> Result<(Goal, Option<PortId>), RoutingError> {
+        let Some(nf) = chain.nfs.get(index) else {
+            let (port, pipeline) = self.exits[&chain.path_id];
+            return Ok((Goal::Leave(Some(pipeline)), Some(port)));
+        };
+        let mut hosts = self.placement.pipelets.iter();
+        match hosts.find_map(|(at, nfs)| Some((*at, nfs.iter().position(|n| n == nf)?))) {
+            Some((at, slot)) => Ok((Goal::Run((at, slot), self.placement.mode(at)), None)),
+            None => match self.segment.remote_ports.get(nf) {
+                Some(&link) => Ok((Goal::Leave(None), Some(link))),
+                None => Err(RoutingError::UnplacedNf(nf.clone())),
+            },
+        }
+    }
+
+    /// The branching entry at ingress pipelet `at` for `chain`'s packet at
+    /// `index` — the rule's first move once the pass is done, as an action
+    /// and its port. A resubmission resubmits; a loop forwards to the
+    /// loopback port of the pipeline it enters; a leave forwards to the
+    /// port (to `sfc.out_port` at the chain's end under `honor_out_port`).
+    /// A crossing forwards to the port the egress pass leaves by, when the
+    /// rule leaves after that pass's runs, and to the egress pipeline's
+    /// loopback port otherwise.
+    fn branch(
+        &self,
+        chain: &ChainPolicy,
+        mut index: usize,
+        at: PipeletId,
+    ) -> Result<(&'static str, Option<PortId>), RoutingError> {
+        let (mut goal, mut port) = self.next(chain, index)?;
+        let mut walk = Walk::at(at, PASS_DONE, RecircGranularity::PerPort);
+        Ok(match walk.step(goal) {
+            Move::Resubmit => (names::RESUBMIT, None),
+            Move::Loop { to } => (names::FWD, Some(self.config.loopback_of(to.pipeline))),
+            Move::Leave if self.config.honor_out_port && matches!(goal, Goal::Leave(Some(_))) => {
+                (names::FWD_OUT, None)
+            }
+            Move::Leave => (names::FWD, port),
+            Move::Cross { to } => loop {
+                match walk.step(goal) {
+                    Move::Run => {
+                        index += 1;
+                        (goal, port) = self.next(chain, index)?;
+                    }
+                    Move::Leave => break (names::FWD, port),
+                    _ => break (names::FWD, Some(self.config.loopback_of(to.pipeline))),
+                }
+            },
+            Move::Run => unreachable!("a finished pass runs no NF"),
+        })
+    }
+}
+
+/// Each chain's exit port and its pipeline, by path ID: every chain has
+/// one, in the profile's range and below the `out_port` sentinel.
+fn exits(
+    chains: &ChainSet,
+    profile: &TofinoProfile,
+    config: &RoutingConfig,
+) -> Result<BTreeMap<u16, (PortId, usize)>, RoutingError> {
+    chains
+        .chains
+        .iter()
+        .map(|chain| {
+            let path_id = chain.path_id;
+            let port = *config
+                .exit_ports
+                .get(&path_id)
+                .ok_or(RoutingError::MissingExitPort { path_id })?;
+            match profile.pipeline_of_port(usize::from(port)) {
+                Some(pipeline) if port < SFC_PORT_UNSET => Ok((path_id, (port, pipeline))),
+                _ => Err(RoutingError::BadExitPort { port }),
+            }
+        })
+        .collect()
 }
 
 /// Sanity-checks a routing config against a chain set: every chain has an
@@ -451,18 +445,7 @@ pub fn validate_config(
     profile: &TofinoProfile,
     config: &RoutingConfig,
 ) -> Result<(), RoutingError> {
-    for chain in &chains.chains {
-        let port = *config
-            .exit_ports
-            .get(&chain.path_id)
-            .ok_or(RoutingError::MissingExitPort {
-                path_id: chain.path_id,
-            })?;
-        if profile.pipeline_of_port(usize::from(port)).is_none() || port >= SFC_PORT_UNSET {
-            return Err(RoutingError::BadExitPort { port });
-        }
-    }
-    Ok(())
+    exits(chains, profile, config).map(|_| ())
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! * the structural dataflow pass below ([`check`] / [`check_with_config`],
 //!   `DJV001`–`DJV008`),
 //! * the abstract-interpretation pass in [`crate::analyze`] (`DJV201`–`DJV204`),
-//! * `dejavu-core`'s chain-aware passes (`DJV101`–`DJV102`, `DJV301`–`DJV303`).
+//! * `dejavu-core`'s chain-aware passes (`DJV101`–`DJV103`, `DJV301`–`DJV303`).
 //!
 //! `dejavu-compiler`'s `StageAllocator` runs the two per-program passes
 //! under one `LintConfig` and refuses to allocate a program whose merged
@@ -112,6 +112,9 @@ pub enum LintCode {
     /// `DJV102` — weighted recirculation demand exceeds the loopback
     /// budget of the switch profile (emitted by `dejavu-core`).
     RecircBudget,
+    /// `DJV103` — the routing entries installed on a switch walk a chain
+    /// differently from the traversal model (emitted by `dejavu-core`).
+    RoutingWalk,
     /// `DJV201` — assignment or register access that may truncate a value
     /// into a narrower destination.
     ValueTruncation,
@@ -137,7 +140,7 @@ pub enum LintCode {
 
 impl LintCode {
     /// Every registered lint, in code order.
-    pub const ALL: [LintCode; 17] = [
+    pub const ALL: [LintCode; 18] = [
         LintCode::InvalidHeaderAccess,
         LintCode::MaybeInvalidHeaderAccess,
         LintCode::ReadBeforeWrite,
@@ -148,6 +151,7 @@ impl LintCode {
         LintCode::DuplicateMatchKey,
         LintCode::SfcInvariant,
         LintCode::RecircBudget,
+        LintCode::RoutingWalk,
         LintCode::ValueTruncation,
         LintCode::InfeasiblePath,
         LintCode::UnmatchableEntry,
@@ -170,6 +174,7 @@ impl LintCode {
             LintCode::DuplicateMatchKey => "DJV008",
             LintCode::SfcInvariant => "DJV101",
             LintCode::RecircBudget => "DJV102",
+            LintCode::RoutingWalk => "DJV103",
             LintCode::ValueTruncation => "DJV201",
             LintCode::InfeasiblePath => "DJV202",
             LintCode::UnmatchableEntry => "DJV203",
@@ -209,6 +214,7 @@ impl LintCode {
             LintCode::DuplicateMatchKey => "field repeated in a table match key",
             LintCode::SfcInvariant => "composed program violates an SFC framework invariant",
             LintCode::RecircBudget => "recirculation demand exceeds the loopback budget",
+            LintCode::RoutingWalk => "installed routing walks a chain off the model's path",
             LintCode::ValueTruncation => "value may truncate into a narrower destination",
             LintCode::InfeasiblePath => "select case or branch arm that can never execute",
             LintCode::UnmatchableEntry => "installed entry no feasible key value matches",
@@ -986,7 +992,7 @@ mod tests {
     #[test]
     fn registry_codes_are_unique_and_stable() {
         let codes: Vec<&str> = LintCode::ALL.iter().map(|c| c.code()).collect();
-        assert_eq!(codes.len(), 17);
+        assert_eq!(codes.len(), 18);
         assert!(
             codes.windows(2).all(|w| w[0] < w[1]),
             "codes must be unique and in code order: {codes:?}"

@@ -172,6 +172,21 @@ if [ "$(grep -rn 'fn walk_stmts' crates/p4ir/src | wc -l)" -gt 1 ] ||
     exit 1
 fi
 
+# One-move-rule gate: the traversal model's walk decides every move a
+# packet takes (`placement::next_move`, defined once, in
+# `placement/mod.rs`), and routing renders each branching entry from that
+# rule's move: outside its tests, `routing.rs` matches on no `Gress::` and
+# keeps no decision of its own (`branching_action`, `index_after_egress_pass`).
+# The rule must be found by name, so a rename cannot pass the gate by
+# matching nothing.
+routing_src=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/routing.rs)
+if [ "$(grep -c '^pub(crate) fn next_move(' crates/core/src/placement/mod.rs)" -ne 1 ] ||
+    grep -rn 'fn next_move\b' crates/core/src --include=*.rs | grep -v '^crates/core/src/placement/mod.rs:' ||
+    printf '%s\n' "$routing_src" | grep -nE 'Gress::|fn (index_after_egress_pass|branching_action)\b'; then
+    echo "routing decides a move of its own again (see DESIGN.md, One move rule)" >&2
+    exit 1
+fi
+
 # Kill-catalogue gate: every mutant under tests/mutants/ whose killer is
 # the p4ir or core unit tests, the wire-format properties or the cluster
 # transport or execution suite must still be killed by them (each builds in

@@ -388,14 +388,16 @@ fn a_learned_nat_flight_allocates_its_pinned_count() {
     // one: member 0 learns the digest its packet emits, with no controller
     // round trip. Sending it up, installing back down and acking took 3
     // more frames and brought the outbound count to 2 576 (return: 842).
-    const OUTBOUND: u64 = 1_674;
+    const OUTBOUND: u64 = 1_354;
     const RETURN: u64 = 842;
     // What one learned digest adds to a flight: its record (values, name
     // and the pipelet's digest list: 3) and the drain's list (1); the entry
-    // built to check it (keys, action, arguments) and its action and table
-    // renamed into the merged namespace (9).
+    // built to check it (keys, action, arguments) and the exact index's
+    // probe key (4). The learn policy keeps its table and action under
+    // their merged names; renaming both per digest, and naming the NF for
+    // an error not taken, cost 5 more (1 674 outbound).
     const DIGEST_RECORD: u64 = 4;
-    const ENTRY_CHECK: u64 = 9;
+    const ENTRY_CHECK: u64 = 4;
     let (out, back) = allocs_per_nat_flights();
     assert_eq!(
         (out, back),
