@@ -33,10 +33,8 @@
 //! * [`Switch::inject_buf`] is the same walk with no trace: the caller's
 //!   buffer in, the final bytes out, a [`BufOutcome`] back — the
 //!   zero-allocation entry point [`crate::rtc`] is built on.
-//! * [`Switch::inject_batch`] loops `inject_buf` over a slice and returns
-//!   tallies.
 //!
-//! Either engine ([`ExecMode`]) serves any of them; tracing changes no
+//! Either engine ([`ExecMode`]) serves either of them; tracing changes no
 //! forwarding result, metric or byte.
 
 use crate::compiled::{BufPass, CompiledProgram, ExecScratch};
@@ -349,7 +347,7 @@ pub enum TraceLevel {
 }
 
 /// A packet to inject: wire bytes plus the arrival port. The single
-/// injection type shared by [`Switch::inject`], [`Switch::inject_batch`],
+/// injection type shared by [`Switch::inject`],
 /// [`crate::rtc::RtcSession::run`] and the traffic replay driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectedPacket {
@@ -364,27 +362,6 @@ impl InjectedPacket {
     pub fn new(bytes: Vec<u8>, port: PortId) -> Self {
         InjectedPacket { bytes, port }
     }
-}
-
-/// Aggregate outcome of a [`Switch::inject_batch`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BatchStats {
-    /// Packets handed to the switch.
-    pub injected: usize,
-    /// Packets emitted on an Ethernet port.
-    pub emitted: usize,
-    /// Packets dropped inside the chip.
-    pub dropped: usize,
-    /// Packets punted to the CPU port.
-    pub to_cpu: usize,
-    /// Packets rejected with an error (bad port, forwarding loop, ...).
-    pub errors: usize,
-    /// Total recirculations across the batch.
-    pub recirculations: usize,
-    /// Total resubmissions across the batch.
-    pub resubmissions: usize,
-    /// Summed model latency over all non-error packets, in nanoseconds.
-    pub latency_ns_total: f64,
 }
 
 /// What one traversal accumulates on its way round `Switch::walk`: the
@@ -1063,35 +1040,6 @@ impl Switch {
         })
     }
 
-    /// Injects a batch of packets and returns aggregate statistics only:
-    /// no traces, mirror copies counted (`packets_mirrored`) and discarded,
-    /// per-packet errors (bad port, forwarding loop) tallied in
-    /// [`BatchStats::errors`] instead of aborting the batch.
-    pub fn inject_batch(&mut self, packets: &[InjectedPacket]) -> BatchStats {
-        let mut stats = BatchStats::default();
-        let mut buf = Vec::new();
-        let mark = self.mirror_out.len();
-        for pkt in packets {
-            stats.injected += 1;
-            buf.clear();
-            buf.extend_from_slice(&pkt.bytes);
-            let Ok(out) = self.inject_buf(&mut buf, pkt.port) else {
-                stats.errors += 1;
-                continue;
-            };
-            match out.disposition {
-                Disposition::Emitted { .. } => stats.emitted += 1,
-                Disposition::Dropped => stats.dropped += 1,
-                Disposition::ToCpu => stats.to_cpu += 1,
-            }
-            stats.recirculations += out.recirculations;
-            stats.resubmissions += out.resubmissions;
-            stats.latency_ns_total += out.latency_ns;
-        }
-        self.mirror_out.truncate(mark);
-        stats
-    }
-
     /// Injects a packet **in place** and drives it to completion with no
     /// trace — the zero-allocation entry point.
     ///
@@ -1528,13 +1476,13 @@ mod tests {
         // any entry point, and the refusal is counted like any other.
         sw.set_telemetry(true);
         let rp = sw.recirc_port(0);
-        let pkt = InjectedPacket::new(eth_packet(1), rp);
-        let err = sw.inject(pkt.clone()).unwrap_err();
+        let err = sw
+            .inject(InjectedPacket::new(eth_packet(1), rp))
+            .unwrap_err();
         assert!(matches!(&err, IrError::Invalid(m) if m.contains("recirculation port")));
         assert!(sw.inject_buf(&mut eth_packet(1), rp).is_err());
-        assert_eq!(sw.inject_batch(&[pkt]).errors, 1);
         let snap = sw.metrics_snapshot();
-        assert_eq!(snap.counter("packets_rejected"), 3);
+        assert_eq!(snap.counter("packets_rejected"), 2);
         assert_eq!(snap.counter("packets_injected"), 0);
     }
 
@@ -1717,33 +1665,6 @@ mod tests {
         // Counters still advance with tracing off.
         let c = sw.tables(PipeletId::ingress(0)).unwrap().counters("l2");
         assert_eq!(c.hits, 1);
-    }
-
-    #[test]
-    fn inject_batch_tallies_dispositions() {
-        let mut sw = basic_switch();
-        sw.install_entry(PipeletId::ingress(0), "l2", fwd_entry(0xaabb, 20))
-            .unwrap();
-        sw.set_loopback(5, true).unwrap();
-        let batch = vec![
-            InjectedPacket::new(eth_packet(0xaabb), 0), // emitted on 20
-            InjectedPacket::new(eth_packet(0x7), 0),    // default deny → dropped
-            InjectedPacket::new(eth_packet(0xaabb), 5), // loopback: no traffic → error
-        ];
-        let stats = sw.inject_batch(&batch);
-        assert_eq!(stats.injected, 3);
-        assert_eq!(stats.emitted, 1);
-        assert_eq!(stats.dropped, 1);
-        assert_eq!(stats.errors, 1);
-        assert_eq!(stats.to_cpu, 0);
-        assert!(stats.latency_ns_total > 0.0);
-
-        // Mirror copies are counted, not kept: a batch returns tallies only.
-        let mut sw = exits_switch();
-        let tapped = InjectedPacket::new(eth_packet(0x0c), 0);
-        assert_eq!(sw.inject_batch(&[tapped.clone(), tapped]).emitted, 2);
-        assert_eq!(sw.metrics_snapshot().counter("packets_mirrored"), 2);
-        assert!(sw.drain_mirrored().is_empty());
     }
 
     /// L2 learner: unknown destinations digest the MAC and flood out 9.

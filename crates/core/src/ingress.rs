@@ -4,16 +4,15 @@
 //! egress pipelet → port or loopback, `dejavu_asic::switch`) behind **one**
 //! admission check: loopback-mode ports and dedicated recirculation ports
 //! take no external traffic, down links reject, unknown ports are out of
-//! range. Three adapters feed it, all consuming the same unit of work — an
+//! range. Two adapters feed it, both consuming the same unit of work — an
 //! [`InjectedPacket`] (wire bytes + arrival port) or its two halves — and
-//! all running on whichever engine [`ExecMode`](dejavu_asic::ExecMode)
+//! both running on whichever engine [`ExecMode`](dejavu_asic::ExecMode)
 //! selects:
 //!
 //! | Adapter | Returns | Use when |
 //! |---|---|---|
 //! | [`Switch::inject`] | [`Traversal`] | You want the full per-packet story: events (at [`TraceLevel::Full`](dejavu_asic::TraceLevel): fixed-size id records, names looked up when read, so a traced Fig. 9 packet makes 3 allocations on an 18-table path as on a 12-table one), disposition, final bytes, latency, recirculations, mirror copies. The default. |
 //! | [`Switch::inject_buf`] | [`BufOutcome`] | The same walk, no trace: your buffer in, final bytes out, zero allocations once warm. Mirror copies queue for [`Switch::drain_mirrored`]. |
-//! | [`Switch::inject_batch`] | [`BatchStats`] | `inject_buf` over a slice: aggregate tallies only, per-packet errors counted not raised. |
 //!
 //! Above a single call there is one multi-worker engine,
 //! [`RtcSession::run`] → [`RtcReport`]: per-core switch clones, pooled
@@ -33,5 +32,5 @@
 //! it comes back as a
 //! [`WireTraversal`](crate::transport::cluster::WireTraversal).
 
-pub use dejavu_asic::switch::{BatchStats, BufOutcome, Traversal};
+pub use dejavu_asic::switch::{BufOutcome, Traversal};
 pub use dejavu_asic::{InjectedPacket, PortId, RtcConfig, RtcReport, RtcSession, Switch};

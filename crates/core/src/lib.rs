@@ -127,9 +127,9 @@ pub mod prelude {
         parse_json, to_json_string, to_prometheus, MetricsRegistry, MetricsSnapshot,
     };
     pub use dejavu_asic::{
-        BatchStats, BufOutcome, DigestRecord, Eviction, ExecMode, Gress, InjectedPacket, PipeletId,
-        PortId, RtcConfig, RtcReport, RtcSession, Switch, SwitchMetrics, TimingModel,
-        TofinoProfile, TraceLevel, Traversal,
+        BufOutcome, DigestRecord, Eviction, ExecMode, Gress, InjectedPacket, PipeletId, PortId,
+        RtcConfig, RtcReport, RtcSession, Switch, SwitchMetrics, TimingModel, TofinoProfile,
+        TraceLevel, Traversal,
     };
     pub use dejavu_p4ir::lint::{Diagnostic, LintCode, LintConfig, LintReport, Severity};
 }

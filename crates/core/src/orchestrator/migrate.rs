@@ -5,7 +5,7 @@
 //! state machine documented in DESIGN.md:
 //!
 //! ```text
-//! BUILD → PAUSE → FLUSH → SNAPSHOT → SWAP → RESYNC → RESTORE → REMAP → RESUME
+//! BUILD → PAUSE → SNAPSHOT → SWAP → RESTORE → RESUME
 //! ```
 //!
 //! * **BUILD** — compile the new placement into fresh `(Switch,
@@ -13,28 +13,23 @@
 //!   fails to deploy aborts the migration with the old cluster intact.
 //! * **PAUSE** — `pause_ingress`: park new injections and quiesce until
 //!   every in-flight packet has delivered or nacked. Packets injected
-//!   during the window are queued, never rejected.
-//! * **FLUSH** — `process_digests`: every member learns what its digest
-//!   queues still hold and reports, so every learn digest emitted by
-//!   pre-pause traffic is an installed entry before state is captured.
-//!   (Members learn as packets pass, so the queues are normally empty.)
+//!   during the window are queued, never rejected. A member learns each
+//!   packet's digests right after executing it, before it forwards, so
+//!   once the last flight has landed every digest is an installed entry.
 //! * **SNAPSHOT** — `snapshot_state`: checkpoint every pipelet's dynamic
 //!   state, then split it **per NF** by the `<nf>__` merged-name prefix so
 //!   each NF's tables can land wherever the new placement puts them. An
 //!   NF's slice is taken from its old home pipelet only: every composed
 //!   pipelet carries the whole merged namespace, so the others hold a
 //!   dormant, empty copy of its tables and registers.
-//! * **SWAP** — `swap_member` on every member: adopt the new switches.
-//!   Their dynamic state is empty and their clocks are zero.
-//! * **RESYNC** — `advance_time` over empty tables to the maximum
-//!   snapshotted clock. Restoring *before* resyncing would stamp entries
-//!   at clock 0 and the resync would mass-evict them; this ordering makes
-//!   the fresh idle stamps land at the restored clock.
+//! * **SWAP** — `swap_member` on every member: each newcomer goes live
+//!   with its predecessor's telemetry setting and clock, and its ack
+//!   points the NF → member routing (installs, punt remedies,
+//!   [`ClusterHandle::switch_of`]) at it for every NF it hosts. Its
+//!   dynamic state is empty.
 //! * **RESTORE** — `restore_state` each NF's slice onto its new (switch,
-//!   pipelet) home; dropped entries are reported, not silently lost.
-//! * **REMAP** — `remap_nfs`: flip the NF→switch routing so installs and
-//!   punt remedies target the new homes (each member learns for the NFs
-//!   it hosts, so learning follows the swap by itself).
+//!   pipelet) home; entries are stamped at the clock the swap carried
+//!   over, and dropped entries are reported, not silently lost.
 //! * **RESUME** — `resume_ingress`: release parked traffic in arrival
 //!   order. Migration downtime is the PAUSE→RESUME wall-clock span.
 
@@ -130,12 +125,16 @@ pub struct MigrationOutcome {
     pub duration_ns: u64,
 }
 
-/// Why a migration failed.
+/// Why a migration failed, and in what state it left the cluster.
 #[derive(Debug)]
 pub enum MigrationError {
-    /// The new placement failed to compile/deploy (old cluster intact).
+    /// The new placement failed to compile or deploy (BUILD). Traffic was
+    /// never touched: the old cluster serves as before.
     Deploy(DeployError),
-    /// A live cluster operation failed mid-migration.
+    /// A live cluster verb failed. Before the first SWAP (PAUSE or
+    /// SNAPSHOT) ingress has been resumed and the old members serve,
+    /// their state untouched. From SWAP on the cluster may be mid-swap,
+    /// with ingress parked, and should be torn down.
     Cluster(ClusterError),
 }
 
@@ -193,13 +192,18 @@ fn split_by_nf<'a>(
     out
 }
 
+/// An NF's home in a cluster placement: its member and pipelet.
+fn home(placement: &ClusterPlacement, nf: &str) -> Option<(usize, PipeletId)> {
+    let switch = placement.switch_of(nf)?;
+    Some((switch, placement.switches[switch].location(nf)?))
+}
+
 /// Executes a hitless migration of a live cluster onto `new_placement`.
 ///
 /// On success the cluster serves the new placement with every learned
 /// flow re-seated; parked traffic has been released and will resolve
-/// through the normal delivery path. On [`MigrationError::Deploy`] the
-/// cluster is untouched; on [`MigrationError::Cluster`] the cluster may
-/// be mid-swap and should be torn down.
+/// through the normal delivery path. [`MigrationError`] says which
+/// failures leave the old cluster serving and which leave it mid-swap.
 pub fn migrate(
     handle: &mut ClusterHandle,
     spec: &FleetSpec<'_>,
@@ -221,35 +225,30 @@ pub fn migrate(
     )?;
 
     // PAUSE — quiesce barrier; in-flight packets finish, new ones park.
+    // SNAPSHOT — checkpoint every member. Until the first swap the old
+    // members are whole, so a failure here resumes them.
     let started = Instant::now();
-    let quiesced_packets = handle.pause_ingress()?;
-
-    // FLUSH — every digest from pre-pause traffic becomes an entry.
-    handle.process_digests()?;
-
-    // SNAPSHOT — checkpoint, then split per NF, each from its old home:
-    // restoring a dormant copy over it would reset its idle timeouts and
-    // zero its registers.
-    let snapshots = handle.snapshot_state()?;
-    let max_clock = snapshots.iter().map(|(_, _, s)| s.clock).max().unwrap_or(0);
+    let paused = handle
+        .pause_ingress()
+        .and_then(|quiesced| Ok((quiesced, handle.snapshot_state()?)));
+    let (quiesced_packets, snapshots) = match paused {
+        Ok(paused) => paused,
+        Err(e) => {
+            let _ = handle.resume_ingress();
+            return Err(e.into());
+        }
+    };
+    // Split per NF, each from its old home: restoring a dormant copy over
+    // it would reset its idle timeouts and zero its registers.
     let mut per_nf: Vec<(String, StateSnapshot)> = Vec::new();
     for (switch, pipelet, snap) in &snapshots {
-        let homed_here = |nf: &&String| {
-            old_placement.switch_of(nf) == Some(*switch)
-                && old_placement.switches[*switch].location(nf) == Some(*pipelet)
-        };
+        let homed_here = |nf: &&String| home(old_placement, nf) == Some((*switch, *pipelet));
         per_nf.extend(split_by_nf(snap, nf_names.iter().filter(homed_here)));
     }
 
-    // SWAP — adopt the new members (empty state, zero clocks).
+    // SWAP — adopt the new members: empty state, the old clocks, routed to.
     for (switch, (member_switch, deployment)) in members.into_iter().enumerate() {
         handle.swap_member(switch, member_switch, deployment)?;
-    }
-
-    // RESYNC — advance empty tables to the old clock so restored entries
-    // get idle stamps that survive the next advance_time.
-    if max_clock > 0 {
-        handle.advance_time(max_clock)?;
     }
 
     // RESTORE — each NF's slice onto its new home.
@@ -259,36 +258,18 @@ pub fn migrate(
         ..MigrationOutcome::default()
     };
     for (nf, snap) in &per_nf {
-        let Some(sw) = new_placement.switch_of(nf) else {
+        let Some((switch, pipelet)) = home(new_placement, nf) else {
             continue;
         };
-        let Some(pipelet) = new_placement.switches[sw].location(nf) else {
-            continue;
-        };
-        let restored = handle.restore_state(sw, pipelet, snap)? as u64;
+        let restored = handle.restore_state(switch, pipelet, snap)? as u64;
         outcome.restored_entries += restored;
         if delta.moves.iter().any(|m| &m.nf == nf) {
             outcome.flows_migrated += restored;
         }
     }
 
-    // REMAP — route learned entries and installs to the new homes.
-    let nf_switch: BTreeMap<String, usize> = nf_names
-        .iter()
-        .filter_map(|nf| new_placement.switch_of(nf).map(|sw| (nf.clone(), sw)))
-        .collect();
-    handle.remap_nfs(nf_switch)?;
-
     // RESUME — release parked traffic; downtime window closes.
     outcome.parked_packets = handle.resume_ingress()?;
     outcome.duration_ns = started.elapsed().as_nanos() as u64;
     Ok(outcome)
-}
-
-/// Builds the pipelet→NF view the restore step needs for one member.
-/// Exposed for tests that restore snapshots manually.
-pub fn nf_location(placement: &ClusterPlacement, nf: &str) -> Option<(usize, PipeletId)> {
-    let sw = placement.switch_of(nf)?;
-    let pipelet = placement.switches[sw].location(nf)?;
-    Some((sw, pipelet))
 }

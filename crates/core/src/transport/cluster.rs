@@ -32,7 +32,8 @@
 //!
 //! [`ClusterHandle`] is the synchronous facade over either: `inject`,
 //! `install`, `advance_time`, `process_digests`, `register_learn_policy`,
-//! `register_handler`, `snapshot_state`, the migration verbs — and
+//! `register_handler`, `snapshot_state` / `restore_state`, the migration
+//! verbs `pause_ingress`, `swap_member` and `resume_ingress` — and
 //! `inject_async` / `recv_delivered` for the pipelined path underneath.
 
 use super::wire::{self, ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
@@ -725,8 +726,11 @@ impl Driver {
 }
 
 /// Owner's view of a running cluster: the synchronous facade (`inject`,
-/// `install`, `advance_time`, `process_digests`, `snapshot_state`, the
-/// migration verbs) plus the pipelined
+/// `install`, `advance_time`, `process_digests`, `snapshot_state`,
+/// `restore_state` and the migration verbs `pause_ingress`, `swap_member`
+/// and `resume_ingress`, which
+/// [`orchestrator::migrate`](fn@crate::orchestrator::migrate) sequences) plus
+/// the pipelined
 /// [`inject_async`](ClusterHandle::inject_async) /
 /// [`recv_delivered`](ClusterHandle::recv_delivered) pair. Dropping the
 /// handle shuts the cluster down.
@@ -1176,10 +1180,13 @@ impl ClusterHandle {
     }
 
     /// Replaces one member's switch and deployment with a freshly built
-    /// pair, live; the newcomer keeps the telemetry setting of the member
-    /// it replaces. The swap is transparent to peers — wiring, inboxes and
-    /// links are untouched — but the new member starts with empty dynamic
-    /// state and a zero clock: callers are expected to quiesce first and
+    /// pair, live. The newcomer keeps the telemetry setting and the clock
+    /// of the member it replaces, and once it acks, the NF → member map
+    /// (the controller's, which routes installs and punt remedies, and
+    /// [`switch_of`](Self::switch_of)'s) names it for every NF its
+    /// deployment hosts. The swap is transparent to peers — wiring,
+    /// inboxes and links are untouched — but the new member starts with
+    /// empty dynamic state: callers are expected to quiesce first and
     /// restore state after (the orchestrator's migration driver sequences
     /// this).
     pub fn swap_member(
@@ -1189,6 +1196,9 @@ impl ClusterHandle {
         deployment: Deployment,
     ) -> Result<(), ClusterError> {
         self.member(switch)?;
+        let mut nf_switch = self.nf_switch.clone();
+        host_nfs(&mut nf_switch, switch, &deployment);
+        let routed = nf_switch.clone();
         self.call("swap_member", move |c, reply| {
             // The tag keeps a member whose command the link refuses from
             // being adopted by the next swap.
@@ -1200,26 +1210,14 @@ impl ClusterHandle {
                 let e = format!("switch {switch}: side channel closed (worker gone?)");
                 return refuse(reply, ClusterError::Remote(e));
             }
-            c.command(switch, ControlMsg::SwapMember { seq }, reply_info(reply))
-        })
-        .map(|_| ())
-    }
-
-    /// Replaces the NF → switch routing map (both the controller's copy,
-    /// which routes installs and punt remedies, and this handle's copy
-    /// behind [`switch_of`](Self::switch_of)) after members were swapped
-    /// to a new placement.
-    pub fn remap_nfs(&mut self, nf_switch: BTreeMap<String, usize>) -> Result<(), ClusterError> {
-        if let Some((nf, &sw)) = nf_switch.iter().find(|(_, &sw)| sw >= self.n) {
-            return Err(ClusterError::Remote(format!(
-                "NF {nf} mapped to switch {sw} in a cluster of {}",
-                self.n
-            )));
-        }
-        let map = nf_switch.clone();
-        self.call("remap_nfs", |c, reply| {
-            c.nf_switch = map;
-            let _ = reply.send(Ok(0));
+            let then: Then = Box::new(move |c, r| {
+                let acked = info(r);
+                if acked.is_ok() {
+                    c.nf_switch = routed;
+                }
+                let _ = reply.send(acked);
+            });
+            c.command(switch, ControlMsg::SwapMember { seq }, then)
         })?;
         self.nf_switch = nf_switch;
         Ok(())
@@ -1280,7 +1278,7 @@ pub fn spawn_cluster(
         wiring,
         deploy_options,
     )?;
-    boot(members, chains, wiring, transport, options, true)
+    boot(members, wiring, transport, options, true)
 }
 
 /// Deploys a chain set across a back-to-back cluster and boots the same
@@ -1304,7 +1302,6 @@ pub fn deploy_cluster(
     let transport = &mut ChannelTransport::new();
     boot(
         members,
-        chains,
         wiring,
         transport,
         &ClusterOptions::default(),
@@ -1322,11 +1319,21 @@ fn spawn_named(
         .map_err(|e| ClusterError::Transport(TransportError::Io(e.to_string())))
 }
 
+/// Points `nf_switch` at member `switch` for exactly the NFs `deployment`
+/// hosts: the routing a member brings with it, at boot and at every swap.
+fn host_nfs(nf_switch: &mut BTreeMap<String, usize>, switch: usize, deployment: &Deployment) {
+    nf_switch.retain(|_, member| *member != switch);
+    for nf in deployment.chains.all_nfs() {
+        if deployment.nf_location(&nf).is_some() {
+            nf_switch.insert(nf, switch);
+        }
+    }
+}
+
 /// Wires deployed members into a cluster — the one construction path under
 /// both constructors; `threaded` only decides who drives the machines.
 fn boot(
     members: Vec<(Switch, Deployment)>,
-    chains: &ChainSet,
     wiring: &ClusterWiring,
     transport: &mut dyn Transport,
     options: &ClusterOptions,
@@ -1338,11 +1345,7 @@ fn boot(
     // NF → switch routing map, captured before deployments move away.
     let mut nf_switch = BTreeMap::new();
     for (i, (_, dep)) in members.iter().enumerate() {
-        for nf in chains.all_nfs() {
-            if dep.nf_location(&nf).is_some() {
-                nf_switch.entry(nf).or_insert(i);
-            }
-        }
+        host_nfs(&mut nf_switch, i, dep);
     }
 
     // Bind everyone first so links can be connected in one pass.

@@ -319,8 +319,10 @@ pub enum ControlMsg {
     },
     /// Swap in the member staged on the worker's in-process side channel
     /// (see [`SwitchWorker::swap_rx`](super::worker::SwitchWorker)): the
-    /// worker replaces its switch and deployment with the staged pair and
-    /// acks. The re-placement orchestrator uses this to install a new
+    /// worker replaces its switch and deployment with the staged pair,
+    /// carries its telemetry setting and clock over to the newcomer, and
+    /// acks; the ack is what re-points the controller's NF → member map.
+    /// The re-placement orchestrator uses this to install a new
     /// cluster-wide placement without restarting workers; a worker with no
     /// staged member (e.g. a genuinely remote process, which has no side
     /// channel) nacks instead of guessing.

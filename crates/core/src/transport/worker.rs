@@ -258,8 +258,11 @@ impl SwitchWorker {
                     .find(|(tag, ..)| *tag == seq);
                 match staged {
                     Some((_, mut switch, deployment)) => {
-                        // The newcomer behaves like the member it replaces.
+                        // The newcomer behaves like the member it replaces
+                        // and goes live at its clock, so state restored
+                        // onto it is stamped at the time the cluster reads.
                         switch.set_telemetry(self.switch.telemetry_enabled());
+                        switch.advance_time(self.switch.now());
                         self.switch = switch;
                         self.deployment = deployment;
                         self.send_up(TelemetryMsg::Ack { seq, info: 0 });

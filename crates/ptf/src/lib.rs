@@ -15,9 +15,7 @@
 #![warn(missing_docs)]
 
 use dejavu_asic::switch::Disposition;
-use dejavu_asic::{
-    ExecMode, IndexKind, InjectedPacket, MetricsSnapshot, PortId, Switch, Traversal,
-};
+use dejavu_asic::{IndexKind, InjectedPacket, MetricsSnapshot, PortId, Switch, Traversal};
 use std::fmt;
 
 /// Byte-level check applied to the emitted/punted packet.
@@ -459,74 +457,6 @@ pub fn run_suite(switch: &mut Switch, cases: Vec<TestCase>) -> PtfReport {
     report
 }
 
-/// Runs every case on *both* execution engines and cross-checks them.
-///
-/// The suite is executed twice against clones of `switch` — once with
-/// [`ExecMode::Reference`] (the tree-walking oracle) and once with
-/// [`ExecMode::Compiled`] (the fast path) — and each case additionally
-/// fails if the two engines disagree on the traversal (disposition, final
-/// bytes, events, recirculation/resubmission counts), naming the first
-/// difference: the event (both rendered by name), the byte, or the counts.
-/// The returned report is the compiled run, with divergence failures folded
-/// in; `switch` itself is left untouched.
-pub fn run_suite_differential(switch: &Switch, cases: Vec<TestCase>) -> PtfReport {
-    let mut reference = switch.clone();
-    reference.set_exec_mode(ExecMode::Reference);
-    let mut compiled = switch.clone();
-    compiled.set_exec_mode(ExecMode::Compiled);
-
-    let mut report = PtfReport::default();
-    for case in cases {
-        let ref_result = run_case(&mut reference, &case);
-        let mut result = run_case(&mut compiled, &case);
-        if result.failure.is_none() {
-            match (&result.traversal, &ref_result.traversal) {
-                (Some(c), Some(r)) if c != r => {
-                    result.failure = Some(format!("engines diverge: {}", divergence(c, r)));
-                }
-                (Some(_), None) | (None, Some(_)) => {
-                    result.failure = Some(
-                        "engines diverge: one engine rejected the injection outright".to_string(),
-                    );
-                }
-                _ => {}
-            }
-            if result.failure.is_none() && ref_result.failure.is_some() {
-                result.failure = Some(format!("reference engine failed: {:?}", ref_result.failure));
-            }
-        }
-        report.results.push(result);
-    }
-    report
-}
-
-/// The first way two traversals of one packet differ: an event (both
-/// rendered by name), a byte of `final_bytes`, or else the counts.
-fn divergence(c: &Traversal, r: &Traversal) -> String {
-    let event = |t: &Traversal, i: usize| {
-        let rendered = t.events.get(i).map(|e| t.render(e).trim().to_string());
-        rendered.unwrap_or("no event".into())
-    };
-    let events = c.events.len().max(r.events.len());
-    if let Some(i) = (0..events).find(|&i| event(c, i) != event(r, i)) {
-        let (c, r) = (event(c, i), event(r, i));
-        return format!("event {i}: compiled `{c}`, reference `{r}`");
-    }
-    let (cb, rb) = (&c.final_bytes, &r.final_bytes);
-    if let Some(at) = (0..cb.len().max(rb.len())).find(|&i| cb.get(i) != rb.get(i)) {
-        return format!("final_bytes differ first at byte {at}");
-    }
-    let counts = |t: &Traversal| {
-        let mirrored = t.mirrored.len();
-        let (recirc, resub, ns) = (t.recirculations, t.resubmissions, t.latency_ns);
-        format!(
-            "{:?}, {recirc} recirc, {resub} resub, {mirrored} mirrored, {ns} ns",
-            t.disposition
-        )
-    };
-    format!("compiled {}, reference {}", counts(c), counts(r))
-}
-
 fn run_case(switch: &mut Switch, case: &TestCase) -> CaseResult {
     let traversal = match switch.inject(InjectedPacket::new(case.packet.clone(), case.in_port)) {
         Ok(t) => t,
@@ -586,7 +516,7 @@ fn run_case(switch: &mut Switch, case: &TestCase) -> CaseResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dejavu_asic::{PipeletId, TofinoProfile, TraceEvent};
+    use dejavu_asic::{PipeletId, TofinoProfile};
     use dejavu_p4ir::builder::*;
     use dejavu_p4ir::table::{KeyMatch, TableEntry};
     use dejavu_p4ir::well_known;
@@ -679,44 +609,6 @@ mod tests {
             ],
         );
         report.assert_all_passed();
-    }
-
-    #[test]
-    fn differential_suite_agrees_on_both_engines() {
-        let sw = l2_switch();
-        let report = run_suite_differential(
-            &sw,
-            vec![
-                TestCase::expect_port("known dst", 0, eth_packet(0xaabb), 9).expect_table_hit("l2"),
-                TestCase::expect_drop("unknown dst", 0, eth_packet(0xdead)),
-            ],
-        );
-        report.assert_all_passed();
-        // The original switch is untouched: counters are still zero.
-        let c = sw.tables(PipeletId::ingress(0)).unwrap().counters("l2");
-        assert_eq!(c.hits + c.misses, 0);
-    }
-
-    #[test]
-    fn a_divergence_names_the_first_event_that_differs() {
-        let mut sw = l2_switch();
-        let real = sw
-            .inject(InjectedPacket::new(eth_packet(0xaabb), 0))
-            .unwrap();
-        let mut flipped = real.clone();
-        let i = flipped
-            .events
-            .iter()
-            .position(|e| matches!(e, TraceEvent::Table { .. }))
-            .unwrap();
-        if let TraceEvent::Table { event, .. } = &mut flipped.events[i] {
-            event.hit = !event.hit;
-        }
-        assert_ne!(flipped, real);
-        let message = divergence(&flipped, &real);
-        assert!(message.starts_with(&format!("event {i}: ")), "{message}");
-        assert!(message.contains("`l2: miss -> fwd`"), "{message}");
-        assert!(message.contains("`l2: hit  -> fwd`"), "{message}");
     }
 
     #[test]

@@ -5,11 +5,12 @@
 use dejavu_asic::switch::Disposition;
 use dejavu_asic::{InjectedPacket, PipeletId, TofinoProfile};
 use dejavu_core::control_plane::{rewind_and_clear, ControlPlane, PuntHandler, PuntResponse};
-use dejavu_core::deploy::{DeployError, DeployOptions};
+use dejavu_core::deploy::{deploy, DeployError, DeployOptions};
 use dejavu_core::multiswitch::{
     deploy_cluster, ClusterConfigError, ClusterNet, ClusterPlacement, ClusterWiring,
 };
 use dejavu_core::placement::Placement;
+use dejavu_core::routing::{RoutingConfig, SegmentOptions};
 use dejavu_core::transport::wire::MAX_PAYLOAD;
 use dejavu_core::transport::{
     spawn_cluster, ChannelTransport, ClusterError, ClusterOptions, WireTraversal,
@@ -287,6 +288,53 @@ fn cluster_install_routes_rules_to_owning_switch() {
     assert_eq!(marks(&t.final_bytes), 0b01_1111);
 }
 
+/// A member swapped in goes live routed to and on the cluster's clock: once
+/// `swap_member` acks, `switch_of` names it for every NF its deployment
+/// hosts, and it reads the clock of the member it replaced.
+#[test]
+fn a_swapped_in_member_is_routed_to_at_the_cluster_clock() {
+    let (nfs, chains, _) = six_nf_setup();
+    let refs: Vec<_> = nfs.iter().collect();
+    let mut net = six_nf_cluster();
+    net.advance_time(5).unwrap();
+
+    // Member 1's replacement also hosts n2, which member 0 hosted.
+    let placement = Placement::sequential(vec![
+        (PipeletId::ingress(0), vec!["n2", "n3", "n4"]),
+        (PipeletId::egress(0), vec!["n5"]),
+    ]);
+    let link = ClusterWiring::default().egress_link_port;
+    let options = DeployOptions {
+        segment: Some(SegmentOptions {
+            remote_ports: [("n0".to_string(), link), ("n1".to_string(), link)].into(),
+            decap_on_exit: true,
+        }),
+        ..Default::default()
+    };
+    let config = RoutingConfig {
+        loopback_port: Default::default(),
+        exit_ports: [(1u16, EXIT_PORT)].into(),
+        honor_out_port: false,
+    };
+    let profile = TofinoProfile::wedge_100b_32x();
+    let (switch, deployment) = deploy(&refs, &chains, &placement, &profile, &config, &options)
+        .expect("the replacement deploys");
+    assert_eq!(net.switch_of("n2"), Some(0));
+    net.swap_member(1, switch, deployment).unwrap();
+
+    for (nf, member) in [
+        ("n0", 0),
+        ("n1", 0),
+        ("n2", 1),
+        ("n3", 1),
+        ("n4", 1),
+        ("n5", 1),
+    ] {
+        assert_eq!(net.switch_of(nf), Some(member), "{nf}");
+    }
+    assert_eq!(net.switch(1).unwrap().now(), 5, "the newcomer's clock");
+}
+
 #[test]
 fn a_packet_the_first_link_refuses_fails_at_once() {
     // A frame past MAX_PAYLOAD never reaches worker 0: the injector hears
@@ -462,6 +510,34 @@ fn learn_on_the_nat_member(threaded: bool) {
     assert_eq!(report.per_switch[1].installed, 1, "installed on member 1");
     assert_eq!(report.per_switch[0].installed, 0);
     assert_eq!(learned(&mut net), [0, 1], "the entry landed on member 1");
+
+    // A learn storm in flight when ingress pauses: once the barrier opens,
+    // every member has learned every digest its packets emitted, so a
+    // migration's snapshot has no digest left to flush.
+    const STORM: u16 = 8;
+    for f in 1..=STORM {
+        let flow = dejavu_traffic::PacketBuilder::tcp()
+            .src_ip(0x0a01_0101)
+            .dst_ip(0x0808_0808)
+            .src_port(40000 + f)
+            .dst_port(80)
+            .build();
+        net.inject_async(InjectedPacket::new(flow, IN_PORT))
+            .unwrap();
+    }
+    let quiesced = net.pause_ingress().unwrap();
+    if !threaded {
+        assert_eq!(quiesced, u64::from(STORM), "the storm was in flight");
+        for member in 0..net.members() {
+            let switch = net.switch(member).unwrap();
+            for pipeline in 0..switch.profile().pipelines {
+                assert_eq!(switch.digest_backlog(pipeline), 0, "member {member}");
+            }
+        }
+    }
+    net.resume_ingress().unwrap();
+    let storm = usize::from(STORM);
+    assert_eq!(learned(&mut net), [0, 1 + storm], "the storm was learned");
 }
 
 #[test]

@@ -13,6 +13,7 @@ use dejavu_asic::MetricsSnapshot;
 use dejavu_asic::{InjectedPacket, PipeletId, TofinoProfile};
 use dejavu_core::deploy::DeployOptions;
 use dejavu_core::multiswitch::{deploy_cluster, ClusterPlacement, ClusterWiring};
+use dejavu_core::orchestrator::{migrate, FleetSpec, MigrationError};
 use dejavu_core::placement::Placement;
 use dejavu_core::transport::wire::{self, Message, TelemetryMsg};
 use dejavu_core::transport::{
@@ -246,13 +247,11 @@ fn ip_at(bytes: &[u8], off: usize) -> u32 {
     u32::from_be_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]])
 }
 
-/// classifier → nat spilled onto switch 0, router on switch 1, over
-/// `transport`: outbound traffic is learned on the first member while the
-/// flight finishes on the second. The static rules are installed; the
-/// learn policy is the caller's to register.
-fn nat_cluster(transport: &mut dyn Transport, options: &ClusterOptions) -> ClusterHandle {
+/// The NAT fleet: its NFs, its one chain, the placement [`nat_cluster`]
+/// boots (classifier → nat on switch 0, router on switch 1) and its deploy
+/// options.
+fn nat_fleet() -> (Vec<NfModule>, ChainSet, ClusterPlacement, DeployOptions) {
     let nfs: Vec<NfModule> = vec![classifier::classifier(), dynamic_nat(), router::router()];
-    let refs: Vec<&NfModule> = nfs.iter().collect();
     let chains = ChainSet::new(vec![ChainPolicy::new(
         1,
         "nat_path",
@@ -270,6 +269,16 @@ fn nat_cluster(transport: &mut dyn Transport, options: &ClusterOptions) -> Clust
         entry_nf: Some("classifier".into()),
         ..Default::default()
     };
+    (nfs, chains, placement, deploy)
+}
+
+/// classifier → nat spilled onto switch 0, router on switch 1, over
+/// `transport`: outbound traffic is learned on the first member while the
+/// flight finishes on the second. The static rules are installed; the
+/// learn policy is the caller's to register.
+fn nat_cluster(transport: &mut dyn Transport, options: &ClusterOptions) -> ClusterHandle {
+    let (nfs, chains, placement, deploy) = nat_fleet();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
     let mut handle = spawn_cluster(
         &refs,
         &chains,
@@ -846,6 +855,69 @@ fn a_lost_reply_fails_its_verb_and_the_next_verb_succeeds() {
         "got {first:?}"
     );
     handle.install("n3", "work", pass(7)).unwrap();
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_migration_that_fails_before_its_swap_resumes_the_old_cluster() {
+    // Worker 0's upstream is the first link connected to `ctrl`.
+    let mut transport = DamagingTransport::new("ctrl", 1, |m| {
+        matches!(m, Message::Telemetry(TelemetryMsg::Snapshot { .. }))
+    });
+    let mut handle = nat_cluster(&mut transport, &damaging_options());
+    handle
+        .register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy())
+        .unwrap();
+    handle
+        .inject(InjectedPacket::new(outbound(BASE_PORT), IN_PORT))
+        .unwrap();
+    // A packet parked before the migration begins.
+    handle.pause_ingress().unwrap();
+    let parked = handle
+        .inject_async(InjectedPacket::new(outbound(BASE_PORT + 1), IN_PORT))
+        .unwrap();
+
+    // The NAT would move to switch 1, but worker 0's snapshot never arrives.
+    let (nfs, chains, old, deploy) = nat_fleet();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let (profile, wiring) = (TofinoProfile::wedge_100b_32x(), ClusterWiring::default());
+    let spec = FleetSpec {
+        nfs: &refs,
+        chains: &chains,
+        profile: &profile,
+        exit_ports: [(1u16, EXIT_PORT)].into_iter().collect(),
+        wiring: &wiring,
+        deploy: &deploy,
+    };
+    let new = ClusterPlacement {
+        switches: vec![
+            Placement::sequential(vec![(PipeletId::ingress(0), vec!["classifier"])]),
+            Placement::sequential(vec![(PipeletId::ingress(0), vec!["nat", "router"])]),
+        ],
+    };
+    let failed = migrate(&mut handle, &spec, &old, &new);
+    assert!(
+        matches!(
+            failed,
+            Err(MigrationError::Cluster(ClusterError::Timeout(_)))
+        ),
+        "got {failed:?}"
+    );
+
+    // Ingress was resumed: the parked packet flies on the old placement,
+    // and the flow learned before the migration still translates.
+    let d = handle
+        .recv_delivered(DAMAGE_TIMEOUT * 4)
+        .unwrap()
+        .expect("the parked packet is released");
+    assert_eq!(d.trace, parked);
+    let t = d.result.expect("the parked flight");
+    assert_eq!(ip_at(&t.final_bytes, 26), PUBLIC_IP);
+    assert_eq!(handle.switch_of("nat"), Some(0));
+    let back = handle
+        .inject(InjectedPacket::new(inbound(BASE_PORT), IN_PORT))
+        .unwrap();
+    assert_eq!(ip_at(&back.final_bytes, 30), CLIENT, "the learned flow");
     handle.shutdown().unwrap();
 }
 

@@ -772,9 +772,13 @@ fn detector_applies_hysteresis_and_cooldown() {
 /// A migration keeps each NF's aging: the idle timeout set on the NAT's
 /// learned table follows it to its new home, both ways. Every composed
 /// pipelet carries a dormant copy of the NAT's tables; restoring those
-/// copies after the real one reset the timeout to none.
+/// copies after the real one reset the timeout to none. And it keeps the
+/// clock: every new member goes live at the old one, so the learned
+/// entries it restores have their whole timeout left.
 #[test]
 fn a_migration_keeps_each_nfs_idle_timeouts() {
+    const CLOCK: u64 = 7;
+    const TIMEOUT: u64 = 30;
     let problem = fleet_problem();
     let search = ExhaustiveSearch::default();
     let a = search.search(&problem).unwrap().placement;
@@ -801,13 +805,32 @@ fn a_migration_keeps_each_nfs_idle_timeouts() {
         let tables = handle.switch(switch).unwrap().tables(pipelet).unwrap();
         tables.idle_timeout(&format!("nat__{NAT_IN_TABLE}"))
     };
+    let nat_entries = |handle: &mut ClusterHandle, placement: &ClusterPlacement| {
+        let switch = placement.switch_of("nat").unwrap();
+        let pipelet = placement.switches[switch].location("nat").unwrap();
+        let tables = handle.switch(switch).unwrap().tables(pipelet).unwrap();
+        tables.entries(&format!("nat__{NAT_IN_TABLE}")).len()
+    };
     for (from, to) in [(&a, &b), (&b, &a)] {
         let mut handle = fleet_cluster(from, None, false);
         handle
-            .set_idle_timeout("nat", NAT_IN_TABLE, Some(30))
+            .set_idle_timeout("nat", NAT_IN_TABLE, Some(TIMEOUT))
             .unwrap();
-        assert_eq!(nat_timeout(&mut handle, from), Some(30));
+        for f in 0..FLOWS {
+            let bytes = outbound(BASE_PORT + f);
+            handle.inject(InjectedPacket::new(bytes, IN_PORT)).unwrap();
+        }
+        handle.advance_time(CLOCK).unwrap();
+        assert_eq!(nat_timeout(&mut handle, from), Some(TIMEOUT));
         migrate(&mut handle, &spec, from, to).unwrap();
-        assert_eq!(nat_timeout(&mut handle, to), Some(30), "aging lost");
+        assert_eq!(nat_timeout(&mut handle, to), Some(TIMEOUT), "aging lost");
+        for member in 0..handle.members() {
+            let now = handle.switch(member).unwrap().now();
+            assert_eq!(now, CLOCK, "member {member} went live at another clock");
+        }
+        assert_eq!(nat_entries(&mut handle, to), usize::from(FLOWS));
+        handle.advance_time(TIMEOUT - 1).unwrap();
+        let survivors = nat_entries(&mut handle, to);
+        assert_eq!(survivors, usize::from(FLOWS), "restored entries aged early");
     }
 }
