@@ -790,6 +790,16 @@ impl ClusterHandle {
         }
     }
 
+    /// The deployment of member `index`, on the same terms as
+    /// [`ClusterHandle::switch`]: `Some` only on a [`deploy_cluster`]
+    /// cluster.
+    pub fn deployment(&self, index: usize) -> Option<&Deployment> {
+        match &self.driver {
+            Driver::Inline(machines) => machines.workers.get(index).map(|w| &w.deployment),
+            Driver::Threads(_) => None,
+        }
+    }
+
     fn wait<T>(
         &mut self,
         rx: Receiver<Result<T, ClusterError>>,

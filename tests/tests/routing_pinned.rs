@@ -7,17 +7,27 @@
 //! that moves a single branching, dispatch or decap entry changes a hash
 //! here. The values were recorded on the synthesis that decided each
 //! branching action on its own, before it was derived from the model.
+//!
+//! What each pipelet runs is pinned the same way: per loaded pipelet, the
+//! program (everything but its name), the `Allocation` its deployment
+//! recorded and the label its state snapshots carry, for the Fig. 2
+//! optimum and every member of the replacement fleet under both of its
+//! placements. These values were recorded while every pipelet was merged,
+//! composed, checked and compiled on its own.
 
 use dejavu_asic::{PipeletId, Switch, TofinoProfile};
 use dejavu_core::compose::names;
-use dejavu_core::deploy::{deploy, DeployOptions};
-use dejavu_core::multiswitch::{deploy_cluster, ClusterPlacement, ClusterWiring};
+use dejavu_core::deploy::{deploy, DeployOptions, Deployment};
+use dejavu_core::multiswitch::{deploy_cluster, ClusterPlacement, ClusterProblem, ClusterWiring};
+use dejavu_core::orchestrator::{ExhaustiveSearch, FleetProblem, PlacementSearch};
 use dejavu_core::placement::{Placement, PlacementProblem};
 use dejavu_core::routing::{RoutingConfig, RoutingSynthesis};
 use dejavu_core::{ChainPolicy, ChainSet, NfModule};
 use dejavu_integration::{
     deploy_markers, fig9_testbed, marker_nf, EXIT_PORT, LOOPBACK_PORT_P0, LOOPBACK_PORT_P1,
 };
+use dejavu_nf::{classifier, nat::dynamic_nat, router};
+use std::collections::BTreeMap;
 
 /// FNV-1a over the rendered `(pipelet, table, entry)` triples, in order.
 #[derive(Clone, Copy)]
@@ -45,7 +55,7 @@ impl Fnv {
 fn assert_pinned(what: &str, got: Fnv, want: u64) {
     assert_eq!(
         got.0, want,
-        "{what}: routing entries hash to {:#018x}, pinned {want:#018x}",
+        "{what}: hashes to {:#018x}, pinned {want:#018x}",
         got.0
     );
 }
@@ -82,8 +92,8 @@ fn fig6_routing_is_pinned() {
     );
 }
 
-#[test]
-fn fig2_optimum_routing_is_pinned() {
+/// The Fig. 2 optimum, deployed with the classifier as the entry NF.
+fn fig2_deployed() -> (Switch, Deployment) {
     let stages = [
         ("classifier", 2u32),
         ("firewall", 3),
@@ -111,8 +121,12 @@ fn fig2_optimum_routing_is_pinned() {
         ..Default::default()
     };
     let profile = TofinoProfile::wedge_100b_32x();
-    let (_, deployment) = deploy(&refs, &fig2.chains, &placement, &profile, &config, &options)
-        .expect("Fig. 2 deploys");
+    deploy(&refs, &fig2.chains, &placement, &profile, &config, &options).expect("Fig. 2 deploys")
+}
+
+#[test]
+fn fig2_optimum_routing_is_pinned() {
+    let (_, deployment) = fig2_deployed();
     assert_pinned(
         "Fig. 2 optimum",
         Fnv::new().synthesis(&deployment.synthesis),
@@ -233,4 +247,109 @@ fn cluster_member_routing_is_pinned() {
         installed(&mut fnv, cluster.switch(member).expect("an inline member"));
         assert_pinned(&format!("cluster member {member}"), fnv, want);
     }
+}
+
+/// Every loaded pipelet of a switch, in order: its program without the
+/// name, the allocation its deployment recorded and its snapshot label.
+fn programs(
+    fnv: &mut Fnv,
+    switch: &Switch,
+    allocations: &BTreeMap<PipeletId, impl std::fmt::Debug>,
+) {
+    for pipelet in switch.loaded_pipelets() {
+        let p = switch
+            .program(pipelet)
+            .expect("a loaded pipelet has a program");
+        let program = (
+            (&p.header_types, &p.meta_fields, &p.parser, &p.actions),
+            (&p.tables, &p.registers, &p.controls, &p.entry),
+        );
+        fnv.add(pipelet, "program", &program);
+        fnv.add(pipelet, "allocation", &allocations[&pipelet]);
+        let snapshot = switch.snapshot_state(pipelet).expect("a loaded pipelet");
+        fnv.add(pipelet, "label", &snapshot.program);
+    }
+}
+
+#[test]
+fn fig2_pipelet_programs_are_pinned() {
+    let (switch, deployment) = fig2_deployed();
+    let mut fnv = Fnv::new();
+    programs(&mut fnv, &switch, &deployment.allocations);
+    assert_pinned("Fig. 2 optimum programs", fnv, 0x6454_0e3b_ffea_c307);
+}
+
+/// The replacement fleet (`tests/replacement.rs`, `migrate_live`): chain 1
+/// classifier → nat → router, chain 2 classifier → mark_a, three members
+/// of one 12-stage pipeline each.
+fn replacement_fleet() -> FleetProblem {
+    let chains = ChainSet::new(vec![
+        chain(1, "nat_path", &["classifier", "nat", "router"]),
+        ChainPolicy::new(2, "mark_path", vec!["classifier", "mark_a"], 6.0),
+    ])
+    .unwrap();
+    let stages: BTreeMap<String, u32> =
+        [("classifier", 2), ("nat", 6), ("router", 2), ("mark_a", 2)]
+            .into_iter()
+            .map(|(n, s)| (n.to_string(), s))
+            .collect();
+    let mut template = PlacementProblem::new(chains, stages);
+    template.pipelines = 1;
+    FleetProblem::new(ClusterProblem::new(template, 3))
+}
+
+#[test]
+fn replacement_fleet_pipelet_programs_are_pinned() {
+    let fleet = replacement_fleet();
+    let nfs = [
+        classifier::classifier(),
+        dynamic_nat(),
+        router::router(),
+        marker_nf("mark_a", 0),
+    ];
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let options = DeployOptions {
+        entry_nf: Some("classifier".into()),
+        ..Default::default()
+    };
+    // The optimum as weighted, and with the weights inverted: the two
+    // placements `migrate_live` alternates between.
+    let search = ExhaustiveSearch::default();
+    let placements = [
+        search.search(&fleet).expect("the fleet has an optimum"),
+        search
+            .search(&fleet.with_weights(&[8.0, 1.0]))
+            .expect("the shifted fleet has an optimum"),
+    ];
+    let mut got = Vec::new();
+    for found in &placements {
+        let mut cluster = deploy_cluster(
+            &refs,
+            fleet.chains(),
+            &found.placement,
+            &TofinoProfile::wedge_100b_32x(),
+            [(1, EXIT_PORT), (2, EXIT_PORT)].into(),
+            &ClusterWiring::default(),
+            &options,
+        )
+        .expect("the fleet deploys");
+        for member in 0..cluster.members() {
+            let deployment = cluster.deployment(member).expect("an inline member");
+            let allocations = deployment.allocations.clone();
+            let switch = cluster.switch(member).expect("an inline member");
+            let mut fnv = Fnv::new();
+            programs(&mut fnv, switch, &allocations);
+            got.push(format!("{:#018x}", fnv.0));
+        }
+    }
+    // Member 2 hosts no NF under either placement.
+    let want = [
+        "0x286c90bc5d63d432",
+        "0xbfa0191a1dbca806",
+        "0x4516c189461d4f8d",
+        "0x98118f7023a0803c",
+        "0x3eaab812ba4f68c6",
+        "0x4516c189461d4f8d",
+    ];
+    assert_eq!(got, want, "per member, both placements in order");
 }
