@@ -157,9 +157,8 @@ enum CPrim {
         ck_off: u32,
     },
     Digest {
-        /// Digest stream name (not interned: emission rate is learn-path,
-        /// not packet-path, and the record carries the name anyway).
-        name: String,
+        /// Digest stream name: every record shares it.
+        name: Arc<str>,
         inputs: Vec<CExpr>,
     },
     Drop,
@@ -766,9 +765,10 @@ impl CompiledProgram {
                 CPrim::Digest { name, inputs } => {
                     vals.clear();
                     vals.extend(inputs.iter().map(|e| self.eval(e, pkt, meta, args)));
-                    // The one allocating op on the hot loop — digests are
-                    // learn-path events, not steady-state packet work.
-                    tables.emit_digest(name, vals.clone());
+                    // The one allocating op on the hot loop (the record's
+                    // values) — digests are learn-path events, not
+                    // steady-state packet work.
+                    tables.emit_digest(Arc::clone(name), vals.clone());
                 }
                 CPrim::Drop => {
                     meta[M_DROP] = Value::new(1, 1);
@@ -1280,7 +1280,7 @@ impl<'p> Compiler<'p> {
                 }
             }
             PrimitiveOp::Digest { name, fields } => CPrim::Digest {
-                name: name.clone(),
+                name: name.as_str().into(),
                 inputs: self.lower_exprs(fields, act)?,
             },
             PrimitiveOp::Drop => CPrim::Drop,

@@ -297,7 +297,7 @@ impl<'a> Interpreter<'a> {
                         .iter()
                         .map(|e| self.eval(e, pp, meta, &bindings))
                         .collect::<Result<_, _>>()?;
-                    tables.emit_digest(name, vals);
+                    tables.emit_digest(name.as_str().into(), vals);
                 }
                 PrimitiveOp::Drop => {
                     meta.insert("drop_flag".into(), Value::new(1, 1));

@@ -61,8 +61,8 @@ pub use resources::{ResourceVector, StageResources};
 pub use rtc::{ExhaustionPolicy, RtcConfig, RtcReport, RtcSession};
 pub use state::{MigrationReport, StateSnapshot};
 pub use switch::{
-    BufOutcome, ExecMode, Gress, InjectedPacket, PipeletId, PortId, Switch, TraceEvent, TraceLevel,
-    Traversal,
+    BufOutcome, ExecMode, Gress, InjectedPacket, LoadableProgram, PipeletId, PortId, Switch,
+    TraceEvent, TraceLevel, Traversal,
 };
 pub use tables::{DigestRecord, Eviction, TableCounters, TableState};
 pub use telemetry::{MetricsRegistry, MetricsSnapshot};

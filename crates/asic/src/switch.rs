@@ -394,11 +394,44 @@ impl Walk<'_> {
     }
 }
 
-/// Everything `load_program` puts on one pipelet.
+/// A program validated and compiled once, ready for any number of
+/// pipelets: every [`Switch::load_shared`] of it shares the one program and
+/// its compiled form, and each load gets table state of its own.
+#[derive(Debug, Clone)]
+pub struct LoadableProgram {
+    program: Arc<Program>,
+    compiled: Arc<CompiledProgram>,
+    /// The parser's depth in bytes, checked against each switch's window
+    /// at load.
+    parser_depth: u32,
+}
+
+impl LoadableProgram {
+    /// Validates and compiles `program` and measures its parser's depth.
+    pub fn new(program: Program) -> Result<Self, IrError> {
+        program.validate()?;
+        let parser_depth = program.parser.max_depth_bytes(&program.header_types);
+        let compiled = CompiledProgram::compile(&program)?;
+        Ok(LoadableProgram {
+            program: Arc::new(program),
+            compiled: Arc::new(compiled),
+            parser_depth,
+        })
+    }
+
+    /// The program.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+}
+
+/// Everything a load puts on one pipelet.
 #[derive(Debug, Clone)]
 struct Loaded {
-    program: Program,
+    program: Arc<Program>,
     compiled: Arc<CompiledProgram>,
+    /// What this pipelet's state snapshots are labelled with.
+    name: String,
     tables: TableState,
 }
 
@@ -629,38 +662,56 @@ impl Switch {
     /// The program is validated and its parser depth checked against the
     /// profile's parser window.
     pub fn load_program(&mut self, pipelet: PipeletId, program: Program) -> Result<(), IrError> {
+        self.slot_of(pipelet)?;
+        let name = program.name.clone();
+        self.load_shared(pipelet, &LoadableProgram::new(program)?, name)
+    }
+
+    /// Loads an already compiled program onto a pipelet, resetting that
+    /// pipelet's table state; its snapshots are labelled `name`. The
+    /// parser depth is checked against the profile's parser window.
+    pub fn load_shared(
+        &mut self,
+        pipelet: PipeletId,
+        program: &LoadableProgram,
+        name: String,
+    ) -> Result<(), IrError> {
+        let slot = self.slot_of(pipelet)?;
+        if program.parser_depth > self.profile.parser_window_bytes {
+            return Err(IrError::Invalid(format!(
+                "parser needs {} bytes, window is {}",
+                program.parser_depth, self.profile.parser_window_bytes
+            )));
+        }
+        // Pre-register every table in `program.tables` (BTreeMap) order so
+        // the dense slot ids baked into the compiled program line up with
+        // the state's slots.
+        let mut state = TableState::new();
+        for def in program.program.tables.values() {
+            state.preregister(def);
+        }
+        // A freshly loaded program joins the switch's logical timeline, so
+        // aging continues seamlessly across upgrades once state is migrated.
+        state.set_clock(self.now);
+        Arc::make_mut(&mut self.names)[slot] = Some(Arc::clone(&program.compiled.names));
+        self.slots[slot] = Some(Loaded {
+            program: Arc::clone(&program.program),
+            compiled: Arc::clone(&program.compiled),
+            name,
+            tables: state,
+        });
+        Ok(())
+    }
+
+    /// The slot of a pipelet this switch has.
+    fn slot_of(&self, pipelet: PipeletId) -> Result<usize, IrError> {
         if pipelet.pipeline >= self.profile.pipelines {
             return Err(IrError::Invalid(format!(
                 "pipeline {} out of range (switch has {})",
                 pipelet.pipeline, self.profile.pipelines
             )));
         }
-        program.validate()?;
-        let depth = program.parser.max_depth_bytes(&program.header_types);
-        if depth > self.profile.parser_window_bytes {
-            return Err(IrError::Invalid(format!(
-                "parser needs {depth} bytes, window is {}",
-                self.profile.parser_window_bytes
-            )));
-        }
-        let compiled = CompiledProgram::compile(&program)?;
-        // Pre-register every table in `program.tables` (BTreeMap) order so
-        // the dense slot ids baked into the compiled program line up with
-        // the state's slots.
-        let mut state = TableState::new();
-        for def in program.tables.values() {
-            state.preregister(def);
-        }
-        // A freshly loaded program joins the switch's logical timeline, so
-        // aging continues seamlessly across upgrades once state is migrated.
-        state.set_clock(self.now);
-        Arc::make_mut(&mut self.names)[pipelet.slot()] = Some(Arc::clone(&compiled.names));
-        self.slots[pipelet.slot()] = Some(Loaded {
-            program,
-            compiled: Arc::new(compiled),
-            tables: state,
-        });
-        Ok(())
+        Ok(pipelet.slot())
     }
 
     /// Puts an Ethernet port in or out of loopback mode.
@@ -788,9 +839,12 @@ impl Switch {
         Ok(())
     }
 
-    /// Program loaded on a pipelet.
+    /// Program loaded on a pipelet. A [`LoadableProgram`] loaded on several
+    /// pipelets is one program: its `name` is the one it was composed
+    /// under, and each pipelet's snapshots carry the name it was loaded
+    /// with.
     pub fn program(&self, pipelet: PipeletId) -> Option<&Program> {
-        self.loaded(pipelet).map(|l| &l.program)
+        self.loaded(pipelet).map(|l| l.program.as_ref())
     }
 
     /// Pipelets with a program loaded, in deterministic order.
@@ -840,11 +894,11 @@ impl Switch {
     /// table state into the owning pipeline's bounded learn queue. Called
     /// after every pipelet pass.
     fn collect_digests(&mut self, pipelet: PipeletId) {
-        let Some(loaded) = self.loaded_mut(pipelet) else {
+        let Some(Some(loaded)) = self.slots.get_mut(pipelet.slot()) else {
             return;
         };
-        let records = loaded.tables.take_digests();
-        if records.is_empty() {
+        let records = loaded.tables.drain_digests();
+        if records.len() == 0 {
             return;
         }
         let queue = self.digest_queues.entry(pipelet.pipeline).or_default();
@@ -886,11 +940,11 @@ impl Switch {
     /// loaded there.
     pub fn snapshot_state(&self, pipelet: PipeletId) -> Option<StateSnapshot> {
         let Loaded {
-            program,
+            name,
             tables: state,
             ..
         } = self.loaded(pipelet)?;
-        let mut snap = StateSnapshot::empty(&program.name);
+        let mut snap = StateSnapshot::empty(name);
         snap.clock = state.now();
         for name in state.table_names() {
             snap.tables.push(TableSnapshot {
@@ -1245,6 +1299,7 @@ impl Switch {
             program,
             compiled,
             tables,
+            ..
         })) = self.slots.get_mut(pipelet.slot())
         else {
             return Ok(BufPass::idle(true, egress_seed));
@@ -1267,7 +1322,7 @@ impl Switch {
                 pass
             }
             ExecMode::Reference => {
-                let interp = Interpreter::new(program);
+                let interp = Interpreter::new(program.as_ref());
                 let Ok(mut pp) = ParsedPacket::parse(buf, &program.parser, interp.headers()) else {
                     return Ok(BufPass::idle(false, egress_seed));
                 };
@@ -1718,7 +1773,7 @@ mod tests {
         let drained = sw.drain_digests();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].0, 0);
-        assert_eq!(drained[0].1.name, "d0");
+        assert_eq!(&*drained[0].1.name, "d0");
         assert_eq!(drained[0].1.values[0].raw(), 0x100);
         assert_eq!(drained[1].1.values[0].raw(), 0x101);
         assert_eq!(sw.digest_backlog(0), 0);

@@ -38,6 +38,7 @@ use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use dejavu_p4ir::{IrError, MatchKind, TableDef, Value};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Hit/miss counters of one table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,8 +55,8 @@ pub struct TableCounters {
 /// its handlers on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigestRecord {
-    /// Digest stream name.
-    pub name: String,
+    /// Digest stream name, shared with the compiled program that emits it.
+    pub name: Arc<str>,
     /// Evaluated field values, in the order the action listed them.
     pub values: Vec<Value>,
 }
@@ -585,17 +586,20 @@ impl TableState {
     }
 
     /// Queues a digest record (called by both engines' `digest` primitive).
-    pub fn emit_digest(&mut self, name: &str, values: Vec<Value>) {
-        self.pending_digests.push(DigestRecord {
-            name: name.to_string(),
-            values,
-        });
+    pub fn emit_digest(&mut self, name: Arc<str>, values: Vec<Value>) {
+        self.pending_digests.push(DigestRecord { name, values });
     }
 
-    /// Drains the digests emitted since the last take (the switch moves
-    /// them into its bounded per-pipeline queue after every pass).
+    /// Takes the digests emitted since the last take.
     pub fn take_digests(&mut self) -> Vec<DigestRecord> {
         std::mem::take(&mut self.pending_digests)
+    }
+
+    /// Drains the digests emitted since the last drain, keeping the list's
+    /// capacity (the switch moves them into its bounded per-pipeline queue
+    /// after every pass).
+    pub(crate) fn drain_digests(&mut self) -> std::vec::Drain<'_, DigestRecord> {
+        self.pending_digests.drain(..)
     }
 
     /// Removes all entries of a table (counters survive).

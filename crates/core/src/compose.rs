@@ -143,7 +143,7 @@ pub const DISPATCH_TABLE_SIZE: u32 = 256;
 /// namespace and the pipelet's plan.
 pub fn compose_pipelet(merged: &MergedProgram, plan: &PipeletPlan) -> Result<Program, IrError> {
     let mut program = merged.program.clone();
-    program.name = format!("{}@{}", merged.program.name, plan.pipelet);
+    program.name = pipelet_program_name(merged, plan.pipelet);
 
     add_framework_actions(&mut program);
 
@@ -197,6 +197,11 @@ pub fn compose_pipelet(merged: &MergedProgram, plan: &PipeletPlan) -> Result<Pro
     program.entry = entry_name;
     program.validate()?;
     Ok(program)
+}
+
+/// The name of the program composed for `pipelet`: `<merged>@<pipelet>`.
+pub(crate) fn pipelet_program_name(merged: &MergedProgram, pipelet: PipeletId) -> String {
+    format!("{}@{}", merged.program.name, pipelet)
 }
 
 /// Sequential slot: gate (whose hit action advances the index), NF call,

@@ -196,7 +196,7 @@ impl DecisionCore {
     ) -> Result<(), IrError> {
         let mut first_err = None;
         for (_, record) in switch.drain_digests() {
-            let Some((nf, policy)) = self.learn_policies.get(&record.name) else {
+            let Some((nf, policy)) = self.learn_policies.get(&*record.name) else {
                 continue;
             };
             learned.digests += 1;

@@ -8,7 +8,7 @@
 //!    program ([`crate::compose`]),
 //! 3. compile every pipelet against the ASIC profile — placements that
 //!    exceed stage or resource budgets are rejected here
-//!    (`dejavu_compiler`),
+//!    (`dejavu_compiler`) — and lower it for the switch,
 //! 4. load programs onto a simulated switch, configure loopback ports,
 //! 5. synthesize and install all framework routing entries
 //!    ([`crate::routing`]),
@@ -17,17 +17,23 @@
 //!
 //! The result is a live [`Switch`] plus a [`Deployment`] handle that the
 //! control plane uses to translate per-NF API calls onto merged tables.
+//!
+//! Steps 1–3 run once per call, not once per pipelet: pipelets whose plans
+//! agree on what composition, the lint configuration and the allocator
+//! read share one built program (the private `Builds`), and a cluster build
+//! shares one `Builds` across its members. Nothing is kept between calls.
 
 use crate::chain::ChainSet;
-use crate::compose::{compose_pipelet, PipeletPlan, PlannedNf};
+use crate::compose::{compose_pipelet, pipelet_program_name, PipeletPlan, PlannedNf};
 use crate::merge::{merge_programs, MergeError, MergedProgram};
 use crate::nfmodule::NfModule;
 use crate::placement::Placement;
 use crate::routing::{validate_config, RoutingConfig, RoutingError, RoutingSynthesis};
-use dejavu_asic::{Gress, PipeletId, Switch, TofinoProfile};
+use dejavu_asic::{Gress, LoadableProgram, PipeletId, Switch, TofinoProfile};
 use dejavu_compiler::{Allocation, CompileError, StageAllocator};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Deployment failure.
 #[derive(Debug)]
@@ -79,16 +85,18 @@ impl std::error::Error for DeployError {}
 /// A deployed service chain set.
 #[derive(Debug)]
 pub struct Deployment {
-    /// The merged program namespace.
-    pub merged: MergedProgram,
+    /// The merged program namespace, shared by every member of a cluster
+    /// build.
+    pub merged: Arc<MergedProgram>,
     /// The placement used.
     pub placement: Placement,
     /// The chain policies.
     pub chains: ChainSet,
     /// Physical routing configuration.
     pub config: RoutingConfig,
-    /// Per-pipelet compilation results (resource usage, stage maps).
-    pub allocations: BTreeMap<PipeletId, Allocation>,
+    /// Per-pipelet compilation results (resource usage, stage maps),
+    /// shared by the pipelets built from one plan.
+    pub allocations: BTreeMap<PipeletId, Arc<Allocation>>,
     /// The synthesized routing entries.
     pub synthesis: RoutingSynthesis,
     /// The deployment options used (needed to recompose pipelets on
@@ -313,23 +321,19 @@ impl Deployment {
         }
 
         // Recompose and recompile just this pipelet.
-        let (plan, program, allocation) = build_pipelet(
-            &merged,
-            &self.placement,
-            &self.options,
-            pipelet,
-            &self.profile,
-        )
-        .map_err(UpgradeError::Deploy)?;
+        let plan = pipelet_plan(&self.placement, &self.options, pipelet);
+        let (plan, program, allocation) =
+            build_pipelet(&merged, plan, &self.profile).map_err(UpgradeError::Deploy)?;
 
         // Snapshot the pipelet's mutable state before the reload wipes it.
         let snapshot = switch.snapshot_state(pipelet);
 
+        let name = pipelet_program_name(&merged, pipelet);
         switch
-            .load_program(pipelet, program)
+            .load_shared(pipelet, &program, name)
             .map_err(|e| UpgradeError::Deploy(DeployError::Switch(e)))?;
         self.allocations.insert(pipelet, allocation);
-        self.merged = merged;
+        self.merged = Arc::new(merged);
 
         // Reinstall the framework entries of the reloaded pipelet.
         for (p, table, entry) in &self.synthesis.entries {
@@ -426,18 +430,12 @@ impl Deployment {
     }
 }
 
-/// Plans, composes and compiles one pipelet of a placement: the NFs placed
-/// there (the entry NF gated on "no SFC header yet"), in the placement's
-/// mode for the pipelet; vetted under [`crate::lint::pipelet_lint_config`].
-fn build_pipelet(
-    merged: &MergedProgram,
-    placement: &Placement,
-    options: &DeployOptions,
-    pipelet: PipeletId,
-    profile: &TofinoProfile,
-) -> Result<(PipeletPlan, dejavu_p4ir::Program, Allocation), DeployError> {
+/// The plan of one pipelet of a placement: the NFs placed there (the entry
+/// NF gated on "no SFC header yet"), in the placement's mode for the
+/// pipelet.
+fn pipelet_plan(placement: &Placement, options: &DeployOptions, pipelet: PipeletId) -> PipeletPlan {
     let nfs = placement.pipelets.get(&pipelet).into_iter().flatten();
-    let plan = PipeletPlan {
+    PipeletPlan {
         pipelet,
         nfs: nfs
             .map(|n| {
@@ -449,18 +447,101 @@ fn build_pipelet(
             })
             .collect(),
         mode: placement.mode(pipelet),
-    };
+    }
+}
+
+/// Composes, allocates and compiles one pipelet plan, vetted under
+/// [`crate::lint::pipelet_lint_config`].
+fn build_pipelet(
+    merged: &MergedProgram,
+    plan: PipeletPlan,
+    profile: &TofinoProfile,
+) -> Result<(PipeletPlan, LoadableProgram, Arc<Allocation>), DeployError> {
     let program = compose_pipelet(merged, &plan).map_err(DeployError::Compose)?;
     let allocation = StageAllocator::new(profile.clone())
         .with_lint_config(crate::lint::pipelet_lint_config(&program, &plan))
         .compile(&program)
-        .map_err(|error| DeployError::Compile { pipelet, error })?;
-    Ok((plan, program, allocation))
+        .map_err(|error| DeployError::Compile {
+            pipelet: plan.pipelet,
+            error,
+        })?;
+    let program = LoadableProgram::new(program).map_err(DeployError::Switch)?;
+    Ok((plan, program, Arc::new(allocation)))
+}
+
+/// What one [`deploy`] call builds once and shares — or one cluster build,
+/// across its members: the merged namespace of its NFs, and one program
+/// and allocation per distinct pipelet plan. Every call that uses it
+/// passes the same NFs, profile and entry NF.
+///
+/// It is not a cache: it lives for one call, so deploying the same
+/// placement twice builds it twice, and a deploy's cost is what it builds.
+#[derive(Default)]
+pub(crate) struct Builds {
+    merged: Option<Arc<MergedProgram>>,
+    pipelets: Vec<(PipeletPlan, LoadableProgram, Arc<Allocation>)>,
+}
+
+impl Builds {
+    /// The merged namespace of `nfs`, merged on first use.
+    fn merged(&mut self, nfs: &[&NfModule]) -> Result<Arc<MergedProgram>, DeployError> {
+        if let Some(merged) = &self.merged {
+            return Ok(Arc::clone(merged));
+        }
+        let merged = Arc::new(merge_programs("dejavu", nfs).map_err(DeployError::Merge)?);
+        self.merged = Some(Arc::clone(&merged));
+        Ok(merged)
+    }
+
+    /// The program and allocation of `plan`, built the first time a plan
+    /// like it is asked for.
+    fn pipelet(
+        &mut self,
+        merged: &MergedProgram,
+        plan: PipeletPlan,
+        profile: &TofinoProfile,
+    ) -> Result<(&LoadableProgram, &Arc<Allocation>), DeployError> {
+        let built = self
+            .pipelets
+            .iter()
+            .position(|(b, ..)| builds_alike(b, &plan));
+        let at = match built {
+            Some(at) => at,
+            None => {
+                self.pipelets.push(build_pipelet(merged, plan, profile)?);
+                self.pipelets.len() - 1
+            }
+        };
+        let (_, program, allocation) = &self.pipelets[at];
+        Ok((program, allocation))
+    }
+}
+
+/// Two plans build the same program: they agree on everything
+/// [`compose_pipelet`], [`crate::lint::pipelet_lint_config`] and the
+/// allocator read — the gress, the planned NFs with their gates, and the
+/// mode. The pipeline only names the program.
+fn builds_alike(a: &PipeletPlan, b: &PipeletPlan) -> bool {
+    a.pipelet.gress == b.pipelet.gress && a.nfs == b.nfs && a.mode == b.mode
 }
 
 /// Runs the full flow; returns the configured switch and the deployment
 /// handle.
 pub fn deploy(
+    nfs: &[&NfModule],
+    chains: &ChainSet,
+    placement: &Placement,
+    profile: &TofinoProfile,
+    config: &RoutingConfig,
+    options: &DeployOptions,
+) -> Result<(Switch, Deployment), DeployError> {
+    let builds = &mut Builds::default();
+    deploy_with(builds, nfs, chains, placement, profile, config, options)
+}
+
+/// [`deploy`], building what it does not find in `builds`.
+pub(crate) fn deploy_with(
+    builds: &mut Builds,
     nfs: &[&NfModule],
     chains: &ChainSet,
     placement: &Placement,
@@ -481,7 +562,7 @@ pub fn deploy(
     }
     validate_config(chains, profile, config).map_err(DeployError::Routing)?;
 
-    let merged = merge_programs("dejavu", nfs).map_err(DeployError::Merge)?;
+    let merged = builds.merged(nfs)?;
 
     let mut switch = Switch::new(profile.clone());
     let mut allocations = BTreeMap::new();
@@ -492,12 +573,13 @@ pub fn deploy(
     for pipeline in 0..profile.pipelines {
         for gress in [Gress::Ingress, Gress::Egress] {
             let pipelet = PipeletId { pipeline, gress };
-            let (_, program, allocation) =
-                build_pipelet(&merged, placement, options, pipelet, profile)?;
+            let plan = pipelet_plan(placement, options, pipelet);
+            let (program, allocation) = builds.pipelet(&merged, plan, profile)?;
+            let name = pipelet_program_name(&merged, pipelet);
             switch
-                .load_program(pipelet, program)
+                .load_shared(pipelet, program, name)
                 .map_err(DeployError::Switch)?;
-            allocations.insert(pipelet, allocation);
+            allocations.insert(pipelet, Arc::clone(allocation));
         }
     }
 

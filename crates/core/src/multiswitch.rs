@@ -26,7 +26,7 @@ pub use crate::transport::cluster::deploy_cluster;
 pub use crate::transport::cluster::ClusterHandle as ClusterNet;
 
 use crate::chain::ChainSet;
-use crate::deploy::{deploy, DeployError, DeployOptions, Deployment};
+use crate::deploy::{deploy_with, Builds, DeployError, DeployOptions, Deployment};
 use crate::nfmodule::NfModule;
 use crate::routing::{RoutingConfig, SegmentOptions};
 use dejavu_asic::{PortId, Switch, TofinoProfile};
@@ -204,7 +204,9 @@ impl ClusterWiring {
 /// non-decreasing cluster order (the wiring is forward-only). Each member
 /// is deployed as its segment — its own NFs, the rest behind the forward
 /// link — so `deploy`'s commit check (DJV103) walks every member's
-/// installed routing against the model's walk of that member's run.
+/// installed routing against the model's walk of that member's run. The
+/// members' deploys share one merge and build each distinct pipelet plan
+/// once: a member with no NF builds nothing its predecessors have not.
 pub(crate) fn build_cluster_members(
     nfs: &[&NfModule],
     chains: &ChainSet,
@@ -289,6 +291,7 @@ pub(crate) fn build_cluster_members(
         .max()
         .unwrap_or(0);
 
+    let mut builds = Builds::default();
     let mut members = Vec::new();
     for s in 0..n {
         let local = &placement.switches[s];
@@ -320,7 +323,15 @@ pub(crate) fn build_cluster_members(
                 decap_on_exit: is_final,
             }),
         };
-        members.push(deploy(nfs, chains, local, profile, &config, &seg_options)?);
+        members.push(deploy_with(
+            &mut builds,
+            nfs,
+            chains,
+            local,
+            profile,
+            &config,
+            &seg_options,
+        )?);
         // A live cluster's threads may share this core: let them run
         // between member builds. A migration builds while traffic is in
         // the air, and whatever the workers have not finished when it

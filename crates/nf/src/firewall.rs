@@ -312,7 +312,7 @@ mod tests {
         assert_eq!(pp.get(&sfc_field("drop_flag")).unwrap().raw(), 0);
         let digests = tables.take_digests();
         assert_eq!(digests.len(), 1);
-        assert_eq!(digests[0].name, FW_CONN_STREAM);
+        assert_eq!(&*digests[0].name, FW_CONN_STREAM);
         let vals: Vec<u128> = digests[0].values.iter().map(|v| v.raw()).collect();
         assert_eq!(vals, vec![0x08080808, 0x0a000001]);
     }

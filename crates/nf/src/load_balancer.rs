@@ -372,7 +372,7 @@ mod tests {
         // Digest pins (hash, backend).
         let digests = tables.take_digests();
         assert_eq!(digests.len(), 1);
-        assert_eq!(digests[0].name, AFFINITY_STREAM);
+        assert_eq!(&*digests[0].name, AFFINITY_STREAM);
         let vals: Vec<u128> = digests[0].values.iter().map(|v| v.raw()).collect();
         assert_eq!(vals, vec![u128::from(t.session_hash()), expected]);
     }

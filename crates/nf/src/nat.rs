@@ -283,7 +283,7 @@ mod tests {
         // Digest carries the *original* source, the port, and the public IP.
         let digests = tables.take_digests();
         assert_eq!(digests.len(), 1);
-        assert_eq!(digests[0].name, NAT_FLOW_STREAM);
+        assert_eq!(&*digests[0].name, NAT_FLOW_STREAM);
         let vals: Vec<u128> = digests[0].values.iter().map(|v| v.raw()).collect();
         assert_eq!(vals, vec![0x0a000005, 40000, 0xc0a80001]);
     }

@@ -11,11 +11,14 @@
 
 use dejavu_asic::{PipeletId, PortId, Switch, TofinoProfile};
 use dejavu_core::deploy::{deploy, DeployOptions, Deployment};
-use dejavu_core::placement::Placement;
+use dejavu_core::multiswitch::ClusterProblem;
+use dejavu_core::orchestrator::FleetProblem;
+use dejavu_core::placement::{Placement, PlacementProblem};
 use dejavu_core::routing::RoutingConfig;
-use dejavu_core::{ChainSet, NfModule};
-use dejavu_nf::{classifier, firewall, load_balancer, router, vgw};
+use dejavu_core::{ChainPolicy, ChainSet, NfModule};
+use dejavu_nf::{classifier, firewall, load_balancer, nat, router, vgw};
 use dejavu_p4ir::table::TableEntry;
+use std::collections::BTreeMap;
 
 /// Port where external traffic enters (pipeline 0).
 pub const IN_PORT: PortId = 0;
@@ -405,4 +408,34 @@ pub fn acl_entry(
         action_args: args,
         priority: rule.priority,
     }
+}
+
+/// The replacement fleet of `tests/replacement.rs` and `migrate_live`:
+/// chain 1 classifier → nat → router, chain 2 classifier → mark_a (weights
+/// 1 and 6), three members of one 12-stage pipeline each. Its NFs are
+/// [`replacement_fleet_nfs`], the classifier its entry NF.
+pub fn replacement_fleet() -> FleetProblem {
+    let chains = ChainSet::new(vec![
+        ChainPolicy::new(1, "nat_path", vec!["classifier", "nat", "router"], 1.0),
+        ChainPolicy::new(2, "mark_path", vec!["classifier", "mark_a"], 6.0),
+    ])
+    .expect("two valid chains");
+    let stages: BTreeMap<String, u32> =
+        [("classifier", 2), ("nat", 6), ("router", 2), ("mark_a", 2)]
+            .into_iter()
+            .map(|(n, s)| (n.to_string(), s))
+            .collect();
+    let mut template = PlacementProblem::new(chains, stages);
+    template.pipelines = 1;
+    FleetProblem::new(ClusterProblem::new(template, 3))
+}
+
+/// The NF modules of [`replacement_fleet`].
+pub fn replacement_fleet_nfs() -> Vec<NfModule> {
+    vec![
+        classifier::classifier(),
+        nat::dynamic_nat(),
+        router::router(),
+        marker_nf("mark_a", 0),
+    ]
 }

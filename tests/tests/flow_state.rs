@@ -270,7 +270,7 @@ fn failed_install_does_not_discard_the_rest_of_the_learn_batch() {
         .clone()
         .drain_digests()
         .into_iter()
-        .map(|(_, r)| r.name)
+        .map(|(_, r)| r.name.to_string())
         .collect();
     assert_eq!(queued, ["nat__nat_flow", "firewall__conn"]);
 

@@ -18,15 +18,15 @@
 use dejavu_asic::{PipeletId, Switch, TofinoProfile};
 use dejavu_core::compose::names;
 use dejavu_core::deploy::{deploy, DeployOptions, Deployment};
-use dejavu_core::multiswitch::{deploy_cluster, ClusterPlacement, ClusterProblem, ClusterWiring};
-use dejavu_core::orchestrator::{ExhaustiveSearch, FleetProblem, PlacementSearch};
+use dejavu_core::multiswitch::{deploy_cluster, ClusterPlacement, ClusterWiring};
+use dejavu_core::orchestrator::{ExhaustiveSearch, PlacementSearch};
 use dejavu_core::placement::{Placement, PlacementProblem};
 use dejavu_core::routing::{RoutingConfig, RoutingSynthesis};
 use dejavu_core::{ChainPolicy, ChainSet, NfModule};
 use dejavu_integration::{
-    deploy_markers, fig9_testbed, marker_nf, EXIT_PORT, LOOPBACK_PORT_P0, LOOPBACK_PORT_P1,
+    deploy_markers, fig9_testbed, marker_nf, replacement_fleet, replacement_fleet_nfs, EXIT_PORT,
+    LOOPBACK_PORT_P0, LOOPBACK_PORT_P1,
 };
-use dejavu_nf::{classifier, nat::dynamic_nat, router};
 use std::collections::BTreeMap;
 
 /// FNV-1a over the rendered `(pipelet, table, entry)` triples, in order.
@@ -279,34 +279,10 @@ fn fig2_pipelet_programs_are_pinned() {
     assert_pinned("Fig. 2 optimum programs", fnv, 0x6454_0e3b_ffea_c307);
 }
 
-/// The replacement fleet (`tests/replacement.rs`, `migrate_live`): chain 1
-/// classifier → nat → router, chain 2 classifier → mark_a, three members
-/// of one 12-stage pipeline each.
-fn replacement_fleet() -> FleetProblem {
-    let chains = ChainSet::new(vec![
-        chain(1, "nat_path", &["classifier", "nat", "router"]),
-        ChainPolicy::new(2, "mark_path", vec!["classifier", "mark_a"], 6.0),
-    ])
-    .unwrap();
-    let stages: BTreeMap<String, u32> =
-        [("classifier", 2), ("nat", 6), ("router", 2), ("mark_a", 2)]
-            .into_iter()
-            .map(|(n, s)| (n.to_string(), s))
-            .collect();
-    let mut template = PlacementProblem::new(chains, stages);
-    template.pipelines = 1;
-    FleetProblem::new(ClusterProblem::new(template, 3))
-}
-
 #[test]
 fn replacement_fleet_pipelet_programs_are_pinned() {
     let fleet = replacement_fleet();
-    let nfs = [
-        classifier::classifier(),
-        dynamic_nat(),
-        router::router(),
-        marker_nf("mark_a", 0),
-    ];
+    let nfs = replacement_fleet_nfs();
     let refs: Vec<&NfModule> = nfs.iter().collect();
     let options = DeployOptions {
         entry_nf: Some("classifier".into()),
