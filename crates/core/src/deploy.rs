@@ -625,10 +625,12 @@ fn check_routing(switch: &Switch, deployment: &Deployment) -> Result<(), DeployE
 mod tests {
     use super::*;
     use crate::chain::ChainPolicy;
+    use crate::compose::names;
     use crate::sfc::sfc_header_type;
     use dejavu_p4ir::builder::*;
     use dejavu_p4ir::fref;
     use dejavu_p4ir::well_known;
+    use dejavu_p4ir::Program;
 
     /// Marker NF: on any IPv4 packet, XORs a bit pattern into src_addr so
     /// traversal order is observable.
@@ -707,6 +709,50 @@ mod tests {
         assert_eq!(table, "alpha__work");
         // Allocations recorded for all four pipelets.
         assert_eq!(deployment.allocations.len(), 4);
+    }
+
+    #[test]
+    fn pipelets_with_one_plan_share_one_build() {
+        // One NF, in egress 0: both ingress pipelets are empty and share
+        // one plan; the empty egress is not their alike.
+        let a = marker_nf("alpha", 0);
+        let chains = ChainSet::new(vec![ChainPolicy::new(1, "a", vec!["alpha"], 1.0)]).unwrap();
+        let placement = Placement::sequential(vec![(PipeletId::egress(0), vec!["alpha"])]);
+        let config = RoutingConfig {
+            loopback_port: [(0, 15), (1, 31)].into_iter().collect(),
+            exit_ports: [(1u16, 2u16)].into_iter().collect(),
+            ..Default::default()
+        };
+        let (profile, options) = (TofinoProfile::wedge_100b_32x(), DeployOptions::default());
+        let deploy_once = |builds: &mut Builds| {
+            let (nfs, chains) = (&[&a], &chains);
+            deploy_with(builds, nfs, chains, &placement, &profile, &config, &options).unwrap()
+        };
+        let builds = &mut Builds::default();
+        let (first, _) = deploy_once(builds);
+        assert_eq!(
+            builds.pipelets.len(),
+            3,
+            "empty ingress, alpha, empty egress"
+        );
+        let program = |switch: &Switch, p| switch.program(p).unwrap() as *const Program;
+        let (i0, i1, e1) = (
+            PipeletId::ingress(0),
+            PipeletId::ingress(1),
+            PipeletId::egress(1),
+        );
+        assert_eq!(program(&first, i0), program(&first, i1));
+        assert!(first.program(e1).unwrap().tables.contains_key(names::DECAP));
+        for p in [i0, i1] {
+            let label = first.snapshot_state(p).unwrap().program;
+            assert_eq!(label, format!("dejavu@{p}"), "each pipelet's own label");
+        }
+        // A second deploy through the same table builds nothing.
+        let (second, _) = deploy_once(builds);
+        assert_eq!(builds.pipelets.len(), 3);
+        for p in first.loaded_pipelets() {
+            assert_eq!(program(&first, p), program(&second, p), "{p}");
+        }
     }
 
     #[test]

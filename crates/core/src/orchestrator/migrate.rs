@@ -11,6 +11,10 @@
 //! * **BUILD** — compile the new placement into fresh `(Switch,
 //!   Deployment)` members *before* touching traffic; a placement that
 //!   fails to deploy aborts the migration with the old cluster intact.
+//!   The members' deploys merge the NF set once and build each distinct
+//!   pipelet plan once, sharing the program across every pipelet and
+//!   member with that plan; nothing is kept from one BUILD to the next,
+//!   so a migration always compiles what it loads.
 //! * **PAUSE** — `pause_ingress`: park new injections and quiesce until
 //!   every in-flight packet has delivered or nacked. Packets injected
 //!   during the window are queued, never rejected. A member learns each
