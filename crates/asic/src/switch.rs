@@ -418,11 +418,6 @@ impl LoadableProgram {
             parser_depth,
         })
     }
-
-    /// The program.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
 }
 
 /// Everything a load puts on one pipelet.
@@ -897,10 +892,9 @@ impl Switch {
         let Some(Some(loaded)) = self.slots.get_mut(pipelet.slot()) else {
             return;
         };
-        let records = loaded.tables.drain_digests();
-        if records.len() == 0 {
+        let Some(records) = loaded.tables.drain_digests() else {
             return;
-        }
+        };
         let queue = self.digest_queues.entry(pipelet.pipeline).or_default();
         for record in records {
             if queue.len() >= self.digest_capacity {

@@ -597,9 +597,10 @@ impl TableState {
 
     /// Drains the digests emitted since the last drain, keeping the list's
     /// capacity (the switch moves them into its bounded per-pipeline queue
-    /// after every pass).
-    pub(crate) fn drain_digests(&mut self) -> std::vec::Drain<'_, DigestRecord> {
-        self.pending_digests.drain(..)
+    /// after every pass); `None` when there are none.
+    pub(crate) fn drain_digests(&mut self) -> Option<std::vec::Drain<'_, DigestRecord>> {
+        let pending = &mut self.pending_digests;
+        (!pending.is_empty()).then(|| pending.drain(..))
     }
 
     /// Removes all entries of a table (counters survive).

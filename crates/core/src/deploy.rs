@@ -322,8 +322,8 @@ impl Deployment {
 
         // Recompose and recompile just this pipelet.
         let plan = pipelet_plan(&self.placement, &self.options, pipelet);
-        let (plan, program, allocation) =
-            build_pipelet(&merged, plan, &self.profile).map_err(UpgradeError::Deploy)?;
+        let (program, allocation) =
+            build_pipelet(&merged, &plan, &self.profile).map_err(UpgradeError::Deploy)?;
 
         // Snapshot the pipelet's mutable state before the reload wipes it.
         let snapshot = switch.snapshot_state(pipelet);
@@ -454,19 +454,19 @@ fn pipelet_plan(placement: &Placement, options: &DeployOptions, pipelet: Pipelet
 /// [`crate::lint::pipelet_lint_config`].
 fn build_pipelet(
     merged: &MergedProgram,
-    plan: PipeletPlan,
+    plan: &PipeletPlan,
     profile: &TofinoProfile,
-) -> Result<(PipeletPlan, LoadableProgram, Arc<Allocation>), DeployError> {
-    let program = compose_pipelet(merged, &plan).map_err(DeployError::Compose)?;
+) -> Result<(LoadableProgram, Arc<Allocation>), DeployError> {
+    let program = compose_pipelet(merged, plan).map_err(DeployError::Compose)?;
     let allocation = StageAllocator::new(profile.clone())
-        .with_lint_config(crate::lint::pipelet_lint_config(&program, &plan))
+        .with_lint_config(crate::lint::pipelet_lint_config(&program, plan))
         .compile(&program)
         .map_err(|error| DeployError::Compile {
             pipelet: plan.pipelet,
             error,
         })?;
     let program = LoadableProgram::new(program).map_err(DeployError::Switch)?;
-    Ok((plan, program, Arc::new(allocation)))
+    Ok((program, Arc::new(allocation)))
 }
 
 /// What one [`deploy`] call builds once and shares — or one cluster build,
@@ -508,7 +508,8 @@ impl Builds {
         let at = match built {
             Some(at) => at,
             None => {
-                self.pipelets.push(build_pipelet(merged, plan, profile)?);
+                let (program, allocation) = build_pipelet(merged, &plan, profile)?;
+                self.pipelets.push((plan, program, allocation));
                 self.pipelets.len() - 1
             }
         };
