@@ -291,7 +291,7 @@ pub(crate) fn build_cluster_members(
         .max()
         .unwrap_or(0);
 
-    let mut builds = Builds::default();
+    let builds = &mut Builds::default();
     let mut members = Vec::new();
     for s in 0..n {
         let local = &placement.switches[s];
@@ -323,15 +323,8 @@ pub(crate) fn build_cluster_members(
                 decap_on_exit: is_final,
             }),
         };
-        members.push(deploy_with(
-            &mut builds,
-            nfs,
-            chains,
-            local,
-            profile,
-            &config,
-            &seg_options,
-        )?);
+        let member = deploy_with(builds, nfs, chains, local, profile, &config, &seg_options)?;
+        members.push(member);
         // A live cluster's threads may share this core: let them run
         // between member builds. A migration builds while traffic is in
         // the air, and whatever the workers have not finished when it
