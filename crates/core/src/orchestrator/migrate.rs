@@ -5,7 +5,7 @@
 //! state machine documented in DESIGN.md:
 //!
 //! ```text
-//! BUILD → PAUSE → SNAPSHOT → SWAP → RESTORE → RESUME
+//! BUILD → PAUSE → SNAPSHOT → SWAP → RESUME
 //! ```
 //!
 //! * **BUILD** — compile the new placement into fresh `(Switch,
@@ -25,15 +25,13 @@
 //!   each NF's tables can land wherever the new placement puts them. An
 //!   NF's slice is taken from its old home pipelet only: every composed
 //!   pipelet carries the whole merged namespace, so the others hold a
-//!   dormant, empty copy of its tables and registers.
-//! * **SWAP** — `swap_member` on every member: each newcomer goes live
-//!   with its predecessor's telemetry setting and clock, and its ack
-//!   points the NF → member routing (installs, punt remedies,
-//!   [`ClusterHandle::switch_of`]) at it for every NF it hosts. Its
-//!   dynamic state is empty.
-//! * **RESTORE** — `restore_state` each NF's slice onto its new (switch,
-//!   pipelet) home; entries are stamped at the clock the swap carried
-//!   over, and dropped entries are reported, not silently lost.
+//!   dormant, empty copy of its tables and registers. Slices are grouped
+//!   by each NF's new member and addressed to its new pipelet.
+//! * **SWAP** — `swap_member` on every member, carrying its slices: the
+//!   worker restores them onto the newcomer at its predecessor's clock
+//!   before it goes live, and its ack points the NF → member routing
+//!   (installs, punt remedies, [`ClusterHandle::switch_of`]) at it for
+//!   every NF it hosts. A failed restore leaves the outgoing member live.
 //! * **RESUME** — `resume_ingress`: release parked traffic in arrival
 //!   order. Migration downtime is the PAUSE→RESUME wall-clock span.
 
@@ -55,38 +53,6 @@ pub struct NfMove {
     pub from: usize,
     /// New cluster position.
     pub to: usize,
-}
-
-/// The difference between two cluster placements: which NFs move.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlacementDelta {
-    /// NFs whose switch changes, in canonical order.
-    pub moves: Vec<NfMove>,
-}
-
-impl PlacementDelta {
-    /// Diffs two placements over the given NFs. NFs unplaced on either
-    /// side are skipped (the deploy layer rejects them anyway).
-    pub fn between(old: &ClusterPlacement, new: &ClusterPlacement, nfs: &[String]) -> Self {
-        let moves = nfs
-            .iter()
-            .filter_map(|nf| {
-                let from = old.switch_of(nf)?;
-                let to = new.switch_of(nf)?;
-                (from != to).then(|| NfMove {
-                    nf: nf.clone(),
-                    from,
-                    to,
-                })
-            })
-            .collect();
-        PlacementDelta { moves }
-    }
-
-    /// No NF changes switches.
-    pub fn is_empty(&self) -> bool {
-        self.moves.is_empty()
-    }
 }
 
 /// Everything needed to rebuild cluster members for a new placement —
@@ -137,8 +103,9 @@ pub enum MigrationError {
     Deploy(DeployError),
     /// A live cluster verb failed. Before the first SWAP (PAUSE or
     /// SNAPSHOT) ingress has been resumed and the old members serve,
-    /// their state untouched. From SWAP on the cluster may be mid-swap,
-    /// with ingress parked, and should be torn down.
+    /// their state untouched. From SWAP on the cluster may be mid-swap
+    /// (the member whose swap failed keeps its old switch), with ingress
+    /// parked, and should be torn down.
     Cluster(ClusterError),
 }
 
@@ -165,35 +132,34 @@ impl From<ClusterError> for MigrationError {
     }
 }
 
-/// Splits a pipelet snapshot into one snapshot per NF of `nfs`, keyed by
-/// the `<nf>__` merged-name prefix the deploy layer scopes tables and
-/// registers with.
-fn split_by_nf<'a>(
-    snap: &StateSnapshot,
-    nfs: impl Iterator<Item = &'a String>,
-) -> Vec<(String, StateSnapshot)> {
-    let mut out = Vec::new();
-    for nf in nfs {
-        let prefix = format!("{nf}__");
-        let mut piece = StateSnapshot::empty(&snap.program);
-        piece.clock = snap.clock;
-        piece.tables = snap
-            .tables
-            .iter()
-            .filter(|t| t.name.starts_with(&prefix))
-            .cloned()
-            .collect();
-        piece.registers = snap
-            .registers
-            .iter()
-            .filter(|r| r.name.starts_with(&prefix))
-            .cloned()
-            .collect();
-        if !piece.tables.is_empty() || !piece.registers.is_empty() {
-            out.push((nf.clone(), piece));
-        }
-    }
-    out
+/// Moves `nf`'s slice out of a pipelet snapshot: the tables and registers
+/// under the `<nf>__` merged-name prefix the deploy layer scopes them
+/// with; `None` when there are none.
+fn cut(snap: &mut StateSnapshot, nf: &str) -> Option<StateSnapshot> {
+    let prefix = format!("{nf}__");
+    let mine = |name: &str| name.starts_with(&prefix);
+    let mut piece = StateSnapshot::empty(&snap.program);
+    piece.clock = snap.clock;
+    piece.tables = snap.tables.extract_if(.., |t| mine(&t.name)).collect();
+    piece.registers = snap.registers.extract_if(.., |r| mine(&r.name)).collect();
+    (!piece.tables.is_empty() || !piece.registers.is_empty()).then_some(piece)
+}
+
+/// The NFs of `nfs` whose switch differs between two placements, in
+/// `nfs` order. NFs unplaced on either side are skipped (the deploy layer
+/// rejects them anyway).
+fn moves(old: &ClusterPlacement, new: &ClusterPlacement, nfs: &[String]) -> Vec<NfMove> {
+    nfs.iter()
+        .filter_map(|nf| {
+            let from = old.switch_of(nf)?;
+            let to = new.switch_of(nf)?;
+            (from != to).then(|| NfMove {
+                nf: nf.clone(),
+                from,
+                to,
+            })
+        })
+        .collect()
 }
 
 /// An NF's home in a cluster placement: its member and pipelet.
@@ -215,7 +181,7 @@ pub fn migrate(
     new_placement: &ClusterPlacement,
 ) -> Result<MigrationOutcome, MigrationError> {
     let nf_names: Vec<String> = spec.chains.all_nfs();
-    let delta = PlacementDelta::between(old_placement, new_placement, &nf_names);
+    let moves = moves(old_placement, new_placement, &nf_names);
 
     // BUILD — before touching traffic, so deploy failures are harmless.
     let members = build_cluster_members(
@@ -235,41 +201,45 @@ pub fn migrate(
     let paused = handle
         .pause_ingress()
         .and_then(|quiesced| Ok((quiesced, handle.snapshot_state()?)));
-    let (quiesced_packets, snapshots) = match paused {
+    let (quiesced_packets, mut snapshots) = match paused {
         Ok(paused) => paused,
         Err(e) => {
             let _ = handle.resume_ingress();
             return Err(e.into());
         }
     };
-    // Split per NF, each from its old home: restoring a dormant copy over
-    // it would reset its idle timeouts and zero its registers.
-    let mut per_nf: Vec<(String, StateSnapshot)> = Vec::new();
-    for (switch, pipelet, snap) in &snapshots {
-        let homed_here = |nf: &&String| home(old_placement, nf) == Some((*switch, *pipelet));
-        per_nf.extend(split_by_nf(snap, nf_names.iter().filter(homed_here)));
-    }
-
-    // SWAP — adopt the new members: empty state, the old clocks, routed to.
-    for (switch, (member_switch, deployment)) in members.into_iter().enumerate() {
-        handle.swap_member(switch, member_switch, deployment)?;
-    }
-
-    // RESTORE — each NF's slice onto its new home.
+    // Cut each NF's slice from its old home only: restoring a dormant copy
+    // over it would reset its idle timeouts and zero its registers. The
+    // slice goes to the NF's new home, grouped by member.
     let mut outcome = MigrationOutcome {
-        moves: delta.moves.clone(),
+        moves,
         quiesced_packets,
         ..MigrationOutcome::default()
     };
-    for (nf, snap) in &per_nf {
-        let Some((switch, pipelet)) = home(new_placement, nf) else {
+    let mut state: Vec<Vec<(PipeletId, StateSnapshot)>> = vec![Vec::new(); members.len()];
+    for nf in &nf_names {
+        let (Some(from), Some((to, at))) = (home(old_placement, nf), home(new_placement, nf))
+        else {
             continue;
         };
-        let restored = handle.restore_state(switch, pipelet, snap)? as u64;
-        outcome.restored_entries += restored;
-        if delta.moves.iter().any(|m| &m.nf == nf) {
-            outcome.flows_migrated += restored;
+        let old_home = snapshots.iter_mut().filter(|(s, p, _)| (*s, *p) == from);
+        for slice in old_home.filter_map(|(.., snap)| cut(snap, nf)) {
+            // It lands on a program built from the same NF, so its swap
+            // restores every entry it carries.
+            if from.0 != to {
+                let entries = slice.tables.iter().map(|t| t.entries.len() as u64);
+                outcome.flows_migrated += entries.sum::<u64>();
+            }
+            state[to].push((at, slice));
         }
+    }
+
+    // SWAP — each newcomer goes live holding its slices, at its
+    // predecessor's clock, routed to.
+    for (switch, (member, slices)) in members.into_iter().zip(state).enumerate() {
+        let (member_switch, deployment) = member;
+        outcome.restored_entries +=
+            handle.swap_member(switch, member_switch, deployment, slices)?;
     }
 
     // RESUME — release parked traffic; downtime window closes.

@@ -1190,26 +1190,26 @@ impl ClusterHandle {
     }
 
     /// Replaces one member's switch and deployment with a freshly built
-    /// pair, live. The newcomer keeps the telemetry setting and the clock
-    /// of the member it replaces, and once it acks, the NF → member map
-    /// (the controller's, which routes installs and punt remedies, and
-    /// [`switch_of`](Self::switch_of)'s) names it for every NF its
-    /// deployment hosts. The swap is transparent to peers — wiring,
-    /// inboxes and links are untouched — but the new member starts with
-    /// empty dynamic state: callers are expected to quiesce first and
-    /// restore state after (the orchestrator's migration driver sequences
-    /// this).
+    /// pair, live. The newcomer takes the telemetry setting and the clock
+    /// of the member it replaces, then `state` is restored onto it before
+    /// it goes live; returns the entries restored. Once it acks, the NF →
+    /// member map (the controller's, which routes installs and punt
+    /// remedies, and [`switch_of`](Self::switch_of)'s) names it for every
+    /// NF its deployment hosts. A failed restore is [`ClusterError::Remote`]
+    /// and leaves the outgoing member live. Wiring, inboxes and links are
+    /// untouched; callers quiesce first (the migration driver does).
     pub fn swap_member(
         &mut self,
         switch: usize,
         member_switch: Switch,
         deployment: Deployment,
-    ) -> Result<(), ClusterError> {
+        state: Vec<(PipeletId, StateSnapshot)>,
+    ) -> Result<u64, ClusterError> {
         self.member(switch)?;
         let mut nf_switch = self.nf_switch.clone();
         host_nfs(&mut nf_switch, switch, &deployment);
         let routed = nf_switch.clone();
-        self.call("swap_member", move |c, reply| {
+        let restored = self.call("swap_member", move |c, reply| {
             // The tag keeps a member whose command the link refuses from
             // being adopted by the next swap.
             let seq = c.seq();
@@ -1227,10 +1227,10 @@ impl ClusterHandle {
                 }
                 let _ = reply.send(acked);
             });
-            c.command(switch, ControlMsg::SwapMember { seq }, then)
+            c.command(switch, ControlMsg::SwapMember { seq, state }, then)
         })?;
         self.nf_switch = nf_switch;
-        Ok(())
+        Ok(restored)
     }
 
     /// Stops every worker and the controller. Idempotent; also invoked on

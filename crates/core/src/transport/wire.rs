@@ -91,6 +91,12 @@
 //! `nf stream table action:str`, then key and argument field lists of
 //! `u32`), and [`TelemetryMsg::DrainDone`] carries the digests and installs
 //! learned since the member's last drain.
+//!
+//! # Version 6: a swapped-in member arrives holding its state
+//!
+//! [`ControlMsg::SwapMember`] is `seq:u64 items`, every NF slice its
+//! newcomer will host in [`TelemetryMsg::Snapshot`]'s `items := n:u32
+//! { pipelet snapshot }`, so a migration sends no [`ControlMsg::RestoreState`].
 
 use crate::control_plane::LearnPolicy;
 use dejavu_asic::state::{RegisterSnapshot, TableSnapshot, SNAPSHOT_FORMAT_VERSION};
@@ -106,7 +112,7 @@ use std::fmt;
 /// First two bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xDEFA;
 /// Current wire-format revision. Bump on any incompatible layout change.
-pub const WIRE_VERSION: u8 = 5;
+pub const WIRE_VERSION: u8 = 6;
 /// Fixed frame header size: magic + version + class + payload length.
 pub const HEADER_LEN: usize = 8;
 /// Fixed frame trailer size: the CRC-32 of header and payload.
@@ -319,16 +325,16 @@ pub enum ControlMsg {
     },
     /// Swap in the member staged on the worker's in-process side channel
     /// (see [`SwitchWorker::swap_rx`](super::worker::SwitchWorker)): the
-    /// worker replaces its switch and deployment with the staged pair,
-    /// carries its telemetry setting and clock over to the newcomer, and
-    /// acks; the ack is what re-points the controller's NF → member map.
-    /// The re-placement orchestrator uses this to install a new
-    /// cluster-wide placement without restarting workers; a worker with no
-    /// staged member (e.g. a genuinely remote process, which has no side
-    /// channel) nacks instead of guessing.
+    /// worker carries its telemetry setting and clock over to the staged
+    /// switch, restores `state` onto it, then adopts the staged pair and
+    /// acks with the entries restored; the ack re-points the controller's
+    /// NF → member map. A failed restore, or no staged member (e.g. a
+    /// remote process, which has no side channel), nacks instead.
     SwapMember {
         /// Reply correlation.
         seq: u64,
+        /// `(pipelet, snapshot)` for every NF slice the newcomer hosts.
+        state: Vec<(PipeletId, StateSnapshot)>,
     },
     /// Stop the worker's event loop. Acked before the worker exits.
     Shutdown {
@@ -361,7 +367,7 @@ impl ControlMsg {
             | ControlMsg::ScrapeMetrics { seq }
             | ControlMsg::SnapshotState { seq }
             | ControlMsg::RestoreState { seq, .. }
-            | ControlMsg::SwapMember { seq }
+            | ControlMsg::SwapMember { seq, .. }
             | ControlMsg::Shutdown { seq }
             | ControlMsg::RegisterLearnPolicy { seq, .. } => *seq,
         }
@@ -542,6 +548,12 @@ impl Enc {
             e.list(&r.cells, |e, c| e.u128(*c));
         });
     }
+    fn items(&mut self, items: &[(PipeletId, StateSnapshot)]) {
+        self.list(items, |e, (p, snapshot)| {
+            e.pipelet(*p);
+            e.snapshot(snapshot);
+        });
+    }
     fn pipelet(&mut self, p: PipeletId) {
         self.u8(match p.gress {
             Gress::Ingress => 0,
@@ -677,9 +689,10 @@ pub fn encode(msg: &Message) -> Vec<u8> {
                     e.u8(8);
                     e.u64(*seq);
                 }
-                ControlMsg::SwapMember { seq } => {
+                ControlMsg::SwapMember { seq, state } => {
                     e.u8(9);
                     e.u64(*seq);
+                    e.items(state);
                 }
                 ControlMsg::RegisterLearnPolicy {
                     seq,
@@ -735,10 +748,7 @@ pub fn encode(msg: &Message) -> Vec<u8> {
                 TelemetryMsg::Snapshot { seq, items } => {
                     e.u8(5);
                     e.u64(*seq);
-                    e.list(items, |e, (p, snapshot)| {
-                        e.pipelet(*p);
-                        e.snapshot(snapshot);
-                    });
+                    e.items(items);
                 }
                 TelemetryMsg::Evictions { seq, evictions } => {
                     e.u8(6);
@@ -915,6 +925,9 @@ impl<'a> Dec<'a> {
             registers,
         })
     }
+    fn items(&mut self) -> Result<Vec<(PipeletId, StateSnapshot)>, WireError> {
+        self.list(|d| Ok((d.pipelet()?, d.snapshot()?)))
+    }
     fn pipelet(&mut self) -> Result<PipeletId, WireError> {
         let gress = match self.u8()? {
             0 => Gress::Ingress,
@@ -1074,7 +1087,10 @@ pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
                     snapshot: d.snapshot()?,
                 },
                 8 => ControlMsg::Shutdown { seq: d.u64()? },
-                9 => ControlMsg::SwapMember { seq: d.u64()? },
+                9 => ControlMsg::SwapMember {
+                    seq: d.u64()?,
+                    state: d.items()?,
+                },
                 10 => ControlMsg::RegisterLearnPolicy {
                     seq: d.u64()?,
                     nf: d.str()?,
@@ -1117,7 +1133,7 @@ pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
                 },
                 5 => TelemetryMsg::Snapshot {
                     seq: d.u64()?,
-                    items: d.list(|d| Ok((d.pipelet()?, d.snapshot()?)))?,
+                    items: d.items()?,
                 },
                 6 => TelemetryMsg::Evictions {
                     seq: d.u64()?,

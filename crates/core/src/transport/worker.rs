@@ -55,7 +55,8 @@ pub struct SwitchWorker {
     /// In-process side channel for live member replacement: the controller
     /// stages a freshly built `(Switch, Deployment)` pair here, tagged with
     /// the seq of the [`ControlMsg::SwapMember`] it then sends over the
-    /// wire to make the worker adopt it. `Switch` is not wire-serializable, so a genuinely remote worker
+    /// wire with the newcomer's state, adopted only once it is restored.
+    /// `Switch` is not wire-serializable, so a genuinely remote worker
     /// (no side channel sender alive) nacks the swap — live re-placement
     /// over real process boundaries needs a program-shipping bootstrap
     /// protocol (ROADMAP).
@@ -248,7 +249,7 @@ impl SwitchWorker {
                 let restored = self.switch.restore_state(pipelet, &snapshot);
                 self.answer(seq, restored.map(|r| r.restored_entries as u64));
             }
-            ControlMsg::SwapMember { .. } => {
+            ControlMsg::SwapMember { state, .. } => {
                 // The staged member was sent on the side channel before the
                 // wire command, so it is already queued (or will never
                 // arrive: nack rather than block the data path). One staged
@@ -256,18 +257,28 @@ impl SwitchWorker {
                 // is dropped here.
                 let staged = std::iter::from_fn(|| self.swap_rx.try_recv().ok())
                     .find(|(tag, ..)| *tag == seq);
-                match staged {
-                    Some((_, mut switch, deployment)) => {
-                        // The newcomer behaves like the member it replaces
-                        // and goes live at its clock, so state restored
-                        // onto it is stamped at the time the cluster reads.
-                        switch.set_telemetry(self.switch.telemetry_enabled());
-                        switch.advance_time(self.switch.now());
-                        self.switch = switch;
+                let Some((_, mut switch, deployment)) = staged else {
+                    self.nack(seq, "no staged member to swap in");
+                    return false;
+                };
+                // The newcomer takes its predecessor's clock before its
+                // state, so restored entries are stamped at the cluster's.
+                switch.set_telemetry(self.switch.telemetry_enabled());
+                switch.advance_time(self.switch.now());
+                let restored: Result<u64, _> = state
+                    .iter()
+                    .map(|(pipelet, snap)| switch.restore_state(*pipelet, snap))
+                    .map(|report| report.map(|r| r.restored_entries as u64))
+                    .sum();
+                match restored {
+                    Ok(entries) => {
+                        // Freed after the ack, outside the round trip.
+                        let retired = std::mem::replace(&mut self.switch, switch);
                         self.deployment = deployment;
-                        self.send_up(TelemetryMsg::Ack { seq, info: 0 });
+                        self.send_up(TelemetryMsg::Ack { seq, info: entries });
+                        drop(retired);
                     }
-                    None => self.nack(seq, "no staged member to swap in"),
+                    Err(e) => self.nack(seq, &e.to_string()),
                 }
             }
             ControlMsg::Shutdown { .. } => {

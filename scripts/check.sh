@@ -236,17 +236,18 @@ if grep -rnE 'TelemetryMsg::Digests|learn_outstanding|maybe_finish_flush' \
 fi
 
 # One-live-step gate: a member swapped in goes live at its predecessor's
-# clock (the worker's `SwapMember` arm) and routed to (`swap_member` points
-# the NF -> member maps at it when it acks), and a member learns each
-# packet's digests before forwarding it. So `migrate` flushes no digests,
-# resyncs no clock and remaps no NF, and no remap verb exists to call.
-# `swap_member(` must be found in migrate.rs, so a rename cannot pass the
-# gate by matching nothing.
+# clock, holding its state (the worker's `SwapMember` arm restores the
+# slices the swap carries before it adopts the newcomer) and routed to
+# (`swap_member` points the NF -> member maps at it when it acks), and a
+# member learns each packet's digests before forwarding it. So `migrate`
+# flushes no digests, resyncs no clock, restores no state and remaps no
+# NF, and no remap verb exists to call. `swap_member(` must be found in
+# migrate.rs, so a rename cannot pass the gate by matching nothing.
 migrate_src=crates/core/src/orchestrator/migrate.rs
 if ! grep -q 'swap_member(' "$migrate_src" ||
-    grep -nE 'process_digests|advance_time|remap_nfs' "$migrate_src" ||
+    grep -nE 'process_digests|advance_time|restore_state\(|remap_nfs' "$migrate_src" ||
     grep -rn 'remap_nfs' crates/core/src; then
-    echo "migration orders a clock, a flush or the NF routing by hand again (see DESIGN.md, Hitless migration)" >&2
+    echo "migration orders a clock, a flush, a restore or the NF routing by hand again (see DESIGN.md, Hitless migration)" >&2
     exit 1
 fi
 

@@ -2,10 +2,11 @@
 //! ASIC deployed across wired back-to-back switches, driven packet by
 //! packet through the whole cluster.
 
+use dejavu_asic::state::TableSnapshot;
 use dejavu_asic::switch::Disposition;
-use dejavu_asic::{InjectedPacket, PipeletId, TofinoProfile};
+use dejavu_asic::{InjectedPacket, PipeletId, StateSnapshot, Switch, TofinoProfile};
 use dejavu_core::control_plane::{rewind_and_clear, ControlPlane, PuntHandler, PuntResponse};
-use dejavu_core::deploy::{deploy, DeployError, DeployOptions};
+use dejavu_core::deploy::{deploy, DeployError, DeployOptions, Deployment};
 use dejavu_core::multiswitch::{
     deploy_cluster, ClusterConfigError, ClusterNet, ClusterPlacement, ClusterWiring,
 };
@@ -24,6 +25,7 @@ use dejavu_nf::nat::{
     dynamic_nat, nat_learn_policy, nat_out_entry, NAT_FLOW_STREAM, NAT_IN_TABLE, NAT_OUT_TABLE,
 };
 use dejavu_nf::{classifier, firewall, load_balancer, router, vgw};
+use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use std::time::Duration;
 
 /// The NAT's public address.
@@ -79,6 +81,24 @@ fn six_nf_cluster() -> ClusterNet {
 fn marks(frame: &[u8]) -> u32 {
     let src = u32::from_be_bytes(frame[26..30].try_into().unwrap());
     src ^ 0x0a00_0001
+}
+
+/// A marker's `work` entry that lets TCP pass unmarked.
+fn pass_tcp() -> TableEntry {
+    TableEntry {
+        matches: vec![KeyMatch::Exact(dejavu_p4ir::Value::new(6, 8))],
+        action: "pass".into(),
+        action_args: vec![],
+        priority: 0,
+    }
+}
+
+/// `entry` as `nf`'s pipelet holds it: its action in merged names.
+fn merged(entry: TableEntry, nf: &str) -> TableEntry {
+    TableEntry {
+        action: format!("{nf}__{}", entry.action),
+        ..entry
+    }
 }
 
 /// Turns telemetry on for every member of an inline cluster.
@@ -262,18 +282,7 @@ fn cluster_install_routes_rules_to_owning_switch() {
     assert_eq!(net.switch_of("ghost"), None);
     // Installing through the cluster API lands on the right switch: make
     // n5's marker pass instead of mark for TCP.
-    use dejavu_p4ir::table::{KeyMatch, TableEntry};
-    net.install(
-        "n5",
-        "work",
-        TableEntry {
-            matches: vec![KeyMatch::Exact(dejavu_p4ir::Value::new(6, 8))],
-            action: "pass".into(),
-            action_args: vec![],
-            priority: 0,
-        },
-    )
-    .unwrap();
+    net.install("n5", "work", pass_tcp()).unwrap();
     telemetry_on(&mut net);
     let hits_before = table_counts(&mut net, "table_hits", "n5__work");
     let t = net
@@ -288,17 +297,11 @@ fn cluster_install_routes_rules_to_owning_switch() {
     assert_eq!(marks(&t.final_bytes), 0b01_1111);
 }
 
-/// A member swapped in goes live routed to and on the cluster's clock: once
-/// `swap_member` acks, `switch_of` names it for every NF its deployment
-/// hosts, and it reads the clock of the member it replaced.
-#[test]
-fn a_swapped_in_member_is_routed_to_at_the_cluster_clock() {
+/// A replacement for member 1 of [`six_nf_cluster`] that also hosts n2,
+/// which member 0 hosted.
+fn member_one_replacement() -> (Switch, Deployment) {
     let (nfs, chains, _) = six_nf_setup();
     let refs: Vec<_> = nfs.iter().collect();
-    let mut net = six_nf_cluster();
-    net.advance_time(5).unwrap();
-
-    // Member 1's replacement also hosts n2, which member 0 hosted.
     let placement = Placement::sequential(vec![
         (PipeletId::ingress(0), vec!["n2", "n3", "n4"]),
         (PipeletId::egress(0), vec!["n5"]),
@@ -317,10 +320,31 @@ fn a_swapped_in_member_is_routed_to_at_the_cluster_clock() {
         honor_out_port: false,
     };
     let profile = TofinoProfile::wedge_100b_32x();
-    let (switch, deployment) = deploy(&refs, &chains, &placement, &profile, &config, &options)
-        .expect("the replacement deploys");
+    deploy(&refs, &chains, &placement, &profile, &config, &options)
+        .expect("the replacement deploys")
+}
+
+/// A member swapped in goes live routed to, on the cluster's clock and
+/// holding its state: once `swap_member` acks, `switch_of` names it for
+/// every NF its deployment hosts, it reads the clock of the member it
+/// replaced, and the slice it carried was restored at that clock.
+#[test]
+fn a_swapped_in_member_is_routed_to_at_the_cluster_clock() {
+    let mut net = six_nf_cluster();
+    net.advance_time(5).unwrap();
+
+    // One slice for the newcomer: an n2 rule that ages out after 3 ticks.
+    let rule = merged(pass_tcp(), "n2");
+    let mut slice = StateSnapshot::empty("n2");
+    slice.tables.push(TableSnapshot {
+        name: "n2__work".into(),
+        idle_timeout: Some(3),
+        entries: vec![rule.clone()],
+    });
+    let (switch, deployment) = member_one_replacement();
     assert_eq!(net.switch_of("n2"), Some(0));
-    net.swap_member(1, switch, deployment).unwrap();
+    let state = vec![(PipeletId::ingress(0), slice)];
+    assert_eq!(net.swap_member(1, switch, deployment, state).unwrap(), 1);
 
     for (nf, member) in [
         ("n0", 0),
@@ -333,6 +357,47 @@ fn a_swapped_in_member_is_routed_to_at_the_cluster_clock() {
         assert_eq!(net.switch_of(nf), Some(member), "{nf}");
     }
     assert_eq!(net.switch(1).unwrap().now(), 5, "the newcomer's clock");
+    // Stamped at 5, the rule is 2 ticks idle at 7 and 3 (its timeout) at 8.
+    let n2_rules = |net: &mut ClusterNet| {
+        let tables = net
+            .switch(1)
+            .unwrap()
+            .tables(PipeletId::ingress(0))
+            .unwrap();
+        tables.entries("n2__work").to_vec()
+    };
+    net.advance_time(2).unwrap();
+    assert_eq!(n2_rules(&mut net), [rule], "restored before clock 5");
+    net.advance_time(1).unwrap();
+    assert_eq!(n2_rules(&mut net), [], "restored after clock 5");
+}
+
+/// A swap whose state does not restore is refused by the worker: the
+/// outgoing member stays live, routed to and holding its entries.
+#[test]
+fn a_swap_that_fails_to_restore_keeps_the_outgoing_member() {
+    let mut net = six_nf_cluster();
+    net.install("n3", "work", pass_tcp()).unwrap();
+    let (switch, deployment) = member_one_replacement();
+    // The newcomer has two pipelines: nothing is loaded on a third.
+    let state = vec![(PipeletId::ingress(2), StateSnapshot::empty("n3"))];
+    let err = net.swap_member(1, switch, deployment, state).unwrap_err();
+    assert!(matches!(err, ClusterError::Remote(_)), "got {err}");
+
+    assert_eq!(net.switch_of("n2"), Some(0));
+    assert_eq!(net.switch_of("n3"), Some(1));
+    let tables = net
+        .switch(1)
+        .unwrap()
+        .tables(PipeletId::ingress(0))
+        .unwrap();
+    assert_eq!(tables.entries("n3__work"), [merged(pass_tcp(), "n3")]);
+    let t = net
+        .inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
+        .unwrap();
+    assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
+    // Every marker but n3, whose rule the old member still holds.
+    assert_eq!(marks(&t.final_bytes), 0b11_0111);
 }
 
 #[test]
@@ -370,16 +435,8 @@ fn cluster_state_sync_spans_member_switches() {
     let mut net = six_nf_cluster();
 
     // Dynamic state on both members: one extra rule per switch.
-    let pass_entry = || dejavu_p4ir::table::TableEntry {
-        matches: vec![dejavu_p4ir::table::KeyMatch::Exact(
-            dejavu_p4ir::Value::new(6, 8),
-        )],
-        action: "pass".into(),
-        action_args: vec![],
-        priority: 0,
-    };
-    net.install("n0", "work", pass_entry()).unwrap();
-    net.install("n4", "work", pass_entry()).unwrap();
+    net.install("n0", "work", pass_tcp()).unwrap();
+    net.install("n4", "work", pass_tcp()).unwrap();
 
     // The cluster-wide checkpoint sees the state where it lives.
     let snaps = net.snapshot_state().unwrap();

@@ -13,7 +13,7 @@ use dejavu_asic::MetricsSnapshot;
 use dejavu_asic::{InjectedPacket, PipeletId, TofinoProfile};
 use dejavu_core::deploy::DeployOptions;
 use dejavu_core::multiswitch::{deploy_cluster, ClusterPlacement, ClusterWiring};
-use dejavu_core::orchestrator::{migrate, FleetSpec, MigrationError};
+use dejavu_core::orchestrator::{migrate, FleetSpec, MigrationError, MigrationOutcome};
 use dejavu_core::placement::Placement;
 use dejavu_core::transport::wire::{self, Message, TelemetryMsg};
 use dejavu_core::transport::{
@@ -588,15 +588,17 @@ fn spawn_rejects_invalid_wiring_with_typed_errors() {
 /// [`ChannelTransport`] with the inbox `label` bound here, so the `link`-th
 /// link connected to it can damage the first frame `pick` selects: bit 1
 /// of byte 21, inside the frame's payload — or, [`duplicating`], send it
-/// twice.
+/// twice; or, [`every`], damage each frame it selects.
 ///
 /// [`duplicating`]: DamagingTransport::duplicating
+/// [`every`]: DamagingTransport::every
 struct DamagingTransport {
     inner: ChannelTransport,
     label: &'static str,
     link: usize,
     pick: fn(&Message) -> bool,
     duplicate: bool,
+    every: bool,
     inbox: Option<std::sync::mpsc::Sender<Vec<u8>>>,
     links: usize,
 }
@@ -609,6 +611,7 @@ impl DamagingTransport {
             link,
             pick,
             duplicate: false,
+            every: false,
             inbox: None,
             links: 0,
         }
@@ -621,12 +624,21 @@ impl DamagingTransport {
             ..self
         }
     }
+
+    /// Damages every frame `pick` selects, not only the first.
+    fn every(self) -> Self {
+        DamagingTransport {
+            every: true,
+            ..self
+        }
+    }
 }
 
 struct DamagingSink {
     tx: std::sync::mpsc::Sender<Vec<u8>>,
     pick: Option<fn(&Message) -> bool>,
     duplicate: bool,
+    every: bool,
 }
 
 impl dejavu_core::transport::FrameSink for DamagingSink {
@@ -638,7 +650,9 @@ impl dejavu_core::transport::FrameSink for DamagingSink {
                 } else {
                     frame[21] ^= 1 << 1;
                 }
-                self.pick = None;
+                if !self.every {
+                    self.pick = None;
+                }
             }
         }
         self.tx
@@ -672,6 +686,7 @@ impl Transport for DamagingTransport {
                     tx: tx.clone(),
                     pick: (self.links == self.link).then_some(self.pick),
                     duplicate: self.duplicate,
+                    every: self.every,
                 })))
             }
             _ => self.inner.connect(peer),
@@ -858,6 +873,78 @@ fn a_lost_reply_fails_its_verb_and_the_next_verb_succeeds() {
     handle.shutdown().unwrap();
 }
 
+/// Migrates a [`nat_cluster`] live: the NAT and the router move to switch
+/// 1, the classifier stays on switch 0.
+fn move_the_nat(handle: &mut ClusterHandle) -> Result<MigrationOutcome, MigrationError> {
+    let (nfs, chains, old, deploy) = nat_fleet();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let (profile, wiring) = (TofinoProfile::wedge_100b_32x(), ClusterWiring::default());
+    let spec = FleetSpec {
+        nfs: &refs,
+        chains: &chains,
+        profile: &profile,
+        exit_ports: [(1u16, EXIT_PORT)].into_iter().collect(),
+        wiring: &wiring,
+        deploy: &deploy,
+    };
+    let new = ClusterPlacement {
+        switches: vec![
+            Placement::sequential(vec![(PipeletId::ingress(0), vec!["classifier"])]),
+            Placement::sequential(vec![(PipeletId::ingress(0), vec!["nat", "router"])]),
+        ],
+    };
+    migrate(handle, &spec, &old, &new)
+}
+
+/// A migration carries each newcomer's state on its swap and sends no
+/// `RestoreState`: with every one bound for worker 1, the NAT's new
+/// member, damaged on its way, the migration completes, and every flow
+/// learned before it still translates and ages at the NAT's timeout.
+#[test]
+fn a_migration_sends_no_restore_command() {
+    use dejavu_core::transport::wire::ControlMsg;
+    const TIMEOUT: u64 = 30;
+
+    // The controller's link to worker 1 is the first connected to `w1`.
+    let transport = DamagingTransport::new("w1", 1, |m| {
+        matches!(m, Message::Control(ControlMsg::RestoreState { .. }))
+    });
+    let mut handle = nat_cluster(&mut transport.every(), &damaging_options());
+    handle
+        .register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy())
+        .unwrap();
+    handle
+        .set_idle_timeout("nat", NAT_IN_TABLE, Some(TIMEOUT))
+        .unwrap();
+    for f in 0..FLOWS {
+        handle
+            .inject(InjectedPacket::new(outbound(BASE_PORT + f), IN_PORT))
+            .unwrap();
+    }
+
+    let outcome = move_the_nat(&mut handle).expect("the migration completes");
+    assert_eq!(handle.switch_of("nat"), Some(1));
+    assert_eq!(
+        outcome.flows_migrated,
+        u64::from(FLOWS) + 1,
+        "learned flows + NAT pool"
+    );
+    assert_eq!(handle.metrics_snapshot().unwrap().rejected_frames, 0);
+    for f in 0..FLOWS {
+        let back = handle
+            .inject(InjectedPacket::new(inbound(BASE_PORT + f), IN_PORT))
+            .unwrap();
+        assert_eq!(ip_at(&back.final_bytes, 30), CLIENT, "flow {f}");
+    }
+    let aged = handle.advance_time(TIMEOUT).unwrap();
+    assert_eq!(
+        aged.per_switch[1].evictions,
+        usize::from(FLOWS),
+        "aging lost"
+    );
+    handle.shutdown().unwrap();
+}
+
 #[test]
 fn a_migration_that_fails_before_its_swap_resumes_the_old_cluster() {
     // Worker 0's upstream is the first link connected to `ctrl`.
@@ -878,24 +965,7 @@ fn a_migration_that_fails_before_its_swap_resumes_the_old_cluster() {
         .unwrap();
 
     // The NAT would move to switch 1, but worker 0's snapshot never arrives.
-    let (nfs, chains, old, deploy) = nat_fleet();
-    let refs: Vec<&NfModule> = nfs.iter().collect();
-    let (profile, wiring) = (TofinoProfile::wedge_100b_32x(), ClusterWiring::default());
-    let spec = FleetSpec {
-        nfs: &refs,
-        chains: &chains,
-        profile: &profile,
-        exit_ports: [(1u16, EXIT_PORT)].into_iter().collect(),
-        wiring: &wiring,
-        deploy: &deploy,
-    };
-    let new = ClusterPlacement {
-        switches: vec![
-            Placement::sequential(vec![(PipeletId::ingress(0), vec!["classifier"])]),
-            Placement::sequential(vec![(PipeletId::ingress(0), vec!["nat", "router"])]),
-        ],
-    };
-    let failed = migrate(&mut handle, &spec, &old, &new);
+    let failed = move_the_nat(&mut handle);
     assert!(
         matches!(
             failed,

@@ -220,7 +220,8 @@ fn control_strat() -> BoxedStrategy<ControlMsg> {
                 snapshot,
             }
         }),
-        any::<u64>().prop_map(|seq| ControlMsg::SwapMember { seq }),
+        (any::<u64>(), vec((pipelet_strat(), snapshot_strat()), 0..3))
+            .prop_map(|(seq, state)| ControlMsg::SwapMember { seq, state }),
         any::<u64>().prop_map(|seq| ControlMsg::Shutdown { seq }),
         (any::<u64>(), string_strat(), string_strat(), policy_strat()).prop_map(
             |(seq, nf, stream, policy)| ControlMsg::RegisterLearnPolicy {
@@ -596,12 +597,13 @@ fn damaged_snapshot_frames_never_decode_shorter() {
 }
 
 /// Version 1 carried state as JSON text, version 2 carried table names in
-/// every hop and version 3 had no trailer: a peer on any of them fails
-/// loudly at the header, before any payload is interpreted.
+/// every hop, version 3 had no trailer, version 4 sent digests up a link
+/// and version 5 swapped a member in without its state: a peer on any of
+/// them fails loudly at the header, before any payload is interpreted.
 #[test]
 fn version_one_headers_are_rejected() {
-    assert_eq!(WIRE_VERSION, 5);
-    for old in [1, 2, 3, 4] {
+    assert_eq!(WIRE_VERSION, 6);
+    for old in [1, 2, 3, 4, 5] {
         let mut frame = encode(&Message::Control(ControlMsg::SnapshotState { seq: 2 }));
         frame[2] = old;
         assert_eq!(payload_len(&frame), Err(WireError::UnsupportedVersion(old)));
