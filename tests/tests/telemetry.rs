@@ -246,3 +246,235 @@ fn ptf_rtc_expectations_see_worker_and_pool_series() {
     }
     assert_eq!(covered, 64);
 }
+
+// ---------------------------------------------------------------------
+// Pinned scrapes: every exported series, by name, kind and value.
+// ---------------------------------------------------------------------
+
+const VIP: u32 = 0xc633_6450; // 198.51.100.80
+
+/// FNV-1a over the rows `name \t kind \t value \n`, in name order: a
+/// scrape's whole content in one number.
+fn scrape_hash(snap: &MetricsSnapshot) -> u64 {
+    use dejavu_asic::telemetry::MetricValue;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (name, value) in &snap.metrics {
+        let row = match value {
+            MetricValue::Counter(v) => format!("{name}\tcounter\t{v}\n"),
+            MetricValue::Gauge(v) => format!("{name}\tgauge\t{v}\n"),
+            MetricValue::Histogram(hs) => {
+                format!(
+                    "{name}\thistogram\t{} {} {:?}\n",
+                    hs.count, hs.sum, hs.buckets
+                )
+            }
+        };
+        for b in row.bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The fixed packet mix: each Fig. 2 path to three ports (TCP/22 on path
+/// 1 is the firewall's deny), a flow outside every chain, and an
+/// injection on a port the switch does not have.
+fn packet_mix() -> Vec<(Vec<u8>, PortId)> {
+    use dejavu_integration::{chain_packet, IN_PORT};
+    let mut mix: Vec<(Vec<u8>, PortId)> = [1u16, 2, 3]
+        .into_iter()
+        .flat_map(|path| [80, 22, 443].map(|port| (chain_packet(path, VIP, port), IN_PORT)))
+        .collect();
+    let stray = dejavu_traffic::PacketBuilder::tcp()
+        .src_ip(0xac10_0001)
+        .dst_ip(VIP)
+        .build();
+    mix.push((stray.clone(), IN_PORT));
+    mix.push((stray, 999));
+    mix
+}
+
+/// The Fig. 9 testbed after [`packet_mix`] on one engine, telemetry on,
+/// with one LB session installed so path 1 both punts and exits.
+fn fig9_scrape(mode: ExecMode) -> MetricsSnapshot {
+    use dejavu_nf::load_balancer::{five_tuple_of, session_entry_for, SESSION_TABLE};
+    let (mut sw, dep) = dejavu_integration::fig9_testbed();
+    sw.set_exec_mode(mode);
+    sw.set_telemetry(true);
+    let pkt = dejavu_integration::chain_packet(1, VIP, 443);
+    let session = session_entry_for(&five_tuple_of(&pkt).unwrap(), 0x0a63_0001);
+    dep.install(&mut sw, "lb", SESSION_TABLE, session).unwrap();
+    for (bytes, port) in packet_mix() {
+        let _ = sw.inject(InjectedPacket::new(bytes, port));
+    }
+    sw.metrics_snapshot()
+}
+
+/// The replacement fleet on its pre-shift optimum as a 3-member
+/// [`deploy_cluster`], telemetry on, NAT learning registered and armed:
+/// path 1 (10.1/16) classified through the NAT, path 2 (11/8) to the
+/// marker.
+fn armed_fleet() -> (dejavu_core::transport::ClusterHandle, Vec<NfModule>) {
+    use dejavu_core::multiswitch::{deploy_cluster, ClusterWiring};
+    use dejavu_core::orchestrator::{ExhaustiveSearch, PlacementSearch};
+    use dejavu_integration::{replacement_fleet, replacement_fleet_nfs, EXIT_PORT};
+    use dejavu_nf::{classifier, nat, router};
+    let fleet = replacement_fleet();
+    let nfs = replacement_fleet_nfs();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let pre = ExhaustiveSearch::default().search(&fleet).unwrap();
+    let mut handle = deploy_cluster(
+        &refs,
+        fleet.chains(),
+        &pre.placement,
+        &TofinoProfile::wedge_100b_32x(),
+        [(1u16, EXIT_PORT), (2u16, EXIT_PORT)].into_iter().collect(),
+        &ClusterWiring::default(),
+        &fleet_deploy_options(),
+    )
+    .unwrap();
+    for member in 0..handle.members() {
+        handle.switch(member).unwrap().set_telemetry(true);
+    }
+    handle
+        .register_learn_policy("nat", nat::NAT_FLOW_STREAM, nat::nat_learn_policy())
+        .unwrap();
+    let rules = [
+        (
+            "classifier",
+            classifier::CLASSIFY_TABLE,
+            classifier::classify_entry((0x0a01_0000, 16), (0, 0), 1, 100),
+        ),
+        (
+            "classifier",
+            classifier::CLASSIFY_TABLE,
+            classifier::classify_entry((0x0b00_0000, 8), (0, 0), 2, 100),
+        ),
+        (
+            "nat",
+            nat::NAT_OUT_TABLE,
+            nat::nat_out_entry((0x0a01_0000, 16), 0xc633_6401),
+        ),
+        (
+            "router",
+            router::ROUTES_TABLE,
+            router::route_entry((0, 0), EXIT_PORT, 0x0200_0000_0099, 0x0200_0000_0001),
+        ),
+    ];
+    for (nf, table, entry) in rules {
+        handle.install(nf, table, entry).unwrap();
+    }
+    (handle, nfs)
+}
+
+fn fleet_deploy_options() -> dejavu_core::deploy::DeployOptions {
+    dejavu_core::deploy::DeployOptions {
+        entry_nf: Some("classifier".into()),
+        ..Default::default()
+    }
+}
+
+/// A scrape's rows are pinned: the registry-free rendering must export
+/// exactly the names, kinds and values the switch, the cluster and the
+/// orchestrator exported before it. The orchestrator's migration-duration
+/// histogram is wall-clock time, so only its sample count is hashed.
+#[test]
+fn scrapes_are_pinned() {
+    use dejavu_core::orchestrator::{
+        DetectorConfig, FleetSpec, Orchestrator, OrchestratorConfig, StepOutcome,
+    };
+    use dejavu_core::orchestrator::{ExhaustiveSearch, PlacementSearch};
+    use dejavu_integration::{replacement_fleet, EXIT_PORT};
+
+    let fresh = Switch::new(TofinoProfile::wedge_100b_32x()).metrics_snapshot();
+    assert_eq!(fresh.metrics.len(), 115);
+
+    let compiled = fig9_scrape(ExecMode::Compiled);
+    assert_eq!(compiled, fig9_scrape(ExecMode::Reference));
+
+    let (mut handle, nfs) = armed_fleet();
+    for (bytes, port) in packet_mix() {
+        let _ = handle.inject(InjectedPacket::new(bytes, port));
+    }
+    handle.process_digests().unwrap();
+    let scrape = handle.metrics_snapshot().unwrap();
+    let per_switch: Vec<u64> = scrape.per_switch.iter().map(scrape_hash).collect();
+
+    // One replan: a baseline window, then two B-heavy windows (the first
+    // suppressed by hysteresis) over scrapes built by hand.
+    let fleet = replacement_fleet();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let wiring = dejavu_core::multiswitch::ClusterWiring::default();
+    let deploy = fleet_deploy_options();
+    let spec = FleetSpec {
+        nfs: &refs,
+        chains: fleet.chains(),
+        profile: &TofinoProfile::wedge_100b_32x(),
+        exit_ports: [(1u16, EXIT_PORT), (2u16, EXIT_PORT)].into_iter().collect(),
+        wiring: &wiring,
+        deploy: &deploy,
+    };
+    let pre = ExhaustiveSearch::default().search(&fleet).unwrap();
+    let mut orch = Orchestrator::new(
+        fleet.clone(),
+        pre.placement,
+        Box::new(ExhaustiveSearch::default()),
+        OrchestratorConfig {
+            detector: DetectorConfig {
+                drift_threshold: 0.25,
+                hysteresis: 2,
+                min_packets: 8,
+                cooldown: 1,
+            },
+            min_gain: 0.5,
+        },
+    )
+    .unwrap();
+    let window = |n: u64| -> Vec<MetricsSnapshot> {
+        [18 * n, 16 * n, 0]
+            .into_iter()
+            .map(|injected| {
+                let mut s = MetricsSnapshot::default();
+                s.set_counter("packets_injected", injected);
+                s
+            })
+            .collect()
+    };
+    let outcomes: Vec<StepOutcome> = (0..3)
+        .map(|n| orch.step(&mut handle, &spec, &window(n)).unwrap())
+        .collect();
+    assert!(
+        matches!(outcomes[2], StepOutcome::Migrated { .. }),
+        "{outcomes:?}"
+    );
+    let mut orch_metrics = orch.metrics();
+    let duration = orch_metrics
+        .histogram("orchestrator_migration_duration_ns")
+        .unwrap()
+        .count;
+    assert_eq!(duration, 1);
+    orch_metrics.set_counter("orchestrator_migration_duration_ns", duration);
+
+    let hashes = [
+        ("fresh switch, telemetry off", scrape_hash(&fresh)),
+        ("Fig. 9, both engines", scrape_hash(&compiled)),
+        ("cluster member 0", per_switch[0]),
+        ("cluster member 1", per_switch[1]),
+        ("cluster member 2", per_switch[2]),
+        ("cluster merged", scrape_hash(&scrape.merged)),
+        ("orchestrator", scrape_hash(&orch_metrics)),
+    ];
+    let pinned: [u64; 7] = [
+        0x7e56_ba16_d4c5_18a5,
+        0x2a72_5450_3472_1333,
+        0x1887_1d41_7896_46a5,
+        0x6e1a_e117_521e_236b,
+        0x8247_4614_11d9_6fb8,
+        0x6b0f_65e5_ff00_245d,
+        0xd27d_fd17_2539_7ba5,
+    ];
+    for ((what, got), want) in hashes.iter().zip(pinned) {
+        assert_eq!(*got, want, "{what}: scrape hash {got:#018x}");
+    }
+}
