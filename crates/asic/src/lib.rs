@@ -42,7 +42,7 @@ pub mod timing;
 pub mod tofino;
 
 /// The telemetry crate, re-exported so downstream crates reach the
-/// registry/snapshot/exporter types through `dejavu_asic::telemetry`
+/// histogram/snapshot/exporter types through `dejavu_asic::telemetry`
 /// without a separate dependency.
 pub use dejavu_telemetry as telemetry;
 
@@ -65,6 +65,6 @@ pub use switch::{
     TraceEvent, TraceLevel, Traversal,
 };
 pub use tables::{DigestRecord, Eviction, TableCounters, TableState};
-pub use telemetry::{MetricsRegistry, MetricsSnapshot};
+pub use telemetry::MetricsSnapshot;
 pub use timing::TimingModel;
 pub use tofino::TofinoProfile;

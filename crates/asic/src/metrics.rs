@@ -1,168 +1,129 @@
-//! Switch-side telemetry: pre-registered handles over a
-//! [`dejavu_telemetry::MetricsRegistry`].
+//! Switch-side telemetry: plain counter fields, named when scraped.
 //!
-//! [`SwitchMetrics`] is built once per [`crate::Switch`] from the profile,
-//! registering every per-pipelet, per-pipeline, and per-port series up
-//! front so the packet path touches no names — each hook is a `bool` check
-//! plus a relaxed atomic add by dense handle. The registry starts
+//! [`SwitchMetrics`] is built once per [`crate::Switch`] from the profile:
+//! zeroed `Cell<u64>` counters grouped by family (per pipelet, per
+//! pipeline, per port) plus one latency [`Histogram`], and no names. Each
+//! hook is a `bool` check plus one add on a field. Collection starts
 //! *disabled* (hooks short-circuit on the `bool`), which is what keeps the
 //! fast path within noise of the pre-telemetry build; `Switch::set_telemetry`
-//! flips it on.
+//! flips it on. [`SwitchMetrics::snapshot`] is the one place a series gets
+//! its name.
 //!
 //! Table hit/miss counters are *not* hooked per lookup — [`crate::tables`]
 //! already counts them in `Cell`s on every lookup path. The switch folds
-//! those into the exported `MetricsSnapshot` at scrape time instead
+//! those into the exported `MetricsSnapshot` at scrape time too
 //! (`Switch::metrics_snapshot`), so the hot lookup loop pays nothing extra.
 
 use crate::switch::{Gress, PipeletId, PortId};
 use crate::tofino::TofinoProfile;
-use dejavu_telemetry::{CounterId, GaugeId, HistogramId, MetricsRegistry};
+use dejavu_telemetry::{Histogram, MetricsSnapshot};
+use std::cell::Cell;
 
 /// Recirculation depths are tracked exactly up to this bound; deeper
 /// packets land in the last bucket (`k="16+"`). Chains in the paper's
 /// range (§4 evaluates k ≤ 4) are far below it.
 pub const RECIRC_DEPTH_BUCKETS: usize = 16;
 
-/// Pre-registered metric handles of one switch.
-#[derive(Debug, Clone)]
-pub struct SwitchMetrics {
-    registry: MetricsRegistry,
-    /// Indexed `pipeline * 2 + (gress == Egress)`.
-    pipelet_packets: Vec<CounterId>,
-    pipelet_drops: Vec<CounterId>,
-    pipelet_parse_errors: Vec<CounterId>,
-    pipelet_table_applies: Vec<CounterId>,
-    /// Indexed by pipeline.
-    recirculations: Vec<CounterId>,
-    resubmissions: Vec<CounterId>,
-    digests_emitted: Vec<CounterId>,
-    digests_dropped: Vec<CounterId>,
-    /// Indexed by physical port.
-    port_rx: Vec<CounterId>,
-    port_tx: Vec<CounterId>,
-    /// Packets by final recirculation depth, clamped to the last bucket.
-    recirc_depth: Vec<CounterId>,
-    injected: CounterId,
-    emitted: CounterId,
-    dropped: CounterId,
-    to_cpu: CounterId,
-    mirrored: CounterId,
-    rejected: CounterId,
-    state_migrations: CounterId,
-    state_entries_migrated: CounterId,
-    latency_ns: HistogramId,
-    table_entries: GaugeId,
+/// Adds `n` to a counter, wrapping as a hardware counter does.
+#[inline]
+fn add(counter: &Cell<u64>, n: u64) {
+    counter.set(counter.get().wrapping_add(n));
 }
 
-fn pipelet_name(pipeline: usize, gress: Gress) -> PipeletId {
-    PipeletId { pipeline, gress }
+/// Counters of one pipelet.
+#[derive(Debug, Clone, Default)]
+struct PipeletCounters {
+    packets: Cell<u64>,
+    drops: Cell<u64>,
+    parse_errors: Cell<u64>,
+    table_applies: Cell<u64>,
+}
+
+/// Counters of one pipeline.
+#[derive(Debug, Clone, Default)]
+struct PipelineCounters {
+    recirculations: Cell<u64>,
+    resubmissions: Cell<u64>,
+    digests_emitted: Cell<u64>,
+    digests_dropped: Cell<u64>,
+}
+
+/// Counters of one physical port.
+#[derive(Debug, Clone, Default)]
+struct PortCounters {
+    rx: Cell<u64>,
+    tx: Cell<u64>,
+}
+
+/// The metric counters of one switch. `Clone` copies the current values:
+/// the clone is an independent shard.
+#[derive(Debug, Clone)]
+pub struct SwitchMetrics {
+    enabled: bool,
+    /// Indexed `pipeline * 2 + (gress == Egress)`.
+    pipelets: Vec<PipeletCounters>,
+    /// Indexed by pipeline.
+    pipelines: Vec<PipelineCounters>,
+    /// Indexed by physical port.
+    ports: Vec<PortCounters>,
+    /// Packets by final recirculation depth, clamped to the last bucket.
+    recirc_depth: [Cell<u64>; RECIRC_DEPTH_BUCKETS + 1],
+    injected: Cell<u64>,
+    emitted: Cell<u64>,
+    dropped: Cell<u64>,
+    to_cpu: Cell<u64>,
+    mirrored: Cell<u64>,
+    rejected: Cell<u64>,
+    state_migrations: Cell<u64>,
+    state_entries_migrated: Cell<u64>,
+    latency_ns: Histogram,
 }
 
 impl SwitchMetrics {
-    /// Registers every series for a switch with this profile. The registry
-    /// starts disabled.
+    /// Zeroed counters for a switch with this profile; collection starts
+    /// disabled.
     pub fn new(profile: &TofinoProfile) -> Self {
-        let mut r = MetricsRegistry::new();
-        let mut pipelet_packets = Vec::new();
-        let mut pipelet_drops = Vec::new();
-        let mut pipelet_parse_errors = Vec::new();
-        let mut pipelet_table_applies = Vec::new();
-        for p in 0..profile.pipelines {
-            for gress in [Gress::Ingress, Gress::Egress] {
-                let id = pipelet_name(p, gress);
-                pipelet_packets.push(r.counter(&format!("pipelet_packets{{pipelet=\"{id}\"}}")));
-                pipelet_drops.push(r.counter(&format!("pipelet_drops{{pipelet=\"{id}\"}}")));
-                pipelet_parse_errors
-                    .push(r.counter(&format!("pipelet_parse_errors{{pipelet=\"{id}\"}}")));
-                pipelet_table_applies
-                    .push(r.counter(&format!("pipelet_table_applies{{pipelet=\"{id}\"}}")));
-            }
-        }
-        let recirculations = (0..profile.pipelines)
-            .map(|p| r.counter(&format!("recirculations{{pipeline=\"{p}\"}}")))
-            .collect();
-        let resubmissions = (0..profile.pipelines)
-            .map(|p| r.counter(&format!("resubmissions{{pipeline=\"{p}\"}}")))
-            .collect();
-        let digests_emitted = (0..profile.pipelines)
-            .map(|p| r.counter(&format!("digests_emitted{{pipeline=\"{p}\"}}")))
-            .collect();
-        let digests_dropped = (0..profile.pipelines)
-            .map(|p| r.counter(&format!("digests_dropped{{pipeline=\"{p}\"}}")))
-            .collect();
-        let ports = profile.total_ports();
-        let port_rx = (0..ports)
-            .map(|p| r.counter(&format!("port_rx_packets{{port=\"{p}\"}}")))
-            .collect();
-        let port_tx = (0..ports)
-            .map(|p| r.counter(&format!("port_tx_packets{{port=\"{p}\"}}")))
-            .collect();
-        let recirc_depth = (0..=RECIRC_DEPTH_BUCKETS)
-            .map(|k| {
-                if k < RECIRC_DEPTH_BUCKETS {
-                    r.counter(&format!("packet_recirc_depth{{k=\"{k}\"}}"))
-                } else {
-                    r.counter(&format!(
-                        "packet_recirc_depth{{k=\"{RECIRC_DEPTH_BUCKETS}+\"}}"
-                    ))
-                }
-            })
-            .collect();
         SwitchMetrics {
-            injected: r.counter("packets_injected"),
-            emitted: r.counter("packets_emitted"),
-            dropped: r.counter("packets_dropped"),
-            to_cpu: r.counter("packets_to_cpu"),
-            mirrored: r.counter("packets_mirrored"),
-            rejected: r.counter("packets_rejected"),
-            state_migrations: r.counter("state_migrations"),
-            state_entries_migrated: r.counter("state_entries_migrated"),
-            latency_ns: r.histogram("packet_latency_ns"),
-            table_entries: r.gauge("table_entries_installed"),
-            pipelet_packets,
-            pipelet_drops,
-            pipelet_parse_errors,
-            pipelet_table_applies,
-            recirculations,
-            resubmissions,
-            digests_emitted,
-            digests_dropped,
-            port_rx,
-            port_tx,
-            recirc_depth,
-            registry: r,
+            enabled: false,
+            pipelets: vec![PipeletCounters::default(); profile.pipelines * 2],
+            pipelines: vec![PipelineCounters::default(); profile.pipelines],
+            ports: vec![PortCounters::default(); profile.total_ports()],
+            recirc_depth: Default::default(),
+            injected: Cell::new(0),
+            emitted: Cell::new(0),
+            dropped: Cell::new(0),
+            to_cpu: Cell::new(0),
+            mirrored: Cell::new(0),
+            rejected: Cell::new(0),
+            state_migrations: Cell::new(0),
+            state_entries_migrated: Cell::new(0),
+            latency_ns: Histogram::default(),
         }
-    }
-
-    /// The backing registry (snapshot it with
-    /// [`dejavu_telemetry::MetricsSnapshot::capture`]).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 
     /// Whether collection is on.
     pub fn is_enabled(&self) -> bool {
-        self.registry.is_enabled()
+        self.enabled
     }
 
     /// Turns collection on or off (accumulated values are kept).
     pub fn set_enabled(&mut self, enabled: bool) {
-        self.registry.set_enabled(enabled);
+        self.enabled = enabled;
     }
 
-    fn pidx(&self, pipelet: PipeletId) -> usize {
-        pipelet.pipeline * 2 + usize::from(pipelet.gress == Gress::Egress)
+    fn pipelet(&self, pipelet: PipeletId) -> &PipeletCounters {
+        &self.pipelets[pipelet.pipeline * 2 + usize::from(pipelet.gress == Gress::Egress)]
     }
 
     /// A packet arrived: total + per-port rx (physical ports only).
     #[inline]
     pub fn on_rx(&self, port: PortId) {
-        if !self.registry.is_enabled() {
+        if !self.enabled {
             return;
         }
-        self.registry.inc(self.injected);
-        if let Some(&id) = self.port_rx.get(usize::from(port)) {
-            self.registry.inc(id);
+        add(&self.injected, 1);
+        if let Some(p) = self.ports.get(usize::from(port)) {
+            add(&p.rx, 1);
         }
     }
 
@@ -170,29 +131,28 @@ impl SwitchMetrics {
     /// loopback port, link down, forwarding loop).
     #[inline]
     pub fn on_reject(&self) {
-        self.registry.inc(self.rejected);
+        if self.enabled {
+            add(&self.rejected, 1);
+        }
     }
 
     /// A pipelet pass completed, applying `tables_applied` tables.
     #[inline]
     pub fn on_pass(&self, pipelet: PipeletId, tables_applied: u32) {
-        if !self.registry.is_enabled() {
+        if !self.enabled {
             return;
         }
-        let i = self.pidx(pipelet);
-        self.registry.inc(self.pipelet_packets[i]);
-        self.registry
-            .add(self.pipelet_table_applies[i], u64::from(tables_applied));
+        let p = self.pipelet(pipelet);
+        add(&p.packets, 1);
+        add(&p.table_applies, u64::from(tables_applied));
     }
 
     /// A pipelet's parser rejected the packet.
     #[inline]
     pub fn on_parse_error(&self, pipelet: PipeletId) {
-        if !self.registry.is_enabled() {
-            return;
+        if self.enabled {
+            add(&self.pipelet(pipelet).parse_errors, 1);
         }
-        self.registry
-            .inc(self.pipelet_parse_errors[self.pidx(pipelet)]);
     }
 
     /// The packet was dropped by an explicit decision of `pipelet`
@@ -201,73 +161,82 @@ impl SwitchMetrics {
     /// [`SwitchMetrics::on_dropped`]).
     #[inline]
     pub fn on_drop(&self, pipelet: PipeletId) {
-        if !self.registry.is_enabled() {
-            return;
+        if self.enabled {
+            add(&self.pipelet(pipelet).drops, 1);
         }
-        self.registry.inc(self.pipelet_drops[self.pidx(pipelet)]);
     }
 
     /// The packet's final fate was a drop.
     #[inline]
     pub fn on_dropped(&self) {
-        self.registry.inc(self.dropped);
+        if self.enabled {
+            add(&self.dropped, 1);
+        }
     }
 
     /// The packet was punted to the CPU port.
     #[inline]
     pub fn on_to_cpu(&self) {
-        self.registry.inc(self.to_cpu);
+        if self.enabled {
+            add(&self.to_cpu, 1);
+        }
     }
 
     /// The packet was resubmitted to pipeline `pipeline`'s ingress.
     #[inline]
     pub fn on_resubmit(&self, pipeline: usize) {
-        self.registry.inc(self.resubmissions[pipeline]);
+        if self.enabled {
+            add(&self.pipelines[pipeline].resubmissions, 1);
+        }
     }
 
     /// The packet recirculated through a port of `pipeline`.
     #[inline]
     pub fn on_recirculate(&self, pipeline: usize) {
-        self.registry.inc(self.recirculations[pipeline]);
+        if self.enabled {
+            add(&self.pipelines[pipeline].recirculations, 1);
+        }
     }
 
     /// The packet left the switch on `port`.
     #[inline]
     pub fn on_emit(&self, port: PortId) {
-        if !self.registry.is_enabled() {
+        if !self.enabled {
             return;
         }
-        self.registry.inc(self.emitted);
-        if let Some(&id) = self.port_tx.get(usize::from(port)) {
-            self.registry.inc(id);
+        add(&self.emitted, 1);
+        if let Some(p) = self.ports.get(usize::from(port)) {
+            add(&p.tx, 1);
         }
     }
 
     /// A mirror copy was emitted.
     #[inline]
     pub fn on_mirror(&self) {
-        self.registry.inc(self.mirrored);
+        if self.enabled {
+            add(&self.mirrored, 1);
+        }
     }
 
     /// A digest was enqueued on `pipeline`'s learn queue.
     #[inline]
     pub fn on_digest(&self, pipeline: usize) {
-        if !self.registry.is_enabled() {
+        if !self.enabled {
             return;
         }
-        if let Some(&id) = self.digests_emitted.get(pipeline) {
-            self.registry.inc(id);
+        if let Some(p) = self.pipelines.get(pipeline) {
+            add(&p.digests_emitted, 1);
         }
     }
 
     /// A digest was lost because `pipeline`'s learn queue was full.
     #[inline]
     pub fn on_digest_dropped(&self, pipeline: usize) {
-        if !self.registry.is_enabled() {
+        if !self.enabled {
             return;
         }
-        if let Some(&id) = self.digests_dropped.get(pipeline) {
-            self.registry.inc(id);
+        if let Some(p) = self.pipelines.get(pipeline) {
+            add(&p.digests_dropped, 1);
         }
     }
 
@@ -275,35 +244,94 @@ impl SwitchMetrics {
     /// `entries_restored` table entries onto the new program.
     #[inline]
     pub fn on_migration(&self, entries_restored: usize) {
-        if !self.registry.is_enabled() {
+        if !self.enabled {
             return;
         }
-        self.registry.inc(self.state_migrations);
-        self.registry
-            .add(self.state_entries_migrated, entries_restored as u64);
+        add(&self.state_migrations, 1);
+        add(&self.state_entries_migrated, entries_restored as u64);
     }
 
     /// A traversal finished: model latency and final recirculation depth.
     #[inline]
     pub fn on_complete(&self, latency_ns: f64, recirculations: usize) {
-        if !self.registry.is_enabled() {
+        if !self.enabled {
             return;
         }
-        self.registry.observe(self.latency_ns, latency_ns as u64);
-        let k = recirculations.min(RECIRC_DEPTH_BUCKETS);
-        self.registry.inc(self.recirc_depth[k]);
+        self.latency_ns.observe(latency_ns as u64);
+        add(
+            &self.recirc_depth[recirculations.min(RECIRC_DEPTH_BUCKETS)],
+            1,
+        );
     }
 
-    /// Refreshes scrape-time gauges (called by `Switch::metrics_snapshot`).
-    pub fn set_table_entries(&self, total: usize) {
-        self.registry.set_gauge(self.table_entries, total as i64);
+    /// Every series by name: the counters as they stand, zeros included,
+    /// and the `table_entries_installed` gauge at `table_entries` (the
+    /// switch passes its installed total while collection is on, 0 while
+    /// off).
+    pub fn snapshot(&self, table_entries: usize) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::default();
+        for (i, p) in self.pipelets.iter().enumerate() {
+            let gress = if i % 2 == 0 {
+                Gress::Ingress
+            } else {
+                Gress::Egress
+            };
+            let id = PipeletId {
+                pipeline: i / 2,
+                gress,
+            };
+            for (metric, c) in [
+                ("pipelet_packets", &p.packets),
+                ("pipelet_drops", &p.drops),
+                ("pipelet_parse_errors", &p.parse_errors),
+                ("pipelet_table_applies", &p.table_applies),
+            ] {
+                snap.set_counter(format!("{metric}{{pipelet=\"{id}\"}}"), c.get());
+            }
+        }
+        for (i, p) in self.pipelines.iter().enumerate() {
+            for (metric, c) in [
+                ("recirculations", &p.recirculations),
+                ("resubmissions", &p.resubmissions),
+                ("digests_emitted", &p.digests_emitted),
+                ("digests_dropped", &p.digests_dropped),
+            ] {
+                snap.set_counter(format!("{metric}{{pipeline=\"{i}\"}}"), c.get());
+            }
+        }
+        for (i, p) in self.ports.iter().enumerate() {
+            snap.set_counter(format!("port_rx_packets{{port=\"{i}\"}}"), p.rx.get());
+            snap.set_counter(format!("port_tx_packets{{port=\"{i}\"}}"), p.tx.get());
+        }
+        for (k, c) in self.recirc_depth.iter().enumerate() {
+            let k = if k < RECIRC_DEPTH_BUCKETS {
+                k.to_string()
+            } else {
+                format!("{RECIRC_DEPTH_BUCKETS}+")
+            };
+            snap.set_counter(format!("packet_recirc_depth{{k=\"{k}\"}}"), c.get());
+        }
+        for (name, c) in [
+            ("packets_injected", &self.injected),
+            ("packets_emitted", &self.emitted),
+            ("packets_dropped", &self.dropped),
+            ("packets_to_cpu", &self.to_cpu),
+            ("packets_mirrored", &self.mirrored),
+            ("packets_rejected", &self.rejected),
+            ("state_migrations", &self.state_migrations),
+            ("state_entries_migrated", &self.state_entries_migrated),
+        ] {
+            snap.set_counter(name, c.get());
+        }
+        snap.set_histogram("packet_latency_ns", self.latency_ns.snapshot());
+        snap.set_gauge("table_entries_installed", table_entries as i64);
+        snap
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dejavu_telemetry::MetricsSnapshot;
 
     #[test]
     fn disabled_hooks_record_nothing() {
@@ -311,7 +339,15 @@ mod tests {
         m.on_rx(0);
         m.on_pass(PipeletId::ingress(0), 3);
         m.on_complete(650.0, 2);
-        assert!(MetricsSnapshot::capture(m.registry()).is_zero());
+        assert!(m.snapshot(0).is_zero());
+    }
+
+    #[test]
+    fn a_scrape_names_every_series_zeros_included() {
+        let s = SwitchMetrics::new(&TofinoProfile::wedge_100b_32x()).snapshot(0);
+        // 4 pipelets × 4, 2 pipelines × 4, 32 ports × 2, 17 depths, 8
+        // totals, the latency histogram and the entries gauge.
+        assert_eq!(s.metrics.len(), 16 + 8 + 64 + 17 + 8 + 2);
     }
 
     #[test]
@@ -324,7 +360,7 @@ mod tests {
         m.on_recirculate(1);
         m.on_emit(17);
         m.on_complete(725.0, 1);
-        let s = MetricsSnapshot::capture(m.registry());
+        let s = m.snapshot(0);
         assert_eq!(s.counter("packets_injected"), 1);
         assert_eq!(s.counter("port_rx_packets{port=\"3\"}"), 1);
         assert_eq!(s.counter("pipelet_packets{pipelet=\"ingress0\"}"), 1);
@@ -341,7 +377,7 @@ mod tests {
         let mut m = SwitchMetrics::new(&TofinoProfile::tiny());
         m.set_enabled(true);
         m.on_complete(1.0, 99);
-        let s = MetricsSnapshot::capture(m.registry());
+        let s = m.snapshot(0);
         assert_eq!(s.counter("packet_recirc_depth{k=\"16+\"}"), 1);
     }
 }

@@ -27,7 +27,7 @@
 //!   policy decision ([`ExhaustionPolicy`]) — backpressure or a counted
 //!   drop, never a panic and never a fallback allocation.
 //!
-//! Cloning a [`Switch`] deep-copies its metrics registry, so each worker
+//! Cloning a [`Switch`] copies its metric counters, so each worker
 //! accumulates into a private shard; at every collect a worker ships only
 //! the diff between its snapshots before and after the run, and the session
 //! merges the deltas — lossless even when the input switch already carries

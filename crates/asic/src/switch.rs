@@ -533,30 +533,30 @@ impl Switch {
         self.metrics.is_enabled()
     }
 
-    /// The switch's metric handles and backing registry.
+    /// The switch's metric counters.
     pub fn metrics(&self) -> &SwitchMetrics {
         &self.metrics
     }
 
-    /// Captures a full metrics snapshot: every registry series plus the
-    /// per-table hit/miss counters folded in from [`TableState`] (as
+    /// Captures a full metrics snapshot: every counter series, named by
+    /// [`SwitchMetrics::snapshot`], plus the per-table hit/miss counters
+    /// folded in from [`TableState`] (as
     /// `table_hits{pipelet="…",table="…"}` / `table_misses{…}`), so one
     /// export carries the whole observable state of the switch.
     ///
     /// The table-counter fold only happens while telemetry is enabled:
     /// [`TableState`] counters accumulate regardless of the flag, and
-    /// surfacing them through a disabled registry would make an "empty"
+    /// surfacing them while collection is off would make an "empty"
     /// snapshot non-zero.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         if !self.metrics.is_enabled() {
-            return MetricsSnapshot::capture(self.metrics.registry());
+            return self.metrics.snapshot(0);
         }
-        self.metrics.set_table_entries(
+        let mut snap = self.metrics.snapshot(
             self.loaded_all()
                 .map(|(_, l)| l.tables.total_entries())
                 .sum(),
         );
-        let mut snap = MetricsSnapshot::capture(self.metrics.registry());
         for (pipelet, loaded) in self.loaded_all() {
             let state = &loaded.tables;
             let label = |metric: &str, table: &str, extra: &str| {

@@ -86,7 +86,7 @@ pub use sfc::SfcHeader;
 ///
 /// Pulls in the switch simulator surface (switch, profiles, execution and
 /// trace modes, the unified [`InjectedPacket`](dejavu_asic::InjectedPacket)
-/// injection API, telemetry registry/snapshot types) and the
+/// injection API, telemetry snapshot and exporter types) and the
 /// framework surface (chains, NF modules, composition, placement,
 /// deployment, the merged control plane, the multi-switch cluster, and the
 /// transport-backed cluster runtime).
@@ -123,9 +123,7 @@ pub mod prelude {
         MigrationReport, RegisterSnapshot, StateSnapshot, TableSnapshot, SNAPSHOT_FORMAT_VERSION,
     };
     pub use dejavu_asic::switch::Disposition;
-    pub use dejavu_asic::telemetry::{
-        parse_json, to_json_string, to_prometheus, MetricsRegistry, MetricsSnapshot,
-    };
+    pub use dejavu_asic::telemetry::{parse_json, to_json_string, to_prometheus, MetricsSnapshot};
     pub use dejavu_asic::{
         BufOutcome, DigestRecord, Eviction, ExecMode, Gress, InjectedPacket, PipeletId, PortId,
         RtcConfig, RtcReport, RtcSession, Switch, SwitchMetrics, TimingModel, TofinoProfile,

@@ -35,7 +35,7 @@ pub use migrate::{migrate, FleetSpec, MigrationError, MigrationOutcome, NfMove};
 
 use crate::placement::{ClusterPlacement, PlacementError};
 use crate::transport::ClusterHandle;
-use dejavu_asic::telemetry::{CounterId, HistogramId, MetricsRegistry, MetricsSnapshot};
+use dejavu_asic::telemetry::{Histogram, MetricsSnapshot};
 
 /// Orchestrator tuning knobs.
 #[derive(Debug, Clone)]
@@ -132,12 +132,11 @@ pub struct Orchestrator {
     detector: ShiftDetector,
     search: Box<dyn PlacementSearch>,
     config: OrchestratorConfig,
-    registry: MetricsRegistry,
-    replans_triggered: CounterId,
-    replans_skipped_hysteresis: CounterId,
-    replans_skipped_gain: CounterId,
-    flows_migrated: CounterId,
-    migration_duration: HistogramId,
+    replans_triggered: u64,
+    replans_skipped_hysteresis: u64,
+    replans_skipped_gain: u64,
+    flows_migrated: u64,
+    migration_duration: Histogram,
 }
 
 impl Orchestrator {
@@ -151,25 +150,17 @@ impl Orchestrator {
     ) -> Result<Self, PlacementError> {
         let expected = problem.expected_switch_shares(&current)?;
         let detector = ShiftDetector::new(config.detector.clone(), expected);
-        let mut registry = MetricsRegistry::enabled();
-        let replans_triggered = registry.counter("orchestrator_replans_triggered");
-        let replans_skipped_hysteresis =
-            registry.counter("orchestrator_replans_skipped_hysteresis");
-        let replans_skipped_gain = registry.counter("orchestrator_replans_skipped_gain");
-        let flows_migrated = registry.counter("orchestrator_flows_migrated");
-        let migration_duration = registry.histogram("orchestrator_migration_duration_ns");
         Ok(Orchestrator {
             problem,
             current,
             detector,
             search,
             config,
-            registry,
-            replans_triggered,
-            replans_skipped_hysteresis,
-            replans_skipped_gain,
-            flows_migrated,
-            migration_duration,
+            replans_triggered: 0,
+            replans_skipped_hysteresis: 0,
+            replans_skipped_gain: 0,
+            flows_migrated: 0,
+            migration_duration: Histogram::default(),
         })
     }
 
@@ -185,7 +176,26 @@ impl Orchestrator {
 
     /// Snapshot of the `orchestrator_*` metrics.
     pub fn metrics(&self) -> MetricsSnapshot {
-        MetricsSnapshot::capture(&self.registry)
+        let mut snap = MetricsSnapshot::default();
+        for (name, value) in [
+            ("orchestrator_replans_triggered", self.replans_triggered),
+            (
+                "orchestrator_replans_skipped_hysteresis",
+                self.replans_skipped_hysteresis,
+            ),
+            (
+                "orchestrator_replans_skipped_gain",
+                self.replans_skipped_gain,
+            ),
+            ("orchestrator_flows_migrated", self.flows_migrated),
+        ] {
+            snap.set_counter(name, value);
+        }
+        snap.set_histogram(
+            "orchestrator_migration_duration_ns",
+            self.migration_duration.snapshot(),
+        );
+        snap
     }
 
     /// Re-estimates per-chain traffic weights from the observed per-switch
@@ -246,7 +256,7 @@ impl Orchestrator {
             ShiftDecision::Warming => return Ok(StepOutcome::Warming),
             ShiftDecision::Quiet { drift } => return Ok(StepOutcome::Quiet { drift }),
             ShiftDecision::Suppressed { drift } => {
-                self.registry.inc(self.replans_skipped_hysteresis);
+                self.replans_skipped_hysteresis += 1;
                 return Ok(StepOutcome::Suppressed { drift });
             }
             ShiftDecision::Replan { drift } => drift,
@@ -260,7 +270,7 @@ impl Orchestrator {
         let current_score = shifted.score(&self.current)?;
         let gain = current_score.weighted - found.score.weighted;
         if gain < self.config.min_gain || found.placement == self.current {
-            self.registry.inc(self.replans_skipped_gain);
+            self.replans_skipped_gain += 1;
             // The drift is real even if no better placement exists; adopt
             // the observed matrix so the detector stops firing on it.
             self.problem = shifted;
@@ -271,11 +281,9 @@ impl Orchestrator {
 
         // Migrate live.
         let outcome = migrate(handle, spec, &self.current, &found.placement)?;
-        self.registry.inc(self.replans_triggered);
-        self.registry
-            .add(self.flows_migrated, outcome.flows_migrated);
-        self.registry
-            .observe(self.migration_duration, outcome.duration_ns);
+        self.replans_triggered += 1;
+        self.flows_migrated += outcome.flows_migrated;
+        self.migration_duration.observe(outcome.duration_ns);
         self.problem = shifted;
         self.current = found.placement;
         let expected = self.problem.expected_switch_shares(&self.current)?;

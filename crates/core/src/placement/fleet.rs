@@ -1,7 +1,10 @@
 //! The fleet model: placements over back-to-back switches, the one
 //! objective and the one feasibility rule (see the [module doc](super)).
 
-use super::{Placement, PlacementError, PlacementProblem, RecircGranularity, Visit, Walk};
+use super::{
+    Placement, PlacementError, PlacementProblem, RecircGranularity, Visit, Walk,
+    FRAMEWORK_STAGES_FIXED, RECIRC_WEIGHT, RESUB_WEIGHT,
+};
 use crate::chain::{ChainPolicy, ChainSet};
 use crate::compose::CompositionMode;
 use dejavu_asic::{PipeletId, TimingModel};
@@ -231,11 +234,12 @@ pub struct ClusterProblem {
     pub template: PlacementProblem,
     /// Number of back-to-back switches.
     pub cluster_size: usize,
-    /// Objective weight of one inter-switch hop relative to one on-chip
-    /// recirculation. Off-chip hops cost bandwidth on inter-switch links
-    /// and ≈2× the latency (Fig. 8(b)).
-    pub hop_weight: f64,
 }
+
+/// Objective weight of one inter-switch hop relative to one on-chip
+/// recirculation. Off-chip hops cost bandwidth on inter-switch links and
+/// ≈2× the latency (Fig. 8(b)).
+pub const HOP_WEIGHT: f64 = 2.0;
 
 impl ClusterProblem {
     /// New problem over `cluster_size` switches.
@@ -243,7 +247,6 @@ impl ClusterProblem {
         ClusterProblem {
             template,
             cluster_size,
-            hop_weight: 2.0,
         }
     }
 
@@ -310,7 +313,7 @@ impl ClusterProblem {
         let cap = self
             .template
             .stages_per_pipelet
-            .saturating_sub(self.template.framework_stages_fixed);
+            .saturating_sub(FRAMEWORK_STAGES_FIXED);
         let mut sizes: Vec<u32> = nfs.iter().map(|n| self.template.nf_demand(n)).collect();
         sizes.sort_unstable_by(|a, b| b.cmp(a));
         let mut load = vec![0u32; bins];
@@ -439,17 +442,17 @@ pub struct FleetScore {
     pub weighted: f64,
 }
 
-/// The hop and pressure weights of the M = 1 instance: with one switch there
-/// are no hops, and the paper's objective has no pressure term.
-pub(super) const SINGLE: (f64, f64) = (0.0, 0.0);
+/// The pressure weight of the M = 1 instance: the paper's objective has no
+/// pressure term (and with one switch there are no hops to weigh).
+pub(super) const SINGLE_PRESSURE: f64 = 0.0;
 
 /// The one objective over a located candidate — the only place a weight
-/// multiplies a count. `(hop_weight, pressure_weight)` are the fleet's, or
-/// [`SINGLE`]; `skip_unplaced` prices a partial placement (greedy
+/// multiplies a count. `pressure_weight` is the fleet's, or
+/// [`SINGLE_PRESSURE`]; `skip_unplaced` prices a partial placement (greedy
 /// construction).
 pub(super) fn score(
     fleet: &Interned,
-    (hop_weight, pressure_weight): (f64, f64),
+    pressure_weight: f64,
     view: &Located,
     skip_unplaced: bool,
 ) -> Result<FleetScore, PlacementError> {
@@ -487,9 +490,9 @@ pub(super) fn score(
         score.resubmissions += c.resubmissions;
         score.inter_switch_hops += c.inter_switch_hops;
         score.weighted += chain.weight
-            * (f64::from(c.recirculations) * t.cost_model.recirc_weight
-                + f64::from(c.resubmissions) * t.cost_model.resub_weight
-                + f64::from(c.inter_switch_hops) * hop_weight);
+            * (f64::from(c.recirculations) * RECIRC_WEIGHT
+                + f64::from(c.resubmissions) * RESUB_WEIGHT
+                + f64::from(c.inter_switch_hops) * HOP_WEIGHT);
     }
     score.weighted += pressure_weight * score.pressure;
     Ok(score)
@@ -530,14 +533,12 @@ impl FleetProblem {
     /// The paper's single-ASIC instance: one switch, no hop term, no
     /// pressure term — the objective is the weighted recirculation count.
     pub fn single(template: PlacementProblem) -> Self {
-        let (hop_weight, pressure_weight) = SINGLE;
         FleetProblem {
             cluster: ClusterProblem {
                 template,
                 cluster_size: 1,
-                hop_weight,
             },
-            pressure_weight,
+            pressure_weight: SINGLE_PRESSURE,
         }
     }
 
@@ -577,12 +578,7 @@ impl FleetProblem {
     pub fn score(&self, placement: &ClusterPlacement) -> Result<FleetScore, PlacementError> {
         let fleet = self.cluster.template.interned();
         let view = Located::of(&fleet, &placement.switches);
-        score(&fleet, self.weights(), &view, false)
-    }
-
-    /// `(hop_weight, pressure_weight)` of the objective.
-    pub(super) fn weights(&self) -> (f64, f64) {
-        (self.cluster.hop_weight, self.pressure_weight)
+        score(&fleet, self.pressure_weight, &view, false)
     }
 
     /// A starting placement: the cluster greedy-spill heuristic when it

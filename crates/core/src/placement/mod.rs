@@ -72,7 +72,7 @@ mod search;
 
 pub use fleet::{
     chain_latency_ns, ClusterCost, ClusterPlacement, ClusterProblem, FleetProblem, FleetScore,
-    FleetSlot,
+    FleetSlot, HOP_WEIGHT,
 };
 pub use search::{AnnealingSearch, ExhaustiveSearch, PlacementSearch, SearchOutcome};
 
@@ -94,25 +94,20 @@ pub struct TraversalCost {
     pub resubmissions: u32,
 }
 
-/// Weights of the objective. Recirculations consume loopback-port bandwidth
-/// (§4) and dominate; resubmissions only revisit the ingress pipe and are
-/// much cheaper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Cost of one recirculation.
-    pub recirc_weight: f64,
-    /// Cost of one resubmission.
-    pub resub_weight: f64,
-}
+/// Objective cost of one recirculation: it consumes loopback-port
+/// bandwidth (§4) and dominates.
+pub const RECIRC_WEIGHT: f64 = 1.0;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            recirc_weight: 1.0,
-            resub_weight: 0.25,
-        }
-    }
-}
+/// Objective cost of one resubmission: it only revisits the ingress pipe,
+/// so it is much cheaper than a recirculation.
+pub const RESUB_WEIGHT: f64 = 0.25;
+
+/// Framework stages consumed per hosted NF (dispatch + flag check).
+pub const FRAMEWORK_STAGES_PER_NF: u32 = 2;
+
+/// Framework stages consumed per pipelet hosting any NF, regardless of how
+/// many (branching / decap).
+pub const FRAMEWORK_STAGES_FIXED: u32 = 1;
 
 /// Errors from placement evaluation / search.
 #[derive(Debug, Clone, PartialEq)]
@@ -476,17 +471,10 @@ pub struct PlacementProblem {
     pub chains: ChainSet,
     /// Stage span of each NF (from the compiler).
     pub nf_stages: BTreeMap<String, u32>,
-    /// Framework stages consumed per hosted NF (dispatch + flag check).
-    pub framework_stages_per_nf: u32,
-    /// Framework stages consumed per pipelet regardless of NFs (branching /
-    /// decap).
-    pub framework_stages_fixed: u32,
     /// Pipeline where external traffic enters.
     pub entry_pipeline: usize,
     /// Pipeline owning the final output ports.
     pub exit_pipeline: usize,
-    /// Objective weights.
-    pub cost_model: CostModel,
 }
 
 impl PlacementProblem {
@@ -497,11 +485,8 @@ impl PlacementProblem {
             stages_per_pipelet: 12,
             chains,
             nf_stages,
-            framework_stages_per_nf: 2,
-            framework_stages_fixed: 1,
             entry_pipeline: 0,
             exit_pipeline: 0,
-            cost_model: CostModel::default(),
         }
     }
 
@@ -521,7 +506,7 @@ impl PlacementProblem {
 
     /// Stages one hosted NF takes: its span plus its framework stages.
     fn nf_demand(&self, nf: &str) -> u32 {
-        self.nf_stages.get(nf).copied().unwrap_or(1) + self.framework_stages_per_nf
+        self.nf_stages.get(nf).copied().unwrap_or(1) + FRAMEWORK_STAGES_PER_NF
     }
 
     /// Stage demand of a pipelet hosting `hosted` NFs whose
@@ -530,7 +515,7 @@ impl PlacementProblem {
         if hosted == 0 {
             0
         } else {
-            self.framework_stages_fixed + load
+            FRAMEWORK_STAGES_FIXED + load
         }
     }
 
@@ -576,7 +561,7 @@ impl PlacementProblem {
         skip_unplaced: bool,
     ) -> Result<f64, PlacementError> {
         let view = Located::of(fleet, std::slice::from_ref(placement));
-        Ok(fleet::score(fleet, fleet::SINGLE, &view, skip_unplaced)?.weighted)
+        Ok(fleet::score(fleet, fleet::SINGLE_PRESSURE, &view, skip_unplaced)?.weighted)
     }
 
     /// Canonical NF order: first-appearance across chains (used for intra-

@@ -86,7 +86,7 @@ impl<'a> Space<'a> {
             })
             .collect::<Option<_>>()
             .ok_or_else(|| PlacementError::Infeasible("seed left NFs unplaced".into()))?;
-        let score = fleet::score(&self.fleet, self.problem.weights(), &placed, false)?;
+        let score = fleet::score(&self.fleet, self.problem.pressure_weight, &placed, false)?;
         Ok((assignment, score))
     }
 
@@ -96,8 +96,7 @@ impl<'a> Space<'a> {
         if !fleet::feasible(&self.fleet, &self.view) {
             return Ok(None);
         }
-        let weights = self.problem.weights();
-        fleet::score(&self.fleet, weights, &self.view, false).map(Some)
+        fleet::score(&self.fleet, self.problem.pressure_weight, &self.view, false).map(Some)
     }
 
     /// Where the fleet search starts: the seed placement, encoded.
@@ -486,9 +485,9 @@ mod tests {
             let feasible = fleet::feasible(&space.fleet, &space.view);
             proptest::prop_assert_eq!(feasible, fleet::feasible(&space.fleet, &of));
             proptest::prop_assert_eq!(feasible, problem.feasible(&decoded));
-            let weights = problem.weights();
-            let assigned = fleet::score(&space.fleet, weights, &space.view, false).map(bits);
-            let placed = fleet::score(&space.fleet, weights, &of, false).map(bits);
+            let weight = problem.pressure_weight;
+            let assigned = fleet::score(&space.fleet, weight, &space.view, false).map(bits);
+            let placed = fleet::score(&space.fleet, weight, &of, false).map(bits);
             proptest::prop_assert_eq!(&assigned, &placed);
             proptest::prop_assert_eq!(&assigned, &problem.score(&decoded).map(bits));
             if feasible {

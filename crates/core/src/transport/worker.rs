@@ -28,7 +28,7 @@ use super::{Endpoint, Link, TransportError};
 use crate::control_plane::{DecisionCore, Learned};
 use crate::deploy::Deployment;
 use dejavu_asic::switch::Disposition;
-use dejavu_asic::{PortId, Switch};
+use dejavu_asic::{MigrationReport, PortId, Switch};
 use std::collections::BTreeMap;
 use std::sync::mpsc::Receiver;
 
@@ -265,21 +265,31 @@ impl SwitchWorker {
                 // state, so restored entries are stamped at the cluster's.
                 switch.set_telemetry(self.switch.telemetry_enabled());
                 switch.advance_time(self.switch.now());
-                let restored: Result<u64, _> = state
-                    .iter()
-                    .map(|(pipelet, snap)| switch.restore_state(*pipelet, snap))
-                    .map(|report| report.map(|r| r.restored_entries as u64))
-                    .sum();
-                match restored {
-                    Ok(entries) => {
-                        // Freed after the ack, outside the round trip.
-                        let retired = std::mem::replace(&mut self.switch, switch);
-                        self.deployment = deployment;
-                        self.send_up(TelemetryMsg::Ack { seq, info: entries });
-                        drop(retired);
+                let mut report = MigrationReport::default();
+                for (pipelet, snap) in &state {
+                    match switch.restore_state(*pipelet, snap) {
+                        Ok(r) => report.merge(r),
+                        Err(e) => {
+                            self.nack(seq, &e.to_string());
+                            return false;
+                        }
                     }
-                    Err(e) => self.nack(seq, &e.to_string()),
                 }
+                // A newcomer that lost state would serve flows its
+                // predecessor knew as new ones: the outgoing member stays.
+                if !report.is_clean() {
+                    let first = (report.dropped_entries.first())
+                        .map(|d| format!("; {}: {}", d.table, d.reason));
+                    let why = format!("{}{}", report.summary(), first.unwrap_or_default());
+                    self.nack(seq, &why);
+                    return false;
+                }
+                // Freed after the ack, outside the round trip.
+                let retired = std::mem::replace(&mut self.switch, switch);
+                self.deployment = deployment;
+                let entries = report.restored_entries as u64;
+                self.send_up(TelemetryMsg::Ack { seq, info: entries });
+                drop(retired);
             }
             ControlMsg::Shutdown { .. } => {
                 self.send_up(TelemetryMsg::Ack { seq, info: 0 });

@@ -336,8 +336,8 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::MetricsRegistry;
     use crate::snapshot::MetricsSnapshot;
+    use crate::Histogram;
 
     #[test]
     fn parse_scalars_and_nesting() {
@@ -438,15 +438,13 @@ mod tests {
 
     #[test]
     fn exporters_cover_all_kinds() {
-        let mut r = MetricsRegistry::enabled();
-        let c = r.counter("pkts_total{pipelet=\"ingress0\"}");
-        let g = r.gauge("queue_depth");
-        let h = r.histogram("latency_ns{port=\"1\"}");
-        r.add(c, 7);
-        r.set_gauge(g, -3);
-        r.observe(h, 650);
-        r.observe(h, 1300);
-        let s = MetricsSnapshot::capture(&r);
+        let h = Histogram::default();
+        h.observe(650);
+        h.observe(1300);
+        let mut s = MetricsSnapshot::default();
+        s.set_counter("pkts_total{pipelet=\"ingress0\"}", 7);
+        s.set_gauge("queue_depth", -3);
+        s.set_histogram("latency_ns{port=\"1\"}", h.snapshot());
 
         let json = to_json_string(&s);
         let parsed = parse_json(&json).unwrap();

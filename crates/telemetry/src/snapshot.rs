@@ -8,11 +8,9 @@
 //! folds the deltas together; counters and histogram buckets are plain sums,
 //! so the result equals a single-threaded run over the concatenated work.
 
-use crate::registry::MetricsRegistry;
 use serde::json::Value;
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 
 /// Snapshot of one histogram.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -78,9 +76,8 @@ impl MetricValue {
     }
 }
 
-/// An ordered name → value map captured from a [`MetricsRegistry`] (plus,
-/// for the switch, scraped table counters). See the module docs for the
-/// merge/diff algebra.
+/// An ordered name → value map, rendered from its owner's counter fields
+/// when scraped. See the module docs for the merge/diff algebra.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Metrics by full name.
@@ -88,49 +85,23 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Captures every registered metric of `registry`.
-    pub fn capture(registry: &MetricsRegistry) -> Self {
-        let mut metrics = BTreeMap::new();
-        for (name, v) in &registry.counters {
-            metrics.insert(
-                name.clone(),
-                MetricValue::Counter(v.load(Ordering::Relaxed)),
-            );
-        }
-        for (name, v) in &registry.gauges {
-            metrics.insert(name.clone(), MetricValue::Gauge(v.load(Ordering::Relaxed)));
-        }
-        for (name, h) in &registry.histograms {
-            metrics.insert(
-                name.clone(),
-                MetricValue::Histogram(HistogramSnapshot {
-                    buckets: h
-                        .buckets
-                        .iter()
-                        .map(|b| b.load(Ordering::Relaxed))
-                        .collect(),
-                    count: h.count.load(Ordering::Relaxed),
-                    sum: h.sum.load(Ordering::Relaxed),
-                }),
-            );
-        }
-        MetricsSnapshot { metrics }
-    }
-
-    /// Inserts (or overwrites) a counter by name — used by scrapers that
-    /// fold externally-counted state (e.g. table hit/miss cells) into a
-    /// snapshot.
+    /// Inserts (or overwrites) a counter by name — how an owner's render
+    /// names each of its counter fields.
     pub fn set_counter(&mut self, name: impl Into<String>, value: u64) {
         self.metrics
             .insert(name.into(), MetricValue::Counter(value));
     }
 
     /// Inserts (or overwrites) a gauge by name — the gauge counterpart of
-    /// [`MetricsSnapshot::set_counter`], used by scrapers folding
-    /// externally-held state (e.g. the per-table index kind) into a
-    /// snapshot.
+    /// [`MetricsSnapshot::set_counter`].
     pub fn set_gauge(&mut self, name: impl Into<String>, value: i64) {
         self.metrics.insert(name.into(), MetricValue::Gauge(value));
+    }
+
+    /// Inserts (or overwrites) a histogram by name.
+    pub fn set_histogram(&mut self, name: impl Into<String>, value: HistogramSnapshot) {
+        self.metrics
+            .insert(name.into(), MetricValue::Histogram(value));
     }
 
     /// Counter value by name (0 when absent — absent and never-incremented
@@ -308,12 +279,12 @@ mod tests {
 
     #[test]
     fn histogram_merge_and_stats() {
-        let mut r = MetricsRegistry::enabled();
-        let h = r.histogram("lat");
+        let h = crate::Histogram::default();
         for v in [100u64, 200, 400, 800] {
-            r.observe(h, v);
+            h.observe(v);
         }
-        let s1 = MetricsSnapshot::capture(&r);
+        let mut s1 = MetricsSnapshot::default();
+        s1.set_histogram("lat", h.snapshot());
         let mut merged = s1.clone();
         merged.merge(&s1);
         let hist = merged.histogram("lat").unwrap();
@@ -331,12 +302,10 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let mut r = MetricsRegistry::enabled();
-        let c = r.counter("pkts");
-        let h = r.histogram("lat");
-        r.add(c, 9);
-        r.observe(h, 650);
-        let s = MetricsSnapshot::capture(&r);
+        let h = crate::Histogram::default();
+        h.observe(650);
+        let mut s = snap(&[("pkts", 9)]);
+        s.set_histogram("lat", h.snapshot());
         let text = serde_json::to_string_pretty(&s).unwrap();
         let parsed = crate::export::parse_json(&text).unwrap();
         assert_eq!(parsed, s.to_json());

@@ -5,7 +5,7 @@
 //! (round-robin across flows, each flow's internal order preserved) and
 //! hands it to a [`dejavu_asic::RtcSession`] booted from the caller's
 //! switch: `cfg.workers` switch clones — programs, table entries, register
-//! state, *and* telemetry registry — each fed by flow hash over pooled
+//! state, *and* metric counters — each fed by flow hash over pooled
 //! buffers, so all packets of one flow hit the same clone in order and
 //! per-flow state stays coherent within a worker. Cross-flow shared state
 //! (e.g. a global rate-limiter register) diverges between workers, exactly

@@ -9,7 +9,7 @@
 //! the hop/recirculation breakdown, and the latency estimate using the
 //! on-chip (≈75 ns) vs off-chip (≈145 ns) costs of Fig. 8(b).
 
-use dejavu_core::placement::FleetProblem;
+use dejavu_core::placement::{FleetProblem, HOP_WEIGHT};
 use dejavu_core::prelude::*;
 use std::collections::BTreeMap;
 
@@ -124,7 +124,7 @@ fn main() {
             };
             println!(
                 "objective (recirc-equivalents, off-chip hop = {:.1}x): {:.2}",
-                problem.hop_weight,
+                HOP_WEIGHT,
                 fleet.score(&placement).unwrap().weighted
             );
 

@@ -42,6 +42,16 @@ if grep -rnE 'LearnContract|LearnResponse|impl LearnPolicy for|register_learn_co
     exit 1
 fi
 
+# Plain-counter gate: a metric is a plain field of whoever counts it, named
+# only when scraped (`SwitchMetrics::snapshot`, `Orchestrator::metrics`). No
+# registry of names and handles, no capture of one, and no objective weight
+# wrapped in a type that only ever holds its default.
+if grep -rnE 'MetricsRegistry|CounterId|GaugeId|HistogramId|fn capture\(|CostModel' \
+    crates/ tests/ examples/ --include=*.rs --exclude-dir=shims; then
+    echo "a metrics registry or a single-valued knob is back (see DESIGN.md, Telemetry)" >&2
+    exit 1
+fi
+
 # Dependency audit: advisories and license policy via cargo-deny when it
 # is installed (CI installs it; offline dev containers may not have it).
 if command -v cargo-deny >/dev/null 2>&1; then
@@ -188,12 +198,12 @@ if [ "$(grep -c '^pub(crate) fn next_move(' crates/core/src/placement/mod.rs)" -
 fi
 
 # Kill-catalogue gate: every mutant under tests/mutants/ whose killer is
-# the p4ir or core unit tests, the wire-format properties or the cluster
+# the p4ir, core or asic unit tests, the wire-format properties or the cluster
 # transport or execution suite must still be killed by them (each builds in
 # a reused scratch copy and runs under its own time bound); run
 # `scripts/mutants.sh` alone for the whole catalogue.
 mapfile -t gated_mutants < <(grep -lE \
-    '^Test: -p dejavu-((p4ir|core) --lib|integration --test (wire_format|cluster_transport|cluster_execution))$' \
+    '^Test: -p dejavu-((p4ir|core|asic) --lib|integration --test (wire_format|cluster_transport|cluster_execution))$' \
     tests/mutants/*.patch)
 scripts/mutants.sh "${gated_mutants[@]}"
 

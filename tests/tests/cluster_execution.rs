@@ -400,6 +400,30 @@ fn a_swap_that_fails_to_restore_keeps_the_outgoing_member() {
     assert_eq!(marks(&t.final_bytes), 0b11_0111);
 }
 
+/// A swap whose state restores only in part is refused as well: an n2
+/// slice whose entry names the NF-view action `pass`, which the merged
+/// program calls `n2__pass`, would go live without that entry.
+#[test]
+fn a_swap_whose_restore_drops_an_entry_keeps_the_outgoing_member() {
+    let mut net = six_nf_cluster();
+    let mut slice = StateSnapshot::empty("n2");
+    slice.tables.push(TableSnapshot {
+        name: "n2__work".into(),
+        idle_timeout: None,
+        entries: vec![pass_tcp()],
+    });
+    let (switch, deployment) = member_one_replacement();
+    let state = vec![(PipeletId::ingress(0), slice)];
+    match net.swap_member(1, switch, deployment, state) {
+        Err(ClusterError::Remote(m)) => {
+            assert!(m.contains("action no longer defined"), "got {m}")
+        }
+        other => panic!("expected the swap refused, got {other:?}"),
+    }
+    assert_eq!(net.switch_of("n2"), Some(0));
+    assert_eq!(net.switch_of("n3"), Some(1));
+}
+
 #[test]
 fn a_packet_the_first_link_refuses_fails_at_once() {
     // A frame past MAX_PAYLOAD never reaches worker 0: the injector hears

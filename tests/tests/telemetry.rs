@@ -150,8 +150,8 @@ fn export_round_trip_and_prometheus_cover_the_same_series() {
     }
 }
 
-/// `run_suite_with_metrics` wires PTF cases to the same registry the
-/// replay layer uses, on an otherwise untouched switch.
+/// `run_suite_with_metrics` wires PTF cases to the same scrape the replay
+/// layer uses, on an otherwise untouched switch.
 #[test]
 fn ptf_metrics_assertions_see_suite_traffic() {
     let mut sw = testbed(false);
@@ -375,9 +375,9 @@ fn fleet_deploy_options() -> dejavu_core::deploy::DeployOptions {
     }
 }
 
-/// A scrape's rows are pinned: the registry-free rendering must export
-/// exactly the names, kinds and values the switch, the cluster and the
-/// orchestrator exported before it. The orchestrator's migration-duration
+/// A scrape's rows are pinned: the switch, the cluster and the
+/// orchestrator export exactly these names, kinds and values, however
+/// their counters are kept. The orchestrator's migration-duration
 /// histogram is wall-clock time, so only its sample count is hashed.
 #[test]
 fn scrapes_are_pinned() {
