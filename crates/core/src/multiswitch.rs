@@ -207,6 +207,12 @@ impl ClusterWiring {
 /// installed routing against the model's walk of that member's run. The
 /// members' deploys share one merge and build each distinct pipelet plan
 /// once: a member with no NF builds nothing its predecessors have not.
+///
+/// Only the members `build` picks are deployed; the others are `None`. A
+/// cluster boots every member; a migration's BUILD skips the members
+/// [`member_changes`] says it leaves alone. The whole placement is checked
+/// either way.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_cluster_members(
     nfs: &[&NfModule],
     chains: &ChainSet,
@@ -215,7 +221,8 @@ pub(crate) fn build_cluster_members(
     exit_ports: BTreeMap<u16, PortId>,
     wiring: &ClusterWiring,
     options: &DeployOptions,
-) -> Result<Vec<(Switch, Deployment)>, DeployError> {
+    build: impl Fn(usize) -> bool,
+) -> Result<Vec<Option<(Switch, Deployment)>>, DeployError> {
     let n = placement.switches.len();
     if n == 0 {
         return Err(ClusterConfigError::EmptyCluster.into());
@@ -283,17 +290,15 @@ pub(crate) fn build_cluster_members(
             last = s;
         }
     }
-    let final_switch = chains
-        .chains
-        .iter()
-        .flat_map(|c| c.nfs.iter())
-        .filter_map(|nf| switch_of(nf))
-        .max()
-        .unwrap_or(0);
+    let final_switch = final_member(chains, placement);
 
     let builds = &mut Builds::default();
     let mut members = Vec::new();
     for s in 0..n {
+        if !build(s) {
+            members.push(None);
+            continue;
+        }
         let local = &placement.switches[s];
         // Remote NFs reachable over the forward link.
         let mut remote_ports = BTreeMap::new();
@@ -324,7 +329,7 @@ pub(crate) fn build_cluster_members(
             }),
         };
         let member = deploy_with(builds, nfs, chains, local, profile, &config, &seg_options)?;
-        members.push(member);
+        members.push(Some(member));
         // A live cluster's threads may share this core: let them run
         // between member builds. A migration builds while traffic is in
         // the air, and whatever the workers have not finished when it
@@ -332,4 +337,33 @@ pub(crate) fn build_cluster_members(
         std::thread::yield_now();
     }
     Ok(members)
+}
+
+/// The member that decapsulates and exits every chain: the last one
+/// hosting a chained NF.
+fn final_member(chains: &ChainSet, placement: &ClusterPlacement) -> usize {
+    let hosts = chains.chains.iter().flat_map(|c| c.nfs.iter());
+    hosts
+        .filter_map(|nf| placement.switch_of(nf))
+        .max()
+        .unwrap_or(0)
+}
+
+/// Whether member `s` deploys differently under `new` than under `old`.
+/// [`build_cluster_members`] reads two inputs per member — its own
+/// placement and whether it is the final member — so a member for which
+/// both are the same is one a migration leaves alone: it is not built,
+/// staged, snapshotted, flipped or retired, and keeps its switch, clock,
+/// counters and state.
+pub(crate) fn member_changes(
+    chains: &ChainSet,
+    old: &ClusterPlacement,
+    new: &ClusterPlacement,
+    s: usize,
+) -> bool {
+    let finals = (
+        final_member(chains, old) == s,
+        final_member(chains, new) == s,
+    );
+    old.switches.get(s) != new.switches.get(s) || finals.0 != finals.1
 }

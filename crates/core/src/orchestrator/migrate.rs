@@ -5,39 +5,52 @@
 //! state machine documented in DESIGN.md:
 //!
 //! ```text
-//! BUILD → PAUSE → SNAPSHOT → SWAP → RESUME
+//! BUILD → STAGE → PAUSE → SNAPSHOT → FLIP → RESUME → RETIRE
+//!                 └──────── the window ────────┘
 //! ```
 //!
-//! * **BUILD** — compile the new placement into fresh `(Switch,
-//!   Deployment)` members *before* touching traffic; a placement that
-//!   fails to deploy aborts the migration with the old cluster intact.
-//!   The members' deploys merge the NF set once and build each distinct
-//!   pipelet plan once, sharing the program across every pipelet and
-//!   member with that plan; nothing is kept from one BUILD to the next,
-//!   so a migration always compiles what it loads.
+//! Only the members the migration changes take part. A member is
+//! unchanged when its own placement and its being the final member are
+//! the same in both placements — the only per-member inputs of its build
+//! (`multiswitch::member_changes`) — and an unchanged member is not
+//! built, staged, snapshotted, flipped or retired: it keeps its switch,
+//! clock, counters and state.
+//!
+//! * **BUILD** — compile the changed members into fresh `(Switch,
+//!   Deployment)` pairs *before* touching traffic; a placement that fails
+//!   to deploy aborts the migration with the old cluster intact. The
+//!   deploys merge the NF set once and build each distinct pipelet plan
+//!   once; nothing is kept from one BUILD to the next, so a migration
+//!   always compiles what it loads.
+//! * **STAGE** — `stage_member`: each built member goes to its worker's
+//!   side channel, where it waits beside the live switch. No frame.
 //! * **PAUSE** — `pause_ingress`: park new injections and quiesce until
 //!   every in-flight packet has delivered or nacked. Packets injected
 //!   during the window are queued, never rejected. A member learns each
 //!   packet's digests right after executing it, before it forwards, so
 //!   once the last flight has landed every digest is an installed entry.
-//! * **SNAPSHOT** — `snapshot_state`: checkpoint every pipelet's dynamic
-//!   state, then split it **per NF** by the `<nf>__` merged-name prefix so
-//!   each NF's tables can land wherever the new placement puts them. An
-//!   NF's slice is taken from its old home pipelet only: every composed
-//!   pipelet carries the whole merged namespace, so the others hold a
-//!   dormant, empty copy of its tables and registers. Slices are grouped
-//!   by each NF's new member and addressed to its new pipelet.
-//! * **SWAP** — `swap_member` on every member, carrying its slices: the
-//!   worker restores them onto the newcomer at its predecessor's clock
-//!   before it goes live, and its ack points the NF → member routing
-//!   (installs, punt remedies, [`ClusterHandle::switch_of`]) at it for
-//!   every NF it hosts. A failed restore leaves the outgoing member live.
+//! * **SNAPSHOT** — `snapshot_slices`, fanned out to the old homes of the
+//!   NFs that change members, and to nobody else: each cuts the moving
+//!   NFs' slices from their old home pipelets itself and returns just
+//!   those. No framework table crosses the link. Slices are grouped by
+//!   each NF's new member and addressed to its new pipelet.
+//! * **FLIP** — `flip`, one command per changed member, fanned out: the
+//!   worker gives its staged member the live switch's telemetry setting
+//!   and clock, hands over in process the NFs that stay on it (cut on the
+//!   live switch, restored at their new pipelet), restores the moved
+//!   slices the command carries, and only then makes it live, keeping the
+//!   outgoing switch as retired. Each ack points the NF → member routing
+//!   (installs, punt remedies, [`ClusterHandle::switch_of`]) at the member
+//!   for every NF it hosts. A failed restore leaves the outgoing member
+//!   live.
 //! * **RESUME** — `resume_ingress`: release parked traffic in arrival
 //!   order. Migration downtime is the PAUSE→RESUME wall-clock span.
+//! * **RETIRE** — `retire`, fanned out to the changed members after the
+//!   window: each worker drops the switch the flip replaced.
 
 use crate::chain::ChainSet;
 use crate::deploy::{DeployError, DeployOptions};
-use crate::multiswitch::{build_cluster_members, ClusterPlacement, ClusterWiring};
+use crate::multiswitch::{build_cluster_members, member_changes, ClusterPlacement, ClusterWiring};
 use crate::nfmodule::NfModule;
 use crate::transport::{ClusterError, ClusterHandle};
 use dejavu_asic::{PipeletId, PortId, StateSnapshot, TofinoProfile};
@@ -57,7 +70,7 @@ pub struct NfMove {
 
 /// Everything needed to rebuild cluster members for a new placement —
 /// the same inputs `spawn_cluster` took, minus the transport (the live
-/// cluster keeps its wiring; only switches are swapped).
+/// cluster keeps its wiring; only switches are flipped).
 pub struct FleetSpec<'a> {
     /// The NF modules, by reference (modules are compiled per placement).
     pub nfs: &'a [&'a NfModule],
@@ -81,9 +94,9 @@ pub struct MigrationOutcome {
     /// Dynamic entries restored for *moving* NFs — the learned flows that
     /// crossed switches alive.
     pub flows_migrated: u64,
-    /// Dynamic entries restored across the whole fleet (moving and
-    /// staying NFs both; every member is rebuilt, so all state is
-    /// re-seated).
+    /// Dynamic entries re-seated on the flipped members: the moved slices
+    /// and the hand-over of the NFs that stay on a changed member. An
+    /// unchanged member keeps its state where it is and adds nothing.
     pub restored_entries: u64,
     /// Packets that arrived during the pause window and were parked, then
     /// released on resume.
@@ -93,6 +106,38 @@ pub struct MigrationOutcome {
     pub quiesced_packets: u64,
     /// PAUSE→RESUME wall-clock time — the migration's downtime window.
     pub duration_ns: u64,
+    /// Where `duration_ns` went, phase by phase.
+    pub phases: MigrationPhases,
+}
+
+/// Wall-clock nanoseconds of each phase inside a migration's window,
+/// back to back: they add up to [`MigrationOutcome::duration_ns`]. SNAPSHOT
+/// includes grouping the slices by new member. Their `Debug` prints no
+/// value, so a session's transcript replays line for line once its
+/// `duration_ns` is zeroed.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct MigrationPhases {
+    /// PAUSE: the quiesce barrier.
+    pub pause_ns: u64,
+    /// SNAPSHOT: the moved NFs' slices, cut on their old members.
+    pub snapshot_ns: u64,
+    /// FLIP: every changed member made live, holding its state.
+    pub flip_ns: u64,
+    /// RESUME: parked traffic released.
+    pub resume_ns: u64,
+}
+
+impl MigrationPhases {
+    /// The four phases together.
+    pub fn total_ns(&self) -> u64 {
+        self.pause_ns + self.snapshot_ns + self.flip_ns + self.resume_ns
+    }
+}
+
+impl std::fmt::Debug for MigrationPhases {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MigrationPhases").finish_non_exhaustive()
+    }
 }
 
 /// Why a migration failed, and in what state it left the cluster.
@@ -101,11 +146,11 @@ pub enum MigrationError {
     /// The new placement failed to compile or deploy (BUILD). Traffic was
     /// never touched: the old cluster serves as before.
     Deploy(DeployError),
-    /// A live cluster verb failed. Before the first SWAP (PAUSE or
-    /// SNAPSHOT) ingress has been resumed and the old members serve,
-    /// their state untouched. From SWAP on the cluster may be mid-swap
-    /// (the member whose swap failed keeps its old switch), with ingress
-    /// parked, and should be torn down.
+    /// A live cluster verb failed. Before FLIP (STAGE, PAUSE or SNAPSHOT)
+    /// ingress has been resumed, what was staged is dropped and the old
+    /// members serve, their state untouched. A failed FLIP leaves the
+    /// cluster mid-flip (each member whose flip failed keeps its old
+    /// switch), with ingress parked, and it should be torn down.
     Cluster(ClusterError),
 }
 
@@ -130,19 +175,6 @@ impl From<ClusterError> for MigrationError {
     fn from(e: ClusterError) -> Self {
         MigrationError::Cluster(e)
     }
-}
-
-/// Moves `nf`'s slice out of a pipelet snapshot: the tables and registers
-/// under the `<nf>__` merged-name prefix the deploy layer scopes them
-/// with; `None` when there are none.
-fn cut(snap: &mut StateSnapshot, nf: &str) -> Option<StateSnapshot> {
-    let prefix = format!("{nf}__");
-    let mine = |name: &str| name.starts_with(&prefix);
-    let mut piece = StateSnapshot::empty(&snap.program);
-    piece.clock = snap.clock;
-    piece.tables = snap.tables.extract_if(.., |t| mine(&t.name)).collect();
-    piece.registers = snap.registers.extract_if(.., |r| mine(&r.name)).collect();
-    (!piece.tables.is_empty() || !piece.registers.is_empty()).then_some(piece)
 }
 
 /// The NFs of `nfs` whose switch differs between two placements, in
@@ -173,7 +205,7 @@ fn home(placement: &ClusterPlacement, nf: &str) -> Option<(usize, PipeletId)> {
 /// On success the cluster serves the new placement with every learned
 /// flow re-seated; parked traffic has been released and will resolve
 /// through the normal delivery path. [`MigrationError`] says which
-/// failures leave the old cluster serving and which leave it mid-swap.
+/// failures leave the old cluster serving and which leave it mid-flip.
 pub fn migrate(
     handle: &mut ClusterHandle,
     spec: &FleetSpec<'_>,
@@ -182,6 +214,10 @@ pub fn migrate(
 ) -> Result<MigrationOutcome, MigrationError> {
     let nf_names: Vec<String> = spec.chains.all_nfs();
     let moves = moves(old_placement, new_placement, &nf_names);
+    let changes = |s: usize| member_changes(spec.chains, old_placement, new_placement, s);
+    let changed: Vec<usize> = (0..new_placement.switches.len())
+        .filter(|&s| changes(s))
+        .collect();
 
     // BUILD — before touching traffic, so deploy failures are harmless.
     let members = build_cluster_members(
@@ -192,58 +228,88 @@ pub fn migrate(
         spec.exit_ports.clone(),
         spec.wiring,
         spec.deploy,
+        changes,
     )?;
 
+    // STAGE — each changed member waits on its worker beside the live one.
+    let staged = members.into_iter().enumerate().try_for_each(|(s, member)| {
+        let Some((switch, deployment)) = member else {
+            return Ok(());
+        };
+        handle.stage_member(s, switch, deployment)
+    });
+    if let Err(e) = staged {
+        let _ = handle.retire(&changed);
+        return Err(e.into());
+    }
+
+    // SNAPSHOT asks each moving NF's old member for its slice, cut from its
+    // old home pipelet, and notes where the slice lands.
+    let mut wanted: BTreeMap<usize, Vec<(String, PipeletId)>> = BTreeMap::new();
+    let mut lands: BTreeMap<usize, Vec<(usize, PipeletId)>> = BTreeMap::new();
+    for m in &moves {
+        let (Some((_, from)), Some(to)) = (home(old_placement, &m.nf), home(new_placement, &m.nf))
+        else {
+            continue;
+        };
+        wanted.entry(m.from).or_default().push((m.nf.clone(), from));
+        lands.entry(m.from).or_default().push(to);
+    }
+
     // PAUSE — quiesce barrier; in-flight packets finish, new ones park.
-    // SNAPSHOT — checkpoint every member. Until the first swap the old
-    // members are whole, so a failure here resumes them.
+    // SNAPSHOT — the moved slices only. Until FLIP the old members are
+    // whole, so a failure here resumes them and drops what was staged.
     let started = Instant::now();
-    let paused = handle
-        .pause_ingress()
-        .and_then(|quiesced| Ok((quiesced, handle.snapshot_state()?)));
-    let (quiesced_packets, mut snapshots) = match paused {
-        Ok(paused) => paused,
+    let quiesced = handle.pause_ingress();
+    let paused = Instant::now();
+    let snapped = quiesced.and_then(|q| Ok((q, handle.snapshot_slices(wanted)?)));
+    let (quiesced_packets, slices) = match snapped {
+        Ok(snapped) => snapped,
         Err(e) => {
             let _ = handle.resume_ingress();
+            let _ = handle.retire(&changed);
             return Err(e.into());
         }
     };
-    // Cut each NF's slice from its old home only: restoring a dormant copy
-    // over it would reset its idle timeouts and zero its registers. The
-    // slice goes to the NF's new home, grouped by member.
     let mut outcome = MigrationOutcome {
         moves,
         quiesced_packets,
         ..MigrationOutcome::default()
     };
-    let mut state: Vec<Vec<(PipeletId, StateSnapshot)>> = vec![Vec::new(); members.len()];
-    for nf in &nf_names {
-        let (Some(from), Some((to, at))) = (home(old_placement, nf), home(new_placement, nf))
-        else {
-            continue;
-        };
-        let old_home = snapshots.iter_mut().filter(|(s, p, _)| (*s, *p) == from);
-        for slice in old_home.filter_map(|(.., snap)| cut(snap, nf)) {
-            // It lands on a program built from the same NF, so its swap
-            // restores every entry it carries.
-            if from.0 != to {
-                let entries = slice.tables.iter().map(|t| t.entries.len() as u64);
-                outcome.flows_migrated += entries.sum::<u64>();
+    let mut state: BTreeMap<usize, Vec<(PipeletId, StateSnapshot)>> = BTreeMap::new();
+    for (from, got) in slices {
+        for (&(to, at), slice) in lands[&from].iter().zip(got) {
+            if slice.is_empty() {
+                continue;
             }
-            state[to].push((at, slice));
+            // It lands on a program built from the same NF, so its flip
+            // restores every entry it carries.
+            outcome.flows_migrated += slice.total_entries() as u64;
+            state.entry(to).or_default().push((at, slice));
         }
     }
+    let sliced = Instant::now();
 
-    // SWAP — each newcomer goes live holding its slices, at its
-    // predecessor's clock, routed to.
-    for (switch, (member, slices)) in members.into_iter().zip(state).enumerate() {
-        let (member_switch, deployment) = member;
-        outcome.restored_entries +=
-            handle.swap_member(switch, member_switch, deployment, slices)?;
-    }
+    // FLIP — every changed member goes live at once, holding its state, at
+    // its predecessor's clock, routed to.
+    outcome.restored_entries = handle.flip(state)?;
+    let flipped = Instant::now();
 
     // RESUME — release parked traffic; downtime window closes.
     outcome.parked_packets = handle.resume_ingress()?;
-    outcome.duration_ns = started.elapsed().as_nanos() as u64;
+    let resumed = Instant::now();
+    let ns = |from: Instant, to: Instant| (to - from).as_nanos() as u64;
+    outcome.duration_ns = ns(started, resumed);
+    outcome.phases = MigrationPhases {
+        pause_ns: ns(started, paused),
+        snapshot_ns: ns(paused, sliced),
+        flip_ns: ns(sliced, flipped),
+        resume_ns: ns(flipped, resumed),
+    };
+
+    // RETIRE — outside the window. The migration is done either way: a
+    // retire that fails leaves an outgoing switch in memory until the
+    // member's next flip or retire.
+    let _ = handle.retire(&changed);
     Ok(outcome)
 }

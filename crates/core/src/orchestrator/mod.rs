@@ -31,7 +31,7 @@ pub use crate::placement::{
     SearchOutcome,
 };
 pub use detector::{DetectorConfig, ShiftDecision, ShiftDetector};
-pub use migrate::{migrate, FleetSpec, MigrationError, MigrationOutcome, NfMove};
+pub use migrate::{migrate, FleetSpec, MigrationError, MigrationOutcome, MigrationPhases, NfMove};
 
 use crate::placement::{ClusterPlacement, PlacementError};
 use crate::transport::ClusterHandle;

@@ -14,7 +14,9 @@
 //!   member that punted it — its flight goes on under the same trace id;
 //! * table updates, idle timeouts, clock advances, metrics scrapes and
 //!   state snapshots are request/reply command round trips, each reply
-//!   handled by the code that sent the command;
+//!   handled by the code that sent the command; a verb addressed to
+//!   several members sends each its command at once and gathers the
+//!   replies by member index;
 //! * whatever the controller awaits — a command's reply, a packet's
 //!   delivery — fails with [`ClusterError::Timeout`] once `op_timeout` has
 //!   passed since it was sent, so a lost frame wedges nothing after it;
@@ -33,8 +35,10 @@
 //! [`ClusterHandle`] is the synchronous facade over either: `inject`,
 //! `install`, `advance_time`, `process_digests`, `register_learn_policy`,
 //! `register_handler`, `snapshot_state` / `restore_state`, the migration
-//! verbs `pause_ingress`, `swap_member` and `resume_ingress` — and
-//! `inject_async` / `recv_delivered` for the pipelined path underneath.
+//! verbs `stage_member`, `pause_ingress`, `snapshot_slices`, `flip`,
+//! `resume_ingress` and `retire` (and `swap_member`, all three member
+//! verbs for one member) — and `inject_async` / `recv_delivered` for the
+//! pipelined path underneath.
 
 use super::wire::{self, ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
 use super::worker::SwitchWorker;
@@ -53,6 +57,7 @@ use dejavu_p4ir::table::TableEntry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -270,9 +275,16 @@ type Reply = Result<TelemetryMsg, ClusterError>;
 /// runs once.
 type Then = Box<dyn FnOnce(&mut Controller, Reply) + Send>;
 
-/// What a broadcast's replies do: all of them in member order, or the
-/// first failure.
-type Gathered = Box<dyn FnOnce(&mut Controller, Result<Vec<TelemetryMsg>, ClusterError>) + Send>;
+/// What a broadcast's replies do: every member's reply, or the failure
+/// standing in for it, in the order the members were addressed.
+type Gathered = Box<dyn FnOnce(&mut Controller, Vec<Reply>) + Send>;
+
+/// A broadcast's replies as they come in, by position in its member list.
+struct Gather {
+    replies: Vec<Option<Reply>>,
+    left: usize,
+    done: Option<Gathered>,
+}
 
 /// A plain command's reply: the ack's `info`.
 fn info(reply: Reply) -> Result<u64, ClusterError> {
@@ -326,11 +338,9 @@ struct Controller {
     in_flight: BTreeMap<u64, Instant>,
     /// A `pause_ingress` barrier waiting for `in_flight` to drain.
     quiesce: Option<(u64, Sender<Result<u64, ClusterError>>)>,
-    /// Per-worker side channels for staging live member swaps, each member
-    /// tagged with the seq of the command that adopts it.
-    swap_txs: Vec<Sender<(u64, Switch, Deployment)>>,
-    /// Outstanding shutdown acks; reply once all workers said goodbye.
-    bye: Option<(usize, Sender<Result<(), ClusterError>>)>,
+    /// A shutdown in progress: whether every worker has answered, and the
+    /// reply to send once they have.
+    bye: Option<(bool, Sender<Result<(), ClusterError>>)>,
     op_timeout: Duration,
     /// When the event being handled arrived, which deadlines count from:
     /// the threaded driver reads the clock once per event. The inline
@@ -364,24 +374,47 @@ impl Controller {
         }
     }
 
-    /// Sends the command `make` builds to the next member — the first one
-    /// not in `replies` — and, once it is answered or has failed, to the
-    /// one after, so every member gets the command. `done` gets every
-    /// member's reply in member order, or the first failure.
-    fn broadcast<F>(&mut self, mut replies: Vec<Reply>, make: F, done: Gathered)
-    where
-        F: Fn(u64) -> ControlMsg + Send + 'static,
-    {
-        let switch = replies.len();
-        if switch == self.n {
-            return done(self, replies.into_iter().collect());
+    /// Sends each of `members` the command `make` builds from the member
+    /// and a fresh seq, all at once, and hands `done` every reply, or the
+    /// failure standing in for it, in `members` order once the last is
+    /// in. Every member is sent its command before any reply is read, so
+    /// a member that fails stops none of the others.
+    fn broadcast(
+        &mut self,
+        members: Vec<usize>,
+        mut make: impl FnMut(usize, u64) -> ControlMsg,
+        done: Gathered,
+    ) {
+        if members.is_empty() {
+            return done(self, Vec::new());
         }
-        let msg = make(self.seq());
-        let then: Then = Box::new(move |c, reply| {
-            replies.push(reply);
-            c.broadcast(replies, make, done)
-        });
-        self.command(switch, msg, then);
+        let gather = Arc::new(Mutex::new(Gather {
+            replies: members.iter().map(|_| None).collect(),
+            left: members.len(),
+            done: Some(done),
+        }));
+        for (at, &switch) in members.iter().enumerate() {
+            let msg = make(switch, self.seq());
+            let gather = Arc::clone(&gather);
+            let then: Then = Box::new(move |c, reply| {
+                let finished = {
+                    let mut g = gather.lock().expect("only the controller's thread gathers");
+                    g.replies[at] = Some(reply);
+                    g.left -= 1;
+                    if g.left == 0 {
+                        g.done
+                            .take()
+                            .map(|done| (done, std::mem::take(&mut g.replies)))
+                    } else {
+                        None
+                    }
+                };
+                if let Some((done, replies)) = finished {
+                    done(c, replies.into_iter().flatten().collect())
+                }
+            });
+            self.command(switch, msg, then);
+        }
     }
 
     /// Puts one packet on the link to worker 0. A frame the link refuses
@@ -487,24 +520,22 @@ impl Controller {
         self.said_bye()
     }
 
-    /// Tells every worker to stop; the reply waits for their acks. Each
-    /// ack, or the failure standing in for it, counts one member off.
+    /// Tells every worker to stop; the reply waits for their acks, or the
+    /// failures standing in for them.
     fn shutdown(&mut self, reply: Sender<Result<(), ClusterError>>) {
-        self.bye = Some((self.n, reply));
-        for switch in 0..self.n {
-            let seq = self.seq();
-            let then: Then = Box::new(|c, _| {
-                if let Some((left, _)) = c.bye.as_mut() {
-                    *left = left.saturating_sub(1);
-                }
-            });
-            self.command(switch, ControlMsg::Shutdown { seq }, then);
-        }
+        self.bye = Some((false, reply));
+        let done: Gathered = Box::new(|c, _| {
+            if let Some((said, _)) = c.bye.as_mut() {
+                *said = true;
+            }
+        });
+        let make = |_, seq| ControlMsg::Shutdown { seq };
+        self.broadcast((0..self.n).collect(), make, done);
     }
 
     /// Completes a shutdown every member has answered; `true` if it did.
     fn said_bye(&mut self) -> bool {
-        self.bye.as_ref().is_some_and(|(left, _)| *left == 0) && self.finish_shutdown()
+        self.bye.as_ref().is_some_and(|(said, _)| *said) && self.finish_shutdown()
     }
 
     /// Answers a pending shutdown, if there is one.
@@ -727,8 +758,9 @@ impl Driver {
 
 /// Owner's view of a running cluster: the synchronous facade (`inject`,
 /// `install`, `advance_time`, `process_digests`, `snapshot_state`,
-/// `restore_state` and the migration verbs `pause_ingress`, `swap_member`
-/// and `resume_ingress`, which
+/// `restore_state` and the migration verbs `stage_member`,
+/// `pause_ingress`, `snapshot_slices`, `flip`, `resume_ingress` and
+/// `retire`, which
 /// [`orchestrator::migrate`](fn@crate::orchestrator::migrate) sequences) plus
 /// the pipelined
 /// [`inject_async`](ClusterHandle::inject_async) /
@@ -742,6 +774,12 @@ pub struct ClusterHandle {
     n: usize,
     kind: &'static str,
     next_trace: u64,
+    /// Per-worker side channels for staging members, each tagged with the
+    /// number the flip that makes it live names.
+    swap_txs: Vec<Sender<(u64, Switch, Deployment)>>,
+    /// Members staged and not yet flipped: their tag and the NFs they host.
+    staged: BTreeMap<usize, (u64, Vec<String>)>,
+    next_stage: u64,
     op_timeout: Duration,
     driver: Driver,
     closed: bool,
@@ -839,24 +877,36 @@ impl ClusterHandle {
         })
     }
 
-    /// A round trip for the command `make` builds, from its seq, for every
-    /// member in turn. `done` turns their replies, in member order, into
-    /// the verb's answer; the first failure answers it instead.
+    /// A round trip for the command `make` builds, from the member and its
+    /// seq, for each of `members` at once. `done` turns their replies, in
+    /// `members` order, into the verb's answer; the first failure in that
+    /// order answers it instead.
     fn broadcast<T: Send + 'static>(
         &mut self,
         op: &'static str,
-        make: impl Fn(u64) -> ControlMsg + Send + 'static,
+        members: Vec<usize>,
+        make: impl FnMut(usize, u64) -> ControlMsg + Send + 'static,
         done: impl FnOnce(&mut Controller, Vec<TelemetryMsg>, Sender<Result<T, ClusterError>>)
             + Send
             + 'static,
     ) -> Result<T, ClusterError> {
+        for &switch in &members {
+            self.member(switch)?;
+        }
         self.call(op, |c, reply| {
-            let done: Gathered = Box::new(move |c, replies| match replies {
-                Ok(replies) => done(c, replies, reply),
-                Err(e) => refuse(reply, e),
+            let done: Gathered = Box::new(move |c, replies| {
+                match replies.into_iter().collect::<Result<Vec<_>, _>>() {
+                    Ok(replies) => done(c, replies, reply),
+                    Err(e) => refuse(reply, e),
+                }
             });
-            c.broadcast(Vec::new(), make, done)
+            c.broadcast(members, make, done)
         })
+    }
+
+    /// Every member, in order: the address of a cluster-wide verb.
+    fn everyone(&self) -> Vec<usize> {
+        (0..self.n).collect()
     }
 
     /// A round trip for the command `make` builds, from its seq and `nf`,
@@ -1010,12 +1060,13 @@ impl ClusterHandle {
 
     /// Advances logical time on every member and returns the merged
     /// eviction report. Clocks stay synchronized: every member advances by
-    /// the same ticks before this returns `Ok`. Members are asked in order,
-    /// and a failure does not stop the members after it from being asked:
-    /// every member still gets the ticks, if later.
+    /// the same ticks before this returns `Ok`. Every member is asked at
+    /// once, so a member that fails does not stop the others from getting
+    /// the ticks.
     pub fn advance_time(&mut self, ticks: u64) -> Result<ClusterReport, ClusterError> {
-        let make = move |seq| ControlMsg::AdvanceTime { seq, ticks };
-        self.broadcast("advance_time", make, |c, replies, reply| {
+        let make = move |_, seq| ControlMsg::AdvanceTime { seq, ticks };
+        let members = self.everyone();
+        self.broadcast("advance_time", members, make, |c, replies, reply| {
             let mut report = ClusterReport::sized(c.n);
             for (switch, r) in replies.into_iter().enumerate() {
                 if let TelemetryMsg::Evictions { evictions, .. } = r {
@@ -1033,8 +1084,9 @@ impl ClusterHandle {
     /// after every packet, not just inside this call, so the report covers
     /// **all** digest activity since then.
     pub fn process_digests(&mut self) -> Result<ClusterReport, ClusterError> {
-        let make = |seq| ControlMsg::DrainDigests { seq };
-        self.broadcast("process_digests", make, |c, replies, reply| {
+        let make = |_, seq| ControlMsg::DrainDigests { seq };
+        let members = self.everyone();
+        self.broadcast("process_digests", members, make, |c, replies, reply| {
             let mut report = ClusterReport::sized(c.n);
             for (switch, r) in replies.into_iter().enumerate() {
                 if let TelemetryMsg::DrainDone {
@@ -1067,13 +1119,14 @@ impl ClusterHandle {
     ) -> Result<(), ClusterError> {
         self.host(nf)?;
         let (nf, stream) = (nf.to_string(), stream.to_string());
-        let make = move |seq| ControlMsg::RegisterLearnPolicy {
+        let make = move |_, seq| ControlMsg::RegisterLearnPolicy {
             seq,
             nf: nf.clone(),
             stream: stream.clone(),
             policy: policy.clone(),
         };
-        self.broadcast("register_learn_policy", make, |_, _, reply| {
+        let members = self.everyone();
+        self.broadcast("register_learn_policy", members, make, |_, _, reply| {
             drop(reply.send(Ok(())))
         })
     }
@@ -1095,8 +1148,9 @@ impl ClusterHandle {
     /// snapshots. A reply that fails its check names no member, so the
     /// scrape fails with [`ClusterError::Timeout`] instead of reading zeros.
     pub fn metrics_snapshot(&mut self) -> Result<ClusterScrape, ClusterError> {
-        let make = |seq| ControlMsg::ScrapeMetrics { seq };
-        self.broadcast("metrics_snapshot", make, |c, replies, reply| {
+        let make = |_, seq| ControlMsg::ScrapeMetrics { seq };
+        let members = self.everyone();
+        self.broadcast("metrics_snapshot", members, make, |c, replies, reply| {
             let mut scrape = ClusterScrape {
                 rejected_frames: c.rejected_frames,
                 ..Default::default()
@@ -1123,8 +1177,9 @@ impl ClusterHandle {
     pub fn snapshot_state(
         &mut self,
     ) -> Result<Vec<(usize, PipeletId, StateSnapshot)>, ClusterError> {
-        let make = |seq| ControlMsg::SnapshotState { seq };
-        self.broadcast("snapshot_state", make, |_, replies, reply| {
+        let make = |_, seq| ControlMsg::SnapshotState { seq };
+        let members = self.everyone();
+        self.broadcast("snapshot_state", members, make, |_, replies, reply| {
             let mut items = Vec::new();
             for (switch, r) in replies.into_iter().enumerate() {
                 if let TelemetryMsg::Snapshot { items: got, .. } = r {
@@ -1189,15 +1244,123 @@ impl ClusterHandle {
         })
     }
 
-    /// Replaces one member's switch and deployment with a freshly built
-    /// pair, live. The newcomer takes the telemetry setting and the clock
-    /// of the member it replaces, then `state` is restored onto it before
-    /// it goes live; returns the entries restored. Once it acks, the NF →
-    /// member map (the controller's, which routes installs and punt
-    /// remedies, and [`switch_of`](Self::switch_of)'s) names it for every
-    /// NF its deployment hosts. A failed restore is [`ClusterError::Remote`]
-    /// and leaves the outgoing member live. Wiring, inboxes and links are
+    /// STAGE: puts a freshly built member on worker `switch`'s side
+    /// channel, where it waits beside the live one until
+    /// [`flip`](Self::flip) makes it live; no frame is sent and no traffic
+    /// is touched. A member staged again before a flip replaces the earlier
+    /// one, which the worker drops.
+    pub fn stage_member(
+        &mut self,
+        switch: usize,
+        member_switch: Switch,
+        deployment: Deployment,
+    ) -> Result<(), ClusterError> {
+        self.member(switch)?;
+        let hosts = hosted(&deployment);
+        self.next_stage += 1;
+        let tag = self.next_stage;
+        if self.swap_txs[switch]
+            .send((tag, member_switch, deployment))
+            .is_err()
+        {
+            let e = format!("switch {switch}: side channel closed (worker gone?)");
+            return Err(ClusterError::Remote(e));
+        }
+        self.staged.insert(switch, (tag, hosts));
+        Ok(())
+    }
+
+    /// SNAPSHOT of a migration: each member `wanted` names cuts the slices
+    /// asked of it, each `(nf, pipelet)` from that pipelet, and returns
+    /// only those — one per ask, in the order asked, empty when the NF
+    /// holds no state there. The members are asked at once.
+    pub fn snapshot_slices(
+        &mut self,
+        mut wanted: BTreeMap<usize, Vec<(String, PipeletId)>>,
+    ) -> Result<BTreeMap<usize, Vec<StateSnapshot>>, ClusterError> {
+        let members: Vec<usize> = wanted.keys().copied().collect();
+        let asked = members.clone();
+        let make = move |switch, seq| ControlMsg::SnapshotSlices {
+            seq,
+            slices: wanted.remove(&switch).unwrap_or_default(),
+        };
+        self.broadcast("snapshot_slices", members, make, |_, replies, reply| {
+            let mut slices = BTreeMap::new();
+            for (switch, r) in asked.into_iter().zip(replies) {
+                if let TelemetryMsg::Snapshot { items, .. } = r {
+                    slices.insert(switch, items.into_iter().map(|(_, s)| s).collect());
+                }
+            }
+            let _ = reply.send(Ok(slices));
+        })
+    }
+
+    /// FLIP: makes every staged member live at once, one command per
+    /// member, fanned out. Each takes the telemetry setting and the clock
+    /// of the member it replaces, the state of every NF both host (handed
+    /// over in its worker, with no frame) and the slices `state` addresses
+    /// to it, and goes live only once all of them restored whole; the
+    /// outgoing member is kept until [`retire`](Self::retire). Returns the
+    /// entries restored, hand-over included. Each member that acks is
+    /// routed to — the NF → member map (the controller's, which routes
+    /// installs and punt remedies, and [`switch_of`](Self::switch_of)'s)
+    /// names it for every NF its deployment hosts — whether or not another
+    /// member failed. A member whose restore fails keeps its outgoing
+    /// member live and answers with [`ClusterError::Remote`], the first
+    /// such failure in member order. Wiring, inboxes and links are
     /// untouched; callers quiesce first (the migration driver does).
+    pub fn flip(
+        &mut self,
+        mut state: BTreeMap<usize, Vec<(PipeletId, StateSnapshot)>>,
+    ) -> Result<u64, ClusterError> {
+        if let Some(switch) = state.keys().find(|s| !self.staged.contains_key(s)) {
+            let e = format!("switch {switch}: no staged member to flip in");
+            return Err(ClusterError::Remote(e));
+        }
+        let staged = std::mem::take(&mut self.staged);
+        let (routed, flipped) = self.call("flip", move |c, reply| {
+            let members: Vec<usize> = staged.keys().copied().collect();
+            let tags: BTreeMap<usize, u64> =
+                staged.iter().map(|(&s, (tag, _))| (s, *tag)).collect();
+            let make = move |switch, seq| ControlMsg::Flip {
+                seq,
+                staged: tags[&switch],
+                state: state.remove(&switch).unwrap_or_default(),
+            };
+            let done: Gathered = Box::new(move |c, replies| {
+                let mut flipped = Ok(0);
+                for ((switch, (_, hosts)), r) in staged.into_iter().zip(replies) {
+                    match info(r) {
+                        Ok(entries) => {
+                            host_nfs(&mut c.nf_switch, switch, hosts);
+                            flipped = flipped.map(|total| total + entries);
+                        }
+                        Err(e) => flipped = flipped.and(Err(e)),
+                    }
+                }
+                let _ = reply.send(Ok((c.nf_switch.clone(), flipped)));
+            });
+            c.broadcast(members, make, done)
+        })?;
+        self.nf_switch = routed;
+        flipped
+    }
+
+    /// RETIRE: drops, on each of `members` at once, the switch its last
+    /// flip replaced and any member staged there and never flipped —
+    /// outside a migration's window.
+    pub fn retire(&mut self, members: &[usize]) -> Result<(), ClusterError> {
+        self.staged.retain(|s, _| !members.contains(s));
+        let make = |_, seq| ControlMsg::Retire { seq };
+        self.broadcast("retire", members.to_vec(), make, |_, _, reply| {
+            drop(reply.send(Ok(())))
+        })
+    }
+
+    /// Replaces one member's switch and deployment with a freshly built
+    /// pair, live: [`stage_member`](Self::stage_member), [`flip`](Self::flip)
+    /// carrying `state`, then [`retire`](Self::retire), for that member
+    /// alone. Returns the entries restored.
     pub fn swap_member(
         &mut self,
         switch: usize,
@@ -1205,31 +1368,9 @@ impl ClusterHandle {
         deployment: Deployment,
         state: Vec<(PipeletId, StateSnapshot)>,
     ) -> Result<u64, ClusterError> {
-        self.member(switch)?;
-        let mut nf_switch = self.nf_switch.clone();
-        host_nfs(&mut nf_switch, switch, &deployment);
-        let routed = nf_switch.clone();
-        let restored = self.call("swap_member", move |c, reply| {
-            // The tag keeps a member whose command the link refuses from
-            // being adopted by the next swap.
-            let seq = c.seq();
-            if c.swap_txs[switch]
-                .send((seq, member_switch, deployment))
-                .is_err()
-            {
-                let e = format!("switch {switch}: side channel closed (worker gone?)");
-                return refuse(reply, ClusterError::Remote(e));
-            }
-            let then: Then = Box::new(move |c, r| {
-                let acked = info(r);
-                if acked.is_ok() {
-                    c.nf_switch = routed;
-                }
-                let _ = reply.send(acked);
-            });
-            c.command(switch, ControlMsg::SwapMember { seq, state }, then)
-        })?;
-        self.nf_switch = nf_switch;
+        self.stage_member(switch, member_switch, deployment)?;
+        let restored = self.flip([(switch, state)].into())?;
+        self.retire(&[switch])?;
         Ok(restored)
     }
 
@@ -1287,6 +1428,7 @@ pub fn spawn_cluster(
         exit_ports,
         wiring,
         deploy_options,
+        |_| true,
     )?;
     boot(members, wiring, transport, options, true)
 }
@@ -1307,8 +1449,16 @@ pub fn deploy_cluster(
     wiring: &ClusterWiring,
     options: &DeployOptions,
 ) -> Result<ClusterHandle, ClusterError> {
-    let members =
-        build_cluster_members(nfs, chains, placement, profile, exit_ports, wiring, options)?;
+    let members = build_cluster_members(
+        nfs,
+        chains,
+        placement,
+        profile,
+        exit_ports,
+        wiring,
+        options,
+        |_| true,
+    )?;
     let transport = &mut ChannelTransport::new();
     boot(
         members,
@@ -1329,33 +1479,41 @@ fn spawn_named(
         .map_err(|e| ClusterError::Transport(TransportError::Io(e.to_string())))
 }
 
-/// Points `nf_switch` at member `switch` for exactly the NFs `deployment`
-/// hosts: the routing a member brings with it, at boot and at every swap.
-fn host_nfs(nf_switch: &mut BTreeMap<String, usize>, switch: usize, deployment: &Deployment) {
+/// The NFs `deployment` hosts.
+fn hosted(deployment: &Deployment) -> Vec<String> {
+    let nfs = deployment.chains.all_nfs().into_iter();
+    nfs.filter(|nf| deployment.nf_location(nf).is_some())
+        .collect()
+}
+
+/// Points `nf_switch` at member `switch` for exactly the NFs in `hosts`:
+/// the routing a member brings with it, at boot and at every flip.
+fn host_nfs(nf_switch: &mut BTreeMap<String, usize>, switch: usize, hosts: Vec<String>) {
     nf_switch.retain(|_, member| *member != switch);
-    for nf in deployment.chains.all_nfs() {
-        if deployment.nf_location(&nf).is_some() {
-            nf_switch.insert(nf, switch);
-        }
+    for nf in hosts {
+        nf_switch.insert(nf, switch);
     }
 }
 
 /// Wires deployed members into a cluster — the one construction path under
 /// both constructors; `threaded` only decides who drives the machines.
 fn boot(
-    members: Vec<(Switch, Deployment)>,
+    members: Vec<Option<(Switch, Deployment)>>,
     wiring: &ClusterWiring,
     transport: &mut dyn Transport,
     options: &ClusterOptions,
     threaded: bool,
 ) -> Result<ClusterHandle, ClusterError> {
+    let members: Vec<(Switch, Deployment)> = (members.into_iter())
+        .map(|m| m.expect("a cluster boots every member"))
+        .collect();
     let n = members.len();
     let kind = transport.kind();
 
     // NF → switch routing map, captured before deployments move away.
     let mut nf_switch = BTreeMap::new();
     for (i, (_, dep)) in members.iter().enumerate() {
-        host_nfs(&mut nf_switch, i, dep);
+        host_nfs(&mut nf_switch, i, hosted(dep));
     }
 
     // Bind everyone first so links can be connected in one pass.
@@ -1400,6 +1558,7 @@ fn boot(
             swap_rx,
             rejected_frames: 0,
             applied_seq: 0,
+            retired: None,
             decisions: DecisionCore::default(),
             learned: Learned::default(),
         });
@@ -1422,7 +1581,6 @@ fn boot(
         parked: Vec::new(),
         in_flight: BTreeMap::new(),
         quiesce: None,
-        swap_txs,
         bye: None,
         op_timeout: options.op_timeout,
         now: Instant::now(),
@@ -1468,6 +1626,9 @@ fn boot(
         n,
         kind,
         next_trace: 1,
+        swap_txs,
+        staged: BTreeMap::new(),
+        next_stage: 0,
         op_timeout: options.op_timeout,
         driver,
         closed: false,

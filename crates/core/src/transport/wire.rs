@@ -94,9 +94,27 @@
 //!
 //! # Version 6: a swapped-in member arrives holding its state
 //!
-//! [`ControlMsg::SwapMember`] is `seq:u64 items`, every NF slice its
-//! newcomer will host in [`TelemetryMsg::Snapshot`]'s `items := n:u32
+//! `ControlMsg::SwapMember` (tag 9) was `seq:u64 items`, every NF slice its
+//! newcomer would host in [`TelemetryMsg::Snapshot`]'s `items := n:u32
 //! { pipelet snapshot }`, so a migration sends no [`ControlMsg::RestoreState`].
+//!
+//! # Version 7: stage, then flip
+//!
+//! A migration's window carries only the slices of the NFs that change
+//! members. [`ControlMsg::SnapshotSlices`] (tag 11, `seq:u64 n:u32 { nf:str
+//! pipelet }`) asks an NF's old member for its slice, cut from its home
+//! pipelet on the member; the reply is [`TelemetryMsg::Snapshot`], one item
+//! per slice asked for, in the order asked. [`ControlMsg::Flip`] (tag 9,
+//! `seq:u64 staged:u64 items`, in place of version 6's `SwapMember`) makes
+//! the member staged under `staged` live, holding those slices and the
+//! state of the NFs that stay on it, and [`ControlMsg::Retire`] (tag 12,
+//! `seq:u64`) drops what the flip replaced, after the window.
+//!
+//! A value is as long as it is wide: `value := bits:u8` then its
+//! `ceil(bits / 8)` bytes, big-endian (version 6 spent `bits:u16 raw:u128`,
+//! 18 bytes, on every one). A learned NAT entry — two exact keys and one
+//! argument — shrinks from 88 bytes to 52, and so does every frame
+//! carrying entries (`Install`, `Evictions`, a snapshot), in proportion.
 
 use crate::control_plane::LearnPolicy;
 use dejavu_asic::state::{RegisterSnapshot, TableSnapshot, SNAPSHOT_FORMAT_VERSION};
@@ -112,7 +130,7 @@ use std::fmt;
 /// First two bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xDEFA;
 /// Current wire-format revision. Bump on any incompatible layout change.
-pub const WIRE_VERSION: u8 = 6;
+pub const WIRE_VERSION: u8 = 7;
 /// Fixed frame header size: magic + version + class + payload length.
 pub const HEADER_LEN: usize = 8;
 /// Fixed frame trailer size: the CRC-32 of header and payload.
@@ -323,18 +341,39 @@ pub enum ControlMsg {
         /// The state to restore, in the frame format (module docs).
         snapshot: StateSnapshot,
     },
-    /// Swap in the member staged on the worker's in-process side channel
-    /// (see [`SwitchWorker::swap_rx`](super::worker::SwitchWorker)): the
-    /// worker carries its telemetry setting and clock over to the staged
-    /// switch, restores `state` onto it, then adopts the staged pair and
-    /// acks with the entries restored; the ack re-points the controller's
-    /// NF → member map. A failed restore, or no staged member (e.g. a
+    /// Make the member staged on the worker's in-process side channel
+    /// (see [`SwitchWorker::swap_rx`](super::worker::SwitchWorker)) live:
+    /// the worker carries its telemetry setting and clock over to the
+    /// staged switch, hands over the state of every NF both switches host
+    /// (cut on the live switch, restored at the NF's new pipelet, no
+    /// frame), restores `state` onto it, then adopts the staged pair,
+    /// keeps the outgoing one as retired and acks with the entries
+    /// restored; the ack re-points the controller's NF → member map. A
+    /// restore that fails or drops anything, or no staged member (e.g. a
     /// remote process, which has no side channel), nacks instead.
-    SwapMember {
+    Flip {
         /// Reply correlation.
         seq: u64,
-        /// `(pipelet, snapshot)` for every NF slice the newcomer hosts.
+        /// The tag the member was staged under.
+        staged: u64,
+        /// `(pipelet, snapshot)` for every NF slice moving onto the member.
         state: Vec<(PipeletId, StateSnapshot)>,
+    },
+    /// Cut the slices of the named NFs, each from the pipelet beside it,
+    /// and return just those ([`TelemetryMsg::Snapshot`]: one item per
+    /// slice asked for, in the order asked, empty when the NF holds no
+    /// state there).
+    SnapshotSlices {
+        /// Reply correlation.
+        seq: u64,
+        /// `(nf, pipelet)` for every slice wanted.
+        slices: Vec<(String, PipeletId)>,
+    },
+    /// Drop the switch the last [`ControlMsg::Flip`] retired, and any
+    /// member staged and never flipped. Acked.
+    Retire {
+        /// Reply correlation.
+        seq: u64,
     },
     /// Stop the worker's event loop. Acked before the worker exits.
     Shutdown {
@@ -367,7 +406,9 @@ impl ControlMsg {
             | ControlMsg::ScrapeMetrics { seq }
             | ControlMsg::SnapshotState { seq }
             | ControlMsg::RestoreState { seq, .. }
-            | ControlMsg::SwapMember { seq, .. }
+            | ControlMsg::Flip { seq, .. }
+            | ControlMsg::SnapshotSlices { seq, .. }
+            | ControlMsg::Retire { seq }
             | ControlMsg::Shutdown { seq }
             | ControlMsg::RegisterLearnPolicy { seq, .. } => *seq,
         }
@@ -413,11 +454,13 @@ pub enum TelemetryMsg {
         /// Frames the member dropped because they did not decode.
         rejected_frames: u64,
     },
-    /// Per-pipelet state snapshots, in the frame format (module docs).
+    /// State snapshots, in the frame format (module docs): the answer to
+    /// [`ControlMsg::SnapshotState`] and [`ControlMsg::SnapshotSlices`].
     Snapshot {
         /// Echoed command sequence number.
         seq: u64,
-        /// `(pipelet, snapshot)` for every loaded pipelet with state.
+        /// `(pipelet, snapshot)` for every loaded pipelet with state, or
+        /// for every slice asked for, in the order asked.
         items: Vec<(PipeletId, StateSnapshot)>,
     },
     /// Entries evicted by an [`ControlMsg::AdvanceTime`] sweep.
@@ -488,8 +531,11 @@ impl Enc {
         }
     }
     fn value(&mut self, v: Value) {
-        self.u16(v.bits());
-        self.u128(v.raw());
+        // A `Value` is 1..=128 bits wide, so its width fits a byte.
+        let bytes = usize::from(v.bits()).div_ceil(8);
+        self.u8(v.bits() as u8);
+        self.buf
+            .extend_from_slice(&v.raw().to_be_bytes()[16 - bytes..]);
     }
     /// A `u32` count, then each item.
     fn list<I>(&mut self, items: I, mut item: impl FnMut(&mut Self, I::Item))
@@ -689,10 +735,23 @@ pub fn encode(msg: &Message) -> Vec<u8> {
                     e.u8(8);
                     e.u64(*seq);
                 }
-                ControlMsg::SwapMember { seq, state } => {
+                ControlMsg::Flip { seq, staged, state } => {
                     e.u8(9);
                     e.u64(*seq);
+                    e.u64(*staged);
                     e.items(state);
+                }
+                ControlMsg::SnapshotSlices { seq, slices } => {
+                    e.u8(11);
+                    e.u64(*seq);
+                    e.list(slices, |e, (nf, p)| {
+                        e.str(nf);
+                        e.pipelet(*p);
+                    });
+                }
+                ControlMsg::Retire { seq } => {
+                    e.u8(12);
+                    e.u64(*seq);
                 }
                 ControlMsg::RegisterLearnPolicy {
                     seq,
@@ -851,23 +910,34 @@ impl<'a> Dec<'a> {
         }
     }
     fn value(&mut self) -> Result<Value, WireError> {
-        let bits = self.u16()?;
-        let raw = self.u128()?;
+        let bits = u16::from(self.u8()?);
         // `Value::new` asserts its width; a corrupt one is a typed error.
         if !(1..=128).contains(&bits) {
             return Err(WireError::BadValue(format!("value width {bits}")));
         }
+        let bytes = self.take(usize::from(bits).div_ceil(8))?;
+        let raw = bytes.iter().fold(0u128, |raw, &b| raw << 8 | u128::from(b));
         Ok(Value::new(raw, bits))
     }
     /// A `u32` count, then that many items, each decoded against the bytes
     /// that remain: a corrupt count fails at the first missing item instead
-    /// of allocating for the items it claims.
+    /// of allocating for the items it claims. A list of more than four is
+    /// given its room up front, for no more items than bytes remain and
+    /// 1 024 at most; a shorter one grows as it is pushed, with room left
+    /// for a hop the next member appends.
     fn list<T>(
         &mut self,
         mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
     ) -> Result<Vec<T>, WireError> {
-        let n = self.u32()?;
-        (0..n).map(|_| item(self)).collect()
+        let n = self.u32()? as usize;
+        let mut items = Vec::new();
+        if n > 4 {
+            items.reserve_exact(n.min(self.buf.len() - self.pos).min(1024));
+        }
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
     }
     fn values(&mut self) -> Result<Vec<Value>, WireError> {
         self.list(Self::value)
@@ -1087,8 +1157,9 @@ pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
                     snapshot: d.snapshot()?,
                 },
                 8 => ControlMsg::Shutdown { seq: d.u64()? },
-                9 => ControlMsg::SwapMember {
+                9 => ControlMsg::Flip {
                     seq: d.u64()?,
+                    staged: d.u64()?,
                     state: d.items()?,
                 },
                 10 => ControlMsg::RegisterLearnPolicy {
@@ -1102,6 +1173,11 @@ pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
                         arg_map: d.fields()?,
                     },
                 },
+                11 => ControlMsg::SnapshotSlices {
+                    seq: d.u64()?,
+                    slices: d.list(|d| Ok((d.str()?, d.pipelet()?)))?,
+                },
+                12 => ControlMsg::Retire { seq: d.u64()? },
                 tag => {
                     return Err(WireError::UnknownTag {
                         class: CLASS_CONTROL,

@@ -16,7 +16,8 @@
 //!   [`Delivered`](TelemetryMsg::Delivered) upstream when it leaves the
 //!   cluster — the one place a packet moves between members;
 //! * executes [`ControlMsg`] commands (installs, removals, idle timeouts,
-//!   clock advances, snapshot/restore, learn policies) and acks them;
+//!   clock advances, snapshot/restore, learn policies, the flip to a
+//!   staged member and the retire after it) and acks them;
 //! * learns its own digests after every packet, with the learn loop a
 //!   single switch runs: a digest's NF, and so its table, is on the member
 //!   that emitted it, so the packet that taught an entry installs it, with
@@ -28,7 +29,7 @@ use super::{Endpoint, Link, TransportError};
 use crate::control_plane::{DecisionCore, Learned};
 use crate::deploy::Deployment;
 use dejavu_asic::switch::Disposition;
-use dejavu_asic::{MigrationReport, PortId, Switch};
+use dejavu_asic::{MigrationReport, PipeletId, PortId, StateSnapshot, Switch};
 use std::collections::BTreeMap;
 use std::sync::mpsc::Receiver;
 
@@ -52,14 +53,17 @@ pub struct SwitchWorker {
     pub links: BTreeMap<PortId, (Link, PortId)>,
     /// One-way cable latency added per forwarded packet, in nanoseconds.
     pub cable_ns: f64,
-    /// In-process side channel for live member replacement: the controller
-    /// stages a freshly built `(Switch, Deployment)` pair here, tagged with
-    /// the seq of the [`ControlMsg::SwapMember`] it then sends over the
-    /// wire with the newcomer's state, adopted only once it is restored.
-    /// `Switch` is not wire-serializable, so a genuinely remote worker
-    /// (no side channel sender alive) nacks the swap — live re-placement
-    /// over real process boundaries needs a program-shipping bootstrap
-    /// protocol (ROADMAP).
+    /// In-process side channel for live member replacement. STAGE: the
+    /// cluster handle puts a freshly built `(Switch, Deployment)` pair here,
+    /// under a tag, before the migration window opens, and it waits beside
+    /// the live switch. FLIP: a [`ControlMsg::Flip`] naming the tag takes
+    /// it off, hands over the state of the NFs that stay on this member,
+    /// restores the slices the command carries and only then makes it
+    /// live; the outgoing pair waits in `retired` until a
+    /// [`ControlMsg::Retire`], after the window, drops it. `Switch` is not
+    /// wire-serializable, so a genuinely remote worker (no side channel
+    /// sender alive) nacks the flip — live re-placement over real process
+    /// boundaries needs a program-shipping bootstrap protocol (ROADMAP).
     pub swap_rx: Receiver<(u64, Switch, Deployment)>,
     /// Frames dropped because they did not decode (sent with each scrape).
     pub rejected_frames: u64,
@@ -67,8 +71,10 @@ pub struct SwitchWorker {
     /// it sends them down this FIFO link, so a seq at or below it is a
     /// duplicate: dropped, never applied twice.
     pub(super) applied_seq: u64,
-    /// The learn policies registered on this member; they outlive a swap.
+    /// The learn policies registered on this member; they outlive a flip.
     pub(super) decisions: DecisionCore,
+    /// The pair the last flip replaced, kept until a retire drops it.
+    pub(super) retired: Option<(Switch, Deployment)>,
     /// What the learn loop did since the last [`ControlMsg::DrainDigests`].
     pub(super) learned: Learned,
 }
@@ -236,12 +242,12 @@ impl SwitchWorker {
                         items.push((pipelet, snap));
                     }
                 }
-                // A reply the link refuses (past `MAX_PAYLOAD`) must not leave
-                // the controller waiting out its timeout: nack with the size.
-                let reply = Message::Telemetry(TelemetryMsg::Snapshot { seq, items });
-                if let Err(TransportError::Wire(e)) = self.upstream.send(&reply) {
-                    self.nack(seq, &e.to_string());
-                }
+                self.send_snapshot(seq, items);
+            }
+            ControlMsg::SnapshotSlices { slices, .. } => {
+                let wanted = slices.iter().map(|(nf, p)| (nf.as_str(), *p));
+                let items = cut_slices(&self.switch, wanted);
+                self.send_snapshot(seq, items);
             }
             ControlMsg::RestoreState {
                 pipelet, snapshot, ..
@@ -249,24 +255,25 @@ impl SwitchWorker {
                 let restored = self.switch.restore_state(pipelet, &snapshot);
                 self.answer(seq, restored.map(|r| r.restored_entries as u64));
             }
-            ControlMsg::SwapMember { state, .. } => {
-                // The staged member was sent on the side channel before the
-                // wire command, so it is already queued (or will never
+            ControlMsg::Flip { staged, state, .. } => {
+                // The member was staged on the side channel before the wire
+                // command was sent, so it is already queued (or will never
                 // arrive: nack rather than block the data path). One staged
-                // for a command the link refused carries an older seq and
-                // is dropped here.
+                // for a flip that never came carries another tag and is
+                // dropped here.
                 let staged = std::iter::from_fn(|| self.swap_rx.try_recv().ok())
-                    .find(|(tag, ..)| *tag == seq);
+                    .find(|(tag, ..)| *tag == staged);
                 let Some((_, mut switch, deployment)) = staged else {
-                    self.nack(seq, "no staged member to swap in");
+                    self.nack(seq, "no staged member to flip in");
                     return false;
                 };
                 // The newcomer takes its predecessor's clock before its
                 // state, so restored entries are stamped at the cluster's.
                 switch.set_telemetry(self.switch.telemetry_enabled());
                 switch.advance_time(self.switch.now());
+                let stays = hand_over(&self.switch, &self.deployment, &deployment);
                 let mut report = MigrationReport::default();
-                for (pipelet, snap) in &state {
+                for (pipelet, snap) in stays.iter().chain(&state) {
                     match switch.restore_state(*pipelet, snap) {
                         Ok(r) => report.merge(r),
                         Err(e) => {
@@ -284,11 +291,18 @@ impl SwitchWorker {
                     self.nack(seq, &why);
                     return false;
                 }
-                // Freed after the ack, outside the round trip.
-                let retired = std::mem::replace(&mut self.switch, switch);
-                self.deployment = deployment;
+                // Kept until a retire, so dropping it costs the window nothing.
+                let switch = std::mem::replace(&mut self.switch, switch);
+                let deployment = std::mem::replace(&mut self.deployment, deployment);
+                self.retired = Some((switch, deployment));
                 let entries = report.restored_entries as u64;
                 self.send_up(TelemetryMsg::Ack { seq, info: entries });
+            }
+            ControlMsg::Retire { .. } => {
+                let retired = self.retired.take();
+                // A member staged for a flip that never came goes too.
+                while self.swap_rx.try_recv().is_ok() {}
+                self.send_up(TelemetryMsg::Ack { seq, info: 0 });
                 drop(retired);
             }
             ControlMsg::Shutdown { .. } => {
@@ -297,6 +311,16 @@ impl SwitchWorker {
             }
         }
         false
+    }
+
+    /// Sends a [`TelemetryMsg::Snapshot`] reply. One the link refuses (past
+    /// `MAX_PAYLOAD`) must not leave the controller waiting out its timeout:
+    /// it is nacked with the size.
+    fn send_snapshot(&mut self, seq: u64, items: Vec<(PipeletId, StateSnapshot)>) {
+        let reply = Message::Telemetry(TelemetryMsg::Snapshot { seq, items });
+        if let Err(TransportError::Wire(e)) = self.upstream.send(&reply) {
+            self.nack(seq, &e.to_string());
+        }
     }
 
     /// Acks a command with `info`, or nacks it with the error.
@@ -311,4 +335,50 @@ impl SwitchWorker {
         let error = format!("switch {}: {error}", self.index);
         self.send_up(TelemetryMsg::Nack { seq, error });
     }
+}
+
+/// The slices `wanted` names, in its order, each cut from a snapshot of
+/// the pipelet beside it on `switch`; every NF cut from one pipelet shares
+/// its snapshot. A pipelet that is not loaded yields an empty slice.
+fn cut_slices<'a>(
+    switch: &Switch,
+    wanted: impl IntoIterator<Item = (&'a str, PipeletId)>,
+) -> Vec<(PipeletId, StateSnapshot)> {
+    let mut pipelets: Vec<(PipeletId, StateSnapshot)> = Vec::new();
+    let mut slices = Vec::new();
+    for (nf, pipelet) in wanted {
+        let at = match pipelets.iter().position(|(p, _)| *p == pipelet) {
+            Some(at) => at,
+            None => {
+                let snap = switch.snapshot_state(pipelet);
+                pipelets.push((pipelet, snap.unwrap_or_else(|| StateSnapshot::empty(""))));
+                pipelets.len() - 1
+            }
+        };
+        slices.push((pipelet, pipelets[at].1.cut(nf)));
+    }
+    slices
+}
+
+/// The in-process hand-over of a flip: the state of every NF that both the
+/// live deployment and the staged one host, cut from its pipelet on the
+/// live `switch` and addressed to its pipelet in the staged member. No
+/// frame carries it. NFs with no state are left out.
+fn hand_over(
+    switch: &Switch,
+    live: &Deployment,
+    staged: &Deployment,
+) -> Vec<(PipeletId, StateSnapshot)> {
+    let stays: Vec<(PipeletId, PipeletId, String)> = (staged.chains.all_nfs().into_iter())
+        .filter_map(|nf| Some((live.nf_location(&nf)?, staged.nf_location(&nf)?, nf)))
+        .collect();
+    let slices = cut_slices(
+        switch,
+        stays.iter().map(|(from, _, nf)| (nf.as_str(), *from)),
+    );
+    let handed = stays
+        .iter()
+        .zip(slices)
+        .map(|((_, to, _), (_, slice))| (*to, slice));
+    handed.filter(|(_, slice)| !slice.is_empty()).collect()
 }

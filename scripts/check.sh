@@ -245,19 +245,21 @@ if grep -rnE 'TelemetryMsg::Digests|learn_outstanding|maybe_finish_flush' \
     exit 1
 fi
 
-# One-live-step gate: a member swapped in goes live at its predecessor's
-# clock, holding its state (the worker's `SwapMember` arm restores the
-# slices the swap carries before it adopts the newcomer) and routed to
-# (`swap_member` points the NF -> member maps at it when it acks), and a
-# member learns each packet's digests before forwarding it. So `migrate`
-# flushes no digests, resyncs no clock, restores no state and remaps no
-# NF, and no remap verb exists to call. `swap_member(` must be found in
-# migrate.rs, so a rename cannot pass the gate by matching nothing.
+# One-live-step gate: a member flipped in goes live at its predecessor's
+# clock, holding its state (the worker's `Flip` arm hands over the NFs that
+# stay on it and restores the slices the flip carries before it adopts the
+# newcomer) and routed to (`flip` points the NF -> member maps at it when
+# it acks), and a member learns each packet's digests before forwarding
+# it. So `migrate` flushes no digests, resyncs no clock, restores no state
+# and remaps no NF, and no remap verb exists to call; and its SNAPSHOT asks
+# for the moved slices only, never the whole-cluster `snapshot_state(`.
+# `.flip(` must be found in migrate.rs, so a rename cannot pass the gate by
+# matching nothing.
 migrate_src=crates/core/src/orchestrator/migrate.rs
-if ! grep -q 'swap_member(' "$migrate_src" ||
-    grep -nE 'process_digests|advance_time|restore_state\(|remap_nfs' "$migrate_src" ||
+if ! grep -q '\.flip(' "$migrate_src" ||
+    grep -nE 'process_digests|advance_time|restore_state\(|snapshot_state\(|remap_nfs' "$migrate_src" ||
     grep -rn 'remap_nfs' crates/core/src; then
-    echo "migration orders a clock, a flush, a restore or the NF routing by hand again (see DESIGN.md, Hitless migration)" >&2
+    echo "migration orders a clock, a flush, a restore, a whole-cluster snapshot or the NF routing by hand again (see DESIGN.md, Hitless migration)" >&2
     exit 1
 fi
 

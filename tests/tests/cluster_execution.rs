@@ -833,3 +833,284 @@ fn registering_for_an_unplaced_nf_fails_at_once() {
     // The placed NFs still register.
     net.register_handler("lb", session_handler()).unwrap();
 }
+
+// ---------------------------------------------------------------------
+// Stage, then flip: a migration rebuilds and flips only the members it
+// changes, hands the state of an NF that stays on a changed member over
+// inside that member, and leaves a member it does not change alone.
+// ---------------------------------------------------------------------
+
+/// A replacement for member 0 of [`six_nf_cluster`] hosting n0 and n1 in
+/// one ingress pipelet.
+fn member_zero_replacement() -> (Switch, Deployment) {
+    let (nfs, chains, _) = six_nf_setup();
+    let refs: Vec<_> = nfs.iter().collect();
+    let placement = Placement::sequential(vec![(PipeletId::ingress(0), vec!["n0", "n1"])]);
+    let link = ClusterWiring::default().egress_link_port;
+    let remote = ["n2", "n3", "n4", "n5"].map(|nf| (nf.to_string(), link));
+    let options = DeployOptions {
+        segment: Some(SegmentOptions {
+            remote_ports: remote.into(),
+            decap_on_exit: false,
+        }),
+        ..Default::default()
+    };
+    let config = RoutingConfig {
+        loopback_port: Default::default(),
+        exit_ports: [(1u16, link)].into(),
+        honor_out_port: false,
+    };
+    let profile = TofinoProfile::wedge_100b_32x();
+    deploy(&refs, &chains, &placement, &profile, &config, &options)
+        .expect("the replacement deploys")
+}
+
+/// One flip, fanned out to two members, one of which fails: the other
+/// still goes live and is routed to, and the failed one keeps its outgoing
+/// member. The failure answers the flip.
+#[test]
+fn a_failed_flip_still_flips_and_routes_the_others() {
+    let mut net = six_nf_cluster();
+    let (switch, deployment) = member_zero_replacement();
+    net.stage_member(0, switch, deployment).unwrap();
+    let (switch, deployment) = member_one_replacement();
+    net.stage_member(1, switch, deployment).unwrap();
+    // Member 0's newcomer has two pipelines: nothing is loaded on a third.
+    let state = [(0, vec![(PipeletId::ingress(2), StateSnapshot::empty("n0"))])];
+    let err = net.flip(state.into()).unwrap_err();
+    assert!(matches!(err, ClusterError::Remote(_)), "got {err}");
+    net.retire(&[0, 1]).unwrap();
+
+    for (nf, member) in [("n0", 0), ("n1", 0), ("n2", 1), ("n3", 1), ("n5", 1)] {
+        assert_eq!(net.switch_of(nf), Some(member), "{nf}");
+    }
+    // Member 0 kept its old build, which still runs n2 in its egress pass.
+    let member0 = net.deployment(0).unwrap();
+    assert_eq!(member0.nf_location("n2"), Some(PipeletId::egress(0)));
+    assert_eq!(
+        net.deployment(1).unwrap().nf_location("n2"),
+        Some(PipeletId::ingress(0))
+    );
+}
+
+/// What a member was built as: per loaded pipelet, its program and the
+/// entries of every framework table (every table no NF's `<nf>__` prefix
+/// names), rendered — what `routing_pinned.rs` hashes, compared here
+/// unhashed so a failure shows the pipelet that differs.
+fn build_of(switch: &Switch, nfs: &[&str]) -> Vec<String> {
+    let ours = |table: &str| nfs.iter().any(|nf| table.starts_with(&format!("{nf}__")));
+    let mut build = Vec::new();
+    for pipelet in switch.loaded_pipelets() {
+        // Without its name, which a program shared by several pipelets
+        // takes from the first one built.
+        let p = switch.program(pipelet).unwrap();
+        let program = (
+            (&p.header_types, &p.meta_fields, &p.parser, &p.actions),
+            (&p.tables, &p.registers, &p.controls, &p.entry),
+        );
+        build.push(format!("{pipelet:?} {program:?}"));
+        let snapshot = switch.snapshot_state(pipelet).unwrap();
+        for table in snapshot.tables.iter().filter(|t| !ours(&t.name)) {
+            build.push(format!("{pipelet:?} {}: {:?}", table.name, table.entries));
+        }
+    }
+    build
+}
+
+/// Four markers on four members. Chain 1 is n0 → n1, chain 2 n0 → n2. The
+/// migration moves n1 from member 1 to member 3, so member 2 keeps n2 but
+/// stops being the final member (its exit becomes the forward link), and
+/// member 0 is wholly unchanged.
+fn four_member_fleet() -> (Vec<NfModule>, ChainSet, [ClusterPlacement; 2]) {
+    let nfs: Vec<NfModule> = (0..3).map(|i| marker_nf(&format!("n{i}"), i)).collect();
+    let chains = ChainSet::new(vec![
+        ChainPolicy::new(1, "one", vec!["n0", "n1"], 1.0),
+        ChainPolicy::new(2, "two", vec!["n0", "n2"], 1.0),
+    ])
+    .unwrap();
+    let on = |nfs: Vec<&str>| Placement::sequential(vec![(PipeletId::ingress(0), nfs)]);
+    let old = ClusterPlacement {
+        switches: vec![on(vec!["n0"]), on(vec!["n1"]), on(vec!["n2"]), on(vec![])],
+    };
+    let new = ClusterPlacement {
+        switches: vec![on(vec!["n0"]), on(vec![]), on(vec!["n2"]), on(vec!["n1"])],
+    };
+    (nfs, chains, [old, new])
+}
+
+#[test]
+fn a_migrated_cluster_matches_a_fresh_deploy() {
+    let (nfs, chains, [old, new]) = four_member_fleet();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let (profile, wiring) = (TofinoProfile::wedge_100b_32x(), ClusterWiring::default());
+    let exits: std::collections::BTreeMap<u16, u16> = [(1, EXIT_PORT), (2, EXIT_PORT)].into();
+    let boot = |placement: &ClusterPlacement| {
+        let options = DeployOptions::default();
+        deploy_cluster(
+            &refs,
+            &chains,
+            placement,
+            &profile,
+            exits.clone(),
+            &wiring,
+            &options,
+        )
+        .unwrap()
+    };
+    let names = ["n0", "n1", "n2"];
+    let (mut net, mut fresh, mut before) = (boot(&old), boot(&new), boot(&old));
+    // Member 2's build depends on its being the final member.
+    let member2 = |net: &mut ClusterNet| build_of(net.switch(2).unwrap(), &names);
+    assert_ne!(member2(&mut before), member2(&mut fresh));
+    for path in [1, 2] {
+        net.inject(InjectedPacket::new(encapsulated_packet(path, 0), IN_PORT))
+            .unwrap();
+    }
+
+    let spec = dejavu_core::orchestrator::FleetSpec {
+        nfs: &refs,
+        chains: &chains,
+        profile: &profile,
+        exit_ports: exits.clone(),
+        wiring: &wiring,
+        deploy: &DeployOptions::default(),
+    };
+    let outcome = dejavu_core::orchestrator::migrate(&mut net, &spec, &old, &new).unwrap();
+    let moved: Vec<(&str, usize, usize)> = (outcome.moves.iter())
+        .map(|m| (m.nf.as_str(), m.from, m.to))
+        .collect();
+    assert_eq!(moved, [("n1", 1, 3)]);
+    assert!(outcome.phases.total_ns() <= outcome.duration_ns);
+    assert!(outcome.phases.flip_ns > 0 && outcome.phases.snapshot_ns > 0);
+
+    for member in 0..4 {
+        let got = build_of(net.switch(member).unwrap(), &names);
+        let want = build_of(fresh.switch(member).unwrap(), &names);
+        let differs = got.iter().zip(&want).position(|(g, w)| g != w);
+        assert_eq!(
+            got.len(),
+            want.len(),
+            "member {member}: pipelets and tables"
+        );
+        assert_eq!(
+            differs,
+            None,
+            "member {member}: {:#?}",
+            differs.map(|at| (&got[at], &want[at]))
+        );
+    }
+    for path in [1, 2] {
+        let packet = || InjectedPacket::new(encapsulated_packet(path, 0), IN_PORT);
+        let (got, want) = (
+            net.inject(packet()).unwrap(),
+            fresh.inject(packet()).unwrap(),
+        );
+        assert_eq!(got.disposition, Disposition::Emitted { port: EXIT_PORT });
+        assert_eq!(got.final_bytes, want.final_bytes, "chain {path}");
+        assert_eq!(members(&got), members(&want), "chain {path}");
+    }
+}
+
+/// The rate limiter keeps its member and moves from its ingress pipelet
+/// to the egress one. Its member is flipped, and the hand-over inside the
+/// worker carries its class entries and its counters over: the registers
+/// read what the traffic before the migration left in them, the idle
+/// timeout holds, and each entry is stamped at the clock it was last hit
+/// at — the flip's, since the packets that hit them ran just before it —
+/// so it ages out at that clock plus its timeout, not before, not after.
+#[test]
+fn an_nf_that_stays_keeps_its_registers_and_stamps() {
+    use dejavu_nf::rate_limiter::{class_entry, rate_limiter, BUCKET_REGISTER, CLASSES_TABLE};
+    const TIMEOUT: u64 = 10;
+    const CLOCK: u64 = 4;
+    let nfs = [rate_limiter(), marker_nf("m", 0)];
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let chains = ChainSet::new(vec![ChainPolicy::new(
+        1,
+        "limited",
+        vec!["rate_limiter", "m"],
+        1.0,
+    )])
+    .unwrap();
+    let at = |gress: PipeletId, nfs: Vec<&str>| Placement::sequential(vec![(gress, nfs)]);
+    let old = ClusterPlacement {
+        switches: vec![
+            at(PipeletId::ingress(0), vec!["rate_limiter"]),
+            at(PipeletId::ingress(0), vec!["m"]),
+        ],
+    };
+    let new = ClusterPlacement {
+        switches: vec![
+            at(PipeletId::egress(0), vec!["rate_limiter"]),
+            at(PipeletId::ingress(0), vec!["m"]),
+        ],
+    };
+    let (profile, wiring) = (TofinoProfile::wedge_100b_32x(), ClusterWiring::default());
+    let exits: std::collections::BTreeMap<u16, u16> = [(1, EXIT_PORT)].into();
+    let options = DeployOptions::default();
+    let mut net = deploy_cluster(
+        &refs,
+        &chains,
+        &old,
+        &profile,
+        exits.clone(),
+        &wiring,
+        &options,
+    )
+    .unwrap();
+    // Sources in 10/8 count in cell 7, under a budget nothing here reaches.
+    let rule = class_entry((0x0a00_0000, 8), 7, 1000);
+    net.install("rate_limiter", CLASSES_TABLE, rule.clone())
+        .unwrap();
+    net.set_idle_timeout("rate_limiter", CLASSES_TABLE, Some(TIMEOUT))
+        .unwrap();
+    net.advance_time(CLOCK).unwrap();
+    for _ in 0..5 {
+        let t = net
+            .inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
+            .unwrap();
+        assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
+    }
+    let table = format!("rate_limiter__{CLASSES_TABLE}");
+    let register = format!("rate_limiter__{BUCKET_REGISTER}");
+    let counted =
+        |net: &mut ClusterNet, pipelet| net.switch(0).unwrap().register_peek(pipelet, &register, 7);
+    assert_eq!(counted(&mut net, PipeletId::ingress(0)), Some(5));
+
+    let spec = dejavu_core::orchestrator::FleetSpec {
+        nfs: &refs,
+        chains: &chains,
+        profile: &profile,
+        exit_ports: exits,
+        wiring: &wiring,
+        deploy: &options,
+    };
+    let outcome = dejavu_core::orchestrator::migrate(&mut net, &spec, &old, &new).unwrap();
+    assert!(outcome.moves.is_empty());
+    assert_eq!((outcome.flows_migrated, outcome.restored_entries), (0, 1));
+    assert_eq!(
+        net.deployment(0).unwrap().nf_location("rate_limiter"),
+        Some(PipeletId::egress(0))
+    );
+
+    let home = PipeletId::egress(0);
+    assert_eq!(counted(&mut net, home), Some(5), "the counters");
+    let tables = |net: &mut ClusterNet| {
+        let tables = net.switch(0).unwrap().tables(home).unwrap();
+        (tables.idle_timeout(&table), tables.entries(&table).len())
+    };
+    assert_eq!(net.switch(0).unwrap().now(), CLOCK);
+    assert_eq!(tables(&mut net), (Some(TIMEOUT), 1));
+    net.advance_time(TIMEOUT - 1).unwrap();
+    assert_eq!(
+        tables(&mut net),
+        (Some(TIMEOUT), 1),
+        "aged before its stamp plus its timeout"
+    );
+    net.advance_time(1).unwrap();
+    assert_eq!(
+        tables(&mut net),
+        (Some(TIMEOUT), 0),
+        "outlived its stamp plus its timeout"
+    );
+}

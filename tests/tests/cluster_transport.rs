@@ -277,12 +277,25 @@ fn nat_fleet() -> (Vec<NfModule>, ChainSet, ClusterPlacement, DeployOptions) {
 /// flight finishes on the second. The static rules are installed; the
 /// learn policy is the caller's to register.
 fn nat_cluster(transport: &mut dyn Transport, options: &ClusterOptions) -> ClusterHandle {
-    let (nfs, chains, placement, deploy) = nat_fleet();
+    let handle = nat_cluster_on(&nat_fleet().2, transport, options);
+    assert_eq!(handle.switch_of("nat"), Some(0));
+    assert_eq!(handle.switch_of("router"), Some(1));
+    handle
+}
+
+/// [`nat_fleet`]'s NFs and chain on `placement`, booted over `transport`,
+/// its static rules installed.
+fn nat_cluster_on(
+    placement: &ClusterPlacement,
+    transport: &mut dyn Transport,
+    options: &ClusterOptions,
+) -> ClusterHandle {
+    let (nfs, chains, _, deploy) = nat_fleet();
     let refs: Vec<&NfModule> = nfs.iter().collect();
     let mut handle = spawn_cluster(
         &refs,
         &chains,
-        &placement,
+        placement,
         &TofinoProfile::wedge_100b_32x(),
         [(1u16, EXIT_PORT)].into_iter().collect(),
         &ClusterWiring::default(),
@@ -291,8 +304,6 @@ fn nat_cluster(transport: &mut dyn Transport, options: &ClusterOptions) -> Clust
         options,
     )
     .unwrap();
-    assert_eq!(handle.switch_of("nat"), Some(0));
-    assert_eq!(handle.switch_of("router"), Some(1));
 
     // Steer both directions onto the chain, arm the NAT, route to exit.
     for prefix in [(0x0a01_0000u32, 16u16), (0x0800_0000, 8)] {
@@ -1053,5 +1064,129 @@ fn a_duplicated_delivery_is_handed_over_once() {
     assert_eq!(t.hops.len(), 3);
     let again = handle.recv_delivered(Duration::from_millis(200)).unwrap();
     assert!(again.is_none(), "delivered twice: {again:?}");
+    handle.shutdown().unwrap();
+}
+
+/// A flip whose frame to worker 1 is damaged on its way: worker 1 drops it
+/// and counts it, and the migration fails at `op_timeout` with a timeout,
+/// after worker 0 acked its own flip.
+#[test]
+fn a_damaged_flip_frame_is_one_counted_drop() {
+    use dejavu_core::transport::wire::ControlMsg;
+
+    // The controller's link to worker 1 is the first connected to `w1`.
+    let mut transport = DamagingTransport::new("w1", 1, |m| {
+        matches!(m, Message::Control(ControlMsg::Flip { .. }))
+    });
+    let mut handle = nat_cluster(&mut transport, &damaging_options());
+    handle
+        .register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy())
+        .unwrap();
+    handle
+        .inject(InjectedPacket::new(outbound(BASE_PORT), IN_PORT))
+        .unwrap();
+
+    let asked = std::time::Instant::now();
+    let failed = move_the_nat(&mut handle);
+    assert!(
+        matches!(
+            failed,
+            Err(MigrationError::Cluster(ClusterError::Timeout(_)))
+        ),
+        "got {failed:?}"
+    );
+    assert!(
+        asked.elapsed() >= DAMAGE_TIMEOUT,
+        "failed before its timeout"
+    );
+    assert_eq!(handle.metrics_snapshot().unwrap().rejected_frames, 1);
+    assert_eq!(handle.switch_of("classifier"), Some(0));
+    handle.shutdown().unwrap();
+}
+
+/// Selects every control frame while a migration runs.
+static MIGRATING: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+/// The NAT moves from member 0 to the empty member 1; member 2 hosts the
+/// router and exits the chain under both placements, so the migration
+/// leaves it alone. Every control frame to it during the migration is
+/// damaged, and the migration completes all the same: member 2 was sent
+/// none, and it still counts the traffic it carried before.
+#[test]
+fn an_unchanged_member_is_left_alone() {
+    use std::sync::atomic::Ordering;
+
+    let (nfs, chains, _, deploy) = nat_fleet();
+    let on = |gress: PipeletId, nfs: Vec<&str>| Placement::sequential(vec![(gress, nfs)]);
+    let old = ClusterPlacement {
+        switches: vec![
+            on(PipeletId::ingress(0), vec!["classifier", "nat"]),
+            on(PipeletId::ingress(0), vec![]),
+            on(PipeletId::egress(0), vec!["router"]),
+        ],
+    };
+    let new = ClusterPlacement {
+        switches: vec![
+            on(PipeletId::ingress(0), vec!["classifier"]),
+            on(PipeletId::ingress(0), vec!["nat"]),
+            on(PipeletId::egress(0), vec!["router"]),
+        ],
+    };
+    // The controller's link to worker 2 is the first connected to `w2`.
+    let transport = DamagingTransport::new("w2", 1, |m| {
+        MIGRATING.load(Ordering::SeqCst) && matches!(m, Message::Control(_))
+    });
+    let mut handle = nat_cluster_on(&old, &mut transport.every(), &damaging_options());
+    handle
+        .register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy())
+        .unwrap();
+    for f in 0..FLOWS {
+        handle
+            .inject(InjectedPacket::new(outbound(BASE_PORT + f), IN_PORT))
+            .unwrap();
+    }
+    let injected = |handle: &mut ClusterHandle| {
+        let scrape = handle.metrics_snapshot().unwrap();
+        (
+            scrape.per_switch[2].counter("packets_injected"),
+            scrape.rejected_frames,
+        )
+    };
+    assert_eq!(injected(&mut handle), (u64::from(FLOWS), 0));
+
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let (profile, wiring) = (TofinoProfile::wedge_100b_32x(), ClusterWiring::default());
+    let spec = FleetSpec {
+        nfs: &refs,
+        chains: &chains,
+        profile: &profile,
+        exit_ports: [(1u16, EXIT_PORT)].into_iter().collect(),
+        wiring: &wiring,
+        deploy: &deploy,
+    };
+    MIGRATING.store(true, Ordering::SeqCst);
+    let outcome = migrate(&mut handle, &spec, &old, &new);
+    MIGRATING.store(false, Ordering::SeqCst);
+    let outcome = outcome.expect("the migration completes");
+    assert_eq!(
+        outcome.flows_migrated,
+        u64::from(FLOWS) + 1,
+        "learned flows + NAT pool"
+    );
+    assert_eq!(handle.switch_of("nat"), Some(1));
+    assert_eq!(handle.switch_of("router"), Some(2));
+    assert_eq!(
+        injected(&mut handle),
+        (u64::from(FLOWS), 0),
+        "member 2 was sent a frame"
+    );
+
+    for f in 0..FLOWS {
+        let back = handle
+            .inject(InjectedPacket::new(inbound(BASE_PORT + f), IN_PORT))
+            .unwrap();
+        assert_eq!(ip_at(&back.final_bytes, 30), CLIENT, "flow {f}");
+    }
+    assert_eq!(injected(&mut handle), (u64::from(FLOWS) * 2, 0));
     handle.shutdown().unwrap();
 }

@@ -220,8 +220,15 @@ fn control_strat() -> BoxedStrategy<ControlMsg> {
                 snapshot,
             }
         }),
-        (any::<u64>(), vec((pipelet_strat(), snapshot_strat()), 0..3))
-            .prop_map(|(seq, state)| ControlMsg::SwapMember { seq, state }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            vec((pipelet_strat(), snapshot_strat()), 0..3)
+        )
+            .prop_map(|(seq, staged, state)| ControlMsg::Flip { seq, staged, state }),
+        (any::<u64>(), vec((string_strat(), pipelet_strat()), 0..4))
+            .prop_map(|(seq, slices)| ControlMsg::SnapshotSlices { seq, slices }),
+        any::<u64>().prop_map(|seq| ControlMsg::Retire { seq }),
         any::<u64>().prop_map(|seq| ControlMsg::Shutdown { seq }),
         (any::<u64>(), string_strat(), string_strat(), policy_strat()).prop_map(
             |(seq, nf, stream, policy)| ControlMsg::RegisterLearnPolicy {
@@ -482,7 +489,7 @@ fn overlength_frames_are_rejected() {
 #[test]
 fn unknown_tags_are_typed_errors() {
     // Telemetry tag 2 carried version 4's digests; it names nothing now.
-    for (class, tag) in [(1u8, 11u8), (2, 2), (2, 8)] {
+    for (class, tag) in [(1u8, 13u8), (2, 2), (2, 8)] {
         let mut frame = Vec::new();
         frame.extend_from_slice(&WIRE_MAGIC.to_be_bytes());
         frame.push(WIRE_VERSION);
@@ -598,12 +605,14 @@ fn damaged_snapshot_frames_never_decode_shorter() {
 
 /// Version 1 carried state as JSON text, version 2 carried table names in
 /// every hop, version 3 had no trailer, version 4 sent digests up a link
-/// and version 5 swapped a member in without its state: a peer on any of
-/// them fails loudly at the header, before any payload is interpreted.
+/// version 5 swapped a member in without its state and version 6 swapped
+/// members in one at a time, each carrying every slice it would host: a
+/// peer on any of them fails loudly at the header, before any payload is
+/// interpreted.
 #[test]
 fn version_one_headers_are_rejected() {
-    assert_eq!(WIRE_VERSION, 6);
-    for old in [1, 2, 3, 4, 5] {
+    assert_eq!(WIRE_VERSION, 7);
+    for old in [1, 2, 3, 4, 5, 6] {
         let mut frame = encode(&Message::Control(ControlMsg::SnapshotState { seq: 2 }));
         frame[2] = old;
         assert_eq!(payload_len(&frame), Err(WireError::UnsupportedVersion(old)));
