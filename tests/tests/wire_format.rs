@@ -7,7 +7,8 @@
 //! metrics snapshots ride the same properties, and a differential property
 //! pins the frame encoding and the JSON export encoding of a
 //! [`StateSnapshot`] against each other. A packet's frame grows by one
-//! fixed-size hop per switch visited.
+//! fixed-size hop per switch visited, and the frames of a fixed corpus are
+//! pinned byte for byte by one hash (`frames_are_pinned`).
 
 use dejavu_asic::state::{RegisterSnapshot, TableSnapshot, SNAPSHOT_FORMAT_VERSION};
 use dejavu_asic::switch::Disposition;
@@ -646,4 +647,180 @@ proptest! {
             prop_assert_eq!(frames(hops), (data0 + hops * per_hop, delivered0 + hops * per_hop));
         }
     }
+}
+
+/// The format's oracle: an FNV-1a hash over the frames of a fixed corpus
+/// (every control and telemetry variant, a 3-hop packet, a `Delivered` per
+/// disposition, all five match kinds, a counter, a gauge and a histogram,
+/// and a 257-entry NAT snapshot in a `Flip` and in a `Snapshot` reply), each
+/// frame checked to decode as itself. A round trip cannot see two fields of
+/// one type swapped in both directions at once; this hash does. The value
+/// was recorded on the codec that wrote each layout out twice, once per
+/// direction.
+#[test]
+fn frames_are_pinned() {
+    let ingress = |pipeline| PipeletId {
+        pipeline,
+        gress: Gress::Ingress,
+    };
+    let egress = PipeletId {
+        pipeline: 1,
+        gress: Gress::Egress,
+    };
+    let entry = TableEntry {
+        matches: vec![
+            KeyMatch::Exact(Value::new(0xc0a8_0001, 32)),
+            KeyMatch::Ternary(Value::new(6, 8), Value::new(0xff, 8)),
+            KeyMatch::Lpm(Value::new(0x0a00_0000, 32), 8),
+            KeyMatch::Range(Value::new(1, 16), Value::new(1024, 16)),
+            KeyMatch::Any,
+        ],
+        action: "nat__rewrite".into(),
+        action_args: vec![Value::new(0x0a01_0101, 32), Value::new(1, 1)],
+        priority: -3,
+    };
+    let hop = |switch| HopSummary {
+        switch,
+        latency_ns: 650.25 * f64::from(switch + 1),
+        recirculations: switch,
+        resubmissions: 1,
+    };
+    let data = DataMsg {
+        trace: 0x0123_4567_89ab_cdef,
+        port: 13,
+        latency_ns: 1234.5,
+        inter_switch_hops: 2,
+        hops: vec![hop(0), hop(1), hop(2)],
+        bytes: (0..64).collect(),
+    };
+    let mut metrics = MetricsSnapshot::default();
+    metrics
+        .metrics
+        .insert("packets_injected".into(), MetricValue::Counter(42));
+    metrics
+        .metrics
+        .insert("queue_depth".into(), MetricValue::Gauge(-7));
+    metrics.metrics.insert(
+        "packet_latency_ns".into(),
+        MetricValue::Histogram(HistogramSnapshot {
+            buckets: vec![0, 3, 9, 1],
+            count: 13,
+            sum: 8_100,
+        }),
+    );
+    let nf = || "nat".to_string();
+    let corpus = vec![
+        Message::Data(data.clone()),
+        Message::Control(ControlMsg::Install {
+            seq: 2,
+            nf: nf(),
+            table: "nat_in".into(),
+            entry: entry.clone(),
+        }),
+        Message::Control(ControlMsg::Remove {
+            seq: 4,
+            nf: nf(),
+            table: "nat_in".into(),
+            entry: entry.clone(),
+        }),
+        Message::Control(ControlMsg::SetIdleTimeout {
+            seq: 6,
+            nf: nf(),
+            table: "nat_in".into(),
+            ticks: Some(64),
+        }),
+        Message::Control(ControlMsg::SetIdleTimeout {
+            seq: 8,
+            nf: nf(),
+            table: "nat_in".into(),
+            ticks: None,
+        }),
+        Message::Control(ControlMsg::AdvanceTime { seq: 10, ticks: 3 }),
+        Message::Control(ControlMsg::DrainDigests { seq: 12 }),
+        Message::Control(ControlMsg::ScrapeMetrics { seq: 14 }),
+        Message::Control(ControlMsg::SnapshotState { seq: 16 }),
+        Message::Control(ControlMsg::RestoreState {
+            seq: 18,
+            pipelet: egress,
+            snapshot: nat_snapshot(2),
+        }),
+        Message::Control(ControlMsg::Flip {
+            seq: 20,
+            staged: 5,
+            state: vec![(ingress(0), nat_snapshot(257)), (egress, nat_snapshot(0))],
+        }),
+        Message::Control(ControlMsg::SnapshotSlices {
+            seq: 22,
+            slices: vec![(nf(), ingress(0)), ("fw".into(), egress)],
+        }),
+        Message::Control(ControlMsg::Retire { seq: 24 }),
+        Message::Control(ControlMsg::Shutdown { seq: 26 }),
+        Message::Control(ControlMsg::RegisterLearnPolicy {
+            seq: 28,
+            nf: nf(),
+            stream: "nat_flow".into(),
+            policy: LearnPolicy {
+                table: "nat_in".into(),
+                action: "restore_dst".into(),
+                key_map: vec![2, 1],
+                arg_map: vec![0],
+            },
+        }),
+        Message::Telemetry(TelemetryMsg::Ack { seq: 2, info: 1 }),
+        Message::Telemetry(TelemetryMsg::Nack {
+            seq: 4,
+            error: "no such table".into(),
+        }),
+        Message::Telemetry(TelemetryMsg::DrainDone {
+            seq: 12,
+            digests: 3,
+            installed: 2,
+        }),
+        Message::Telemetry(TelemetryMsg::Metrics {
+            seq: 14,
+            snapshot: metrics,
+            rejected_frames: 1,
+        }),
+        Message::Telemetry(TelemetryMsg::Snapshot {
+            seq: 16,
+            items: vec![
+                (ingress(0), nat_snapshot(257)),
+                (ingress(1), nat_snapshot(1)),
+            ],
+        }),
+        Message::Telemetry(TelemetryMsg::Evictions {
+            seq: 10,
+            evictions: vec![(
+                ingress(1),
+                Eviction {
+                    table: "nat__nat_in".into(),
+                    entry,
+                },
+            )],
+        }),
+        Message::Telemetry(TelemetryMsg::Delivered {
+            disposition: Disposition::Emitted { port: 7 },
+            data: data.clone(),
+        }),
+        Message::Telemetry(TelemetryMsg::Delivered {
+            disposition: Disposition::Dropped,
+            data: data.clone(),
+        }),
+        Message::Telemetry(TelemetryMsg::Delivered {
+            disposition: Disposition::ToCpu,
+            data,
+        }),
+    ];
+    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+    for msg in corpus {
+        let frame = encode(&msg);
+        assert_eq!(decode(&frame), Ok(msg));
+        for b in frame {
+            fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    assert_eq!(
+        fnv, 0x8229_bd3e_ebb0_512b,
+        "the corpus hashes to {fnv:#018x}"
+    );
 }
