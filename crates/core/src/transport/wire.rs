@@ -23,98 +23,27 @@
 //! rejected up front so future format revisions fail loudly instead of
 //! misparsing.
 //!
-//! # Version 2: dynamic state is typed
 //!
-//! [`ControlMsg::RestoreState`] and [`TelemetryMsg::Snapshot`] carry a
-//! [`StateSnapshot`] in the frame format itself (version 1 carried its JSON
-//! text in a string field), laid out with the same primitives as every other
-//! message — big-endian integers, `u32` counts, length-prefixed strings:
+//! The grammar is the code below. Each type that crosses a link has one
+//! codec pair (`Wire`: `put` appends it, `get` reads it back), and each
+//! layout is declared once, for both: a struct as its fields in wire order
+//! (`wire_struct!`), an enum as a tag byte and each variant's fields in
+//! wire order (`wire_enum!`, e.g. `0 => Install { seq, nf, table, entry }`).
+//! Integers are big-endian; a count and a string's or a packet's length are
+//! `u32`s; a [`Value`] is its width in bits as a `u8`, then as many bytes as
+//! that width needs. `frames_are_pinned` in `tests/wire_format.rs` hashes
+//! the frames of a fixed corpus, so a layout that changes in both
+//! directions at once, which a round trip cannot see, still fails a test.
+//! DESIGN.md (Wire format) records what each version changed.
 //!
-//! ```text
-//! snapshot := version:u32 program:str clock:u64
-//!             n:u32 { name:str idle_timeout:opt_u64 n:u32 { entry } }   tables
-//!             n:u32 { name:str n:u32 { cell:u128 } }                    registers
-//! entry    := n:u32 { key_match } action:str n:u32 { value } priority:i32
-//! ```
-//!
-//! `entry` is the encoding `Install` and `Evictions` already use. A snapshot
-//! whose `version` is not [`SNAPSHOT_FORMAT_VERSION`] is a
-//! [`WireError::BadValue`], and a frame cut inside it is
-//! [`WireError::Truncated`] — never a shorter snapshot.
-//!
-//! State is typed because it sits inside the migration window (ingress is
-//! parked from PAUSE to RESUME while every learned flow crosses a link
-//! twice) and because a snapshot that fails to parse must fail the verb, not
-//! vanish.
-//!
-//! # Version 3: a hop is fixed-size
-//!
-//! A [`DataMsg`] carries one [`HopSummary`] per switch visited, and every
-//! later hop re-encodes and re-decodes the ones before it. Version 2's hop
-//! also listed the names of the tables applied and hit, so a frame grew
-//! with every table each member ran. Version 3's hop is 20 bytes, whatever
-//! the member ran — the in-band record stays a fixed-size header, like the
-//! paper's `(pathID, serviceIndex)`:
-//!
-//! ```text
-//! hop := switch:u32 latency_ns:f64 recirculations:u32 resubmissions:u32
-//! ```
-//!
-//! Which tables a member applied, and whether they hit, is that member's
-//! telemetry (`table_hits` / `table_misses`), not the packet's.
-//!
-//! # Version 4: every frame proves it arrived intact
-//!
-//! A frame ends in the big-endian CRC-32 of its header and payload
-//! ([`dejavu_p4ir::action::crc32`], the data plane's `Hash` extern).
 //! [`decode`] checks the header fields a stream reader needs (magic,
 //! version, the [`MAX_PAYLOAD`] bound), then that one trailer follows the
-//! payload, then the trailer; a frame that fails is [`WireError::Checksum`]
-//! and no payload byte of it is read, so a flipped bit is a dropped frame,
-//! never a valid, wrong message. It costs 4 bytes and one CRC pass per
-//! side (measured in DESIGN.md, Wire format).
-//! [`TelemetryMsg::Metrics`] carries a typed [`MetricsSnapshot`] (version
-//! 3 carried JSON text), so nothing on the cluster path prints or parses
-//! JSON; more than [`HISTOGRAM_BUCKETS`] buckets is refused unallocated:
-//!
-//! ```text
-//! metrics := n:u32 { name:str kind:u8 (counter:u64 | gauge:i64
-//!                    | count:u64 sum:u64 n:u32 { bucket:u64 }) }
-//! ```
-//!
-//! # Version 5: a member learns its own digests
-//!
-//! A member learns a digest where it was emitted, so no digest crosses a
-//! link (version 4's `Digests`, telemetry tag 2, is gone) and a learned
-//! flow's outbound flight takes 3 frames, not 6. The policy crosses
-//! instead, once per member ([`ControlMsg::RegisterLearnPolicy`], tag 10:
-//! `nf stream table action:str`, then key and argument field lists of
-//! `u32`), and [`TelemetryMsg::DrainDone`] carries the digests and installs
-//! learned since the member's last drain.
-//!
-//! # Version 6: a swapped-in member arrives holding its state
-//!
-//! `ControlMsg::SwapMember` (tag 9) was `seq:u64 items`, every NF slice its
-//! newcomer would host in [`TelemetryMsg::Snapshot`]'s `items := n:u32
-//! { pipelet snapshot }`, so a migration sends no [`ControlMsg::RestoreState`].
-//!
-//! # Version 7: stage, then flip
-//!
-//! A migration's window carries only the slices of the NFs that change
-//! members. [`ControlMsg::SnapshotSlices`] (tag 11, `seq:u64 n:u32 { nf:str
-//! pipelet }`) asks an NF's old member for its slice, cut from its home
-//! pipelet on the member; the reply is [`TelemetryMsg::Snapshot`], one item
-//! per slice asked for, in the order asked. [`ControlMsg::Flip`] (tag 9,
-//! `seq:u64 staged:u64 items`, in place of version 6's `SwapMember`) makes
-//! the member staged under `staged` live, holding those slices and the
-//! state of the NFs that stay on it, and [`ControlMsg::Retire`] (tag 12,
-//! `seq:u64`) drops what the flip replaced, after the window.
-//!
-//! A value is as long as it is wide: `value := bits:u8` then its
-//! `ceil(bits / 8)` bytes, big-endian (version 6 spent `bits:u16 raw:u128`,
-//! 18 bytes, on every one). A learned NAT entry — two exact keys and one
-//! argument — shrinks from 88 bytes to 52, and so does every frame
-//! carrying entries (`Install`, `Evictions`, a snapshot), in proportion.
+//! payload, then the trailer: the CRC-32 of header and payload
+//! ([`dejavu_p4ir::action::crc32`], the data plane's `Hash` extern). A
+//! frame that fails is [`WireError::Checksum`] and no payload byte of it is
+//! read, so a flipped bit is a dropped frame, never a valid, wrong message.
+//! A count is checked against the bytes that remain before anything is
+//! allocated for it.
 
 use crate::control_plane::LearnPolicy;
 use dejavu_asic::state::{RegisterSnapshot, TableSnapshot, SNAPSHOT_FORMAT_VERSION};
@@ -125,6 +54,7 @@ use dejavu_asic::{Gress, MetricsSnapshot, PipeletId, PortId, StateSnapshot};
 use dejavu_p4ir::action::crc32;
 use dejavu_p4ir::table::{KeyMatch, TableEntry};
 use dejavu_p4ir::Value;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// First two bytes of every frame.
@@ -228,8 +158,8 @@ pub enum Message {
 
 /// Per-switch execution summary accumulated as a packet crosses the
 /// cluster: the fixed-size projection of a
-/// [`BufOutcome`](dejavu_asic::switch::BufOutcome) (20 bytes on the wire,
-/// see the module docs). Per-table activity is the member's telemetry
+/// [`BufOutcome`](dejavu_asic::switch::BufOutcome), 20 bytes on the wire
+/// whatever the member ran. Per-table activity is the member's telemetry
 /// (`table_hits` / `table_misses` in its metrics snapshot), not part of
 /// the flight record.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -394,27 +324,6 @@ pub enum ControlMsg {
     },
 }
 
-impl ControlMsg {
-    /// The command's sequence number.
-    pub fn seq(&self) -> u64 {
-        match self {
-            ControlMsg::Install { seq, .. }
-            | ControlMsg::Remove { seq, .. }
-            | ControlMsg::SetIdleTimeout { seq, .. }
-            | ControlMsg::AdvanceTime { seq, .. }
-            | ControlMsg::DrainDigests { seq }
-            | ControlMsg::ScrapeMetrics { seq }
-            | ControlMsg::SnapshotState { seq }
-            | ControlMsg::RestoreState { seq, .. }
-            | ControlMsg::Flip { seq, .. }
-            | ControlMsg::SnapshotSlices { seq, .. }
-            | ControlMsg::Retire { seq }
-            | ControlMsg::Shutdown { seq }
-            | ControlMsg::RegisterLearnPolicy { seq, .. } => *seq,
-        }
-    }
-}
-
 /// Telemetry and replies, worker → controller.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryMsg {
@@ -481,372 +390,29 @@ pub enum TelemetryMsg {
 }
 
 // ---------------------------------------------------------------------
-// Encoding
+// Codec: one declaration per layout, read by both directions
 // ---------------------------------------------------------------------
 
 const CLASS_DATA: u8 = 0;
 const CLASS_CONTROL: u8 = 1;
 const CLASS_TELEMETRY: u8 = 2;
 
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-    fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-    fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-    fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-        }
-    }
-    fn value(&mut self, v: Value) {
-        // A `Value` is 1..=128 bits wide, so its width fits a byte.
-        let bytes = usize::from(v.bits()).div_ceil(8);
-        self.u8(v.bits() as u8);
-        self.buf
-            .extend_from_slice(&v.raw().to_be_bytes()[16 - bytes..]);
-    }
-    /// A `u32` count, then each item.
-    fn list<I>(&mut self, items: I, mut item: impl FnMut(&mut Self, I::Item))
+/// A type's layout on the wire: `put` appends it, `get` reads it back
+/// from the bytes that remain.
+trait Wire {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(d: &mut Dec) -> Result<Self, WireError>
     where
-        I: IntoIterator,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let items = items.into_iter();
-        self.u32(items.len() as u32);
-        items.for_each(|i| item(self, i));
-    }
-    fn values(&mut self, vs: &[Value]) {
-        self.list(vs, |e, v| e.value(*v));
-    }
-    fn key_match(&mut self, m: &KeyMatch) {
-        match m {
-            KeyMatch::Exact(v) => {
-                self.u8(0);
-                self.value(*v);
-            }
-            KeyMatch::Ternary(v, mask) => {
-                self.u8(1);
-                self.value(*v);
-                self.value(*mask);
-            }
-            KeyMatch::Lpm(prefix, len) => {
-                self.u8(2);
-                self.value(*prefix);
-                self.u16(*len);
-            }
-            KeyMatch::Range(lo, hi) => {
-                self.u8(3);
-                self.value(*lo);
-                self.value(*hi);
-            }
-            KeyMatch::Any => self.u8(4),
-        }
-    }
-    fn entry(&mut self, e: &TableEntry) {
-        self.list(&e.matches, Self::key_match);
-        self.str(&e.action);
-        self.values(&e.action_args);
-        self.i32(e.priority);
-    }
-    fn snapshot(&mut self, s: &StateSnapshot) {
-        self.u32(s.version);
-        self.str(&s.program);
-        self.u64(s.clock);
-        self.list(&s.tables, |e, t| {
-            e.str(&t.name);
-            e.opt_u64(t.idle_timeout);
-            e.list(&t.entries, Self::entry);
-        });
-        self.list(&s.registers, |e, r| {
-            e.str(&r.name);
-            e.list(&r.cells, |e, c| e.u128(*c));
-        });
-    }
-    fn items(&mut self, items: &[(PipeletId, StateSnapshot)]) {
-        self.list(items, |e, (p, snapshot)| {
-            e.pipelet(*p);
-            e.snapshot(snapshot);
-        });
-    }
-    fn pipelet(&mut self, p: PipeletId) {
-        self.u8(match p.gress {
-            Gress::Ingress => 0,
-            Gress::Egress => 1,
-        });
-        self.u32(p.pipeline as u32);
-    }
-    fn disposition(&mut self, d: Disposition) {
-        match d {
-            Disposition::Emitted { port } => {
-                self.u8(0);
-                self.u16(port);
-            }
-            Disposition::Dropped => self.u8(1),
-            Disposition::ToCpu => self.u8(2),
-        }
-    }
-    fn hop(&mut self, h: &HopSummary) {
-        self.u32(h.switch);
-        self.f64(h.latency_ns);
-        self.u32(h.recirculations);
-        self.u32(h.resubmissions);
-    }
-    fn data(&mut self, d: &DataMsg) {
-        self.u64(d.trace);
-        self.u16(d.port);
-        self.f64(d.latency_ns);
-        self.u32(d.inter_switch_hops);
-        self.list(&d.hops, Self::hop);
-        self.bytes(&d.bytes);
-    }
-    fn metrics(&mut self, s: &MetricsSnapshot) {
-        self.list(&s.metrics, |e, (name, value)| {
-            e.str(name);
-            let (kind, word) = match value {
-                MetricValue::Counter(c) => (0, *c),
-                MetricValue::Gauge(g) => (1, *g as u64),
-                MetricValue::Histogram(h) => (2, h.count),
-            };
-            e.u8(kind);
-            e.u64(word);
-            if let MetricValue::Histogram(h) = value {
-                e.u64(h.sum);
-                e.list(&h.buckets, |e, b| e.u64(*b));
-            }
-        });
-    }
+        Self: Sized;
 }
 
-/// Encodes a message into a complete frame (header + payload + trailer).
-/// The header goes into the buffer first and its class and length are
-/// patched in once the payload is written, so the payload is never copied.
-pub fn encode(msg: &Message) -> Vec<u8> {
-    // Room for a one-hop data frame: most frames never reallocate.
-    let mut e = Enc {
-        buf: Vec::with_capacity(128),
-    };
-    e.u16(WIRE_MAGIC);
-    e.u8(WIRE_VERSION);
-    e.u8(0); // Class, patched below.
-    e.u32(0); // Payload length, patched below.
-    let class = match msg {
-        Message::Data(d) => {
-            e.data(d);
-            CLASS_DATA
-        }
-        Message::Control(c) => {
-            match c {
-                ControlMsg::Install {
-                    seq,
-                    nf,
-                    table,
-                    entry,
-                } => {
-                    e.u8(0);
-                    e.u64(*seq);
-                    e.str(nf);
-                    e.str(table);
-                    e.entry(entry);
-                }
-                ControlMsg::Remove {
-                    seq,
-                    nf,
-                    table,
-                    entry,
-                } => {
-                    e.u8(1);
-                    e.u64(*seq);
-                    e.str(nf);
-                    e.str(table);
-                    e.entry(entry);
-                }
-                ControlMsg::SetIdleTimeout {
-                    seq,
-                    nf,
-                    table,
-                    ticks,
-                } => {
-                    e.u8(2);
-                    e.u64(*seq);
-                    e.str(nf);
-                    e.str(table);
-                    e.opt_u64(*ticks);
-                }
-                ControlMsg::AdvanceTime { seq, ticks } => {
-                    e.u8(3);
-                    e.u64(*seq);
-                    e.u64(*ticks);
-                }
-                ControlMsg::DrainDigests { seq } => {
-                    e.u8(4);
-                    e.u64(*seq);
-                }
-                ControlMsg::ScrapeMetrics { seq } => {
-                    e.u8(5);
-                    e.u64(*seq);
-                }
-                ControlMsg::SnapshotState { seq } => {
-                    e.u8(6);
-                    e.u64(*seq);
-                }
-                ControlMsg::RestoreState {
-                    seq,
-                    pipelet,
-                    snapshot,
-                } => {
-                    e.u8(7);
-                    e.u64(*seq);
-                    e.pipelet(*pipelet);
-                    e.snapshot(snapshot);
-                }
-                ControlMsg::Shutdown { seq } => {
-                    e.u8(8);
-                    e.u64(*seq);
-                }
-                ControlMsg::Flip { seq, staged, state } => {
-                    e.u8(9);
-                    e.u64(*seq);
-                    e.u64(*staged);
-                    e.items(state);
-                }
-                ControlMsg::SnapshotSlices { seq, slices } => {
-                    e.u8(11);
-                    e.u64(*seq);
-                    e.list(slices, |e, (nf, p)| {
-                        e.str(nf);
-                        e.pipelet(*p);
-                    });
-                }
-                ControlMsg::Retire { seq } => {
-                    e.u8(12);
-                    e.u64(*seq);
-                }
-                ControlMsg::RegisterLearnPolicy {
-                    seq,
-                    nf,
-                    stream,
-                    policy,
-                } => {
-                    e.u8(10);
-                    e.u64(*seq);
-                    e.str(nf);
-                    e.str(stream);
-                    e.str(&policy.table);
-                    e.str(&policy.action);
-                    for fields in [&policy.key_map, &policy.arg_map] {
-                        e.list(fields, |e, i| e.u32(*i as u32));
-                    }
-                }
-            }
-            CLASS_CONTROL
-        }
-        Message::Telemetry(t) => {
-            match t {
-                TelemetryMsg::Ack { seq, info } => {
-                    e.u8(0);
-                    e.u64(*seq);
-                    e.u64(*info);
-                }
-                TelemetryMsg::Nack { seq, error } => {
-                    e.u8(1);
-                    e.u64(*seq);
-                    e.str(error);
-                }
-                TelemetryMsg::DrainDone {
-                    seq,
-                    digests,
-                    installed,
-                } => {
-                    e.u8(3);
-                    e.u64(*seq);
-                    e.u64(*digests);
-                    e.u64(*installed);
-                }
-                TelemetryMsg::Metrics {
-                    seq,
-                    snapshot,
-                    rejected_frames,
-                } => {
-                    e.u8(4);
-                    e.u64(*seq);
-                    e.u64(*rejected_frames);
-                    e.metrics(snapshot);
-                }
-                TelemetryMsg::Snapshot { seq, items } => {
-                    e.u8(5);
-                    e.u64(*seq);
-                    e.items(items);
-                }
-                TelemetryMsg::Evictions { seq, evictions } => {
-                    e.u8(6);
-                    e.u64(*seq);
-                    e.list(evictions, |e, (p, ev)| {
-                        e.pipelet(*p);
-                        e.str(&ev.table);
-                        e.entry(&ev.entry);
-                    });
-                }
-                TelemetryMsg::Delivered { disposition, data } => {
-                    e.u8(7);
-                    e.disposition(*disposition);
-                    e.data(data);
-                }
-            }
-            CLASS_TELEMETRY
-        }
-    };
-    let len = (e.buf.len() - HEADER_LEN) as u32;
-    e.buf[3] = class;
-    e.buf[4..HEADER_LEN].copy_from_slice(&len.to_be_bytes());
-    e.u32(crc32(&e.buf));
-    e.buf
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
+/// Cursor over one payload.
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.pos + n > self.buf.len() {
             return Err(WireError::Truncated {
@@ -861,30 +427,10 @@ impl<'a> Dec<'a> {
     fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-    fn u128(&mut self) -> Result<u128, WireError> {
-        Ok(u128::from_be_bytes(
-            self.take(16)?.try_into().expect("len 16"),
-        ))
-    }
-    fn i32(&mut self) -> Result<i32, WireError> {
-        Ok(i32::from_be_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
     /// Length prefix for a variable-size field, bounded by the bytes that
     /// actually remain so a corrupt prefix cannot trigger a huge allocation.
     fn len(&mut self) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
+        let n = u32::get(self)? as usize;
         let remaining = self.buf.len() - self.pos;
         if n > remaining {
             return Err(WireError::Truncated {
@@ -893,31 +439,6 @@ impl<'a> Dec<'a> {
             });
         }
         Ok(n)
-    }
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let n = self.len()?;
-        Ok(self.take(n)?.to_vec())
-    }
-    fn str(&mut self) -> Result<String, WireError> {
-        let b = self.bytes()?;
-        String::from_utf8(b).map_err(|_| WireError::BadUtf8)
-    }
-    fn opt_u64(&mut self) -> Result<Option<u64>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            other => Err(WireError::BadValue(format!("option flag {other}"))),
-        }
-    }
-    fn value(&mut self) -> Result<Value, WireError> {
-        let bits = u16::from(self.u8()?);
-        // `Value::new` asserts its width; a corrupt one is a typed error.
-        if !(1..=128).contains(&bits) {
-            return Err(WireError::BadValue(format!("value width {bits}")));
-        }
-        let bytes = self.take(usize::from(bits).div_ceil(8))?;
-        let raw = bytes.iter().fold(0u128, |raw, &b| raw << 8 | u128::from(b));
-        Ok(Value::new(raw, bits))
     }
     /// A `u32` count, then that many items, each decoded against the bytes
     /// that remain: a corrupt count fails at the first missing item instead
@@ -929,7 +450,7 @@ impl<'a> Dec<'a> {
         &mut self,
         mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
     ) -> Result<Vec<T>, WireError> {
-        let n = self.u32()? as usize;
+        let n = u32::get(self)? as usize;
         let mut items = Vec::new();
         if n > 4 {
             items.reserve_exact(n.min(self.buf.len() - self.pos).min(1024));
@@ -939,136 +460,304 @@ impl<'a> Dec<'a> {
         }
         Ok(items)
     }
-    fn values(&mut self) -> Result<Vec<Value>, WireError> {
-        self.list(Self::value)
-    }
-    fn key_match(&mut self) -> Result<KeyMatch, WireError> {
-        Ok(match self.u8()? {
-            0 => KeyMatch::Exact(self.value()?),
-            1 => KeyMatch::Ternary(self.value()?, self.value()?),
-            2 => KeyMatch::Lpm(self.value()?, self.u16()?),
-            3 => KeyMatch::Range(self.value()?, self.value()?),
-            4 => KeyMatch::Any,
-            other => return Err(WireError::BadValue(format!("key match kind {other}"))),
-        })
-    }
-    fn entry(&mut self) -> Result<TableEntry, WireError> {
-        let matches = self.list(Self::key_match)?;
-        let action = self.str()?;
-        let action_args = self.values()?;
-        let priority = self.i32()?;
-        Ok(TableEntry {
-            matches,
-            action,
-            action_args,
-            priority,
-        })
-    }
-    /// Every count is a [`Dec::list`], so a corrupt count cannot allocate.
-    fn snapshot(&mut self) -> Result<StateSnapshot, WireError> {
-        let version = self.u32()?;
-        if version != SNAPSHOT_FORMAT_VERSION {
-            return Err(WireError::BadValue(format!(
-                "unsupported snapshot version {version} (this build reads {SNAPSHOT_FORMAT_VERSION})"
-            )));
+}
+
+/// Big-endian integers.
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_be_bytes());
+            }
+            fn get(d: &mut Dec) -> Result<Self, WireError> {
+                let bytes = d.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_be_bytes(bytes.try_into().expect("sized")))
+            }
         }
-        let program = self.str()?;
-        let clock = self.u64()?;
-        let tables = self.list(|d| {
-            Ok(TableSnapshot {
-                name: d.str()?,
-                idle_timeout: d.opt_u64()?,
-                entries: d.list(Self::entry)?,
-            })
-        })?;
-        let registers = self.list(|d| {
-            Ok(RegisterSnapshot {
-                name: d.str()?,
-                cells: d.list(Self::u128)?,
-            })
-        })?;
-        Ok(StateSnapshot {
-            version,
-            program,
-            clock,
-            tables,
-            registers,
-        })
-    }
-    fn items(&mut self) -> Result<Vec<(PipeletId, StateSnapshot)>, WireError> {
-        self.list(|d| Ok((d.pipelet()?, d.snapshot()?)))
-    }
-    fn pipelet(&mut self) -> Result<PipeletId, WireError> {
-        let gress = match self.u8()? {
-            0 => Gress::Ingress,
-            1 => Gress::Egress,
-            other => return Err(WireError::BadValue(format!("gress {other}"))),
-        };
-        let pipeline = self.u32()? as usize;
-        Ok(PipeletId { pipeline, gress })
-    }
-    fn disposition(&mut self) -> Result<Disposition, WireError> {
-        Ok(match self.u8()? {
-            0 => Disposition::Emitted { port: self.u16()? },
-            1 => Disposition::Dropped,
-            2 => Disposition::ToCpu,
-            other => return Err(WireError::BadValue(format!("disposition {other}"))),
-        })
-    }
-    fn hop(&mut self) -> Result<HopSummary, WireError> {
-        Ok(HopSummary {
-            switch: self.u32()?,
-            latency_ns: self.f64()?,
-            recirculations: self.u32()?,
-            resubmissions: self.u32()?,
-        })
-    }
-    fn data(&mut self) -> Result<DataMsg, WireError> {
-        let trace = self.u64()?;
-        let port = self.u16()?;
-        let latency_ns = self.f64()?;
-        let inter_switch_hops = self.u32()?;
-        let hops = self.list(Self::hop)?;
-        let bytes = self.bytes()?;
-        Ok(DataMsg {
-            trace,
-            port,
-            latency_ns,
-            inter_switch_hops,
-            hops,
-            bytes,
-        })
-    }
-    fn fields(&mut self) -> Result<Vec<usize>, WireError> {
-        self.list(|d| Ok(d.u32()? as usize))
-    }
-    fn metrics(&mut self) -> Result<MetricsSnapshot, WireError> {
-        let series = self.list(|d| {
-            let (name, kind, word) = (d.str()?, d.u8()?, d.u64()?);
-            let value = match kind {
-                0 => MetricValue::Counter(word),
-                1 => MetricValue::Gauge(word as i64),
-                2 => {
-                    let (sum, n) = (d.u64()?, d.u32()? as usize);
-                    if n > HISTOGRAM_BUCKETS {
-                        let e = format!("{n} histogram buckets (at most {HISTOGRAM_BUCKETS})");
-                        return Err(WireError::BadValue(e));
-                    }
-                    let buckets = (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?;
-                    MetricValue::Histogram(HistogramSnapshot {
-                        buckets,
-                        count: word,
-                        sum,
-                    })
+    )*};
+}
+wire_int!(u16, u32, u64, u128, i32, i64);
+
+/// Implements [`Wire`] for a struct from its fields in wire order. A field
+/// read `via` a function is checked as it is read (the function decodes it).
+macro_rules! wire_struct {
+    ($($ty:ty { $($f:ident $(via $get:path)?),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$f.put(out);)*
+            }
+            fn get(d: &mut Dec) -> Result<Self, WireError> {
+                $(let $f = wire_struct!(@get d $($get)?);)*
+                Ok(Self { $($f),* })
+            }
+        }
+    )*};
+    (@get $d:ident) => { Wire::get($d)? };
+    (@get $d:ident $get:path) => { $get($d)? };
+}
+
+/// Implements [`Wire`] for an enum from its variants, each a tag byte and
+/// the variant's fields in wire order; a tag not listed is `unknown(tag)`.
+/// `pub fn seq for` also gives the enum a `seq()` reading every variant's
+/// `seq` field.
+macro_rules! wire_enum {
+    (pub fn seq for $ty:ident, $unknown:expr; $($tag:literal => $v:ident { $($f:ident),* })*) => {
+        wire_enum!($ty, $unknown; $($tag => $v { $($f),* })*);
+        impl $ty {
+            /// The command's sequence number.
+            pub fn seq(&self) -> u64 {
+                match self {
+                    $(Self::$v { seq, .. } => *seq,)*
                 }
-                other => return Err(WireError::BadValue(format!("metric kind {other}"))),
-            };
-            Ok((name, value))
-        })?;
-        Ok(MetricsSnapshot {
-            metrics: series.into_iter().collect(),
-        })
+            }
+        }
+    };
+    ($ty:ty, $unknown:expr;
+     $($tag:literal => $v:ident $(($($t:ident),*))? $({ $($f:ident),* })?)*) => {
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Self::$v $(($($t),*))? $({ $($f),* })? => {
+                        out.push($tag);
+                        $($($t.put(out);)*)?
+                        $($($f.put(out);)*)?
+                    })*
+                }
+            }
+            fn get(d: &mut Dec) -> Result<Self, WireError> {
+                Ok(match d.u8()? {
+                    $($tag => {
+                        $($(let $t = Wire::get(d)?;)*)?
+                        $($(let $f = Wire::get(d)?;)*)?
+                        Self::$v $(($($t),*))? $({ $($f),* })?
+                    })*
+                    tag => return Err(($unknown)(tag)),
+                })
+            }
+        }
+    };
+}
+
+fn bad_value(what: &str, tag: u8) -> WireError {
+    WireError::BadValue(format!("{what} {tag}"))
+}
+
+impl Wire for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
     }
+    fn get(d: &mut Dec) -> Result<Self, WireError> {
+        u64::get(d).map(f64::from_bits)
+    }
+}
+
+/// A pipeline or digest field index: a `u32`.
+impl Wire for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u32).put(out);
+    }
+    fn get(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(u32::get(d)? as usize)
+    }
+}
+
+/// Packet bytes: a `u32` length, then the bytes, copied as one slice.
+impl Wire for Vec<u8> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self);
+    }
+    fn get(d: &mut Dec) -> Result<Self, WireError> {
+        let n = d.len()?;
+        Ok(d.take(n)?.to_vec())
+    }
+}
+
+/// UTF-8 laid out as its bytes.
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(d: &mut Dec) -> Result<Self, WireError> {
+        String::from_utf8(Vec::get(d)?).map_err(|_| WireError::BadUtf8)
+    }
+}
+
+/// A `u32` count, then each item ([`Dec::list`]).
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        self.iter().for_each(|x| x.put(out));
+    }
+    fn get(d: &mut Dec) -> Result<Self, WireError> {
+        d.list(T::get)
+    }
+}
+
+/// Laid out as the list of its pairs, in key order.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        self.iter().for_each(|(k, v)| {
+            k.put(out);
+            v.put(out);
+        });
+    }
+    fn get(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(Vec::<(K, V)>::get(d)?.into_iter().collect())
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(d: &mut Dec) -> Result<Self, WireError> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
+}
+
+/// As long as it is wide: `bits:u8` (1..=128), then its `ceil(bits / 8)`
+/// bytes, big-endian.
+impl Wire for Value {
+    fn put(&self, out: &mut Vec<u8>) {
+        let bytes = usize::from(self.bits()).div_ceil(8);
+        out.push(self.bits() as u8);
+        out.extend_from_slice(&self.raw().to_be_bytes()[16 - bytes..]);
+    }
+    fn get(d: &mut Dec) -> Result<Self, WireError> {
+        let bits = u16::from(d.u8()?);
+        // `Value::new` asserts its width; a corrupt one is a typed error.
+        if !(1..=128).contains(&bits) {
+            return Err(WireError::BadValue(format!("value width {bits}")));
+        }
+        let bytes = d.take(usize::from(bits).div_ceil(8))?;
+        let raw = bytes.iter().fold(0u128, |raw, &b| raw << 8 | u128::from(b));
+        Ok(Value::new(raw, bits))
+    }
+}
+
+/// A snapshot names the format it was cut in; another is refused by name.
+fn snapshot_version(d: &mut Dec) -> Result<u32, WireError> {
+    let version = u32::get(d)?;
+    if version != SNAPSHOT_FORMAT_VERSION {
+        return Err(WireError::BadValue(format!(
+            "unsupported snapshot version {version} (this build reads {SNAPSHOT_FORMAT_VERSION})"
+        )));
+    }
+    Ok(version)
+}
+
+/// More than [`HISTOGRAM_BUCKETS`] buckets is refused before any is read.
+fn histogram_buckets(d: &mut Dec) -> Result<Vec<u64>, WireError> {
+    let n = u32::get(d)? as usize;
+    if n > HISTOGRAM_BUCKETS {
+        let e = format!("{n} histogram buckets (at most {HISTOGRAM_BUCKETS})");
+        return Err(WireError::BadValue(e));
+    }
+    (0..n).map(|_| u64::get(d)).collect()
+}
+
+wire_struct! {
+    TableEntry { matches, action, action_args, priority }
+    TableSnapshot { name, idle_timeout, entries }
+    RegisterSnapshot { name, cells }
+    StateSnapshot { version via snapshot_version, program, clock, tables, registers }
+    PipeletId { gress, pipeline }
+    Eviction { table, entry }
+    HopSummary { switch, latency_ns, recirculations, resubmissions }
+    DataMsg { trace, port, latency_ns, inter_switch_hops, hops, bytes }
+    HistogramSnapshot { count, sum, buckets via histogram_buckets }
+    MetricsSnapshot { metrics }
+    LearnPolicy { table, action, key_map, arg_map }
+}
+
+wire_enum! {
+    Option<u64>, |tag| bad_value("option flag", tag);
+    0 => None
+    1 => Some(x)
+}
+
+wire_enum! {
+    KeyMatch, |tag| bad_value("key match kind", tag);
+    0 => Exact(v)
+    1 => Ternary(v, mask)
+    2 => Lpm(prefix, len)
+    3 => Range(lo, hi)
+    4 => Any
+}
+
+wire_enum! {
+    Gress, |tag| bad_value("gress", tag);
+    0 => Ingress
+    1 => Egress
+}
+
+wire_enum! {
+    Disposition, |tag| bad_value("disposition", tag);
+    0 => Emitted { port }
+    1 => Dropped
+    2 => ToCpu
+}
+
+wire_enum! {
+    MetricValue, |tag| bad_value("metric kind", tag);
+    0 => Counter(c)
+    1 => Gauge(g)
+    2 => Histogram(h)
+}
+
+wire_enum! {
+    pub fn seq for ControlMsg, |tag| WireError::UnknownTag { class: CLASS_CONTROL, tag };
+    0 => Install { seq, nf, table, entry }
+    1 => Remove { seq, nf, table, entry }
+    2 => SetIdleTimeout { seq, nf, table, ticks }
+    3 => AdvanceTime { seq, ticks }
+    4 => DrainDigests { seq }
+    5 => ScrapeMetrics { seq }
+    6 => SnapshotState { seq }
+    7 => RestoreState { seq, pipelet, snapshot }
+    8 => Shutdown { seq }
+    9 => Flip { seq, staged, state }
+    10 => RegisterLearnPolicy { seq, nf, stream, policy }
+    11 => SnapshotSlices { seq, slices }
+    12 => Retire { seq }
+}
+
+// Tag 2 carried version 4's digests; it stays unused.
+wire_enum! {
+    TelemetryMsg, |tag| WireError::UnknownTag { class: CLASS_TELEMETRY, tag };
+    0 => Ack { seq, info }
+    1 => Nack { seq, error }
+    3 => DrainDone { seq, digests, installed }
+    4 => Metrics { seq, rejected_frames, snapshot }
+    5 => Snapshot { seq, items }
+    6 => Evictions { seq, evictions }
+    7 => Delivered { disposition, data }
+}
+
+/// Encodes a message into a complete frame (header + payload + trailer).
+/// The header goes into the buffer first and its length is patched in once
+/// the payload is written, so the payload is never copied.
+pub fn encode(msg: &Message) -> Vec<u8> {
+    // Room for a one-hop data frame: most frames never reallocate.
+    let mut out = Vec::with_capacity(128);
+    let (class, payload): (u8, &dyn Wire) = match msg {
+        Message::Data(m) => (CLASS_DATA, m),
+        Message::Control(m) => (CLASS_CONTROL, m),
+        Message::Telemetry(m) => (CLASS_TELEMETRY, m),
+    };
+    WIRE_MAGIC.put(&mut out);
+    // The payload length is patched in below.
+    out.extend_from_slice(&[WIRE_VERSION, class, 0, 0, 0, 0]);
+    payload.put(&mut out);
+    let len = (out.len() - HEADER_LEN) as u32;
+    out[4..HEADER_LEN].copy_from_slice(&len.to_be_bytes());
+    let crc = crc32(&out);
+    crc.put(&mut out);
+    out
 }
 
 /// Validates a frame header and returns the payload length it announces.
@@ -1099,7 +788,7 @@ pub fn payload_len(header: &[u8]) -> Result<usize, WireError> {
 
 /// Decodes one complete frame (header + payload + trailer) into a
 /// [`Message`]. The header and the trailer are checked before any payload
-/// byte is read (module docs, version 4).
+/// byte is read (module docs).
 pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
     let end = HEADER_LEN + payload_len(frame)?;
     let needed = end + TRAILER_LEN;
@@ -1118,124 +807,12 @@ pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
     if crc32(&frame[..end]) != trailer {
         return Err(WireError::Checksum);
     }
-    let class = frame[3];
     let body = &frame[HEADER_LEN..end];
-    let mut d = Dec::new(body);
-    let msg = match class {
-        CLASS_DATA => Message::Data(d.data()?),
-        CLASS_CONTROL => {
-            let tag = d.u8()?;
-            Message::Control(match tag {
-                0 => ControlMsg::Install {
-                    seq: d.u64()?,
-                    nf: d.str()?,
-                    table: d.str()?,
-                    entry: d.entry()?,
-                },
-                1 => ControlMsg::Remove {
-                    seq: d.u64()?,
-                    nf: d.str()?,
-                    table: d.str()?,
-                    entry: d.entry()?,
-                },
-                2 => ControlMsg::SetIdleTimeout {
-                    seq: d.u64()?,
-                    nf: d.str()?,
-                    table: d.str()?,
-                    ticks: d.opt_u64()?,
-                },
-                3 => ControlMsg::AdvanceTime {
-                    seq: d.u64()?,
-                    ticks: d.u64()?,
-                },
-                4 => ControlMsg::DrainDigests { seq: d.u64()? },
-                5 => ControlMsg::ScrapeMetrics { seq: d.u64()? },
-                6 => ControlMsg::SnapshotState { seq: d.u64()? },
-                7 => ControlMsg::RestoreState {
-                    seq: d.u64()?,
-                    pipelet: d.pipelet()?,
-                    snapshot: d.snapshot()?,
-                },
-                8 => ControlMsg::Shutdown { seq: d.u64()? },
-                9 => ControlMsg::Flip {
-                    seq: d.u64()?,
-                    staged: d.u64()?,
-                    state: d.items()?,
-                },
-                10 => ControlMsg::RegisterLearnPolicy {
-                    seq: d.u64()?,
-                    nf: d.str()?,
-                    stream: d.str()?,
-                    policy: LearnPolicy {
-                        table: d.str()?,
-                        action: d.str()?,
-                        key_map: d.fields()?,
-                        arg_map: d.fields()?,
-                    },
-                },
-                11 => ControlMsg::SnapshotSlices {
-                    seq: d.u64()?,
-                    slices: d.list(|d| Ok((d.str()?, d.pipelet()?)))?,
-                },
-                12 => ControlMsg::Retire { seq: d.u64()? },
-                tag => {
-                    return Err(WireError::UnknownTag {
-                        class: CLASS_CONTROL,
-                        tag,
-                    })
-                }
-            })
-        }
-        CLASS_TELEMETRY => {
-            let tag = d.u8()?;
-            Message::Telemetry(match tag {
-                0 => TelemetryMsg::Ack {
-                    seq: d.u64()?,
-                    info: d.u64()?,
-                },
-                1 => TelemetryMsg::Nack {
-                    seq: d.u64()?,
-                    error: d.str()?,
-                },
-                3 => TelemetryMsg::DrainDone {
-                    seq: d.u64()?,
-                    digests: d.u64()?,
-                    installed: d.u64()?,
-                },
-                4 => TelemetryMsg::Metrics {
-                    seq: d.u64()?,
-                    rejected_frames: d.u64()?,
-                    snapshot: d.metrics()?,
-                },
-                5 => TelemetryMsg::Snapshot {
-                    seq: d.u64()?,
-                    items: d.items()?,
-                },
-                6 => TelemetryMsg::Evictions {
-                    seq: d.u64()?,
-                    evictions: d.list(|d| {
-                        let p = d.pipelet()?;
-                        Ok((
-                            p,
-                            Eviction {
-                                table: d.str()?,
-                                entry: d.entry()?,
-                            },
-                        ))
-                    })?,
-                },
-                7 => TelemetryMsg::Delivered {
-                    disposition: d.disposition()?,
-                    data: d.data()?,
-                },
-                tag => {
-                    return Err(WireError::UnknownTag {
-                        class: CLASS_TELEMETRY,
-                        tag,
-                    })
-                }
-            })
-        }
+    let mut d = Dec { buf: body, pos: 0 };
+    let msg = match frame[3] {
+        CLASS_DATA => Message::Data(Wire::get(&mut d)?),
+        CLASS_CONTROL => Message::Control(Wire::get(&mut d)?),
+        CLASS_TELEMETRY => Message::Telemetry(Wire::get(&mut d)?),
         other => return Err(WireError::UnknownClass(other)),
     };
     if d.pos != body.len() {
