@@ -36,9 +36,8 @@
 //! `install`, `advance_time`, `process_digests`, `register_learn_policy`,
 //! `register_handler`, `snapshot_state` / `restore_state`, the migration
 //! verbs `stage_member`, `pause_ingress`, `snapshot_slices`, `flip`,
-//! `resume_ingress` and `retire` (and `swap_member`, all three member
-//! verbs for one member) — and `inject_async` / `recv_delivered` for the
-//! pipelined path underneath.
+//! `resume_ingress` and `retire` — and `inject_async` / `recv_delivered`
+//! for the pipelined path underneath.
 
 use super::wire::{self, ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
 use super::worker::SwitchWorker;
@@ -760,10 +759,9 @@ impl Driver {
 /// `install`, `advance_time`, `process_digests`, `snapshot_state`,
 /// `restore_state` and the migration verbs `stage_member`,
 /// `pause_ingress`, `snapshot_slices`, `flip`, `resume_ingress` and
-/// `retire`, which
-/// [`orchestrator::migrate`](fn@crate::orchestrator::migrate) sequences) plus
-/// the pipelined
-/// [`inject_async`](ClusterHandle::inject_async) /
+/// `retire`, which [`orchestrator::migrate`](fn@crate::orchestrator::migrate)
+/// sequences; replacing one member is those three member verbs for it
+/// alone) plus the pipelined [`inject_async`](ClusterHandle::inject_async) /
 /// [`recv_delivered`](ClusterHandle::recv_delivered) pair. Dropping the
 /// handle shuts the cluster down.
 pub struct ClusterHandle {
@@ -1191,7 +1189,9 @@ impl ClusterHandle {
     }
 
     /// Restores a state snapshot onto one member's pipelet; returns the
-    /// number of entries restored.
+    /// number of entries restored. A restore that drops anything fails
+    /// with [`ClusterError::Remote`] naming the first entry dropped, as a
+    /// [`flip`](Self::flip) does; the entries that did restore stay.
     pub fn restore_state(
         &mut self,
         switch: usize,
@@ -1355,23 +1355,6 @@ impl ClusterHandle {
         self.broadcast("retire", members.to_vec(), make, |_, _, reply| {
             drop(reply.send(Ok(())))
         })
-    }
-
-    /// Replaces one member's switch and deployment with a freshly built
-    /// pair, live: [`stage_member`](Self::stage_member), [`flip`](Self::flip)
-    /// carrying `state`, then [`retire`](Self::retire), for that member
-    /// alone. Returns the entries restored.
-    pub fn swap_member(
-        &mut self,
-        switch: usize,
-        member_switch: Switch,
-        deployment: Deployment,
-        state: Vec<(PipeletId, StateSnapshot)>,
-    ) -> Result<u64, ClusterError> {
-        self.stage_member(switch, member_switch, deployment)?;
-        let restored = self.flip([(switch, state)].into())?;
-        self.retire(&[switch])?;
-        Ok(restored)
     }
 
     /// Stops every worker and the controller. Idempotent; also invoked on

@@ -262,7 +262,8 @@ pub enum ControlMsg {
         seq: u64,
     },
     /// Restore a state snapshot onto one pipelet. Acked with the number of
-    /// entries restored.
+    /// entries restored; nacked, like a [`ControlMsg::Flip`], when the
+    /// restore drops anything.
     RestoreState {
         /// Reply correlation.
         seq: u64,

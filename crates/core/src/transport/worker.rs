@@ -253,6 +253,7 @@ impl SwitchWorker {
                 pipelet, snapshot, ..
             } => {
                 let restored = self.switch.restore_state(pipelet, &snapshot);
+                let restored = restored.map_err(|e| e.to_string()).and_then(whole);
                 self.answer(seq, restored.map(|r| r.restored_entries as u64));
             }
             ControlMsg::Flip { staged, state, .. } => {
@@ -284,13 +285,13 @@ impl SwitchWorker {
                 }
                 // A newcomer that lost state would serve flows its
                 // predecessor knew as new ones: the outgoing member stays.
-                if !report.is_clean() {
-                    let first = (report.dropped_entries.first())
-                        .map(|d| format!("; {}: {}", d.table, d.reason));
-                    let why = format!("{}{}", report.summary(), first.unwrap_or_default());
-                    self.nack(seq, &why);
-                    return false;
-                }
+                let report = match whole(report) {
+                    Ok(report) => report,
+                    Err(why) => {
+                        self.nack(seq, &why);
+                        return false;
+                    }
+                };
                 // Kept until a retire, so dropping it costs the window nothing.
                 let switch = std::mem::replace(&mut self.switch, switch);
                 let deployment = std::mem::replace(&mut self.deployment, deployment);
@@ -335,6 +336,19 @@ impl SwitchWorker {
         let error = format!("switch {}: {error}", self.index);
         self.send_up(TelemetryMsg::Nack { seq, error });
     }
+}
+
+/// A restore as a worker answers it: one that dropped anything (an entry
+/// whose table or action the program lacks, a register) is refused with
+/// its summary and the first entry dropped, since the member would serve
+/// flows the snapshot knew as new ones. What did restore stays installed:
+/// a restore is idempotent, so the same snapshot can be sent again.
+fn whole(report: MigrationReport) -> Result<MigrationReport, String> {
+    if report.is_clean() {
+        return Ok(report);
+    }
+    let first = (report.dropped_entries.first()).map(|d| format!("; {}: {}", d.table, d.reason));
+    Err(format!("{}{}", report.summary(), first.unwrap_or_default()))
 }
 
 /// The slices `wanted` names, in its order, each cut from a snapshot of

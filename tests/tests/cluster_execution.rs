@@ -325,7 +325,7 @@ fn member_one_replacement() -> (Switch, Deployment) {
 }
 
 /// A member swapped in goes live routed to, on the cluster's clock and
-/// holding its state: once `swap_member` acks, `switch_of` names it for
+/// holding its state: once its `flip` acks, `switch_of` names it for
 /// every NF its deployment hosts, it reads the clock of the member it
 /// replaced, and the slice it carried was restored at that clock.
 #[test]
@@ -344,7 +344,9 @@ fn a_swapped_in_member_is_routed_to_at_the_cluster_clock() {
     let (switch, deployment) = member_one_replacement();
     assert_eq!(net.switch_of("n2"), Some(0));
     let state = vec![(PipeletId::ingress(0), slice)];
-    assert_eq!(net.swap_member(1, switch, deployment, state).unwrap(), 1);
+    net.stage_member(1, switch, deployment).unwrap();
+    assert_eq!(net.flip([(1, state)].into()).unwrap(), 1);
+    net.retire(&[1]).unwrap();
 
     for (nf, member) in [
         ("n0", 0),
@@ -381,7 +383,8 @@ fn a_swap_that_fails_to_restore_keeps_the_outgoing_member() {
     let (switch, deployment) = member_one_replacement();
     // The newcomer has two pipelines: nothing is loaded on a third.
     let state = vec![(PipeletId::ingress(2), StateSnapshot::empty("n3"))];
-    let err = net.swap_member(1, switch, deployment, state).unwrap_err();
+    net.stage_member(1, switch, deployment).unwrap();
+    let err = net.flip([(1, state)].into()).unwrap_err();
     assert!(matches!(err, ClusterError::Remote(_)), "got {err}");
 
     assert_eq!(net.switch_of("n2"), Some(0));
@@ -414,7 +417,8 @@ fn a_swap_whose_restore_drops_an_entry_keeps_the_outgoing_member() {
     });
     let (switch, deployment) = member_one_replacement();
     let state = vec![(PipeletId::ingress(0), slice)];
-    match net.swap_member(1, switch, deployment, state) {
+    net.stage_member(1, switch, deployment).unwrap();
+    match net.flip([(1, state)].into()) {
         Err(ClusterError::Remote(m)) => {
             assert!(m.contains("action no longer defined"), "got {m}")
         }
@@ -422,6 +426,29 @@ fn a_swap_whose_restore_drops_an_entry_keeps_the_outgoing_member() {
     }
     assert_eq!(net.switch_of("n2"), Some(0));
     assert_eq!(net.switch_of("n3"), Some(1));
+}
+
+/// `RestoreState` keeps the rule a flip keeps: a restore that drops an
+/// entry (here one naming the NF-view action `pass`, which the merged
+/// program calls `n2__pass`) is refused, naming why, and the entries that
+/// did restore stay installed.
+#[test]
+fn a_lossy_restore_state_is_refused() {
+    let mut net = six_nf_cluster();
+    let mut slice = StateSnapshot::empty("n2");
+    slice.tables.push(TableSnapshot {
+        name: "n2__work".into(),
+        idle_timeout: None,
+        entries: vec![merged(pass_tcp(), "n2"), pass_tcp()],
+    });
+    match net.restore_state(0, PipeletId::egress(0), &slice) {
+        Err(ClusterError::Remote(m)) => {
+            assert!(m.contains("action no longer defined"), "got {m}")
+        }
+        other => panic!("expected the restore refused, got {other:?}"),
+    }
+    let tables = net.switch(0).unwrap().tables(PipeletId::egress(0)).unwrap();
+    assert_eq!(tables.entries("n2__work"), [merged(pass_tcp(), "n2")]);
 }
 
 #[test]
