@@ -11,43 +11,17 @@
 //! 2. normalizes the deltas into per-switch *shares* and computes the L1
 //!    distance to the shares the current placement + assumed matrix
 //!    predict ([`FleetProblem::expected_switch_shares`](crate::orchestrator::FleetProblem::expected_switch_shares));
-//! 3. applies hysteresis: only after `hysteresis` consecutive windows
-//!    above `drift_threshold` — and outside the post-replan `cooldown` —
-//!    does it recommend a replan.
+//! 3. applies hysteresis: only after [`HYSTERESIS`] consecutive windows
+//!    above [`DRIFT_THRESHOLD`] — and outside the post-replan [`COOLDOWN`]
+//!    — does it recommend a replan. A window of fewer than
+//!    [`MIN_PACKETS`] packets is not judged.
 //!
 //! Hysteresis plus cooldown is the anti-flapping contract: a one-window
 //! burst, or the transient skew caused by a migration itself, never
 //! triggers a replan.
 
+use super::{COOLDOWN, DRIFT_THRESHOLD, HYSTERESIS, MIN_PACKETS};
 use dejavu_asic::MetricsSnapshot;
-
-/// Tuning knobs for shift detection.
-#[derive(Debug, Clone)]
-pub struct DetectorConfig {
-    /// L1 distance between observed and expected per-switch shares above
-    /// which a window counts as drifted. Shares sum to 1, so the distance
-    /// ranges over [0, 2].
-    pub drift_threshold: f64,
-    /// Consecutive drifted windows required before recommending a replan.
-    pub hysteresis: u32,
-    /// Minimum packets in a window for it to be judged at all; smaller
-    /// windows are noise and reset nothing.
-    pub min_packets: u64,
-    /// Windows to stay quiet after a replan (the migration transient
-    /// itself skews shares).
-    pub cooldown: u32,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            drift_threshold: 0.25,
-            hysteresis: 2,
-            min_packets: 8,
-            cooldown: 1,
-        }
-    }
-}
 
 /// What the detector concluded about one observation window.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +49,6 @@ pub enum ShiftDecision {
 /// per cluster member, in switch order) per observation window.
 #[derive(Debug, Clone)]
 pub struct ShiftDetector {
-    config: DetectorConfig,
     expected: Vec<f64>,
     previous: Option<Vec<u64>>,
     streak: u32,
@@ -86,9 +59,8 @@ pub struct ShiftDetector {
 impl ShiftDetector {
     /// A detector expecting the given per-switch traffic shares
     /// (normalized; from [`FleetProblem::expected_switch_shares`](crate::orchestrator::FleetProblem::expected_switch_shares)).
-    pub fn new(config: DetectorConfig, expected_shares: Vec<f64>) -> Self {
+    pub fn new(expected_shares: Vec<f64>) -> Self {
         ShiftDetector {
-            config,
             expected: expected_shares,
             previous: None,
             streak: 0,
@@ -110,7 +82,7 @@ impl ShiftDetector {
     pub fn rebase(&mut self, expected_shares: Vec<f64>) {
         self.expected = expected_shares;
         self.streak = 0;
-        self.cooldown_left = self.config.cooldown;
+        self.cooldown_left = COOLDOWN;
     }
 
     /// Judges one observation window.
@@ -128,7 +100,7 @@ impl ShiftDetector {
             .map(|(now, before)| now.saturating_sub(*before))
             .collect();
         let total: u64 = deltas.iter().sum();
-        if total < self.config.min_packets {
+        if total < MIN_PACKETS {
             return ShiftDecision::Warming;
         }
         let observed: Vec<f64> = deltas.iter().map(|d| *d as f64 / total as f64).collect();
@@ -138,7 +110,7 @@ impl ShiftDetector {
             .map(|(o, e)| (o - e).abs())
             .sum();
         self.last_observed = observed;
-        if drift <= self.config.drift_threshold {
+        if drift <= DRIFT_THRESHOLD {
             self.streak = 0;
             self.cooldown_left = self.cooldown_left.saturating_sub(1);
             return ShiftDecision::Quiet { drift };
@@ -148,7 +120,7 @@ impl ShiftDetector {
             return ShiftDecision::Suppressed { drift };
         }
         self.streak += 1;
-        if self.streak < self.config.hysteresis {
+        if self.streak < HYSTERESIS {
             ShiftDecision::Suppressed { drift }
         } else {
             self.streak = 0;

@@ -30,32 +30,29 @@ pub use crate::placement::{
     AnnealingSearch, ExhaustiveSearch, FleetProblem, FleetScore, FleetSlot, PlacementSearch,
     SearchOutcome,
 };
-pub use detector::{DetectorConfig, ShiftDecision, ShiftDetector};
+pub use detector::{ShiftDecision, ShiftDetector};
 pub use migrate::{migrate, FleetSpec, MigrationError, MigrationOutcome, MigrationPhases, NfMove};
 
 use crate::placement::{ClusterPlacement, PlacementError};
 use crate::transport::ClusterHandle;
 use dejavu_asic::telemetry::{Histogram, MetricsSnapshot};
 
-/// Orchestrator tuning knobs.
-#[derive(Debug, Clone)]
-pub struct OrchestratorConfig {
-    /// Shift-detection thresholds.
-    pub detector: DetectorConfig,
-    /// Minimum weighted-objective improvement a candidate placement must
-    /// offer (under the *observed* matrix) before a migration is worth its
-    /// downtime. The cost/benefit bar.
-    pub min_gain: f64,
-}
-
-impl Default for OrchestratorConfig {
-    fn default() -> Self {
-        OrchestratorConfig {
-            detector: DetectorConfig::default(),
-            min_gain: 1e-6,
-        }
-    }
-}
+/// L1 distance between observed and expected per-switch shares above
+/// which a window counts as drifted. Shares sum to 1, so the distance
+/// ranges over [0, 2].
+pub const DRIFT_THRESHOLD: f64 = 0.25;
+/// Consecutive drifted windows required before a replan is recommended.
+pub const HYSTERESIS: u32 = 2;
+/// Minimum packets in a window for it to be judged at all; smaller
+/// windows are noise and reset nothing.
+pub const MIN_PACKETS: u64 = 8;
+/// Windows to stay quiet after a replan (the migration transient itself
+/// skews shares).
+pub const COOLDOWN: u32 = 1;
+/// Minimum weighted-objective improvement a candidate placement must offer
+/// (under the *observed* matrix) before a migration is worth its downtime:
+/// the cost/benefit bar.
+pub const MIN_GAIN: f64 = 0.5;
 
 /// What one orchestration round did.
 #[derive(Debug)]
@@ -72,7 +69,7 @@ pub enum StepOutcome {
         /// L1 drift this window.
         drift: f64,
     },
-    /// Replan ran but the best found placement didn't clear `min_gain`.
+    /// Replan ran but the best found placement didn't clear [`MIN_GAIN`].
     NotWorthIt {
         /// L1 drift this window.
         drift: f64,
@@ -131,7 +128,6 @@ pub struct Orchestrator {
     current: ClusterPlacement,
     detector: ShiftDetector,
     search: Box<dyn PlacementSearch>,
-    config: OrchestratorConfig,
     replans_triggered: u64,
     replans_skipped_hysteresis: u64,
     replans_skipped_gain: u64,
@@ -146,16 +142,14 @@ impl Orchestrator {
         problem: FleetProblem,
         current: ClusterPlacement,
         search: Box<dyn PlacementSearch>,
-        config: OrchestratorConfig,
     ) -> Result<Self, PlacementError> {
         let expected = problem.expected_switch_shares(&current)?;
-        let detector = ShiftDetector::new(config.detector.clone(), expected);
+        let detector = ShiftDetector::new(expected);
         Ok(Orchestrator {
             problem,
             current,
             detector,
             search,
-            config,
             replans_triggered: 0,
             replans_skipped_hysteresis: 0,
             replans_skipped_gain: 0,
@@ -269,7 +263,7 @@ impl Orchestrator {
         let found = self.search.search(&shifted)?;
         let current_score = shifted.score(&self.current)?;
         let gain = current_score.weighted - found.score.weighted;
-        if gain < self.config.min_gain || found.placement == self.current {
+        if gain < MIN_GAIN || found.placement == self.current {
             self.replans_skipped_gain += 1;
             // The drift is real even if no better placement exists; adopt
             // the observed matrix so the detector stops firing on it.

@@ -15,8 +15,7 @@ use dejavu_asic::{InjectedPacket, TofinoProfile};
 use dejavu_core::deploy::DeployOptions;
 use dejavu_core::multiswitch::{ClusterPlacement, ClusterProblem, ClusterWiring};
 use dejavu_core::orchestrator::{
-    DetectorConfig, ExhaustiveSearch, FleetProblem, FleetSpec, Orchestrator, OrchestratorConfig,
-    PlacementSearch, StepOutcome,
+    ExhaustiveSearch, FleetProblem, FleetSpec, Orchestrator, PlacementSearch, StepOutcome,
 };
 use dejavu_core::placement::PlacementProblem;
 use dejavu_core::transport::{spawn_cluster, ChannelTransport, ClusterHandle, ClusterOptions};
@@ -235,15 +234,6 @@ fn main() {
         problem.clone(),
         pre.placement.clone(),
         Box::new(ExhaustiveSearch::default()),
-        OrchestratorConfig {
-            detector: DetectorConfig {
-                drift_threshold: 0.25,
-                hysteresis: 2,
-                min_packets: 8,
-                cooldown: 1,
-            },
-            min_gain: 0.5,
-        },
     )
     .expect("orchestrator baselines");
 

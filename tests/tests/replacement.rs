@@ -19,8 +19,8 @@ use dejavu_asic::{InjectedPacket, MetricsSnapshot, TofinoProfile};
 use dejavu_core::deploy::DeployOptions;
 use dejavu_core::multiswitch::{deploy_cluster, ClusterPlacement, ClusterProblem, ClusterWiring};
 use dejavu_core::orchestrator::{
-    migrate, AnnealingSearch, DetectorConfig, ExhaustiveSearch, FleetProblem, FleetSpec,
-    Orchestrator, OrchestratorConfig, PlacementSearch, ShiftDecision, ShiftDetector, StepOutcome,
+    migrate, AnnealingSearch, ExhaustiveSearch, FleetProblem, FleetSpec, Orchestrator,
+    PlacementSearch, ShiftDecision, ShiftDetector, StepOutcome,
 };
 use dejavu_core::placement::PlacementProblem;
 use dejavu_core::transport::{
@@ -279,15 +279,6 @@ fn hitless_replacement(boot_live: impl FnOnce(&ClusterPlacement) -> ClusterHandl
         problem.clone(),
         pre.placement.clone(),
         Box::new(ExhaustiveSearch::default()),
-        OrchestratorConfig {
-            detector: DetectorConfig {
-                drift_threshold: 0.25,
-                hysteresis: 2,
-                min_packets: 8,
-                cooldown: 1,
-            },
-            min_gain: 0.5,
-        },
     )
     .unwrap();
 
@@ -738,14 +729,8 @@ fn scrape_with(per_switch: &[u64]) -> Vec<MetricsSnapshot> {
 
 #[test]
 fn detector_applies_hysteresis_and_cooldown() {
-    let config = DetectorConfig {
-        drift_threshold: 0.25,
-        hysteresis: 2,
-        min_packets: 8,
-        cooldown: 1,
-    };
     // Expected: 75% of traffic stops at switch 0, 25% reaches switch 1.
-    let mut det = ShiftDetector::new(config, vec![0.75, 0.25]);
+    let mut det = ShiftDetector::new(vec![0.75, 0.25]);
     assert_eq!(det.observe(&scrape_with(&[0, 0])), ShiftDecision::Warming);
     // Matching window: quiet.
     let d = det.observe(&scrape_with(&[30, 10]));

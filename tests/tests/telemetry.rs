@@ -381,10 +381,8 @@ fn fleet_deploy_options() -> dejavu_core::deploy::DeployOptions {
 /// histogram is wall-clock time, so only its sample count is hashed.
 #[test]
 fn scrapes_are_pinned() {
-    use dejavu_core::orchestrator::{
-        DetectorConfig, FleetSpec, Orchestrator, OrchestratorConfig, StepOutcome,
-    };
     use dejavu_core::orchestrator::{ExhaustiveSearch, PlacementSearch};
+    use dejavu_core::orchestrator::{FleetSpec, Orchestrator, StepOutcome};
     use dejavu_integration::{replacement_fleet, EXIT_PORT};
 
     let fresh = Switch::new(TofinoProfile::wedge_100b_32x()).metrics_snapshot();
@@ -420,15 +418,6 @@ fn scrapes_are_pinned() {
         fleet.clone(),
         pre.placement,
         Box::new(ExhaustiveSearch::default()),
-        OrchestratorConfig {
-            detector: DetectorConfig {
-                drift_threshold: 0.25,
-                hysteresis: 2,
-                min_packets: 8,
-                cooldown: 1,
-            },
-            min_gain: 0.5,
-        },
     )
     .unwrap();
     let window = |n: u64| -> Vec<MetricsSnapshot> {
