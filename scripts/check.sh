@@ -198,10 +198,12 @@ if [ "$(grep -c '^pub(crate) fn next_move(' crates/core/src/placement/mod.rs)" -
 fi
 
 # Kill-catalogue gate: every mutant under tests/mutants/ whose killer is
-# the p4ir, core or asic unit tests, the wire-format properties or the cluster
-# transport or execution suite must still be killed by them (each builds in
-# a reused scratch copy and runs under its own time bound); run
-# `scripts/mutants.sh` alone for the whole catalogue.
+# the p4ir, core or asic unit tests, the wire-format suite (its properties,
+# and the frame pin for a layout both directions change at once:
+# `wire_swaps_two_fields`) or the cluster transport or execution suite must
+# still be killed by them (each builds in a reused scratch copy and runs
+# under its own time bound); run `scripts/mutants.sh` alone for the whole
+# catalogue.
 mapfile -t gated_mutants < <(grep -lE \
     '^Test: -p dejavu-((p4ir|core|asic) --lib|integration --test (wire_format|cluster_transport|cluster_execution))$' \
     tests/mutants/*.patch)
