@@ -933,39 +933,77 @@ impl Switch {
     /// register cells, and the logical clock. `None` when no program is
     /// loaded there.
     pub fn snapshot_state(&self, pipelet: PipeletId) -> Option<StateSnapshot> {
+        self.snapshot_where(pipelet, |_| true)
+    }
+
+    /// One NF's slice of a pipelet's state: the tables and registers under
+    /// the `<nf>__` merged-name prefix the deploy layer scopes them with,
+    /// at the pipelet's clock; nothing else is copied. `None` when no
+    /// program is loaded there. Cut it from the NF's own pipelet: every
+    /// composed pipelet carries the whole merged namespace, so the others
+    /// hold a dormant, empty copy whose restore would reset the NF's idle
+    /// timeouts and zero its registers.
+    pub fn snapshot_slice(&self, pipelet: PipeletId, nf: &str) -> Option<StateSnapshot> {
+        let mine = |name: &str| name.strip_prefix(nf).is_some_and(|r| r.starts_with("__"));
+        self.snapshot_where(pipelet, mine)
+    }
+
+    /// The snapshot of the tables and registers of `pipelet` whose names
+    /// `keep` accepts, tables in their state's registration order (the
+    /// program's).
+    fn snapshot_where(
+        &self,
+        pipelet: PipeletId,
+        keep: impl Fn(&str) -> bool,
+    ) -> Option<StateSnapshot> {
         let Loaded {
             name,
+            program,
             tables: state,
             ..
         } = self.loaded(pipelet)?;
         let mut snap = StateSnapshot::empty(name);
         snap.clock = state.now();
-        for name in state.table_names() {
+        for name in program.tables.keys().filter(|n| keep(n)) {
             snap.tables.push(TableSnapshot {
-                idle_timeout: state.idle_timeout(&name),
-                entries: state.entries(&name).to_vec(),
-                name,
+                name: name.clone(),
+                idle_timeout: state.idle_timeout(name),
+                entries: state.entries(name).to_vec(),
             });
         }
         for (name, cells) in state.register_arrays() {
-            snap.registers.push(RegisterSnapshot {
-                name: name.clone(),
-                cells: cells.clone(),
-            });
+            if keep(name) {
+                snap.registers.push(RegisterSnapshot {
+                    name: name.clone(),
+                    cells: cells.clone(),
+                });
+            }
         }
         Some(snap)
     }
 
-    /// Remaps a [`StateSnapshot`] onto the program currently loaded on
-    /// `pipelet`, keyed by merged table/register name. Entries whose table
-    /// vanished, whose action is no longer defined, or whose key shape
-    /// changed are reported as dropped rather than silently lost; restored
-    /// entries get a fresh idle stamp so a migration never triggers a mass
-    /// eviction. Register cells are masked to the new declared widths.
+    /// [`restore`](Self::restore) of a copy of `snap`.
     pub fn restore_state(
         &mut self,
         pipelet: PipeletId,
         snap: &StateSnapshot,
+    ) -> Result<MigrationReport, IrError> {
+        self.restore(pipelet, snap.clone())
+    }
+
+    /// Remaps a [`StateSnapshot`] onto the program currently loaded on
+    /// `pipelet`, keyed by merged table/register name, moving its entries
+    /// in. Each table is found once and its entries installed as
+    /// [`TableState::install_all`] does; one already installed counts as
+    /// restored, so a restore is idempotent. Entries whose table vanished,
+    /// whose action is no longer defined, or whose key shape changed are
+    /// reported as dropped rather than silently lost; restored entries get
+    /// a fresh idle stamp so a migration never triggers a mass eviction.
+    /// Register cells are masked to the new declared widths.
+    pub fn restore(
+        &mut self,
+        pipelet: PipeletId,
+        snap: StateSnapshot,
     ) -> Result<MigrationReport, IrError> {
         let Loaded {
             program,
@@ -973,10 +1011,10 @@ impl Switch {
             ..
         } = self.loaded_or_err(pipelet)?;
         let mut report = MigrationReport::default();
-        for t in &snap.tables {
+        for t in snap.tables {
             let Some(def) = program.tables.get(&t.name) else {
-                for e in &t.entries {
-                    report.drop_entry(&t.name, e.clone(), "table not in new program");
+                for e in t.entries {
+                    report.drop_entry(&t.name, e, "table not in new program");
                 }
                 continue;
             };
@@ -984,24 +1022,9 @@ impl Switch {
             state
                 .set_idle_timeout(&t.name, t.idle_timeout)
                 .expect("table definition was just found");
-            for e in &t.entries {
-                if !def.actions.contains(&e.action) {
-                    report.drop_entry(&t.name, e.clone(), "action no longer defined");
-                    continue;
-                }
-                if e.matches.len() != def.keys.len() {
-                    report.drop_entry(&t.name, e.clone(), "key shape changed");
-                    continue;
-                }
-                if state.contains_entry(&t.name, e) {
-                    report.restored_entries += 1;
-                    continue;
-                }
-                match state.install(def, e.clone()) {
-                    Ok(()) => report.restored_entries += 1,
-                    Err(err) => report.drop_entry(&t.name, e.clone(), err.to_string()),
-                }
-            }
+            let dropped = |e, why| report.drop_entry(&t.name, e, why);
+            let restored = state.install_all(def, t.entries, dropped);
+            report.restored_entries += restored;
         }
         for r in &snap.registers {
             match program.registers.get(&r.name) {
@@ -1804,6 +1827,47 @@ mod tests {
             .inject(InjectedPacket::new(eth_packet(0xaabb), 0))
             .unwrap();
         assert_eq!(t.disposition, Disposition::Emitted { port: 20 });
+    }
+
+    #[test]
+    fn a_slice_copies_exactly_one_nfs_state() {
+        let table = |name: &str| {
+            TableBuilder::new(name)
+                .key_exact(fref("ethernet", "dst_mac"))
+                .action("fwd")
+                .default_action("deny")
+                .build()
+        };
+        let mut program = l2_program();
+        for name in ["nat__l2", "lb__l2"] {
+            program.tables.insert(name.into(), table(name));
+        }
+        program.registers.insert(
+            "lb__count".into(),
+            dejavu_p4ir::table::RegisterDef {
+                name: "lb__count".into(),
+                width_bits: 32,
+                size: 4,
+            },
+        );
+        let pid = PipeletId::ingress(0);
+        let mut sw = Switch::new(TofinoProfile::wedge_100b_32x());
+        sw.load_program(pid, program).unwrap();
+        sw.install_entry(pid, "nat__l2", fwd_entry(0xaabb, 20))
+            .unwrap();
+        sw.register_store(pid, "lb__count", 1, 7).unwrap();
+        sw.advance_time(42);
+
+        let nat = sw.snapshot_slice(pid, "nat").unwrap();
+        assert_eq!((nat.clock, nat.tables.len()), (42, 1));
+        assert_eq!(nat.tables[0].entries, [fwd_entry(0xaabb, 20)]);
+        assert!(nat.registers.is_empty());
+        // `lb__` is not `nat__`'s, nor is a name that only starts alike.
+        assert!(sw.snapshot_slice(pid, "lb_").unwrap().is_empty());
+        let lb = sw.snapshot_slice(pid, "lb").unwrap();
+        assert_eq!((lb.tables.len(), lb.registers.len()), (1, 1));
+        assert_eq!(lb.registers[0].cells[1], 7);
+        assert!(sw.snapshot_slice(PipeletId::ingress(1), "nat").is_none());
     }
 
     #[test]

@@ -136,6 +136,34 @@ impl TableRt {
         self.maybe_migrate();
     }
 
+    /// Room for `n` more entries without growing the per-entry lists.
+    fn reserve(&mut self, n: usize) {
+        self.entries.reserve(n);
+        self.ranks.reserve(n);
+        self.action_ords.reserve(n);
+        self.last_hit.reserve(n);
+    }
+
+    /// Room for one more entry of `def`. A full table with aging evicts
+    /// its least-recently-hit entry, like a learn cache (the bounded-memory
+    /// LRU fallback); a full table without aging refuses.
+    fn make_room(&mut self, def: &TableDef) -> Result<(), IrError> {
+        if (self.entries.len() as u32) < def.size {
+            return Ok(());
+        }
+        match self.lru_victim() {
+            Some(victim) if self.idle_timeout.is_some() => {
+                self.remove_at(victim);
+                self.evictions.set(self.evictions.get() + 1);
+                Ok(())
+            }
+            _ => Err(IrError::Invalid(format!(
+                "table {} full ({} entries)",
+                def.name, def.size
+            ))),
+        }
+    }
+
     /// Rebuilds the current index from the full entry list.
     fn rebuild_index(&mut self) {
         self.index.build(&self.entries, &self.ranks);
@@ -263,6 +291,49 @@ impl TableRt {
     }
 }
 
+/// An entry's keys against its table's: as many match specs as keys, each
+/// of its key's kind (or `Any`), and no prefix longer than its value is
+/// wide.
+fn check_keys(def: &TableDef, entry: &TableEntry) -> Result<(), IrError> {
+    if entry.matches.len() != def.keys.len() {
+        return Err(IrError::Invalid(format!(
+            "table {}: entry has {} key matches, table has {} keys",
+            def.name,
+            entry.matches.len(),
+            def.keys.len()
+        )));
+    }
+    for (km, key) in entry.matches.iter().zip(&def.keys) {
+        let ok = matches!(
+            (km, key.kind),
+            (KeyMatch::Exact(_), MatchKind::Exact)
+                | (KeyMatch::Ternary(..), MatchKind::Ternary)
+                | (KeyMatch::Lpm(..), MatchKind::Lpm)
+                | (KeyMatch::Range(..), MatchKind::Range)
+                | (KeyMatch::Any, _)
+        );
+        if !ok {
+            return Err(IrError::Invalid(format!(
+                "table {}: match kind mismatch on key {}",
+                def.name, key.field
+            )));
+        }
+        // P4Runtime's INVALID_ARGUMENT: a prefix longer than its value
+        // would outrank every genuine prefix of the same priority.
+        if let KeyMatch::Lpm(prefix, len) = km {
+            if *len > prefix.bits() {
+                return Err(IrError::Invalid(format!(
+                    "table {}: prefix length {len} on key {} exceeds its {} bits",
+                    def.name,
+                    key.field,
+                    prefix.bits()
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Drains the elements of `v` at the strictly ascending positions
 /// `removed`, in that order; the rest close up in place as the iterator is
 /// exhausted.
@@ -329,42 +400,7 @@ impl TableState {
     /// keys, no prefix may be longer than its value is wide, and the
     /// declared capacity must not be exceeded.
     pub fn install(&mut self, def: &TableDef, entry: TableEntry) -> Result<(), IrError> {
-        if entry.matches.len() != def.keys.len() {
-            return Err(IrError::Invalid(format!(
-                "table {}: entry has {} key matches, table has {} keys",
-                def.name,
-                entry.matches.len(),
-                def.keys.len()
-            )));
-        }
-        for (km, key) in entry.matches.iter().zip(&def.keys) {
-            let ok = matches!(
-                (km, key.kind),
-                (KeyMatch::Exact(_), MatchKind::Exact)
-                    | (KeyMatch::Ternary(..), MatchKind::Ternary)
-                    | (KeyMatch::Lpm(..), MatchKind::Lpm)
-                    | (KeyMatch::Range(..), MatchKind::Range)
-                    | (KeyMatch::Any, _)
-            );
-            if !ok {
-                return Err(IrError::Invalid(format!(
-                    "table {}: match kind mismatch on key {}",
-                    def.name, key.field
-                )));
-            }
-            // P4Runtime's INVALID_ARGUMENT: a prefix longer than its value
-            // would outrank every genuine prefix of the same priority.
-            if let KeyMatch::Lpm(prefix, len) = km {
-                if *len > prefix.bits() {
-                    return Err(IrError::Invalid(format!(
-                        "table {}: prefix length {len} on key {} exceeds its {} bits",
-                        def.name,
-                        key.field,
-                        prefix.bits()
-                    )));
-                }
-            }
-        }
+        check_keys(def, &entry)?;
         let Some(action_ord) = def.actions.iter().position(|a| a == &entry.action) else {
             return Err(IrError::Undefined {
                 kind: "entry action",
@@ -372,27 +408,51 @@ impl TableState {
             });
         };
         let id = self.preregister(def);
-        let now = self.clock;
         let slot = &mut self.slots[id];
-        if slot.entries.len() as u32 >= def.size {
-            // Aging-enabled tables behave like a learn cache: a full table
-            // evicts its least-recently-hit entry instead of refusing the
-            // install (the bounded-memory LRU fallback).
-            match slot.lru_victim() {
-                Some(victim) if slot.idle_timeout.is_some() => {
-                    slot.remove_at(victim);
-                    slot.evictions.set(slot.evictions.get() + 1);
+        slot.make_room(def)?;
+        slot.push(entry, self.clock, action_ord);
+        Ok(())
+    }
+
+    /// Installs `entries` into `def`'s table as [`install`](Self::install)
+    /// would, with the same checks, finding the table once and each
+    /// entry's action once; an entry already installed counts as installed
+    /// and is not added again, so installing the same list twice changes
+    /// nothing. Each entry that does not install goes to `refused` with
+    /// the reason. Returns how many entries are installed.
+    pub fn install_all(
+        &mut self,
+        def: &TableDef,
+        entries: Vec<TableEntry>,
+        mut refused: impl FnMut(TableEntry, String),
+    ) -> usize {
+        let id = self.preregister(def);
+        let (slot, now) = (&mut self.slots[id], self.clock);
+        let room = (def.size as usize).saturating_sub(slot.entries.len());
+        slot.reserve(entries.len().min(room));
+        let mut installed = 0;
+        for entry in entries {
+            let Some(action_ord) = def.actions.iter().position(|a| a == &entry.action) else {
+                refused(entry, "action no longer defined".into());
+                continue;
+            };
+            if entry.matches.len() != def.keys.len() {
+                refused(entry, "key shape changed".into());
+                continue;
+            }
+            if slot.position(&entry).is_some() {
+                installed += 1;
+                continue;
+            }
+            match check_keys(def, &entry).and_then(|()| slot.make_room(def)) {
+                Ok(()) => {
+                    slot.push(entry, now, action_ord);
+                    installed += 1;
                 }
-                _ => {
-                    return Err(IrError::Invalid(format!(
-                        "table {} full ({} entries)",
-                        def.name, def.size
-                    )));
-                }
+                Err(e) => refused(entry, e.to_string()),
             }
         }
-        slot.push(entry, now, action_ord);
-        Ok(())
+        installed
     }
 
     /// Enables (or disables, with `None`) idle-timeout aging on a table:
@@ -558,13 +618,6 @@ impl TableState {
                 )
             })
             .collect()
-    }
-
-    /// Registered table names in registration (program) order.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut named: Vec<(&String, usize)> = self.ids.iter().map(|(n, &i)| (n, i)).collect();
-        named.sort_by_key(|&(_, i)| i);
-        named.into_iter().map(|(n, _)| n.clone()).collect()
     }
 
     /// Touched register arrays and their cell contents (the state-snapshot

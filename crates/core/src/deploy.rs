@@ -347,9 +347,9 @@ impl Deployment {
         // Migrate surviving state onto the new program. The restore skips
         // entries already present (the framework entries just reinstalled),
         // so nothing is duplicated.
-        let migration = match &snapshot {
+        let migration = match snapshot {
             Some(snap) => switch
-                .restore_state(pipelet, snap)
+                .restore(pipelet, snap)
                 .map_err(|e| UpgradeError::Deploy(DeployError::Switch(e)))?,
             None => dejavu_asic::MigrationReport::default(),
         };

@@ -30,16 +30,17 @@
 //!   packet's digests right after executing it, before it forwards, so
 //!   once the last flight has landed every digest is an installed entry.
 //! * **SNAPSHOT** — `snapshot_slices`, fanned out to the old homes of the
-//!   NFs that change members, and to nobody else: each cuts the moving
-//!   NFs' slices from their old home pipelets itself and returns just
-//!   those. No framework table crosses the link. Slices are grouped by
-//!   each NF's new member and addressed to its new pipelet.
+//!   NFs that change members, and to nobody else: each copies the moving
+//!   NFs' slices out of their old home pipelets itself and returns just
+//!   those, sealed. No framework table crosses the link. The seals are
+//!   grouped by each NF's new member and addressed to its new pipelet
+//!   unopened: the driver reads only their entry counts.
 //! * **FLIP** — `flip`, one command per changed member, fanned out: the
 //!   worker gives its staged member the live switch's telemetry setting
 //!   and clock, hands over in process the NFs that stay on it (cut on the
-//!   live switch, restored at their new pipelet), restores the moved
-//!   slices the command carries, and only then makes it live, keeping the
-//!   outgoing switch as retired. Each ack points the NF → member routing
+//!   live switch, restored at their new pipelet), opens and restores the
+//!   moved slices the command carries, and only then makes it live,
+//!   keeping the outgoing switch as retired. Each ack points the NF → member routing
 //!   (installs, punt remedies, [`ClusterHandle::switch_of`]) at the member
 //!   for every NF it hosts. A failed restore leaves the outgoing member
 //!   live.
@@ -52,8 +53,8 @@ use crate::chain::ChainSet;
 use crate::deploy::{DeployError, DeployOptions};
 use crate::multiswitch::{build_cluster_members, member_changes, ClusterPlacement, ClusterWiring};
 use crate::nfmodule::NfModule;
-use crate::transport::{ClusterError, ClusterHandle};
-use dejavu_asic::{PipeletId, PortId, StateSnapshot, TofinoProfile};
+use crate::transport::{ClusterError, ClusterHandle, SealedSlice};
+use dejavu_asic::{PipeletId, PortId, TofinoProfile};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -276,15 +277,15 @@ pub fn migrate(
         quiesced_packets,
         ..MigrationOutcome::default()
     };
-    let mut state: BTreeMap<usize, Vec<(PipeletId, StateSnapshot)>> = BTreeMap::new();
+    let mut state: BTreeMap<usize, Vec<(PipeletId, SealedSlice)>> = BTreeMap::new();
     for (from, got) in slices {
         for (&(to, at), slice) in lands[&from].iter().zip(got) {
             if slice.is_empty() {
                 continue;
             }
             // It lands on a program built from the same NF, so its flip
-            // restores every entry it carries.
-            outcome.flows_migrated += slice.total_entries() as u64;
+            // restores every entry its seal counts.
+            outcome.flows_migrated += slice.entries;
             state.entry(to).or_default().push((at, slice));
         }
     }

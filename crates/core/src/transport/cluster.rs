@@ -39,7 +39,7 @@
 //! `resume_ingress` and `retire` — and `inject_async` / `recv_delivered`
 //! for the pipelined path underneath.
 
-use super::wire::{self, ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
+use super::wire::{self, ControlMsg, DataMsg, HopSummary, Message, SealedSlice, TelemetryMsg};
 use super::worker::SwitchWorker;
 use super::{ChannelTransport, Endpoint, Link, Transport, TransportError};
 use crate::chain::ChainSet;
@@ -557,6 +557,7 @@ impl Controller {
             | TelemetryMsg::DrainDone { seq, .. }
             | TelemetryMsg::Metrics { seq, .. }
             | TelemetryMsg::Snapshot { seq, .. }
+            | TelemetryMsg::Slices { seq, .. }
             | TelemetryMsg::Evictions { seq, .. }) => self.settle(seq, Ok(reply)),
             TelemetryMsg::Delivered {
                 disposition: Disposition::ToCpu,
@@ -1272,24 +1273,34 @@ impl ClusterHandle {
 
     /// SNAPSHOT of a migration: each member `wanted` names cuts the slices
     /// asked of it, each `(nf, pipelet)` from that pipelet, and returns
-    /// only those — one per ask, in the order asked, empty when the NF
-    /// holds no state there. The members are asked at once.
+    /// only those, sealed — one per ask, in the order asked, empty when the
+    /// NF holds no state there. The members are asked at once. A member
+    /// that answers with anything but one slice per ask fails the verb
+    /// with [`ClusterError::Remote`] naming it: its NFs would otherwise
+    /// move without their state.
     pub fn snapshot_slices(
         &mut self,
         mut wanted: BTreeMap<usize, Vec<(String, PipeletId)>>,
-    ) -> Result<BTreeMap<usize, Vec<StateSnapshot>>, ClusterError> {
+    ) -> Result<BTreeMap<usize, Vec<SealedSlice>>, ClusterError> {
         let members: Vec<usize> = wanted.keys().copied().collect();
-        let asked = members.clone();
+        let asked: Vec<(usize, usize)> = wanted.iter().map(|(&s, w)| (s, w.len())).collect();
         let make = move |switch, seq| ControlMsg::SnapshotSlices {
             seq,
             slices: wanted.remove(&switch).unwrap_or_default(),
         };
         self.broadcast("snapshot_slices", members, make, |_, replies, reply| {
             let mut slices = BTreeMap::new();
-            for (switch, r) in asked.into_iter().zip(replies) {
-                if let TelemetryMsg::Snapshot { items, .. } = r {
-                    slices.insert(switch, items.into_iter().map(|(_, s)| s).collect());
-                }
+            for ((switch, n), r) in asked.into_iter().zip(replies) {
+                let answered = match r {
+                    TelemetryMsg::Slices { slices: got, .. } if got.len() == n => {
+                        slices.insert(switch, got);
+                        continue;
+                    }
+                    TelemetryMsg::Slices { slices: got, .. } => got.len().to_string(),
+                    _ => "no".to_string(),
+                };
+                let e = format!("switch {switch}: {answered} slices for {n} asked");
+                return refuse(reply, ClusterError::Remote(e));
             }
             let _ = reply.send(Ok(slices));
         })
@@ -1299,8 +1310,10 @@ impl ClusterHandle {
     /// member, fanned out. Each takes the telemetry setting and the clock
     /// of the member it replaces, the state of every NF both host (handed
     /// over in its worker, with no frame) and the slices `state` addresses
-    /// to it, and goes live only once all of them restored whole; the
-    /// outgoing member is kept until [`retire`](Self::retire). Returns the
+    /// to it, sealed as [`snapshot_slices`](Self::snapshot_slices) returned
+    /// them and opened only there, and goes live only once all of them
+    /// opened and restored whole; the outgoing member is kept until
+    /// [`retire`](Self::retire). Returns the
     /// entries restored, hand-over included. Each member that acks is
     /// routed to — the NF → member map (the controller's, which routes
     /// installs and punt remedies, and [`switch_of`](Self::switch_of)'s)
@@ -1311,7 +1324,7 @@ impl ClusterHandle {
     /// untouched; callers quiesce first (the migration driver does).
     pub fn flip(
         &mut self,
-        mut state: BTreeMap<usize, Vec<(PipeletId, StateSnapshot)>>,
+        mut state: BTreeMap<usize, Vec<(PipeletId, SealedSlice)>>,
     ) -> Result<u64, ClusterError> {
         if let Some(switch) = state.keys().find(|s| !self.staged.contains_key(s)) {
             let e = format!("switch {switch}: no staged member to flip in");

@@ -35,7 +35,7 @@ pub use cluster::{
     Delivery, PerSwitchReport, WireTraversal,
 };
 pub use tcp::TcpTransport;
-pub use wire::{ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg, WireError};
+pub use wire::{ControlMsg, DataMsg, HopSummary, Message, SealedSlice, TelemetryMsg, WireError};
 
 use std::fmt;
 use std::sync::mpsc::{Receiver, TryRecvError};

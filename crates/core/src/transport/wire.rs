@@ -60,7 +60,7 @@ use std::fmt;
 /// First two bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xDEFA;
 /// Current wire-format revision. Bump on any incompatible layout change.
-pub const WIRE_VERSION: u8 = 7;
+pub const WIRE_VERSION: u8 = 8;
 /// Fixed frame header size: magic + version + class + payload length.
 pub const HEADER_LEN: usize = 8;
 /// Fixed frame trailer size: the CRC-32 of header and payload.
@@ -195,6 +195,68 @@ pub struct DataMsg {
     pub bytes: Vec<u8>,
 }
 
+/// One NF's state slice as its old home sealed it: the slice's
+/// [`StateSnapshot`] in the frame format, and the entries it holds. A
+/// migration relays it from the old home to the new member without
+/// opening it, so the snapshot is decoded once, where it is restored.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SealedSlice {
+    /// Table entries the slice holds, counted when it was sealed.
+    pub entries: u64,
+    /// The slice's encoding; none for a slice with no table and no
+    /// register.
+    pub bytes: Vec<u8>,
+}
+
+impl SealedSlice {
+    /// Seals a slice: encodes it once and counts its entries.
+    pub fn seal(slice: &StateSnapshot) -> Self {
+        let entries = slice.total_entries();
+        let mut bytes = Vec::new();
+        if !slice.is_empty() {
+            // Room for a learned NAT entry (52 bytes) each: most slices
+            // are encoded without growing.
+            bytes.reserve(64 * (entries + slice.tables.len() + slice.registers.len() + 1));
+            slice.put(&mut bytes);
+        }
+        SealedSlice {
+            entries: entries as u64,
+            bytes,
+        }
+    }
+
+    /// True when the slice holds no table and no register.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Decodes the sealed slice. Bytes that are not one whole snapshot, or
+    /// a snapshot that does not hold the entries the seal counts, are a
+    /// [`WireError`].
+    pub fn open(&self) -> Result<StateSnapshot, WireError> {
+        let slice = if self.is_empty() {
+            StateSnapshot::empty("")
+        } else {
+            let mut d = Dec {
+                buf: &self.bytes,
+                pos: 0,
+            };
+            let slice = StateSnapshot::get(&mut d)?;
+            if d.pos != self.bytes.len() {
+                let extra = self.bytes.len() - d.pos;
+                return Err(WireError::TrailingBytes { extra });
+            }
+            slice
+        };
+        let found = slice.total_entries() as u64;
+        if found != self.entries {
+            let e = format!("a seal of {} entries holds {found}", self.entries);
+            return Err(WireError::BadValue(e));
+        }
+        Ok(slice)
+    }
+}
+
 /// Control commands, controller → worker. Every command carries an even
 /// sequence number the worker echoes in its reply ([`TelemetryMsg::Ack`] /
 /// [`TelemetryMsg::Nack`] or a command-specific response).
@@ -274,24 +336,26 @@ pub enum ControlMsg {
     },
     /// Make the member staged on the worker's in-process side channel
     /// (see [`SwitchWorker::swap_rx`](super::worker::SwitchWorker)) live:
-    /// the worker carries its telemetry setting and clock over to the
-    /// staged switch, hands over the state of every NF both switches host
-    /// (cut on the live switch, restored at the NF's new pipelet, no
-    /// frame), restores `state` onto it, then adopts the staged pair,
-    /// keeps the outgoing one as retired and acks with the entries
-    /// restored; the ack re-points the controller's NF → member map. A
-    /// restore that fails or drops anything, or no staged member (e.g. a
-    /// remote process, which has no side channel), nacks instead.
+    /// the worker opens every seal in `state`, carries its telemetry
+    /// setting and clock over to the staged switch, hands over the state
+    /// of every NF both switches host (cut on the live switch, restored at
+    /// the NF's new pipelet, no frame), restores the opened slices onto
+    /// it, then adopts the staged pair, keeps the outgoing one as retired
+    /// and acks with the entries restored; the ack re-points the
+    /// controller's NF → member map. A seal that does not open, a restore
+    /// that fails or drops anything, or no staged member (e.g. a remote
+    /// process, which has no side channel) nacks instead.
     Flip {
         /// Reply correlation.
         seq: u64,
         /// The tag the member was staged under.
         staged: u64,
-        /// `(pipelet, snapshot)` for every NF slice moving onto the member.
-        state: Vec<(PipeletId, StateSnapshot)>,
+        /// `(pipelet, slice)` for every NF slice moving onto the member,
+        /// sealed as its old home cut it.
+        state: Vec<(PipeletId, SealedSlice)>,
     },
     /// Cut the slices of the named NFs, each from the pipelet beside it,
-    /// and return just those ([`TelemetryMsg::Snapshot`]: one item per
+    /// and return just those, sealed ([`TelemetryMsg::Slices`]: one per
     /// slice asked for, in the order asked, empty when the NF holds no
     /// state there).
     SnapshotSlices {
@@ -365,13 +429,20 @@ pub enum TelemetryMsg {
         rejected_frames: u64,
     },
     /// State snapshots, in the frame format (module docs): the answer to
-    /// [`ControlMsg::SnapshotState`] and [`ControlMsg::SnapshotSlices`].
+    /// [`ControlMsg::SnapshotState`].
     Snapshot {
         /// Echoed command sequence number.
         seq: u64,
-        /// `(pipelet, snapshot)` for every loaded pipelet with state, or
-        /// for every slice asked for, in the order asked.
+        /// `(pipelet, snapshot)` for every loaded pipelet with state.
         items: Vec<(PipeletId, StateSnapshot)>,
+    },
+    /// The answer to [`ControlMsg::SnapshotSlices`]: one sealed slice per
+    /// slice asked for, in the order asked.
+    Slices {
+        /// Echoed command sequence number.
+        seq: u64,
+        /// The slices, each sealed on the member that cut it.
+        slices: Vec<SealedSlice>,
     },
     /// Entries evicted by an [`ControlMsg::AdvanceTime`] sweep.
     Evictions {
@@ -673,6 +744,7 @@ wire_struct! {
     HistogramSnapshot { count, sum, buckets via histogram_buckets }
     MetricsSnapshot { metrics }
     LearnPolicy { table, action, key_map, arg_map }
+    SealedSlice { entries, bytes }
 }
 
 wire_enum! {
@@ -737,6 +809,7 @@ wire_enum! {
     5 => Snapshot { seq, items }
     6 => Evictions { seq, evictions }
     7 => Delivered { disposition, data }
+    8 => Slices { seq, slices }
 }
 
 /// Encodes a message into a complete frame (header + payload + trailer).

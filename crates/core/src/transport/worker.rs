@@ -24,7 +24,7 @@
 //!   no controller round trip. Every member holds every policy, because
 //!   migration moves NFs between members.
 
-use super::wire::{self, ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg};
+use super::wire::{self, ControlMsg, DataMsg, HopSummary, Message, SealedSlice, TelemetryMsg};
 use super::{Endpoint, Link, TransportError};
 use crate::control_plane::{DecisionCore, Learned};
 use crate::deploy::Deployment;
@@ -242,21 +242,35 @@ impl SwitchWorker {
                         items.push((pipelet, snap));
                     }
                 }
-                self.send_snapshot(seq, items);
+                self.send_reply(seq, TelemetryMsg::Snapshot { seq, items });
             }
             ControlMsg::SnapshotSlices { slices, .. } => {
-                let wanted = slices.iter().map(|(nf, p)| (nf.as_str(), *p));
-                let items = cut_slices(&self.switch, wanted);
-                self.send_snapshot(seq, items);
+                let cut = |(nf, pipelet): &(String, PipeletId)| {
+                    SealedSlice::seal(&slice(&self.switch, nf, *pipelet))
+                };
+                let slices = slices.iter().map(cut).collect();
+                self.send_reply(seq, TelemetryMsg::Slices { seq, slices });
             }
             ControlMsg::RestoreState {
                 pipelet, snapshot, ..
             } => {
-                let restored = self.switch.restore_state(pipelet, &snapshot);
+                let restored = self.switch.restore(pipelet, snapshot);
                 let restored = restored.map_err(|e| e.to_string()).and_then(whole);
                 self.answer(seq, restored.map(|r| r.restored_entries as u64));
             }
             ControlMsg::Flip { staged, state, .. } => {
+                // Every seal is opened before anything is restored.
+                let opened = state.into_iter().map(|(pipelet, seal)| match seal.open() {
+                    Ok(slice) => Ok((pipelet, slice)),
+                    Err(e) => Err(format!("slice for {pipelet}: {e}")),
+                });
+                let moved = match opened.collect::<Result<Vec<_>, _>>() {
+                    Ok(moved) => moved,
+                    Err(why) => {
+                        self.nack(seq, &why);
+                        return false;
+                    }
+                };
                 // The member was staged on the side channel before the wire
                 // command was sent, so it is already queued (or will never
                 // arrive: nack rather than block the data path). One staged
@@ -274,8 +288,8 @@ impl SwitchWorker {
                 switch.advance_time(self.switch.now());
                 let stays = hand_over(&self.switch, &self.deployment, &deployment);
                 let mut report = MigrationReport::default();
-                for (pipelet, snap) in stays.iter().chain(&state) {
-                    match switch.restore_state(*pipelet, snap) {
+                for (pipelet, snap) in stays.into_iter().chain(moved) {
+                    match switch.restore(pipelet, snap) {
                         Ok(r) => report.merge(r),
                         Err(e) => {
                             self.nack(seq, &e.to_string());
@@ -314,12 +328,11 @@ impl SwitchWorker {
         false
     }
 
-    /// Sends a [`TelemetryMsg::Snapshot`] reply. One the link refuses (past
-    /// `MAX_PAYLOAD`) must not leave the controller waiting out its timeout:
-    /// it is nacked with the size.
-    fn send_snapshot(&mut self, seq: u64, items: Vec<(PipeletId, StateSnapshot)>) {
-        let reply = Message::Telemetry(TelemetryMsg::Snapshot { seq, items });
-        if let Err(TransportError::Wire(e)) = self.upstream.send(&reply) {
+    /// Sends a reply that carries state. One the link refuses (past
+    /// `MAX_PAYLOAD`) must not leave the controller waiting out its
+    /// timeout: it is nacked with the size.
+    fn send_reply(&mut self, seq: u64, reply: TelemetryMsg) {
+        if let Err(TransportError::Wire(e)) = self.upstream.send(&Message::Telemetry(reply)) {
             self.nack(seq, &e.to_string());
         }
     }
@@ -351,27 +364,10 @@ fn whole(report: MigrationReport) -> Result<MigrationReport, String> {
     Err(format!("{}{}", report.summary(), first.unwrap_or_default()))
 }
 
-/// The slices `wanted` names, in its order, each cut from a snapshot of
-/// the pipelet beside it on `switch`; every NF cut from one pipelet shares
-/// its snapshot. A pipelet that is not loaded yields an empty slice.
-fn cut_slices<'a>(
-    switch: &Switch,
-    wanted: impl IntoIterator<Item = (&'a str, PipeletId)>,
-) -> Vec<(PipeletId, StateSnapshot)> {
-    let mut pipelets: Vec<(PipeletId, StateSnapshot)> = Vec::new();
-    let mut slices = Vec::new();
-    for (nf, pipelet) in wanted {
-        let at = match pipelets.iter().position(|(p, _)| *p == pipelet) {
-            Some(at) => at,
-            None => {
-                let snap = switch.snapshot_state(pipelet);
-                pipelets.push((pipelet, snap.unwrap_or_else(|| StateSnapshot::empty(""))));
-                pipelets.len() - 1
-            }
-        };
-        slices.push((pipelet, pipelets[at].1.cut(nf)));
-    }
-    slices
+/// `nf`'s slice of `pipelet` on `switch`: empty when no program is loaded
+/// there.
+fn slice(switch: &Switch, nf: &str, pipelet: PipeletId) -> StateSnapshot {
+    (switch.snapshot_slice(pipelet, nf)).unwrap_or_else(|| StateSnapshot::empty(""))
 }
 
 /// The in-process hand-over of a flip: the state of every NF that both the
@@ -383,16 +379,8 @@ fn hand_over(
     live: &Deployment,
     staged: &Deployment,
 ) -> Vec<(PipeletId, StateSnapshot)> {
-    let stays: Vec<(PipeletId, PipeletId, String)> = (staged.chains.all_nfs().into_iter())
-        .filter_map(|nf| Some((live.nf_location(&nf)?, staged.nf_location(&nf)?, nf)))
-        .collect();
-    let slices = cut_slices(
-        switch,
-        stays.iter().map(|(from, _, nf)| (nf.as_str(), *from)),
-    );
-    let handed = stays
-        .iter()
-        .zip(slices)
-        .map(|((_, to, _), (_, slice))| (*to, slice));
+    let stays = (staged.chains.all_nfs().into_iter())
+        .filter_map(|nf| Some((live.nf_location(&nf)?, staged.nf_location(&nf)?, nf)));
+    let handed = stays.map(|(from, to, nf)| (to, slice(switch, &nf, from)));
     handed.filter(|(_, slice)| !slice.is_empty()).collect()
 }

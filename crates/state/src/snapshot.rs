@@ -92,22 +92,6 @@ impl StateSnapshot {
         self.tables.is_empty() && self.registers.is_empty()
     }
 
-    /// Moves one NF's slice out of this snapshot: the tables and registers
-    /// under the `<nf>__` merged-name prefix the deploy layer scopes them
-    /// with, at this snapshot's clock. Empty when there are none. Cut it
-    /// from the NF's own pipelet: every composed pipelet carries the whole
-    /// merged namespace, so the others hold a dormant, empty copy whose
-    /// restore would reset the NF's idle timeouts and zero its registers.
-    pub fn cut(&mut self, nf: &str) -> StateSnapshot {
-        let prefix = format!("{nf}__");
-        let mine = |name: &str| name.starts_with(&prefix);
-        let mut piece = StateSnapshot::empty(self.program.clone());
-        piece.clock = self.clock;
-        piece.tables = self.tables.extract_if(.., |t| mine(&t.name)).collect();
-        piece.registers = self.registers.extract_if(.., |r| mine(&r.name)).collect();
-        piece
-    }
-
     /// Serializes to the versioned JSON format.
     pub fn to_json(&self) -> String {
         to_json(self)
@@ -473,18 +457,5 @@ mod tests {
         assert!(snap.table("nat__nat_in").is_some());
         assert!(snap.table("absent").is_none());
         assert_eq!(StateSnapshot::empty("x").total_entries(), 0);
-    }
-
-    #[test]
-    fn a_cut_moves_exactly_one_nfs_slice() {
-        let mut snap = sample();
-        let nat = snap.cut("nat");
-        assert_eq!((nat.clock, nat.tables.len()), (42, 2));
-        assert!(nat.registers.is_empty());
-        // `lb__` is not `nat__`'s, nor is a name that only starts alike.
-        assert_eq!(snap.registers.len(), 1);
-        assert!(snap.cut("lb_").is_empty());
-        assert_eq!(snap.cut("lb").registers.len(), 1);
-        assert!(snap.is_empty());
     }
 }

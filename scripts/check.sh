@@ -265,6 +265,25 @@ if ! grep -q '\.flip(' "$migrate_src" ||
     exit 1
 fi
 
+# One-decode gate: a moved slice is sealed where it is cut (the worker's
+# answer to SNAPSHOT) and opened once, where it is restored (the worker's
+# `Flip` arm). The controller and the migration driver relay the seal
+# untouched: neither opens a sealed slice, `migrate.rs` names no
+# `StateSnapshot`, and the migration verbs of `transport/cluster.rs`
+# (`snapshot_slices` through `flip`) name none either. `SealedSlice::seal(`
+# must be found in worker.rs, and the verbs in cluster.rs, so a rename
+# cannot pass the gate by matching nothing.
+cluster_src=crates/core/src/transport/cluster.rs
+migration_verbs=$(awk '/pub fn snapshot_slices\(/, /pub fn retire\(/' "$cluster_src")
+if ! grep -q 'SealedSlice::seal(' crates/core/src/transport/worker.rs ||
+    [ -z "$migration_verbs" ] ||
+    grep -nE '\.open\(' "$cluster_src" "$migrate_src" ||
+    grep -n 'StateSnapshot' "$migrate_src" ||
+    printf '%s\n' "$migration_verbs" | grep -n 'StateSnapshot'; then
+    echo "the controller or the migration driver opens a moved slice again (see DESIGN.md, Hitless migration)" >&2
+    exit 1
+fi
+
 # Re-placement gate: the closed-loop orchestrator must notice the traffic
 # shift, migrate the learned NAT across switches live, and lose zero
 # flows — bounded, because a hang here means the pause/quiesce barrier

@@ -14,7 +14,7 @@ use dejavu_core::placement::Placement;
 use dejavu_core::routing::{RoutingConfig, SegmentOptions};
 use dejavu_core::transport::wire::MAX_PAYLOAD;
 use dejavu_core::transport::{
-    spawn_cluster, ChannelTransport, ClusterError, ClusterOptions, WireTraversal,
+    spawn_cluster, ChannelTransport, ClusterError, ClusterOptions, SealedSlice, WireTraversal,
 };
 use dejavu_core::{ChainPolicy, ChainSet, NfModule};
 use dejavu_integration::{
@@ -343,7 +343,7 @@ fn a_swapped_in_member_is_routed_to_at_the_cluster_clock() {
     });
     let (switch, deployment) = member_one_replacement();
     assert_eq!(net.switch_of("n2"), Some(0));
-    let state = vec![(PipeletId::ingress(0), slice)];
+    let state = vec![(PipeletId::ingress(0), SealedSlice::seal(&slice))];
     net.stage_member(1, switch, deployment).unwrap();
     assert_eq!(net.flip([(1, state)].into()).unwrap(), 1);
     net.retire(&[1]).unwrap();
@@ -382,7 +382,8 @@ fn a_swap_that_fails_to_restore_keeps_the_outgoing_member() {
     net.install("n3", "work", pass_tcp()).unwrap();
     let (switch, deployment) = member_one_replacement();
     // The newcomer has two pipelines: nothing is loaded on a third.
-    let state = vec![(PipeletId::ingress(2), StateSnapshot::empty("n3"))];
+    let empty = SealedSlice::seal(&StateSnapshot::empty("n3"));
+    let state = vec![(PipeletId::ingress(2), empty)];
     net.stage_member(1, switch, deployment).unwrap();
     let err = net.flip([(1, state)].into()).unwrap_err();
     assert!(matches!(err, ClusterError::Remote(_)), "got {err}");
@@ -403,6 +404,59 @@ fn a_swap_that_fails_to_restore_keeps_the_outgoing_member() {
     assert_eq!(marks(&t.final_bytes), 0b11_0111);
 }
 
+/// A flip carrying a seal that does not open — its bytes cut short, or its
+/// entry count off by one — is refused before anything is restored: the
+/// outgoing member stays live, routed to and holding its entries, and the
+/// good seal beside the bad one is restored nowhere.
+#[test]
+fn a_flip_with_a_bad_seal_keeps_the_outgoing_member() {
+    let mut net = six_nf_cluster();
+    net.install("n3", "work", pass_tcp()).unwrap();
+    let mut slice = StateSnapshot::empty("n2");
+    slice.tables.push(TableSnapshot {
+        name: "n2__work".into(),
+        idle_timeout: None,
+        entries: vec![merged(pass_tcp(), "n2")],
+    });
+    let good = SealedSlice::seal(&slice);
+    let cut = SealedSlice {
+        bytes: good.bytes[..good.bytes.len() - 1].to_vec(),
+        ..good.clone()
+    };
+    let miscounted = SealedSlice {
+        entries: good.entries + 1,
+        ..good.clone()
+    };
+    for bad in [cut, miscounted] {
+        let (switch, deployment) = member_one_replacement();
+        net.stage_member(1, switch, deployment).unwrap();
+        let state = vec![
+            (PipeletId::ingress(0), good.clone()),
+            (PipeletId::ingress(0), bad),
+        ];
+        match net.flip([(1, state)].into()) {
+            Err(ClusterError::Remote(m)) => assert!(m.contains("slice for"), "got {m}"),
+            other => panic!("expected the flip refused, got {other:?}"),
+        }
+        net.retire(&[1]).unwrap();
+
+        assert_eq!(net.switch_of("n2"), Some(0));
+        assert_eq!(net.switch_of("n3"), Some(1));
+        let tables = net
+            .switch(1)
+            .unwrap()
+            .tables(PipeletId::ingress(0))
+            .unwrap();
+        assert_eq!(tables.entries("n3__work"), [merged(pass_tcp(), "n3")]);
+        assert_eq!(tables.entries("n2__work"), []);
+        let t = net
+            .inject(InjectedPacket::new(encapsulated_packet(1, 0), IN_PORT))
+            .unwrap();
+        assert_eq!(t.disposition, Disposition::Emitted { port: EXIT_PORT });
+        assert_eq!(marks(&t.final_bytes), 0b11_0111);
+    }
+}
+
 /// A swap whose state restores only in part is refused as well: an n2
 /// slice whose entry names the NF-view action `pass`, which the merged
 /// program calls `n2__pass`, would go live without that entry.
@@ -416,7 +470,7 @@ fn a_swap_whose_restore_drops_an_entry_keeps_the_outgoing_member() {
         entries: vec![pass_tcp()],
     });
     let (switch, deployment) = member_one_replacement();
-    let state = vec![(PipeletId::ingress(0), slice)];
+    let state = vec![(PipeletId::ingress(0), SealedSlice::seal(&slice))];
     net.stage_member(1, switch, deployment).unwrap();
     match net.flip([(1, state)].into()) {
         Err(ClusterError::Remote(m)) => {
@@ -903,7 +957,8 @@ fn a_failed_flip_still_flips_and_routes_the_others() {
     let (switch, deployment) = member_one_replacement();
     net.stage_member(1, switch, deployment).unwrap();
     // Member 0's newcomer has two pipelines: nothing is loaded on a third.
-    let state = [(0, vec![(PipeletId::ingress(2), StateSnapshot::empty("n0"))])];
+    let empty = SealedSlice::seal(&StateSnapshot::empty("n0"));
+    let state = [(0, vec![(PipeletId::ingress(2), empty)])];
     let err = net.flip(state.into()).unwrap_err();
     assert!(matches!(err, ClusterError::Remote(_)), "got {err}");
     net.retire(&[0, 1]).unwrap();

@@ -599,9 +599,11 @@ fn spawn_rejects_invalid_wiring_with_typed_errors() {
 /// [`ChannelTransport`] with the inbox `label` bound here, so the `link`-th
 /// link connected to it can damage the first frame `pick` selects: bit 1
 /// of byte 21, inside the frame's payload — or, [`duplicating`], send it
-/// twice; or, [`every`], damage each frame it selects.
+/// twice; or, [`rewriting`], re-encode it changed, with a valid trailer;
+/// or, [`every`], damage each frame it selects.
 ///
 /// [`duplicating`]: DamagingTransport::duplicating
+/// [`rewriting`]: DamagingTransport::rewriting
 /// [`every`]: DamagingTransport::every
 struct DamagingTransport {
     inner: ChannelTransport,
@@ -609,6 +611,7 @@ struct DamagingTransport {
     link: usize,
     pick: fn(&Message) -> bool,
     duplicate: bool,
+    rewrite: Option<fn(&mut Message)>,
     every: bool,
     inbox: Option<std::sync::mpsc::Sender<Vec<u8>>>,
     links: usize,
@@ -622,9 +625,19 @@ impl DamagingTransport {
             link,
             pick,
             duplicate: false,
+            rewrite: None,
             every: false,
             inbox: None,
             links: 0,
+        }
+    }
+
+    /// Sends the picked frame as `rewrite` changes its message, framed
+    /// afresh, instead of damaging it.
+    fn rewriting(self, rewrite: fn(&mut Message)) -> Self {
+        DamagingTransport {
+            rewrite: Some(rewrite),
+            ..self
         }
     }
 
@@ -649,15 +662,19 @@ struct DamagingSink {
     tx: std::sync::mpsc::Sender<Vec<u8>>,
     pick: Option<fn(&Message) -> bool>,
     duplicate: bool,
+    rewrite: Option<fn(&mut Message)>,
     every: bool,
 }
 
 impl dejavu_core::transport::FrameSink for DamagingSink {
     fn send_frame(&mut self, mut frame: Vec<u8>) -> Result<(), TransportError> {
         if let Some(pick) = self.pick {
-            if wire::decode(&frame).is_ok_and(|m| pick(&m)) {
+            if let Some(mut m) = wire::decode(&frame).ok().filter(pick) {
                 if self.duplicate {
                     let _ = self.tx.send(frame.clone());
+                } else if let Some(rewrite) = self.rewrite {
+                    rewrite(&mut m);
+                    frame = wire::encode(&m);
                 } else {
                     frame[21] ^= 1 << 1;
                 }
@@ -697,6 +714,7 @@ impl Transport for DamagingTransport {
                     tx: tx.clone(),
                     pick: (self.links == self.link).then_some(self.pick),
                     duplicate: self.duplicate,
+                    rewrite: self.rewrite,
                     every: self.every,
                 })))
             }
@@ -960,7 +978,7 @@ fn a_migration_sends_no_restore_command() {
 fn a_migration_that_fails_before_its_swap_resumes_the_old_cluster() {
     // Worker 0's upstream is the first link connected to `ctrl`.
     let mut transport = DamagingTransport::new("ctrl", 1, |m| {
-        matches!(m, Message::Telemetry(TelemetryMsg::Snapshot { .. }))
+        matches!(m, Message::Telemetry(TelemetryMsg::Slices { .. }))
     });
     let mut handle = nat_cluster(&mut transport, &damaging_options());
     handle
@@ -999,6 +1017,49 @@ fn a_migration_that_fails_before_its_swap_resumes_the_old_cluster() {
         .inject(InjectedPacket::new(inbound(BASE_PORT), IN_PORT))
         .unwrap();
     assert_eq!(ip_at(&back.final_bytes, 30), CLIENT, "the learned flow");
+    handle.shutdown().unwrap();
+}
+
+/// A member that answers SNAPSHOT one slice short — a reply re-framed
+/// with a valid trailer, so nothing counts it as damaged — fails the
+/// migration before FLIP, naming the member: the NAT and the router would
+/// otherwise move without one of their slices. The old cluster resumes,
+/// and every flow learned before still translates on the old placement.
+#[test]
+fn a_snapshot_reply_one_slice_short_fails_the_migration() {
+    // Worker 0's upstream is the first link connected to `ctrl`.
+    let transport = DamagingTransport::new("ctrl", 1, |m| {
+        matches!(m, Message::Telemetry(TelemetryMsg::Slices { .. }))
+    });
+    let mut transport = transport.rewriting(|m| {
+        if let Message::Telemetry(TelemetryMsg::Slices { slices, .. }) = m {
+            slices.pop();
+        }
+    });
+    let mut handle = nat_cluster(&mut transport, &damaging_options());
+    handle
+        .register_learn_policy("nat", NAT_FLOW_STREAM, nat_learn_policy())
+        .unwrap();
+    for f in 0..FLOWS {
+        handle
+            .inject(InjectedPacket::new(outbound(BASE_PORT + f), IN_PORT))
+            .unwrap();
+    }
+
+    match move_the_nat(&mut handle) {
+        Err(MigrationError::Cluster(ClusterError::Remote(m))) => {
+            assert!(m.contains("switch 0"), "got {m}")
+        }
+        other => panic!("expected the migration refused, got {other:?}"),
+    }
+    assert_eq!(handle.switch_of("nat"), Some(0));
+    assert_eq!(handle.metrics_snapshot().unwrap().rejected_frames, 0);
+    for f in 0..FLOWS {
+        let back = handle
+            .inject(InjectedPacket::new(inbound(BASE_PORT + f), IN_PORT))
+            .unwrap();
+        assert_eq!(ip_at(&back.final_bytes, 30), CLIENT, "flow {f}");
+    }
     handle.shutdown().unwrap();
 }
 

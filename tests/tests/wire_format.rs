@@ -17,8 +17,8 @@ use dejavu_asic::telemetry::{HistogramSnapshot, MetricValue, HISTOGRAM_BUCKETS};
 use dejavu_asic::{Gress, MetricsSnapshot, PipeletId, StateSnapshot};
 use dejavu_core::control_plane::LearnPolicy;
 use dejavu_core::transport::wire::{
-    decode, encode, payload_len, ControlMsg, DataMsg, HopSummary, Message, TelemetryMsg, WireError,
-    HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN, WIRE_MAGIC, WIRE_VERSION,
+    decode, encode, payload_len, ControlMsg, DataMsg, HopSummary, Message, SealedSlice,
+    TelemetryMsg, WireError, HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN, WIRE_MAGIC, WIRE_VERSION,
 };
 use dejavu_p4ir::action::crc32;
 use dejavu_p4ir::table::{KeyMatch, TableEntry};
@@ -111,6 +111,13 @@ fn snapshot_strat() -> BoxedStrategy<StateSnapshot> {
             tables,
             registers,
         })
+        .boxed()
+}
+
+/// A generated snapshot, sealed.
+fn sealed_strat() -> BoxedStrategy<SealedSlice> {
+    snapshot_strat()
+        .prop_map(|slice| SealedSlice::seal(&slice))
         .boxed()
 }
 
@@ -224,7 +231,7 @@ fn control_strat() -> BoxedStrategy<ControlMsg> {
         (
             any::<u64>(),
             any::<u64>(),
-            vec((pipelet_strat(), snapshot_strat()), 0..3)
+            vec((pipelet_strat(), sealed_strat()), 0..3)
         )
             .prop_map(|(seq, staged, state)| ControlMsg::Flip { seq, staged, state }),
         (any::<u64>(), vec((string_strat(), pipelet_strat()), 0..4))
@@ -302,6 +309,8 @@ fn telemetry_strat() -> BoxedStrategy<TelemetryMsg> {
         ),
         (any::<u64>(), vec((pipelet_strat(), snapshot_strat()), 0..3))
             .prop_map(|(seq, items)| TelemetryMsg::Snapshot { seq, items }),
+        (any::<u64>(), vec(sealed_strat(), 0..3))
+            .prop_map(|(seq, slices)| TelemetryMsg::Slices { seq, slices }),
         (
             any::<u64>(),
             vec(
@@ -490,7 +499,7 @@ fn overlength_frames_are_rejected() {
 #[test]
 fn unknown_tags_are_typed_errors() {
     // Telemetry tag 2 carried version 4's digests; it names nothing now.
-    for (class, tag) in [(1u8, 13u8), (2, 2), (2, 8)] {
+    for (class, tag) in [(1u8, 13u8), (2, 2), (2, 9)] {
         let mut frame = Vec::new();
         frame.extend_from_slice(&WIRE_MAGIC.to_be_bytes());
         frame.push(WIRE_VERSION);
@@ -604,16 +613,66 @@ fn damaged_snapshot_frames_never_decode_shorter() {
     );
 }
 
+/// A seal counts the entries of the slice it carries and opens to that
+/// slice; one whose count disagrees with what it carries does not open,
+/// whichever way it is off.
+#[test]
+fn a_seal_counts_its_entries_and_opens_to_its_slice() {
+    for n in [0, 1, 257] {
+        let slice = nat_snapshot(n);
+        let seal = SealedSlice::seal(&slice);
+        assert_eq!(seal.entries, u64::from(n));
+        assert!(!seal.is_empty(), "a slice with a table is not empty");
+        assert_eq!(seal.open(), Ok(slice));
+        for entries in [u64::from(n) + 1, u64::from(n).wrapping_sub(1)] {
+            let miscounted = SealedSlice {
+                entries,
+                ..seal.clone()
+            };
+            assert!(
+                matches!(miscounted.open(), Err(WireError::BadValue(m)) if m.contains("holds")),
+                "a seal of {entries} entries over {n} opened"
+            );
+        }
+    }
+    let empty = SealedSlice::seal(&StateSnapshot::empty("pipelet"));
+    assert!(empty.is_empty() && empty.entries == 0);
+    assert_eq!(empty.open().map(|s| s.is_empty()), Ok(true));
+}
+
+/// A seal whose bytes are not one whole snapshot does not open: cut at
+/// any byte, with a byte to spare, or naming a snapshot version this build
+/// does not read.
+#[test]
+fn a_malformed_seal_is_refused() {
+    let seal = SealedSlice::seal(&nat_snapshot(3));
+    for keep in 1..seal.bytes.len() {
+        let cut = SealedSlice {
+            bytes: seal.bytes[..keep].to_vec(),
+            ..seal.clone()
+        };
+        assert!(cut.open().is_err(), "a seal cut to {keep} bytes opened");
+    }
+    let mut long = seal.clone();
+    long.bytes.push(0);
+    assert_eq!(long.open(), Err(WireError::TrailingBytes { extra: 1 }));
+    let mut future = nat_snapshot(3);
+    future.version = 99;
+    let future = SealedSlice::seal(&future);
+    assert!(matches!(future.open(), Err(WireError::BadValue(m)) if m.contains("99")));
+}
+
 /// Version 1 carried state as JSON text, version 2 carried table names in
 /// every hop, version 3 had no trailer, version 4 sent digests up a link
-/// version 5 swapped a member in without its state and version 6 swapped
-/// members in one at a time, each carrying every slice it would host: a
-/// peer on any of them fails loudly at the header, before any payload is
-/// interpreted.
+/// version 5 swapped a member in without its state, version 6 swapped
+/// members in one at a time, each carrying every slice it would host, and
+/// version 7 carried moved slices open, decoded and re-encoded by the
+/// controller: a peer on any of them fails loudly at the header, before
+/// any payload is interpreted.
 #[test]
 fn version_one_headers_are_rejected() {
-    assert_eq!(WIRE_VERSION, 7);
-    for old in [1, 2, 3, 4, 5, 6] {
+    assert_eq!(WIRE_VERSION, 8);
+    for old in [1, 2, 3, 4, 5, 6, 7] {
         let mut frame = encode(&Message::Control(ControlMsg::SnapshotState { seq: 2 }));
         frame[2] = old;
         assert_eq!(payload_len(&frame), Err(WireError::UnsupportedVersion(old)));
@@ -652,11 +711,13 @@ proptest! {
 /// The format's oracle: an FNV-1a hash over the frames of a fixed corpus
 /// (every control and telemetry variant, a 3-hop packet, a `Delivered` per
 /// disposition, all five match kinds, a counter, a gauge and a histogram,
-/// and a 257-entry NAT snapshot in a `Flip` and in a `Snapshot` reply), each
-/// frame checked to decode as itself. A round trip cannot see two fields of
-/// one type swapped in both directions at once; this hash does. The value
-/// was recorded on the codec that wrote each layout out twice, once per
-/// direction.
+/// and a 257-entry NAT snapshot in a `Snapshot` reply and sealed in a
+/// `Flip` and a `Slices` reply), each frame checked to decode as itself. A
+/// round trip cannot see two fields of one type swapped in both directions
+/// at once; this hash does. A second hash covers the payloads of every
+/// frame but the `Flip` and the `Slices` reply: version 8 changed only
+/// those two, so it keeps the value version 7 recorded, on the codec that
+/// wrote each layout out twice, once per direction.
 #[test]
 fn frames_are_pinned() {
     let ingress = |pipeline| PipeletId {
@@ -747,7 +808,10 @@ fn frames_are_pinned() {
         Message::Control(ControlMsg::Flip {
             seq: 20,
             staged: 5,
-            state: vec![(ingress(0), nat_snapshot(257)), (egress, nat_snapshot(0))],
+            state: vec![
+                (ingress(0), SealedSlice::seal(&nat_snapshot(257))),
+                (egress, SealedSlice::seal(&nat_snapshot(0))),
+            ],
         }),
         Message::Control(ControlMsg::SnapshotSlices {
             seq: 22,
@@ -788,6 +852,13 @@ fn frames_are_pinned() {
                 (ingress(1), nat_snapshot(1)),
             ],
         }),
+        Message::Telemetry(TelemetryMsg::Slices {
+            seq: 22,
+            slices: vec![
+                SealedSlice::seal(&nat_snapshot(257)),
+                SealedSlice::seal(&StateSnapshot::empty("")),
+            ],
+        }),
         Message::Telemetry(TelemetryMsg::Evictions {
             seq: 10,
             evictions: vec![(
@@ -811,16 +882,31 @@ fn frames_are_pinned() {
             data,
         }),
     ];
-    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+    let fnv = |hash: u64, bytes: &[u8]| {
+        (bytes.iter()).fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    };
+    let (mut frames, mut kept) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
     for msg in corpus {
         let frame = encode(&msg);
+        let sealed = matches!(
+            msg,
+            Message::Control(ControlMsg::Flip { .. })
+                | Message::Telemetry(TelemetryMsg::Slices { .. })
+        );
         assert_eq!(decode(&frame), Ok(msg));
-        for b in frame {
-            fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        frames = fnv(frames, &frame);
+        if !sealed {
+            kept = fnv(kept, &frame[HEADER_LEN..frame.len() - TRAILER_LEN]);
         }
     }
     assert_eq!(
-        fnv, 0x8229_bd3e_ebb0_512b,
-        "the corpus hashes to {fnv:#018x}"
+        kept, 0x3e60_b5bd_3fdf_66b0,
+        "the payloads of every frame but the Flip and the Slices reply hash to {kept:#018x}"
+    );
+    assert_eq!(
+        frames, 0x6671_5e94_00ba_759b,
+        "the corpus hashes to {frames:#018x}"
     );
 }

@@ -17,7 +17,8 @@
 //! allocations per flight are counted and compared across members that run
 //! one marker NF and three, and a learned NAT flow's outbound flight costs
 //! its return flight plus learning the one digest it emits, pinned to the
-//! allocation. A traced `inject` allocates, but not per table:
+//! allocation, and so is the window of a NAT migration that moves 64
+//! learned flows between members. A traced `inject` allocates, but not per table:
 //! a full trace of the Fig. 9 chain's path 1 (18 tables) costs the same
 //! allocations as path 3's (12). The deploy path is held in counts too:
 //! validating a composed Fig. 2 pipelet touches no heap, one Fig. 2
@@ -32,13 +33,13 @@ use dejavu_asic::{
 };
 use dejavu_compiler::StageAllocator;
 use dejavu_core::compose::{compose_pipelet, CompositionMode, PipeletPlan, PlannedNf};
-use dejavu_core::deploy::{deploy, DeployOptions};
+use dejavu_core::deploy::{deploy, DeployOptions, Deployment};
 use dejavu_core::lint::pipelet_lint_config;
 use dejavu_core::merge::merge_programs;
 use dejavu_core::multiswitch::{deploy_cluster, ClusterPlacement, ClusterWiring};
 use dejavu_core::orchestrator::{AnnealingSearch, ExhaustiveSearch, FleetProblem, PlacementSearch};
 use dejavu_core::placement::{Placement, PlacementProblem};
-use dejavu_core::routing::RoutingConfig;
+use dejavu_core::routing::{RoutingConfig, SegmentOptions};
 use dejavu_core::transport::ClusterHandle;
 use dejavu_core::{ChainPolicy, ChainSet, NfModule};
 use dejavu_integration::{
@@ -298,16 +299,13 @@ fn a_cluster_flight_allocates_the_same_whatever_its_members_run() {
     );
 }
 
-/// Allocations over 64 flights each of an outbound packet of one learned
-/// NAT flow and of its return packet, through a two-member inline cluster
-/// (classifier and nat on member 0, router on member 1), after eight
-/// warm-up flights of each.
-fn allocs_per_nat_flights() -> (u64, u64) {
-    const SERVER: u32 = 0x0808_0808;
-    const PUBLIC_IP: u32 = 0xc633_6401;
-    const CLIENT: u32 = 0x0a01_0101;
-    let nfs = [classifier::classifier(), dynamic_nat(), router::router()];
-    let refs: Vec<&NfModule> = nfs.iter().collect();
+const SERVER: u32 = 0x0808_0808;
+const PUBLIC_IP: u32 = 0xc633_6401;
+const CLIENT: u32 = 0x0a01_0101;
+
+/// The NAT path (classifier, nat, router) and its deploy options.
+fn nat_chain() -> (Vec<NfModule>, ChainSet, DeployOptions) {
+    let nfs = vec![classifier::classifier(), dynamic_nat(), router::router()];
     let chains = ChainSet::new(vec![ChainPolicy::new(
         1,
         "nat_path",
@@ -315,15 +313,24 @@ fn allocs_per_nat_flights() -> (u64, u64) {
         1.0,
     )])
     .expect("one valid chain");
+    let deploy = DeployOptions {
+        entry_nf: Some("classifier".into()),
+        ..Default::default()
+    };
+    (nfs, chains, deploy)
+}
+
+/// The NAT path on a two-member inline cluster (classifier and nat on
+/// member 0, router on member 1), its policy registered and its rules
+/// installed.
+fn nat_cluster() -> ClusterHandle {
+    let (nfs, chains, deploy) = nat_chain();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
     let placement = ClusterPlacement {
         switches: vec![
             Placement::sequential(vec![(PipeletId::ingress(0), vec!["classifier", "nat"])]),
             Placement::sequential(vec![(PipeletId::egress(0), vec!["router"])]),
         ],
-    };
-    let deploy = DeployOptions {
-        entry_nf: Some("classifier".into()),
-        ..Default::default()
     };
     let mut net = deploy_cluster(
         &refs,
@@ -351,12 +358,21 @@ fn allocs_per_nat_flights() -> (u64, u64) {
     let route = router::route_entry((0, 0), EXIT_PORT, 0x0200_0000_0099, 0x0200_0000_0001);
     net.install("router", router::ROUTES_TABLE, route)
         .expect("route installs");
+    net
+}
 
-    let tcp = |src: u32, dst: u32, sport: u16, dport: u16| {
-        let builder = dejavu_traffic::PacketBuilder::tcp().src_ip(src).dst_ip(dst);
-        let bytes = builder.src_port(sport).dst_port(dport).build();
-        InjectedPacket::new(bytes, IN_PORT)
-    };
+/// A TCP packet of the NAT path arriving on the cluster's ingress port.
+fn tcp(src: u32, dst: u32, sport: u16, dport: u16) -> InjectedPacket {
+    let builder = dejavu_traffic::PacketBuilder::tcp().src_ip(src).dst_ip(dst);
+    let bytes = builder.src_port(sport).dst_port(dport).build();
+    InjectedPacket::new(bytes, IN_PORT)
+}
+
+/// Allocations over 64 flights each of an outbound packet of one learned
+/// NAT flow and of its return packet, through [`nat_cluster`], after eight
+/// warm-up flights of each.
+fn allocs_per_nat_flights() -> (u64, u64) {
+    let mut net = nat_cluster();
     let outbound = tcp(CLIENT, SERVER, 40_000, 80);
     let inbound = tcp(SERVER, PUBLIC_IP, 80, 40_000);
     net.inject(outbound.clone())
@@ -414,6 +430,106 @@ fn a_learned_nat_flight_allocates_its_pinned_count() {
         "allocations over 64 outbound and 64 return flights"
     );
     assert!(out <= back + 64 * (DIGEST_RECORD + ENTRY_CHECK));
+}
+
+/// The two members of the NAT path with the NAT moved onto member 1,
+/// beside the router, built as a migration's BUILD builds them: each
+/// reaches the NFs it does not host over the forward link, and member 1,
+/// the last, exits the chain and decapsulates.
+fn nat_moved_members() -> Vec<(Switch, Deployment)> {
+    let (nfs, chains, deploy_options) = nat_chain();
+    let refs: Vec<&NfModule> = nfs.iter().collect();
+    let members = [
+        Placement::sequential(vec![(PipeletId::ingress(0), vec!["classifier"])]),
+        Placement::sequential(vec![(PipeletId::ingress(0), vec!["nat", "router"])]),
+    ];
+    let link = ClusterWiring::default().egress_link_port;
+    let build = |(s, local): (usize, &Placement)| {
+        let remote = chains.all_nfs().into_iter();
+        let remote_ports = remote
+            .filter(|nf| local.location(nf).is_none())
+            .map(|nf| (nf, link))
+            .collect();
+        let last = s + 1 == members.len();
+        let config = RoutingConfig {
+            loopback_port: Default::default(),
+            exit_ports: [(1u16, if last { EXIT_PORT } else { link })].into(),
+            honor_out_port: false,
+        };
+        let segment = SegmentOptions {
+            remote_ports,
+            decap_on_exit: last,
+        };
+        let options = DeployOptions {
+            segment: Some(segment),
+            ..deploy_options.clone()
+        };
+        let profile = TofinoProfile::wedge_100b_32x();
+        deploy(&refs, &chains, local, &profile, &config, &options).expect("member deploys")
+    };
+    members.iter().enumerate().map(build).collect()
+}
+
+/// Allocations of a NAT migration's window, PAUSE to RESUME, on the inline
+/// driver, with `flows` learned flows: the NAT moves from member 0 onto
+/// member 1, both members built and staged before the window as `migrate`
+/// stages them, and its verbs called as `migrate` calls them. Every flow
+/// still translates after it.
+fn allocs_per_nat_migration_window(flows: u16) -> u64 {
+    let mut net = nat_cluster();
+    for f in 0..flows {
+        net.inject(tcp(CLIENT, SERVER, 40_000 + f, 80))
+            .expect("a flow's first packet");
+    }
+    let report = net.process_digests().expect("the flows are learned");
+    assert_eq!(report.entries_installed, usize::from(flows));
+    for (s, (switch, deployment)) in nat_moved_members().into_iter().enumerate() {
+        net.stage_member(s, switch, deployment)
+            .expect("member stages");
+    }
+    let wanted = [(0, vec![("nat".to_string(), PipeletId::ingress(0))])].into();
+
+    let before = ALLOCS.with(Cell::get);
+    net.pause_ingress().expect("PAUSE");
+    let mut slices = net.snapshot_slices(wanted).expect("SNAPSHOT");
+    let nat = slices
+        .remove(&0)
+        .and_then(|mut s| s.pop())
+        .expect("one slice");
+    let state = [(1, vec![(PipeletId::ingress(0), nat)])];
+    let restored = net.flip(state.into()).expect("FLIP");
+    net.resume_ingress().expect("RESUME");
+    let allocs = ALLOCS.with(Cell::get) - before;
+
+    net.retire(&[0, 1]).expect("RETIRE");
+    // The flows and the NAT's own rule, the router's route and the
+    // classifier's two rules, handed over.
+    assert_eq!(restored, u64::from(flows) + 4, "entries restored");
+    for f in 0..flows {
+        let back = tcp(SERVER, PUBLIC_IP, 80, 40_000 + f);
+        let t = net.inject(back).expect("return flight");
+        let at = t.final_bytes[30..34].try_into().expect("4 bytes");
+        assert_eq!(u32::from_be_bytes(at), CLIENT, "flow {f} translated");
+    }
+    allocs
+}
+
+#[test]
+fn a_nat_migration_window_allocates_its_pinned_count() {
+    // 64 learned flows, 65 moved entries. The old home copies the NAT's
+    // tables only and seals them; the controller relays the seal; the new
+    // member opens it once and moves its entries in: 3 allocations an
+    // entry to copy them out, 3 to decode them, 2 for the exact index's
+    // keys (the duplicate check's probe and the stored key). When the old
+    // home copied the whole pipelet and cut the NAT's tables from it, the
+    // controller decoded and re-encoded the slice and the restore cloned
+    // every entry again, the same window took 1 448.
+    const WINDOW: u64 = 679;
+    assert_eq!(
+        allocs_per_nat_migration_window(64),
+        WINDOW,
+        "allocations of one migration window"
+    );
 }
 
 #[test]
